@@ -1022,13 +1022,14 @@ fn recover_session(
         SessionStatus::Active => {
             // Mid-stream at the crash: truncate any torn tail through the
             // full decode path, then rebuild the live sweeps by replaying
-            // the surviving prefix — the same events, in the same order,
-            // the pre-crash apply thread pushed.
+            // the surviving prefix — the same chunks, in the same order,
+            // through the same `decode_columns` + `push_columns` calls
+            // the pre-crash apply thread made.
             let mut live = LiveState::new();
             let mut replay_error: Option<String> = None;
-            let prefix = recover_chunk_prefix(dir, |events| {
+            let prefix = recover_chunk_prefix(dir, |cols| {
                 if replay_error.is_none() {
-                    if let Err(e) = live.push_batch(events) {
+                    if let Err(e) = live.push_columns(cols) {
                         replay_error = Some(e.to_string());
                     }
                 }

@@ -85,7 +85,7 @@
 //! [`read_frame`]: `len:u32 BE | kind:u8 | payload`, payloads capped at
 //! [`MAX_FRAME_LEN`](rlscope_core::store::MAX_FRAME_LEN). **Chunk
 //! payloads are codec-v3 chunk bodies** ([`encode_events`] bytes)
-//! prefixed with a sequence number, so ingest reuses [`decode_events`]
+//! prefixed with a sequence number, so ingest reuses [`decode_columns`]
 //! and inherits its fuzz-hardened error paths — every malformed byte
 //! surfaces as a protocol error, never a panic or a silently dropped
 //! event.
@@ -234,7 +234,7 @@
 //! [`Manifest::checksum`]: rlscope_core::store::Manifest::checksum
 //! [`TraceWriter`]: rlscope_core::store::TraceWriter
 //! [`encode_events`]: rlscope_core::store::encode_events
-//! [`decode_events`]: rlscope_core::store::decode_events
+//! [`decode_columns`]: rlscope_core::store::decode_columns
 //! [`read_frame`]: rlscope_core::store::read_frame
 
 #![forbid(unsafe_code)]

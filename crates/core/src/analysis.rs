@@ -88,25 +88,28 @@
 //! Chunk decode itself is **chunk-parallel**: selected files are decoded
 //! on worker threads and fed to the per-process incremental sweeps in
 //! stream order through bounded channels
-//! ([`crate::store::for_each_decoded_chunk`]), so decode overlaps
-//! sweeping on multi-core machines with bounded in-flight memory.
+//! ([`crate::store::for_each_decoded_chunk_columns`]), so decode
+//! overlaps sweeping on multi-core machines with bounded in-flight
+//! memory.
 //!
-//! # Which sources run columnar
+//! # How each source reaches the sweep
 //!
-//! Sources that start from encoded chunk bytes run the **columnar
-//! path** end to end: [`Analysis::from_chunk_dir`] and
-//! [`Analysis::bounded_streaming`] decode each selected chunk with
+//! Sources that start from encoded chunk bytes —
+//! [`Analysis::from_chunk_dir`], [`Analysis::bounded_streaming`], and
+//! the collector's live ingest and crash-recovery replay
+//! ([`LiveState::push_columns`]) — decode each chunk with
 //! [`crate::store::decode_columns`] into [`crate::store::EventColumns`]
-//! (five flat primitive columns plus a per-chunk name table — no
+//! (five flat primitive columns plus a per-chunk name table; no
 //! `Vec<Event>` is materialized) and feed the sweeps through
-//! [`OverlapSweep::push_columns`]; the collector's live ingest
-//! ([`LiveState::push_columns`]) is the same shape. Sources that start
-//! from already-materialized rows — [`Analysis::of`],
-//! [`Analysis::merged`], [`Analysis::of_events`],
-//! [`Analysis::of_indexed`] — sweep the rows directly; converting them
-//! to columns first would add a copy for no decode saving. Both paths
-//! reduce to the same merge loop and are pinned table-identical by the
-//! `columnar_*` property tests.
+//! [`OverlapSweep::push_columns`]. Sources that start from
+//! already-materialized rows — [`Analysis::of`], [`Analysis::merged`],
+//! [`Analysis::of_events`], [`Analysis::of_indexed`] — sweep the rows
+//! directly; converting them to columns first would add a copy for no
+//! decode saving. Both read events through the same generic engine
+//! bodies (see [`crate::overlap`]) and reduce to the same merge loop;
+//! the two instantiations are pinned table-identical by
+//! `columnar_sweep_matches_batch_canonical_json` in
+//! `tests/properties.rs`.
 //!
 //! # Live-query consistency
 //!
@@ -125,9 +128,10 @@
 //! * **Monotonicity.** Later queries observe a superset prefix; totals
 //!   for any fixed filter never decrease between queries. This holds
 //!   across a collector crash and restart too: recovery replays the
-//!   durable chunk prefix through the same decode path into a fresh
-//!   [`LiveState`], so a post-restart query answers over exactly the
-//!   acknowledged prefix the pre-crash daemon had persisted.
+//!   durable chunk prefix through the same decode and
+//!   [`LiveState::push_columns`] calls into a fresh [`LiveState`], so
+//!   a post-restart query answers over exactly the acknowledged prefix
+//!   the pre-crash daemon had persisted.
 //! * **Open annotations are invisible.** The profiler records intervals
 //!   when they *close*, so time inside a still-open operation or phase
 //!   has not been streamed yet; it appears once the annotation closes
@@ -387,11 +391,11 @@ pub enum SessionSource<'a> {
 /// in-flight) event stream — the analysis substrate behind the
 /// `rlscope-collector` daemon's mid-session queries.
 ///
-/// Feed accepted events with [`LiveState::push`] as they arrive; at any
-/// point, [`LiveState::snapshot`] materializes [`LiveTables`] — the
-/// finalized tables over exactly the events observed so far — without
-/// disturbing the live sweeps, and [`Analysis::of_live`] answers queries
-/// over that snapshot with batch-identical semantics (see the
+/// Feed accepted chunks with [`LiveState::push_columns`] as they arrive;
+/// at any point, [`LiveState::snapshot`] materializes [`LiveTables`] —
+/// the finalized tables over exactly the events observed so far —
+/// without disturbing the live sweeps, and [`Analysis::of_live`] answers
+/// queries over that snapshot with batch-identical semantics (see the
 /// [module docs](crate::analysis) on live-query consistency).
 ///
 /// Internally this mirrors the chunk-dir executor's sweep layout: one
@@ -409,9 +413,6 @@ pub struct LiveState {
     merged: Option<OverlapSweep>,
     per_process: Vec<(ProcessId, OverlapSweep)>,
     slot_of: HashMap<ProcessId, usize>,
-    /// Last event's `(pid, slot)` — profiler streams are long runs of
-    /// one pid, so this memo skips the map lookup on the hot path.
-    last_slot: Option<(ProcessId, usize)>,
     events: u64,
 }
 
@@ -426,102 +427,25 @@ impl LiveState {
         self.events
     }
 
-    /// Accepts one event into the live sweeps.
+    /// Accepts one decoded chunk ([`crate::store::decode_columns`]) into
+    /// the live sweeps — the one apply path, shared by the collector's
+    /// ingest and its crash-recovery replay. A chunk introducing the
+    /// session's second process materializes the merged-stream sweep
+    /// (see the type docs) before any of its events land.
     ///
     /// # Errors
     ///
     /// [`SweepError`] from the underlying sweeps (exact sweeps accept
     /// any order, so only pathological annotation counts can fail).
-    pub fn push(&mut self, e: &Event) -> Result<(), SweepError> {
-        let slot = match self.last_slot {
-            Some((pid, slot)) if pid == e.pid => slot,
-            _ => {
-                let slot = match self.slot_of.get(&e.pid) {
-                    Some(&slot) => slot,
-                    None => {
-                        if self.per_process.len() == 1 && self.merged.is_none() {
-                            // Second process: the merged stream diverges
-                            // from the first process's stream here. Its
-                            // sweep was fed the identical prefix, so its
-                            // clone IS the merged state.
-                            self.merged = Some(self.per_process[0].1.clone());
-                        }
-                        let slot = self.per_process.len();
-                        self.per_process.push((e.pid, OverlapSweep::new().with_phase_tagging()));
-                        self.slot_of.insert(e.pid, slot);
-                        slot
-                    }
-                };
-                self.last_slot = Some((e.pid, slot));
-                slot
-            }
-        };
-        if let Some(merged) = &mut self.merged {
-            merged.push(e)?;
-        }
-        self.per_process[slot].1.push(e)?;
-        self.events += 1;
-        Ok(())
-    }
-
-    /// Accepts a batch (e.g. one decoded chunk), stopping at the first
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveState::push`].
-    pub fn push_batch(&mut self, events: &[Event]) -> Result<(), SweepError> {
-        // Hot path: a batch wholly from the already-current process (the
-        // common single-process profiler stream) resolves its sweep slot
-        // once and feeds the sweep directly — no per-event slot memo,
-        // merged-sweep, or counter work.
-        if let Some((pid, slot)) = self.last_slot {
-            if self.merged.is_none() && events.iter().all(|e| e.pid == pid) {
-                self.per_process[slot].1.push_batch(events)?;
-                self.events += events.len() as u64;
-                return Ok(());
-            }
-        }
-        for e in events {
-            self.push(e)?;
-        }
-        Ok(())
-    }
-
-    /// Accepts one decoded chunk in columnar form
-    /// ([`crate::store::decode_columns`]) — identical sweep state to
-    /// [`LiveState::push_batch`] over the same events, but the chunk
-    /// flows through [`OverlapSweep::push_columns`]: flat column reads,
-    /// names interned once per chunk table id.
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveState::push`].
     pub fn push_columns(&mut self, cols: &EventColumns) -> Result<(), SweepError> {
-        if cols.is_empty() {
-            return Ok(());
-        }
-        // Hot path: a chunk wholly from the already-current process feeds
-        // that sweep directly, exactly like `push_batch`'s fast path.
-        if let Some((pid, slot)) = self.last_slot {
-            if self.merged.is_none() && cols.pids.iter().all(|&p| p == pid.as_u32()) {
-                self.per_process[slot].1.push_columns(cols)?;
-                self.events += cols.len() as u64;
-                return Ok(());
-            }
-        }
-        // Distinct pids in first-appearance order; resolving the slots
-        // up front runs the same merged-sweep promotion rule as `push` —
-        // the clone happens before any of this chunk's events land in
-        // process 0's sweep, so it still captures the shared prefix.
-        let mut chunk_pids: Vec<ProcessId> = Vec::new();
-        for &raw in &cols.pids {
-            let pid = ProcessId(raw);
-            if !chunk_pids.contains(&pid) {
-                chunk_pids.push(pid);
-            }
-        }
-        for &pid in &chunk_pids {
+        // Distinct pids in first-appearance order. Slots resolve up
+        // front: when the second process appears, the merged stream
+        // diverges from the first process's stream, whose sweep was fed
+        // the identical prefix — so its clone IS the merged state,
+        // provided the clone happens before any of this chunk's events
+        // land in it.
+        let chunk_pids = cols.distinct_pids();
+        for pid in chunk_pids.iter().map(|&raw| ProcessId(raw)) {
             if !self.slot_of.contains_key(&pid) {
                 if self.per_process.len() == 1 && self.merged.is_none() {
                     self.merged = Some(self.per_process[0].1.clone());
@@ -534,12 +458,10 @@ impl LiveState {
         if let Some(merged) = &mut self.merged {
             merged.push_columns(cols)?;
         }
-        for &pid in &chunk_pids {
-            let slot = self.slot_of[&pid];
-            self.per_process[slot].1.push_columns_filtered(cols, pid.as_u32())?;
+        for &raw in &chunk_pids {
+            let slot = self.slot_of[&ProcessId(raw)];
+            self.per_process[slot].1.push_columns_filtered(cols, raw)?;
         }
-        let last = ProcessId(*cols.pids.last().expect("non-empty chunk"));
-        self.last_slot = Some((last, self.slot_of[&last]));
         self.events += cols.len() as u64;
         Ok(())
     }
@@ -1225,16 +1147,9 @@ impl<'a> Analysis<'a> {
             if !per_process {
                 return sweeps[0].1.push_columns(&cols).map_err(map_err);
             }
-            // Distinct pids of this chunk in first-appearance order, so
-            // sweep slots are created in the order the row-at-a-time path
-            // would have created them.
-            let mut chunk_pids: Vec<u32> = Vec::new();
-            for &raw in &cols.pids {
-                if chunk_pids.last() != Some(&raw) && !chunk_pids.contains(&raw) {
-                    chunk_pids.push(raw);
-                }
-            }
-            for &raw in &chunk_pids {
+            // First-appearance order, so sweep slots (= group rows) are
+            // created in the order the pids enter the stream.
+            for raw in cols.distinct_pids() {
                 let pid = ProcessId(raw);
                 let slot = *slot_of.entry(pid).or_insert_with(|| {
                     sweeps.push((Some(pid), new_sweep()));
@@ -2196,7 +2111,7 @@ mod tests {
     fn live_state_queries_match_batch_semantics() {
         let events = phased_events();
         let mut live = LiveState::new();
-        live.push_batch(&events).unwrap();
+        live.push_columns(&EventColumns::from_events(&events)).unwrap();
         assert_eq!(live.events_observed(), events.len() as u64);
         let tables = live.snapshot();
         assert_eq!(tables.events_observed(), events.len() as u64);
@@ -2314,9 +2229,9 @@ mod tests {
         let a = phased_events();
         let b = second_session_events();
         let mut live_a = LiveState::new();
-        live_a.push_batch(&a).unwrap();
+        live_a.push_columns(&EventColumns::from_events(&a)).unwrap();
         let mut live_b = LiveState::new();
-        live_b.push_batch(&b).unwrap();
+        live_b.push_columns(&EventColumns::from_events(&b)).unwrap();
         let snap_a = live_a.snapshot();
         let snap_b = live_b.snapshot();
         let dir_a = write_chunk_dir("sess_live_a", &a, 4);
@@ -2434,9 +2349,9 @@ mod tests {
         let events = phased_events();
         let mut live = LiveState::new();
         let (first, rest) = events.split_at(4);
-        live.push_batch(first).unwrap();
+        live.push_columns(&EventColumns::from_events(first)).unwrap();
         let early = live.snapshot();
-        live.push_batch(rest).unwrap();
+        live.push_columns(&EventColumns::from_events(rest)).unwrap();
         let late = live.snapshot();
         assert_eq!(
             Analysis::of_live(&early).table().unwrap(),
@@ -2454,14 +2369,14 @@ mod tests {
 
     /// The merged sweep materializes lazily: single-process streams never
     /// build it, and the promotion on the second process reproduces the
-    /// from-the-start merged sweep exactly (phased_events interleaves
-    /// pids, so the promotion happens mid-stream).
+    /// from-the-start merged sweep exactly (the second pid first appears
+    /// in a later chunk, so the promotion happens mid-stream).
     #[test]
     fn live_state_promotes_merged_sweep_exactly() {
         let single: Vec<Event> =
             phased_events().into_iter().filter(|e| e.pid == ProcessId(0)).collect();
         let mut live = LiveState::new();
-        live.push_batch(&single).unwrap();
+        live.push_columns(&EventColumns::from_events(&single)).unwrap();
         assert!(live.merged.is_none(), "single-pid streams skip the merged sweep");
         let t = live.snapshot();
         assert_eq!(
@@ -2469,9 +2384,16 @@ mod tests {
             Analysis::of_events(&single).table().unwrap()
         );
 
+        let events = phased_events();
         let mut live = LiveState::new();
-        live.push_batch(&phased_events()).unwrap();
+        live.push_columns(&EventColumns::from_events(&events[..6])).unwrap();
+        assert!(live.merged.is_none());
+        live.push_columns(&EventColumns::from_events(&events[6..])).unwrap();
         assert!(live.merged.is_some(), "second pid must materialize the merged sweep");
+        assert_eq!(
+            Analysis::of_live(&live.snapshot()).group_by([Dim::Phase]).tables().unwrap(),
+            Analysis::of_events(&events).group_by([Dim::Phase]).tables().unwrap()
+        );
     }
 
     #[test]

@@ -89,11 +89,8 @@
 //! | historical entry point                      | `Analysis` query |
 //! |---------------------------------------------|------------------|
 //! | `compute_overlap(events)`                   | `Analysis::of_events(events).table()` |
-//! | `compute_overlap_indexed(events, idx)`      | `Analysis::of_indexed(events, idx).table()` |
 //! | `trace.breakdown()`                         | `Analysis::of(&trace).table()` |
-//! | `trace.breakdown_for(pid)`                  | `Analysis::of(&trace).process(pid).table()` |
 //! | `trace.breakdowns_by_process()`             | `Analysis::of(&trace).group_by([Dim::Process]).tables()` |
-//! | `trace.breakdown_per_process()`             | `Analysis::of(&trace).group_by([Dim::Process]).table()` |
 //! | `streamed_breakdowns_by_process(dir, lag)`  | `Analysis::from_chunk_dir(dir)[.bounded_streaming(lag)].group_by([Dim::Process]).tables()` |
 //! | `correct(&trace, &cal)`                     | `Analysis::of(&trace).corrected(&cal).profile()` |
 //! | `uncorrected(&trace)`                       | `Analysis::of(&trace).profile()` |
@@ -136,9 +133,7 @@ pub mod prelude {
     pub use crate::calibrate::{calibrate, Calibration, RunStats};
     pub use crate::correct::{correct, uncorrected, CorrectedProfile, OverheadBreakdown};
     pub use crate::event::{BookkeepingCounts, CpuCategory, Event, EventKind, GpuCategory};
-    pub use crate::overlap::{
-        compute_overlap, compute_overlap_indexed, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE,
-    };
+    pub use crate::overlap::{compute_overlap, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE};
     pub use crate::profiler::{OperationGuard, Profiler, ProfilerConfig, Toggles, TransitionKind};
     pub use crate::report::{
         BreakdownReport, MultiPhaseReport, MultiProcessReport, TransitionReport,
@@ -151,9 +146,7 @@ pub use analysis::{Analysis, AnalysisError, Dim, GroupKey, LiveState, LiveTables
 pub use calibrate::{calibrate, Calibration, RunStats};
 pub use correct::{correct, uncorrected, CorrectedProfile, OverheadBreakdown};
 pub use event::{BookkeepingCounts, CpuCategory, Event, EventKind, GpuCategory};
-pub use overlap::{
-    compute_overlap, compute_overlap_indexed, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE,
-};
+pub use overlap::{compute_overlap, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE};
 pub use profiler::{OperationGuard, Profiler, ProfilerConfig, Toggles, TransitionKind};
 pub use report::{BreakdownReport, MultiPhaseReport, MultiProcessReport, TransitionReport};
 pub use store::ChunkReader;

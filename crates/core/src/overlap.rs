@@ -18,14 +18,20 @@
 //!
 //! * the batch path: all events (or an index subset of a borrowed slice)
 //!   are encoded into flat boundary arrays, sorted with the run-aware
-//!   `sort_boundaries`, and swept in one pass ([`compute_overlap`] /
-//!   [`compute_overlap_indexed`] are the historical entry points, now
-//!   wrappers over `Analysis`);
+//!   `sort_boundaries`, and swept in one pass ([`compute_overlap`] is
+//!   the historical entry point, now a wrapper over `Analysis`);
 //! * [`OverlapSweep`] — the incremental path: events arrive in batches
 //!   (e.g. one decoded trace chunk at a time), are reduced immediately to
 //!   compact boundary records, and the same sweep finalizes to an
 //!   identical [`BreakdownTable`]. See the type docs for the memory
 //!   contract of its exact and bounded modes.
+//!
+//! Each path reads events through one body: the batch boundary encoder
+//! and the streaming push are generic over the store's `EventRow`
+//! accessor, monomorphized for `&Event` (in-memory sources) and for
+//! decoded [`EventColumns`] rows (byte-sourced chunks) — the same code
+//! either way, with no row materialization for columns and no column
+//! copy for rows.
 //!
 //! Both paths can additionally carry a **phase tag** through segments,
 //! producing one table per phase ([`PhaseTables`]) for
@@ -43,9 +49,9 @@
 //! (including every per-process grouped sweep) this is exactly the
 //! historical innermost-active-phase rule.
 
-use crate::event::{CpuCategory, Event, EventKind};
+use crate::event::{CpuCategory, Event};
 use crate::intern::Interner;
-use crate::store::EventColumns;
+use crate::store::{EventColumns, EventRow, TAG_OP, TAG_PHASE};
 use rlscope_sim::time::DurationNs;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -455,20 +461,6 @@ pub fn compute_overlap(events: &[Event]) -> BreakdownTable {
     crate::analysis::Analysis::of_events(events).table().expect("in-memory analysis cannot fail")
 }
 
-/// [`compute_overlap`] over an index subset of one borrowed event slice
-/// (`Analysis::of_indexed(events, indices).table()`).
-///
-/// This is the zero-copy sharding primitive behind
-/// [`crate::trace::Trace::breakdowns_by_process`]: a merged multi-process
-/// trace is partitioned into per-pid index lists once, and each worker
-/// sweeps its indices over the same borrowed slice — no per-process event
-/// clones.
-pub fn compute_overlap_indexed(events: &[Event], indices: &[u32]) -> BreakdownTable {
-    crate::analysis::Analysis::of_indexed(events, indices)
-        .table()
-        .expect("in-memory analysis cannot fail")
-}
-
 /// The raw batch engine over an event slice, bypassing the
 /// [`crate::analysis::Analysis`] builder entirely.
 ///
@@ -488,37 +480,20 @@ pub fn compute_overlap_raw(events: &[Event]) -> BreakdownTable {
 /// per distinct name, not once per event. Produces exactly the
 /// [`compute_overlap`] table for the same events.
 pub fn compute_overlap_columns(cols: &EventColumns) -> BreakdownTable {
-    sweep_tables_columns(cols)
+    sweep_tables(cols.rows())
 }
 
 /// Batch sweep over an event iterator, phases dropped (the historical
 /// `compute_overlap` semantics).
-pub(crate) fn sweep_tables<'a>(events: impl Iterator<Item = &'a Event>) -> BreakdownTable {
-    let (interner, _, acc) = sweep_raw(events, false);
+pub(crate) fn sweep_tables(events: impl Iterator<Item = impl EventRow>) -> BreakdownTable {
+    let (interner, _, acc) = merge_encoded(encode_batch(events, false));
     materialize(&interner, &acc)
 }
 
 /// Batch sweep over an event iterator with phase tagging: one table per
 /// phase, [`NO_PHASE`] first if any untagged time exists.
-pub(crate) fn sweep_tables_by_phase<'a>(events: impl Iterator<Item = &'a Event>) -> PhaseTables {
-    let (interner, phases, acc) = sweep_raw(events, true);
-    phase_tables_from(interner, phases, acc)
-}
-
-/// Columnar twin of [`sweep_tables`].
-pub(crate) fn sweep_tables_columns(cols: &EventColumns) -> BreakdownTable {
-    let (interner, _, acc) = merge_encoded(encode_columns(cols, false));
-    materialize(&interner, &acc)
-}
-
-/// Columnar twin of [`sweep_tables_by_phase`]. The batch analysis paths
-/// are row-sourced today (columnar sources stream through
-/// [`OverlapSweep::push_columns`]), so outside tests this exists as the
-/// phase-grouping equivalence surface pinned by
-/// `columnar_phase_grouping_matches_rows`.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn sweep_tables_by_phase_columns(cols: &EventColumns) -> PhaseTables {
-    let (interner, phases, acc) = merge_encoded(encode_columns(cols, true));
+pub(crate) fn sweep_tables_by_phase(events: impl Iterator<Item = impl EventRow>) -> PhaseTables {
+    let (interner, phases, acc) = merge_encoded(encode_batch(events, true));
     phase_tables_from(interner, phases, acc)
 }
 
@@ -537,22 +512,9 @@ fn phase_tables_from(interner: Interner, phases: Interner, acc: Vec<u64>) -> Pha
         .collect()
 }
 
-/// The shared batch engine: encodes the event stream into flat boundary
-/// arrays, sorts them with [`sort_boundaries`], and sweeps. Returns the
-/// operation interner, the phase interner (id 0 = [`NO_PHASE`]; only id 0
-/// when `track_phases` is off), and the accumulator laid out
-/// `[phase][operation][slot]`.
-fn sweep_raw<'a>(
-    events: impl Iterator<Item = &'a Event>,
-    track_phases: bool,
-) -> (Interner, Interner, Vec<u64>) {
-    merge_encoded(encode_rows(events, track_phases))
-}
-
 /// The batch engine's encoded form: flat boundary arrays plus the
-/// per-event side arrays the merge loop indexes by seq. Rows
-/// ([`encode_rows`]) and columns ([`encode_columns`]) both reduce to
-/// this, so one merge loop serves both paths.
+/// per-event side arrays the merge loop indexes by seq
+/// ([`encode_batch`]'s output, [`merge_encoded`]'s input).
 struct EncodedBatch {
     interner: Interner,
     phase_interner: Interner,
@@ -573,7 +535,9 @@ struct EncodedBatch {
     n_pids: usize,
 }
 
-/// Encodes a row-event stream into an [`EncodedBatch`].
+/// Encodes an event stream into an [`EncodedBatch`]. The phase
+/// interner's id 0 is [`NO_PHASE`] (the only id when `track_phases` is
+/// off).
 ///
 /// Interval boundaries are kept as separate start/end arrays of raw
 /// `(time, event seq)` pairs — the edge kind is implicit in which array
@@ -584,7 +548,7 @@ struct EncodedBatch {
 /// the sort passes entirely); the merge then walks the two sorted
 /// arrays in lockstep, taking ends before starts at equal times so
 /// zero-length active sets generate no spurious segments.
-fn encode_rows<'a>(events: impl Iterator<Item = &'a Event>, track_phases: bool) -> EncodedBatch {
+fn encode_batch(events: impl Iterator<Item = impl EventRow>, track_phases: bool) -> EncodedBatch {
     let mut interner = Interner::with_capacity(16);
     let untracked = interner.intern_str(BucketKey::UNTRACKED);
     let mut phase_interner = Interner::with_capacity(4);
@@ -597,7 +561,7 @@ fn encode_rows<'a>(events: impl Iterator<Item = &'a Event>, track_phases: bool) 
     let mut ends: Vec<(u64, u32)> = Vec::with_capacity(cap);
     // Dense operation id per kept event (untracked for non-operations),
     // and a compact kind code, so the sweep touches a few bytes per event
-    // instead of the full `Event`.
+    // instead of the full event.
     let mut op_ids: Vec<u32> = Vec::with_capacity(cap);
     let mut kind_codes: Vec<u8> = Vec::with_capacity(cap);
     let (mut starts_sorted, mut prev_start) = (true, 0u64);
@@ -607,115 +571,29 @@ fn encode_rows<'a>(events: impl Iterator<Item = &'a Event>, track_phases: bool) 
     // process each boundary belongs to.
     let mut pid_map: HashMap<u32, u32> = HashMap::new();
     let mut pid_idx: Vec<u32> = Vec::new();
-    for e in events {
-        if e.start == e.end {
-            continue;
-        }
-        let seq = op_ids.len() as u32;
-        if track_phases {
-            let next = pid_map.len() as u32;
-            pid_idx.push(*pid_map.entry(e.pid.as_u32()).or_insert(next));
-        }
-        let mut own_id = untracked;
-        kind_codes.push(match &e.kind {
-            EventKind::Cpu(c) => *c as u8,
-            EventKind::Gpu(_) => CODE_GPU,
-            EventKind::Operation => {
-                own_id = interner.intern(&e.name);
-                CODE_OP
-            }
-            EventKind::Phase => {
-                if track_phases {
-                    own_id = phase_interner.intern(&e.name);
-                }
-                CODE_PHASE
-            }
-        });
-        op_ids.push(own_id);
-        let (s, t) = (e.start.as_nanos(), e.end.as_nanos());
-        starts_sorted &= s >= prev_start;
-        ends_sorted &= t >= prev_end;
-        prev_start = s;
-        prev_end = t;
-        starts.push((s, seq));
-        ends.push((t, seq));
-    }
-    if !starts_sorted {
-        sort_boundaries(&mut starts, |p| p.0);
-    }
-    if !ends_sorted {
-        sort_boundaries(&mut ends, |p| p.0);
-    }
-    let n_pids = pid_map.len();
-    EncodedBatch {
-        interner,
-        phase_interner,
-        untracked,
-        track_phases,
-        starts,
-        ends,
-        op_ids,
-        kind_codes,
-        pid_idx,
-        n_pids,
-    }
-}
-
-/// Wire kind tag of operation events in [`EventColumns::kinds`].
-const WIRE_TAG_OP: u8 = 6;
-/// Wire kind tag of phase events in [`EventColumns::kinds`].
-const WIRE_TAG_PHASE: u8 = 7;
-
-/// Columnar twin of [`encode_rows`]: builds the boundary runs straight
-/// from the start/end columns. Name interning goes through a per-chunk
-/// table-id → dense-id translation array, so each distinct name is
-/// hashed once per chunk instead of once per event, and the per-event
-/// loop reads only flat primitive columns.
-fn encode_columns(cols: &EventColumns, track_phases: bool) -> EncodedBatch {
-    let mut interner = Interner::with_capacity(16);
-    let untracked = interner.intern_str(BucketKey::UNTRACKED);
-    let mut phase_interner = Interner::with_capacity(4);
-    let no_phase = phase_interner.intern_str(NO_PHASE);
-    debug_assert_eq!(no_phase, 0);
-
-    let cap = cols.len();
-    let mut starts: Vec<(u64, u32)> = Vec::with_capacity(cap);
-    let mut ends: Vec<(u64, u32)> = Vec::with_capacity(cap);
-    let mut op_ids: Vec<u32> = Vec::with_capacity(cap);
-    let mut kind_codes: Vec<u8> = Vec::with_capacity(cap);
-    let (mut starts_sorted, mut prev_start) = (true, 0u64);
-    let (mut ends_sorted, mut prev_end) = (true, 0u64);
-    let mut pid_map: HashMap<u32, u32> = HashMap::new();
-    let mut pid_idx: Vec<u32> = Vec::new();
-    // Lazily built translation arrays: chunk name-table id → dense id.
+    // Name-table-id → dense-id memos (see `EventRow::dense_id`).
     let mut op_xlat: Vec<u32> = Vec::new();
     let mut phase_xlat: Vec<u32> = Vec::new();
-    for i in 0..cols.len() {
-        let (s, t) = (cols.starts[i], cols.ends[i]);
+    for e in events {
+        let (s, t) = e.span();
         if s == t {
             continue;
         }
         let seq = op_ids.len() as u32;
         if track_phases {
             let next = pid_map.len() as u32;
-            pid_idx.push(*pid_map.entry(cols.pids[i]).or_insert(next));
+            pid_idx.push(*pid_map.entry(e.pid()).or_insert(next));
         }
-        let tag = cols.kinds[i];
         let mut own_id = untracked;
-        kind_codes.push(match tag {
-            0..=3 => tag,
-            WIRE_TAG_OP => {
-                own_id = xlat_id(&mut op_xlat, &mut interner, &cols.names, cols.name_ids[i]);
+        kind_codes.push(match e.tag() {
+            tag @ 0..=3 => tag,
+            TAG_OP => {
+                own_id = e.dense_id(&mut op_xlat, &mut interner);
                 CODE_OP
             }
-            WIRE_TAG_PHASE => {
+            TAG_PHASE => {
                 if track_phases {
-                    own_id = xlat_id(
-                        &mut phase_xlat,
-                        &mut phase_interner,
-                        &cols.names,
-                        cols.name_ids[i],
-                    );
+                    own_id = e.dense_id(&mut phase_xlat, &mut phase_interner);
                 }
                 CODE_PHASE
             }
@@ -748,20 +626,6 @@ fn encode_columns(cols: &EventColumns, track_phases: bool) -> EncodedBatch {
         pid_idx,
         n_pids,
     }
-}
-
-/// Resolves a chunk name-table id to a dense interned id through the
-/// chunk's translation array, interning (and hashing the name) only on
-/// first sight of each table id.
-fn xlat_id(xlat: &mut Vec<u32>, interner: &mut Interner, names: &[Arc<str>], name_id: u32) -> u32 {
-    if xlat.is_empty() {
-        xlat.resize(names.len(), u32::MAX);
-    }
-    let slot = &mut xlat[name_id as usize];
-    if *slot == u32::MAX {
-        *slot = interner.intern(&names[name_id as usize]);
-    }
-    *slot
 }
 
 /// The batch engine's merge loop: sweeps an [`EncodedBatch`]'s sorted
@@ -1308,47 +1172,7 @@ impl OverlapSweep {
     /// for attribution purposes; discard it and re-analyze exactly.
     #[inline]
     pub fn push(&mut self, e: &Event) -> Result<(), SweepError> {
-        self.events_pushed += 1;
-        // Without phase tagging, phases scope reporting, not attribution;
-        // their boundaries only split segments without changing any sums,
-        // so they are dropped before the order check — a whole-run phase
-        // recorded at close (start near 0, arriving last) must not trip
-        // the bounded mode. With phase tagging they are real boundaries
-        // and go through the order check like every other event.
-        if e.start == e.end || (e.kind == EventKind::Phase && !self.track_phases) {
-            return Ok(());
-        }
-        let start = e.start.as_nanos();
-        let end = e.end.as_nanos();
-        if self.have_prev && start < self.prev_t {
-            return Err(SweepError::OrderViolation { start, swept_to: self.prev_t });
-        }
-        // CPU/GPU boundaries reuse the tie-break seq field to carry the
-        // event's dense pid index (0 when phases are untracked): per-pid
-        // activity tracking needs the owner at drain time, and same-time
-        // boundary reordering among CPU/GPU edges cannot change any
-        // attribution (no time accrues between equal-time boundaries and
-        // their state updates commute). Operations and phases keep the
-        // arrival seq — their relative order is load-bearing for scope
-        // identity and activation order — while their meta word carries
-        // the slab record index (see `op_records`).
-        let (seq, meta) = match &e.kind {
-            EventKind::Cpu(c) => (self.pid_index(e.pid.as_u32()), *c as u32),
-            EventKind::Gpu(_) => (self.pid_index(e.pid.as_u32()), u32::from(CODE_GPU)),
-            EventKind::Operation => {
-                let op_id = self.interner.intern(&e.name);
-                self.reserve_ops();
-                (self.next_seq()?, META_OP_BASE + self.alloc_op(op_id)?)
-            }
-            EventKind::Phase => {
-                let phase_id = self.phase_interner.intern(&e.name);
-                self.reserve_phases();
-                let pid = self.pid_index(e.pid.as_u32());
-                (self.next_seq()?, META_PHASE_FLAG | self.alloc_phase(phase_id, pid)?)
-            }
-        };
-        self.push_boundaries(start, end, seq, meta);
-        Ok(())
+        self.push_rows(std::iter::once(e))
     }
 
     /// Feeds a batch of events (e.g. one decoded chunk).
@@ -1357,10 +1181,7 @@ impl OverlapSweep {
     ///
     /// Propagates the first [`SweepError`] (see [`OverlapSweep::push`]).
     pub fn push_batch(&mut self, events: &[Event]) -> Result<(), SweepError> {
-        for e in events {
-            self.push(e)?;
-        }
-        Ok(())
+        self.push_rows(events.iter())
     }
 
     /// Feeds one decoded chunk in columnar form
@@ -1375,17 +1196,12 @@ impl OverlapSweep {
     ///
     /// Propagates the first [`SweepError`] (see [`OverlapSweep::push`]).
     pub fn push_columns(&mut self, cols: &EventColumns) -> Result<(), SweepError> {
-        let mut op_xlat = Vec::new();
-        let mut phase_xlat = Vec::new();
-        for i in 0..cols.len() {
-            self.push_col(cols, i, &mut op_xlat, &mut phase_xlat)?;
-        }
-        Ok(())
+        self.push_rows(cols.rows())
     }
 
     /// [`OverlapSweep::push_columns`] restricted to one process's
-    /// events — the columnar twin of filtering a chunk to `pid` before
-    /// pushing (per-process grouped streaming sweeps).
+    /// events — filtering a chunk to `pid` before pushing (per-process
+    /// grouped streaming sweeps).
     ///
     /// # Errors
     ///
@@ -1395,51 +1211,59 @@ impl OverlapSweep {
         cols: &EventColumns,
         pid: u32,
     ) -> Result<(), SweepError> {
-        let mut op_xlat = Vec::new();
-        let mut phase_xlat = Vec::new();
-        for i in 0..cols.len() {
-            if cols.pids[i] == pid {
-                self.push_col(cols, i, &mut op_xlat, &mut phase_xlat)?;
-            }
-        }
-        Ok(())
+        self.push_rows(cols.rows().filter(|row| row.pid() == pid))
     }
 
-    /// One columnar event through the push path (shared by
-    /// [`OverlapSweep::push_columns`] and its filtered variant).
-    fn push_col(
-        &mut self,
-        cols: &EventColumns,
-        i: usize,
-        op_xlat: &mut Vec<u32>,
-        phase_xlat: &mut Vec<u32>,
-    ) -> Result<(), SweepError> {
-        self.events_pushed += 1;
-        let tag = cols.kinds[i];
-        let (start, end) = (cols.starts[i], cols.ends[i]);
-        if start == end || (tag == WIRE_TAG_PHASE && !self.track_phases) {
-            return Ok(());
-        }
-        if self.have_prev && start < self.prev_t {
-            return Err(SweepError::OrderViolation { start, swept_to: self.prev_t });
-        }
-        let (seq, meta) = match tag {
-            0..=3 => (self.pid_index(cols.pids[i]), u32::from(tag)),
-            WIRE_TAG_OP => {
-                let op_id = xlat_id(op_xlat, &mut self.interner, &cols.names, cols.name_ids[i]);
-                self.reserve_ops();
-                (self.next_seq()?, META_OP_BASE + self.alloc_op(op_id)?)
+    /// The push path — the one body behind every `push*` entry point,
+    /// fed one event, one row batch, or one chunk's column rows.
+    #[inline]
+    fn push_rows(&mut self, rows: impl Iterator<Item = impl EventRow>) -> Result<(), SweepError> {
+        // Per-chunk name-table-id → dense-id memos (`EventRow::dense_id`).
+        let (mut op_xlat, mut phase_xlat) = (Vec::new(), Vec::new());
+        for e in rows {
+            self.events_pushed += 1;
+            let tag = e.tag();
+            let (start, end) = e.span();
+            // Without phase tagging, phases scope reporting, not
+            // attribution; their boundaries only split segments without
+            // changing any sums, so they are dropped before the order
+            // check — a whole-run phase recorded at close (start near 0,
+            // arriving last) must not trip the bounded mode. With phase
+            // tagging they are real boundaries and go through the order
+            // check like every other event.
+            if start == end || (tag == TAG_PHASE && !self.track_phases) {
+                continue;
             }
-            WIRE_TAG_PHASE => {
-                let phase_id =
-                    xlat_id(phase_xlat, &mut self.phase_interner, &cols.names, cols.name_ids[i]);
-                self.reserve_phases();
-                let pid = self.pid_index(cols.pids[i]);
-                (self.next_seq()?, META_PHASE_FLAG | self.alloc_phase(phase_id, pid)?)
+            if self.have_prev && start < self.prev_t {
+                return Err(SweepError::OrderViolation { start, swept_to: self.prev_t });
             }
-            _ => (self.pid_index(cols.pids[i]), u32::from(CODE_GPU)),
-        };
-        self.push_boundaries(start, end, seq, meta);
+            // CPU/GPU boundaries reuse the tie-break seq field to carry
+            // the event's dense pid index (0 when phases are untracked):
+            // per-pid activity tracking needs the owner at drain time,
+            // and same-time boundary reordering among CPU/GPU edges
+            // cannot change any attribution (no time accrues between
+            // equal-time boundaries and their state updates commute).
+            // Operations and phases keep the arrival seq — their relative
+            // order is load-bearing for scope identity and activation
+            // order — while their meta word carries the slab record index
+            // (see `op_records`).
+            let (seq, meta) = match tag {
+                0..=3 => (self.pid_index(e.pid()), u32::from(tag)),
+                TAG_OP => {
+                    let op_id = e.dense_id(&mut op_xlat, &mut self.interner);
+                    self.reserve_ops();
+                    (self.next_seq()?, META_OP_BASE + self.alloc_op(op_id)?)
+                }
+                TAG_PHASE => {
+                    let phase_id = e.dense_id(&mut phase_xlat, &mut self.phase_interner);
+                    self.reserve_phases();
+                    let pid = self.pid_index(e.pid());
+                    (self.next_seq()?, META_PHASE_FLAG | self.alloc_phase(phase_id, pid)?)
+                }
+                _ => (self.pid_index(e.pid()), u32::from(CODE_GPU)),
+            };
+            self.push_boundaries(start, end, seq, meta);
+        }
         Ok(())
     }
 
@@ -1796,6 +1620,7 @@ impl OverlapSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
     use rlscope_sim::ids::ProcessId;
     use rlscope_sim::time::TimeNs;
 
@@ -1980,7 +1805,8 @@ mod tests {
         ];
         let indices = [0u32, 2, 3];
         let subset: Vec<Event> = indices.iter().map(|&i| events[i as usize].clone()).collect();
-        assert_eq!(compute_overlap_indexed(&events, &indices), compute_overlap(&subset));
+        let indexed = crate::analysis::Analysis::of_indexed(&events, &indices).table().unwrap();
+        assert_eq!(indexed, compute_overlap(&subset));
     }
 
     fn figure_3_events() -> Vec<Event> {
@@ -2187,10 +2013,10 @@ mod tests {
         }
     }
 
-    /// The columnar batch sweep resolves phase grouping identically to
-    /// the row batch sweep — group names, group order, and every bucket
-    /// — and its columnar streaming twin (`push_columns` +
-    /// `finalize_grouped`) agrees too.
+    /// The column instantiation of the batch sweep resolves phase
+    /// grouping identically to the row instantiation — group names,
+    /// group order, and every bucket — and the streaming sweep over
+    /// columns (`push_columns` + `finalize_grouped`) agrees too.
     #[test]
     fn columnar_phase_grouping_matches_rows() {
         let events = [
@@ -2204,7 +2030,7 @@ mod tests {
         ];
         let expected = sweep_tables_by_phase(events.iter());
         let cols = EventColumns::from_events(&events);
-        assert_eq!(sweep_tables_by_phase_columns(&cols), expected);
+        assert_eq!(sweep_tables_by_phase(cols.rows()), expected);
 
         let mut sweep = OverlapSweep::new().with_phase_tagging();
         sweep.push_columns(&cols).unwrap();

@@ -4,14 +4,12 @@ use crate::analysis::{Analysis, Dim};
 use crate::event::CpuCategory;
 use crate::overlap::{BreakdownTable, BucketKey};
 use crate::profiler::TransitionKind;
-use crate::store::TraceIoError;
-use crate::trace::{streamed_breakdowns_by_process, Trace};
+use crate::trace::Trace;
 use rlscope_sim::ids::ProcessId;
 use rlscope_sim::smi::UtilizationReport;
 use rlscope_sim::time::DurationNs;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// One row of a time-breakdown report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -183,29 +181,6 @@ impl MultiProcessReport {
         smi: &UtilizationReport,
     ) -> Self {
         Self::from_tables(trace.breakdowns_by_process(), names, dependencies, smi)
-    }
-
-    /// Builds the view by streaming a chunk directory end-to-end in
-    /// bounded memory: chunks decode one at a time and route into
-    /// per-process incremental sweeps
-    /// ([`streamed_breakdowns_by_process`]); the concatenated event
-    /// stream is never materialized, so whole-experiment directories
-    /// larger than RAM analyze in the working set of one chunk plus the
-    /// sweeps. `lag` selects the bounded-memory eager sweep window (see
-    /// [`crate::overlap::OverlapSweep`]); `None` uses exact sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O or corruption error from the directory.
-    pub fn from_chunk_dir(
-        dir: &Path,
-        names: &[(ProcessId, String)],
-        dependencies: Vec<(ProcessId, ProcessId)>,
-        smi: &UtilizationReport,
-        lag: Option<DurationNs>,
-    ) -> Result<Self, TraceIoError> {
-        let tables = streamed_breakdowns_by_process(dir, lag)?;
-        Ok(Self::from_tables(tables, names, dependencies, smi))
     }
 
     fn from_tables(
@@ -531,14 +506,10 @@ mod tests {
         let writer = TraceWriter::create(&dir, 64).unwrap();
         writer.write(trace.events.clone());
         writer.finish().unwrap();
-        let streamed = MultiProcessReport::from_chunk_dir(
-            &dir,
-            &names,
-            deps,
-            &smi,
-            Some(DurationNs::from_micros(100)),
-        )
-        .unwrap();
+        let tables =
+            crate::trace::streamed_breakdowns_by_process(&dir, Some(DurationNs::from_micros(100)))
+                .unwrap();
+        let streamed = MultiProcessReport::from_tables(tables, &names, deps, &smi);
         assert_eq!(streamed, in_memory);
         std::fs::remove_dir_all(&dir).unwrap();
     }

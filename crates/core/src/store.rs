@@ -128,42 +128,46 @@
 //! reset at the chunk header — so chunks decode independently and a
 //! reader never needs more than one chunk in memory.
 //!
-//! [`ChunkReader`] is the streaming access path: it iterates a directory
-//! one decoded chunk at a time, in stream order, yielding each chunk's
-//! `Vec<Event>` for the caller to consume and drop. Downstream analysis
-//! ([`crate::overlap::OverlapSweep`],
-//! [`crate::trace::streamed_breakdowns_by_process`]) reduces each batch
+//! [`for_each_decoded_chunk_columns`] is the streaming access path: it
+//! decodes a file list chunk-parallel and hands each chunk's
+//! [`EventColumns`] to the caller in stream order, to consume and drop.
+//! Downstream analysis ([`crate::overlap::OverlapSweep`],
+//! [`crate::trace::streamed_breakdowns_by_process`]) reduces each chunk
 //! to compact sweep state immediately, which is what lets
 //! whole-experiment chunk directories be analyzed without ever
-//! materializing the concatenated event stream ([`read_chunk_dir`] does
-//! exactly that concatenation and remains only for small traces and
-//! tests).
+//! materializing the concatenated event stream. [`ChunkReader`] iterates
+//! a directory as rows for the consumers that need whole `Event` values
+//! (the start-ordered rewrite; [`read_chunk_dir`], which concatenates
+//! everything and remains only for small traces and tests).
 //!
-//! # Columnar layout
+//! # One event representation below the API
 //!
-//! [`decode_columns`] decodes the same three wire formats into an
-//! [`EventColumns`] structure of arrays instead of a `Vec<Event>`:
-//! parallel `pids: Vec<u32>`, `kinds: Vec<u8>` (the wire tags, already
-//! validated), `name_ids: Vec<u32>` (indices into the chunk's shared
-//! `names` table), `starts: Vec<u64>`, and `ends: Vec<u64>` columns,
-//! plus a `start_sorted` hint computed during the decode. Row and
-//! columnar decodes share the varint/zigzag cursors and every
-//! validation rule, so a chunk decodes successfully on one path iff it
-//! decodes on the other (`tests/properties.rs` pins field-for-field
-//! equality, `tests/fuzz_codec.rs` pins never-panic).
+//! There is one chunk parser, [`decode_columns`], and it fills an
+//! [`EventColumns`] structure of arrays: parallel `pids: Vec<u32>`,
+//! `kinds: Vec<u8>` (the wire tags, already validated), `name_ids:
+//! Vec<u32>` (indices into the chunk's shared `names` table),
+//! `starts: Vec<u64>`, and `ends: Vec<u64>` columns, plus a
+//! `start_sorted` hint computed during the decode — five flat primitive
+//! columns instead of one ~48-byte struct per event, and no per-event
+//! `Arc<str>` clone. Everything byte-sourced consumes the columns
+//! directly: the v3 footer cross-check, [`recover_chunk_prefix`],
+//! [`Manifest::scan`], the chunk-parallel executor, and downstream
+//! [`crate::overlap::compute_overlap_columns`] /
+//! [`crate::overlap::OverlapSweep::push_columns`] (so the collector's
+//! crash recovery replays through exactly the code its ingest ran).
 //!
-//! The columnar path exists for speed on the hot analysis and ingest
-//! paths: it writes five flat primitive columns instead of one ~48-byte
-//! struct per event, clones no per-event `Arc<str>` (names stay in the
-//! chunk's table, referenced by id), and on v3 chunks cross-checks the
-//! footer via [`compute_footer_columns`] without ever materializing
-//! rows. Downstream, [`crate::overlap::compute_overlap_columns`] and
-//! [`crate::overlap::OverlapSweep::push_columns`] run the sweep
-//! directly over the columns; [`ChunkColumnReader`] and
-//! [`for_each_decoded_chunk_columns`] are the column-mode variants of
-//! the streaming readers. Row decode ([`decode_events`]) remains the
-//! entry point wherever whole `Event` values are genuinely needed
-//! (crash-recovery replay, compatibility tooling, small traces).
+//! Rows are a bridge over that parser, not a second one:
+//! [`decode_events`] is `decode_columns(..)?.to_events()`, and
+//! [`EventColumns::to_events`] returns typed errors, never panics, on
+//! column sets no decode would produce.
+//!
+//! In-memory `&[Event]` sources go the other way without a copy: the
+//! footer summarizer here, and the batch boundary encoder and streaming
+//! push in [`crate::overlap`], are each one generic body over the
+//! crate-private `EventRow` accessor, monomorphized for `&Event` and
+//! for a column row. `tests/properties.rs` pins the two instantiations
+//! table-identical; `tests/fuzz_codec.rs` pins never-panic on the
+//! parser and the bridge.
 
 use crate::event::{CpuCategory, Event, EventKind, GpuCategory};
 use crate::intern::{FnvHasher, Interner};
@@ -258,6 +262,91 @@ fn tag_kind(tag: u8) -> Result<EventKind, TraceIoError> {
         7 => EventKind::Phase,
         t => return Err(TraceIoError::Corrupt(format!("unknown event tag {t}"))),
     })
+}
+
+/// The wire tag of [`EventKind::Operation`] (see [`kind_tag`]).
+pub(crate) const TAG_OP: u8 = 6;
+/// The wire tag of [`EventKind::Phase`] (see [`kind_tag`]).
+pub(crate) const TAG_PHASE: u8 = 7;
+
+/// What the merged engine bodies — the footer summarizer here, the batch
+/// boundary encoder and the streaming push in [`crate::overlap`] — read
+/// of one event. Each body is written once over this accessor and
+/// monomorphized for `&Event` (in-memory sources, which would pay a copy
+/// to become columns) and [`ColumnRow`] (decoded chunks, which never
+/// materialize rows).
+pub(crate) trait EventRow {
+    fn pid(&self) -> u32;
+    /// Wire kind tag (see [`kind_tag`]).
+    fn tag(&self) -> u8;
+    /// `(start, end)` in nanoseconds.
+    fn span(&self) -> (u64, u64);
+    fn name(&self) -> &Arc<str>;
+    /// The name's dense id in `interner`. `xlat` is the caller's
+    /// per-chunk name-table-id → dense-id memo: columns hash each
+    /// distinct name once per chunk through it; rows hash per event and
+    /// leave it untouched.
+    fn dense_id(&self, xlat: &mut Vec<u32>, interner: &mut Interner) -> u32;
+}
+
+impl EventRow for &Event {
+    #[inline]
+    fn pid(&self) -> u32 {
+        self.pid.as_u32()
+    }
+    #[inline]
+    fn tag(&self) -> u8 {
+        kind_tag(&self.kind)
+    }
+    #[inline]
+    fn span(&self) -> (u64, u64) {
+        (self.start.as_nanos(), self.end.as_nanos())
+    }
+    #[inline]
+    fn name(&self) -> &Arc<str> {
+        &self.name
+    }
+    #[inline]
+    fn dense_id(&self, _xlat: &mut Vec<u32>, interner: &mut Interner) -> u32 {
+        interner.intern(&self.name)
+    }
+}
+
+/// Event `i` of an [`EventColumns`] (see [`EventColumns::rows`]).
+pub(crate) struct ColumnRow<'a> {
+    cols: &'a EventColumns,
+    i: usize,
+}
+
+impl EventRow for ColumnRow<'_> {
+    #[inline]
+    fn pid(&self) -> u32 {
+        self.cols.pids[self.i]
+    }
+    #[inline]
+    fn tag(&self) -> u8 {
+        self.cols.kinds[self.i]
+    }
+    #[inline]
+    fn span(&self) -> (u64, u64) {
+        (self.cols.starts[self.i], self.cols.ends[self.i])
+    }
+    #[inline]
+    fn name(&self) -> &Arc<str> {
+        &self.cols.names[self.cols.name_ids[self.i] as usize]
+    }
+    #[inline]
+    fn dense_id(&self, xlat: &mut Vec<u32>, interner: &mut Interner) -> u32 {
+        if xlat.is_empty() {
+            xlat.resize(self.cols.names.len(), u32::MAX);
+        }
+        let id = self.cols.name_ids[self.i] as usize;
+        let slot = &mut xlat[id];
+        if *slot == u32::MAX {
+            *slot = interner.intern(&self.cols.names[id]);
+        }
+        *slot
+    }
 }
 
 /// Truncates a name to at most `u16::MAX` bytes **on a char boundary**,
@@ -397,6 +486,19 @@ impl ChunkFooter {
 /// Computes the footer summary of an event batch — the same values a v3
 /// decode cross-checks against its trailer.
 pub fn compute_footer(events: &[Event]) -> ChunkFooter {
+    footer_of(events.iter())
+}
+
+/// [`compute_footer`] over decoded columns, without materializing rows.
+pub fn compute_footer_columns(cols: &EventColumns) -> ChunkFooter {
+    footer_of(cols.rows())
+}
+
+/// The one footer summarizer, monomorphized for in-memory rows (the
+/// encode side) and decoded columns (the v3 cross-check, crash recovery,
+/// manifest scans, the collector's chunk index).
+fn footer_of(rows: impl ExactSizeIterator<Item = impl EventRow>) -> ChunkFooter {
+    let events = rows.len() as u32;
     let mut min_start = u64::MAX;
     let mut max_start = 0u64;
     let mut max_end = 0u64;
@@ -404,24 +506,25 @@ pub fn compute_footer(events: &[Event]) -> ChunkFooter {
     let mut prev = 0u64;
     let mut pids: Vec<u32> = Vec::new();
     let mut phases: BTreeMap<Arc<str>, (u64, u64, Vec<u32>)> = BTreeMap::new();
-    for e in events {
-        let (s, t) = (e.start.as_nanos(), e.end.as_nanos());
+    for e in rows {
+        let (s, t) = e.span();
         min_start = min_start.min(s);
         max_start = max_start.max(s);
         max_end = max_end.max(t);
         sorted &= s >= prev;
         prev = s;
-        let pid = e.pid.as_u32();
+        let pid = e.pid();
         if let Err(at) = pids.binary_search(&pid) {
             pids.insert(at, pid);
         }
-        if e.kind == EventKind::Phase {
+        if e.tag() == TAG_PHASE {
             // Names are truncated like the codec truncates them, so the
-            // footer matches what a round-trip decode will contain.
-            let name: Arc<str> = if e.name.len() <= u16::MAX as usize {
-                e.name.clone()
+            // footer matches what a round-trip decode will contain
+            // (decoded names are already within the wire limit).
+            let name: Arc<str> = if e.name().len() <= u16::MAX as usize {
+                e.name().clone()
             } else {
-                Arc::from(truncate_name(&e.name))
+                Arc::from(truncate_name(e.name()))
             };
             let span = phases.entry(name).or_insert((s, t, Vec::new()));
             span.0 = span.0.min(s);
@@ -432,7 +535,7 @@ pub fn compute_footer(events: &[Event]) -> ChunkFooter {
         }
     }
     ChunkFooter {
-        events: events.len() as u32,
+        events,
         min_start,
         max_start,
         max_end,
@@ -720,46 +823,18 @@ pub fn encode_events_v1(events: &[Event]) -> Bytes {
 }
 
 /// Decodes a chunk produced by [`encode_events`] (v3),
-/// [`encode_events_v2`] (v2), or [`encode_events_v1`] (v1), dispatching
-/// on the magic. v3 chunks additionally have their footer verified —
-/// checksum and consistency with the decoded events — so a corrupt
-/// summary can never survive a successful decode.
+/// [`encode_events_v2`] (v2), or [`encode_events_v1`] (v1) into rows:
+/// [`decode_columns`] — the one parser — plus the
+/// [`EventColumns::to_events`] bridge, for consumers that need whole
+/// `Event` values (the start-ordered rewrite, [`read_chunk_dir`],
+/// compatibility tooling).
 ///
 /// # Errors
 ///
 /// Returns [`TraceIoError::Corrupt`] on bad magic, truncation, invalid
 /// tags, or a footer that fails validation.
-pub fn decode_events(mut data: &[u8]) -> Result<Vec<Event>, TraceIoError> {
-    if data.len() < MAGIC_V1.len() + 4 {
-        return Err(TraceIoError::Corrupt("chunk too short for header".into()));
-    }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
-    match &magic {
-        m if m == MAGIC_V1 => decode_events_v1(data),
-        m if m == MAGIC_V2 => {
-            let mut cursor = data;
-            decode_v2_body(&mut cursor)
-        }
-        m if m == MAGIC_V3 => decode_events_v3(data),
-        _ => Err(TraceIoError::Corrupt("bad magic".into())),
-    }
-}
-
-/// Decodes the post-magic bytes of a v3 chunk: body, then footer, then
-/// the footer-vs-events cross-check.
-fn decode_events_v3(rem: &[u8]) -> Result<Vec<Event>, TraceIoError> {
-    let (body, footer_bytes) = split_v3(rem)?;
-    let footer = decode_footer_payload(footer_bytes)?;
-    let mut cursor = body;
-    let events = decode_v2_body(&mut cursor)?;
-    if !cursor.is_empty() {
-        return Err(TraceIoError::Corrupt("trailing bytes after v3 event records".into()));
-    }
-    if !footer_consistent(&footer, &compute_footer(&events)) {
-        return Err(TraceIoError::Corrupt("footer contradicts chunk events".into()));
-    }
-    Ok(events)
+pub fn decode_events(data: &[u8]) -> Result<Vec<Event>, TraceIoError> {
+    decode_columns(data)?.to_events()
 }
 
 /// The v3 cross-check predicate: the decoded footer must agree with the
@@ -784,35 +859,8 @@ fn footer_consistent(decoded: &ChunkFooter, computed: &ChunkFooter) -> bool {
         })
 }
 
-fn decode_events_v1(mut data: &[u8]) -> Result<Vec<Event>, TraceIoError> {
-    let count = data.get_u32() as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 20));
-    for i in 0..count {
-        if data.remaining() < 4 + 1 + 2 {
-            return Err(TraceIoError::Corrupt(format!("truncated at event {i}")));
-        }
-        let pid = ProcessId(data.get_u32());
-        let kind = tag_kind(data.get_u8())?;
-        let name_len = data.get_u16() as usize;
-        if data.remaining() < name_len + 16 {
-            return Err(TraceIoError::Corrupt(format!("truncated name at event {i}")));
-        }
-        let name = String::from_utf8(data.copy_to_bytes(name_len).to_vec())
-            .map_err(|_| TraceIoError::Corrupt(format!("non-utf8 name at event {i}")))?;
-        let start = TimeNs::from_nanos(data.get_u64());
-        let end = TimeNs::from_nanos(data.get_u64());
-        if end < start {
-            return Err(TraceIoError::Corrupt(format!("event {i} ends before start")));
-        }
-        events.push(Event { pid, kind, name: name.into(), start, end });
-    }
-    Ok(events)
-}
-
 /// Decodes the shared v2/v3 chunk header — `count`, then the string
-/// table — advancing `data` past it. Both the row and columnar body
-/// decoders start here, so header validation lives in exactly one
-/// place.
+/// table — advancing `data` past it.
 fn decode_v2_header(data: &mut &[u8]) -> Result<(usize, Vec<Arc<str>>), TraceIoError> {
     if data.remaining() < 4 {
         return Err(TraceIoError::Corrupt("truncated chunk header".into()));
@@ -843,49 +891,8 @@ fn decode_v2_header(data: &mut &[u8]) -> Result<(usize, Vec<Arc<str>>), TraceIoE
     Ok((count, names))
 }
 
-/// Decodes the shared v2/v3 body (`count`, string table, event records),
-/// advancing `data` past the records it consumed.
-fn decode_v2_body(data: &mut &[u8]) -> Result<Vec<Event>, TraceIoError> {
-    let (count, names) = decode_v2_header(data)?;
-    let mut events = Vec::with_capacity(count.min(1 << 20));
-    let mut prev_start: i64 = 0;
-    for i in 0..count {
-        let pid = get_varint(data, "pid")?;
-        let pid = u32::try_from(pid)
-            .map_err(|_| TraceIoError::Corrupt(format!("pid out of range at event {i}")))?;
-        if data.remaining() < 1 {
-            return Err(TraceIoError::Corrupt(format!("truncated at event {i}")));
-        }
-        let kind = tag_kind(data.get_u8())?;
-        let name_id = get_varint(data, "name id")? as usize;
-        let name = names.get(name_id).ok_or_else(|| {
-            TraceIoError::Corrupt(format!("name id {name_id} out of range at event {i}"))
-        })?;
-        let delta = unzigzag(get_varint(data, "start delta")?);
-        let start = prev_start
-            .checked_add(delta)
-            .ok_or_else(|| TraceIoError::Corrupt(format!("timestamp overflow at event {i}")))?;
-        if start < 0 {
-            return Err(TraceIoError::Corrupt(format!("negative timestamp at event {i}")));
-        }
-        let duration = get_varint(data, "duration")?;
-        let end = (start as u64)
-            .checked_add(duration)
-            .ok_or_else(|| TraceIoError::Corrupt(format!("timestamp overflow at event {i}")))?;
-        prev_start = start;
-        events.push(Event {
-            pid: ProcessId(pid),
-            kind,
-            name: name.clone(),
-            start: TimeNs::from_nanos(start as u64),
-            end: TimeNs::from_nanos(end),
-        });
-    }
-    Ok(events)
-}
-
 // ---------------------------------------------------------------------------
-// Columnar decode (structure of arrays)
+// Decode (structure of arrays)
 // ---------------------------------------------------------------------------
 
 /// A decoded chunk as a structure of arrays — see the module docs'
@@ -925,90 +932,144 @@ impl EventColumns {
         self.starts.is_empty()
     }
 
+    /// The events as [`EventRow`]s, in order — how the generic engine
+    /// bodies read columns.
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = ColumnRow<'_>> {
+        (0..self.len()).map(move |i| ColumnRow { cols: self, i })
+    }
+
+    /// The distinct pids present, in first-appearance order — the order
+    /// per-process consumers create their sweep slots in.
+    pub(crate) fn distinct_pids(&self) -> Vec<u32> {
+        let mut pids: Vec<u32> = Vec::new();
+        for &pid in &self.pids {
+            if pids.last() != Some(&pid) && !pids.contains(&pid) {
+                pids.push(pid);
+            }
+        }
+        pids
+    }
+
     /// Builds columns from a row slice — the inverse of [`Self::to_events`].
     /// Names longer than the wire limit are truncated exactly as the
     /// codec truncates them, so `from_events` agrees with a round trip
     /// through [`encode_events`] + [`decode_columns`].
     pub fn from_events(events: &[Event]) -> Self {
         let mut interner = Interner::with_capacity(64);
-        let mut cols = EventColumns {
-            names: Vec::new(),
-            pids: Vec::with_capacity(events.len()),
-            kinds: Vec::with_capacity(events.len()),
-            name_ids: Vec::with_capacity(events.len()),
-            starts: Vec::with_capacity(events.len()),
-            ends: Vec::with_capacity(events.len()),
-            start_sorted: true,
-        };
-        let mut prev = 0u64;
+        let mut cols = EventColumns::with_capacity(Vec::new(), events.len());
         for e in events {
             let id = if e.name.len() <= u16::MAX as usize {
                 interner.intern(&e.name)
             } else {
                 interner.intern_str(truncate_name(&e.name))
             };
-            let s = e.start.as_nanos();
-            cols.pids.push(e.pid.as_u32());
-            cols.kinds.push(kind_tag(&e.kind));
-            cols.name_ids.push(id);
-            cols.starts.push(s);
-            cols.ends.push(e.end.as_nanos());
-            cols.start_sorted &= s >= prev;
-            prev = s;
+            cols.push(e.pid.as_u32(), kind_tag(&e.kind), id, e.start.as_nanos(), e.end.as_nanos());
         }
         cols.names = interner.names().to_vec();
         cols
     }
 
-    /// Materializes the columns back into rows. This is the
-    /// compatibility bridge, not a hot path — each event clones its
-    /// name `Arc` out of the table.
-    pub fn to_events(&self) -> Vec<Event> {
-        (0..self.len())
-            .map(|i| Event {
-                pid: ProcessId(self.pids[i]),
-                kind: tag_kind(self.kinds[i]).expect("EventColumns carries validated kind tags"),
-                name: self.names[self.name_ids[i] as usize].clone(),
-                start: TimeNs::from_nanos(self.starts[i]),
-                end: TimeNs::from_nanos(self.ends[i]),
+    /// Empty columns over `names`, with room for `cap` events.
+    fn with_capacity(names: Vec<Arc<str>>, cap: usize) -> Self {
+        EventColumns {
+            names,
+            pids: Vec::with_capacity(cap),
+            kinds: Vec::with_capacity(cap),
+            name_ids: Vec::with_capacity(cap),
+            starts: Vec::with_capacity(cap),
+            ends: Vec::with_capacity(cap),
+            start_sorted: true,
+        }
+    }
+
+    /// Appends one event, keeping `start_sorted` current.
+    fn push(&mut self, pid: u32, tag: u8, name_id: u32, start: u64, end: u64) {
+        self.start_sorted &= self.starts.last().is_none_or(|&prev| start >= prev);
+        self.pids.push(pid);
+        self.kinds.push(tag);
+        self.name_ids.push(name_id);
+        self.starts.push(start);
+        self.ends.push(end);
+    }
+
+    /// Materializes the columns back into rows — the bridge behind
+    /// [`decode_events`]; each event clones its name `Arc` out of the
+    /// table.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceIoError::Corrupt`] when the columns are not what a decode
+    /// produces (the fields are public, so a hand-built set can carry
+    /// anything): ragged column lengths, an unknown kind tag, or a name
+    /// id outside the table.
+    pub fn to_events(&self) -> Result<Vec<Event>, TraceIoError> {
+        let n = self.len();
+        if [self.pids.len(), self.kinds.len(), self.name_ids.len(), self.ends.len()] != [n; 4] {
+            return Err(TraceIoError::Corrupt("event columns differ in length".into()));
+        }
+        // The fill is an infallible exact-size collect — filling under
+        // `?`, or through `collect::<Result<_, _>>()` (which hides the
+        // length), measures 1.6× this on the `decode_events` path. So a
+        // bad field records its error and yields a placeholder row, and
+        // the rows are discarded below.
+        let mut bad = None;
+        let fields = self.pids.iter().zip(&self.kinds).zip(&self.name_ids);
+        let events = fields
+            .zip(self.starts.iter().zip(&self.ends))
+            .map(|(((&pid, &tag), &name_id), (&start, &end))| {
+                let kind = tag_kind(tag).unwrap_or_else(|e| {
+                    bad = Some(e);
+                    EventKind::Phase
+                });
+                let name = self.names.get(name_id as usize).cloned().unwrap_or_else(|| {
+                    bad = Some(TraceIoError::Corrupt(format!(
+                        "name id {name_id} outside the name table"
+                    )));
+                    Arc::default()
+                });
+                Event {
+                    pid: ProcessId(pid),
+                    kind,
+                    name,
+                    start: TimeNs::from_nanos(start),
+                    end: TimeNs::from_nanos(end),
+                }
             })
-            .collect()
+            .collect();
+        match bad {
+            Some(e) => Err(e),
+            None => Ok(events),
+        }
     }
 
     /// Keeps only the events of `pid`, in place (all columns move
     /// together; the name table is untouched). A subsequence of a
     /// sorted column stays sorted, so `start_sorted` survives.
     pub fn retain_pid(&mut self, pid: u32) {
-        let mut w = 0;
-        for i in 0..self.len() {
-            if self.pids[i] == pid {
-                self.pids[w] = self.pids[i];
-                self.kinds[w] = self.kinds[i];
-                self.name_ids[w] = self.name_ids[i];
-                self.starts[w] = self.starts[i];
-                self.ends[w] = self.ends[i];
-                w += 1;
-            }
-        }
-        self.truncate(w);
+        self.retain_clamped(|p, s, t| (p == pid).then_some((s, t)));
     }
 
     /// Clips every event to the half-open window `[lo, hi)`, dropping
-    /// events left empty — the columnar twin of the analysis pipeline's
-    /// window clip (attribution over clipped events equals within-window
-    /// attribution, because the sweep is segment-based). Clamping starts
-    /// up to `lo` is monotone, so `start_sorted` survives. An **instant**
-    /// event (`start == end`) is kept when its instant lies in
-    /// `[lo, hi)`: it attributes nothing but carries group *presence*,
-    /// exactly as in the row pipeline's `clip_event`.
+    /// events left empty — what the analysis pipeline's `clip_event`
+    /// does to in-memory rows (attribution over clipped events equals
+    /// within-window attribution, because the sweep is segment-based).
+    /// Clamping starts up to `lo` is monotone, so `start_sorted`
+    /// survives. An **instant** event (`start == end`) is kept when its
+    /// instant lies in `[lo, hi)`: it attributes nothing but carries
+    /// group *presence*, exactly as in the row pipeline's `clip_event`.
     pub fn clip_window(&mut self, lo: u64, hi: u64) {
+        self.retain_clamped(|_, start, end| {
+            let (s, t) = (start.max(lo), end.min(hi));
+            (s < t || (start == end && lo <= start && start < hi)).then_some((s, t))
+        });
+    }
+
+    /// In-place filter over all columns: `keep(pid, start, end)` returns
+    /// the (possibly clamped) interval of an event that stays.
+    fn retain_clamped(&mut self, keep: impl Fn(u32, u64, u64) -> Option<(u64, u64)>) {
         let mut w = 0;
         for i in 0..self.len() {
-            let s = self.starts[i].max(lo);
-            let t = self.ends[i].min(hi);
-            let instant =
-                self.starts[i] == self.ends[i] && lo <= self.starts[i] && self.starts[i] < hi;
-            if s < t || instant {
+            if let Some((s, t)) = keep(self.pids[i], self.starts[i], self.ends[i]) {
                 self.pids[w] = self.pids[i];
                 self.kinds[w] = self.kinds[i];
                 self.name_ids[w] = self.name_ids[i];
@@ -1017,74 +1078,19 @@ impl EventColumns {
                 w += 1;
             }
         }
-        self.truncate(w);
-    }
-
-    fn truncate(&mut self, len: usize) {
-        self.pids.truncate(len);
-        self.kinds.truncate(len);
-        self.name_ids.truncate(len);
-        self.starts.truncate(len);
-        self.ends.truncate(len);
+        self.pids.truncate(w);
+        self.kinds.truncate(w);
+        self.name_ids.truncate(w);
+        self.starts.truncate(w);
+        self.ends.truncate(w);
     }
 }
 
-/// [`compute_footer`] over columns: the same summary a v3 columnar
-/// decode cross-checks against its trailer, computed without
-/// materializing rows. Names in a decoded chunk are already within the
-/// wire limit, so no truncation is needed here.
-pub fn compute_footer_columns(cols: &EventColumns) -> ChunkFooter {
-    let mut min_start = u64::MAX;
-    let mut max_start = 0u64;
-    let mut max_end = 0u64;
-    let mut sorted = true;
-    let mut prev = 0u64;
-    let mut pids: Vec<u32> = Vec::new();
-    let mut phases: BTreeMap<Arc<str>, (u64, u64, Vec<u32>)> = BTreeMap::new();
-    for i in 0..cols.len() {
-        let (s, t) = (cols.starts[i], cols.ends[i]);
-        min_start = min_start.min(s);
-        max_start = max_start.max(s);
-        max_end = max_end.max(t);
-        sorted &= s >= prev;
-        prev = s;
-        let pid = cols.pids[i];
-        if let Err(at) = pids.binary_search(&pid) {
-            pids.insert(at, pid);
-        }
-        if cols.kinds[i] == TAG_PHASE {
-            let name = cols.names[cols.name_ids[i] as usize].clone();
-            let span = phases.entry(name).or_insert((s, t, Vec::new()));
-            span.0 = span.0.min(s);
-            span.1 = span.1.max(t);
-            if let Err(at) = span.2.binary_search(&pid) {
-                span.2.insert(at, pid);
-            }
-        }
-    }
-    ChunkFooter {
-        events: cols.len() as u32,
-        min_start,
-        max_start,
-        max_end,
-        start_sorted: sorted,
-        pids,
-        phases: phases
-            .into_iter()
-            .map(|(name, (min_start, max_end, pids))| PhaseSpan { name, min_start, max_end, pids })
-            .collect(),
-    }
-}
-
-/// The wire tag of [`EventKind::Phase`] (see [`kind_tag`]).
-const TAG_PHASE: u8 = 7;
-
-/// Columnar twin of [`decode_events`]: decodes a v1/v2/v3 chunk into
-/// [`EventColumns`] with zero `Vec<Event>` materialization. Dispatches
-/// on the magic exactly like the row decoder and applies the same
-/// validation (v3 chunks cross-check their footer via
-/// [`compute_footer_columns`]), so any chunk decodes on this path iff
-/// it decodes on the row path.
+/// The chunk parser: decodes a v1/v2/v3 chunk (dispatching on the
+/// magic) into [`EventColumns`] with zero `Vec<Event>` materialization.
+/// v3 chunks additionally have their footer verified — checksum and
+/// consistency with the decoded events — so a corrupt summary can never
+/// survive a successful decode.
 ///
 /// # Errors
 ///
@@ -1100,20 +1106,20 @@ pub fn decode_columns(mut data: &[u8]) -> Result<EventColumns, TraceIoError> {
         m if m == MAGIC_V1 => decode_columns_v1(data),
         m if m == MAGIC_V2 => {
             let mut cursor = data;
-            decode_v2_body_columns(&mut cursor)
+            decode_columns_v2_body(&mut cursor)
         }
         m if m == MAGIC_V3 => decode_columns_v3(data),
         _ => Err(TraceIoError::Corrupt("bad magic".into())),
     }
 }
 
-/// Columnar v3 fast path: body and footer decode plus the
-/// footer-vs-events cross-check, entirely over columns.
+/// Decodes the post-magic bytes of a v3 chunk: body, then footer, then
+/// the footer-vs-events cross-check.
 fn decode_columns_v3(rem: &[u8]) -> Result<EventColumns, TraceIoError> {
     let (body, footer_bytes) = split_v3(rem)?;
     let footer = decode_footer_payload(footer_bytes)?;
     let mut cursor = body;
-    let cols = decode_v2_body_columns(&mut cursor)?;
+    let cols = decode_columns_v2_body(&mut cursor)?;
     if !cursor.is_empty() {
         return Err(TraceIoError::Corrupt("trailing bytes after v3 event records".into()));
     }
@@ -1123,22 +1129,12 @@ fn decode_columns_v3(rem: &[u8]) -> Result<EventColumns, TraceIoError> {
     Ok(cols)
 }
 
-/// Columnar twin of [`decode_events_v1`]: fixed-width records, names
-/// deduplicated into the column table on the fly.
+/// v1 body: fixed-width records, names deduplicated into the column
+/// table on the fly.
 fn decode_columns_v1(mut data: &[u8]) -> Result<EventColumns, TraceIoError> {
     let count = data.get_u32() as usize;
-    let cap = count.min(1 << 20);
     let mut interner = Interner::with_capacity(64);
-    let mut cols = EventColumns {
-        names: Vec::new(),
-        pids: Vec::with_capacity(cap),
-        kinds: Vec::with_capacity(cap),
-        name_ids: Vec::with_capacity(cap),
-        starts: Vec::with_capacity(cap),
-        ends: Vec::with_capacity(cap),
-        start_sorted: true,
-    };
-    let mut prev = 0u64;
+    let mut cols = EventColumns::with_capacity(Vec::new(), count.min(1 << 20));
     for i in 0..count {
         if data.remaining() < 4 + 1 + 2 {
             return Err(TraceIoError::Corrupt(format!("truncated at event {i}")));
@@ -1162,36 +1158,20 @@ fn decode_columns_v1(mut data: &[u8]) -> Result<EventColumns, TraceIoError> {
         if end < start {
             return Err(TraceIoError::Corrupt(format!("event {i} ends before start")));
         }
-        cols.pids.push(pid);
-        cols.kinds.push(tag);
-        cols.name_ids.push(name_id);
-        cols.starts.push(start);
-        cols.ends.push(end);
-        cols.start_sorted &= start >= prev;
-        prev = start;
+        cols.push(pid, tag, name_id, start, end);
     }
     cols.names = interner.names().to_vec();
     Ok(cols)
 }
 
-/// Columnar twin of [`decode_v2_body`]: same header, same varint/zigzag
-/// cursor and validation per record, but fields land in flat columns
-/// and names stay in the table as ids.
-fn decode_v2_body_columns(data: &mut &[u8]) -> Result<EventColumns, TraceIoError> {
+/// Decodes the shared v2/v3 body (`count`, string table, event records),
+/// advancing `data` past the records it consumed. Names stay in the
+/// table, referenced by id.
+fn decode_columns_v2_body(data: &mut &[u8]) -> Result<EventColumns, TraceIoError> {
     let (count, names) = decode_v2_header(data)?;
     let n_names = names.len();
-    let cap = count.min(1 << 20);
-    let mut cols = EventColumns {
-        names,
-        pids: Vec::with_capacity(cap),
-        kinds: Vec::with_capacity(cap),
-        name_ids: Vec::with_capacity(cap),
-        starts: Vec::with_capacity(cap),
-        ends: Vec::with_capacity(cap),
-        start_sorted: true,
-    };
+    let mut cols = EventColumns::with_capacity(names, count.min(1 << 20));
     let mut prev_start: i64 = 0;
-    let mut prev: u64 = 0;
     for i in 0..count {
         let pid = get_varint(data, "pid")?;
         let pid = u32::try_from(pid)
@@ -1219,13 +1199,7 @@ fn decode_v2_body_columns(data: &mut &[u8]) -> Result<EventColumns, TraceIoError
             .checked_add(duration)
             .ok_or_else(|| TraceIoError::Corrupt(format!("timestamp overflow at event {i}")))?;
         prev_start = start;
-        cols.pids.push(pid);
-        cols.kinds.push(tag);
-        cols.name_ids.push(name_id as u32);
-        cols.starts.push(start as u64);
-        cols.ends.push(end);
-        cols.start_sorted &= start as u64 >= prev;
-        prev = start as u64;
+        cols.push(pid, tag, name_id as u32, start as u64, end);
     }
     Ok(cols)
 }
@@ -1370,9 +1344,10 @@ impl RecoveredPrefix {
 /// chunk whose footer checksum cannot match; this scan is how a restart
 /// restores the "on disk ⇔ some acked prefix" invariant.
 ///
-/// Each surviving chunk's decoded events are handed to `sink` in stream
-/// order (the collector replays them into its live sweeps); pass a no-op
-/// closure when only the entries are needed.
+/// Each surviving chunk's decoded columns are handed to `sink` in stream
+/// order (the collector replays them into its live sweeps through the
+/// same `push_columns` ingest applied them with); pass a no-op closure
+/// when only the entries are needed.
 ///
 /// A stale [`MANIFEST_FILE`] is left alone: [`Manifest::open`] detects
 /// staleness against the surviving files and rescans.
@@ -1384,7 +1359,7 @@ impl RecoveredPrefix {
 /// condition this scan exists to repair.
 pub fn recover_chunk_prefix(
     dir: &Path,
-    mut sink: impl FnMut(&[Event]),
+    mut sink: impl FnMut(&EventColumns),
 ) -> Result<RecoveredPrefix, TraceIoError> {
     let files = list_chunk_files(dir)?;
     let mut entries = Vec::new();
@@ -1393,16 +1368,16 @@ pub fn recover_chunk_prefix(
     for path in files {
         if !broken {
             let data = fs::read(&path)?;
-            if let Ok(events) = decode_events(&data) {
+            if let Ok(cols) = decode_columns(&data) {
                 let footer = match read_chunk_footer(&data) {
                     Ok(Some(footer)) => footer,
                     // v1-fallback chunks carry no footer on the wire.
-                    _ => compute_footer(&events),
+                    _ => compute_footer_columns(&cols),
                 };
                 let file =
                     path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
                 entries.push(ManifestEntry { file, size: data.len() as u64, footer });
-                sink(&events);
+                sink(&cols);
                 continue;
             }
             broken = true;
@@ -1584,12 +1559,12 @@ pub fn list_chunk_files(dir: &Path) -> Result<Vec<PathBuf>, TraceIoError> {
 /// Iterates a chunk directory one decoded chunk at a time, in stream
 /// order, without concatenating events across chunks.
 ///
-/// This is the bounded-memory entry point of the streaming analysis
-/// pipeline (see the module docs): at most one chunk's raw bytes and
-/// decoded events are live at a time, independent of how many chunks the
-/// directory holds. Each `next()` yields one chunk's `Vec<Event>` (or
-/// the first I/O / corruption error for that chunk); iteration order is
-/// the order [`read_chunk_dir`] would concatenate in.
+/// The bounded-memory row reader (see the module docs): at most one
+/// chunk's raw bytes and decoded events are live at a time, independent
+/// of how many chunks the directory holds. Each `next()` yields one
+/// chunk's `Vec<Event>` through [`decode_events`] (or the first I/O /
+/// corruption error for that chunk); iteration order is the order
+/// [`read_chunk_dir`] would concatenate in.
 #[derive(Debug)]
 pub struct ChunkReader {
     paths: std::vec::IntoIter<PathBuf>,
@@ -1626,49 +1601,6 @@ impl Iterator for ChunkReader {
             let mut data = Vec::new();
             fs::File::open(&path)?.read_to_end(&mut data)?;
             decode_events(&data)
-        };
-        Some(read())
-    }
-}
-
-/// Column-mode [`ChunkReader`]: same stream order and bounded-memory
-/// contract, but each `next()` yields the chunk as [`EventColumns`]
-/// via [`decode_columns`] instead of a `Vec<Event>`.
-#[derive(Debug)]
-pub struct ChunkColumnReader {
-    paths: std::vec::IntoIter<PathBuf>,
-}
-
-impl ChunkColumnReader {
-    /// Opens `dir`, resolving its chunk files in stream order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the directory cannot be listed.
-    pub fn open(dir: &Path) -> Result<Self, TraceIoError> {
-        Ok(ChunkColumnReader { paths: list_chunk_files(dir)?.into_iter() })
-    }
-
-    /// A reader over an explicit file list, read in the given order.
-    pub fn from_files(files: Vec<PathBuf>) -> Self {
-        ChunkColumnReader { paths: files.into_iter() }
-    }
-
-    /// Chunks not yet yielded.
-    pub fn remaining_chunks(&self) -> usize {
-        self.paths.len()
-    }
-}
-
-impl Iterator for ChunkColumnReader {
-    type Item = Result<EventColumns, TraceIoError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let path = self.paths.next()?;
-        let read = || -> Result<EventColumns, TraceIoError> {
-            let mut data = Vec::new();
-            fs::File::open(&path)?.read_to_end(&mut data)?;
-            decode_columns(&data)
         };
         Some(read())
     }
@@ -1832,7 +1764,7 @@ impl Manifest {
     /// Builds the manifest by reading every chunk in the directory: v3
     /// chunks yield their footer from the trailer (no event decode);
     /// v1/v2 chunks are fully decoded once and summarized with
-    /// [`compute_footer`].
+    /// [`compute_footer_columns`].
     ///
     /// # Errors
     ///
@@ -1843,7 +1775,7 @@ impl Manifest {
             let data = fs::read(&path)?;
             let footer = match read_chunk_footer(&data)? {
                 Some(footer) => footer,
-                None => compute_footer(&decode_events(&data)?),
+                None => compute_footer_columns(&decode_columns(&data)?),
             };
             let file =
                 path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
@@ -2384,43 +2316,15 @@ pub fn reorder_chunk_dir_with(
 ///
 /// The first chunk I/O or corruption error in stream order, or the first
 /// `consume` error.
-pub fn for_each_decoded_chunk<E: From<TraceIoError>>(
-    files: &[PathBuf],
-    threads: usize,
-    consume: impl FnMut(Vec<Event>) -> Result<(), E>,
-) -> Result<(), E> {
-    for_each_decoded(files, threads, decode_events, consume)
-}
-
-/// Column-mode [`for_each_decoded_chunk`]: the same chunk-parallel
-/// executor, feeding each chunk as [`EventColumns`] via
-/// [`decode_columns`]. This is what the columnar streaming analysis
-/// paths run on (see [`crate::analysis::Analysis`]).
-///
-/// # Errors
-///
-/// The first chunk I/O or corruption error in stream order, or the first
-/// `consume` error.
 pub fn for_each_decoded_chunk_columns<E: From<TraceIoError>>(
     files: &[PathBuf],
     threads: usize,
-    consume: impl FnMut(EventColumns) -> Result<(), E>,
+    mut consume: impl FnMut(EventColumns) -> Result<(), E>,
 ) -> Result<(), E> {
-    for_each_decoded(files, threads, decode_columns, consume)
-}
-
-/// The shared executor behind both decode modes: `decode` is a plain
-/// function pointer so worker threads copy it freely.
-fn for_each_decoded<T: Send, E: From<TraceIoError>>(
-    files: &[PathBuf],
-    threads: usize,
-    decode: fn(&[u8]) -> Result<T, TraceIoError>,
-    mut consume: impl FnMut(T) -> Result<(), E>,
-) -> Result<(), E> {
-    let read_decode = move |path: &Path| -> Result<T, TraceIoError> {
+    let read_decode = |path: &Path| -> Result<EventColumns, TraceIoError> {
         let mut data = Vec::new();
         fs::File::open(path)?.read_to_end(&mut data)?;
-        decode(&data)
+        decode_columns(&data)
     };
 
     let threads = threads.min(files.len());
@@ -2433,7 +2337,7 @@ fn for_each_decoded<T: Send, E: From<TraceIoError>>(
     std::thread::scope(|scope| {
         let mut receivers = Vec::with_capacity(threads);
         for w in 0..threads {
-            let (tx, rx) = bounded::<Result<T, TraceIoError>>(2);
+            let (tx, rx) = bounded::<Result<EventColumns, TraceIoError>>(2);
             receivers.push(rx);
             scope.spawn(move || {
                 let mut i = w;
@@ -3217,8 +3121,8 @@ mod tests {
         assert!(files.len() > 2);
         for threads in [1usize, 3, 8] {
             let mut streamed = Vec::new();
-            for_each_decoded_chunk::<TraceIoError>(&files, threads, |chunk| {
-                streamed.extend(chunk);
+            for_each_decoded_chunk_columns::<TraceIoError>(&files, threads, |chunk| {
+                streamed.extend(chunk.to_events()?);
                 Ok(())
             })
             .unwrap();
@@ -3234,7 +3138,7 @@ mod tests {
         let files = list_chunk_files(&dir).unwrap();
         fs::write(&files[1], b"garbage").unwrap();
         let mut seen = 0usize;
-        let err = for_each_decoded_chunk::<TraceIoError>(&files, 4, |_| {
+        let err = for_each_decoded_chunk_columns::<TraceIoError>(&files, 4, |_| {
             seen += 1;
             Ok(())
         })
@@ -3242,7 +3146,7 @@ mod tests {
         assert!(matches!(err, TraceIoError::Corrupt(_)));
         assert_eq!(seen, 1, "only the chunk before the corrupt one is consumed");
         // Consumer errors also stop the pipeline.
-        let err = for_each_decoded_chunk::<TraceIoError>(&files[..1], 4, |_| {
+        let err = for_each_decoded_chunk_columns::<TraceIoError>(&files[..1], 4, |_| {
             Err(TraceIoError::Corrupt("sink failed".into()))
         })
         .unwrap_err();

@@ -117,13 +117,6 @@ impl Trace {
         self.events.iter().filter(|e| e.pid == pid).collect()
     }
 
-    /// Breakdown restricted to one process, sweeping index references
-    /// into the borrowed event slice (no per-process event clones) — a
-    /// wrapper over `Analysis::of(self).process(pid).table()`.
-    pub fn breakdown_for(&self, pid: ProcessId) -> BreakdownTable {
-        Analysis::of(self).process(pid).table().expect("in-memory analysis cannot fail")
-    }
-
     /// Per-process breakdown tables, computed in parallel over one
     /// borrowed event slice — a wrapper over
     /// `Analysis::of(self).group_by([Dim::Process]).tables()`.
@@ -147,14 +140,6 @@ impl Trace {
             .into_iter()
             .map(|(key, table)| (key.process.expect("grouped by process"), table))
             .collect()
-    }
-
-    /// Whole-experiment aggregate: per-process partial tables (computed
-    /// in parallel) merged into one (the multi-process view of paper
-    /// §4.3, where each process's resource time counts separately) — a
-    /// wrapper over `Analysis::of(self).group_by([Dim::Process]).table()`.
-    pub fn breakdown_per_process(&self) -> BreakdownTable {
-        Analysis::of(self).group_by([Dim::Process]).table().expect("in-memory analysis cannot fail")
     }
 }
 
@@ -196,7 +181,8 @@ pub(crate) fn merge_api_stats(
 /// `Analysis::from_chunk_dir(dir).group_by([Dim::Process]).tables()`
 /// (plus [`Analysis::bounded_streaming`] when `lag` is set). Chunks are
 /// decoded chunk-parallel on worker threads
-/// ([`crate::store::for_each_decoded_chunk`]) and fed in stream order
+/// ([`crate::store::for_each_decoded_chunk_columns`]) and fed in stream
+/// order
 /// into per-process incremental [`crate::overlap::OverlapSweep`]s, so
 /// decode overlaps sweeping and the concatenated event stream is never
 /// materialized. Results are in first-seen pid order of the stream —
@@ -280,7 +266,8 @@ mod tests {
         // API stats merged: 4 calls totalling 26us → mean 6.5us.
         assert_eq!(merged.api_mean(CudaApiKind::LaunchKernel), Some(DurationNs::from_nanos(6_500)));
         // Per-process breakdown only sees that process.
-        assert_eq!(merged.breakdown_for(ProcessId(1)).total(), DurationNs::from_micros(80));
+        let only_1 = Analysis::of(&merged).process(ProcessId(1)).table().unwrap();
+        assert_eq!(only_1.total(), DurationNs::from_micros(80));
     }
 
     #[test]
@@ -321,10 +308,11 @@ mod tests {
             (0..4).map(ProcessId).collect::<Vec<_>>()
         );
         for (pid, table) in &parallel {
-            assert_eq!(table, &merged.breakdown_for(*pid), "pid {pid:?}");
+            let filtered = Analysis::of(&merged).process(*pid).table().unwrap();
+            assert_eq!(table, &filtered, "pid {pid:?}");
         }
         // The aggregate equals the sum of the partials.
-        let aggregate = merged.breakdown_per_process();
+        let aggregate = Analysis::of(&merged).group_by([Dim::Process]).table().unwrap();
         let expected: DurationNs = parallel.iter().map(|(_, t)| t.total()).sum();
         assert_eq!(aggregate.total(), expected);
         assert_eq!(aggregate.total(), DurationNs::from_micros(100 + 80 + 60 + 40));
@@ -335,7 +323,7 @@ mod tests {
         let mut t = trace_with(0, 0, 10);
         t.events.clear();
         assert!(t.breakdowns_by_process().is_empty());
-        assert!(t.breakdown_per_process().is_empty());
+        assert!(Analysis::of(&t).group_by([Dim::Process]).table().unwrap().is_empty());
     }
 
     #[test]

@@ -331,8 +331,7 @@ impl TrainSpec {
     /// chunk directory under `dir`, the on-disk form the streaming
     /// analysis pipeline consumes
     /// ([`rlscope_core::analysis::Analysis::from_chunk_dir`] and its
-    /// wrappers [`rlscope_core::trace::streamed_breakdowns_by_process`],
-    /// [`rlscope_core::report::MultiProcessReport::from_chunk_dir`]).
+    /// wrapper [`rlscope_core::trace::streamed_breakdowns_by_process`]).
     /// Chunk files already in `dir` are **deleted** first
     /// ([`TraceWriter::create`]'s stale-chunk purge), so a reused
     /// directory holds exactly this run. Returns the run outcome (its

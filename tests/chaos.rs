@@ -20,7 +20,9 @@ use rlscope::collector::{
 };
 use rlscope::core::analysis::Analysis;
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
-use rlscope::core::store::{encode_events, read_frame, recover_chunk_prefix, write_frame};
+use rlscope::core::store::{
+    encode_events, read_frame, recover_chunk_prefix, write_frame, EventColumns,
+};
 use rlscope::sim::ids::ProcessId;
 use rlscope::sim::time::TimeNs;
 use std::io::Write;
@@ -317,7 +319,7 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
             .into_iter()
             .map(|(name, events)| {
                 let mut live = LiveState::new();
-                live.push_batch(events).unwrap();
+                live.push_columns(&EventColumns::from_events(events)).unwrap();
                 (name, live)
             })
             .collect();
@@ -543,7 +545,7 @@ proptest! {
             .unwrap();
             let mut recovered: Vec<Event> = Vec::new();
             let prefix = recover_chunk_prefix(&dir, |chunk| {
-                recovered.extend_from_slice(chunk);
+                recovered.extend(chunk.to_events().unwrap());
             })
             .unwrap();
             if cut == tail_bytes.len() {
@@ -610,6 +612,78 @@ fn restart_truncates_torn_tail_and_resume_completes_the_stream() {
         assert_eq!(done.canonical_json, batch_json(&events));
         collector.shutdown();
     }
+}
+
+/// Recovery replays through the same `LiveState::push_columns` ingest
+/// applied with — including its merged-sweep promotion. A two-process
+/// session whose second pid first appears in a *later* chunk is killed
+/// mid-write (an Active record, the acked chunks, a torn tail) and
+/// restarted: the recovered live `(process, phase)` answer must equal
+/// the batch sweep of the acked prefix byte for byte, and so must the
+/// stream completed by a resume on top of the recovered state.
+#[test]
+fn restart_replays_a_late_second_process_to_the_acked_prefix_answer() {
+    use rlscope::core::analysis::Dim;
+    const CHUNK: usize = 256;
+    // Three chunks of pid 0 alone, then pid 1 joins, interleaved.
+    let (a, b) = (session_events(0, 1_536), session_events(1, 768));
+    let (solo, shared) = a.split_at(3 * CHUNK);
+    let mut events = solo.to_vec();
+    for (x, y) in shared.iter().zip(&b) {
+        events.extend([x.clone(), y.clone()]);
+    }
+    let chunks: Vec<&[Event]> = events.chunks(CHUNK).collect();
+    let acked = 6; // Past the promotion chunk, short of the phase events.
+    let grouped_json = |events: &[Event]| {
+        Analysis::of_events(events).group_by([Dim::Process, Dim::Phase]).canonical_json().unwrap()
+    };
+    let spec = QuerySpec::session("late-pid").group_by([Dim::Process, Dim::Phase]);
+
+    let (socket, data) = scratch("latepid");
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    let mut client =
+        CollectorClient::open_session_with(&socket, "late-pid", ReconnectPolicy::disabled())
+            .unwrap();
+    for chunk in &chunks[..acked] {
+        client.send_events(chunk).unwrap();
+    }
+    let epoch = client.epoch();
+    let prefix = &events[..acked * CHUNK];
+    // The query drains the acks, so the watermark is exactly `acked`.
+    let precrash = client.query(&spec).unwrap();
+    assert_eq!(precrash.events_observed, prefix.len() as u64);
+    assert_eq!(precrash.canonical_json, grouped_json(prefix));
+
+    // Kill: the daemon goes down with the next chunk half-written.
+    collector.shutdown();
+    drop(client);
+    let tail = encode_events(chunks[acked]);
+    std::fs::write(
+        data.join("late-pid").join(format!("chunk_{acked:05}.rls")),
+        &tail[..tail.len() / 2],
+    )
+    .unwrap();
+
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    let recovered = collector.recovered_sessions()[0].clone();
+    assert_eq!(recovered.phase, SessionPhase::Detached);
+    assert_eq!(recovered.chunks, acked as u64);
+    assert_eq!(recovered.removed_chunks, 1);
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let live = query.query(&spec).unwrap();
+    assert!(live.live);
+    assert_eq!(live.events_observed, prefix.len() as u64);
+    assert_eq!(live.canonical_json, grouped_json(prefix));
+
+    let mut resumed =
+        CollectorClient::resume_session(&socket, "late-pid", epoch, ReconnectPolicy::disabled())
+            .unwrap();
+    for chunk in &chunks[acked..] {
+        resumed.send_events(chunk).unwrap();
+    }
+    resumed.finish().unwrap();
+    assert_eq!(resumed.query(&spec).unwrap().canonical_json, grouped_json(&events));
+    collector.shutdown();
 }
 
 /// Injected ENOSPC on the chunk persist path: the session aborts with a

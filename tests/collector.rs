@@ -10,7 +10,7 @@ use rlscope::collector::{
 };
 use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
-use rlscope::core::store::{encode_events, write_frame, TraceWriter};
+use rlscope::core::store::{encode_events, write_frame, EventColumns, TraceWriter};
 use rlscope::sim::ids::ProcessId;
 use rlscope::sim::time::TimeNs;
 use std::io::Write;
@@ -604,8 +604,8 @@ fn tcp_transport_and_query_all_over_live_sessions() {
     assert_eq!(reply.sessions, vec!["tcp-a".to_string(), "tcp-b".to_string()]);
     assert_eq!(reply.events_observed, (a.len() + b.len()) as u64);
     let (mut la, mut lb) = (LiveState::new(), LiveState::new());
-    la.push_batch(&a).unwrap();
-    lb.push_batch(&b).unwrap();
+    la.push_columns(&EventColumns::from_events(&a)).unwrap();
+    lb.push_columns(&EventColumns::from_events(&b)).unwrap();
     let (ta, tb) = (la.snapshot(), lb.snapshot());
     let sessions = || {
         vec![
@@ -722,8 +722,8 @@ fn fleet_client_merges_two_rlscoped_daemons_over_tcp() {
 
         // The fleet rollup equals one daemon holding both sessions.
         let (mut la, mut lb) = (LiveState::new(), LiveState::new());
-        la.push_batch(&a).unwrap();
-        lb.push_batch(&b).unwrap();
+        la.push_columns(&EventColumns::from_events(&a)).unwrap();
+        lb.push_columns(&EventColumns::from_events(&b)).unwrap();
         let (ta, tb) = (la.snapshot(), lb.snapshot());
         let expected = Analysis::of_sessions(vec![
             (Arc::<str>::from("fleet-a"), SessionSource::Live(&ta)),

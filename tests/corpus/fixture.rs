@@ -98,7 +98,7 @@ pub fn corpus_extreme_events() -> Vec<rlscope::core::Event> {
 pub fn per_pid_tables(
     events: &[rlscope::core::Event],
 ) -> Vec<(rlscope::sim::ids::ProcessId, rlscope::core::BreakdownTable)> {
-    use rlscope::core::overlap::compute_overlap_indexed;
+    use rlscope::core::analysis::Analysis;
     use rlscope::sim::ids::ProcessId;
 
     let mut order: Vec<(ProcessId, Vec<u32>)> = Vec::new();
@@ -110,7 +110,10 @@ pub fn per_pid_tables(
     }
     order
         .into_iter()
-        .map(|(pid, indices)| (pid, compute_overlap_indexed(events, &indices)))
+        .map(|(pid, indices)| {
+            let table = Analysis::of_indexed(events, &indices).table().expect("in-memory analysis");
+            (pid, table)
+        })
         .collect()
 }
 

@@ -1,5 +1,6 @@
 //! Corruption-fuzz suite for the chunk codec and the chunk-dir manifest:
-//! `decode_events` and `Manifest::load` must map every malformed input
+//! `decode_columns` (the one chunk parser), `decode_events` (that parser
+//! plus the row bridge) and `Manifest::load` must map every malformed input
 //! to `TraceIoError` — truncations, bit flips, bad magic, overlong
 //! varints, out-of-range string-table ids, checksum mismatches — and
 //! never panic, overflow, return silently wrong intervals, or (for
@@ -44,56 +45,6 @@ fn assert_events_sane(events: &[Event]) {
     }
 }
 
-/// Truncation at *every* byte offset of all three wire formats must
-/// error (never panic, never return data from a partial record — and for
-/// v3, never a chunk whose footer survives the cross-check).
-#[test]
-fn truncation_at_every_offset_errors() {
-    let events = corpus_events();
-    for encoded in [encode_events(&events), encode_events_v2(&events), encode_events_v1(&events)] {
-        assert!(decode_events(&encoded).is_ok());
-        for cut in 0..encoded.len() {
-            match decode_events(&encoded[..cut]) {
-                Err(TraceIoError::Corrupt(_)) => {}
-                Err(TraceIoError::Io(e)) => panic!("unexpected io error at cut {cut}: {e}"),
-                Ok(decoded) => panic!(
-                    "truncated chunk ({cut}/{} bytes) decoded to {} events",
-                    encoded.len(),
-                    decoded.len()
-                ),
-            }
-        }
-    }
-}
-
-/// Seeded byte-flip fuzzing over all formats: decode must return
-/// `Ok` (with sane events) or `Corrupt`, never panic.
-#[test]
-fn random_byte_flips_never_panic() {
-    let events = corpus_events();
-    for (seed, base) in [
-        (0x1234_5678u64, encode_events(&events)),
-        (0x5e5e_5e5e, encode_events_v2(&events)),
-        (0x9abc_def0, encode_events_v1(&events)),
-    ] {
-        let mut rng = Rng(seed);
-        for _ in 0..4_000 {
-            let mut data = base.to_vec();
-            for _ in 0..1 + rng.below(4) {
-                let at = rng.below(data.len());
-                data[at] ^= (rng.next() % 255 + 1) as u8;
-            }
-            // Occasionally truncate as well.
-            if rng.below(4) == 0 {
-                data.truncate(rng.below(data.len() + 1));
-            }
-            if let Ok(decoded) = decode_events(&data) {
-                assert_events_sane(&decoded);
-            }
-        }
-    }
-}
-
 /// Decoded columns must satisfy the same event-model invariants as
 /// decoded rows, whatever bytes produced them — and stay internally
 /// consistent (equal column lengths, in-table name ids).
@@ -111,45 +62,44 @@ fn assert_columns_sane(cols: &EventColumns) {
     }
 }
 
-/// The columnar decoder consumes the same untrusted bytes as the row
-/// decoder on the daemon ingest path, so it carries the same contract:
-/// truncation at *every* byte offset of all three wire formats must
-/// yield `TraceIoError::Corrupt` — never a panic, never partial columns.
-/// And wherever the row decoder has an opinion, both decoders must
-/// agree byte-for-byte on Ok vs Corrupt.
+/// The daemon ingest path feeds untrusted bytes straight into
+/// `decode_columns`, and `decode_events` is that parser plus the
+/// `to_events` bridge. Truncation at *every* byte offset of all three
+/// wire formats must yield `TraceIoError::Corrupt` from both entry
+/// points — never a panic, never data from a partial record, and for
+/// v3 never a chunk whose footer survives the cross-check.
 #[test]
-fn columnar_truncation_at_every_offset_errors() {
+fn truncation_at_every_offset_errors() {
     let events = corpus_events();
     for encoded in [encode_events(&events), encode_events_v2(&events), encode_events_v1(&events)] {
         assert!(decode_columns(&encoded).is_ok());
+        assert!(decode_events(&encoded).is_ok());
         for cut in 0..encoded.len() {
             match decode_columns(&encoded[..cut]) {
                 Err(TraceIoError::Corrupt(_)) => {}
                 Err(TraceIoError::Io(e)) => panic!("unexpected io error at cut {cut}: {e}"),
                 Ok(cols) => panic!(
-                    "truncated chunk ({cut}/{} bytes) decoded to {} column events",
+                    "truncated chunk ({cut}/{} bytes) decoded to {} events",
                     encoded.len(),
                     cols.len()
                 ),
             }
-            assert_eq!(
-                decode_events(&encoded[..cut]).is_ok(),
-                decode_columns(&encoded[..cut]).is_ok(),
-                "row and columnar decoders disagree at cut {cut}"
-            );
+            assert!(matches!(decode_events(&encoded[..cut]), Err(TraceIoError::Corrupt(_))));
         }
     }
 }
 
-/// Seeded byte-flip fuzzing against `decode_columns` over all formats:
-/// decode must return `Ok` (with sane, row-equivalent columns) or
-/// `Corrupt`, never panic. Seeds differ from the row suite's so the two
-/// suites walk different corruption streams.
+/// Seeded byte-flip fuzzing over all formats (two corruption streams
+/// per format): decode must return `Ok` — with sane columns that bridge
+/// to sane rows — or `Corrupt`, never panic.
 #[test]
-fn columnar_byte_flips_never_panic() {
+fn random_byte_flips_never_panic() {
     let events = corpus_events();
     for (seed, base) in [
-        (0xc01u64, encode_events(&events)),
+        (0x1234_5678u64, encode_events(&events)),
+        (0x5e5e_5e5e, encode_events_v2(&events)),
+        (0x9abc_def0, encode_events_v1(&events)),
+        (0xc01, encode_events(&events)),
         (0xc02, encode_events_v2(&events)),
         (0xc03, encode_events_v1(&events)),
     ] {
@@ -160,23 +110,18 @@ fn columnar_byte_flips_never_panic() {
                 let at = rng.below(data.len());
                 data[at] ^= (rng.next() % 255 + 1) as u8;
             }
+            // Occasionally truncate as well.
             if rng.below(4) == 0 {
                 data.truncate(rng.below(data.len() + 1));
             }
-            match (decode_columns(&data), decode_events(&data)) {
-                (Ok(cols), rows) => {
+            match decode_columns(&data) {
+                Ok(cols) => {
                     assert_columns_sane(&cols);
-                    // Whatever survives one decoder must survive the
-                    // other, as the same events.
-                    assert_eq!(
-                        cols.to_events(),
-                        rows.expect("row decoder rejected what columnar accepted")
-                    );
+                    let rows = cols.to_events().expect("decoded columns always bridge to rows");
+                    assert_events_sane(&rows);
                 }
-                (Err(TraceIoError::Corrupt(_)), rows) => {
-                    assert!(rows.is_err(), "columnar decoder rejected what row accepted");
-                }
-                (Err(TraceIoError::Io(e)), _) => panic!("unexpected io error: {e}"),
+                Err(TraceIoError::Corrupt(_)) => {}
+                Err(TraceIoError::Io(e)) => panic!("unexpected io error: {e}"),
             }
         }
     }
@@ -208,6 +153,34 @@ fn random_garbage_never_panics() {
             if let Ok(cols) = decode_columns(&data) {
                 assert_columns_sane(&cols);
             }
+        }
+    }
+}
+
+/// `EventColumns` has public fields, so the row bridge cannot assume a
+/// decode built its input: an unknown kind tag, a name id outside the
+/// table, and ragged columns are each a typed `Corrupt`, never a panic.
+#[test]
+fn hand_built_columns_bridge_to_typed_errors() {
+    let good = EventColumns::from_events(&corpus_events());
+    assert_eq!(good.to_events().unwrap(), corpus_events());
+    let mut bad_tag = good.clone();
+    bad_tag.kinds[3] = 8;
+    let mut bad_name = good.clone();
+    bad_name.name_ids[0] = bad_name.names.len() as u32;
+    let mut ragged = good.clone();
+    ragged.ends.pop();
+    let mut no_names = good;
+    no_names.names.clear();
+    for (cols, what) in [
+        (bad_tag, "unknown event tag 8"),
+        (bad_name, "outside the name table"),
+        (ragged, "differ in length"),
+        (no_names, "outside the name table"),
+    ] {
+        match cols.to_events() {
+            Err(TraceIoError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected Corrupt({what}), got {other:?}"),
         }
     }
 }

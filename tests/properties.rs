@@ -223,28 +223,11 @@ proptest! {
         prop_assert_eq!(sweep.finalize(), batch);
     }
 
-    /// The columnar decoder agrees with the row decoder field-for-field
-    /// over every wire format: decoding a chunk to [`EventColumns`] and
-    /// materializing rows reproduces `decode_events` exactly (pid, kind,
-    /// name, start, end — same order), and `from_events` round-trips.
-    #[test]
-    fn columnar_decode_matches_row_decode(
-        events in prop::collection::vec(arb_multiproc_full_event(), 0..80),
-    ) {
-        for encoded in [encode_events(&events), encode_events_v2(&events), encode_events_v1(&events)] {
-            let rows = decode_events(&encoded).unwrap();
-            let cols = decode_columns(&encoded).unwrap();
-            prop_assert_eq!(cols.len(), rows.len());
-            prop_assert_eq!(&cols.to_events(), &rows);
-            prop_assert_eq!(&EventColumns::from_events(&rows).to_events(), &rows);
-        }
-    }
-
-    /// The columnar batch sweep and the columnar streaming pushes both
-    /// produce tables canonically identical to the row batch engine:
-    /// `compute_overlap_columns` over one chunk, and chunked
-    /// `push_columns` over arbitrary splits, versus `compute_overlap`
-    /// over the concatenated rows.
+    /// The row and column instantiations of the merged engine bodies
+    /// produce canonically identical tables: `compute_overlap_columns`
+    /// over one chunk (the batch boundary encoder), and chunked
+    /// `push_columns` over arbitrary splits (the streaming push), versus
+    /// `compute_overlap` over the concatenated rows.
     #[test]
     fn columnar_sweep_matches_batch_canonical_json(
         events in prop::collection::vec(arb_multiproc_full_event(), 0..60),
@@ -304,10 +287,11 @@ proptest! {
             let filtered: Vec<Event> =
                 trace.events.iter().filter(|e| e.pid == *pid).cloned().collect();
             prop_assert_eq!(table, &compute_overlap(&filtered));
-            prop_assert_eq!(table, &trace.breakdown_for(*pid));
+            prop_assert_eq!(table, &Analysis::of(&trace).process(*pid).table().unwrap());
         }
         let merged_total: DurationNs = sharded.iter().map(|(_, t)| t.total()).sum();
-        prop_assert_eq!(trace.breakdown_per_process().total(), merged_total);
+        let aggregate = Analysis::of(&trace).group_by([Dim::Process]).table().unwrap();
+        prop_assert_eq!(aggregate.total(), merged_total);
     }
 
     /// Conservation of the phase dimension: tables grouped by phase merge
@@ -409,11 +393,22 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The binary trace codec is lossless for arbitrary event streams.
+    /// The binary trace codec is lossless for arbitrary event streams in
+    /// every wire format (the legacy v1/v2 included): the one parser
+    /// plus the row bridge reproduces the encoded rows exactly (pid,
+    /// kind, name, start, end — same order), and `from_events`
+    /// round-trips without the wire.
     #[test]
-    fn codec_round_trips(events in prop::collection::vec(arb_event(), 0..80)) {
-        let decoded = decode_events(&encode_events(&events)).unwrap();
-        prop_assert_eq!(decoded, events);
+    fn codec_round_trips(
+        events in prop::collection::vec(arb_multiproc_full_event(), 0..80),
+    ) {
+        for encoded in [encode_events(&events), encode_events_v2(&events), encode_events_v1(&events)] {
+            let cols = decode_columns(&encoded).unwrap();
+            prop_assert_eq!(cols.len(), events.len());
+            prop_assert_eq!(&cols.to_events().unwrap(), &events);
+            prop_assert_eq!(&decode_events(&encoded).unwrap(), &events);
+        }
+        prop_assert_eq!(&EventColumns::from_events(&events).to_events().unwrap(), &events);
     }
 
     /// Chunk footers and the directory manifest round-trip exactly:
@@ -640,7 +635,7 @@ proptest! {
         // group-for-group identically to its finished chunk directory.
         let mut live = LiveState::new();
         for chunk in b.chunks(chunk_len) {
-            live.push_batch(chunk).unwrap();
+            live.push_columns(&EventColumns::from_events(chunk)).unwrap();
         }
         let tables = live.snapshot();
         let mixed = vec![
@@ -796,15 +791,6 @@ proptest! {
             );
         }
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    /// The legacy v1 codec remains decodable and agrees with v2.
-    #[test]
-    fn v1_codec_round_trips(events in prop::collection::vec(arb_event(), 0..80)) {
-        let from_v1 = decode_events(&encode_events_v1(&events)).unwrap();
-        prop_assert_eq!(&from_v1, &events);
-        let from_v2 = decode_events(&encode_events(&events)).unwrap();
-        prop_assert_eq!(from_v1, from_v2);
     }
 
     /// Truncating an encoded chunk anywhere must produce an error (or the
