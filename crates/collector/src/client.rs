@@ -614,7 +614,13 @@ fn handshake(
 fn expect_frame(stream: &mut Stream) -> Result<(u8, Vec<u8>), CollectorError> {
     match read_frame(stream)? {
         Some(frame) => Ok(frame),
-        None => Err(CollectorError::Protocol("server closed the connection".into())),
+        // A transport failure like any other (a killed daemon's socket
+        // reads as a clean EOF): session connections reconnect on it.
+        None => Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        )
+        .into()),
     }
 }
 

@@ -1,5 +1,5 @@
-//! The collector daemon: socket accept loop, per-session ingest, the
-//! durable session registry and restart recovery scan, live and
+//! The collector daemon: socket accept loop, per-session owner threads,
+//! the durable session registry and restart recovery scan, live and
 //! finished-dir query execution, and the keyed result caches.
 
 use crate::compact::{self, CompactionJob, JobKind, JobQueue, RetentionPolicy};
@@ -9,6 +9,7 @@ use crate::protocol::{
 };
 use crate::registry::{SessionRecord, SessionStatus, StorageTier};
 use crate::transport::Stream;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rlscope_core::analysis::{Analysis, AnalysisError, LiveState, LiveTables, SessionSource};
 use rlscope_core::rollup::Rollup;
@@ -166,19 +167,14 @@ pub struct CollectorConfig {
     /// Query results cached per cache (finished-dir and live), LRU
     /// eviction.
     pub cache_capacity: usize,
-    /// Force the decode→apply pipeline on (`Some(true)`) or off
-    /// (`Some(false)`); `None` picks by available parallelism — a
-    /// dedicated apply thread per session only pays when there is a core
-    /// for it.
-    pub apply_pipeline: Option<bool>,
     /// Abort sessions (typed [`ErrorCode::IdleTimeout`]) that receive no
-    /// frames for this long, so a crashed client cannot pin daemon
-    /// memory forever. `None` disables the reaper.
+    /// chunk (and no resume) for this long, so a crashed client cannot
+    /// pin daemon memory forever. `None` disables the idle pass.
     pub idle_timeout: Option<Duration>,
     /// Retention dial: how long finished sessions dwell at each storage
     /// tier before the background compactor ages them down the ladder
     /// (raw → sorted → rollup → gone). `None` (and an empty policy)
-    /// disables the retention timer; compaction is still available
+    /// disables the retention pass; compaction is still available
     /// through [`Collector::compact_session`].
     pub retention: Option<RetentionPolicy>,
     /// Trace-time window width (nanoseconds) of each rollup segment —
@@ -200,7 +196,6 @@ impl CollectorConfig {
             data_dir: data_dir.into(),
             credits: 8,
             cache_capacity: 256,
-            apply_pipeline: None,
             idle_timeout: None,
             retention: None,
             rollup_segment_ns: 1_000_000_000,
@@ -243,28 +238,63 @@ pub struct RecoveredSession {
     pub removed_chunks: usize,
 }
 
-/// One profiling session's server-side state.
+/// One **open** profiling session — attached or detached, from `HELLO`
+/// (or startup recovery) until it settles as finished or aborted — as
+/// every thread but its owner sees it: an immutable identity plus the
+/// mailbox of the session's **owner thread**.
 ///
-/// Ingest is a two-stage pipeline per session: the connection thread
-/// decodes and validates each chunk straight into columnar buffers
-/// ([`rlscope_core::store::decode_columns`] — no `Vec<Event>` is ever
-/// materialized on the ingest path), then hands the columns to the
-/// session's **apply thread** over a bounded channel (the bounded
-/// per-connection buffer — at most [`APPLY_QUEUE_CHUNKS`] decoded chunks
-/// in flight). The apply thread pushes them into the live sweeps and
-/// the chunk store, **then writes the `CHUNK_ACK`** — an ack therefore
-/// means the chunk is durable, which is what makes client-side replay
-/// after a daemon crash exactly-once. (On single-core hosts the
-/// pipeline is skipped and chunks apply inline before the ack — same
-/// [`Session::apply_chunk`] path, same durability contract.)
+/// # One owner, one mailbox
 ///
-/// Chunks apply atomically — the whole-chunk sweep push under the
-/// `live` lock, then counters and the verbatim persist under the
-/// `state` lock — and live snapshots run **after** a flush barrier
-/// (queries wait until every chunk enqueued before them has applied).
-/// That is what makes a live query a *consistent prefix*: it observes
-/// whole chunks, in order, including every chunk the querying client
-/// has been acked.
+/// The owner thread ([`Owner`]) exclusively holds everything mutable
+/// about the session: the live sweeps, the chunk store, the counters,
+/// the attached connection's writer and the idle clock. Nothing is
+/// shared and nothing is locked; every other thread talks to it through
+/// the bounded mailbox ([`Msg`]). Ingest is a two-stage pipeline: the
+/// connection thread does what is expensive and stateless — it reads the
+/// frame and decodes and validates the chunk straight into columnar
+/// buffers ([`rlscope_core::store::decode_columns`], no `Vec<Event>` is
+/// ever materialized) — then hands the columns to the owner, which
+/// checks the wire sequence, pushes the chunk into the live sweeps,
+/// persists it verbatim, and **then writes the `CHUNK_ACK`**. An ack
+/// therefore means the chunk is durable, which is what makes client-side
+/// replay after a daemon crash exactly-once. The mailbox holds at most
+/// [`APPLY_QUEUE_CHUNKS`] messages, so a lagging owner blocks its
+/// producer's connection thread (backpressure) and nobody else.
+///
+/// **Consistency follows from message order.** The mailbox is FIFO and
+/// the owner handles one message at a time, so a chunk is applied whole
+/// or not at all, and every chunk acked to anyone was applied before its
+/// ack was written — hence before any [`Msg::Status`] or
+/// [`Msg::Snapshot`] enqueued afterwards is served. A live query is
+/// thereby a *consistent prefix*: whole chunks, in order, including
+/// every chunk any client had been acked when it asked.
+///
+/// **One abort path.** Whatever fails — a sequence gap, a rejected or
+/// unpersistable chunk, the attached connection, the idle timer — the
+/// owner aborts the session itself, at once ([`Owner::abort`]): there is
+/// one typed reason, set in one place, and no "aborted but not yet
+/// finalized" state for queries to meet.
+///
+/// **Settling.** When the session finishes or aborts, the owner
+/// replaces its [`Entry::Open`] in the daemon's session map with an
+/// [`Entry::Settled`] — plain data naming the directory — *before* it
+/// drops the mailbox's receiver. A thread that finds the mailbox closed
+/// (or its question dropped unanswered) re-reads the map and routes to
+/// the directory ([`Daemon::route`]).
+///
+/// # Rules
+///
+/// - No thread blocks on a mailbox or on a reply while holding the
+///   `sessions` lock — the owner takes that lock to settle, so waiting
+///   on it under the lock would deadlock. The guard only ever spans a
+///   lookup, an in-place update, or the claim of a name (check, wipe,
+///   insert), none of which talks to an owner.
+/// - The owner never runs [`Analysis`]: it hands out an owned
+///   [`LiveTables`] snapshot and the query computes on the asking
+///   connection's thread.
+/// - A live-cache hit never takes a snapshot: queries ask
+///   [`Msg::Status`] for the prefix length first and only ask for
+///   [`Msg::Snapshot`] on a miss.
 struct Session {
     name: String,
     /// Server-assigned id, stable across detach/resume.
@@ -272,35 +302,76 @@ struct Session {
     /// Incarnation epoch (see [`SessionRecord::epoch`]); immutable for
     /// the session's lifetime, echoed by resuming clients.
     epoch: u64,
-    dir: PathBuf,
-    state: Mutex<SessionState>,
-    /// The live sweeps, under their own lock so a whole-chunk sweep push
-    /// never blocks the connection thread's (short) state accesses —
-    /// only the apply thread and snapshots touch it. Lock order: `state`
-    /// may be held while taking `live`, never the reverse.
-    live: Mutex<LiveState>,
-    /// Monotonic enqueue/apply counters driving the flush barrier. (std
-    /// primitives: the vendored parking_lot stub has no Condvar.)
-    progress: std::sync::Mutex<ApplyProgress>,
-    applied: std::sync::Condvar,
+    mailbox: Sender<Msg>,
 }
 
-/// Monotonic pipeline counters: `enqueued` advances when the connection
-/// thread hands a chunk to the apply stage, `applied` when the apply
-/// stage resolves it (applied, or discarded after a failure — the
-/// counters must stay reconciled so barriers never wait forever).
-#[derive(Debug, Default, Clone, Copy)]
-struct ApplyProgress {
-    enqueued: u64,
-    applied: u64,
+impl Session {
+    /// Sends the message `make` builds around a fresh reply channel and
+    /// waits for the owner's answer; `None` when the session has settled
+    /// (the mailbox is closed, or the message was dropped with it).
+    fn ask<T>(&self, make: impl FnOnce(Sender<T>) -> Msg) -> Option<T> {
+        let (reply, answer) = bounded(1);
+        self.mailbox.send(make(reply)).ok()?;
+        answer.recv()
+    }
 }
 
-/// Decoded chunks the apply queue may hold — the bound on per-session
-/// in-flight memory between decode and apply.
+/// Messages the mailbox may hold — the bound on per-session in-flight
+/// memory between decode and apply.
 const APPLY_QUEUE_CHUNKS: usize = 8;
 
-/// `(seq, raw payload, decoded columns)` handed to the apply stage.
-type ApplyItem = (u64, Vec<u8>, EventColumns);
+/// What a session's owner can be told or asked. `Chunk`, `Detach`,
+/// `Abort` and `Finish` come only from the attached connection's
+/// thread, in frame order.
+enum Msg {
+    /// One decoded, validated chunk: its wire sequence number, the raw
+    /// payload to persist verbatim, and the decoded columns.
+    Chunk { seq: u64, payload: Vec<u8>, cols: EventColumns },
+    /// Resume handshake: attach `writer`'s connection when `epoch`
+    /// matches and no connection holds the session; answers the acked
+    /// watermark the client replays from.
+    Attach { epoch: u64, writer: SharedWriter, reply: Sender<Result<u64, ConnError>> },
+    /// The attached connection closed cleanly: keep everything and wait
+    /// for a resume.
+    Detach,
+    /// The attached connection failed (and has already told its client
+    /// why): abort with this reason.
+    Abort(ConnError),
+    /// `FINISH`: cut the manifest and settle; answers `(chunks, events)`.
+    Finish { reply: Sender<Result<(u64, u64), ConnError>> },
+    /// Whether a connection is attached, and the events observed so far.
+    Status { reply: Sender<(bool, u64)> },
+    /// An owned snapshot of the live tables.
+    Snapshot { reply: Sender<LiveTables> },
+    /// The timer's idle check: abort when no chunk or attach arrived
+    /// for this long. Ordered behind the chunks already in flight, so a
+    /// session is never reaped mid-apply.
+    ReapIfIdle(Duration),
+}
+
+/// One name in the daemon's session map.
+#[derive(Clone)]
+enum Entry {
+    Open(Arc<Session>),
+    Settled(Settled),
+}
+
+/// A finished or aborted session: data, not a thread. Its durable
+/// prefix is served from `dir` at `tier`; the compaction worker is the
+/// only writer (it advances `tier` and prunes, under the map lock).
+#[derive(Clone)]
+struct Settled {
+    epoch: u64,
+    dir: PathBuf,
+    tier: StorageTier,
+    /// The typed reason the session aborted; `None` for a finished one.
+    abort: Option<ConnError>,
+    /// Chunks durable in `dir`.
+    chunks: u64,
+    /// Events ingested this daemon run (0 for a recovered directory,
+    /// whose manifest is the source of truth).
+    events: u64,
+}
 
 /// The session's durable half: received chunk payloads are persisted
 /// **verbatim** — they are codec-v3 chunks, already validated end to end
@@ -360,7 +431,10 @@ impl ChunkStore {
     /// events for v1-fallback payloads, whose wire format carries none).
     fn append(&mut self, payload: &[u8], cols: &EventColumns) -> Result<(), TraceIoError> {
         let file = format!("chunk_{:05}.rls", self.seq);
-        self.write_chunk(&self.dir.join(&file), payload)?;
+        let path = self.dir.join(&file);
+        // A failed write may have landed a partial file; the directory
+        // must keep holding exactly the acked prefix.
+        self.write_chunk(&path, payload).inspect_err(|_| drop(fs::remove_file(&path)))?;
         self.seq += 1;
         let footer = match read_chunk_footer(payload)? {
             Some(footer) => footer,
@@ -405,98 +479,216 @@ impl ChunkStore {
     }
 }
 
-struct SessionState {
-    /// `Some` while the session accepts chunks; taken at finish (which
-    /// writes the manifest) and flushed best-effort on abort.
-    store: Option<ChunkStore>,
-    /// Decoded-chunk channel into the apply thread; dropped at finish,
-    /// detach, or abort so the thread drains and exits.
-    apply_tx: Option<crossbeam::channel::Sender<ApplyItem>>,
-    apply_thread: Option<JoinHandle<()>>,
-    /// First apply-stage failure; poisons the session (the apply thread
-    /// reports it to the client, and it is re-reported, with its error
-    /// class, on the next chunk, query, or finish).
-    apply_error: Option<(ErrorCode, String)>,
-    /// Chunks durably applied (== acked).
+/// A session's mutable core, owned by its thread (see [`Session`]).
+struct Owner {
+    daemon: Arc<Daemon>,
+    name: String,
+    epoch: u64,
+    live: LiveState,
+    store: ChunkStore,
+    /// Chunks durably applied (== acked). Chunks apply in arrival order,
+    /// so this is also the next wire sequence number expected and the
+    /// watermark a resume handshake returns.
     chunks: u64,
     events: u64,
-    /// Next chunk sequence number expected on the wire; while detached
-    /// this equals `chunks` (the queue is drained at detach), which is
-    /// the watermark a resume handshake returns.
-    recv_seq: u64,
-    finished: bool,
-    /// Typed abort reason, latched by whichever party aborts first (the
-    /// connection handler, the apply stage, or the idle reaper).
-    abort: Option<(ErrorCode, String)>,
-    /// Connection id currently attached, if any.
-    attached: Option<u64>,
-    /// Last frame receipt on the attached connection — the idle reaper's
-    /// clock.
+    /// The attached connection's write half, if any.
+    attached: Option<SharedWriter>,
+    /// Last chunk or attach — the idle clock.
     last_frame: Instant,
-    /// Storage tier the session's durable data lives in. Always
-    /// [`StorageTier::Raw`] while streaming; the compaction worker
-    /// advances it (after the new tier is durably recorded), and query
-    /// routing reads it under this same lock.
-    tier: StorageTier,
 }
 
-impl Session {
-    /// Applies one validated chunk: live sweeps, then counters and the
-    /// verbatim persist — the single code path both the pipelined apply
-    /// thread and the single-core inline mode run. Sweep rejections are
-    /// client-data problems ([`ErrorCode::Protocol`]); store failures
-    /// are server-side [`ErrorCode::Io`].
-    fn apply_chunk(&self, payload: &[u8], cols: &EventColumns) -> Result<(), ConnError> {
-        {
-            let mut live = self.live.lock();
-            live.push_columns(cols).map_err(|e| (ErrorCode::Protocol, e.to_string()))?;
+/// Opens a session: spawns its owner thread around the one literal that
+/// builds a session's mutable core, and returns the handle to register
+/// in the session map. `live` and `events` are what recovery replayed
+/// (empty for a new session); the durable chunk count is the store's.
+fn spawn_owner(
+    daemon: &Arc<Daemon>,
+    name: &str,
+    epoch: u64,
+    store: ChunkStore,
+    live: LiveState,
+    events: u64,
+    attached: Option<SharedWriter>,
+) -> Arc<Session> {
+    let (mailbox, inbox) = bounded(APPLY_QUEUE_CHUNKS);
+    let owner = Owner {
+        daemon: daemon.clone(),
+        name: name.to_string(),
+        epoch,
+        live,
+        chunks: u64::from(store.seq),
+        store,
+        events,
+        attached,
+        last_frame: Instant::now(),
+    };
+    daemon.track_thread(std::thread::spawn(move || owner.run(&inbox)));
+    let id = daemon.next_session_id.fetch_add(1, Ordering::SeqCst);
+    Arc::new(Session { name: name.to_string(), id, epoch, mailbox })
+}
+
+impl Owner {
+    /// The owner loop: one message at a time until the session settles
+    /// (each handler says whether it did) or every sender is gone (daemon
+    /// shutdown — the session stays `Active` on disk for a resume). The
+    /// receiver outlives the settle, which publishes the settled entry,
+    /// so nobody meets a closed mailbox before the map says why.
+    fn run(mut self, inbox: &Receiver<Msg>) {
+        while let Some(msg) = inbox.recv() {
+            let settled = match msg {
+                Msg::Chunk { seq, payload, cols } => self.on_chunk(seq, &payload, &cols),
+                Msg::Attach { epoch, writer, reply } => {
+                    let _ = reply.send(self.on_attach(epoch, writer));
+                    false
+                }
+                Msg::Detach => {
+                    self.attached = None;
+                    self.write_record(SessionStatus::Active);
+                    false
+                }
+                Msg::Abort(error) => self.abort(error, false),
+                Msg::Finish { reply } => self.on_finish(&reply),
+                Msg::Status { reply } => {
+                    let _ = reply.send((self.attached.is_some(), self.live.events_observed()));
+                    false
+                }
+                Msg::Snapshot { reply } => {
+                    let _ = reply.send(self.live.snapshot());
+                    false
+                }
+                Msg::ReapIfIdle(timeout) => self.on_reap(timeout),
+            };
+            if settled {
+                return;
+            }
         }
-        let mut state = self.state.lock();
-        if let Some(store) = &mut state.store {
-            store.append(payload, cols).map_err(|e| (ErrorCode::Io, e.to_string()))?;
-            state.events += cols.len() as u64;
-            state.chunks += 1;
+    }
+
+    /// Checks the wire sequence, applies, and acks. A replayed chunk
+    /// (reconnect race) is already durable: acked with 0 events, never
+    /// re-applied — exactly-once. A gap or a failed apply aborts.
+    fn on_chunk(&mut self, seq: u64, payload: &[u8], cols: &EventColumns) -> bool {
+        self.last_frame = Instant::now();
+        let accepted = if seq < self.chunks {
+            Ok(0)
+        } else if seq > self.chunks {
+            Err((
+                ErrorCode::Protocol,
+                format!("chunk sequence gap: got {seq}, expected {}", self.chunks),
+            ))
+        } else {
+            self.apply_chunk(payload, cols).map(|()| cols.len() as u32)
+        };
+        match accepted {
+            Ok(events) => {
+                if let Some(writer) = &self.attached {
+                    let _ = send_chunk_ack(writer, seq, events);
+                }
+                false
+            }
+            Err(error) => self.abort(error, true),
         }
+    }
+
+    /// Applies one validated chunk: live sweeps, then the verbatim
+    /// persist, then the counters (the ack follows in [`Owner::on_chunk`]).
+    /// Sweep rejections are client-data problems
+    /// ([`ErrorCode::Protocol`]); store failures are server-side
+    /// [`ErrorCode::Io`].
+    fn apply_chunk(&mut self, payload: &[u8], cols: &EventColumns) -> Result<(), ConnError> {
+        self.live.push_columns(cols).map_err(|e| (ErrorCode::Protocol, e.to_string()))?;
+        self.store.append(payload, cols).map_err(io_err)?;
+        self.events += cols.len() as u64;
+        self.chunks += 1;
         Ok(())
     }
 
-    /// Blocks until every chunk enqueued **before this call** has been
-    /// applied — the barrier before any live snapshot. Deliberately not
-    /// "wait for an empty queue": under sustained ingest a saturated
-    /// pipeline may never drain, and a query only needs the chunks its
-    /// sender was acked, all of which were enqueued before the query
-    /// frame was read.
-    fn flush_applies(&self) {
-        let mut progress = self.progress.lock().unwrap_or_else(|e| e.into_inner());
-        let target = progress.enqueued;
-        while progress.applied < target {
-            progress = self.applied.wait(progress).unwrap_or_else(|e| e.into_inner());
+    fn on_attach(&mut self, epoch: u64, writer: SharedWriter) -> Result<u64, ConnError> {
+        if epoch != self.epoch {
+            return Err((
+                ErrorCode::EpochMismatch,
+                format!(
+                    "session {:?} is at epoch {} (resume asked for {epoch})",
+                    self.name, self.epoch
+                ),
+            ));
         }
+        if self.attached.is_some() {
+            return Err((
+                ErrorCode::SessionActive,
+                format!("session {:?} is already attached to a connection", self.name),
+            ));
+        }
+        self.attached = Some(writer);
+        self.last_frame = Instant::now();
+        Ok(self.chunks)
     }
 
-    /// Stops the apply thread (drains the queue first) — finish, detach,
-    /// and abort all funnel through here.
-    fn stop_apply_thread(&self) {
-        let (tx, thread) = {
-            let mut state = self.state.lock();
-            (state.apply_tx.take(), state.apply_thread.take())
+    /// `FINISH`: every chunk sent before it has been applied and acked
+    /// (message order), so cut the manifest and settle — aborted with
+    /// the typed error when the manifest cannot be written.
+    fn on_finish(&mut self, reply: &Sender<Result<(u64, u64), ConnError>>) -> bool {
+        let written = self.store.finish().map_err(io_err);
+        self.settle(written.as_ref().err().cloned());
+        let _ = reply.send(written.map(|()| (self.chunks, self.events)));
+        true
+    }
+
+    fn on_reap(&mut self, timeout: Duration) -> bool {
+        if self.last_frame.elapsed() < timeout {
+            return false;
+        }
+        let message = format!("session {:?} idle past the {timeout:?} idle timeout", self.name);
+        self.abort((ErrorCode::IdleTimeout, message), true);
+        if let Some(writer) = &self.attached {
+            // Evict the silent client, so its connection thread goes too.
+            let _ = writer.lock().shutdown(std::net::Shutdown::Both);
+        }
+        true
+    }
+
+    /// The one abort path: a best-effort manifest, so the durable prefix
+    /// stays analyzable without a scan, then settle with the typed
+    /// reason, then — when the attached client has not been told yet —
+    /// the `ERROR` frame. Settled first: a client that reads the error
+    /// finds the session already aborted and its prefix queryable.
+    fn abort(&mut self, error: ConnError, notify: bool) -> bool {
+        let _ = self.store.finish();
+        self.settle(Some(error.clone()));
+        if let (true, Some(writer)) = (notify, &self.attached) {
+            send_error(writer, error.0, &error.1);
+        }
+        true
+    }
+
+    /// Settles the session: records the outcome durably (an aborted
+    /// name is reusable after a restart too) and replaces the map's open
+    /// entry with the settled one. The live sweeps die with the thread;
+    /// queries route to the directory from here on.
+    fn settle(&mut self, abort: Option<ConnError>) {
+        self.write_record(match abort {
+            None => SessionStatus::Finished,
+            Some(_) => SessionStatus::Aborted,
+        });
+        let settled = Settled {
+            epoch: self.epoch,
+            dir: self.store.dir.clone(),
+            tier: StorageTier::Raw,
+            abort,
+            chunks: self.chunks,
+            events: self.events,
         };
-        drop(tx);
-        if let Some(thread) = thread {
-            let _ = thread.join();
-        }
+        self.daemon.sessions.lock().insert(self.name.clone(), Entry::Settled(settled));
     }
 
-    fn phase_locked(state: &SessionState) -> SessionPhase {
-        if state.finished {
-            SessionPhase::Finished
-        } else if state.abort.is_some() {
-            SessionPhase::Aborted
-        } else if state.attached.is_some() {
-            SessionPhase::Attached
-        } else {
-            SessionPhase::Detached
-        }
+    fn write_record(&self, status: SessionStatus) {
+        let record = SessionRecord {
+            epoch: self.epoch,
+            status,
+            acked_chunks: self.chunks,
+            tier: StorageTier::Raw,
+        };
+        let _ = record.write(&self.store.dir);
     }
 }
 
@@ -550,9 +742,22 @@ struct CachedResult {
 /// restart that replayed the same prefix.
 type LiveKey = (String, u64, u64, Vec<u8>);
 
+/// Live connections and the threads spawned on demand.
+#[derive(Default)]
+struct Conns {
+    /// Clones of live connection streams (either transport), keyed by
+    /// connection id (handlers deregister themselves on exit); shut down
+    /// to unblock handler threads at daemon shutdown.
+    streams: HashMap<u64, Stream>,
+    /// Connection-handler and session-owner threads, joined at shutdown.
+    threads: Vec<JoinHandle<()>>,
+}
+
 struct Daemon {
     config: CollectorConfig,
-    sessions: Mutex<HashMap<String, Arc<Session>>>,
+    /// Every session the daemon knows by name (see [`Session`] for the
+    /// rule on holding this lock).
+    sessions: Mutex<HashMap<String, Entry>>,
     /// Finished-target results keyed by `(dir, query bytes)`, validated
     /// by manifest checksum, LRU-evicted.
     cache: Mutex<LruCache<(String, Vec<u8>), CachedResult>>,
@@ -562,15 +767,81 @@ struct Daemon {
     next_epoch: AtomicU64,
     next_conn_id: AtomicU64,
     shutdown: AtomicBool,
-    /// Clones of live connection streams (either transport), keyed by
-    /// connection id (handlers deregister themselves on exit); shut down
-    /// to unblock handler threads at daemon shutdown, and by the idle
-    /// reaper to evict an attached-but-silent client.
-    conn_streams: Mutex<HashMap<u64, Stream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    conns: Mutex<Conns>,
     /// The background compaction job queue (retention timer and test
     /// hooks push, the compaction worker thread drains).
     compaction: JobQueue,
+}
+
+/// Where [`Daemon::route`] found a session: open, with its owner's
+/// answer, or settled.
+enum Routed<T> {
+    Open(Arc<Session>, T),
+    Settled(Settled),
+}
+
+impl Daemon {
+    fn lookup(&self, name: &str) -> Option<Entry> {
+        self.sessions.lock().get(name).cloned()
+    }
+
+    /// A name-sorted copy of the session map.
+    fn entries(&self) -> Vec<(String, Entry)> {
+        let mut entries: Vec<_> = self
+            .sessions
+            .lock()
+            .iter()
+            .map(|(name, entry)| (name.clone(), entry.clone()))
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
+
+    /// Puts the question `make` builds to the named session's owner, or
+    /// returns its settled entry. An owner publishes the settled entry
+    /// before it closes its mailbox, so after an unanswered question the
+    /// map is re-read and names the directory (or a newer session under
+    /// a reused name — hence a third try). Only an owner that died
+    /// without settling leaves a question unanswerable; that is a typed
+    /// error, not a spin.
+    fn route<T>(
+        &self,
+        name: &str,
+        make: impl Fn(Sender<T>) -> Msg,
+    ) -> Result<Routed<T>, ConnError> {
+        for _ in 0..3 {
+            match self.lookup(name) {
+                None => return Err((ErrorCode::UnknownTarget, format!("no session {name:?}"))),
+                Some(Entry::Settled(settled)) => return Ok(Routed::Settled(settled)),
+                Some(Entry::Open(session)) => {
+                    if let Some(answer) = session.ask(&make) {
+                        return Ok(Routed::Open(session, answer));
+                    }
+                }
+            }
+        }
+        Err((ErrorCode::Io, format!("session {name:?} has no owner")))
+    }
+
+    /// Why `session`'s mailbox is closed: the typed reason it aborted.
+    fn settled_error(&self, session: &Session) -> ConnError {
+        match self.lookup(&session.name) {
+            Some(Entry::Settled(Settled { epoch, abort: Some(error), .. }))
+                if epoch == session.epoch =>
+            {
+                error
+            }
+            _ => {
+                (ErrorCode::SessionAborted, format!("session {:?} is no longer open", session.name))
+            }
+        }
+    }
+
+    fn track_thread(&self, handle: JoinHandle<()>) {
+        let mut conns = self.conns.lock();
+        conns.threads.retain(|h| !h.is_finished());
+        conns.threads.push(handle);
+    }
 }
 
 /// The collector daemon (the library form of the `rlscoped` binary):
@@ -585,9 +856,10 @@ pub struct Collector {
     /// Bound TCP listen address, when [`CollectorConfig::tcp_listen`]
     /// was set (the resolved address, so port 0 reports the real port).
     tcp_addr: Option<SocketAddr>,
-    reaper_thread: Option<JoinHandle<()>>,
     compaction_thread: Option<JoinHandle<()>>,
-    retention_thread: Option<JoinHandle<()>>,
+    /// Runs the idle-reap and retention passes, when either is
+    /// configured.
+    timer_thread: Option<JoinHandle<()>>,
     upgraded: Vec<(PathBuf, ManifestUpgrade)>,
     recovered: Vec<RecoveredSession>,
 }
@@ -626,72 +898,12 @@ impl Collector {
     /// daemon from starting.
     pub fn bind(config: CollectorConfig) -> Result<Collector, CollectorError> {
         fs::create_dir_all(&config.data_dir).map_err(TraceIoError::from)?;
-        let mut upgraded = Vec::new();
-        let mut recovered = Vec::new();
-        let mut sessions = HashMap::new();
-        let mut max_epoch = 0u64;
-        let mut next_id = 1u64;
-        if let Ok(entries) = fs::read_dir(&config.data_dir) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if !path.is_dir() {
-                    continue;
-                }
-                let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                    continue;
-                };
-                let record = match SessionRecord::read(&path) {
-                    Ok(record) => record,
-                    Err(_) => continue,
-                };
-                match record {
-                    Some(record) => {
-                        max_epoch = max_epoch.max(record.epoch);
-                        // Finish whatever tier transition a crash
-                        // interrupted before anything queries the dir.
-                        compact::reconcile_tiers(&path, record.tier);
-                        if let Some(info) =
-                            recover_session(&config, &path, &name, record, &mut next_id)
-                        {
-                            sessions.insert(name, info.0);
-                            recovered.push(info.1);
-                        }
-                    }
-                    None => {
-                        // Legacy directory (pre-registry daemon, or a torn
-                        // record): one-shot manifest upgrade, then serve
-                        // read-only by name when the name is usable.
-                        let has_chunks = list_chunk_files(&path).is_ok_and(|f| !f.is_empty());
-                        if !has_chunks {
-                            continue;
-                        }
-                        if let Ok(outcome) = upgrade_chunk_dir(&path) {
-                            if outcome.rebuilt {
-                                upgraded.push((path.clone(), outcome));
-                            }
-                        }
-                        if valid_session_name(&name) {
-                            let id = next_id;
-                            next_id += 1;
-                            sessions.insert(
-                                name.clone(),
-                                finished_session(&name, id, 0, &path, StorageTier::Raw),
-                            );
-                            recovered.push(RecoveredSession {
-                                name,
-                                phase: SessionPhase::Finished,
-                                chunks: 0,
-                                events: 0,
-                                removed_chunks: 0,
-                            });
-                        }
-                    }
-                }
-            }
-        }
         if config.socket.exists() {
             fs::remove_file(&config.socket).map_err(TraceIoError::from)?;
         }
+        // Everything that can fail comes first: recovery spawns owner
+        // threads, which only `stop` reaps. Connections made during the
+        // scan wait in the listen backlog.
         let listener = UnixListener::bind(&config.socket).map_err(TraceIoError::from)?;
         let tcp_listener = match &config.tcp_listen {
             Some(addr) => {
@@ -708,17 +920,65 @@ impl Collector {
         let retention = config.retention.clone().filter(|p| !p.is_empty());
         let daemon = Arc::new(Daemon {
             config,
-            sessions: Mutex::new(sessions),
+            sessions: Mutex::new(HashMap::new()),
             cache: Mutex::new(cache),
             live_cache: Mutex::new(live_cache),
-            next_session_id: AtomicU64::new(next_id),
-            next_epoch: AtomicU64::new(max_epoch + 1),
+            next_session_id: AtomicU64::new(1),
+            next_epoch: AtomicU64::new(1),
             next_conn_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            conn_streams: Mutex::new(HashMap::new()),
-            conn_threads: Mutex::new(Vec::new()),
+            conns: Mutex::new(Conns::default()),
             compaction: JobQueue::default(),
         });
+        let mut upgraded = Vec::new();
+        let mut recovered = Vec::new();
+        if let Ok(entries) = fs::read_dir(&daemon.config.data_dir) {
+            for entry in entries.flatten() {
+                let path = entry.path();
+                if !path.is_dir() {
+                    continue;
+                }
+                let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
+                    continue;
+                };
+                let record = match SessionRecord::read(&path) {
+                    Ok(record) => record,
+                    Err(_) => continue,
+                };
+                match record {
+                    Some(record) => {
+                        daemon.next_epoch.fetch_max(record.epoch + 1, Ordering::SeqCst);
+                        // Finish whatever tier transition a crash
+                        // interrupted before anything queries the dir.
+                        compact::reconcile_tiers(&path, record.tier);
+                        recovered.extend(recover_session(&daemon, &path, &name, record));
+                    }
+                    None => {
+                        // Legacy directory (pre-registry daemon, or a torn
+                        // record): one-shot manifest upgrade, then serve
+                        // read-only by name when the name is usable.
+                        let has_chunks = list_chunk_files(&path).is_ok_and(|f| !f.is_empty());
+                        if !has_chunks {
+                            continue;
+                        }
+                        if let Ok(outcome) = upgrade_chunk_dir(&path) {
+                            if outcome.rebuilt {
+                                upgraded.push((path.clone(), outcome));
+                            }
+                        }
+                        if valid_session_name(&name) {
+                            let legacy = SessionRecord {
+                                epoch: 0,
+                                status: SessionStatus::Finished,
+                                acked_chunks: 0,
+                                tier: StorageTier::Raw,
+                            };
+                            recovered.extend(recover_session(&daemon, &path, &name, legacy));
+                        }
+                    }
+                }
+            }
+        }
         let accept_daemon = daemon.clone();
         let accept_thread = std::thread::spawn(move || {
             for stream in listener.incoming() {
@@ -742,20 +1002,8 @@ impl Collector {
                 }
             })
         });
-        let reaper_thread = idle_timeout.map(|timeout| {
-            let reaper_daemon = daemon.clone();
-            std::thread::spawn(move || {
-                let tick =
-                    (timeout / 4).clamp(Duration::from_millis(10), Duration::from_millis(500));
-                while !reaper_daemon.shutdown.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    reap_idle_sessions(&reaper_daemon, timeout);
-                }
-            })
-        });
         // The compaction worker always runs (the queue is also fed by
-        // the explicit `compact_session` hook); the retention timer only
-        // when a non-empty policy is configured.
+        // the explicit `compact_session` hook).
         let worker_daemon = daemon.clone();
         let compaction_thread = Some(std::thread::spawn(move || {
             while let Some(job) = worker_daemon.compaction.pop() {
@@ -763,14 +1011,23 @@ impl Collector {
                 worker_daemon.compaction.done(&job);
             }
         }));
-        let retention_thread = retention.map(|policy| {
+        // One timer runs both periodic passes, ticking at a quarter of
+        // the shortest configured period; no timer when neither an idle
+        // timeout nor a non-empty retention policy is set.
+        let period = idle_timeout.into_iter().chain(retention.as_ref().and_then(|p| p.min_dwell()));
+        let timer_thread = period.min().map(|period| {
             let timer_daemon = daemon.clone();
             std::thread::spawn(move || {
-                let min = policy.min_dwell().unwrap_or(Duration::from_secs(60));
-                let tick = (min / 4).clamp(Duration::from_millis(10), Duration::from_millis(500));
+                let tick =
+                    (period / 4).clamp(Duration::from_millis(10), Duration::from_millis(500));
                 while !timer_daemon.shutdown.load(Ordering::SeqCst) {
                     std::thread::sleep(tick);
-                    retention_pass(&timer_daemon, &policy);
+                    if let Some(timeout) = idle_timeout {
+                        reap_pass(&timer_daemon, timeout);
+                    }
+                    if let Some(policy) = &retention {
+                        retention_pass(&timer_daemon, policy);
+                    }
                 }
             })
         });
@@ -779,9 +1036,8 @@ impl Collector {
             accept_thread: Some(accept_thread),
             tcp_accept_thread,
             tcp_addr,
-            reaper_thread,
             compaction_thread,
-            retention_thread,
+            timer_thread,
             upgraded,
             recovered,
         })
@@ -812,29 +1068,27 @@ impl Collector {
 
     /// Session names currently registered, with their finished flag.
     pub fn sessions(&self) -> Vec<(String, bool)> {
-        self.daemon
-            .sessions
-            .lock()
-            .values()
-            .map(|s| (s.name.clone(), s.state.lock().finished))
-            .collect()
+        let finished = |entry| matches!(entry, Entry::Settled(Settled { abort: None, .. }));
+        self.daemon.entries().into_iter().map(|(name, entry)| (name, finished(entry))).collect()
     }
 
     /// The named session's current lifecycle phase, if it exists.
     pub fn session_phase(&self, name: &str) -> Option<SessionPhase> {
-        let sessions = self.daemon.sessions.lock();
-        let session = sessions.get(name)?;
-        let state = session.state.lock();
-        Some(Session::phase_locked(&state))
+        Some(match self.daemon.route(name, |reply| Msg::Status { reply }).ok()? {
+            Routed::Open(_, (true, _)) => SessionPhase::Attached,
+            Routed::Open(_, (false, _)) => SessionPhase::Detached,
+            Routed::Settled(Settled { abort: None, .. }) => SessionPhase::Finished,
+            Routed::Settled(_) => SessionPhase::Aborted,
+        })
     }
 
     /// The storage tier the named session's durable data lives in, if
-    /// the session exists.
+    /// the session exists (always [`StorageTier::Raw`] while it is open).
     pub fn session_tier(&self, name: &str) -> Option<StorageTier> {
-        let sessions = self.daemon.sessions.lock();
-        let session = sessions.get(name)?;
-        let state = session.state.lock();
-        Some(state.tier)
+        Some(match self.daemon.lookup(name)? {
+            Entry::Open(_) => StorageTier::Raw,
+            Entry::Settled(settled) => settled.tier,
+        })
     }
 
     /// Ages the named finished session one step down the storage ladder
@@ -909,21 +1163,22 @@ impl Collector {
         if let Some(handle) = self.tcp_accept_thread.take() {
             let _ = handle.join();
         }
-        for (_, stream) in self.daemon.conn_streams.lock().drain() {
+        for (_, stream) in self.daemon.conns.lock().streams.drain() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        let handles: Vec<_> = self.daemon.conn_threads.lock().drain(..).collect();
+        // Connection threads now detach their sessions and exit. An owner
+        // exits once every handle to its session is gone — the map's,
+        // dropped here, and those the exiting connection threads hold.
+        self.daemon.sessions.lock().clear();
+        let handles = std::mem::take(&mut self.daemon.conns.lock().threads);
         for handle in handles {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.reaper_thread.take() {
             let _ = handle.join();
         }
         self.daemon.compaction.shutdown();
         if let Some(handle) = self.compaction_thread.take() {
             let _ = handle.join();
         }
-        if let Some(handle) = self.retention_thread.take() {
+        if let Some(handle) = self.timer_thread.take() {
             let _ = handle.join();
         }
         let _ = fs::remove_file(&self.daemon.config.socket);
@@ -936,95 +1191,45 @@ impl Drop for Collector {
     }
 }
 
-/// Builds a read-only finished session entry (used for recovered and
-/// legacy directories).
-fn finished_session(
-    name: &str,
-    id: u64,
-    epoch: u64,
-    dir: &Path,
-    tier: StorageTier,
-) -> Arc<Session> {
-    Arc::new(Session {
-        name: name.to_string(),
-        id,
-        epoch,
-        dir: dir.to_path_buf(),
-        state: Mutex::new(SessionState {
-            store: None,
-            apply_tx: None,
-            apply_thread: None,
-            apply_error: None,
-            chunks: 0,
-            events: 0,
-            recv_seq: 0,
-            finished: true,
-            abort: None,
-            attached: None,
-            last_frame: Instant::now(),
-            tier,
-        }),
-        live: Mutex::new(LiveState::new()),
-        progress: std::sync::Mutex::new(ApplyProgress::default()),
-        applied: std::sync::Condvar::new(),
-    })
-}
-
-/// Recovers one registry-recorded session directory; returns the
-/// registered session plus its report, or `None` when the directory is
-/// beyond recovery (skipped, never fatal).
+/// Recovers one registry-recorded session directory into the session
+/// map and reports what it found; `None` when the directory is beyond
+/// recovery (skipped, never fatal).
 fn recover_session(
-    config: &CollectorConfig,
+    daemon: &Arc<Daemon>,
     dir: &Path,
     name: &str,
     record: SessionRecord,
-    next_id: &mut u64,
-) -> Option<(Arc<Session>, RecoveredSession)> {
-    let id = *next_id;
-    *next_id += 1;
+) -> Option<RecoveredSession> {
+    let register = |entry| daemon.sessions.lock().insert(name.to_string(), entry);
+    let settled = |abort, chunks| {
+        Entry::Settled(Settled {
+            epoch: record.epoch,
+            dir: dir.to_path_buf(),
+            tier: record.tier,
+            abort,
+            chunks,
+            events: 0,
+        })
+    };
+    let report = |phase, chunks, events, removed_chunks| {
+        Some(RecoveredSession { name: name.to_string(), phase, chunks, events, removed_chunks })
+    };
     match record.status {
         SessionStatus::Finished => {
-            let session = finished_session(name, id, record.epoch, dir, record.tier);
-            session.state.lock().chunks = record.acked_chunks;
-            Some((
-                session,
-                RecoveredSession {
-                    name: name.to_string(),
-                    phase: SessionPhase::Finished,
-                    chunks: record.acked_chunks,
-                    events: 0,
-                    removed_chunks: 0,
-                },
-            ))
+            register(settled(None, record.acked_chunks));
+            report(SessionPhase::Finished, record.acked_chunks, 0, 0)
         }
         SessionStatus::Aborted => {
-            let session = finished_session(name, id, record.epoch, dir, record.tier);
-            {
-                let mut state = session.state.lock();
-                state.finished = false;
-                state.chunks = record.acked_chunks;
-                state.abort = Some((
-                    ErrorCode::SessionAborted,
-                    format!("session {name:?} was aborted in a previous daemon run"),
-                ));
-            }
-            Some((
-                session,
-                RecoveredSession {
-                    name: name.to_string(),
-                    phase: SessionPhase::Aborted,
-                    chunks: record.acked_chunks,
-                    events: 0,
-                    removed_chunks: 0,
-                },
-            ))
+            let message = format!("session {name:?} was aborted in a previous daemon run");
+            register(settled(Some((ErrorCode::SessionAborted, message)), record.acked_chunks));
+            report(SessionPhase::Aborted, record.acked_chunks, 0, 0)
         }
         SessionStatus::Active => {
             // Mid-stream at the crash: truncate any torn tail through the
             // full decode path, then rebuild the live sweeps by replaying
             // the surviving prefix — the same chunks, in the same order,
             // through the same `decode_columns` + `push_columns` calls
-            // the pre-crash apply thread made.
+            // the pre-crash owner made.
             let mut live = LiveState::new();
             let mut replay_error: Option<String> = None;
             let prefix = recover_chunk_prefix(dir, |cols| {
@@ -1037,79 +1242,32 @@ fn recover_session(
             .ok()?;
             let chunks = prefix.entries.len() as u64;
             let events = prefix.events();
-            if let Some(err) = replay_error {
-                // Decodable chunks the sweeps reject should be impossible
-                // (they applied once already) — degrade to a typed abort,
-                // keeping the directory queryable.
-                let _ = SessionRecord {
-                    epoch: record.epoch,
-                    status: SessionStatus::Aborted,
-                    acked_chunks: chunks,
-                    tier: record.tier,
-                }
-                .write(dir);
-                let session = finished_session(name, id, record.epoch, dir, record.tier);
-                {
-                    let mut state = session.state.lock();
-                    state.finished = false;
-                    state.chunks = chunks;
-                    state.abort =
-                        Some((ErrorCode::CorruptChunk, format!("recovery replay failed: {err}")));
-                }
-                return Some((
-                    session,
-                    RecoveredSession {
-                        name: name.to_string(),
-                        phase: SessionPhase::Aborted,
-                        chunks,
-                        events,
-                        removed_chunks: prefix.removed.len(),
-                    },
-                ));
-            }
             let removed_chunks = prefix.removed.len();
-            let store = ChunkStore::resume(dir, prefix.entries, config);
-            // Refresh the record's informational watermark post-truncation.
-            let _ = SessionRecord {
-                epoch: record.epoch,
-                status: SessionStatus::Active,
-                acked_chunks: chunks,
-                tier: record.tier,
+            // Decodable chunks the sweeps reject should be impossible
+            // (they applied once already) — degrade to a typed abort,
+            // keeping the directory queryable. Otherwise refresh the
+            // record's informational watermark post-truncation.
+            let status = match replay_error {
+                Some(_) => SessionStatus::Aborted,
+                None => SessionStatus::Active,
+            };
+            let _ = SessionRecord { status, acked_chunks: chunks, ..record }.write(dir);
+            if let Some(err) = replay_error {
+                let error = (ErrorCode::CorruptChunk, format!("recovery replay failed: {err}"));
+                register(settled(Some(error), chunks));
+                return report(SessionPhase::Aborted, chunks, events, removed_chunks);
             }
-            .write(dir);
-            let session = Arc::new(Session {
-                name: name.to_string(),
-                id,
-                epoch: record.epoch,
-                dir: dir.to_path_buf(),
-                state: Mutex::new(SessionState {
-                    store: Some(store),
-                    apply_tx: None,
-                    apply_thread: None,
-                    apply_error: None,
-                    chunks,
-                    events,
-                    recv_seq: chunks,
-                    finished: false,
-                    abort: None,
-                    attached: None,
-                    last_frame: Instant::now(),
-                    tier: record.tier,
-                }),
-                live: Mutex::new(live),
-                progress: std::sync::Mutex::new(ApplyProgress::default()),
-                applied: std::sync::Condvar::new(),
-            });
-            Some((
-                session,
-                RecoveredSession {
-                    name: name.to_string(),
-                    phase: SessionPhase::Detached,
-                    chunks,
-                    events,
-                    removed_chunks,
-                },
-            ))
+            let store = ChunkStore::resume(dir, prefix.entries, &daemon.config);
+            register(Entry::Open(spawn_owner(
+                daemon,
+                name,
+                record.epoch,
+                store,
+                live,
+                events,
+                None,
+            )));
+            report(SessionPhase::Detached, chunks, events, removed_chunks)
         }
     }
 }
@@ -1130,20 +1288,17 @@ type ConnError = (ErrorCode, String);
 fn register_connection(daemon: &Arc<Daemon>, stream: Stream) {
     let conn_id = daemon.next_conn_id.fetch_add(1, Ordering::SeqCst);
     if let Ok(clone) = stream.try_clone() {
-        daemon.conn_streams.lock().insert(conn_id, clone);
+        daemon.conns.lock().streams.insert(conn_id, clone);
     }
     let conn_daemon = daemon.clone();
-    let handle = std::thread::spawn(move || {
-        handle_connection(&conn_daemon, stream, conn_id);
-        conn_daemon.conn_streams.lock().remove(&conn_id);
-    });
-    let mut threads = daemon.conn_threads.lock();
-    threads.retain(|h| !h.is_finished());
-    threads.push(handle);
+    daemon.track_thread(std::thread::spawn(move || {
+        handle_connection(&conn_daemon, stream);
+        conn_daemon.conns.lock().streams.remove(&conn_id);
+    }));
 }
 
 /// The write half of a connection, shared between the connection thread
-/// and the session's apply thread (which writes durable `CHUNK_ACK`s):
+/// and the attached session's owner (which writes durable `CHUNK_ACK`s):
 /// the mutex keeps frames from interleaving mid-write.
 type SharedWriter = Arc<Mutex<Stream>>;
 
@@ -1158,15 +1313,10 @@ fn send_chunk_ack(writer: &SharedWriter, seq: u64, events: u32) -> Result<(), Tr
     write_frame(&mut *writer.lock(), kind::CHUNK_ACK, &payload)
 }
 
-/// How a connection handler left its loop, which decides the fate of an
-/// attached session: a clean exit **detaches** (resumable), an error
-/// **aborts** (typed, name reusable).
-enum ConnExit {
-    Detach,
-    Abort(ConnError),
-}
-
-fn handle_connection(daemon: &Daemon, mut stream: Stream, conn_id: u64) {
+/// One connection's frame loop. How it ends decides what its attached
+/// session's owner is told: a clean exit **detaches** (resumable), an
+/// error **aborts** (typed, name reusable).
+fn handle_connection(daemon: &Arc<Daemon>, mut stream: Stream) {
     let Ok(write_half) = stream.try_clone() else { return };
     let writer: SharedWriter = Arc::new(Mutex::new(write_half));
     let mut session: Option<Arc<Session>> = None;
@@ -1175,24 +1325,21 @@ fn handle_connection(daemon: &Daemon, mut stream: Stream, conn_id: u64) {
             Ok(Some(frame)) => frame,
             // Clean EOF at a frame boundary: the client closed (or the
             // daemon is shutting down) with nothing half-sent.
-            Ok(None) => break ConnExit::Detach,
+            Ok(None) => break Msg::Detach,
             Err(e) => {
                 if daemon.shutdown.load(Ordering::SeqCst) {
-                    break ConnExit::Detach;
+                    break Msg::Detach;
                 }
                 let error = (ErrorCode::Protocol, e.to_string());
                 send_error(&writer, error.0, &error.1);
-                break ConnExit::Abort(error);
+                break Msg::Abort(error);
             }
         };
-        if let Some(session) = &session {
-            session.state.lock().last_frame = Instant::now();
-        }
         let outcome: Result<(), ConnError> = match frame.0 {
-            kind::HELLO => handle_hello(daemon, &writer, &mut session, conn_id, &frame.1),
-            kind::CHUNK => handle_chunk(&writer, session.as_deref(), frame.1),
+            kind::HELLO => handle_hello(daemon, &writer, &mut session, &frame.1),
+            kind::CHUNK => handle_chunk(daemon, session.as_deref(), frame.1),
             kind::FINISH => {
-                let result = handle_finish(&writer, session.as_deref());
+                let result = handle_finish(daemon, &writer, session.as_deref());
                 if result.is_ok() {
                     session = None; // clean finish: nothing left to detach
                 }
@@ -1205,155 +1352,50 @@ fn handle_connection(daemon: &Daemon, mut stream: Stream, conn_id: u64) {
         };
         if let Err(error) = outcome {
             send_error(&writer, error.0, &error.1);
-            break ConnExit::Abort(error);
+            break Msg::Abort(error);
         }
     };
     if let Some(session) = session {
-        match exit {
-            ConnExit::Detach => detach_session(&session),
-            ConnExit::Abort(error) => abort_session(&session, error),
+        // A session that already settled has closed its mailbox.
+        let _ = session.mailbox.send(exit);
+    }
+}
+
+/// The timer's idle pass: ask every open session's owner to abort if it
+/// has been idle past `timeout`. `try_send` never blocks (so it may run
+/// under the map lock): a full mailbox means chunks are in flight — not
+/// idle — and the question is simply not put.
+fn reap_pass(daemon: &Daemon, timeout: Duration) {
+    for entry in daemon.sessions.lock().values() {
+        if let Entry::Open(session) = entry {
+            let _ = session.mailbox.try_send(Msg::ReapIfIdle(timeout));
         }
     }
 }
 
-/// Clean connection exit with an open session: keep everything — live
-/// sweeps, chunk store, epoch — and mark the session detached so a
-/// client holding the epoch can resume exactly where the acks stopped.
-/// A latched failure (apply error, or the reaper's idle abort) takes
-/// precedence and finalizes the abort instead.
-fn detach_session(session: &Session) {
-    session.stop_apply_thread();
-    let mut state = session.state.lock();
-    if state.finished {
-        return;
-    }
-    if let Some(error) = state.apply_error.take() {
-        finalize_abort(session, &mut state, error);
-        return;
-    }
-    if let Some(error) = state.abort.clone() {
-        finalize_abort(session, &mut state, error);
-        return;
-    }
-    state.attached = None;
-    // Queue drained ⇒ the wire watermark equals the durable count.
-    state.recv_seq = state.chunks;
-    let _ = SessionRecord {
-        epoch: session.epoch,
-        status: SessionStatus::Active,
-        acked_chunks: state.chunks,
-        tier: StorageTier::Raw,
-    }
-    .write(&session.dir);
-}
-
-fn abort_session(session: &Session, error: ConnError) {
-    session.stop_apply_thread();
-    let mut state = session.state.lock();
-    let error = state.apply_error.take().or_else(|| state.abort.clone()).unwrap_or(error);
-    finalize_abort(session, &mut state, error);
-}
-
-/// Finalizes an abort: latch the typed reason, write a best-effort
-/// manifest so the durable prefix stays analyzable without a scan,
-/// record `Aborted` durably (name reusable after restart), and free the
-/// live sweep memory. Caller must have stopped the apply thread and
-/// hold the state lock.
-fn finalize_abort(session: &Session, state: &mut SessionState, error: ConnError) {
-    if state.finished {
-        return;
-    }
-    if state.abort.is_none() {
-        state.abort = Some(error);
-    }
-    state.attached = None;
-    if let Some(mut store) = state.store.take() {
-        let _ = store.finish();
-    }
-    let _ = SessionRecord {
-        epoch: session.epoch,
-        status: SessionStatus::Aborted,
-        acked_chunks: state.chunks,
-        tier: StorageTier::Raw,
-    }
-    .write(&session.dir);
-    *session.live.lock() = LiveState::new();
-}
-
-/// The idle reaper's periodic pass: abort every non-finished session
-/// whose last frame is older than `timeout`. Detached sessions finalize
-/// inline (their apply thread is already stopped); attached sessions
-/// get the abort latched and their connection shut down — the handler
-/// thread finalizes on its way out, keeping a single finalization path
-/// per attachment.
-fn reap_idle_sessions(daemon: &Daemon, timeout: Duration) {
-    let sessions: Vec<Arc<Session>> = daemon.sessions.lock().values().cloned().collect();
-    for session in sessions {
-        let mut state = session.state.lock();
-        if state.finished || state.abort.is_some() {
-            continue;
-        }
-        if state.last_frame.elapsed() < timeout {
-            continue;
-        }
-        {
-            // An apply queue still draining means frames arrived recently
-            // in wall-clock terms even if `last_frame` says otherwise —
-            // never reap mid-apply.
-            let progress = session.progress.lock().unwrap_or_else(|e| e.into_inner());
-            if progress.applied < progress.enqueued {
-                continue;
-            }
-        }
-        let error = (
-            ErrorCode::IdleTimeout,
-            format!("session {:?} idle past the {timeout:?} idle timeout", session.name),
-        );
-        match state.attached {
-            Some(conn_id) => {
-                state.abort = Some(error.clone());
-                drop(state);
-                let stream =
-                    daemon.conn_streams.lock().get(&conn_id).and_then(|s| s.try_clone().ok());
-                if let Some(mut stream) = stream {
-                    // Best-effort typed notice; the connection is idle, so
-                    // no competing writer is mid-frame.
-                    let _ = write_frame(&mut stream, kind::ERROR, &encode_error(error.0, &error.1));
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-            }
-            None => finalize_abort(&session, &mut state, error),
-        }
-    }
-}
-
-/// Runs one compaction job end to end: re-check eligibility under the
-/// state lock (jobs can go stale — the session may have been resumed,
-/// aborted, or already transitioned), do the slow tier build with **no
-/// locks held** (finished sessions are immutable, so the raw files
-/// cannot change underneath the build), then record the new tier
-/// durably and in memory before deleting the prior tier's files.
+/// Runs one compaction job end to end: re-check eligibility (jobs can
+/// go stale — the session may have been pruned, recreated, or already
+/// transitioned), do the slow tier build with **no locks held**
+/// (settled sessions are immutable, so the raw files cannot change
+/// underneath the build), then record the new tier durably and in
+/// memory before deleting the prior tier's files.
 fn run_compaction_job(daemon: &Daemon, job: &CompactionJob) -> Result<(), ConnError> {
-    let session = daemon
-        .sessions
-        .lock()
-        .get(&job.name)
-        .cloned()
-        .ok_or((ErrorCode::UnknownTarget, format!("no session {:?}", job.name)))?;
-    // Eligibility snapshot. Finished sessions compact; only finalized
-    // sessions (finished, or abort-finalized) prune.
-    {
-        let state = session.state.lock();
-        let finalized = state.finished || (state.abort.is_some() && state.store.is_none());
-        let eligible = match job.kind {
-            JobKind::Sort => state.finished && state.tier == StorageTier::Raw,
-            JobKind::Rollup => state.finished && state.tier == StorageTier::Sorted,
-            JobKind::Prune => finalized,
-        };
-        if !eligible {
-            // Stale job — not an error, just nothing to do anymore.
-            return Ok(());
-        }
+    let name = &job.name;
+    let settled = match daemon.lookup(name) {
+        None => return Err((ErrorCode::UnknownTarget, format!("no session {name:?}"))),
+        // Still open: a stale job — not an error, just nothing to do.
+        Some(Entry::Open(_)) => return Ok(()),
+        Some(Entry::Settled(settled)) => settled,
+    };
+    // Finished sessions compact; any settled session prunes.
+    let finished = settled.abort.is_none();
+    let eligible = match job.kind {
+        JobKind::Sort => finished && settled.tier == StorageTier::Raw,
+        JobKind::Rollup => finished && settled.tier == StorageTier::Sorted,
+        JobKind::Prune => true,
+    };
+    if !eligible {
+        return Ok(());
     }
     #[cfg(feature = "fault-inject")]
     if let Some(plan) = &daemon.config.faults {
@@ -1361,7 +1403,7 @@ fn run_compaction_job(daemon: &Daemon, job: &CompactionJob) -> Result<(), ConnEr
             // Simulate a mid-build failure honestly: leave a partial
             // temp dir behind, exactly what a real ENOSPC or crash
             // mid-build leaves. The next (un-faulted) run wipes it.
-            let tmp = session.dir.join(compact::TIER_TMP);
+            let tmp = settled.dir.join(compact::TIER_TMP);
             let _ = fs::create_dir_all(&tmp);
             let _ = fs::write(tmp.join("partial.rls"), b"torn tier build");
             return Err((
@@ -1372,45 +1414,57 @@ fn run_compaction_job(daemon: &Daemon, job: &CompactionJob) -> Result<(), ConnEr
     }
     match job.kind {
         JobKind::Sort => {
-            compact::sort_tier(&session.dir).map_err(io_err)?;
-            advance_tier(&session, StorageTier::Sorted)?;
-            compact::drop_raw_files(&session.dir);
+            compact::sort_tier(&settled.dir).map_err(io_err)?;
+            advance_tier(daemon, name, &settled, StorageTier::Sorted)?;
+            compact::drop_raw_files(&settled.dir);
         }
         JobKind::Rollup => {
-            compact::rollup_tier(&session.dir, daemon.config.rollup_segment_ns.max(1))
+            compact::rollup_tier(&settled.dir, daemon.config.rollup_segment_ns.max(1))
                 .map_err(io_err)?;
-            advance_tier(&session, StorageTier::Rollup)?;
-            compact::drop_sorted_dir(&session.dir);
+            advance_tier(daemon, name, &settled, StorageTier::Rollup)?;
+            compact::drop_sorted_dir(&settled.dir);
         }
         JobKind::Prune => {
-            daemon.sessions.lock().remove(&job.name);
-            let _ = fs::remove_dir_all(&session.dir);
+            // Only this incarnation: a new session may hold the name
+            // (and the directory) by now.
+            let mut sessions = daemon.sessions.lock();
+            if matches!(sessions.get(name), Some(Entry::Settled(s)) if s.epoch == settled.epoch) {
+                sessions.remove(name);
+                let _ = fs::remove_dir_all(&settled.dir);
+            }
         }
     }
     Ok(())
 }
 
 /// Step 3 of the transition protocol: records `tier` durably in the
-/// session registry, then mirrors it into the in-memory state. On a
-/// failed record write the freshly published tier directory is removed
-/// again, so disk and record never disagree in this process's lifetime
-/// (a crash between publish and record is reconciled at next startup).
-fn advance_tier(session: &Session, tier: StorageTier) -> Result<(), ConnError> {
-    let mut state = session.state.lock();
+/// session registry, then mirrors it into the session map. On a failed
+/// record write the freshly published tier directory is removed again,
+/// so disk and record never disagree in this process's lifetime (a
+/// crash between publish and record is reconciled at next startup).
+fn advance_tier(
+    daemon: &Daemon,
+    name: &str,
+    settled: &Settled,
+    tier: StorageTier,
+) -> Result<(), ConnError> {
     let record = SessionRecord {
-        epoch: session.epoch,
+        epoch: settled.epoch,
         status: SessionStatus::Finished,
-        acked_chunks: state.chunks,
+        acked_chunks: settled.chunks,
         tier,
     };
-    if let Err(e) = record.write(&session.dir) {
-        drop(state);
+    if let Err(e) = record.write(&settled.dir) {
         if let Some(sub) = tier.subdir() {
-            let _ = fs::remove_dir_all(session.dir.join(sub));
+            let _ = fs::remove_dir_all(settled.dir.join(sub));
         }
         return Err(io_err(e));
     }
-    state.tier = tier;
+    if let Some(Entry::Settled(current)) = daemon.sessions.lock().get_mut(name) {
+        if current.epoch == settled.epoch {
+            current.tier = tier;
+        }
+    }
     Ok(())
 }
 
@@ -1422,37 +1476,22 @@ fn session_dwell(dir: &Path) -> Option<Duration> {
 }
 
 /// One retention evaluation: enqueue the due tier transition (or prune)
-/// for every finalized session past its dwell. Streaming and detached
-/// sessions are never touched; aborted sessions age straight from raw
-/// to pruned after the `raw` dwell (their partial data is not worth a
-/// rewrite, but deserves the same grace period).
+/// for every settled session past its dwell. Open sessions are never
+/// touched; aborted sessions age straight from raw to pruned after the
+/// `raw` dwell (their partial data is not worth a rewrite, but deserves
+/// the same grace period).
 fn retention_pass(daemon: &Daemon, policy: &RetentionPolicy) {
-    let sessions: Vec<Arc<Session>> = daemon.sessions.lock().values().cloned().collect();
-    for session in sessions {
-        let (finished, aborted, tier) = {
-            let state = session.state.lock();
-            let aborted = state.abort.is_some() && state.store.is_none();
-            (state.finished, aborted, state.tier)
+    for (name, entry) in daemon.entries() {
+        let Entry::Settled(settled) = entry else { continue };
+        let Some(dwell) = session_dwell(&settled.dir) else { continue };
+        let (limit, kind) = match (&settled.abort, settled.tier) {
+            (Some(_), _) => (policy.raw, JobKind::Prune),
+            (None, StorageTier::Raw) => (policy.raw, JobKind::Sort),
+            (None, StorageTier::Sorted) => (policy.sorted, JobKind::Rollup),
+            (None, StorageTier::Rollup) => (policy.rollup, JobKind::Prune),
         };
-        if !finished && !aborted {
-            continue;
-        }
-        let Some(dwell) = session_dwell(&session.dir) else { continue };
-        let kind = if aborted {
-            policy.raw.filter(|d| dwell >= *d).map(|_| JobKind::Prune)
-        } else {
-            match tier {
-                StorageTier::Raw => policy.raw.filter(|d| dwell >= *d).map(|_| JobKind::Sort),
-                StorageTier::Sorted => {
-                    policy.sorted.filter(|d| dwell >= *d).map(|_| JobKind::Rollup)
-                }
-                StorageTier::Rollup => {
-                    policy.rollup.filter(|d| dwell >= *d).map(|_| JobKind::Prune)
-                }
-            }
-        };
-        if let Some(kind) = kind {
-            daemon.compaction.push(CompactionJob { name: session.name.clone(), kind });
+        if limit.is_some_and(|limit| dwell >= limit) {
+            daemon.compaction.push(CompactionJob { name, kind });
         }
     }
 }
@@ -1463,58 +1502,10 @@ fn valid_session_name(name: &str) -> bool {
         && !name.bytes().all(|b| b == b'.')
 }
 
-/// Spawns the session's decode→apply pipeline stage. The apply thread
-/// owns the durable side of the ack contract: it persists each chunk,
-/// **then** writes its `CHUNK_ACK` through the shared writer; on
-/// failure it reports the typed error itself (the client may be blocked
-/// waiting on acks, so the connection thread cannot be relied on to
-/// deliver it) and drains the remaining queue without applying.
-fn start_apply_pipeline(session: &Arc<Session>, state: &mut SessionState, writer: &SharedWriter) {
-    let (apply_tx, apply_rx) = crossbeam::channel::bounded::<ApplyItem>(APPLY_QUEUE_CHUNKS);
-    let apply_session = session.clone();
-    let writer = writer.clone();
-    let apply_thread = std::thread::spawn(move || {
-        while let Some((seq, payload, cols)) = apply_rx.recv() {
-            let poisoned = apply_session.state.lock().apply_error.is_some();
-            if !poisoned {
-                match apply_session.apply_chunk(&payload, &cols) {
-                    Ok(()) => {
-                        let _ = send_chunk_ack(&writer, seq, cols.len() as u32);
-                    }
-                    Err(error) => {
-                        send_error(&writer, error.0, &error.1);
-                        let mut state = apply_session.state.lock();
-                        if state.apply_error.is_none() {
-                            state.apply_error = Some(error);
-                        }
-                    }
-                }
-            }
-            let mut progress = apply_session.progress.lock().unwrap_or_else(|e| e.into_inner());
-            progress.applied += 1;
-            apply_session.applied.notify_all();
-        }
-    });
-    state.apply_tx = Some(apply_tx);
-    state.apply_thread = Some(apply_thread);
-}
-
-fn pipelined(daemon: &Daemon) -> bool {
-    // Decode→apply pipelining only pays when there is a core to run the
-    // apply stage on; on a single-CPU host the extra thread is pure
-    // context-switch overhead, so chunks apply inline on the connection
-    // thread (same `apply_chunk` code path either way).
-    daemon
-        .config
-        .apply_pipeline
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) > 1)
-}
-
 fn handle_hello(
-    daemon: &Daemon,
+    daemon: &Arc<Daemon>,
     writer: &SharedWriter,
     session: &mut Option<Arc<Session>>,
-    conn_id: u64,
     payload: &[u8],
 ) -> Result<(), ConnError> {
     if session.is_some() {
@@ -1540,65 +1531,71 @@ fn handle_hello(
             format!("bad session name {:?} (want [A-Za-z0-9_.-]{{1,64}})", hello.name),
         ));
     }
-    match hello.resume_epoch {
-        None => handle_hello_new(daemon, writer, session, conn_id, &hello.name),
-        Some(epoch) => handle_hello_resume(daemon, writer, session, conn_id, &hello.name, epoch),
-    }
+    let (opened, acked_chunks) = match hello.resume_epoch {
+        None => (handle_hello_new(daemon, writer, &hello.name)?, 0),
+        Some(epoch) => handle_hello_resume(daemon, writer, &hello.name, epoch)?,
+    };
+    let ack = HelloAck {
+        session_id: opened.id,
+        credits: daemon.config.credits.max(1),
+        epoch: opened.epoch,
+        acked_chunks,
+    };
+    // Attached from here on: a failed ack write aborts the session on
+    // this connection's way out.
+    *session = Some(opened);
+    write_frame(&mut *writer.lock(), kind::HELLO_ACK, &ack.encode()).map_err(io_err)
 }
 
+/// Claims `name` for a new session attached to `writer`'s connection.
+/// The claim — check, directory wipe, registry record, map insert — is
+/// one critical section of the session map, so two clients cannot both
+/// win a name.
 fn handle_hello_new(
-    daemon: &Daemon,
+    daemon: &Arc<Daemon>,
     writer: &SharedWriter,
-    session: &mut Option<Arc<Session>>,
-    conn_id: u64,
     name: &str,
-) -> Result<(), ConnError> {
+) -> Result<Arc<Session>, ConnError> {
     let dir = daemon.config.data_dir.join(name);
     let mut sessions = daemon.sessions.lock();
-    if let Some(existing) = sessions.get(name) {
-        let state = existing.state.lock();
-        match Session::phase_locked(&state) {
-            SessionPhase::Finished => {
-                return Err((
-                    ErrorCode::SessionExists,
-                    format!("session {name:?} is finished (durable data; pick a fresh name)"),
-                ));
-            }
-            SessionPhase::Attached => {
-                return Err((
-                    ErrorCode::SessionActive,
-                    format!("session {name:?} is currently streaming"),
-                ));
-            }
-            SessionPhase::Detached => {
-                return Err((
-                    ErrorCode::SessionActive,
-                    format!("session {name:?} is detached awaiting resume"),
-                ));
-            }
-            // Aborted: the name is explicitly reusable — fall through and
-            // replace the entry (the old directory is wiped below).
-            SessionPhase::Aborted => {}
-        }
-    } else {
-        // Not in the registry map: a directory holding chunks (a
-        // manifest, or a compacted tier) is durable data from an earlier
-        // run that recovery did not claim — refuse rather than silently
-        // wipe it.
-        let prior_data = dir.is_dir()
-            && (dir.join(MANIFEST_FILE).exists()
-                || dir.join("sorted").is_dir()
-                || dir.join("rollup").is_dir()
-                || list_chunk_files(&dir).is_ok_and(|files| !files.is_empty()));
-        if prior_data {
+    if daemon.shutdown.load(Ordering::SeqCst) {
+        return Err((ErrorCode::Io, "daemon is shutting down".into()));
+    }
+    match sessions.get(name) {
+        Some(Entry::Open(_)) => {
             return Err((
-                ErrorCode::SessionExists,
-                format!("session {name:?} has durable data from a previous daemon run"),
+                ErrorCode::SessionActive,
+                format!("session {name:?} is open (streaming, or detached awaiting resume)"),
             ));
         }
+        Some(Entry::Settled(Settled { abort: None, .. })) => {
+            return Err((
+                ErrorCode::SessionExists,
+                format!("session {name:?} is finished (durable data; pick a fresh name)"),
+            ));
+        }
+        // Aborted: the name is explicitly reusable — replace the entry
+        // (the old directory is wiped below).
+        Some(Entry::Settled(_)) => {}
+        None => {
+            // Not in the session map: a directory holding chunks (a
+            // manifest, or a compacted tier) is durable data from an
+            // earlier run that recovery did not claim — refuse rather
+            // than silently wipe it.
+            let prior_data = dir.is_dir()
+                && (dir.join(MANIFEST_FILE).exists()
+                    || dir.join("sorted").is_dir()
+                    || dir.join("rollup").is_dir()
+                    || list_chunk_files(&dir).is_ok_and(|files| !files.is_empty()));
+            if prior_data {
+                return Err((
+                    ErrorCode::SessionExists,
+                    format!("session {name:?} has durable data from a previous daemon run"),
+                ));
+            }
+        }
     }
-    let store =
-        ChunkStore::create(&dir, &daemon.config).map_err(|e| (ErrorCode::Io, e.to_string()))?;
+    let store = ChunkStore::create(&dir, &daemon.config).map_err(io_err)?;
     let epoch = daemon.next_epoch.fetch_add(1, Ordering::SeqCst);
     let record = SessionRecord {
         epoch,
@@ -1606,106 +1603,36 @@ fn handle_hello_new(
         acked_chunks: 0,
         tier: StorageTier::Raw,
     };
-    record.write(&dir).map_err(|e| (ErrorCode::Io, e.to_string()))?;
-    let id = daemon.next_session_id.fetch_add(1, Ordering::SeqCst);
-    let new = Arc::new(Session {
-        name: name.to_string(),
-        id,
-        epoch,
-        dir,
-        state: Mutex::new(SessionState {
-            store: Some(store),
-            apply_tx: None,
-            apply_thread: None,
-            apply_error: None,
-            chunks: 0,
-            events: 0,
-            recv_seq: 0,
-            finished: false,
-            abort: None,
-            tier: StorageTier::Raw,
-            attached: Some(conn_id),
-            last_frame: Instant::now(),
-        }),
-        live: Mutex::new(LiveState::new()),
-        progress: std::sync::Mutex::new(ApplyProgress::default()),
-        applied: std::sync::Condvar::new(),
-    });
-    if pipelined(daemon) {
-        let mut state = new.state.lock();
-        start_apply_pipeline(&new, &mut state, writer);
-    }
-    sessions.insert(name.to_string(), new.clone());
-    drop(sessions);
-    *session = Some(new);
-    let ack =
-        HelloAck { session_id: id, credits: daemon.config.credits.max(1), epoch, acked_chunks: 0 };
-    write_frame(&mut *writer.lock(), kind::HELLO_ACK, &ack.encode()).map_err(io_err)?;
-    Ok(())
+    record.write(&dir).map_err(io_err)?;
+    let new = spawn_owner(daemon, name, epoch, store, LiveState::new(), 0, Some(writer.clone()));
+    sessions.insert(name.to_string(), Entry::Open(new.clone()));
+    Ok(new)
 }
 
+/// Resume: the owner checks the epoch and that nothing is attached, and
+/// answers the acked watermark the client replays from.
 fn handle_hello_resume(
     daemon: &Daemon,
     writer: &SharedWriter,
-    session: &mut Option<Arc<Session>>,
-    conn_id: u64,
     name: &str,
     epoch: u64,
-) -> Result<(), ConnError> {
-    let existing = daemon
-        .sessions
-        .lock()
-        .get(name)
-        .cloned()
-        .ok_or((ErrorCode::UnknownTarget, format!("no session {name:?} to resume")))?;
-    let acked = {
-        let mut state = existing.state.lock();
-        if state.finished {
-            // The finish committed before the client lost the connection:
-            // the typed answer a retrying `finish` treats as success.
-            return Err((ErrorCode::SessionExists, format!("session {name:?} already finished")));
+) -> Result<(Arc<Session>, u64), ConnError> {
+    let attach = |reply| Msg::Attach { epoch, writer: writer.clone(), reply };
+    match daemon.route(name, attach)? {
+        Routed::Open(session, acked) => Ok((session, acked?)),
+        // The finish committed before the client lost the connection:
+        // the typed answer a retrying `finish` treats as success.
+        Routed::Settled(Settled { abort: None, .. }) => {
+            Err((ErrorCode::SessionExists, format!("session {name:?} already finished")))
         }
-        if let Some((_, message)) = &state.abort {
-            return Err((ErrorCode::SessionAborted, message.clone()));
+        Routed::Settled(Settled { abort: Some((_, message)), .. }) => {
+            Err((ErrorCode::SessionAborted, message))
         }
-        if existing.epoch != epoch {
-            return Err((
-                ErrorCode::EpochMismatch,
-                format!(
-                    "session {name:?} is at epoch {} (resume asked for {epoch})",
-                    existing.epoch
-                ),
-            ));
-        }
-        if state.attached.is_some() {
-            return Err((
-                ErrorCode::SessionActive,
-                format!("session {name:?} is already attached to a connection"),
-            ));
-        }
-        state.attached = Some(conn_id);
-        state.last_frame = Instant::now();
-        // Detached invariant: queue drained at detach, so the durable
-        // count is the wire watermark the client replays from.
-        state.recv_seq = state.chunks;
-        if pipelined(daemon) && state.apply_thread.is_none() {
-            start_apply_pipeline(&existing, &mut state, writer);
-        }
-        state.chunks
-    };
-    *session = Some(existing.clone());
-    let ack = HelloAck {
-        session_id: existing.id,
-        credits: daemon.config.credits.max(1),
-        epoch,
-        acked_chunks: acked,
-    };
-    write_frame(&mut *writer.lock(), kind::HELLO_ACK, &ack.encode()).map_err(io_err)?;
-    Ok(())
+    }
 }
 
 fn handle_chunk(
-    writer: &SharedWriter,
+    daemon: &Daemon,
     session: Option<&Session>,
     mut payload: Vec<u8>,
 ) -> Result<(), ConnError> {
@@ -1719,97 +1646,27 @@ fn handle_chunk(
     // framing, varints, string ids, the footer cross-check — before a
     // single event enters the session.
     let cols = decode_columns(&payload).map_err(|e| (ErrorCode::CorruptChunk, e.to_string()))?;
-    let apply_tx = {
-        let mut state = session.state.lock();
-        if let Some(err) = &state.apply_error {
-            return Err(err.clone());
-        }
-        if let Some((code, message)) = &state.abort {
-            return Err((*code, message.clone()));
-        }
-        if state.apply_tx.is_none() && state.store.is_none() {
-            return Err((ErrorCode::Protocol, "CHUNK after FINISH".into()));
-        }
-        if seq < state.recv_seq {
-            // Replay overlap after a reconnect race: the chunk is already
-            // durable — ack without re-applying (exactly-once).
-            drop(state);
-            return send_chunk_ack(writer, seq, 0).map_err(io_err);
-        }
-        if seq > state.recv_seq {
-            return Err((
-                ErrorCode::Protocol,
-                format!("chunk sequence gap: got {seq}, expected {}", state.recv_seq),
-            ));
-        }
-        state.recv_seq += 1;
-        state.apply_tx.clone()
-    };
-    match apply_tx {
-        Some(apply_tx) => {
-            // Count the chunk as enqueued before sending, so the flush
-            // barrier can never observe a sent-but-uncounted chunk; the
-            // bounded send then blocks (backpressure) when the apply
-            // stage lags. The ack is the apply thread's to write, after
-            // the persist.
-            session.progress.lock().unwrap_or_else(|e| e.into_inner()).enqueued += 1;
-            if apply_tx.send((seq, payload, cols)).is_err() {
-                // The chunk will never apply; count it resolved so
-                // barriers taken against the bumped `enqueued` cannot
-                // wait forever.
-                let mut progress = session.progress.lock().unwrap_or_else(|e| e.into_inner());
-                progress.applied += 1;
-                session.applied.notify_all();
-                return Err((ErrorCode::Io, "session apply stage is gone".into()));
-            }
-        }
-        // Single-core inline mode: apply synchronously, ack after.
-        None => {
-            let accepted = cols.len() as u32;
-            session.apply_chunk(&payload, &cols)?;
-            send_chunk_ack(writer, seq, accepted).map_err(io_err)?;
-        }
-    }
-    Ok(())
+    // The bounded send blocks (backpressure) while the owner lags. The
+    // sequence check, the apply, the persist and the ack are the
+    // owner's, in that order.
+    session
+        .mailbox
+        .send(Msg::Chunk { seq, payload, cols })
+        .map_err(|_| daemon.settled_error(session))
 }
 
-fn handle_finish(writer: &SharedWriter, session: Option<&Session>) -> Result<(), ConnError> {
+fn handle_finish(
+    daemon: &Daemon,
+    writer: &SharedWriter,
+    session: Option<&Session>,
+) -> Result<(), ConnError> {
     let session = session.ok_or((ErrorCode::Protocol, "FINISH before HELLO".to_string()))?;
-    // Drain and stop the apply stage first, so every accepted chunk has
-    // reached the writer (and been acked) before the manifest is cut.
-    session.stop_apply_thread();
-    let (chunks, events) = {
-        let mut state = session.state.lock();
-        if let Some(err) = state.apply_error.take() {
-            // The connection loop aborts the session with this error on
-            // its way out.
-            return Err(err);
-        }
-        if let Some((code, message)) = &state.abort {
-            return Err((*code, message.clone()));
-        }
-        let mut store =
-            state.store.take().ok_or((ErrorCode::Protocol, "second FINISH".to_string()))?;
-        store.finish().map_err(|e| (ErrorCode::Io, e.to_string()))?;
-        state.finished = true;
-        state.attached = None;
-        let record = SessionRecord {
-            epoch: session.epoch,
-            status: SessionStatus::Finished,
-            acked_chunks: state.chunks,
-            tier: StorageTier::Raw,
-        };
-        let _ = record.write(&session.dir);
-        (state.chunks, state.events)
-    };
-    // Finished queries route to the chunk directory (full query
-    // surface, manifest pushdown, result cache) — release the live
-    // sweep memory.
-    *session.live.lock() = LiveState::new();
+    let (chunks, events) = session
+        .ask(|reply| Msg::Finish { reply })
+        .unwrap_or_else(|| Err(daemon.settled_error(session)))?;
     let mut ack = chunks.to_be_bytes().to_vec();
     ack.extend_from_slice(&events.to_be_bytes());
-    write_frame(&mut *writer.lock(), kind::FINISH_ACK, &ack).map_err(io_err)?;
-    Ok(())
+    write_frame(&mut *writer.lock(), kind::FINISH_ACK, &ack).map_err(io_err)
 }
 
 fn handle_query(daemon: &Daemon, writer: &SharedWriter, payload: &[u8]) -> Result<(), ConnError> {
@@ -1822,67 +1679,30 @@ fn handle_query(daemon: &Daemon, writer: &SharedWriter, payload: &[u8]) -> Resul
 fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError> {
     match &spec.target {
         QueryTarget::Session(name) => {
-            let session = daemon
-                .sessions
-                .lock()
-                .get(name)
-                .cloned()
-                .ok_or((ErrorCode::UnknownTarget, format!("no session {name:?}")))?;
-            // Flush barrier: wait until everything enqueued before the
-            // query is applied, so the snapshot covers every chunk
-            // acked to any producer so far.
-            session.flush_applies();
-            let live_snapshot = {
-                // State first, live nested — the one sanctioned nesting
-                // (see the Session lock-order note): checking the phase
-                // and snapshotting must be atomic against a concurrent
-                // finish or abort resetting the live state.
-                let state = session.state.lock();
-                if let Some(err) = &state.apply_error {
-                    return Err(err.clone());
-                }
-                if state.finished {
-                    None
-                } else if let Some((code, message)) = &state.abort {
-                    if state.store.is_none() {
-                        // Finalized abort: the directory holds exactly the
-                        // durable acked prefix — queryable as such.
-                        None
-                    } else {
-                        // Abort latched but not yet finalized: refusing is
-                        // the "never a query over a non-acked prefix"
-                        // guarantee.
-                        return Err((*code, message.clone()));
-                    }
-                } else {
-                    let live = session.live.lock();
-                    let events_observed = live.events_observed();
-                    let key = (session.name.clone(), session.epoch, events_observed, spec.encode());
-                    if let Some(json) = daemon.live_cache.lock().get(&key) {
-                        return Ok(QueryReply {
-                            live: true,
-                            cache_hit: true,
-                            events_observed,
-                            canonical_json: json,
-                        });
-                    }
-                    Some((events_observed, key, live.snapshot()))
-                }
+            // `Status` queues behind every chunk acked so far, so the
+            // prefix it reports (and any later snapshot) covers them.
+            let (session, events_observed) =
+                match daemon.route(name, |reply| Msg::Status { reply })? {
+                    // The directory holds exactly the durable acked prefix.
+                    Routed::Settled(settled) => return tiered_query(daemon, name, settled, spec),
+                    Routed::Open(session, (_, events_observed)) => (session, events_observed),
+                };
+            let live = |cache_hit, events_observed, canonical_json| {
+                Ok(QueryReply { live: true, cache_hit, events_observed, canonical_json })
             };
-            match live_snapshot {
-                Some((events_observed, key, tables)) => {
-                    let analysis = apply_spec(Analysis::of_live(&tables), spec);
-                    let json = analysis.canonical_json().map_err(analysis_err)?;
-                    daemon.live_cache.lock().insert(key, json.clone());
-                    Ok(QueryReply {
-                        live: true,
-                        cache_hit: false,
-                        events_observed,
-                        canonical_json: json,
-                    })
-                }
-                None => tiered_query(daemon, &session, spec),
+            let key = |events| (session.name.clone(), session.epoch, events, spec.encode());
+            if let Some(json) = daemon.live_cache.lock().get(&key(events_observed)) {
+                return live(true, events_observed, json);
             }
+            let Some(tables) = session.ask(|reply| Msg::Snapshot { reply }) else {
+                // Settled between the two questions: route again.
+                return run_query(daemon, spec);
+            };
+            let json = apply_spec(Analysis::of_live(&tables), spec)
+                .canonical_json()
+                .map_err(analysis_err)?;
+            daemon.live_cache.lock().insert(key(tables.events_observed()), json.clone());
+            live(false, tables.events_observed(), json)
         }
         QueryTarget::Dir(path) => {
             let dir = PathBuf::from(path);
@@ -1901,25 +1721,19 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
 }
 
 fn handle_list_sessions(daemon: &Daemon, writer: &SharedWriter) -> Result<(), ConnError> {
-    let mut sessions: Vec<Arc<Session>> = daemon.sessions.lock().values().cloned().collect();
-    sessions.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut out = Vec::with_capacity(sessions.len());
-    for session in sessions {
-        let state = session.state.lock();
-        let live = !state.finished && state.abort.is_none();
+    let mut sessions = Vec::new();
+    for (name, _) in daemon.entries() {
         // Events ingested this daemon run; a finished directory recovered
         // from disk reports its manifest-counted total at query time, not
         // here — the listing stays O(sessions).
-        let events = if live {
-            drop(state);
-            session.flush_applies();
-            session.live.lock().events_observed()
-        } else {
-            state.events
+        let (live, events) = match daemon.route(&name, |reply| Msg::Status { reply }) {
+            Ok(Routed::Open(_, (_, events))) => (true, events),
+            Ok(Routed::Settled(settled)) => (false, settled.events),
+            Err(_) => continue, // pruned since the listing was taken
         };
-        out.push(SessionInfo { name: session.name.clone(), live, events });
+        sessions.push(SessionInfo { name, live, events });
     }
-    let reply = SessionList { sessions: out };
+    let reply = SessionList { sessions };
     write_frame(&mut *writer.lock(), kind::SESSIONS, &reply.encode()).map_err(io_err)?;
     Ok(())
 }
@@ -1935,84 +1749,50 @@ fn handle_query_all(
     Ok(())
 }
 
-/// What one session contributes to a cross-session query: its finished
-/// (or abort-finalized) directory at whichever tier it lives, or an
-/// owned live snapshot.
+/// What one session contributes to a cross-session query: its settled
+/// directory at whichever tier it lives, or an owned live snapshot.
 enum SessionSnapshot {
     Dir(PathBuf),
     Rollup(PathBuf),
     Live(LiveTables),
 }
 
-/// The snapshot a finalized session contributes, per its storage tier.
-fn tier_snapshot(session: &Session, tier: StorageTier) -> SessionSnapshot {
-    match tier {
-        StorageTier::Raw => SessionSnapshot::Dir(session.dir.clone()),
-        StorageTier::Sorted => {
-            SessionSnapshot::Dir(session.dir.join(tier.subdir().unwrap_or_default()))
-        }
-        StorageTier::Rollup => {
-            SessionSnapshot::Rollup(session.dir.join(tier.subdir().unwrap_or_default()))
-        }
-    }
-}
-
 /// Runs one query across every session the daemon holds, composed
-/// through [`Analysis::of_sessions`]. Live sessions contribute a
-/// consistent acked-prefix snapshot (same flush barrier and lock
-/// discipline as a single-session query); finished and abort-finalized
-/// sessions contribute their chunk directories. Results are not cached:
-/// the answer covers every live prefix at once, so any ingest anywhere
+/// through [`Analysis::of_sessions`]. Open sessions contribute a
+/// consistent acked-prefix snapshot (asked of each owner in turn, the
+/// same way a single-session query does); finished and aborted sessions
+/// contribute their chunk directories. Results are not cached: the
+/// answer covers every live prefix at once, so any ingest anywhere
 /// invalidates it.
 fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, ConnError> {
     if spec.target != QueryTarget::AllSessions {
         return Err((ErrorCode::Protocol, "QUERY_ALL frames take the all-sessions target".into()));
     }
-    let mut sessions: Vec<Arc<Session>> = daemon.sessions.lock().values().cloned().collect();
-    sessions.sort_by(|a, b| a.name.cmp(&b.name));
     let mut any_live = false;
     let mut events_observed = 0u64;
-    let mut names = Vec::with_capacity(sessions.len());
-    let mut snapshots: Vec<(Arc<str>, SessionSnapshot)> = Vec::with_capacity(sessions.len());
-    for session in &sessions {
-        session.flush_applies();
-        let snapshot = {
-            let state = session.state.lock();
-            if let Some(err) = &state.apply_error {
-                return Err(err.clone());
-            }
-            if state.finished {
-                tier_snapshot(session, state.tier)
-            } else if let Some((code, message)) = &state.abort {
-                if state.store.is_none() {
-                    // Finalized abort: the directory holds exactly the
-                    // durable acked prefix.
-                    SessionSnapshot::Dir(session.dir.clone())
-                } else {
-                    // In-limbo abort poisons the rollup, same as it
-                    // refuses a single-session query.
-                    return Err((*code, format!("session {:?}: {message}", session.name)));
-                }
-            } else {
-                let live = session.live.lock();
-                events_observed += live.events_observed();
+    let mut names = Vec::new();
+    let mut snapshots: Vec<(Arc<str>, SessionSnapshot)> = Vec::new();
+    for (name, _) in daemon.entries() {
+        let snapshot = match daemon.route(&name, |reply| Msg::Snapshot { reply }) {
+            Ok(Routed::Open(_, tables)) => {
+                events_observed += tables.events_observed();
                 any_live = true;
-                SessionSnapshot::Live(live.snapshot())
+                SessionSnapshot::Live(tables)
             }
+            Ok(Routed::Settled(settled)) => {
+                let dir = tier_dir(&settled.dir, settled.tier);
+                if settled.tier == StorageTier::Rollup {
+                    events_observed += Rollup::open(&dir).map_err(io_err)?.total_events();
+                    SessionSnapshot::Rollup(dir)
+                } else {
+                    events_observed += Manifest::open(&dir).map_err(io_err)?.total_events();
+                    SessionSnapshot::Dir(dir)
+                }
+            }
+            Err(_) => continue, // pruned since the listing was taken
         };
-        match &snapshot {
-            SessionSnapshot::Dir(dir) => {
-                let manifest = Manifest::open(dir).map_err(|e| (ErrorCode::Io, e.to_string()))?;
-                events_observed += manifest.total_events();
-            }
-            SessionSnapshot::Rollup(dir) => {
-                let rollup = Rollup::open(dir).map_err(|e| (ErrorCode::Io, e.to_string()))?;
-                events_observed += rollup.total_events();
-            }
-            SessionSnapshot::Live(_) => {}
-        }
-        names.push(session.name.clone());
-        snapshots.push((Arc::from(session.name.as_str()), snapshot));
+        snapshots.push((Arc::from(name.as_str()), snapshot));
+        names.push(name);
     }
     let sources: Vec<(Arc<str>, SessionSource<'_>)> = snapshots
         .iter()
@@ -2030,37 +1810,41 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
     Ok(QueryAllReply { live: any_live, events_observed, sessions: names, groups })
 }
 
-/// Routes a finalized session's query to its current storage tier.
-/// The tier is read under the state lock but the query runs without
-/// it, so a concurrent tier transition can delete the files mid-read;
-/// in that case the failed read is retried at the session's new tier
-/// (the tier only moves forward, so this terminates).
+/// Where a settled session's data lives at `tier`.
+fn tier_dir(dir: &Path, tier: StorageTier) -> PathBuf {
+    match tier.subdir() {
+        None => dir.to_path_buf(),
+        Some(sub) => dir.join(sub),
+    }
+}
+
+/// Routes a settled session's query to its current storage tier. The
+/// query runs with no lock held, so a concurrent tier transition can
+/// delete the files mid-read; in that case the failed read is retried at
+/// the session's new tier (the tier only moves forward, so this
+/// terminates).
 fn tiered_query(
     daemon: &Daemon,
-    session: &Session,
+    name: &str,
+    settled: Settled,
     spec: &QuerySpec,
 ) -> Result<QueryReply, ConnError> {
-    let mut tier = session.state.lock().tier;
+    let mut tier = settled.tier;
     loop {
-        let dir = match tier.subdir() {
-            None => session.dir.clone(),
-            Some(sub) => session.dir.join(sub),
-        };
+        let dir = tier_dir(&settled.dir, tier);
         let result = match tier {
             StorageTier::Raw | StorageTier::Sorted => dir_query(daemon, &dir, spec),
             StorageTier::Rollup => rollup_query(daemon, &dir, spec),
         };
-        match result {
-            Err((ErrorCode::Io, _)) => {
-                let now = session.state.lock().tier;
-                if now > tier {
-                    tier = now;
+        if let Err((ErrorCode::Io, _)) = &result {
+            if let Some(Entry::Settled(now)) = daemon.lookup(name) {
+                if now.epoch == settled.epoch && now.tier > tier {
+                    tier = now.tier;
                     continue;
                 }
-                return result;
             }
-            other => return other,
         }
+        return result;
     }
 }
 

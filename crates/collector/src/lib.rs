@@ -60,24 +60,36 @@
 //! fenced off with [`ErrorCode::EpochMismatch`] rather than silently
 //! splicing two different runs into one trace.
 //!
+//! **One owner per session.** Every open session — attached or
+//! detached, from `HELLO` (or startup recovery) until it finishes or
+//! aborts — has one owner thread that alone holds its live sweeps,
+//! chunk store, counters and attached connection, fed by one bounded
+//! mailbox. Connection threads read and decode frames and forward
+//! messages; the owner applies, persists and acks. There is no
+//! per-session lock, and the guarantees below follow from the mailbox
+//! being FIFO.
+//!
 //! **Detach vs abort.** A connection that closes *cleanly* (EOF at a
 //! frame boundary, or daemon shutdown) detaches its session — state is
 //! kept, the registry stays `Active`, and the session waits for a
-//! resume. A connection that fails mid-frame, violates the protocol, or
-//! hits a server-side I/O error (including injected disk-full faults)
-//! **aborts** the session with a typed error: the durable prefix stays
-//! queryable (as a directory target or by name), the name becomes
-//! reusable, and a later resume attempt gets
-//! [`ErrorCode::SessionAborted`]. Sessions silent past the configurable
-//! idle timeout are aborted the same way
+//! resume. A connection that fails mid-frame or violates the protocol,
+//! a chunk the sweeps or the disk reject (including injected disk-full
+//! faults), and a sequence gap all **abort** the session with a typed
+//! error. The owner settles an abort itself, at once, whoever detected
+//! it — it does not wait for the client to hang up: the durable prefix
+//! is immediately queryable (as a directory target or by name), the
+//! name becomes reusable, and a later resume attempt gets
+//! [`ErrorCode::SessionAborted`]. Sessions that receive no chunk past
+//! the configurable idle timeout are aborted the same way
 //! ([`ErrorCode::IdleTimeout`]).
 //!
 //! **Query consistency.** A live query always observes a consistent
-//! chunk prefix (flush barrier + whole-chunk applies) — never a torn
-//! chunk, never a non-acked suffix. A session whose abort is pending
-//! finalization refuses queries with its typed error instead of
-//! answering over in-limbo state; once finalized, queries serve exactly
-//! the durable prefix from disk.
+//! chunk prefix — never a torn chunk, never a non-acked suffix — and
+//! message order is what guarantees it: the owner applies a chunk whole
+//! and persists it before writing its ack, and a query's question
+//! queues behind every chunk already handed to the owner, so it
+//! observes at least every chunk acked to anyone before it was asked.
+//! An aborted session serves exactly the durable prefix from disk.
 //!
 //! # Wire protocol (version 2)
 //!
@@ -119,12 +131,12 @@
 //! `CHUNK_ACK` returns one, and a client at zero credits must block
 //! until an ack arrives ([`CollectorClient`] does). Acks are written
 //! after the decode → live-sweep → persist pipeline completes for the
-//! chunk, so per-connection server memory is bounded by the apply queue
-//! plus the socket buffer, and a slow disk or a heavy live sweep
-//! propagates to the producer instead of ballooning the daemon. A
+//! chunk, so per-session server memory is bounded by the owner's
+//! mailbox plus the socket buffer, and a slow disk or a heavy live
+//! sweep propagates to the producer instead of ballooning the daemon. A
 //! slow-*reading* client that never drains its acks eventually fills
-//! its socket buffer and stalls the ack writer — its own session only;
-//! other sessions keep streaming.
+//! its socket buffer and stalls its session's owner on the ack write —
+//! that fills its own mailbox only; other sessions keep streaming.
 //!
 //! # Fleet topology: transports and federation
 //!
@@ -176,11 +188,12 @@
 //! # Query semantics
 //!
 //! A [`QuerySpec`] targets a session by name or a chunk directory by
-//! path. Live sessions answer from a [`LiveState`] snapshot taken under
-//! the session lock — a consistent chunk prefix; see the `analysis`
-//! module docs ("Live-query consistency") for exactly what a mid-run
-//! query observes. Live results are cached keyed by `(name, epoch,
-//! events observed, query bytes)` — a prefix is immutable once
+//! path. Live sessions answer from a [`LiveState`] snapshot the
+//! session's owner takes between two chunks — a consistent chunk
+//! prefix; see the `analysis` module docs ("Live-query consistency")
+//! for exactly what a mid-run query observes. The query itself runs on
+//! the asking connection's thread. Live results are cached keyed by
+//! `(name, epoch, events observed, query bytes)` — a prefix is immutable once
 //! observed, so equal keys are answer-equal, including across a restart
 //! that replayed the same prefix. Finished sessions and directory
 //! targets run [`Analysis::from_chunk_dir`] (manifest predicate

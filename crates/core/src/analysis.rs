@@ -118,9 +118,10 @@
 //! [`LiveState`]). What such a query observes is defined precisely:
 //!
 //! * **A consistent chunk prefix.** The collector applies each accepted
-//!   chunk atomically — its events enter the live sweeps and the
-//!   observed-event counter together, under the session lock — and
-//!   snapshots ([`LiveState::snapshot`]) are taken under the same lock.
+//!   chunk atomically — one thread owns a session's [`LiveState`], so a
+//!   chunk's events enter the live sweeps and the observed-event counter
+//!   together — and that same thread takes the snapshots
+//!   ([`LiveState::snapshot`]), between two chunks.
 //!   A live query therefore sees *exactly* the first `events_observed()`
 //!   events of the session stream, never a partially-applied chunk, and
 //!   its result equals the batch analysis of that prefix table for table
@@ -167,9 +168,9 @@
 //!   [`AnalysisError::Unsupported`] — there is no session to group by.
 //!
 //! **Live multi-session consistency.** A multi-session query observes
-//! one consistent prefix *per session* (each snapshot is taken under
-//! its own session lock); there is no cross-session barrier, so two
-//! sessions' prefixes may be unequally fresh — but each is exactly some
+//! one consistent prefix *per session* (each snapshot is taken by its
+//! own session's owner thread); there is no cross-session barrier, so
+//! two sessions' prefixes may be unequally fresh — but each is exactly some
 //! acked prefix of its own stream, and re-querying is monotone per
 //! session. This is the substrate of the collector daemon's `QUERY_ALL`
 //! frame and the federation tier's fleet-wide rollups

@@ -686,6 +686,29 @@ fn restart_replays_a_late_second_process_to_the_acked_prefix_answer() {
     collector.shutdown();
 }
 
+/// What a failed persist must leave behind **while the failed client
+/// still holds its socket open**: the session already `Aborted` (its
+/// owner settles it; nobody waits for a hang-up), the acked prefix
+/// served from disk to a second connection, and a `QUERY_ALL` that
+/// still answers — one aborted session must not poison the daemon's
+/// rollup.
+fn assert_aborted_with_acked_prefix(collector: &Collector, name: &str, acked: &[Event]) {
+    use rlscope::core::analysis::Dim;
+    assert_eq!(collector.session_phase(name), Some(SessionPhase::Aborted));
+    let mut query = CollectorClient::connect(collector.socket()).unwrap();
+    let reply = query.query(&QuerySpec::session(name)).unwrap();
+    assert!(!reply.live);
+    assert_eq!(reply.events_observed, acked.len() as u64);
+    assert_eq!(reply.canonical_json, batch_json(acked));
+    let all = query.query_all(&QuerySpec::all_sessions().group_by([Dim::Session])).unwrap();
+    let (_, table) = all
+        .groups
+        .iter()
+        .find(|(key, _)| key.session.as_deref() == Some(name))
+        .expect("QUERY_ALL includes the aborted session's prefix");
+    assert_eq!(table, &Analysis::of_events(acked).table().unwrap());
+}
+
 /// Injected ENOSPC on the chunk persist path: the session aborts with a
 /// typed I/O error, the durable (acked) prefix stays queryable, the
 /// daemon survives, and the name is reusable. Torn chunk writes and
@@ -720,17 +743,11 @@ fn injected_disk_faults_abort_typed_and_daemon_survives() {
         }
         other => panic!("expected typed Io abort, got {other:?}"),
     }
-    wait_phase(&collector, "full-disk", SessionPhase::Aborted);
 
     // Exactly the acked prefix (2 chunks) stays queryable — never the
     // failed suffix, never a non-acked byte.
     faults.clear();
-    let acked: Vec<Event> = chunks[..2].concat();
-    let mut query = CollectorClient::connect(&socket).unwrap();
-    let reply = query.query(&QuerySpec::session("full-disk")).unwrap();
-    assert!(!reply.live);
-    assert_eq!(reply.events_observed, acked.len() as u64);
-    assert_eq!(reply.canonical_json, batch_json(&acked));
+    assert_aborted_with_acked_prefix(&collector, "full-disk", &chunks[..2].concat());
 
     // A stale resume reports the abort; the name itself is reusable and
     // the daemon is fully healthy.
@@ -767,7 +784,8 @@ fn injected_disk_faults_abort_typed_and_daemon_survives() {
     })()
     .expect_err("torn write must abort");
     assert!(matches!(torn_err, CollectorError::Remote { code: Some(ErrorCode::Io), .. }));
-    wait_phase(&collector, "torn-write", SessionPhase::Aborted);
+    // The torn second chunk is gone from disk: the prefix is chunk 0.
+    assert_aborted_with_acked_prefix(&collector, "torn-write", chunks[0]);
 
     // Manifest-write failure at FINISH: typed abort, daemon survives.
     faults.clear();

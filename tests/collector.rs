@@ -4,13 +4,14 @@
 //! finished-dir result cache.
 
 use proptest::prelude::*;
+use rlscope::collector::protocol::kind;
 use rlscope::collector::{
     Collector, CollectorClient, CollectorConfig, CollectorError, CollectorSink, ErrorCode,
-    QuerySpec,
+    HelloAck, HelloRequest, QuerySpec, SessionPhase,
 };
 use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
-use rlscope::core::store::{encode_events, write_frame, EventColumns, TraceWriter};
+use rlscope::core::store::{encode_events, read_frame, write_frame, EventColumns, TraceWriter};
 use rlscope::sim::ids::ProcessId;
 use rlscope::sim::time::TimeNs;
 use std::io::Write;
@@ -314,36 +315,136 @@ fn protocol_abuse_never_panics_and_never_fakes_a_finish() {
     collector.shutdown();
 }
 
-/// The pipelined apply mode (a dedicated per-session apply thread with
-/// the bounded decode→apply queue and the flush barrier) behaves
-/// exactly like the inline mode: forced on regardless of core count,
-/// live queries still observe a consistent acked prefix and final
-/// tables stay batch-identical.
-#[test]
-fn pipelined_apply_mode_keeps_prefix_consistency() {
-    let (socket, data) = scratch("pipe");
-    let mut config = CollectorConfig::new(&socket, data);
-    config.apply_pipeline = Some(true);
-    let collector = Collector::bind(config).unwrap();
+/// A raw session connection: the handshake by hand, then frames (and
+/// their acks) under the test's control.
+fn raw_session(socket: &Path, name: &str) -> UnixStream {
+    let mut conn = UnixStream::connect(socket).unwrap();
+    send_frame(&mut conn, kind::HELLO, &HelloRequest::new_session(name).encode());
+    let (reply, payload) = read_frame(&mut conn).unwrap().unwrap();
+    assert_eq!(reply, kind::HELLO_ACK);
+    assert_eq!(HelloAck::decode(&payload).unwrap().acked_chunks, 0);
+    conn
+}
 
+fn send_frame(conn: &mut UnixStream, frame_kind: u8, payload: &[u8]) {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, frame_kind, payload).unwrap();
+    conn.write_all(&bytes).unwrap();
+}
+
+fn send_chunk(conn: &mut UnixStream, seq: u64, events: &[Event]) {
+    let mut payload = seq.to_be_bytes().to_vec();
+    payload.extend_from_slice(&encode_events(events));
+    send_frame(conn, kind::CHUNK, &payload);
+}
+
+/// Reads one `CHUNK_ACK` as `(seq, events)`.
+fn read_ack(conn: &mut UnixStream) -> (u64, u32) {
+    let (reply, payload) = read_frame(conn).unwrap().unwrap();
+    assert_eq!(reply, kind::CHUNK_ACK, "expected CHUNK_ACK, got kind {reply:#04x}");
+    assert_eq!(payload.len(), 12);
+    (
+        u64::from_be_bytes(payload[..8].try_into().unwrap()),
+        u32::from_be_bytes(payload[8..].try_into().unwrap()),
+    )
+}
+
+/// The cross-connection half of the consistent-prefix guarantee (the
+/// four-session test covers a connection querying its own session): a
+/// second connection queries while the producer still has unacked
+/// chunks in flight. Whatever it observes is a whole number of chunks,
+/// covers at least every chunk acked before it asked, and is
+/// batch-identical over exactly that prefix.
+#[test]
+fn cross_connection_query_observes_whole_chunks_past_every_ack() {
+    const CHUNK: usize = 512;
+    const ACKED: usize = 3;
+    let (collector, socket) = bind("cross");
     let events = session_events(2, 30_000);
-    let mut client = CollectorClient::open_session(&socket, "piped").unwrap();
-    let chunks: Vec<&[Event]> = events.chunks(512).collect();
-    let half = chunks.len() / 2;
-    for chunk in &chunks[..half] {
-        client.send_events(chunk).unwrap();
+    let chunks: Vec<&[Event]> = events.chunks(CHUNK).collect();
+
+    // The producer writes every chunk but reads only three acks: the
+    // rest are in flight — on the socket, in the mailbox, mid-apply.
+    let mut producer = raw_session(&socket, "cross");
+    for (seq, chunk) in chunks.iter().enumerate() {
+        send_chunk(&mut producer, seq as u64, chunk);
     }
-    let live = client.query(&QuerySpec::session("piped")).unwrap();
-    let sent = client.events_sent() as usize;
-    assert_eq!(live.events_observed, sent as u64);
-    assert_eq!(live.canonical_json, Analysis::of_events(&events[..sent]).canonical_json().unwrap());
-    for chunk in &chunks[half..] {
-        client.send_events(chunk).unwrap();
+    for seq in 0..ACKED {
+        assert_eq!(read_ack(&mut producer), (seq as u64, CHUNK as u32));
     }
-    let summary = client.finish().unwrap();
-    assert_eq!(summary.events, events.len() as u64);
-    let done = client.query(&QuerySpec::session("piped")).unwrap();
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let mid = query.query(&QuerySpec::session("cross")).unwrap();
+    let observed = mid.events_observed as usize;
+    assert!(mid.live);
+    assert!(observed >= ACKED * CHUNK, "acked chunks missing: {observed} events");
+    assert!(observed.is_multiple_of(CHUNK) || observed == events.len(), "torn chunk: {observed}");
+    assert_eq!(
+        mid.canonical_json,
+        Analysis::of_events(&events[..observed]).canonical_json().unwrap()
+    );
+
+    for seq in ACKED..chunks.len() {
+        assert_eq!(read_ack(&mut producer).0, seq as u64);
+    }
+    send_frame(&mut producer, kind::FINISH, &[]);
+    let (reply, _) = read_frame(&mut producer).unwrap().unwrap();
+    assert_eq!(reply, kind::FINISH_ACK);
+    let done = query.query(&QuerySpec::session("cross")).unwrap();
     assert_eq!(done.canonical_json, Analysis::of_events(&events).canonical_json().unwrap());
+    collector.shutdown();
+}
+
+/// Wire-sequence validation, duplicate side: a replayed `seq` below the
+/// expected one (a reconnect race) is acked with zero events and never
+/// re-applied — the final table is the stream applied exactly once.
+#[test]
+fn replayed_chunk_is_acked_but_not_reapplied() {
+    let (collector, socket) = bind("replay");
+    let events = &session_events(0, 800)[..768];
+    let chunks: Vec<&[Event]> = events.chunks(256).collect();
+    let mut conn = raw_session(&socket, "replay");
+    send_chunk(&mut conn, 0, chunks[0]);
+    send_chunk(&mut conn, 1, chunks[1]);
+    assert_eq!(read_ack(&mut conn), (0, 256));
+    assert_eq!(read_ack(&mut conn), (1, 256));
+    send_chunk(&mut conn, 0, chunks[0]);
+    assert_eq!(read_ack(&mut conn), (0, 0), "a replayed chunk acks with zero events");
+    send_chunk(&mut conn, 2, chunks[2]);
+    assert_eq!(read_ack(&mut conn), (2, 256));
+    send_frame(&mut conn, kind::FINISH, &[]);
+    let (reply, payload) = read_frame(&mut conn).unwrap().unwrap();
+    assert_eq!(reply, kind::FINISH_ACK);
+    assert_eq!(u64::from_be_bytes(payload[..8].try_into().unwrap()), 3, "three chunks, not four");
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let done = query.query(&QuerySpec::session("replay")).unwrap();
+    assert_eq!(done.events_observed, events.len() as u64);
+    assert_eq!(done.canonical_json, Analysis::of_events(events).canonical_json().unwrap());
+    collector.shutdown();
+}
+
+/// Wire-sequence validation, gap side: a `seq` past the expected one is
+/// a typed `Protocol` error, and by the time the client reads it the
+/// session is already aborted with its acked prefix queryable.
+#[test]
+fn sequence_gap_aborts_typed_and_keeps_the_acked_prefix() {
+    let (collector, socket) = bind("gap");
+    let events = session_events(0, 512);
+    let mut conn = raw_session(&socket, "gap");
+    send_chunk(&mut conn, 0, &events[..256]);
+    assert_eq!(read_ack(&mut conn), (0, 256));
+    send_chunk(&mut conn, 5, &events[256..]);
+    let (reply, payload) = read_frame(&mut conn).unwrap().unwrap();
+    assert_eq!(reply, kind::ERROR);
+    assert_eq!(ErrorCode::from_u8(payload[0]), Some(ErrorCode::Protocol));
+    assert_eq!(collector.session_phase("gap"), Some(SessionPhase::Aborted));
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let prefix = query.query(&QuerySpec::session("gap")).unwrap();
+    assert!(!prefix.live);
+    assert_eq!(prefix.events_observed, 256);
+    assert_eq!(
+        prefix.canonical_json,
+        Analysis::of_events(&events[..256]).canonical_json().unwrap()
+    );
     collector.shutdown();
 }
 
