@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rlscope_bench::gate;
-use rlscope_core::analysis::{Analysis, Dim};
+use rlscope_core::analysis::{Analysis, Dim, LiveState, LiveView};
 use rlscope_core::event::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope_core::overlap::{compute_overlap, compute_overlap_columns, OverlapSweep};
 use rlscope_core::store::{
@@ -110,6 +110,28 @@ fn multi_op_events(n: usize, ops: usize, procs: u32) -> Vec<Event> {
         events.push(Event::new(pid, kind, "e", TimeNs::from_nanos(t), TimeNs::from_nanos(t + 8)));
     }
     events
+}
+
+/// `procs` single-process [`multi_op_events`] streams of `n` events each,
+/// interleaved a `block` at a time — how per-process profiler flushes
+/// reach a collector: every process's own stream is in order, the merged
+/// stream is coarsely out of order, which is the shape that makes
+/// sorting a live session's pending boundaries real work.
+fn interleaved_process_streams(n: usize, ops: usize, procs: u32, block: usize) -> Vec<Event> {
+    let streams: Vec<Vec<Event>> = (0..procs)
+        .map(|pid| {
+            let mut events = multi_op_events(n, ops, 1);
+            events.iter_mut().for_each(|e| e.pid = ProcessId(pid));
+            events
+        })
+        .collect();
+    let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+    for at in (0..streams[0].len()).step_by(block) {
+        for stream in &streams {
+            out.extend_from_slice(&stream[at..stream.len().min(at + block)]);
+        }
+    }
+    out
 }
 
 /// The active positional benchmark filter, parsed with the harness's
@@ -332,6 +354,103 @@ fn bench_streaming(c: &mut Criterion) {
         })
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn bench_live_snapshot(c: &mut Criterion) {
+    // What one dashboard refresh costs on a session that is still
+    // streaming: a 4-process session holds a 100k-event prefix that an
+    // earlier snapshot already put in order, one more 512-event chunk
+    // arrives (untimed), and the next live query is answered — tidy the
+    // new chunk's boundaries into the sorted history, clone the view's
+    // sweeps, drain the clones, read the tables. `batch_100k` is the
+    // same answer recomputed from the events.
+    const CHUNK: usize = 512;
+    let events = interleaved_process_streams(25_000, 16, 4, 64);
+    let (prefix, next) = events.split_at(events.len() - CHUNK);
+    let mut base = LiveState::new();
+    for chunk in prefix.chunks(CHUNK) {
+        base.push_columns(&EventColumns::from_events(chunk)).unwrap();
+    }
+    base.snapshot();
+    let next = EventColumns::from_events(next);
+    let one_chunk_later = || {
+        let mut live = base.clone();
+        live.push_columns(&next).unwrap();
+        live
+    };
+    // Each routine hands the session back, so freeing it is not timed.
+    let merged = |mut live: LiveState| {
+        let tables = live.snapshot_view(LiveView::Merged).finalize();
+        let answer =
+            Analysis::of_live(&tables).group_by([Dim::Phase, Dim::Operation]).tables().unwrap();
+        (answer, live)
+    };
+    let batch = || {
+        Analysis::of_events(std::hint::black_box(&events))
+            .group_by([Dim::Phase, Dim::Operation])
+            .tables()
+            .unwrap()
+    };
+    assert_eq!(merged(one_chunk_later()).0, batch());
+
+    let mut group = c.benchmark_group("live_snapshot");
+    group.bench_function("merged_100k", |b| {
+        b.iter_batched(one_chunk_later, merged, BatchSize::LargeInput)
+    });
+    group.bench_function("per_process_100k", |b| {
+        b.iter_batched(
+            one_chunk_later,
+            |mut live| {
+                let tables = live.snapshot_view(LiveView::PerProcess).finalize();
+                (Analysis::of_live(&tables).group_by([Dim::Process]).tables().unwrap(), live)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("both_views_100k", |b| {
+        b.iter_batched(one_chunk_later, |mut live| (live.snapshot(), live), BatchSize::LargeInput)
+    });
+    group.bench_function("batch_100k", |b| b.iter(batch));
+    group.finish();
+
+    // Inline ratio gate (CI bench-smoke entry): a merged-view live
+    // snapshot one chunk after the last must cost at most 0.6x the
+    // batch sweep of the same prefix. It sorts one chunk, copies one
+    // sweep and drains it, where batch encodes, sorts and drains
+    // everything; re-sorting the whole prefix on every snapshot, or
+    // taking both views for a query that reads one, measured ~1.2x.
+    let gate_name = "live_snapshot_ratio_gate";
+    if bench_filter().is_none_or(|f| gate_name.contains(f.as_str())) {
+        let reps = 4;
+        let time_snapshot = || {
+            let mut nanos = 0;
+            for _ in 0..reps {
+                let live = one_chunk_later();
+                let t = std::time::Instant::now();
+                let answered = merged(live);
+                nanos += t.elapsed().as_nanos();
+                std::hint::black_box(answered);
+            }
+            nanos as f64 / reps as f64
+        };
+        let time_batch = || {
+            let t = std::time::Instant::now();
+            for _ in 0..reps {
+                std::hint::black_box(batch());
+            }
+            t.elapsed().as_nanos() as f64 / reps as f64
+        };
+        let (snapshot_stats, batch_stats) = gate::sample_pair(5, time_snapshot, time_batch);
+        let target = if gate::is_smoke_run() { 1.5 } else { 0.6 };
+        gate::assert_ratio(
+            gate_name,
+            &snapshot_stats,
+            &batch_stats,
+            target,
+            "a merged-view snapshot sorts one chunk and copies and drains one sweep; \
+             it measures ~0.3x the batch sweep of the same prefix here",
+        );
+    }
 }
 
 fn bench_pushdown(c: &mut Criterion) {
@@ -920,6 +1039,7 @@ criterion_group!(
     bench_overlap,
     bench_analysis,
     bench_streaming,
+    bench_live_snapshot,
     bench_pushdown,
     bench_rollup_query,
     bench_compaction,

@@ -11,7 +11,9 @@ use crate::registry::{SessionRecord, SessionStatus, StorageTier};
 use crate::transport::Stream;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rlscope_core::analysis::{Analysis, AnalysisError, LiveState, LiveTables, SessionSource};
+use rlscope_core::analysis::{
+    Analysis, AnalysisError, LiveSnapshot, LiveState, LiveTables, LiveView, SessionSource,
+};
 use rlscope_core::rollup::Rollup;
 use rlscope_core::store::{
     compute_footer_columns, decode_columns, list_chunk_files, read_chunk_footer, read_frame,
@@ -289,9 +291,12 @@ pub struct RecoveredSession {
 ///   on it under the lock would deadlock. The guard only ever spans a
 ///   lookup, an in-place update, or the claim of a name (check, wipe,
 ///   insert), none of which talks to an owner.
-/// - The owner never runs [`Analysis`]: it hands out an owned
-///   [`LiveTables`] snapshot and the query computes on the asking
-///   connection's thread.
+/// - The owner never runs [`Analysis`] and never drains a sweep: it
+///   tidies and copies the sweeps of the one [`LiveView`] the query
+///   reads ([`LiveState::snapshot_view`]) and hands out the owned
+///   [`LiveSnapshot`]; the drain ([`LiveSnapshot::finalize`]) and the
+///   query run on the asking connection's thread. Chunk acks queued
+///   behind a snapshot therefore wait for a copy, not for a sweep.
 /// - A live-cache hit never takes a snapshot: queries ask
 ///   [`Msg::Status`] for the prefix length first and only ask for
 ///   [`Msg::Snapshot`] on a miss.
@@ -341,8 +346,8 @@ enum Msg {
     Finish { reply: Sender<Result<(u64, u64), ConnError>> },
     /// Whether a connection is attached, and the events observed so far.
     Status { reply: Sender<(bool, u64)> },
-    /// An owned snapshot of the live tables.
-    Snapshot { reply: Sender<LiveTables> },
+    /// Owned, undrained copies of the live sweeps `view` covers.
+    Snapshot { view: LiveView, reply: Sender<LiveSnapshot> },
     /// The timer's idle check: abort when no chunk or attach arrived
     /// for this long. Ordered behind the chunks already in flight, so a
     /// session is never reaped mid-apply.
@@ -552,8 +557,8 @@ impl Owner {
                     let _ = reply.send((self.attached.is_some(), self.live.events_observed()));
                     false
                 }
-                Msg::Snapshot { reply } => {
-                    let _ = reply.send(self.live.snapshot());
+                Msg::Snapshot { view, reply } => {
+                    let _ = reply.send(self.live.snapshot_view(view));
                     false
                 }
                 Msg::ReapIfIdle(timeout) => self.on_reap(timeout),
@@ -1694,10 +1699,12 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
             if let Some(json) = daemon.live_cache.lock().get(&key(events_observed)) {
                 return live(true, events_observed, json);
             }
-            let Some(tables) = session.ask(|reply| Msg::Snapshot { reply }) else {
+            let view = live_view(spec);
+            let Some(snapshot) = session.ask(|reply| Msg::Snapshot { view, reply }) else {
                 // Settled between the two questions: route again.
                 return run_query(daemon, spec);
             };
+            let tables = snapshot.finalize();
             let json = apply_spec(Analysis::of_live(&tables), spec)
                 .canonical_json()
                 .map_err(analysis_err)?;
@@ -1772,9 +1779,11 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
     let mut events_observed = 0u64;
     let mut names = Vec::new();
     let mut snapshots: Vec<(Arc<str>, SessionSnapshot)> = Vec::new();
+    let view = live_view(spec);
     for (name, _) in daemon.entries() {
-        let snapshot = match daemon.route(&name, |reply| Msg::Snapshot { reply }) {
-            Ok(Routed::Open(_, tables)) => {
+        let snapshot = match daemon.route(&name, |reply| Msg::Snapshot { view, reply }) {
+            Ok(Routed::Open(_, snapshot)) => {
+                let tables = snapshot.finalize();
                 events_observed += tables.events_observed();
                 any_live = true;
                 SessionSnapshot::Live(tables)
@@ -1897,6 +1906,11 @@ fn dir_query(daemon: &Daemon, dir: &Path, spec: &QuerySpec) -> Result<QueryReply
     let events = manifest.total_events();
     daemon.cache.lock().insert(key, CachedResult { checksum, events, json: json.clone() });
     Ok(QueryReply { live: false, cache_hit: false, events_observed: events, canonical_json: json })
+}
+
+/// The live view a wire query reads — what its snapshot must hold.
+fn live_view(spec: &QuerySpec) -> LiveView {
+    LiveView::for_query(&spec.dims, spec.process.map(ProcessId))
 }
 
 /// Applies a wire query spec to an [`Analysis`] builder.

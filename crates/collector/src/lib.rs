@@ -89,7 +89,13 @@
 //! and persists it before writing its ack, and a query's question
 //! queues behind every chunk already handed to the owner, so it
 //! observes at least every chunk acked to anyone before it was asked.
-//! An aborted session serves exactly the durable prefix from disk.
+//! The owner's part of a query is a copy: it puts the pending
+//! boundaries of the one view the query reads in order — in place, so
+//! each query sorts only what arrived since the last — and clones that
+//! view's sweeps; draining the clones and running the query happen on
+//! the asking connection's thread. Neither changes what any query
+//! observes. An aborted session serves exactly the durable prefix from
+//! disk.
 //!
 //! # Wire protocol (version 2)
 //!
@@ -191,8 +197,12 @@
 //! path. Live sessions answer from a [`LiveState`] snapshot the
 //! session's owner takes between two chunks — a consistent chunk
 //! prefix; see the `analysis` module docs ("Live-query consistency")
-//! for exactly what a mid-run query observes. The query itself runs on
-//! the asking connection's thread. Live results are cached keyed by
+//! for exactly what a mid-run query observes. The snapshot covers only
+//! the view the query reads (the merged stream, or the per-process
+//! sweeps for process grouping or a process filter), and draining it
+//! and the query itself run on the asking connection's thread: a live
+//! query costs one view's clone and drain, proportional to the prefix.
+//! Live results are cached keyed by
 //! `(name, epoch, events observed, query bytes)` — a prefix is immutable once
 //! observed, so equal keys are answer-equal, including across a restart
 //! that replayed the same prefix. Finished sessions and directory

@@ -121,11 +121,20 @@
 //!   chunk atomically — one thread owns a session's [`LiveState`], so a
 //!   chunk's events enter the live sweeps and the observed-event counter
 //!   together — and that same thread takes the snapshots
-//!   ([`LiveState::snapshot`]), between two chunks.
+//!   ([`LiveState::snapshot_view`]), between two chunks.
 //!   A live query therefore sees *exactly* the first `events_observed()`
 //!   events of the session stream, never a partially-applied chunk, and
 //!   its result equals the batch analysis of that prefix table for table
 //!   (canonical JSON included).
+//! * **A snapshot tidies, it does not change.** Taking a snapshot puts
+//!   the pending boundaries of the live sweeps it covers in order, in
+//!   place ([`OverlapSweep::sort_pending`]), so that history is sorted
+//!   once and the next snapshot sorts only what arrived since. The order
+//!   is the one a single stable sort at the end would produce, so no
+//!   answer — of this snapshot, a later one, or the finished session —
+//!   depends on whether, when, or for which [`LiveView`] snapshots were
+//!   taken. The cost that remains is one clone and one drain of the
+//!   view's sweeps, still proportional to the prefix.
 //! * **Monotonicity.** Later queries observe a superset prefix; totals
 //!   for any fixed filter never decrease between queries. This holds
 //!   across a collector crash and restart too: recovery replays the
@@ -141,7 +150,10 @@
 //!   session's whole-run phase typically shows up only at finish — live
 //!   tables attribute that time to [`NO_PHASE`] until then.
 //! * **Supported queries.** Phase/process/operation filters and every
-//!   `group_by` combination run with batch-identical semantics.
+//!   `group_by` combination run with batch-identical semantics, over a
+//!   snapshot that holds the view the query reads
+//!   ([`LiveView::for_query`]; [`LiveState::snapshot`] holds both) — a
+//!   read of an absent view is [`AnalysisError::Unsupported`].
 //!   [`Analysis::time_window`] and [`Analysis::corrected`] are
 //!   unsupported over live snapshots (no event-level granularity, no
 //!   book-keeping counters); once the session finishes, its chunk
@@ -384,8 +396,51 @@ pub enum SessionSource<'a> {
     /// [`AnalysisError::Unsupported`].
     RollupDir(PathBuf),
     /// A live session's snapshot over its consistent acked prefix
-    /// ([`LiveState::snapshot`]).
+    /// ([`LiveState::snapshot_view`] for the view the query reads).
     Live(&'a LiveTables),
+}
+
+/// Which of a live session's two sweep layouts a query reads: the
+/// merged-stream sweep, the per-process sweeps, or both. A snapshot
+/// costs a clone and a drain of every sweep it covers, and a query reads
+/// exactly one layout, so the asker names it
+/// ([`LiveView::for_query`]) and [`LiveState::snapshot_view`] touches
+/// nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LiveView {
+    /// The merged-stream tables: ungrouped-by-process, unfiltered-by-
+    /// process queries.
+    Merged,
+    /// The per-process tables: [`Dim::Process`] grouping and
+    /// [`Analysis::process`] filters.
+    PerProcess,
+    /// Both layouts ([`LiveState::snapshot`]) — for a caller that does
+    /// not know the queries yet.
+    Both,
+}
+
+impl LiveView {
+    /// The view a query with these grouping dimensions and process
+    /// filter reads — the one rule, shared by whoever takes the snapshot
+    /// and by the executor that later reads it: per-process iff
+    /// [`Dim::Process`] is grouped or a process filter is set (an
+    /// ungrouped `.process(pid)` query means "sweep only that process's
+    /// events", which is that process's own sweep).
+    pub fn for_query(dims: &[Dim], process_filter: Option<ProcessId>) -> LiveView {
+        if dims.contains(&Dim::Process) || process_filter.is_some() {
+            LiveView::PerProcess
+        } else {
+            LiveView::Merged
+        }
+    }
+
+    fn merged(self) -> bool {
+        self != LiveView::PerProcess
+    }
+
+    fn per_process(self) -> bool {
+        self != LiveView::Merged
+    }
 }
 
 /// Incrementally-maintained sweep state over a **live** (still
@@ -393,11 +448,21 @@ pub enum SessionSource<'a> {
 /// `rlscope-collector` daemon's mid-session queries.
 ///
 /// Feed accepted chunks with [`LiveState::push_columns`] as they arrive;
-/// at any point, [`LiveState::snapshot`] materializes [`LiveTables`] —
-/// the finalized tables over exactly the events observed so far —
-/// without disturbing the live sweeps, and [`Analysis::of_live`] answers
-/// queries over that snapshot with batch-identical semantics (see the
-/// [module docs](crate::analysis) on live-query consistency).
+/// at any point, [`LiveState::snapshot_view`] captures the sweeps one
+/// [`LiveView`] needs and [`LiveSnapshot::finalize`] materializes
+/// [`LiveTables`] — the finalized tables over exactly the events
+/// observed so far — and [`Analysis::of_live`] answers queries over them
+/// with batch-identical semantics (see the [module docs](crate::analysis)
+/// on live-query consistency). [`LiveState::snapshot`] is both steps
+/// over both views.
+///
+/// A snapshot **tidies** the live sweeps it covers
+/// ([`OverlapSweep::sort_pending`]) before cloning them, which is why it
+/// takes `&mut self`: the pending boundaries are put in order once, in
+/// the sweeps that live on, and each later snapshot sorts only the
+/// boundaries pushed since the last one instead of the whole prefix
+/// again. Nothing observable changes — what any later snapshot, or the
+/// sweeps themselves, finalize to is the same with or without it.
 ///
 /// Internally this mirrors the chunk-dir executor's sweep layout: one
 /// phase-tagged exact [`OverlapSweep`] per process, plus a merged-stream
@@ -406,7 +471,8 @@ pub enum SessionSource<'a> {
 /// materialized until a second process appears — at which point the
 /// first process's sweep (fed the identical prefix) is cloned into
 /// place. Single-process sessions — the common case — therefore pay one
-/// sweep push per event, not two.
+/// sweep push per event, not two, and one clone and drain per snapshot
+/// whichever view is asked.
 #[derive(Debug, Clone, Default)]
 pub struct LiveState {
     /// Merged-stream sweep; `None` while at most one process is live
@@ -467,29 +533,90 @@ impl LiveState {
         Ok(())
     }
 
-    /// Materializes the finalized tables over exactly the events pushed
-    /// so far — a consistent prefix snapshot. The live sweeps are cloned
-    /// and the clones finalized; pushing may continue afterwards.
-    pub fn snapshot(&self) -> LiveTables {
-        let merged = match (&self.merged, self.per_process.first()) {
-            (Some(m), _) => m.clone().finalize_grouped(),
-            (None, Some((_, s))) => s.clone().finalize_grouped(),
-            (None, None) => Vec::new(),
+    /// The cheap half of a snapshot: tidies the sweeps `view` covers in
+    /// place (see the type docs) and clones them — a copy, no drain — as
+    /// a consistent prefix of exactly the events pushed so far. Pushing
+    /// may continue afterwards; [`LiveSnapshot::finalize`] can run on
+    /// any thread.
+    pub fn snapshot_view(&mut self, view: LiveView) -> LiveSnapshot {
+        let tidy_clone = |sweep: &mut OverlapSweep| {
+            sweep.sort_pending();
+            sweep.clone()
         };
-        let per_process =
-            self.per_process.iter().map(|(pid, s)| (*pid, s.clone().finalize_grouped())).collect();
+        // With no merged sweep the merged stream is the (at most one)
+        // process's stream: one clone serves both views.
+        let shared = self.merged.is_none();
+        let per_process: Vec<(ProcessId, OverlapSweep)> = if view.per_process() || shared {
+            self.per_process.iter_mut().map(|(pid, sweep)| (*pid, tidy_clone(sweep))).collect()
+        } else {
+            Vec::new()
+        };
+        let merged = self.merged.as_mut().filter(|_| view.merged()).map(tidy_clone);
+        LiveSnapshot { view, merged, per_process, events: self.events }
+    }
+
+    /// Materializes the finalized tables of **both** views over exactly
+    /// the events pushed so far:
+    /// `snapshot_view(LiveView::Both).finalize()`.
+    pub fn snapshot(&mut self) -> LiveTables {
+        self.snapshot_view(LiveView::Both).finalize()
+    }
+}
+
+/// Owned copies of the live sweeps one [`LiveView`] needs, taken by
+/// [`LiveState::snapshot_view`] and not yet drained. Whoever holds it
+/// pays for the drain ([`LiveSnapshot::finalize`]) — in the collector
+/// that is the asking connection's thread, never the session's owner.
+#[derive(Debug)]
+pub struct LiveSnapshot {
+    view: LiveView,
+    /// The merged-stream sweep, when the view covers it and the session
+    /// has one; a single-process session's merged view is
+    /// `per_process[0]`.
+    merged: Option<OverlapSweep>,
+    per_process: Vec<(ProcessId, OverlapSweep)>,
+    events: u64,
+}
+
+impl LiveSnapshot {
+    /// The expensive half: drains every captured sweep to its per-phase
+    /// tables. A single-process session's one sweep is drained once and
+    /// its tables shared by both views.
+    pub fn finalize(self) -> LiveTables {
+        let per_process: Vec<(ProcessId, PhaseTables)> = self
+            .per_process
+            .into_iter()
+            .map(|(pid, sweep)| (pid, sweep.finalize_grouped()))
+            .collect();
+        let merged = self.view.merged().then(|| match self.merged {
+            Some(sweep) => sweep.finalize_grouped(),
+            None => per_process.first().map(|(_, t)| t.clone()).unwrap_or_default(),
+        });
+        let per_process = self.view.per_process().then_some(per_process);
         LiveTables { merged, per_process, events: self.events }
     }
 }
 
 /// A finalized snapshot of a [`LiveState`]: per-phase tables for the
-/// merged stream and for each process, over exactly the events observed
-/// at snapshot time. Query it with [`Analysis::of_live`].
-#[derive(Debug, Clone, Default)]
+/// merged stream, for each process, or both — whichever [`LiveView`] the
+/// snapshot was taken for — over exactly the events observed at snapshot
+/// time. Query it with [`Analysis::of_live`]; a query that reads a view
+/// the snapshot does not hold is a typed [`AnalysisError::Unsupported`],
+/// never an empty table.
+#[derive(Debug, Clone)]
 pub struct LiveTables {
-    merged: PhaseTables,
-    per_process: Vec<(ProcessId, PhaseTables)>,
+    /// `None` when the snapshot's view left the merged tables out.
+    merged: Option<PhaseTables>,
+    /// `None` when the snapshot's view left the per-process tables out.
+    per_process: Option<Vec<(ProcessId, PhaseTables)>>,
     events: u64,
+}
+
+impl Default for LiveTables {
+    /// The snapshot of an empty [`LiveState`]: both views, no events.
+    fn default() -> Self {
+        LiveState::new().snapshot()
+    }
 }
 
 impl LiveTables {
@@ -597,9 +724,11 @@ impl<'a> Analysis<'a> {
     }
 
     /// Analyzes a [`LiveTables`] snapshot of an in-flight stream
-    /// ([`LiveState::snapshot`]). Phase, process, and operation filters
-    /// and every [`Analysis::group_by`] combination behave exactly as
-    /// over the equivalent batch source; [`Analysis::time_window`] is
+    /// ([`LiveState::snapshot`], or [`LiveState::snapshot_view`] for
+    /// just the [`LiveView`] this query reads). Phase, process, and
+    /// operation filters and every [`Analysis::group_by`] combination
+    /// behave exactly as over the equivalent batch source, provided the
+    /// snapshot holds the view they read; [`Analysis::time_window`] is
     /// unsupported (sweep state has no event-level granularity — window
     /// queries go to the session's chunk directory instead), as is
     /// [`Analysis::corrected`] (no book-keeping counters). See the
@@ -911,7 +1040,7 @@ impl<'a> Analysis<'a> {
                 self.resolve_streamed(dir, want_proc, track_phases, filters)?
             }
             Source::RollupDir(dir) => self.resolve_rollup(dir, want_proc, filters)?,
-            Source::Live(tables) => self.resolve_live(tables, want_proc, filters)?,
+            Source::Live(tables) => self.resolve_live(tables, filters)?,
             _ => self.resolve_batch(want_proc, track_phases, filters),
         };
         Ok(self.assemble(raw, want_phase, want_op, filters))
@@ -1175,16 +1304,14 @@ impl<'a> Analysis<'a> {
     }
 
     /// Live-snapshot execution: the sweeps already ran at ingest, so the
-    /// query only selects among their finalized tables. An ungrouped
-    /// query reads the merged-stream tables; process grouping (or an
-    /// ungrouped process filter, whose batch semantics are "sweep only
-    /// that process's events") reads the per-process tables. Phase and
-    /// operation filters are applied downstream by `assemble`, exactly
-    /// as for every other source.
+    /// query only selects among their finalized tables — the view
+    /// [`LiveView::for_query`] names: the merged-stream tables, or the
+    /// per-process tables for process grouping or a process filter.
+    /// Phase and operation filters are applied downstream by
+    /// `assemble`, exactly as for every other source.
     fn resolve_live(
         &self,
         tables: &LiveTables,
-        per_process: bool,
         filters: bool,
     ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
         if self.window.is_some() {
@@ -1194,28 +1321,34 @@ impl<'a> Analysis<'a> {
                     .to_string(),
             ));
         }
+        let absent = |view: &str| {
+            AnalysisError::Unsupported(format!(
+                "this live snapshot was taken without the {view} view the query reads \
+                 (take it with LiveView::for_query over the same dims and process filter)"
+            ))
+        };
         let pid_filter = self.process_filter.filter(|_| filters);
-        if per_process {
-            Ok(tables
-                .per_process
+        if LiveView::for_query(&self.dims, pid_filter) == LiveView::Merged {
+            let merged = tables.merged.as_ref().ok_or_else(|| absent("merged"))?;
+            return Ok(vec![(None, merged.clone())]);
+        }
+        let per_process = tables.per_process.as_ref().ok_or_else(|| absent("per-process"))?;
+        if self.dims.contains(&Dim::Process) {
+            Ok(per_process
                 .iter()
                 .filter(|(pid, _)| pid_filter.is_none_or(|want| *pid == want))
                 .map(|(pid, t)| (Some(*pid), t.clone()))
                 .collect())
-        } else if let Some(pid) = pid_filter {
-            // Batch semantics for an ungrouped `.process(pid)` query are
-            // "sweep only that process's events" — which is exactly the
-            // per-process sweep. An absent pid yields the empty table the
-            // batch path would produce.
-            let tables = tables
-                .per_process
+        } else {
+            // An ungrouped `.process(pid)` query reads that process's own
+            // sweep; an absent pid yields the empty table the batch path
+            // would produce.
+            let tables = per_process
                 .iter()
-                .find(|(p, _)| *p == pid)
+                .find(|(p, _)| Some(*p) == pid_filter)
                 .map(|(_, t)| t.clone())
                 .unwrap_or_default();
             Ok(vec![(None, tables)])
-        } else {
-            Ok(vec![(None, tables.merged.clone())])
         }
     }
 
@@ -2394,6 +2527,156 @@ mod tests {
         assert_eq!(
             Analysis::of_live(&live.snapshot()).group_by([Dim::Phase]).tables().unwrap(),
             Analysis::of_events(&events).group_by([Dim::Phase]).tables().unwrap()
+        );
+    }
+
+    /// The queries that read `view`, as canonical JSON: the merged
+    /// breakdown, then the per-process grouping and one process filtered
+    /// out ungrouped.
+    fn view_queries<'a>(view: LiveView, q: impl Fn() -> Analysis<'a>) -> Vec<String> {
+        let mut queries = Vec::new();
+        if view.merged() {
+            queries.push(q().group_by([Dim::Phase, Dim::Operation]));
+        }
+        if view.per_process() {
+            queries.extend([q().group_by([Dim::Process]), q().process(ProcessId(0))]);
+        }
+        queries.iter().map(|q| q.canonical_json().unwrap()).collect()
+    }
+
+    /// With no merged sweep a session's one sweep serves both views: a
+    /// merged-only, a per-process-only and a both-view snapshot each
+    /// capture it once and each equal batch — and still do once a second
+    /// pid has promoted the merged sweep mid-stream.
+    #[test]
+    fn single_process_snapshots_share_one_sweep_across_views() {
+        let events = phased_events();
+        let mut live = LiveState::new();
+        for prefix in [6, events.len()] {
+            live.push_columns(&EventColumns::from_events(&events[live.events as usize..prefix]))
+                .unwrap();
+            let single = prefix == 6;
+            assert_eq!(live.merged.is_none(), single);
+            for view in [LiveView::Merged, LiveView::PerProcess, LiveView::Both] {
+                let snapshot = live.snapshot_view(view);
+                assert_eq!(snapshot.events, prefix as u64);
+                let sweeps = snapshot.per_process.len() + usize::from(snapshot.merged.is_some());
+                let expect = match (single, view) {
+                    (true, _) | (false, LiveView::Merged) => 1,
+                    (false, LiveView::PerProcess) => 2,
+                    (false, LiveView::Both) => 3,
+                };
+                assert_eq!(sweeps, expect, "{view:?} at {prefix}");
+                let tables = snapshot.finalize();
+                assert_eq!(
+                    view_queries(view, || Analysis::of_live(&tables)),
+                    view_queries(view, || Analysis::of_events(&events[..prefix])),
+                    "{view:?} at {prefix}"
+                );
+            }
+        }
+    }
+
+    /// A read of a view the snapshot was taken without is a typed error
+    /// in both directions, never an empty table.
+    #[test]
+    fn absent_live_view_is_unsupported() {
+        let mut live = LiveState::new();
+        live.push_columns(&EventColumns::from_events(&phased_events())).unwrap();
+        let merged_only = live.snapshot_view(LiveView::Merged).finalize();
+        for q in [
+            Analysis::of_live(&merged_only).group_by([Dim::Process]),
+            Analysis::of_live(&merged_only).process(ProcessId(1)),
+        ] {
+            let err = q.tables().unwrap_err();
+            assert!(matches!(err, AnalysisError::Unsupported(_)), "{err}");
+        }
+        assert!(!Analysis::of_live(&merged_only).table().unwrap().is_empty());
+        let per_process_only = live.snapshot_view(LiveView::PerProcess).finalize();
+        let err = Analysis::of_live(&per_process_only).table().unwrap_err();
+        assert!(matches!(err, AnalysisError::Unsupported(_)), "{err}");
+    }
+
+    /// The executor reads the view `LiveView::for_query` names for the
+    /// same dims and filter: a snapshot taken for a query answers it.
+    #[test]
+    fn live_view_for_query_is_the_view_the_executor_reads() {
+        let mut live = LiveState::new();
+        live.push_columns(&EventColumns::from_events(&phased_events())).unwrap();
+        let pid = Some(ProcessId(1));
+        let cases: [(&[Dim], Option<ProcessId>, LiveView); 5] = [
+            (&[], None, LiveView::Merged),
+            (&[Dim::Phase, Dim::Operation], None, LiveView::Merged),
+            (&[Dim::Session, Dim::Phase], None, LiveView::Merged),
+            (&[Dim::Process], None, LiveView::PerProcess),
+            (&[Dim::Phase], pid, LiveView::PerProcess),
+        ];
+        for (dims, filter, view) in cases {
+            assert_eq!(LiveView::for_query(dims, filter), view, "{dims:?} {filter:?}");
+            let tables = live.snapshot_view(view).finalize();
+            let dims = dims.iter().copied().filter(|d| *d != Dim::Session);
+            let mut q = Analysis::of_live(&tables).group_by(dims);
+            if let Some(pid) = filter {
+                q = q.process(pid);
+            }
+            q.tables().unwrap();
+        }
+    }
+
+    /// Sort once: a snapshot leaves the live sweeps it covered in order,
+    /// so a second one over an unchanged state has nothing to sort, and
+    /// one more chunk leaves only that chunk's boundaries to sort —
+    /// while a view that was never asked for stays untouched.
+    #[test]
+    fn snapshots_sort_only_what_arrived_since_the_last_one() {
+        // End-ordered streams (how the profiler records): start times
+        // arrive out of order, so every chunk leaves an unsorted tail.
+        let chunk = |base: u64| -> Vec<Event> {
+            (0..50u64)
+                .flat_map(|i| {
+                    let t = base + i * 10;
+                    [
+                        ev(0, EventKind::Cpu(CpuCategory::Python), "py", t + 1, t + 4),
+                        ev(1, EventKind::Cpu(CpuCategory::Simulator), "sim", t + 2, t + 5),
+                        ev(0, EventKind::Operation, "step", t, t + 6),
+                    ]
+                })
+                .collect()
+        };
+        let unsorted = |live: &LiveState| -> (usize, usize) {
+            let merged = live.merged.as_ref().map_or(0, OverlapSweep::unsorted_boundaries);
+            let per = live.per_process.iter().map(|(_, s)| s.unsorted_boundaries()).sum();
+            (merged, per)
+        };
+        let first = chunk(0);
+        let mut live = LiveState::new();
+        live.push_columns(&EventColumns::from_events(&first)).unwrap();
+        let (merged, per) = unsorted(&live);
+        assert!(merged > 0 && per > 0, "the stream must arrive disordered: {merged} {per}");
+
+        live.snapshot_view(LiveView::Merged);
+        assert_eq!(unsorted(&live), (0, per), "only the asked view is tidied");
+        live.snapshot();
+        assert_eq!(unsorted(&live), (0, 0));
+        let twice = live.snapshot();
+
+        let next = chunk(10_000);
+        live.push_columns(&EventColumns::from_events(&next)).unwrap();
+        let (merged, per) = unsorted(&live);
+        // Two boundaries per event; a tail starts at the first disorder.
+        assert!(0 < merged && merged <= 2 * next.len(), "{merged}");
+        assert!(0 < per && per <= 2 * next.len(), "{per}");
+        let events = [first.clone(), next].concat();
+        let batch = view_queries(LiveView::Both, || Analysis::of_events(&events));
+        let of_clone = live.clone().snapshot();
+        assert_eq!(view_queries(LiveView::Both, || Analysis::of_live(&of_clone)), batch);
+        assert_eq!(unsorted(&live), (merged, per), "a clone's snapshot tidies the clone");
+        let of_live = live.snapshot();
+        assert_eq!(view_queries(LiveView::Both, || Analysis::of_live(&of_live)), batch);
+        // The earlier snapshot still answers over its own prefix.
+        assert_eq!(
+            view_queries(LiveView::Both, || Analysis::of_live(&twice)),
+            view_queries(LiveView::Both, || Analysis::of_events(&first))
         );
     }
 

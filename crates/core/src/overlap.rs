@@ -24,7 +24,13 @@
 //!   (e.g. one decoded trace chunk at a time), are reduced immediately to
 //!   compact boundary records, and the same sweep finalizes to an
 //!   identical [`BreakdownTable`]. See the type docs for the memory
-//!   contract of its exact and bounded modes.
+//!   contract of its exact and bounded modes. Its pending boundaries
+//!   sit in a sorted prefix plus an unsorted tail (`BoundaryQueue`):
+//!   only out-of-order pushes are ever sorted, once, and merged into
+//!   the prefix, so a long-lived sweep that is cloned again and again
+//!   (a live session under a dashboard) can keep its history in order
+//!   with [`OverlapSweep::sort_pending`] instead of re-sorting it in
+//!   every clone.
 //!
 //! Each path reads events through one body: the batch boundary encoder
 //! and the streaming push are generic over the store's `EventRow`
@@ -871,25 +877,45 @@ impl std::error::Error for SweepError {}
 /// [`META_PHASE_FLAG`]`| phase_id` for tracked phases.
 type Boundary = (u64, u32, u32);
 
-/// The sweep's pending-boundary set: a **sorted-run buffer** that
-/// replaces the binary heaps the incremental sweep used to carry.
+/// The sweep's pending-boundary set: a **sorted prefix plus an unsorted
+/// tail** in one append-only buffer, replacing the binary heaps the
+/// incremental sweep used to carry.
 ///
 /// Profiler streams push boundaries in near-ascending time order, so the
 /// buffer is simply appended to and popped from the front — no per-push
 /// sift-up, no per-pop sift-down, and the drained prefix is reclaimed in
-/// bulk. Only when a push actually lands out of order does the buffer
-/// mark itself unsorted and re-sort the undrained tail (the same
-/// near-sorted repair sort as the batch encoder, O(n) on the shapes that
-/// caused the disorder) at the next pop. A fully sorted stream never sorts at all;
-/// an adversarially shuffled one degrades to one sort per drain of the
-/// pending window — never to heap behavior per boundary.
+/// bulk. `buf[head..sorted_to]` is ascending; a push extends that prefix
+/// while pushes keep arriving in order, and the first one that does not
+/// starts the tail `buf[sorted_to..]`, which nothing orders until
+/// someone needs the order ([`BoundaryQueue::ensure_sorted`]: a drain,
+/// or a live snapshot tidying the queue before it is cloned).
+///
+/// **Merge rule.** `ensure_sorted` sorts the *tail only* (the same
+/// near-sorted repair sort as the batch encoder, O(tail) on the shapes
+/// that caused the disorder) and merges it into the prefix stably, the
+/// prefix winning ties. The prefix is touched only from the tail
+/// minimum's insertion point on, and the shorter of the two runs is the
+/// one copied to scratch. The prefix was pushed before the tail and each
+/// side keeps its own push order, so the result is bit for bit the one
+/// stable sort of the whole pending window by time — which is why it
+/// does not matter *when* or *how often* the queue is put in order:
+/// history is sorted once, and each later call pays for the boundaries
+/// pushed since the previous one. A fully sorted stream never sorts at
+/// all.
+///
+/// **Why ties are safe.** Only the time is compared. Same-time
+/// boundaries keep push order, exactly as under a stable sort of the
+/// whole buffer; for operations and phases push order is arrival (`seq`)
+/// order, which is load-bearing, and for CPU/GPU edges same-time order
+/// is attribution-neutral (see [`OverlapSweep::push`]).
 #[derive(Debug, Clone)]
 struct BoundaryQueue {
     buf: Vec<Boundary>,
     /// Boundaries before this index are already drained.
     head: usize,
-    /// Whether `buf[head..]` is ascending.
-    sorted: bool,
+    /// `buf[head..sorted_to]` is ascending by time; `buf[sorted_to..]`
+    /// is the unsorted tail. `head <= sorted_to <= buf.len()`.
+    sorted_to: usize,
     /// Smallest pending time (`u64::MAX` when empty) — maintained across
     /// pushes and pops so a bounded-lag drain that cannot make progress
     /// returns without consulting (or sorting) the buffer at all.
@@ -904,34 +930,43 @@ impl Default for BoundaryQueue {
 
 impl BoundaryQueue {
     fn new() -> Self {
-        BoundaryQueue { buf: Vec::new(), head: 0, sorted: true, min_time: u64::MAX }
+        BoundaryQueue { buf: Vec::new(), head: 0, sorted_to: 0, min_time: u64::MAX }
     }
 
     #[inline]
     fn push(&mut self, b: Boundary) {
-        // Time-only disorder check: same-time boundaries stay in push
-        // order (the stable sort below would keep them there anyway, and
-        // equal-time reordering is attribution-neutral — see
-        // `OverlapSweep::push`).
-        if self.sorted && self.buf.last().is_some_and(|last| last.0 > b.0) {
-            self.sorted = false;
+        // Time-only order check against the last boundary pushed: an
+        // in-order push onto a tail-less buffer extends the sorted
+        // prefix, anything else lands in (or starts) the tail.
+        let n = self.buf.len();
+        if self.sorted_to == n && self.buf.last().is_none_or(|last| last.0 <= b.0) {
+            self.sorted_to = n + 1;
         }
         self.min_time = self.min_time.min(b.0);
         self.buf.push(b);
     }
 
+    /// Puts the whole pending window `buf[head..]` in ascending time
+    /// order (see the type docs for the merge rule). Free when there is
+    /// no tail.
     fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            // Same near-sorted repair sort as the batch encoder: the
-            // disorder shapes that reach here (inside-out scope closes,
-            // one whole-run scope closing last) are exactly what
-            // `sort_boundaries` repairs in O(n); a full comparison sort
-            // of the pending window costs more than the merge loop that
-            // follows it.
-            sort_boundaries(&mut self.buf[self.head..], |b| b.0);
-            self.sorted = true;
-            debug_assert!(self.buf.get(self.head).is_none_or(|b| b.0 == self.min_time));
+        let split = self.sorted_to;
+        if split == self.buf.len() {
+            return;
         }
+        // The disorder shapes that reach here (inside-out scope closes,
+        // one whole-run scope closing last) are exactly what
+        // `sort_boundaries` repairs in O(n); a full comparison sort of
+        // the pending window costs more than the merge loop that
+        // follows it.
+        sort_boundaries(&mut self.buf[split..], |b| b.0);
+        // Prefix boundaries at or before the tail's minimum are already
+        // in their final place (the prefix wins ties).
+        let tail_min = self.buf[split].0;
+        let from = self.head + self.buf[self.head..split].partition_point(|p| p.0 <= tail_min);
+        merge_adjacent_runs(&mut self.buf[from..], split - from);
+        self.sorted_to = self.buf.len();
+        debug_assert!(self.buf.get(self.head).is_none_or(|b| b.0 == self.min_time));
     }
 
     /// Smallest pending time; `u64::MAX` when empty. O(1) — never sorts.
@@ -945,12 +980,54 @@ impl BoundaryQueue {
     fn compact(&mut self) {
         if self.head > 1024 && self.head * 2 > self.buf.len() {
             self.buf.drain(..self.head);
+            self.sorted_to -= self.head;
             self.head = 0;
         }
     }
 
     fn len(&self) -> usize {
         self.buf.len() - self.head
+    }
+}
+
+/// Stable in-place merge of the adjacent ascending runs `v[..mid]` and
+/// `v[mid..]`, the left run winning ties. The shorter run is copied to a
+/// scratch `Vec` and the merge walks from that run's end of the slice,
+/// stopping as soon as the scratch is empty — whatever remains of the
+/// longer run is already in place.
+fn merge_adjacent_runs(v: &mut [Boundary], mid: usize) {
+    let n = v.len();
+    if mid == 0 || mid == n {
+        return;
+    }
+    if mid <= n - mid {
+        // Left run to scratch, fill forwards.
+        let left = v[..mid].to_vec();
+        let (mut l, mut r, mut out) = (0, mid, 0);
+        while l < mid {
+            if r < n && v[r].0 < left[l].0 {
+                v[out] = v[r];
+                r += 1;
+            } else {
+                v[out] = left[l];
+                l += 1;
+            }
+            out += 1;
+        }
+    } else {
+        // Right run to scratch, fill backwards.
+        let right = v[mid..].to_vec();
+        let (mut l, mut r, mut out) = (mid, right.len(), n);
+        while r > 0 {
+            out -= 1;
+            if l > 0 && v[l - 1].0 > right[r - 1].0 {
+                v[out] = v[l - 1];
+                l -= 1;
+            } else {
+                v[out] = right[r - 1];
+                r -= 1;
+            }
+        }
     }
 }
 
@@ -971,11 +1048,12 @@ const META_PHASE_FLAG: u32 = 1 << 31;
 /// `[phase][operation][slot]` accumulator with run-length coalescing of
 /// same-bucket boundaries, and in-flight operation/phase scopes live in
 /// slabs indexed straight from the boundary's meta word — no per-event
-/// map traffic anywhere on the hot path. Pending boundaries live in sorted-run buffers
-/// that append and pop without any per-boundary heap
-/// work, heapifying (one tail re-sort) only when a push actually arrives
-/// out of order — on near-sorted profiler streams the sweep costs the
-/// same per boundary as the batch engine's merge loop.
+/// map traffic anywhere on the hot path. Pending boundaries live in
+/// append-only buffers — a sorted prefix plus an unsorted tail — that
+/// append and pop without any per-boundary heap work; only boundaries
+/// pushed out of order are ever sorted, once, and merged into the prefix
+/// — on near-sorted profiler streams the sweep costs the same per
+/// boundary as the batch engine's merge loop.
 ///
 /// # Memory modes
 ///
@@ -1000,7 +1078,10 @@ const META_PHASE_FLAG: u32 = 1 << 31;
 /// The sweep is [`Clone`]: cloning captures the full pending state, so a
 /// live consumer can snapshot an in-flight stream — finalize the clone,
 /// keep pushing into the original — which is how the collector daemon
-/// answers queries over sessions that are still streaming.
+/// answers queries over sessions that are still streaming. Such a
+/// consumer calls [`OverlapSweep::sort_pending`] on the original first:
+/// the pending boundaries are then put in order once, in the sweep that
+/// lives on, instead of in every clone from scratch.
 #[derive(Debug, Clone)]
 pub struct OverlapSweep {
     interner: Interner,
@@ -1161,6 +1242,26 @@ impl OverlapSweep {
     /// size. In bounded mode this stays flat as the stream grows.
     pub fn pending_boundaries(&self) -> usize {
         self.starts.len() + self.ends.len()
+    }
+
+    /// Puts the pending boundaries in the order a drain needs, in place,
+    /// without draining any. Nothing observable changes — the sweep
+    /// finalizes to the same table whether or not, and however often,
+    /// this is called (the order is the one stable sort by time either
+    /// way) — but the work is kept: a later call, drain or clone sorts
+    /// only what was pushed since. Free when every push since the last
+    /// call arrived in order.
+    pub fn sort_pending(&mut self) {
+        self.starts.ensure_sorted();
+        self.ends.ensure_sorted();
+    }
+
+    /// Pending boundaries not yet in order: what the next
+    /// [`OverlapSweep::sort_pending`] (or drain) will sort.
+    #[cfg(test)]
+    pub(crate) fn unsorted_boundaries(&self) -> usize {
+        let tail = |q: &BoundaryQueue| q.buf.len() - q.sorted_to;
+        tail(&self.starts) + tail(&self.ends)
     }
 
     /// Feeds one event.
@@ -1900,6 +2001,172 @@ mod tests {
         // rejected, not silently misattributed.
         let err = sweep.push(&ev(EventKind::Cpu(CpuCategory::Python), "late", 0, 5)).unwrap_err();
         assert!(matches!(err, SweepError::OrderViolation { .. }), "{err}");
+    }
+
+    /// Pushes `(time, seq)` boundaries (meta unused) into a fresh queue.
+    fn queue_of(times: impl IntoIterator<Item = u64>) -> BoundaryQueue {
+        let mut q = BoundaryQueue::new();
+        for (seq, t) in times.into_iter().enumerate() {
+            q.push((t, seq as u32, 0));
+        }
+        q
+    }
+
+    /// `ensure_sorted` must leave the pending window exactly as one
+    /// stable sort by time of the whole window would — `seq` tells
+    /// equal-time boundaries apart — with no tail left.
+    fn assert_sorts_like_one_stable_sort(q: &mut BoundaryQueue) {
+        let mut expected = q.buf[q.head..].to_vec();
+        expected.sort_by_key(|b| b.0);
+        q.ensure_sorted();
+        assert_eq!(q.buf[q.head..], expected[..]);
+        assert_eq!(q.sorted_to, q.buf.len());
+        assert_eq!(q.min_time(), expected.first().map_or(u64::MAX, |b| b.0));
+    }
+
+    #[test]
+    fn boundary_queue_prefix_grows_while_pushes_arrive_in_order() {
+        let mut q = queue_of([1, 2, 2, 5]);
+        assert_eq!((q.sorted_to, q.buf.len()), (4, 4));
+        q.push((3, 4, 0));
+        q.push((9, 5, 0)); // in order after the break: still tail
+        assert_eq!((q.sorted_to, q.buf.len()), (4, 6));
+        assert_sorts_like_one_stable_sort(&mut q);
+        q.push((9, 6, 0));
+        assert_eq!(q.sorted_to, 7, "a sorted queue grows its prefix again");
+    }
+
+    /// Equal times on both sides of the prefix/tail split: the prefix's
+    /// boundaries stay first, and each side keeps its push order.
+    #[test]
+    fn boundary_queue_merge_keeps_push_order_at_equal_times() {
+        let mut q = queue_of([1, 5, 5, 7, 7, 9]);
+        for t in [5, 7, 1, 7, 5, 9, 9] {
+            q.push((t, q.buf.len() as u32, 0));
+        }
+        assert_eq!(q.sorted_to, 6);
+        assert_sorts_like_one_stable_sort(&mut q);
+        let seqs_at = |t: u64| -> Vec<u32> {
+            q.buf.iter().filter(|b| b.0 == t).map(|b| b.1).collect::<Vec<_>>()
+        };
+        assert_eq!(seqs_at(5), [1, 2, 6, 10]);
+        assert_eq!(seqs_at(7), [3, 4, 7, 9]);
+        assert_eq!(seqs_at(9), [5, 11, 12]);
+    }
+
+    /// Both merge directions: a long tail displacing a short prefix run
+    /// (the prefix run is the scratch) and a short tail displacing a
+    /// long one (the tail is the scratch), each also behind a drained
+    /// head the merge must not reach into.
+    #[test]
+    fn boundary_queue_merges_in_both_directions() {
+        for head in [0, 3] {
+            let long_tail = (0..10).map(|i| i * 10).chain((0..40).rev().map(|i| 55 + i * 3));
+            let mut q = queue_of(long_tail);
+            q.head = head;
+            q.min_time = q.buf[head].0;
+            assert_eq!(q.sorted_to, 11);
+            assert_sorts_like_one_stable_sort(&mut q);
+
+            let short_tail = (0..50).map(|i| i * 10).chain([205, 120, 120, 333]);
+            let mut q = queue_of(short_tail);
+            q.head = head;
+            q.min_time = q.buf[head].0;
+            assert_eq!(q.sorted_to, 50);
+            assert_sorts_like_one_stable_sort(&mut q);
+        }
+    }
+
+    /// A tail entirely at or after the prefix: the sort puts the tail in
+    /// order and the merge has nothing to move.
+    #[test]
+    fn boundary_queue_tail_after_the_prefix_needs_no_merge() {
+        let mut q = queue_of([1, 2, 3, 9, 7, 8, 3]);
+        let prefix = q.buf[..3].to_vec();
+        assert_eq!(q.sorted_to, 4);
+        assert_sorts_like_one_stable_sort(&mut q);
+        assert_eq!(q.buf[..3], prefix[..]);
+        let mut q = queue_of([1, 2, 3, 5, 4, 3]);
+        assert_sorts_like_one_stable_sort(&mut q);
+    }
+
+    /// One straggler landing 10⁵ positions back in an otherwise sorted
+    /// history (a whole-run scope closing last).
+    #[test]
+    fn boundary_queue_places_one_boundary_far_back() {
+        let n = 150_000u64;
+        let mut q = queue_of((0..n).map(|i| i * 2));
+        q.push((2 * (n - 100_000) + 1, n as u32, 0));
+        assert_eq!((q.sorted_to, q.buf.len()), (n as usize, n as usize + 1));
+        assert_sorts_like_one_stable_sort(&mut q);
+        assert_eq!(q.buf[(n - 100_000) as usize + 1].1, n as u32);
+    }
+
+    /// Bounded mode: partial drains advance the head, `compact` drops
+    /// the drained prefix, and the sorted-prefix length must follow —
+    /// checked on the queue itself and through a bounded sweep whose
+    /// stream is disordered within its lag.
+    #[test]
+    fn boundary_queue_compact_keeps_the_prefix_length_right() {
+        let mut q = queue_of((0..3000).map(|i| i * 10));
+        q.head = 2000; // what a partial drain leaves behind
+        q.min_time = q.buf[q.head].0;
+        q.compact();
+        assert_eq!((q.head, q.sorted_to, q.buf.len()), (0, 1000, 1000));
+        for t in [25_000, 24_995, 31_000, 20_000] {
+            q.push((t, 0, 0));
+        }
+        assert_eq!(q.sorted_to, 1000);
+        assert_sorts_like_one_stable_sort(&mut q);
+
+        let mut events = Vec::new();
+        for i in 0..4000u64 {
+            // Pairs swapped in time: every other push breaks the order.
+            let t = (i ^ 1) * 10;
+            events.push(ev(EventKind::Cpu(CpuCategory::Python), "py", t, t + 8));
+        }
+        let mut sweep = OverlapSweep::bounded(DurationNs::from_micros(100));
+        let mut compacted = false;
+        for (i, e) in events.iter().enumerate() {
+            let before = sweep.starts.buf.len();
+            sweep.push(e).unwrap();
+            compacted |= sweep.starts.buf.len() < before;
+            for q in [&sweep.starts, &sweep.ends] {
+                assert!(q.head <= q.sorted_to && q.sorted_to <= q.buf.len(), "event {i}");
+                assert!(q.buf[q.head..q.sorted_to].is_sorted_by_key(|b| b.0), "event {i}");
+            }
+        }
+        assert!(compacted, "the stream must be long enough to compact");
+        assert_eq!(sweep.finalize(), compute_overlap(&events));
+    }
+
+    /// `sort_pending` is idempotent, leaves nothing to sort, changes no
+    /// finalized table however often it runs, and a clone taken after it
+    /// carries the order with it.
+    #[test]
+    fn sort_pending_is_kept_work_not_observable_state() {
+        let mut events = Vec::new();
+        for i in 0..300u64 {
+            let t = i * 20;
+            // Recorded at close: the operation's start arrives last.
+            events.push(ev(EventKind::Cpu(CpuCategory::Python), "py", t + 2, t + 9));
+            events.push(ev(EventKind::Cpu(CpuCategory::CudaApi), "launch", t + 4, t + 6));
+            events.push(ev(EventKind::Operation, if i % 3 == 0 { "a" } else { "b" }, t, t + 12));
+        }
+        let expected = compute_overlap(&events);
+        let mut tidied = OverlapSweep::new();
+        for chunk in events.chunks(100) {
+            tidied.push_batch(chunk).unwrap();
+            assert!(tidied.unsorted_boundaries() > 0);
+            assert!(tidied.unsorted_boundaries() <= 2 * chunk.len());
+            tidied.sort_pending();
+            assert_eq!(tidied.unsorted_boundaries(), 0);
+            let order = (tidied.starts.buf.clone(), tidied.ends.buf.clone());
+            tidied.sort_pending();
+            assert_eq!((tidied.starts.buf.clone(), tidied.ends.buf.clone()), order);
+            assert_eq!(tidied.clone().unsorted_boundaries(), 0);
+        }
+        assert_eq!(tidied.finalize(), expected);
     }
 
     #[test]

@@ -315,7 +315,7 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
         client.finish().unwrap();
     }
     let expect_json = |sessions: Vec<(Arc<str>, &[Event])>| {
-        let states: Vec<(Arc<str>, LiveState)> = sessions
+        let mut states: Vec<(Arc<str>, LiveState)> = sessions
             .into_iter()
             .map(|(name, events)| {
                 let mut live = LiveState::new();
@@ -323,7 +323,7 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
                 (name, live)
             })
             .collect();
-        let tables: Vec<_> = states.iter().map(|(n, s)| (n.clone(), s.snapshot())).collect();
+        let tables: Vec<_> = states.iter_mut().map(|(n, s)| (n.clone(), s.snapshot())).collect();
         Analysis::of_sessions(tables.iter().map(|(n, t)| (n.clone(), SessionSource::Live(t))))
             .group_by([Dim::Session])
             .canonical_json()

@@ -739,6 +739,68 @@ fn tcp_transport_and_query_all_over_live_sessions() {
     collector.shutdown();
 }
 
+/// The daemon snapshots only the view a query reads, chosen by
+/// `LiveView::for_query` at both of its call sites (`QUERY` and
+/// `QUERY_ALL`). On a live 4-process session, asked from a second
+/// connection while chunks are still streaming in, a merged breakdown,
+/// an ungrouped `.process(pid)`, a `[Process]` grouping and a
+/// `QUERY_ALL` grouped `[Session, Process]` each equal the batch
+/// analysis of exactly the whole-chunk prefix the reply reports.
+#[test]
+fn live_queries_of_either_view_match_batch_over_the_reported_prefix() {
+    const CHUNK: usize = 512;
+    let (collector, socket) = bind("views");
+    // Four end-ordered per-process streams, interleaved event by event:
+    // every chunk carries all four pids and arrives out of start order.
+    let streams: Vec<Vec<Event>> = (0..4).map(|pid| session_events(pid, 4_000)).collect();
+    let longest = streams.iter().map(Vec::len).max().unwrap();
+    let events: Vec<Event> =
+        (0..longest).flat_map(|i| streams.iter().filter_map(move |s| s.get(i).cloned())).collect();
+
+    let mut producer = CollectorClient::open_session(&socket, "views").unwrap();
+    let mut dashboard = CollectorClient::connect(&socket).unwrap();
+    let mut prefixes = Vec::new();
+    for (i, chunk) in events.chunks(CHUNK).enumerate() {
+        producer.send_events(chunk).unwrap();
+        if i % 5 != 4 {
+            continue;
+        }
+        let specs = [
+            QuerySpec::session("views").group_by([Dim::Phase, Dim::Operation]),
+            QuerySpec::session("views").process(2),
+            QuerySpec::session("views").process(2).group_by([Dim::Phase]),
+            QuerySpec::session("views").group_by([Dim::Process]),
+        ];
+        for spec in &specs {
+            let reply = dashboard.query(spec).unwrap();
+            assert!(reply.live, "{spec:?}");
+            let observed = reply.events_observed as usize;
+            assert!(observed.is_multiple_of(CHUNK) && observed <= (i + 1) * CHUNK);
+            let mut batch = Analysis::of_events(&events[..observed]);
+            if let Some(pid) = spec.process {
+                batch = batch.process(ProcessId(pid));
+            }
+            let batch = batch.group_by(spec.dims.iter().copied()).canonical_json().unwrap();
+            assert_eq!(reply.canonical_json, batch, "{spec:?} at {observed}");
+            prefixes.push(observed);
+        }
+        let all = dashboard
+            .query_all(&QuerySpec::all_sessions().group_by([Dim::Session, Dim::Process]))
+            .unwrap();
+        assert!(all.live);
+        let prefix = &events[..all.events_observed as usize];
+        let batch = Analysis::of_events(prefix).group_by([Dim::Process]).tables().unwrap();
+        assert_eq!(all.groups.len(), batch.len());
+        for ((key, table), (batch_key, batch_table)) in all.groups.iter().zip(&batch) {
+            assert_eq!(key.session.as_deref(), Some("views"));
+            assert_eq!((key.process, table), (batch_key.process, batch_table));
+        }
+    }
+    assert!(prefixes.iter().any(|&p| p > 0 && p < events.len()), "no mid-ingest answer");
+    producer.finish().unwrap();
+    collector.shutdown();
+}
+
 fn rlscoped_bin() -> Option<PathBuf> {
     let mut bin = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     bin.push("target");

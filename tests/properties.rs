@@ -1,7 +1,7 @@
 //! Property-based tests on the profiler's core invariants.
 
 use proptest::prelude::*;
-use rlscope::core::analysis::{Analysis, Dim};
+use rlscope::core::analysis::{Analysis, Dim, LiveView};
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope::core::overlap::{
     compute_overlap, compute_overlap_columns, BreakdownTable, BucketKey, OverlapSweep,
@@ -91,6 +91,21 @@ fn arb_multiproc_full_event() -> impl Strategy<Value = Event> {
             TimeNs::from_nanos(start + len),
         )
     })
+}
+
+/// Canonical JSON of the queries that read one live view (the merged
+/// breakdown; the per-process grouping and every pid filtered out
+/// ungrouped), over whatever source `q` builds.
+fn live_view_answers<'a>(view: LiveView, q: impl Fn() -> Analysis<'a>) -> Vec<String> {
+    let mut queries = Vec::new();
+    if view != LiveView::PerProcess {
+        queries.push(q().group_by([Dim::Phase, Dim::Operation]));
+    }
+    if view != LiveView::Merged {
+        queries.push(q().group_by([Dim::Process]));
+        queries.extend((0..3).map(|pid| q().process(ProcessId(pid))));
+    }
+    queries.iter().map(|q| q.canonical_json().unwrap()).collect()
 }
 
 /// Naive O(n²) reference for the overlap sweep: for every elementary
@@ -648,6 +663,58 @@ proptest! {
 
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    /// Live snapshots sort the live sweeps in place, one increment at a
+    /// time, and take only the view asked for — neither may be
+    /// observable. A multi-pid stream on a coarse time grid (so equal
+    /// timestamps abound), in arbitrary order, is pushed in random-size
+    /// chunks with a snapshot of a random view after each: every
+    /// snapshot equals the batch analysis of exactly that prefix, a
+    /// repeated snapshot is identical, and the state snapshotted after
+    /// every chunk ends up answering as one that never was.
+    #[test]
+    fn live_snapshots_of_any_view_match_batch_at_every_prefix(
+        events in prop::collection::vec(arb_multiproc_full_event(), 0..80),
+        steps in prop::collection::vec((1usize..16, 0usize..3), 1..8),
+    ) {
+        use rlscope::core::analysis::{LiveState, LiveTables};
+
+        let events: Vec<Event> = events
+            .into_iter()
+            .map(|mut e| {
+                let grid = |t: TimeNs| TimeNs::from_nanos(t.as_nanos() / 50 * 50);
+                (e.start, e.end) = (grid(e.start), grid(e.end));
+                e
+            })
+            .collect();
+        let live_answers = |view: LiveView, tables: &LiveTables| {
+            live_view_answers(view, || Analysis::of_live(tables))
+        };
+
+        let mut snapshotted = LiveState::new();
+        let mut untouched = LiveState::new();
+        let mut fed = 0;
+        for &(len, view) in steps.iter().cycle() {
+            if fed == events.len() {
+                break;
+            }
+            let chunk = EventColumns::from_events(&events[fed..events.len().min(fed + len)]);
+            fed += chunk.len();
+            snapshotted.push_columns(&chunk).unwrap();
+            untouched.push_columns(&chunk).unwrap();
+            let view = [LiveView::Merged, LiveView::PerProcess, LiveView::Both][view];
+            let tables = snapshotted.snapshot_view(view).finalize();
+            prop_assert_eq!(tables.events_observed(), fed as u64);
+            let batch = live_view_answers(view, || Analysis::of_events(&events[..fed]));
+            prop_assert_eq!(&live_answers(view, &tables), &batch, "{:?} at {}", view, fed);
+            let again = snapshotted.snapshot_view(view).finalize();
+            prop_assert_eq!(&live_answers(view, &again), &batch, "{:?} again at {}", view, fed);
+        }
+        prop_assert_eq!(
+            live_answers(LiveView::Both, &snapshotted.snapshot()),
+            live_answers(LiveView::Both, &untouched.snapshot())
+        );
     }
 
     /// `reorder_chunk_dir` + a **zero-lag** bounded sweep reproduces the
