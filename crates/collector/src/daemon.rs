@@ -12,7 +12,7 @@ use crate::transport::Stream;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rlscope_core::analysis::{
-    Analysis, AnalysisError, LiveSnapshot, LiveState, LiveTables, LiveView, SessionSource,
+    Analysis, AnalysisError, LiveState, LiveTables, LiveView, SessionSource,
 };
 use rlscope_core::rollup::Rollup;
 use rlscope_core::store::{
@@ -291,15 +291,17 @@ pub struct RecoveredSession {
 ///   on it under the lock would deadlock. The guard only ever spans a
 ///   lookup, an in-place update, or the claim of a name (check, wipe,
 ///   insert), none of which talks to an owner.
-/// - The owner never runs [`Analysis`] and never drains a sweep: it
-///   tidies and copies the sweeps of the one [`LiveView`] the query
-///   reads ([`LiveState::snapshot_view`]) and hands out the owned
-///   [`LiveSnapshot`]; the drain ([`LiveSnapshot::finalize`]) and the
-///   query run on the asking connection's thread. Chunk acks queued
-///   behind a snapshot therefore wait for a copy, not for a sweep.
-/// - A live-cache hit never takes a snapshot: queries ask
-///   [`Msg::Status`] for the prefix length first and only ask for
-///   [`Msg::Snapshot`] on a miss.
+/// - The owner never runs [`Analysis`], and it drains only what arrived
+///   since the last valid checkpoint: a snapshot
+///   ([`LiveState::snapshot_view`], for the one [`LiveView`] the query
+///   reads) resumes each sweep's drain where the previous snapshot left
+///   it and hands out finished [`LiveTables`]; the query over them runs
+///   on the asking connection's thread. Chunk acks queued behind a
+///   snapshot wait for the chunks since the last one (worst case: the
+///   span of the latest late-closing scope), never the whole prefix.
+/// - A live query makes one trip through the mailbox: the
+///   [`Msg::Snapshot`] reply carries the prefix length, which keys the
+///   live cache (a hit drops the tables unread).
 struct Session {
     name: String,
     /// Server-assigned id, stable across detach/resume.
@@ -346,8 +348,9 @@ enum Msg {
     Finish { reply: Sender<Result<(u64, u64), ConnError>> },
     /// Whether a connection is attached, and the events observed so far.
     Status { reply: Sender<(bool, u64)> },
-    /// Owned, undrained copies of the live sweeps `view` covers.
-    Snapshot { view: LiveView, reply: Sender<LiveSnapshot> },
+    /// The finished tables of the live sweeps `view` covers, and with
+    /// them the events observed so far.
+    Snapshot { view: LiveView, reply: Sender<LiveTables> },
     /// The timer's idle check: abort when no chunk or attach arrived
     /// for this long. Ordered behind the chunks already in flight, so a
     /// session is never reaped mid-apply.
@@ -1684,32 +1687,28 @@ fn handle_query(daemon: &Daemon, writer: &SharedWriter, payload: &[u8]) -> Resul
 fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError> {
     match &spec.target {
         QueryTarget::Session(name) => {
-            // `Status` queues behind every chunk acked so far, so the
-            // prefix it reports (and any later snapshot) covers them.
-            let (session, events_observed) =
-                match daemon.route(name, |reply| Msg::Status { reply })? {
+            // The snapshot queues behind every chunk acked so far, so
+            // the prefix it covers includes them.
+            let view = live_view(spec);
+            let (session, tables) =
+                match daemon.route(name, |reply| Msg::Snapshot { view, reply })? {
                     // The directory holds exactly the durable acked prefix.
                     Routed::Settled(settled) => return tiered_query(daemon, name, settled, spec),
-                    Routed::Open(session, (_, events_observed)) => (session, events_observed),
+                    Routed::Open(session, tables) => (session, tables),
                 };
-            let live = |cache_hit, events_observed, canonical_json| {
+            let events_observed = tables.events_observed();
+            let live = |cache_hit, canonical_json| {
                 Ok(QueryReply { live: true, cache_hit, events_observed, canonical_json })
             };
-            let key = |events| (session.name.clone(), session.epoch, events, spec.encode());
-            if let Some(json) = daemon.live_cache.lock().get(&key(events_observed)) {
-                return live(true, events_observed, json);
+            let key = (session.name.clone(), session.epoch, events_observed, spec.encode());
+            if let Some(json) = daemon.live_cache.lock().get(&key) {
+                return live(true, json);
             }
-            let view = live_view(spec);
-            let Some(snapshot) = session.ask(|reply| Msg::Snapshot { view, reply }) else {
-                // Settled between the two questions: route again.
-                return run_query(daemon, spec);
-            };
-            let tables = snapshot.finalize();
             let json = apply_spec(Analysis::of_live(&tables), spec)
                 .canonical_json()
                 .map_err(analysis_err)?;
-            daemon.live_cache.lock().insert(key(tables.events_observed()), json.clone());
-            live(false, tables.events_observed(), json)
+            daemon.live_cache.lock().insert(key, json.clone());
+            live(false, json)
         }
         QueryTarget::Dir(path) => {
             let dir = PathBuf::from(path);
@@ -1782,8 +1781,7 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
     let view = live_view(spec);
     for (name, _) in daemon.entries() {
         let snapshot = match daemon.route(&name, |reply| Msg::Snapshot { view, reply }) {
-            Ok(Routed::Open(_, snapshot)) => {
-                let tables = snapshot.finalize();
+            Ok(Routed::Open(_, tables)) => {
                 events_observed += tables.events_observed();
                 any_live = true;
                 SessionSnapshot::Live(tables)

@@ -199,9 +199,13 @@
 //! prefix; see the `analysis` module docs ("Live-query consistency")
 //! for exactly what a mid-run query observes. The snapshot covers only
 //! the view the query reads (the merged stream, or the per-process
-//! sweeps for process grouping or a process filter), and draining it
-//! and the query itself run on the asking connection's thread: a live
-//! query costs one view's clone and drain, proportional to the prefix.
+//! sweeps for process grouping or a process filter). The owner resumes
+//! each sweep's drain from a checkpoint of the previous snapshot and
+//! hands back finished tables; the query over them runs on the asking
+//! connection's thread. A live query therefore costs what arrived since
+//! the last one of the same view (worst case, the span of the latest
+//! late-closing scope), not the prefix, and one trip through the
+//! owner's mailbox.
 //! Live results are cached keyed by
 //! `(name, epoch, events observed, query bytes)` — a prefix is immutable once
 //! observed, so equal keys are answer-equal, including across a restart

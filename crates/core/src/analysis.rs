@@ -126,15 +126,25 @@
 //!   events of the session stream, never a partially-applied chunk, and
 //!   its result equals the batch analysis of that prefix table for table
 //!   (canonical JSON included).
-//! * **A snapshot tidies, it does not change.** Taking a snapshot puts
-//!   the pending boundaries of the live sweeps it covers in order, in
-//!   place ([`OverlapSweep::sort_pending`]), so that history is sorted
-//!   once and the next snapshot sorts only what arrived since. The order
-//!   is the one a single stable sort at the end would produce, so no
-//!   answer — of this snapshot, a later one, or the finished session —
-//!   depends on whether, when, or for which [`LiveView`] snapshots were
-//!   taken. The cost that remains is one clone and one drain of the
-//!   view's sweeps, still proportional to the prefix.
+//! * **A snapshot reads, it does not change.** Taking a snapshot puts
+//!   the boundary logs of the live sweeps it covers in order, in place,
+//!   and drains them *beside* the sweeps
+//!   ([`OverlapSweep::tables_so_far`]), resuming from a checkpoint the
+//!   previous snapshot left and leaving its own behind. The order is
+//!   the one a single stable sort at the end would produce and a
+//!   resumed drain meets the boundaries as one uninterrupted drain
+//!   would, so no answer — of this snapshot, a later one, or the
+//!   finished session — depends on whether, when, or for which
+//!   [`LiveView`] snapshots were taken.
+//! * **A snapshot costs what arrived since the last one** of the same
+//!   sweep, whatever the length of the prefix behind it; nothing is
+//!   drained when a chunk is pushed. The one thing that costs more is
+//!   an enclosing scope that closes late — the profiler records an
+//!   operation after its children and a phase when it ends, seconds
+//!   after it began: its start lands behind work already drained, and
+//!   the next snapshot re-drains from the checkpoint before that start.
+//!   The worst case is the span of the latest late-closing scope, never
+//!   the session's age.
 //! * **Monotonicity.** Later queries observe a superset prefix; totals
 //!   for any fixed filter never decrease between queries. This holds
 //!   across a collector crash and restart too: recovery replays the
@@ -152,12 +162,24 @@
 //! * **Supported queries.** Phase/process/operation filters and every
 //!   `group_by` combination run with batch-identical semantics, over a
 //!   snapshot that holds the view the query reads
-//!   ([`LiveView::for_query`]; [`LiveState::snapshot`] holds both) — a
-//!   read of an absent view is [`AnalysisError::Unsupported`].
-//!   [`Analysis::time_window`] and [`Analysis::corrected`] are
-//!   unsupported over live snapshots (no event-level granularity, no
-//!   book-keeping counters); once the session finishes, its chunk
-//!   directory supports the full query surface.
+//!   ([`LiveView::for_query`]; [`LiveState::snapshot`] holds both).
+//!   Three reads answer [`AnalysisError::Unsupported`] instead, for
+//!   three different reasons:
+//!   - *A view the snapshot was taken without.* Not a gap: the asker
+//!     named the view, and an absent one is an error rather than an
+//!     empty table.
+//!   - *[`Analysis::time_window`].* Unimplemented, not fundamental. A
+//!     live sweep keeps its whole boundary log and attribution is
+//!     additive over any partition of the time axis, so a window's
+//!     table is the difference of two drain states (one parked at each
+//!     edge) — the checkpoints snapshots already leave are most of the
+//!     machinery. Nothing builds that yet; once the session finishes,
+//!     its chunk directory answers any window.
+//!   - *[`Analysis::corrected`].* Fundamental to what is streamed, not
+//!     to being live: chunks carry events, not the profiler's
+//!     book-keeping counters, so no collector-side source — live,
+//!     finished directory or rollup — can subtract overhead. Correction
+//!     needs a trace-backed source ([`Analysis::of`]).
 //!
 //! # Cross-session composition and `Dim::Session`
 //!
@@ -402,8 +424,8 @@ pub enum SessionSource<'a> {
 
 /// Which of a live session's two sweep layouts a query reads: the
 /// merged-stream sweep, the per-process sweeps, or both. A snapshot
-/// costs a clone and a drain of every sweep it covers, and a query reads
-/// exactly one layout, so the asker names it
+/// sorts and drains what is new in every sweep it covers, and a query
+/// reads exactly one layout, so the asker names it
 /// ([`LiveView::for_query`]) and [`LiveState::snapshot_view`] touches
 /// nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,21 +470,20 @@ impl LiveView {
 /// `rlscope-collector` daemon's mid-session queries.
 ///
 /// Feed accepted chunks with [`LiveState::push_columns`] as they arrive;
-/// at any point, [`LiveState::snapshot_view`] captures the sweeps one
-/// [`LiveView`] needs and [`LiveSnapshot::finalize`] materializes
-/// [`LiveTables`] — the finalized tables over exactly the events
-/// observed so far — and [`Analysis::of_live`] answers queries over them
-/// with batch-identical semantics (see the [module docs](crate::analysis)
-/// on live-query consistency). [`LiveState::snapshot`] is both steps
-/// over both views.
+/// at any point, [`LiveState::snapshot_view`] returns [`LiveTables`] —
+/// the finalized tables of the sweeps one [`LiveView`] needs, over
+/// exactly the events observed so far — and [`Analysis::of_live`]
+/// answers queries over them with batch-identical semantics (see the
+/// [module docs](crate::analysis) on live-query consistency).
+/// [`LiveState::snapshot`] is the same over both views.
 ///
-/// A snapshot **tidies** the live sweeps it covers
-/// ([`OverlapSweep::sort_pending`]) before cloning them, which is why it
-/// takes `&mut self`: the pending boundaries are put in order once, in
-/// the sweeps that live on, and each later snapshot sorts only the
-/// boundaries pushed since the last one instead of the whole prefix
-/// again. Nothing observable changes — what any later snapshot, or the
-/// sweeps themselves, finalize to is the same with or without it.
+/// A snapshot takes `&mut self` because it **keeps its work** in the
+/// sweeps it read ([`OverlapSweep::tables_so_far`]): their boundary logs
+/// are put in order once, in place, and each drain leaves checkpoints
+/// from which the next one resumes, so a snapshot sorts and drains what
+/// was pushed since the previous one (plus, when an enclosing scope
+/// closed late, a re-drain from that scope's start). Nothing observable
+/// changes, and pushing a chunk never drains.
 ///
 /// Internally this mirrors the chunk-dir executor's sweep layout: one
 /// phase-tagged exact [`OverlapSweep`] per process, plus a merged-stream
@@ -470,9 +491,9 @@ impl LiveView {
 /// merged stream *is* that process's stream, so the merged sweep is not
 /// materialized until a second process appears — at which point the
 /// first process's sweep (fed the identical prefix) is cloned into
-/// place. Single-process sessions — the common case — therefore pay one
-/// sweep push per event, not two, and one clone and drain per snapshot
-/// whichever view is asked.
+/// place, checkpoints included. Single-process sessions — the common
+/// case — therefore pay one sweep push per event, not two, and one
+/// resumed drain per snapshot whichever view is asked.
 #[derive(Debug, Clone, Default)]
 pub struct LiveState {
     /// Merged-stream sweep; `None` while at most one process is live
@@ -481,12 +502,23 @@ pub struct LiveState {
     per_process: Vec<(ProcessId, OverlapSweep)>,
     slot_of: HashMap<ProcessId, usize>,
     events: u64,
+    /// Test support ([`LiveState::with_checkpoint_spacing`]).
+    checkpoint_spacing: Option<usize>,
 }
 
 impl LiveState {
     /// Empty live state.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Test support, not a tuning knob: an empty live state whose sweeps
+    /// lay a drain checkpoint every `ends` event ends
+    /// ([`OverlapSweep::with_checkpoint_spacing`]), so that streams of a
+    /// few dozen events exercise resumes and roll-backs.
+    #[doc(hidden)]
+    pub fn with_checkpoint_spacing(ends: usize) -> Self {
+        LiveState { checkpoint_spacing: Some(ends), ..Self::default() }
     }
 
     /// Events accepted so far (including zero-length and phase events).
@@ -518,7 +550,11 @@ impl LiveState {
                     self.merged = Some(self.per_process[0].1.clone());
                 }
                 let slot = self.per_process.len();
-                self.per_process.push((pid, OverlapSweep::new().with_phase_tagging()));
+                let mut sweep = OverlapSweep::new().with_phase_tagging();
+                if let Some(ends) = self.checkpoint_spacing {
+                    sweep = sweep.with_checkpoint_spacing(ends);
+                }
+                self.per_process.push((pid, sweep));
                 self.slot_of.insert(pid, slot);
             }
         }
@@ -533,67 +569,32 @@ impl LiveState {
         Ok(())
     }
 
-    /// The cheap half of a snapshot: tidies the sweeps `view` covers in
-    /// place (see the type docs) and clones them — a copy, no drain — as
-    /// a consistent prefix of exactly the events pushed so far. Pushing
-    /// may continue afterwards; [`LiveSnapshot::finalize`] can run on
-    /// any thread.
-    pub fn snapshot_view(&mut self, view: LiveView) -> LiveSnapshot {
-        let tidy_clone = |sweep: &mut OverlapSweep| {
-            sweep.sort_pending();
-            sweep.clone()
-        };
+    /// The finalized tables of the sweeps `view` covers, over exactly
+    /// the events pushed so far ([`OverlapSweep::tables_so_far`] on
+    /// each). Pushing may continue afterwards. A single-process
+    /// session's one sweep is read once and its tables shared by both
+    /// views.
+    pub fn snapshot_view(&mut self, view: LiveView) -> LiveTables {
         // With no merged sweep the merged stream is the (at most one)
-        // process's stream: one clone serves both views.
+        // process's stream.
         let shared = self.merged.is_none();
-        let per_process: Vec<(ProcessId, OverlapSweep)> = if view.per_process() || shared {
-            self.per_process.iter_mut().map(|(pid, sweep)| (*pid, tidy_clone(sweep))).collect()
+        let per_process: Vec<(ProcessId, PhaseTables)> = if view.per_process() || shared {
+            self.per_process.iter_mut().map(|(pid, sweep)| (*pid, sweep.tables_so_far())).collect()
         } else {
             Vec::new()
         };
-        let merged = self.merged.as_mut().filter(|_| view.merged()).map(tidy_clone);
-        LiveSnapshot { view, merged, per_process, events: self.events }
-    }
-
-    /// Materializes the finalized tables of **both** views over exactly
-    /// the events pushed so far:
-    /// `snapshot_view(LiveView::Both).finalize()`.
-    pub fn snapshot(&mut self) -> LiveTables {
-        self.snapshot_view(LiveView::Both).finalize()
-    }
-}
-
-/// Owned copies of the live sweeps one [`LiveView`] needs, taken by
-/// [`LiveState::snapshot_view`] and not yet drained. Whoever holds it
-/// pays for the drain ([`LiveSnapshot::finalize`]) — in the collector
-/// that is the asking connection's thread, never the session's owner.
-#[derive(Debug)]
-pub struct LiveSnapshot {
-    view: LiveView,
-    /// The merged-stream sweep, when the view covers it and the session
-    /// has one; a single-process session's merged view is
-    /// `per_process[0]`.
-    merged: Option<OverlapSweep>,
-    per_process: Vec<(ProcessId, OverlapSweep)>,
-    events: u64,
-}
-
-impl LiveSnapshot {
-    /// The expensive half: drains every captured sweep to its per-phase
-    /// tables. A single-process session's one sweep is drained once and
-    /// its tables shared by both views.
-    pub fn finalize(self) -> LiveTables {
-        let per_process: Vec<(ProcessId, PhaseTables)> = self
-            .per_process
-            .into_iter()
-            .map(|(pid, sweep)| (pid, sweep.finalize_grouped()))
-            .collect();
-        let merged = self.view.merged().then(|| match self.merged {
-            Some(sweep) => sweep.finalize_grouped(),
+        let merged = view.merged().then(|| match &mut self.merged {
+            Some(sweep) => sweep.tables_so_far(),
             None => per_process.first().map(|(_, t)| t.clone()).unwrap_or_default(),
         });
-        let per_process = self.view.per_process().then_some(per_process);
+        let per_process = view.per_process().then_some(per_process);
         LiveTables { merged, per_process, events: self.events }
+    }
+
+    /// The finalized tables of **both** views over exactly the events
+    /// pushed so far: `snapshot_view(LiveView::Both)`.
+    pub fn snapshot(&mut self) -> LiveTables {
+        self.snapshot_view(LiveView::Both)
     }
 }
 
@@ -729,10 +730,11 @@ impl<'a> Analysis<'a> {
     /// operation filters and every [`Analysis::group_by`] combination
     /// behave exactly as over the equivalent batch source, provided the
     /// snapshot holds the view they read; [`Analysis::time_window`] is
-    /// unsupported (sweep state has no event-level granularity — window
-    /// queries go to the session's chunk directory instead), as is
-    /// [`Analysis::corrected`] (no book-keeping counters). See the
-    /// [module docs](crate::analysis) on live-query consistency.
+    /// unsupported (finished tables have no event-level granularity —
+    /// window queries go to the session's chunk directory instead), as
+    /// is [`Analysis::corrected`] (no book-keeping counters). See the
+    /// [module docs](crate::analysis) on live-query consistency, which
+    /// say of each gap whether it is fundamental.
     pub fn of_live(tables: &'a LiveTables) -> Self {
         Self::new(Source::Live(tables))
     }
@@ -2546,8 +2548,8 @@ mod tests {
 
     /// With no merged sweep a session's one sweep serves both views: a
     /// merged-only, a per-process-only and a both-view snapshot each
-    /// capture it once and each equal batch — and still do once a second
-    /// pid has promoted the merged sweep mid-stream.
+    /// equal batch and read that sweep alone — and still equal batch
+    /// once a second pid has promoted the merged sweep mid-stream.
     #[test]
     fn single_process_snapshots_share_one_sweep_across_views() {
         let events = phased_events();
@@ -2555,19 +2557,12 @@ mod tests {
         for prefix in [6, events.len()] {
             live.push_columns(&EventColumns::from_events(&events[live.events as usize..prefix]))
                 .unwrap();
-            let single = prefix == 6;
-            assert_eq!(live.merged.is_none(), single);
+            assert_eq!(live.merged.is_none(), prefix == 6);
             for view in [LiveView::Merged, LiveView::PerProcess, LiveView::Both] {
-                let snapshot = live.snapshot_view(view);
-                assert_eq!(snapshot.events, prefix as u64);
-                let sweeps = snapshot.per_process.len() + usize::from(snapshot.merged.is_some());
-                let expect = match (single, view) {
-                    (true, _) | (false, LiveView::Merged) => 1,
-                    (false, LiveView::PerProcess) => 2,
-                    (false, LiveView::Both) => 3,
-                };
-                assert_eq!(sweeps, expect, "{view:?} at {prefix}");
-                let tables = snapshot.finalize();
+                let tables = live.snapshot_view(view);
+                assert_eq!(tables.events, prefix as u64);
+                assert_eq!(tables.merged.is_some(), view.merged(), "{view:?} at {prefix}");
+                assert_eq!(tables.per_process.is_some(), view.per_process(), "{view:?}");
                 assert_eq!(
                     view_queries(view, || Analysis::of_live(&tables)),
                     view_queries(view, || Analysis::of_events(&events[..prefix])),
@@ -2583,7 +2578,7 @@ mod tests {
     fn absent_live_view_is_unsupported() {
         let mut live = LiveState::new();
         live.push_columns(&EventColumns::from_events(&phased_events())).unwrap();
-        let merged_only = live.snapshot_view(LiveView::Merged).finalize();
+        let merged_only = live.snapshot_view(LiveView::Merged);
         for q in [
             Analysis::of_live(&merged_only).group_by([Dim::Process]),
             Analysis::of_live(&merged_only).process(ProcessId(1)),
@@ -2592,7 +2587,7 @@ mod tests {
             assert!(matches!(err, AnalysisError::Unsupported(_)), "{err}");
         }
         assert!(!Analysis::of_live(&merged_only).table().unwrap().is_empty());
-        let per_process_only = live.snapshot_view(LiveView::PerProcess).finalize();
+        let per_process_only = live.snapshot_view(LiveView::PerProcess);
         let err = Analysis::of_live(&per_process_only).table().unwrap_err();
         assert!(matches!(err, AnalysisError::Unsupported(_)), "{err}");
     }
@@ -2613,7 +2608,7 @@ mod tests {
         ];
         for (dims, filter, view) in cases {
             assert_eq!(LiveView::for_query(dims, filter), view, "{dims:?} {filter:?}");
-            let tables = live.snapshot_view(view).finalize();
+            let tables = live.snapshot_view(view);
             let dims = dims.iter().copied().filter(|d| *d != Dim::Session);
             let mut q = Analysis::of_live(&tables).group_by(dims);
             if let Some(pid) = filter {
@@ -2677,6 +2672,72 @@ mod tests {
         assert_eq!(
             view_queries(LiveView::Both, || Analysis::of_live(&twice)),
             view_queries(LiveView::Both, || Analysis::of_events(&first))
+        );
+    }
+
+    /// Drain what arrived: a snapshot one chunk after the previous one
+    /// drains about that chunk — behind a 100k-event prefix and behind a
+    /// 600k-event one alike — an immediate repeat drains nothing, and a
+    /// scope that starts at `t` but is pushed late rolls the drain back
+    /// to the checkpoint before `t`, not to the first boundary.
+    #[test]
+    fn snapshots_drain_only_what_arrived_since_the_last_valid_checkpoint() {
+        use crate::overlap::{CHECKPOINT_SPACING, LADDER_THINNING};
+        const CHUNK: usize = 512;
+        // Close-ordered, four processes in turn: a step's operation is
+        // recorded after the activity it encloses, so every chunk brings
+        // starts from before the end of the one before.
+        let mut events: Vec<Event> = (0..200_000u64)
+            .flat_map(|i| {
+                let (t, pid) = (i * 10, (i % 4) as u32);
+                [
+                    ev(pid, EventKind::Cpu(CpuCategory::Python), "py", t + 1, t + 4),
+                    ev(pid, EventKind::Cpu(CpuCategory::Simulator), "sim", t + 2, t + 5),
+                    ev(pid, EventKind::Operation, "step", t, t + 6),
+                ]
+            })
+            .collect();
+        // Merged sweep first, then each process's.
+        let drained = |live: &LiveState| -> Vec<usize> {
+            let per = live.per_process.iter().map(|(_, sweep)| sweep.last_drained());
+            live.merged.iter().map(OverlapSweep::last_drained).chain(per).collect()
+        };
+        let mut live = LiveState::new();
+        let mut fed = 0;
+        for at in [100_000, 600_000] {
+            for chunk in events[fed..at - CHUNK].chunks(CHUNK) {
+                live.push_columns(&EventColumns::from_events(chunk)).unwrap();
+            }
+            live.snapshot();
+            live.push_columns(&EventColumns::from_events(&events[at - CHUNK..at])).unwrap();
+            fed = at;
+            live.snapshot();
+            let one_chunk_later = drained(&live);
+            assert_eq!(one_chunk_later.len(), 5);
+            for n in one_chunk_later {
+                assert!(0 < n && n <= 2 * CHUNK + 4 * CHECKPOINT_SPACING, "{n} drained at {at}");
+            }
+            live.snapshot();
+            assert_eq!(drained(&live), [0; 5], "nothing arrived since");
+        }
+
+        let late = TimeNs::from_micros(1_500_000);
+        events.push(ev(0, EventKind::Phase, "late", 1_500_000, 2_000_010));
+        live.push_columns(&EventColumns::from_events(&events[fed..])).unwrap();
+        let tables = live.snapshot();
+        let behind = |pid: Option<u32>| {
+            let of_pid = events.iter().filter(|e| pid.is_none_or(|pid| e.pid == ProcessId(pid)));
+            of_pid.map(|e| usize::from(e.start >= late) + usize::from(e.end >= late)).sum::<usize>()
+        };
+        let rolled_back = drained(&live);
+        for (n, behind) in [(rolled_back[0], behind(None)), (rolled_back[1], behind(Some(0)))] {
+            let overshoot = 2 * CHECKPOINT_SPACING + behind / LADDER_THINNING;
+            assert!(behind <= n && n <= behind + overshoot, "{n} drained, {behind} behind t");
+        }
+        assert_eq!(rolled_back[2..], [0; 3], "the other processes saw nothing new");
+        assert_eq!(
+            view_queries(LiveView::Both, || Analysis::of_live(&tables)),
+            view_queries(LiveView::Both, || Analysis::of_events(&events))
         );
     }
 

@@ -24,13 +24,15 @@
 //!   (e.g. one decoded trace chunk at a time), are reduced immediately to
 //!   compact boundary records, and the same sweep finalizes to an
 //!   identical [`BreakdownTable`]. See the type docs for the memory
-//!   contract of its exact and bounded modes. Its pending boundaries
-//!   sit in a sorted prefix plus an unsorted tail (`BoundaryQueue`):
-//!   only out-of-order pushes are ever sorted, once, and merged into
-//!   the prefix, so a long-lived sweep that is cloned again and again
-//!   (a live session under a dashboard) can keep its history in order
-//!   with [`OverlapSweep::sort_pending`] instead of re-sorting it in
-//!   every clone.
+//!   contract of its exact and bounded modes. Pushed boundaries go to
+//!   an append-only log — per side, a sorted prefix plus an unsorted
+//!   tail (`BoundaryQueue`): only out-of-order pushes are ever sorted,
+//!   once, and merged into the prefix — and what a drain has computed
+//!   is a small value beside the log (`DrainState`), so a long-lived
+//!   sweep that is read again and again (a live session under a
+//!   dashboard) resumes each read from a checkpoint of the last
+//!   ([`OverlapSweep::tables_so_far`]) instead of draining its history
+//!   from the start.
 //!
 //! Each path reads events through one body: the batch boundary encoder
 //! and the streaming push are generic over the store's `EventRow`
@@ -709,7 +711,7 @@ fn merge_encoded(batch: EncodedBatch) -> (Interner, Interner, Vec<u64>) {
         if have_prev && t > prev_t {
             if cpu_mask != 0 || gpu_active > 0 {
                 if phase_dirty {
-                    cur_phase = innermost_eligible_phase(&pid_activity, &pid_phase_stacks);
+                    cur_phase = innermost_eligible_phase(&pid_activity, &pid_phase_stacks, |&e| e);
                     phase_dirty = false;
                 }
                 let tag = FINEST_TAG[cpu_mask] as usize;
@@ -820,14 +822,19 @@ fn merge_encoded(batch: EncodedBatch) -> (Interner, Interner, Vec<u64>) {
 /// among processes with at least one active CPU/GPU event, the open
 /// phase with the latest activation order wins; [`NO_PHASE`] (id 0) when
 /// no active process has an open phase. Shared by the batch and
-/// streaming engines so both resolve identical tags.
-fn innermost_eligible_phase(pid_activity: &[u32], pid_phase_stacks: &[Vec<(u32, u32)>]) -> u32 {
+/// streaming engines so both resolve identical tags; `entry` reads the
+/// `(activation order, phase id)` of an engine's stack entry.
+fn innermost_eligible_phase<E>(
+    pid_activity: &[u32],
+    pid_phase_stacks: &[Vec<E>],
+    entry: impl Fn(&E) -> (u32, u32),
+) -> u32 {
     let mut best: Option<(u32, u32)> = None;
     for (p, stack) in pid_phase_stacks.iter().enumerate() {
         if pid_activity[p] == 0 {
             continue;
         }
-        if let Some(&(activation, id)) = stack.last() {
+        if let Some((activation, id)) = stack.last().map(&entry) {
             if best.is_none_or(|(a, _)| activation > a) {
                 best = Some((activation, id));
             }
@@ -870,25 +877,32 @@ impl fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// A pending interval boundary: ordered by `(time, seq)` so that
-/// same-time operation/phase starts pop in arrival order, matching the
-/// batch engine's stable event-order tie-break. `meta` is a kind code
-/// (`0..=4`) for CPU/GPU events, `8 + op_id` for operations, or
-/// [`META_PHASE_FLAG`]`| phase_id` for tracked phases.
+/// A logged interval boundary `(time, seq, meta)`. Only the time is ever
+/// compared; same-time boundaries keep push order (see
+/// [`BoundaryQueue`]). For CPU/GPU events `meta` is a kind code
+/// (`0..=4`) and `seq` carries the event's dense pid index. For
+/// operations `meta` is `8 + op_id`, for tracked phases
+/// [`META_PHASE_FLAG`]` | key` with `key` indexing the log's interned
+/// `(phase id, pid index)` pairs, and `seq` is the event's arrival
+/// number — the scope's identity, by which its end finds the entry its
+/// start pushed on a drain's stack.
 type Boundary = (u64, u32, u32);
 
-/// The sweep's pending-boundary set: a **sorted prefix plus an unsorted
-/// tail** in one append-only buffer, replacing the binary heaps the
-/// incremental sweep used to carry.
+/// One side (starts or ends) of the sweep's boundary log: a **sorted
+/// prefix plus an unsorted tail** in one append-only buffer, replacing
+/// the binary heaps the incremental sweep used to carry.
 ///
 /// Profiler streams push boundaries in near-ascending time order, so the
-/// buffer is simply appended to and popped from the front — no per-push
-/// sift-up, no per-pop sift-down, and the drained prefix is reclaimed in
-/// bulk. `buf[head..sorted_to]` is ascending; a push extends that prefix
-/// while pushes keep arriving in order, and the first one that does not
-/// starts the tail `buf[sorted_to..]`, which nothing orders until
-/// someone needs the order ([`BoundaryQueue::ensure_sorted`]: a drain,
-/// or a live snapshot tidying the queue before it is cloned).
+/// buffer is simply appended to and read by index — no per-push sift-up,
+/// no per-pop sift-down. `buf[..sorted_to]` is ascending; a push extends
+/// that prefix while pushes keep arriving in order, and the first one
+/// that does not starts the tail `buf[sorted_to..]`, which nothing
+/// orders until someone needs the order
+/// ([`BoundaryQueue::ensure_sorted`], at the start of any drain). The
+/// queue holds no read position: positions belong to the drain states
+/// that walk it ([`DrainState`]), and only a bounded sweep, whose one
+/// state consumes for good, ever reclaims what lies behind it
+/// ([`BoundaryQueue::compact`]).
 ///
 /// **Merge rule.** `ensure_sorted` sorts the *tail only* (the same
 /// near-sorted repair sort as the batch encoder, O(tail) on the shapes
@@ -897,11 +911,13 @@ type Boundary = (u64, u32, u32);
 /// minimum's insertion point on, and the shorter of the two runs is the
 /// one copied to scratch. The prefix was pushed before the tail and each
 /// side keeps its own push order, so the result is bit for bit the one
-/// stable sort of the whole pending window by time — which is why it
-/// does not matter *when* or *how often* the queue is put in order:
-/// history is sorted once, and each later call pays for the boundaries
-/// pushed since the previous one. A fully sorted stream never sorts at
-/// all.
+/// stable sort of the whole buffer by time — which is why it does not
+/// matter *when* or *how often* the queue is put in order: history is
+/// sorted once, and each later call pays for the boundaries pushed since
+/// the previous one. A fully sorted stream never sorts at all. It is
+/// also why a drain state parked at a position stays right for as long
+/// as every later push has a time above the last one it processed: such
+/// a push can only land behind it.
 ///
 /// **Why ties are safe.** Only the time is compared. Same-time
 /// boundaries keep push order, exactly as under a stable sort of the
@@ -911,26 +927,19 @@ type Boundary = (u64, u32, u32);
 #[derive(Debug, Clone)]
 struct BoundaryQueue {
     buf: Vec<Boundary>,
-    /// Boundaries before this index are already drained.
-    head: usize,
-    /// `buf[head..sorted_to]` is ascending by time; `buf[sorted_to..]`
-    /// is the unsorted tail. `head <= sorted_to <= buf.len()`.
+    /// `buf[..sorted_to]` is ascending by time; `buf[sorted_to..]` is the
+    /// unsorted tail.
     sorted_to: usize,
-    /// Smallest pending time (`u64::MAX` when empty) — maintained across
-    /// pushes and pops so a bounded-lag drain that cannot make progress
+    /// Smallest time not yet consumed by a bounded sweep's drain
+    /// (`u64::MAX` when there is none) — maintained across pushes and
+    /// consuming drains so a bounded-lag drain that cannot make progress
     /// returns without consulting (or sorting) the buffer at all.
     min_time: u64,
 }
 
-impl Default for BoundaryQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BoundaryQueue {
     fn new() -> Self {
-        BoundaryQueue { buf: Vec::new(), head: 0, sorted_to: 0, min_time: u64::MAX }
+        BoundaryQueue { buf: Vec::new(), sorted_to: 0, min_time: u64::MAX }
     }
 
     #[inline]
@@ -946,9 +955,8 @@ impl BoundaryQueue {
         self.buf.push(b);
     }
 
-    /// Puts the whole pending window `buf[head..]` in ascending time
-    /// order (see the type docs for the merge rule). Free when there is
-    /// no tail.
+    /// Puts the whole buffer in ascending time order (see the type docs
+    /// for the merge rule). Free when there is no tail.
     fn ensure_sorted(&mut self) {
         let split = self.sorted_to;
         if split == self.buf.len() {
@@ -963,30 +971,27 @@ impl BoundaryQueue {
         // Prefix boundaries at or before the tail's minimum are already
         // in their final place (the prefix wins ties).
         let tail_min = self.buf[split].0;
-        let from = self.head + self.buf[self.head..split].partition_point(|p| p.0 <= tail_min);
+        let from = self.buf[..split].partition_point(|p| p.0 <= tail_min);
         merge_adjacent_runs(&mut self.buf[from..], split - from);
         self.sorted_to = self.buf.len();
-        debug_assert!(self.buf.get(self.head).is_none_or(|b| b.0 == self.min_time));
     }
 
-    /// Smallest pending time; `u64::MAX` when empty. O(1) — never sorts.
+    /// Smallest unconsumed time; `u64::MAX` when empty. O(1) — never
+    /// sorts.
     fn min_time(&self) -> u64 {
         self.min_time
     }
 
-    /// Reclaims the drained prefix once it dominates the buffer, keeping
-    /// bounded-lag sweeps at a working set proportional to the lag
-    /// window rather than the stream.
-    fn compact(&mut self) {
-        if self.head > 1024 && self.head * 2 > self.buf.len() {
-            self.buf.drain(..self.head);
-            self.sorted_to -= self.head;
-            self.head = 0;
+    /// Drops `buf[..*head]` — what a bounded sweep's drain has consumed
+    /// for good — once it dominates the buffer, keeping bounded-lag
+    /// sweeps at a working set proportional to the lag window rather
+    /// than the stream. `head` moves with the buffer.
+    fn compact(&mut self, head: &mut usize) {
+        if *head > 1024 && *head * 2 > self.buf.len() {
+            self.buf.drain(..*head);
+            self.sorted_to -= *head;
+            *head = 0;
         }
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len() - self.head
     }
 }
 
@@ -1034,6 +1039,381 @@ fn merge_adjacent_runs(v: &mut [Boundary], mid: usize) {
 const META_OP_BASE: u32 = 8;
 const META_PHASE_FLAG: u32 = 1 << 31;
 
+/// Event ends — so twice as many boundaries — between two checkpoints a
+/// live drain leaves behind ([`OverlapSweep::tables_so_far`]). A
+/// late-closing scope rolls the next drain back to the checkpoint
+/// before its start, so this is the expected overshoot; a checkpoint
+/// costs one [`DrainState`] copy.
+pub(crate) const CHECKPOINT_SPACING: usize = 512;
+
+/// How fast the checkpoint ladder thins with distance from the end of
+/// the log: two neighbours may stand `2 * spacing + distance / this`
+/// boundaries apart. A roll-back therefore re-drains at most
+/// `1 + 1 / this` times what lies behind its target (plus one spacing),
+/// from a ladder whose length grows with the logarithm of the log's.
+pub(crate) const LADDER_THINNING: usize = 4;
+
+/// The append-only half of an [`OverlapSweep`]: both boundary queues and
+/// everything a boundary's `seq`/`meta` words refer to. Pushes only ever
+/// add to it and drains only read it, so any number of drain states —
+/// the sweep's own and the checkpoints of earlier live drains — can
+/// walk the same log, each from its own position.
+#[derive(Debug, Clone)]
+struct BoundaryLog {
+    interner: Interner,
+    untracked: u32,
+    /// Whether phase events are tagged through segments (see
+    /// [`OverlapSweep::with_phase_tagging`]) instead of dropped.
+    track_phases: bool,
+    phase_interner: Interner,
+    starts: BoundaryQueue,
+    ends: BoundaryQueue,
+    /// Dense arrival counter for operation and phase events: each
+    /// scope's identity (see [`Boundary`]).
+    next_seq: u32,
+    /// Interned `(phase id, owning pid index)` pairs, indexed by the key
+    /// in a phase boundary's meta word. One entry per distinct pair, so
+    /// the table is flat in stream length and never recycled: a drain
+    /// replaying old boundaries reads what their push wrote.
+    phase_keys: Vec<(u32, u32)>,
+    phase_key_ids: HashMap<(u32, u32), u32>,
+    /// Raw pid → dense index into the per-pid drain state; only
+    /// populated when phases are tracked.
+    pid_map: HashMap<u32, u32>,
+    /// Memo of the last `(raw pid, dense index)` resolved: profiler
+    /// streams run long same-pid stretches, so most lookups never touch
+    /// the map.
+    last_pid: Option<(u32, u32)>,
+}
+
+impl BoundaryLog {
+    /// Dense index of a raw pid. Constant 0 when phases are untracked —
+    /// plain sweeps never consult pid state.
+    #[inline]
+    fn pid_index(&mut self, pid: u32) -> u32 {
+        if !self.track_phases {
+            return 0;
+        }
+        if let Some((raw, idx)) = self.last_pid {
+            if raw == pid {
+                return idx;
+            }
+        }
+        let next = self.pid_map.len() as u32;
+        let p = *self.pid_map.entry(pid).or_insert(next);
+        self.last_pid = Some((pid, p));
+        p
+    }
+
+    /// Allocates the next arrival seq for an operation or phase event.
+    fn next_seq(&mut self) -> Result<u32, SweepError> {
+        let seq = self.next_seq;
+        self.next_seq = self.next_seq.checked_add(1).ok_or(SweepError::TooManyOperations)?;
+        Ok(seq)
+    }
+
+    /// The meta-word key of a phase scope: its interned
+    /// `(phase id, pid index)` pair.
+    fn phase_key(&mut self, phase_id: u32, pid: u32) -> Result<u32, SweepError> {
+        if let Some(&key) = self.phase_key_ids.get(&(phase_id, pid)) {
+            return Ok(key);
+        }
+        let key = self.phase_keys.len() as u32;
+        if key >= META_PHASE_FLAG {
+            return Err(SweepError::TooManyOperations);
+        }
+        self.phase_keys.push((phase_id, pid));
+        self.phase_key_ids.insert((phase_id, pid), key);
+        Ok(key)
+    }
+}
+
+/// Everything a drain has computed up to a position in a
+/// [`BoundaryLog`]: the two queue positions, the open-scope set and the
+/// accumulator. It refers to the log only by position and by dense id,
+/// so it is small (the accumulator dominates: a few KB), cheap to copy,
+/// and a copy taken mid-drain — a **checkpoint** — can be resumed later
+/// over a longer log, as long as nothing was pushed at or before the
+/// last time it processed.
+#[derive(Debug, Clone)]
+struct DrainState {
+    /// Next unprocessed boundary of the start and of the end queue.
+    si: usize,
+    ei: usize,
+    /// Time of the last boundary processed; meaningless until
+    /// `have_prev`.
+    prev_t: u64,
+    have_prev: bool,
+    cpu_counts: [u32; 4],
+    cpu_mask: usize,
+    gpu_active: u32,
+    cur_op: u32,
+    /// Cached phase tag; recomputed lazily at attribution when
+    /// `phase_dirty`.
+    cur_phase: u32,
+    phase_dirty: bool,
+    /// Global activation counter for phase starts, in drain order — the
+    /// cross-pid innermost tie-break.
+    next_phase_activation: u32,
+    /// Open operations as `(seq, op_id)`, innermost last; an end finds
+    /// its entry by seq from the top (the top itself unless scopes
+    /// interleave) and removes it, so the stack holds open scopes only.
+    op_stack: Vec<(u32, u32)>,
+    /// Per-pid stacks of open phases as `(activation order, phase id,
+    /// seq)`, closed the same way: phase scoping is per process (see
+    /// the module docs), so each pid keeps its own innermost phase and
+    /// `innermost_eligible_phase` arbitrates across active pids.
+    pid_phase_stacks: Vec<Vec<(u32, u32, u32)>>,
+    /// Active CPU/GPU event count per pid; a pid's phases only tag
+    /// segments while this is non-zero.
+    pid_activity: Vec<u32>,
+    /// Flat `[phase][operation][slot]` accumulator — the batch engine's
+    /// layout — with `acc_ops` as the operation-dimension stride; only
+    /// the phase-0 ([`NO_PHASE`]) row exists when phases are untracked.
+    acc: Vec<u64>,
+    /// Operation capacity (stride) of `acc`; doubled on growth so new
+    /// operation names re-lay the rows O(log n) times, not once each.
+    acc_ops: usize,
+}
+
+impl DrainState {
+    /// The state before the first boundary.
+    fn new(untracked: u32) -> Self {
+        DrainState {
+            si: 0,
+            ei: 0,
+            prev_t: 0,
+            have_prev: false,
+            cpu_counts: [0; 4],
+            cpu_mask: 0,
+            gpu_active: 0,
+            cur_op: untracked,
+            cur_phase: 0,
+            phase_dirty: false,
+            next_phase_activation: 0,
+            op_stack: Vec::new(),
+            pid_phase_stacks: Vec::new(),
+            pid_activity: Vec::new(),
+            acc: vec![0; SLOTS],
+            acc_ops: 1,
+        }
+    }
+
+    /// Boundaries processed so far.
+    fn position(&self) -> usize {
+        self.si + self.ei
+    }
+
+    /// Sizes the accumulator and the per-pid state for everything `log`
+    /// has interned. The log grows between drains, so a state — the
+    /// sweep's own, or a checkpoint laid under fewer names and pids — is
+    /// re-laid here whenever a drain picks it up; pushes never touch it.
+    fn fit(&mut self, log: &BoundaryLog) {
+        let (n_ops, n_phases) = (log.interner.len(), log.phase_interner.len());
+        if n_ops > self.acc_ops {
+            let (old, new) = (self.acc_ops * SLOTS, (self.acc_ops * 2).max(n_ops) * SLOTS);
+            let mut acc = vec![0u64; n_phases * new];
+            for (to, from) in acc.chunks_exact_mut(new).zip(self.acc.chunks_exact(old)) {
+                to[..old].copy_from_slice(from);
+            }
+            self.acc = acc;
+            self.acc_ops = new / SLOTS;
+        }
+        // New phases append rows; the stride is untouched.
+        self.acc.resize(n_phases * self.acc_ops * SLOTS, 0);
+        self.pid_activity.resize(log.pid_map.len(), 0);
+        self.pid_phase_stacks.resize_with(log.pid_map.len(), Vec::new);
+    }
+
+    /// Processes `log`'s boundaries from this state's position on, ends
+    /// before starts at equal times — the same merge order as the batch
+    /// engine — until it has met `max_ends` ends, the first boundary
+    /// after `limit`, or the end of the log; `true` when it was the
+    /// count that stopped it short of the end of the log (bounding ends
+    /// costs the loop nothing: it runs until the end queue is exhausted
+    /// anyway). Both queues must be in order and the state fitted to
+    /// the log. Like the batch merge loop, attribution is run-length
+    /// coalesced: consecutive boundaries that leave the active bucket
+    /// unchanged extend one open run instead of touching the
+    /// accumulator. The open run is flushed before returning, so where a
+    /// drain is cut into calls cannot change what it accumulates.
+    fn advance(&mut self, log: &BoundaryLog, limit: Option<u64>, max_ends: usize) -> bool {
+        let (starts, all_ends) = (&log.starts.buf[..], &log.ends.buf[..]);
+        let ends = &all_ends[..all_ends.len().min(self.ei.saturating_add(max_ends))];
+        let (mut si, mut ei) = (self.si, self.ei);
+        // Hoist the hot sweep state into locals for the merge loop and
+        // write it back afterwards. The batch engine's merge keeps all of
+        // this in registers; routing every boundary through `self` fields
+        // interleaved with heap writes (accumulator, scope stacks) the
+        // optimizer cannot prove disjoint from them costs ~2x on the
+        // drain loop alone.
+        let mut prev_t = self.prev_t;
+        let mut have_prev = self.have_prev;
+        let mut cpu_counts = self.cpu_counts;
+        let mut cpu_mask = self.cpu_mask;
+        let mut gpu_active = self.gpu_active;
+        let mut cur_op = self.cur_op;
+        let mut cur_phase = self.cur_phase;
+        let mut phase_dirty = self.phase_dirty;
+        let mut next_phase_activation = self.next_phase_activation;
+        let track_phases = log.track_phases;
+        let untracked = log.untracked;
+        let phase_keys = &log.phase_keys[..];
+        let acc_ops = self.acc_ops;
+        let acc = &mut self.acc;
+        let op_stack = &mut self.op_stack;
+        let pid_phase_stacks = &mut self.pid_phase_stacks;
+        let pid_activity = &mut self.pid_activity;
+        // The open attribution run: `acc[run_idx]` accrues
+        // `[run_t0, prev_t]` once the bucket changes or activity stops.
+        let mut run_idx = usize::MAX;
+        let mut run_t0 = 0u64;
+        // Starts can never outlive ends: every push adds both and starts
+        // drain first (start < end for non-zero-length events).
+        while ei < ends.len() {
+            let end_head = ends[ei];
+            let is_start = si < starts.len() && starts[si].0 < end_head.0;
+            let (t, seq, meta) = if is_start { starts[si] } else { end_head };
+            if limit.is_some_and(|l| t > l) {
+                break;
+            }
+            if is_start {
+                si += 1;
+            } else {
+                ei += 1;
+            }
+            if have_prev && t > prev_t {
+                if cpu_mask != 0 || gpu_active > 0 {
+                    if phase_dirty {
+                        cur_phase = innermost_eligible_phase(
+                            pid_activity,
+                            pid_phase_stacks,
+                            |&(activation, id, _)| (activation, id),
+                        );
+                        phase_dirty = false;
+                    }
+                    let tag = FINEST_TAG[cpu_mask] as usize;
+                    let gpu = (gpu_active > 0) as usize;
+                    let bucket =
+                        (cur_phase as usize * acc_ops + cur_op as usize) * SLOTS + tag * 2 + gpu;
+                    if bucket != run_idx {
+                        if run_idx != usize::MAX {
+                            acc[run_idx] += prev_t - run_t0;
+                        }
+                        run_idx = bucket;
+                        run_t0 = prev_t;
+                    }
+                } else if run_idx != usize::MAX {
+                    acc[run_idx] += prev_t - run_t0;
+                    run_idx = usize::MAX;
+                }
+            }
+            prev_t = t;
+            have_prev = true;
+
+            match meta {
+                code @ 0..=3 => {
+                    let ci = code as usize;
+                    if is_start {
+                        if cpu_counts[ci] == 0 {
+                            cpu_mask |= 1 << ci;
+                        }
+                        cpu_counts[ci] += 1;
+                    } else {
+                        let n = &mut cpu_counts[ci];
+                        assert!(*n > 0, "unbalanced cpu event");
+                        *n -= 1;
+                        if *n == 0 {
+                            cpu_mask &= !(1 << ci);
+                        }
+                    }
+                    // For CPU/GPU boundaries `seq` carries the pid index.
+                    if track_phases {
+                        let a = &mut pid_activity[seq as usize];
+                        if is_start {
+                            *a += 1;
+                            phase_dirty |= *a == 1;
+                        } else {
+                            *a -= 1;
+                            phase_dirty |= *a == 0;
+                        }
+                    }
+                }
+                4 => {
+                    if is_start {
+                        gpu_active += 1;
+                    } else {
+                        gpu_active -= 1;
+                    }
+                    if track_phases {
+                        let a = &mut pid_activity[seq as usize];
+                        if is_start {
+                            *a += 1;
+                            phase_dirty |= *a == 1;
+                        } else {
+                            *a -= 1;
+                            phase_dirty |= *a == 0;
+                        }
+                    }
+                }
+                m if m & META_PHASE_FLAG != 0 => {
+                    let (phase_id, pid) = phase_keys[(m & !META_PHASE_FLAG) as usize];
+                    let stack = &mut pid_phase_stacks[pid as usize];
+                    if is_start {
+                        stack.push((next_phase_activation, phase_id, seq));
+                        next_phase_activation += 1;
+                    } else {
+                        let open = stack.iter().rposition(|e| e.2 == seq);
+                        stack.remove(open.expect("a phase ends after it starts"));
+                    }
+                    phase_dirty = true;
+                }
+                _ => {
+                    if is_start {
+                        op_stack.push((seq, meta - META_OP_BASE));
+                    } else {
+                        let open = op_stack.iter().rposition(|e| e.0 == seq);
+                        op_stack.remove(open.expect("an operation ends after it starts"));
+                    }
+                    cur_op = op_stack.last().map_or(untracked, |&(_, id)| id);
+                }
+            }
+        }
+        // Flush the open run: it covers [run_t0, prev_t] exactly.
+        if run_idx != usize::MAX {
+            acc[run_idx] += prev_t - run_t0;
+        }
+        self.si = si;
+        self.ei = ei;
+        self.prev_t = prev_t;
+        self.have_prev = have_prev;
+        self.cpu_counts = cpu_counts;
+        self.cpu_mask = cpu_mask;
+        self.gpu_active = gpu_active;
+        self.cur_op = cur_op;
+        self.cur_phase = cur_phase;
+        self.phase_dirty = phase_dirty;
+        self.next_phase_activation = next_phase_activation;
+        ei == ends.len() && ei < all_ends.len()
+    }
+
+    /// One table per interned phase from the accumulator's rows, empty
+    /// ones dropped unless `keep_empty`.
+    fn phase_tables(&self, log: &BoundaryLog, keep_empty: bool) -> PhaseTables {
+        let n_ops = log.interner.len();
+        let row = self.acc_ops * SLOTS;
+        log.phase_interner
+            .names()
+            .iter()
+            .enumerate()
+            .filter_map(|(p, name)| {
+                let table = materialize(&log.interner, &self.acc[p * row..][..n_ops * SLOTS]);
+                (keep_empty || !table.is_empty()).then(|| (name.clone(), table))
+            })
+            .collect()
+    }
+}
+
 /// Incremental overlap sweep: feed event batches with
 /// [`OverlapSweep::push`] (or whole columnar chunks with
 /// [`OverlapSweep::push_columns`]) as they are decoded, then
@@ -1041,30 +1421,33 @@ const META_PHASE_FLAG: u32 = 1 << 31;
 /// [`compute_overlap`] produces over the concatenated stream.
 ///
 /// Each pushed event is reduced immediately to two 16-byte boundary
-/// records (time, tie-break seq, kind/op code); the `Event` itself — and
-/// its name allocation — can be dropped as soon as `push` returns, which
-/// is what lets chunked trace directories be analyzed one decoded chunk
-/// at a time. Drains attribute through the batch engine's flat
-/// `[phase][operation][slot]` accumulator with run-length coalescing of
-/// same-bucket boundaries, and in-flight operation/phase scopes live in
-/// slabs indexed straight from the boundary's meta word — no per-event
-/// map traffic anywhere on the hot path. Pending boundaries live in
-/// append-only buffers — a sorted prefix plus an unsorted tail — that
-/// append and pop without any per-boundary heap work; only boundaries
-/// pushed out of order are ever sorted, once, and merged into the prefix
-/// — on near-sorted profiler streams the sweep costs the same per
-/// boundary as the batch engine's merge loop.
+/// records (time, scope seq or pid, kind/op code) appended to the
+/// sweep's **log**; the `Event` itself — and its name allocation — can
+/// be dropped as soon as `push` returns, which is what lets chunked
+/// trace directories be analyzed one decoded chunk at a time. A **drain**
+/// walks the log in time order and attributes through the batch engine's
+/// flat `[phase][operation][slot]` accumulator with run-length
+/// coalescing of same-bucket boundaries; what it has computed so far —
+/// two positions, the open scopes, the accumulator — is a small value of
+/// its own (`DrainState`) that refers to the log but never writes to
+/// it. The log's two queues are append-only buffers — a sorted prefix
+/// plus an unsorted tail — that append and read without any per-boundary
+/// heap work; only boundaries pushed out of order are ever sorted, once,
+/// and merged into the prefix — on near-sorted profiler streams the
+/// sweep costs the same per boundary as the batch engine's merge loop.
 ///
 /// # Memory modes
 ///
 /// * [`OverlapSweep::new`] — **exact**: accepts events in any order;
-///   boundary records are buffered until `finalize`, so memory is
+///   nothing drains at push time and the log is kept whole until
+///   `finalize` (one drain from the first boundary), so memory is
 ///   `O(events)` but with a small constant (32 bytes/event, no `Arc`
 ///   retention) instead of full `Event` materialization.
 /// * [`OverlapSweep::bounded`] — **bounded**: for streams whose start
-///   times are sorted within a known `lag`, segments are finalized
-///   eagerly once the stream has advanced `lag` past them. Pending state
-///   is then `O(open intervals + events per lag window)` — flat in total
+///   times are sorted within a known `lag`, the sweep's drain state
+///   advances eagerly once the stream has moved `lag` past a segment,
+///   and the log behind it is dropped. Pending state is then
+///   `O(open intervals + events per lag window)` — flat in total
 ///   event count. If an event arrives starting before already-finalized
 ///   time, `push` fails with [`SweepError::OrderViolation`] rather than
 ///   attribute time incorrectly; callers fall back to an exact sweep
@@ -1075,82 +1458,55 @@ const META_PHASE_FLAG: u32 = 1 << 31;
 /// bounded by the longest open annotation — pick the lag accordingly (or
 /// use exact mode when in doubt).
 ///
-/// The sweep is [`Clone`]: cloning captures the full pending state, so a
-/// live consumer can snapshot an in-flight stream — finalize the clone,
-/// keep pushing into the original — which is how the collector daemon
-/// answers queries over sessions that are still streaming. Such a
-/// consumer calls [`OverlapSweep::sort_pending`] on the original first:
-/// the pending boundaries are then put in order once, in the sweep that
-/// lives on, instead of in every clone from scratch.
+/// # Tables so far: resumable drains
+///
+/// A consumer that wants answers *while* the stream is still arriving —
+/// the collector daemon under a dashboard — calls
+/// [`OverlapSweep::tables_so_far`]: the tables over everything pushed,
+/// with the sweep left as it was. It does not start over each time. Each
+/// such drain leaves a **ladder of checkpoints** behind — copies of its
+/// state every `CHECKPOINT_SPACING` event ends, thinned so they are
+/// dense near the end of the log and geometrically sparser further back
+/// (tens of entries, a few KB each) — and the next one resumes from the
+/// latest checkpoint that is still valid. A checkpoint stays valid
+/// while every boundary pushed since the last call has a time
+/// **strictly greater** than the last time it processed: the stable
+/// merge then places all of them behind its positions, in the order one
+/// uninterrupted drain would meet them (ends before starts at equal
+/// times, earlier pushes first). The sweep tracks one low-water time
+/// between calls for this — not queue indices: a late start can sit at
+/// an index past a checkpoint's and still belong before the end it
+/// processed last. The cost of a call is therefore the boundaries that
+/// arrived since the previous one, plus, when an enclosing scope closed
+/// late (an operation after its children, a phase seconds after it
+/// opened), a re-drain from the checkpoint before that scope's start —
+/// never from zero, and nothing at push time.
+///
+/// The sweep is [`Clone`]: a clone carries the log, the drain state and
+/// the ladder, and the two then go their own ways (a live session's
+/// merged sweep starts as a clone of its first process's).
 #[derive(Debug, Clone)]
 pub struct OverlapSweep {
-    interner: Interner,
-    untracked: u32,
+    log: BoundaryLog,
     /// Eager-finalization window; `None` = exact mode (never drain early).
     lag: Option<u64>,
-    /// Whether phase events are tagged through segments (see
-    /// [`OverlapSweep::with_phase_tagging`]) instead of dropped.
-    track_phases: bool,
-    phase_interner: Interner,
-    starts: BoundaryQueue,
-    ends: BoundaryQueue,
-    /// Dense arrival counter for operation and phase events: the
-    /// boundary tie-break that keeps same-time scopes in arrival order.
-    next_op_seq: u32,
-    /// Slab of in-flight operation events: `(op_id, stack slot)` per
-    /// record. The record index rides in the boundary's **meta** word
-    /// (`META_OP_BASE + rec`), so drains index straight into this array
-    /// — the per-seq hash maps the sweep used to consult per boundary
-    /// are gone. Safe for ordering because every operation boundary has
-    /// a unique seq: the meta word never decides a comparison.
-    op_records: Vec<(u32, u32)>,
-    /// Free list of `op_records` indices (closed operations).
-    op_free: Vec<u32>,
-    /// Slab of in-flight phase events: `(phase_id, owning pid index,
-    /// stack slot)` per record; the record index rides in the meta word
-    /// (`META_PHASE_FLAG | rec`), same scheme as `op_records`.
-    phase_records: Vec<(u32, u32, u32)>,
-    /// Free list of `phase_records` indices (closed phases).
-    phase_free: Vec<u32>,
-    /// `(seq, op_id)` entries; closed entries tombstoned in place.
-    op_stack: Vec<(u32, u32)>,
-    /// Per-pid phase stacks of `(activation order, phase id)` entries,
-    /// closed entries tombstoned in place: phase scoping is per process
-    /// (see the module docs), so each pid keeps its own innermost phase
-    /// and `innermost_eligible_phase` arbitrates across active pids.
-    pid_phase_stacks: Vec<Vec<(u32, u32)>>,
-    /// Raw pid → dense index into the per-pid state; only populated when
-    /// phases are tracked.
-    pid_map: HashMap<u32, u32>,
-    /// Memo of the last `(raw pid, dense index)` resolved: profiler
-    /// streams run long same-pid stretches, so most lookups never touch
-    /// the map.
-    last_pid: Option<(u32, u32)>,
-    /// Active CPU/GPU event count per pid; a pid's phases only tag
-    /// segments while this is non-zero.
-    pid_activity: Vec<u32>,
-    /// Global activation counter for phase starts, in drain order — the
-    /// cross-pid innermost tie-break.
-    next_phase_activation: u32,
-    /// Flat `[phase][operation][slot]` accumulator — the batch engine's
-    /// layout — with `acc_ops` as the operation-dimension stride; only
-    /// the phase-0 ([`NO_PHASE`]) row exists when phases are untracked.
-    acc: Vec<u64>,
-    /// Operation capacity (stride) of `acc`, ≥ `interner.len()`; doubled
-    /// on growth so op interning re-lays the rows O(log n) times, not
-    /// per new operation.
-    acc_ops: usize,
-    cpu_counts: [u32; 4],
-    cpu_mask: usize,
-    gpu_active: u32,
-    cur_op: u32,
-    /// Cached phase tag; recomputed lazily at attribution when
-    /// `phase_dirty`.
-    cur_phase: u32,
-    phase_dirty: bool,
+    /// The sweep's own drain: what `finalize` completes. It stands at
+    /// the first boundary until then in exact mode, and advances — for
+    /// good — at push time in bounded mode.
+    state: DrainState,
+    /// Checkpoints of [`OverlapSweep::tables_so_far`] drains, in
+    /// position order; the last is the state at the end of the log as
+    /// of the latest call.
+    ladder: Vec<DrainState>,
+    checkpoint_spacing: usize,
+    /// Smallest boundary time pushed since the last
+    /// [`OverlapSweep::tables_so_far`]: checkpoints that processed a
+    /// boundary at or after it are stale.
+    low_water: u64,
+    /// Boundaries the last [`OverlapSweep::tables_so_far`] processed.
+    #[cfg(test)]
+    last_drained: usize,
     max_start: u64,
-    prev_t: u64,
-    have_prev: bool,
     events_pushed: u64,
 }
 
@@ -1180,35 +1536,27 @@ impl OverlapSweep {
         let mut phase_interner = Interner::with_capacity(4);
         phase_interner.intern_str(NO_PHASE);
         OverlapSweep {
-            interner,
-            untracked,
+            log: BoundaryLog {
+                interner,
+                untracked,
+                track_phases: false,
+                phase_interner,
+                starts: BoundaryQueue::new(),
+                ends: BoundaryQueue::new(),
+                next_seq: 0,
+                phase_keys: Vec::new(),
+                phase_key_ids: HashMap::new(),
+                pid_map: HashMap::new(),
+                last_pid: None,
+            },
             lag,
-            track_phases: false,
-            phase_interner,
-            starts: BoundaryQueue::new(),
-            ends: BoundaryQueue::new(),
-            next_op_seq: 0,
-            op_records: Vec::new(),
-            op_free: Vec::new(),
-            phase_records: Vec::new(),
-            phase_free: Vec::new(),
-            op_stack: Vec::new(),
-            pid_phase_stacks: Vec::new(),
-            pid_map: HashMap::new(),
-            last_pid: None,
-            pid_activity: Vec::new(),
-            next_phase_activation: 0,
-            acc: vec![0; SLOTS],
-            acc_ops: 1,
-            cpu_counts: [0; 4],
-            cpu_mask: 0,
-            gpu_active: 0,
-            cur_op: untracked,
-            cur_phase: 0,
-            phase_dirty: false,
+            state: DrainState::new(untracked),
+            ladder: Vec::new(),
+            checkpoint_spacing: CHECKPOINT_SPACING,
+            low_water: u64::MAX,
+            #[cfg(test)]
+            last_drained: 0,
             max_start: 0,
-            prev_t: 0,
-            have_prev: false,
             events_pushed: 0,
         }
     }
@@ -1229,7 +1577,16 @@ impl OverlapSweep {
     /// Must be selected before the first [`OverlapSweep::push`].
     pub fn with_phase_tagging(mut self) -> Self {
         debug_assert_eq!(self.events_pushed, 0, "enable phase tagging before pushing");
-        self.track_phases = true;
+        self.log.track_phases = true;
+        self
+    }
+
+    /// Test support, not a tuning knob: lays a checkpoint every `ends`
+    /// event ends instead of every `CHECKPOINT_SPACING`, so that
+    /// streams of a few dozen events resume and roll back.
+    #[doc(hidden)]
+    pub fn with_checkpoint_spacing(mut self, ends: usize) -> Self {
+        self.checkpoint_spacing = ends.max(1);
         self
     }
 
@@ -1238,30 +1595,38 @@ impl OverlapSweep {
         self.events_pushed
     }
 
-    /// Boundary records currently buffered — the sweep's working-set
-    /// size. In bounded mode this stays flat as the stream grows.
+    /// Boundary records [`OverlapSweep::finalize`] has yet to process —
+    /// the sweep's working-set size. In bounded mode this stays flat as
+    /// the stream grows.
     pub fn pending_boundaries(&self) -> usize {
-        self.starts.len() + self.ends.len()
+        self.log.starts.buf.len() + self.log.ends.buf.len() - self.state.position()
     }
 
-    /// Puts the pending boundaries in the order a drain needs, in place,
-    /// without draining any. Nothing observable changes — the sweep
+    /// Puts the log in the order a drain needs, in place, without
+    /// draining any of it. Nothing observable changes — the sweep
     /// finalizes to the same table whether or not, and however often,
     /// this is called (the order is the one stable sort by time either
-    /// way) — but the work is kept: a later call, drain or clone sorts
-    /// only what was pushed since. Free when every push since the last
-    /// call arrived in order.
+    /// way) — but the work is kept: a later call or drain sorts only
+    /// what was pushed since. Free when every push since the last call
+    /// arrived in order.
     pub fn sort_pending(&mut self) {
-        self.starts.ensure_sorted();
-        self.ends.ensure_sorted();
+        self.log.starts.ensure_sorted();
+        self.log.ends.ensure_sorted();
     }
 
-    /// Pending boundaries not yet in order: what the next
+    /// Logged boundaries not yet in order: what the next
     /// [`OverlapSweep::sort_pending`] (or drain) will sort.
     #[cfg(test)]
     pub(crate) fn unsorted_boundaries(&self) -> usize {
         let tail = |q: &BoundaryQueue| q.buf.len() - q.sorted_to;
-        tail(&self.starts) + tail(&self.ends)
+        tail(&self.log.starts) + tail(&self.log.ends)
+    }
+
+    /// Boundaries the last [`OverlapSweep::tables_so_far`] processed:
+    /// what arrived since the one before, plus any roll-back.
+    #[cfg(test)]
+    pub(crate) fn last_drained(&self) -> usize {
+        self.last_drained
     }
 
     /// Feeds one event.
@@ -1332,163 +1697,79 @@ impl OverlapSweep {
             // arriving last) must not trip the bounded mode. With phase
             // tagging they are real boundaries and go through the order
             // check like every other event.
-            if start == end || (tag == TAG_PHASE && !self.track_phases) {
+            if start == end || (tag == TAG_PHASE && !self.log.track_phases) {
                 continue;
             }
-            if self.have_prev && start < self.prev_t {
-                return Err(SweepError::OrderViolation { start, swept_to: self.prev_t });
+            if self.state.have_prev && start < self.state.prev_t {
+                return Err(SweepError::OrderViolation { start, swept_to: self.state.prev_t });
             }
-            // CPU/GPU boundaries reuse the tie-break seq field to carry
-            // the event's dense pid index (0 when phases are untracked):
+            // CPU/GPU boundaries reuse the seq field to carry the
+            // event's dense pid index (0 when phases are untracked):
             // per-pid activity tracking needs the owner at drain time,
             // and same-time boundary reordering among CPU/GPU edges
             // cannot change any attribution (no time accrues between
             // equal-time boundaries and their state updates commute).
-            // Operations and phases keep the arrival seq — their relative
-            // order is load-bearing for scope identity and activation
-            // order — while their meta word carries the slab record index
-            // (see `op_records`).
+            // Operations and phases carry their arrival seq (see
+            // `Boundary`); everything else a drain needs to know about
+            // them is in the meta word.
+            let log = &mut self.log;
             let (seq, meta) = match tag {
-                0..=3 => (self.pid_index(e.pid()), u32::from(tag)),
+                0..=3 => (log.pid_index(e.pid()), u32::from(tag)),
                 TAG_OP => {
-                    let op_id = e.dense_id(&mut op_xlat, &mut self.interner);
-                    self.reserve_ops();
-                    (self.next_seq()?, META_OP_BASE + self.alloc_op(op_id)?)
+                    let op_id = e.dense_id(&mut op_xlat, &mut log.interner);
+                    // Operation and phase meta words stay disjoint ranges.
+                    if op_id >= META_PHASE_FLAG - META_OP_BASE {
+                        return Err(SweepError::TooManyOperations);
+                    }
+                    (log.next_seq()?, META_OP_BASE + op_id)
                 }
                 TAG_PHASE => {
-                    let phase_id = e.dense_id(&mut phase_xlat, &mut self.phase_interner);
-                    self.reserve_phases();
-                    let pid = self.pid_index(e.pid());
-                    (self.next_seq()?, META_PHASE_FLAG | self.alloc_phase(phase_id, pid)?)
+                    let phase_id = e.dense_id(&mut phase_xlat, &mut log.phase_interner);
+                    let pid = log.pid_index(e.pid());
+                    (log.next_seq()?, META_PHASE_FLAG | log.phase_key(phase_id, pid)?)
                 }
-                _ => (self.pid_index(e.pid()), u32::from(CODE_GPU)),
+                _ => (log.pid_index(e.pid()), u32::from(CODE_GPU)),
             };
             self.push_boundaries(start, end, seq, meta);
         }
         Ok(())
     }
 
-    /// Queues one event's boundary pair and runs the bounded-mode eager
+    /// Logs one event's boundary pair and runs the bounded-mode eager
     /// drain — the tail every push variant shares.
     #[inline]
     fn push_boundaries(&mut self, start: u64, end: u64, seq: u32, meta: u32) {
-        self.starts.push((start, seq, meta));
-        self.ends.push((end, seq, meta));
+        self.log.starts.push((start, seq, meta));
+        self.log.ends.push((end, seq, meta));
         self.max_start = self.max_start.max(start);
+        self.low_water = self.low_water.min(start);
         if let Some(lag) = self.lag {
             let safe_to = self.max_start.saturating_sub(lag);
             self.drain(Some(safe_to));
         }
     }
 
-    /// Allocates a slab record for an opening operation event.
-    fn alloc_op(&mut self, op_id: u32) -> Result<u32, SweepError> {
-        if let Some(rec) = self.op_free.pop() {
-            self.op_records[rec as usize] = (op_id, 0);
-            return Ok(rec);
-        }
-        let rec = self.op_records.len() as u32;
-        // The record index must stay below the phase flag bit so op and
-        // phase meta words remain disjoint ranges.
-        if rec >= META_PHASE_FLAG - META_OP_BASE {
-            return Err(SweepError::TooManyOperations);
-        }
-        self.op_records.push((op_id, 0));
-        Ok(rec)
-    }
-
-    /// Allocates a slab record for an opening phase event.
-    fn alloc_phase(&mut self, phase_id: u32, pid: u32) -> Result<u32, SweepError> {
-        if let Some(rec) = self.phase_free.pop() {
-            self.phase_records[rec as usize] = (phase_id, pid, 0);
-            return Ok(rec);
-        }
-        let rec = self.phase_records.len() as u32;
-        if rec >= META_PHASE_FLAG {
-            return Err(SweepError::TooManyOperations);
-        }
-        self.phase_records.push((phase_id, pid, 0));
-        Ok(rec)
-    }
-
-    /// Grows the accumulator's operation stride to cover the interner,
-    /// doubling so growth re-lays the phase rows O(log n) times total.
-    fn reserve_ops(&mut self) {
-        let n_ops = self.interner.len();
-        if n_ops <= self.acc_ops {
-            return;
-        }
-        let new_ops = (self.acc_ops * 2).max(n_ops);
-        let n_phases = self.phase_interner.len();
-        let mut acc = vec![0u64; n_phases * new_ops * SLOTS];
-        for p in 0..n_phases {
-            acc[p * new_ops * SLOTS..][..self.acc_ops * SLOTS]
-                .copy_from_slice(&self.acc[p * self.acc_ops * SLOTS..][..self.acc_ops * SLOTS]);
-        }
-        self.acc = acc;
-        self.acc_ops = new_ops;
-    }
-
-    /// Grows the accumulator to cover the phase interner (appends rows —
-    /// the op stride is untouched, so no re-layout).
-    fn reserve_phases(&mut self) {
-        let need = self.phase_interner.len() * self.acc_ops * SLOTS;
-        if self.acc.len() < need {
-            self.acc.resize(need, 0);
-        }
-    }
-
-    /// Dense index of a raw pid, growing the per-pid phase state on
-    /// first sight. Constant 0 when phases are untracked — plain sweeps
-    /// never consult pid state.
-    #[inline]
-    fn pid_index(&mut self, pid: u32) -> u32 {
-        if !self.track_phases {
-            return 0;
-        }
-        if let Some((raw, idx)) = self.last_pid {
-            if raw == pid {
-                return idx;
-            }
-        }
-        let next = self.pid_map.len() as u32;
-        let p = *self.pid_map.entry(pid).or_insert(next);
-        if p == next {
-            self.pid_activity.push(0);
-            self.pid_phase_stacks.push(Vec::new());
-        }
-        self.last_pid = Some((pid, p));
-        p
-    }
-
-    /// Allocates the next arrival seq for an operation or phase event.
-    fn next_seq(&mut self) -> Result<u32, SweepError> {
-        let seq = self.next_op_seq;
-        self.next_op_seq = self.next_op_seq.checked_add(1).ok_or(SweepError::TooManyOperations)?;
-        Ok(seq)
-    }
-
     /// Finalizes all pending segments and materializes the table (all
     /// phases merged — identical to the phase-untracked table).
     pub fn finalize(mut self) -> BreakdownTable {
         self.drain(None);
-        let n_ops = self.interner.len();
-        let row = self.acc_ops * SLOTS;
+        let n_ops = self.log.interner.len();
         let mut merged = vec![0u64; n_ops * SLOTS];
-        for p in 0..self.phase_interner.len() {
-            for (m, &v) in merged.iter_mut().zip(&self.acc[p * row..][..n_ops * SLOTS]) {
+        for row in self.state.acc.chunks_exact(self.state.acc_ops * SLOTS) {
+            for (m, &v) in merged.iter_mut().zip(row) {
                 *m += v;
             }
         }
-        materialize(&self.interner, &merged)
+        materialize(&self.log.interner, &merged)
     }
 
     /// Finalizes all pending segments into one table per phase (requires
     /// [`OverlapSweep::with_phase_tagging`]; without it everything lands
     /// in the single [`NO_PHASE`] group). Empty groups are omitted;
     /// merging the groups reproduces [`OverlapSweep::finalize`] exactly.
-    pub fn finalize_grouped(self) -> PhaseTables {
-        self.finalize_grouped_inner(false)
+    pub fn finalize_grouped(mut self) -> PhaseTables {
+        self.drain(None);
+        self.state.phase_tables(&self.log, false)
     }
 
     /// [`OverlapSweep::finalize_grouped`] keeping **empty** phase groups:
@@ -1498,223 +1779,92 @@ impl OverlapSweep {
     /// cross-segment merges can reproduce the batch sweep's phase group
     /// order exactly — a phase can be present (its annotation intersects
     /// the window) long before its first attributed instant.
-    pub(crate) fn finalize_grouped_keep_empty(self) -> PhaseTables {
-        self.finalize_grouped_inner(true)
-    }
-
-    fn finalize_grouped_inner(mut self, keep_empty: bool) -> PhaseTables {
+    pub(crate) fn finalize_grouped_keep_empty(mut self) -> PhaseTables {
         self.drain(None);
-        let n_ops = self.interner.len();
-        let row = self.acc_ops * SLOTS;
-        self.phase_interner
-            .names()
-            .iter()
-            .enumerate()
-            .filter_map(|(p, name)| {
-                let table = materialize(&self.interner, &self.acc[p * row..][..n_ops * SLOTS]);
-                (keep_empty || !table.is_empty()).then(|| (name.clone(), table))
-            })
-            .collect()
+        self.state.phase_tables(&self.log, true)
     }
 
-    /// Processes pending boundaries with time ≤ `limit` (all when `None`),
-    /// ends before starts at equal times — the same merge order as the
-    /// batch engine. Like the batch merge loop, attribution is run-length
-    /// coalesced: consecutive boundaries that leave the active bucket
-    /// unchanged extend one open run instead of touching the accumulator.
+    /// What [`OverlapSweep::finalize_grouped`] would return now, with
+    /// the sweep left as it was: pushing may continue, and a later call
+    /// — or `finalize` — answers as if this one never happened. The
+    /// drain behind it resumes from the latest still-valid checkpoint of
+    /// an earlier call and leaves its own behind (see the type docs), so
+    /// a call costs what was pushed since the last one; an immediate
+    /// repeat drains nothing.
+    pub fn tables_so_far(&mut self) -> PhaseTables {
+        self.sort_pending();
+        let low_water = std::mem::replace(&mut self.low_water, u64::MAX);
+        while self.ladder.last().is_some_and(|c| c.prev_t >= low_water) {
+            self.ladder.pop();
+        }
+        let mut tip = self.ladder.last().unwrap_or(&self.state).clone();
+        tip.fit(&self.log);
+        #[cfg(test)]
+        let from = tip.position();
+        while tip.advance(&self.log, None, self.checkpoint_spacing) {
+            self.ladder.push(tip.clone());
+        }
+        let tables = tip.phase_tables(&self.log, false);
+        #[cfg(test)]
+        {
+            self.last_drained = tip.position() - from;
+        }
+        // The state at the end of the log tops the ladder (it already
+        // does when nothing was drained).
+        if self.ladder.last().is_none_or(|c| c.position() < tip.position()) {
+            self.ladder.push(tip);
+        }
+        self.thin_ladder();
+        tables
+    }
+
+    /// Drops every checkpoint whose two neighbours stand close enough
+    /// for their distance from the end of the log (see
+    /// [`LADDER_THINNING`]); the last one always stays.
+    fn thin_ladder(&mut self) {
+        let end = self.ladder.last().map_or(0, DrainState::position);
+        let mut below = self.state.position();
+        let mut kept = 0;
+        for i in 0..self.ladder.len() {
+            let keep = self.ladder.get(i + 1).is_none_or(|above| {
+                let above = above.position();
+                above - below > 2 * self.checkpoint_spacing + (end - above) / LADDER_THINNING
+            });
+            if keep {
+                below = self.ladder[i].position();
+                self.ladder.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.ladder.truncate(kept);
+    }
+
+    /// Advances the sweep's own drain state through every logged
+    /// boundary with time ≤ `limit` (all when `None`), for good: in
+    /// bounded mode the log behind it is reclaimed.
     fn drain(&mut self, limit: Option<u64>) {
         // Fast pre-check for the bounded mode's per-push drains: when
         // nothing pending is at or below the limit, return before sorting
         // — re-sorting a disordered tail on every push of a wide-lag
         // stream is quadratic.
         if let Some(l) = limit {
-            if self.starts.min_time().min(self.ends.min_time()) > l {
+            if self.log.starts.min_time().min(self.log.ends.min_time()) > l {
                 return;
             }
         }
-        // Take the queues out of `self` so the merge loop can index their
-        // buffers directly while the sweep state mutates.
-        let mut starts = std::mem::take(&mut self.starts);
-        let mut ends = std::mem::take(&mut self.ends);
-        starts.ensure_sorted();
-        ends.ensure_sorted();
-        let mut si = starts.head;
-        let mut ei = ends.head;
-        // Hoist the hot sweep state into locals for the merge loop and
-        // write it back afterwards. The batch engine's merge keeps all of
-        // this in registers; routing every boundary through `self` fields
-        // interleaved with heap writes (accumulator, scope stacks) the
-        // optimizer cannot prove disjoint from them costs ~2x on the
-        // drain loop alone.
-        let mut prev_t = self.prev_t;
-        let mut have_prev = self.have_prev;
-        let mut cpu_counts = self.cpu_counts;
-        let mut cpu_mask = self.cpu_mask;
-        let mut gpu_active = self.gpu_active;
-        let mut cur_op = self.cur_op;
-        let mut cur_phase = self.cur_phase;
-        let mut phase_dirty = self.phase_dirty;
-        let mut next_phase_activation = self.next_phase_activation;
-        let track_phases = self.track_phases;
-        let acc_ops = self.acc_ops;
-        let untracked = self.untracked;
-        let acc = &mut self.acc;
-        let op_stack = &mut self.op_stack;
-        let op_records = &mut self.op_records;
-        let op_free = &mut self.op_free;
-        let phase_records = &mut self.phase_records;
-        let phase_free = &mut self.phase_free;
-        let pid_phase_stacks = &mut self.pid_phase_stacks;
-        let pid_activity = &mut self.pid_activity;
-        // The open attribution run: `acc[run_idx]` accrues
-        // `[run_t0, prev_t]` once the bucket changes or activity stops.
-        let mut run_idx = usize::MAX;
-        let mut run_t0 = 0u64;
-        // Starts can never outlive ends: every push adds both and starts
-        // drain first (start < end for non-zero-length events).
-        while ei < ends.buf.len() {
-            let end_head = ends.buf[ei];
-            let is_start = si < starts.buf.len() && starts.buf[si].0 < end_head.0;
-            let (t, seq, meta) = if is_start { starts.buf[si] } else { end_head };
-            if limit.is_some_and(|l| t > l) {
-                break;
-            }
-            if is_start {
-                si += 1;
-            } else {
-                ei += 1;
-            }
-            if have_prev && t > prev_t {
-                if cpu_mask != 0 || gpu_active > 0 {
-                    if phase_dirty {
-                        cur_phase = innermost_eligible_phase(pid_activity, pid_phase_stacks);
-                        phase_dirty = false;
-                    }
-                    let tag = FINEST_TAG[cpu_mask] as usize;
-                    let gpu = (gpu_active > 0) as usize;
-                    let bucket =
-                        (cur_phase as usize * acc_ops + cur_op as usize) * SLOTS + tag * 2 + gpu;
-                    if bucket != run_idx {
-                        if run_idx != usize::MAX {
-                            acc[run_idx] += prev_t - run_t0;
-                        }
-                        run_idx = bucket;
-                        run_t0 = prev_t;
-                    }
-                } else if run_idx != usize::MAX {
-                    acc[run_idx] += prev_t - run_t0;
-                    run_idx = usize::MAX;
-                }
-            }
-            prev_t = t;
-            have_prev = true;
-
-            match meta {
-                code @ 0..=3 => {
-                    let ci = code as usize;
-                    if is_start {
-                        if cpu_counts[ci] == 0 {
-                            cpu_mask |= 1 << ci;
-                        }
-                        cpu_counts[ci] += 1;
-                    } else {
-                        let n = &mut cpu_counts[ci];
-                        assert!(*n > 0, "unbalanced cpu event");
-                        *n -= 1;
-                        if *n == 0 {
-                            cpu_mask &= !(1 << ci);
-                        }
-                    }
-                    // For CPU/GPU boundaries `seq` carries the pid index.
-                    if track_phases {
-                        let a = &mut pid_activity[seq as usize];
-                        if is_start {
-                            *a += 1;
-                            phase_dirty |= *a == 1;
-                        } else {
-                            *a -= 1;
-                            phase_dirty |= *a == 0;
-                        }
-                    }
-                }
-                4 => {
-                    if is_start {
-                        gpu_active += 1;
-                    } else {
-                        gpu_active -= 1;
-                    }
-                    if track_phases {
-                        let a = &mut pid_activity[seq as usize];
-                        if is_start {
-                            *a += 1;
-                            phase_dirty |= *a == 1;
-                        } else {
-                            *a -= 1;
-                            phase_dirty |= *a == 0;
-                        }
-                    }
-                }
-                m if m & META_PHASE_FLAG != 0 => {
-                    let rec = (m & !META_PHASE_FLAG) as usize;
-                    if is_start {
-                        let (phase_id, pid, _) = phase_records[rec];
-                        let stack = &mut pid_phase_stacks[pid as usize];
-                        phase_records[rec].2 = stack.len() as u32;
-                        stack.push((next_phase_activation, phase_id));
-                        next_phase_activation += 1;
-                    } else {
-                        let (_, pid, slot) = phase_records[rec];
-                        phase_free.push(rec as u32);
-                        let stack = &mut pid_phase_stacks[pid as usize];
-                        stack[slot as usize].0 = TOMBSTONE;
-                        while stack.last().is_some_and(|&(a, _)| a == TOMBSTONE) {
-                            stack.pop();
-                        }
-                    }
-                    phase_dirty = true;
-                }
-                _ => {
-                    let rec = (meta - META_OP_BASE) as usize;
-                    if is_start {
-                        let op_id = op_records[rec].0;
-                        op_records[rec].1 = op_stack.len() as u32;
-                        op_stack.push((seq, op_id));
-                    } else {
-                        let slot = op_records[rec].1 as usize;
-                        op_free.push(rec as u32);
-                        debug_assert_eq!(op_stack[slot].0, seq, "operation stack corrupted");
-                        op_stack[slot].0 = TOMBSTONE;
-                        while op_stack.last().is_some_and(|&(s, _)| s == TOMBSTONE) {
-                            op_stack.pop();
-                        }
-                    }
-                    cur_op = op_stack.last().map(|&(_, id)| id).unwrap_or(untracked);
-                }
-            }
+        self.sort_pending();
+        self.state.fit(&self.log);
+        self.state.advance(&self.log, limit, usize::MAX);
+        // Checkpoints index a log whose front is about to move.
+        self.ladder.clear();
+        // Bounded mode drains repeatedly: reclaim the consumed prefixes
+        // so the buffers track the lag window, not the stream.
+        for (queue, head) in
+            [(&mut self.log.starts, &mut self.state.si), (&mut self.log.ends, &mut self.state.ei)]
+        {
+            queue.min_time = queue.buf.get(*head).map_or(u64::MAX, |b| b.0);
+            queue.compact(head);
         }
-        // Flush the open run: it covers [run_t0, prev_t] exactly.
-        if run_idx != usize::MAX {
-            acc[run_idx] += prev_t - run_t0;
-        }
-        self.prev_t = prev_t;
-        self.have_prev = have_prev;
-        self.cpu_counts = cpu_counts;
-        self.cpu_mask = cpu_mask;
-        self.gpu_active = gpu_active;
-        self.cur_op = cur_op;
-        self.cur_phase = cur_phase;
-        self.phase_dirty = phase_dirty;
-        self.next_phase_activation = next_phase_activation;
-        starts.head = si;
-        starts.min_time = starts.buf.get(si).map_or(u64::MAX, |b| b.0);
-        ends.head = ei;
-        ends.min_time = ends.buf.get(ei).map_or(u64::MAX, |b| b.0);
-        // Bounded mode drains repeatedly: reclaim the drained prefixes so
-        // the buffers track the lag window, not the stream.
-        starts.compact();
-        ends.compact();
-        self.starts = starts;
-        self.ends = ends;
     }
 }
 
@@ -2012,16 +2162,20 @@ mod tests {
         q
     }
 
-    /// `ensure_sorted` must leave the pending window exactly as one
-    /// stable sort by time of the whole window would — `seq` tells
-    /// equal-time boundaries apart — with no tail left.
-    fn assert_sorts_like_one_stable_sort(q: &mut BoundaryQueue) {
-        let mut expected = q.buf[q.head..].to_vec();
+    /// `ensure_sorted` must leave the buffer exactly as one stable sort
+    /// by time of the whole of it would — `seq` tells equal-time
+    /// boundaries apart — with no tail left, the `consumed` boundaries a
+    /// drain has walked past where they were, and the smallest
+    /// unconsumed time still right.
+    fn assert_sorts_like_one_stable_sort(q: &mut BoundaryQueue, consumed: usize) {
+        let mut expected = q.buf.clone();
         expected.sort_by_key(|b| b.0);
+        let walked = q.buf[..consumed].to_vec();
         q.ensure_sorted();
-        assert_eq!(q.buf[q.head..], expected[..]);
+        assert_eq!(q.buf, expected);
         assert_eq!(q.sorted_to, q.buf.len());
-        assert_eq!(q.min_time(), expected.first().map_or(u64::MAX, |b| b.0));
+        assert_eq!(q.buf[..consumed], walked[..]);
+        assert_eq!(q.min_time(), expected.get(consumed).map_or(u64::MAX, |b| b.0));
     }
 
     #[test]
@@ -2031,7 +2185,7 @@ mod tests {
         q.push((3, 4, 0));
         q.push((9, 5, 0)); // in order after the break: still tail
         assert_eq!((q.sorted_to, q.buf.len()), (4, 6));
-        assert_sorts_like_one_stable_sort(&mut q);
+        assert_sorts_like_one_stable_sort(&mut q, 0);
         q.push((9, 6, 0));
         assert_eq!(q.sorted_to, 7, "a sorted queue grows its prefix again");
     }
@@ -2045,7 +2199,7 @@ mod tests {
             q.push((t, q.buf.len() as u32, 0));
         }
         assert_eq!(q.sorted_to, 6);
-        assert_sorts_like_one_stable_sort(&mut q);
+        assert_sorts_like_one_stable_sort(&mut q, 0);
         let seqs_at = |t: u64| -> Vec<u32> {
             q.buf.iter().filter(|b| b.0 == t).map(|b| b.1).collect::<Vec<_>>()
         };
@@ -2056,24 +2210,22 @@ mod tests {
 
     /// Both merge directions: a long tail displacing a short prefix run
     /// (the prefix run is the scratch) and a short tail displacing a
-    /// long one (the tail is the scratch), each also behind a drained
-    /// head the merge must not reach into.
+    /// long one (the tail is the scratch), each also behind boundaries a
+    /// drain has consumed, which the merge must not reach into.
     #[test]
     fn boundary_queue_merges_in_both_directions() {
-        for head in [0, 3] {
+        for consumed in [0, 3] {
             let long_tail = (0..10).map(|i| i * 10).chain((0..40).rev().map(|i| 55 + i * 3));
             let mut q = queue_of(long_tail);
-            q.head = head;
-            q.min_time = q.buf[head].0;
+            q.min_time = q.buf[consumed].0;
             assert_eq!(q.sorted_to, 11);
-            assert_sorts_like_one_stable_sort(&mut q);
+            assert_sorts_like_one_stable_sort(&mut q, consumed);
 
             let short_tail = (0..50).map(|i| i * 10).chain([205, 120, 120, 333]);
             let mut q = queue_of(short_tail);
-            q.head = head;
-            q.min_time = q.buf[head].0;
+            q.min_time = q.buf[consumed].0;
             assert_eq!(q.sorted_to, 50);
-            assert_sorts_like_one_stable_sort(&mut q);
+            assert_sorts_like_one_stable_sort(&mut q, consumed);
         }
     }
 
@@ -2084,10 +2236,10 @@ mod tests {
         let mut q = queue_of([1, 2, 3, 9, 7, 8, 3]);
         let prefix = q.buf[..3].to_vec();
         assert_eq!(q.sorted_to, 4);
-        assert_sorts_like_one_stable_sort(&mut q);
+        assert_sorts_like_one_stable_sort(&mut q, 0);
         assert_eq!(q.buf[..3], prefix[..]);
         let mut q = queue_of([1, 2, 3, 5, 4, 3]);
-        assert_sorts_like_one_stable_sort(&mut q);
+        assert_sorts_like_one_stable_sort(&mut q, 0);
     }
 
     /// One straggler landing 10⁵ positions back in an otherwise sorted
@@ -2098,26 +2250,27 @@ mod tests {
         let mut q = queue_of((0..n).map(|i| i * 2));
         q.push((2 * (n - 100_000) + 1, n as u32, 0));
         assert_eq!((q.sorted_to, q.buf.len()), (n as usize, n as usize + 1));
-        assert_sorts_like_one_stable_sort(&mut q);
+        assert_sorts_like_one_stable_sort(&mut q, 0);
         assert_eq!(q.buf[(n - 100_000) as usize + 1].1, n as u32);
     }
 
-    /// Bounded mode: partial drains advance the head, `compact` drops
-    /// the drained prefix, and the sorted-prefix length must follow —
+    /// Bounded mode: partial drains advance the sweep's positions,
+    /// `compact` drops what lies behind them, and the sorted-prefix
+    /// length and the positions must follow —
     /// checked on the queue itself and through a bounded sweep whose
     /// stream is disordered within its lag.
     #[test]
     fn boundary_queue_compact_keeps_the_prefix_length_right() {
         let mut q = queue_of((0..3000).map(|i| i * 10));
-        q.head = 2000; // what a partial drain leaves behind
-        q.min_time = q.buf[q.head].0;
-        q.compact();
-        assert_eq!((q.head, q.sorted_to, q.buf.len()), (0, 1000, 1000));
+        let mut head = 2000; // where a partial drain stands
+        q.min_time = q.buf[head].0;
+        q.compact(&mut head);
+        assert_eq!((head, q.sorted_to, q.buf.len()), (0, 1000, 1000));
         for t in [25_000, 24_995, 31_000, 20_000] {
             q.push((t, 0, 0));
         }
         assert_eq!(q.sorted_to, 1000);
-        assert_sorts_like_one_stable_sort(&mut q);
+        assert_sorts_like_one_stable_sort(&mut q, 0);
 
         let mut events = Vec::new();
         for i in 0..4000u64 {
@@ -2128,12 +2281,13 @@ mod tests {
         let mut sweep = OverlapSweep::bounded(DurationNs::from_micros(100));
         let mut compacted = false;
         for (i, e) in events.iter().enumerate() {
-            let before = sweep.starts.buf.len();
+            let before = sweep.log.starts.buf.len();
             sweep.push(e).unwrap();
-            compacted |= sweep.starts.buf.len() < before;
-            for q in [&sweep.starts, &sweep.ends] {
-                assert!(q.head <= q.sorted_to && q.sorted_to <= q.buf.len(), "event {i}");
-                assert!(q.buf[q.head..q.sorted_to].is_sorted_by_key(|b| b.0), "event {i}");
+            compacted |= sweep.log.starts.buf.len() < before;
+            let (log, state) = (&sweep.log, &sweep.state);
+            for (q, head) in [(&log.starts, state.si), (&log.ends, state.ei)] {
+                assert!(head <= q.sorted_to && q.sorted_to <= q.buf.len(), "event {i}");
+                assert!(q.buf[..q.sorted_to].is_sorted_by_key(|b| b.0), "event {i}");
             }
         }
         assert!(compacted, "the stream must be long enough to compact");
@@ -2161,9 +2315,9 @@ mod tests {
             assert!(tidied.unsorted_boundaries() <= 2 * chunk.len());
             tidied.sort_pending();
             assert_eq!(tidied.unsorted_boundaries(), 0);
-            let order = (tidied.starts.buf.clone(), tidied.ends.buf.clone());
+            let order = (tidied.log.starts.buf.clone(), tidied.log.ends.buf.clone());
             tidied.sort_pending();
-            assert_eq!((tidied.starts.buf.clone(), tidied.ends.buf.clone()), order);
+            assert_eq!((tidied.log.starts.buf.clone(), tidied.log.ends.buf.clone()), order);
             assert_eq!(tidied.clone().unsorted_boundaries(), 0);
         }
         assert_eq!(tidied.finalize(), expected);
@@ -2186,6 +2340,66 @@ mod tests {
             TimeNs::from_micros(start_us),
             TimeNs::from_micros(end_us),
         )
+    }
+
+    /// Pushes `events` one at a time into a phase-tagged sweep that lays
+    /// a checkpoint at every end, reading the tables after each push:
+    /// every read must equal the batch sweep of that prefix, a repeat
+    /// must drain nothing, and the sweep must finalize as if never read.
+    fn assert_resumes_like_one_drain(events: &[Event]) {
+        let mut sweep = OverlapSweep::new().with_phase_tagging().with_checkpoint_spacing(1);
+        for (i, e) in events.iter().enumerate() {
+            sweep.push(e).unwrap();
+            let expected = sweep_tables_by_phase(events[..=i].iter());
+            assert_eq!(sweep.tables_so_far(), expected, "after event {i}");
+            assert_eq!(sweep.tables_so_far(), expected, "again after event {i}");
+            assert_eq!(sweep.last_drained(), 0, "after event {i}");
+        }
+        assert_eq!(sweep.finalize_grouped(), sweep_tables_by_phase(events.iter()));
+    }
+
+    /// The traps of resuming a drain: a checkpoint is judged by time,
+    /// not by queue index; ties resolve as in one uninterrupted drain;
+    /// and a checkpoint laid under fewer names and pids is re-laid.
+    #[test]
+    fn resumed_drains_match_one_uninterrupted_drain() {
+        let py = || EventKind::Cpu(CpuCategory::Python);
+        let sim = || EventKind::Cpu(CpuCategory::Simulator);
+        // A start that lands past the checkpoint's start index (every
+        // start before it is earlier) yet before the end it processed
+        // last.
+        assert_resumes_like_one_drain(&[pev(0, py(), "a", 0, 100), pev(0, sim(), "b", 50, 150)]);
+        // Equal times: an end and a start at the instant a checkpoint
+        // stopped at, pushed after it; and a start at that instant alone.
+        assert_resumes_like_one_drain(&[
+            pev(0, EventKind::Operation, "x", 0, 100),
+            pev(0, py(), "a", 0, 100),
+            pev(0, EventKind::Operation, "y", 100, 200),
+            pev(0, sim(), "b", 50, 100),
+            pev(0, py(), "c", 100, 200),
+        ]);
+        // Operations closing after their children, interleaved across
+        // two processes, under a phase that arrives last of all.
+        assert_resumes_like_one_drain(&[
+            pev(0, py(), "a", 10, 40),
+            pev(1, sim(), "b", 20, 60),
+            pev(0, EventKind::Operation, "step", 5, 45),
+            pev(1, EventKind::Operation, "env", 15, 70),
+            pev(0, py(), "c", 50, 90),
+            pev(0, EventKind::Operation, "step", 48, 95),
+            pev(0, EventKind::Phase, "run", 0, 100),
+        ]);
+        // New operation and phase names and a new pid first seen after
+        // checkpoints exist: the accumulator's stride, its phase rows
+        // and the per-pid state all grow under the ladder.
+        let mut late_names = vec![pev(0, py(), "a", 0, 10), pev(0, py(), "a", 20, 30)];
+        for (i, name) in ["p", "q", "r", "s", "t"].into_iter().enumerate() {
+            let t = 40 + 20 * i as u64;
+            late_names.push(pev(i as u32, EventKind::Operation, name, t, t + 15));
+            late_names.push(pev(i as u32, sim(), "b", t + 2, t + 12));
+            late_names.push(pev(i as u32, EventKind::Phase, name, t - 5, t + 18));
+        }
+        assert_resumes_like_one_drain(&late_names);
     }
 
     /// Regression test for the global-phase-scoping bug: in a merged

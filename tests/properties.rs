@@ -665,22 +665,35 @@ proptest! {
         std::fs::remove_dir_all(&dir_b).unwrap();
     }
 
-    /// Live snapshots sort the live sweeps in place, one increment at a
-    /// time, and take only the view asked for — neither may be
-    /// observable. A multi-pid stream on a coarse time grid (so equal
-    /// timestamps abound), in arbitrary order, is pushed in random-size
-    /// chunks with a snapshot of a random view after each: every
-    /// snapshot equals the batch analysis of exactly that prefix, a
-    /// repeated snapshot is identical, and the state snapshotted after
-    /// every chunk ends up answering as one that never was.
+    /// Live snapshots sort the live sweeps in place, resume their drain
+    /// from a checkpoint of the previous one, and take only the view
+    /// asked for — none of which may be observable. A multi-pid stream
+    /// on a coarse time grid (so equal timestamps abound) is pushed in
+    /// random-size chunks with a snapshot of a random view after each,
+    /// under a checkpoint spacing of one to three boundaries so that a
+    /// few dozen events resume and roll back for real. `shape` picks the
+    /// order — arbitrary (a snapshot rolls back far) or by close time,
+    /// the profiler's (it resumes near the end) — whether the first
+    /// third of the stream is one process under one name, so that new
+    /// operation and phase names and the second pid (which promotes the
+    /// merged sweep by cloning the first process's, ladder included)
+    /// first appear after checkpoints exist, and whether a whole-run
+    /// phase arrives last. Every snapshot equals the batch analysis of
+    /// exactly that prefix, a repeated snapshot is identical, and the
+    /// state snapshotted after every chunk ends up answering as one that
+    /// never was.
     #[test]
     fn live_snapshots_of_any_view_match_batch_at_every_prefix(
         events in prop::collection::vec(arb_multiproc_full_event(), 0..80),
         steps in prop::collection::vec((1usize..16, 0usize..3), 1..8),
+        spacing in 1usize..4,
+        shape in 0usize..8,
     ) {
         use rlscope::core::analysis::{LiveState, LiveTables};
 
-        let events: Vec<Event> = events
+        let (close_ordered, late_names, whole_run_phase) =
+            (shape & 1 != 0, shape & 2 != 0, shape & 4 != 0);
+        let mut events: Vec<Event> = events
             .into_iter()
             .map(|mut e| {
                 let grid = |t: TimeNs| TimeNs::from_nanos(t.as_nanos() / 50 * 50);
@@ -688,11 +701,24 @@ proptest! {
                 e
             })
             .collect();
+        if close_ordered {
+            events.sort_by_key(|e| e.end);
+        }
+        if late_names {
+            let third = events.len() / 3;
+            for e in &mut events[..third] {
+                (e.pid, e.name) = (ProcessId(0), Arc::from("alpha"));
+            }
+        }
+        if whole_run_phase {
+            let end = events.iter().map(|e| e.end).max().unwrap_or(TimeNs::from_nanos(50));
+            events.push(Event::new(ProcessId(0), EventKind::Phase, "run", TimeNs::ZERO, end));
+        }
         let live_answers = |view: LiveView, tables: &LiveTables| {
             live_view_answers(view, || Analysis::of_live(tables))
         };
 
-        let mut snapshotted = LiveState::new();
+        let mut snapshotted = LiveState::with_checkpoint_spacing(spacing);
         let mut untouched = LiveState::new();
         let mut fed = 0;
         for &(len, view) in steps.iter().cycle() {
@@ -704,11 +730,11 @@ proptest! {
             snapshotted.push_columns(&chunk).unwrap();
             untouched.push_columns(&chunk).unwrap();
             let view = [LiveView::Merged, LiveView::PerProcess, LiveView::Both][view];
-            let tables = snapshotted.snapshot_view(view).finalize();
+            let tables = snapshotted.snapshot_view(view);
             prop_assert_eq!(tables.events_observed(), fed as u64);
             let batch = live_view_answers(view, || Analysis::of_events(&events[..fed]));
             prop_assert_eq!(&live_answers(view, &tables), &batch, "{:?} at {}", view, fed);
-            let again = snapshotted.snapshot_view(view).finalize();
+            let again = snapshotted.snapshot_view(view);
             prop_assert_eq!(&live_answers(view, &again), &batch, "{:?} again at {}", view, fed);
         }
         prop_assert_eq!(
