@@ -1,5 +1,5 @@
-//! Microbenchmarks of the profiler's hot paths: the overlap sweep (batch
-//! and streaming), trace encode/decode, chunk-directory analysis, tensor
+//! Microbenchmarks of the profiler's hot paths: the overlap sweep (fed
+//! once and incrementally), trace encode/decode, chunk-directory analysis, tensor
 //! math, and GPU stream scheduling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -10,7 +10,6 @@ use rlscope_core::overlap::{compute_overlap, compute_overlap_columns, OverlapSwe
 use rlscope_core::store::{
     decode_columns, decode_events, encode_events, EventColumns, TraceWriter,
 };
-use rlscope_core::trace::streamed_breakdowns_by_process;
 use rlscope_core::Trace;
 use rlscope_sim::gpu::{GpuDevice, KernelDesc};
 use rlscope_sim::ids::{ProcessId, StreamId};
@@ -242,8 +241,8 @@ fn bench_analysis(c: &mut Criterion) {
     });
 
     // Regression ratio gate (CI bench-smoke entry): the `Analysis`
-    // pipeline's plain table query must stay within 1.1x of the raw
-    // batch engine (`compute_overlap_raw`) on the
+    // pipeline's plain table query must stay within 1.1x of the sweep
+    // driven directly (`OverlapSweep` `push_batch` + `finalize`) on the
     // overlap_sweep/10000_events workload. The baseline deliberately
     // bypasses the builder — `compute_overlap` is itself an `Analysis`
     // wrapper, so gating against it would compare identical code and
@@ -262,12 +261,16 @@ fn bench_analysis(c: &mut Criterion) {
         }
         t.elapsed().as_nanos() as f64 / reps as f64
     };
-    let direct = || rlscope_core::overlap::compute_overlap_raw(std::hint::black_box(&events));
+    let direct = || {
+        let mut sweep = OverlapSweep::new();
+        sweep.push_batch(std::hint::black_box(&events)).unwrap();
+        sweep.finalize()
+    };
     let query = || Analysis::of_events(std::hint::black_box(&events)).table().unwrap();
     let (query_stats, direct_stats) =
         gate::sample_pair(5, || time_per_call(&query), || time_per_call(&direct));
-    // The fast path dispatches straight to the raw engine, so the ratio
-    // should sit at ~1.00. Bench runs assert the acceptance target
+    // The fast path pushes straight into one sweep, so the ratio should
+    // sit at ~1.00. Bench runs assert the acceptance target
     // (1.1x); the noisy `--test` CI smoke only gates catastrophic
     // regressions.
     let target = if gate::is_smoke_run() { 2.0 } else { 1.1 };
@@ -276,13 +279,14 @@ fn bench_analysis(c: &mut Criterion) {
         &query_stats,
         &direct_stats,
         target,
-        "Analysis::table() should dispatch straight to the raw engine (~1.0x)",
+        "Analysis::table() should push straight into one sweep (~1.0x)",
     );
 }
 
 fn bench_streaming(c: &mut Criterion) {
-    // Streaming sweep throughput: same events as the 10k batch bench,
-    // pushed one at a time through the exact incremental sweep.
+    // Per-event push throughput: the same events as
+    // overlap_sweep/10000_events, pushed one at a time instead of in one
+    // batch.
     let events = synthetic_events(10_000);
     c.bench_function("overlap_stream_10k", |b| {
         b.iter(|| {
@@ -294,44 +298,6 @@ fn bench_streaming(c: &mut Criterion) {
         })
     });
 
-    // Regression ratio gate (CI bench-smoke entry): the exact streaming
-    // sweep's per-event cost must stay within 2x of the batch engine on
-    // the same stream (tightened from 3x once the sweep adopted the
-    // batch engine's flat accumulator, run-length coalescing, and
-    // slab-indexed scope records — it measures ~1.1-1.5x now; the old
-    // binary-heap pending set measured ~4x and the per-seq-HashMap
-    // drain ~2.7x). Measured inline (median of 5 interleaved passes,
-    // see `gate`) so it also runs under `--test`; skipped when a
-    // substring filter excludes it.
-    let gate_name = "overlap_stream_10k";
-    if bench_filter().is_none_or(|f| gate_name.contains(f.as_str())) {
-        let batch = || rlscope_core::overlap::compute_overlap_raw(std::hint::black_box(&events));
-        let streamed = || {
-            let mut sweep = OverlapSweep::new();
-            for e in std::hint::black_box(&events) {
-                sweep.push(e).unwrap();
-            }
-            sweep.finalize()
-        };
-        let time_per_call = |f: &dyn Fn() -> rlscope_core::BreakdownTable| {
-            let reps = 8;
-            let t = std::time::Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(f());
-            }
-            t.elapsed().as_nanos() as f64 / reps as f64
-        };
-        let (stream_stats, batch_stats) =
-            gate::sample_pair(5, || time_per_call(&streamed), || time_per_call(&batch));
-        let target = if gate::is_smoke_run() { 8.0 } else { 2.0 };
-        gate::assert_ratio(
-            "overlap_stream_regression_gate",
-            &stream_stats,
-            &batch_stats,
-            target,
-            "the flat-accumulator streaming sweep measures ~1.1-1.5x the batch engine here",
-        );
-    }
     // End-to-end chunk-directory analysis: decode + per-pid streaming
     // sweeps, against the materialize-then-shard baseline shape.
     let dir = std::env::temp_dir().join(format!("rlscope_bench_chunks_{}", std::process::id()));
@@ -341,17 +307,11 @@ fn bench_streaming(c: &mut Criterion) {
         writer.write(chunk.to_vec());
     }
     writer.finish().unwrap();
-    c.bench_function("chunk_dir_streamed_4proc_40k", |b| {
-        b.iter(|| streamed_breakdowns_by_process(std::hint::black_box(&dir), None).unwrap())
-    });
+    let by_process =
+        || Analysis::from_chunk_dir(std::hint::black_box(&dir)).group_by([Dim::Process]);
+    c.bench_function("chunk_dir_streamed_4proc_40k", |b| b.iter(|| by_process().tables().unwrap()));
     c.bench_function("chunk_dir_streamed_bounded_4proc_40k", |b| {
-        b.iter(|| {
-            streamed_breakdowns_by_process(
-                std::hint::black_box(&dir),
-                Some(DurationNs::from_millis(1)),
-            )
-            .unwrap()
-        })
+        b.iter(|| by_process().bounded_streaming(DurationNs::from_millis(1)).tables().unwrap())
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -719,7 +679,9 @@ fn bench_multiprocess(c: &mut Criterion) {
         wall_end: TimeNs::from_nanos(400_000),
     };
     c.bench_function("multiprocess_breakdown_4proc_40k", |b| {
-        b.iter(|| std::hint::black_box(&trace).breakdowns_by_process())
+        b.iter(|| {
+            Analysis::of(std::hint::black_box(&trace)).group_by([Dim::Process]).tables().unwrap()
+        })
     });
 }
 
@@ -747,7 +709,7 @@ fn bench_columnar(c: &mut Criterion) {
     // The chunk parser on the same encoded chunks as trace_decode_10k
     // (which times it plus the row bridge): `decode_columns` fills five
     // flat primitive columns with zero `Vec<Event>` materialization, and
-    // the batch sweep consumes them without re-reading event structs.
+    // the sweep consumes them without re-reading event structs.
     let events = synthetic_events(10_000);
     let encoded = encode_events(&events);
     c.bench_function("columnar_decode_10k", |b| {
@@ -764,10 +726,11 @@ fn bench_columnar(c: &mut Criterion) {
     });
 
     // Inline ratio gate (CI bench-smoke entry): the column
-    // instantiation of the batch sweep must stay at or under the row
-    // instantiation on the equivalent input. Both run one generic
-    // boundary encoder and one merge loop, so this guards that neither
-    // instantiation is taxed by the shared body.
+    // instantiation of the sweep's push path must stay at or under the
+    // row instantiation (a direct `push_batch` + `finalize`) on the
+    // equivalent input. Both run one generic push body and one merge
+    // loop, so this guards that neither instantiation is taxed by the
+    // shared body.
     let time_per_call = |f: &mut dyn FnMut()| {
         let reps = 8;
         let t = std::time::Instant::now();
@@ -789,7 +752,9 @@ fn bench_columnar(c: &mut Criterion) {
             },
             || {
                 time_per_call(&mut || {
-                    drop(std::hint::black_box(rlscope_core::overlap::compute_overlap_raw(&events)))
+                    let mut sweep = OverlapSweep::new();
+                    sweep.push_batch(&events).unwrap();
+                    drop(std::hint::black_box(sweep.finalize()))
                 })
             },
         );
@@ -799,8 +764,8 @@ fn bench_columnar(c: &mut Criterion) {
             &colsweep_stats,
             &rowsweep_stats,
             target,
-            "the columnar batch sweep shares the merge loop and encodes from flat columns; \
-             it measures at or under the row sweep here",
+            "the columnar push shares the merge loop and logs boundaries from flat columns; \
+             it measures at or under the row push here",
         );
     }
 }

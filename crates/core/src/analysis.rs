@@ -2,9 +2,9 @@
 //! breakdown the profiler can produce.
 //!
 //! Historically each report reached the overlap engine through its own
-//! ad-hoc door (`compute_overlap`, `Trace::breakdown*`,
-//! `streamed_breakdowns_by_process`, `correct`, …). [`Analysis`] replaces
-//! them with a single builder that composes
+//! ad-hoc door (`compute_overlap`, `Trace::breakdown`, per-process and
+//! streamed variants of it, `correct`, …). [`Analysis`] replaces them
+//! with a single builder that composes
 //!
 //! * a **source** — [`Analysis::of`] (one trace), [`Analysis::merged`]
 //!   (several traces), [`Analysis::of_events`] /
@@ -25,8 +25,8 @@
 //!   [`Analysis::canonical_json`].
 //!
 //! All legacy entry points are thin wrappers over this pipeline, so every
-//! path — batch, indexed, parallel per-process, streamed — shares one
-//! engine and one set of semantics.
+//! path — in-memory, indexed, parallel per-process, streamed, live —
+//! runs the one engine ([`OverlapSweep`]) under one set of semantics.
 //!
 //! # Phase semantics
 //!
@@ -103,10 +103,11 @@
 //! `Vec<Event>` is materialized) and feed the sweeps through
 //! [`OverlapSweep::push_columns`]. Sources that start from
 //! already-materialized rows — [`Analysis::of`], [`Analysis::merged`],
-//! [`Analysis::of_events`], [`Analysis::of_indexed`] — sweep the rows
-//! directly; converting them to columns first would add a copy for no
-//! decode saving. Both read events through the same generic engine
-//! bodies (see [`crate::overlap`]) and reduce to the same merge loop;
+//! [`Analysis::of_events`], [`Analysis::of_indexed`] — push their
+//! (filtered, possibly clipped) rows into an exact sweep in one go and
+//! finalize it; converting them to columns first would add a copy for
+//! no decode saving. Both read events through the same generic push
+//! body (see [`crate::overlap`]) and drain through the same merge loop;
 //! the two instantiations are pinned table-identical by
 //! `columnar_sweep_matches_batch_canonical_json` in
 //! `tests/properties.rs`.
@@ -856,8 +857,9 @@ impl<'a> Analysis<'a> {
     /// if correction was requested without a trace-backed source.
     pub fn table(&self) -> Result<BreakdownTable, AnalysisError> {
         if self.is_plain() {
-            // Fast path: a plain unfiltered batch sweep runs without
-            // building the reference index.
+            // Fast path: a plain unfiltered in-memory query pushes its
+            // rows straight into one sweep, without building the row set
+            // and group keys `resolve_groups` would.
             return Ok(match &self.source {
                 Source::Events(events) => sweep_tables(events.iter()),
                 Source::Indexed(events, indices) => {
@@ -995,7 +997,8 @@ impl<'a> Analysis<'a> {
 
     // ----- execution ----------------------------------------------------
 
-    /// True when the query is a bare unfiltered batch sweep.
+    /// True when the query is a bare unfiltered sweep of an in-memory
+    /// source.
     fn is_plain(&self) -> bool {
         self.phase_filter.is_none()
             && self.process_filter.is_none()
@@ -1099,9 +1102,9 @@ impl<'a> Analysis<'a> {
             || self.window.is_some()
     }
 
-    /// Batch execution: builds the (filtered, possibly clipped) row set
-    /// and sweeps it — per process in parallel when the process dimension
-    /// is requested.
+    /// In-memory execution: builds the (filtered, possibly clipped) row
+    /// set and pushes it into one exact sweep — one per process, in
+    /// parallel, when the process dimension is requested.
     fn resolve_batch(
         &self,
         per_process: bool,
@@ -1271,7 +1274,7 @@ impl<'a> Analysis<'a> {
                 }
                 // Clip before slot creation: an event the window drops
                 // entirely must not materialize an empty per-process
-                // group the batch path would not produce.
+                // group an in-memory source would not produce.
                 if let Some((lo, hi)) = self.window {
                     cols.clip_window(lo.as_nanos(), hi.as_nanos());
                 }
@@ -1343,8 +1346,8 @@ impl<'a> Analysis<'a> {
                 .collect())
         } else {
             // An ungrouped `.process(pid)` query reads that process's own
-            // sweep; an absent pid yields the empty table the batch path
-            // would produce.
+            // sweep; an absent pid yields the empty table an in-memory
+            // source would produce.
             let tables = per_process
                 .iter()
                 .find(|(p, _)| Some(*p) == pid_filter)
@@ -1629,7 +1632,7 @@ fn filter_table(table: &BreakdownTable, pred: impl Fn(&BucketKey) -> bool) -> Br
     out
 }
 
-/// The batch resolver's row set. Single-slice sources (one trace, one
+/// The in-memory resolver's row set. Single-slice sources (one trace, one
 /// event slice, one index subset) are carried as the borrowed slice plus
 /// — only when a filter narrows them — a `u32` index list, i.e. 4 bytes
 /// per kept event. Only merged multi-trace sources materialize an
@@ -1772,12 +1775,6 @@ mod tests {
             ev(0, EventKind::Gpu(GpuCategory::Kernel), "k", 140, 180),
             ev(1, EventKind::Cpu(CpuCategory::Simulator), "sim", 20, 140),
         ]
-    }
-
-    #[test]
-    fn plain_table_matches_compute_overlap() {
-        let events = phased_events();
-        assert_eq!(Analysis::of_events(&events).table().unwrap(), compute_overlap(&events));
     }
 
     #[test]

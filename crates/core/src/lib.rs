@@ -90,8 +90,6 @@
 //! |---------------------------------------------|------------------|
 //! | `compute_overlap(events)`                   | `Analysis::of_events(events).table()` |
 //! | `trace.breakdown()`                         | `Analysis::of(&trace).table()` |
-//! | `trace.breakdowns_by_process()`             | `Analysis::of(&trace).group_by([Dim::Process]).tables()` |
-//! | `streamed_breakdowns_by_process(dir, lag)`  | `Analysis::from_chunk_dir(dir)[.bounded_streaming(lag)].group_by([Dim::Process]).tables()` |
 //! | `correct(&trace, &cal)`                     | `Analysis::of(&trace).corrected(&cal).profile()` |
 //! | `uncorrected(&trace)`                       | `Analysis::of(&trace).profile()` |
 //!
@@ -139,7 +137,7 @@ pub mod prelude {
         BreakdownReport, MultiPhaseReport, MultiProcessReport, TransitionReport,
     };
     pub use crate::store::ChunkReader;
-    pub use crate::trace::{streamed_breakdowns_by_process, Trace};
+    pub use crate::trace::Trace;
 }
 
 pub use analysis::{Analysis, AnalysisError, Dim, GroupKey, LiveState, LiveTables};
@@ -150,4 +148,4 @@ pub use overlap::{compute_overlap, BreakdownTable, BucketKey, OverlapSweep, NO_P
 pub use profiler::{OperationGuard, Profiler, ProfilerConfig, Toggles, TransitionKind};
 pub use report::{BreakdownReport, MultiPhaseReport, MultiProcessReport, TransitionReport};
 pub use store::ChunkReader;
-pub use trace::{streamed_breakdowns_by_process, Trace};
+pub use trace::Trace;

@@ -14,37 +14,39 @@
 //! executing on both CPU and GPU (reproduced verbatim in the tests below).
 //!
 //! This module is the engine room of the unified query API
-//! ([`crate::analysis::Analysis`]); two execution paths share it:
+//! ([`crate::analysis::Analysis`]), and it holds **one engine**:
+//! [`OverlapSweep`]. Every event is reduced, as it is pushed, to two
+//! compact boundary records in an append-only log — per side, a sorted
+//! prefix plus an unsorted tail (`BoundaryQueue`): only out-of-order
+//! pushes are ever sorted, once, with the run-aware `sort_boundaries`,
+//! and merged into the prefix — and one loop (`DrainState::advance`)
+//! walks the sorted log and attributes segments. The engine is fed
+//! either way:
 //!
-//! * the batch path: all events (or an index subset of a borrowed slice)
-//!   are encoded into flat boundary arrays, sorted with the run-aware
-//!   `sort_boundaries`, and swept in one pass ([`compute_overlap`] is
-//!   the historical entry point, now a wrapper over `Analysis`);
-//! * [`OverlapSweep`] — the incremental path: events arrive in batches
-//!   (e.g. one decoded trace chunk at a time), are reduced immediately to
-//!   compact boundary records, and the same sweep finalizes to an
-//!   identical [`BreakdownTable`]. See the type docs for the memory
-//!   contract of its exact and bounded modes. Pushed boundaries go to
-//!   an append-only log — per side, a sorted prefix plus an unsorted
-//!   tail (`BoundaryQueue`): only out-of-order pushes are ever sorted,
-//!   once, and merged into the prefix — and what a drain has computed
-//!   is a small value beside the log (`DrainState`), so a long-lived
-//!   sweep that is read again and again (a live session under a
-//!   dashboard) resumes each read from a checkpoint of the last
+//! * **once** — an in-memory source (an event slice, an index subset of
+//!   one, a trace, decoded columns) pushes all of its rows into an exact
+//!   sweep and finalizes it ([`compute_overlap`] is the historical entry
+//!   point, now a wrapper over `Analysis`);
+//! * **incrementally** — events arrive in batches (one decoded trace
+//!   chunk at a time) and the sweep finalizes to the identical
+//!   [`BreakdownTable`] however the stream was cut. See the type docs
+//!   for the memory contract of its exact and bounded modes. What a
+//!   drain has computed is a small value beside the log (`DrainState`),
+//!   so a long-lived sweep that is read again and again (a live session
+//!   under a dashboard) resumes each read from a checkpoint of the last
 //!   ([`OverlapSweep::tables_so_far`]) instead of draining its history
 //!   from the start.
 //!
-//! Each path reads events through one body: the batch boundary encoder
-//! and the streaming push are generic over the store's `EventRow`
-//! accessor, monomorphized for `&Event` (in-memory sources) and for
-//! decoded [`EventColumns`] rows (byte-sourced chunks) — the same code
-//! either way, with no row materialization for columns and no column
-//! copy for rows.
+//! Events are read through one body: the push path is generic over the
+//! store's `EventRow` accessor, monomorphized for `&Event` (in-memory
+//! sources) and for decoded [`EventColumns`] rows (byte-sourced chunks)
+//! — the same code either way, with no row materialization for columns
+//! and no column copy for rows.
 //!
-//! Both paths can additionally carry a **phase tag** through segments,
-//! producing one table per phase ([`PhaseTables`]) for
-//! `Analysis::group_by([Dim::Phase])` queries; with tagging off, phase
-//! events are dropped exactly as before.
+//! A sweep can additionally carry a **phase tag** through segments
+//! ([`OverlapSweep::with_phase_tagging`]), producing one table per phase
+//! ([`PhaseTables`]) for `Analysis::group_by([Dim::Phase])` queries;
+//! with tagging off, phase events are dropped before they are logged.
 //!
 //! Phase scoping is **per process**: a segment is tagged with the
 //! innermost (latest-activated) open [`crate::event::EventKind::Phase`]
@@ -267,9 +269,6 @@ pub(crate) fn json_escape_into(s: &str, out: &mut String) {
 /// categories) × 2 GPU states.
 const SLOTS: usize = 10;
 
-/// Tombstone marking a removed (non-LIFO-closed) operation stack entry.
-const TOMBSTONE: u32 = u32::MAX;
-
 /// Finest active CPU category per 4-bit active-category mask, encoded as
 /// an accumulator tag (0 = no CPU, `1 + category discriminant` otherwise).
 ///
@@ -305,22 +304,20 @@ const TAG_TO_CATEGORY: [Option<CpuCategory>; 5] = [
     Some(CpuCategory::CudaApi),
 ];
 
-/// Compact per-event kind codes shared by the batch and streaming engines:
-/// `0..=3` are the CPU categories in declaration order.
-const CODE_GPU: u8 = 4;
-const CODE_OP: u8 = 5;
-const CODE_PHASE: u8 = 6;
+/// Kind code of a GPU boundary's meta word; `0..=3` are the CPU
+/// categories in declaration order.
+const CODE_GPU: u32 = 4;
 
 /// Reverses every strictly-descending run in place. Strict descent has no
-/// equal keys, so reversal preserves stability.
-fn reverse_descending_runs<T: Copy>(v: &mut [T], key: impl Fn(&T) -> u64 + Copy) {
+/// equal times, so reversal preserves stability.
+fn reverse_descending_runs(v: &mut [Boundary]) {
     let n = v.len();
     let mut i = 0;
     while i + 1 < n {
-        if key(&v[i]) > key(&v[i + 1]) {
+        if v[i].0 > v[i + 1].0 {
             let run_start = i;
             i += 1;
-            while i + 1 < n && key(&v[i]) > key(&v[i + 1]) {
+            while i + 1 < n && v[i].0 > v[i + 1].0 {
                 i += 1;
             }
             v[run_start..=i].reverse();
@@ -336,23 +333,19 @@ fn reverse_descending_runs<T: Copy>(v: &mut [T], key: impl Fn(&T) -> u64 + Copy)
 /// permutation of the input) when the work exceeds `budget` moved
 /// elements or a displaced block is long — both signs the input is not
 /// the near-sorted shape this pass is for.
-fn rotate_merge_repair<T: Copy>(
-    v: &mut [T],
-    budget: usize,
-    key: impl Fn(&T) -> u64 + Copy,
-) -> bool {
+fn rotate_merge_repair(v: &mut [Boundary], budget: usize) -> bool {
     let n = v.len();
     let mut moved = 0usize;
     let mut i = 1;
     while i < n {
-        if key(&v[i]) >= key(&v[i - 1]) {
+        if v[i].0 >= v[i - 1].0 {
             i += 1;
             continue;
         }
         // Sorted-prefix invariant: v[..i] is sorted, so the displaced
         // block v[a..b) (everything > v[i]) is found by binary search.
-        let pivot = key(&v[i]);
-        let mut a = v[..i].partition_point(|p| key(p) <= pivot);
+        let pivot = v[i].0;
+        let mut a = v[..i].partition_point(|p| p.0 <= pivot);
         let mut b = i;
         // A long displaced block means coarse interleaving of long runs
         // (e.g. per-process streams concatenated by a trace merge), which
@@ -362,15 +355,16 @@ fn rotate_merge_repair<T: Copy>(
             return false;
         }
         let mut k = i + 1;
-        while k < n && key(&v[k]) >= key(&v[k - 1]) {
+        while k < n && v[k].0 >= v[k - 1].0 {
             k += 1;
         }
         // Merge adjacent sorted blocks v[a..b) and v[b..k) by rotating
         // run prefixes into place. `partition_point` bounds keep equal
-        // keys in first-seen order, so the pass is stable.
+        // times in first-seen order, so the pass is stable.
         while a < b && b < k {
-            if key(&v[b]) < key(&v[a]) {
-                let t = v[b..k].partition_point(|p| key(p) < key(&v[a])); // >= 1
+            if v[b].0 < v[a].0 {
+                let head = v[a].0;
+                let t = v[b..k].partition_point(|p| p.0 < head); // >= 1
                 moved += b - a + t;
                 if moved > budget {
                     return false;
@@ -379,8 +373,8 @@ fn rotate_merge_repair<T: Copy>(
                 a += t;
                 b += t;
             } else {
-                let cut = key(&v[b]);
-                a += v[a..b].partition_point(|p| key(p) <= cut);
+                let cut = v[b].0;
+                a += v[a..b].partition_point(|p| p.0 <= cut);
             }
         }
         i = k;
@@ -388,24 +382,21 @@ fn rotate_merge_repair<T: Copy>(
     true
 }
 
-/// Stable sort of a boundary array by time, tuned for profiler streams.
+/// Stable sort of boundaries by time, tuned for profiler streams.
 ///
 /// Real event streams are emitted near-chronologically, but two shapes
 /// defeat std's run-merging sort: deeply nested annotation stacks make the
-/// *end* array a chain of descending runs (each block of 64-deep scopes
+/// *end* queue a chain of descending runs (each block of 64-deep scopes
 /// closes inside-out), and the per-block close order leaves single
 /// stragglers between runs. This sort reverses strictly-descending runs in
 /// an O(n) pre-pass, then repairs the remaining local disorder with block
 /// rotations; genuinely unsorted input falls back to `sort_by_key`. Ties
-/// keep push order (event order), matching a stable sort by time. Shared
-/// by the batch encoder's `(time, idx)` pairs and the streaming
-/// [`BoundaryQueue`]'s `(time, seq, meta)` records via the `key`
-/// accessor.
-fn sort_boundaries<T: Copy>(v: &mut [T], key: impl Fn(&T) -> u64 + Copy) {
-    reverse_descending_runs(v, key);
+/// keep push order (event order), matching a stable sort by time.
+fn sort_boundaries(v: &mut [Boundary]) {
+    reverse_descending_runs(v);
     let budget = v.len() * 2 + 64;
-    if !rotate_merge_repair(v, budget, key) {
-        v.sort_by_key(|p| key(p));
+    if !rotate_merge_repair(v, budget) {
+        v.sort_by_key(|b| b.0);
     }
 }
 
@@ -447,11 +438,12 @@ fn materialize(interner: &Interner, acc: &[u64]) -> BreakdownTable {
 ///
 /// # Engine
 ///
-/// The sweep walks sorted interval boundaries and attributes each
-/// constant-active-set segment to a bucket. The hot path is allocation-
-/// free per boundary:
+/// The events are pushed into one exact [`OverlapSweep`], which is then
+/// finalized: a single drain walks the sorted interval boundaries and
+/// attributes each constant-active-set segment to a bucket. The hot path
+/// is allocation-free per boundary:
 ///
-/// * operation names are interned to dense `u32` ids up front
+/// * operation names are interned to dense `u32` ids at push time
 ///   ([`crate::intern::Interner`]), so the segment accumulator is a flat
 ///   `Vec<u64>` indexed by `(phase_id, op_id, cpu_tag, gpu)` instead of a
 ///   `BTreeMap` insert per boundary (the phase dimension collapses to a
@@ -459,9 +451,11 @@ fn materialize(interner: &Interner, acc: &[u64]) -> BreakdownTable {
 /// * the active CPU set is a fixed `[u32; 4]` counter array plus a 4-bit
 ///   occupancy mask; the finest category is a `FINEST_TAG` lookup, not
 ///   a map scan;
-/// * the operation stack records each event's slot at push time, so a
-///   non-LIFO close tombstones its slot in O(1) instead of the former
-///   `O(depth)` `retain`; tombstones are popped lazily when they surface.
+/// * the operation stack holds **open scopes only**, as `(seq, op_id)`
+///   with `seq` the scope's arrival number: an end finds the entry its
+///   start pushed by seq, searching from the top — the top itself unless
+///   scopes interleave — and removes it, so the innermost open operation
+///   is always the last entry.
 ///
 /// The ordered [`BreakdownTable`] is materialized once at the end from
 /// the non-zero accumulator cells.
@@ -469,372 +463,54 @@ pub fn compute_overlap(events: &[Event]) -> BreakdownTable {
     crate::analysis::Analysis::of_events(events).table().expect("in-memory analysis cannot fail")
 }
 
-/// The raw batch engine over an event slice, bypassing the
-/// [`crate::analysis::Analysis`] builder entirely.
-///
-/// This exists as the measurement baseline for the `analysis_query`
-/// regression gate (`benches/micro.rs`): [`compute_overlap`] is itself a
-/// wrapper over `Analysis`, so comparing the pipeline against it would
-/// compare identical code and could never detect pipeline overhead. Use
-/// [`compute_overlap`] or `Analysis` for actual analysis.
-pub fn compute_overlap_raw(events: &[Event]) -> BreakdownTable {
-    sweep_tables(events.iter())
-}
-
-/// The batch engine run directly over decoded columns
+/// The sweep run directly over decoded columns
 /// ([`crate::store::EventColumns`]), bypassing row materialization
-/// entirely: the boundary arrays are built straight from the start/end
-/// columns and operation names are translated table-id → dense id once
-/// per distinct name, not once per event. Produces exactly the
+/// entirely: boundaries are logged straight from the start/end columns
+/// and operation names are translated table-id → dense id once per
+/// distinct name, not once per event. Produces exactly the
 /// [`compute_overlap`] table for the same events.
 pub fn compute_overlap_columns(cols: &EventColumns) -> BreakdownTable {
     sweep_tables(cols.rows())
 }
 
-/// Batch sweep over an event iterator, phases dropped (the historical
-/// `compute_overlap` semantics).
+/// One in-memory push: every row into `sweep`, which must be exact.
+fn pushed_once(
+    mut sweep: OverlapSweep,
+    events: impl Iterator<Item = impl EventRow>,
+) -> OverlapSweep {
+    // An exact sweep rejects nothing but a u32 overflow of its scope
+    // ids, which an in-memory source cannot hold the events for.
+    sweep.push_rows(events).expect("in-memory sources fit the sweep's u32 scope ids");
+    sweep
+}
+
+/// One exact sweep over an event iterator, phases dropped (the
+/// historical `compute_overlap` semantics).
 pub(crate) fn sweep_tables(events: impl Iterator<Item = impl EventRow>) -> BreakdownTable {
-    let (interner, _, acc) = merge_encoded(encode_batch(events, false));
-    materialize(&interner, &acc)
+    pushed_once(OverlapSweep::new(), events).finalize()
 }
 
-/// Batch sweep over an event iterator with phase tagging: one table per
-/// phase, [`NO_PHASE`] first if any untagged time exists.
+/// One exact sweep over an event iterator with phase tagging: one table
+/// per phase in first-seen order, empty groups omitted.
 pub(crate) fn sweep_tables_by_phase(events: impl Iterator<Item = impl EventRow>) -> PhaseTables {
-    let (interner, phases, acc) = merge_encoded(encode_batch(events, true));
-    phase_tables_from(interner, phases, acc)
-}
-
-/// Slices a `[phase][operation][slot]` accumulator into per-phase
-/// tables, omitting empty groups.
-fn phase_tables_from(interner: Interner, phases: Interner, acc: Vec<u64>) -> PhaseTables {
-    let row = interner.len() * SLOTS;
-    phases
-        .names()
-        .iter()
-        .enumerate()
-        .filter_map(|(p, name)| {
-            let table = materialize(&interner, &acc[p * row..(p + 1) * row]);
-            (!table.is_empty()).then(|| (name.clone(), table))
-        })
-        .collect()
-}
-
-/// The batch engine's encoded form: flat boundary arrays plus the
-/// per-event side arrays the merge loop indexes by seq
-/// ([`encode_batch`]'s output, [`merge_encoded`]'s input).
-struct EncodedBatch {
-    interner: Interner,
-    phase_interner: Interner,
-    untracked: u32,
-    track_phases: bool,
-    /// `(time, event seq)` start/end boundary pairs, sorted by time
-    /// (ties keep event order).
-    starts: Vec<(u64, u32)>,
-    ends: Vec<(u64, u32)>,
-    /// Dense id of each kept event's own name: operation id for
-    /// operations, phase id for tracked phases, untracked otherwise.
-    op_ids: Vec<u32>,
-    /// Compact kind code per kept event (`0..=3` CPU, [`CODE_GPU`],
-    /// [`CODE_OP`], [`CODE_PHASE`]).
-    kind_codes: Vec<u8>,
-    /// Dense per-event process index; empty unless phases are tracked.
-    pid_idx: Vec<u32>,
-    n_pids: usize,
-}
-
-/// Encodes an event stream into an [`EncodedBatch`]. The phase
-/// interner's id 0 is [`NO_PHASE`] (the only id when `track_phases` is
-/// off).
-///
-/// Interval boundaries are kept as separate start/end arrays of raw
-/// `(time, event seq)` pairs — the edge kind is implicit in which array
-/// a pair lives in, so the full u64 timestamp range is representable.
-/// Profiler event streams are emitted in near-chronological order, so
-/// each array is close to sorted and [`sort_boundaries`] degrades to
-/// ~O(n) (sortedness is tracked during encoding, sparing sorted arrays
-/// the sort passes entirely); the merge then walks the two sorted
-/// arrays in lockstep, taking ends before starts at equal times so
-/// zero-length active sets generate no spurious segments.
-fn encode_batch(events: impl Iterator<Item = impl EventRow>, track_phases: bool) -> EncodedBatch {
-    let mut interner = Interner::with_capacity(16);
-    let untracked = interner.intern_str(BucketKey::UNTRACKED);
-    let mut phase_interner = Interner::with_capacity(4);
-    let no_phase = phase_interner.intern_str(NO_PHASE);
-    debug_assert_eq!(no_phase, 0);
-
-    let (lo, hi) = events.size_hint();
-    let cap = hi.unwrap_or(lo);
-    let mut starts: Vec<(u64, u32)> = Vec::with_capacity(cap);
-    let mut ends: Vec<(u64, u32)> = Vec::with_capacity(cap);
-    // Dense operation id per kept event (untracked for non-operations),
-    // and a compact kind code, so the sweep touches a few bytes per event
-    // instead of the full event.
-    let mut op_ids: Vec<u32> = Vec::with_capacity(cap);
-    let mut kind_codes: Vec<u8> = Vec::with_capacity(cap);
-    let (mut starts_sorted, mut prev_start) = (true, 0u64);
-    let (mut ends_sorted, mut prev_end) = (true, 0u64);
-    // Dense per-event process index, only materialized when phases are
-    // tracked: phase scoping is per pid, so the sweep must know which
-    // process each boundary belongs to.
-    let mut pid_map: HashMap<u32, u32> = HashMap::new();
-    let mut pid_idx: Vec<u32> = Vec::new();
-    // Name-table-id → dense-id memos (see `EventRow::dense_id`).
-    let mut op_xlat: Vec<u32> = Vec::new();
-    let mut phase_xlat: Vec<u32> = Vec::new();
-    for e in events {
-        let (s, t) = e.span();
-        if s == t {
-            continue;
-        }
-        let seq = op_ids.len() as u32;
-        if track_phases {
-            let next = pid_map.len() as u32;
-            pid_idx.push(*pid_map.entry(e.pid()).or_insert(next));
-        }
-        let mut own_id = untracked;
-        kind_codes.push(match e.tag() {
-            tag @ 0..=3 => tag,
-            TAG_OP => {
-                own_id = e.dense_id(&mut op_xlat, &mut interner);
-                CODE_OP
-            }
-            TAG_PHASE => {
-                if track_phases {
-                    own_id = e.dense_id(&mut phase_xlat, &mut phase_interner);
-                }
-                CODE_PHASE
-            }
-            _ => CODE_GPU,
-        });
-        op_ids.push(own_id);
-        starts_sorted &= s >= prev_start;
-        ends_sorted &= t >= prev_end;
-        prev_start = s;
-        prev_end = t;
-        starts.push((s, seq));
-        ends.push((t, seq));
-    }
-    if !starts_sorted {
-        sort_boundaries(&mut starts, |p| p.0);
-    }
-    if !ends_sorted {
-        sort_boundaries(&mut ends, |p| p.0);
-    }
-    let n_pids = pid_map.len();
-    EncodedBatch {
-        interner,
-        phase_interner,
-        untracked,
-        track_phases,
-        starts,
-        ends,
-        op_ids,
-        kind_codes,
-        pid_idx,
-        n_pids,
-    }
-}
-
-/// The batch engine's merge loop: sweeps an [`EncodedBatch`]'s sorted
-/// boundary arrays and returns `(op interner, phase interner,
-/// accumulator)` with the accumulator laid out `[phase][operation][slot]`.
-fn merge_encoded(batch: EncodedBatch) -> (Interner, Interner, Vec<u64>) {
-    let EncodedBatch {
-        interner,
-        phase_interner,
-        untracked,
-        track_phases,
-        starts,
-        ends,
-        op_ids,
-        kind_codes,
-        pid_idx,
-        n_pids,
-    } = batch;
-
-    // Flat accumulator: one u64 of attributed nanoseconds per
-    // (phase, operation, cpu tag, gpu) combination. Without phase
-    // tracking the phase dimension is a single row, so the layout — and
-    // the per-boundary index arithmetic — is identical to a plain
-    // (operation, cpu tag, gpu) accumulator.
-    let n_ops = interner.len();
-    let mut acc: Vec<u64> = vec![0; phase_interner.len() * n_ops * SLOTS];
-
-    let mut cpu_counts = [0u32; 4];
-    let mut cpu_mask: usize = 0;
-    let mut gpu_active: u32 = 0;
-    // Scope-indexed operation/phase stacks: `slot_of[event]` is the entry
-    // the event occupies in its stack, letting a non-LIFO close tombstone
-    // it in O(1). Phase stacks are per process — a phase only ever tags
-    // segments where its own pid has active CPU/GPU work — holding
-    // `(activation order, phase id)` entries so the innermost phase
-    // across eligible pids is the one activated latest.
-    let mut op_stack: Vec<u32> = Vec::new();
-    let mut pid_phase_stacks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_pids];
-    // Active CPU/GPU event count per pid: a pid's phases are eligible to
-    // tag a segment only while this is non-zero.
-    let mut pid_activity: Vec<u32> = vec![0; n_pids];
-    let mut next_activation: u32 = 0;
-    let mut slot_of: Vec<u32> = vec![0; op_ids.len()];
-    let mut cur_op: u32 = untracked;
-    // Cached phase tag, recomputed lazily at attribution time whenever
-    // phase stacks or pid activity changed since the last segment.
-    let mut cur_phase: u32 = 0;
-    let mut phase_dirty = false;
-
-    // Run-length segment coalescer: consecutive segments attributing to
-    // the same bucket are merged into one accumulator write. Boundaries
-    // that only reshuffle inactive state (or same-bucket state, e.g. a
-    // second overlapping kernel) extend the open run instead of touching
-    // `acc`, so the hot loop's stores stay in registers across runs.
-    // `run_idx == usize::MAX` means no open run; an open run covers
-    // `[run_t0, prev_t]` and always attributes to bucket `run_idx`.
-    let mut run_idx = usize::MAX;
-    let mut run_t0 = 0u64;
-
-    let mut prev_t: u64 = 0;
-    let mut have_prev = false;
-    // Merge the sorted start/end arrays (ends first at equal times);
-    // every event starts before it ends, so ends can never be exhausted
-    // first.
-    let (mut si, mut ei) = (0usize, 0usize);
-    while ei < ends.len() {
-        let is_start = si < starts.len() && starts[si].0 < ends[ei].0;
-        let (t, idx) = if is_start {
-            si += 1;
-            starts[si - 1]
-        } else {
-            ei += 1;
-            ends[ei - 1]
-        };
-        if have_prev && t > prev_t {
-            if cpu_mask != 0 || gpu_active > 0 {
-                if phase_dirty {
-                    cur_phase = innermost_eligible_phase(&pid_activity, &pid_phase_stacks, |&e| e);
-                    phase_dirty = false;
-                }
-                let tag = FINEST_TAG[cpu_mask] as usize;
-                let gpu = (gpu_active > 0) as usize;
-                let bucket = (cur_phase as usize * n_ops + cur_op as usize) * SLOTS + tag * 2 + gpu;
-                if bucket != run_idx {
-                    if run_idx != usize::MAX {
-                        acc[run_idx] += prev_t - run_t0;
-                    }
-                    run_idx = bucket;
-                    run_t0 = prev_t;
-                }
-            } else if run_idx != usize::MAX {
-                acc[run_idx] += prev_t - run_t0;
-                run_idx = usize::MAX;
-            }
-        }
-        prev_t = t;
-        have_prev = true;
-
-        match kind_codes[idx as usize] {
-            code @ 0..=3 => {
-                let ci = code as usize;
-                if is_start {
-                    if cpu_counts[ci] == 0 {
-                        cpu_mask |= 1 << ci;
-                    }
-                    cpu_counts[ci] += 1;
-                } else {
-                    let n = &mut cpu_counts[ci];
-                    assert!(*n > 0, "unbalanced cpu event");
-                    *n -= 1;
-                    if *n == 0 {
-                        cpu_mask &= !(1 << ci);
-                    }
-                }
-                if track_phases {
-                    let p = pid_idx[idx as usize] as usize;
-                    if is_start {
-                        pid_activity[p] += 1;
-                        phase_dirty |= pid_activity[p] == 1;
-                    } else {
-                        pid_activity[p] -= 1;
-                        phase_dirty |= pid_activity[p] == 0;
-                    }
-                }
-            }
-            CODE_GPU => {
-                if is_start {
-                    gpu_active += 1;
-                } else {
-                    gpu_active -= 1;
-                }
-                if track_phases {
-                    let p = pid_idx[idx as usize] as usize;
-                    if is_start {
-                        pid_activity[p] += 1;
-                        phase_dirty |= pid_activity[p] == 1;
-                    } else {
-                        pid_activity[p] -= 1;
-                        phase_dirty |= pid_activity[p] == 0;
-                    }
-                }
-            }
-            CODE_OP => {
-                if is_start {
-                    slot_of[idx as usize] = op_stack.len() as u32;
-                    op_stack.push(idx);
-                } else {
-                    let slot = slot_of[idx as usize] as usize;
-                    debug_assert_eq!(op_stack[slot], idx, "operation stack corrupted");
-                    op_stack[slot] = TOMBSTONE;
-                    while op_stack.last() == Some(&TOMBSTONE) {
-                        op_stack.pop();
-                    }
-                }
-                cur_op = op_stack.last().map(|&i| op_ids[i as usize]).unwrap_or(untracked);
-            }
-            CODE_PHASE if track_phases => {
-                // Same tombstoned stack discipline as operations, but on
-                // the owning pid's stack; eligibility is re-resolved at
-                // the next attribution via `innermost_eligible_phase`.
-                let stack = &mut pid_phase_stacks[pid_idx[idx as usize] as usize];
-                if is_start {
-                    slot_of[idx as usize] = stack.len() as u32;
-                    stack.push((next_activation, op_ids[idx as usize]));
-                    next_activation += 1;
-                } else {
-                    let slot = slot_of[idx as usize] as usize;
-                    stack[slot].0 = TOMBSTONE;
-                    while stack.last().is_some_and(|&(a, _)| a == TOMBSTONE) {
-                        stack.pop();
-                    }
-                }
-                phase_dirty = true;
-            }
-            _ => {}
-        }
-    }
-    if run_idx != usize::MAX {
-        acc[run_idx] += prev_t - run_t0;
-    }
-
-    (interner, phase_interner, acc)
+    pushed_once(OverlapSweep::new().with_phase_tagging(), events).finalize_grouped()
 }
 
 /// Resolves the phase tag for the next segment under per-pid scoping:
 /// among processes with at least one active CPU/GPU event, the open
 /// phase with the latest activation order wins; [`NO_PHASE`] (id 0) when
-/// no active process has an open phase. Shared by the batch and
-/// streaming engines so both resolve identical tags; `entry` reads the
-/// `(activation order, phase id)` of an engine's stack entry.
-fn innermost_eligible_phase<E>(
+/// no active process has an open phase. Stack entries are
+/// `(activation order, phase id, seq)`.
+fn innermost_eligible_phase(
     pid_activity: &[u32],
-    pid_phase_stacks: &[Vec<E>],
-    entry: impl Fn(&E) -> (u32, u32),
+    pid_phase_stacks: &[Vec<(u32, u32, u32)>],
 ) -> u32 {
     let mut best: Option<(u32, u32)> = None;
     for (p, stack) in pid_phase_stacks.iter().enumerate() {
         if pid_activity[p] == 0 {
             continue;
         }
-        if let Some((activation, id)) = stack.last().map(&entry) {
+        if let Some(&(activation, id, _)) = stack.last() {
             if best.is_none_or(|(a, _)| activation > a) {
                 best = Some((activation, id));
             }
@@ -904,8 +580,8 @@ type Boundary = (u64, u32, u32);
 /// state consumes for good, ever reclaims what lies behind it
 /// ([`BoundaryQueue::compact`]).
 ///
-/// **Merge rule.** `ensure_sorted` sorts the *tail only* (the same
-/// near-sorted repair sort as the batch encoder, O(tail) on the shapes
+/// **Merge rule.** `ensure_sorted` sorts the *tail only* (the
+/// near-sorted repair sort `sort_boundaries`, O(tail) on the shapes
 /// that caused the disorder) and merges it into the prefix stably, the
 /// prefix winning ties. The prefix is touched only from the tail
 /// minimum's insertion point on, and the shorter of the two runs is the
@@ -967,7 +643,7 @@ impl BoundaryQueue {
         // `sort_boundaries` repairs in O(n); a full comparison sort of
         // the pending window costs more than the merge loop that
         // follows it.
-        sort_boundaries(&mut self.buf[split..], |b| b.0);
+        sort_boundaries(&mut self.buf[split..]);
         // Prefix boundaries at or before the tail's minimum are already
         // in their final place (the prefix wins ties).
         let tail_min = self.buf[split].0;
@@ -1167,9 +843,9 @@ struct DrainState {
     /// Active CPU/GPU event count per pid; a pid's phases only tag
     /// segments while this is non-zero.
     pid_activity: Vec<u32>,
-    /// Flat `[phase][operation][slot]` accumulator — the batch engine's
-    /// layout — with `acc_ops` as the operation-dimension stride; only
-    /// the phase-0 ([`NO_PHASE`]) row exists when phases are untracked.
+    /// Flat `[phase][operation][slot]` accumulator with `acc_ops` as the
+    /// operation-dimension stride; only the phase-0 ([`NO_PHASE`]) row
+    /// exists when phases are untracked.
     acc: Vec<u64>,
     /// Operation capacity (stride) of `acc`; doubled on growth so new
     /// operation names re-lay the rows O(log n) times, not once each.
@@ -1225,28 +901,28 @@ impl DrainState {
         self.pid_phase_stacks.resize_with(log.pid_map.len(), Vec::new);
     }
 
-    /// Processes `log`'s boundaries from this state's position on, ends
-    /// before starts at equal times — the same merge order as the batch
-    /// engine — until it has met `max_ends` ends, the first boundary
-    /// after `limit`, or the end of the log; `true` when it was the
-    /// count that stopped it short of the end of the log (bounding ends
-    /// costs the loop nothing: it runs until the end queue is exhausted
-    /// anyway). Both queues must be in order and the state fitted to
-    /// the log. Like the batch merge loop, attribution is run-length
-    /// coalesced: consecutive boundaries that leave the active bucket
-    /// unchanged extend one open run instead of touching the
-    /// accumulator. The open run is flushed before returning, so where a
-    /// drain is cut into calls cannot change what it accumulates.
+    /// The sweep's one merge loop. Processes `log`'s boundaries from this
+    /// state's position on, ends before starts at equal times — so
+    /// zero-length active sets generate no spurious segments — until it
+    /// has met `max_ends` ends, the first boundary after `limit`, or the
+    /// end of the log; `true` when it was the count that stopped it
+    /// short of the end of the log (bounding ends costs the loop
+    /// nothing: it runs until the end queue is exhausted anyway). Both
+    /// queues must be in order and the state fitted to the log.
+    /// Attribution is run-length coalesced: consecutive boundaries that
+    /// leave the active bucket unchanged extend one open run instead of
+    /// touching the accumulator. The open run is flushed before
+    /// returning, so where a drain is cut into calls cannot change what
+    /// it accumulates.
     fn advance(&mut self, log: &BoundaryLog, limit: Option<u64>, max_ends: usize) -> bool {
         let (starts, all_ends) = (&log.starts.buf[..], &log.ends.buf[..]);
         let ends = &all_ends[..all_ends.len().min(self.ei.saturating_add(max_ends))];
         let (mut si, mut ei) = (self.si, self.ei);
-        // Hoist the hot sweep state into locals for the merge loop and
-        // write it back afterwards. The batch engine's merge keeps all of
-        // this in registers; routing every boundary through `self` fields
-        // interleaved with heap writes (accumulator, scope stacks) the
-        // optimizer cannot prove disjoint from them costs ~2x on the
-        // drain loop alone.
+        // Hoist the hot sweep state into locals for the merge loop, so
+        // it stays in registers, and write it back afterwards: routing
+        // every boundary through `self` fields interleaved with heap
+        // writes (accumulator, scope stacks) the optimizer cannot prove
+        // disjoint from them costs ~2x on the drain loop alone.
         let mut prev_t = self.prev_t;
         let mut have_prev = self.have_prev;
         let mut cpu_counts = self.cpu_counts;
@@ -1285,11 +961,7 @@ impl DrainState {
             if have_prev && t > prev_t {
                 if cpu_mask != 0 || gpu_active > 0 {
                     if phase_dirty {
-                        cur_phase = innermost_eligible_phase(
-                            pid_activity,
-                            pid_phase_stacks,
-                            |&(activation, id, _)| (activation, id),
-                        );
+                        cur_phase = innermost_eligible_phase(pid_activity, pid_phase_stacks);
                         phase_dirty = false;
                     }
                     let tag = FINEST_TAG[cpu_mask] as usize;
@@ -1339,7 +1011,7 @@ impl DrainState {
                         }
                     }
                 }
-                4 => {
+                CODE_GPU => {
                     if is_start {
                         gpu_active += 1;
                     } else {
@@ -1414,27 +1086,28 @@ impl DrainState {
     }
 }
 
-/// Incremental overlap sweep: feed event batches with
+/// The overlap sweep, fed incrementally: push event batches with
 /// [`OverlapSweep::push`] (or whole columnar chunks with
 /// [`OverlapSweep::push_columns`]) as they are decoded, then
-/// [`OverlapSweep::finalize`] to the same [`BreakdownTable`] the batch
-/// [`compute_overlap`] produces over the concatenated stream.
+/// [`OverlapSweep::finalize`] to the [`BreakdownTable`] of the
+/// concatenated stream — the same table however the stream was cut into
+/// pushes, [`compute_overlap`]'s single push included.
 ///
 /// Each pushed event is reduced immediately to two 16-byte boundary
 /// records (time, scope seq or pid, kind/op code) appended to the
 /// sweep's **log**; the `Event` itself — and its name allocation — can
 /// be dropped as soon as `push` returns, which is what lets chunked
 /// trace directories be analyzed one decoded chunk at a time. A **drain**
-/// walks the log in time order and attributes through the batch engine's
-/// flat `[phase][operation][slot]` accumulator with run-length
+/// walks the log in time order and attributes through a flat
+/// `[phase][operation][slot]` accumulator with run-length
 /// coalescing of same-bucket boundaries; what it has computed so far —
 /// two positions, the open scopes, the accumulator — is a small value of
 /// its own (`DrainState`) that refers to the log but never writes to
 /// it. The log's two queues are append-only buffers — a sorted prefix
 /// plus an unsorted tail — that append and read without any per-boundary
 /// heap work; only boundaries pushed out of order are ever sorted, once,
-/// and merged into the prefix — on near-sorted profiler streams the
-/// sweep costs the same per boundary as the batch engine's merge loop.
+/// and merged into the prefix, so on near-sorted profiler streams a
+/// boundary costs one append and one pass of the merge loop.
 ///
 /// # Memory modes
 ///
@@ -1728,7 +1401,7 @@ impl OverlapSweep {
                     let pid = log.pid_index(e.pid());
                     (log.next_seq()?, META_PHASE_FLAG | log.phase_key(phase_id, pid)?)
                 }
-                _ => (log.pid_index(e.pid()), u32::from(CODE_GPU)),
+                _ => (log.pid_index(e.pid()), CODE_GPU),
             };
             self.push_boundaries(start, end, seq, meta);
         }
@@ -1776,8 +1449,8 @@ impl OverlapSweep {
     /// one row per interned phase, in interner order ([`NO_PHASE`] is
     /// always slot 0), even when nothing was attributed to it. The
     /// rollup builder ([`crate::rollup`]) stores these presence rows so
-    /// cross-segment merges can reproduce the batch sweep's phase group
-    /// order exactly — a phase can be present (its annotation intersects
+    /// cross-segment merges can reproduce the phase group order of one
+    /// sweep over the covering window exactly — a phase can be present (its annotation intersects
     /// the window) long before its first attributed instant.
     pub(crate) fn finalize_grouped_keep_empty(mut self) -> PhaseTables {
         self.drain(None);
@@ -2072,7 +1745,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sweep_matches_batch_per_event() {
+    fn per_event_pushes_match_one_push() {
         let events = figure_3_events();
         let mut sweep = OverlapSweep::new();
         for e in &events {
@@ -2082,7 +1755,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sweep_matches_batch_across_splits() {
+    fn split_pushes_match_one_push() {
         let events = figure_3_events();
         for split in 0..=events.len() {
             let mut sweep = OverlapSweep::new();
@@ -2095,7 +1768,7 @@ mod tests {
     #[test]
     fn bounded_sweep_drains_and_matches_on_sorted_stream() {
         // Start-ordered stream: bounded mode must finalize eagerly and
-        // still produce the exact batch table.
+        // still produce the table of one exact in-memory push.
         let mut events = Vec::new();
         for i in 0..1000u64 {
             events.push(ev(
@@ -2344,7 +2017,7 @@ mod tests {
 
     /// Pushes `events` one at a time into a phase-tagged sweep that lays
     /// a checkpoint at every end, reading the tables after each push:
-    /// every read must equal the batch sweep of that prefix, a repeat
+    /// every read must equal one fresh sweep of that prefix, a repeat
     /// must drain nothing, and the sweep must finalize as if never read.
     fn assert_resumes_like_one_drain(events: &[Event]) {
         let mut sweep = OverlapSweep::new().with_phase_tagging().with_checkpoint_spacing(1);
@@ -2474,10 +2147,11 @@ mod tests {
         );
     }
 
-    /// The streaming engine resolves per-pid phase scoping identically to
-    /// the batch engine, at every batch split point.
+    /// Per-pid phase scoping resolves identically however the stream is
+    /// split into pushes: two batches at every split point against one
+    /// in-memory push.
     #[test]
-    fn streaming_per_pid_phase_scoping_matches_batch() {
+    fn per_pid_phase_scoping_is_split_invariant() {
         let events = [
             pev(0, EventKind::Phase, "train", 0, 100),
             pev(0, EventKind::Cpu(CpuCategory::Python), "py", 0, 30),
@@ -2494,10 +2168,10 @@ mod tests {
         }
     }
 
-    /// The column instantiation of the batch sweep resolves phase
-    /// grouping identically to the row instantiation — group names,
-    /// group order, and every bucket — and the streaming sweep over
-    /// columns (`push_columns` + `finalize_grouped`) agrees too.
+    /// The column instantiation of the push path resolves phase grouping
+    /// identically to the row instantiation — group names, group order,
+    /// and every bucket — through the in-memory entry point and through
+    /// `push_columns` + `finalize_grouped`.
     #[test]
     fn columnar_phase_grouping_matches_rows() {
         let events = [

@@ -1,6 +1,6 @@
 //! Human-readable reports: the tabular equivalents of the paper's figures.
 
-use crate::analysis::{Analysis, Dim};
+use crate::analysis::{Analysis, Dim, GroupKey};
 use crate::event::CpuCategory;
 use crate::overlap::{BreakdownTable, BucketKey};
 use crate::profiler::TransitionKind;
@@ -180,11 +180,15 @@ impl MultiProcessReport {
         dependencies: Vec<(ProcessId, ProcessId)>,
         smi: &UtilizationReport,
     ) -> Self {
-        Self::from_tables(trace.breakdowns_by_process(), names, dependencies, smi)
+        let tables = Analysis::of(trace)
+            .group_by([Dim::Process])
+            .tables()
+            .expect("in-memory analysis cannot fail");
+        Self::from_tables(tables, names, dependencies, smi)
     }
 
     fn from_tables(
-        tables: Vec<(ProcessId, BreakdownTable)>,
+        tables: Vec<(GroupKey, BreakdownTable)>,
         names: &[(ProcessId, String)],
         dependencies: Vec<(ProcessId, ProcessId)>,
         smi: &UtilizationReport,
@@ -193,7 +197,8 @@ impl MultiProcessReport {
         let processes = names
             .iter()
             .map(|(pid, name)| {
-                let table = tables.iter().find(|(p, _)| p == pid).map(|(_, t)| t).unwrap_or(&empty);
+                let table =
+                    tables.iter().find(|(k, _)| k.process == Some(*pid)).map_or(&empty, |(_, t)| t);
                 ProcessSummary {
                     pid: *pid,
                     name: name.clone(),
@@ -506,9 +511,11 @@ mod tests {
         let writer = TraceWriter::create(&dir, 64).unwrap();
         writer.write(trace.events.clone());
         writer.finish().unwrap();
-        let tables =
-            crate::trace::streamed_breakdowns_by_process(&dir, Some(DurationNs::from_micros(100)))
-                .unwrap();
+        let tables = Analysis::from_chunk_dir(&dir)
+            .bounded_streaming(DurationNs::from_micros(100))
+            .group_by([Dim::Process])
+            .tables()
+            .unwrap();
         let streamed = MultiProcessReport::from_tables(tables, &names, deps, &smi);
         assert_eq!(streamed, in_memory);
         std::fs::remove_dir_all(&dir).unwrap();

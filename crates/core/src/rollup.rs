@@ -50,12 +50,12 @@
 //! partition of the time axis**. [`rollup_chunk_dir`] builds each
 //! segment with the very [`Analysis`] window queries a reader would
 //! have run against the raw directory, so merging a contiguous run of
-//! segments reproduces the batch sweep of the covering window — table
+//! segments reproduces one sweep of the covering window — table
 //! for table, byte for byte in canonical JSON. The proptests in
 //! `tests/properties.rs` and the frozen fixture in `tests/corpus/` pin
 //! this.
 //!
-//! **Group order** needs one extra trick. A batch sweep emits phase
+//! **Group order** needs one extra trick. A single sweep emits phase
 //! groups in *presence* order (the order phase annotations appear in
 //! the stream, [`NO_PHASE`] first), not first-attribution order, and a
 //! phase can be present in an early window while all of its attributed
@@ -63,7 +63,7 @@
 //! rows** — phase entries with *empty* tables — for every phase whose
 //! annotation intersects the window; merging then reproduces presence
 //! order, and queries drop the rows that stayed empty after the merge.
-//! Presence order across segments matches the batch order when the
+//! Presence order across segments matches that order when the
 //! source directory is **start-sorted** (the compaction ladder always
 //! sorts before it rolls up; see `ChunkFooter::start_sorted`).
 
@@ -364,7 +364,7 @@ fn build_segment(
     // Both queries keep **empty** phase groups: a presence row records
     // that a phase's annotation intersects this window even when nothing
     // was attributed to it yet, which is what lets cross-segment merges
-    // reproduce the batch sweep's phase group order (presence order, not
+    // reproduce a single sweep's phase group order (presence order, not
     // first-attribution order) exactly. Queries over the rollup drop the
     // still-empty rows after merging.
     let merged_groups = window(Analysis::from_chunk_dir(src), lo, hi)
@@ -403,7 +403,7 @@ fn build_segment(
 
 /// Merges `more` into `acc`, preserving first-seen phase order — the
 /// cross-segment accumulation used by rollup-backed queries, matching
-/// the phase group order a batch sweep of the covering window produces
+/// the phase group order one sweep of the covering window produces
 /// (first attribution instant is monotone across time-ordered
 /// segments).
 pub(crate) fn merge_phase_tables(acc: &mut PhaseTables, more: &PhaseTables) {
@@ -740,8 +740,8 @@ mod tests {
         assert_eq!(rollup.total_events(), 10);
         assert_eq!(rollup.segments().len(), 5);
 
-        // Merging every segment's merged tables reproduces the full
-        // batch sweep, phase for phase.
+        // Merging every segment's merged tables reproduces one sweep of
+        // the whole stream, phase for phase.
         let mut merged: PhaseTables = Vec::new();
         for i in 0..rollup.segments().len() {
             let seg = rollup.read_segment(i).unwrap();

@@ -131,9 +131,9 @@
 //! [`for_each_decoded_chunk_columns`] is the streaming access path: it
 //! decodes a file list chunk-parallel and hands each chunk's
 //! [`EventColumns`] to the caller in stream order, to consume and drop.
-//! Downstream analysis ([`crate::overlap::OverlapSweep`],
-//! [`crate::trace::streamed_breakdowns_by_process`]) reduces each chunk
-//! to compact sweep state immediately, which is what lets
+//! Downstream analysis ([`crate::analysis::Analysis::from_chunk_dir`]
+//! over [`crate::overlap::OverlapSweep`]) reduces each chunk to compact
+//! sweep state immediately, which is what lets
 //! whole-experiment chunk directories be analyzed without ever
 //! materializing the concatenated event stream. [`ChunkReader`] iterates
 //! a directory as rows for the consumers that need whole `Event` values
@@ -151,10 +151,11 @@
 //! columns instead of one ~48-byte struct per event, and no per-event
 //! `Arc<str>` clone. Everything byte-sourced consumes the columns
 //! directly: the v3 footer cross-check, [`recover_chunk_prefix`],
-//! [`Manifest::scan`], the chunk-parallel executor, and downstream
-//! [`crate::overlap::compute_overlap_columns`] /
-//! [`crate::overlap::OverlapSweep::push_columns`] (so the collector's
-//! crash recovery replays through exactly the code its ingest ran).
+//! [`Manifest::scan`], the chunk-parallel executor, and downstream the
+//! sweep's one push path, [`crate::overlap::OverlapSweep::push_columns`]
+//! ([`crate::overlap::compute_overlap_columns`] is a single call of it;
+//! the collector's crash recovery replays through exactly the code its
+//! ingest ran).
 //!
 //! Rows are a bridge over that parser, not a second one:
 //! [`decode_events`] is `decode_columns(..)?.to_events()`, and
@@ -162,9 +163,9 @@
 //! column sets no decode would produce.
 //!
 //! In-memory `&[Event]` sources go the other way without a copy: the
-//! footer summarizer here, and the batch boundary encoder and streaming
-//! push in [`crate::overlap`], are each one generic body over the
-//! crate-private `EventRow` accessor, monomorphized for `&Event` and
+//! footer summarizer here and the sweep's push path in
+//! [`crate::overlap`] are each one generic body over the crate-private
+//! `EventRow` accessor, monomorphized for `&Event` and
 //! for a column row. `tests/properties.rs` pins the two instantiations
 //! table-identical; `tests/fuzz_codec.rs` pins never-panic on the
 //! parser and the bridge.
@@ -269,9 +270,8 @@ pub(crate) const TAG_OP: u8 = 6;
 /// The wire tag of [`EventKind::Phase`] (see [`kind_tag`]).
 pub(crate) const TAG_PHASE: u8 = 7;
 
-/// What the merged engine bodies — the footer summarizer here, the batch
-/// boundary encoder and the streaming push in [`crate::overlap`] — read
-/// of one event. Each body is written once over this accessor and
+/// What the merged engine bodies — the footer summarizer here and the
+/// sweep's push path in [`crate::overlap`] — read of one event. Each body is written once over this accessor and
 /// monomorphized for `&Event` (in-memory sources, which would pay a copy
 /// to become columns) and [`ColumnRow`] (decoded chunks, which never
 /// materialize rows).

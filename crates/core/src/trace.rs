@@ -1,15 +1,13 @@
 //! The finalized trace of one profiled process, and multi-process merging.
 
-use crate::analysis::{Analysis, AnalysisError, Dim};
+use crate::analysis::Analysis;
 use crate::event::{BookkeepingCounts, Event};
 use crate::overlap::BreakdownTable;
 use crate::profiler::TransitionKind;
-use crate::store::TraceIoError;
 use rlscope_sim::cuda::CudaApiKind;
 use rlscope_sim::ids::ProcessId;
 use rlscope_sim::time::{DurationNs, TimeNs};
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 use std::sync::Arc;
 
 /// Everything recorded for one process in one run.
@@ -116,31 +114,6 @@ impl Trace {
     pub fn events_for(&self, pid: ProcessId) -> Vec<&Event> {
         self.events.iter().filter(|e| e.pid == pid).collect()
     }
-
-    /// Per-process breakdown tables, computed in parallel over one
-    /// borrowed event slice — a wrapper over
-    /// `Analysis::of(self).group_by([Dim::Process]).tables()`.
-    ///
-    /// The merged stream is partitioned into per-pid **index lists** in
-    /// one pass — events are never cloned, so peak memory over the trace
-    /// itself stays one reference plus one `u32` index per event. Each
-    /// process's sweep then runs on a worker thread, capped at the
-    /// machine's available parallelism. Results are returned in
-    /// first-seen pid order of the event stream.
-    ///
-    /// This is the whole-experiment analysis path: reports over merged
-    /// multi-process traces ([`crate::report::MultiProcessReport`])
-    /// consume these partial tables and aggregate them with
-    /// [`BreakdownTable::merge`].
-    pub fn breakdowns_by_process(&self) -> Vec<(ProcessId, BreakdownTable)> {
-        Analysis::of(self)
-            .group_by([Dim::Process])
-            .tables()
-            .expect("in-memory analysis cannot fail")
-            .into_iter()
-            .map(|(key, table)| (key.process.expect("grouped by process"), table))
-            .collect()
-    }
 }
 
 /// Find-or-push accumulation of `(operation, kind) → count` rows into an
@@ -176,51 +149,10 @@ pub(crate) fn merge_api_stats(
     }
 }
 
-/// Streaming equivalent of [`Trace::breakdowns_by_process`] over a chunk
-/// directory — a wrapper over
-/// `Analysis::from_chunk_dir(dir).group_by([Dim::Process]).tables()`
-/// (plus [`Analysis::bounded_streaming`] when `lag` is set). Chunks are
-/// decoded chunk-parallel on worker threads
-/// ([`crate::store::for_each_decoded_chunk_columns`]) and fed in stream
-/// order
-/// into per-process incremental [`crate::overlap::OverlapSweep`]s, so
-/// decode overlaps sweeping and the concatenated event stream is never
-/// materialized. Results are in first-seen pid order of the stream —
-/// identical tables, in identical order, to reading the directory whole
-/// and sharding in memory.
-///
-/// With `lag = Some(d)`, per-process sweeps run in bounded-memory mode:
-/// each process's working set stays flat as the directory grows, provided
-/// that process's start times are sorted to within `d` in stream order.
-/// A stream more disordered than that is detected (never silently
-/// misattributed) and transparently re-analyzed with exact sweeps — the
-/// chunks are still on disk, so the fallback is one more pass, not a
-/// failure. With `lag = None`, exact sweeps are used directly.
-///
-/// # Errors
-///
-/// Returns the first I/O or corruption error encountered.
-pub fn streamed_breakdowns_by_process(
-    dir: &Path,
-    lag: Option<DurationNs>,
-) -> Result<Vec<(ProcessId, BreakdownTable)>, TraceIoError> {
-    let mut analysis = Analysis::from_chunk_dir(dir).group_by([Dim::Process]);
-    if let Some(lag) = lag {
-        analysis = analysis.bounded_streaming(lag);
-    }
-    let tables = analysis.tables().map_err(|e| match e {
-        AnalysisError::Io(io) => io,
-        AnalysisError::Unsupported(msg) => unreachable!("plain grouped query: {msg}"),
-    })?;
-    Ok(tables
-        .into_iter()
-        .map(|(key, table)| (key.process.expect("grouped by process"), table))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Dim;
     use crate::event::{CpuCategory, EventKind};
 
     fn trace_with(pid: u32, n_backend: u64, end_us: u64) -> Trace {
@@ -300,15 +232,16 @@ mod tests {
             trace_with(2, 3, 60),
             trace_with(3, 4, 40),
         ]);
-        let parallel = merged.breakdowns_by_process();
+        let parallel = Analysis::of(&merged).group_by([Dim::Process]).tables().unwrap();
         assert_eq!(parallel.len(), 4);
         // First-seen pid order of the merged event stream.
         assert_eq!(
-            parallel.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
-            (0..4).map(ProcessId).collect::<Vec<_>>()
+            parallel.iter().map(|(k, _)| k.process).collect::<Vec<_>>(),
+            (0..4).map(|p| Some(ProcessId(p))).collect::<Vec<_>>()
         );
-        for (pid, table) in &parallel {
-            let filtered = Analysis::of(&merged).process(*pid).table().unwrap();
+        for (key, table) in &parallel {
+            let pid = key.process.unwrap();
+            let filtered = Analysis::of(&merged).process(pid).table().unwrap();
             assert_eq!(table, &filtered, "pid {pid:?}");
         }
         // The aggregate equals the sum of the partials.
@@ -322,7 +255,7 @@ mod tests {
     fn parallel_per_process_empty_trace() {
         let mut t = trace_with(0, 0, 10);
         t.events.clear();
-        assert!(t.breakdowns_by_process().is_empty());
+        assert!(Analysis::of(&t).group_by([Dim::Process]).tables().unwrap().is_empty());
         assert!(Analysis::of(&t).group_by([Dim::Process]).table().unwrap().is_empty());
     }
 
@@ -353,18 +286,17 @@ mod tests {
         }
         writer.finish().unwrap();
 
-        let expected = merged.breakdowns_by_process();
+        let expected = Analysis::of(&merged).group_by([Dim::Process]).tables().unwrap();
+        let streamed = || Analysis::from_chunk_dir(&dir).group_by([Dim::Process]);
         // Exact mode accepts any stream order.
-        let exact = streamed_breakdowns_by_process(&dir, None).unwrap();
-        assert_eq!(exact, expected);
+        assert_eq!(streamed().tables().unwrap(), expected);
         // Bounded mode: these per-pid streams are start-sorted, so the
         // eager path applies; a too-tight lag must still end up correct
         // via the exact-sweep fallback.
-        let bounded =
-            streamed_breakdowns_by_process(&dir, Some(DurationNs::from_micros(200))).unwrap();
-        assert_eq!(bounded, expected);
-        let tight = streamed_breakdowns_by_process(&dir, Some(DurationNs::ZERO)).unwrap();
-        assert_eq!(tight, expected);
+        let bounded = streamed().bounded_streaming(DurationNs::from_micros(200));
+        assert_eq!(bounded.tables().unwrap(), expected);
+        let tight = streamed().bounded_streaming(DurationNs::ZERO);
+        assert_eq!(tight.tables().unwrap(), expected);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -374,7 +306,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("chunk_00000.rls"), b"garbage").unwrap();
-        assert!(streamed_breakdowns_by_process(&dir, None).is_err());
+        assert!(Analysis::from_chunk_dir(&dir).group_by([Dim::Process]).tables().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

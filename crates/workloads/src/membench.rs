@@ -6,10 +6,10 @@
 //!
 //! * **batch** — [`read_chunk_dir`] materializes every decoded event in
 //!   one `Vec<Event>`, then the in-memory sharded analysis runs
-//!   ([`Trace::breakdowns_by_process`]); peak memory is linear in total
-//!   event count.
-//! * **streamed** — [`streamed_breakdowns_by_process`] decodes one chunk
-//!   at a time into per-process bounded
+//!   ([`Analysis::of`] grouped by process); peak memory is linear in
+//!   total event count.
+//! * **streamed** — [`Analysis::from_chunk_dir`] decodes one chunk at a
+//!   time into per-process bounded
 //!   [`rlscope_core::overlap::OverlapSweep`]s; peak memory is one chunk
 //!   plus the sweeps' lag windows, independent of how many chunks the
 //!   directory holds.
@@ -19,9 +19,10 @@
 //! installs it as the global allocator and asserts the streamed peak is
 //! flat across a 100× event-count growth while the batch peak is not.
 
+use rlscope_core::analysis::{Analysis, AnalysisError, Dim, GroupKey};
 use rlscope_core::overlap::BreakdownTable;
 use rlscope_core::store::{read_chunk_dir, TraceIoError, TraceWriter};
-use rlscope_core::trace::{streamed_breakdowns_by_process, Trace};
+use rlscope_core::trace::Trace;
 use rlscope_core::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope_sim::ids::ProcessId;
 use rlscope_sim::time::{DurationNs, TimeNs};
@@ -173,7 +174,7 @@ pub struct PassMeasurement {
     /// Peak live heap bytes during the pass (0 without [`TrackingAlloc`]).
     pub peak_bytes: usize,
     /// The per-process tables the pass produced.
-    pub tables: Vec<(ProcessId, BreakdownTable)>,
+    pub tables: Vec<(GroupKey, BreakdownTable)>,
 }
 
 /// Runs the streamed analysis over `dir` under peak-allocation tracking.
@@ -181,10 +182,13 @@ pub struct PassMeasurement {
 /// # Errors
 ///
 /// Propagates I/O / corruption errors from the directory.
-pub fn measure_streamed(dir: &Path) -> Result<PassMeasurement, TraceIoError> {
+pub fn measure_streamed(dir: &Path) -> Result<PassMeasurement, AnalysisError> {
     reset_alloc_peak();
     let base = alloc_live();
-    let tables = streamed_breakdowns_by_process(dir, Some(MEMBENCH_LAG))?;
+    let tables = Analysis::from_chunk_dir(dir)
+        .bounded_streaming(MEMBENCH_LAG)
+        .group_by([Dim::Process])
+        .tables()?;
     Ok(PassMeasurement { peak_bytes: alloc_peak().saturating_sub(base), tables })
 }
 
@@ -194,7 +198,7 @@ pub fn measure_streamed(dir: &Path) -> Result<PassMeasurement, TraceIoError> {
 /// # Errors
 ///
 /// Propagates I/O / corruption errors from the directory.
-pub fn measure_batch(dir: &Path) -> Result<PassMeasurement, TraceIoError> {
+pub fn measure_batch(dir: &Path) -> Result<PassMeasurement, AnalysisError> {
     reset_alloc_peak();
     let base = alloc_live();
     let events = read_chunk_dir(dir)?;
@@ -208,7 +212,7 @@ pub fn measure_batch(dir: &Path) -> Result<PassMeasurement, TraceIoError> {
         iterations: 0,
         wall_end,
     };
-    let tables = trace.breakdowns_by_process();
+    let tables = Analysis::of(&trace).group_by([Dim::Process]).tables()?;
     Ok(PassMeasurement { peak_bytes: alloc_peak().saturating_sub(base), tables })
 }
 
@@ -231,7 +235,7 @@ pub struct MemBenchReport {
 /// # Errors
 ///
 /// Propagates I/O / corruption errors.
-pub fn run_membench(dir: &Path, scale: usize) -> Result<MemBenchReport, TraceIoError> {
+pub fn run_membench(dir: &Path, scale: usize) -> Result<MemBenchReport, AnalysisError> {
     let events = write_scaled_chunks(dir, scale)?;
     let streamed = measure_streamed(dir)?;
     let batch = measure_batch(dir)?;

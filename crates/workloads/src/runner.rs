@@ -330,8 +330,7 @@ impl TrainSpec {
     /// Executes the workload profiled and stores the trace as a rotated
     /// chunk directory under `dir`, the on-disk form the streaming
     /// analysis pipeline consumes
-    /// ([`rlscope_core::analysis::Analysis::from_chunk_dir`] and its
-    /// wrapper [`rlscope_core::trace::streamed_breakdowns_by_process`]).
+    /// ([`rlscope_core::analysis::Analysis::from_chunk_dir`]).
     /// Chunk files already in `dir` are **deleted** first
     /// ([`TraceWriter::create`]'s stale-chunk purge), so a reused
     /// directory holds exactly this run. Returns the run outcome (its
@@ -442,14 +441,8 @@ mod tests {
         // The streamed chunk-dir analysis reproduces the in-memory
         // sharded analysis exactly, table for table — real profiler
         // streams are end-ordered, so this exercises the exact sweeps.
-        let streamed: Vec<_> = Analysis::from_chunk_dir(&dir)
-            .group_by([Dim::Process])
-            .tables()
-            .unwrap()
-            .into_iter()
-            .map(|(key, table)| (key.process.unwrap(), table))
-            .collect();
-        assert_eq!(streamed, trace.breakdowns_by_process());
+        let streamed = Analysis::from_chunk_dir(&dir).group_by([Dim::Process]).tables().unwrap();
+        assert_eq!(streamed, Analysis::of(&trace).group_by([Dim::Process]).tables().unwrap());
         // The per-phase streamed query also matches the in-memory one —
         // the training loop runs a single "training" phase.
         let streamed_phases = Analysis::from_chunk_dir(&dir).group_by([Dim::Phase]).tables();

@@ -71,9 +71,9 @@ fn main() {
     // The tiered-storage golden: the corpus rolled up into segment
     // summaries — sorted first, exactly as the compaction ladder does —
     // byte-frozen under `corpus_rollup/`, plus the coarse query answers
-    // the rollup tier must serve (generated from the sorted batch sweep,
-    // so the harness cross-checks the rollup reader against the batch
-    // engine, not against itself).
+    // the rollup tier must serve (generated by sweeping the sorted
+    // events in memory, so the harness cross-checks the rollup reader
+    // against the sweep, not against itself).
     let raw = std::env::temp_dir().join(format!("rlscope_gen_rollup_raw_{}", std::process::id()));
     let sorted =
         std::env::temp_dir().join(format!("rlscope_gen_rollup_sorted_{}", std::process::id()));

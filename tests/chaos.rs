@@ -153,7 +153,7 @@ fn assert_dirs_byte_identical(dir: &Path, reference: &Path) {
 /// into the real `rlscoped` binary; the daemon is SIGKILLed mid-ingest
 /// (unacked chunks in flight) and restarted on the same data dir; both
 /// clients reconnect and resume automatically; mid-run queries after
-/// the crash equal the batch sweep of exactly the acked prefix; and the
+/// the crash equal the in-memory sweep of exactly the acked prefix; and the
 /// final durable traces are byte-identical to an uninterrupted run.
 #[test]
 fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
@@ -195,7 +195,7 @@ fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
                     client.send_events(chunk).unwrap();
                 }
                 // Mid-run, post-crash: the live answer must equal the
-                // batch sweep of exactly the acked prefix (the query
+                // in-memory sweep of exactly the acked prefix (the query
                 // drains all acks first, so that prefix is everything
                 // sent so far — nothing lost, nothing doubled).
                 let live = client.query(&QuerySpec::session(&name)).unwrap();
@@ -475,7 +475,7 @@ fn slow_reader_stalls_only_its_own_session() {
     client.finish().unwrap();
 
     // The slow reader catches up: drain every pending ack, finish, and
-    // the tables are exactly the batch sweep.
+    // the tables are exactly the in-memory sweep.
     let mut acked = 0u64;
     while acked < chunks.len() as u64 {
         let (kind, payload) = read_frame(&mut conn).unwrap().unwrap();
@@ -518,8 +518,8 @@ proptest! {
     /// Satellite 4: whatever the stream and wherever the crash landed,
     /// a recovery scan over `k` durable chunks plus a tail chunk
     /// truncated at **every** byte offset always yields a valid acked
-    /// prefix — and its batch sweep equals the pre-crash live answer
-    /// over that prefix (which, acked ⇒ applied, is the batch sweep of
+    /// prefix — and its in-memory sweep equals the pre-crash live answer
+    /// over that prefix (which, acked ⇒ applied, is the in-memory sweep of
     /// the same events).
     #[test]
     fn torn_tail_recovery_always_yields_the_acked_prefix(
@@ -619,7 +619,7 @@ fn restart_truncates_torn_tail_and_resume_completes_the_stream() {
 /// session whose second pid first appears in a *later* chunk is killed
 /// mid-write (an Active record, the acked chunks, a torn tail) and
 /// restarted: the recovered live `(process, phase)` answer must equal
-/// the batch sweep of the acked prefix byte for byte, and so must the
+/// the in-memory sweep of the acked prefix byte for byte, and so must the
 /// stream completed by a resume on top of the recovered state.
 #[test]
 fn restart_replays_a_late_second_process_to_the_acked_prefix_answer() {

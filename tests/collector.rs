@@ -83,7 +83,7 @@ fn session_events(pid: u32, n: usize) -> Vec<Event> {
 /// The acceptance test: 4 concurrent sessions stream ≥100k events each;
 /// a mid-run live query returns a consistent prefix (batch-identical
 /// canonical JSON over exactly the events acknowledged so far), and the
-/// final per-session tables are byte-identical to the exact batch sweep
+/// final per-session tables are byte-identical to the exact in-memory sweep
 /// of the same events — both through the live path and through the
 /// finished chunk directory.
 #[test]
@@ -159,7 +159,7 @@ fn four_concurrent_sessions_stream_live_queries_and_batch_identical_tables() {
 
                 // Post-finish: the query runs over the session's chunk
                 // directory; tables must still be byte-identical to the
-                // exact batch sweep of the full stream.
+                // exact in-memory sweep of the full stream.
                 let done = client.query(&QuerySpec::session(&name)).unwrap();
                 assert!(!done.live && !done.cache_hit);
                 assert_eq!(done.events_observed, events.len() as u64);
@@ -604,7 +604,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
 proptest! {
     /// Loopback property: whatever the event stream and however it is
     /// chunked, a streamed session's final tables — live and post-finish
-    /// — equal the exact batch sweep of the same events. Operation and
+    /// — equal the exact in-memory sweep of the same events. Operation and
     /// phase annotations here arrive in arbitrary (non-profiler) order,
     /// so this also exercises the exact sweeps' order-independence
     /// through the whole wire path.
@@ -652,7 +652,7 @@ proptest! {
 /// both Unix and TCP serves the identical framed protocol over
 /// loopback, `LIST_SESSIONS` enumerates what it holds, and the
 /// acceptance property — `group_by([Dim::Session])` over two live
-/// sessions is canonical-JSON-identical to the batch sweep of each
+/// sessions is canonical-JSON-identical to the in-memory sweep of each
 /// session's acked prefix — holds through the `QUERY_ALL` wire path.
 #[test]
 fn tcp_transport_and_query_all_over_live_sessions() {
@@ -717,7 +717,7 @@ fn tcp_transport_and_query_all_over_live_sessions() {
     let expected =
         Analysis::of_sessions(sessions()).group_by([Dim::Session]).canonical_json().unwrap();
     assert_eq!(groups_canonical_json(&reply.groups, true), expected);
-    // Each group is its session's independent batch sweep.
+    // Each group is its session's independent in-memory sweep.
     for (key, table) in &reply.groups {
         let events: &[Event] = if key.session.as_deref() == Some("tcp-a") { &a } else { &b };
         assert_eq!(table, &Analysis::of_events(events).table().unwrap());

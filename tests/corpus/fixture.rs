@@ -92,7 +92,8 @@ pub fn corpus_extreme_events() -> Vec<rlscope::core::Event> {
 }
 
 /// First-seen-pid-order per-process tables over a borrowed event slice —
-/// the same partition and sweep `Trace::breakdowns_by_process` performs.
+/// the same partition and sweep `Analysis::group_by([Dim::Process])`
+/// performs, built independently of it from `Analysis::of_indexed`.
 /// Shared by the generator and the harness so the two can never disagree
 /// on the per-pid reference.
 pub fn per_pid_tables(

@@ -8,13 +8,13 @@
 //! corpus diff reviewed with the change; anything else failing these
 //! tests is a regression.
 
+use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::compute_overlap;
 use rlscope::core::overlap::OverlapSweep;
 use rlscope::core::store::{
     decode_events, encode_events, encode_events_v1, encode_events_v2, reorder_chunk_dir, Manifest,
     TraceWriter,
 };
-use rlscope::core::trace::streamed_breakdowns_by_process;
 use std::path::{Path, PathBuf};
 
 include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fixture.rs"));
@@ -88,7 +88,7 @@ fn corpus_manifest_is_byte_stable() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The batch sweep's attribution over the corpus is frozen in canonical
+/// The in-memory sweep's attribution over the corpus is frozen in canonical
 /// JSON — any bucket or nanosecond of drift fails.
 #[test]
 fn corpus_overlap_matches_expected_tables() {
@@ -129,6 +129,14 @@ fn corpus_streaming_sweep_matches_expected() {
     }
 }
 
+/// A process-grouped query's tables in the fixture's `(pid, table)` shape.
+fn per_pid(
+    query: Analysis<'_>,
+) -> Vec<(rlscope::sim::ids::ProcessId, rlscope::core::BreakdownTable)> {
+    let tables = query.group_by([Dim::Process]).tables().unwrap();
+    tables.into_iter().map(|(key, table)| (key.process.unwrap(), table)).collect()
+}
+
 /// End-to-end streaming over a chunk directory built from the corpus:
 /// the per-process tables must match the frozen per-pid JSON.
 #[test]
@@ -142,7 +150,7 @@ fn corpus_chunk_dir_streams_to_expected_tables() {
     }
     let files = writer.finish().unwrap();
     assert!(files.len() > 1, "corpus should span multiple chunks");
-    let tables = streamed_breakdowns_by_process(&dir, None).unwrap();
+    let tables = per_pid(Analysis::from_chunk_dir(&dir));
     assert_eq!(
         per_pid_canonical_json(&tables),
         corpus_text("expected_by_pid.json"),
@@ -164,8 +172,8 @@ fn corpus_reordered_dir_bounded_sweep_matches_expected() {
     let stats = reorder_chunk_dir(&src, &dst, 256).unwrap();
     assert_eq!(stats.events, corpus_events().len() as u64);
     assert!(Manifest::open(&dst).unwrap().is_start_sorted());
-    let tables =
-        streamed_breakdowns_by_process(&dst, Some(rlscope::sim::time::DurationNs::ZERO)).unwrap();
+    let zero_lag = rlscope::sim::time::DurationNs::ZERO;
+    let tables = per_pid(Analysis::from_chunk_dir(&dst).bounded_streaming(zero_lag));
     assert_eq!(
         per_pid_canonical_json(&tables),
         corpus_text("expected_by_pid.json"),
@@ -192,13 +200,12 @@ fn corpus_minigo_phase_report_matches_expected() {
 /// (`corpus_rollup/`) must be byte-identical to a fresh sort + rollup
 /// of the corpus — freezing the segment wire format exactly as the
 /// chunk goldens freeze the codecs — and the rollup reader must answer
-/// the frozen coarse queries, which were generated from the sorted
-/// batch sweep (the reader is checked against the batch engine, never
-/// against itself). Regenerate deliberately with
+/// the frozen coarse queries, which were generated by sweeping the
+/// sorted events in memory (the reader is checked against the sweep,
+/// never against itself). Regenerate deliberately with
 /// `cargo run --example gen_corpus` and review the diff.
 #[test]
 fn corpus_rollup_is_byte_stable_and_answers_coarse_queries() {
-    use rlscope::core::analysis::{Analysis, Dim};
     use rlscope::core::rollup::rollup_chunk_dir;
 
     let raw = std::env::temp_dir().join(format!("rlscope_golden_rollraw_{}", std::process::id()));

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rlscope::core::analysis::{Analysis, Dim, LiveView};
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope::core::overlap::{
-    compute_overlap, compute_overlap_columns, BreakdownTable, BucketKey, OverlapSweep,
+    compute_overlap, compute_overlap_columns, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE,
 };
 use rlscope::core::store::{
     decode_columns, decode_events, encode_events, encode_events_v1, encode_events_v2, EventColumns,
@@ -108,12 +108,24 @@ fn live_view_answers<'a>(view: LiveView, q: impl Fn() -> Analysis<'a>) -> Vec<St
     queries.iter().map(|q| q.canonical_json().unwrap()).collect()
 }
 
-/// Naive O(n²) reference for the overlap sweep: for every elementary
-/// segment between adjacent boundary times, scan all events for the
-/// active set and attribute the segment directly from the paper's rules
-/// (§3.3): finest CPU category wins, the innermost operation is the
-/// active one that started last, untracked otherwise.
-fn reference_overlap(events: &[Event]) -> BreakdownTable {
+/// Naive O(n²) reference for the overlap sweep with phase tagging: for
+/// every elementary segment between adjacent boundary times, scan all
+/// events for the active set and attribute the segment directly from the
+/// rules (paper §3.3 and `core::overlap`'s module docs): finest CPU
+/// category wins; the innermost operation is the active one that started
+/// last, untracked otherwise; the phase is, among open phases whose pid
+/// has at least one active CPU/GPU event in the segment, the one that
+/// started last, `NO_PHASE` otherwise. "Started last" is max
+/// `(start time, event index)`. Groups come in first-appearance order —
+/// `NO_PHASE`, then each phase name at its first non-zero-length event —
+/// with empty ones dropped.
+fn reference_phase_tables(events: &[Event]) -> Vec<(Arc<str>, BreakdownTable)> {
+    let mut groups = vec![(Arc::from(NO_PHASE), BreakdownTable::new())];
+    for e in events.iter().filter(|e| e.kind == EventKind::Phase && e.start != e.end) {
+        if !groups.iter().any(|(name, _)| *name == e.name) {
+            groups.push((e.name.clone(), BreakdownTable::new()));
+        }
+    }
     let mut times: Vec<u64> = events
         .iter()
         .filter(|e| e.start != e.end)
@@ -121,7 +133,6 @@ fn reference_overlap(events: &[Event]) -> BreakdownTable {
         .collect();
     times.sort_unstable();
     times.dedup();
-    let mut table = BreakdownTable::new();
     for w in times.windows(2) {
         let (a, b) = (w[0], w[1]);
         let covers =
@@ -138,18 +149,51 @@ fn reference_overlap(events: &[Event]) -> BreakdownTable {
         if cpu.is_none() && !gpu {
             continue;
         }
-        // Innermost operation: of the active annotations, the one pushed
-        // last, i.e. max (start time, event index).
-        let operation: Arc<str> = events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.kind == EventKind::Operation && covers(e))
-            .max_by_key(|(i, e)| (e.start.as_nanos(), *i))
-            .map(|(_, e)| e.name.clone())
+        // Of the scopes of `kind` open over the segment and passing
+        // `eligible`, the one pushed last.
+        let innermost = |kind: EventKind, eligible: &dyn Fn(&Event) -> bool| {
+            events
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.kind == kind && covers(e) && eligible(e))
+                .max_by_key(|(i, e)| (e.start.as_nanos(), *i))
+                .map(|(_, e)| e.name.clone())
+        };
+        let operation = innermost(EventKind::Operation, &|_| true)
             .unwrap_or_else(|| Arc::from(BucketKey::UNTRACKED));
-        table.add(BucketKey { operation, cpu, gpu }, DurationNs::from_nanos(b - a));
+        let busy = |pid: ProcessId| {
+            events.iter().any(|e| {
+                e.pid == pid && covers(e) && matches!(e.kind, EventKind::Cpu(_) | EventKind::Gpu(_))
+            })
+        };
+        let phase =
+            innermost(EventKind::Phase, &|p| busy(p.pid)).unwrap_or_else(|| Arc::from(NO_PHASE));
+        let group = groups.iter_mut().find(|(name, _)| *name == phase).unwrap();
+        group.1.add(BucketKey { operation, cpu, gpu }, DurationNs::from_nanos(b - a));
+    }
+    groups.retain(|(_, table)| !table.is_empty());
+    groups
+}
+
+/// The phase-blind reference: [`reference_phase_tables`] with the groups
+/// merged — phase boundaries only split segments.
+fn reference_overlap(events: &[Event]) -> BreakdownTable {
+    let mut table = BreakdownTable::new();
+    for (_, group) in reference_phase_tables(events) {
+        table.merge(&group);
     }
     table
+}
+
+/// Pushes `events` into `sweep` cut into chunks of the cycled lengths.
+fn push_in_splits(sweep: &mut OverlapSweep, events: &[Event], chunk_lens: &[usize]) {
+    let mut rest = events;
+    let mut cuts = chunk_lens.iter().cycle();
+    while !rest.is_empty() {
+        let take = (*cuts.next().unwrap()).min(rest.len());
+        sweep.push_batch(&rest[..take]).unwrap();
+        rest = &rest[take..];
+    }
 }
 
 /// Union length of a set of intervals.
@@ -196,9 +240,9 @@ proptest! {
         }
     }
 
-    /// The rewritten flat-indexed overlap engine agrees bucket-for-bucket
-    /// with a naive O(n²) reference on arbitrary event sets, including
-    /// nested / interleaved / duplicate-name operation annotations.
+    /// The overlap engine agrees bucket-for-bucket with a naive O(n²)
+    /// reference on arbitrary event sets, including nested / interleaved
+    /// / duplicate-name operation annotations.
     #[test]
     fn overlap_matches_naive_reference(
         events in prop::collection::vec(arb_full_event(), 0..60),
@@ -218,31 +262,45 @@ proptest! {
         prop_assert_eq!(fast.total().as_nanos(), union);
     }
 
-    /// The incremental streaming sweep over **arbitrary chunk splits** of
-    /// an arbitrary event stream is bucket-for-bucket equal to the batch
-    /// `compute_overlap` over the concatenation.
+    /// Phase-tagged attribution — per-pid phase eligibility, innermost
+    /// by activation, group order, empty groups dropped — agrees with
+    /// the naive reference on arbitrary multi-process event sets, fed in
+    /// one in-memory push and over arbitrary chunk splits.
+    #[test]
+    fn phase_tagged_overlap_matches_naive_reference(
+        events in prop::collection::vec(arb_multiproc_full_event(), 0..60),
+        chunk_lens in prop::collection::vec(1usize..12, 1..12),
+    ) {
+        let reference = reference_phase_tables(&events);
+        let by_phase = Analysis::of_events(&events).group_by([Dim::Phase]).tables().unwrap();
+        let by_phase: Vec<(Arc<str>, BreakdownTable)> =
+            by_phase.into_iter().map(|(key, table)| (key.phase.unwrap(), table)).collect();
+        prop_assert_eq!(&by_phase, &reference);
+        let mut sweep = OverlapSweep::new().with_phase_tagging();
+        push_in_splits(&mut sweep, &events, &chunk_lens);
+        prop_assert_eq!(&sweep.finalize_grouped(), &reference);
+    }
+
+    /// The sweep fed over **arbitrary chunk splits** of an arbitrary
+    /// event stream is bucket-for-bucket equal to one in-memory push of
+    /// the concatenation (`compute_overlap`) — and to the naive
+    /// reference, so the two sides cannot drift together.
     #[test]
     fn streaming_sweep_matches_batch_on_arbitrary_splits(
         events in prop::collection::vec(arb_full_event(), 0..60),
         chunk_lens in prop::collection::vec(1usize..12, 1..12),
     ) {
-        let batch = compute_overlap(&events);
         let mut sweep = OverlapSweep::new();
-        let mut rest: &[Event] = &events;
-        let mut cuts = chunk_lens.iter().cycle();
-        while !rest.is_empty() {
-            let take = (*cuts.next().unwrap()).min(rest.len());
-            sweep.push_batch(&rest[..take]).unwrap();
-            rest = &rest[take..];
-        }
-        prop_assert_eq!(sweep.finalize(), batch);
+        push_in_splits(&mut sweep, &events, &chunk_lens);
+        let split = sweep.finalize();
+        prop_assert_eq!(&split, &compute_overlap(&events));
+        prop_assert_eq!(&split, &reference_overlap(&events));
     }
 
-    /// The row and column instantiations of the merged engine bodies
+    /// The row and column instantiations of the sweep's push path
     /// produce canonically identical tables: `compute_overlap_columns`
-    /// over one chunk (the batch boundary encoder), and chunked
-    /// `push_columns` over arbitrary splits (the streaming push), versus
-    /// `compute_overlap` over the concatenated rows.
+    /// over one chunk, and chunked `push_columns` over arbitrary splits,
+    /// versus `compute_overlap` over the concatenated rows.
     #[test]
     fn columnar_sweep_matches_batch_canonical_json(
         events in prop::collection::vec(arb_multiproc_full_event(), 0..60),
@@ -264,7 +322,8 @@ proptest! {
     }
 
     /// On start-sorted streams the bounded-memory sweep never rejects —
-    /// whatever the lag — and still equals the batch table exactly.
+    /// whatever the lag — and still equals the table of one exact
+    /// in-memory push.
     #[test]
     fn bounded_sweep_matches_batch_on_sorted_streams(
         unsorted in prop::collection::vec(arb_full_event(), 0..60),
@@ -295,14 +354,15 @@ proptest! {
             iterations: 0,
             wall_end: TimeNs::from_nanos(20_000),
         };
-        let sharded = trace.breakdowns_by_process();
-        for (pid, table) in &sharded {
+        let sharded = Analysis::of(&trace).group_by([Dim::Process]).tables().unwrap();
+        for (key, table) in &sharded {
+            let pid = key.process.unwrap();
             // Independent reference: filter-and-clone the pid's events and
-            // run the plain batch sweep over the owned copy.
+            // sweep the owned copy.
             let filtered: Vec<Event> =
-                trace.events.iter().filter(|e| e.pid == *pid).cloned().collect();
+                trace.events.iter().filter(|e| e.pid == pid).cloned().collect();
             prop_assert_eq!(table, &compute_overlap(&filtered));
-            prop_assert_eq!(table, &Analysis::of(&trace).process(*pid).table().unwrap());
+            prop_assert_eq!(table, &Analysis::of(&trace).process(pid).table().unwrap());
         }
         let merged_total: DurationNs = sharded.iter().map(|(_, t)| t.total()).sum();
         let aggregate = Analysis::of(&trace).group_by([Dim::Process]).table().unwrap();
@@ -333,7 +393,7 @@ proptest! {
 
     /// Conservation of the process dimension: per-process groups sum to
     /// the per-process merged table, and each group equals an independent
-    /// filter-and-clone batch sweep.
+    /// filter-and-clone in-memory sweep.
     #[test]
     fn process_grouping_conserves_tables(
         events in prop::collection::vec(arb_multiproc_full_event(), 0..60),
@@ -593,7 +653,7 @@ proptest! {
     /// Conservation of the session dimension: `Dim::Session` grouped
     /// tables over a multi-session composition merge back to the
     /// ungrouped cross-session rollup bucket for bucket, each group is
-    /// exactly its session's independent batch sweep, and a live
+    /// exactly its session's independent in-memory sweep, and a live
     /// snapshot source answers identically to the same session's
     /// finished chunk directory.
     #[test]
@@ -638,7 +698,7 @@ proptest! {
         }
         prop_assert_eq!(&merged, &ungrouped);
 
-        // Each group is exactly its session's independent batch sweep.
+        // Each group is exactly its session's independent in-memory sweep.
         for (key, table) in &grouped {
             let name = key.session.clone().expect("session groups carry the session name");
             prop_assert!(matches!(&*name, "a" | "b"), "unexpected session group {}", name);
@@ -744,7 +804,7 @@ proptest! {
     }
 
     /// `reorder_chunk_dir` + a **zero-lag** bounded sweep reproduces the
-    /// exact batch sweep on arbitrary (close-ordered, multi-process)
+    /// exact in-memory sweep on arbitrary (close-ordered, multi-process)
     /// streams — the acceptance property of the start-ordered rewrite.
     /// Small run sizes force real external merges.
     #[test]
@@ -754,7 +814,6 @@ proptest! {
         run_events in 4usize..24,
     ) {
         use rlscope::core::store::{reorder_chunk_dir_with, Manifest};
-        use rlscope::core::trace::streamed_breakdowns_by_process;
 
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let case = CASE.fetch_add(1, Ordering::Relaxed);
@@ -783,11 +842,15 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&bounded, &compute_overlap(&events));
 
-        // Per-process view, zero lag, against the batch per-pid tables.
-        let streamed = streamed_breakdowns_by_process(&dst, Some(DurationNs::ZERO)).unwrap();
-        for (pid, table) in &streamed {
+        // Per-process view, zero lag, against the in-memory per-pid tables.
+        let streamed = Analysis::from_chunk_dir(&dst)
+            .bounded_streaming(DurationNs::ZERO)
+            .group_by([Dim::Process])
+            .tables()
+            .unwrap();
+        for (key, table) in &streamed {
             let filtered: Vec<Event> =
-                events.iter().filter(|e| e.pid == *pid).cloned().collect();
+                events.iter().filter(|e| Some(e.pid) == key.process).cloned().collect();
             prop_assert_eq!(table, &compute_overlap(&filtered));
         }
         std::fs::remove_dir_all(&src).unwrap();
@@ -797,7 +860,7 @@ proptest! {
     /// The tiered-storage equivalence contract: rolling a start-sorted
     /// trace up into segment summaries preserves every coarse query —
     /// ungrouped, phase/process/operation grouped, and segment-aligned
-    /// time windows — with canonical JSON byte-equal to the batch sweep
+    /// time windows — with canonical JSON byte-equal to the in-memory sweep
     /// over the tier it was built from (the sorted dir; the raw→sorted
     /// transition may legitimately reorder first-seen group order, so
     /// ungrouped totals are additionally pinned to the raw events);

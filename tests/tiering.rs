@@ -259,7 +259,7 @@ fn query_all_spans_mixed_tiers() {
     assert_eq!(sessions, vec!["cold".to_string(), "hot".to_string()]);
 
     // The per-session groups match each session's own (tier-routed)
-    // answer: the rollup-backed one equals its raw batch sweep.
+    // answer: the rollup-backed one equals its raw in-memory sweep.
     let by_session = cb.query_all(&QuerySpec::all_sessions().group_by([Dim::Session])).unwrap();
     for (key, table) in &by_session.groups {
         let name = key.session.as_deref().unwrap();
