@@ -310,9 +310,6 @@ fn bench_streaming(c: &mut Criterion) {
     let by_process =
         || Analysis::from_chunk_dir(std::hint::black_box(&dir)).group_by([Dim::Process]);
     c.bench_function("chunk_dir_streamed_4proc_40k", |b| b.iter(|| by_process().tables().unwrap()));
-    c.bench_function("chunk_dir_streamed_bounded_4proc_40k", |b| {
-        b.iter(|| by_process().bounded_streaming(DurationNs::from_millis(1)).tables().unwrap())
-    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -561,77 +558,6 @@ fn tiered_session_dir(dir: &std::path::Path) {
     writer.finish().unwrap();
 }
 
-fn bench_rollup_query(c: &mut Criterion) {
-    use rlscope_core::rollup::rollup_chunk_dir;
-    use rlscope_core::store::reorder_chunk_dir;
-
-    // The tiered-storage acceptance micro: a coarse (phase, op) query
-    // served from segment-summary rollups versus decoding and sweeping
-    // the raw 32k-event chunk directory it was rolled up from.
-    let tag = std::process::id();
-    let raw = std::env::temp_dir().join(format!("rlscope_bench_rollq_raw_{tag}"));
-    let sorted = std::env::temp_dir().join(format!("rlscope_bench_rollq_sorted_{tag}"));
-    let roll = std::env::temp_dir().join(format!("rlscope_bench_rollq_roll_{tag}"));
-    tiered_session_dir(&raw);
-    let _ = std::fs::remove_dir_all(&sorted);
-    reorder_chunk_dir(&raw, &sorted, 1 << 20).unwrap();
-    // ~50 segments over the 400 ms span: coarse enough that the index
-    // stays tiny, fine enough that cross-segment merging is real work.
-    rollup_chunk_dir(&sorted, &roll, 8_000_000).unwrap();
-
-    let from_rollup = || {
-        Analysis::from_rollup_dir(&roll)
-            .group_by([Dim::Phase, Dim::Operation])
-            .canonical_json()
-            .unwrap()
-    };
-    let from_raw = || {
-        Analysis::from_chunk_dir(&raw)
-            .group_by([Dim::Phase, Dim::Operation])
-            .canonical_json()
-            .unwrap()
-    };
-    // The equivalence contract the speedup rides on: byte-identical
-    // canonical JSON (the bench stream is start-ordered per chunk, so
-    // raw and sorted group orders coincide).
-    assert_eq!(from_rollup(), from_raw());
-
-    c.bench_function("rollup_query/phase_op_32k_rollup", |b| b.iter(from_rollup));
-    c.bench_function("rollup_query/phase_op_32k_raw", |b| b.iter(from_raw));
-
-    // Inline ratio gate (CI bench entry): the rolled-up query must run
-    // at least 5x faster than the raw sweep (bound 0.2x) — it reads ~50
-    // pre-aggregated segment tables instead of decoding 32k events.
-    let gate_name = "rollup_query/phase_op_32k_rollup";
-    if bench_filter().is_some_and(|f| !gate_name.contains(f.as_str())) {
-        for d in [&raw, &sorted, &roll] {
-            let _ = std::fs::remove_dir_all(d);
-        }
-        return;
-    }
-    let time_per_call = |f: &dyn Fn() -> String| {
-        let reps = 5;
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(f());
-        }
-        t.elapsed().as_nanos() as f64 / reps as f64
-    };
-    let (rollup_stats, raw_stats) =
-        gate::sample_pair(5, || time_per_call(&from_rollup), || time_per_call(&from_raw));
-    let target = if gate::is_smoke_run() { 1.0 } else { 0.2 };
-    gate::assert_ratio(
-        "rollup_query_gate",
-        &rollup_stats,
-        &raw_stats,
-        target,
-        "the segment-summary read measures ~0.01-0.05x the raw 32k-event sweep here",
-    );
-    for d in [&raw, &sorted, &roll] {
-        let _ = std::fs::remove_dir_all(d);
-    }
-}
-
 fn bench_compaction(c: &mut Criterion) {
     use rlscope_core::rollup::rollup_chunk_dir;
     use rlscope_core::store::reorder_chunk_dir;
@@ -770,230 +696,6 @@ fn bench_columnar(c: &mut Criterion) {
     }
 }
 
-fn bench_ingest(c: &mut Criterion) {
-    use rlscope_collector::{Collector, CollectorClient, CollectorConfig};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    // Live-collector ingest versus a direct TraceWriter over the same
-    // 50k-event stream. The collector path pays encode (client), socket
-    // transport, decode/validation, live-sweep pushes, and the verbatim
-    // chunk persist; the direct path pays the writer thread's encode and
-    // I/O alone. Both are measured to the durable end (finish acked /
-    // writer joined, manifest written).
-    let root = std::env::temp_dir().join(format!("rlscope_bench_ingest_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    // The direct writer rotates at roughly the byte size of the
-    // collector path's 8192-event client batches, so both paths land
-    // comparable chunk files and neither defers all encoding to a
-    // serialized finish().
-    const CHUNK_BYTES: usize = 256 << 10;
-    let config = CollectorConfig::new(root.join("sock"), root.join("data"));
-    let collector = Collector::bind(config).unwrap();
-    let events = synthetic_events(50_000);
-    let session_seq = AtomicUsize::new(0);
-    let collector_run = || {
-        let name = format!("ingest-{}", session_seq.fetch_add(1, Ordering::SeqCst));
-        let mut client = CollectorClient::open_session(collector.socket(), &name).unwrap();
-        for chunk in events.chunks(8_192) {
-            client.send_events(chunk).unwrap();
-        }
-        let summary = client.finish().unwrap();
-        // Session names must be unique per iteration, so reclaim each
-        // finished dir immediately — criterion runs hundreds of
-        // iterations and the accumulated chunks would otherwise grow to
-        // gigabytes under temp. (The daemon's registry entry stays; it
-        // is a few hundred bytes once the live state is released.)
-        let _ = std::fs::remove_dir_all(root.join("data").join(&name));
-        summary
-    };
-    let direct_dir = root.join("direct");
-    let direct_run = || {
-        let writer = TraceWriter::create(&direct_dir, CHUNK_BYTES).unwrap();
-        for chunk in events.chunks(8_192) {
-            writer.write(chunk.to_vec());
-        }
-        writer.finish().unwrap()
-    };
-    c.bench_function("ingest_throughput/collector_50k", |b| b.iter(collector_run));
-    c.bench_function("ingest_throughput/direct_tracewriter_50k", |b| b.iter(direct_run));
-
-    // Inline ratio gate (CI bench-smoke entry): events/sec through the
-    // full collector pipeline must stay ≥ 0.5× the direct TraceWriter —
-    // i.e. durable-ingest wall time ≤ 2×. Measures ~1.0-1.6x here (the
-    // stages pipeline across threads); the noisy `--test` smoke gates
-    // only catastrophic regressions.
-    let gate_name = "ingest_throughput/collector_50k";
-    if bench_filter().is_some_and(|f| !gate_name.contains(f.as_str())) {
-        collector.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
-        return;
-    }
-    // One run is already ~2-5 ms, so each sample is a single run and the
-    // gated statistic is the median of several interleaved samples (see
-    // `gate`). The timed span is exactly the durable ingest (open →
-    // finish acked); reclaiming the per-run session dir is bench
-    // hygiene, paid outside the clock.
-    let coll = || {
-        let name = format!("ingest-{}", session_seq.fetch_add(1, Ordering::SeqCst));
-        let t = std::time::Instant::now();
-        let mut client = CollectorClient::open_session(collector.socket(), &name).unwrap();
-        for chunk in events.chunks(8_192) {
-            client.send_events(chunk).unwrap();
-        }
-        std::hint::black_box(client.finish().unwrap());
-        let elapsed = t.elapsed().as_nanos() as f64;
-        let _ = std::fs::remove_dir_all(root.join("data").join(&name));
-        elapsed
-    };
-    let direct = || {
-        let t = std::time::Instant::now();
-        std::hint::black_box(direct_run());
-        t.elapsed().as_nanos() as f64
-    };
-    let (coll_stats, direct_stats) = gate::sample_pair(7, coll, direct);
-    let events_per_sec = events.len() as f64 / (coll_stats.median / 1e9);
-    println!("ingest_throughput_gate: collector median {:.1}k events/s", events_per_sec / 1e3);
-    let target = if gate::is_smoke_run() { 6.0 } else { 2.0 };
-    gate::assert_ratio(
-        "ingest_throughput_gate",
-        &coll_stats,
-        &direct_stats,
-        target,
-        "2.0x wall = 0.5x events/sec vs the direct TraceWriter; \
-         the columnar ingest path measures ~1.0-1.7x here",
-    );
-    collector.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-fn bench_fleet_query(c: &mut Criterion) {
-    use rlscope_collector::{
-        Collector, CollectorClient, CollectorConfig, Endpoint, FleetClient, QuerySpec,
-    };
-
-    // Federated query fan-out: the same 8 finished 5k-event sessions
-    // served by one daemon and by four 2-session shards, queried through
-    // `FleetClient` over TCP with `group_by([Dim::Session])`, versus a
-    // local single-dir `Analysis` over the identical 40k events. The
-    // fleet paths pay the QUERY_ALL codec, socket round-trips, and the
-    // cross-shard merge on top of the baseline's decode + sweep.
-    const SESSIONS_TOTAL: usize = 8;
-    const EVENTS_PER_SESSION: usize = 5_000;
-    let root = std::env::temp_dir().join(format!("rlscope_bench_fleet_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let events = multi_op_events(EVENTS_PER_SESSION, 8, 2);
-
-    let spawn_shards = |tag: &str, daemons: usize| -> Vec<Collector> {
-        (0..daemons)
-            .map(|d| {
-                let base = root.join(format!("{tag}_{d}"));
-                let mut config = CollectorConfig::new(base.join("sock"), base.join("data"));
-                config.tcp_listen = Some("127.0.0.1:0".into());
-                let collector = Collector::bind(config).unwrap();
-                for s in 0..SESSIONS_TOTAL / daemons {
-                    let name = format!("fleet-{tag}-{d}-{s}");
-                    let mut client =
-                        CollectorClient::open_session(collector.socket(), &name).unwrap();
-                    for chunk in events.chunks(1_024) {
-                        client.send_events(chunk).unwrap();
-                    }
-                    client.finish().unwrap();
-                }
-                collector
-            })
-            .collect()
-    };
-    let single = spawn_shards("one", 1);
-    let sharded = spawn_shards("four", 4);
-    let fleet_of = |shards: &[Collector]| {
-        FleetClient::connect(
-            shards.iter().map(|s| Endpoint::tcp(s.tcp_addr().unwrap().to_string())),
-        )
-    };
-    let mut fleet1 = fleet_of(&single);
-    let mut fleet4 = fleet_of(&sharded);
-    let spec = QuerySpec::all_sessions().group_by([Dim::Session]);
-    let query = |fleet: &mut FleetClient| {
-        let result = fleet.query_all(&spec);
-        assert!(result.complete(), "fleet query lost a shard: {:?}", result.gaps());
-        result
-    };
-    c.bench_function("fleet_query/1daemon_8sessions", |b| b.iter(|| query(&mut fleet1)));
-    c.bench_function("fleet_query/4daemons_2sessions", |b| b.iter(|| query(&mut fleet4)));
-
-    // The local baseline: one chunk dir holding the same 40k events,
-    // swept in-process with no sockets and no per-session split.
-    let base_dir = root.join("baseline");
-    let writer = TraceWriter::create(&base_dir, 256 << 10).unwrap();
-    for _ in 0..SESSIONS_TOTAL {
-        for chunk in events.chunks(1_024) {
-            writer.write(chunk.to_vec());
-        }
-    }
-    writer.finish().unwrap();
-    let baseline = || Analysis::from_chunk_dir(&base_dir).table().unwrap();
-    c.bench_function("fleet_query/single_dir_baseline_40k", |b| b.iter(baseline));
-
-    let shutdown_all = |single: Vec<Collector>, sharded: Vec<Collector>| {
-        for collector in single.into_iter().chain(sharded) {
-            collector.shutdown();
-        }
-        let _ = std::fs::remove_dir_all(&root);
-    };
-
-    // Inline ratio gate (CI bench-smoke entry): a federated rollup of
-    // the fleet must stay within 4x the wall time of the local
-    // single-dir sweep over the same events — the overhead is framing,
-    // round-trips, and the cross-shard merge, all of which must remain
-    // small next to decode + sweep. Measured inline (median of 3
-    // interleaved passes, see `gate`) so it also runs under `--test`;
-    // skipped when a substring filter excludes it.
-    let gate_name = "fleet_query/1daemon_8sessions";
-    if bench_filter().is_some_and(|f| !gate_name.contains(f.as_str())) {
-        drop(fleet1);
-        drop(fleet4);
-        shutdown_all(single, sharded);
-        return;
-    }
-    let reps = 5;
-    let time_fleet = |fleet: &mut FleetClient| {
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            let result = fleet.query_all(&spec);
-            assert!(result.complete(), "fleet query lost a shard: {:?}", result.gaps());
-            std::hint::black_box(result);
-        }
-        t.elapsed().as_nanos() as f64 / reps as f64
-    };
-    let time_baseline = || {
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(baseline());
-        }
-        t.elapsed().as_nanos() as f64 / reps as f64
-    };
-    let (one_stats, base_stats) = gate::sample_pair(3, || time_fleet(&mut fleet1), time_baseline);
-    let (four_stats, base4_stats) = gate::sample_pair(3, || time_fleet(&mut fleet4), time_baseline);
-    let target = if gate::is_smoke_run() { 12.0 } else { 4.0 };
-    gate::assert_ratio(
-        "fleet_query_gate(1x8)",
-        &one_stats,
-        &base_stats,
-        target,
-        "eight 5k-event per-session sweeps usually beat one 40k merged sweep (~0.8x)",
-    );
-    gate::assert_ratio(
-        "fleet_query_gate(4x2)",
-        &four_stats,
-        &base4_stats,
-        target,
-        "eight 5k-event per-session sweeps usually beat one 40k merged sweep (~0.8x)",
-    );
-    drop(fleet1);
-    drop(fleet4);
-    shutdown_all(single, sharded);
-}
-
 fn bench_tensor(c: &mut Criterion) {
     use rlscope_backend::Tensor;
     let a = Tensor::full(64, 64, 0.5);
@@ -1029,13 +731,10 @@ criterion_group!(
     bench_streaming,
     bench_live_snapshot,
     bench_pushdown,
-    bench_rollup_query,
     bench_compaction,
     bench_multiprocess,
     bench_trace_codec,
     bench_columnar,
-    bench_ingest,
-    bench_fleet_query,
     bench_tensor,
     bench_gpu_scheduler
 );

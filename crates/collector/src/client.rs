@@ -9,7 +9,9 @@ use crate::transport::{Endpoint, Stream};
 use parking_lot::Mutex;
 use rlscope_core::event::Event;
 use rlscope_core::profiler::EventSink;
-use rlscope_core::store::{encode_events, read_frame, write_frame, write_frame_parts};
+use rlscope_core::store::{
+    encode_events, read_frame, write_frame, write_frame_parts, TraceIoError,
+};
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::Path;
@@ -430,6 +432,47 @@ impl CollectorClient {
         Ok(())
     }
 
+    /// One request on this connection: outstanding chunk acks are drained
+    /// first (so the reply cannot interleave with them, and reflects at
+    /// least every chunk this client has sent), then `send` writes the
+    /// request frame and `parse` reads the reply frame that answers it
+    /// (`None` for any other kind). A transport failure reconnects,
+    /// resumes and retries under the policy; a query-only connection has
+    /// no acks to drain and no session to resume, so it runs the
+    /// exchange once.
+    fn request<T>(
+        &mut self,
+        send: impl Fn(&mut Stream) -> Result<(), TraceIoError>,
+        parse: impl Fn(u8, &[u8]) -> Option<Result<T, CollectorError>>,
+    ) -> Result<T, CollectorError> {
+        loop {
+            self.drain_acks()?;
+            match self.exchange(&send, &parse) {
+                Err(CollectorError::Io(e)) => self.recover(CollectorError::Io(e))?,
+                other => return other,
+            }
+        }
+    }
+
+    /// Writes one request frame and reads its reply: what `parse` makes
+    /// of the frame, the server's typed `ERROR`, or a protocol error for
+    /// a kind neither expects.
+    fn exchange<T>(
+        &mut self,
+        send: impl Fn(&mut Stream) -> Result<(), TraceIoError>,
+        parse: impl Fn(u8, &[u8]) -> Option<Result<T, CollectorError>>,
+    ) -> Result<T, CollectorError> {
+        send(&mut self.stream)?;
+        let (frame_kind, payload) = expect_frame(&mut self.stream)?;
+        match parse(frame_kind, &payload) {
+            Some(parsed) => parsed,
+            None if frame_kind == kind::ERROR => Err(decode_error(&payload)),
+            None => {
+                Err(CollectorError::Protocol(format!("unexpected reply kind {frame_kind:#04x}")))
+            }
+        }
+    }
+
     /// Runs a query. On a session connection, outstanding chunk acks are
     /// drained first, so the reply reflects at least every chunk this
     /// client has sent (its own writes are always visible).
@@ -439,28 +482,14 @@ impl CollectorClient {
     /// Transport failures (after reconnect attempts, for session
     /// connections) or a server-side error reply.
     pub fn query(&mut self, spec: &QuerySpec) -> Result<QueryReply, CollectorError> {
-        if self.session.is_none() {
-            return self.query_once(spec);
-        }
-        loop {
-            self.drain_acks()?;
-            match self.query_once(spec) {
-                Err(CollectorError::Io(e)) => self.recover(CollectorError::Io(e))?,
-                other => return other,
-            }
-        }
-    }
-
-    fn query_once(&mut self, spec: &QuerySpec) -> Result<QueryReply, CollectorError> {
-        write_frame(&mut self.stream, kind::QUERY, &spec.encode())?;
-        let (frame_kind, payload) = expect_frame(&mut self.stream)?;
-        match frame_kind {
-            kind::QUERY_OK => QueryReply::decode(&payload),
-            kind::ERROR => Err(decode_error(&payload)),
-            other => {
-                Err(CollectorError::Protocol(format!("unexpected query reply kind {other:#04x}")))
-            }
-        }
+        let spec = spec.encode();
+        self.request(
+            |stream| write_frame(stream, kind::QUERY, &spec),
+            |reply, payload| match reply {
+                kind::QUERY_OK => Some(QueryReply::decode(payload)),
+                _ => None,
+            },
+        )
     }
 
     /// Lists every session the daemon holds (name-sorted), with
@@ -471,28 +500,13 @@ impl CollectorClient {
     /// Transport failures (after reconnect attempts, for session
     /// connections) or a server-side error reply.
     pub fn list_sessions(&mut self) -> Result<SessionList, CollectorError> {
-        if self.session.is_none() {
-            return self.list_sessions_once();
-        }
-        loop {
-            self.drain_acks()?;
-            match self.list_sessions_once() {
-                Err(CollectorError::Io(e)) => self.recover(CollectorError::Io(e))?,
-                other => return other,
-            }
-        }
-    }
-
-    fn list_sessions_once(&mut self) -> Result<SessionList, CollectorError> {
-        write_frame(&mut self.stream, kind::LIST_SESSIONS, &[])?;
-        let (frame_kind, payload) = expect_frame(&mut self.stream)?;
-        match frame_kind {
-            kind::SESSIONS => SessionList::decode(&payload),
-            kind::ERROR => Err(decode_error(&payload)),
-            other => Err(CollectorError::Protocol(format!(
-                "unexpected session-list reply kind {other:#04x}"
-            ))),
-        }
+        self.request(
+            |stream| write_frame(stream, kind::LIST_SESSIONS, &[]),
+            |reply, payload| match reply {
+                kind::SESSIONS => Some(SessionList::decode(payload)),
+                _ => None,
+            },
+        )
     }
 
     /// Runs one query across every session the daemon holds (the
@@ -505,28 +519,14 @@ impl CollectorClient {
     ///
     /// See [`CollectorClient::query`].
     pub fn query_all(&mut self, spec: &QuerySpec) -> Result<QueryAllReply, CollectorError> {
-        if self.session.is_none() {
-            return self.query_all_once(spec);
-        }
-        loop {
-            self.drain_acks()?;
-            match self.query_all_once(spec) {
-                Err(CollectorError::Io(e)) => self.recover(CollectorError::Io(e))?,
-                other => return other,
-            }
-        }
-    }
-
-    fn query_all_once(&mut self, spec: &QuerySpec) -> Result<QueryAllReply, CollectorError> {
-        write_frame(&mut self.stream, kind::QUERY_ALL, &spec.encode())?;
-        let (frame_kind, payload) = expect_frame(&mut self.stream)?;
-        match frame_kind {
-            kind::QUERY_ALL_OK => QueryAllReply::decode(&payload),
-            kind::ERROR => Err(decode_error(&payload)),
-            other => Err(CollectorError::Protocol(format!(
-                "unexpected query-all reply kind {other:#04x}"
-            ))),
-        }
+        let spec = spec.encode();
+        self.request(
+            |stream| write_frame(stream, kind::QUERY_ALL, &spec),
+            |reply, payload| match reply {
+                kind::QUERY_ALL_OK => Some(QueryAllReply::decode(payload)),
+                _ => None,
+            },
+        )
     }
 
     /// Finishes the session durably: drains acks, sends `FINISH`, and
@@ -546,50 +546,33 @@ impl CollectorClient {
         if self.session.is_none() {
             return Err(CollectorError::Protocol("no open session to finish".into()));
         }
-        loop {
-            self.drain_acks()?;
-            match self.finish_once() {
-                Ok(summary) => {
-                    self.session = None;
-                    return Ok(summary);
-                }
-                Err(CollectorError::Io(e)) => match self.recover(CollectorError::Io(e)) {
-                    Ok(()) => {}
-                    Err(CollectorError::Remote {
-                        code: Some(ErrorCode::SessionExists), ..
-                    }) => {
-                        // The FINISH committed; only its ack was lost.
-                        self.session = None;
-                        return Ok(SessionSummary {
-                            chunks: self.next_seq,
-                            events: self.events_sent,
-                        });
-                    }
-                    Err(e) => return Err(e),
-                },
-                Err(e) => return Err(e),
+        let finished = self.request(
+            |stream| write_frame(stream, kind::FINISH, &[]),
+            |reply, payload| match reply {
+                kind::FINISH_ACK => Some(decode_finish_ack(payload)),
+                _ => None,
+            },
+        );
+        let summary = match finished {
+            // The FINISH committed; only its ack was lost.
+            Err(CollectorError::Remote { code: Some(ErrorCode::SessionExists), .. }) => {
+                SessionSummary { chunks: self.next_seq, events: self.events_sent }
             }
-        }
+            other => other?,
+        };
+        self.session = None;
+        Ok(summary)
     }
+}
 
-    fn finish_once(&mut self) -> Result<SessionSummary, CollectorError> {
-        write_frame(&mut self.stream, kind::FINISH, &[])?;
-        let (frame_kind, payload) = expect_frame(&mut self.stream)?;
-        match frame_kind {
-            kind::FINISH_ACK if payload.len() == 16 => {
-                match (payload.first_chunk::<8>(), payload.last_chunk::<8>()) {
-                    (Some(chunk_bytes), Some(event_bytes)) => Ok(SessionSummary {
-                        chunks: u64::from_be_bytes(*chunk_bytes),
-                        events: u64::from_be_bytes(*event_bytes),
-                    }),
-                    _ => Err(CollectorError::Protocol("short FINISH_ACK payload".into())),
-                }
-            }
-            kind::ERROR => Err(decode_error(&payload)),
-            other => {
-                Err(CollectorError::Protocol(format!("unexpected finish reply kind {other:#04x}")))
-            }
-        }
+/// Parses a `FINISH_ACK` payload: `chunks:u64 | events:u64`.
+fn decode_finish_ack(payload: &[u8]) -> Result<SessionSummary, CollectorError> {
+    match (payload.len(), payload.first_chunk::<8>(), payload.last_chunk::<8>()) {
+        (16, Some(chunk_bytes), Some(event_bytes)) => Ok(SessionSummary {
+            chunks: u64::from_be_bytes(*chunk_bytes),
+            events: u64::from_be_bytes(*event_bytes),
+        }),
+        _ => Err(CollectorError::Protocol("malformed FINISH_ACK payload".into())),
     }
 }
 

@@ -1715,7 +1715,7 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
             if !dir.is_dir() {
                 return Err((ErrorCode::UnknownTarget, format!("no chunk directory {path:?}")));
             }
-            dir_query(daemon, &dir, spec)
+            settled_query(daemon, &dir, StorageTier::Raw, spec)
         }
         // A QUERY reply carries one canonical-JSON table; the all-sessions
         // answer is per-session groups, which only a QUERY_ALL_OK can carry.
@@ -1755,14 +1755,6 @@ fn handle_query_all(
     Ok(())
 }
 
-/// What one session contributes to a cross-session query: its settled
-/// directory at whichever tier it lives, or an owned live snapshot.
-enum SessionSnapshot {
-    Dir(PathBuf),
-    Rollup(PathBuf),
-    Live(LiveTables),
-}
-
 /// Runs one query across every session the daemon holds, composed
 /// through [`Analysis::of_sessions`]. Open sessions contribute a
 /// consistent acked-prefix snapshot (asked of each owner in turn, the
@@ -1774,44 +1766,40 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
     if spec.target != QueryTarget::AllSessions {
         return Err((ErrorCode::Protocol, "QUERY_ALL frames take the all-sessions target".into()));
     }
+    let view = live_view(spec);
+    let routed: Vec<(Arc<str>, Routed<LiveTables>)> = daemon
+        .entries()
+        .into_iter()
+        .filter_map(|(name, _)| {
+            // `Err`: pruned since the listing was taken.
+            let routed = daemon.route(&name, |reply| Msg::Snapshot { view, reply }).ok()?;
+            Some((Arc::from(name), routed))
+        })
+        .collect();
     let mut any_live = false;
     let mut events_observed = 0u64;
-    let mut names = Vec::new();
-    let mut snapshots: Vec<(Arc<str>, SessionSnapshot)> = Vec::new();
-    let view = live_view(spec);
-    for (name, _) in daemon.entries() {
-        let snapshot = match daemon.route(&name, |reply| Msg::Snapshot { view, reply }) {
-            Ok(Routed::Open(_, tables)) => {
+    let mut sources: Vec<(Arc<str>, SessionSource<'_>)> = Vec::with_capacity(routed.len());
+    for (name, routed) in &routed {
+        let source = match routed {
+            Routed::Open(_, tables) => {
                 events_observed += tables.events_observed();
                 any_live = true;
-                SessionSnapshot::Live(tables)
+                SessionSource::Live(tables)
             }
-            Ok(Routed::Settled(settled)) => {
+            Routed::Settled(settled) => {
                 let dir = tier_dir(&settled.dir, settled.tier);
                 if settled.tier == StorageTier::Rollup {
                     events_observed += Rollup::open(&dir).map_err(io_err)?.total_events();
-                    SessionSnapshot::Rollup(dir)
+                    SessionSource::RollupDir(dir)
                 } else {
                     events_observed += Manifest::open(&dir).map_err(io_err)?.total_events();
-                    SessionSnapshot::Dir(dir)
+                    SessionSource::ChunkDir(dir)
                 }
             }
-            Err(_) => continue, // pruned since the listing was taken
         };
-        snapshots.push((Arc::from(name.as_str()), snapshot));
-        names.push(name);
+        sources.push((name.clone(), source));
     }
-    let sources: Vec<(Arc<str>, SessionSource<'_>)> = snapshots
-        .iter()
-        .map(|(name, snapshot)| {
-            let source = match snapshot {
-                SessionSnapshot::Dir(dir) => SessionSource::ChunkDir(dir.clone()),
-                SessionSnapshot::Rollup(dir) => SessionSource::RollupDir(dir.clone()),
-                SessionSnapshot::Live(tables) => SessionSource::Live(tables),
-            };
-            (name.clone(), source)
-        })
-        .collect();
+    let names = routed.iter().map(|(name, _)| name.to_string()).collect();
     let analysis = apply_spec(Analysis::of_sessions(sources), spec);
     let groups = analysis.tables().map_err(analysis_err)?;
     Ok(QueryAllReply { live: any_live, events_observed, sessions: names, groups })
@@ -1838,11 +1826,7 @@ fn tiered_query(
 ) -> Result<QueryReply, ConnError> {
     let mut tier = settled.tier;
     loop {
-        let dir = tier_dir(&settled.dir, tier);
-        let result = match tier {
-            StorageTier::Raw | StorageTier::Sorted => dir_query(daemon, &dir, spec),
-            StorageTier::Rollup => rollup_query(daemon, &dir, spec),
-        };
+        let result = settled_query(daemon, &tier_dir(&settled.dir, tier), tier, spec);
         if let Err((ErrorCode::Io, _)) = &result {
             if let Some(Entry::Settled(now)) = daemon.lookup(name) {
                 if now.epoch == settled.epoch && now.tier > tier {
@@ -1855,17 +1839,27 @@ fn tiered_query(
     }
 }
 
-/// Rollup-tier query: answers from the pre-aggregated segment
-/// summaries via [`Analysis::from_rollup_dir`] — no raw events are
-/// decoded — fronted by the same checksum-keyed result cache as
-/// directory queries (the rollup index checksum plays the manifest
-/// checksum's role). Queries needing raw resolution come back as
-/// typed [`ErrorCode::UnsupportedQuery`] straight from the analysis
-/// layer.
-fn rollup_query(daemon: &Daemon, dir: &Path, spec: &QuerySpec) -> Result<QueryReply, ConnError> {
-    let rollup = Rollup::open(dir).map_err(|e| (ErrorCode::Io, e.to_string()))?;
-    let checksum = rollup.checksum();
-    let events = rollup.total_events();
+/// One settled-tier query, fronted by the checksum-keyed result cache.
+/// A raw or sorted directory answers through manifest pushdown
+/// ([`Analysis::from_chunk_dir`], keyed by the manifest checksum); a
+/// rollup answers from its pre-aggregated segment summaries
+/// ([`Analysis::from_rollup_dir`], keyed by the rollup index checksum)
+/// without decoding a raw event, and a query needing raw resolution
+/// comes back as a typed [`ErrorCode::UnsupportedQuery`] straight from
+/// the analysis layer.
+fn settled_query(
+    daemon: &Daemon,
+    dir: &Path,
+    tier: StorageTier,
+    spec: &QuerySpec,
+) -> Result<QueryReply, ConnError> {
+    let (checksum, events, analysis) = if tier == StorageTier::Rollup {
+        let rollup = Rollup::open(dir).map_err(io_err)?;
+        (rollup.checksum(), rollup.total_events(), Analysis::from_rollup_dir(dir))
+    } else {
+        let manifest = Manifest::open(dir).map_err(io_err)?;
+        (manifest.checksum(), manifest.total_events(), Analysis::from_chunk_dir(dir))
+    };
     let key = (dir.to_string_lossy().into_owned(), spec.encode());
     if let Some(cached) = daemon.cache.lock().get(&key) {
         if cached.checksum == checksum {
@@ -1877,31 +1871,7 @@ fn rollup_query(daemon: &Daemon, dir: &Path, spec: &QuerySpec) -> Result<QueryRe
             });
         }
     }
-    let analysis = apply_spec(Analysis::from_rollup_dir(dir), spec);
-    let json = analysis.canonical_json().map_err(analysis_err)?;
-    daemon.cache.lock().insert(key, CachedResult { checksum, events, json: json.clone() });
-    Ok(QueryReply { live: false, cache_hit: false, events_observed: events, canonical_json: json })
-}
-
-/// Finished-directory query: manifest pushdown via
-/// [`Analysis::from_chunk_dir`], fronted by the checksum-keyed cache.
-fn dir_query(daemon: &Daemon, dir: &Path, spec: &QuerySpec) -> Result<QueryReply, ConnError> {
-    let manifest = Manifest::open(dir).map_err(|e| (ErrorCode::Io, e.to_string()))?;
-    let checksum = manifest.checksum();
-    let key = (dir.to_string_lossy().into_owned(), spec.encode());
-    if let Some(cached) = daemon.cache.lock().get(&key) {
-        if cached.checksum == checksum {
-            return Ok(QueryReply {
-                live: false,
-                cache_hit: true,
-                events_observed: cached.events,
-                canonical_json: cached.json,
-            });
-        }
-    }
-    let analysis = apply_spec(Analysis::from_chunk_dir(dir), spec);
-    let json = analysis.canonical_json().map_err(analysis_err)?;
-    let events = manifest.total_events();
+    let json = apply_spec(analysis, spec).canonical_json().map_err(analysis_err)?;
     daemon.cache.lock().insert(key, CachedResult { checksum, events, json: json.clone() });
     Ok(QueryReply { live: false, cache_hit: false, events_observed: events, canonical_json: json })
 }

@@ -10,8 +10,8 @@
 //!   (several traces), [`Analysis::of_events`] /
 //!   [`Analysis::of_indexed`] (raw event slices), or
 //!   [`Analysis::from_chunk_dir`] (on-disk chunk directories, streamed
-//!   chunk-at-a-time — optionally in bounded memory via
-//!   [`Analysis::bounded_streaming`]);
+//!   chunk-at-a-time, each sweep holding no more of the stream than the
+//!   chunk footers say is still open);
 //! * **filters** — [`Analysis::phase`], [`Analysis::process`],
 //!   [`Analysis::operation`], [`Analysis::time_window`];
 //! * **grouping** — [`Analysis::group_by`] over [`Dim`] dimensions,
@@ -44,16 +44,15 @@
 //! different phase spans each keep their own time under their own
 //! phase.
 //!
-//! The profiler records a phase event when the phase **closes**. For
-//! bounded-lag streaming ([`Analysis::bounded_streaming`]) this matters:
-//! a long-lived phase arrives with a start far behind the finalized
-//! frontier, so a phase-scoped bounded query typically detects the
-//! disorder and transparently falls back to an exact second pass over
-//! the chunk directory (never misattributing time). Plain per-process
-//! queries are unaffected — without phase grouping/filtering, phase
-//! events are dropped before the order check. Rewriting a raw dump with
-//! [`crate::store::reorder_chunk_dir`] removes the close-order disorder
-//! entirely, making bounded mode applicable with any lag.
+//! The profiler records a phase event when the phase **closes**, and any
+//! enclosing annotation after everything inside it. For a chunk-directory
+//! query this decides how much of the stream its sweeps hold at once
+//! (see *the release frontier* below): a raw dump's whole-run phase sits
+//! in the last chunk with a start near zero, so nothing before it is
+//! final until it is read, while a directory rewritten with
+//! [`crate::store::reorder_chunk_dir`] carries no close-order disorder
+//! and is swept about one chunk at a time. The tables are the same
+//! either way.
 //!
 //! # Predicate pushdown: when is a whole chunk skipped?
 //!
@@ -92,10 +91,36 @@
 //! overlaps sweeping on multi-core machines with bounded in-flight
 //! memory.
 //!
+//! # The release frontier: how much of a directory a query holds
+//!
+//! A streamed query reads each selected chunk **once**, in stream order,
+//! whatever order the events inside are in. After chunk *i* is pushed,
+//! every sweep is told ([`OverlapSweep::release_to`]) the earliest start
+//! any *later* selected chunk can hold — the suffix minimum of
+//! [`crate::store::ChunkFooter::min_start`] over the manifest entries
+//! the pushdown selected (window clipping only raises starts, so the
+//! recorded minimum stays a valid bound). Boundaries at or before that
+//! frontier are final: they are attributed for good and their log is
+//! dropped. The working set is therefore derived from the data, not
+//! chosen by the caller — on a start-sorted directory the frontier
+//! trails the stream by one chunk; on a raw dump it stands at the start
+//! of the oldest annotation that has not been written yet. Two
+//! consequences:
+//!
+//! * The frontier needs a manifest the query can trust. A directory
+//!   with no fresh `MANIFEST` and no pushdown predicate is swept from
+//!   its file listing with nothing released — a query that did not need
+//!   a manifest scan is never charged one.
+//! * The manifest is outside input. If it overstates a chunk's
+//!   `min_start`, an event arrives behind the frontier and the query
+//!   fails with a typed [`TraceIoError::Corrupt`]
+//!   ([`crate::overlap::SweepError::OrderViolation`]) — never a wrong
+//!   table, and no second pass.
+//!
 //! # How each source reaches the sweep
 //!
 //! Sources that start from encoded chunk bytes —
-//! [`Analysis::from_chunk_dir`], [`Analysis::bounded_streaming`], and
+//! [`Analysis::from_chunk_dir`] and
 //! the collector's live ingest and crash-recovery replay
 //! ([`LiveState::push_columns`]) — decode each chunk with
 //! [`crate::store::decode_columns`] into [`crate::store::EventColumns`]
@@ -104,7 +129,7 @@
 //! [`OverlapSweep::push_columns`]. Sources that start from
 //! already-materialized rows — [`Analysis::of`], [`Analysis::merged`],
 //! [`Analysis::of_events`], [`Analysis::of_indexed`] — push their
-//! (filtered, possibly clipped) rows into an exact sweep in one go and
+//! (filtered, possibly clipped) rows into a sweep in one go and
 //! finalize it; converting them to columns first would add a copy for
 //! no decode saving. Both read events through the same generic push
 //! body (see [`crate::overlap`]) and drain through the same merge loop;
@@ -225,14 +250,16 @@
 //! | phase / process / operation filters | yes | yes | yes |
 //! | `group_by` (phase × process × operation) | yes | yes | yes |
 //! | [`Analysis::time_window`] | yes, any `[lo, hi)` | only on segment boundaries (edges past the covered span are fine) | no |
-//! | [`Analysis::bounded_streaming`] | yes (sorted dirs with any lag) | meaningless — nothing is streamed | ignored |
+//! | sweep working set | what the chunk footers leave open (about one chunk on a sorted dir) | none — nothing is streamed | the whole live log |
 //! | [`Analysis::corrected`] / [`Analysis::profile`] | no (needs a trace-backed source) | no | no |
 //! | cost | decodes selected chunks (manifest pushdown) | reads pre-aggregated tables only — **no raw event decode** | reads finalized tables |
 //!
 //! Where both a raw/sorted directory and a rollup exist, prefer the
 //! rollup for coarse queries — a `(phase, op)` breakdown over a rollup
-//! is gated ≥5× faster than the full raw scan in CI (`rollup_query`) —
-//! and the raw tier for anything sub-segment.
+//! reads a few dozen stored tables where the raw tier decodes and sweeps
+//! every event (the e2e record's `daemon.query_rollup_ms_p50` against
+//! `daemon.query_cold_ms_p50`) — and the raw tier for anything
+//! sub-segment.
 //!
 //! # Example
 //!
@@ -487,8 +514,9 @@ impl LiveView {
 /// changes, and pushing a chunk never drains.
 ///
 /// Internally this mirrors the chunk-dir executor's sweep layout: one
-/// phase-tagged exact [`OverlapSweep`] per process, plus a merged-stream
-/// sweep for ungrouped queries. While only one process has been seen the
+/// phase-tagged [`OverlapSweep`] per process (never released: nothing
+/// bounds a live stream's next start), plus a merged-stream sweep for
+/// ungrouped queries. While only one process has been seen the
 /// merged stream *is* that process's stream, so the merged sweep is not
 /// materialized until a second process appears — at which point the
 /// first process's sweep (fed the identical prefix) is cloned into
@@ -535,8 +563,9 @@ impl LiveState {
     ///
     /// # Errors
     ///
-    /// [`SweepError`] from the underlying sweeps (exact sweeps accept
-    /// any order, so only pathological annotation counts can fail).
+    /// [`SweepError`] from the underlying sweeps (they are never
+    /// released and so accept any order: only pathological annotation
+    /// counts can fail).
     pub fn push_columns(&mut self, cols: &EventColumns) -> Result<(), SweepError> {
         // Distinct pids in first-appearance order. Slots resolve up
         // front: when the second process appears, the merged stream
@@ -634,8 +663,6 @@ impl LiveTables {
 #[derive(Debug)]
 pub struct Analysis<'a> {
     source: Source<'a>,
-    /// Bounded-lag streaming window for chunk-dir sources.
-    lag: Option<DurationNs>,
     phase_filter: Option<Arc<str>>,
     process_filter: Option<ProcessId>,
     operation_filter: Option<Arc<str>>,
@@ -653,7 +680,6 @@ impl<'a> Analysis<'a> {
     fn new(source: Source<'a>) -> Self {
         Analysis {
             source,
-            lag: None,
             phase_filter: None,
             process_filter: None,
             operation_filter: None,
@@ -702,9 +728,9 @@ impl<'a> Analysis<'a> {
     /// materialized. `.time_window` / `.process` / `.phase` filters push
     /// down into the directory's [`Manifest`], skipping whole chunks
     /// before any decode, and the surviving chunks are decoded
-    /// chunk-parallel while the sweeps consume them in stream order (see
-    /// the module docs). Exact incremental sweeps are used unless
-    /// [`Analysis::bounded_streaming`] selects a bounded-lag window.
+    /// chunk-parallel while the sweeps consume them in stream order,
+    /// releasing behind the frontier the remaining chunks' footers give
+    /// (see the module docs).
     pub fn from_chunk_dir(dir: impl Into<PathBuf>) -> Self {
         Self::new(Source::ChunkDir(dir.into()))
     }
@@ -759,22 +785,6 @@ impl<'a> Analysis<'a> {
     /// live snapshots no).
     pub fn of_sessions(sessions: impl IntoIterator<Item = (Arc<str>, SessionSource<'a>)>) -> Self {
         Self::new(Source::Sessions(sessions.into_iter().collect()))
-    }
-
-    /// Uses bounded-memory streaming sweeps ([`OverlapSweep::bounded`])
-    /// for a chunk-dir source: per-sweep state stays flat as the
-    /// directory grows, provided event start times are sorted to within
-    /// `lag` in stream order. Excess disorder is detected — never
-    /// silently misattributed — and the query transparently re-runs with
-    /// exact sweeps (one more pass over the on-disk chunks). Ignored for
-    /// in-memory sources.
-    ///
-    /// Raw profiler dumps are end-ordered and usually exceed any useful
-    /// lag; rewrite them once with [`crate::store::reorder_chunk_dir`]
-    /// and bounded mode applies with any lag (including zero).
-    pub fn bounded_streaming(mut self, lag: DurationNs) -> Self {
-        self.lag = Some(lag);
-        self
     }
 
     // ----- filters ------------------------------------------------------
@@ -987,9 +997,8 @@ impl<'a> Analysis<'a> {
                     self.correction_inputs()?;
                 }
                 let per_process = self.dims.contains(&Dim::Process);
-                let (files, total) =
-                    self.pushdown_selection(dir, per_process, true).map_err(AnalysisError::Io)?;
-                Ok(Some((files.len(), total)))
+                let selection = self.pushdown_selection(dir, per_process, true)?;
+                Ok(Some((selection.files.len(), selection.total)))
             }
             _ => Ok(None),
         }
@@ -1042,9 +1051,10 @@ impl<'a> Analysis<'a> {
         let track_phases = want_phase || self.phase_filter.is_some();
         let raw = match &self.source {
             Source::ChunkDir(dir) => {
-                self.resolve_streamed(dir, want_proc, track_phases, filters)?
+                let selection = self.pushdown_selection(dir, want_proc, filters)?;
+                self.try_streamed(&selection, want_proc, track_phases, filters)?
             }
-            Source::RollupDir(dir) => self.resolve_rollup(dir, want_proc, filters)?,
+            Source::RollupDir(dir) => self.resolve_rollup(dir, filters)?,
             Source::Live(tables) => self.resolve_live(tables, filters)?,
             _ => self.resolve_batch(want_proc, track_phases, filters),
         };
@@ -1072,7 +1082,6 @@ impl<'a> Analysis<'a> {
                 SessionSource::RollupDir(dir) => Analysis::from_rollup_dir(dir.clone()),
                 SessionSource::Live(tables) => Analysis::of_live(tables),
             };
-            sub.lag = self.lag;
             sub.phase_filter = self.phase_filter.clone();
             sub.process_filter = self.process_filter;
             sub.operation_filter = self.operation_filter.clone();
@@ -1103,7 +1112,7 @@ impl<'a> Analysis<'a> {
     }
 
     /// In-memory execution: builds the (filtered, possibly clipped) row
-    /// set and pushes it into one exact sweep — one per process, in
+    /// set and pushes it into one sweep — one per process, in
     /// parallel, when the process dimension is requested.
     fn resolve_batch(
         &self,
@@ -1116,7 +1125,7 @@ impl<'a> Analysis<'a> {
             Source::Indexed(events, indices) => Rows::SliceIndexed(events, Cow::Borrowed(indices)),
             Source::Trace(t) => Rows::Slice(&t.events),
             Source::Merged(ts) => Rows::Refs(ts.iter().flat_map(|t| t.events.iter()).collect()),
-            Source::ChunkDir(_) => unreachable!("handled by resolve_streamed"),
+            Source::ChunkDir(_) => unreachable!("handled by try_streamed"),
             Source::RollupDir(_) => unreachable!("handled by resolve_rollup"),
             Source::Live(_) => unreachable!("handled by resolve_live"),
             Source::Sessions(_) => unreachable!("handled by resolve_sessions"),
@@ -1191,70 +1200,57 @@ impl<'a> Analysis<'a> {
         query
     }
 
-    /// Resolves which chunk files the query must decode: the full stream
-    /// listing when no predicate applies, otherwise the manifest
-    /// selection. Returns `(files, directory total)`.
+    /// Resolves which chunk files the query must decode and what each
+    /// one releases (see [`Selection`]). The directory's manifest gives
+    /// both; only a directory without a fresh one, under a query with
+    /// nothing to push down, is taken from its file listing with
+    /// nothing released, so that no query pays for a manifest scan it
+    /// did not need.
     fn pushdown_selection(
         &self,
         dir: &std::path::Path,
         per_process: bool,
         filters: bool,
-    ) -> Result<(Vec<PathBuf>, usize), TraceIoError> {
+    ) -> Result<Selection, TraceIoError> {
         let query = self.chunk_query(per_process, filters);
-        if query.is_unconstrained() {
+        let manifest = if !query.is_unconstrained() {
+            Manifest::open(dir)?
+        } else if let Some(fresh) = Manifest::load_fresh(dir)? {
+            fresh
+        } else {
             let files = list_chunk_files(dir)?;
-            let total = files.len();
-            return Ok((files, total));
+            // Nothing is known about later chunks: they may start at 0.
+            return Ok(Selection { frontier: vec![0; files.len()], total: files.len(), files });
+        };
+        let selected = manifest.select_entries(&query);
+        // Empty chunks carry `min_start == u64::MAX` and bound nothing.
+        let mut frontier = vec![u64::MAX; selected.len()];
+        for i in (1..selected.len()).rev() {
+            frontier[i - 1] = frontier[i].min(selected[i].footer.min_start);
         }
-        let selection = Manifest::open(dir)?.select(&query);
-        Ok((selection.files, selection.total))
+        Ok(Selection {
+            files: selected.iter().map(|e| dir.join(&e.file)).collect(),
+            frontier,
+            total: manifest.entries().len(),
+        })
     }
 
-    /// Streamed execution over a chunk directory: manifest pushdown, the
-    /// chunk-parallel decode stage, and the transparent exact-sweep
-    /// fallback when bounded mode detects excess disorder.
-    fn resolve_streamed(
-        &self,
-        dir: &std::path::Path,
-        per_process: bool,
-        track_phases: bool,
-        filters: bool,
-    ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
-        let (files, _) =
-            self.pushdown_selection(dir, per_process, filters).map_err(AnalysisError::Io)?;
-        match self.try_streamed(&files, self.lag, per_process, track_phases, filters) {
-            Ok(raw) => Ok(raw),
-            // Disorder beyond the lag: the chunks are still on disk, so
-            // re-read them with exact sweeps.
-            Err(StreamedError::Order) if self.lag.is_some() => {
-                match self.try_streamed(&files, None, per_process, track_phases, filters) {
-                    Ok(raw) => Ok(raw),
-                    Err(StreamedError::Io(e)) => Err(e.into()),
-                    Err(StreamedError::Order) => unreachable!("exact sweeps accept any order"),
-                }
-            }
-            Err(StreamedError::Order) => unreachable!("exact sweeps accept any order"),
-            Err(StreamedError::Io(e)) => Err(e.into()),
-        }
-    }
-
+    /// Streamed execution over a chunk directory, one pass over the
+    /// selected chunks: the chunk-parallel decode stage feeds the sweeps
+    /// in stream order, and after each chunk every sweep is released to
+    /// that chunk's frontier.
     fn try_streamed(
         &self,
-        files: &[PathBuf],
-        lag: Option<DurationNs>,
+        selection: &Selection,
         per_process: bool,
         track_phases: bool,
         filters: bool,
-    ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, StreamedError> {
+    ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, TraceIoError> {
         let new_sweep = || {
-            let sweep = match lag {
-                Some(d) => OverlapSweep::bounded(d),
-                None => OverlapSweep::new(),
-            };
             if track_phases {
-                sweep.with_phase_tagging()
+                OverlapSweep::new().with_phase_tagging()
             } else {
-                sweep
+                OverlapSweep::new()
             }
         };
         let mut slot_of: HashMap<ProcessId, usize> = HashMap::new();
@@ -1262,12 +1258,12 @@ impl<'a> Analysis<'a> {
         if !per_process {
             sweeps.push((None, new_sweep()));
         }
-        let map_err = |err: SweepError| match err {
-            SweepError::OrderViolation { .. } => StreamedError::Order,
-            other => StreamedError::Io(TraceIoError::Corrupt(other.to_string())),
-        };
+        // An order violation means the manifest promised a frontier its
+        // chunks do not keep: corrupt outside input, like any other.
+        let corrupt = |err: SweepError| TraceIoError::Corrupt(err.to_string());
+        let mut frontiers = selection.frontier.iter();
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        for_each_decoded_chunk_columns::<StreamedError>(files, threads, |mut cols| {
+        for_each_decoded_chunk_columns(&selection.files, threads, |mut cols| {
             if filters {
                 if let Some(pid) = self.process_filter {
                     cols.retain_pid(pid.as_u32());
@@ -1279,18 +1275,25 @@ impl<'a> Analysis<'a> {
                     cols.clip_window(lo.as_nanos(), hi.as_nanos());
                 }
             }
-            if !per_process {
-                return sweeps[0].1.push_columns(&cols).map_err(map_err);
+            if per_process {
+                // First-appearance order, so sweep slots (= group rows)
+                // are created in the order the pids enter the stream.
+                for raw in cols.distinct_pids() {
+                    let pid = ProcessId(raw);
+                    let slot = *slot_of.entry(pid).or_insert_with(|| {
+                        sweeps.push((Some(pid), new_sweep()));
+                        sweeps.len() - 1
+                    });
+                    sweeps[slot].1.push_columns_filtered(&cols, raw).map_err(corrupt)?;
+                }
+            } else {
+                sweeps[0].1.push_columns(&cols).map_err(corrupt)?;
             }
-            // First-appearance order, so sweep slots (= group rows) are
-            // created in the order the pids enter the stream.
-            for raw in cols.distinct_pids() {
-                let pid = ProcessId(raw);
-                let slot = *slot_of.entry(pid).or_insert_with(|| {
-                    sweeps.push((Some(pid), new_sweep()));
-                    sweeps.len() - 1
-                });
-                sweeps[slot].1.push_columns_filtered(&cols, raw).map_err(map_err)?;
+            // Every sweep, those this chunk did not feed or only just
+            // created included: no later chunk starts before this.
+            let frontier = *frontiers.next().expect("one frontier per selected file");
+            for (_, sweep) in &mut sweeps {
+                sweep.release_to(frontier);
             }
             Ok(())
         })?;
@@ -1326,6 +1329,24 @@ impl<'a> Analysis<'a> {
                     .to_string(),
             ));
         }
+        self.select_finalized(tables.merged.as_ref(), tables.per_process.as_deref(), filters)
+    }
+
+    /// Selects among tables whose sweeps already ran — the tail live
+    /// snapshots and rollups share — by the one rule of
+    /// [`LiveView::for_query`]: the merged-stream tables, or the
+    /// per-process ones under process grouping (every process, or the
+    /// filtered one) and for an ungrouped `.process(pid)` query, which
+    /// means "sweep only that process's events" and so reads that
+    /// process's own tables (an absent pid yields the empty table an
+    /// in-memory source would produce). A view the source does not hold
+    /// (`None`) is a typed error.
+    fn select_finalized(
+        &self,
+        merged: Option<&PhaseTables>,
+        per_process: Option<&[(ProcessId, PhaseTables)]>,
+        filters: bool,
+    ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
         let absent = |view: &str| {
             AnalysisError::Unsupported(format!(
                 "this live snapshot was taken without the {view} view the query reads \
@@ -1334,10 +1355,9 @@ impl<'a> Analysis<'a> {
         };
         let pid_filter = self.process_filter.filter(|_| filters);
         if LiveView::for_query(&self.dims, pid_filter) == LiveView::Merged {
-            let merged = tables.merged.as_ref().ok_or_else(|| absent("merged"))?;
-            return Ok(vec![(None, merged.clone())]);
+            return Ok(vec![(None, merged.ok_or_else(|| absent("merged"))?.clone())]);
         }
-        let per_process = tables.per_process.as_ref().ok_or_else(|| absent("per-process"))?;
+        let per_process = per_process.ok_or_else(|| absent("per-process"))?;
         if self.dims.contains(&Dim::Process) {
             Ok(per_process
                 .iter()
@@ -1345,27 +1365,20 @@ impl<'a> Analysis<'a> {
                 .map(|(pid, t)| (Some(*pid), t.clone()))
                 .collect())
         } else {
-            // An ungrouped `.process(pid)` query reads that process's own
-            // sweep; an absent pid yields the empty table an in-memory
-            // source would produce.
-            let tables = per_process
-                .iter()
-                .find(|(p, _)| Some(*p) == pid_filter)
-                .map(|(_, t)| t.clone())
-                .unwrap_or_default();
-            Ok(vec![(None, tables)])
+            let own = per_process.iter().find(|(p, _)| Some(*p) == pid_filter);
+            Ok(vec![(None, own.map(|(_, t)| t.clone()).unwrap_or_default())])
         }
     }
 
     /// Rollup-directory execution: the sweeps ran at compaction time, so
-    /// the query selects segments by window and merges their stored
-    /// tables — mirroring [`Analysis::resolve_live`]'s selection among
-    /// finalized tables, plus the segment-granularity window rule (see
-    /// [`Analysis::from_rollup_dir`]). No raw event is ever decoded.
+    /// the query selects segments by window, merges their stored tables
+    /// and selects among them as a live snapshot does
+    /// ([`Analysis::select_finalized`]), plus the segment-granularity
+    /// window rule (see [`Analysis::from_rollup_dir`]). No raw event is
+    /// ever decoded.
     fn resolve_rollup(
         &self,
         dir: &std::path::Path,
-        per_process: bool,
         filters: bool,
     ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
         let rollup = Rollup::open(dir).map_err(AnalysisError::Io)?;
@@ -1384,7 +1397,6 @@ impl<'a> Analysis<'a> {
                 })?
             }
         };
-        let pid_filter = self.process_filter.filter(|_| filters);
         let mut merged: PhaseTables = Vec::new();
         let mut per_proc: Vec<(ProcessId, PhaseTables)> = Vec::new();
         for idx in selected {
@@ -1405,21 +1417,7 @@ impl<'a> Analysis<'a> {
         for (_, tables) in &mut per_proc {
             tables.retain(|(_, t)| !t.is_empty());
         }
-        if per_process {
-            Ok(per_proc
-                .into_iter()
-                .filter(|(pid, _)| pid_filter.is_none_or(|want| *pid == want))
-                .map(|(pid, t)| (Some(pid), t))
-                .collect())
-        } else if let Some(pid) = pid_filter {
-            // Batch semantics for an ungrouped `.process(pid)` query are
-            // "sweep only that process's events" — the stored per-process
-            // tables. An absent pid yields the empty table.
-            let tables = per_proc.into_iter().find(|(p, _)| *p == pid).map(|(_, t)| t);
-            Ok(vec![(None, tables.unwrap_or_default())])
-        } else {
-            Ok(vec![(None, merged)])
-        }
+        self.select_finalized(Some(&merged), Some(&per_proc), filters)
     }
 
     /// Applies the phase filter, collapses undesired dimensions, applies
@@ -1590,15 +1588,15 @@ pub fn groups_canonical_json(groups: &[(GroupKey, BreakdownTable)], grouped: boo
     out
 }
 
-enum StreamedError {
-    Io(TraceIoError),
-    Order,
-}
-
-impl From<TraceIoError> for StreamedError {
-    fn from(e: TraceIoError) -> Self {
-        StreamedError::Io(e)
-    }
+/// What a chunk-directory query reads: the selected chunk files in
+/// stream order and, beside each, its **release frontier** — the
+/// earliest start any later selected chunk holds (`u64::MAX` after the
+/// last), i.e. the time every sweep can be released to once that file is
+/// pushed. `total` is the directory's chunk count, for skip accounting.
+struct Selection {
+    files: Vec<PathBuf>,
+    frontier: Vec<u64>,
+    total: usize,
 }
 
 /// Clips an event to a half-open window, dropping it when nothing is
@@ -2035,6 +2033,124 @@ mod tests {
         }
         writer.finish().unwrap();
         dir
+    }
+
+    /// Rewrites `dir`'s manifest from a scan of its chunks, edited by
+    /// `forge`, and makes it pass the freshness check whatever the
+    /// clock's granularity: its mtime is set past every chunk's.
+    fn write_fresh_manifest(
+        dir: &std::path::Path,
+        forge: impl FnOnce(&mut Vec<crate::store::ManifestEntry>),
+    ) {
+        use crate::store::MANIFEST_FILE;
+        let mut entries = Manifest::scan(dir).unwrap().entries().to_vec();
+        forge(&mut entries);
+        Manifest::from_entries(dir, entries).write().unwrap();
+        let later = std::time::SystemTime::now() + std::time::Duration::from_secs(2);
+        let manifest = std::fs::File::options().append(true).open(dir.join(MANIFEST_FILE));
+        manifest.unwrap().set_modified(later).unwrap();
+    }
+
+    /// A start-sorted stream of `n` events, one operation in sixteen,
+    /// each operation spanning the fifteen events after it.
+    fn start_sorted_events(n: u64) -> Vec<Event> {
+        (0..n)
+            .map(|i| {
+                if i % 16 == 0 {
+                    ev(0, EventKind::Operation, "op", i * 10, i * 10 + 155)
+                } else {
+                    ev(0, EventKind::Cpu(CpuCategory::Python), "py", i * 10, i * 10 + 9)
+                }
+            })
+            .collect()
+    }
+
+    /// The working set is derived, not chosen: on a start-sorted
+    /// directory the frontier is the next chunk's first start, and a
+    /// sweep released to it after every chunk never holds more than two
+    /// chunks' boundaries plus the open scopes — at any stream length.
+    #[test]
+    fn start_sorted_working_set_stays_within_two_chunks() {
+        const PER_CHUNK: usize = 64;
+        for n in [640u64, 6_400] {
+            let events = start_sorted_events(n);
+            let dir = write_chunk_dir("workset", &events, PER_CHUNK);
+            write_fresh_manifest(&dir, |_| {});
+            let query = Analysis::from_chunk_dir(&dir);
+            let selection = query.pushdown_selection(&dir, false, true).unwrap();
+            assert_eq!(selection.files.len(), n as usize / PER_CHUNK);
+            for (i, &frontier) in selection.frontier.iter().enumerate() {
+                let next = events.get((i + 1) * PER_CHUNK).map_or(u64::MAX, |e| e.start.as_nanos());
+                assert_eq!(frontier, next, "chunk {i}");
+            }
+            let mut sweep = OverlapSweep::new();
+            let mut frontiers = selection.frontier.iter();
+            let mut max_pending = 0;
+            for_each_decoded_chunk_columns(&selection.files, 1, |cols| {
+                sweep.push_columns(&cols).unwrap();
+                sweep.release_to(*frontiers.next().unwrap());
+                max_pending = max_pending.max(sweep.pending_boundaries());
+                Ok(())
+            })
+            .unwrap();
+            // One operation and one CPU span can straddle a chunk edge.
+            assert!(max_pending <= 2 * 2 * PER_CHUNK + 2, "{n} events: {max_pending} pending");
+            assert_eq!(sweep.finalize(), compute_overlap(&events));
+            assert_eq!(query.table().unwrap(), compute_overlap(&events));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// The manifest is outside input. One that overstates a chunk's
+    /// `min_start` promises a frontier its chunks do not keep: every
+    /// query shape fails with a typed corruption error — no panic, no
+    /// table, no second pass — and the true manifest answers again.
+    #[test]
+    fn overstated_min_start_in_the_manifest_is_typed_corruption() {
+        let mut events = start_sorted_events(64);
+        // Recorded at close, in the last chunk: starts before chunk 1.
+        events.push(ev(1, EventKind::Operation, "late", 50, 700));
+        let dir = write_chunk_dir("forged", &events, 13);
+        let queries = || {
+            [
+                Analysis::from_chunk_dir(&dir),
+                Analysis::from_chunk_dir(&dir).group_by([Dim::Process]),
+                Analysis::from_chunk_dir(&dir).time_window(TimeNs::ZERO, TimeNs::from_micros(900)),
+            ]
+        };
+        write_fresh_manifest(&dir, |entries| {
+            let last = &mut entries.last_mut().unwrap().footer;
+            last.min_start = last.max_start;
+        });
+        for query in queries() {
+            let err = query.tables().unwrap_err();
+            assert!(matches!(err, AnalysisError::Io(TraceIoError::Corrupt(_))), "{err}");
+            assert!(err.to_string().contains("stream order violation"), "{err}");
+        }
+        write_fresh_manifest(&dir, |_| {});
+        let expected = Analysis::of_events(&events);
+        assert_eq!(queries()[0].table().unwrap(), expected.table().unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory without a manifest, under a query with nothing to
+    /// push down, is swept from its file listing: no scan is run (so
+    /// none is written back) and nothing is released. A predicate needs
+    /// the index, builds it once, and leaves it behind.
+    #[test]
+    fn unindexed_directory_is_swept_without_a_manifest_scan() {
+        use crate::store::MANIFEST_FILE;
+        let events = start_sorted_events(64);
+        let dir = write_chunk_dir("unindexed", &events, 16);
+        std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
+        let query = Analysis::from_chunk_dir(&dir);
+        assert_eq!(query.pushdown_selection(&dir, false, true).unwrap().frontier, [0; 4]);
+        assert_eq!(query.table().unwrap(), compute_overlap(&events));
+        assert!(!dir.join(MANIFEST_FILE).exists());
+        let filtered = query.process(ProcessId(0));
+        assert_eq!(filtered.table().unwrap(), compute_overlap(&events));
+        assert!(dir.join(MANIFEST_FILE).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// 16 chunks with disjoint time ranges: a windowed query must decode

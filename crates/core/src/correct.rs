@@ -204,26 +204,10 @@ pub(crate) fn apply_correction(
     overhead
 }
 
-/// Applies calibrated overhead correction to a trace — a wrapper over
-/// `Analysis::of(trace).corrected(cal).profile()`
-/// ([`crate::analysis::Analysis`]).
-pub fn correct(trace: &Trace, cal: &Calibration) -> CorrectedProfile {
-    crate::analysis::Analysis::of(trace)
-        .corrected(cal)
-        .profile()
-        .expect("in-memory trace analysis cannot fail")
-}
-
-/// The uncorrected view of the same trace (paper §C.4: what analyses look
-/// like when correction is skipped) — a wrapper over
-/// `Analysis::of(trace).profile()`.
-pub fn uncorrected(trace: &Trace) -> CorrectedProfile {
-    crate::analysis::Analysis::of(trace).profile().expect("in-memory trace analysis cannot fail")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Analysis;
     use crate::event::{BookkeepingCounts, Event, EventKind};
     use rlscope_sim::cuda::CudaApiKind;
     use rlscope_sim::ids::ProcessId;
@@ -269,6 +253,10 @@ mod tests {
             iterations: 1,
             wall_end: us(100),
         }
+    }
+
+    fn correct(trace: &Trace, cal: &Calibration) -> CorrectedProfile {
+        Analysis::of(trace).corrected(cal).profile().unwrap()
     }
 
     fn calibration() -> Calibration {
@@ -332,7 +320,7 @@ mod tests {
     #[test]
     fn uncorrected_view_reports_instrumented_time() {
         let trace = base_trace();
-        let profile = uncorrected(&trace);
+        let profile = Analysis::of(&trace).profile().unwrap();
         assert_eq!(profile.corrected_total, DurationNs::from_micros(100));
         assert_eq!(profile.overhead.total(), DurationNs::ZERO);
     }

@@ -36,7 +36,6 @@
 //! of_events(..)     .operation(..)        Dim::Process,   .report()
 //! of_indexed(..)    .time_window(..)      Dim::Operation  .profile()
 //! from_chunk_dir    .corrected(&cal)   ])                 .canonical_json()
-//!   [.bounded_streaming(lag)]
 //! ```
 //!
 //! ```
@@ -83,31 +82,35 @@
 //!
 //! # Migrating from the historical entry points
 //!
-//! The pre-`Analysis` entry points remain available as thin wrappers, so
-//! existing code keeps working; each is exactly one query:
+//! Two pre-`Analysis` entry points remain as thin wrappers, each exactly
+//! one query; the others are gone (corrected and uncorrected profiles
+//! are `Analysis::of(&trace)[.corrected(&cal)].profile()`, a chunk
+//! directory is read through [`analysis::Analysis::from_chunk_dir`]):
 //!
 //! | historical entry point                      | `Analysis` query |
 //! |---------------------------------------------|------------------|
 //! | `compute_overlap(events)`                   | `Analysis::of_events(events).table()` |
 //! | `trace.breakdown()`                         | `Analysis::of(&trace).table()` |
-//! | `correct(&trace, &cal)`                     | `Analysis::of(&trace).corrected(&cal).profile()` |
-//! | `uncorrected(&trace)`                       | `Analysis::of(&trace).profile()` |
 //!
 //! Queries the old doors could not express — per-phase tables, phase ×
 //! process cross products, time windows, corrected per-phase views — are
 //! just more combinations of the same builder.
 //!
-//! # Phase tagging and bounded streaming
+//! # Phase tagging and how much a streamed query holds
 //!
 //! The profiler records a phase event when the phase **closes**, so in a
 //! raw stream a long-lived phase arrives late with an early start time.
-//! Exact streaming queries are unaffected. Bounded-lag queries
-//! ([`analysis::Analysis::bounded_streaming`]) that group or filter by
-//! phase treat the late phase event as stream disorder: it is detected —
-//! never misattributed — and the query transparently re-runs with exact
-//! sweeps. Queries that ignore phases drop phase events before the order
-//! check, preserving the flat-memory bound for ordinary per-process
-//! breakdowns. See [`overlap::OverlapSweep::with_phase_tagging`].
+//! A chunk-directory query reads each chunk once and keeps, per sweep,
+//! only the boundaries the footers of the chunks still to come say may
+//! yet be preceded ([`overlap::OverlapSweep::release_to`]; see the
+//! [`analysis`] docs on the release frontier). The late phase event's
+//! early start is in its chunk's footer, so the frontier waits for it:
+//! a raw dump with a whole-run phase is held whole, its start-sorted
+//! rewrite ([`store::reorder_chunk_dir`]) about one chunk at a time, and
+//! the tables are identical. There is no knob — the bound is derived
+//! from the data — and a manifest that misstates it is a typed
+//! corruption error, never a wrong table. See
+//! [`overlap::OverlapSweep::with_phase_tagging`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -129,23 +132,21 @@ pub mod trace;
 pub mod prelude {
     pub use crate::analysis::{Analysis, AnalysisError, Dim, GroupKey, LiveState, LiveTables};
     pub use crate::calibrate::{calibrate, Calibration, RunStats};
-    pub use crate::correct::{correct, uncorrected, CorrectedProfile, OverheadBreakdown};
+    pub use crate::correct::{CorrectedProfile, OverheadBreakdown};
     pub use crate::event::{BookkeepingCounts, CpuCategory, Event, EventKind, GpuCategory};
     pub use crate::overlap::{compute_overlap, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE};
     pub use crate::profiler::{OperationGuard, Profiler, ProfilerConfig, Toggles, TransitionKind};
     pub use crate::report::{
         BreakdownReport, MultiPhaseReport, MultiProcessReport, TransitionReport,
     };
-    pub use crate::store::ChunkReader;
     pub use crate::trace::Trace;
 }
 
 pub use analysis::{Analysis, AnalysisError, Dim, GroupKey, LiveState, LiveTables};
 pub use calibrate::{calibrate, Calibration, RunStats};
-pub use correct::{correct, uncorrected, CorrectedProfile, OverheadBreakdown};
+pub use correct::{CorrectedProfile, OverheadBreakdown};
 pub use event::{BookkeepingCounts, CpuCategory, Event, EventKind, GpuCategory};
 pub use overlap::{compute_overlap, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE};
 pub use profiler::{OperationGuard, Profiler, ProfilerConfig, Toggles, TransitionKind};
 pub use report::{BreakdownReport, MultiPhaseReport, MultiProcessReport, TransitionReport};
-pub use store::ChunkReader;
 pub use trace::Trace;

@@ -24,13 +24,15 @@
 //! either way:
 //!
 //! * **once** — an in-memory source (an event slice, an index subset of
-//!   one, a trace, decoded columns) pushes all of its rows into an exact
+//!   one, a trace, decoded columns) pushes all of its rows into a
 //!   sweep and finalizes it ([`compute_overlap`] is the historical entry
 //!   point, now a wrapper over `Analysis`);
 //! * **incrementally** — events arrive in batches (one decoded trace
 //!   chunk at a time) and the sweep finalizes to the identical
-//!   [`BreakdownTable`] however the stream was cut. See the type docs
-//!   for the memory contract of its exact and bounded modes. What a
+//!   [`BreakdownTable`] however the stream was cut. A source that knows
+//!   a lower bound on every start still to come says so
+//!   ([`OverlapSweep::release_to`]) and the sweep drains up to it for
+//!   good, dropping the log behind. What a
 //!   drain has computed is a small value beside the log (`DrainState`),
 //!   so a long-lived sweep that is read again and again (a live session
 //!   under a dashboard) resumes each read from a checkpoint of the last
@@ -438,7 +440,7 @@ fn materialize(interner: &Interner, acc: &[u64]) -> BreakdownTable {
 ///
 /// # Engine
 ///
-/// The events are pushed into one exact [`OverlapSweep`], which is then
+/// The events are pushed into one [`OverlapSweep`], which is then
 /// finalized: a single drain walks the sorted interval boundaries and
 /// attributes each constant-active-set segment to a bucket. The hot path
 /// is allocation-free per boundary:
@@ -473,24 +475,24 @@ pub fn compute_overlap_columns(cols: &EventColumns) -> BreakdownTable {
     sweep_tables(cols.rows())
 }
 
-/// One in-memory push: every row into `sweep`, which must be exact.
+/// One in-memory push: every row into `sweep`, which was never released.
 fn pushed_once(
     mut sweep: OverlapSweep,
     events: impl Iterator<Item = impl EventRow>,
 ) -> OverlapSweep {
-    // An exact sweep rejects nothing but a u32 overflow of its scope
-    // ids, which an in-memory source cannot hold the events for.
+    // An unreleased sweep rejects nothing but a u32 overflow of its
+    // scope ids, which an in-memory source cannot hold the events for.
     sweep.push_rows(events).expect("in-memory sources fit the sweep's u32 scope ids");
     sweep
 }
 
-/// One exact sweep over an event iterator, phases dropped (the
+/// One sweep over an event iterator, phases dropped (the
 /// historical `compute_overlap` semantics).
 pub(crate) fn sweep_tables(events: impl Iterator<Item = impl EventRow>) -> BreakdownTable {
     pushed_once(OverlapSweep::new(), events).finalize()
 }
 
-/// One exact sweep over an event iterator with phase tagging: one table
+/// One sweep over an event iterator with phase tagging: one table
 /// per phase in first-seen order, empty groups omitted.
 pub(crate) fn sweep_tables_by_phase(events: impl Iterator<Item = impl EventRow>) -> PhaseTables {
     pushed_once(OverlapSweep::new().with_phase_tagging(), events).finalize_grouped()
@@ -522,14 +524,16 @@ fn innermost_eligible_phase(
 /// Error from [`OverlapSweep::push`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
-    /// A bounded sweep received an event starting before time it had
-    /// already attributed: the stream's disorder exceeds the configured
-    /// lag. Re-run the analysis with an exact ([`OverlapSweep::new`])
-    /// sweep, which accepts any order.
+    /// An event starts before a time the sweep was told no later event
+    /// would start before ([`OverlapSweep::release_to`]): whoever gave
+    /// that bound was wrong about its data — for a chunk directory, a
+    /// manifest that misstates a chunk's `min_start`. The segments up to
+    /// the bound are already attributed and their boundaries dropped, so
+    /// the sweep rejects the event rather than misattribute it.
     OrderViolation {
         /// The offending event's start time (nanoseconds).
         start: u64,
-        /// The time up to which segments were already finalized.
+        /// The time the sweep was released to.
         swept_to: u64,
     },
     /// More than `u32::MAX - 1` operation annotations were pushed.
@@ -541,8 +545,8 @@ impl fmt::Display for SweepError {
         match self {
             SweepError::OrderViolation { start, swept_to } => write!(
                 f,
-                "stream order violation: event starts at {start} ns but segments are \
-                 finalized through {swept_to} ns (disorder exceeds the sweep lag)"
+                "stream order violation: event starts at {start} ns but the sweep was \
+                 released to {swept_to} ns"
             ),
             SweepError::TooManyOperations => {
                 write!(f, "operation annotation count exceeds u32 range")
@@ -576,9 +580,9 @@ type Boundary = (u64, u32, u32);
 /// orders until someone needs the order
 /// ([`BoundaryQueue::ensure_sorted`], at the start of any drain). The
 /// queue holds no read position: positions belong to the drain states
-/// that walk it ([`DrainState`]), and only a bounded sweep, whose one
-/// state consumes for good, ever reclaims what lies behind it
-/// ([`BoundaryQueue::compact`]).
+/// that walk it ([`DrainState`]), and only a released sweep
+/// ([`OverlapSweep::release_to`]), whose own state consumes for good,
+/// ever reclaims what lies behind it ([`BoundaryQueue::compact`]).
 ///
 /// **Merge rule.** `ensure_sorted` sorts the *tail only* (the
 /// near-sorted repair sort `sort_boundaries`, O(tail) on the shapes
@@ -606,10 +610,10 @@ struct BoundaryQueue {
     /// `buf[..sorted_to]` is ascending by time; `buf[sorted_to..]` is the
     /// unsorted tail.
     sorted_to: usize,
-    /// Smallest time not yet consumed by a bounded sweep's drain
-    /// (`u64::MAX` when there is none) — maintained across pushes and
-    /// consuming drains so a bounded-lag drain that cannot make progress
-    /// returns without consulting (or sorting) the buffer at all.
+    /// Smallest time not yet consumed for good (`u64::MAX` when there is
+    /// none) — maintained across pushes and consuming drains so a
+    /// release that cannot make progress returns without consulting (or
+    /// sorting) the buffer at all.
     min_time: u64,
 }
 
@@ -658,10 +662,10 @@ impl BoundaryQueue {
         self.min_time
     }
 
-    /// Drops `buf[..*head]` — what a bounded sweep's drain has consumed
-    /// for good — once it dominates the buffer, keeping bounded-lag
-    /// sweeps at a working set proportional to the lag window rather
-    /// than the stream. `head` moves with the buffer.
+    /// Drops `buf[..*head]` — what the sweep's own drain has consumed
+    /// for good — once it dominates the buffer, keeping a released
+    /// sweep's working set proportional to what is still open rather
+    /// than to the stream. `head` moves with the buffer.
     fn compact(&mut self, head: &mut usize) {
         if *head > 1024 && *head * 2 > self.buf.len() {
             self.buf.drain(..*head);
@@ -1109,27 +1113,25 @@ impl DrainState {
 /// and merged into the prefix, so on near-sorted profiler streams a
 /// boundary costs one append and one pass of the merge loop.
 ///
-/// # Memory modes
+/// # Memory: the release frontier
 ///
-/// * [`OverlapSweep::new`] — **exact**: accepts events in any order;
-///   nothing drains at push time and the log is kept whole until
-///   `finalize` (one drain from the first boundary), so memory is
-///   `O(events)` but with a small constant (32 bytes/event, no `Arc`
-///   retention) instead of full `Event` materialization.
-/// * [`OverlapSweep::bounded`] — **bounded**: for streams whose start
-///   times are sorted within a known `lag`, the sweep's drain state
-///   advances eagerly once the stream has moved `lag` past a segment,
-///   and the log behind it is dropped. Pending state is then
-///   `O(open intervals + events per lag window)` — flat in total
-///   event count. If an event arrives starting before already-finalized
-///   time, `push` fails with [`SweepError::OrderViolation`] rather than
-///   attribute time incorrectly; callers fall back to an exact sweep
-///   (chunk files are still on disk and can simply be re-read).
-///
-/// Note the profiler records an event when it **ends**, so raw per-process
-/// trace streams are sorted by end time and their start-time disorder is
-/// bounded by the longest open annotation — pick the lag accordingly (or
-/// use exact mode when in doubt).
+/// A sweep accepts events in any order. Nothing drains at push time, and
+/// left alone the log is kept whole until `finalize` (one drain from the
+/// first boundary): memory is `O(events)`, with a small constant
+/// (32 bytes/event, no `Arc` retention) instead of full `Event`
+/// materialization. A source that *knows* a time no later event starts
+/// before — a chunk directory reads it off the footers of the chunks
+/// still to come — passes it to [`OverlapSweep::release_to`]: boundaries
+/// at or before that time can no longer be preceded by anything, so the
+/// sweep's own drain state advances through them for good and the log
+/// behind it is dropped. Pending state is then `O(open intervals +
+/// events past the frontier)`: about one chunk on a start-sorted
+/// directory, and on a raw dump — which the profiler writes in *end*
+/// order, an enclosing scope after everything inside it — back to the
+/// start of the oldest scope still open. The bound is a promise about
+/// outside data, so it is checked: an event that starts before it fails
+/// its push with [`SweepError::OrderViolation`] rather than be
+/// attributed wrongly.
 ///
 /// # Tables so far: resumable drains
 ///
@@ -1161,11 +1163,9 @@ impl DrainState {
 #[derive(Debug, Clone)]
 pub struct OverlapSweep {
     log: BoundaryLog,
-    /// Eager-finalization window; `None` = exact mode (never drain early).
-    lag: Option<u64>,
     /// The sweep's own drain: what `finalize` completes. It stands at
-    /// the first boundary until then in exact mode, and advances — for
-    /// good — at push time in bounded mode.
+    /// the first boundary until then unless the sweep is released
+    /// ([`OverlapSweep::release_to`]), which advances it for good.
     state: DrainState,
     /// Checkpoints of [`OverlapSweep::tables_so_far`] drains, in
     /// position order; the last is the state at the end of the log as
@@ -1179,7 +1179,12 @@ pub struct OverlapSweep {
     /// Boundaries the last [`OverlapSweep::tables_so_far`] processed.
     #[cfg(test)]
     last_drained: usize,
-    max_start: u64,
+    /// The latest [`OverlapSweep::release_to`] time (0 before the
+    /// first): no later push may start before it.
+    released_to: u64,
+    /// [`OverlapSweep::pending_boundaries`] as the last release that
+    /// drained left it.
+    pending_after_release: usize,
     events_pushed: u64,
 }
 
@@ -1190,20 +1195,8 @@ impl Default for OverlapSweep {
 }
 
 impl OverlapSweep {
-    /// An exact incremental sweep: accepts events in any order.
+    /// An empty incremental sweep: accepts events in any order.
     pub fn new() -> Self {
-        Self::with_lag(None)
-    }
-
-    /// A bounded-memory sweep for streams whose event start times are
-    /// sorted to within `lag`: segments older than `lag` behind the
-    /// newest start are finalized eagerly and their boundary records
-    /// freed.
-    pub fn bounded(lag: DurationNs) -> Self {
-        Self::with_lag(Some(lag.as_nanos()))
-    }
-
-    fn with_lag(lag: Option<u64>) -> Self {
         let mut interner = Interner::with_capacity(16);
         let untracked = interner.intern_str(BucketKey::UNTRACKED);
         let mut phase_interner = Interner::with_capacity(4);
@@ -1222,14 +1215,14 @@ impl OverlapSweep {
                 pid_map: HashMap::new(),
                 last_pid: None,
             },
-            lag,
             state: DrainState::new(untracked),
             ladder: Vec::new(),
             checkpoint_spacing: CHECKPOINT_SPACING,
             low_water: u64::MAX,
             #[cfg(test)]
             last_drained: 0,
-            max_start: 0,
+            released_to: 0,
+            pending_after_release: 0,
             events_pushed: 0,
         }
     }
@@ -1237,15 +1230,12 @@ impl OverlapSweep {
     /// Enables phase tagging: phase events participate in the sweep and
     /// [`OverlapSweep::finalize_grouped`] yields one table per phase.
     ///
-    /// Phase events then also participate in the **order check** of
-    /// bounded mode. The profiler records a phase when it *closes*, so a
-    /// whole-run phase arrives with a start far behind the finalized
-    /// frontier and a bounded sweep will reject it
-    /// ([`SweepError::OrderViolation`]) rather than misattribute already-
-    /// finalized segments; callers fall back to an exact sweep, exactly
-    /// as for any other excess disorder. Without phase tagging (the
-    /// default), phase events are dropped before the order check and
-    /// never trip bounded mode.
+    /// Phase events then also participate in the **order check** of a
+    /// released sweep ([`OverlapSweep::release_to`]), like every other
+    /// boundary. Without phase tagging (the default), phase events are
+    /// dropped before the order check: a whole-run phase recorded at
+    /// close, starting far behind the frontier, splits no segment and
+    /// trips nothing.
     ///
     /// Must be selected before the first [`OverlapSweep::push`].
     pub fn with_phase_tagging(mut self) -> Self {
@@ -1269,8 +1259,8 @@ impl OverlapSweep {
     }
 
     /// Boundary records [`OverlapSweep::finalize`] has yet to process —
-    /// the sweep's working-set size. In bounded mode this stays flat as
-    /// the stream grows.
+    /// the sweep's working-set size. What [`OverlapSweep::release_to`]
+    /// drained for good no longer counts.
     pub fn pending_boundaries(&self) -> usize {
         self.log.starts.buf.len() + self.log.ends.buf.len() - self.state.position()
     }
@@ -1306,9 +1296,9 @@ impl OverlapSweep {
     ///
     /// # Errors
     ///
-    /// In bounded mode, [`SweepError::OrderViolation`] if the event
-    /// starts before already-finalized time. The sweep is then poisoned
-    /// for attribution purposes; discard it and re-analyze exactly.
+    /// [`SweepError::OrderViolation`] if the event starts before the time
+    /// the sweep was released to ([`OverlapSweep::release_to`]); the
+    /// bound was wrong, so discard the sweep.
     #[inline]
     pub fn push(&mut self, e: &Event) -> Result<(), SweepError> {
         self.push_rows(std::iter::once(e))
@@ -1367,14 +1357,14 @@ impl OverlapSweep {
             // attribution; their boundaries only split segments without
             // changing any sums, so they are dropped before the order
             // check — a whole-run phase recorded at close (start near 0,
-            // arriving last) must not trip the bounded mode. With phase
-            // tagging they are real boundaries and go through the order
-            // check like every other event.
+            // arriving last) must not trip it. With phase tagging they
+            // are real boundaries and go through the order check like
+            // every other event.
             if start == end || (tag == TAG_PHASE && !self.log.track_phases) {
                 continue;
             }
-            if self.state.have_prev && start < self.state.prev_t {
-                return Err(SweepError::OrderViolation { start, swept_to: self.state.prev_t });
+            if start < self.released_to {
+                return Err(SweepError::OrderViolation { start, swept_to: self.released_to });
             }
             // CPU/GPU boundaries reuse the seq field to carry the
             // event's dense pid index (0 when phases are untracked):
@@ -1403,22 +1393,33 @@ impl OverlapSweep {
                 }
                 _ => (log.pid_index(e.pid()), CODE_GPU),
             };
-            self.push_boundaries(start, end, seq, meta);
+            log.starts.push((start, seq, meta));
+            log.ends.push((end, seq, meta));
+            self.low_water = self.low_water.min(start);
         }
         Ok(())
     }
 
-    /// Logs one event's boundary pair and runs the bounded-mode eager
-    /// drain — the tail every push variant shares.
-    #[inline]
-    fn push_boundaries(&mut self, start: u64, end: u64, seq: u32, meta: u32) {
-        self.log.starts.push((start, seq, meta));
-        self.log.ends.push((end, seq, meta));
-        self.max_start = self.max_start.max(start);
-        self.low_water = self.low_water.min(start);
-        if let Some(lag) = self.lag {
-            let safe_to = self.max_start.saturating_sub(lag);
-            self.drain(Some(safe_to));
+    /// Promises that no event pushed from now on starts before `t`
+    /// (nanoseconds): every boundary at or before `t` is then final, so
+    /// the sweep attributes up to it for good and drops the log behind —
+    /// see the type docs on memory. The tables are the same whether,
+    /// when and how often this is called; a push that breaks the promise
+    /// fails with [`SweepError::OrderViolation`]. Free when nothing
+    /// pending lies at or before `t`.
+    ///
+    /// The promise is recorded at once; the draining is amortised.
+    /// Merging what was pushed since the last release into the pending
+    /// window costs the window, so a frontier that creeps forward under
+    /// many open intervals would pay for them again on every call.
+    /// Draining waits until as many boundaries have arrived as the last
+    /// drain left pending: merge work stays linear in the stream, and
+    /// the log never holds more than twice what it had to.
+    pub fn release_to(&mut self, t: u64) {
+        self.released_to = self.released_to.max(t);
+        if self.pending_boundaries() >= 2 * self.pending_after_release {
+            self.drain(Some(t));
+            self.pending_after_release = self.pending_boundaries();
         }
     }
 
@@ -1513,13 +1514,14 @@ impl OverlapSweep {
     }
 
     /// Advances the sweep's own drain state through every logged
-    /// boundary with time ≤ `limit` (all when `None`), for good: in
-    /// bounded mode the log behind it is reclaimed.
+    /// boundary with time ≤ `limit` (all when `None`), for good: the log
+    /// behind it is reclaimed.
     fn drain(&mut self, limit: Option<u64>) {
-        // Fast pre-check for the bounded mode's per-push drains: when
-        // nothing pending is at or below the limit, return before sorting
-        // — re-sorting a disordered tail on every push of a wide-lag
-        // stream is quadratic.
+        // Fast pre-check for a release that cannot make progress (a raw
+        // dump's frontier stands still while an enclosing scope is
+        // open): when nothing pending is at or below the limit, return
+        // before sorting — re-merging a disordered tail into the whole
+        // pending window once per chunk is quadratic.
         if let Some(l) = limit {
             if self.log.starts.min_time().min(self.log.ends.min_time()) > l {
                 return;
@@ -1530,8 +1532,8 @@ impl OverlapSweep {
         self.state.advance(&self.log, limit, usize::MAX);
         // Checkpoints index a log whose front is about to move.
         self.ladder.clear();
-        // Bounded mode drains repeatedly: reclaim the consumed prefixes
-        // so the buffers track the lag window, not the stream.
+        // A released sweep drains repeatedly: reclaim the consumed
+        // prefixes so the buffers track what is open, not the stream.
         for (queue, head) in
             [(&mut self.log.starts, &mut self.state.si), (&mut self.log.ends, &mut self.state.ei)]
         {
@@ -1766,9 +1768,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_sweep_drains_and_matches_on_sorted_stream() {
-        // Start-ordered stream: bounded mode must finalize eagerly and
-        // still produce the table of one exact in-memory push.
+    fn released_sweep_drains_and_matches_on_sorted_stream() {
+        // Start-ordered stream released to each next start: the sweep
+        // must drain for good as it goes and still produce the table of
+        // one in-memory push.
         let mut events = Vec::new();
         for i in 0..1000u64 {
             events.push(ev(
@@ -1782,48 +1785,68 @@ mod tests {
                 i * 10 + 8,
             ));
         }
-        let mut sweep = OverlapSweep::bounded(DurationNs::from_micros(100));
+        let mut sweep = OverlapSweep::new();
         let mut max_pending = 0;
-        for e in &events {
-            sweep.push(e).unwrap();
+        for batch in events.chunks(10) {
+            sweep.push_batch(batch).unwrap();
+            // The next batch starts where this one's last event ended + 2.
+            sweep.release_to(batch[batch.len() - 1].start.as_nanos() + 10_000);
             max_pending = max_pending.max(sweep.pending_boundaries());
         }
-        // The pending set must stay bounded by the lag window, far below
-        // the 2000 boundaries the stream contains in total.
-        assert!(max_pending < 100, "pending grew to {max_pending}");
+        // Nothing stays open across a release, far below the 2000
+        // boundaries the stream contains in total.
+        assert_eq!(max_pending, 0);
         assert_eq!(sweep.finalize(), compute_overlap(&events));
     }
 
     /// A whole-run phase recorded at close (start near 0, arriving last)
-    /// is ignored for attribution and must NOT trip the bounded mode's
-    /// order check — otherwise every realistic stream would silently
-    /// fall back to exact sweeps and void the memory bound.
+    /// is ignored for attribution and must NOT trip a released sweep's
+    /// order check — otherwise no raw dump queried without phase
+    /// grouping could ever be released.
     #[test]
-    fn bounded_sweep_ignores_late_phase_events() {
+    fn released_sweep_ignores_late_phase_events() {
         let mut events: Vec<Event> = (0..200u64)
             .map(|i| ev(EventKind::Cpu(CpuCategory::Python), "py", i * 10, i * 10 + 8))
             .collect();
         let expected = compute_overlap(&events);
         events.push(ev(EventKind::Phase, "training", 0, 2_000));
-        let mut sweep = OverlapSweep::bounded(DurationNs::from_micros(50));
+        let mut sweep = OverlapSweep::new();
         for e in &events {
             sweep.push(e).unwrap();
+            sweep.release_to(e.start.as_nanos());
         }
         assert_eq!(sweep.finalize(), expected);
+        // With tagging the same phase is a real boundary behind the
+        // frontier, and is rejected.
+        let mut tagged = OverlapSweep::new().with_phase_tagging();
+        tagged.push_batch(&events[..200]).unwrap();
+        tagged.release_to(1_000_000);
+        let err = tagged.push(&events[200]).unwrap_err();
+        assert_eq!(err, SweepError::OrderViolation { start: 0, swept_to: 1_000_000 });
     }
 
     #[test]
-    fn bounded_sweep_rejects_excess_disorder() {
-        let mut sweep = OverlapSweep::bounded(DurationNs::from_nanos(10));
+    fn released_sweep_rejects_a_start_before_the_released_time() {
+        let mut sweep = OverlapSweep::new();
         for i in 0..100u64 {
             sweep
                 .push(&ev(EventKind::Cpu(CpuCategory::Python), "py", i * 100, i * 100 + 50))
                 .unwrap();
         }
-        // An event starting long before the finalized frontier must be
-        // rejected, not silently misattributed.
-        let err = sweep.push(&ev(EventKind::Cpu(CpuCategory::Python), "late", 0, 5)).unwrap_err();
-        assert!(matches!(err, SweepError::OrderViolation { .. }), "{err}");
+        // Released past the last boundary logged: the check is against
+        // the promise, not against what happened to be drained.
+        sweep.release_to(20_000_000);
+        assert_eq!(sweep.pending_boundaries(), 0);
+        // A start at the released time is in order; anything before it
+        // must be rejected, not silently misattributed.
+        sweep.push(&ev(EventKind::Cpu(CpuCategory::Python), "py", 20_000, 20_001)).unwrap();
+        let err = sweep
+            .push(&ev(EventKind::Cpu(CpuCategory::Python), "late", 19_999, 20_005))
+            .unwrap_err();
+        assert_eq!(err, SweepError::OrderViolation { start: 19_999_000, swept_to: 20_000_000 });
+        // A lower release afterwards takes nothing back.
+        sweep.release_to(0);
+        assert!(sweep.push(&ev(EventKind::Cpu(CpuCategory::Python), "late", 0, 5)).is_err());
     }
 
     /// Pushes `(time, seq)` boundaries (meta unused) into a fresh queue.
@@ -1927,11 +1950,11 @@ mod tests {
         assert_eq!(q.buf[(n - 100_000) as usize + 1].1, n as u32);
     }
 
-    /// Bounded mode: partial drains advance the sweep's positions,
-    /// `compact` drops what lies behind them, and the sorted-prefix
-    /// length and the positions must follow —
-    /// checked on the queue itself and through a bounded sweep whose
-    /// stream is disordered within its lag.
+    /// Partial drains advance a released sweep's positions, `compact`
+    /// drops what lies behind them, and the sorted-prefix length and
+    /// the positions must follow — checked on the queue itself and
+    /// through a sweep released behind a stream that is disordered
+    /// ahead of the frontier.
     #[test]
     fn boundary_queue_compact_keeps_the_prefix_length_right() {
         let mut q = queue_of((0..3000).map(|i| i * 10));
@@ -1951,11 +1974,12 @@ mod tests {
             let t = (i ^ 1) * 10;
             events.push(ev(EventKind::Cpu(CpuCategory::Python), "py", t, t + 8));
         }
-        let mut sweep = OverlapSweep::bounded(DurationNs::from_micros(100));
+        let mut sweep = OverlapSweep::new();
         let mut compacted = false;
         for (i, e) in events.iter().enumerate() {
             let before = sweep.log.starts.buf.len();
             sweep.push(e).unwrap();
+            sweep.release_to((i as u64 * 10_000).saturating_sub(100_000));
             compacted |= sweep.log.starts.buf.len() < before;
             let (log, state) = (&sweep.log, &sweep.state);
             for (q, head) in [(&log.starts, state.si), (&log.ends, state.ei)] {

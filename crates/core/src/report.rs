@@ -165,29 +165,11 @@ pub struct MultiProcessReport {
 }
 
 impl MultiProcessReport {
-    /// Builds the view from a merged trace, process names, dependency
-    /// edges, and an smi sampling report.
-    ///
-    /// Per-process tables come from the unified analysis pipeline
-    /// (`Analysis::of(trace).group_by([Dim::Process]).tables()`,
-    /// [`Analysis`]): one index-partition pass over the borrowed merged
-    /// event stream and one sweep per process on worker threads, rather
-    /// than a full re-filtering scan (or a per-process event clone) per
-    /// process.
-    pub fn new(
-        trace: &Trace,
-        names: &[(ProcessId, String)],
-        dependencies: Vec<(ProcessId, ProcessId)>,
-        smi: &UtilizationReport,
-    ) -> Self {
-        let tables = Analysis::of(trace)
-            .group_by([Dim::Process])
-            .tables()
-            .expect("in-memory analysis cannot fail");
-        Self::from_tables(tables, names, dependencies, smi)
-    }
-
-    fn from_tables(
+    /// Builds the view from per-process tables — any source's
+    /// `Analysis::…group_by([Dim::Process]).tables()` ([`Analysis`]) —
+    /// process names, dependency edges, and an smi sampling report. A
+    /// named process without a table gets an all-zero summary.
+    pub fn from_tables(
         tables: Vec<(GroupKey, BreakdownTable)>,
         names: &[(ProcessId, String)],
         dependencies: Vec<(ProcessId, ProcessId)>,
@@ -464,8 +446,8 @@ mod tests {
             us(0),
             us(50),
         );
-        let rep = MultiProcessReport::new(
-            &trace,
+        let rep = MultiProcessReport::from_tables(
+            Analysis::of(&trace).group_by([Dim::Process]).tables().unwrap(),
             &[(ProcessId(0), "loader".into()), (ProcessId(1), "worker_0".into())],
             vec![(ProcessId(0), ProcessId(1))],
             &smi,
@@ -504,18 +486,15 @@ mod tests {
         );
         let names = [(ProcessId(0), "loader".to_string()), (ProcessId(1), "worker_0".to_string())];
         let deps = vec![(ProcessId(0), ProcessId(1))];
-        let in_memory = MultiProcessReport::new(&trace, &names, deps.clone(), &smi);
+        let tables = Analysis::of(&trace).group_by([Dim::Process]).tables().unwrap();
+        let in_memory = MultiProcessReport::from_tables(tables, &names, deps.clone(), &smi);
 
         let dir = std::env::temp_dir().join(format!("rlscope_report_dir_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let writer = TraceWriter::create(&dir, 64).unwrap();
         writer.write(trace.events.clone());
         writer.finish().unwrap();
-        let tables = Analysis::from_chunk_dir(&dir)
-            .bounded_streaming(DurationNs::from_micros(100))
-            .group_by([Dim::Process])
-            .tables()
-            .unwrap();
+        let tables = Analysis::from_chunk_dir(&dir).group_by([Dim::Process]).tables().unwrap();
         let streamed = MultiProcessReport::from_tables(tables, &names, deps, &smi);
         assert_eq!(streamed, in_memory);
         std::fs::remove_dir_all(&dir).unwrap();

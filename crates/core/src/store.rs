@@ -61,7 +61,7 @@
 //! | format | encode | decode | footer | skippable via [`Manifest`] |
 //! |--------|--------|--------|--------|----------------------------|
 //! | v1     | [`encode_events_v1`] (and the extreme-timestamp fallback of [`encode_events`]) | yes | no | yes — footer synthesized by a full scan |
-//! | v2     | [`encode_events_v2`] | yes | no | yes — footer synthesized by a full scan |
+//! | v2     | none — read-only (test support rebuilds its bytes from v3: magic swapped, trailer cut) | yes | no | yes — footer synthesized by a full scan |
 //! | v3     | [`encode_events`] | yes | yes | yes — footer read from the trailer, no event decode |
 //!
 //! Every field is validated on decode: unknown magic or event tags,
@@ -106,17 +106,19 @@
 //!
 //! Profiler streams record an event when it **closes**, so raw dumps are
 //! end-ordered and their start-time disorder spans the longest open
-//! annotation — which makes bounded-lag streaming sweeps
-//! ([`crate::overlap::OverlapSweep::bounded`]) inapplicable to them.
+//! annotation — and a streamed query's sweeps must hold everything back
+//! to the start of the oldest annotation not yet written
+//! ([`crate::overlap::OverlapSweep::release_to`]).
 //! [`reorder_chunk_dir`] rewrites any chunk directory into a
 //! start-sorted v3 directory via an external merge (sorted runs spilled
 //! as raw uncompressed record files, k-way merged record-at-a-time), in
 //! bounded memory. The
 //! rewrite preserves the event multiset and the relative order of
 //! equal-start events, so every analysis over the reordered directory is
-//! table-identical to the original — and bounded-lag sweeps now apply
-//! with any lag (the stream is fully start-sorted,
-//! [`Manifest::is_start_sorted`] reports it).
+//! table-identical to the original — and the release frontier now
+//! trails the stream by one chunk (the stream is fully start-sorted,
+//! [`Manifest::is_start_sorted`] reports it), so a query holds about one
+//! chunk's boundaries however long the directory is.
 //!
 //! # Streaming reader contract
 //!
@@ -135,10 +137,9 @@
 //! over [`crate::overlap::OverlapSweep`]) reduces each chunk to compact
 //! sweep state immediately, which is what lets
 //! whole-experiment chunk directories be analyzed without ever
-//! materializing the concatenated event stream. [`ChunkReader`] iterates
-//! a directory as rows for the consumers that need whole `Event` values
-//! (the start-ordered rewrite; [`read_chunk_dir`], which concatenates
-//! everything and remains only for small traces and tests).
+//! materializing the concatenated event stream. A consumer that needs
+//! whole `Event` values (the start-ordered rewrite) bridges each chunk
+//! with [`EventColumns::to_events`].
 //!
 //! # One event representation below the API
 //!
@@ -754,21 +755,8 @@ pub fn encode_events_with_footer(events: &[Event]) -> (Bytes, ChunkFooter) {
     (buf.freeze(), footer)
 }
 
-/// Encodes a batch of events in the legacy v2 chunk format (the v3 body
-/// without a footer). Kept for compatibility tooling and tests; new
-/// chunks should use [`encode_events`].
-pub fn encode_events_v2(events: &[Event]) -> Bytes {
-    if events.iter().any(|e| e.start.as_nanos() > i64::MAX as u64) {
-        return encode_events_v1(events);
-    }
-    let mut buf = BytesMut::with_capacity(events.len() * 12 + 128);
-    buf.put_slice(MAGIC_V2);
-    encode_v2_body(events, &mut buf);
-    buf.freeze()
-}
-
-/// Appends the shared v2/v3 body — `count`, string table, event records —
-/// to `buf`.
+/// Appends the v3 body (the whole of a legacy v2 chunk after its magic)
+/// — `count`, string table, event records — to `buf`.
 fn encode_v2_body(events: &[Event], buf: &mut BytesMut) {
     let mut interner = Interner::with_capacity(64);
     let mut name_ids = Vec::with_capacity(events.len());
@@ -804,8 +792,8 @@ fn encode_v2_body(events: &[Event], buf: &mut BytesMut) {
 }
 
 /// Encodes a batch of events in the legacy v1 chunk format (fixed-width
-/// fields, names inline). Kept for compatibility tooling and tests;
-/// new chunks should use [`encode_events`].
+/// fields, names inline) — what [`encode_events`] falls back to for
+/// starts beyond `i64::MAX`, which the v3 delta chain cannot carry.
 pub fn encode_events_v1(events: &[Event]) -> Bytes {
     let mut buf = BytesMut::with_capacity(events.len() * 32 + 16);
     buf.put_slice(MAGIC_V1);
@@ -822,12 +810,10 @@ pub fn encode_events_v1(events: &[Event]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a chunk produced by [`encode_events`] (v3),
-/// [`encode_events_v2`] (v2), or [`encode_events_v1`] (v1) into rows:
-/// [`decode_columns`] — the one parser — plus the
-/// [`EventColumns::to_events`] bridge, for consumers that need whole
-/// `Event` values (the start-ordered rewrite, [`read_chunk_dir`],
-/// compatibility tooling).
+/// Decodes a chunk produced by [`encode_events`] (v3), a legacy v2
+/// writer, or [`encode_events_v1`] (v1) into rows: [`decode_columns`] —
+/// the one parser — plus the [`EventColumns::to_events`] bridge, for
+/// consumers that need whole `Event` values.
 ///
 /// # Errors
 ///
@@ -916,8 +902,8 @@ pub struct EventColumns {
     /// End timestamp (ns) per event.
     pub ends: Vec<u64>,
     /// Whether `starts` is ascending — computed inline during decode,
-    /// so sorted-stream consumers (bounded-lag sweeps) get the hint
-    /// without a second pass. `false` is always safe.
+    /// so sorted-stream consumers get the hint without a second pass.
+    /// `false` is always safe.
     pub start_sorted: bool,
 }
 
@@ -1556,73 +1542,6 @@ pub fn list_chunk_files(dir: &Path) -> Result<Vec<PathBuf>, TraceIoError> {
     Ok(paths)
 }
 
-/// Iterates a chunk directory one decoded chunk at a time, in stream
-/// order, without concatenating events across chunks.
-///
-/// The bounded-memory row reader (see the module docs): at most one
-/// chunk's raw bytes and decoded events are live at a time, independent
-/// of how many chunks the directory holds. Each `next()` yields one
-/// chunk's `Vec<Event>` through [`decode_events`] (or the first I/O /
-/// corruption error for that chunk); iteration order is the order
-/// [`read_chunk_dir`] would concatenate in.
-#[derive(Debug)]
-pub struct ChunkReader {
-    paths: std::vec::IntoIter<PathBuf>,
-}
-
-impl ChunkReader {
-    /// Opens `dir`, resolving its chunk files in stream order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the directory cannot be listed.
-    pub fn open(dir: &Path) -> Result<Self, TraceIoError> {
-        Ok(ChunkReader { paths: list_chunk_files(dir)?.into_iter() })
-    }
-
-    /// A reader over an explicit file list (e.g. [`TraceWriter::finish`]'s
-    /// return value), read in the given order.
-    pub fn from_files(files: Vec<PathBuf>) -> Self {
-        ChunkReader { paths: files.into_iter() }
-    }
-
-    /// Chunks not yet yielded.
-    pub fn remaining_chunks(&self) -> usize {
-        self.paths.len()
-    }
-}
-
-impl Iterator for ChunkReader {
-    type Item = Result<Vec<Event>, TraceIoError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let path = self.paths.next()?;
-        let read = || -> Result<Vec<Event>, TraceIoError> {
-            let mut data = Vec::new();
-            fs::File::open(&path)?.read_to_end(&mut data)?;
-            decode_events(&data)
-        };
-        Some(read())
-    }
-}
-
-/// Reads every chunk file under `dir` (sorted by name) and concatenates
-/// the events.
-///
-/// Materializes the whole stream; prefer [`ChunkReader`] plus an
-/// incremental consumer for large directories.
-///
-/// # Errors
-///
-/// Returns the first I/O or corruption error encountered.
-pub fn read_chunk_dir(dir: &Path) -> Result<Vec<Event>, TraceIoError> {
-    let mut events = Vec::new();
-    for chunk in ChunkReader::open(dir)? {
-        events.extend(chunk?);
-    }
-    Ok(events)
-}
-
 // ---------------------------------------------------------------------------
 // Manifest + predicate pushdown
 // ---------------------------------------------------------------------------
@@ -1720,7 +1639,7 @@ impl Manifest {
     /// **fresh** — it describes exactly the chunk files currently in the
     /// directory. `Ok(None)` when the file is absent or stale (the
     /// caller should scan); corrupt bytes are still a hard error.
-    fn load_fresh(dir: &Path) -> Result<Option<Manifest>, TraceIoError> {
+    pub(crate) fn load_fresh(dir: &Path) -> Result<Option<Manifest>, TraceIoError> {
         let Some(manifest) = Self::load(dir)? else { return Ok(None) };
         let manifest_mtime = fs::metadata(dir.join(MANIFEST_FILE)).and_then(|m| m.modified());
         let files = list_chunk_files(dir)?;
@@ -1819,9 +1738,9 @@ impl Manifest {
 
     /// True when the whole directory is start-sorted in stream order:
     /// every chunk internally sorted and no chunk starting before its
-    /// predecessor's last start — the precondition under which
-    /// [`crate::overlap::OverlapSweep::bounded`] applies with any lag.
-    /// [`reorder_chunk_dir`] establishes this.
+    /// predecessor's last start — under which a streamed query's release
+    /// frontier ([`crate::analysis`]) trails the stream by exactly one
+    /// chunk. [`reorder_chunk_dir`] establishes this.
     pub fn is_start_sorted(&self) -> bool {
         let mut prev_last = 0u64;
         for e in &self.entries {
@@ -1861,10 +1780,15 @@ impl Manifest {
     /// first-appearance chunk is kept unconditionally (a pure
     /// over-selection, so the never-lossy guarantee is unaffected).
     pub fn select(&self, query: &ChunkQuery) -> ChunkSelection {
-        let total = self.entries.len();
+        let files = self.select_entries(query).iter().map(|e| self.dir.join(&e.file)).collect();
+        ChunkSelection { files, total: self.entries.len() }
+    }
+
+    /// [`Manifest::select`] as manifest entries: the streamed executor
+    /// needs the selected chunks' footers, not only their paths.
+    pub(crate) fn select_entries(&self, query: &ChunkQuery) -> Vec<&ManifestEntry> {
         if query.is_unconstrained() {
-            let files = self.entries.iter().map(|e| self.dir.join(&e.file)).collect();
-            return ChunkSelection { files, total };
+            return self.entries.iter().collect();
         }
         // The phase predicate needs the phase's global bounding span
         // first; `None` here means the phase exists nowhere (for the
@@ -1878,8 +1802,7 @@ impl Manifest {
                 .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
         });
         let mut seen_pids: Vec<u32> = Vec::new();
-        let files = self
-            .entries
+        self.entries
             .iter()
             .filter(|e| {
                 let f = &e.footer;
@@ -1921,9 +1844,7 @@ impl Manifest {
                     None => true,
                 }
             })
-            .map(|e| self.dir.join(&e.file))
-            .collect();
-        ChunkSelection { files, total }
+            .collect()
     }
 
     fn encode(&self) -> Bytes {
@@ -2165,13 +2086,13 @@ impl RawRunReader {
 /// directory at `dst` via an external merge, in bounded memory.
 ///
 /// Raw profiler dumps are end-ordered (events are recorded at close), so
-/// their start-time disorder spans the longest open annotation and
-/// bounded-lag streaming sweeps reject them. After this rewrite the
-/// stream is fully start-sorted ([`Manifest::is_start_sorted`]), so
-/// [`crate::overlap::OverlapSweep::bounded`] applies with any lag — and
-/// because the rewrite preserves the event multiset and the relative
-/// order of equal-start events, every analysis over `dst` is
-/// table-identical to one over `src`.
+/// their start-time disorder spans the longest open annotation and a
+/// streamed query must hold its sweeps open that far back. After this
+/// rewrite the stream is fully start-sorted
+/// ([`Manifest::is_start_sorted`]), so every sweep is released one chunk
+/// behind the stream — and because the rewrite preserves the event
+/// multiset and the relative order of equal-start events, every analysis
+/// over `dst` is table-identical to one over `src`.
 ///
 /// `dst` gains a fresh [`Manifest`]; any chunks already there are
 /// removed ([`TraceWriter::create`] semantics). On error the destination
@@ -2233,14 +2154,14 @@ pub fn reorder_chunk_dir_with(
         buf.clear();
         Ok(())
     };
-    for chunk in ChunkReader::open(src)? {
-        let chunk = chunk?;
-        total += chunk.len() as u64;
-        buf.extend(chunk);
+    for_each_decoded_chunk_columns(&list_chunk_files(src)?, 1, |cols| {
+        total += cols.len() as u64;
+        buf.extend(cols.to_events()?);
         if buf.len() >= run_events {
             spill_run(&mut buf, &mut runs)?;
         }
-    }
+        Ok(())
+    })?;
 
     // Single-run fast path: everything fit in memory — sort and write
     // straight to the destination, no spill.
@@ -2316,11 +2237,11 @@ pub fn reorder_chunk_dir_with(
 ///
 /// The first chunk I/O or corruption error in stream order, or the first
 /// `consume` error.
-pub fn for_each_decoded_chunk_columns<E: From<TraceIoError>>(
+pub fn for_each_decoded_chunk_columns(
     files: &[PathBuf],
     threads: usize,
-    mut consume: impl FnMut(EventColumns) -> Result<(), E>,
-) -> Result<(), E> {
+    mut consume: impl FnMut(EventColumns) -> Result<(), TraceIoError>,
+) -> Result<(), TraceIoError> {
     let read_decode = |path: &Path| -> Result<EventColumns, TraceIoError> {
         let mut data = Vec::new();
         fs::File::open(path)?.read_to_end(&mut data)?;
@@ -2330,7 +2251,7 @@ pub fn for_each_decoded_chunk_columns<E: From<TraceIoError>>(
     let threads = threads.min(files.len());
     if threads <= 1 {
         for path in files {
-            consume(read_decode(path).map_err(E::from)?)?;
+            consume(read_decode(path)?)?;
         }
         return Ok(());
     }
@@ -2350,10 +2271,8 @@ pub fn for_each_decoded_chunk_columns<E: From<TraceIoError>>(
             });
         }
         for i in 0..files.len() {
-            let chunk = receivers[i % threads]
-                .recv()
-                .expect("decode worker exited without sending")
-                .map_err(E::from)?;
+            let chunk =
+                receivers[i % threads].recv().expect("decode worker exited without sending")?;
             consume(chunk)?;
         }
         Ok(())
@@ -2381,6 +2300,25 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// The legacy v2 encoding, which only tests still write: its magic
+    /// and the v3 body.
+    fn encode_events_v2(events: &[Event]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC_V2);
+        encode_v2_body(events, &mut buf);
+        buf.freeze()
+    }
+
+    /// Every event of `dir`, concatenated in stream order.
+    fn read_dir_events(dir: &Path) -> Result<Vec<Event>, TraceIoError> {
+        let mut events = Vec::new();
+        for_each_decoded_chunk_columns(&list_chunk_files(dir)?, 1, |cols| {
+            events.extend(cols.to_events()?);
+            Ok(())
+        })?;
+        Ok(events)
     }
 
     #[test]
@@ -2576,7 +2514,7 @@ mod tests {
         }
         let files = writer.finish().unwrap();
         assert!(files.len() > 1, "expected rotation, got {} file(s)", files.len());
-        let read = read_chunk_dir(&dir).unwrap();
+        let read = read_dir_events(&dir).unwrap();
         assert_eq!(read, events);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -2599,36 +2537,7 @@ mod tests {
         let short = sample_events(10);
         writer.write(short.clone());
         writer.finish().unwrap();
-        assert_eq!(read_chunk_dir(&dir).unwrap(), short);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn chunk_reader_streams_chunks_in_order() {
-        let dir = std::env::temp_dir().join(format!("rlscope_stream_test_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let writer = TraceWriter::create(&dir, 640).unwrap();
-        let events = sample_events(100);
-        for chunk in events.chunks(10) {
-            writer.write(chunk.to_vec());
-        }
-        let files = writer.finish().unwrap();
-        assert!(files.len() > 1);
-
-        let mut reader = ChunkReader::open(&dir).unwrap();
-        assert_eq!(reader.remaining_chunks(), files.len());
-        let mut streamed = Vec::new();
-        let mut chunks = 0;
-        for chunk in &mut reader {
-            let chunk = chunk.unwrap();
-            assert!(!chunk.is_empty());
-            streamed.extend(chunk);
-            chunks += 1;
-        }
-        assert_eq!(chunks, files.len());
-        // Stream order is exactly read_chunk_dir's concatenation order.
-        assert_eq!(streamed, events);
-        assert_eq!(ChunkReader::from_files(files).flat_map(|c| c.unwrap()).count(), 100);
+        assert_eq!(read_dir_events(&dir).unwrap(), short);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2662,26 +2571,12 @@ mod tests {
     }
 
     #[test]
-    fn chunk_reader_surfaces_per_chunk_corruption() {
-        let dir = std::env::temp_dir().join(format!("rlscope_streamc_test_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("chunk_00000.rls"), encode_events(&sample_events(5))).unwrap();
-        fs::write(dir.join("chunk_00001.rls"), b"garbage").unwrap();
-        let mut reader = ChunkReader::open(&dir).unwrap();
-        assert!(reader.next().unwrap().is_ok());
-        assert!(reader.next().unwrap().is_err());
-        assert!(reader.next().is_none());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn reader_surfaces_corruption_not_panic() {
         let dir = std::env::temp_dir().join(format!("rlscope_corrupt_test_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("chunk_00000.rls"), b"garbage data here").unwrap();
-        assert!(read_chunk_dir(&dir).is_err());
+        assert!(read_dir_events(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3076,13 +2971,13 @@ mod tests {
             if run_events == 16 {
                 assert!(stats.runs > 1, "expected an external merge, got {stats:?}");
             }
-            let sorted = read_chunk_dir(&dst).unwrap();
+            let sorted = read_dir_events(&dst).unwrap();
             assert!(sorted.windows(2).all(|w| w[0].start <= w[1].start), "not start-sorted");
             let manifest = Manifest::open(&dst).unwrap();
             assert!(manifest.is_start_sorted());
             // Same multiset: sorting the source by (start, stream order)
             // stably must reproduce the rewritten stream exactly.
-            let mut expected = read_chunk_dir(&src).unwrap();
+            let mut expected = read_dir_events(&src).unwrap();
             expected.sort_by_key(|e| e.start);
             assert_eq!(sorted, expected);
             fs::remove_dir_all(&src).unwrap();
@@ -3104,7 +2999,7 @@ mod tests {
         fs::create_dir_all(&empty_src).unwrap();
         let stats = reorder_chunk_dir(&empty_src, &empty_dst, 256).unwrap();
         assert_eq!(stats, ReorderStats { events: 0, runs: 0, chunks: 0 });
-        assert!(read_chunk_dir(&empty_dst).unwrap().is_empty());
+        assert!(read_dir_events(&empty_dst).unwrap().is_empty());
         for d in [dir, empty_src, empty_dst] {
             fs::remove_dir_all(&d).unwrap();
         }
@@ -3121,7 +3016,7 @@ mod tests {
         assert!(files.len() > 2);
         for threads in [1usize, 3, 8] {
             let mut streamed = Vec::new();
-            for_each_decoded_chunk_columns::<TraceIoError>(&files, threads, |chunk| {
+            for_each_decoded_chunk_columns(&files, threads, |chunk| {
                 streamed.extend(chunk.to_events()?);
                 Ok(())
             })
@@ -3138,7 +3033,7 @@ mod tests {
         let files = list_chunk_files(&dir).unwrap();
         fs::write(&files[1], b"garbage").unwrap();
         let mut seen = 0usize;
-        let err = for_each_decoded_chunk_columns::<TraceIoError>(&files, 4, |_| {
+        let err = for_each_decoded_chunk_columns(&files, 4, |_| {
             seen += 1;
             Ok(())
         })
@@ -3146,7 +3041,7 @@ mod tests {
         assert!(matches!(err, TraceIoError::Corrupt(_)));
         assert_eq!(seen, 1, "only the chunk before the corrupt one is consumed");
         // Consumer errors also stop the pipeline.
-        let err = for_each_decoded_chunk_columns::<TraceIoError>(&files[..1], 4, |_| {
+        let err = for_each_decoded_chunk_columns(&files[..1], 4, |_| {
             Err(TraceIoError::Corrupt("sink failed".into()))
         })
         .unwrap_err();

@@ -288,15 +288,19 @@ mod tests {
 
         let expected = Analysis::of(&merged).group_by([Dim::Process]).tables().unwrap();
         let streamed = || Analysis::from_chunk_dir(&dir).group_by([Dim::Process]);
-        // Exact mode accepts any stream order.
+        // Just written: whether or not the writer's manifest already
+        // counts as fresh (a clock tick must separate it from the last
+        // chunk), any stream order gives the in-memory tables.
         assert_eq!(streamed().tables().unwrap(), expected);
-        // Bounded mode: these per-pid streams are start-sorted, so the
-        // eager path applies; a too-tight lag must still end up correct
-        // via the exact-sweep fallback.
-        let bounded = streamed().bounded_streaming(DurationNs::from_micros(200));
-        assert_eq!(bounded.tables().unwrap(), expected);
-        let tight = streamed().bounded_streaming(DurationNs::ZERO);
-        assert_eq!(tight.tables().unwrap(), expected);
+        // Indexed for certain: every sweep is released behind the starts
+        // the footers of the later chunks record, which the late records
+        // hold back — one pass, no fallback, the same tables.
+        crate::store::upgrade_chunk_dir(&dir).unwrap();
+        assert_eq!(streamed().tables().unwrap(), expected);
+        let windowed = |a: Analysis<'_>| {
+            a.time_window(TimeNs::from_micros(105), TimeNs::from_micros(160)).tables().unwrap()
+        };
+        assert_eq!(windowed(streamed()), windowed(Analysis::of(&merged).group_by([Dim::Process])));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

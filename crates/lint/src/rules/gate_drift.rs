@@ -17,7 +17,7 @@ pub struct Gate {
     pub line: u32,
     /// The `--bench` target name (`micro`).
     pub target: String,
-    /// The positional filter after `--`, if any (`fleet_query`).
+    /// The positional filter after `--`, if any (`analysis_query`).
     pub filter: Option<String>,
 }
 

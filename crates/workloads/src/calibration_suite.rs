@@ -9,7 +9,8 @@
 use crate::experiments::calibration_for;
 use crate::frameworks::STABLE_BASELINES;
 use crate::runner::{ScaleConfig, TrainSpec};
-use rlscope_core::correct::{correct, OverheadBreakdown};
+use rlscope_core::analysis::Analysis;
+use rlscope_core::correct::OverheadBreakdown;
 use rlscope_core::profiler::Toggles;
 use rlscope_rl::AlgoKind;
 use rlscope_sim::time::DurationNs;
@@ -47,7 +48,10 @@ pub fn validate_correction(spec: &TrainSpec, label: impl Into<String>) -> BiasRo
     let cal = calibration_for(spec);
     let out = spec.run(Some(Toggles::all()));
     let trace = out.trace.expect("profiled run has a trace");
-    let profile = correct(&trace, &cal);
+    let profile = Analysis::of(&trace)
+        .corrected(&cal)
+        .profile()
+        .expect("a trace carries the counters correction needs");
     let corrected = profile.corrected_total;
     // Guard the ratio: a degenerate zero-length uninstrumented run must
     // report zero bias, not NaN.

@@ -4,15 +4,16 @@
 //! The workload writes a deterministic start-ordered multi-process event
 //! stream to a rotated chunk directory, then analyzes it twice:
 //!
-//! * **batch** — [`read_chunk_dir`] materializes every decoded event in
-//!   one `Vec<Event>`, then the in-memory sharded analysis runs
+//! * **batch** — every decoded event is materialized in one
+//!   `Vec<Event>`, then the in-memory sharded analysis runs
 //!   ([`Analysis::of`] grouped by process); peak memory is linear in
 //!   total event count.
 //! * **streamed** — [`Analysis::from_chunk_dir`] decodes one chunk at a
-//!   time into per-process bounded
-//!   [`rlscope_core::overlap::OverlapSweep`]s; peak memory is one chunk
-//!   plus the sweeps' lag windows, independent of how many chunks the
-//!   directory holds.
+//!   time into per-process [`rlscope_core::overlap::OverlapSweep`]s and
+//!   releases each behind the start of the chunks still to come (read
+//!   off the manifest's footers; the stream is start-ordered, so that is
+//!   one chunk back); peak memory is about one chunk, independent of how
+//!   many chunks the directory holds.
 //!
 //! Peak live heap is observed through [`TrackingAlloc`], a byte-counting
 //! wrapper around the system allocator. The harness (`tests/membench.rs`)
@@ -21,11 +22,13 @@
 
 use rlscope_core::analysis::{Analysis, AnalysisError, Dim, GroupKey};
 use rlscope_core::overlap::BreakdownTable;
-use rlscope_core::store::{read_chunk_dir, TraceIoError, TraceWriter};
+use rlscope_core::store::{
+    for_each_decoded_chunk_columns, list_chunk_files, upgrade_chunk_dir, TraceIoError, TraceWriter,
+};
 use rlscope_core::trace::Trace;
 use rlscope_core::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope_sim::ids::ProcessId;
-use rlscope_sim::time::{DurationNs, TimeNs};
+use rlscope_sim::time::TimeNs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -117,11 +120,6 @@ pub const MEMBENCH_PIDS: u32 = 3;
 /// exercised across chunk boundaries.
 pub const MEMBENCH_CHUNK_BYTES: usize = 32 * 1024;
 
-/// The sweep lag the synthetic stream needs: events are emitted in
-/// globally sorted start order and every interval is shorter than one
-/// lane step, so a small window suffices; use a comfortable multiple.
-pub const MEMBENCH_LAG: DurationNs = DurationNs::from_micros(100);
-
 /// Writes the deterministic membench stream: `scale * EVENTS_PER_SCALE`
 /// events round-robined over [`MEMBENCH_PIDS`] processes in globally
 /// sorted start order — operation annotations every 16 events per lane,
@@ -185,11 +183,19 @@ pub struct PassMeasurement {
 pub fn measure_streamed(dir: &Path) -> Result<PassMeasurement, AnalysisError> {
     reset_alloc_peak();
     let base = alloc_live();
-    let tables = Analysis::from_chunk_dir(dir)
-        .bounded_streaming(MEMBENCH_LAG)
-        .group_by([Dim::Process])
-        .tables()?;
+    let tables = Analysis::from_chunk_dir(dir).group_by([Dim::Process]).tables()?;
     Ok(PassMeasurement { peak_bytes: alloc_peak().saturating_sub(base), tables })
+}
+
+/// Every event of the chunk directory `dir`, concatenated in stream
+/// order — the full materialization the batch pass measures.
+fn read_all_events(dir: &Path) -> Result<Vec<Event>, TraceIoError> {
+    let mut events = Vec::new();
+    for_each_decoded_chunk_columns(&list_chunk_files(dir)?, 1, |cols| {
+        events.extend(cols.to_events()?);
+        Ok(())
+    })?;
+    Ok(events)
 }
 
 /// Runs the full-materialization analysis over `dir` under
@@ -201,7 +207,7 @@ pub fn measure_streamed(dir: &Path) -> Result<PassMeasurement, AnalysisError> {
 pub fn measure_batch(dir: &Path) -> Result<PassMeasurement, AnalysisError> {
     reset_alloc_peak();
     let base = alloc_live();
-    let events = read_chunk_dir(dir)?;
+    let events = read_all_events(dir)?;
     let wall_end = events.iter().map(|e| e.end).max().unwrap_or(TimeNs::ZERO);
     let trace = Trace {
         pid: ProcessId(0),
@@ -229,14 +235,24 @@ pub struct MemBenchReport {
     pub tables_match: bool,
 }
 
-/// Writes the `scale`-sized stream into `dir` and measures both analysis
-/// passes. The directory is created (and overwritten) by the call.
+/// Writes the `scale`-sized stream into `dir`, indexes it, and measures
+/// both analysis passes. The directory is created (and overwritten) by
+/// the call.
+///
+/// The indexing step matters to what is measured: a streamed query
+/// derives its working set from the directory's manifest, and only
+/// trusts one written strictly after every chunk — which the writer's
+/// own, emitted in the same clock tick as its last chunk, usually is
+/// not. An unfiltered query over an untrusted manifest never scans for a
+/// new one (it sweeps the listing, holding everything), so the workload
+/// indexes first, as `rlscoped` does before it queries a directory.
 ///
 /// # Errors
 ///
 /// Propagates I/O / corruption errors.
 pub fn run_membench(dir: &Path, scale: usize) -> Result<MemBenchReport, AnalysisError> {
     let events = write_scaled_chunks(dir, scale)?;
+    upgrade_chunk_dir(dir)?;
     let streamed = measure_streamed(dir)?;
     let batch = measure_batch(dir)?;
     Ok(MemBenchReport {
@@ -268,24 +284,24 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rlscope_membench_re_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         write_scaled_chunks(&dir, 2).unwrap();
-        let big = read_chunk_dir(&dir).unwrap().len() as u64;
+        let big = read_all_events(&dir).unwrap().len() as u64;
         assert_eq!(big, EVENTS_PER_SCALE * 2);
         // A smaller rerun must fully replace the stream, not leave the
         // old run's tail chunks behind.
         write_scaled_chunks(&dir, 1).unwrap();
-        assert_eq!(read_chunk_dir(&dir).unwrap().len() as u64, EVENTS_PER_SCALE);
+        assert_eq!(read_all_events(&dir).unwrap().len() as u64, EVENTS_PER_SCALE);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn membench_stream_is_start_ordered() {
-        // The bounded sweep's lag contract: the generator must emit
-        // globally sorted start times (any drift would silently fall back
-        // to exact mode and void the flat-memory claim).
+        // What keeps the release frontier one chunk back: the generator
+        // must emit globally sorted start times (any drift would hold
+        // sweeps open across chunks and void the flat-memory claim).
         let dir = std::env::temp_dir().join(format!("rlscope_membench_ord_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         write_scaled_chunks(&dir, 1).unwrap();
-        let events = read_chunk_dir(&dir).unwrap();
+        let events = read_all_events(&dir).unwrap();
         assert!(events.windows(2).all(|w| w[0].start <= w[1].start));
         std::fs::remove_dir_all(&dir).unwrap();
     }

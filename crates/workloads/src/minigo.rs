@@ -11,6 +11,7 @@
 
 use crate::stack::Stack;
 use rlscope_backend::prelude::*;
+use rlscope_core::analysis::{Analysis, Dim};
 use rlscope_core::profiler::{Profiler, Toggles};
 use rlscope_core::report::{MultiPhaseReport, MultiProcessReport};
 use rlscope_core::trace::Trace;
@@ -347,7 +348,12 @@ pub fn run_minigo(cfg: &MinigoConfig) -> MinigoResult {
 
     let merged = Trace::merge(traces);
     let smi = UtilizationSampler::new(cfg.smi_period).sample(&busy_all, TimeNs::ZERO, global_end);
-    let report = MultiProcessReport::new(&merged, &names, graph.dependency_edges(), &smi);
+    let by_process = Analysis::of(&merged)
+        .group_by([Dim::Process])
+        .tables()
+        .expect("in-memory analysis cannot fail");
+    let report =
+        MultiProcessReport::from_tables(by_process, &names, graph.dependency_edges(), &smi);
     let phase_report = MultiPhaseReport::from_trace(&merged);
     MinigoResult { report, phase_report, merged, graph, worker_walls, worker_gpu }
 }

@@ -440,7 +440,7 @@ mod tests {
         let trace = out.trace.unwrap();
         // The streamed chunk-dir analysis reproduces the in-memory
         // sharded analysis exactly, table for table — real profiler
-        // streams are end-ordered, so this exercises the exact sweeps.
+        // streams are end-ordered, so the sweeps take them in any order.
         let streamed = Analysis::from_chunk_dir(&dir).group_by([Dim::Process]).tables().unwrap();
         assert_eq!(streamed, Analysis::of(&trace).group_by([Dim::Process]).tables().unwrap());
         // The per-phase streamed query also matches the in-memory one —

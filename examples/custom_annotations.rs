@@ -67,7 +67,13 @@ fn main() {
     let rls = stack.profile(ProcessId(0), Toggles::all());
     train_script(&stack, &rls, 50);
     let trace = rls.finish();
-    let profile = correct(&trace, &cal);
+    let profile = match Analysis::of(&trace).corrected(&cal).profile() {
+        Ok(profile) => profile,
+        Err(e) => {
+            eprintln!("correction failed: {e}");
+            std::process::exit(2);
+        }
+    };
 
     println!(
         "\ninstrumented {} -> corrected {} (profiling inflated the run {:.2}x)\n",

@@ -14,7 +14,7 @@
 use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::compute_overlap;
 use rlscope::core::rollup::rollup_chunk_dir;
-use rlscope::core::store::{encode_events, encode_events_v1, encode_events_v2, reorder_chunk_dir};
+use rlscope::core::store::{encode_events, encode_events_v1, reorder_chunk_dir};
 use std::path::Path;
 
 include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fixture.rs"));
@@ -44,7 +44,7 @@ fn main() {
 
     let v3 = encode_events(&events);
     assert_eq!(&v3[..8], b"RLSCOPE3", "main corpus must encode as v3");
-    let v2 = encode_events_v2(&events);
+    let v2 = encode_legacy_v2(&events);
     assert_eq!(&v2[..8], b"RLSCOPE2", "legacy corpus must encode as v2");
     let v1 = encode_events_v1(&events);
     let extreme_chunk = encode_events(&extreme);

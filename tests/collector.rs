@@ -606,8 +606,8 @@ proptest! {
     /// chunked, a streamed session's final tables — live and post-finish
     /// — equal the exact in-memory sweep of the same events. Operation and
     /// phase annotations here arrive in arbitrary (non-profiler) order,
-    /// so this also exercises the exact sweeps' order-independence
-    /// through the whole wire path.
+    /// so this also exercises the sweeps' order-independence through
+    /// the whole wire path.
     #[test]
     fn streamed_session_equals_batch_sweep(
         events in prop::collection::vec(arb_event(), 1..250),

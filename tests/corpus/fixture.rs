@@ -73,6 +73,18 @@ pub fn corpus_events() -> Vec<rlscope::core::Event> {
     events
 }
 
+/// The legacy v2 encoding of `events`, which the library reads but no
+/// longer writes: the v3 bytes with the magic swapped and the footer
+/// trailer (`payload | len:u32 | "RLF3"`) cut. Over the fixture it
+/// equals the checked-in `corpus_v2.rls` byte for byte.
+pub fn encode_legacy_v2(events: &[rlscope::core::Event]) -> Vec<u8> {
+    let v3 = rlscope::core::store::encode_events(events);
+    assert_eq!(&v3[..8], b"RLSCOPE3", "starts beyond i64::MAX have no v2 form");
+    let (body, trailer) = v3.split_at(v3.len() - 8);
+    let footer_len = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    [&b"RLSCOPE2"[..], &body[8..body.len() - footer_len as usize]].concat()
+}
+
 /// Extreme-timestamp fixture: starts beyond the v2 delta-codable range,
 /// so [`rlscope::core::store::encode_events`] must fall back to the v1
 /// wire format and still round-trip exactly.

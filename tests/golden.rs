@@ -12,8 +12,7 @@ use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::compute_overlap;
 use rlscope::core::overlap::OverlapSweep;
 use rlscope::core::store::{
-    decode_events, encode_events, encode_events_v1, encode_events_v2, reorder_chunk_dir, Manifest,
-    TraceWriter,
+    decode_events, encode_events, encode_events_v1, reorder_chunk_dir, Manifest, TraceWriter,
 };
 use std::path::{Path, PathBuf};
 
@@ -58,7 +57,7 @@ fn corpus_encode_is_byte_stable() {
     let events = corpus_events();
     assert_eq!(&encode_events(&events)[..], &corpus_file("corpus_v3.rls")[..], "v3 encode drift");
     assert_eq!(
-        &encode_events_v2(&events)[..],
+        &encode_legacy_v2(&events)[..],
         &corpus_file("corpus_v2.rls")[..],
         "v2 encode drift"
     );
@@ -159,10 +158,12 @@ fn corpus_chunk_dir_streams_to_expected_tables() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The corpus carries profiler-style close-order disorder, so a
-/// bounded-lag sweep over the raw directory would reject or fall back.
-/// After `reorder_chunk_dir`, bounded mode with **zero** lag must
-/// reproduce the frozen per-pid tables exactly.
+/// The corpus carries profiler-style close-order disorder, which holds
+/// a raw directory's sweeps open across chunks. After
+/// `reorder_chunk_dir` — `Manifest::open` above also leaves the index
+/// the query reads its release frontier from — every sweep is released
+/// one chunk behind the stream, and must reproduce the frozen per-pid
+/// tables exactly.
 #[test]
 fn corpus_reordered_dir_bounded_sweep_matches_expected() {
     let src = std::env::temp_dir().join(format!("rlscope_golden_rsrc_{}", std::process::id()));
@@ -172,8 +173,7 @@ fn corpus_reordered_dir_bounded_sweep_matches_expected() {
     let stats = reorder_chunk_dir(&src, &dst, 256).unwrap();
     assert_eq!(stats.events, corpus_events().len() as u64);
     assert!(Manifest::open(&dst).unwrap().is_start_sorted());
-    let zero_lag = rlscope::sim::time::DurationNs::ZERO;
-    let tables = per_pid(Analysis::from_chunk_dir(&dst).bounded_streaming(zero_lag));
+    let tables = per_pid(Analysis::from_chunk_dir(&dst));
     assert_eq!(
         per_pid_canonical_json(&tables),
         corpus_text("expected_by_pid.json"),

@@ -2,7 +2,7 @@
 //! → calibrate → correct.
 
 use rlscope::core::prelude::*;
-use rlscope::core::store::{read_chunk_dir, TraceWriter};
+use rlscope::core::store::{for_each_decoded_chunk_columns, TraceWriter};
 use rlscope::prelude::*;
 use rlscope::workloads::{run_correction_ablation, validate_correction, ScaleConfig};
 
@@ -27,10 +27,15 @@ fn trace_survives_disk_round_trip() {
     let files = writer.finish().unwrap();
     assert!(!files.is_empty());
 
-    let events = read_chunk_dir(&dir).unwrap();
+    let mut events = Vec::new();
+    for_each_decoded_chunk_columns(&files, 1, |cols| {
+        events.extend(cols.to_events()?);
+        Ok(())
+    })
+    .unwrap();
     assert_eq!(events, trace.events);
-    // The reloaded events produce the identical breakdown.
-    assert_eq!(compute_overlap(&events), trace.breakdown());
+    // The directory produces the identical breakdown.
+    assert_eq!(Analysis::from_chunk_dir(&dir).table().unwrap(), trace.breakdown());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

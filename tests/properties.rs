@@ -7,8 +7,7 @@ use rlscope::core::overlap::{
     compute_overlap, compute_overlap_columns, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE,
 };
 use rlscope::core::store::{
-    decode_columns, decode_events, encode_events, encode_events_v1, encode_events_v2, EventColumns,
-    TraceWriter,
+    decode_columns, decode_events, encode_events, encode_events_v1, EventColumns, TraceWriter,
 };
 use rlscope::core::Trace;
 use rlscope::sim::ids::ProcessId;
@@ -16,6 +15,9 @@ use rlscope::sim::time::{DurationNs, TimeNs};
 use rlscope_rl::{ReplayBuffer, RolloutBuffer, RolloutStep, Transition};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+// For `encode_legacy_v2`: the library no longer writes the legacy format.
+include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fixture.rs"));
 
 fn arb_kind() -> impl Strategy<Value = EventKind> {
     prop_oneof![
@@ -321,20 +323,32 @@ proptest! {
         prop_assert_eq!(sweep.finalize().canonical_json(), batch.canonical_json());
     }
 
-    /// On start-sorted streams the bounded-memory sweep never rejects —
-    /// whatever the lag — and still equals the table of one exact
-    /// in-memory push.
+    /// On start-sorted streams a sweep released to the start of whatever
+    /// comes next — after every batch, however the stream is cut — never
+    /// rejects, never holds more than twice the boundaries that had to
+    /// stay open past some frontier so far (draining is amortised), and
+    /// still equals the table of one in-memory push.
     #[test]
     fn bounded_sweep_matches_batch_on_sorted_streams(
         unsorted in prop::collection::vec(arb_full_event(), 0..60),
-        lag in 0u64..2_000,
+        chunk_lens in prop::collection::vec(1usize..12, 1..12),
     ) {
         let mut events = unsorted;
         events.sort_by_key(|e| e.start);
         let batch = compute_overlap(&events);
-        let mut sweep = OverlapSweep::bounded(DurationNs::from_nanos(lag));
-        for e in &events {
-            sweep.push(e).unwrap();
+        let mut sweep = OverlapSweep::new();
+        let (mut fed, mut cuts, mut most_open) = (0, chunk_lens.iter().cycle(), 0);
+        while fed < events.len() {
+            let upto = events.len().min(fed + cuts.next().unwrap());
+            sweep.push_batch(&events[fed..upto]).unwrap();
+            fed = upto;
+            let frontier = events.get(fed).map_or(u64::MAX, |e| e.start.as_nanos());
+            sweep.release_to(frontier);
+            let open = events[..fed].iter().filter(|e| {
+                e.kind != EventKind::Phase && e.start != e.end && e.end.as_nanos() > frontier
+            });
+            most_open = most_open.max(open.count());
+            prop_assert!(sweep.pending_boundaries() <= 2 * most_open);
         }
         prop_assert_eq!(sweep.finalize(), batch);
     }
@@ -422,13 +436,11 @@ proptest! {
     }
 
     /// The streamed chunk-dir pipeline produces group-for-group identical
-    /// phase/process tables to the batch pipeline — including bounded-lag
-    /// mode, whose excess-disorder fallback must stay invisible.
+    /// phase/process tables to the batch pipeline.
     #[test]
     fn streamed_grouping_matches_batch(
         events in prop::collection::vec(arb_multiproc_full_event(), 0..40),
         chunk_len in 1usize..16,
-        lag in 0u64..2_000,
     ) {
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -458,12 +470,11 @@ proptest! {
             .group_by([Dim::Phase, Dim::Process])
             .tables()
             .unwrap();
-        let bounded_cross = Analysis::from_chunk_dir(&dir)
-            .bounded_streaming(DurationNs::from_nanos(lag))
+        let streamed_cross = Analysis::from_chunk_dir(&dir)
             .group_by([Dim::Phase, Dim::Process])
             .tables()
             .unwrap();
-        prop_assert_eq!(bounded_cross, batch_cross);
+        prop_assert_eq!(streamed_cross, batch_cross);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -477,7 +488,11 @@ proptest! {
     fn codec_round_trips(
         events in prop::collection::vec(arb_multiproc_full_event(), 0..80),
     ) {
-        for encoded in [encode_events(&events), encode_events_v2(&events), encode_events_v1(&events)] {
+        for encoded in [
+            encode_events(&events).to_vec(),
+            encode_legacy_v2(&events),
+            encode_events_v1(&events).to_vec(),
+        ] {
             let cols = decode_columns(&encoded).unwrap();
             prop_assert_eq!(cols.len(), events.len());
             prop_assert_eq!(&cols.to_events().unwrap(), &events);
@@ -803,58 +818,83 @@ proptest! {
         );
     }
 
-    /// `reorder_chunk_dir` + a **zero-lag** bounded sweep reproduces the
-    /// exact in-memory sweep on arbitrary (close-ordered, multi-process)
-    /// streams — the acceptance property of the start-ordered rewrite.
-    /// Small run sizes force real external merges.
+    /// One pass with a derived working set answers every directory
+    /// query: an arbitrary-order multi-process stream (phases, instants
+    /// and equal timestamps included) is cut into arbitrary chunks and
+    /// written **raw**, then rewritten **start-sorted** (small run sizes
+    /// force real external merges), and both directories are indexed so
+    /// that every sweep is released behind the frontier the later
+    /// chunks' footers give. Under every grouping, filter and window the
+    /// streamed pipeline equals the in-memory analysis of the same
+    /// stream (of its stable sort by start for the rewrite, which may
+    /// legitimately change first-seen group order) — a frontier taken
+    /// one chunk too far fails every raw case with an order violation.
     #[test]
-    fn reordered_bounded_sweep_matches_exact_batch(
+    fn chunk_dir_queries_match_batch_raw_and_reordered(
         events in prop::collection::vec(arb_multiproc_full_event(), 0..60),
-        chunk_len in 1usize..12,
+        chunk_lens in prop::collection::vec(1usize..12, 1..12),
         run_events in 4usize..24,
+        lo in 0u64..2_500,
+        len in 1u64..2_500,
+        pid in 0u32..4,
     ) {
-        use rlscope::core::store::{reorder_chunk_dir_with, Manifest};
+        use rlscope::core::store::{reorder_chunk_dir_with, upgrade_chunk_dir, Manifest};
 
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let src = std::env::temp_dir().join(format!(
-            "rlscope_prop_resrc_{}_{case}", std::process::id()
+        let root = std::env::temp_dir().join(format!(
+            "rlscope_prop_frontier_{}_{case}", std::process::id()
         ));
-        let dst = std::env::temp_dir().join(format!(
-            "rlscope_prop_redst_{}_{case}", std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&src);
-        let _ = std::fs::remove_dir_all(&dst);
-        let writer = TraceWriter::create(&src, 128).unwrap();
-        for chunk in events.chunks(chunk_len) {
+        let _ = std::fs::remove_dir_all(&root);
+        let (raw, sorted) = (root.join("raw"), root.join("sorted"));
+        let writer = TraceWriter::create(&raw, 1).unwrap(); // one chunk per batch
+        let (mut rest, mut cuts) = (&events[..], chunk_lens.iter().cycle());
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(rest.len().min(*cuts.next().unwrap()));
             writer.write(chunk.to_vec());
+            rest = tail;
         }
         writer.finish().unwrap();
-
-        let stats = reorder_chunk_dir_with(&src, &dst, 128, run_events).unwrap();
+        let stats = reorder_chunk_dir_with(&raw, &sorted, 128, run_events).unwrap();
         prop_assert_eq!(stats.events, events.len() as u64);
-        prop_assert!(Manifest::open(&dst).unwrap().is_start_sorted());
+        prop_assert!(Manifest::open(&sorted).unwrap().is_start_sorted());
+        let mut start_sorted = events.clone();
+        start_sorted.sort_by_key(|e| e.start);
 
-        // Merged-stream view, zero lag.
-        let bounded = Analysis::from_chunk_dir(&dst)
-            .bounded_streaming(DurationNs::ZERO)
-            .table()
-            .unwrap();
-        prop_assert_eq!(&bounded, &compute_overlap(&events));
-
-        // Per-process view, zero lag, against the in-memory per-pid tables.
-        let streamed = Analysis::from_chunk_dir(&dst)
-            .bounded_streaming(DurationNs::ZERO)
-            .group_by([Dim::Process])
-            .tables()
-            .unwrap();
-        for (key, table) in &streamed {
-            let filtered: Vec<Event> =
-                events.iter().filter(|e| Some(e.pid) == key.process).cloned().collect();
-            prop_assert_eq!(table, &compute_overlap(&filtered));
+        let (wlo, whi) = (TimeNs::from_nanos(lo), TimeNs::from_nanos(lo + len));
+        fn narrow(q: Analysis<'_>, how: u8, w: (TimeNs, TimeNs), pid: ProcessId) -> Analysis<'_> {
+            match how {
+                0 => q,
+                1 => q.time_window(w.0, w.1),
+                2 => q.process(pid),
+                _ => q.time_window(w.0, w.1).process(pid),
+            }
         }
-        std::fs::remove_dir_all(&src).unwrap();
-        std::fs::remove_dir_all(&dst).unwrap();
+        type Shape = fn(Analysis<'_>) -> Analysis<'_>;
+        let queries: [(&str, Shape); 6] = [
+            ("plain", |q| q),
+            ("by phase", |q| q.group_by([Dim::Phase])),
+            ("by process", |q| q.group_by([Dim::Process])),
+            ("by phase and process", |q| q.group_by([Dim::Phase, Dim::Process])),
+            ("phase beta", |q| q.phase("beta")),
+            ("phase beta by process", |q| q.phase("beta").group_by([Dim::Process])),
+        ];
+        for (dir, oracle) in [(&raw, &events), (&sorted, &start_sorted)] {
+            // A just-written manifest is not fresh until a clock tick
+            // separates it from the last chunk; index for certain.
+            upgrade_chunk_dir(dir).unwrap();
+            for (what, shape) in queries {
+                for narrowed in 0..4 {
+                    let narrow = |q| narrow(q, narrowed, (wlo, whi), ProcessId(pid));
+                    prop_assert_eq!(
+                        narrow(shape(Analysis::from_chunk_dir(dir))).tables().unwrap(),
+                        narrow(shape(Analysis::of_events(oracle))).tables().unwrap(),
+                        "{} (narrowing {}) over {}", what, narrowed, dir.display()
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// The tiered-storage equivalence contract: rolling a start-sorted
