@@ -563,7 +563,7 @@ fn bench_compaction(c: &mut Criterion) {
     use rlscope_core::store::reorder_chunk_dir;
 
     // Compaction throughput: the two tier transitions the daemon's
-    // background worker performs on a finished 32k-event session — the
+    // retention pass performs on a finished 32k-event session — the
     // start-ordered rewrite and the segment-summary rollup. Smoke-level
     // coverage (no ratio gate): regressions here cost background
     // bandwidth, not query latency.

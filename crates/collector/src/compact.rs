@@ -1,13 +1,14 @@
-//! Background compaction and retention: the machinery that ages a
-//! finished session down the storage ladder (raw → sorted → rollup →
-//! gone) without ever losing a queryable tier.
+//! Compaction and retention: the machinery that ages a finished session
+//! down the storage ladder (raw → sorted → rollup → gone) without ever
+//! losing a queryable tier.
 //!
 //! This module holds the pieces that are independent of the daemon's
-//! session table: the [`RetentionPolicy`] dial and its parser, the
-//! low-priority `JobQueue` the daemon's compaction worker drains, and
-//! the **atomic tier transitions** themselves. The daemon side — the
-//! worker thread, the retention timer, per-session eligibility, and
-//! query routing across tiers — lives in [`crate::daemon`].
+//! session table: the [`RetentionPolicy`] dial and its parser, and the
+//! **atomic tier transitions** themselves. It holds no thread and no
+//! lock: a transition runs on whichever thread calls it. The daemon side
+//! — the retention pass, which runs the due transitions one after
+//! another on the timer thread, per-session eligibility, and query
+//! routing across tiers — lives in [`crate::daemon`].
 //!
 //! # The transition protocol
 //!
@@ -35,7 +36,6 @@ use rlscope_core::rollup::{rollup_chunk_dir, RollupStats};
 use rlscope_core::store::{
     list_chunk_files, reorder_chunk_dir, ReorderStats, TraceIoError, MANIFEST_FILE,
 };
-use std::collections::{HashSet, VecDeque};
 use std::fs;
 use std::path::Path;
 use std::time::Duration;
@@ -140,7 +140,7 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
 }
 
 /// What a compaction job does to its session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JobKind {
     /// Rewrite the raw close-ordered chunks into a start-sorted v3
     /// directory (`sorted/`).
@@ -149,92 +149,6 @@ pub(crate) enum JobKind {
     Rollup,
     /// Remove the session entirely (data dir, registry record, name).
     Prune,
-}
-
-/// One queued unit of background compaction work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CompactionJob {
-    /// Session name (the daemon resolves it to a directory and
-    /// re-checks eligibility at run time — jobs can go stale).
-    pub name: String,
-    /// What to do.
-    pub kind: JobKind,
-}
-
-#[derive(Debug, Default)]
-struct QueueInner {
-    queue: VecDeque<CompactionJob>,
-    /// Sessions with a job queued or running — at most one outstanding
-    /// job per session, so a slow tier build cannot pile up duplicates.
-    pending: HashSet<String>,
-    running: usize,
-    shutdown: bool,
-}
-
-/// The low-priority compaction job queue: retention timer and test
-/// hooks push, the single worker thread pops. (std `Mutex` + `Condvar`:
-/// the vendored parking_lot stub has no Condvar.)
-#[derive(Debug, Default)]
-pub(crate) struct JobQueue {
-    inner: std::sync::Mutex<QueueInner>,
-    ready: std::sync::Condvar,
-    idle: std::sync::Condvar,
-}
-
-impl JobQueue {
-    /// Enqueues `job` unless its session already has one queued or
-    /// running; returns whether it was accepted.
-    pub(crate) fn push(&self, job: CompactionJob) -> bool {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.shutdown || !inner.pending.insert(job.name.clone()) {
-            return false;
-        }
-        inner.queue.push_back(job);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocks for the next job; `None` once the queue is shut down and
-    /// drained.
-    pub(crate) fn pop(&self) -> Option<CompactionJob> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = inner.queue.pop_front() {
-                inner.running += 1;
-                return Some(job);
-            }
-            if inner.shutdown {
-                return None;
-            }
-            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Marks a popped job finished (success or failure), re-admitting
-    /// its session for future jobs.
-    pub(crate) fn done(&self, job: &CompactionJob) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.pending.remove(&job.name);
-        inner.running -= 1;
-        self.idle.notify_all();
-    }
-
-    /// Blocks until the queue is empty and no job is running.
-    pub(crate) fn wait_idle(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        while !inner.queue.is_empty() || inner.running > 0 {
-            inner = self.idle.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Rejects further pushes and wakes the worker so it can exit.
-    pub(crate) fn shutdown(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.shutdown = true;
-        inner.queue.clear();
-        self.ready.notify_all();
-        self.idle.notify_all();
-    }
 }
 
 /// Steps 1–2 of the transition protocol for raw → sorted: rewrites the
@@ -351,23 +265,6 @@ mod tests {
         for bad in ["raw", "raw=", "raw=10", "raw=x5s", "lukewarm=5s", "raw=5s,raw=6s", "raw=5w"] {
             assert!(RetentionPolicy::parse(bad).is_err(), "{bad:?} should not parse");
         }
-    }
-
-    #[test]
-    fn job_queue_dedups_and_drains() {
-        let queue = JobQueue::default();
-        let job = CompactionJob { name: "a".into(), kind: JobKind::Sort };
-        assert!(queue.push(job.clone()));
-        assert!(!queue.push(CompactionJob { name: "a".into(), kind: JobKind::Rollup }));
-        assert!(queue.push(CompactionJob { name: "b".into(), kind: JobKind::Prune }));
-        let popped = queue.pop().unwrap();
-        assert_eq!(popped, job);
-        queue.done(&popped);
-        // "a" is re-admissible once its job completed.
-        assert!(queue.push(CompactionJob { name: "a".into(), kind: JobKind::Rollup }));
-        queue.shutdown();
-        assert!(queue.pop().is_none());
-        assert!(!queue.push(CompactionJob { name: "c".into(), kind: JobKind::Sort }));
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! The collector daemon: socket accept loop, per-session owner threads,
+//! The collector daemon: socket accept loops, per-session owner threads,
 //! the durable session registry and restart recovery scan, live and
-//! finished-dir query execution, and the keyed result caches.
+//! finished-dir query execution with the finished-dir result cache, and
+//! the one timer thread that reaps idle sessions and runs retention's
+//! tier transitions itself.
 
-use crate::compact::{self, CompactionJob, JobKind, JobQueue, RetentionPolicy};
+use crate::compact::{self, JobKind, RetentionPolicy};
 use crate::protocol::{
     encode_error, kind, CollectorError, ErrorCode, HelloAck, HelloRequest, QueryAllReply,
     QueryReply, QuerySpec, QueryTarget, SessionInfo, SessionList, PROTOCOL_VERSION,
@@ -166,18 +168,20 @@ pub struct CollectorConfig {
     /// Credit window granted to each session connection (max unacked
     /// `CHUNK` frames in flight — the explicit backpressure bound).
     pub credits: u32,
-    /// Query results cached per cache (finished-dir and live), LRU
-    /// eviction.
+    /// Finished-target query results cached (keyed by directory and
+    /// query bytes), LRU eviction. Live answers are never cached.
     pub cache_capacity: usize,
     /// Abort sessions (typed [`ErrorCode::IdleTimeout`]) that receive no
     /// chunk (and no resume) for this long, so a crashed client cannot
-    /// pin daemon memory forever. `None` disables the idle pass.
+    /// pin daemon memory forever. `None` disables the idle pass. The
+    /// timer thread runs it before each retention pass, so a tick that
+    /// runs tier transitions delays the next reap by their build time.
     pub idle_timeout: Option<Duration>,
     /// Retention dial: how long finished sessions dwell at each storage
-    /// tier before the background compactor ages them down the ladder
-    /// (raw → sorted → rollup → gone). `None` (and an empty policy)
-    /// disables the retention pass; compaction is still available
-    /// through [`Collector::compact_session`].
+    /// tier before the timer thread's retention pass ages them down the
+    /// ladder (raw → sorted → rollup → gone). `None` (and an empty
+    /// policy) disables the retention pass; compaction is still
+    /// available through [`Collector::compact_session`].
     pub retention: Option<RetentionPolicy>,
     /// Trace-time window width (nanoseconds) of each rollup segment —
     /// the granularity floor for time-windowed queries against the
@@ -299,9 +303,9 @@ pub struct RecoveredSession {
 ///   on the asking connection's thread. Chunk acks queued behind a
 ///   snapshot wait for the chunks since the last one (worst case: the
 ///   span of the latest late-closing scope), never the whole prefix.
-/// - A live query makes one trip through the mailbox: the
-///   [`Msg::Snapshot`] reply carries the prefix length, which keys the
-///   live cache (a hit drops the tables unread).
+/// - A live query makes one trip through the mailbox, and its answer is
+///   never cached: the [`Msg::Snapshot`] reply carries the prefix length
+///   the answer reports.
 struct Session {
     name: String,
     /// Server-assigned id, stable across detach/resume.
@@ -365,8 +369,10 @@ enum Entry {
 }
 
 /// A finished or aborted session: data, not a thread. Its durable
-/// prefix is served from `dir` at `tier`; the compaction worker is the
-/// only writer (it advances `tier` and prunes, under the map lock).
+/// prefix is served from `dir` at `tier`, whose index holds its event
+/// total ([`tier_index`]). Only tier transitions write it — a retention
+/// pass or [`Collector::compact_session`] advances `tier` or prunes,
+/// under the map lock.
 #[derive(Clone)]
 struct Settled {
     epoch: u64,
@@ -376,9 +382,6 @@ struct Settled {
     abort: Option<ConnError>,
     /// Chunks durable in `dir`.
     chunks: u64,
-    /// Events ingested this daemon run (0 for a recovered directory,
-    /// whose manifest is the source of truth).
-    events: u64,
 }
 
 /// The session's durable half: received chunk payloads are persisted
@@ -684,7 +687,6 @@ impl Owner {
             tier: StorageTier::Raw,
             abort,
             chunks: self.chunks,
-            events: self.events,
         };
         self.daemon.sessions.lock().insert(self.name.clone(), Entry::Settled(settled));
     }
@@ -743,13 +745,6 @@ struct CachedResult {
     json: String,
 }
 
-/// Live-result cache key: `(session name, epoch, events observed, query
-/// bytes)`. The epoch distinguishes incarnations of a reused name; the
-/// event count uniquely identifies a chunk prefix (chunks apply in
-/// order), so equal keys are answer-equal — including across a daemon
-/// restart that replayed the same prefix.
-type LiveKey = (String, u64, u64, Vec<u8>);
-
 /// Live connections and the threads spawned on demand.
 #[derive(Default)]
 struct Conns {
@@ -769,16 +764,11 @@ struct Daemon {
     /// Finished-target results keyed by `(dir, query bytes)`, validated
     /// by manifest checksum, LRU-evicted.
     cache: Mutex<LruCache<(String, Vec<u8>), CachedResult>>,
-    /// Live-target results (see [`LiveKey`]), LRU-evicted.
-    live_cache: Mutex<LruCache<LiveKey, String>>,
     next_session_id: AtomicU64,
     next_epoch: AtomicU64,
     next_conn_id: AtomicU64,
     shutdown: AtomicBool,
     conns: Mutex<Conns>,
-    /// The background compaction job queue (retention timer and test
-    /// hooks push, the compaction worker thread drains).
-    compaction: JobQueue,
 }
 
 /// Where [`Daemon::route`] found a session: open, with its owner's
@@ -864,9 +854,8 @@ pub struct Collector {
     /// Bound TCP listen address, when [`CollectorConfig::tcp_listen`]
     /// was set (the resolved address, so port 0 reports the real port).
     tcp_addr: Option<SocketAddr>,
-    compaction_thread: Option<JoinHandle<()>>,
-    /// Runs the idle-reap and retention passes, when either is
-    /// configured.
+    /// Runs the idle-reap and retention passes (the latter with its
+    /// tier transitions), when either is configured.
     timer_thread: Option<JoinHandle<()>>,
     upgraded: Vec<(PathBuf, ManifestUpgrade)>,
     recovered: Vec<RecoveredSession>,
@@ -923,20 +912,17 @@ impl Collector {
         };
         let tcp_addr = tcp_listener.as_ref().and_then(|l| l.local_addr().ok());
         let cache = LruCache::new(config.cache_capacity);
-        let live_cache = LruCache::new(config.cache_capacity);
         let idle_timeout = config.idle_timeout;
         let retention = config.retention.clone().filter(|p| !p.is_empty());
         let daemon = Arc::new(Daemon {
             config,
             sessions: Mutex::new(HashMap::new()),
             cache: Mutex::new(cache),
-            live_cache: Mutex::new(live_cache),
             next_session_id: AtomicU64::new(1),
             next_epoch: AtomicU64::new(1),
             next_conn_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(Conns::default()),
-            compaction: JobQueue::default(),
         });
         let mut upgraded = Vec::new();
         let mut recovered = Vec::new();
@@ -1010,18 +996,12 @@ impl Collector {
                 }
             })
         });
-        // The compaction worker always runs (the queue is also fed by
-        // the explicit `compact_session` hook).
-        let worker_daemon = daemon.clone();
-        let compaction_thread = Some(std::thread::spawn(move || {
-            while let Some(job) = worker_daemon.compaction.pop() {
-                let _ = run_compaction_job(&worker_daemon, &job);
-                worker_daemon.compaction.done(&job);
-            }
-        }));
         // One timer runs both periodic passes, ticking at a quarter of
         // the shortest configured period; no timer when neither an idle
-        // timeout nor a non-empty retention policy is set.
+        // timeout nor a non-empty retention policy is set. Each tick
+        // reaps before it ages, and the retention pass runs its tier
+        // transitions itself, so a tick that builds a tier delays the
+        // next reap by that build.
         let period = idle_timeout.into_iter().chain(retention.as_ref().and_then(|p| p.min_dwell()));
         let timer_thread = period.min().map(|period| {
             let timer_daemon = daemon.clone();
@@ -1044,7 +1024,6 @@ impl Collector {
             accept_thread: Some(accept_thread),
             tcp_accept_thread,
             tcp_addr,
-            compaction_thread,
             timer_thread,
             upgraded,
             recovered,
@@ -1100,16 +1079,16 @@ impl Collector {
     }
 
     /// Ages the named finished session one step down the storage ladder
-    /// synchronously (raw → sorted, sorted → rollup) — the same job the
-    /// background worker runs, exposed for tests and operators. Returns
-    /// the tier the session is at afterwards.
+    /// on the calling thread (raw → sorted, sorted → rollup) — the same
+    /// transition a retention pass runs, exposed for tests and operators.
+    /// Returns the tier the session is at afterwards.
     ///
     /// # Errors
     ///
     /// [`CollectorError::Remote`] when the session does not exist, is
     /// not finished, or already sits at the rollup tier; transition
-    /// failures surface with the worker's typed error (and leave the
-    /// prior tier intact and queryable).
+    /// failures surface with their typed error (and leave the prior tier
+    /// intact and queryable).
     pub fn compact_session(&self, name: &str) -> Result<StorageTier, CollectorError> {
         let remote =
             |(code, message): ConnError| CollectorError::Remote { code: Some(code), message };
@@ -1126,25 +1105,19 @@ impl Collector {
                 )))
             }
         };
-        let job = CompactionJob { name: name.to_string(), kind };
-        run_compaction_job(&self.daemon, &job).map_err(remote)?;
+        run_compaction_job(&self.daemon, name, kind).map_err(remote)?;
         self.session_tier(name).ok_or_else(|| {
             remote((ErrorCode::UnknownTarget, format!("session {name:?} vanished mid-compaction")))
         })
     }
 
-    /// Runs one retention evaluation now (what the timer does every
-    /// tick): enqueues a compaction or prune job for every session past
-    /// its dwell under `policy`. Use [`Collector::wait_compaction_idle`]
-    /// to observe completion.
+    /// Runs one retention pass now, on the calling thread (what the
+    /// timer does every tick): the due tier transition or prune for
+    /// every session past its dwell under `policy`, one after another.
+    /// Returns once they are done; a failed transition leaves its
+    /// session at its prior tier, and the next pass retries it.
     pub fn run_retention_pass(&self, policy: &RetentionPolicy) {
         retention_pass(&self.daemon, policy);
-    }
-
-    /// Blocks until the compaction queue is empty and no job is
-    /// running.
-    pub fn wait_compaction_idle(&self) {
-        self.daemon.compaction.wait_idle();
     }
 
     /// Stops accepting, disconnects live connections, joins all threads,
@@ -1182,10 +1155,8 @@ impl Collector {
         for handle in handles {
             let _ = handle.join();
         }
-        self.daemon.compaction.shutdown();
-        if let Some(handle) = self.compaction_thread.take() {
-            let _ = handle.join();
-        }
+        // The timer checks `shutdown` before each transition, so this
+        // waits for at most the tier build in progress.
         if let Some(handle) = self.timer_thread.take() {
             let _ = handle.join();
         }
@@ -1216,7 +1187,6 @@ fn recover_session(
             tier: record.tier,
             abort,
             chunks,
-            events: 0,
         })
     };
     let report = |phase, chunks, events, removed_chunks| {
@@ -1381,14 +1351,13 @@ fn reap_pass(daemon: &Daemon, timeout: Duration) {
     }
 }
 
-/// Runs one compaction job end to end: re-check eligibility (jobs can
-/// go stale — the session may have been pruned, recreated, or already
-/// transitioned), do the slow tier build with **no locks held**
-/// (settled sessions are immutable, so the raw files cannot change
-/// underneath the build), then record the new tier durably and in
-/// memory before deleting the prior tier's files.
-fn run_compaction_job(daemon: &Daemon, job: &CompactionJob) -> Result<(), ConnError> {
-    let name = &job.name;
+/// Runs one compaction job end to end: re-check eligibility (a job can
+/// be stale — the session may have been pruned, recreated, or already
+/// transitioned since it was chosen), do the slow tier build with **no
+/// locks held** (settled sessions are immutable, so the raw files cannot
+/// change underneath the build), then record the new tier durably and
+/// in memory before deleting the prior tier's files.
+fn run_compaction_job(daemon: &Daemon, name: &str, kind: JobKind) -> Result<(), ConnError> {
     let settled = match daemon.lookup(name) {
         None => return Err((ErrorCode::UnknownTarget, format!("no session {name:?}"))),
         // Still open: a stale job — not an error, just nothing to do.
@@ -1397,7 +1366,7 @@ fn run_compaction_job(daemon: &Daemon, job: &CompactionJob) -> Result<(), ConnEr
     };
     // Finished sessions compact; any settled session prunes.
     let finished = settled.abort.is_none();
-    let eligible = match job.kind {
+    let eligible = match kind {
         JobKind::Sort => finished && settled.tier == StorageTier::Raw,
         JobKind::Rollup => finished && settled.tier == StorageTier::Sorted,
         JobKind::Prune => true,
@@ -1407,7 +1376,7 @@ fn run_compaction_job(daemon: &Daemon, job: &CompactionJob) -> Result<(), ConnEr
     }
     #[cfg(feature = "fault-inject")]
     if let Some(plan) = &daemon.config.faults {
-        if plan.compaction_fails() && job.kind != JobKind::Prune {
+        if plan.compaction_fails() && kind != JobKind::Prune {
             // Simulate a mid-build failure honestly: leave a partial
             // temp dir behind, exactly what a real ENOSPC or crash
             // mid-build leaves. The next (un-faulted) run wipes it.
@@ -1420,7 +1389,7 @@ fn run_compaction_job(daemon: &Daemon, job: &CompactionJob) -> Result<(), ConnEr
             ));
         }
     }
-    match job.kind {
+    match kind {
         JobKind::Sort => {
             compact::sort_tier(&settled.dir).map_err(io_err)?;
             advance_tier(daemon, name, &settled, StorageTier::Sorted)?;
@@ -1483,13 +1452,22 @@ fn session_dwell(dir: &Path) -> Option<Duration> {
     meta.modified().ok()?.elapsed().ok()
 }
 
-/// One retention evaluation: enqueue the due tier transition (or prune)
-/// for every settled session past its dwell. Open sessions are never
-/// touched; aborted sessions age straight from raw to pruned after the
-/// `raw` dwell (their partial data is not worth a rewrite, but deserves
-/// the same grace period).
+/// One retention pass: runs the due tier transition (or prune) for every
+/// settled session past its dwell, one after another in name order, on
+/// the calling thread. Open sessions are never touched; aborted sessions
+/// age straight from raw to pruned after the `raw` dwell (their partial
+/// data is not worth a rewrite, but deserves the same grace period).
+///
+/// By construction a session has at most one job at a time (the pass is
+/// sequential, and each job re-checks eligibility), a failed job is
+/// retried (the next pass finds its session still due), and shutdown
+/// waits for at most the build in progress (`shutdown` is checked before
+/// each job).
 fn retention_pass(daemon: &Daemon, policy: &RetentionPolicy) {
     for (name, entry) in daemon.entries() {
+        if daemon.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
         let Entry::Settled(settled) = entry else { continue };
         let Some(dwell) = session_dwell(&settled.dir) else { continue };
         let (limit, kind) = match (&settled.abort, settled.tier) {
@@ -1499,7 +1477,7 @@ fn retention_pass(daemon: &Daemon, policy: &RetentionPolicy) {
             (None, StorageTier::Rollup) => (policy.rollup, JobKind::Prune),
         };
         if limit.is_some_and(|limit| dwell >= limit) {
-            daemon.compaction.push(CompactionJob { name, kind });
+            let _ = run_compaction_job(daemon, &name, kind);
         }
     }
 }
@@ -1590,10 +1568,13 @@ fn handle_hello_new(
             // manifest, or a compacted tier) is durable data from an
             // earlier run that recovery did not claim — refuse rather
             // than silently wipe it.
+            let compacted = [StorageTier::Sorted, StorageTier::Rollup]
+                .into_iter()
+                .filter_map(StorageTier::subdir)
+                .any(|sub| dir.join(sub).is_dir());
             let prior_data = dir.is_dir()
                 && (dir.join(MANIFEST_FILE).exists()
-                    || dir.join("sorted").is_dir()
-                    || dir.join("rollup").is_dir()
+                    || compacted
                     || list_chunk_files(&dir).is_ok_and(|files| !files.is_empty()));
             if prior_data {
                 return Err((
@@ -1690,25 +1671,16 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
             // The snapshot queues behind every chunk acked so far, so
             // the prefix it covers includes them.
             let view = live_view(spec);
-            let (session, tables) =
-                match daemon.route(name, |reply| Msg::Snapshot { view, reply })? {
-                    // The directory holds exactly the durable acked prefix.
-                    Routed::Settled(settled) => return tiered_query(daemon, name, settled, spec),
-                    Routed::Open(session, tables) => (session, tables),
-                };
-            let events_observed = tables.events_observed();
-            let live = |cache_hit, canonical_json| {
-                Ok(QueryReply { live: true, cache_hit, events_observed, canonical_json })
+            let tables = match daemon.route(name, |reply| Msg::Snapshot { view, reply })? {
+                // The directory holds exactly the durable acked prefix.
+                Routed::Settled(settled) => return tiered_query(daemon, name, settled, spec),
+                Routed::Open(_, tables) => tables,
             };
-            let key = (session.name.clone(), session.epoch, events_observed, spec.encode());
-            if let Some(json) = daemon.live_cache.lock().get(&key) {
-                return live(true, json);
-            }
-            let json = apply_spec(Analysis::of_live(&tables), spec)
+            let canonical_json = apply_spec(Analysis::of_live(&tables), spec)
                 .canonical_json()
                 .map_err(analysis_err)?;
-            daemon.live_cache.lock().insert(key, json.clone());
-            live(false, json)
+            let events_observed = tables.events_observed();
+            Ok(QueryReply { live: true, cache_hit: false, events_observed, canonical_json })
         }
         QueryTarget::Dir(path) => {
             let dir = PathBuf::from(path);
@@ -1729,12 +1701,14 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
 fn handle_list_sessions(daemon: &Daemon, writer: &SharedWriter) -> Result<(), ConnError> {
     let mut sessions = Vec::new();
     for (name, _) in daemon.entries() {
-        // Events ingested this daemon run; a finished directory recovered
-        // from disk reports its manifest-counted total at query time, not
-        // here — the listing stays O(sessions).
+        // A settled session's total is its tier index's, whether it
+        // settled in this daemon run or was recovered from disk.
         let (live, events) = match daemon.route(&name, |reply| Msg::Status { reply }) {
             Ok(Routed::Open(_, (_, events))) => (true, events),
-            Ok(Routed::Settled(settled)) => (false, settled.events),
+            Ok(Routed::Settled(s)) => match tier_index(&tier_dir(&s.dir, s.tier), s.tier) {
+                Ok((_, events)) => (false, events),
+                Err(_) => continue, // pruned since the listing was taken
+            },
             Err(_) => continue, // pruned since the listing was taken
         };
         sessions.push(SessionInfo { name, live, events });
@@ -1788,11 +1762,10 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
             }
             Routed::Settled(settled) => {
                 let dir = tier_dir(&settled.dir, settled.tier);
+                events_observed += tier_index(&dir, settled.tier)?.1;
                 if settled.tier == StorageTier::Rollup {
-                    events_observed += Rollup::open(&dir).map_err(io_err)?.total_events();
                     SessionSource::RollupDir(dir)
                 } else {
-                    events_observed += Manifest::open(&dir).map_err(io_err)?.total_events();
                     SessionSource::ChunkDir(dir)
                 }
             }
@@ -1810,6 +1783,19 @@ fn tier_dir(dir: &Path, tier: StorageTier) -> PathBuf {
     match tier.subdir() {
         None => dir.to_path_buf(),
         Some(sub) => dir.join(sub),
+    }
+}
+
+/// The `(checksum, total events)` of the index of `dir`, the data of a
+/// session at `tier`: the rollup's `ROLLUP` index, or the chunk
+/// directory's manifest for a raw or sorted tier.
+fn tier_index(dir: &Path, tier: StorageTier) -> Result<(u64, u64), ConnError> {
+    if tier == StorageTier::Rollup {
+        let rollup = Rollup::open(dir).map_err(io_err)?;
+        Ok((rollup.checksum(), rollup.total_events()))
+    } else {
+        let manifest = Manifest::open(dir).map_err(io_err)?;
+        Ok((manifest.checksum(), manifest.total_events()))
     }
 }
 
@@ -1853,13 +1839,7 @@ fn settled_query(
     tier: StorageTier,
     spec: &QuerySpec,
 ) -> Result<QueryReply, ConnError> {
-    let (checksum, events, analysis) = if tier == StorageTier::Rollup {
-        let rollup = Rollup::open(dir).map_err(io_err)?;
-        (rollup.checksum(), rollup.total_events(), Analysis::from_rollup_dir(dir))
-    } else {
-        let manifest = Manifest::open(dir).map_err(io_err)?;
-        (manifest.checksum(), manifest.total_events(), Analysis::from_chunk_dir(dir))
-    };
+    let (checksum, events) = tier_index(dir, tier)?;
     let key = (dir.to_string_lossy().into_owned(), spec.encode());
     if let Some(cached) = daemon.cache.lock().get(&key) {
         if cached.checksum == checksum {
@@ -1871,6 +1851,11 @@ fn settled_query(
             });
         }
     }
+    let analysis = if tier == StorageTier::Rollup {
+        Analysis::from_rollup_dir(dir)
+    } else {
+        Analysis::from_chunk_dir(dir)
+    };
     let json = apply_spec(analysis, spec).canonical_json().map_err(analysis_err)?;
     daemon.cache.lock().insert(key, CachedResult { checksum, events, json: json.clone() });
     Ok(QueryReply { live: false, cache_hit: false, events_observed: events, canonical_json: json })

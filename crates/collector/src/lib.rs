@@ -89,13 +89,15 @@
 //! and persists it before writing its ack, and a query's question
 //! queues behind every chunk already handed to the owner, so it
 //! observes at least every chunk acked to anyone before it was asked.
-//! The owner's part of a query is a copy: it puts the pending
-//! boundaries of the one view the query reads in order — in place, so
-//! each query sorts only what arrived since the last — and clones that
-//! view's sweeps; draining the clones and running the query happen on
-//! the asking connection's thread. Neither changes what any query
-//! observes. An aborted session serves exactly the durable prefix from
-//! disk.
+//! The owner's part of a query is the drain of the one view the query
+//! reads ([`LiveState::snapshot_view`]): it puts that view's pending
+//! boundaries in order — in place, so each query sorts only what
+//! arrived since the last — and resumes each sweep's drain from the
+//! latest still-valid checkpoint an earlier query left
+//! ([`OverlapSweep::tables_so_far`]), handing back finished tables.
+//! Running the query over them happens on the asking connection's
+//! thread. Neither changes what any query observes. An aborted session
+//! serves exactly the durable prefix from disk.
 //!
 //! # Wire protocol (version 2)
 //!
@@ -205,19 +207,16 @@
 //! connection's thread. A live query therefore costs what arrived since
 //! the last one of the same view (worst case, the span of the latest
 //! late-closing scope), not the prefix, and one trip through the
-//! owner's mailbox.
-//! Live results are cached keyed by
-//! `(name, epoch, events observed, query bytes)` — a prefix is immutable once
-//! observed, so equal keys are answer-equal, including across a restart
-//! that replayed the same prefix. Finished sessions and directory
-//! targets run [`Analysis::from_chunk_dir`] (manifest predicate
-//! pushdown included); their results are cached keyed by `(target,
-//! query bytes)` and invalidated by [`Manifest::checksum`]. Both caches
-//! evict LRU, so a repeated dashboard query costs one manifest load,
-//! not a re-analysis, until the directory's chunk set actually changes.
-//! Cross-session `QUERY_ALL` answers are never cached: ingest on *any*
-//! session invalidates them, so the daemon recomposes per query —
-//! per-session sub-results still benefit from the caches above.
+//! owner's mailbox. Live answers are never cached: an immediate repeat
+//! drains nothing, so a cache could save only the JSON rendering.
+//! Finished sessions and directory targets run
+//! [`Analysis::from_chunk_dir`] (manifest predicate pushdown included);
+//! their results are cached keyed by `(target, query bytes)`,
+//! invalidated by [`Manifest::checksum`], and evicted LRU, so a
+//! repeated dashboard query costs one manifest load, not a re-analysis,
+//! until the directory's chunk set actually changes. Cross-session
+//! `QUERY_ALL` answers are never cached either: ingest on *any* session
+//! invalidates them, so the daemon recomposes every session per query.
 //!
 //! # Tiered storage: compaction and retention
 //!
@@ -230,9 +229,10 @@
 //! | `Sorted` | start-sorted v3 chunks under `sorted/` | everything, with tighter manifest pushdown |
 //! | `Rollup` | segment summaries under `rollup/` ([`rlscope_core::rollup`]) | coarse grouped/aligned-window queries from pre-aggregated tables, without touching events |
 //!
-//! Transitions run on a **background compaction worker** (a job per
-//! session, [`Collector::compact_session`] to force one) and follow a
-//! crash-safe four-step dance: build the next tier into a `.tier.tmp`
+//! Transitions run on the daemon's **timer thread**, which runs each
+//! retention pass's due transitions itself, one session after another
+//! ([`Collector::compact_session`] forces one on the calling thread);
+//! each follows a crash-safe four-step dance: build the next tier into a `.tier.tmp`
 //! directory, atomically rename it into place, rewrite the session's
 //! registry record with the new [`registry::StorageTier`], then delete
 //! the prior tier. A daemon killed between any two steps recovers on
@@ -245,7 +245,7 @@
 //! **Retention is a dial**, not a cron job you write: `rlscoped
 //! --retention raw=<dur>,sorted=<dur>,rollup=<dur>` (a
 //! [`RetentionPolicy`]) bounds how long a finished session may dwell in
-//! each tier before the worker ages it down — and past the last rung it
+//! each tier before a retention pass ages it down — and past the last rung it
 //! is pruned entirely: directory removed, registry record dropped, name
 //! reusable. Aborted sessions never compact; they prune after the raw
 //! dwell. Queries are **tier-transparent**: the same `QUERY` /
@@ -257,6 +257,8 @@
 //! [`Analysis`]: rlscope_core::analysis::Analysis
 //! [`Analysis::from_chunk_dir`]: rlscope_core::analysis::Analysis::from_chunk_dir
 //! [`LiveState`]: rlscope_core::analysis::LiveState
+//! [`LiveState::snapshot_view`]: rlscope_core::analysis::LiveState::snapshot_view
+//! [`OverlapSweep::tables_so_far`]: rlscope_core::overlap::OverlapSweep::tables_so_far
 //! [`Manifest`]: rlscope_core::store::Manifest
 //! [`Manifest::checksum`]: rlscope_core::store::Manifest::checksum
 //! [`TraceWriter`]: rlscope_core::store::TraceWriter

@@ -16,7 +16,7 @@ use rlscope::collector::daemon::fault::FaultPlan;
 use rlscope::collector::registry::{SessionRecord, SessionStatus, StorageTier};
 use rlscope::collector::{
     Collector, CollectorClient, CollectorConfig, CollectorError, ErrorCode, HelloAck, HelloRequest,
-    QuerySpec, ReconnectPolicy, SessionPhase,
+    QuerySpec, ReconnectPolicy, RetentionPolicy, SessionPhase,
 };
 use rlscope::core::analysis::Analysis;
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
@@ -1006,5 +1006,41 @@ fn injected_enospc_during_compaction_is_typed_and_retryable() {
     assert_eq!(collector.compact_session("comp-full").unwrap(), StorageTier::Sorted);
     assert_eq!(collector.compact_session("comp-full").unwrap(), StorageTier::Rollup);
     assert_eq!(client.query(&QuerySpec::session("comp-full")).unwrap().canonical_json, baseline);
+    collector.shutdown();
+}
+
+/// The same fault on the retention path: a pass whose build fails
+/// leaves the due session at the raw tier, answering byte-identically,
+/// and the session stays due — the first pass after the fault clears
+/// retries it, reaches the sorted tier, and leaves no temp debris.
+#[test]
+fn injected_enospc_during_retention_pass_retries_on_the_next_pass() {
+    let (socket, data) = scratch("retfull");
+    let faults = FaultPlan::new();
+    let mut config = CollectorConfig::new(&socket, &data);
+    config.faults = Some(faults.clone());
+    let collector = Collector::bind(config).unwrap();
+    let events = session_events(0, 1_024);
+    let mut client = CollectorClient::open_session(&socket, "ret-full").unwrap();
+    client.send_events(&events).unwrap();
+    client.finish().unwrap();
+    let spec = QuerySpec::session("ret-full");
+    let baseline = client.query(&spec).unwrap().canonical_json;
+    let dir = data.join("ret-full");
+    let policy = RetentionPolicy::parse("raw=0ms").unwrap();
+
+    faults.fail_compaction(true);
+    for _ in 0..2 {
+        collector.run_retention_pass(&policy);
+        assert_eq!(collector.session_tier("ret-full"), Some(StorageTier::Raw));
+        assert_eq!(client.query(&spec).unwrap().canonical_json, baseline);
+    }
+    assert!(dir.join(".tier.tmp").exists(), "the injected fault leaves a partial build");
+
+    faults.fail_compaction(false);
+    collector.run_retention_pass(&policy);
+    assert_eq!(collector.session_tier("ret-full"), Some(StorageTier::Sorted));
+    assert!(!dir.join(".tier.tmp").exists(), "temp debris survived a successful pass");
+    assert_eq!(client.query(&spec).unwrap().canonical_json, baseline);
     collector.shutdown();
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rlscope::collector::protocol::kind;
 use rlscope::collector::{
     Collector, CollectorClient, CollectorConfig, CollectorError, CollectorSink, ErrorCode,
-    HelloAck, HelloRequest, QuerySpec, SessionPhase,
+    HelloAck, HelloRequest, QuerySpec, SessionPhase, StorageTier,
 };
 use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
@@ -448,6 +448,47 @@ fn sequence_gap_aborts_typed_and_keeps_the_acked_prefix() {
     collector.shutdown();
 }
 
+/// `LIST_SESSIONS` reports each settled session's full event count, read
+/// from its tier's index: a finished one, one compacted to the rollup
+/// tier, and an aborted one — in the daemon run that settled them and
+/// after a restart recovered them from disk.
+#[test]
+fn list_sessions_counts_settled_sessions_across_a_restart() {
+    let (socket, data) = scratch("listed");
+    let events = session_events(0, 1_024);
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    for name in ["done", "rolled"] {
+        let mut client = CollectorClient::open_session(&socket, name).unwrap();
+        client.send_events(&events).unwrap();
+        client.finish().unwrap();
+    }
+    let mut conn = raw_session(&socket, "broken");
+    send_chunk(&mut conn, 0, &events[..256]);
+    assert_eq!(read_ack(&mut conn), (0, 256));
+    send_chunk(&mut conn, 5, &events[256..]);
+    assert_eq!(read_frame(&mut conn).unwrap().unwrap().0, kind::ERROR);
+    assert_eq!(collector.compact_session("rolled").unwrap(), StorageTier::Sorted);
+    assert_eq!(collector.compact_session("rolled").unwrap(), StorageTier::Rollup);
+
+    let n = events.len() as u64;
+    let want = vec![
+        ("broken".to_string(), false, 256),
+        ("done".into(), false, n),
+        ("rolled".into(), false, n),
+    ];
+    let listed = |socket: &Path| {
+        let listing = CollectorClient::connect(socket).unwrap().list_sessions().unwrap();
+        listing.sessions.into_iter().map(|s| (s.name, s.live, s.events)).collect::<Vec<_>>()
+    };
+    assert_eq!(listed(&socket), want);
+    collector.shutdown();
+
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    assert_eq!(collector.session_tier("rolled"), Some(StorageTier::Rollup));
+    assert_eq!(listed(&socket), want, "recovered sessions must report their full counts");
+    collector.shutdown();
+}
+
 /// Server-side rejections surface as typed remote errors.
 #[test]
 fn protocol_errors_carry_codes() {
@@ -548,10 +589,10 @@ fn dir_query_cache_hits_and_invalidates_on_change() {
     collector.shutdown();
 }
 
-/// Live query results are cached keyed by the observed-event prefix
-/// (among name, epoch, and the query bytes): repeating a query while no
-/// new events arrived hits the cache, and any newly acked events
-/// invalidate it by construction.
+/// Live answers are never cached (`QueryReply::cache_hit` is always
+/// false for them): a repeated query over an unchanged prefix answers
+/// byte-identically from the owner's sweeps, and a grown prefix answers
+/// the grown prefix.
 #[test]
 fn live_query_cache_hits_until_new_events_arrive() {
     let (collector, socket) = bind("livecache");
@@ -561,17 +602,21 @@ fn live_query_cache_hits_until_new_events_arrive() {
     let spec = QuerySpec::session("lc").group_by([Dim::Phase]);
     let first = client.query(&spec).unwrap();
     assert!(first.live && !first.cache_hit);
+    assert_eq!(first.events_observed, 1_024);
     let second = client.query(&spec).unwrap();
-    assert!(second.live && second.cache_hit, "same prefix must be served from cache");
+    assert!(second.live && !second.cache_hit, "a live answer was served from a cache");
     assert_eq!(second.canonical_json, first.canonical_json);
-    // A different query over the same prefix is its own cache entry...
+    assert_eq!(second.events_observed, first.events_observed);
     let other = client.query(&QuerySpec::session("lc")).unwrap();
     assert!(other.live && !other.cache_hit);
-    // ...and new events miss by construction: the key carries the
-    // prefix length, so a grown prefix can never alias a cached answer.
+    assert_eq!(
+        other.canonical_json,
+        Analysis::of_events(&events[..1_024]).canonical_json().unwrap()
+    );
     client.send_events(&events[1_024..]).unwrap();
     let third = client.query(&spec).unwrap();
-    assert!(third.live && !third.cache_hit, "stale live answer served after new events");
+    assert!(third.live && !third.cache_hit);
+    assert_eq!(third.events_observed, events.len() as u64);
     assert_eq!(
         third.canonical_json,
         Analysis::of_events(&events).group_by([Dim::Phase]).canonical_json().unwrap()

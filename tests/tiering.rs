@@ -94,7 +94,7 @@ fn wait_phase(collector: &Collector, name: &str, phase: SessionPhase) {
 }
 
 /// Polls until the session is pruned (the registry drops the name and
-/// the retention worker removes the directory).
+/// the retention pass removes the directory).
 fn wait_pruned(collector: &Collector, name: &str, dir: &std::path::Path) {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
@@ -185,13 +185,10 @@ fn retention_ages_sessions_down_to_pruned() {
     let policy = RetentionPolicy::parse("raw=0ms,sorted=0ms,rollup=0ms").unwrap();
 
     collector.run_retention_pass(&policy);
-    collector.wait_compaction_idle();
     assert_eq!(collector.session_tier("ager"), Some(StorageTier::Sorted));
     collector.run_retention_pass(&policy);
-    collector.wait_compaction_idle();
     assert_eq!(collector.session_tier("ager"), Some(StorageTier::Rollup));
     collector.run_retention_pass(&policy);
-    collector.wait_compaction_idle();
     wait_pruned(&collector, "ager", &dir);
 
     // Name-reuse regression: a pruned name opens fresh (no
@@ -225,7 +222,6 @@ fn aborted_sessions_prune_after_raw_dwell() {
     // and rollup dwells at zero — only the raw dwell governs its prune.
     let policy = RetentionPolicy::parse("raw=0ms,sorted=0ms,rollup=0ms").unwrap();
     collector.run_retention_pass(&policy);
-    collector.wait_compaction_idle();
     wait_pruned(&collector, "doomed", &dir);
 
     let mut reuse = finish_session(&socket, "doomed", &events);
