@@ -26,11 +26,15 @@
 //! The collector is built to be the most reliable process on the box;
 //! everything below survives a daemon SIGKILL at any byte boundary.
 //!
-//! **Acked means durable.** The daemon writes a `CHUNK_ACK` only after
-//! the chunk is applied to the live sweeps *and* persisted to the
-//! session's chunk directory. A crash can therefore lose only chunks
-//! that were never acked — and those are exactly the chunks the client
-//! still holds in its replay buffer.
+//! **Acked means durable** — against the death of the daemon process,
+//! not of the machine. The daemon writes a `CHUNK_ACK` only after the
+//! chunk is applied to the live sweeps *and* written to the session's
+//! chunk directory. A daemon crash (SIGKILL, panic, abort) can therefore
+//! lose only chunks that were never acked — and those are exactly the
+//! chunks the client still holds in its replay buffer. The daemon never
+//! fsyncs a file or a directory: an acked chunk may still sit only in
+//! the operating system's page cache, so an OS crash or a power loss
+//! can lose acked chunks, or tear the file holding them.
 //!
 //! **What survives a daemon crash.** Every session directory carries a
 //! durable registry record ([`registry::SessionRecord`]: epoch, status,
@@ -119,8 +123,8 @@
 //! | `0x05` | C→S | `LIST_SESSIONS` | empty |
 //! | `0x06` | C→S | `QUERY_ALL` | a [`QuerySpec`] with the all-sessions target |
 //! | `0x81` | S→C | `HELLO_ACK` | [`HelloAck`]: `session_id:u64` \| `credits:u32` \| `epoch:u64` \| `acked_chunks:u64` |
-//! | `0x82` | S→C | `CHUNK_ACK` | `seq:u64` \| `events:u32` — the chunk is applied **and durable** |
-//! | `0x83` | S→C | `FINISH_ACK` | `chunks:u64` \| `events:u64` (durable, manifest written) |
+//! | `0x82` | S→C | `CHUNK_ACK` | `seq:u64` \| `events:u32` — the chunk is applied **and durable** (survives the daemon's death; see the contract above) |
+//! | `0x83` | S→C | `FINISH_ACK` | `chunks:u64` \| `events:u64` (durable as above, manifest written) |
 //! | `0x84` | S→C | `QUERY_OK` | `flags:u8` (bit 0 live, bit 1 cache hit) \| `events_observed:u64` \| canonical JSON |
 //! | `0x85` | S→C | `SESSIONS` | a [`SessionList`] (see its docs for the byte layout) |
 //! | `0x86` | S→C | `QUERY_ALL_OK` | a [`QueryAllReply`]: machine-mergeable grouped tables (see its docs) |

@@ -156,10 +156,11 @@
 //!   the boundary logs of the live sweeps it covers in order, in place,
 //!   and drains them *beside* the sweeps
 //!   ([`OverlapSweep::tables_so_far`]), resuming from a checkpoint the
-//!   previous snapshot left and leaving its own behind. The order is
-//!   the one a single stable sort at the end would produce and a
-//!   resumed drain meets the boundaries as one uninterrupted drain
-//!   would, so no answer — of this snapshot, a later one, or the
+//!   previous snapshot left and leaving its own behind. Sorting in
+//!   steps may place same-time CPU/GPU edges differently from sorting
+//!   once at the end, which no table can tell, and a resumed drain meets
+//!   the boundaries as one uninterrupted drain would, so no answer — of
+//!   this snapshot, a later one, or the
 //!   finished session — depends on whether, when, or for which
 //!   [`LiveView`] snapshots were taken.
 //! * **A snapshot costs what arrived since the last one** of the same

@@ -18,9 +18,12 @@
 //! [`OverlapSweep`]. Every event is reduced, as it is pushed, to two
 //! compact boundary records in an append-only log — per side, a sorted
 //! prefix plus an unsorted tail (`BoundaryQueue`): only out-of-order
-//! pushes are ever sorted, once, with the run-aware `sort_boundaries`,
-//! and merged into the prefix — and one loop (`DrainState::advance`)
-//! walks the sorted log and attributes segments. The engine is fed
+//! pushes are ever sorted, once, by `sort_boundaries`, and merged into
+//! the prefix — and one loop (`DrainState::advance`) walks the sorted
+//! log and attributes segments. The sort splits what it sorts into one
+//! lane per producer (each pid's CPU/GPU edges, the operation edges,
+//! the phase edges), repairs each lane in O(n) as the near-sorted run a
+//! profiler emits, and merges the lanes by key. The engine is fed
 //! either way:
 //!
 //! * **once** — an in-memory source (an event slice, an index subset of
@@ -328,48 +331,72 @@ fn reverse_descending_runs(v: &mut [Boundary]) {
     }
 }
 
-/// One left-to-right repair pass over an almost-sorted array: when an
+/// How far back the repair pass moves a boundary by block rotation; one
+/// displaced further is a straggler (see [`rotate_merge_repair`]).
+const REPAIR_WINDOW: usize = 256;
+
+/// One left-to-right repair pass over an almost-sorted lane: when an
 /// element breaks the sorted prefix, the displaced predecessor block and
 /// the ascending run starting at the offender are merged by block
-/// rotations. Returns `false` (array left as a stability-preserving
-/// permutation of the input) when the work exceeds `budget` moved
-/// elements or a displaced block is long — both signs the input is not
+/// rotations. An offender displaced further back than [`REPAIR_WINDOW`]
+/// — a phase start recorded seconds late, a whole-run scope closing last
+/// — is a **straggler**: it goes to `side` instead, and what follows
+/// closes up behind it. Returns the length of the sorted rest
+/// `v[..kept]`; every straggler is later in the input than every equal
+/// time kept (its window only grows), so merging the stably sorted side
+/// list back with the rest winning ties is stable. `None` (with `v` a
+/// stability-preserving permutation of the input and `side` empty) when
+/// the work exceeds `budget` moved elements — the sign the lane is not
 /// the near-sorted shape this pass is for.
-fn rotate_merge_repair(v: &mut [Boundary], budget: usize) -> bool {
+fn rotate_merge_repair(
+    v: &mut [Boundary],
+    side: &mut Vec<Boundary>,
+    budget: usize,
+) -> Option<usize> {
     let n = v.len();
     let mut moved = 0usize;
-    let mut i = 1;
-    while i < n {
-        if v[i].0 >= v[i - 1].0 {
-            i += 1;
+    // `v[..w]` is the sorted rest, `v[r..]` unread; the `r - w`
+    // stragglers in between are in `side`.
+    let (mut w, mut r) = (n.min(1), n.min(1));
+    while r < n {
+        let x = v[r];
+        if x.0 >= v[w - 1].0 {
+            if w < r {
+                v[w] = x;
+            }
+            (w, r) = (w + 1, r + 1);
             continue;
         }
-        // Sorted-prefix invariant: v[..i] is sorted, so the displaced
-        // block v[a..b) (everything > v[i]) is found by binary search.
-        let pivot = v[i].0;
-        let mut a = v[..i].partition_point(|p| p.0 <= pivot);
-        let mut b = i;
-        // A long displaced block means coarse interleaving of long runs
-        // (e.g. per-process streams concatenated by a trace merge), which
-        // block rotation handles poorly; std's run-merging sort is the
-        // right tool there.
-        if b - a > 256 {
-            return false;
+        // The displaced block v[a..w) (everything > x) is found by
+        // binary search.
+        let mut a = v[..w].partition_point(|p| p.0 <= x.0);
+        if w - a > REPAIR_WINDOW {
+            side.push(x);
+            r += 1;
+            continue;
         }
-        let mut k = i + 1;
+        let mut k = r + 1;
         while k < n && v[k].0 >= v[k - 1].0 {
             k += 1;
         }
-        // Merge adjacent sorted blocks v[a..b) and v[b..k) by rotating
-        // run prefixes into place. `partition_point` bounds keep equal
-        // times in first-seen order, so the pass is stable.
-        while a < b && b < k {
+        // Close the run v[r..k) up behind the rest, then merge the
+        // adjacent sorted blocks v[a..b) and v[b..end) by rotating run
+        // prefixes into place. `partition_point` bounds keep equal times
+        // in first-seen order, so the pass is stable.
+        if w < r {
+            v.copy_within(r..k, w);
+        }
+        let (mut b, end) = (w, w + k - r);
+        while a < b && b < end {
             if v[b].0 < v[a].0 {
                 let head = v[a].0;
-                let t = v[b..k].partition_point(|p| p.0 < head); // >= 1
+                let t = v[b..end].partition_point(|p| p.0 < head); // >= 1
                 moved += b - a + t;
                 if moved > budget {
-                    return false;
+                    // The stragglers go back into the gap they left.
+                    v[end..k].copy_from_slice(side);
+                    side.clear();
+                    return None;
                 }
                 v[a..b + t].rotate_left(b - a);
                 a += t;
@@ -379,27 +406,150 @@ fn rotate_merge_repair(v: &mut [Boundary], budget: usize) -> bool {
                 a += v[a..b].partition_point(|p| p.0 <= cut);
             }
         }
-        i = k;
+        (w, r) = (end, k);
     }
+    Some(w)
+}
+
+/// Stable sort of one producer lane by time (see [`sort_boundaries`]):
+/// strictly-descending runs reversed in an O(n) pre-pass, local disorder
+/// repaired by block rotations, stragglers sorted on the side and merged
+/// back. `false` when the repair gave up and the lane was sorted by
+/// comparison instead.
+fn sort_lane(v: &mut [Boundary], side: &mut Vec<Boundary>) -> bool {
+    reverse_descending_runs(v);
+    side.clear();
+    let budget = v.len() * 2 + 64;
+    let Some(kept) = rotate_merge_repair(v, side, budget) else {
+        v.sort_by_key(|b| b.0);
+        return false;
+    };
+    side.sort_by_key(|b| b.0);
+    v[kept..].copy_from_slice(side);
+    merge_adjacent_runs(v, kept);
     true
 }
 
-/// Stable sort of boundaries by time, tuned for profiler streams.
-///
-/// Real event streams are emitted near-chronologically, but two shapes
-/// defeat std's run-merging sort: deeply nested annotation stacks make the
-/// *end* queue a chain of descending runs (each block of 64-deep scopes
-/// closes inside-out), and the per-block close order leaves single
-/// stragglers between runs. This sort reverses strictly-descending runs in
-/// an O(n) pre-pass, then repairs the remaining local disorder with block
-/// rotations; genuinely unsorted input falls back to `sort_by_key`. Ties
-/// keep push order (event order), matching a stable sort by time.
-fn sort_boundaries(v: &mut [Boundary]) {
-    reverse_descending_runs(v);
-    let budget = v.len() * 2 + 64;
-    if !rotate_merge_repair(v, budget) {
-        v.sort_by_key(|b| b.0);
+/// The producer lane of a boundary: 0 for operation edges, 1 for phase
+/// edges, `2 + pid index` for CPU/GPU edges (see [`Boundary`]).
+#[inline]
+fn lane_of(b: &Boundary) -> usize {
+    // Written as a select, not a match: lanes interleave too finely for
+    // a branch to predict.
+    if b.2 > CODE_GPU {
+        (b.2 >> 31) as usize
+    } else {
+        2 + b.1 as usize
     }
+}
+
+/// The order lanes merge in: time, then the arrival seq of a scope edge
+/// (0 for a CPU/GPU edge, whose same-time order is attribution-neutral),
+/// packed into one integer so a comparison is one compare.
+#[inline]
+fn merge_key(b: &Boundary) -> u128 {
+    u128::from(b.0) << 32 | u128::from(if b.2 > CODE_GPU { b.1 } else { 0 })
+}
+
+/// Stable merge of two keyed runs into `out`, `left` winning ties. The
+/// loop picks by a select, not a branch: which run the next boundary
+/// comes from is as good as random on interleaved producers.
+fn merge_keyed(left: &[Boundary], right: &[Boundary], out: &mut [Boundary]) {
+    let (mut l, mut r, mut o) = (0, 0, 0);
+    while l < left.len() && r < right.len() {
+        let take_right = merge_key(&right[r]) < merge_key(&left[l]);
+        out[o] = if take_right { right[r] } else { left[l] };
+        r += usize::from(take_right);
+        l += usize::from(!take_right);
+        o += 1;
+    }
+    let rest = left.len() - l;
+    out[o..o + rest].copy_from_slice(&left[l..]);
+    out[o + rest..].copy_from_slice(&right[r..]);
+}
+
+/// Sorts a queue's unsorted tail by **producer lane**, tuned for
+/// profiler streams. Returns how many lanes fell back to `sort_by_key`.
+///
+/// One process's stream is emitted near-chronologically: deeply nested
+/// annotation stacks make the *end* queue a chain of descending runs
+/// (each block of 64-deep scopes closes inside-out), the per-block close
+/// order leaves single boundaries out of place between runs, and a scope
+/// recorded at close lands far behind its start. [`sort_lane`] repairs exactly that
+/// in O(n). Merged processes interleave such streams, which no local
+/// repair can undo, so the tail is split into lanes read off the
+/// boundary (see [`lane_of`]) by a stable counting partition into one
+/// scratch buffer: each pid's CPU/GPU edges, all operation edges, all
+/// phase edges (a scope boundary carries its arrival seq, not its pid).
+/// Each lane is sorted on its own, and the lanes are merged in pairs by
+/// [`merge_key`]. A tail whose CPU/GPU edges all come from one pid is one
+/// lane, scopes included: a single process's stream is already the shape
+/// the repair is for, and splitting it would only add merges.
+///
+/// The result is ascending by time, with same-time scope edges in
+/// arrival order — which is push order, so a single-lane tail comes out
+/// exactly as one stable sort by time. Only where same-time CPU/GPU edges
+/// sit relative to other boundaries may differ from that sort, and no
+/// table can tell (see [`BoundaryQueue`]).
+fn sort_boundaries(v: &mut [Boundary]) -> usize {
+    let mut side = Vec::new();
+    let first = v.iter().find(|b| b.2 <= CODE_GPU).map_or(0, |b| b.1);
+    if v.iter().all(|b| (b.2 > CODE_GPU) | (b.1 == first)) {
+        return usize::from(!sort_lane(v, &mut side));
+    }
+    let mut counts = vec![0usize; 2];
+    for b in v.iter() {
+        let lane = lane_of(b);
+        if lane >= counts.len() {
+            counts.resize(lane + 1, 0);
+        }
+        counts[lane] += 1;
+    }
+    let mut runs = Vec::with_capacity(counts.len());
+    let mut fill = Vec::with_capacity(counts.len());
+    let mut at = 0;
+    for &count in &counts {
+        fill.push(at);
+        if count > 0 {
+            runs.push(at..at + count);
+        }
+        at += count;
+    }
+    let mut scratch = vec![(0, 0, 0); v.len()];
+    for &b in v.iter() {
+        let slot = &mut fill[lane_of(&b)];
+        scratch[*slot] = b;
+        *slot += 1;
+    }
+    let mut fallbacks = 0;
+    for run in &runs {
+        fallbacks += usize::from(!sort_lane(&mut scratch[run.clone()], &mut side));
+    }
+    // Merge neighbouring runs pairwise, back and forth between the two
+    // buffers, until one is left.
+    let mut in_scratch = true;
+    while runs.len() > 1 {
+        let (from, to): (&[Boundary], &mut [Boundary]) =
+            if in_scratch { (&scratch, &mut *v) } else { (&*v, &mut scratch) };
+        runs = runs
+            .chunks(2)
+            .map(|pair| {
+                let (left, right) = (pair[0].clone(), pair[pair.len() - 1].clone());
+                let span = left.start..right.end;
+                if pair.len() == 2 {
+                    merge_keyed(&from[left], &from[right], &mut to[span.clone()]);
+                } else {
+                    to[span.clone()].copy_from_slice(&from[span.clone()]);
+                }
+                span
+            })
+            .collect();
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        v.copy_from_slice(&scratch);
+    }
+    fallbacks
 }
 
 /// Per-phase breakdown tables in first-seen phase order; the label
@@ -557,15 +707,17 @@ impl fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// A logged interval boundary `(time, seq, meta)`. Only the time is ever
-/// compared; same-time boundaries keep push order (see
-/// [`BoundaryQueue`]). For CPU/GPU events `meta` is a kind code
-/// (`0..=4`) and `seq` carries the event's dense pid index. For
+/// A logged interval boundary `(time, seq, meta)`. For CPU/GPU events
+/// `meta` is a kind code (`0..=4`) and `seq` carries the event's dense
+/// pid index — the boundary's producer lane when a tail is sorted. For
 /// operations `meta` is `8 + op_id`, for tracked phases
 /// [`META_PHASE_FLAG`]` | key` with `key` indexing the log's interned
 /// `(phase id, pid index)` pairs, and `seq` is the event's arrival
 /// number — the scope's identity, by which its end finds the entry its
-/// start pushed on a drain's stack.
+/// start pushed on a drain's stack, and its tie-break: same-time scope
+/// boundaries keep arrival order, while same-time CPU/GPU boundaries
+/// may sit anywhere among the boundaries of their time (see
+/// [`BoundaryQueue`]).
 type Boundary = (u64, u32, u32);
 
 /// One side (starts or ends) of the sweep's boundary log: a **sorted
@@ -584,26 +736,37 @@ type Boundary = (u64, u32, u32);
 /// ([`OverlapSweep::release_to`]), whose own state consumes for good,
 /// ever reclaims what lies behind it ([`BoundaryQueue::compact`]).
 ///
-/// **Merge rule.** `ensure_sorted` sorts the *tail only* (the
-/// near-sorted repair sort `sort_boundaries`, O(tail) on the shapes
-/// that caused the disorder) and merges it into the prefix stably, the
-/// prefix winning ties. The prefix is touched only from the tail
-/// minimum's insertion point on, and the shorter of the two runs is the
-/// one copied to scratch. The prefix was pushed before the tail and each
-/// side keeps its own push order, so the result is bit for bit the one
-/// stable sort of the whole buffer by time — which is why it does not
-/// matter *when* or *how often* the queue is put in order: history is
-/// sorted once, and each later call pays for the boundaries pushed since
-/// the previous one. A fully sorted stream never sorts at all. It is
-/// also why a drain state parked at a position stays right for as long
-/// as every later push has a time above the last one it processed: such
-/// a push can only land behind it.
+/// **Merge rule.** `ensure_sorted` sorts the *tail only* — by producer
+/// lane (`sort_boundaries`: each pid's CPU/GPU edges, the operation
+/// edges and the phase edges each repaired in O(lane) as the
+/// near-sorted run a profiler emits, then merged in pairs by
+/// `(time, seq of a scope edge or 0)`) — and merges it into the prefix
+/// stably by time, the prefix winning ties. The prefix is touched only
+/// from the tail minimum's insertion point on, and the shorter of the
+/// two runs is the one copied to scratch. The result is ascending by
+/// time, and same-time scope edges are in arrival (`seq`) order: the
+/// prefix's were pushed before the tail's, and the lane merge orders
+/// the tail's by seq. History is sorted once, and each later call pays
+/// for the boundaries pushed since the previous one; a fully sorted
+/// stream never sorts at all. A drain state parked at a position stays
+/// right for as long as every later push has a time above the last one
+/// it processed: such a push can only land behind it.
 ///
-/// **Why ties are safe.** Only the time is compared. Same-time
-/// boundaries keep push order, exactly as under a stable sort of the
-/// whole buffer; for operations and phases push order is arrival (`seq`)
-/// order, which is load-bearing, and for CPU/GPU edges same-time order
-/// is attribution-neutral (see [`OverlapSweep::push`]).
+/// **Why ties are safe.** Same-time boundaries are not always in push
+/// order: a tail of several producers puts a time's CPU/GPU edges ahead
+/// of its scope edges and groups them by pid, where one stable sort by
+/// time of the whole buffer would have interleaved them as pushed. No
+/// table can tell. Scope edges keep arrival order, which is
+/// load-bearing: the operation and phase stacks, and the phase
+/// activation order, are built from it. A CPU/GPU edge only moves
+/// counters (the category counts, the GPU count, its pid's activity)
+/// that no scope edge reads, those updates commute with each other, and
+/// no time accrues between equal times, so the next segment sees the
+/// same state in every order (see [`OverlapSweep::push`]). Which
+/// boundaries share a time, and so what is attributed, does not depend
+/// on the order at all; which of them a live drain's checkpoint stopped
+/// between does not either, since a checkpoint is only resumed when
+/// every later push is strictly later than its last time.
 #[derive(Debug, Clone)]
 struct BoundaryQueue {
     buf: Vec<Boundary>,
@@ -615,11 +778,21 @@ struct BoundaryQueue {
     /// release that cannot make progress returns without consulting (or
     /// sorting) the buffer at all.
     min_time: u64,
+    /// Lanes `sort_boundaries` has sorted by comparison because their
+    /// repair gave up.
+    #[cfg(test)]
+    fallbacks: usize,
 }
 
 impl BoundaryQueue {
     fn new() -> Self {
-        BoundaryQueue { buf: Vec::new(), sorted_to: 0, min_time: u64::MAX }
+        BoundaryQueue {
+            buf: Vec::new(),
+            sorted_to: 0,
+            min_time: u64::MAX,
+            #[cfg(test)]
+            fallbacks: 0,
+        }
     }
 
     #[inline]
@@ -643,11 +816,15 @@ impl BoundaryQueue {
             return;
         }
         // The disorder shapes that reach here (inside-out scope closes,
-        // one whole-run scope closing last) are exactly what
-        // `sort_boundaries` repairs in O(n); a full comparison sort of
-        // the pending window costs more than the merge loop that
+        // scopes recorded at close, several processes interleaved) are
+        // what `sort_boundaries` undoes in O(n); a full comparison sort
+        // of the pending window costs more than the merge loop that
         // follows it.
-        sort_boundaries(&mut self.buf[split..]);
+        let _fell_back = sort_boundaries(&mut self.buf[split..]);
+        #[cfg(test)]
+        {
+            self.fallbacks += _fell_back;
+        }
         // Prefix boundaries at or before the tail's minimum are already
         // in their final place (the prefix wins ties).
         let tail_min = self.buf[split].0;
@@ -757,8 +934,9 @@ struct BoundaryLog {
     /// replaying old boundaries reads what their push wrote.
     phase_keys: Vec<(u32, u32)>,
     phase_key_ids: HashMap<(u32, u32), u32>,
-    /// Raw pid → dense index into the per-pid drain state; only
-    /// populated when phases are tracked.
+    /// Raw pid → dense index: a CPU/GPU boundary's sort lane, and its
+    /// slot in the per-pid drain state (read only when phases are
+    /// tracked).
     pid_map: HashMap<u32, u32>,
     /// Memo of the last `(raw pid, dense index)` resolved: profiler
     /// streams run long same-pid stretches, so most lookups never touch
@@ -767,13 +945,9 @@ struct BoundaryLog {
 }
 
 impl BoundaryLog {
-    /// Dense index of a raw pid. Constant 0 when phases are untracked —
-    /// plain sweeps never consult pid state.
+    /// Dense index of a raw pid.
     #[inline]
     fn pid_index(&mut self, pid: u32) -> u32 {
-        if !self.track_phases {
-            return 0;
-        }
         if let Some((raw, idx)) = self.last_pid {
             if raw == pid {
                 return idx;
@@ -1145,10 +1319,9 @@ impl DrainState {
 /// (tens of entries, a few KB each) — and the next one resumes from the
 /// latest checkpoint that is still valid. A checkpoint stays valid
 /// while every boundary pushed since the last call has a time
-/// **strictly greater** than the last time it processed: the stable
-/// merge then places all of them behind its positions, in the order one
-/// uninterrupted drain would meet them (ends before starts at equal
-/// times, earlier pushes first). The sweep tracks one low-water time
+/// **strictly greater** than the last time it processed: the merge
+/// then places all of them behind its positions, and what lies before
+/// them is unchanged. The sweep tracks one low-water time
 /// between calls for this — not queue indices: a late start can sit at
 /// an index past a checkpoint's and still belong before the end it
 /// processed last. The cost of a call is therefore the boundaries that
@@ -1268,10 +1441,11 @@ impl OverlapSweep {
     /// Puts the log in the order a drain needs, in place, without
     /// draining any of it. Nothing observable changes — the sweep
     /// finalizes to the same table whether or not, and however often,
-    /// this is called (the order is the one stable sort by time either
-    /// way) — but the work is kept: a later call or drain sorts only
-    /// what was pushed since. Free when every push since the last call
-    /// arrived in order.
+    /// this is called (same-time CPU/GPU edges may land elsewhere among
+    /// their time's boundaries, which no table can tell; see
+    /// `BoundaryQueue`) — but the work is kept: a later call or drain
+    /// sorts only what was pushed since. Free when every push since the
+    /// last call arrived in order.
     pub fn sort_pending(&mut self) {
         self.log.starts.ensure_sorted();
         self.log.ends.ensure_sorted();
@@ -1367,14 +1541,17 @@ impl OverlapSweep {
                 return Err(SweepError::OrderViolation { start, swept_to: self.released_to });
             }
             // CPU/GPU boundaries reuse the seq field to carry the
-            // event's dense pid index (0 when phases are untracked):
-            // per-pid activity tracking needs the owner at drain time,
-            // and same-time boundary reordering among CPU/GPU edges
-            // cannot change any attribution (no time accrues between
-            // equal-time boundaries and their state updates commute).
+            // event's dense pid index: the sort splits a tail into one
+            // lane per pid by it, and per-pid activity tracking needs
+            // the owner at drain time. Moving a CPU/GPU edge among the
+            // boundaries of its time — other CPU/GPU edges or scope
+            // edges, as the lane merge does — cannot change any
+            // attribution: no time accrues between equal-time
+            // boundaries, and its counter updates commute with every
+            // other update at that time and are read by no scope edge.
             // Operations and phases carry their arrival seq (see
-            // `Boundary`); everything else a drain needs to know about
-            // them is in the meta word.
+            // `Boundary`), which keeps their same-time order; everything
+            // else a drain needs to know about them is in the meta word.
             let log = &mut self.log;
             let (seq, meta) = match tag {
                 0..=3 => (log.pid_index(e.pid()), u32::from(tag)),
@@ -1548,6 +1725,7 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use rlscope_sim::ids::ProcessId;
+    use rlscope_sim::rng::SimRng;
     use rlscope_sim::time::TimeNs;
 
     fn ev(kind: EventKind, name: &str, start_us: u64, end_us: u64) -> Event {
@@ -1849,23 +2027,48 @@ mod tests {
         assert!(sweep.push(&ev(EventKind::Cpu(CpuCategory::Python), "late", 0, 5)).is_err());
     }
 
-    /// Pushes `(time, seq)` boundaries (meta unused) into a fresh queue.
+    /// An operation boundary at `t`: `seq` is its arrival number.
+    fn op_edge(t: u64, seq: u32) -> Boundary {
+        (t, seq, META_OP_BASE)
+    }
+
+    /// Pushes operation boundaries, `seq` counting arrivals, into a
+    /// fresh queue.
     fn queue_of(times: impl IntoIterator<Item = u64>) -> BoundaryQueue {
         let mut q = BoundaryQueue::new();
         for (seq, t) in times.into_iter().enumerate() {
-            q.push((t, seq as u32, 0));
+            q.push(op_edge(t, seq as u32));
         }
         q
     }
 
-    /// `ensure_sorted` must leave the buffer exactly as one stable sort
-    /// by time of the whole of it would — `seq` tells equal-time
-    /// boundaries apart — with no tail left, the `consumed` boundaries a
-    /// drain has walked past where they were, and the smallest
-    /// unconsumed time still right.
-    fn assert_sorts_like_one_stable_sort(q: &mut BoundaryQueue, consumed: usize) {
-        let mut expected = q.buf.clone();
-        expected.sort_by_key(|b| b.0);
+    /// The order `ensure_sorted` promises, by a model: the tail one
+    /// stable sort by time when its CPU/GPU edges come from at most one
+    /// pid, else one stable sort by `(merge key, lane)` — what merging
+    /// the lanes in pairs, left winning ties, amounts to — and then one
+    /// stable sort of prefix and tail by time, the prefix first.
+    fn keyed_order(q: &BoundaryQueue) -> Vec<Boundary> {
+        let (prefix, tail) = q.buf.split_at(q.sorted_to);
+        let mut tail = tail.to_vec();
+        let pids: std::collections::BTreeSet<usize> =
+            tail.iter().map(lane_of).filter(|&lane| lane >= 2).collect();
+        if pids.len() <= 1 {
+            tail.sort_by_key(|b| b.0);
+        } else {
+            tail.sort_by_key(|b| (merge_key(b), lane_of(b)));
+        }
+        let mut all = [prefix, &tail[..]].concat();
+        all.sort_by_key(|b| b.0);
+        all
+    }
+
+    /// `ensure_sorted` must leave the buffer exactly in [`keyed_order`]
+    /// — for scope edges alone that is one stable sort by time of the
+    /// whole buffer, `seq` telling equal times apart — with no tail
+    /// left, the `consumed` boundaries a drain has walked past where
+    /// they were, and the smallest unconsumed time still right.
+    fn assert_sorts_in_keyed_order(q: &mut BoundaryQueue, consumed: usize) {
+        let expected = keyed_order(q);
         let walked = q.buf[..consumed].to_vec();
         q.ensure_sorted();
         assert_eq!(q.buf, expected);
@@ -1878,11 +2081,11 @@ mod tests {
     fn boundary_queue_prefix_grows_while_pushes_arrive_in_order() {
         let mut q = queue_of([1, 2, 2, 5]);
         assert_eq!((q.sorted_to, q.buf.len()), (4, 4));
-        q.push((3, 4, 0));
-        q.push((9, 5, 0)); // in order after the break: still tail
+        q.push(op_edge(3, 4));
+        q.push(op_edge(9, 5)); // in order after the break: still tail
         assert_eq!((q.sorted_to, q.buf.len()), (4, 6));
-        assert_sorts_like_one_stable_sort(&mut q, 0);
-        q.push((9, 6, 0));
+        assert_sorts_in_keyed_order(&mut q, 0);
+        q.push(op_edge(9, 6));
         assert_eq!(q.sorted_to, 7, "a sorted queue grows its prefix again");
     }
 
@@ -1892,10 +2095,10 @@ mod tests {
     fn boundary_queue_merge_keeps_push_order_at_equal_times() {
         let mut q = queue_of([1, 5, 5, 7, 7, 9]);
         for t in [5, 7, 1, 7, 5, 9, 9] {
-            q.push((t, q.buf.len() as u32, 0));
+            q.push(op_edge(t, q.buf.len() as u32));
         }
         assert_eq!(q.sorted_to, 6);
-        assert_sorts_like_one_stable_sort(&mut q, 0);
+        assert_sorts_in_keyed_order(&mut q, 0);
         let seqs_at = |t: u64| -> Vec<u32> {
             q.buf.iter().filter(|b| b.0 == t).map(|b| b.1).collect::<Vec<_>>()
         };
@@ -1915,13 +2118,13 @@ mod tests {
             let mut q = queue_of(long_tail);
             q.min_time = q.buf[consumed].0;
             assert_eq!(q.sorted_to, 11);
-            assert_sorts_like_one_stable_sort(&mut q, consumed);
+            assert_sorts_in_keyed_order(&mut q, consumed);
 
             let short_tail = (0..50).map(|i| i * 10).chain([205, 120, 120, 333]);
             let mut q = queue_of(short_tail);
             q.min_time = q.buf[consumed].0;
             assert_eq!(q.sorted_to, 50);
-            assert_sorts_like_one_stable_sort(&mut q, consumed);
+            assert_sorts_in_keyed_order(&mut q, consumed);
         }
     }
 
@@ -1932,10 +2135,10 @@ mod tests {
         let mut q = queue_of([1, 2, 3, 9, 7, 8, 3]);
         let prefix = q.buf[..3].to_vec();
         assert_eq!(q.sorted_to, 4);
-        assert_sorts_like_one_stable_sort(&mut q, 0);
+        assert_sorts_in_keyed_order(&mut q, 0);
         assert_eq!(q.buf[..3], prefix[..]);
         let mut q = queue_of([1, 2, 3, 5, 4, 3]);
-        assert_sorts_like_one_stable_sort(&mut q, 0);
+        assert_sorts_in_keyed_order(&mut q, 0);
     }
 
     /// One straggler landing 10⁵ positions back in an otherwise sorted
@@ -1944,10 +2147,128 @@ mod tests {
     fn boundary_queue_places_one_boundary_far_back() {
         let n = 150_000u64;
         let mut q = queue_of((0..n).map(|i| i * 2));
-        q.push((2 * (n - 100_000) + 1, n as u32, 0));
+        q.push(op_edge(2 * (n - 100_000) + 1, n as u32));
         assert_eq!((q.sorted_to, q.buf.len()), (n as usize, n as usize + 1));
-        assert_sorts_like_one_stable_sort(&mut q, 0);
+        assert_sorts_in_keyed_order(&mut q, 0);
         assert_eq!(q.buf[(n - 100_000) as usize + 1].1, n as u32);
+    }
+
+    /// A tail of three pids' CPU/GPU edges, operation edges and phase
+    /// edges on a coarse grid (so every kind ties with every other),
+    /// locally disordered, plus stragglers far behind their lane — a
+    /// whole-run operation, a CPU edge, a phase start — comes out in
+    /// keyed order without a fallback. A lane in random order falls
+    /// back on its own and leaves the others' repair alone.
+    #[test]
+    fn lane_sort_merges_interleaved_producers_in_keyed_order() {
+        let tail = |rng: &mut SimRng| {
+            let (mut q, mut seq) = (queue_of([0]), 1);
+            let mut scope = |t: u64, meta: u32| {
+                seq += 1;
+                (t, seq, meta)
+            };
+            for i in 0..3000u64 {
+                let t = i / 3 * 10 + 10 * rng.below(3) as u64;
+                let b = match rng.below(6) {
+                    0 => scope(t, META_OP_BASE + rng.below(3) as u32),
+                    1 => scope(t, META_PHASE_FLAG | rng.below(2) as u32),
+                    _ => (t, rng.below(3) as u32, rng.below(5) as u32),
+                };
+                q.push(b);
+            }
+            q.push(scope(10, META_OP_BASE));
+            q.push((20, 1, CODE_GPU));
+            q.push(scope(30, META_PHASE_FLAG));
+            q
+        };
+        let mut rng = SimRng::seed_from_u64(29);
+        let mut q = tail(&mut rng);
+        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_eq!(q.fallbacks, 0);
+
+        let mut q = tail(&mut rng);
+        for b in &mut q.buf[1..] {
+            if b.2 <= CODE_GPU && b.1 == 2 {
+                b.0 = rng.below(10_000) as u64;
+            }
+        }
+        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_eq!(q.fallbacks, 1);
+    }
+
+    /// A profiler-shaped stream like the e2e harness's sessions: `pids`
+    /// processes take turns (the one furthest behind runs next), each
+    /// operation recorded after the CPU/GPU events inside it — a CUDA
+    /// call before the backend call around it, a kernel running past its
+    /// launch — and each process's phase recorded when it closes, some
+    /// ten thousand events after it opened.
+    fn session_shaped(pids: usize, n: usize) -> Vec<Event> {
+        use crate::event::GpuCategory;
+        let mut rng = SimRng::seed_from_u64(pids as u64);
+        let mut cursor: Vec<u64> = (0..pids).map(|_| rng.below(200_000) as u64).collect();
+        let mut phase_start = vec![0u64; pids];
+        let mut out = Vec::with_capacity(n + 16);
+        let span = |pid: usize, kind, name: &str, start: u64, end: u64| {
+            let (start, end) = (TimeNs::from_nanos(start), TimeNs::from_nanos(end));
+            Event::new(ProcessId(pid as u32), kind, name, start, end)
+        };
+        while out.len() < n {
+            let p = (0..pids).min_by_key(|&p| cursor[p]).expect("pids > 0");
+            let op_start = cursor[p];
+            let mut t = op_start + rng.below(5_000) as u64;
+            for _ in 0..6 + rng.below(10) {
+                let end = t + 50_000 + rng.below(180_000) as u64;
+                let quarter = (end - t) / 4;
+                match rng.below(3) {
+                    0 => out.push(span(p, EventKind::Cpu(CpuCategory::Python), "py", t, end)),
+                    1 => {
+                        let api = EventKind::Cpu(CpuCategory::CudaApi);
+                        out.push(span(p, api, "launch", t + quarter, t + 2 * quarter));
+                        out.push(span(p, EventKind::Cpu(CpuCategory::Backend), "mm", t, end));
+                        let kernel = EventKind::Gpu(GpuCategory::Kernel);
+                        out.push(span(p, kernel, "k", t + 2 * quarter, end + quarter));
+                    }
+                    _ => out.push(span(p, EventKind::Cpu(CpuCategory::Simulator), "sim", t, end)),
+                }
+                t = end + rng.below(40_000) as u64;
+            }
+            let op = ["inference", "backprop", "env_step"][rng.below(3)];
+            out.push(span(p, EventKind::Operation, op, op_start, t));
+            cursor[p] = t + rng.below(10_000) as u64;
+            if cursor[p] - phase_start[p] >= 300_000_000 {
+                let phase = ["collect", "train"][rng.below(2)];
+                out.push(span(p, EventKind::Phase, phase, phase_start[p], cursor[p]));
+                phase_start[p] = cursor[p];
+            }
+        }
+        out
+    }
+
+    /// The cold sweep of a 4-process session — and of a 1-process one,
+    /// whose phase starts land thousands of boundaries behind in its
+    /// single lane — sorts both queues in keyed order without one
+    /// comparison-sort fallback, whether the log is sorted once at the
+    /// end or after every 8192-event chunk, and both answer alike.
+    #[test]
+    fn session_shaped_streams_sort_without_fallback() {
+        for pids in [4, 1] {
+            let events = session_shaped(pids, 60_000);
+            let mut cold = OverlapSweep::new().with_phase_tagging();
+            let mut stepped = OverlapSweep::new().with_phase_tagging();
+            for chunk in events.chunks(8192) {
+                cold.push_batch(chunk).unwrap();
+                stepped.push_batch(chunk).unwrap();
+                stepped.sort_pending();
+            }
+            for q in [&mut cold.log.starts, &mut cold.log.ends] {
+                assert!(q.buf.len() - q.sorted_to > 50_000, "one tail, nearly the whole log");
+                assert_sorts_in_keyed_order(q, 0);
+            }
+            for sweep in [&cold, &stepped] {
+                assert_eq!((sweep.log.starts.fallbacks, sweep.log.ends.fallbacks), (0, 0));
+            }
+            assert_eq!(cold.finalize_grouped(), stepped.finalize_grouped(), "{pids} pids");
+        }
     }
 
     /// Partial drains advance a released sweep's positions, `compact`
@@ -1966,7 +2287,7 @@ mod tests {
             q.push((t, 0, 0));
         }
         assert_eq!(q.sorted_to, 1000);
-        assert_sorts_like_one_stable_sort(&mut q, 0);
+        assert_sorts_in_keyed_order(&mut q, 0);
 
         let mut events = Vec::new();
         for i in 0..4000u64 {

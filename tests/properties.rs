@@ -187,6 +187,65 @@ fn reference_overlap(events: &[Event]) -> BreakdownTable {
     table
 }
 
+/// A profiler-shaped multi-process stream, near-sorted and interleaved
+/// on a coarse grid: `pids` processes take turns, the one furthest
+/// behind running its next operation (ties to the lowest pid). Each
+/// operation in `ops` is `(children, first kind, length, gap)`: its CPU/GPU
+/// children run back to back and are recorded as they close — a CUDA
+/// call before the backend call around it, a kernel running on past
+/// the operation — and the operation after them. Every
+/// `phase_every`-th operation of a process closes that process's phase,
+/// recorded then, its start far behind. Every time is a multiple of 10
+/// ns and every process starts at 0, so starts of different pids and
+/// kinds tie all the time.
+fn session_shaped(pids: usize, ops: &[(usize, usize, u64, u64)], phase_every: usize) -> Vec<Event> {
+    let kinds = [
+        EventKind::Cpu(CpuCategory::Python),
+        EventKind::Cpu(CpuCategory::Simulator),
+        EventKind::Gpu(GpuCategory::Kernel),
+        EventKind::Gpu(GpuCategory::Memcpy),
+        EventKind::Cpu(CpuCategory::Backend),
+    ];
+    let (mut cursor, mut done, mut phase_start) = (vec![0; pids], vec![0; pids], vec![0; pids]);
+    let mut out = Vec::new();
+    let span = |p: usize, kind, name: &str, start: u64, end: u64| {
+        Event::new(
+            ProcessId(p as u32),
+            kind,
+            name,
+            TimeNs::from_nanos(start * 10),
+            TimeNs::from_nanos(end * 10),
+        )
+    };
+    for &(children, first, len, gap) in ops {
+        let p = (0..pids).min_by_key(|&p| cursor[p]).unwrap();
+        let mut t = cursor[p];
+        for kind in (first..first + children).map(|k| kinds[k % kinds.len()].clone()) {
+            let end = t + len;
+            match kind {
+                EventKind::Cpu(CpuCategory::Backend) if len > 2 => {
+                    let api = EventKind::Cpu(CpuCategory::CudaApi);
+                    out.push(span(p, api, "launch", t + 1, end - 1));
+                    out.push(span(p, kind, "mm", t, end));
+                }
+                EventKind::Gpu(_) => out.push(span(p, kind, "k", t, end + len)),
+                _ => out.push(span(p, kind, "cpu", t, end)),
+            }
+            t = end + gap;
+        }
+        let op = ["alpha", "beta", "gamma"][(first + p) % 3];
+        out.push(span(p, EventKind::Operation, op, cursor[p], t));
+        cursor[p] = t + gap;
+        done[p] += 1;
+        if done[p] % phase_every == 0 {
+            let phase = ["beta", "delta"][done[p] / phase_every % 2];
+            out.push(span(p, EventKind::Phase, phase, phase_start[p], cursor[p]));
+            phase_start[p] = cursor[p];
+        }
+    }
+    out
+}
+
 /// Pushes `events` into `sweep` cut into chunks of the cycled lengths.
 fn push_in_splits(sweep: &mut OverlapSweep, events: &[Event], chunk_lens: &[usize]) {
     let mut rest = events;
@@ -816,6 +875,68 @@ proptest! {
             live_answers(LiveView::Both, &snapshotted.snapshot()),
             live_answers(LiveView::Both, &untouched.snapshot())
         );
+    }
+
+    /// The boundary sort splits a multi-process tail into one lane per
+    /// producer and merges the lanes by `(time, arrival of a scope)`;
+    /// the lane merge decides where same-time boundaries of different
+    /// pids and kinds sit. On a profiler-shaped stream whose starts tie
+    /// across pids and kinds, phase-grouped and plain answers equal the
+    /// naive reference in memory, through a raw chunk directory whose
+    /// sweeps are released behind the footers' frontier, and through a
+    /// live session after every chunk (resuming from checkpoints one to
+    /// three boundaries apart).
+    #[test]
+    fn session_shaped_streams_match_reference_everywhere(
+        pids in 2usize..5,
+        ops in prop::collection::vec((1usize..4, 0usize..5, 1u64..6, 0u64..3), 1..100),
+        phase_every in 2usize..6,
+        chunk_lens in prop::collection::vec(8usize..40, 1..6),
+        spacing in 1usize..4,
+    ) {
+        use rlscope::core::analysis::LiveState;
+        use rlscope::core::store::upgrade_chunk_dir;
+
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let events = session_shaped(pids, &ops, phase_every);
+        let by_phase = |q: Analysis<'_>| -> Vec<(Arc<str>, BreakdownTable)> {
+            let tables = q.group_by([Dim::Phase]).tables().unwrap();
+            tables.into_iter().map(|(key, table)| (key.phase.unwrap(), table)).collect()
+        };
+        let reference = reference_phase_tables(&events);
+        prop_assert_eq!(&by_phase(Analysis::of_events(&events)), &reference);
+        prop_assert_eq!(
+            &Analysis::of_events(&events).table().unwrap(),
+            &reference_overlap(&events)
+        );
+
+        let dir = std::env::temp_dir().join(format!(
+            "rlscope_prop_lanes_{}_{}", std::process::id(), CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let writer = TraceWriter::create(&dir, 1).unwrap(); // one chunk per batch
+        let mut live = LiveState::with_checkpoint_spacing(spacing);
+        let (mut fed, mut cuts) = (0, chunk_lens.iter().cycle());
+        while fed < events.len() {
+            let chunk = &events[fed..events.len().min(fed + cuts.next().unwrap())];
+            fed += chunk.len();
+            writer.write(chunk.to_vec());
+            live.push_columns(&EventColumns::from_events(chunk)).unwrap();
+            let tables = live.snapshot_view(LiveView::Merged);
+            prop_assert_eq!(
+                &by_phase(Analysis::of_live(&tables)),
+                &reference_phase_tables(&events[..fed]),
+                "live after {} events", fed
+            );
+        }
+        writer.finish().unwrap();
+        upgrade_chunk_dir(&dir).unwrap();
+        prop_assert_eq!(&by_phase(Analysis::from_chunk_dir(&dir)), &reference);
+        prop_assert_eq!(
+            &Analysis::from_chunk_dir(&dir).table().unwrap(),
+            &reference_overlap(&events)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// One pass with a derived working set answers every directory
