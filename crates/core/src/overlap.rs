@@ -361,10 +361,15 @@ fn rotate_merge_repair(
     while r < n {
         let x = v[r];
         if x.0 >= v[w - 1].0 {
-            if w < r {
-                v[w] = x;
+            // The ascending run from `r` extends the rest as it stands.
+            let mut k = r + 1;
+            while k < n && v[k].0 >= v[k - 1].0 {
+                k += 1;
             }
-            (w, r) = (w + 1, r + 1);
+            if w < r {
+                v.copy_within(r..k, w);
+            }
+            (w, r) = (w + k - r, k);
             continue;
         }
         // The displaced block v[a..w) (everything > x) is found by
@@ -493,17 +498,18 @@ fn merge_keyed(left: &[Boundary], right: &[Boundary], out: &mut [Boundary]) {
 /// table can tell (see [`BoundaryQueue`]).
 fn sort_boundaries(v: &mut [Boundary]) -> usize {
     let mut side = Vec::new();
-    let first = v.iter().find(|b| b.2 <= CODE_GPU).map_or(0, |b| b.1);
-    if v.iter().all(|b| (b.2 > CODE_GPU) | (b.1 == first)) {
+    // The smallest and largest pid index among the CPU/GPU edges: equal
+    // (or none) means one producer, else they size the lane table.
+    let (lo, hi) = v
+        .iter()
+        .filter(|b| b.2 <= CODE_GPU)
+        .fold((u32::MAX, 0), |(lo, hi), b| (lo.min(b.1), hi.max(b.1)));
+    if lo >= hi {
         return usize::from(!sort_lane(v, &mut side));
     }
-    let mut counts = vec![0usize; 2];
+    let mut counts = vec![0usize; 3 + hi as usize];
     for b in v.iter() {
-        let lane = lane_of(b);
-        if lane >= counts.len() {
-            counts.resize(lane + 1, 0);
-        }
-        counts[lane] += 1;
+        counts[lane_of(b)] += 1;
     }
     let mut runs = Vec::with_capacity(counts.len());
     let mut fill = Vec::with_capacity(counts.len());
@@ -948,11 +954,17 @@ impl BoundaryLog {
     /// Dense index of a raw pid.
     #[inline]
     fn pid_index(&mut self, pid: u32) -> u32 {
-        if let Some((raw, idx)) = self.last_pid {
-            if raw == pid {
-                return idx;
-            }
+        match self.last_pid {
+            Some((raw, idx)) if raw == pid => idx,
+            _ => self.resolve_pid(pid),
         }
+    }
+
+    /// [`BoundaryLog::pid_index`] off the memo: kept out of line so the
+    /// push loop carries only the compare.
+    #[cold]
+    #[inline(never)]
+    fn resolve_pid(&mut self, pid: u32) -> u32 {
         let next = self.pid_map.len() as u32;
         let p = *self.pid_map.entry(pid).or_insert(next);
         self.last_pid = Some((pid, p));
@@ -2042,20 +2054,31 @@ mod tests {
         q
     }
 
-    /// The order `ensure_sorted` promises, by a model: the tail one
-    /// stable sort by time when its CPU/GPU edges come from at most one
-    /// pid, else one stable sort by `(merge key, lane)` — what merging
-    /// the lanes in pairs, left winning ties, amounts to — and then one
-    /// stable sort of prefix and tail by time, the prefix first.
+    /// The order `ensure_sorted` promises, by a model written out from
+    /// the `Boundary` layout rather than through the code under test: the
+    /// tail one stable sort by time when its CPU/GPU edges come from at
+    /// most one pid, else one stable sort by time, then the seq of a
+    /// scope edge (0 for a CPU/GPU edge), then the lane — operation
+    /// edges, phase edges, then each pid's CPU/GPU edges — which is what
+    /// merging the lanes in pairs, left winning ties, amounts to; and
+    /// then one stable sort of prefix and tail by time, the prefix first.
     fn keyed_order(q: &BoundaryQueue) -> Vec<Boundary> {
         let (prefix, tail) = q.buf.split_at(q.sorted_to);
         let mut tail = tail.to_vec();
-        let pids: std::collections::BTreeSet<usize> =
-            tail.iter().map(lane_of).filter(|&lane| lane >= 2).collect();
+        let pids: std::collections::BTreeSet<u32> =
+            tail.iter().filter(|b| b.2 <= CODE_GPU).map(|b| b.1).collect();
         if pids.len() <= 1 {
             tail.sort_by_key(|b| b.0);
         } else {
-            tail.sort_by_key(|b| (merge_key(b), lane_of(b)));
+            tail.sort_by_key(|&(t, seq, meta)| {
+                if meta <= CODE_GPU {
+                    (t, 0, 2, seq)
+                } else if meta & META_PHASE_FLAG == 0 {
+                    (t, seq, 0, 0)
+                } else {
+                    (t, seq, 1, 0)
+                }
+            });
         }
         let mut all = [prefix, &tail[..]].concat();
         all.sort_by_key(|b| b.0);
