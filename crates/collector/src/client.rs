@@ -6,7 +6,6 @@ use crate::protocol::{
     QueryReply, QuerySpec, SessionList,
 };
 use crate::transport::{Endpoint, Stream};
-use parking_lot::Mutex;
 use rlscope_core::event::Event;
 use rlscope_core::profiler::EventSink;
 use rlscope_core::store::{
@@ -15,7 +14,9 @@ use rlscope_core::store::{
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::Path;
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// What the daemon reported at session finish.
@@ -607,6 +608,19 @@ fn expect_frame(stream: &mut Stream) -> Result<(u8, Vec<u8>), CollectorError> {
     }
 }
 
+/// How many batches [`CollectorSink::emit`] may queue ahead of the one
+/// its sender thread is sending: one queued and one in flight, so the
+/// training thread overlaps one encode + write and then feels the
+/// daemon's backpressure.
+const SEND_QUEUE_DEPTH: usize = 1;
+
+/// Work for a sink's sender thread, in the order it was queued.
+enum Job {
+    Batch(Vec<Event>),
+    Query(QuerySpec, SyncSender<Result<QueryReply, CollectorError>>),
+    Finish(SyncSender<Result<SessionSummary, CollectorError>>),
+}
+
 /// An [`EventSink`] that streams a profiler's events into a collector
 /// session — attach with
 /// [`Profiler::stream_to`](rlscope_core::profiler::Profiler::stream_to)
@@ -615,13 +629,26 @@ fn expect_frame(stream: &mut Stream) -> Result<(u8, Vec<u8>), CollectorError> {
 /// [`ReconnectPolicy`], so a daemon restart pauses the stream instead
 /// of killing the run.
 ///
+/// The client lives on one sender thread per sink. `emit` queues the
+/// batch for it and returns: it may return before the batch is
+/// delivered, and it blocks only while the queue is full, which is how
+/// the daemon's backpressure reaches the training thread.
+/// [`CollectorSink::query`] and [`CollectorSink::finish`] go through
+/// the same queue and wait for their answer, so each is a barrier: it
+/// runs after every batch emitted before it.
+///
 /// `emit` cannot return errors through the profiler, so transport
 /// failures that outlive the policy are latched: the first error stops
-/// further sends and is surfaced by [`CollectorSink::finish`] (or
-/// [`CollectorSink::take_error`]).
+/// further sends and is surfaced by [`CollectorSink::finish`], which
+/// then never sends `FINISH` (a session missing a batch stays
+/// unfinished). If the sender thread is gone, `finish` and `query`
+/// return [`CollectorError::SinkClosed`]. Dropping the sink sends what
+/// is queued and joins the thread.
 pub struct CollectorSink {
-    client: Mutex<Option<CollectorClient>>,
-    error: Mutex<Option<CollectorError>>,
+    /// `None` only inside `drop`, which closes the queue to stop the
+    /// sender thread.
+    jobs: Option<SyncSender<Job>>,
+    sender: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for CollectorSink {
@@ -642,64 +669,154 @@ impl CollectorSink {
     }
 
     /// [`CollectorSink::connect`] with an explicit reconnect policy.
+    /// Spawns the sink's sender thread.
     ///
     /// # Errors
     ///
-    /// Connection or handshake failures.
+    /// Connection or handshake failures, or a failure to spawn the
+    /// thread.
     pub fn connect_with(
         socket: &Path,
         session: &str,
         policy: ReconnectPolicy,
     ) -> Result<Arc<CollectorSink>, CollectorError> {
         let client = CollectorClient::open_session_with(socket, session, policy)?;
-        Ok(Arc::new(CollectorSink { client: Mutex::new(Some(client)), error: Mutex::new(None) }))
+        let (jobs, queue) = std::sync::mpsc::sync_channel(SEND_QUEUE_DEPTH);
+        let sender = std::thread::Builder::new()
+            .name(format!("rlscope-sink-{session}"))
+            .spawn(move || run_sender(client, queue))?;
+        Ok(Arc::new(CollectorSink { jobs: Some(jobs), sender: Some(sender) }))
     }
 
-    /// Finishes the session durably, surfacing any latched streaming
-    /// error first. The underlying connection stays open for queries.
+    /// Queues `job` and waits for the sender thread's answer on the
+    /// reply channel `make` hands it.
+    fn call<T>(
+        &self,
+        make: impl FnOnce(SyncSender<Result<T, CollectorError>>) -> Job,
+    ) -> Result<T, CollectorError> {
+        let (reply, answer) = std::sync::mpsc::sync_channel(1);
+        let jobs = self.jobs.as_ref().ok_or(CollectorError::SinkClosed)?;
+        jobs.send(make(reply)).map_err(|_| CollectorError::SinkClosed)?;
+        answer.recv().map_err(|_| CollectorError::SinkClosed)?
+    }
+
+    /// Finishes the session durably once every emitted batch is sent,
+    /// surfacing any latched streaming error instead. The underlying
+    /// connection stays open for queries.
     ///
     /// # Errors
     ///
-    /// A latched transport error from `emit`, or the finish exchange's
-    /// own failure.
+    /// A latched transport error from `emit` (and, on a later call, a
+    /// protocol error: the session stays unfinished), the finish
+    /// exchange's own failure, or [`CollectorError::SinkClosed`].
     pub fn finish(&self) -> Result<SessionSummary, CollectorError> {
-        if let Some(e) = self.error.lock().take() {
-            return Err(e);
-        }
-        let mut guard = self.client.lock();
-        let client =
-            guard.as_mut().ok_or_else(|| CollectorError::Protocol("sink disconnected".into()))?;
-        client.finish()
+        self.call(Job::Finish)
     }
 
     /// Runs a query over this sink's connection (e.g. asking about the
-    /// session itself, mid-run).
+    /// session itself, mid-run), after every emitted batch is sent.
     ///
     /// # Errors
     ///
-    /// See [`CollectorClient::query`].
+    /// See [`CollectorClient::query`]; [`CollectorError::SinkClosed`]
+    /// if the sender thread is gone.
     pub fn query(&self, spec: &QuerySpec) -> Result<QueryReply, CollectorError> {
-        let mut guard = self.client.lock();
-        let client =
-            guard.as_mut().ok_or_else(|| CollectorError::Protocol("sink disconnected".into()))?;
-        client.query(spec)
-    }
-
-    /// Takes the latched streaming error, if any.
-    pub fn take_error(&self) -> Option<CollectorError> {
-        self.error.lock().take()
+        self.call(|reply| Job::Query(spec.clone(), reply))
     }
 }
 
 impl EventSink for CollectorSink {
     fn emit(&self, events: Vec<Event>) {
-        if self.error.lock().is_some() {
-            return; // poisoned: the session already failed
+        // A closed queue means the sender thread is gone; `finish` then
+        // reports it, so the batch has nowhere to go.
+        if let Some(jobs) = &self.jobs {
+            let _ = jobs.send(Job::Batch(events));
         }
-        let mut guard = self.client.lock();
-        let Some(client) = guard.as_mut() else { return };
-        if let Err(e) = client.send_events(&events) {
-            *self.error.lock() = Some(e);
+    }
+}
+
+impl Drop for CollectorSink {
+    fn drop(&mut self) {
+        drop(self.jobs.take());
+        if let Some(sender) = self.sender.take() {
+            let _ = sender.join();
         }
+    }
+}
+
+/// The sender thread: runs the queued jobs in order until the sink
+/// closes the queue. The first failed send latches; after it, batches
+/// are dropped unsent and `FINISH` is never sent.
+fn run_sender(mut client: CollectorClient, jobs: Receiver<Job>) {
+    let mut latched: Option<CollectorError> = None;
+    let mut failed = false;
+    for job in jobs {
+        match job {
+            Job::Batch(_) if failed => {}
+            Job::Batch(events) => {
+                if let Err(e) = client.send_events(&events) {
+                    latched = Some(e);
+                    failed = true;
+                }
+            }
+            Job::Query(spec, reply) => {
+                let _ = reply.send(client.query(&spec));
+            }
+            Job::Finish(reply) => {
+                let result = match latched.take() {
+                    Some(e) => Err(e),
+                    None if failed => Err(CollectorError::Protocol(
+                        "a batch was lost to an earlier error; the session stays unfinished".into(),
+                    )),
+                    None => client.finish(),
+                };
+                let _ = reply.send(result);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::sync_channel;
+
+    /// A sink over a queue whose consumer is `thread` instead of
+    /// `run_sender`: the sink's own half is what these tests check.
+    fn sink_over(thread: impl FnOnce(Receiver<Job>) + Send + 'static) -> CollectorSink {
+        let (jobs, queue) = sync_channel(SEND_QUEUE_DEPTH);
+        let sender = std::thread::spawn(move || thread(queue));
+        CollectorSink { jobs: Some(jobs), sender: Some(sender) }
+    }
+
+    /// A sender thread that dies (mid-job, or before any job) leaves a
+    /// sink whose `emit` returns and whose `finish` and `query` report
+    /// the typed [`CollectorError::SinkClosed`].
+    #[test]
+    fn sink_with_a_dead_sender_thread_reports_sink_closed() {
+        // Takes one job, then dies without answering it.
+        let sink = sink_over(|queue| drop(queue.recv()));
+        assert!(matches!(sink.finish(), Err(CollectorError::SinkClosed)));
+        sink.emit(Vec::new());
+        assert!(matches!(sink.finish(), Err(CollectorError::SinkClosed)));
+        let spec = QuerySpec::session("gone");
+        assert!(matches!(sink.query(&spec), Err(CollectorError::SinkClosed)));
+    }
+
+    /// Dropping a sink that was never finished closes its queue and
+    /// waits for the sender thread to exit.
+    #[test]
+    fn sink_drop_joins_its_sender_thread() {
+        let exited = Arc::new(AtomicBool::new(false));
+        let flag = exited.clone();
+        let sink = sink_over(move |queue| {
+            for _ in queue {}
+            std::thread::sleep(Duration::from_millis(50));
+            flag.store(true, Ordering::SeqCst);
+        });
+        sink.emit(Vec::new());
+        drop(sink);
+        assert!(exited.load(Ordering::SeqCst), "drop returned before the thread exited");
     }
 }

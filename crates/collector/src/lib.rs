@@ -19,7 +19,10 @@
 //! [`CollectorSink`] (a [`rlscope_core::profiler::EventSink`], so an
 //! existing workload streams live by calling
 //! [`Profiler::stream_to`](rlscope_core::profiler::Profiler::stream_to)
-//! instead of writing files).
+//! instead of writing files). The sink sends from its own thread:
+//! `emit` queues a batch and may return before it is delivered, and the
+//! sink's `query` and `finish` are barriers that first wait for every
+//! batch emitted before them.
 //!
 //! # Durability and consistency contract
 //!

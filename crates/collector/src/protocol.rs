@@ -265,6 +265,10 @@ pub enum CollectorError {
         /// Human-readable server message.
         message: String,
     },
+    /// A [`CollectorSink`](crate::CollectorSink)'s sender thread is gone
+    /// (it panicked), so nothing more reaches the daemon and the session
+    /// was never finished.
+    SinkClosed,
 }
 
 impl fmt::Display for CollectorError {
@@ -275,6 +279,7 @@ impl fmt::Display for CollectorError {
             CollectorError::Remote { code, message } => {
                 write!(f, "collector server error ({code:?}): {message}")
             }
+            CollectorError::SinkClosed => write!(f, "collector sink's sender thread is gone"),
         }
     }
 }

@@ -86,18 +86,41 @@ impl Default for ProfilerConfig {
 /// same exactly-once contract downstream: the collector sink, for
 /// example, buffers unacknowledged batches and replays them across
 /// daemon reconnects rather than dropping or duplicating them.
+///
+/// The profiler calls `emit` while it holds its own state lock, so the
+/// order holds even when several threads record into one [`Profiler`];
+/// the price is that every recording thread waits for `emit`. A sink
+/// should therefore hand the batch off rather than deliver it, and it
+/// must not call back into the profiler. `emit` may return before the
+/// batch reaches its destination: the collector sink only queues it for
+/// its sender thread, and its `query` and `finish` are the barriers
+/// that wait for every queued batch.
 pub trait EventSink: Send + Sync {
-    /// Receives one batch of finalized events, in record order.
+    /// Receives one batch of finalized events, in record order. May
+    /// return before the batch is delivered.
     fn emit(&self, events: Vec<Event>);
+}
+
+/// An operation that is still open, with the transitions counted while
+/// it was the innermost open scope (indexed by [`TransitionKind`]).
+/// They fold into [`State::per_op_transitions`] when it closes.
+struct OpenOp {
+    name: Arc<str>,
+    start: TimeNs,
+    transitions: [u64; 3],
 }
 
 #[derive(Default)]
 struct State {
     events: Vec<Event>,
-    op_stack: Vec<(Arc<str>, TimeNs)>,
+    op_stack: Vec<OpenOp>,
     phase: Option<(Arc<str>, TimeNs)>,
     counts: BookkeepingCounts,
+    /// Transition counts of closed operations. Open ones keep theirs on
+    /// `op_stack`; transitions outside every operation wait in
+    /// `untracked_transitions` until [`Profiler::finish`].
     per_op_transitions: BTreeMap<(Arc<str>, TransitionKind), u64>,
+    untracked_transitions: [u64; 3],
     api_stats: BTreeMap<CudaApiKind, (u64, DurationNs)>,
     iterations: u64,
     /// Live streaming sink and its flush threshold, when attached.
@@ -117,6 +140,26 @@ pub enum TransitionKind {
     Cuda,
 }
 
+impl TransitionKind {
+    /// Every kind, in the order of its index into a count array.
+    const ALL: [TransitionKind; 3] =
+        [TransitionKind::Backend, TransitionKind::Simulator, TransitionKind::Cuda];
+}
+
+/// Adds one scope's non-zero transition counts to `map` under `op`, so
+/// the map holds exactly the keys a per-transition insert would.
+fn fold_transitions(
+    map: &mut BTreeMap<(Arc<str>, TransitionKind), u64>,
+    op: &Arc<str>,
+    counts: &[u64; 3],
+) {
+    for (kind, &n) in TransitionKind::ALL.iter().zip(counts) {
+        if n > 0 {
+            *map.entry((op.clone(), *kind)).or_insert(0) += n;
+        }
+    }
+}
+
 impl fmt::Display for TransitionKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -127,9 +170,38 @@ impl fmt::Display for TransitionKind {
     }
 }
 
+/// The names of the events whose label never varies, built once per
+/// profiler so recording one clones a shared `Arc` instead of
+/// allocating its name.
+struct Labels {
+    python: Arc<str>,
+    backend: Arc<str>,
+    simulator: Arc<str>,
+    memcpy: Arc<str>,
+    annotation: Arc<str>,
+    untracked: Arc<str>,
+    /// One per [`CudaApiKind::ALL`], indexed by the kind.
+    cuda_api: [Arc<str>; CudaApiKind::ALL.len()],
+}
+
+impl Labels {
+    fn new() -> Self {
+        Labels {
+            python: Arc::from("python"),
+            backend: Arc::from("backend"),
+            simulator: Arc::from("simulator"),
+            memcpy: Arc::from("memcpy"),
+            annotation: Arc::from("annotation"),
+            untracked: Arc::from(crate::overlap::BucketKey::UNTRACKED),
+            cuda_api: CudaApiKind::ALL.map(|api| Arc::from(api.to_string())),
+        }
+    }
+}
+
 struct Inner {
     clock: VirtualClock,
     config: ProfilerConfig,
+    labels: Labels,
     state: Mutex<State>,
 }
 
@@ -182,7 +254,14 @@ impl Drop for OperationGuard {
 impl Profiler {
     /// Creates a profiler over `clock`.
     pub fn new(clock: VirtualClock, config: ProfilerConfig) -> Self {
-        Profiler { inner: Arc::new(Inner { clock, config, state: Mutex::new(State::default()) }) }
+        Profiler {
+            inner: Arc::new(Inner {
+                clock,
+                config,
+                labels: Labels::new(),
+                state: Mutex::new(State::default()),
+            }),
+        }
     }
 
     /// The configuration in effect.
@@ -219,38 +298,39 @@ impl Profiler {
     /// Open annotations stream only when they close (the profiler
     /// records intervals at their end); [`Profiler::snapshot`] is the
     /// view that synthesizes still-open ones.
+    ///
+    /// The sink's `emit` runs under the profiler's state lock (see
+    /// [`EventSink`]), so batches reach it in record order even when
+    /// several threads record into this profiler.
     pub fn stream_to(&self, sink: Arc<dyn EventSink>, flush_every: usize) {
         let mut state = self.inner.state.lock();
         state.sink = Some((sink, flush_every.max(1)));
-        Self::flush_locked(state, 1);
+        Self::flush_locked(&mut state, 1);
     }
 
     /// Emits all recorded-but-unflushed events to the streaming sink
     /// (no-op without one) — e.g. right before a mid-run live query, so
     /// the collector observes everything recorded so far.
     pub fn flush(&self) {
-        Self::flush_locked(self.inner.state.lock(), 1);
+        Self::flush_locked(&mut self.inner.state.lock(), 1);
     }
 
     /// Emits `state.events[flushed..]` to the sink when it holds at
-    /// least `min` events, releasing the state lock before the sink runs
-    /// (sinks do I/O and may block on collector backpressure).
-    fn flush_locked(mut state: parking_lot::MutexGuard<'_, State>, min: usize) {
+    /// least `min` events. The caller holds the state lock through the
+    /// emit, so no other thread's batch can overtake this one.
+    fn flush_locked(state: &mut State, min: usize) {
         let Some((sink, _)) = &state.sink else { return };
         let pending = state.events.len() - state.flushed;
         if pending < min.max(1) {
             return;
         }
-        let sink = sink.clone();
-        let batch = state.events[state.flushed..].to_vec();
+        sink.emit(state.events[state.flushed..].to_vec());
         state.flushed = state.events.len();
-        drop(state);
-        sink.emit(batch);
     }
 
     /// Flushes at the sink's configured threshold — called after every
     /// event-recording site.
-    fn flush_if_due(&self, state: parking_lot::MutexGuard<'_, State>) {
+    fn flush_if_due(state: &mut State) {
         let Some((_, every)) = &state.sink else { return };
         let every = *every;
         Self::flush_locked(state, every);
@@ -279,14 +359,21 @@ impl Profiler {
         if let Some((name, start)) = &state.phase {
             events.push(Event::new(pid, EventKind::Phase, name.clone(), *start, now));
         }
-        for (name, start) in &state.op_stack {
-            events.push(Event::new(pid, EventKind::Operation, name.clone(), *start, now));
+        let mut per_op_transitions = state.per_op_transitions.clone();
+        for op in &state.op_stack {
+            events.push(Event::new(pid, EventKind::Operation, op.name.clone(), op.start, now));
+            fold_transitions(&mut per_op_transitions, &op.name, &op.transitions);
         }
+        fold_transitions(
+            &mut per_op_transitions,
+            &self.inner.labels.untracked,
+            &state.untracked_transitions,
+        );
         Trace {
             pid,
             events,
             counts: state.counts,
-            per_op_transitions: state.per_op_transitions.clone().into_iter().collect(),
+            per_op_transitions: per_op_transitions.into_iter().collect(),
             api_stats: state.api_stats.clone().into_iter().collect(),
             iterations: state.iterations,
             wall_end: now,
@@ -302,7 +389,7 @@ impl Profiler {
             state.events.push(Event::new(pid, EventKind::Phase, prev, start, now));
         }
         state.phase = Some((Arc::from(name), now));
-        self.flush_if_due(state);
+        Self::flush_if_due(&mut state);
     }
 
     /// Opens an operation annotation; the returned guard closes it.
@@ -315,7 +402,7 @@ impl Profiler {
         let name: Arc<str> = Arc::from(name);
         let mut state = self.inner.state.lock();
         state.counts.annotations += 1;
-        state.op_stack.push((name.clone(), now));
+        state.op_stack.push(OpenOp { name: name.clone(), start: now, transitions: [0; 3] });
         drop(state);
         OperationGuard { profiler: self.clone(), name }
     }
@@ -337,7 +424,7 @@ impl Profiler {
         assert!(
             state.op_stack.is_empty(),
             "finish() with open operations: {:?}",
-            state.op_stack.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>()
+            state.op_stack.iter().map(|op| op.name.clone()).collect::<Vec<_>>()
         );
         let pid = self.inner.config.pid;
         if let Some((prev, start)) = state.phase.take() {
@@ -346,17 +433,11 @@ impl Profiler {
         // Deliver the unflushed tail (e.g. the phase close above) so a
         // streaming sink holds the complete stream, then hand the full
         // buffer to the trace.
-        if let Some((sink, _)) = &state.sink {
-            let sink = sink.clone();
-            let batch = state.events[state.flushed..].to_vec();
-            state.flushed = 0;
-            state.sink = None;
-            if !batch.is_empty() {
-                // The profiler is finished: no further pushes can race
-                // this emit, so doing it under the lock is harmless.
-                sink.emit(batch);
-            }
-        }
+        Self::flush_locked(&mut state, 1);
+        state.flushed = 0;
+        state.sink = None;
+        let untracked = std::mem::take(&mut state.untracked_transitions);
+        fold_transitions(&mut state.per_op_transitions, &self.inner.labels.untracked, &untracked);
         Trace {
             pid,
             events: std::mem::take(&mut state.events),
@@ -372,11 +453,12 @@ impl Profiler {
         self.annotation_overhead();
         let now = self.inner.clock.now();
         let mut state = self.inner.state.lock();
-        let (top, start) = state.op_stack.pop().expect("operation stack underflow");
-        assert_eq!(&top, name, "operations closed out of order");
+        let op = state.op_stack.pop().expect("operation stack underflow");
+        assert_eq!(&op.name, name, "operations closed out of order");
+        fold_transitions(&mut state.per_op_transitions, &op.name, &op.transitions);
         let pid = self.inner.config.pid;
-        state.events.push(Event::new(pid, EventKind::Operation, top, start, now));
-        self.flush_if_due(state);
+        state.events.push(Event::new(pid, EventKind::Operation, op.name, op.start, now));
+        Self::flush_if_due(&mut state);
     }
 
     /// Injects annotation book-keeping cost, recorded as Python time (the
@@ -390,21 +472,22 @@ impl Profiler {
             state.events.push(Event::new(
                 cfg.pid,
                 EventKind::Cpu(CpuCategory::Python),
-                "annotation",
+                self.inner.labels.annotation.clone(),
                 start,
                 end,
             ));
-            self.flush_if_due(state);
+            Self::flush_if_due(&mut state);
         }
     }
 
-    fn count_transition(&self, state: &mut State, kind: TransitionKind) {
-        let op: Arc<str> = state
-            .op_stack
-            .last()
-            .map(|(n, _)| n.clone())
-            .unwrap_or_else(|| Arc::from(crate::overlap::BucketKey::UNTRACKED));
-        *state.per_op_transitions.entry((op, kind)).or_insert(0) += 1;
+    /// Counts one transition against the innermost open operation, or
+    /// against untracked time outside every operation.
+    fn count_transition(state: &mut State, kind: TransitionKind) {
+        let counts = match state.op_stack.last_mut() {
+            Some(op) => &mut op.transitions,
+            None => &mut state.untracked_transitions,
+        };
+        counts[kind as usize] += 1;
     }
 }
 
@@ -414,11 +497,11 @@ impl StackHooks for Profiler {
         state.events.push(Event::new(
             self.inner.config.pid,
             EventKind::Cpu(CpuCategory::Python),
-            "python",
+            self.inner.labels.python.clone(),
             start,
             end,
         ));
-        self.flush_if_due(state);
+        Self::flush_if_due(&mut state);
     }
 
     fn on_native_enter(&self, lib: NativeLib, _t: TimeNs) {
@@ -426,29 +509,30 @@ impl StackHooks for Profiler {
         match lib {
             NativeLib::Backend => {
                 state.counts.backend_transitions += 1;
-                self.count_transition(&mut state, TransitionKind::Backend);
+                Self::count_transition(&mut state, TransitionKind::Backend);
             }
             NativeLib::Simulator => {
                 state.counts.simulator_transitions += 1;
-                self.count_transition(&mut state, TransitionKind::Simulator);
+                Self::count_transition(&mut state, TransitionKind::Simulator);
             }
         }
     }
 
     fn on_native_exit(&self, lib: NativeLib, enter: TimeNs, exit: TimeNs) {
+        let labels = &self.inner.labels;
         let (cat, name) = match lib {
-            NativeLib::Backend => (CpuCategory::Backend, "backend"),
-            NativeLib::Simulator => (CpuCategory::Simulator, "simulator"),
+            NativeLib::Backend => (CpuCategory::Backend, &labels.backend),
+            NativeLib::Simulator => (CpuCategory::Simulator, &labels.simulator),
         };
         let mut state = self.inner.state.lock();
         state.events.push(Event::new(
             self.inner.config.pid,
             EventKind::Cpu(cat),
-            name,
+            name.clone(),
             enter,
             exit,
         ));
-        self.flush_if_due(state);
+        Self::flush_if_due(&mut state);
     }
 }
 
@@ -458,18 +542,18 @@ impl CudaHooks for Profiler {
     fn on_api_exit(&self, api: CudaApiKind, enter: TimeNs, exit: TimeNs) {
         let mut state = self.inner.state.lock();
         state.counts.cuda_api_calls += 1;
-        self.count_transition(&mut state, TransitionKind::Cuda);
+        Self::count_transition(&mut state, TransitionKind::Cuda);
         let entry = state.api_stats.entry(api).or_insert((0, DurationNs::ZERO));
         entry.0 += 1;
         entry.1 += exit - enter;
         state.events.push(Event::new(
             self.inner.config.pid,
             EventKind::Cpu(CpuCategory::CudaApi),
-            api.to_string(),
+            self.inner.labels.cuda_api[api as usize].clone(),
             enter,
             exit,
         ));
-        self.flush_if_due(state);
+        Self::flush_if_due(&mut state);
     }
 
     fn on_kernel(&self, rec: &KernelRecord) {
@@ -481,7 +565,7 @@ impl CudaHooks for Profiler {
             rec.start,
             rec.end,
         ));
-        self.flush_if_due(state);
+        Self::flush_if_due(&mut state);
     }
 
     fn on_memcpy(&self, rec: &MemcpyRecord) {
@@ -489,11 +573,11 @@ impl CudaHooks for Profiler {
         state.events.push(Event::new(
             self.inner.config.pid,
             EventKind::Gpu(GpuCategory::Memcpy),
-            "memcpy",
+            self.inner.labels.memcpy.clone(),
             rec.start,
             rec.end,
         ));
-        self.flush_if_due(state);
+        Self::flush_if_due(&mut state);
     }
 }
 
@@ -608,8 +692,12 @@ mod tests {
         assert_eq!(phases, vec![("collect", 10_000), ("train", 5_000)]);
     }
 
+    /// Transitions count against the innermost open operation, or
+    /// against untracked time outside every operation; a mid-run
+    /// snapshot folds in the open scopes' counts without closing them.
     #[test]
     fn per_op_transitions_scoped_to_operations() {
+        use TransitionKind::{Backend, Cuda, Simulator};
         let clock = VirtualClock::new();
         let rls = Profiler::new(
             clock.clone(),
@@ -619,21 +707,76 @@ mod tests {
         let mut cuda =
             CudaContext::new(clock.clone(), GpuDevice::new(1), CudaCostConfig::default());
         rls.attach(&mut py, &mut cuda);
+        let counts = |trace: &Trace| -> Vec<(String, TransitionKind, u64)> {
+            trace.per_op_transitions.iter().map(|((op, k), n)| (op.to_string(), *k, *n)).collect()
+        };
+        let row = |op: &str, k, n| (op.to_string(), k, n);
+
+        py.call_native(NativeLib::Simulator, || {});
         {
             let _op = rls.operation("simulation");
             py.call_native(NativeLib::Simulator, || {});
             py.call_native(NativeLib::Simulator, || {});
         }
+        py.call_native(NativeLib::Backend, || {});
+        let snap;
         {
-            let _op = rls.operation("backprop");
+            let _outer = rls.operation("backprop");
+            py.call_native(NativeLib::Backend, || {});
+            {
+                let _inner = rls.operation("step");
+                py.call_native(NativeLib::Backend, || {
+                    let s = cuda.default_stream();
+                    cuda.launch_kernel(s, KernelDesc::new("gemm", DurationNs::from_micros(1)));
+                });
+                snap = rls.snapshot();
+            }
             py.call_native(NativeLib::Backend, || {});
         }
         rls.mark_iteration();
         let trace = rls.finish();
+
+        // Mid-run, both `backprop` and `step` were open.
+        assert_eq!(
+            counts(&snap),
+            vec![
+                row("(untracked)", Backend, 1),
+                row("(untracked)", Simulator, 1),
+                row("backprop", Backend, 1),
+                row("simulation", Simulator, 2),
+                row("step", Backend, 1),
+                row("step", Cuda, 1),
+            ]
+        );
+        // The snapshot folded copies: nothing is counted twice.
         assert_eq!(trace.iterations, 1);
-        assert_eq!(trace.transitions_for("simulation", TransitionKind::Simulator), 2);
-        assert_eq!(trace.transitions_for("backprop", TransitionKind::Backend), 1);
+        assert_eq!(
+            counts(&trace),
+            vec![
+                row("(untracked)", Backend, 1),
+                row("(untracked)", Simulator, 1),
+                row("backprop", Backend, 2),
+                row("simulation", Simulator, 2),
+                row("step", Backend, 1),
+                row("step", Cuda, 1),
+            ]
+        );
         assert_eq!(trace.transitions_for("backprop", TransitionKind::Simulator), 0);
+        assert_eq!(trace.counts.backend_transitions, 4);
+        assert_eq!(trace.counts.simulator_transitions, 3);
+    }
+
+    /// Every CUDA API event carries the API's own name, from the labels
+    /// built once per profiler.
+    #[test]
+    fn cuda_api_labels_name_their_api() {
+        let (rls, _clock) = profiler(Toggles::none());
+        for api in CudaApiKind::ALL {
+            rls.on_api_exit(api, TimeNs::ZERO, TimeNs::from_nanos(1));
+        }
+        let names: Vec<String> = rls.finish().events.iter().map(|e| e.name.to_string()).collect();
+        let want: Vec<String> = CudaApiKind::ALL.iter().map(|api| api.to_string()).collect();
+        assert_eq!(names, want);
     }
 
     #[test]
@@ -684,6 +827,50 @@ mod tests {
         assert_eq!(sink.concat(), trace.events);
         // And the phase close (recorded at finish) arrived too.
         assert!(sink.concat().iter().any(|e| e.kind == EventKind::Phase));
+    }
+
+    /// A sink sees batches in record order even when two threads record
+    /// into one profiler and the first batch's `emit` is slow: the
+    /// second thread's batch must not overtake it.
+    #[test]
+    fn batches_reach_the_sink_in_record_order_across_threads() {
+        #[derive(Default)]
+        struct SlowFirstSink {
+            emits: std::sync::atomic::AtomicUsize,
+            batches: VecSink,
+        }
+        impl EventSink for SlowFirstSink {
+            fn emit(&self, events: Vec<Event>) {
+                if self.emits.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                }
+                self.batches.emit(events);
+            }
+        }
+
+        let (rls, clock) = profiler(Toggles::none());
+        let sink = Arc::new(SlowFirstSink::default());
+        rls.stream_to(sink.clone(), 1);
+        let first = {
+            let rls = rls.clone();
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                let _op = rls.operation("first");
+                clock.advance(DurationNs::from_micros(1));
+            })
+        };
+        while sink.emits.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        {
+            let _op = rls.operation("second");
+            clock.advance(DurationNs::from_micros(1));
+        }
+        first.join().unwrap();
+        let trace = rls.finish();
+        let names: Vec<&str> = trace.events.iter().map(|e| &*e.name).collect();
+        assert_eq!(names, ["first", "second"]);
+        assert_eq!(sink.batches.concat(), trace.events);
     }
 
     /// Regression: a phase set before `attach` (or before any recorded

@@ -15,11 +15,12 @@ use proptest::prelude::*;
 use rlscope::collector::daemon::fault::FaultPlan;
 use rlscope::collector::registry::{SessionRecord, SessionStatus, StorageTier};
 use rlscope::collector::{
-    Collector, CollectorClient, CollectorConfig, CollectorError, ErrorCode, HelloAck, HelloRequest,
-    QuerySpec, ReconnectPolicy, RetentionPolicy, SessionPhase,
+    Collector, CollectorClient, CollectorConfig, CollectorError, CollectorSink, ErrorCode,
+    HelloAck, HelloRequest, QuerySpec, ReconnectPolicy, RetentionPolicy, SessionPhase,
 };
 use rlscope::core::analysis::Analysis;
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
+use rlscope::core::profiler::EventSink;
 use rlscope::core::store::{
     encode_events, read_frame, recover_chunk_prefix, write_frame, EventColumns,
 };
@@ -28,6 +29,7 @@ use rlscope::sim::time::TimeNs;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A fresh scratch dir (with a short socket path — the 108-byte
@@ -240,6 +242,163 @@ fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
         assert_dirs_byte_identical(&data.join(&name), &ref_data.join(&name));
     }
     reference.shutdown();
+}
+
+/// Forwards every batch to a [`CollectorSink`] and keeps a copy; at
+/// batch `kill_at` it SIGKILLs the daemon and restarts it from another
+/// thread, so the sink's sender thread meets the outage mid-run.
+struct KillingTee {
+    sink: Arc<CollectorSink>,
+    batches: Mutex<Vec<Vec<Event>>>,
+    kill_at: usize,
+    daemon: Mutex<Option<std::process::Child>>,
+    restart: Mutex<Option<std::thread::JoinHandle<std::process::Child>>>,
+    bin: PathBuf,
+    socket: PathBuf,
+    data: PathBuf,
+}
+
+impl EventSink for KillingTee {
+    fn emit(&self, events: Vec<Event>) {
+        let mut batches = self.batches.lock().unwrap();
+        if batches.len() == self.kill_at {
+            let mut child = self.daemon.lock().unwrap().take().unwrap();
+            child.kill().unwrap();
+            child.wait().unwrap();
+            let (bin, socket, data) = (self.bin.clone(), self.socket.clone(), self.data.clone());
+            *self.restart.lock().unwrap() = Some(std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(100));
+                spawn_rlscoped(&bin, &socket, &data)
+            }));
+        }
+        batches.push(events.clone());
+        self.sink.emit(events);
+    }
+}
+
+/// A profiled training run streams through `CollectorSink` while the
+/// real `rlscoped` is SIGKILLed and restarted mid-run: the sender
+/// thread reconnects and replays, `finish` reports every event, and the
+/// session directory is byte-identical to an uninterrupted
+/// `CollectorClient` run that sent the same batches.
+#[test]
+fn sink_streams_a_train_spec_through_a_daemon_sigkill() {
+    use rlscope::prelude::*;
+    const KILL_AT: usize = 6;
+    let Some(bin) = rlscoped_bin() else {
+        eprintln!("skipping: rlscoped not built");
+        return;
+    };
+    let (socket, data) = scratch("sinkkill");
+    std::fs::create_dir_all(&data).unwrap();
+    let child = spawn_rlscoped(&bin, &socket, &data);
+    let policy = ReconnectPolicy {
+        max_attempts: 60,
+        initial_backoff: Duration::from_millis(25),
+        max_backoff: Duration::from_millis(250),
+    };
+    let sink = CollectorSink::connect_with(&socket, "sinkkill", policy).unwrap();
+    let tee = Arc::new(KillingTee {
+        sink: sink.clone(),
+        batches: Mutex::new(Vec::new()),
+        kill_at: KILL_AT,
+        daemon: Mutex::new(Some(child)),
+        restart: Mutex::new(None),
+        bin,
+        socket: socket.clone(),
+        data: data.clone(),
+    });
+    let spec = TrainSpec {
+        scale: ScaleConfig { hidden: 8, batch: 4, freq_div: 25, ppo: None },
+        ..TrainSpec::new(AlgoKind::Ddpg, "Walker2D", STABLE_BASELINES, 40)
+    };
+    let trace = spec.run_streamed(Toggles::all(), tee.clone(), 256).trace.unwrap();
+    let batches = std::mem::take(&mut *tee.batches.lock().unwrap());
+    assert!(
+        batches.len() > KILL_AT + 2,
+        "only {} batches: the kill was not mid-run",
+        batches.len()
+    );
+    let summary = sink.finish().unwrap();
+    assert_eq!(summary.events, trace.events.len() as u64);
+    assert_eq!(summary.chunks, batches.len() as u64);
+    let done = sink.query(&QuerySpec::session("sinkkill")).unwrap();
+    assert_eq!(done.canonical_json, Analysis::of(&trace).canonical_json().unwrap());
+    let restart = tee.restart.lock().unwrap().take().expect("the daemon was killed");
+    let mut child = restart.join().unwrap();
+    drop(sink);
+    child.kill().unwrap();
+    child.wait().unwrap();
+
+    let (ref_socket, ref_data) = scratch("sinkkill_ref");
+    let reference = Collector::bind(CollectorConfig::new(&ref_socket, &ref_data)).unwrap();
+    let mut client = CollectorClient::open_session(&ref_socket, "sinkkill").unwrap();
+    for batch in &batches {
+        client.send_events(batch).unwrap();
+    }
+    client.finish().unwrap();
+    assert_eq!(batches.concat(), trace.events);
+    assert_dirs_byte_identical(&data.join("sinkkill"), &ref_data.join("sinkkill"));
+    reference.shutdown();
+}
+
+/// With reconnects disabled, a daemon SIGKILL latches the sink's first
+/// failed send: `finish` returns that transport error (and a second
+/// `finish` still refuses), later `emit`s return at once, and the
+/// restarted daemon holds the session unfinished.
+#[test]
+fn sink_latched_transport_error_surfaces_at_finish_and_later_emits_do_not_block() {
+    let Some(bin) = rlscoped_bin() else {
+        eprintln!("skipping: rlscoped not built");
+        return;
+    };
+    let (socket, data) = scratch("sinklatch");
+    std::fs::create_dir_all(&data).unwrap();
+    let mut child = spawn_rlscoped(&bin, &socket, &data);
+    let sink = CollectorSink::connect_with(&socket, "latch", ReconnectPolicy::disabled()).unwrap();
+    let events = session_events(0, 4_096);
+    let batches: Vec<Vec<Event>> = events.chunks(512).map(<[Event]>::to_vec).collect();
+    for batch in &batches[..4] {
+        sink.emit(batch.clone());
+    }
+    let live = sink.query(&QuerySpec::session("latch")).unwrap();
+    assert_eq!(live.events_observed, 4 * 512);
+
+    child.kill().unwrap();
+    child.wait().unwrap();
+    let started = Instant::now();
+    for batch in &batches[4..] {
+        sink.emit(batch.clone());
+    }
+    for _ in 0..100 {
+        sink.emit(batches[0].clone());
+    }
+    assert!(started.elapsed() < Duration::from_secs(5), "emits blocked after the error");
+    assert!(matches!(sink.finish(), Err(CollectorError::Io(_))));
+    assert!(sink.finish().is_err(), "a later finish must not commit the truncated session");
+
+    let mut child = spawn_rlscoped(&bin, &socket, &data);
+    let mut client = connect_retrying(&socket);
+    let sessions = client.list_sessions().unwrap().sessions;
+    assert_eq!(sessions.len(), 1);
+    assert!(sessions[0].live, "the session was finished");
+    assert_eq!(sessions[0].events, 4 * 512);
+    drop(sink);
+    child.kill().unwrap();
+    child.wait().unwrap();
+}
+
+/// A query connection to a just-restarted daemon, retried until it
+/// accepts.
+fn connect_retrying(socket: &Path) -> CollectorClient {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        match CollectorClient::connect(socket) {
+            Ok(client) => return client,
+            Err(e) => assert!(Instant::now() < deadline, "daemon never accepted: {e}"),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// Spawns `rlscoped` with a TCP listener and returns it with the
