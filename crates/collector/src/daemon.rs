@@ -288,13 +288,22 @@ pub struct RecoveredSession {
 /// (or its question dropped unanswered) re-reads the map and routes to
 /// the directory ([`Daemon::route`]).
 ///
+/// **Sealing.** A clean finish does not end the owner at once. Its
+/// settled entry keeps this handle as a [`Seal::Pending`]; the owner
+/// writes the `FINISH_ACK`, turns its live sweeps into the finished
+/// merged-view tables once ([`Owner::seal`]), swaps them into the entry
+/// as [`Seal::Ready`], and only then exits. A reader that meets the
+/// pending seal waits by putting a question to this mailbox that is
+/// never answered — the same rule as above: it returns when the owner
+/// exits — and re-reads the map ([`Daemon::sealed`]).
+///
 /// # Rules
 ///
 /// - No thread blocks on a mailbox or on a reply while holding the
-///   `sessions` lock — the owner takes that lock to settle, so waiting
-///   on it under the lock would deadlock. The guard only ever spans a
-///   lookup, an in-place update, or the claim of a name (check, wipe,
-///   insert), none of which talks to an owner.
+///   `sessions` lock — the owner takes that lock to settle and to seal,
+///   so waiting on it under the lock would deadlock. The guard only
+///   ever spans a lookup, an in-place update, or the claim of a name
+///   (check, wipe, insert), none of which talks to an owner.
 /// - The owner never runs [`Analysis`], and it drains only what arrived
 ///   since the last valid checkpoint: a snapshot
 ///   ([`LiveState::snapshot_view`], for the one [`LiveView`] the query
@@ -348,8 +357,9 @@ enum Msg {
     /// The attached connection failed (and has already told its client
     /// why): abort with this reason.
     Abort(ConnError),
-    /// `FINISH`: cut the manifest and settle; answers `(chunks, events)`.
-    Finish { reply: Sender<Result<(u64, u64), ConnError>> },
+    /// `FINISH`: cut the manifest, settle, and write the `FINISH_ACK`;
+    /// answers whether the ack went out, then seals.
+    Finish { reply: Sender<Result<(), ConnError>> },
     /// Whether a connection is attached, and the events observed so far.
     Status { reply: Sender<(bool, u64)> },
     /// The finished tables of the live sweeps `view` covers, and with
@@ -368,11 +378,13 @@ enum Entry {
     Settled(Settled),
 }
 
-/// A finished or aborted session: data, not a thread. Its durable
-/// prefix is served from `dir` at `tier`, whose index holds its event
-/// total ([`tier_index`]). Only tier transitions write it — a retention
-/// pass or [`Collector::compact_session`] advances `tier` or prunes,
-/// under the map lock.
+/// A finished or aborted session: data, not a thread — except for the
+/// moment a cleanly finished one is sealing. Its durable prefix is
+/// served from `dir` at `tier`, whose index holds its event total
+/// ([`tier_index`]). Only tier transitions write it — a retention pass or
+/// [`Collector::compact_session`] advances `tier` (dropping the seal) or
+/// prunes, under the map lock — and the sealing owner, which swaps in
+/// its tables.
 #[derive(Clone)]
 struct Settled {
     epoch: u64,
@@ -382,6 +394,23 @@ struct Settled {
     abort: Option<ConnError>,
     /// Chunks durable in `dir`.
     chunks: u64,
+    /// The finished merged-view tables of a session that finished
+    /// cleanly in this daemon run. Only ever set at the raw tier: a tier
+    /// transition drops it.
+    seal: Option<Seal>,
+}
+
+/// A finished session's live sweeps, turned once into the merged-view
+/// tables ([`LiveState::seal`]) that answer its windowless merged-view
+/// queries in place of a directory read ([`Daemon::sealed`]).
+#[derive(Clone)]
+enum Seal {
+    /// The owner is still computing them, after its `FINISH_ACK`. A
+    /// question put to this mailbox is never answered: it returns `None`
+    /// once the owner has swapped in [`Seal::Ready`] (or found the entry
+    /// moved on) and exited.
+    Pending(Arc<Session>),
+    Ready(Arc<LiveTables>),
 }
 
 /// The session's durable half: received chunk payloads are persisted
@@ -636,12 +665,26 @@ impl Owner {
     }
 
     /// `FINISH`: every chunk sent before it has been applied and acked
-    /// (message order), so cut the manifest and settle — aborted with
-    /// the typed error when the manifest cannot be written.
-    fn on_finish(&mut self, reply: &Sender<Result<(u64, u64), ConnError>>) -> bool {
+    /// (message order), so cut the manifest, settle, and write the
+    /// `FINISH_ACK` — aborted with the typed error when the manifest
+    /// cannot be written. Only then, off the client's path, does a clean
+    /// finish seal ([`Owner::seal`]).
+    fn on_finish(&mut self, reply: &Sender<Result<(), ConnError>>) -> bool {
         let written = self.store.finish().map_err(io_err);
+        let clean = written.is_ok();
         self.settle(written.as_ref().err().cloned());
-        let _ = reply.send(written.map(|()| (self.chunks, self.events)));
+        let acked = written.and_then(|()| {
+            let writer = self.attached.as_ref().ok_or_else(|| {
+                (ErrorCode::Protocol, format!("session {:?} has no connection", self.name))
+            })?;
+            let mut ack = self.chunks.to_be_bytes().to_vec();
+            ack.extend_from_slice(&self.events.to_be_bytes());
+            write_frame(&mut *writer.lock(), kind::FINISH_ACK, &ack).map_err(io_err)
+        });
+        let _ = reply.send(acked);
+        if clean {
+            self.seal();
+        }
         true
     }
 
@@ -674,21 +717,46 @@ impl Owner {
 
     /// Settles the session: records the outcome durably (an aborted
     /// name is reusable after a restart too) and replaces the map's open
-    /// entry with the settled one. The live sweeps die with the thread;
-    /// queries route to the directory from here on.
+    /// entry with the settled one. A clean finish keeps the open entry's
+    /// handle as a [`Seal::Pending`]: its mailbox is what readers wait on
+    /// until [`Owner::seal`] is done. An aborted session's live sweeps
+    /// die with the thread; its queries read the directory.
     fn settle(&mut self, abort: Option<ConnError>) {
         self.write_record(match abort {
             None => SessionStatus::Finished,
             Some(_) => SessionStatus::Aborted,
         });
+        let mut sessions = self.daemon.sessions.lock();
+        let seal = match sessions.remove(&self.name) {
+            Some(Entry::Open(session)) if abort.is_none() && session.epoch == self.epoch => {
+                Some(Seal::Pending(session))
+            }
+            _ => None,
+        };
         let settled = Settled {
             epoch: self.epoch,
             dir: self.store.dir.clone(),
             tier: StorageTier::Raw,
             abort,
             chunks: self.chunks,
+            seal,
         };
-        self.daemon.sessions.lock().insert(self.name.clone(), Entry::Settled(settled));
+        sessions.insert(self.name.clone(), Entry::Settled(settled));
+    }
+
+    /// Seals a cleanly finished session once its `FINISH_ACK` is out:
+    /// the live sweeps become the finished merged-view tables
+    /// ([`LiveState::seal`]), swapped into the settled entry in place of
+    /// the [`Seal::Pending`] that [`Owner::settle`] left — unless a tier
+    /// transition or a prune got there first. The owner exits right
+    /// after, which releases every reader waiting on the seal.
+    fn seal(&mut self) {
+        let tables = Arc::new(std::mem::take(&mut self.live).seal());
+        if let Some(Entry::Settled(settled)) = self.daemon.sessions.lock().get_mut(&self.name) {
+            if settled.epoch == self.epoch && matches!(settled.seal, Some(Seal::Pending(_))) {
+                settled.seal = Some(Seal::Ready(tables));
+            }
+        }
     }
 
     fn write_record(&self, status: SessionStatus) {
@@ -819,6 +887,39 @@ impl Daemon {
             }
         }
         Err((ErrorCode::Io, format!("session {name:?} has no owner")))
+    }
+
+    /// The settled entry under `name` if it is still incarnation `epoch`
+    /// — `None` once a prune removed it (and a new session may have
+    /// claimed the name since).
+    fn current(&self, name: &str, epoch: u64) -> Option<Settled> {
+        match self.lookup(name)? {
+            Entry::Settled(settled) if settled.epoch == epoch => Some(settled),
+            _ => None,
+        }
+    }
+
+    /// The sealed tables that answer `spec` over the settled session
+    /// `name`, waiting out a seal still being computed; `None` when the
+    /// query reads the directory instead: a window, the per-process view,
+    /// or no seal (an aborted session, one recovered at bind, or one at
+    /// an aged tier).
+    fn sealed(&self, name: &str, settled: &Settled, spec: &QuerySpec) -> Option<Arc<LiveTables>> {
+        if spec.window.is_some() || live_view(spec) != LiveView::Merged {
+            return None;
+        }
+        match settled.seal.as_ref()? {
+            Seal::Ready(tables) => Some(tables.clone()),
+            Seal::Pending(owner) => {
+                // Never answered: returns once the owner has sealed and
+                // exited. No lock is held while waiting.
+                let _ = owner.ask(|reply| Msg::Status { reply });
+                match self.current(name, settled.epoch)?.seal? {
+                    Seal::Ready(tables) => Some(tables),
+                    Seal::Pending(_) => None,
+                }
+            }
+        }
     }
 
     /// Why `session`'s mailbox is closed: the typed reason it aborted.
@@ -1187,6 +1288,7 @@ fn recover_session(
             tier: record.tier,
             abort,
             chunks,
+            seal: None,
         })
     };
     let report = |phase, chunks, events, removed_chunks| {
@@ -1317,7 +1419,7 @@ fn handle_connection(daemon: &Arc<Daemon>, mut stream: Stream) {
             kind::HELLO => handle_hello(daemon, &writer, &mut session, &frame.1),
             kind::CHUNK => handle_chunk(daemon, session.as_deref(), frame.1),
             kind::FINISH => {
-                let result = handle_finish(daemon, &writer, session.as_deref());
+                let result = handle_finish(daemon, session.as_deref());
                 if result.is_ok() {
                     session = None; // clean finish: nothing left to detach
                 }
@@ -1440,6 +1542,7 @@ fn advance_tier(
     if let Some(Entry::Settled(current)) = daemon.sessions.lock().get_mut(name) {
         if current.epoch == settled.epoch {
             current.tier = tier;
+            current.seal = None;
         }
     }
     Ok(())
@@ -1644,18 +1747,11 @@ fn handle_chunk(
         .map_err(|_| daemon.settled_error(session))
 }
 
-fn handle_finish(
-    daemon: &Daemon,
-    writer: &SharedWriter,
-    session: Option<&Session>,
-) -> Result<(), ConnError> {
+/// `FINISH`: the owner writes the `FINISH_ACK` itself (it seals right
+/// after), so this only waits for its word that the ack went out.
+fn handle_finish(daemon: &Daemon, session: Option<&Session>) -> Result<(), ConnError> {
     let session = session.ok_or((ErrorCode::Protocol, "FINISH before HELLO".to_string()))?;
-    let (chunks, events) = session
-        .ask(|reply| Msg::Finish { reply })
-        .unwrap_or_else(|| Err(daemon.settled_error(session)))?;
-    let mut ack = chunks.to_be_bytes().to_vec();
-    ack.extend_from_slice(&events.to_be_bytes());
-    write_frame(&mut *writer.lock(), kind::FINISH_ACK, &ack).map_err(io_err)
+    session.ask(|reply| Msg::Finish { reply }).unwrap_or_else(|| Err(daemon.settled_error(session)))
 }
 
 fn handle_query(daemon: &Daemon, writer: &SharedWriter, payload: &[u8]) -> Result<(), ConnError> {
@@ -1687,7 +1783,7 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
             if !dir.is_dir() {
                 return Err((ErrorCode::UnknownTarget, format!("no chunk directory {path:?}")));
             }
-            settled_query(daemon, &dir, StorageTier::Raw, spec)
+            settled_query(daemon, &dir, StorageTier::Raw, spec, || None)
         }
         // A QUERY reply carries one canonical-JSON table; the all-sessions
         // answer is per-session groups, which only a QUERY_ALL_OK can carry.
@@ -1741,38 +1837,51 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
         return Err((ErrorCode::Protocol, "QUERY_ALL frames take the all-sessions target".into()));
     }
     let view = live_view(spec);
-    let routed: Vec<(Arc<str>, Routed<LiveTables>)> = daemon
-        .entries()
-        .into_iter()
-        .filter_map(|(name, _)| {
-            // `Err`: pruned since the listing was taken.
-            let routed = daemon.route(&name, |reply| Msg::Snapshot { view, reply }).ok()?;
-            Some((Arc::from(name), routed))
-        })
-        .collect();
     let mut any_live = false;
     let mut events_observed = 0u64;
-    let mut sources: Vec<(Arc<str>, SessionSource<'_>)> = Vec::with_capacity(routed.len());
-    for (name, routed) in &routed {
-        let source = match routed {
+    /// What one session contributes: tables (a live snapshot or a
+    /// seal), or the directory of its tier.
+    enum Part {
+        Tables(Arc<LiveTables>),
+        Dir(PathBuf, StorageTier),
+    }
+    let mut parts: Vec<(Arc<str>, Part)> = Vec::new();
+    for (name, _) in daemon.entries() {
+        // `Err`: pruned since the listing was taken.
+        let Ok(routed) = daemon.route(&name, |reply| Msg::Snapshot { view, reply }) else {
+            continue;
+        };
+        let part = match routed {
             Routed::Open(_, tables) => {
                 events_observed += tables.events_observed();
                 any_live = true;
-                SessionSource::Live(tables)
+                Part::Tables(Arc::new(tables))
             }
             Routed::Settled(settled) => {
                 let dir = tier_dir(&settled.dir, settled.tier);
-                events_observed += tier_index(&dir, settled.tier)?.1;
-                if settled.tier == StorageTier::Rollup {
-                    SessionSource::RollupDir(dir)
-                } else {
-                    SessionSource::ChunkDir(dir)
+                match tier_index(&dir, settled.tier) {
+                    Ok((_, events)) => events_observed += events,
+                    // Pruned since the listing was taken.
+                    Err(_) if daemon.current(&name, settled.epoch).is_none() => continue,
+                    Err(error) => return Err(error),
+                }
+                match daemon.sealed(&name, &settled, spec) {
+                    Some(tables) => Part::Tables(tables),
+                    None => Part::Dir(dir, settled.tier),
                 }
             }
         };
-        sources.push((name.clone(), source));
+        parts.push((Arc::from(name), part));
     }
-    let names = routed.iter().map(|(name, _)| name.to_string()).collect();
+    let sources = parts.iter().map(|(name, part)| {
+        let source = match part {
+            Part::Tables(tables) => SessionSource::Live(tables),
+            Part::Dir(dir, StorageTier::Rollup) => SessionSource::RollupDir(dir.clone()),
+            Part::Dir(dir, _) => SessionSource::ChunkDir(dir.clone()),
+        };
+        (name.clone(), source)
+    });
+    let names = parts.iter().map(|(name, _)| name.to_string()).collect();
     let analysis = apply_spec(Analysis::of_sessions(sources), spec);
     let groups = analysis.tables().map_err(analysis_err)?;
     Ok(QueryAllReply { live: any_live, events_observed, sessions: names, groups })
@@ -1799,26 +1908,31 @@ fn tier_index(dir: &Path, tier: StorageTier) -> Result<(u64, u64), ConnError> {
     }
 }
 
-/// Routes a settled session's query to its current storage tier. The
-/// query runs with no lock held, so a concurrent tier transition can
-/// delete the files mid-read; in that case the failed read is retried at
-/// the session's new tier (the tier only moves forward, so this
-/// terminates).
+/// Routes a settled session's query to its current storage tier, or to
+/// its seal ([`Daemon::sealed`]). The query runs with no lock held, so a
+/// concurrent tier transition can delete the files mid-read; in that
+/// case the failed read is retried at the session's new tier (the tier
+/// only moves forward, so this terminates), and a session pruned
+/// mid-read is an [`ErrorCode::UnknownTarget`], as it is for a query
+/// sent after the prune.
 fn tiered_query(
     daemon: &Daemon,
     name: &str,
-    settled: Settled,
+    mut settled: Settled,
     spec: &QuerySpec,
 ) -> Result<QueryReply, ConnError> {
-    let mut tier = settled.tier;
     loop {
-        let result = settled_query(daemon, &tier_dir(&settled.dir, tier), tier, spec);
+        let (dir, tier) = (tier_dir(&settled.dir, settled.tier), settled.tier);
+        let sealed = || daemon.sealed(name, &settled, spec);
+        let result = settled_query(daemon, &dir, tier, spec, sealed);
         if let Err((ErrorCode::Io, _)) = &result {
-            if let Some(Entry::Settled(now)) = daemon.lookup(name) {
-                if now.epoch == settled.epoch && now.tier > tier {
-                    tier = now.tier;
+            match daemon.current(name, settled.epoch) {
+                Some(now) if now.tier > tier => {
+                    settled = now;
                     continue;
                 }
+                Some(_) => {}
+                None => return Err((ErrorCode::UnknownTarget, format!("no session {name:?}"))),
             }
         }
         return result;
@@ -1832,12 +1946,16 @@ fn tiered_query(
 /// ([`Analysis::from_rollup_dir`], keyed by the rollup index checksum)
 /// without decoding a raw event, and a query needing raw resolution
 /// comes back as a typed [`ErrorCode::UnsupportedQuery`] straight from
-/// the analysis layer.
+/// the analysis layer. On a cache miss, tables from `sealed` — the
+/// session's seal, byte-identical to the directory's answer — replace
+/// the directory as the source; lookup, insert and the checksum are the
+/// same either way.
 fn settled_query(
     daemon: &Daemon,
     dir: &Path,
     tier: StorageTier,
     spec: &QuerySpec,
+    sealed: impl FnOnce() -> Option<Arc<LiveTables>>,
 ) -> Result<QueryReply, ConnError> {
     let (checksum, events) = tier_index(dir, tier)?;
     let key = (dir.to_string_lossy().into_owned(), spec.encode());
@@ -1851,10 +1969,11 @@ fn settled_query(
             });
         }
     }
-    let analysis = if tier == StorageTier::Rollup {
-        Analysis::from_rollup_dir(dir)
-    } else {
-        Analysis::from_chunk_dir(dir)
+    let tables = sealed();
+    let analysis = match &tables {
+        Some(tables) => Analysis::of_live(tables),
+        None if tier == StorageTier::Rollup => Analysis::from_rollup_dir(dir),
+        None => Analysis::from_chunk_dir(dir),
     };
     let json = apply_spec(analysis, spec).canonical_json().map_err(analysis_err)?;
     daemon.cache.lock().insert(key, CachedResult { checksum, events, json: json.clone() });

@@ -225,6 +225,22 @@
 //! `QUERY_ALL` answers are never cached either: ingest on *any* session
 //! invalidates them, so the daemon recomposes every session per query.
 //!
+//! A session that finishes cleanly is **sealed**: right after writing
+//! its `FINISH_ACK`, the session's owner turns the live sweeps it
+//! already built into finished merged-view tables
+//! ([`LiveState::seal`]), once. Until the session leaves the raw tier,
+//! its windowless merged-view questions — no time window, no process
+//! grouping or filter — answer from those tables, over `QUERY` and
+//! `QUERY_ALL` alike, instead of decoding and sweeping the directory
+//! again. The answers are byte-identical to the directory's, and they
+//! stay `live: false` and report the manifest's event total. A `QUERY`
+//! still goes through the result cache: a miss reads the seal in place
+//! of the directory, and a repeat is a `cache_hit`. A query that
+//! arrives while the seal is being computed waits for it. Everything
+//! else reads the directory: windows, the per-process view, aborted
+//! sessions, sessions recovered at startup, and every aged tier (a tier
+//! transition drops the seal).
+//!
 //! # Tiered storage: compaction and retention
 //!
 //! Finished sessions age down a three-rung storage ladder, trading
@@ -265,6 +281,7 @@
 //! [`Analysis::from_chunk_dir`]: rlscope_core::analysis::Analysis::from_chunk_dir
 //! [`LiveState`]: rlscope_core::analysis::LiveState
 //! [`LiveState::snapshot_view`]: rlscope_core::analysis::LiveState::snapshot_view
+//! [`LiveState::seal`]: rlscope_core::analysis::LiveState::seal
 //! [`OverlapSweep::tables_so_far`]: rlscope_core::overlap::OverlapSweep::tables_so_far
 //! [`Manifest`]: rlscope_core::store::Manifest
 //! [`Manifest::checksum`]: rlscope_core::store::Manifest::checksum

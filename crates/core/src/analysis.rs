@@ -627,6 +627,28 @@ impl LiveState {
     pub fn snapshot(&mut self) -> LiveTables {
         self.snapshot_view(LiveView::Both)
     }
+
+    /// The merged-view tables over every event pushed — what
+    /// `snapshot_view(LiveView::Merged)` returns — for a stream that has
+    /// ended: the collector seals a cleanly finished session this way.
+    /// Consuming the state lets it drop the per-process sweeps before
+    /// the drain and finalize the merged sweep in place
+    /// ([`OverlapSweep::finalize_grouped`], resuming from the latest
+    /// valid checkpoint), so nothing is cloned and no checkpoint is laid.
+    pub fn seal(self) -> LiveTables {
+        let LiveState { merged, per_process, events, .. } = self;
+        // With no merged sweep the merged stream is the (at most one)
+        // process's stream.
+        let sweep = match merged {
+            Some(merged) => {
+                drop(per_process);
+                Some(merged)
+            }
+            None => per_process.into_iter().next().map(|(_, sweep)| sweep),
+        };
+        let merged = sweep.map(OverlapSweep::finalize_grouped).unwrap_or_default();
+        LiveTables { merged: Some(merged), per_process: None, events }
+    }
 }
 
 /// A finalized snapshot of a [`LiveState`]: per-phase tables for the
@@ -634,7 +656,8 @@ impl LiveState {
 /// snapshot was taken for — over exactly the events observed at snapshot
 /// time. Query it with [`Analysis::of_live`]; a query that reads a view
 /// the snapshot does not hold is a typed [`AnalysisError::Unsupported`],
-/// never an empty table.
+/// never an empty table. A finished stream's seal ([`LiveState::seal`])
+/// is the same tables, merged view only.
 #[derive(Debug, Clone)]
 pub struct LiveTables {
     /// `None` when the snapshot's view left the merged tables out.
@@ -762,7 +785,10 @@ impl<'a> Analysis<'a> {
     /// window queries go to the session's chunk directory instead), as
     /// is [`Analysis::corrected`] (no book-keeping counters). See the
     /// [module docs](crate::analysis) on live-query consistency, which
-    /// say of each gap whether it is fundamental.
+    /// say of each gap whether it is fundamental. A finished stream's
+    /// [`LiveState::seal`] is the same tables over the whole stream, and
+    /// answers the merged-view queries it holds byte-identically to the
+    /// stream's chunk directory.
     pub fn of_live(tables: &'a LiveTables) -> Self {
         Self::new(Source::Live(tables))
     }
@@ -2853,6 +2879,46 @@ mod tests {
             view_queries(LiveView::Both, || Analysis::of_live(&tables)),
             view_queries(LiveView::Both, || Analysis::of_events(&events))
         );
+    }
+
+    /// A seal is the merged snapshot, taken by consuming the state: for
+    /// an empty stream, one process, and four whose merged sweep is
+    /// promoted mid-stream — sealed cold, and after snapshots whose
+    /// checkpoints a late phase then partly invalidates — `seal()`
+    /// equals `snapshot_view(LiveView::Merged)` and the batch answer.
+    #[test]
+    fn seal_equals_the_merged_snapshot() {
+        let four: Vec<Event> = (0..2_000u64)
+            .flat_map(|i| {
+                let (t, pid) = (i * 10, (i % 4) as u32);
+                [
+                    ev(pid, EventKind::Cpu(CpuCategory::Python), "py", t + 1, t + 4),
+                    ev(pid, EventKind::Operation, "step", t, t + 6),
+                ]
+            })
+            .chain([ev(0, EventKind::Phase, "late", 5_000, 15_000)])
+            .collect();
+        let one: Vec<Event> = four.iter().filter(|e| e.pid == ProcessId(0)).cloned().collect();
+        for events in [Vec::new(), one, four, phased_events()] {
+            for snapshot_every in [None, Some(3)] {
+                let mut live = LiveState::with_checkpoint_spacing(8);
+                for (i, chunk) in events.chunks(64).enumerate() {
+                    live.push_columns(&EventColumns::from_events(chunk)).unwrap();
+                    if snapshot_every.is_some_and(|n| i % n == 0) {
+                        live.snapshot();
+                    }
+                }
+                let snapshot = live.clone().snapshot_view(LiveView::Merged);
+                let sealed = live.seal();
+                assert_eq!(sealed.events, events.len() as u64);
+                assert!(sealed.per_process.is_none());
+                assert_eq!(sealed.merged, snapshot.merged, "{} events", events.len());
+                assert_eq!(
+                    view_queries(LiveView::Merged, || Analysis::of_live(&sealed)),
+                    view_queries(LiveView::Merged, || Analysis::of_events(&events))
+                );
+            }
+        }
     }
 
     #[test]

@@ -1340,7 +1340,8 @@ impl DrainState {
 /// arrived since the previous one, plus, when an enclosing scope closed
 /// late (an operation after its children, a phase seconds after it
 /// opened), a re-drain from the checkpoint before that scope's start —
-/// never from zero, and nothing at push time.
+/// never from zero, and nothing at push time. A finalize after such
+/// calls resumes from the latest valid checkpoint the same way.
 ///
 /// The sweep is [`Clone`]: a clone carries the log, the drain state and
 /// the ladder, and the two then go their own ways (a live session's
@@ -1354,7 +1355,8 @@ pub struct OverlapSweep {
     state: DrainState,
     /// Checkpoints of [`OverlapSweep::tables_so_far`] drains, in
     /// position order; the last is the state at the end of the log as
-    /// of the latest call.
+    /// of the latest call. A drain to the end takes the latest valid one
+    /// as its start.
     ladder: Vec<DrainState>,
     checkpoint_spacing: usize,
     /// Smallest boundary time pushed since the last
@@ -1717,6 +1719,16 @@ impl OverlapSweep {
             }
         }
         self.sort_pending();
+        if limit.is_none() {
+            // A drain to the end ends where the latest still-valid
+            // checkpoint's would (see `tables_so_far`): resume from it.
+            while self.ladder.last().is_some_and(|c| c.prev_t >= self.low_water) {
+                self.ladder.pop();
+            }
+            if let Some(tip) = self.ladder.pop() {
+                self.state = tip;
+            }
+        }
         self.state.fit(&self.log);
         self.state.advance(&self.log, limit, usize::MAX);
         // Checkpoints index a log whose front is about to move.

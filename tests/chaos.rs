@@ -1203,3 +1203,55 @@ fn injected_enospc_during_retention_pass_retries_on_the_next_pass() {
     assert_eq!(client.query(&spec).unwrap().canonical_json, baseline);
     collector.shutdown();
 }
+
+/// SIGKILL while a large session is sealing: the finish was acked, so a
+/// restarted daemon reports the session `Finished` and — no seal
+/// survives a restart — answers from its directory, with the very bytes
+/// the seal would have given.
+#[test]
+fn sigkill_while_sealing_restarts_finished_with_the_sealed_answer() {
+    use rlscope::core::analysis::{Dim, LiveState};
+
+    let Some(bin) = rlscoped_bin() else {
+        eprintln!("skipping: rlscoped not built");
+        return;
+    };
+    let (socket, data) = scratch("sealkill");
+    std::fs::create_dir_all(&data).unwrap();
+    let mut child = spawn_rlscoped(&bin, &socket, &data);
+    // Four processes interleaved event by event: the seal drains the
+    // merged sweep of 200k events from its first boundary.
+    let streams: Vec<Vec<Event>> = (0..4).map(|pid| session_events(pid, 50_000)).collect();
+    let events: Vec<Event> =
+        (0..50_000).flat_map(|i| streams.iter().filter_map(move |s| s.get(i).cloned())).collect();
+    let mut live = LiveState::new();
+    let run = || -> Result<u64, CollectorError> {
+        let mut client = CollectorClient::open_session(&socket, "sealing")?;
+        for chunk in events.chunks(4_096) {
+            client.send_events(chunk)?;
+        }
+        Ok(client.finish()?.events)
+    };
+    let finished = run();
+    // The owner is sealing now, off the client's path.
+    child.kill().unwrap();
+    child.wait().unwrap();
+    assert_eq!(finished.unwrap(), events.len() as u64);
+    for chunk in events.chunks(4_096) {
+        live.push_columns(&EventColumns::from_events(chunk)).unwrap();
+    }
+    let sealed = live.seal();
+
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    assert_eq!(collector.session_phase("sealing"), Some(SessionPhase::Finished));
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    for dims in [&[][..], &[Dim::Phase, Dim::Operation]] {
+        let reply = query.query(&QuerySpec::session("sealing").group_by(dims.iter().copied()));
+        let reply = reply.unwrap();
+        assert!(!reply.live && !reply.cache_hit);
+        assert_eq!(reply.events_observed, events.len() as u64);
+        let want = Analysis::of_live(&sealed).group_by(dims.iter().copied());
+        assert_eq!(reply.canonical_json, want.canonical_json().unwrap(), "{dims:?}");
+    }
+    collector.shutdown();
+}

@@ -80,6 +80,14 @@ fn session_events(pid: u32, n: usize) -> Vec<Event> {
     events
 }
 
+/// `n` events from each of four processes, interleaved event by event:
+/// every chunk carries all four pids and arrives out of start order.
+fn four_process_events(n: usize) -> Vec<Event> {
+    let streams: Vec<Vec<Event>> = (0..4).map(|pid| session_events(pid, n)).collect();
+    let longest = streams.iter().map(Vec::len).max().unwrap();
+    (0..longest).flat_map(|i| streams.iter().filter_map(move |s| s.get(i).cloned())).collect()
+}
+
 /// The acceptance test: 4 concurrent sessions stream ≥100k events each;
 /// a mid-run live query returns a consistent prefix (batch-identical
 /// canonical JSON over exactly the events acknowledged so far), and the
@@ -795,12 +803,7 @@ fn tcp_transport_and_query_all_over_live_sessions() {
 fn live_queries_of_either_view_match_batch_over_the_reported_prefix() {
     const CHUNK: usize = 512;
     let (collector, socket) = bind("views");
-    // Four end-ordered per-process streams, interleaved event by event:
-    // every chunk carries all four pids and arrives out of start order.
-    let streams: Vec<Vec<Event>> = (0..4).map(|pid| session_events(pid, 4_000)).collect();
-    let longest = streams.iter().map(Vec::len).max().unwrap();
-    let events: Vec<Event> =
-        (0..longest).flat_map(|i| streams.iter().filter_map(move |s| s.get(i).cloned())).collect();
+    let events = four_process_events(4_000);
 
     let mut producer = CollectorClient::open_session(&socket, "views").unwrap();
     let mut dashboard = CollectorClient::connect(&socket).unwrap();
@@ -995,4 +998,241 @@ fn rlscoped_binary_end_to_end() {
     let _ = child.wait();
     outcome.unwrap();
     assert!(Path::new(&data).join("bin-session").join("MANIFEST").exists());
+}
+
+/// Overwrites every chunk file directly in `dir` with garbage of the
+/// same length, dated long before the manifest: the manifest stays
+/// fresh and the index readable, but any read of the chunks now fails —
+/// so a query that still answers was answered by the session's seal.
+fn scramble_chunks(dir: &Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|ext| ext == "rls") {
+            let len = std::fs::metadata(&path).unwrap().len() as usize;
+            std::fs::write(&path, vec![0xA5; len]).unwrap();
+            let long_ago = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 20);
+            std::fs::File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_modified(long_ago)
+                .unwrap();
+        }
+    }
+}
+
+/// Copies the chunk files and manifest of `dir` into a fresh `to`.
+fn copy_chunk_dir(dir: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.ends_with(".rls") || name == "MANIFEST" {
+            std::fs::copy(&path, to.join(name)).unwrap();
+        }
+    }
+}
+
+fn assert_remote(err: CollectorError, code: ErrorCode) {
+    assert!(matches!(err, CollectorError::Remote { code: Some(c), .. } if c == code), "{err}");
+}
+
+/// A cleanly finished session answers its windowless merged-view
+/// queries from its seal, byte-identical to the directory: for a
+/// 4-process session, a profiled training run and a session that sent
+/// no chunk, every phase and operation filter (none, each name, and the
+/// no-phase bucket) crossed with every ordered subset of
+/// `{Phase, Operation}` equals `Analysis::from_chunk_dir` over a copy of
+/// the session directory — while the directory itself is garbage, so
+/// windows and the per-process view, which read it, fail. `QUERY_ALL`
+/// over `{Session, Phase}` reads the three seals alike and stays
+/// `live: false`.
+#[test]
+fn seal_answers_merged_queries_byte_identically_to_the_directory() {
+    use rlscope::core::analysis::{groups_canonical_json, SessionSource};
+    use rlscope::core::overlap::NO_PHASE;
+    use rlscope::prelude::*;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    let (socket, data) = scratch("seal");
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    let spec = TrainSpec {
+        scale: ScaleConfig { hidden: 8, batch: 4, freq_div: 25, ppo: None },
+        ..TrainSpec::new(AlgoKind::Ddpg, "Walker2D", STABLE_BASELINES, 40)
+    };
+    let train = spec.run(Some(Toggles::all())).trace.unwrap().events;
+    let sessions = [
+        ("seal-empty", Vec::new()),
+        ("seal-four", four_process_events(3_000)),
+        ("seal-train", train),
+    ];
+    let reference = data.with_file_name("reference");
+    for (name, events) in &sessions {
+        let mut client = CollectorClient::open_session(&socket, name).unwrap();
+        for chunk in events.chunks(512) {
+            client.send_events(chunk).unwrap();
+        }
+        client.finish().unwrap();
+        copy_chunk_dir(&data.join(name), &reference.join(name));
+        scramble_chunks(&data.join(name));
+    }
+
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let orders: [&[Dim]; 5] = [
+        &[],
+        &[Dim::Phase],
+        &[Dim::Operation],
+        &[Dim::Phase, Dim::Operation],
+        &[Dim::Operation, Dim::Phase],
+    ];
+    for (name, events) in &sessions {
+        let names = |kind: EventKind| -> BTreeSet<String> {
+            events.iter().filter(|e| e.kind == kind).map(|e| e.name.to_string()).collect()
+        };
+        let mut phases: Vec<Option<String>> = vec![None, Some(NO_PHASE.to_string())];
+        phases.extend(names(EventKind::Phase).into_iter().map(Some));
+        let mut operations: Vec<Option<String>> = vec![None];
+        operations.extend(names(EventKind::Operation).into_iter().map(Some));
+        for phase in &phases {
+            for operation in &operations {
+                for dims in orders {
+                    let mut spec = QuerySpec::session(*name);
+                    let mut want = Analysis::from_chunk_dir(reference.join(name));
+                    if let Some(phase) = phase {
+                        spec = spec.phase(phase);
+                        want = want.phase(phase);
+                    }
+                    if let Some(operation) = operation {
+                        spec = spec.operation(operation);
+                        want = want.operation(operation);
+                    }
+                    let spec = spec.group_by(dims.iter().copied());
+                    let want = want.group_by(dims.iter().copied()).canonical_json().unwrap();
+                    let reply = query.query(&spec).unwrap();
+                    assert!(!reply.live, "{spec:?}");
+                    // The wire form holds the dims as a set: the reversed
+                    // pair repeats the query before it, from the cache.
+                    assert_eq!(reply.cache_hit, dims == [Dim::Operation, Dim::Phase]);
+                    assert_eq!(reply.events_observed, events.len() as u64);
+                    assert_eq!(reply.canonical_json, want, "{spec:?}");
+                }
+            }
+        }
+        if !events.is_empty() {
+            let window = QuerySpec::session(*name).window(0, 1 << 62);
+            let per_process = QuerySpec::session(*name).group_by([Dim::Process]);
+            for spec in [window, per_process] {
+                // An error ends the connection it answers.
+                let mut probe = CollectorClient::connect(&socket).unwrap();
+                assert_remote(probe.query(&spec).unwrap_err(), ErrorCode::Io);
+            }
+        }
+    }
+
+    let by = [Dim::Session, Dim::Phase];
+    let reply = query.query_all(&QuerySpec::all_sessions().group_by(by)).unwrap();
+    assert!(!reply.live);
+    let total: usize = sessions.iter().map(|(_, events)| events.len()).sum();
+    assert_eq!(reply.events_observed, total as u64);
+    let sources = sessions
+        .iter()
+        .map(|(name, _)| (Arc::<str>::from(*name), SessionSource::ChunkDir(reference.join(name))));
+    let want = Analysis::of_sessions(sources).group_by(by).canonical_json().unwrap();
+    assert_eq!(groups_canonical_json(&reply.groups, true), want);
+    collector.shutdown();
+}
+
+/// A query sent the moment `FINISH_ACK` arrives meets a seal still being
+/// computed (200k events over four processes, the merged sweep never
+/// drained before) and waits for it: the chunk files were scrambled
+/// before the finish, so only the seal can answer, and it answers the
+/// batch breakdown exactly.
+#[test]
+fn seal_answers_a_query_sent_right_after_finish_ack() {
+    let (socket, data) = scratch("sealwait");
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    let events = four_process_events(50_000);
+    let mut producer = CollectorClient::open_session(&socket, "sealwait").unwrap();
+    let mut reader = CollectorClient::connect(&socket).unwrap();
+    for chunk in events.chunks(4_096) {
+        producer.send_events(chunk).unwrap();
+    }
+    // A per-process live query drains the producer's acks — every chunk
+    // is durable — and leaves the merged sweep undrained.
+    producer.query(&QuerySpec::session("sealwait").group_by([Dim::Process])).unwrap();
+    scramble_chunks(&data.join("sealwait"));
+    producer.finish().unwrap();
+    let spec = QuerySpec::session("sealwait").group_by([Dim::Phase, Dim::Operation]);
+    let reply = reader.query(&spec).unwrap();
+    assert!(!reply.live && !reply.cache_hit);
+    assert_eq!(reply.events_observed, events.len() as u64);
+    let want = Analysis::of_events(&events).group_by([Dim::Phase, Dim::Operation]);
+    assert_eq!(reply.canonical_json, want.canonical_json().unwrap());
+    let again = reader.query(&spec).unwrap();
+    assert!(again.cache_hit);
+    assert_eq!(again.canonical_json, reply.canonical_json);
+    collector.shutdown();
+}
+
+/// `compact_session` issued the moment `FINISH_ACK` arrives wins over
+/// the seal: the session moves to the sorted tier, where no seal is
+/// consulted, and the next query reads `sorted/` — answering the very
+/// bytes the seal would have given, and failing once `sorted/` is
+/// scrambled.
+#[test]
+fn seal_yields_to_a_compaction_issued_right_after_finish_ack() {
+    use rlscope::core::analysis::LiveState;
+
+    let (socket, data) = scratch("sealsort");
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    let events = four_process_events(20_000);
+    let mut producer = CollectorClient::open_session(&socket, "sealsort").unwrap();
+    let mut live = LiveState::new();
+    for chunk in events.chunks(4_096) {
+        producer.send_events(chunk).unwrap();
+        live.push_columns(&EventColumns::from_events(chunk)).unwrap();
+    }
+    producer.finish().unwrap();
+    assert_eq!(collector.compact_session("sealsort").unwrap(), StorageTier::Sorted);
+
+    let sealed = live.seal();
+    let dims = [Dim::Phase, Dim::Operation];
+    let mut reader = CollectorClient::connect(&socket).unwrap();
+    let reply = reader.query(&QuerySpec::session("sealsort").group_by(dims)).unwrap();
+    assert!(!reply.live && !reply.cache_hit);
+    let want = Analysis::of_live(&sealed).group_by(dims).canonical_json().unwrap();
+    assert_eq!(reply.canonical_json, want);
+    assert!(!data.join("sealsort").join("chunk_00000.rls").exists(), "raw chunks dropped");
+    scramble_chunks(&data.join("sealsort").join("sorted"));
+    let err = reader.query(&QuerySpec::session("sealsort").group_by([Dim::Phase])).unwrap_err();
+    assert_remote(err, ErrorCode::Io);
+    collector.shutdown();
+}
+
+/// An aborted session is never sealed: its live sweeps die with its
+/// owner, and its queries read the directory — which fails once the
+/// chunks are scrambled.
+#[test]
+fn seal_is_never_taken_for_an_aborted_session() {
+    let (socket, data) = scratch("sealabort");
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    let events = session_events(0, 4_096);
+    let mut conn = raw_session(&socket, "sealabort");
+    send_chunk(&mut conn, 0, &events[..2_048]);
+    assert_eq!(read_ack(&mut conn), (0, 2_048));
+    send_chunk(&mut conn, 5, &events[2_048..]);
+    assert_eq!(read_frame(&mut conn).unwrap().unwrap().0, kind::ERROR);
+    assert_eq!(collector.session_phase("sealabort"), Some(SessionPhase::Aborted));
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let prefix = query.query(&QuerySpec::session("sealabort")).unwrap();
+    assert_eq!(
+        prefix.canonical_json,
+        Analysis::of_events(&events[..2_048]).canonical_json().unwrap()
+    );
+    scramble_chunks(&data.join("sealabort"));
+    let err = query.query(&QuerySpec::session("sealabort").group_by([Dim::Phase])).unwrap_err();
+    assert_remote(err, ErrorCode::Io);
+    collector.shutdown();
 }

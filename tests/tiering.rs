@@ -266,3 +266,74 @@ fn query_all_spans_mixed_tiers() {
     }
     collector.shutdown();
 }
+
+/// A query that races a prune gets `QUERY_OK` or `UnknownTarget` — the
+/// answer a query sent just before or just after the prune gets — never
+/// the `Io` of a directory vanishing mid-read: six rolled-up sessions
+/// are pruned by one retention pass while two query loops keep asking
+/// for each of them.
+#[test]
+fn queries_racing_a_prune_get_an_answer_or_unknown_target() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    const SEGMENT_NS: u64 = 100_000;
+    let (socket, data) = scratch("prunerace");
+    let mut config = CollectorConfig::new(&socket, &data);
+    config.rollup_segment_ns = SEGMENT_NS;
+    let collector = Collector::bind(config).unwrap();
+    let names: Vec<String> = (0..6).map(|i| format!("doomed-{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        finish_session(&socket, name, &session_events(i as u32, 4_096));
+        assert_eq!(collector.compact_session(name).unwrap(), StorageTier::Sorted);
+        assert_eq!(collector.compact_session(name).unwrap(), StorageTier::Rollup);
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let loops: Vec<_> = (0..2u64)
+        .map(|t| {
+            let (socket, names, stop) = (socket.clone(), names.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let (mut answered, mut unknown) = (0usize, 0usize);
+                let mut client = CollectorClient::connect(&socket).unwrap();
+                for i in 0u64.. {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // Segment-aligned windows, distinct per query, so the
+                    // result cache never answers: each one reads the dir.
+                    let name = &names[(i % names.len() as u64) as usize];
+                    let hi = SEGMENT_NS * (1 + (2 * i + t) % 5_000);
+                    let spec = QuerySpec::session(name).group_by([Dim::Phase]).window(0, hi);
+                    match client.query(&spec) {
+                        Ok(_) => answered += 1,
+                        Err(CollectorError::Remote {
+                            code: Some(ErrorCode::UnknownTarget),
+                            ..
+                        }) => {
+                            unknown += 1;
+                            // An error ends the connection it answers.
+                            client = CollectorClient::connect(&socket).unwrap();
+                        }
+                        Err(e) => panic!("{spec:?}: {e}"),
+                    }
+                }
+                (answered, unknown)
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(50));
+    collector.run_retention_pass(&RetentionPolicy::parse("rollup=0ms").unwrap());
+    for name in &names {
+        wait_pruned(&collector, name, &data.join(name));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    stop.store(true, Ordering::SeqCst);
+    let (mut answered, mut unknown) = (0, 0);
+    for handle in loops {
+        let (a, u) = handle.join().expect("query loop panicked");
+        answered += a;
+        unknown += u;
+    }
+    assert!(answered > 0 && unknown > 0, "{answered} answered, {unknown} unknown");
+    collector.shutdown();
+}
