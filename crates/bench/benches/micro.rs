@@ -269,8 +269,8 @@ fn bench_analysis(c: &mut Criterion) {
     let query = || Analysis::of_events(std::hint::black_box(&events)).table().unwrap();
     let (query_stats, direct_stats) =
         gate::sample_pair(5, || time_per_call(&query), || time_per_call(&direct));
-    // The fast path pushes straight into one sweep, so the ratio should
-    // sit at ~1.00. Bench runs assert the acceptance target
+    // The query pushes its rows straight into one sweep, so the ratio
+    // should sit at ~1.00. Bench runs assert the acceptance target
     // (1.1x); the noisy `--test` CI smoke only gates catastrophic
     // regressions.
     let target = if gate::is_smoke_run() { 2.0 } else { 1.1 };
@@ -593,8 +593,8 @@ fn bench_compaction(c: &mut Criterion) {
 }
 
 fn bench_multiprocess(c: &mut Criterion) {
-    // ~44k events over 4 processes, analyzed with the sharded parallel
-    // per-process path used by whole-experiment reports.
+    // ~44k events over 4 processes, analyzed with the per-process path
+    // used by whole-experiment reports.
     let trace = Trace {
         pid: ProcessId(0),
         events: multi_op_events(40_000, 16, 4),

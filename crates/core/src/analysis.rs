@@ -7,8 +7,7 @@
 //! with a single builder that composes
 //!
 //! * a **source** — [`Analysis::of`] (one trace), [`Analysis::merged`]
-//!   (several traces), [`Analysis::of_events`] /
-//!   [`Analysis::of_indexed`] (raw event slices), or
+//!   (several traces), [`Analysis::of_events`] (a raw event slice), or
 //!   [`Analysis::from_chunk_dir`] (on-disk chunk directories, streamed
 //!   chunk-at-a-time, each sweep holding no more of the stream than the
 //!   chunk footers say is still open);
@@ -24,9 +23,10 @@
 //!   [`Analysis::profile`] (a [`CorrectedProfile`]), and
 //!   [`Analysis::canonical_json`].
 //!
-//! All legacy entry points are thin wrappers over this pipeline, so every
-//! path — in-memory, indexed, parallel per-process, streamed, live —
-//! runs the one engine ([`OverlapSweep`]) under one set of semantics.
+//! All legacy entry points are thin wrappers over this pipeline, and every
+//! source — in memory, on disk or live — reaches the one engine
+//! ([`OverlapSweep`]) through one executor, under one set of semantics
+//! (see *How each source reaches the sweep*).
 //!
 //! # Phase semantics
 //!
@@ -119,23 +119,30 @@
 //!
 //! # How each source reaches the sweep
 //!
-//! Sources that start from encoded chunk bytes —
-//! [`Analysis::from_chunk_dir`] and
-//! the collector's live ingest and crash-recovery replay
-//! ([`LiveState::push_columns`]) — decode each chunk with
-//! [`crate::store::decode_columns`] into [`crate::store::EventColumns`]
-//! (five flat primitive columns plus a per-chunk name table; no
-//! `Vec<Event>` is materialized) and feed the sweeps through
-//! [`OverlapSweep::push_columns`]. Sources that start from
-//! already-materialized rows — [`Analysis::of`], [`Analysis::merged`],
-//! [`Analysis::of_events`], [`Analysis::of_indexed`] — push their
-//! (filtered, possibly clipped) rows into a sweep in one go and
-//! finalize it; converting them to columns first would add a copy for
-//! no decode saving. Both read events through the same generic push
-//! body (see [`crate::overlap`]) and drain through the same merge loop;
-//! the two instantiations are pinned table-identical by
-//! `columnar_sweep_matches_batch_canonical_json` in
-//! `tests/properties.rs`.
+//! Every source that still has events to sweep runs one executor: the
+//! sweeps the query's [`LiveView`] needs, fed batches of rows that pass
+//! one process-filter and window-clip rule, finished into the per-view
+//! tables live snapshots and rollups are read from too. The sources
+//! differ only in what they push:
+//!
+//! * [`Analysis::of`], [`Analysis::merged`] and [`Analysis::of_events`]
+//!   push each event slice as it is, as one batch, released nowhere.
+//!   Rows are not converted to columns: building
+//!   [`crate::store::EventColumns`] measured 20–40 ns/event, against
+//!   55–90 ns/event for the sweep itself, a copy that saves no decode.
+//! * [`Analysis::from_chunk_dir`] decodes each selected chunk with
+//!   [`crate::store::decode_columns`] (five flat primitive columns plus a
+//!   per-chunk name table; no `Vec<Event>`), pushes it, and releases
+//!   every sweep to that chunk's frontier.
+//! * [`LiveState`] is the executor over both views, fed by the
+//!   collector's live ingest and crash-recovery replay
+//!   ([`LiveState::push_columns`]).
+//!
+//! Per-process sweeps run one after another on the calling thread (a
+//! thread per process measured no faster on two cores). Rows and
+//! columns go through one generic push body (see [`crate::overlap`]),
+//! pinned table-identical by `columnar_sweep_matches_batch_canonical_json`
+//! in `tests/properties.rs`.
 //!
 //! # Live-query consistency
 //!
@@ -299,25 +306,20 @@
 use crate::calibrate::Calibration;
 use crate::correct::{apply_correction, CorrectedProfile, CorrectionInputs, OverheadBreakdown};
 use crate::event::Event;
-use crate::overlap::{
-    sweep_tables, sweep_tables_by_phase, BreakdownTable, BucketKey, OverlapSweep, PhaseTables,
-    SweepError, NO_PHASE,
-};
+use crate::intern::Interner;
+use crate::overlap::{BreakdownTable, BucketKey, OverlapSweep, PhaseTables, SweepError, NO_PHASE};
 use crate::report::BreakdownReport;
 use crate::rollup::{merge_phase_tables, Rollup};
 use crate::store::{
-    for_each_decoded_chunk_columns, list_chunk_files, ChunkQuery, EventColumns, Manifest,
+    for_each_decoded_chunk_columns, list_chunk_files, ChunkQuery, EventColumns, EventRow, Manifest,
     TraceIoError,
 };
 use crate::trace::Trace;
-use parking_lot::Mutex;
 use rlscope_sim::ids::ProcessId;
 use rlscope_sim::time::{DurationNs, TimeNs};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A grouping dimension for [`Analysis::group_by`].
@@ -423,7 +425,6 @@ impl From<TraceIoError> for AnalysisError {
 #[derive(Debug)]
 enum Source<'a> {
     Events(&'a [Event]),
-    Indexed(&'a [Event], &'a [u32]),
     Trace(&'a Trace),
     Merged(&'a [Trace]),
     ChunkDir(PathBuf),
@@ -494,6 +495,213 @@ impl LiveView {
     }
 }
 
+/// The one sweep executor (see the [module docs](crate::analysis)): the
+/// [`OverlapSweep`]s one [`LiveView`] needs, fed rows that pass one
+/// filter-and-clip rule ([`admit`]).
+///
+/// * `Merged` holds one merged-stream sweep; `PerProcess` one sweep per
+///   process, made where its first admitted row arrives, so the slot
+///   order is the group order.
+/// * `Both` holds the per-process sweeps, plus a merged sweep from the
+///   second process on. Until then the merged stream *is* the one
+///   process's stream, so the merged sweep starts as a clone of that
+///   process's sweep (checkpoints included) just before the second
+///   process's rows land, and a single-process stream pays one push per
+///   event, not two.
+#[derive(Debug, Clone)]
+struct SweepSet {
+    view: LiveView,
+    /// Always under `Merged`, never under `PerProcess`.
+    merged: Option<OverlapSweep>,
+    per_process: Vec<(ProcessId, OverlapSweep)>,
+    pid_filter: Option<u32>,
+    /// The half-open window `[lo, hi)` rows are clipped to.
+    window: Option<(u64, u64)>,
+    /// An empty sweep, configured: each per-process slot starts as a
+    /// clone of it (`None` under `Merged`, whose one sweep it became).
+    template: Option<OverlapSweep>,
+    /// How each sweep finishes ([`OverlapSweep::finalize_grouped`]
+    /// unless the set's owner picks another form).
+    finalize: fn(OverlapSweep) -> PhaseTables,
+}
+
+/// The merged-stream tables and the per-process tables a [`SweepSet`]
+/// read returns, each `None` when the view read leaves it out.
+type ViewTables = (Option<PhaseTables>, Option<Vec<(ProcessId, PhaseTables)>>);
+
+impl SweepSet {
+    /// An empty, unfiltered and unclipped set for `view` whose sweeps
+    /// start as `template`.
+    fn new(view: LiveView, template: OverlapSweep) -> Self {
+        let (merged, template) = match view {
+            LiveView::Merged => (Some(template), None),
+            _ => (None, Some(template)),
+        };
+        SweepSet {
+            view,
+            merged,
+            per_process: Vec::new(),
+            pid_filter: None,
+            window: None,
+            template,
+            finalize: OverlapSweep::finalize_grouped,
+        }
+    }
+
+    /// Pushes one batch of rows: the rows [`admit`] keeps go to the
+    /// merged sweep and to their process's sweep. Slots for the batch's
+    /// new processes are made first, in first-appearance order, so the
+    /// merged sweep of a [`LiveView::Both`] set is cloned before any row
+    /// of the batch lands.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SweepError`] of any sweep.
+    fn push_rows<R: EventRow>(
+        &mut self,
+        rows: impl Iterator<Item = R> + Clone,
+    ) -> Result<(), SweepError> {
+        match (self.pid_filter, self.window) {
+            // Nothing to drop or clip: the rows go in as they are (the
+            // wrapper cost a plain 10k-event query about 6 %).
+            (None, None) => self.push_admitted(rows),
+            (pid, window) => {
+                self.push_admitted(rows.filter_map(move |row| admit(row, pid, window)))
+            }
+        }
+    }
+
+    fn push_admitted<R: EventRow>(
+        &mut self,
+        rows: impl Iterator<Item = R> + Clone,
+    ) -> Result<(), SweepError> {
+        let mut pids: Vec<u32> = Vec::new();
+        if self.view != LiveView::Merged {
+            for pid in rows.clone().map(|row| row.pid()) {
+                if pids.last() != Some(&pid) && !pids.contains(&pid) {
+                    pids.push(pid);
+                }
+            }
+            for &pid in &pids {
+                if self.per_process.iter().all(|(known, _)| known.as_u32() != pid) {
+                    if self.view == LiveView::Both && self.merged.is_none() {
+                        // At most one process so far (see the type docs).
+                        self.merged = self.per_process.first().map(|(_, first)| first.clone());
+                    }
+                    self.per_process
+                        .push((ProcessId(pid), self.template.clone().unwrap_or_default()));
+                }
+            }
+        }
+        if let Some(merged) = &mut self.merged {
+            merged.push_rows(rows.clone())?;
+        }
+        for (pid, sweep) in &mut self.per_process {
+            let pid = pid.as_u32();
+            if pids.contains(&pid) {
+                sweep.push_rows(rows.clone().filter(move |row| row.pid() == pid))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Releases every sweep to `t` ([`OverlapSweep::release_to`]).
+    fn release_to(&mut self, t: u64) {
+        let per_process = self.per_process.iter_mut().map(|(_, sweep)| sweep);
+        for sweep in self.merged.iter_mut().chain(per_process) {
+            sweep.release_to(t);
+        }
+    }
+
+    /// The tables of the sweeps `view` covers, with the sweeps left as
+    /// they were ([`OverlapSweep::tables_so_far`]). With no merged sweep,
+    /// the merged stream is the (at most one) process's stream, and that
+    /// process's tables serve both views.
+    fn tables_so_far(&mut self, view: LiveView) -> ViewTables {
+        let per_process: Vec<(ProcessId, PhaseTables)> = if view.per_process()
+            || self.merged.is_none()
+        {
+            self.per_process.iter_mut().map(|(pid, sweep)| (*pid, sweep.tables_so_far())).collect()
+        } else {
+            Vec::new()
+        };
+        let merged = view.merged().then(|| match &mut self.merged {
+            Some(sweep) => sweep.tables_so_far(),
+            None => per_process.first().map(|(_, tables)| tables.clone()).unwrap_or_default(),
+        });
+        (merged, view.per_process().then_some(per_process))
+    }
+
+    /// Finalizes the sweeps `view` covers, as
+    /// [`SweepSet::tables_so_far`] reads them. A merged view drops the
+    /// per-process sweeps before it drains the merged one.
+    fn finish(self, view: LiveView) -> ViewTables {
+        let SweepSet { merged, per_process, finalize, .. } = self;
+        let per_process: Vec<(ProcessId, PhaseTables)> = if view.per_process() || merged.is_none() {
+            per_process.into_iter().map(|(pid, sweep)| (pid, finalize(sweep))).collect()
+        } else {
+            drop(per_process);
+            Vec::new()
+        };
+        let merged = view.merged().then(|| match merged {
+            Some(sweep) => finalize(sweep),
+            None => per_process.first().map(|(_, tables)| tables.clone()).unwrap_or_default(),
+        });
+        (merged, view.per_process().then_some(per_process))
+    }
+}
+
+/// A row as the sweeps see it: its span clipped to the query's window.
+struct Clipped<R> {
+    row: R,
+    span: (u64, u64),
+}
+
+impl<R: EventRow> EventRow for Clipped<R> {
+    fn pid(&self) -> u32 {
+        self.row.pid()
+    }
+    fn tag(&self) -> u8 {
+        self.row.tag()
+    }
+    fn span(&self) -> (u64, u64) {
+        self.span
+    }
+    fn name(&self) -> &Arc<str> {
+        self.row.name()
+    }
+    fn dense_id(&self, xlat: &mut Vec<u32>, interner: &mut Interner) -> u32 {
+        self.row.dense_id(xlat, interner)
+    }
+}
+
+/// The one filter-and-clip rule every row passes on its way into the
+/// sweeps: a row of a process other than `pid` is dropped, and the rest
+/// are clipped to the half-open window `[lo, hi)`. Attributing clipped
+/// rows attributes exactly the time inside the window, because the sweep
+/// is segment-based. A row the window leaves empty is dropped.
+///
+/// An **instant** row (`start == end`) is kept when its instant lies in
+/// `[lo, hi)`. It attributes no time, but it carries *presence*: the
+/// pid/phase/operation it introduces must enumerate in windowed queries
+/// exactly as in the full stream (the rollup tier rebuilds group order
+/// from per-window queries — see [`crate::rollup`]), and aligned windows
+/// tile the line, so each instant lands in exactly one.
+fn admit<R: EventRow>(row: R, pid: Option<u32>, window: Option<(u64, u64)>) -> Option<Clipped<R>> {
+    if pid.is_some_and(|pid| row.pid() != pid) {
+        return None;
+    }
+    let (start, end) = row.span();
+    let span = match window {
+        None => (start, end),
+        Some((lo, hi)) => {
+            let (s, t) = (start.max(lo), end.min(hi));
+            (s < t || (start == end && lo <= start && start < hi)).then_some((s, t))?
+        }
+    };
+    Some(Clipped { row, span })
+}
+
 /// Incrementally-maintained sweep state over a **live** (still
 /// in-flight) event stream — the analysis substrate behind the
 /// `rlscope-collector` daemon's mid-session queries.
@@ -514,26 +722,22 @@ impl LiveView {
 /// closed late, a re-drain from that scope's start). Nothing observable
 /// changes, and pushing a chunk never drains.
 ///
-/// Internally this mirrors the chunk-dir executor's sweep layout: one
-/// phase-tagged [`OverlapSweep`] per process (never released: nothing
-/// bounds a live stream's next start), plus a merged-stream sweep for
-/// ungrouped queries. While only one process has been seen the
-/// merged stream *is* that process's stream, so the merged sweep is not
-/// materialized until a second process appears — at which point the
-/// first process's sweep (fed the identical prefix) is cloned into
-/// place, checkpoints included. Single-process sessions — the common
-/// case — therefore pay one sweep push per event, not two, and one
-/// resumed drain per snapshot whichever view is asked.
-#[derive(Debug, Clone, Default)]
+/// Internally this is the query executor over [`LiveView::Both`],
+/// phase-tagged and never released (nothing bounds a live stream's next
+/// start). Its merged-stream sweep is not materialized until a second
+/// process appears, so single-process sessions — the common case — pay
+/// one sweep push per event, not two, and one resumed drain per
+/// snapshot whichever view is asked.
+#[derive(Debug, Clone)]
 pub struct LiveState {
-    /// Merged-stream sweep; `None` while at most one process is live
-    /// (see the type docs for the promotion rule).
-    merged: Option<OverlapSweep>,
-    per_process: Vec<(ProcessId, OverlapSweep)>,
-    slot_of: HashMap<ProcessId, usize>,
+    sweeps: SweepSet,
     events: u64,
-    /// Test support ([`LiveState::with_checkpoint_spacing`]).
-    checkpoint_spacing: Option<usize>,
+}
+
+impl Default for LiveState {
+    fn default() -> Self {
+        Self::with_sweep(OverlapSweep::new())
+    }
 }
 
 impl LiveState {
@@ -548,7 +752,13 @@ impl LiveState {
     /// few dozen events exercise resumes and roll-backs.
     #[doc(hidden)]
     pub fn with_checkpoint_spacing(ends: usize) -> Self {
-        LiveState { checkpoint_spacing: Some(ends), ..Self::default() }
+        Self::with_sweep(OverlapSweep::new().with_checkpoint_spacing(ends))
+    }
+
+    /// An empty live state whose phase-tagged sweeps start as `template`.
+    fn with_sweep(template: OverlapSweep) -> Self {
+        let sweeps = SweepSet::new(LiveView::Both, template.with_phase_tagging());
+        LiveState { sweeps, events: 0 }
     }
 
     /// Events accepted so far (including zero-length and phase events).
@@ -568,34 +778,7 @@ impl LiveState {
     /// released and so accept any order: only pathological annotation
     /// counts can fail).
     pub fn push_columns(&mut self, cols: &EventColumns) -> Result<(), SweepError> {
-        // Distinct pids in first-appearance order. Slots resolve up
-        // front: when the second process appears, the merged stream
-        // diverges from the first process's stream, whose sweep was fed
-        // the identical prefix — so its clone IS the merged state,
-        // provided the clone happens before any of this chunk's events
-        // land in it.
-        let chunk_pids = cols.distinct_pids();
-        for pid in chunk_pids.iter().map(|&raw| ProcessId(raw)) {
-            if !self.slot_of.contains_key(&pid) {
-                if self.per_process.len() == 1 && self.merged.is_none() {
-                    self.merged = Some(self.per_process[0].1.clone());
-                }
-                let slot = self.per_process.len();
-                let mut sweep = OverlapSweep::new().with_phase_tagging();
-                if let Some(ends) = self.checkpoint_spacing {
-                    sweep = sweep.with_checkpoint_spacing(ends);
-                }
-                self.per_process.push((pid, sweep));
-                self.slot_of.insert(pid, slot);
-            }
-        }
-        if let Some(merged) = &mut self.merged {
-            merged.push_columns(cols)?;
-        }
-        for &raw in &chunk_pids {
-            let slot = self.slot_of[&ProcessId(raw)];
-            self.per_process[slot].1.push_columns_filtered(cols, raw)?;
-        }
+        self.sweeps.push_rows(cols.rows())?;
         self.events += cols.len() as u64;
         Ok(())
     }
@@ -606,19 +789,7 @@ impl LiveState {
     /// session's one sweep is read once and its tables shared by both
     /// views.
     pub fn snapshot_view(&mut self, view: LiveView) -> LiveTables {
-        // With no merged sweep the merged stream is the (at most one)
-        // process's stream.
-        let shared = self.merged.is_none();
-        let per_process: Vec<(ProcessId, PhaseTables)> = if view.per_process() || shared {
-            self.per_process.iter_mut().map(|(pid, sweep)| (*pid, sweep.tables_so_far())).collect()
-        } else {
-            Vec::new()
-        };
-        let merged = view.merged().then(|| match &mut self.merged {
-            Some(sweep) => sweep.tables_so_far(),
-            None => per_process.first().map(|(_, t)| t.clone()).unwrap_or_default(),
-        });
-        let per_process = view.per_process().then_some(per_process);
+        let (merged, per_process) = self.sweeps.tables_so_far(view);
         LiveTables { merged, per_process, events: self.events }
     }
 
@@ -634,20 +805,11 @@ impl LiveState {
     /// Consuming the state lets it drop the per-process sweeps before
     /// the drain and finalize the merged sweep in place
     /// ([`OverlapSweep::finalize_grouped`], resuming from the latest
-    /// valid checkpoint), so nothing is cloned and no checkpoint is laid.
+    /// valid checkpoint), so no sweep is cloned and no checkpoint is
+    /// laid.
     pub fn seal(self) -> LiveTables {
-        let LiveState { merged, per_process, events, .. } = self;
-        // With no merged sweep the merged stream is the (at most one)
-        // process's stream.
-        let sweep = match merged {
-            Some(merged) => {
-                drop(per_process);
-                Some(merged)
-            }
-            None => per_process.into_iter().next().map(|(_, sweep)| sweep),
-        };
-        let merged = sweep.map(OverlapSweep::finalize_grouped).unwrap_or_default();
-        LiveTables { merged: Some(merged), per_process: None, events }
+        let (merged, per_process) = self.sweeps.finish(LiveView::Merged);
+        LiveTables { merged, per_process, events: self.events }
     }
 }
 
@@ -739,12 +901,6 @@ impl<'a> Analysis<'a> {
     /// Analyzes a raw event slice.
     pub fn of_events(events: &'a [Event]) -> Self {
         Self::new(Source::Events(events))
-    }
-
-    /// Analyzes an index subset of one borrowed event slice — the
-    /// zero-copy sharding primitive (no per-subset event clones).
-    pub fn of_indexed(events: &'a [Event], indices: &'a [u32]) -> Self {
-        Self::new(Source::Indexed(events, indices))
     }
 
     /// Analyzes an on-disk chunk directory by streaming it one decoded
@@ -893,32 +1049,7 @@ impl<'a> Analysis<'a> {
     /// I/O errors from chunk-dir sources; [`AnalysisError::Unsupported`]
     /// if correction was requested without a trace-backed source.
     pub fn table(&self) -> Result<BreakdownTable, AnalysisError> {
-        if self.is_plain() {
-            // Fast path: a plain unfiltered in-memory query pushes its
-            // rows straight into one sweep, without building the row set
-            // and group keys `resolve_groups` would.
-            return Ok(match &self.source {
-                Source::Events(events) => sweep_tables(events.iter()),
-                Source::Indexed(events, indices) => {
-                    sweep_tables(indices.iter().map(|&i| &events[i as usize]))
-                }
-                Source::Trace(t) => sweep_tables(t.events.iter()),
-                Source::Merged(ts) => sweep_tables(ts.iter().flat_map(|t| t.events.iter())),
-                Source::ChunkDir(_)
-                | Source::RollupDir(_)
-                | Source::Live(_)
-                | Source::Sessions(_) => {
-                    unreachable!(
-                        "chunk dirs, rollups, live snapshots, and sessions are never plain"
-                    )
-                }
-            });
-        }
-        let groups = self.resolve_groups()?;
-        let mut table = BreakdownTable::new();
-        for (_, t) in &groups {
-            table.merge(t);
-        }
+        let mut table = merge_tables(self.resolve_groups()?.into_iter().map(|(_, t)| t));
         if let Some(cal) = self.calibration {
             let inputs = self.correction_inputs()?;
             (table, _) = self.corrected_merged(table, &inputs, cal)?;
@@ -964,11 +1095,7 @@ impl<'a> Analysis<'a> {
     /// [`Analysis::table`].
     pub fn profile(&self) -> Result<CorrectedProfile, AnalysisError> {
         let inputs = self.correction_inputs()?;
-        let groups = self.resolve_groups()?;
-        let mut table = BreakdownTable::new();
-        for (_, t) in &groups {
-            table.merge(t);
-        }
+        let mut table = merge_tables(self.resolve_groups()?.into_iter().map(|(_, t)| t));
         let overhead = match self.calibration {
             Some(cal) => {
                 let (corrected, overhead) = self.corrected_merged(table, &inputs, cal)?;
@@ -1033,21 +1160,6 @@ impl<'a> Analysis<'a> {
 
     // ----- execution ----------------------------------------------------
 
-    /// True when the query is a bare unfiltered sweep of an in-memory
-    /// source.
-    fn is_plain(&self) -> bool {
-        self.phase_filter.is_none()
-            && self.process_filter.is_none()
-            && self.operation_filter.is_none()
-            && self.window.is_none()
-            && self.dims.is_empty()
-            && self.calibration.is_none()
-            && !matches!(
-                self.source,
-                Source::ChunkDir(_) | Source::RollupDir(_) | Source::Live(_) | Source::Sessions(_)
-            )
-    }
-
     /// Runs the source + filters + grouping stages, producing the final
     /// keyed tables with all filters applied (correction is applied by
     /// the sinks).
@@ -1062,29 +1174,30 @@ impl<'a> Analysis<'a> {
         &self,
         filters: bool,
     ) -> Result<Vec<(GroupKey, BreakdownTable)>, AnalysisError> {
-        if let Source::Sessions(sessions) = &self.source {
-            return self.resolve_sessions(sessions, filters);
-        }
-        if self.dims.contains(&Dim::Session) {
+        if self.dims.contains(&Dim::Session) && !matches!(self.source, Source::Sessions(_)) {
             return Err(AnalysisError::Unsupported(
                 "group_by(Dim::Session) needs a cross-session source (Analysis::of_sessions); \
                  single-source queries have no session identity"
                     .to_string(),
             ));
         }
-        let want_phase = self.dims.contains(&Dim::Phase);
-        let want_proc = self.dims.contains(&Dim::Process);
-        let want_op = self.dims.contains(&Dim::Operation);
-        let track_phases = want_phase || self.phase_filter.is_some();
         let raw = match &self.source {
+            Source::Sessions(sessions) => return self.resolve_sessions(sessions, filters),
+            Source::Events(events) => self.sweep(filters, |set| push_slices(set, [*events]))?,
+            Source::Trace(t) => self.sweep(filters, |set| push_slices(set, [&t.events[..]]))?,
+            Source::Merged(ts) => {
+                self.sweep(filters, |set| push_slices(set, ts.iter().map(|t| &t.events[..])))?
+            }
             Source::ChunkDir(dir) => {
-                let selection = self.pushdown_selection(dir, want_proc, filters)?;
-                self.try_streamed(&selection, want_proc, track_phases, filters)?
+                let per_process = self.dims.contains(&Dim::Process);
+                let selection = self.pushdown_selection(dir, per_process, filters)?;
+                self.sweep(filters, |set| push_chunks(set, &selection))?
             }
             Source::RollupDir(dir) => self.resolve_rollup(dir, filters)?,
             Source::Live(tables) => self.resolve_live(tables, filters)?,
-            _ => self.resolve_batch(want_proc, track_phases, filters),
         };
+        let want_phase = self.dims.contains(&Dim::Phase);
+        let want_op = self.dims.contains(&Dim::Operation);
         Ok(self.assemble(raw, want_phase, want_op, filters))
     }
 
@@ -1138,62 +1251,33 @@ impl<'a> Analysis<'a> {
             || self.window.is_some()
     }
 
-    /// In-memory execution: builds the (filtered, possibly clipped) row
-    /// set and pushes it into one sweep — one per process, in
-    /// parallel, when the process dimension is requested.
-    fn resolve_batch(
+    /// Runs the query's sweep set over what `feed` pushes and selects
+    /// among its tables by the rule every finalized source shares
+    /// ([`Analysis::select_finalized`]). The set reads the view
+    /// [`LiveView::for_query`] names, tags phases only when a phase is
+    /// grouped or filtered, and takes the process filter and window
+    /// unless `filters` is off (the unfiltered full view).
+    fn sweep(
         &self,
-        per_process: bool,
-        track_phases: bool,
         filters: bool,
-    ) -> Vec<(Option<ProcessId>, PhaseTables)> {
-        let mut rows: Rows<'_> = match &self.source {
-            Source::Events(events) => Rows::Slice(events),
-            Source::Indexed(events, indices) => Rows::SliceIndexed(events, Cow::Borrowed(indices)),
-            Source::Trace(t) => Rows::Slice(&t.events),
-            Source::Merged(ts) => Rows::Refs(ts.iter().flat_map(|t| t.events.iter()).collect()),
-            Source::ChunkDir(_) => unreachable!("handled by try_streamed"),
-            Source::RollupDir(_) => unreachable!("handled by resolve_rollup"),
-            Source::Live(_) => unreachable!("handled by resolve_live"),
-            Source::Sessions(_) => unreachable!("handled by resolve_sessions"),
+        feed: impl FnOnce(&mut SweepSet) -> Result<(), AnalysisError>,
+    ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
+        let pid_filter = self.process_filter.filter(|_| filters);
+        let tagged = self.dims.contains(&Dim::Phase) || self.phase_filter.is_some();
+        let template = OverlapSweep::new();
+        let view = LiveView::for_query(&self.dims, pid_filter);
+        let mut set =
+            SweepSet::new(view, if tagged { template.with_phase_tagging() } else { template });
+        set.pid_filter = pid_filter.map(ProcessId::as_u32);
+        set.window = self.window.filter(|_| filters).map(|(lo, hi)| (lo.as_nanos(), hi.as_nanos()));
+        set.finalize = match (self.keep_empty_phases, tagged) {
+            (true, _) => OverlapSweep::finalize_grouped_keep_empty,
+            (false, true) => OverlapSweep::finalize_grouped,
+            // An untagged sweep has one phase row: finalize it as one table.
+            (false, false) => |sweep| vec![(Arc::from(NO_PHASE), sweep.finalize())],
         };
-        if let Some(pid) = self.process_filter.filter(|_| filters) {
-            rows = match rows {
-                Rows::Slice(events) => Rows::SliceIndexed(
-                    events,
-                    Cow::Owned(
-                        (0..events.len() as u32)
-                            .filter(|&i| events[i as usize].pid == pid)
-                            .collect(),
-                    ),
-                ),
-                Rows::SliceIndexed(events, indices) => Rows::SliceIndexed(
-                    events,
-                    Cow::Owned(
-                        indices
-                            .iter()
-                            .copied()
-                            .filter(|&i| events[i as usize].pid == pid)
-                            .collect(),
-                    ),
-                ),
-                Rows::Refs(mut refs) => {
-                    refs.retain(|e| e.pid == pid);
-                    Rows::Refs(refs)
-                }
-                Rows::Clipped(_) => unreachable!("clipping happens after the process filter"),
-            };
-        }
-        if let Some(w) = self.window.filter(|_| filters) {
-            rows = Rows::Clipped(rows.iter().filter_map(|e| clip_event(e, w)).collect());
-        }
-        if per_process {
-            per_process_sweeps(&rows, track_phases)
-        } else if track_phases {
-            vec![(None, sweep_tables_by_phase(rows.iter()))]
-        } else {
-            vec![(None, vec![(Arc::from(NO_PHASE), sweep_tables(rows.iter()))])]
-        }
+        feed(&mut set)?;
+        self.select_finalized(set.finish(view), filters)
     }
 
     /// The manifest-pushdown predicate for the current filters. Phase
@@ -1262,82 +1346,6 @@ impl<'a> Analysis<'a> {
         })
     }
 
-    /// Streamed execution over a chunk directory, one pass over the
-    /// selected chunks: the chunk-parallel decode stage feeds the sweeps
-    /// in stream order, and after each chunk every sweep is released to
-    /// that chunk's frontier.
-    fn try_streamed(
-        &self,
-        selection: &Selection,
-        per_process: bool,
-        track_phases: bool,
-        filters: bool,
-    ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, TraceIoError> {
-        let new_sweep = || {
-            if track_phases {
-                OverlapSweep::new().with_phase_tagging()
-            } else {
-                OverlapSweep::new()
-            }
-        };
-        let mut slot_of: HashMap<ProcessId, usize> = HashMap::new();
-        let mut sweeps: Vec<(Option<ProcessId>, OverlapSweep)> = Vec::new();
-        if !per_process {
-            sweeps.push((None, new_sweep()));
-        }
-        // An order violation means the manifest promised a frontier its
-        // chunks do not keep: corrupt outside input, like any other.
-        let corrupt = |err: SweepError| TraceIoError::Corrupt(err.to_string());
-        let mut frontiers = selection.frontier.iter();
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        for_each_decoded_chunk_columns(&selection.files, threads, |mut cols| {
-            if filters {
-                if let Some(pid) = self.process_filter {
-                    cols.retain_pid(pid.as_u32());
-                }
-                // Clip before slot creation: an event the window drops
-                // entirely must not materialize an empty per-process
-                // group an in-memory source would not produce.
-                if let Some((lo, hi)) = self.window {
-                    cols.clip_window(lo.as_nanos(), hi.as_nanos());
-                }
-            }
-            if per_process {
-                // First-appearance order, so sweep slots (= group rows)
-                // are created in the order the pids enter the stream.
-                for raw in cols.distinct_pids() {
-                    let pid = ProcessId(raw);
-                    let slot = *slot_of.entry(pid).or_insert_with(|| {
-                        sweeps.push((Some(pid), new_sweep()));
-                        sweeps.len() - 1
-                    });
-                    sweeps[slot].1.push_columns_filtered(&cols, raw).map_err(corrupt)?;
-                }
-            } else {
-                sweeps[0].1.push_columns(&cols).map_err(corrupt)?;
-            }
-            // Every sweep, those this chunk did not feed or only just
-            // created included: no later chunk starts before this.
-            let frontier = *frontiers.next().expect("one frontier per selected file");
-            for (_, sweep) in &mut sweeps {
-                sweep.release_to(frontier);
-            }
-            Ok(())
-        })?;
-        let keep_empty = self.keep_empty_phases;
-        Ok(sweeps
-            .into_iter()
-            .map(|(pid, sweep)| {
-                let tables = if keep_empty {
-                    sweep.finalize_grouped_keep_empty()
-                } else {
-                    sweep.finalize_grouped()
-                };
-                (pid, tables)
-            })
-            .collect())
-    }
-
     /// Live-snapshot execution: the sweeps already ran at ingest, so the
     /// query only selects among their finalized tables — the view
     /// [`LiveView::for_query`] names: the merged-stream tables, or the
@@ -1356,7 +1364,7 @@ impl<'a> Analysis<'a> {
                     .to_string(),
             ));
         }
-        self.select_finalized(tables.merged.as_ref(), tables.per_process.as_deref(), filters)
+        self.select_finalized((tables.merged.clone(), tables.per_process.clone()), filters)
     }
 
     /// Selects among tables whose sweeps already ran — the tail live
@@ -1370,8 +1378,7 @@ impl<'a> Analysis<'a> {
     /// (`None`) is a typed error.
     fn select_finalized(
         &self,
-        merged: Option<&PhaseTables>,
-        per_process: Option<&[(ProcessId, PhaseTables)]>,
+        (merged, per_process): ViewTables,
         filters: bool,
     ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
         let absent = |view: &str| {
@@ -1382,18 +1389,18 @@ impl<'a> Analysis<'a> {
         };
         let pid_filter = self.process_filter.filter(|_| filters);
         if LiveView::for_query(&self.dims, pid_filter) == LiveView::Merged {
-            return Ok(vec![(None, merged.ok_or_else(|| absent("merged"))?.clone())]);
+            return Ok(vec![(None, merged.ok_or_else(|| absent("merged"))?)]);
         }
         let per_process = per_process.ok_or_else(|| absent("per-process"))?;
         if self.dims.contains(&Dim::Process) {
             Ok(per_process
-                .iter()
+                .into_iter()
                 .filter(|(pid, _)| pid_filter.is_none_or(|want| *pid == want))
-                .map(|(pid, t)| (Some(*pid), t.clone()))
+                .map(|(pid, t)| (Some(pid), t))
                 .collect())
         } else {
-            let own = per_process.iter().find(|(p, _)| Some(*p) == pid_filter);
-            Ok(vec![(None, own.map(|(_, t)| t.clone()).unwrap_or_default())])
+            let own = per_process.into_iter().find(|(p, _)| Some(*p) == pid_filter);
+            Ok(vec![(None, own.map(|(_, t)| t).unwrap_or_default())])
         }
     }
 
@@ -1444,7 +1451,7 @@ impl<'a> Analysis<'a> {
         for (_, tables) in &mut per_proc {
             tables.retain(|(_, t)| !t.is_empty());
         }
-        self.select_finalized(Some(&merged), Some(&per_proc), filters)
+        self.select_finalized((Some(merged), Some(per_proc)), filters)
     }
 
     /// Applies the phase filter, collapses undesired dimensions, applies
@@ -1467,11 +1474,7 @@ impl<'a> Analysis<'a> {
                 // A process entry survives even when its table is empty
                 // (a process can exist with nothing attributable); empty
                 // *phase* groups are never emitted by the sweeps.
-                let mut merged = BreakdownTable::new();
-                for (_, t) in &phase_tables {
-                    merged.merge(t);
-                }
-                vec![(None, merged)]
+                vec![(None, merge_tables(phase_tables.into_iter().map(|(_, t)| t)))]
             };
             for (phase, mut table) in keyed {
                 if let Some(of) = self.operation_filter.as_ref().filter(|_| filters) {
@@ -1531,16 +1534,11 @@ impl<'a> Analysis<'a> {
         inputs: &CorrectionInputs,
         cal: &Calibration,
     ) -> Result<OverheadBreakdown, AnalysisError> {
-        let mut full = BreakdownTable::new();
-        if self.has_filters() {
-            for (_, t) in &self.resolve_groups_with(false)? {
-                full.merge(t);
-            }
+        let full = if self.has_filters() {
+            merge_tables(self.resolve_groups_with(false)?.into_iter().map(|(_, t)| t))
         } else {
-            for (_, t) in groups.iter() {
-                full.merge(t);
-            }
-        }
+            merge_tables(groups.iter().map(|(_, t)| t.clone()))
+        };
         let mut corrected = full.clone();
         let overhead = apply_correction(&mut corrected, inputs, cal);
         for (key, had) in full.iter() {
@@ -1596,11 +1594,7 @@ impl<'a> Analysis<'a> {
 /// render the exact bytes a single equivalent query would have produced.
 pub fn groups_canonical_json(groups: &[(GroupKey, BreakdownTable)], grouped: bool) -> String {
     if !grouped {
-        let mut table = BreakdownTable::new();
-        for (_, t) in groups {
-            table.merge(t);
-        }
-        return table.canonical_json();
+        return merge_tables(groups.iter().map(|(_, t)| t.clone())).canonical_json();
     }
     let mut out = String::from("{\n");
     for (i, (key, table)) in groups.iter().enumerate() {
@@ -1626,24 +1620,47 @@ struct Selection {
     total: usize,
 }
 
-/// Clips an event to a half-open window, dropping it when nothing is
-/// left. Clipping all events to the window yields exactly the
-/// within-window attribution, because the sweep is segment-based.
-///
-/// An **instant** event (`start == end`) is kept when its instant lies
-/// in `[lo, hi)`. It attributes no time, but it carries *presence*:
-/// the pid/phase/operation it introduces must enumerate in windowed
-/// queries exactly as in the full stream (the rollup tier rebuilds
-/// group order from per-window queries — see [`crate::rollup`]), and
-/// aligned windows tile the line, so each instant lands in exactly one.
-fn clip_event(e: &Event, (lo, hi): (TimeNs, TimeNs)) -> Option<Event> {
-    let start = e.start.max(lo);
-    let end = e.end.min(hi);
-    (start < end || (e.start == e.end && lo <= e.start && e.start < hi)).then(|| Event {
-        start,
-        end,
-        ..e.clone()
+/// In-memory sources: each slice is pushed as it is, as one batch that
+/// nothing is released behind. An unreleased sweep rejects nothing but
+/// more scopes than its u32 ids can number.
+fn push_slices<'e>(
+    set: &mut SweepSet,
+    slices: impl IntoIterator<Item = &'e [Event]>,
+) -> Result<(), AnalysisError> {
+    for slice in slices {
+        set.push_rows(slice.iter()).map_err(|err| AnalysisError::Unsupported(err.to_string()))?;
+    }
+    Ok(())
+}
+
+/// Chunk-directory sources, one pass over the selected chunks: the
+/// chunk-parallel decode stage feeds them in stream order, and after
+/// each one every sweep is released to its frontier.
+fn push_chunks(set: &mut SweepSet, selection: &Selection) -> Result<(), AnalysisError> {
+    // An order violation means the manifest promised a frontier its
+    // chunks do not keep: corrupt outside input, like any other.
+    let corrupt = |err: SweepError| TraceIoError::Corrupt(err.to_string());
+    let mut frontiers = selection.frontier.iter().copied();
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    for_each_decoded_chunk_columns(&selection.files, threads, |cols| {
+        set.push_rows(cols.rows()).map_err(corrupt)?;
+        // Every sweep, those this chunk did not feed or only just
+        // created included: no later chunk starts before this. There is
+        // one frontier per file; 0 would promise nothing.
+        set.release_to(frontiers.next().unwrap_or(0));
+        Ok(())
     })
+    .map_err(AnalysisError::Io)
+}
+
+/// `tables` merged into one; the first is moved, not copied.
+fn merge_tables(tables: impl IntoIterator<Item = BreakdownTable>) -> BreakdownTable {
+    let mut tables = tables.into_iter();
+    let mut out = tables.next().unwrap_or_default();
+    for t in tables {
+        out.merge(&t);
+    }
+    out
 }
 
 /// A table restricted to buckets matching `pred`.
@@ -1655,97 +1672,6 @@ fn filter_table(table: &BreakdownTable, pred: impl Fn(&BucketKey) -> bool) -> Br
         }
     }
     out
-}
-
-/// The in-memory resolver's row set. Single-slice sources (one trace, one
-/// event slice, one index subset) are carried as the borrowed slice plus
-/// — only when a filter narrows them — a `u32` index list, i.e. 4 bytes
-/// per kept event. Only merged multi-trace sources materialize an
-/// 8-byte-per-event reference list, and window clipping (which rewrites
-/// events) owns the clipped events themselves.
-enum Rows<'a> {
-    /// Every event of one borrowed slice.
-    Slice(&'a [Event]),
-    /// An index subset of one borrowed slice.
-    SliceIndexed(&'a [Event], Cow<'a, [u32]>),
-    /// Window-clipped events (clipping rewrites endpoints).
-    Clipped(Vec<Event>),
-    /// Concatenated references over several traces.
-    Refs(Vec<&'a Event>),
-}
-
-impl Rows<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Rows::Slice(events) => events.len(),
-            Rows::SliceIndexed(_, indices) => indices.len(),
-            Rows::Clipped(events) => events.len(),
-            Rows::Refs(refs) => refs.len(),
-        }
-    }
-
-    fn get(&self, i: usize) -> &Event {
-        match self {
-            Rows::Slice(events) => &events[i],
-            Rows::SliceIndexed(events, indices) => &events[indices[i] as usize],
-            Rows::Clipped(events) => &events[i],
-            Rows::Refs(refs) => refs[i],
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Event> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-}
-
-/// Per-process sweeps over one borrowed row set: the merged stream is
-/// partitioned into per-pid index lists in one pass (first-seen pid
-/// order, no event clones), then each process sweeps on a worker thread,
-/// capped at the machine's available parallelism.
-fn per_process_sweeps(
-    rows: &Rows<'_>,
-    track_phases: bool,
-) -> Vec<(Option<ProcessId>, PhaseTables)> {
-    let mut slot_of: HashMap<ProcessId, usize> = HashMap::new();
-    let mut tasks: Vec<(ProcessId, Vec<u32>)> = Vec::new();
-    for i in 0..rows.len() {
-        let pid = rows.get(i).pid;
-        let slot = *slot_of.entry(pid).or_insert_with(|| {
-            tasks.push((pid, Vec::new()));
-            tasks.len() - 1
-        });
-        tasks[slot].1.push(i as u32);
-    }
-    let sweep_one = |indices: &[u32]| -> PhaseTables {
-        let it = indices.iter().map(|&i| rows.get(i as usize));
-        if track_phases {
-            sweep_tables_by_phase(it)
-        } else {
-            vec![(Arc::from(NO_PHASE), sweep_tables(it))]
-        }
-    };
-
-    let workers =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(tasks.len());
-    if workers <= 1 {
-        return tasks.into_iter().map(|(pid, indices)| (Some(pid), sweep_one(&indices))).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<PhaseTables>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, indices)) = tasks.get(i) else { break };
-                *results[i].lock() = Some(sweep_one(indices));
-            });
-        }
-    });
-    tasks
-        .into_iter()
-        .zip(results)
-        .map(|((pid, _), result)| (Some(pid), result.into_inner().expect("worker completed")))
-        .collect()
 }
 
 /// Splits `amount` across `parts` proportionally, never exceeding any
@@ -2552,9 +2478,8 @@ mod tests {
     }
 
     /// Two sessions whose time ranges abut at exactly T: window clipping
-    /// is half-open `[lo, hi)` in both the batch resolver (`clip_event`
-    /// over the u32-indexed row set) and the streamed resolver
-    /// (clip-before-slot), so the windows `[0, T)` and `[T, 2T)` must
+    /// is half-open `[lo, hi)` (`admit`, before any slot is made), so
+    /// the windows `[0, T)` and `[T, 2T)` must
     /// partition the cross-session rollup exactly — an event ending at
     /// T lands only in the first window, one starting at T only in the
     /// second, and one spanning T splits with no double count and no
@@ -2653,7 +2578,7 @@ mod tests {
             phased_events().into_iter().filter(|e| e.pid == ProcessId(0)).collect();
         let mut live = LiveState::new();
         live.push_columns(&EventColumns::from_events(&single)).unwrap();
-        assert!(live.merged.is_none(), "single-pid streams skip the merged sweep");
+        assert!(live.sweeps.merged.is_none(), "single-pid streams skip the merged sweep");
         let t = live.snapshot();
         assert_eq!(
             Analysis::of_live(&t).table().unwrap(),
@@ -2663,9 +2588,9 @@ mod tests {
         let events = phased_events();
         let mut live = LiveState::new();
         live.push_columns(&EventColumns::from_events(&events[..6])).unwrap();
-        assert!(live.merged.is_none());
+        assert!(live.sweeps.merged.is_none());
         live.push_columns(&EventColumns::from_events(&events[6..])).unwrap();
-        assert!(live.merged.is_some(), "second pid must materialize the merged sweep");
+        assert!(live.sweeps.merged.is_some(), "second pid must materialize the merged sweep");
         assert_eq!(
             Analysis::of_live(&live.snapshot()).group_by([Dim::Phase]).tables().unwrap(),
             Analysis::of_events(&events).group_by([Dim::Phase]).tables().unwrap()
@@ -2697,7 +2622,7 @@ mod tests {
         for prefix in [6, events.len()] {
             live.push_columns(&EventColumns::from_events(&events[live.events as usize..prefix]))
                 .unwrap();
-            assert_eq!(live.merged.is_none(), prefix == 6);
+            assert_eq!(live.sweeps.merged.is_none(), prefix == 6);
             for view in [LiveView::Merged, LiveView::PerProcess, LiveView::Both] {
                 let tables = live.snapshot_view(view);
                 assert_eq!(tables.events, prefix as u64);
@@ -2779,8 +2704,8 @@ mod tests {
                 .collect()
         };
         let unsorted = |live: &LiveState| -> (usize, usize) {
-            let merged = live.merged.as_ref().map_or(0, OverlapSweep::unsorted_boundaries);
-            let per = live.per_process.iter().map(|(_, s)| s.unsorted_boundaries()).sum();
+            let merged = live.sweeps.merged.as_ref().map_or(0, OverlapSweep::unsorted_boundaries);
+            let per = live.sweeps.per_process.iter().map(|(_, s)| s.unsorted_boundaries()).sum();
             (merged, per)
         };
         let first = chunk(0);
@@ -2839,8 +2764,8 @@ mod tests {
             .collect();
         // Merged sweep first, then each process's.
         let drained = |live: &LiveState| -> Vec<usize> {
-            let per = live.per_process.iter().map(|(_, sweep)| sweep.last_drained());
-            live.merged.iter().map(OverlapSweep::last_drained).chain(per).collect()
+            let per = live.sweeps.per_process.iter().map(|(_, sweep)| sweep.last_drained());
+            live.sweeps.merged.iter().map(OverlapSweep::last_drained).chain(per).collect()
         };
         let mut live = LiveState::new();
         let mut fed = 0;

@@ -34,8 +34,8 @@
 //! of(&trace)        .phase(..)         .group_by([        .table()
 //! merged(&[..])     .process(..)          Dim::Phase,     .tables()
 //! of_events(..)     .operation(..)        Dim::Process,   .report()
-//! of_indexed(..)    .time_window(..)      Dim::Operation  .profile()
-//! from_chunk_dir    .corrected(&cal)   ])                 .canonical_json()
+//! from_chunk_dir    .time_window(..)      Dim::Operation  .profile()
+//! of_live(..)       .corrected(&cal)   ])                 .canonical_json()
 //! ```
 //!
 //! ```

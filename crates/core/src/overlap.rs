@@ -44,9 +44,10 @@
 //!
 //! Events are read through one body: the push path is generic over the
 //! store's `EventRow` accessor, monomorphized for `&Event` (in-memory
-//! sources) and for decoded [`EventColumns`] rows (byte-sourced chunks)
-//! — the same code either way, with no row materialization for columns
-//! and no column copy for rows.
+//! sources) and for decoded [`EventColumns`] rows (byte-sourced chunks),
+//! and for the analysis executor's window-clipped view of either — the
+//! same code in each case, with no row materialization for columns and
+//! no column copy for rows.
 //!
 //! A sweep can additionally carry a **phase tag** through segments
 //! ([`OverlapSweep::with_phase_tagging`]), producing one table per phase
@@ -628,30 +629,11 @@ pub fn compute_overlap(events: &[Event]) -> BreakdownTable {
 /// distinct name, not once per event. Produces exactly the
 /// [`compute_overlap`] table for the same events.
 pub fn compute_overlap_columns(cols: &EventColumns) -> BreakdownTable {
-    sweep_tables(cols.rows())
-}
-
-/// One in-memory push: every row into `sweep`, which was never released.
-fn pushed_once(
-    mut sweep: OverlapSweep,
-    events: impl Iterator<Item = impl EventRow>,
-) -> OverlapSweep {
+    let mut sweep = OverlapSweep::new();
     // An unreleased sweep rejects nothing but a u32 overflow of its
-    // scope ids, which an in-memory source cannot hold the events for.
-    sweep.push_rows(events).expect("in-memory sources fit the sweep's u32 scope ids");
-    sweep
-}
-
-/// One sweep over an event iterator, phases dropped (the
-/// historical `compute_overlap` semantics).
-pub(crate) fn sweep_tables(events: impl Iterator<Item = impl EventRow>) -> BreakdownTable {
-    pushed_once(OverlapSweep::new(), events).finalize()
-}
-
-/// One sweep over an event iterator with phase tagging: one table
-/// per phase in first-seen order, empty groups omitted.
-pub(crate) fn sweep_tables_by_phase(events: impl Iterator<Item = impl EventRow>) -> PhaseTables {
-    pushed_once(OverlapSweep::new().with_phase_tagging(), events).finalize_grouped()
+    // scope ids, which one set of columns cannot hold the events for.
+    sweep.push_columns(cols).expect("columns fit the sweep's u32 scope ids");
+    sweep.finalize()
 }
 
 /// Resolves the phase tag for the next segment under per-pid scoping:
@@ -1516,25 +1498,14 @@ impl OverlapSweep {
         self.push_rows(cols.rows())
     }
 
-    /// [`OverlapSweep::push_columns`] restricted to one process's
-    /// events — filtering a chunk to `pid` before pushing (per-process
-    /// grouped streaming sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SweepError`] (see [`OverlapSweep::push`]).
-    pub fn push_columns_filtered(
-        &mut self,
-        cols: &EventColumns,
-        pid: u32,
-    ) -> Result<(), SweepError> {
-        self.push_rows(cols.rows().filter(|row| row.pid() == pid))
-    }
-
-    /// The push path — the one body behind every `push*` entry point,
-    /// fed one event, one row batch, or one chunk's column rows.
+    /// The push path — the one body behind every `push*` entry point
+    /// and the analysis executor's filtered and clipped batches, fed one
+    /// event, one row batch, or one chunk's column rows.
     #[inline]
-    fn push_rows(&mut self, rows: impl Iterator<Item = impl EventRow>) -> Result<(), SweepError> {
+    pub(crate) fn push_rows(
+        &mut self,
+        rows: impl Iterator<Item = impl EventRow>,
+    ) -> Result<(), SweepError> {
         // Per-chunk name-table-id → dense-id memos (`EventRow::dense_id`).
         let (mut op_xlat, mut phase_xlat) = (Vec::new(), Vec::new());
         for e in rows {
@@ -1752,6 +1723,21 @@ mod tests {
     use rlscope_sim::rng::SimRng;
     use rlscope_sim::time::TimeNs;
 
+    /// One unreleased sweep over `rows`, phases dropped.
+    fn swept(rows: impl Iterator<Item = impl EventRow>) -> BreakdownTable {
+        let mut sweep = OverlapSweep::new();
+        sweep.push_rows(rows).unwrap();
+        sweep.finalize()
+    }
+
+    /// One unreleased phase-tagged sweep over `rows`: one table per
+    /// phase in first-seen order, empty groups omitted.
+    fn swept_by_phase(rows: impl Iterator<Item = impl EventRow>) -> PhaseTables {
+        let mut sweep = OverlapSweep::new().with_phase_tagging();
+        sweep.push_rows(rows).unwrap();
+        sweep.finalize_grouped()
+    }
+
     fn ev(kind: EventKind, name: &str, start_us: u64, end_us: u64) -> Event {
         Event::new(
             ProcessId(0),
@@ -1921,20 +1907,6 @@ mod tests {
         ];
         let table = compute_overlap(&events);
         assert_eq!(table.total(), DurationNs::from_micros(75));
-    }
-
-    #[test]
-    fn indexed_subset_matches_filtered_slice() {
-        let events = vec![
-            ev(EventKind::Operation, "op", 0, 100),
-            ev(EventKind::Cpu(CpuCategory::Python), "py", 0, 60),
-            ev(EventKind::Cpu(CpuCategory::Backend), "be", 20, 40),
-            ev(EventKind::Gpu(crate::event::GpuCategory::Kernel), "k", 50, 90),
-        ];
-        let indices = [0u32, 2, 3];
-        let subset: Vec<Event> = indices.iter().map(|&i| events[i as usize].clone()).collect();
-        let indexed = crate::analysis::Analysis::of_indexed(&events, &indices).table().unwrap();
-        assert_eq!(indexed, compute_overlap(&subset));
     }
 
     fn figure_3_events() -> Vec<Event> {
@@ -2403,12 +2375,12 @@ mod tests {
         let mut sweep = OverlapSweep::new().with_phase_tagging().with_checkpoint_spacing(1);
         for (i, e) in events.iter().enumerate() {
             sweep.push(e).unwrap();
-            let expected = sweep_tables_by_phase(events[..=i].iter());
+            let expected = swept_by_phase(events[..=i].iter());
             assert_eq!(sweep.tables_so_far(), expected, "after event {i}");
             assert_eq!(sweep.tables_so_far(), expected, "again after event {i}");
             assert_eq!(sweep.last_drained(), 0, "after event {i}");
         }
-        assert_eq!(sweep.finalize_grouped(), sweep_tables_by_phase(events.iter()));
+        assert_eq!(sweep.finalize_grouped(), swept_by_phase(events.iter()));
     }
 
     /// The traps of resuming a drain: a checkpoint is judged by time,
@@ -2468,7 +2440,7 @@ mod tests {
             pev(1, EventKind::Phase, "eval", 5, 50),
             pev(1, EventKind::Cpu(CpuCategory::Simulator), "sim", 60, 90),
         ];
-        let groups = sweep_tables_by_phase(events.iter());
+        let groups = swept_by_phase(events.iter());
         let names: Vec<&str> = groups.iter().map(|(n, _)| n.as_ref()).collect();
         // pid 1's simulator work runs after its own `eval` closed, so it
         // is NO_PHASE — pid 0's still-open `train` must not claim it. And
@@ -2493,7 +2465,7 @@ mod tests {
         for (_, t) in &groups {
             merged.merge(t);
         }
-        assert_eq!(merged, sweep_tables(events.iter()));
+        assert_eq!(merged, swept(events.iter()));
     }
 
     /// When two pids are BOTH active, the innermost (latest-activated)
@@ -2507,7 +2479,7 @@ mod tests {
             pev(1, EventKind::Phase, "inner", 10, 60),
             pev(1, EventKind::Cpu(CpuCategory::Simulator), "sim", 20, 40),
         ];
-        let groups = sweep_tables_by_phase(events.iter());
+        let groups = swept_by_phase(events.iter());
         let names: Vec<&str> = groups.iter().map(|(n, _)| n.as_ref()).collect();
         assert_eq!(names, ["outer", "inner"]);
         // [20,40): both pids active, `inner` activated later → it tags
@@ -2539,7 +2511,7 @@ mod tests {
             pev(1, EventKind::Cpu(CpuCategory::Simulator), "sim", 60, 90),
             pev(0, EventKind::Cpu(CpuCategory::Backend), "be", 70, 95),
         ];
-        let expected = sweep_tables_by_phase(events.iter());
+        let expected = swept_by_phase(events.iter());
         for split in 0..=events.len() {
             let mut sweep = OverlapSweep::new().with_phase_tagging();
             sweep.push_batch(&events[..split]).unwrap();
@@ -2563,9 +2535,9 @@ mod tests {
             pev(1, EventKind::Gpu(crate::event::GpuCategory::Kernel), "k", 60, 90),
             pev(0, EventKind::Cpu(CpuCategory::Backend), "be", 70, 95),
         ];
-        let expected = sweep_tables_by_phase(events.iter());
+        let expected = swept_by_phase(events.iter());
         let cols = EventColumns::from_events(&events);
-        assert_eq!(sweep_tables_by_phase(cols.rows()), expected);
+        assert_eq!(swept_by_phase(cols.rows()), expected);
 
         let mut sweep = OverlapSweep::new().with_phase_tagging();
         sweep.push_columns(&cols).unwrap();

@@ -462,7 +462,7 @@ impl ChunkFooter {
     /// window cannot receive any attribution from this chunk). The upper
     /// bound is treated inclusively: an **instant** event at exactly
     /// `max_end` belongs to a window starting there (it contributes
-    /// presence, not time — see the analysis pipeline's `clip_event`),
+    /// presence, not time — see the analysis executor's window rule),
     /// so `max_end == lo` must not skip the chunk.
     pub fn overlaps(&self, lo: u64, hi: u64) -> bool {
         self.events > 0 && self.min_start < hi && self.max_end >= lo
@@ -920,20 +920,8 @@ impl EventColumns {
 
     /// The events as [`EventRow`]s, in order — how the generic engine
     /// bodies read columns.
-    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = ColumnRow<'_>> {
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = ColumnRow<'_>> + Clone {
         (0..self.len()).map(move |i| ColumnRow { cols: self, i })
-    }
-
-    /// The distinct pids present, in first-appearance order — the order
-    /// per-process consumers create their sweep slots in.
-    pub(crate) fn distinct_pids(&self) -> Vec<u32> {
-        let mut pids: Vec<u32> = Vec::new();
-        for &pid in &self.pids {
-            if pids.last() != Some(&pid) && !pids.contains(&pid) {
-                pids.push(pid);
-            }
-        }
-        pids
     }
 
     /// Builds columns from a row slice — the inverse of [`Self::to_events`].
@@ -1026,49 +1014,6 @@ impl EventColumns {
             Some(e) => Err(e),
             None => Ok(events),
         }
-    }
-
-    /// Keeps only the events of `pid`, in place (all columns move
-    /// together; the name table is untouched). A subsequence of a
-    /// sorted column stays sorted, so `start_sorted` survives.
-    pub fn retain_pid(&mut self, pid: u32) {
-        self.retain_clamped(|p, s, t| (p == pid).then_some((s, t)));
-    }
-
-    /// Clips every event to the half-open window `[lo, hi)`, dropping
-    /// events left empty — what the analysis pipeline's `clip_event`
-    /// does to in-memory rows (attribution over clipped events equals
-    /// within-window attribution, because the sweep is segment-based).
-    /// Clamping starts up to `lo` is monotone, so `start_sorted`
-    /// survives. An **instant** event (`start == end`) is kept when its
-    /// instant lies in `[lo, hi)`: it attributes nothing but carries
-    /// group *presence*, exactly as in the row pipeline's `clip_event`.
-    pub fn clip_window(&mut self, lo: u64, hi: u64) {
-        self.retain_clamped(|_, start, end| {
-            let (s, t) = (start.max(lo), end.min(hi));
-            (s < t || (start == end && lo <= start && start < hi)).then_some((s, t))
-        });
-    }
-
-    /// In-place filter over all columns: `keep(pid, start, end)` returns
-    /// the (possibly clamped) interval of an event that stays.
-    fn retain_clamped(&mut self, keep: impl Fn(u32, u64, u64) -> Option<(u64, u64)>) {
-        let mut w = 0;
-        for i in 0..self.len() {
-            if let Some((s, t)) = keep(self.pids[i], self.starts[i], self.ends[i]) {
-                self.pids[w] = self.pids[i];
-                self.kinds[w] = self.kinds[i];
-                self.name_ids[w] = self.name_ids[i];
-                self.starts[w] = s;
-                self.ends[w] = t;
-                w += 1;
-            }
-        }
-        self.pids.truncate(w);
-        self.kinds.truncate(w);
-        self.name_ids.truncate(w);
-        self.starts.truncate(w);
-        self.ends.truncate(w);
     }
 }
 

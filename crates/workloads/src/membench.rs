@@ -5,7 +5,7 @@
 //! stream to a rotated chunk directory, then analyzes it twice:
 //!
 //! * **batch** — every decoded event is materialized in one
-//!   `Vec<Event>`, then the in-memory sharded analysis runs
+//!   `Vec<Event>`, then the in-memory per-process analysis runs
 //!   ([`Analysis::of`] grouped by process); peak memory is linear in
 //!   total event count.
 //! * **streamed** — [`Analysis::from_chunk_dir`] decodes one chunk at a

@@ -439,7 +439,7 @@ mod tests {
         assert!(!files.is_empty());
         let trace = out.trace.unwrap();
         // The streamed chunk-dir analysis reproduces the in-memory
-        // sharded analysis exactly, table for table — real profiler
+        // per-process analysis exactly, table for table — real profiler
         // streams are end-ordered, so the sweeps take them in any order.
         let streamed = Analysis::from_chunk_dir(&dir).group_by([Dim::Process]).tables().unwrap();
         assert_eq!(streamed, Analysis::of(&trace).group_by([Dim::Process]).tables().unwrap());

@@ -103,28 +103,29 @@ pub fn corpus_extreme_events() -> Vec<rlscope::core::Event> {
     ]
 }
 
-/// First-seen-pid-order per-process tables over a borrowed event slice —
-/// the same partition and sweep `Analysis::group_by([Dim::Process])`
-/// performs, built independently of it from `Analysis::of_indexed`.
-/// Shared by the generator and the harness so the two can never disagree
-/// on the per-pid reference.
+/// First-seen-pid-order per-process tables over an event slice — the
+/// same partition and sweep `Analysis::group_by([Dim::Process])`
+/// performs, built independently of it: each pid's events are copied
+/// into their own `Vec` and swept by `Analysis::of_events`. Shared by
+/// the generator and the harness so the two can never disagree on the
+/// per-pid reference.
 pub fn per_pid_tables(
     events: &[rlscope::core::Event],
 ) -> Vec<(rlscope::sim::ids::ProcessId, rlscope::core::BreakdownTable)> {
     use rlscope::core::analysis::Analysis;
     use rlscope::sim::ids::ProcessId;
 
-    let mut order: Vec<(ProcessId, Vec<u32>)> = Vec::new();
-    for (i, e) in events.iter().enumerate() {
+    let mut order: Vec<(ProcessId, Vec<rlscope::core::Event>)> = Vec::new();
+    for e in events {
         match order.iter_mut().find(|(p, _)| *p == e.pid) {
-            Some((_, indices)) => indices.push(i as u32),
-            None => order.push((e.pid, vec![i as u32])),
+            Some((_, own)) => own.push(e.clone()),
+            None => order.push((e.pid, vec![e.clone()])),
         }
     }
     order
         .into_iter()
-        .map(|(pid, indices)| {
-            let table = Analysis::of_indexed(events, &indices).table().expect("in-memory analysis");
+        .map(|(pid, own)| {
+            let table = Analysis::of_events(&own).table().expect("in-memory analysis");
             (pid, table)
         })
         .collect()

@@ -5,6 +5,7 @@
 //! finding — who wins, rough factors, orderings — at reduced step counts.
 
 use rlscope::core::event::CpuCategory;
+use rlscope::core::overlap::BucketKey;
 use rlscope::core::profiler::TransitionKind;
 use rlscope::prelude::*;
 use rlscope::workloads::{
@@ -26,6 +27,12 @@ fn scale() -> ScaleConfig {
 fn td3_runs() -> &'static [rlscope::workloads::ExperimentRun] {
     static RUNS: OnceLock<Vec<rlscope::workloads::ExperimentRun>> = OnceLock::new();
     RUNS.get_or_init(|| run_framework_comparison(AlgoKind::Td3, STEPS, scale()))
+}
+
+/// The DDPG framework comparison (F.4 and F.5), run once per test binary.
+fn ddpg_runs() -> &'static [rlscope::workloads::ExperimentRun] {
+    static RUNS: OnceLock<Vec<rlscope::workloads::ExperimentRun>> = OnceLock::new();
+    RUNS.get_or_init(|| run_framework_comparison(AlgoKind::Ddpg, STEPS, scale()))
 }
 
 #[test]
@@ -91,7 +98,7 @@ fn f3_pytorch_eager_faster_and_fewer_transitions_than_tf_eager() {
 
 #[test]
 fn f4_mpi_adam_inflates_ddpg_graph_backprop() {
-    let runs = run_framework_comparison(AlgoKind::Ddpg, STEPS, scale());
+    let runs = ddpg_runs();
     let by_model = |model: ExecModel| runs.iter().find(|r| r.framework.model == model).unwrap();
     let graph = by_model(ExecModel::Graph); // stable-baselines: MpiAdam
     let autograph = by_model(ExecModel::Autograph); // tf-agents: in-graph Adam
@@ -100,6 +107,40 @@ fn f4_mpi_adam_inflates_ddpg_graph_backprop() {
     };
     let inflation = bp(graph).ratio(bp(autograph));
     assert!(inflation > 1.3, "DDPG Graph backprop only {inflation:.2}x Autograph (paper: 3.7x)");
+}
+
+#[test]
+fn f5_autograph_loop_entry_amortizes_worse_at_ddpg_train_freq() {
+    // Autograph re-enters its in-graph collect loop after every update,
+    // in Python outside any operation; Graph has no entry cost and the
+    // same Python everywhere else. So Autograph's untracked Python minus
+    // Graph's is the entry cost, here as a share of Autograph's
+    // data-collection Python (the simulation operation plus untracked).
+    let entry_share = |runs: &[rlscope::workloads::ExperimentRun]| {
+        let python = |model: ExecModel, op: &str| {
+            let run = runs
+                .iter()
+                .find(|r| {
+                    r.framework.model == model && r.framework.backend == BackendKind::TensorFlow
+                })
+                .unwrap();
+            run.profile
+                .table
+                .total_where(|k| &*k.operation == op && k.cpu == Some(CpuCategory::Python))
+        };
+        let untracked = python(ExecModel::Autograph, BucketKey::UNTRACKED);
+        let entry = untracked.saturating_sub(python(ExecModel::Graph, BucketKey::UNTRACKED));
+        entry.ratio(untracked + python(ExecModel::Autograph, "simulation"))
+    };
+    // DDPG updates every 10 steps at this scale (train_freq 100 / 10),
+    // TD3 every 100 (1000 / 10).
+    let (ddpg, td3) = (entry_share(ddpg_runs()), entry_share(td3_runs()));
+    assert!(
+        ddpg > td3,
+        "collect-loop entry share: DDPG {:.1}% vs TD3 {:.1}%",
+        100.0 * ddpg,
+        100.0 * td3
+    );
 }
 
 #[test]

@@ -9,7 +9,6 @@ use rlscope::core::overlap::{
 use rlscope::core::store::{
     decode_columns, decode_events, encode_events, encode_events_v1, EventColumns, TraceWriter,
 };
-use rlscope::core::Trace;
 use rlscope::sim::ids::ProcessId;
 use rlscope::sim::time::{DurationNs, TimeNs};
 use rlscope_rl::{ReplayBuffer, RolloutBuffer, RolloutStep, Transition};
@@ -185,6 +184,35 @@ fn reference_overlap(events: &[Event]) -> BreakdownTable {
         table.merge(&group);
     }
     table
+}
+
+/// The window rule, written out independently of the executor: each
+/// event clipped to `[lo, hi)`, dropped when that leaves it empty, except
+/// an instant inside the window, which is kept for the presence it
+/// carries.
+fn clip_to(events: &[Event], lo: u64, hi: u64) -> Vec<Event> {
+    let clip = |e: &Event| {
+        let (start, end) = (e.start.as_nanos(), e.end.as_nanos());
+        let (s, t) = (start.max(lo), end.min(hi));
+        (s < t || (start == end && lo <= start && start < hi)).then(|| Event {
+            start: TimeNs::from_nanos(s),
+            end: TimeNs::from_nanos(t),
+            ..e.clone()
+        })
+    };
+    events.iter().filter_map(clip).collect()
+}
+
+/// `events` split by pid, in first-seen pid order.
+fn split_by_pid(events: &[Event]) -> Vec<(ProcessId, Vec<Event>)> {
+    let mut out: Vec<(ProcessId, Vec<Event>)> = Vec::new();
+    for e in events {
+        match out.iter_mut().find(|(pid, _)| *pid == e.pid) {
+            Some((_, own)) => own.push(e.clone()),
+            None => out.push((e.pid, vec![e.clone()])),
+        }
+    }
+    out
 }
 
 /// A profiler-shaped multi-process stream, near-sorted and interleaved
@@ -412,36 +440,6 @@ proptest! {
         prop_assert_eq!(sweep.finalize(), batch);
     }
 
-    /// Index-sharded per-process analysis over one borrowed slice equals
-    /// the sequential per-pid path, table for table, in first-seen order.
-    #[test]
-    fn parallel_per_process_matches_serial(
-        events in prop::collection::vec(arb_event(), 0..80),
-    ) {
-        let trace = Trace {
-            pid: ProcessId(0),
-            events,
-            counts: Default::default(),
-            per_op_transitions: vec![],
-            api_stats: vec![],
-            iterations: 0,
-            wall_end: TimeNs::from_nanos(20_000),
-        };
-        let sharded = Analysis::of(&trace).group_by([Dim::Process]).tables().unwrap();
-        for (key, table) in &sharded {
-            let pid = key.process.unwrap();
-            // Independent reference: filter-and-clone the pid's events and
-            // sweep the owned copy.
-            let filtered: Vec<Event> =
-                trace.events.iter().filter(|e| e.pid == pid).cloned().collect();
-            prop_assert_eq!(table, &compute_overlap(&filtered));
-            prop_assert_eq!(table, &Analysis::of(&trace).process(pid).table().unwrap());
-        }
-        let merged_total: DurationNs = sharded.iter().map(|(_, t)| t.total()).sum();
-        let aggregate = Analysis::of(&trace).group_by([Dim::Process]).table().unwrap();
-        prop_assert_eq!(aggregate.total(), merged_total);
-    }
-
     /// Conservation of the phase dimension: tables grouped by phase merge
     /// back to the ungrouped overall table bucket for bucket, and each
     /// phase filter reproduces exactly its group — phase boundaries split
@@ -658,7 +656,10 @@ proptest! {
 
     /// Manifest-pushdown queries (window, process, phase) are
     /// table-identical to the same query over the raw in-memory events —
-    /// skipping chunks must never change a result.
+    /// skipping chunks must never change a result. Both answers share the
+    /// executor's filter, clip and slot code, so the in-memory answers
+    /// are also checked against the naive reference over events filtered
+    /// and clipped here.
     #[test]
     fn pushdown_queries_match_batch(
         events in prop::collection::vec(arb_multiproc_full_event(), 0..60),
@@ -721,6 +722,34 @@ proptest! {
                 .tables()
                 .unwrap()
         );
+
+        let clipped = clip_to(&events, lo, lo + len);
+        prop_assert_eq!(
+            Analysis::of_events(&events).time_window(wlo, whi).table().unwrap(),
+            reference_overlap(&clipped)
+        );
+        let own: Vec<Event> = events.iter().filter(|e| e.pid == ProcessId(pid)).cloned().collect();
+        prop_assert_eq!(
+            Analysis::of_events(&events).process(ProcessId(pid)).table().unwrap(),
+            reference_overlap(&own)
+        );
+        // One group per pid present in the window (an instant makes a pid
+        // present), then one per non-empty phase of that pid's own sweep.
+        let by_pid = split_by_pid(&clipped);
+        let grouped = |dims: &[Dim]| -> Vec<(Option<ProcessId>, Option<Arc<str>>, BreakdownTable)> {
+            let q = Analysis::of_events(&events).time_window(wlo, whi).group_by(dims.to_vec());
+            q.tables().unwrap().into_iter().map(|(k, t)| (k.process, k.phase, t)).collect()
+        };
+        let expected: Vec<_> =
+            by_pid.iter().map(|(p, own)| (Some(*p), None, reference_overlap(own))).collect();
+        prop_assert_eq!(grouped(&[Dim::Process]), expected);
+        let expected: Vec<_> = by_pid
+            .iter()
+            .flat_map(|(p, own)| {
+                reference_phase_tables(own).into_iter().map(|(phase, t)| (Some(*p), Some(phase), t))
+            })
+            .collect();
+        prop_assert_eq!(grouped(&[Dim::Process, Dim::Phase]), expected);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
