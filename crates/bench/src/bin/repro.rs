@@ -36,9 +36,6 @@ fn serve(socket: &str, data_dir: &str) -> ! {
             std::process::exit(1);
         }
     };
-    for (dir, outcome) in collector.upgraded_dirs() {
-        println!("upgraded legacy chunk dir {} ({} chunks)", dir.display(), outcome.chunks);
-    }
     println!("collector listening on {}", collector.socket().display());
     rlscope_collector::daemon::serve_forever(collector)
 }

@@ -9,8 +9,8 @@
 //! Binds the Unix-domain socket (plus an optional TCP listener carrying
 //! the identical framed protocol), runs the crash-recovery scan over the
 //! data dir (re-serving finished sessions, truncating torn tails and
-//! rebuilding live state for interrupted ones, upgrading legacy
-//! directories), and serves profiling sessions and queries until
+//! rebuilding live state for interrupted ones, serving legacy
+//! directories read-only), and serves profiling sessions and queries until
 //! killed. See the `rlscope-collector` crate docs for the wire protocol
 //! and the durability contract.
 
@@ -100,15 +100,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    for (dir, outcome) in collector.upgraded_dirs() {
-        println!(
-            "rlscoped: upgraded legacy chunk dir {} ({} chunks, {} events, manifest {})",
-            dir.display(),
-            outcome.chunks,
-            outcome.events,
-            if outcome.written { "written" } else { "not writable" }
-        );
-    }
     for recovered in collector.recovered_sessions() {
         let phase = match recovered.phase {
             SessionPhase::Finished => "finished, re-serving",

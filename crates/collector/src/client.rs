@@ -531,8 +531,8 @@ impl CollectorClient {
     }
 
     /// Finishes the session durably: drains acks, sends `FINISH`, and
-    /// waits for the daemon's acknowledgment (chunk files flushed,
-    /// manifest written). The connection stays usable for queries.
+    /// waits for the daemon's acknowledgment (every chunk file durable,
+    /// the session settled). The connection stays usable for queries.
     ///
     /// If the transport fails around the finish exchange, the client
     /// reconnects and retries; a resume handshake answered "already

@@ -202,8 +202,9 @@ pub(crate) fn rollup_tier(dir: &Path, segment_ns: u64) -> Result<RollupStats, Tr
     Ok(stats)
 }
 
-/// Step 4 for raw → sorted: removes the top-level raw chunks and
-/// `MANIFEST`. Best-effort by contract — the new tier is already
+/// Step 4 for raw → sorted: removes the top-level raw chunks, and the
+/// `MANIFEST` an earlier daemon version wrote beside them. Best-effort
+/// by contract — the new tier is already
 /// recorded, so leftovers are cosmetic and recovery re-sweeps them.
 pub(crate) fn drop_raw_files(dir: &Path) {
     if let Ok(files) = list_chunk_files(dir) {

@@ -18,9 +18,8 @@ use rlscope_core::analysis::{
 };
 use rlscope_core::rollup::Rollup;
 use rlscope_core::store::{
-    compute_footer_columns, decode_columns, list_chunk_files, read_chunk_footer, read_frame,
-    recover_chunk_prefix, upgrade_chunk_dir, write_frame, EventColumns, Manifest, ManifestEntry,
-    ManifestUpgrade, TraceIoError, MANIFEST_FILE,
+    decode_columns, list_chunk_files, read_frame, recover_chunk_prefix, write_frame, EventColumns,
+    Manifest, TraceIoError,
 };
 use rlscope_sim::ids::ProcessId;
 use rlscope_sim::time::TimeNs;
@@ -41,7 +40,7 @@ use std::time::{Duration, Instant};
 ///
 /// A [`fault::FaultPlan`] is shared between a chaos test and the daemon
 /// config; the daemon consults it before every chunk persist and
-/// manifest write, so tests can inject ENOSPC-style failures and torn
+/// compaction job, so tests can inject ENOSPC-style failures and torn
 /// writes at exact points in the stream without touching the filesystem
 /// layer. The chunk-write counter is global to the plan, so fault
 /// schedules are easiest to reason about with one streaming session per
@@ -57,12 +56,11 @@ pub mod fault {
         chunk_writes_seen: u64,
         fail_chunk_writes_from: Option<u64>,
         torn_bytes: Option<usize>,
-        fail_manifest_writes: bool,
         fail_compaction: bool,
     }
 
-    /// A mutable fault schedule for the daemon's chunk and manifest
-    /// writes (see the module docs).
+    /// A mutable fault schedule for the daemon's chunk writes and
+    /// compaction jobs (see the module docs).
     #[derive(Debug, Default)]
     pub struct FaultPlan {
         inner: Mutex<Inner>,
@@ -98,11 +96,6 @@ pub mod fault {
             inner.torn_bytes = Some(keep_bytes);
         }
 
-        /// Make every manifest write fail with an injected error.
-        pub fn fail_manifest_writes(&self, fail: bool) {
-            self.inner.lock().fail_manifest_writes = fail;
-        }
-
         /// Make every compaction job fail mid-build with an injected
         /// ENOSPC-style error (a partial temp dir is left behind, like a
         /// real mid-build crash would).
@@ -117,7 +110,6 @@ pub mod fault {
             inner.chunk_writes_seen = 0;
             inner.fail_chunk_writes_from = None;
             inner.torn_bytes = None;
-            inner.fail_manifest_writes = false;
         }
 
         pub(crate) fn next_chunk_write(&self) -> ChunkWriteFault {
@@ -131,10 +123,6 @@ pub mod fault {
                 },
                 _ => ChunkWriteFault::Pass,
             }
-        }
-
-        pub(crate) fn manifest_writes_fail(&self) -> bool {
-            self.inner.lock().fail_manifest_writes
         }
 
         pub(crate) fn compaction_fails(&self) -> bool {
@@ -238,7 +226,7 @@ pub struct RecoveredSession {
     /// Durable chunks in the recovered prefix.
     pub chunks: u64,
     /// Events across the recovered prefix (0 for finished sessions,
-    /// whose manifest is the source of truth).
+    /// whose chunk footers are the source of truth).
     pub events: u64,
     /// Torn/corrupt tail chunk files the scan deleted.
     pub removed_chunks: usize,
@@ -357,8 +345,8 @@ enum Msg {
     /// The attached connection failed (and has already told its client
     /// why): abort with this reason.
     Abort(ConnError),
-    /// `FINISH`: cut the manifest, settle, and write the `FINISH_ACK`;
-    /// answers whether the ack went out, then seals.
+    /// `FINISH`: settle and write the `FINISH_ACK`; answers whether the
+    /// ack went out, then seals.
     Finish { reply: Sender<Result<(), ConnError>> },
     /// Whether a connection is attached, and the events observed so far.
     Status { reply: Sender<(bool, u64)> },
@@ -417,70 +405,51 @@ enum Seal {
 /// **verbatim** — they are codec-v3 chunks, already validated end to end
 /// by the ingest decode — so the collector never re-encodes a byte, and
 /// the on-disk directory is exactly what a [`TraceWriter`] run would
-/// leave behind (`chunk_NNNNN.rls` files plus a `MANIFEST` at finish,
-/// with chunk granularity set by the client's flush batches).
+/// leave behind: `chunk_NNNNN.rls` files, with chunk granularity set by
+/// the client's flush batches. Each chunk carries its own footer, so the
+/// directory needs no index beside the chunks ([`Manifest::open`] reads
+/// their tails).
 ///
 /// [`TraceWriter`]: rlscope_core::store::TraceWriter
 struct ChunkStore {
     dir: PathBuf,
-    entries: Vec<ManifestEntry>,
     seq: u32,
     #[cfg(feature = "fault-inject")]
     faults: Option<Arc<fault::FaultPlan>>,
 }
 
 impl ChunkStore {
-    /// Creates the session directory, clearing stale chunks and any old
-    /// `MANIFEST` (same reused-directory semantics as
-    /// `TraceWriter::create`).
+    /// Creates the session directory, clearing stale chunks (same
+    /// reused-directory semantics as `TraceWriter::create`).
     fn create(dir: &Path, config: &CollectorConfig) -> Result<ChunkStore, TraceIoError> {
-        let _ = config;
         fs::create_dir_all(dir)?;
         for stale in list_chunk_files(dir)? {
             fs::remove_file(stale)?;
         }
-        let manifest = dir.join(MANIFEST_FILE);
-        if manifest.exists() {
-            fs::remove_file(&manifest)?;
-        }
-        Ok(ChunkStore {
-            dir: dir.to_path_buf(),
-            entries: Vec::new(),
-            seq: 0,
-            #[cfg(feature = "fault-inject")]
-            faults: config.faults.clone(),
-        })
+        Ok(ChunkStore::resume(dir, 0, config))
     }
 
-    /// Reopens a recovered directory without wiping it: `entries` is the
-    /// validated prefix a [`recover_chunk_prefix`] scan produced, and
-    /// new chunks continue its contiguous `chunk_NNNNN` numbering.
-    fn resume(dir: &Path, entries: Vec<ManifestEntry>, config: &CollectorConfig) -> ChunkStore {
+    /// Reopens a recovered directory without wiping it: `chunks` is the
+    /// length of the validated prefix a [`recover_chunk_prefix`] scan
+    /// kept, and new chunks continue its contiguous `chunk_NNNNN`
+    /// numbering.
+    fn resume(dir: &Path, chunks: u32, config: &CollectorConfig) -> ChunkStore {
         let _ = config;
         ChunkStore {
             dir: dir.to_path_buf(),
-            seq: entries.len() as u32,
-            entries,
+            seq: chunks,
             #[cfg(feature = "fault-inject")]
             faults: config.faults.clone(),
         }
     }
 
-    /// Persists one validated chunk payload verbatim and indexes its
-    /// footer (parsed from the v3 trailer; computed from the decoded
-    /// events for v1-fallback payloads, whose wire format carries none).
-    fn append(&mut self, payload: &[u8], cols: &EventColumns) -> Result<(), TraceIoError> {
-        let file = format!("chunk_{:05}.rls", self.seq);
-        let path = self.dir.join(&file);
+    /// Persists one validated chunk payload verbatim.
+    fn append(&mut self, payload: &[u8]) -> Result<(), TraceIoError> {
+        let path = self.dir.join(format!("chunk_{:05}.rls", self.seq));
         // A failed write may have landed a partial file; the directory
         // must keep holding exactly the acked prefix.
         self.write_chunk(&path, payload).inspect_err(|_| drop(fs::remove_file(&path)))?;
         self.seq += 1;
-        let footer = match read_chunk_footer(payload)? {
-            Some(footer) => footer,
-            None => compute_footer_columns(cols),
-        };
-        self.entries.push(ManifestEntry { file, size: payload.len() as u64, footer });
         Ok(())
     }
 
@@ -504,18 +473,6 @@ impl ChunkStore {
     fn write_chunk(&self, path: &Path, payload: &[u8]) -> Result<(), TraceIoError> {
         fs::write(path, payload)?;
         Ok(())
-    }
-
-    /// Writes the manifest; the directory is then fully query-ready
-    /// (pushdown included) without any scan.
-    fn finish(&mut self) -> Result<(), TraceIoError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = &self.faults {
-            if plan.manifest_writes_fail() {
-                return Err(fault::injected_enospc());
-            }
-        }
-        Manifest::from_entries(&self.dir, std::mem::take(&mut self.entries)).write()
     }
 }
 
@@ -637,7 +594,7 @@ impl Owner {
     /// [`ErrorCode::Io`].
     fn apply_chunk(&mut self, payload: &[u8], cols: &EventColumns) -> Result<(), ConnError> {
         self.live.push_columns(cols).map_err(|e| (ErrorCode::Protocol, e.to_string()))?;
-        self.store.append(payload, cols).map_err(io_err)?;
+        self.store.append(payload).map_err(io_err)?;
         self.events += cols.len() as u64;
         self.chunks += 1;
         Ok(())
@@ -665,26 +622,25 @@ impl Owner {
     }
 
     /// `FINISH`: every chunk sent before it has been applied and acked
-    /// (message order), so cut the manifest, settle, and write the
-    /// `FINISH_ACK` — aborted with the typed error when the manifest
-    /// cannot be written. Only then, off the client's path, does a clean
-    /// finish seal ([`Owner::seal`]).
+    /// (message order), and every acked chunk is already durable with
+    /// its footer, so settle and write the `FINISH_ACK`. Only then, off
+    /// the client's path, does the finished session seal
+    /// ([`Owner::seal`]).
     fn on_finish(&mut self, reply: &Sender<Result<(), ConnError>>) -> bool {
-        let written = self.store.finish().map_err(io_err);
-        let clean = written.is_ok();
-        self.settle(written.as_ref().err().cloned());
-        let acked = written.and_then(|()| {
-            let writer = self.attached.as_ref().ok_or_else(|| {
+        self.settle(None);
+        let acked = self
+            .attached
+            .as_ref()
+            .ok_or_else(|| {
                 (ErrorCode::Protocol, format!("session {:?} has no connection", self.name))
-            })?;
-            let mut ack = self.chunks.to_be_bytes().to_vec();
-            ack.extend_from_slice(&self.events.to_be_bytes());
-            write_frame(&mut *writer.lock(), kind::FINISH_ACK, &ack).map_err(io_err)
-        });
+            })
+            .and_then(|writer| {
+                let mut ack = self.chunks.to_be_bytes().to_vec();
+                ack.extend_from_slice(&self.events.to_be_bytes());
+                write_frame(&mut *writer.lock(), kind::FINISH_ACK, &ack).map_err(io_err)
+            });
         let _ = reply.send(acked);
-        if clean {
-            self.seal();
-        }
+        self.seal();
         true
     }
 
@@ -701,13 +657,12 @@ impl Owner {
         true
     }
 
-    /// The one abort path: a best-effort manifest, so the durable prefix
-    /// stays analyzable without a scan, then settle with the typed
-    /// reason, then — when the attached client has not been told yet —
-    /// the `ERROR` frame. Settled first: a client that reads the error
-    /// finds the session already aborted and its prefix queryable.
+    /// The one abort path: settle with the typed reason, then — when
+    /// the attached client has not been told yet — the `ERROR` frame.
+    /// Settled first: a client that reads the error finds the session
+    /// already aborted and its durable prefix, every chunk of which
+    /// carries its own footer, queryable.
     fn abort(&mut self, error: ConnError, notify: bool) -> bool {
-        let _ = self.store.finish();
         self.settle(Some(error.clone()));
         if let (true, Some(writer)) = (notify, &self.attached) {
             send_error(writer, error.0, &error.1);
@@ -830,7 +785,7 @@ struct Daemon {
     /// rule on holding this lock).
     sessions: Mutex<HashMap<String, Entry>>,
     /// Finished-target results keyed by `(dir, query bytes)`, validated
-    /// by manifest checksum, LRU-evicted.
+    /// by the checksum of the target's index, LRU-evicted.
     cache: Mutex<LruCache<(String, Vec<u8>), CachedResult>>,
     next_session_id: AtomicU64,
     next_epoch: AtomicU64,
@@ -958,7 +913,6 @@ pub struct Collector {
     /// Runs the idle-reap and retention passes (the latter with its
     /// tier transitions), when either is configured.
     timer_thread: Option<JoinHandle<()>>,
-    upgraded: Vec<(PathBuf, ManifestUpgrade)>,
     recovered: Vec<RecoveredSession>,
 }
 
@@ -984,10 +938,9 @@ impl Collector {
     /// [`LiveState`] rebuilt by replaying the surviving chunks through
     /// the normal decode path, and are registered detached, awaiting a
     /// client resume; aborted sessions stay queryable and their names
-    /// reusable. Directories without a record get the legacy one-shot
-    /// [`upgrade_chunk_dir`] pass and are served read-only by name
-    /// ([`Collector::upgraded_dirs`] reports what was rebuilt,
-    /// [`Collector::recovered_sessions`] what was recovered).
+    /// reusable. Directories of chunks without a record (legacy, or a
+    /// torn record) are served read-only by name
+    /// ([`Collector::recovered_sessions`] reports what was recovered).
     ///
     /// # Errors
     ///
@@ -1025,7 +978,6 @@ impl Collector {
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(Conns::default()),
         });
-        let mut upgraded = Vec::new();
         let mut recovered = Vec::new();
         if let Ok(entries) = fs::read_dir(&daemon.config.data_dir) {
             for entry in entries.flatten() {
@@ -1050,18 +1002,10 @@ impl Collector {
                     }
                     None => {
                         // Legacy directory (pre-registry daemon, or a torn
-                        // record): one-shot manifest upgrade, then serve
-                        // read-only by name when the name is usable.
+                        // record): served read-only by name when it holds
+                        // chunks and the name is usable.
                         let has_chunks = list_chunk_files(&path).is_ok_and(|f| !f.is_empty());
-                        if !has_chunks {
-                            continue;
-                        }
-                        if let Ok(outcome) = upgrade_chunk_dir(&path) {
-                            if outcome.rebuilt {
-                                upgraded.push((path.clone(), outcome));
-                            }
-                        }
-                        if valid_session_name(&name) {
+                        if has_chunks && valid_session_name(&name) {
                             let legacy = SessionRecord {
                                 epoch: 0,
                                 status: SessionStatus::Finished,
@@ -1126,7 +1070,6 @@ impl Collector {
             tcp_accept_thread,
             tcp_addr,
             timer_thread,
-            upgraded,
             recovered,
         })
     }
@@ -1140,12 +1083,6 @@ impl Collector {
     /// (resolved, so a port-0 config reports the real ephemeral port).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
         self.tcp_addr
-    }
-
-    /// Legacy session directories whose manifest the startup upgrade
-    /// pass rebuilt.
-    pub fn upgraded_dirs(&self) -> &[(PathBuf, ManifestUpgrade)] {
-        &self.upgraded
     }
 
     /// Sessions the startup recovery scan re-registered from durable
@@ -1337,7 +1274,7 @@ fn recover_session(
                 register(settled(Some(error), chunks));
                 return report(SessionPhase::Aborted, chunks, events, removed_chunks);
             }
-            let store = ChunkStore::resume(dir, prefix.entries, &daemon.config);
+            let store = ChunkStore::resume(dir, prefix.entries.len() as u32, &daemon.config);
             register(Entry::Open(spawn_owner(
                 daemon,
                 name,
@@ -1667,18 +1604,16 @@ fn handle_hello_new(
         // (the old directory is wiped below).
         Some(Entry::Settled(_)) => {}
         None => {
-            // Not in the session map: a directory holding chunks (a
-            // manifest, or a compacted tier) is durable data from an
-            // earlier run that recovery did not claim — refuse rather
-            // than silently wipe it.
+            // Not in the session map: a directory holding chunks (or a
+            // compacted tier) is durable data from an earlier run that
+            // recovery did not claim — refuse rather than silently wipe
+            // it.
             let compacted = [StorageTier::Sorted, StorageTier::Rollup]
                 .into_iter()
                 .filter_map(StorageTier::subdir)
                 .any(|sub| dir.join(sub).is_dir());
             let prior_data = dir.is_dir()
-                && (dir.join(MANIFEST_FILE).exists()
-                    || compacted
-                    || list_chunk_files(&dir).is_ok_and(|files| !files.is_empty()));
+                && (compacted || list_chunk_files(&dir).is_ok_and(|files| !files.is_empty()));
             if prior_data {
                 return Err((
                     ErrorCode::SessionExists,
@@ -1783,7 +1718,7 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
             if !dir.is_dir() {
                 return Err((ErrorCode::UnknownTarget, format!("no chunk directory {path:?}")));
             }
-            settled_query(daemon, &dir, StorageTier::Raw, spec, || None)
+            settled_query(daemon, &dir, StorageTier::Raw, spec, || None, || Ok(()))
         }
         // A QUERY reply carries one canonical-JSON table; the all-sessions
         // answer is per-session groups, which only a QUERY_ALL_OK can carry.
@@ -1802,7 +1737,7 @@ fn handle_list_sessions(daemon: &Daemon, writer: &SharedWriter) -> Result<(), Co
         let (live, events) = match daemon.route(&name, |reply| Msg::Status { reply }) {
             Ok(Routed::Open(_, (_, events))) => (true, events),
             Ok(Routed::Settled(s)) => match tier_index(&tier_dir(&s.dir, s.tier), s.tier) {
-                Ok((_, events)) => (false, events),
+                Ok(index) => (false, index.total_events()),
                 Err(_) => continue, // pruned since the listing was taken
             },
             Err(_) => continue, // pruned since the listing was taken
@@ -1860,7 +1795,7 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
             Routed::Settled(settled) => {
                 let dir = tier_dir(&settled.dir, settled.tier);
                 match tier_index(&dir, settled.tier) {
-                    Ok((_, events)) => events_observed += events,
+                    Ok(index) => events_observed += index.total_events(),
                     // Pruned since the listing was taken.
                     Err(_) if daemon.current(&name, settled.epoch).is_none() => continue,
                     Err(error) => return Err(error),
@@ -1895,26 +1830,51 @@ fn tier_dir(dir: &Path, tier: StorageTier) -> PathBuf {
     }
 }
 
-/// The `(checksum, total events)` of the index of `dir`, the data of a
-/// session at `tier`: the rollup's `ROLLUP` index, or the chunk
-/// directory's manifest for a raw or sorted tier.
-fn tier_index(dir: &Path, tier: StorageTier) -> Result<(u64, u64), ConnError> {
-    if tier == StorageTier::Rollup {
-        let rollup = Rollup::open(dir).map_err(io_err)?;
-        Ok((rollup.checksum(), rollup.total_events()))
-    } else {
-        let manifest = Manifest::open(dir).map_err(io_err)?;
-        Ok((manifest.checksum(), manifest.total_events()))
+/// The index of a session's data at a tier: the rollup's `ROLLUP`
+/// index, or for a raw or sorted tier the chunk index
+/// [`Manifest::open`] reads off the chunks.
+enum TierIndex {
+    Chunks(Manifest),
+    Rollup(Rollup),
+}
+
+impl TierIndex {
+    /// The result cache's validation key.
+    fn checksum(&self) -> u64 {
+        match self {
+            TierIndex::Chunks(manifest) => manifest.checksum(),
+            TierIndex::Rollup(rollup) => rollup.checksum(),
+        }
     }
+
+    fn total_events(&self) -> u64 {
+        match self {
+            TierIndex::Chunks(manifest) => manifest.total_events(),
+            TierIndex::Rollup(rollup) => rollup.total_events(),
+        }
+    }
+}
+
+/// Reads the index of `dir`, the data of a session at `tier`.
+fn tier_index(dir: &Path, tier: StorageTier) -> Result<TierIndex, ConnError> {
+    match tier {
+        StorageTier::Rollup => Rollup::open(dir).map(TierIndex::Rollup),
+        _ => Manifest::open(dir).map(TierIndex::Chunks),
+    }
+    .map_err(io_err)
 }
 
 /// Routes a settled session's query to its current storage tier, or to
 /// its seal ([`Daemon::sealed`]). The query runs with no lock held, so a
-/// concurrent tier transition can delete the files mid-read; in that
-/// case the failed read is retried at the session's new tier (the tier
-/// only moves forward, so this terminates), and a session pruned
-/// mid-read is an [`ErrorCode::UnknownTarget`], as it is for a query
-/// sent after the prune.
+/// concurrent tier transition can delete the files mid-read. Compaction
+/// moves the session's tier, or a prune removes its entry, before it
+/// deletes anything, so an answer counts only if the tier it read still
+/// held after it was computed: otherwise — and after a failed read — it
+/// is retried at the session's new tier (the tier only moves forward, so
+/// this terminates), and a session pruned mid-read is an
+/// [`ErrorCode::UnknownTarget`], as it is for a query sent after the
+/// prune. A read of a directory being dropped is thus neither returned
+/// nor cached.
 fn tiered_query(
     daemon: &Daemon,
     name: &str,
@@ -1924,7 +1884,11 @@ fn tiered_query(
     loop {
         let (dir, tier) = (tier_dir(&settled.dir, settled.tier), settled.tier);
         let sealed = || daemon.sealed(name, &settled, spec);
-        let result = settled_query(daemon, &dir, tier, spec, sealed);
+        let held = || match daemon.current(name, settled.epoch) {
+            Some(now) if now.tier == tier => Ok(()),
+            _ => Err((ErrorCode::Io, format!("session {name:?} left the {tier:?} tier mid-read"))),
+        };
+        let result = settled_query(daemon, &dir, tier, spec, sealed, held);
         if let Err((ErrorCode::Io, _)) = &result {
             match daemon.current(name, settled.epoch) {
                 Some(now) if now.tier > tier => {
@@ -1940,42 +1904,48 @@ fn tiered_query(
 }
 
 /// One settled-tier query, fronted by the checksum-keyed result cache.
-/// A raw or sorted directory answers through manifest pushdown
-/// ([`Analysis::from_chunk_dir`], keyed by the manifest checksum); a
-/// rollup answers from its pre-aggregated segment summaries
+/// A raw or sorted directory answers through footer pushdown over the
+/// chunk index read once here ([`Analysis::from_chunk_index`], keyed by
+/// that index's checksum, so a cached answer was computed from exactly
+/// the index its key describes); a rollup answers from its
+/// pre-aggregated segment summaries
 /// ([`Analysis::from_rollup_dir`], keyed by the rollup index checksum)
 /// without decoding a raw event, and a query needing raw resolution
 /// comes back as a typed [`ErrorCode::UnsupportedQuery`] straight from
 /// the analysis layer. On a cache miss, tables from `sealed` — the
 /// session's seal, byte-identical to the directory's answer — replace
 /// the directory as the source; lookup, insert and the checksum are the
-/// same either way.
+/// same either way. `held` is asked once the answer exists, before it
+/// is cached or returned: an error there discards the answer.
 fn settled_query(
     daemon: &Daemon,
     dir: &Path,
     tier: StorageTier,
     spec: &QuerySpec,
     sealed: impl FnOnce() -> Option<Arc<LiveTables>>,
+    held: impl FnOnce() -> Result<(), ConnError>,
 ) -> Result<QueryReply, ConnError> {
-    let (checksum, events) = tier_index(dir, tier)?;
+    let index = tier_index(dir, tier)?;
+    let (checksum, events) = (index.checksum(), index.total_events());
     let key = (dir.to_string_lossy().into_owned(), spec.encode());
-    if let Some(cached) = daemon.cache.lock().get(&key) {
-        if cached.checksum == checksum {
-            return Ok(QueryReply {
-                live: false,
-                cache_hit: true,
-                events_observed: cached.events,
-                canonical_json: cached.json,
-            });
-        }
+    let cached = daemon.cache.lock().get(&key).filter(|cached| cached.checksum == checksum);
+    if let Some(cached) = cached {
+        held()?;
+        return Ok(QueryReply {
+            live: false,
+            cache_hit: true,
+            events_observed: cached.events,
+            canonical_json: cached.json,
+        });
     }
     let tables = sealed();
-    let analysis = match &tables {
-        Some(tables) => Analysis::of_live(tables),
-        None if tier == StorageTier::Rollup => Analysis::from_rollup_dir(dir),
-        None => Analysis::from_chunk_dir(dir),
+    let analysis = match (&tables, &index) {
+        (Some(tables), _) => Analysis::of_live(tables),
+        (None, TierIndex::Rollup(_)) => Analysis::from_rollup_dir(dir),
+        (None, TierIndex::Chunks(manifest)) => Analysis::from_chunk_index(manifest),
     };
     let json = apply_spec(analysis, spec).canonical_json().map_err(analysis_err)?;
+    held()?;
     daemon.cache.lock().insert(key, CachedResult { checksum, events, json: json.clone() });
     Ok(QueryReply { live: false, cache_hit: false, events_observed: events, canonical_json: json })
 }

@@ -5,15 +5,17 @@
 //! infrastructure **always-on**: a daemon (`rlscoped`, [`Collector`])
 //! accepts many concurrent profiling sessions over Unix-domain sockets,
 //! shards each session onto its own chunk directory (the exact on-disk
-//! format a [`TraceWriter`] produces — `chunk_NNNNN.rls` files plus a
-//! `MANIFEST` — but with validated chunk payloads persisted **verbatim**,
-//! so ingest never re-encodes a byte), feeds every accepted chunk into
+//! format a [`TraceWriter`] produces — `chunk_NNNNN.rls` files, each
+//! carrying its own footer — but with validated chunk payloads persisted
+//! **verbatim**, so ingest never re-encodes a byte), feeds every
+//! accepted chunk into
 //! per-session incremental
 //! sweeps ([`rlscope_core::analysis::LiveState`]), and answers
 //! [`Analysis`]-shaped queries — filters, `group_by`, canonical JSON —
 //! over sessions that are **still streaming** as well as over finished
-//! directories (the latter through [`Manifest`] predicate pushdown and a
-//! result cache keyed by manifest checksum).
+//! directories (the latter through predicate pushdown over the chunk
+//! index [`Manifest::open`] reads off the chunks' footers, and a result
+//! cache keyed by that index's checksum).
 //!
 //! The client half is [`CollectorClient`] (the raw protocol) and
 //! [`CollectorSink`] (a [`rlscope_core::profiler::EventSink`], so an
@@ -127,7 +129,7 @@
 //! | `0x06` | C→S | `QUERY_ALL` | a [`QuerySpec`] with the all-sessions target |
 //! | `0x81` | S→C | `HELLO_ACK` | [`HelloAck`]: `session_id:u64` \| `credits:u32` \| `epoch:u64` \| `acked_chunks:u64` |
 //! | `0x82` | S→C | `CHUNK_ACK` | `seq:u64` \| `events:u32` — the chunk is applied **and durable** (survives the daemon's death; see the contract above) |
-//! | `0x83` | S→C | `FINISH_ACK` | `chunks:u64` \| `events:u64` (durable as above, manifest written) |
+//! | `0x83` | S→C | `FINISH_ACK` | `chunks:u64` \| `events:u64` (durable as above, session settled) |
 //! | `0x84` | S→C | `QUERY_OK` | `flags:u8` (bit 0 live, bit 1 cache hit) \| `events_observed:u64` \| canonical JSON |
 //! | `0x85` | S→C | `SESSIONS` | a [`SessionList`] (see its docs for the byte layout) |
 //! | `0x86` | S→C | `QUERY_ALL_OK` | a [`QueryAllReply`]: machine-mergeable grouped tables (see its docs) |
@@ -217,11 +219,13 @@
 //! owner's mailbox. Live answers are never cached: an immediate repeat
 //! drains nothing, so a cache could save only the JSON rendering.
 //! Finished sessions and directory targets run
-//! [`Analysis::from_chunk_dir`] (manifest predicate pushdown included);
+//! [`Analysis::from_chunk_dir`] (footer predicate pushdown included);
 //! their results are cached keyed by `(target, query bytes)`,
-//! invalidated by [`Manifest::checksum`], and evicted LRU, so a
-//! repeated dashboard query costs one manifest load, not a re-analysis,
-//! until the directory's chunk set actually changes. Cross-session
+//! invalidated by [`Manifest::checksum`] of the index
+//! [`Manifest::open`] reads off the chunks' footer tails, and evicted
+//! LRU, so a repeated dashboard query costs one read of the footer
+//! tails, not a re-analysis, until the directory's chunk set actually
+//! changes. Cross-session
 //! `QUERY_ALL` answers are never cached either: ingest on *any* session
 //! invalidates them, so the daemon recomposes every session per query.
 //!
@@ -233,7 +237,7 @@
 //! grouping or filter — answer from those tables, over `QUERY` and
 //! `QUERY_ALL` alike, instead of decoding and sweeping the directory
 //! again. The answers are byte-identical to the directory's, and they
-//! stay `live: false` and report the manifest's event total. A `QUERY`
+//! stay `live: false` and report the chunk index's event total. A `QUERY`
 //! still goes through the result cache: a miss reads the seal in place
 //! of the directory, and a repeat is a `cache_hit`. A query that
 //! arrives while the seal is being computed waits for it. Everything
@@ -249,7 +253,7 @@
 //! | tier | layout | answers |
 //! |------|--------|---------|
 //! | `Raw` | close-ordered chunks at the session dir top level | everything |
-//! | `Sorted` | start-sorted v3 chunks under `sorted/` | everything, with tighter manifest pushdown |
+//! | `Sorted` | start-sorted v3 chunks under `sorted/` | everything, with tighter footer pushdown |
 //! | `Rollup` | segment summaries under `rollup/` ([`rlscope_core::rollup`]) | coarse grouped/aligned-window queries from pre-aggregated tables, without touching events |
 //!
 //! Transitions run on the daemon's **timer thread**, which runs each
@@ -283,7 +287,7 @@
 //! [`LiveState::snapshot_view`]: rlscope_core::analysis::LiveState::snapshot_view
 //! [`LiveState::seal`]: rlscope_core::analysis::LiveState::seal
 //! [`OverlapSweep::tables_so_far`]: rlscope_core::overlap::OverlapSweep::tables_so_far
-//! [`Manifest`]: rlscope_core::store::Manifest
+//! [`Manifest::open`]: rlscope_core::store::Manifest::open
 //! [`Manifest::checksum`]: rlscope_core::store::Manifest::checksum
 //! [`TraceWriter`]: rlscope_core::store::TraceWriter
 //! [`encode_events`]: rlscope_core::store::encode_events

@@ -74,7 +74,8 @@ pub enum ErrorCode {
     Protocol = 4,
     /// A chunk payload failed to decode (corrupt bytes).
     CorruptChunk = 5,
-    /// Server-side I/O failure (session storage, manifest).
+    /// Server-side I/O failure (session storage, or a chunk index a
+    /// query could not read).
     Io = 6,
     /// The query target names no known session or readable directory.
     UnknownTarget = 7,

@@ -80,7 +80,7 @@ pub enum SessionStatus {
     /// when the record was written; recovery truncates any torn tail
     /// chunk and offers the session for resume.
     Active = 1,
-    /// `FINISH` committed: the manifest is written and the directory is
+    /// `FINISH` committed: every chunk is durable and the directory is
     /// immutable; recovery re-serves it by name, read-only.
     Finished = 2,
     /// The session was aborted with a typed error; the name is reusable

@@ -56,8 +56,9 @@
 //!
 //! # Predicate pushdown: when is a whole chunk skipped?
 //!
-//! Chunk-directory sources consult the directory's
-//! [`crate::store::Manifest`] before decoding anything: filters become a
+//! Chunk-directory sources consult the directory's index, the
+//! [`crate::store::Manifest`] read off the chunks' footers, before
+//! decoding anything: filters become a
 //! [`crate::store::ChunkQuery`] and chunks whose footers cannot
 //! contribute are never read. The decisions are conservative — a
 //! selected chunk may still contribute nothing — and never lossy (the
@@ -78,11 +79,10 @@
 //! ([`crate::store::ChunkQuery::keep_pid_introductions`]) — a pure
 //! over-selection, so a process whose chunks are all skippable still
 //! gets its (empty) group row. v3 footers record the pid set of every
-//! phase span ([`crate::store::PhaseSpan::pids`]); footers and manifests
-//! written before that field existed decode with an empty (= unknown)
-//! set, which every reader treats as "possibly any pid" — old manifests
-//! stay readable and their skip decisions are identical-or-safer, never
-//! wrong.
+//! phase span ([`crate::store::PhaseSpan::pids`]); footers written
+//! before that field existed decode with an empty (= unknown) set, which
+//! every reader treats as "possibly any pid" — old chunks stay readable
+//! and their skip decisions are identical-or-safer, never wrong.
 //!
 //! Chunk decode itself is **chunk-parallel**: selected files are decoded
 //! on worker threads and fed to the per-process incremental sweeps in
@@ -107,15 +107,17 @@
 //! of the oldest annotation that has not been written yet. Two
 //! consequences:
 //!
-//! * The frontier needs a manifest the query can trust. A directory
-//!   with no fresh `MANIFEST` and no pushdown predicate is swept from
-//!   its file listing with nothing released — a query that did not need
-//!   a manifest scan is never charged one.
-//! * The manifest is outside input. If it overstates a chunk's
-//!   `min_start`, an event arrives behind the frontier and the query
-//!   fails with a typed [`TraceIoError::Corrupt`]
-//!   ([`crate::overlap::SweepError::OrderViolation`]) — never a wrong
-//!   table, and no second pass.
+//! * The frontier comes from the chunks themselves: every directory
+//!   query opens the index from the chunks' footer tails
+//!   ([`crate::store::Manifest::open`]), so every query releases, with
+//!   or without a pushdown predicate, and no query writes anything.
+//! * A footer is outside input. One that overstates its chunk's
+//!   `min_start` fails the footer cross-check when that chunk is
+//!   decoded, before any of its events reach a sweep; an event that
+//!   still arrived behind the frontier would fail the query with
+//!   [`crate::overlap::SweepError::OrderViolation`]. Either way the query
+//!   gets a typed [`TraceIoError::Corrupt`] — never a wrong table, and no
+//!   second pass.
 //!
 //! # How each source reaches the sweep
 //!
@@ -130,10 +132,11 @@
 //!   Rows are not converted to columns: building
 //!   [`crate::store::EventColumns`] measured 20–40 ns/event, against
 //!   55–90 ns/event for the sweep itself, a copy that saves no decode.
-//! * [`Analysis::from_chunk_dir`] decodes each selected chunk with
-//!   [`crate::store::decode_columns`] (five flat primitive columns plus a
-//!   per-chunk name table; no `Vec<Event>`), pushes it, and releases
-//!   every sweep to that chunk's frontier.
+//! * [`Analysis::from_chunk_dir`] (and [`Analysis::from_chunk_index`],
+//!   which is handed the index instead of reading it) decodes each
+//!   selected chunk with [`crate::store::decode_columns`] (five flat
+//!   primitive columns plus a per-chunk name table; no `Vec<Event>`),
+//!   pushes it, and releases every sweep to that chunk's frontier.
 //! * [`LiveState`] is the executor over both views, fed by the
 //!   collector's live ingest and crash-recovery replay
 //!   ([`LiveState::push_columns`]).
@@ -311,12 +314,12 @@ use crate::overlap::{BreakdownTable, BucketKey, OverlapSweep, PhaseTables, Sweep
 use crate::report::BreakdownReport;
 use crate::rollup::{merge_phase_tables, Rollup};
 use crate::store::{
-    for_each_decoded_chunk_columns, list_chunk_files, ChunkQuery, EventColumns, EventRow, Manifest,
-    TraceIoError,
+    for_each_decoded_chunk_columns, ChunkQuery, EventColumns, EventRow, Manifest, TraceIoError,
 };
 use crate::trace::Trace;
 use rlscope_sim::ids::ProcessId;
 use rlscope_sim::time::{DurationNs, TimeNs};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -428,6 +431,7 @@ enum Source<'a> {
     Trace(&'a Trace),
     Merged(&'a [Trace]),
     ChunkDir(PathBuf),
+    ChunkIndex(&'a Manifest),
     RollupDir(PathBuf),
     Live(&'a LiveTables),
     Sessions(Vec<(Arc<str>, SessionSource<'a>)>),
@@ -915,6 +919,15 @@ impl<'a> Analysis<'a> {
         Self::new(Source::ChunkDir(dir.into()))
     }
 
+    /// [`Analysis::from_chunk_dir`] over the directory `index` describes,
+    /// pushing down into and releasing behind `index` instead of reading
+    /// the directory's chunk footers again — for a caller that already
+    /// holds the index ([`Manifest::open`]) and must know that the answer
+    /// was computed from exactly that one.
+    pub fn from_chunk_index(index: &'a Manifest) -> Self {
+        Self::new(Source::ChunkIndex(index))
+    }
+
     /// Analyzes a segment-summary **rollup directory**
     /// ([`crate::rollup::rollup_chunk_dir`]) — the cold storage tier.
     /// Queries answer from the pre-aggregated per-segment tables without
@@ -1138,24 +1151,24 @@ impl<'a> Analysis<'a> {
     ///
     /// # Errors
     ///
-    /// I/O or corruption errors from the directory or its manifest, and
+    /// I/O or corruption errors from the directory or its chunks' footers, and
     /// [`AnalysisError::Unsupported`] when [`Analysis::corrected`] is
     /// set — overhead correction needs a trace-backed source, so such a
     /// query cannot run (and therefore has no decode plan).
     pub fn chunk_plan(&self) -> Result<Option<(usize, usize)>, AnalysisError> {
-        match &self.source {
-            Source::ChunkDir(dir) => {
-                if self.calibration.is_some() {
-                    // Mirror the error the query itself produces, rather
-                    // than reporting a plan for an impossible run.
-                    self.correction_inputs()?;
-                }
-                let per_process = self.dims.contains(&Dim::Process);
-                let selection = self.pushdown_selection(dir, per_process, true)?;
-                Ok(Some((selection.files.len(), selection.total)))
-            }
-            _ => Ok(None),
+        let index = match &self.source {
+            Source::ChunkDir(dir) => Cow::Owned(Manifest::open(dir)?),
+            Source::ChunkIndex(index) => Cow::Borrowed(*index),
+            _ => return Ok(None),
+        };
+        if self.calibration.is_some() {
+            // Mirror the error the query itself produces, rather than
+            // reporting a plan for an impossible run.
+            self.correction_inputs()?;
         }
+        let per_process = self.dims.contains(&Dim::Process);
+        let selection = self.pushdown_selection(&index, per_process, true);
+        Ok(Some((selection.files.len(), selection.total)))
     }
 
     // ----- execution ----------------------------------------------------
@@ -1188,11 +1201,8 @@ impl<'a> Analysis<'a> {
             Source::Merged(ts) => {
                 self.sweep(filters, |set| push_slices(set, ts.iter().map(|t| &t.events[..])))?
             }
-            Source::ChunkDir(dir) => {
-                let per_process = self.dims.contains(&Dim::Process);
-                let selection = self.pushdown_selection(dir, per_process, filters)?;
-                self.sweep(filters, |set| push_chunks(set, &selection))?
-            }
+            Source::ChunkDir(dir) => self.sweep_index(&Manifest::open(dir)?, filters)?,
+            Source::ChunkIndex(index) => self.sweep_index(index, filters)?,
             Source::RollupDir(dir) => self.resolve_rollup(dir, filters)?,
             Source::Live(tables) => self.resolve_live(tables, filters)?,
         };
@@ -1312,38 +1322,32 @@ impl<'a> Analysis<'a> {
     }
 
     /// Resolves which chunk files the query must decode and what each
-    /// one releases (see [`Selection`]). The directory's manifest gives
-    /// both; only a directory without a fresh one, under a query with
-    /// nothing to push down, is taken from its file listing with
-    /// nothing released, so that no query pays for a manifest scan it
-    /// did not need.
-    fn pushdown_selection(
-        &self,
-        dir: &std::path::Path,
-        per_process: bool,
-        filters: bool,
-    ) -> Result<Selection, TraceIoError> {
-        let query = self.chunk_query(per_process, filters);
-        let manifest = if !query.is_unconstrained() {
-            Manifest::open(dir)?
-        } else if let Some(fresh) = Manifest::load_fresh(dir)? {
-            fresh
-        } else {
-            let files = list_chunk_files(dir)?;
-            // Nothing is known about later chunks: they may start at 0.
-            return Ok(Selection { frontier: vec![0; files.len()], total: files.len(), files });
-        };
-        let selected = manifest.select_entries(&query);
+    /// one releases (see [`Selection`]), both from the chunk footers in
+    /// `index`.
+    fn pushdown_selection(&self, index: &Manifest, per_process: bool, filters: bool) -> Selection {
+        let selected = index.select_entries(&self.chunk_query(per_process, filters));
         // Empty chunks carry `min_start == u64::MAX` and bound nothing.
         let mut frontier = vec![u64::MAX; selected.len()];
         for i in (1..selected.len()).rev() {
             frontier[i - 1] = frontier[i].min(selected[i].footer.min_start);
         }
-        Ok(Selection {
-            files: selected.iter().map(|e| dir.join(&e.file)).collect(),
+        Selection {
+            files: selected.iter().map(|e| index.dir().join(&e.file)).collect(),
             frontier,
-            total: manifest.entries().len(),
-        })
+            total: index.entries().len(),
+        }
+    }
+
+    /// Sweeps the chunks `index` selects for this query, one pass, every
+    /// sweep released behind each chunk's frontier.
+    fn sweep_index(
+        &self,
+        index: &Manifest,
+        filters: bool,
+    ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
+        let per_process = self.dims.contains(&Dim::Process);
+        let selection = self.pushdown_selection(index, per_process, filters);
+        self.sweep(filters, |set| push_chunks(set, &selection))
     }
 
     /// Live-snapshot execution: the sweeps already ran at ingest, so the
@@ -1637,7 +1641,7 @@ fn push_slices<'e>(
 /// chunk-parallel decode stage feeds them in stream order, and after
 /// each one every sweep is released to its frontier.
 fn push_chunks(set: &mut SweepSet, selection: &Selection) -> Result<(), AnalysisError> {
-    // An order violation means the manifest promised a frontier its
+    // An order violation means a footer promised a frontier its
     // chunks do not keep: corrupt outside input, like any other.
     let corrupt = |err: SweepError| TraceIoError::Corrupt(err.to_string());
     let mut frontiers = selection.frontier.iter().copied();
@@ -1988,20 +1992,23 @@ mod tests {
         dir
     }
 
-    /// Rewrites `dir`'s manifest from a scan of its chunks, edited by
-    /// `forge`, and makes it pass the freshness check whatever the
-    /// clock's granularity: its mtime is set past every chunk's.
-    fn write_fresh_manifest(
-        dir: &std::path::Path,
-        forge: impl FnOnce(&mut Vec<crate::store::ManifestEntry>),
-    ) {
-        use crate::store::MANIFEST_FILE;
-        let mut entries = Manifest::scan(dir).unwrap().entries().to_vec();
-        forge(&mut entries);
-        Manifest::from_entries(dir, entries).write().unwrap();
-        let later = std::time::SystemTime::now() + std::time::Duration::from_secs(2);
-        let manifest = std::fs::File::options().append(true).open(dir.join(MANIFEST_FILE));
-        manifest.unwrap().set_modified(later).unwrap();
+    /// Rewrites the footer in `chunk`'s own trailer as `forge` edits it,
+    /// under a valid checksum, so only the footer cross-check of a full
+    /// decode can tell.
+    fn forge_footer(chunk: &std::path::Path, forge: impl FnOnce(&mut crate::store::ChunkFooter)) {
+        use bytes::BufMut;
+        let bytes = std::fs::read(chunk).unwrap();
+        let mut footer = crate::store::read_chunk_footer(&bytes).unwrap().unwrap();
+        let len_at = bytes.len() - 8;
+        let footer_len = u32::from_be_bytes(bytes[len_at..len_at + 4].try_into().unwrap());
+        let body = &bytes[..len_at - footer_len as usize];
+        forge(&mut footer);
+        let mut out = bytes::BytesMut::new();
+        out.put_slice(body);
+        crate::store::encode_footer_payload(&footer, &mut out);
+        out.put_u32((out.len() - body.len()) as u32);
+        out.put_slice(&bytes[len_at + 4..]);
+        std::fs::write(chunk, &out[..]).unwrap();
     }
 
     /// A start-sorted stream of `n` events, one operation in sixteen,
@@ -2028,9 +2035,8 @@ mod tests {
         for n in [640u64, 6_400] {
             let events = start_sorted_events(n);
             let dir = write_chunk_dir("workset", &events, PER_CHUNK);
-            write_fresh_manifest(&dir, |_| {});
             let query = Analysis::from_chunk_dir(&dir);
-            let selection = query.pushdown_selection(&dir, false, true).unwrap();
+            let selection = query.pushdown_selection(&Manifest::open(&dir).unwrap(), false, true);
             assert_eq!(selection.files.len(), n as usize / PER_CHUNK);
             for (i, &frontier) in selection.frontier.iter().enumerate() {
                 let next = events.get((i + 1) * PER_CHUNK).map_or(u64::MAX, |e| e.start.as_nanos());
@@ -2054,10 +2060,13 @@ mod tests {
         }
     }
 
-    /// The manifest is outside input. One that overstates a chunk's
-    /// `min_start` promises a frontier its chunks do not keep: every
-    /// query shape fails with a typed corruption error — no panic, no
-    /// table, no second pass — and the true manifest answers again.
+    /// A footer is outside input. The last chunk's, forged to overstate
+    /// its `min_start` under a valid checksum, promises the earlier
+    /// chunks a frontier the last one does not keep: every query shape
+    /// fails with a typed corruption error — no panic, no table, no
+    /// second pass — and the true footer answers again. The forgery is
+    /// caught by the decode's footer cross-check, before the chunk's
+    /// late event could meet the released sweeps.
     #[test]
     fn overstated_min_start_in_the_manifest_is_typed_corruption() {
         let mut events = start_sorted_events(64);
@@ -2071,38 +2080,17 @@ mod tests {
                 Analysis::from_chunk_dir(&dir).time_window(TimeNs::ZERO, TimeNs::from_micros(900)),
             ]
         };
-        write_fresh_manifest(&dir, |entries| {
-            let last = &mut entries.last_mut().unwrap().footer;
-            last.min_start = last.max_start;
-        });
+        let last = crate::store::list_chunk_files(&dir).unwrap().pop().unwrap();
+        let genuine = std::fs::read(&last).unwrap();
+        forge_footer(&last, |footer| footer.min_start = footer.max_start);
         for query in queries() {
             let err = query.tables().unwrap_err();
             assert!(matches!(err, AnalysisError::Io(TraceIoError::Corrupt(_))), "{err}");
-            assert!(err.to_string().contains("stream order violation"), "{err}");
+            assert!(err.to_string().contains("footer contradicts chunk events"), "{err}");
         }
-        write_fresh_manifest(&dir, |_| {});
+        std::fs::write(&last, genuine).unwrap();
         let expected = Analysis::of_events(&events);
         assert_eq!(queries()[0].table().unwrap(), expected.table().unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A directory without a manifest, under a query with nothing to
-    /// push down, is swept from its file listing: no scan is run (so
-    /// none is written back) and nothing is released. A predicate needs
-    /// the index, builds it once, and leaves it behind.
-    #[test]
-    fn unindexed_directory_is_swept_without_a_manifest_scan() {
-        use crate::store::MANIFEST_FILE;
-        let events = start_sorted_events(64);
-        let dir = write_chunk_dir("unindexed", &events, 16);
-        std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
-        let query = Analysis::from_chunk_dir(&dir);
-        assert_eq!(query.pushdown_selection(&dir, false, true).unwrap().frontier, [0; 4]);
-        assert_eq!(query.table().unwrap(), compute_overlap(&events));
-        assert!(!dir.join(MANIFEST_FILE).exists());
-        let filtered = query.process(ProcessId(0));
-        assert_eq!(filtered.table().unwrap(), compute_overlap(&events));
-        assert!(dir.join(MANIFEST_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2134,6 +2122,17 @@ mod tests {
         assert!(decoded >= 3, "window spans 3 chunks, got {decoded}");
         let expected = Analysis::of_events(&events).time_window(lo, hi).table().unwrap();
         assert_eq!(query.table().unwrap(), expected);
+        // A given index plans and answers the same, and is the one read:
+        // with the window's chunks left out of it, they are not decoded.
+        let index = Manifest::open(&dir).unwrap();
+        let given = Analysis::from_chunk_index(&index).time_window(lo, hi);
+        assert_eq!(given.chunk_plan().unwrap(), Some((decoded, total)));
+        assert_eq!(given.table().unwrap(), expected);
+        let mut entries = index.entries().to_vec();
+        entries.retain(|e| !e.footer.overlaps(lo.as_nanos(), hi.as_nanos()));
+        let stripped = Manifest::from_entries(&dir, entries);
+        let stripped = Analysis::from_chunk_index(&stripped).time_window(lo, hi);
+        assert_eq!(stripped.chunk_plan().unwrap(), Some((0, total - decoded)));
         // Unfiltered plan decodes everything.
         assert_eq!(Analysis::from_chunk_dir(&dir).chunk_plan().unwrap(), Some((16, 16)));
         // In-memory sources have no chunk plan.

@@ -108,7 +108,7 @@
 //! a raw dump with a whole-run phase is held whole, its start-sorted
 //! rewrite ([`store::reorder_chunk_dir`]) about one chunk at a time, and
 //! the tables are identical. There is no knob — the bound is derived
-//! from the data — and a manifest that misstates it is a typed
+//! from the data — and a footer that misstates it is a typed
 //! corruption error, never a wrong table. See
 //! [`overlap::OverlapSweep::with_phase_tagging`].
 

@@ -665,7 +665,7 @@ pub enum SweepError {
     /// An event starts before a time the sweep was told no later event
     /// would start before ([`OverlapSweep::release_to`]): whoever gave
     /// that bound was wrong about its data — for a chunk directory, a
-    /// manifest that misstates a chunk's `min_start`. The segments up to
+    /// footer that misstates a chunk's `min_start`. The segments up to
     /// the bound are already attributed and their boundaries dropped, so
     /// the sweep rejects the event rather than misattribute it.
     OrderViolation {

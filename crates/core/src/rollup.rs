@@ -39,7 +39,7 @@
 //! Segment bodies are varint-encoded against a per-segment string table
 //! and carry a trailing FNV-1a checksum, exactly like codec-v3 chunks;
 //! the `ROLLUP` index records every segment's file size and window and
-//! carries its own checksum, exactly like `MANIFEST`. Decode paths
+//! carries its own checksum, exactly like a chunk footer. Decode paths
 //! return [`TraceIoError`] and never panic (enforced by `rlscope-lint`).
 //!
 //! # Equivalence contract

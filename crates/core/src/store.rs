@@ -58,11 +58,11 @@
 //!
 //! # Compatibility matrix
 //!
-//! | format | encode | decode | footer | skippable via [`Manifest`] |
-//! |--------|--------|--------|--------|----------------------------|
-//! | v1     | [`encode_events_v1`] (and the extreme-timestamp fallback of [`encode_events`]) | yes | no | yes — footer synthesized by a full scan |
-//! | v2     | none — read-only (test support rebuilds its bytes from v3: magic swapped, trailer cut) | yes | no | yes — footer synthesized by a full scan |
-//! | v3     | [`encode_events`] | yes | yes | yes — footer read from the trailer, no event decode |
+//! | format | encode | decode | footer |
+//! |--------|--------|--------|--------|
+//! | v1     | [`encode_events_v1`] (and the extreme-timestamp fallback of [`encode_events`]) | yes | none on the wire — [`Manifest::open`] decodes the chunk and computes it |
+//! | v2     | none — read-only (test support rebuilds its bytes from v3: magic swapped, trailer cut) | yes | none on the wire — [`Manifest::open`] decodes the chunk and computes it |
+//! | v3     | [`encode_events`] | yes | read from the trailer, no event decode |
 //!
 //! Every field is validated on decode: unknown magic or event tags,
 //! truncation at any offset, overlong or overflowing varints,
@@ -71,10 +71,19 @@
 //! [`TraceIoError::Corrupt`], never a panic (the corruption-fuzz suite
 //! in `tests/fuzz_codec.rs` holds this line).
 //!
-//! # The chunk-directory manifest
+//! # The chunk-directory index
 //!
-//! A chunk directory may carry a `MANIFEST` file ([`MANIFEST_FILE`])
-//! summarizing every chunk's footer:
+//! The chunks are their own index. [`Manifest::open`] lists a directory
+//! and reads each chunk's footer from its tail — the magic, the 8-byte
+//! trailer, then only the footer bytes it points at — so opening costs a
+//! few small reads per chunk and no event decode; a v1 or v2 chunk,
+//! which carries no footer, is decoded once and summarized. Nothing is
+//! cached beside the chunks and nothing is written: the index is always
+//! the directory's current chunk set, and a reader never writes into a
+//! directory it queries.
+//!
+//! [`Manifest::write`] exports an index as a `MANIFEST` file
+//! ([`MANIFEST_FILE`]), a copy of every footer:
 //!
 //! ```text
 //! RLSMANF1 | count:u32
@@ -83,17 +92,8 @@
 //!          | checksum:u64       (FNV-1a of everything after the magic)
 //! ```
 //!
-//! [`TraceWriter`] records each chunk's footer as it writes and emits the
-//! manifest at [`TraceWriter::finish`] — including for chunks that fell
-//! back to the v1 wire format, whose footers exist only here.
-//! [`Manifest::open`] loads the file when present and consistent with the
-//! directory (same files, same sizes, in stream order, no chunk modified
-//! after the manifest) and otherwise synthesizes the manifest by
-//! scanning the chunks — v3 chunks yield their footer without event
-//! decode, v1/v2 chunks are decoded once — then writes the synthesized
-//! index back (best-effort) so the scan is paid once per directory, not
-//! per query. Corrupt manifest *bytes* are an error, not a rescan — a
-//! reader must never act on summary data that fails validation.
+//! It is an export that nothing in this workspace reads; its encoding
+//! survives as [`Manifest::checksum`], the index's identity.
 //!
 //! [`Manifest::select`] is the predicate-pushdown primitive: given a
 //! [`ChunkQuery`] (time window, process id, phase name), it returns
@@ -152,8 +152,9 @@
 //! columns instead of one ~48-byte struct per event, and no per-event
 //! `Arc<str>` clone. Everything byte-sourced consumes the columns
 //! directly: the v3 footer cross-check, [`recover_chunk_prefix`],
-//! [`Manifest::scan`], the chunk-parallel executor, and downstream the
-//! sweep's one push path, [`crate::overlap::OverlapSweep::push_columns`]
+//! [`Manifest::open`] on legacy chunks, the chunk-parallel executor, and
+//! downstream the sweep's one push path,
+//! [`crate::overlap::OverlapSweep::push_columns`]
 //! ([`crate::overlap::compute_overlap_columns`] is a single call of it;
 //! the collector's crash recovery replays through exactly the code its
 //! ingest ran).
@@ -181,7 +182,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::hash::Hasher;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -193,7 +194,8 @@ const MAGIC_V3: &[u8; 8] = b"RLSCOPE3";
 const FOOTER_MAGIC: &[u8; 4] = b"RLF3";
 const MANIFEST_MAGIC: &[u8; 8] = b"RLSMANF1";
 
-/// Name of the chunk-directory manifest file (see the module docs).
+/// Name of the chunk-directory manifest file [`Manifest::write`]
+/// exports; nothing in this workspace reads it (see the module docs).
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// FNV-1a checksum of `bytes` — the integrity check appended to chunk
@@ -497,7 +499,7 @@ pub fn compute_footer_columns(cols: &EventColumns) -> ChunkFooter {
 
 /// The one footer summarizer, monomorphized for in-memory rows (the
 /// encode side) and decoded columns (the v3 cross-check, crash recovery,
-/// manifest scans, the collector's chunk index).
+/// and [`Manifest::open`] over legacy chunks).
 fn footer_of(rows: impl ExactSizeIterator<Item = impl EventRow>) -> ChunkFooter {
     let events = rows.len() as u32;
     let mut min_start = u64::MAX;
@@ -557,7 +559,7 @@ const FOOTER_FLAG_START_SORTED: u8 = 1;
 const FOOTER_FLAG_PHASE_PIDS: u8 = 2;
 
 /// Appends the footer payload (including its trailing checksum) to `out`.
-fn encode_footer_payload(f: &ChunkFooter, out: &mut BytesMut) {
+pub(crate) fn encode_footer_payload(f: &ChunkFooter, out: &mut BytesMut) {
     let at = out.len();
     out.put_u32(f.events);
     out.put_u64(f.min_start);
@@ -723,36 +725,76 @@ pub fn read_chunk_footer(data: &[u8]) -> Result<Option<ChunkFooter>, TraceIoErro
     }
 }
 
+/// Chunks at most this long are read whole by [`read_footer_tail`]: one
+/// read costs less than the three a tail takes.
+const WHOLE_CHUNK_BYTES: u64 = 8 << 10;
+
+/// [`read_chunk_footer`] over the chunk file `chunk`, `size` bytes long
+/// and positioned at its start, for [`Manifest::open`]. A longer chunk
+/// is read at its tail alone: the 8-byte magic, the 8-byte trailer,
+/// then exactly the `footer_len` bytes before the trailer — the body is
+/// never read, and a `footer_len` the file cannot hold is rejected
+/// before anything of that size is allocated.
+///
+/// # Errors
+///
+/// As [`read_chunk_footer`], plus I/O errors reading the file.
+fn read_footer_tail(chunk: &mut fs::File, size: u64) -> Result<Option<ChunkFooter>, TraceIoError> {
+    if size <= WHOLE_CHUNK_BYTES {
+        let mut data = vec![0u8; size as usize];
+        chunk.read_exact(&mut data)?;
+        return read_chunk_footer(&data);
+    }
+    let mut magic = [0u8; 8];
+    chunk.read_exact(&mut magic)?;
+    match &magic {
+        m if m == MAGIC_V1 || m == MAGIC_V2 => return Ok(None),
+        m if m == MAGIC_V3 => {}
+        _ => return Err(TraceIoError::Corrupt("bad magic".into())),
+    }
+    // Magic and trailer; what is left holds the body and the footer.
+    let room = size - 16;
+    let mut trailer = [0u8; 8];
+    chunk.seek(io::SeekFrom::Start(room + 8))?;
+    chunk.read_exact(&mut trailer)?;
+    let Some((len_bytes, footer_magic)) = trailer.split_first_chunk::<4>() else {
+        return Err(TraceIoError::Corrupt("v3 chunk too short for trailer".into()));
+    };
+    if footer_magic != FOOTER_MAGIC {
+        return Err(TraceIoError::Corrupt("missing v3 footer magic".into()));
+    }
+    let footer_len = u64::from(u32::from_be_bytes(*len_bytes));
+    if footer_len > room {
+        return Err(TraceIoError::Corrupt("v3 footer length out of range".into()));
+    }
+    let mut footer = vec![0u8; footer_len as usize];
+    chunk.seek(io::SeekFrom::Start(room + 8 - footer_len))?;
+    chunk.read_exact(&mut footer)?;
+    decode_footer_payload(&footer).map(Some)
+}
+
 /// Encodes a batch of events into the current (v3) chunk wire format:
 /// the v2 body (string table plus varint delta-encoded timestamps)
 /// followed by the self-describing footer. See the module docs for the
 /// byte layout.
 pub fn encode_events(events: &[Event]) -> Bytes {
-    encode_events_with_footer(events).0
-}
-
-/// [`encode_events`] returning the chunk's [`ChunkFooter`] alongside the
-/// bytes, so callers that also index the chunk (the [`TraceWriter`]'s
-/// manifest) summarize the batch once instead of twice.
-pub fn encode_events_with_footer(events: &[Event]) -> (Bytes, ChunkFooter) {
-    let footer = compute_footer(events);
     // Start timestamps are delta-coded through i64, so batches containing
     // a start beyond i64::MAX (impossible for virtual-clock traces, but
     // representable in the event model) fall back to the fixed-width v1
     // format, which round-trips the full u64 range. (The chunk then has
-    // no on-wire footer; TraceWriter still records one in the manifest.)
+    // no on-wire footer; `Manifest::open` decodes it to compute one.)
     if events.iter().any(|e| e.start.as_nanos() > i64::MAX as u64) {
-        return (encode_events_v1(events), footer);
+        return encode_events_v1(events);
     }
     let mut buf = BytesMut::with_capacity(events.len() * 12 + 128);
     buf.put_slice(MAGIC_V3);
     encode_v2_body(events, &mut buf);
     let at = buf.len();
-    encode_footer_payload(&footer, &mut buf);
+    encode_footer_payload(&compute_footer(events), &mut buf);
     let footer_len = (buf.len() - at) as u32;
     buf.put_u32(footer_len);
     buf.put_slice(FOOTER_MAGIC);
-    (buf.freeze(), footer)
+    buf.freeze()
 }
 
 /// Appends the v3 body (the whole of a legacy v2 chunk after its magic)
@@ -1251,7 +1293,7 @@ pub fn write_frame_parts(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredPrefix {
     /// Manifest entries for the surviving chunk prefix, in stream order —
-    /// exactly what a [`TraceWriter`] would have indexed for those chunks.
+    /// exactly what [`Manifest::open`] reads for those chunks.
     pub entries: Vec<ManifestEntry>,
     /// Chunk files removed by the scan: the first torn/corrupt chunk and
     /// everything after it (later chunks cannot belong to the durable
@@ -1280,8 +1322,8 @@ impl RecoveredPrefix {
 /// same `push_columns` ingest applied them with); pass a no-op closure
 /// when only the entries are needed.
 ///
-/// A stale [`MANIFEST_FILE`] is left alone: [`Manifest::open`] detects
-/// staleness against the surviving files and rescans.
+/// The surviving chunks are the directory's index: the next
+/// [`Manifest::open`] reads exactly them.
 ///
 /// # Errors
 ///
@@ -1340,15 +1382,15 @@ impl TraceWriter {
     /// Starts a writer thread that stores chunks under `dir`, rotating
     /// files once the encoded pending batch reaches `chunk_bytes`.
     ///
-    /// Any chunk files already in `dir` are deleted first (along with a
-    /// stale [`MANIFEST_FILE`]): rotation numbering restarts at
-    /// `chunk_00000`, so leftovers from a previous (possibly longer) run
-    /// would otherwise survive alongside the new stream and the
-    /// name-ordered readers would silently concatenate the two traces.
+    /// Any chunk files already in `dir` are deleted first: rotation
+    /// numbering restarts at `chunk_00000`, so leftovers from a previous
+    /// (possibly longer) run would otherwise survive alongside the new
+    /// stream and the name-ordered readers would silently concatenate
+    /// the two traces.
     ///
-    /// The writer records each chunk's [`ChunkFooter`] as it encodes it
-    /// and emits the directory [`Manifest`] at [`TraceWriter::finish`] —
-    /// including footers for chunks that fell back to the v1 wire format.
+    /// The writer emits chunk files only; each v3 chunk carries its own
+    /// footer, which is all [`Manifest::open`] reads to index the
+    /// directory.
     ///
     /// # Errors
     ///
@@ -1359,47 +1401,25 @@ impl TraceWriter {
         for stale in list_chunk_files(dir)? {
             fs::remove_file(stale)?;
         }
-        let manifest_path = dir.join(MANIFEST_FILE);
-        if manifest_path.exists() {
-            fs::remove_file(&manifest_path)?;
-        }
         let dir = dir.to_path_buf();
         let (tx, rx) = unbounded::<WriterCmd>();
         let handle = std::thread::spawn(move || -> Result<Vec<PathBuf>, TraceIoError> {
             let mut pending: Vec<Event> = Vec::new();
             let mut pending_bytes = 0usize;
             let mut files = Vec::new();
-            let mut entries: Vec<ManifestEntry> = Vec::new();
-            let mut seq = 0u32;
             let flush = |pending: &mut Vec<Event>,
                          pending_bytes: &mut usize,
-                         seq: &mut u32,
-                         files: &mut Vec<PathBuf>,
-                         entries: &mut Vec<ManifestEntry>|
+                         files: &mut Vec<PathBuf>|
              -> Result<(), TraceIoError> {
                 if pending.is_empty() {
                     return Ok(());
                 }
-                let name = format!("chunk_{seq:05}.rls");
-                let path = dir.join(&name);
-                let (encoded, footer) = encode_events_with_footer(pending);
-                let mut f = fs::File::create(&path)?;
-                f.write_all(&encoded)?;
-                entries.push(ManifestEntry { file: name, size: encoded.len() as u64, footer });
+                let path = dir.join(format!("chunk_{:05}.rls", files.len()));
+                fs::File::create(&path)?.write_all(&encode_events(pending))?;
                 files.push(path);
-                *seq += 1;
                 pending.clear();
                 *pending_bytes = 0;
                 Ok(())
-            };
-            let finish = |pending: &mut Vec<Event>,
-                          pending_bytes: &mut usize,
-                          seq: &mut u32,
-                          files: &mut Vec<PathBuf>,
-                          entries: &mut Vec<ManifestEntry>|
-             -> Result<(), TraceIoError> {
-                flush(pending, pending_bytes, seq, files, entries)?;
-                Manifest { dir: dir.clone(), entries: std::mem::take(entries) }.write()
             };
             for cmd in rx {
                 match cmd {
@@ -1407,28 +1427,13 @@ impl TraceWriter {
                         pending_bytes += events.len() * 32;
                         pending.extend(events);
                         if pending_bytes >= chunk_bytes {
-                            flush(
-                                &mut pending,
-                                &mut pending_bytes,
-                                &mut seq,
-                                &mut files,
-                                &mut entries,
-                            )?;
+                            flush(&mut pending, &mut pending_bytes, &mut files)?;
                         }
                     }
-                    WriterCmd::Finish => {
-                        finish(
-                            &mut pending,
-                            &mut pending_bytes,
-                            &mut seq,
-                            &mut files,
-                            &mut entries,
-                        )?;
-                        return Ok(files);
-                    }
+                    WriterCmd::Finish => break,
                 }
             }
-            finish(&mut pending, &mut pending_bytes, &mut seq, &mut files, &mut entries)?;
+            flush(&mut pending, &mut pending_bytes, &mut files)?;
             Ok(files)
         });
         Ok(TraceWriter { tx, handle: Some(handle) })
@@ -1496,14 +1501,14 @@ pub fn list_chunk_files(dir: &Path) -> Result<Vec<PathBuf>, TraceIoError> {
 pub struct ManifestEntry {
     /// Chunk file name (no directory component).
     pub file: String,
-    /// Chunk file size in bytes (staleness check against the directory).
+    /// Chunk file size in bytes.
     pub size: u64,
     /// The chunk's footer summary.
     pub footer: ChunkFooter,
 }
 
-/// The per-directory chunk index: every chunk's footer, in stream order.
-/// See the module docs for the on-disk layout and the consistency rules.
+/// The per-directory chunk index: every chunk's footer, in stream order,
+/// as [`Manifest::open`] reads it off the chunks (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     dir: PathBuf,
@@ -1555,104 +1560,45 @@ pub struct ChunkSelection {
 }
 
 impl Manifest {
-    /// Opens the directory's manifest: loads [`MANIFEST_FILE`] when it is
-    /// present and consistent with the directory — same chunk files in
-    /// stream order, same sizes, and **no chunk modified after the
-    /// manifest was written** (a same-size in-place rewrite must not be
-    /// trusted) — otherwise synthesizes one by scanning the chunks
-    /// ([`Manifest::scan`]). A stale or missing manifest is silently
-    /// re-synthesized and the fresh manifest written back (best-effort —
-    /// a read-only directory just pays the scan again next time);
-    /// corrupt manifest *bytes* are an error, never a rescan.
+    /// Indexes the directory from its chunks: lists the chunk files in
+    /// stream order and reads each one's footer from its tail (magic,
+    /// trailer, then the footer bytes alone), taking the size from the
+    /// open file. A v1 or v2 chunk has no footer on the wire; it is
+    /// decoded once and summarized with [`compute_footer_columns`].
+    /// Nothing is written: the index is a pure function of the chunk set
+    /// on disk at the time of the call.
     ///
     /// # Errors
     ///
-    /// I/O errors, corrupt manifest bytes, or (during a synthesis scan)
-    /// corrupt chunks.
+    /// I/O errors listing or reading the directory, and
+    /// [`TraceIoError::Corrupt`] for a chunk whose magic, trailer or
+    /// footer fails validation (or, for v1/v2 chunks, whose body does).
     pub fn open(dir: &Path) -> Result<Manifest, TraceIoError> {
-        if let Some(manifest) = Self::load_fresh(dir)? {
-            return Ok(manifest);
-        }
-        let manifest = Self::scan(dir)?;
-        // Persist the synthesized index so legacy or tampered-with dirs
-        // pay the full scan once, not on every filtered query.
-        let _ = manifest.write();
-        Ok(manifest)
-    }
-
-    /// [`Manifest::load`], additionally verifying the manifest is
-    /// **fresh** — it describes exactly the chunk files currently in the
-    /// directory. `Ok(None)` when the file is absent or stale (the
-    /// caller should scan); corrupt bytes are still a hard error.
-    pub(crate) fn load_fresh(dir: &Path) -> Result<Option<Manifest>, TraceIoError> {
-        let Some(manifest) = Self::load(dir)? else { return Ok(None) };
-        let manifest_mtime = fs::metadata(dir.join(MANIFEST_FILE)).and_then(|m| m.modified());
-        let files = list_chunk_files(dir)?;
-        let fresh = manifest_mtime.is_ok()
-            && files.len() == manifest.entries.len()
-            && manifest.entries.iter().zip(&files).all(|(entry, path)| {
-                path.file_name().is_some_and(|n| n.to_string_lossy() == *entry.file)
-                    && fs::metadata(path).is_ok_and(|m| {
-                        // Strictly older: a same-size rewrite landing
-                        // in the same timestamp tick as the manifest
-                        // (coarse-mtime filesystems) must not be
-                        // trusted. A freshly-written dir whose chunks
-                        // share the manifest's tick just rescans once
-                        // — safe, and the write-back advances the
-                        // manifest's mtime past the chunks'.
-                        m.len() == entry.size
-                            && m.modified()
-                                .is_ok_and(|t| manifest_mtime.as_ref().is_ok_and(|mt| t < *mt))
-                    })
-            });
-        Ok(fresh.then_some(manifest))
-    }
-
-    /// Parses [`MANIFEST_FILE`] if present (`None` when the file does not
-    /// exist).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceIoError::Corrupt`] on any malformed byte — truncation,
-    /// checksum mismatch, bad magic — and I/O errors reading the file.
-    pub fn load(dir: &Path) -> Result<Option<Manifest>, TraceIoError> {
-        let path = dir.join(MANIFEST_FILE);
-        let data = match fs::read(&path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(Some(Self::decode(dir, &data)?))
-    }
-
-    /// Builds the manifest by reading every chunk in the directory: v3
-    /// chunks yield their footer from the trailer (no event decode);
-    /// v1/v2 chunks are fully decoded once and summarized with
-    /// [`compute_footer_columns`].
-    ///
-    /// # Errors
-    ///
-    /// The first I/O or corruption error encountered.
-    pub fn scan(dir: &Path) -> Result<Manifest, TraceIoError> {
         let mut entries = Vec::new();
         for path in list_chunk_files(dir)? {
-            let data = fs::read(&path)?;
-            let footer = match read_chunk_footer(&data)? {
+            let mut chunk = fs::File::open(&path)?;
+            let size = chunk.metadata()?.len();
+            let footer = match read_footer_tail(&mut chunk, size)? {
                 Some(footer) => footer,
-                None => compute_footer_columns(&decode_columns(&data)?),
+                None => {
+                    let mut data = Vec::new();
+                    chunk.seek(io::SeekFrom::Start(0))?;
+                    chunk.read_to_end(&mut data)?;
+                    compute_footer_columns(&decode_columns(&data)?)
+                }
             };
             let file =
                 path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-            entries.push(ManifestEntry { file, size: data.len() as u64, footer });
+            entries.push(ManifestEntry { file, size, footer });
         }
         Ok(Manifest { dir: dir.to_path_buf(), entries })
     }
 
     /// Writes the manifest to [`MANIFEST_FILE`] in its directory —
-    /// atomically (temp file + rename), because corrupt manifest bytes
-    /// are a hard error for every subsequent filtered query: a torn
-    /// write from a crash mid-emit must leave either the old manifest or
-    /// the new one, never a partial file.
+    /// atomically (temp file + rename), so a crash mid-emit leaves
+    /// either the old file or the new one, never a partial file. An
+    /// export: nothing in this workspace reads the file back (see the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -1811,60 +1757,10 @@ impl Manifest {
         buf.freeze()
     }
 
-    fn decode(dir: &Path, data: &[u8]) -> Result<Manifest, TraceIoError> {
-        let corrupt = |what: &str| TraceIoError::Corrupt(format!("manifest: {what}"));
-        if data.len() < MANIFEST_MAGIC.len() + 4 + 8 {
-            return Err(corrupt("too short"));
-        }
-        let Some((magic, rest)) = data.split_first_chunk::<8>() else {
-            return Err(corrupt("too short"));
-        };
-        if magic != MANIFEST_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let Some((payload, sum_bytes)) = rest.split_last_chunk::<8>() else {
-            return Err(corrupt("too short"));
-        };
-        if u64::from_be_bytes(*sum_bytes) != fnv1a(payload) {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let mut cursor = payload;
-        let count = cursor.get_u32() as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
-        for i in 0..count {
-            if cursor.remaining() < 2 {
-                return Err(corrupt(&format!("truncated entry {i}")));
-            }
-            let name_len = cursor.get_u16() as usize;
-            if cursor.remaining() < name_len + 8 + 4 {
-                return Err(corrupt(&format!("truncated entry {i}")));
-            }
-            let Some((name_bytes, rest)) = cursor.split_at_checked(name_len) else {
-                return Err(corrupt(&format!("truncated entry {i}")));
-            };
-            let file = std::str::from_utf8(name_bytes)
-                .map_err(|_| corrupt(&format!("non-utf8 file name in entry {i}")))?
-                .to_owned();
-            cursor = rest;
-            let size = cursor.get_u64();
-            let footer_len = cursor.get_u32() as usize;
-            let Some((footer_bytes, rest)) = cursor.split_at_checked(footer_len) else {
-                return Err(corrupt(&format!("truncated footer in entry {i}")));
-            };
-            let footer = decode_footer_payload(footer_bytes)?;
-            cursor = rest;
-            entries.push(ManifestEntry { file, size, footer });
-        }
-        if !cursor.is_empty() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(Manifest { dir: dir.to_path_buf(), entries })
-    }
-
     /// Assembles a manifest from externally-collected entries (stream
-    /// order) — for writers that persist already-encoded chunks verbatim
-    /// (the live collector's session store) and therefore index chunks
-    /// as they land instead of re-scanning the directory.
+    /// order), for a caller that already holds every chunk's footer and
+    /// wants the [`MANIFEST_FILE`] export ([`Manifest::write`]) without
+    /// reading the chunks back.
     pub fn from_entries(dir: &Path, entries: Vec<ManifestEntry>) -> Manifest {
         Manifest { dir: dir.to_path_buf(), entries }
     }
@@ -1881,59 +1777,6 @@ impl Manifest {
         sum.copy_from_slice(&encoded[encoded.len() - 8..]);
         u64::from_be_bytes(sum)
     }
-}
-
-/// What [`upgrade_chunk_dir`] found and did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ManifestUpgrade {
-    /// Chunk files in the directory.
-    pub chunks: usize,
-    /// Total events across all chunks.
-    pub events: u64,
-    /// Whether the manifest had to be rebuilt by scanning (false when a
-    /// fresh manifest was already on disk and nothing was done).
-    pub rebuilt: bool,
-    /// Whether the rebuilt manifest was written back (false for
-    /// read-only directories, which will pay the scan again next open).
-    pub written: bool,
-}
-
-/// One-shot manifest upgrade for a chunk directory: if the directory
-/// lacks a fresh `MANIFEST` (legacy v1/v2 dirs, or dirs modified since
-/// their manifest was written), scan it once ([`Manifest::scan`]) and
-/// write the index back, so subsequent [`Manifest::open`] calls — and
-/// every filtered [`crate::analysis::Analysis`] query's predicate
-/// pushdown — load the index instead of re-scanning. The write-back is
-/// opportunistic: on a read-only directory the scan still succeeds and
-/// the outcome reports `written: false`.
-///
-/// [`Manifest::open`] already performs this write-back lazily on first
-/// query; this entry point exists for tooling (e.g. `rlscoped` upgrades
-/// its data directory's finished sessions at startup) that wants to pay
-/// the scan eagerly, at a chosen time, and observe whether it happened.
-///
-/// # Errors
-///
-/// I/O errors listing or reading the directory, corrupt chunks, or
-/// corrupt manifest bytes (a corrupt manifest is never silently
-/// rebuilt — see [`Manifest::open`]).
-pub fn upgrade_chunk_dir(dir: &Path) -> Result<ManifestUpgrade, TraceIoError> {
-    if let Some(manifest) = Manifest::load_fresh(dir)? {
-        return Ok(ManifestUpgrade {
-            chunks: manifest.entries().len(),
-            events: manifest.total_events(),
-            rebuilt: false,
-            written: false,
-        });
-    }
-    let manifest = Manifest::scan(dir)?;
-    let written = manifest.write().is_ok();
-    Ok(ManifestUpgrade {
-        chunks: manifest.entries().len(),
-        events: manifest.total_events(),
-        rebuilt: true,
-        written,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2675,16 +2518,28 @@ mod tests {
         writer.finish().unwrap();
     }
 
+    /// The writer leaves chunk files only, and their tails index them:
+    /// `Manifest::open` yields exactly the footers a full decode of each
+    /// chunk computes — the v1 fallback chunk of an extreme-timestamp
+    /// batch, which has no footer on the wire, included.
     #[test]
-    fn writer_emits_manifest_matching_scan() {
+    fn open_reads_the_footers_a_full_decode_computes() {
         let dir = std::env::temp_dir().join(format!("rlscope_manifest_{}", std::process::id()));
-        write_dir(&dir, &phased_events(), 5, 64);
-        let loaded = Manifest::load(&dir).unwrap().expect("writer must emit MANIFEST");
-        let scanned = Manifest::scan(&dir).unwrap();
-        assert_eq!(loaded, scanned);
-        assert!(loaded.entries().len() > 1, "expected rotation");
-        assert_eq!(loaded.total_events(), phased_events().len() as u64);
-        assert_eq!(Manifest::open(&dir).unwrap(), loaded);
+        let mut events = phased_events();
+        let far = TimeNs::from_nanos(u64::MAX - 10);
+        events.push(Event::new(ProcessId(9), EventKind::Operation, "far", far, far));
+        write_dir(&dir, &events, 5, 64);
+        let manifest = Manifest::open(&dir).unwrap();
+        assert!(manifest.entries().len() > 1, "expected rotation");
+        assert_eq!(manifest.total_events(), events.len() as u64);
+        let last = &manifest.entries()[manifest.entries().len() - 1];
+        assert_eq!(&fs::read(dir.join(&last.file)).unwrap()[..8], MAGIC_V1);
+        for entry in manifest.entries() {
+            let data = fs::read(dir.join(&entry.file)).unwrap();
+            assert_eq!(entry.size, data.len() as u64);
+            assert_eq!(entry.footer, compute_footer_columns(&decode_columns(&data).unwrap()));
+        }
+        assert!(!dir.join(MANIFEST_FILE).exists(), "the writer emits chunks only");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2710,19 +2565,20 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("rlscope_manifest_stale_{}", std::process::id()));
         write_dir(&dir, &sample_events(40), 5, 64);
-        // Overwrite one chunk behind the manifest's back: sizes diverge.
+        // Overwrite one chunk after the directory was written and
+        // indexed: the next open reads the new chunk's own footer.
+        Manifest::open(&dir).unwrap();
         let files = list_chunk_files(&dir).unwrap();
         fs::write(&files[0], encode_events(&sample_events(3))).unwrap();
         let manifest = Manifest::open(&dir).unwrap();
         assert_eq!(manifest.entries()[0].footer, compute_footer(&sample_events(3)));
-        // The rescan was written back: a plain load now sees the truth.
-        assert_eq!(Manifest::load(&dir).unwrap().unwrap(), manifest);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// An in-place rewrite that keeps the byte size identical must still
-    /// be detected (via mtime) — a silently trusted stale manifest would
-    /// drive wrong skip decisions with no error anywhere.
+    /// be seen — an index that trusted size (or a clock) over content
+    /// would drive wrong skip decisions with no error anywhere. The
+    /// footer is read from the chunk itself, so it is.
     #[test]
     fn same_size_chunk_rewrite_is_detected() {
         let shifted = |offset: u64| -> Vec<Event> {
@@ -2751,33 +2607,6 @@ mod tests {
         fs::write(&files[0], &replacement).unwrap();
         let manifest = Manifest::open(&dir).unwrap();
         assert_eq!(manifest.entries()[0].footer, compute_footer(&shifted(5_000)));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// `Manifest::open` on a manifest-less (legacy) dir persists the
-    /// synthesized index so later opens load instead of rescanning.
-    #[test]
-    fn synthesized_manifest_is_written_back() {
-        let dir = std::env::temp_dir().join(format!("rlscope_manifest_wb_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("chunk_00000.rls"), encode_events_v2(&sample_events(10))).unwrap();
-        assert!(Manifest::load(&dir).unwrap().is_none());
-        let scanned = Manifest::open(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), Some(scanned));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_manifest_bytes_error() {
-        let dir = std::env::temp_dir().join(format!("rlscope_manifest_bad_{}", std::process::id()));
-        write_dir(&dir, &sample_events(20), 5, 64);
-        let path = dir.join(MANIFEST_FILE);
-        let mut data = fs::read(&path).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0x40;
-        fs::write(&path, &data).unwrap();
-        assert!(matches!(Manifest::load(&dir), Err(TraceIoError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3039,7 +2868,7 @@ mod tests {
         assert!(matches!(write_frame(&mut Vec::new(), 0, &big), Err(TraceIoError::Corrupt(_))));
     }
 
-    // -- manifest checksum + legacy upgrade ------------------------------
+    // -- manifest checksum -----------------------------------------------
 
     #[test]
     fn manifest_checksum_tracks_directory_changes() {
@@ -3047,7 +2876,8 @@ mod tests {
         write_dir(&dir, &sample_events(40), 10, 64);
         let a = Manifest::open(&dir).unwrap().checksum();
         assert_eq!(a, Manifest::open(&dir).unwrap().checksum(), "checksum must be stable");
-        // And it matches the on-disk manifest's trailing 8 bytes.
+        // And it matches the exported manifest's trailing 8 bytes.
+        Manifest::open(&dir).unwrap().write().unwrap();
         let raw = fs::read(dir.join(MANIFEST_FILE)).unwrap();
         assert_eq!(a.to_be_bytes(), raw[raw.len() - 8..]);
         // Any change to the chunk set changes the checksum.
@@ -3055,48 +2885,6 @@ mod tests {
         fs::write(&files[0], encode_events(&sample_events(3))).unwrap();
         let b = Manifest::open(&dir).unwrap().checksum();
         assert_ne!(a, b);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn upgrade_chunk_dir_indexes_legacy_dirs_once() {
-        let dir = std::env::temp_dir().join(format!("rlscope_upgrade_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let events = sample_events(30);
-        fs::write(dir.join("chunk_00000.rls"), encode_events_v1(&events[..10])).unwrap();
-        fs::write(dir.join("chunk_00001.rls"), encode_events_v2(&events[10..])).unwrap();
-        assert!(Manifest::load(&dir).unwrap().is_none());
-        let first = upgrade_chunk_dir(&dir).unwrap();
-        assert_eq!(first, ManifestUpgrade { chunks: 2, events: 30, rebuilt: true, written: true });
-        // The written index matches a scan and makes the second upgrade
-        // (and every query-path open) a no-op.
-        assert_eq!(Manifest::load(&dir).unwrap().unwrap(), Manifest::scan(&dir).unwrap());
-        let second = upgrade_chunk_dir(&dir).unwrap();
-        assert_eq!(
-            second,
-            ManifestUpgrade { chunks: 2, events: 30, rebuilt: false, written: false }
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A read-only legacy dir still upgrades (the scan succeeds) — the
-    /// write-back is opportunistic and reported, not required.
-    #[test]
-    #[cfg(unix)]
-    fn upgrade_chunk_dir_tolerates_read_only_dirs() {
-        use std::os::unix::fs::PermissionsExt;
-        let dir = std::env::temp_dir().join(format!("rlscope_upgrade_ro_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("chunk_00000.rls"), encode_events_v2(&sample_events(5))).unwrap();
-        fs::set_permissions(&dir, fs::Permissions::from_mode(0o555)).unwrap();
-        let outcome = upgrade_chunk_dir(&dir).unwrap();
-        fs::set_permissions(&dir, fs::Permissions::from_mode(0o755)).unwrap();
-        // Root (CI containers) can write regardless of the mode bits, so
-        // `written` may be true there; `rebuilt` is the invariant.
-        assert!(outcome.rebuilt);
-        assert_eq!((outcome.chunks, outcome.events), (1, 5));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

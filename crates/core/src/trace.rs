@@ -288,14 +288,9 @@ mod tests {
 
         let expected = Analysis::of(&merged).group_by([Dim::Process]).tables().unwrap();
         let streamed = || Analysis::from_chunk_dir(&dir).group_by([Dim::Process]);
-        // Just written: whether or not the writer's manifest already
-        // counts as fresh (a clock tick must separate it from the last
-        // chunk), any stream order gives the in-memory tables.
-        assert_eq!(streamed().tables().unwrap(), expected);
-        // Indexed for certain: every sweep is released behind the starts
-        // the footers of the later chunks record, which the late records
-        // hold back — one pass, no fallback, the same tables.
-        crate::store::upgrade_chunk_dir(&dir).unwrap();
+        // Every sweep is released behind the starts the footers of the
+        // later chunks record, which the late records hold back — one
+        // pass, no fallback, the same tables.
         assert_eq!(streamed().tables().unwrap(), expected);
         let windowed = |a: Analysis<'_>| {
             a.time_window(TimeNs::from_micros(105), TimeNs::from_micros(160)).tables().unwrap()

@@ -11,7 +11,7 @@
 //! * **streamed** — [`Analysis::from_chunk_dir`] decodes one chunk at a
 //!   time into per-process [`rlscope_core::overlap::OverlapSweep`]s and
 //!   releases each behind the start of the chunks still to come (read
-//!   off the manifest's footers; the stream is start-ordered, so that is
+//!   off the chunks' footers; the stream is start-ordered, so that is
 //!   one chunk back); peak memory is about one chunk, independent of how
 //!   many chunks the directory holds.
 //!
@@ -23,7 +23,7 @@
 use rlscope_core::analysis::{Analysis, AnalysisError, Dim, GroupKey};
 use rlscope_core::overlap::BreakdownTable;
 use rlscope_core::store::{
-    for_each_decoded_chunk_columns, list_chunk_files, upgrade_chunk_dir, TraceIoError, TraceWriter,
+    for_each_decoded_chunk_columns, list_chunk_files, TraceIoError, TraceWriter,
 };
 use rlscope_core::trace::Trace;
 use rlscope_core::{CpuCategory, Event, EventKind, GpuCategory};
@@ -235,24 +235,15 @@ pub struct MemBenchReport {
     pub tables_match: bool,
 }
 
-/// Writes the `scale`-sized stream into `dir`, indexes it, and measures
-/// both analysis passes. The directory is created (and overwritten) by
-/// the call.
-///
-/// The indexing step matters to what is measured: a streamed query
-/// derives its working set from the directory's manifest, and only
-/// trusts one written strictly after every chunk — which the writer's
-/// own, emitted in the same clock tick as its last chunk, usually is
-/// not. An unfiltered query over an untrusted manifest never scans for a
-/// new one (it sweeps the listing, holding everything), so the workload
-/// indexes first, as `rlscoped` does before it queries a directory.
+/// Writes the `scale`-sized stream into `dir` and measures both
+/// analysis passes. The directory is created (and overwritten) by the
+/// call.
 ///
 /// # Errors
 ///
 /// Propagates I/O / corruption errors.
 pub fn run_membench(dir: &Path, scale: usize) -> Result<MemBenchReport, AnalysisError> {
     let events = write_scaled_chunks(dir, scale)?;
-    upgrade_chunk_dir(dir)?;
     let streamed = measure_streamed(dir)?;
     let batch = measure_batch(dir)?;
     Ok(MemBenchReport {

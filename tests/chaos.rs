@@ -128,7 +128,7 @@ fn spawn_rlscoped(bin: &Path, socket: &Path, data: &Path) -> std::process::Child
     child
 }
 
-/// Byte-compares the durable artifacts (chunk files + `MANIFEST`) of a
+/// Byte-compares the durable artifacts (the chunk files) of a
 /// session directory against a reference directory. The `SESSION`
 /// registry record is excluded: epochs legitimately differ between a
 /// crashed-and-resumed run and an uninterrupted one.
@@ -137,7 +137,7 @@ fn assert_dirs_byte_identical(dir: &Path, reference: &Path) {
         let mut names: Vec<String> = std::fs::read_dir(d)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with("chunk_") || n == "MANIFEST")
+            .filter(|n| n.starts_with("chunk_"))
             .collect();
         names.sort();
         names
@@ -229,7 +229,7 @@ fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
 
     // Reference: the same two streams through an uninterrupted
     // in-process daemon. The durable artifacts must match byte for
-    // byte — chunking, numbering, manifest and all.
+    // byte — chunking, numbering and all.
     let (ref_socket, ref_data) = scratch("kill_ref");
     let reference = Collector::bind(CollectorConfig::new(&ref_socket, &ref_data)).unwrap();
     for (s, events) in streams.iter().enumerate() {
@@ -870,8 +870,8 @@ fn assert_aborted_with_acked_prefix(collector: &Collector, name: &str, acked: &[
 
 /// Injected ENOSPC on the chunk persist path: the session aborts with a
 /// typed I/O error, the durable (acked) prefix stays queryable, the
-/// daemon survives, and the name is reusable. Torn chunk writes and
-/// manifest-write failures get the same treatment.
+/// daemon survives, and the name is reusable. Torn chunk writes get
+/// the same treatment.
 #[test]
 fn injected_disk_faults_abort_typed_and_daemon_survives() {
     let (socket, data) = scratch("enospc");
@@ -946,15 +946,6 @@ fn injected_disk_faults_abort_typed_and_daemon_survives() {
     // The torn second chunk is gone from disk: the prefix is chunk 0.
     assert_aborted_with_acked_prefix(&collector, "torn-write", chunks[0]);
 
-    // Manifest-write failure at FINISH: typed abort, daemon survives.
-    faults.clear();
-    faults.fail_manifest_writes(true);
-    let mut nofin =
-        CollectorClient::open_session_with(&socket, "no-manifest", ReconnectPolicy::disabled())
-            .unwrap();
-    nofin.send_events(&events).unwrap();
-    let err = nofin.finish().expect_err("manifest failure must surface");
-    assert!(matches!(err, CollectorError::Remote { code: Some(ErrorCode::Io), .. }));
     faults.clear();
     let mut last = CollectorClient::open_session(&socket, "after-faults").unwrap();
     last.send_events(&events).unwrap();

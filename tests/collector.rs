@@ -550,7 +550,7 @@ fn session_name_reuse_across_restarts_never_wipes_durable_data() {
     let err = CollectorClient::open_session(&socket, "keep").unwrap_err();
     assert!(matches!(err, CollectorError::Remote { code: Some(ErrorCode::SessionExists), .. }));
     let dir = data.join("keep");
-    assert!(dir.join("MANIFEST").exists(), "old manifest must survive");
+    assert!(dir.join("chunk_00000.rls").exists(), "old chunks must survive");
     let mut query = CollectorClient::connect(&socket).unwrap();
     let reply = query.query(&QuerySpec::dir(dir.to_string_lossy())).unwrap();
     assert_eq!(reply.canonical_json, Analysis::of_events(&events).canonical_json().unwrap());
@@ -558,8 +558,9 @@ fn session_name_reuse_across_restarts_never_wipes_durable_data() {
     collector.shutdown();
 }
 
-/// Finished-dir queries are cached keyed by manifest checksum: repeat
-/// queries hit, and any change to the directory's chunk set invalidates.
+/// Finished-dir queries are cached keyed by the chunk index's checksum:
+/// repeat queries hit, and any change to the directory's chunk set
+/// invalidates.
 #[test]
 fn dir_query_cache_hits_and_invalidates_on_change() {
     let (collector, socket) = bind("cache");
@@ -584,7 +585,7 @@ fn dir_query_cache_hits_and_invalidates_on_change() {
     assert!(second.cache_hit);
     assert_eq!(second.canonical_json, first.canonical_json);
 
-    // Grow the directory: the manifest checksum changes, the cache entry
+    // Grow the directory: the index checksum changes, the cache entry
     // dies, and the fresh result covers the new events.
     let extra = session_events(7, 128);
     std::fs::write(dir.join("chunk_99999.rls"), encode_events(&extra)).unwrap();
@@ -594,6 +595,92 @@ fn dir_query_cache_hits_and_invalidates_on_change() {
     assert_eq!(third.events_observed, (events.len() + extra.len()) as u64);
 
     std::fs::remove_dir_all(&dir).unwrap();
+    collector.shutdown();
+}
+
+/// Every file directly in `dir`, name to bytes.
+fn dir_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.is_file())
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// A query writes nothing. A filtered, an unfiltered and a
+/// process-grouped query over a `TraceWriter` directory and over a
+/// finished daemon session — in process, through the daemon by
+/// directory, and by session name — leave every file name and byte of
+/// both directories as they were, and a read-only copy of each answers
+/// identically.
+#[test]
+fn queries_write_nothing_into_the_directories_they_read() {
+    use std::collections::BTreeMap;
+    use std::os::unix::fs::PermissionsExt;
+
+    let (socket, data) = scratch("readonly");
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    let events = four_process_events(512);
+    let written = data.parent().unwrap().join("written");
+    let writer = TraceWriter::create(&written, 1).unwrap();
+    for chunk in events.chunks(200) {
+        writer.write(chunk.to_vec());
+    }
+    writer.finish().unwrap();
+    let mut client = CollectorClient::open_session(&socket, "ro").unwrap();
+    for chunk in events.chunks(200) {
+        client.send_events(chunk).unwrap();
+    }
+    client.finish().unwrap();
+    let session = data.join("ro");
+    let dirs = [written.clone(), session.clone()];
+    let before: Vec<BTreeMap<String, Vec<u8>>> = dirs.iter().map(|d| dir_files(d)).collect();
+
+    type Shape = fn(Analysis<'_>) -> Analysis<'_>;
+    type WireShape = fn(QuerySpec) -> QuerySpec;
+    let shapes: [(Shape, WireShape); 3] = [
+        (|q| q.phase("steady").process(ProcessId(2)), |q| q.phase("steady").process(2)),
+        (|q| q, |q| q),
+        (|q| q.group_by([Dim::Process]), |q| q.group_by([Dim::Process])),
+    ];
+    let in_process =
+        |dir: &Path| shapes.map(|(shape, _)| shape(Analysis::from_chunk_dir(dir)).canonical_json());
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let mut by_daemon = |target: QuerySpec| {
+        shapes.map(|(_, spec)| query.query(&spec(target.clone())).unwrap().canonical_json)
+    };
+    let answers: Vec<[String; 3]> =
+        dirs.iter().map(|d| in_process(d).map(|json| json.unwrap())).collect();
+    assert_eq!(answers[0], answers[1], "session and writer dirs hold the same stream");
+    for dir in &dirs {
+        assert_eq!(by_daemon(QuerySpec::dir(dir.to_string_lossy())), answers[0]);
+    }
+    assert_eq!(by_daemon(QuerySpec::session("ro")), answers[0]);
+    for (dir, before) in dirs.iter().zip(&before) {
+        assert_eq!(&dir_files(dir), before, "a query wrote into {}", dir.display());
+    }
+
+    for (i, dir) in dirs.iter().enumerate() {
+        let copy = data.parent().unwrap().join(format!("read_only_{i}"));
+        let _ = std::fs::remove_dir_all(&copy);
+        std::fs::create_dir_all(&copy).unwrap();
+        for (name, bytes) in dir_files(dir) {
+            std::fs::write(copy.join(&name), bytes).unwrap();
+            std::fs::set_permissions(copy.join(&name), std::fs::Permissions::from_mode(0o444))
+                .unwrap();
+        }
+        std::fs::set_permissions(&copy, std::fs::Permissions::from_mode(0o555)).unwrap();
+        let local = in_process(&copy);
+        let remote = by_daemon(QuerySpec::dir(copy.to_string_lossy()));
+        std::fs::set_permissions(&copy, std::fs::Permissions::from_mode(0o755)).unwrap();
+        assert_eq!(local.map(|json| json.unwrap()), answers[0], "{}", copy.display());
+        assert_eq!(remote, answers[0], "{}", copy.display());
+        assert_eq!(dir_files(&copy), before[i]);
+    }
     collector.shutdown();
 }
 
@@ -997,38 +1084,34 @@ fn rlscoped_binary_end_to_end() {
     let _ = child.kill();
     let _ = child.wait();
     outcome.unwrap();
-    assert!(Path::new(&data).join("bin-session").join("MANIFEST").exists());
+    assert!(Path::new(&data).join("bin-session").join("chunk_00000.rls").exists());
 }
 
-/// Overwrites every chunk file directly in `dir` with garbage of the
-/// same length, dated long before the manifest: the manifest stays
-/// fresh and the index readable, but any read of the chunks now fails —
+/// Overwrites the body of every chunk file directly in `dir` with
+/// garbage, keeping its magic, footer and trailer: the index still opens
+/// (it reads only the tails), but any decode of the chunks now fails —
 /// so a query that still answers was answered by the session's seal.
 fn scramble_chunks(dir: &Path) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.extension().is_some_and(|ext| ext == "rls") {
-            let len = std::fs::metadata(&path).unwrap().len() as usize;
-            std::fs::write(&path, vec![0xA5; len]).unwrap();
-            let long_ago = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 20);
-            std::fs::File::options()
-                .write(true)
-                .open(&path)
-                .unwrap()
-                .set_modified(long_ago)
-                .unwrap();
+            let mut data = std::fs::read(&path).unwrap();
+            let len_at = data.len() - 8;
+            let footer_len = u32::from_be_bytes(data[len_at..len_at + 4].try_into().unwrap());
+            data[8..len_at - footer_len as usize].fill(0xA5);
+            std::fs::write(&path, data).unwrap();
         }
     }
 }
 
-/// Copies the chunk files and manifest of `dir` into a fresh `to`.
+/// Copies the chunk files of `dir` into a fresh `to`.
 fn copy_chunk_dir(dir: &Path, to: &Path) {
     let _ = std::fs::remove_dir_all(to);
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if name.ends_with(".rls") || name == "MANIFEST" {
+        if name.ends_with(".rls") {
             std::fs::copy(&path, to.join(name)).unwrap();
         }
     }

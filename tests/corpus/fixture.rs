@@ -165,10 +165,11 @@ pub const CORPUS_DIR_CHUNK_BYTES: usize = 256;
 pub const CORPUS_ROLLUP_SEGMENT_NS: u64 = 25_000;
 
 /// Writes the fixture's deterministic chunk directory (fresh) through
-/// `TraceWriter` and returns the `MANIFEST` bytes the writer emitted —
-/// the manifest golden's subject.
+/// `TraceWriter` and returns the bytes of the `MANIFEST` export of the
+/// index `Manifest::open` reads off its chunks — the manifest golden's
+/// subject. The export is written into the directory, then read back.
 pub fn write_corpus_chunk_dir(dir: &std::path::Path) -> Vec<u8> {
-    use rlscope::core::store::{TraceWriter, MANIFEST_FILE};
+    use rlscope::core::store::{Manifest, TraceWriter, MANIFEST_FILE};
 
     let _ = std::fs::remove_dir_all(dir);
     let writer = TraceWriter::create(dir, CORPUS_DIR_CHUNK_BYTES).unwrap();
@@ -176,6 +177,7 @@ pub fn write_corpus_chunk_dir(dir: &std::path::Path) -> Vec<u8> {
         writer.write(chunk.to_vec());
     }
     writer.finish().unwrap();
+    Manifest::open(dir).unwrap().write().unwrap();
     std::fs::read(dir.join(MANIFEST_FILE)).unwrap()
 }
 

@@ -1,18 +1,19 @@
-//! Corruption-fuzz suite for the chunk codec and the chunk-dir manifest:
+//! Corruption-fuzz suite for the chunk codec and the chunk-dir index:
 //! `decode_columns` (the one chunk parser), `decode_events` (that parser
-//! plus the row bridge) and `Manifest::load` must map every malformed input
-//! to `TraceIoError` — truncations, bit flips, bad magic, overlong
-//! varints, out-of-range string-table ids, checksum mismatches — and
-//! never panic, overflow, return silently wrong intervals, or (for
-//! footers and manifests) produce a silently wrong chunk-skip summary.
+//! plus the row bridge) and `Manifest::open` (the chunk-tail reader)
+//! must map every malformed input to `TraceIoError` — truncations, bit
+//! flips, bad magic, overlong varints, out-of-range string-table ids,
+//! checksum mismatches — and never panic, overflow, return silently
+//! wrong intervals, or (for footers) produce a silently wrong chunk-skip
+//! summary.
 //!
 //! The "fuzzing" is deterministic (seeded xorshift), so failures
 //! reproduce; a panic anywhere in a decode aborts the test process and
 //! fails the suite.
 
 use rlscope::core::store::{
-    decode_columns, decode_events, encode_events, encode_events_v1, read_frame, write_frame,
-    EventColumns, Manifest, TraceIoError, MANIFEST_FILE, MAX_FRAME_LEN,
+    decode_columns, decode_events, encode_events, encode_events_v1, list_chunk_files, read_frame,
+    write_frame, EventColumns, Manifest, TraceIoError, MAX_FRAME_LEN,
 };
 use rlscope::core::{Event, EventKind};
 
@@ -287,44 +288,53 @@ fn v3_footer_flips_never_skip_silently() {
     }
 }
 
-/// Manifest corruption: truncation at every offset and seeded byte flips
-/// must surface as `TraceIoError::Corrupt` from `Manifest::load` — a
-/// corrupted chunk index must never silently drive skip decisions.
+/// Chunk-tail corruption: `Manifest::open` reads each chunk's footer
+/// from its tail alone, so truncating a chunk at every offset of its
+/// footer and trailer, and seeded byte flips there, must surface as
+/// `TraceIoError::Corrupt` — a corrupted footer must never silently
+/// drive skip decisions — and never panic. A `footer_len` the file
+/// cannot hold is rejected by its bound, before a buffer of that size
+/// exists (a 4 GiB claim would otherwise be allocated and read).
 #[test]
-fn manifest_corruption_errors_never_panics() {
-    let dir = std::env::temp_dir().join(format!("rlscope_fuzz_manifest_{}", std::process::id()));
+fn chunk_tail_corruption_errors_never_panics() {
+    let dir = std::env::temp_dir().join(format!("rlscope_fuzz_tail_{}", std::process::id()));
     write_corpus_chunk_dir(&dir);
-    let path = dir.join(MANIFEST_FILE);
-    let base = std::fs::read(&path).unwrap();
-    assert!(Manifest::load(&dir).unwrap().is_some());
+    let chunk = list_chunk_files(&dir).unwrap().remove(0);
+    let base = std::fs::read(&chunk).unwrap();
+    assert_eq!(&base[..8], b"RLSCOPE3");
+    let len_at = base.len() - 8;
+    let footer_len = u32::from_be_bytes(base[len_at..len_at + 4].try_into().unwrap()) as usize;
+    let tail = len_at - footer_len..base.len();
+    let open_is_corrupt = |what: &str| match Manifest::open(&dir) {
+        Err(TraceIoError::Corrupt(msg)) => msg,
+        Err(TraceIoError::Io(e)) => panic!("unexpected io error ({what}): {e}"),
+        Ok(_) => panic!("corrupt chunk tail indexed cleanly ({what})"),
+    };
 
-    for cut in 0..base.len() {
-        std::fs::write(&path, &base[..cut]).unwrap();
-        match Manifest::load(&dir) {
-            Err(TraceIoError::Corrupt(_)) => {}
-            Err(TraceIoError::Io(e)) => panic!("unexpected io error at cut {cut}: {e}"),
-            Ok(_) => panic!("truncated manifest ({cut}/{} bytes) loaded", base.len()),
-        }
+    for cut in tail.clone() {
+        std::fs::write(&chunk, &base[..cut]).unwrap();
+        open_is_corrupt(&format!("cut at {cut}/{}", base.len()));
     }
     let mut rng = Rng(0xfeed_beef);
     for _ in 0..2_000 {
         let mut data = base.clone();
         for _ in 0..1 + rng.below(3) {
-            let at = rng.below(data.len());
+            let at = tail.start + rng.below(tail.len());
             data[at] ^= (rng.next() % 255 + 1) as u8;
         }
-        std::fs::write(&path, &data).unwrap();
-        match Manifest::load(&dir) {
-            Err(TraceIoError::Corrupt(_)) => {}
-            Err(TraceIoError::Io(e)) => panic!("unexpected io error: {e}"),
-            Ok(_) => panic!("byte-flipped manifest loaded cleanly"),
-        }
+        std::fs::write(&chunk, &data).unwrap();
+        open_is_corrupt("byte flips in the tail");
     }
-    // And after all that abuse, `Manifest::open` still recovers the
-    // truth by scanning the intact chunks.
-    std::fs::remove_file(&path).unwrap();
-    let scanned = Manifest::open(&dir).unwrap();
-    assert_eq!(scanned.total_events(), corpus_events().len() as u64);
+    for claim in [len_at as u32 - 8 + 1, base.len() as u32, u32::MAX] {
+        let mut data = base.clone();
+        data[len_at..len_at + 4].copy_from_slice(&claim.to_be_bytes());
+        std::fs::write(&chunk, &data).unwrap();
+        let msg = open_is_corrupt(&format!("footer_len {claim}"));
+        assert!(msg.contains("footer length out of range"), "footer_len {claim}: {msg}");
+    }
+    // And with the genuine tail back, the index opens again.
+    std::fs::write(&chunk, &base).unwrap();
+    assert_eq!(Manifest::open(&dir).unwrap().total_events(), corpus_events().len() as u64);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

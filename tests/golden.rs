@@ -12,7 +12,8 @@ use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::compute_overlap;
 use rlscope::core::overlap::OverlapSweep;
 use rlscope::core::store::{
-    decode_events, encode_events, encode_events_v1, reorder_chunk_dir, Manifest, TraceWriter,
+    compute_footer, decode_events, encode_events, encode_events_v1, reorder_chunk_dir, Manifest,
+    TraceWriter,
 };
 use std::path::{Path, PathBuf};
 
@@ -71,9 +72,10 @@ fn corpus_encode_is_byte_stable() {
     assert_eq!(&extreme[..], &corpus_file("corpus_extreme.rls")[..], "extreme encode drift");
 }
 
-/// The chunk-directory manifest is byte-stable for the fixture's
-/// deterministic chunking — footers, file sizes, checksums and all — and
-/// `Manifest::open` agrees with a from-scratch scan of the chunks.
+/// The chunk-directory index is byte-stable for the fixture's
+/// deterministic chunking — footers, file sizes, checksums and all, as
+/// its `MANIFEST` export encodes them — and the footers `Manifest::open`
+/// reads off the chunks' tails are the ones a full decode computes.
 #[test]
 fn corpus_manifest_is_byte_stable() {
     let dir = std::env::temp_dir().join(format!("rlscope_golden_manifest_{}", std::process::id()));
@@ -83,7 +85,10 @@ fn corpus_manifest_is_byte_stable() {
         corpus_file("corpus_manifest.bin"),
         "manifest drift — regenerate deliberately with `cargo run --example gen_corpus`"
     );
-    assert_eq!(Manifest::open(&dir).unwrap(), Manifest::scan(&dir).unwrap());
+    for entry in Manifest::open(&dir).unwrap().entries() {
+        let events = decode_events(&std::fs::read(dir.join(&entry.file)).unwrap()).unwrap();
+        assert_eq!(entry.footer, compute_footer(&events), "{}", entry.file);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -160,10 +165,9 @@ fn corpus_chunk_dir_streams_to_expected_tables() {
 
 /// The corpus carries profiler-style close-order disorder, which holds
 /// a raw directory's sweeps open across chunks. After
-/// `reorder_chunk_dir` — `Manifest::open` above also leaves the index
-/// the query reads its release frontier from — every sweep is released
-/// one chunk behind the stream, and must reproduce the frozen per-pid
-/// tables exactly.
+/// `reorder_chunk_dir` every sweep is released one chunk behind the
+/// stream — the frontier the query reads off the rewritten chunks'
+/// footers — and must reproduce the frozen per-pid tables exactly.
 #[test]
 fn corpus_reordered_dir_bounded_sweep_matches_expected() {
     let src = std::env::temp_dir().join(format!("rlscope_golden_rsrc_{}", std::process::id()));

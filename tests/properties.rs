@@ -571,7 +571,8 @@ proptest! {
         pid in 0u32..4,
     ) {
         use rlscope::core::store::{
-            compute_footer, read_chunk_footer, ChunkQuery, Manifest, ManifestEntry,
+            compute_footer, compute_footer_columns, decode_columns, read_chunk_footer, ChunkQuery,
+            Manifest, ManifestEntry,
         };
 
         // The on-wire footer equals the recomputed one.
@@ -592,10 +593,20 @@ proptest! {
         }
         writer.finish().unwrap();
 
-        let stored = Manifest::load(&dir).unwrap().expect("writer emits MANIFEST");
-        let scanned = Manifest::scan(&dir).unwrap();
+        // The index read off the chunks' tails equals one built by
+        // decoding every chunk in full.
+        let stored = Manifest::open(&dir).unwrap();
+        let decoded = stored
+            .entries()
+            .iter()
+            .map(|e| {
+                let data = std::fs::read(dir.join(&e.file)).unwrap();
+                let footer = compute_footer_columns(&decode_columns(&data).unwrap());
+                ManifestEntry { file: e.file.clone(), size: data.len() as u64, footer }
+            })
+            .collect();
+        let scanned = Manifest::from_entries(&dir, decoded);
         prop_assert_eq!(&stored, &scanned);
-        prop_assert_eq!(&Manifest::open(&dir).unwrap(), &stored);
 
         // A "legacy" manifest whose footers predate per-phase pid sets:
         // clearing every span's pid set reproduces the conservative
@@ -924,7 +935,6 @@ proptest! {
         spacing in 1usize..4,
     ) {
         use rlscope::core::analysis::LiveState;
-        use rlscope::core::store::upgrade_chunk_dir;
 
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let events = session_shaped(pids, &ops, phase_every);
@@ -959,7 +969,6 @@ proptest! {
             );
         }
         writer.finish().unwrap();
-        upgrade_chunk_dir(&dir).unwrap();
         prop_assert_eq!(&by_phase(Analysis::from_chunk_dir(&dir)), &reference);
         prop_assert_eq!(
             &Analysis::from_chunk_dir(&dir).table().unwrap(),
@@ -972,9 +981,9 @@ proptest! {
     /// query: an arbitrary-order multi-process stream (phases, instants
     /// and equal timestamps included) is cut into arbitrary chunks and
     /// written **raw**, then rewritten **start-sorted** (small run sizes
-    /// force real external merges), and both directories are indexed so
-    /// that every sweep is released behind the frontier the later
-    /// chunks' footers give. Under every grouping, filter and window the
+    /// force real external merges). Every query over either directory,
+    /// with no indexing step, releases its sweeps behind the frontier the
+    /// later chunks' footers give. Under every grouping, filter and window the
     /// streamed pipeline equals the in-memory analysis of the same
     /// stream (of its stable sort by start for the rewrite, which may
     /// legitimately change first-seen group order) — a frontier taken
@@ -988,7 +997,7 @@ proptest! {
         len in 1u64..2_500,
         pid in 0u32..4,
     ) {
-        use rlscope::core::store::{reorder_chunk_dir_with, upgrade_chunk_dir, Manifest};
+        use rlscope::core::store::{reorder_chunk_dir_with, Manifest};
 
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let case = CASE.fetch_add(1, Ordering::Relaxed);
@@ -1030,9 +1039,6 @@ proptest! {
             ("phase beta by process", |q| q.phase("beta").group_by([Dim::Process])),
         ];
         for (dir, oracle) in [(&raw, &events), (&sorted, &start_sorted)] {
-            // A just-written manifest is not fresh until a clock tick
-            // separates it from the last chunk; index for certain.
-            upgrade_chunk_dir(dir).unwrap();
             for (what, shape) in queries {
                 for narrowed in 0..4 {
                     let narrow = |q| narrow(q, narrowed, (wlo, whi), ProcessId(pid));

@@ -337,3 +337,152 @@ fn queries_racing_a_prune_get_an_answer_or_unknown_target() {
     assert!(answered > 0 && unknown > 0, "{answered} answered, {unknown} unknown");
     collector.shutdown();
 }
+
+/// Whether `name` is one a writer puts in a session directory: chunks,
+/// the registry record, the tier directories and their build
+/// scratch, and the rollup tier's segments and index.
+fn written_by_a_writer(name: &str) -> bool {
+    ["chunk_", "SESSION", "sorted", "rollup", "ROLLUP", ".tier.tmp", ".reorder_spill", "run_"]
+        .iter()
+        .any(|prefix| name.starts_with(prefix))
+}
+
+/// Appends every path under `dir` whose name no writer uses to `out`;
+/// a directory vanishing mid-walk is skipped.
+fn stray_files(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if !written_by_a_writer(&entry.file_name().to_string_lossy()) {
+            out.push(path.clone());
+        }
+        if path.is_dir() {
+            stray_files(&path, out);
+        }
+    }
+}
+
+/// An answer counts only if the tier it read still held. Two query
+/// loops ask every finished session for segment-aligned windows and
+/// process-grouped tables while a millisecond retention policy ages
+/// each one raw → sorted → rollup → gone underneath them. Every answer
+/// equals the in-process reference, every failure is the typed
+/// `UnknownTarget` of a pruned session, and no session directory ever
+/// holds a file no writer puts there — a read that wrote an index back
+/// into a directory being dropped would leave one behind.
+#[test]
+fn queries_racing_retention_answer_exactly_or_name_the_prune() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    const SEGMENT_NS: u64 = 100_000;
+    const SHAPES: u64 = 26;
+    let (socket, data) = scratch("agerace");
+    let mut config = CollectorConfig::new(&socket, &data);
+    config.rollup_segment_ns = SEGMENT_NS;
+    config.retention = Some(RetentionPolicy::parse("raw=1ms,sorted=1ms,rollup=40ms").unwrap());
+    let collector = Collector::bind(config).unwrap();
+    let names: Arc<Vec<String>> = Arc::new((0..6).map(|i| format!("aging-{i}")).collect());
+    let streams: Vec<Vec<Event>> = (0..6).map(|i| session_events(i, 2_048)).collect();
+    // Shape 0 groups by process; shape k a phase-grouped window of k
+    // segments. Every tier answers both exactly.
+    let spec = |name: &str, shape: u64| match shape {
+        0 => QuerySpec::session(name).group_by([Dim::Process]),
+        k => QuerySpec::session(name).group_by([Dim::Phase]).window(0, k * SEGMENT_NS),
+    };
+    let expected: Arc<Vec<Vec<String>>> = Arc::new(
+        streams
+            .iter()
+            .map(|events| {
+                (0..SHAPES)
+                    .map(|shape| {
+                        let all = Analysis::of_events(events);
+                        let query = match shape {
+                            0 => all.group_by([Dim::Process]),
+                            k => all
+                                .group_by([Dim::Phase])
+                                .time_window(TimeNs::ZERO, TimeNs::from_nanos(k * SEGMENT_NS)),
+                        };
+                        query.canonical_json().unwrap()
+                    })
+                    .collect()
+            })
+            .collect(),
+    );
+    let finished = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let (data, names, stop) = (data.clone(), names.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut strays = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                for name in names.iter() {
+                    stray_files(&data.join(name), &mut strays);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            strays
+        })
+    };
+    let loops: Vec<_> = (0..2u64)
+        .map(|t| {
+            let (socket, names, expected) = (socket.clone(), names.clone(), expected.clone());
+            let (finished, stop) = (finished.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let (mut answered, mut pruned) = (0usize, 0usize);
+                let mut client = CollectorClient::connect(&socket).unwrap();
+                for i in 0u64.. {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // Only settled sessions: a streaming one answers live.
+                    let ready = finished.load(Ordering::SeqCst) as u64;
+                    if ready == 0 {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    let s = ((i + t) % ready) as usize;
+                    let shape = (i * 7 + t) % SHAPES;
+                    match client.query(&spec(&names[s], shape)) {
+                        Ok(reply) => {
+                            assert_eq!(
+                                reply.canonical_json, expected[s][shape as usize],
+                                "{} shape {shape}",
+                                names[s]
+                            );
+                            answered += 1;
+                        }
+                        Err(CollectorError::Remote {
+                            code: Some(ErrorCode::UnknownTarget),
+                            ..
+                        }) => {
+                            pruned += 1;
+                            // An error ends the connection it answers.
+                            client = CollectorClient::connect(&socket).unwrap();
+                        }
+                        Err(e) => panic!("{} shape {shape}: {e}", names[s]),
+                    }
+                }
+                (answered, pruned)
+            })
+        })
+        .collect();
+    for (name, events) in names.iter().zip(&streams) {
+        finish_session(&socket, name, events);
+        finished.fetch_add(1, Ordering::SeqCst);
+    }
+    for name in names.iter() {
+        wait_pruned(&collector, name, &data.join(name));
+    }
+    stop.store(true, Ordering::SeqCst);
+    let (mut answered, mut pruned) = (0, 0);
+    for handle in loops {
+        let (a, p) = handle.join().expect("query loop panicked");
+        answered += a;
+        pruned += p;
+    }
+    let strays = watcher.join().expect("watcher panicked");
+    assert!(strays.is_empty(), "files no writer puts there: {strays:?}");
+    assert!(answered > 0, "{answered} answered, {pruned} pruned");
+    collector.shutdown();
+}
