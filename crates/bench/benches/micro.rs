@@ -7,13 +7,18 @@ use rlscope_bench::gate;
 use rlscope_core::analysis::{Analysis, Dim, LiveState, LiveView};
 use rlscope_core::event::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope_core::overlap::{compute_overlap, compute_overlap_columns, OverlapSweep};
+use rlscope_core::profiler::{EventSink, Toggles};
 use rlscope_core::store::{
     decode_columns, decode_events, encode_events, EventColumns, TraceWriter,
 };
 use rlscope_core::Trace;
+use rlscope_rl::AlgoKind;
 use rlscope_sim::gpu::{GpuDevice, KernelDesc};
 use rlscope_sim::ids::{ProcessId, StreamId};
 use rlscope_sim::time::{DurationNs, TimeNs};
+use rlscope_workloads::frameworks::STABLE_BASELINES;
+use rlscope_workloads::{ScaleConfig, TrainSpec};
+use std::sync::{Arc, Mutex};
 
 fn synthetic_events(n: usize) -> Vec<Event> {
     let mut events = Vec::with_capacity(n);
@@ -433,6 +438,54 @@ fn bench_live_snapshot(c: &mut Criterion) {
     }
 }
 
+/// The stream of the e2e harness's `train_stream` run (DDPG Walker2D,
+/// stable-baselines, 400 steps, seed 1, about 0.6 M events) as the
+/// profiler hands it to a streaming sink: one [`EventColumns`] per
+/// 4096-event batch, in delivery order.
+fn train_stream_chunks() -> Vec<EventColumns> {
+    struct Batches(Mutex<Vec<EventColumns>>);
+    impl EventSink for Batches {
+        fn emit(&self, events: Vec<Event>) {
+            self.0.lock().unwrap().push(EventColumns::from_events(&events));
+        }
+    }
+    let spec = TrainSpec {
+        seed: 1,
+        scale: ScaleConfig { hidden: 16, batch: 8, freq_div: 10, ppo: None },
+        ..TrainSpec::new(AlgoKind::Ddpg, "Walker2D", STABLE_BASELINES, 400)
+    };
+    let sink = Arc::new(Batches(Mutex::new(Vec::new())));
+    spec.run_streamed(Toggles::all(), sink.clone(), 4096);
+    let chunks = std::mem::take(&mut *sink.0.lock().unwrap());
+    chunks
+}
+
+fn bench_live_seal(c: &mut Criterion) {
+    // What a cleanly finished session's seal costs the collector daemon:
+    // a single-process training run's live state, every batch pushed
+    // (untimed), turned into its merged-view tables. The run's boundary
+    // log is near-sorted — a backend call starts before the CUDA call
+    // recorded ahead of it, an operation before its children — so the
+    // seal sorts its few stragglers into the run and drains it once.
+    let id = "live_seal/train_stream_shaped";
+    if bench_filter().is_some_and(|f| !id.contains(f.as_str())) {
+        return;
+    }
+    let chunks = train_stream_chunks();
+    let pushed = || {
+        let mut live = LiveState::new();
+        for chunk in &chunks {
+            live.push_columns(chunk).unwrap();
+        }
+        live
+    };
+    let mut group = c.benchmark_group("live_seal");
+    group.bench_function("train_stream_shaped", |b| {
+        b.iter_batched(pushed, LiveState::seal, BatchSize::LargeInput)
+    });
+    group.finish();
+}
+
 fn bench_pushdown(c: &mut Criterion) {
     // A 16-chunk directory with disjoint per-chunk time ranges — the
     // manifest-pushdown micro: a 3-chunk time-window query must skip the
@@ -730,6 +783,7 @@ criterion_group!(
     bench_analysis,
     bench_streaming,
     bench_live_snapshot,
+    bench_live_seal,
     bench_pushdown,
     bench_compaction,
     bench_multiprocess,

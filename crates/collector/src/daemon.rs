@@ -1764,62 +1764,96 @@ fn handle_query_all(
 /// through [`Analysis::of_sessions`]. Open sessions contribute a
 /// consistent acked-prefix snapshot (asked of each owner in turn, the
 /// same way a single-session query does); finished and aborted sessions
-/// contribute their chunk directories. Results are not cached: the
-/// answer covers every live prefix at once, so any ingest anywhere
-/// invalidates it.
+/// contribute their seal or the directory of their tier. A directory
+/// counts under [`tiered_query`]'s rule, per session: the answer stands
+/// only if every directory's session still held its tier after the
+/// answer was computed. Otherwise — also after a failed read — the
+/// sessions that moved are re-read at their new tier, the ones pruned
+/// meanwhile are dropped, and the answer is computed again (tiers only
+/// move forward, so this terminates); a read of a directory being
+/// dropped is never returned. Results are not cached: the answer covers
+/// every live prefix at once, so any ingest anywhere invalidates it.
 fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, ConnError> {
     if spec.target != QueryTarget::AllSessions {
         return Err((ErrorCode::Protocol, "QUERY_ALL frames take the all-sessions target".into()));
     }
     let view = live_view(spec);
     let mut any_live = false;
-    let mut events_observed = 0u64;
     /// What one session contributes: tables (a live snapshot or a
-    /// seal), or the directory of its tier.
+    /// seal), or the directory of the tier its settled entry names.
     enum Part {
         Tables(Arc<LiveTables>),
-        Dir(PathBuf, StorageTier),
+        Dir(Settled),
     }
-    let mut parts: Vec<(Arc<str>, Part)> = Vec::new();
+    // Each session's name, event count and part. A tier transition keeps
+    // the event count, so a session re-read at a new tier keeps it too.
+    let mut parts: Vec<(Arc<str>, u64, Part)> = Vec::new();
     for (name, _) in daemon.entries() {
         // `Err`: pruned since the listing was taken.
         let Ok(routed) = daemon.route(&name, |reply| Msg::Snapshot { view, reply }) else {
             continue;
         };
-        let part = match routed {
+        let (events, part) = match routed {
             Routed::Open(_, tables) => {
-                events_observed += tables.events_observed();
                 any_live = true;
-                Part::Tables(Arc::new(tables))
+                (tables.events_observed(), Part::Tables(Arc::new(tables)))
             }
             Routed::Settled(settled) => {
-                let dir = tier_dir(&settled.dir, settled.tier);
-                match tier_index(&dir, settled.tier) {
-                    Ok(index) => events_observed += index.total_events(),
+                let events = match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
+                    Ok(index) => index.total_events(),
                     // Pruned since the listing was taken.
                     Err(_) if daemon.current(&name, settled.epoch).is_none() => continue,
                     Err(error) => return Err(error),
-                }
+                };
                 match daemon.sealed(&name, &settled, spec) {
-                    Some(tables) => Part::Tables(tables),
-                    None => Part::Dir(dir, settled.tier),
+                    Some(tables) => (events, Part::Tables(tables)),
+                    None => (events, Part::Dir(settled)),
                 }
             }
         };
-        parts.push((Arc::from(name), part));
+        parts.push((Arc::from(name), events, part));
     }
-    let sources = parts.iter().map(|(name, part)| {
-        let source = match part {
-            Part::Tables(tables) => SessionSource::Live(tables),
-            Part::Dir(dir, StorageTier::Rollup) => SessionSource::RollupDir(dir.clone()),
-            Part::Dir(dir, _) => SessionSource::ChunkDir(dir.clone()),
-        };
-        (name.clone(), source)
-    });
-    let names = parts.iter().map(|(name, _)| name.to_string()).collect();
-    let analysis = apply_spec(Analysis::of_sessions(sources), spec);
-    let groups = analysis.tables().map_err(analysis_err)?;
-    Ok(QueryAllReply { live: any_live, events_observed, sessions: names, groups })
+    loop {
+        let sources = parts.iter().map(|(name, _, part)| {
+            let source = match part {
+                Part::Tables(tables) => SessionSource::Live(tables),
+                Part::Dir(settled) => {
+                    let dir = tier_dir(&settled.dir, settled.tier);
+                    match settled.tier {
+                        StorageTier::Rollup => SessionSource::RollupDir(dir),
+                        _ => SessionSource::ChunkDir(dir),
+                    }
+                }
+            };
+            (name.clone(), source)
+        });
+        let groups = apply_spec(Analysis::of_sessions(sources), spec).tables();
+        let mut moved = false;
+        parts.retain_mut(|(name, _, part)| {
+            let Part::Dir(settled) = part else { return true };
+            match daemon.current(name, settled.epoch) {
+                Some(now) if now.tier == settled.tier => true,
+                Some(now) => {
+                    *settled = now;
+                    moved = true;
+                    true
+                }
+                None => {
+                    moved = true;
+                    false
+                }
+            }
+        });
+        if moved {
+            continue;
+        }
+        return Ok(QueryAllReply {
+            live: any_live,
+            events_observed: parts.iter().map(|(_, events, _)| events).sum(),
+            sessions: parts.iter().map(|(name, _, _)| name.to_string()).collect(),
+            groups: groups.map_err(analysis_err)?,
+        });
+    }
 }
 
 /// Where a settled session's data lives at `tier`.

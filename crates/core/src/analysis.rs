@@ -98,14 +98,14 @@
 //! every sweep is told ([`OverlapSweep::release_to`]) the earliest start
 //! any *later* selected chunk can hold — the suffix minimum of
 //! [`crate::store::ChunkFooter::min_start`] over the manifest entries
-//! the pushdown selected (window clipping only raises starts, so the
-//! recorded minimum stays a valid bound). Boundaries at or before that
-//! frontier are final: they are attributed for good and their log is
-//! dropped. The working set is therefore derived from the data, not
-//! chosen by the caller — on a start-sorted directory the frontier
-//! trails the stream by one chunk; on a raw dump it stands at the start
-//! of the oldest annotation that has not been written yet. Two
-//! consequences:
+//! the pushdown selected (window clipping only raises CPU/GPU starts and
+//! leaves scope starts as recorded, so the recorded minimum stays a
+//! valid bound). Boundaries at or before that frontier are final: they
+//! are attributed for good and their log is dropped. The working set is
+//! therefore derived from the data, not chosen by the caller — on a
+//! start-sorted directory the frontier trails the stream by one chunk;
+//! on a raw dump it stands at the start of the oldest annotation that
+//! has not been written yet. Two consequences:
 //!
 //! * The frontier comes from the chunks themselves: every directory
 //!   query opens the index from the chunks' footer tails
@@ -315,6 +315,7 @@ use crate::report::BreakdownReport;
 use crate::rollup::{merge_phase_tables, Rollup};
 use crate::store::{
     for_each_decoded_chunk_columns, ChunkQuery, EventColumns, EventRow, Manifest, TraceIoError,
+    TAG_OP, TAG_PHASE,
 };
 use crate::trace::Trace;
 use rlscope_sim::ids::ProcessId;
@@ -655,7 +656,7 @@ impl SweepSet {
     }
 }
 
-/// A row as the sweeps see it: its span clipped to the query's window.
+/// A row as the sweeps see it: its span as [`admit`] let it in.
 struct Clipped<R> {
     row: R,
     span: (u64, u64),
@@ -680,10 +681,17 @@ impl<R: EventRow> EventRow for Clipped<R> {
 }
 
 /// The one filter-and-clip rule every row passes on its way into the
-/// sweeps: a row of a process other than `pid` is dropped, and the rest
-/// are clipped to the half-open window `[lo, hi)`. Attributing clipped
-/// rows attributes exactly the time inside the window, because the sweep
-/// is segment-based. A row the window leaves empty is dropped.
+/// sweeps: a row of a process other than `pid` is dropped, and a row the
+/// half-open window `[lo, hi)` does not intersect is dropped. A CPU/GPU
+/// row that stays is clipped to the window; an operation or phase row
+/// enters with its own span. Only CPU/GPU activity accrues time, so the
+/// tables hold exactly the time inside the window, and attribution
+/// within it — the innermost operation, the latest-activated phase —
+/// depends on the active scopes *and* their start order, which clipping
+/// them would erase: scopes spanning `lo` would all start there and
+/// activate in arrival order, which for a profiler's close-ordered
+/// stream is inside-out. A released sweep stays valid: the frontier
+/// chunk footers give bounds the unclipped starts.
 ///
 /// An **instant** row (`start == end`) is kept when its instant lies in
 /// `[lo, hi)`. It attributes no time, but it carries *presence*: the
@@ -700,7 +708,9 @@ fn admit<R: EventRow>(row: R, pid: Option<u32>, window: Option<(u64, u64)>) -> O
         None => (start, end),
         Some((lo, hi)) => {
             let (s, t) = (start.max(lo), end.min(hi));
-            (s < t || (start == end && lo <= start && start < hi)).then_some((s, t))?
+            let clipped =
+                if matches!(row.tag(), TAG_OP | TAG_PHASE) { (start, end) } else { (s, t) };
+            (s < t || (start == end && lo <= start && start < hi)).then_some(clipped)?
         }
     };
     Some(Clipped { row, span })
@@ -1005,8 +1015,11 @@ impl<'a> Analysis<'a> {
         self
     }
 
-    /// Restricts attribution to `[start, end)`: events are clipped to the
-    /// window, so exactly the time inside it is attributed.
+    /// Restricts attribution to `[start, end)`: CPU/GPU events are
+    /// clipped to the window, so exactly the time inside it is
+    /// attributed, and operations and phases that intersect it keep their
+    /// own spans, so each instant inside it is attributed as in the whole
+    /// stream.
     pub fn time_window(mut self, start: TimeNs, end: TimeNs) -> Self {
         self.window = Some((start, end));
         self
@@ -2689,7 +2702,7 @@ mod tests {
     #[test]
     fn snapshots_sort_only_what_arrived_since_the_last_one() {
         // End-ordered streams (how the profiler records): start times
-        // arrive out of order, so every chunk leaves an unsorted tail.
+        // arrive out of order, so every chunk leaves boundaries to sort.
         let chunk = |base: u64| -> Vec<Event> {
             (0..50u64)
                 .flat_map(|i| {

@@ -17,13 +17,15 @@
 //! ([`crate::analysis::Analysis`]), and it holds **one engine**:
 //! [`OverlapSweep`]. Every event is reduced, as it is pushed, to two
 //! compact boundary records in an append-only log — per side, a sorted
-//! prefix plus an unsorted tail (`BoundaryQueue`): only out-of-order
-//! pushes are ever sorted, once, by `sort_boundaries`, and merged into
-//! the prefix — and one loop (`DrainState::advance`) walks the sorted
-//! log and attributes segments. The sort splits what it sorts into one
-//! lane per producer (each pid's CPU/GPU edges, the operation edges,
-//! the phase edges), repairs each lane in O(n) as the near-sorted run a
-//! profiler emits, and merges the lanes by key. The engine is fed
+//! run plus the rare stragglers pushed below it, or, when several
+//! producers interleave, a sorted prefix plus an unsorted tail
+//! (`BoundaryQueue`): only out-of-order pushes are ever sorted, once, by
+//! `sort_boundaries`, and merged into the run — and one loop
+//! (`DrainState::advance`) walks the sorted log and attributes
+//! segments. The sort splits what it sorts into one lane per producer
+//! (each pid's CPU/GPU edges, the operation edges, the phase edges),
+//! repairs each lane in O(n) as the near-sorted run a profiler emits,
+//! and merges the lanes by key. The engine is fed
 //! either way:
 //!
 //! * **once** — an in-memory source (an event slice, an index subset of
@@ -474,8 +476,10 @@ fn merge_keyed(left: &[Boundary], right: &[Boundary], out: &mut [Boundary]) {
     out[o + rest..].copy_from_slice(&right[r..]);
 }
 
-/// Sorts a queue's unsorted tail by **producer lane**, tuned for
-/// profiler streams. Returns how many lanes fell back to `sort_by_key`.
+/// Sorts a queue's pending boundaries — its set-aside stragglers or its
+/// unsorted tail (see [`BoundaryQueue`]), here both called the tail — by
+/// **producer lane**, tuned for profiler streams. Returns how many lanes
+/// fell back to `sort_by_key`.
 ///
 /// One process's stream is emitted near-chronologically: deeply nested
 /// annotation stacks make the *end* queue a chain of descending runs
@@ -708,37 +712,63 @@ impl std::error::Error for SweepError {}
 /// [`BoundaryQueue`]).
 type Boundary = (u64, u32, u32);
 
+/// How rare a straggler must stay for [`BoundaryQueue`] to keep it out
+/// of the log: at most one push in this many since the last sort, or the
+/// queue falls back to an unsorted tail. A single profiler stream sits
+/// far below it (the DDPG `train_stream` run pushes 7.2 % of its starts
+/// and 8.2 % of its ends below the running maximum, 9.2 % in its worst
+/// prefix); processes interleaved into one stream far above it (72–78 %
+/// on the e2e generator's four pids).
+const STRAGGLER_SHARE: usize = 4;
+
+/// Stragglers a queue sets aside between two weighings of their share:
+/// the share is asked of every this many, not of each push.
+const STRAGGLER_BATCH: usize = 64;
+
 /// One side (starts or ends) of the sweep's boundary log: a **sorted
-/// prefix plus an unsorted tail** in one append-only buffer, replacing
-/// the binary heaps the incremental sweep used to carry.
+/// run plus rare stragglers**, or a sorted prefix plus an unsorted tail,
+/// in append-only buffers, replacing the binary heaps the incremental
+/// sweep used to carry.
 ///
 /// Profiler streams push boundaries in near-ascending time order, so the
 /// buffer is simply appended to and read by index — no per-push sift-up,
-/// no per-pop sift-down. `buf[..sorted_to]` is ascending; a push extends
-/// that prefix while pushes keep arriving in order, and the first one
-/// that does not starts the tail `buf[sorted_to..]`, which nothing
-/// orders until someone needs the order
+/// no per-pop sift-down. `buf[..sorted_to]` is the ascending **run**: a
+/// push at or above its last time extends it. A push below it is a
+/// **straggler** and is set aside, in push order, on a side list
+/// (`stragglers`), so the run keeps growing behind it — one event
+/// recorded late does not leave everything after it unsorted. Once
+/// stragglers stop being rare since the last sort (see
+/// [`STRAGGLER_SHARE`]) — several processes interleaved into one stream
+/// — the queue **falls back** to an unsorted tail `buf[sorted_to..]`:
+/// the stragglers so far go first, every later push after them, and the
+/// run stops growing until the next sort. Nothing orders the pending
+/// boundaries until someone needs the order
 /// ([`BoundaryQueue::ensure_sorted`], at the start of any drain). The
 /// queue holds no read position: positions belong to the drain states
 /// that walk it ([`DrainState`]), and only a released sweep
 /// ([`OverlapSweep::release_to`]), whose own state consumes for good,
 /// ever reclaims what lies behind it ([`BoundaryQueue::compact`]).
 ///
-/// **Merge rule.** `ensure_sorted` sorts the *tail only* — by producer
-/// lane (`sort_boundaries`: each pid's CPU/GPU edges, the operation
-/// edges and the phase edges each repaired in O(lane) as the
-/// near-sorted run a profiler emits, then merged in pairs by
-/// `(time, seq of a scope edge or 0)`) — and merges it into the prefix
-/// stably by time, the prefix winning ties. The prefix is touched only
-/// from the tail minimum's insertion point on, and the shorter of the
-/// two runs is the one copied to scratch. The result is ascending by
-/// time, and same-time scope edges are in arrival (`seq`) order: the
-/// prefix's were pushed before the tail's, and the lane merge orders
-/// the tail's by seq. History is sorted once, and each later call pays
-/// for the boundaries pushed since the previous one; a fully sorted
-/// stream never sorts at all. A drain state parked at a position stays
-/// right for as long as every later push has a time above the last one
-/// it processed: such a push can only land behind it.
+/// **Merge rule.** `ensure_sorted` sorts the *pending* boundaries only —
+/// the stragglers or the tail, never both, since a fallback empties the
+/// side list into the tail — by producer lane (`sort_boundaries`: each
+/// pid's CPU/GPU edges, the operation edges and the phase edges each
+/// repaired in O(lane) as the near-sorted run a profiler emits, then
+/// merged in pairs by `(time, seq of a scope edge or 0)`) and merges
+/// them into the run stably by time, the run winning ties. The run is
+/// touched only from the pending minimum's insertion point on, and the
+/// shorter of the two is the one copied to scratch. The result is
+/// ascending by time, and same-time scope edges are in arrival (`seq`)
+/// order. Run-first on ties *is* push order: a straggler at time *t*
+/// arrived when the run already reached past *t*, so every run boundary
+/// at *t* was pushed before it; a tail's boundaries were all pushed
+/// after the run's, its stragglers first; and the lane merge orders the
+/// pending scope edges by seq. History is sorted once, and each later
+/// call pays for the boundaries pushed out of order since the previous
+/// one; a fully sorted stream never sorts at all. A drain state parked
+/// at a position stays right for as long as every later push has a time
+/// above the last one it processed: such a push can only land behind
+/// it.
 ///
 /// **Why ties are safe.** Same-time boundaries are not always in push
 /// order: a tail of several producers puts a time's CPU/GPU edges ahead
@@ -758,9 +788,16 @@ type Boundary = (u64, u32, u32);
 #[derive(Debug, Clone)]
 struct BoundaryQueue {
     buf: Vec<Boundary>,
-    /// `buf[..sorted_to]` is ascending by time; `buf[sorted_to..]` is the
-    /// unsorted tail.
+    /// `buf[..sorted_to]` is the run, ascending by time;
+    /// `buf[sorted_to..]` is the unsorted tail (empty while stragglers
+    /// are set aside).
     sorted_to: usize,
+    /// Boundaries pushed below the run's last time since the last sort,
+    /// in push order; always empty while there is a tail.
+    stragglers: Vec<Boundary>,
+    /// `buf.len()` as the last sort left it: pushes since then are what
+    /// the straggler count is weighed against.
+    sorted_len: usize,
     /// Smallest time not yet consumed for good (`u64::MAX` when there is
     /// none) — maintained across pushes and consuming drains so a
     /// release that cannot make progress returns without consulting (or
@@ -777,28 +814,75 @@ impl BoundaryQueue {
         BoundaryQueue {
             buf: Vec::new(),
             sorted_to: 0,
+            stragglers: Vec::new(),
+            sorted_len: 0,
             min_time: u64::MAX,
             #[cfg(test)]
             fallbacks: 0,
         }
     }
 
+    /// Boundaries logged, set-aside stragglers included.
+    fn len(&self) -> usize {
+        self.buf.len() + self.stragglers.len()
+    }
+
     #[inline]
     fn push(&mut self, b: Boundary) {
-        // Time-only order check against the last boundary pushed: an
-        // in-order push onto a tail-less buffer extends the sorted
-        // prefix, anything else lands in (or starts) the tail.
+        // Time-only order check against the run's last boundary: an
+        // in-order push onto a tail-less buffer extends the run, one
+        // below it is a straggler, and a tail takes everything.
+        self.min_time = self.min_time.min(b.0);
         let n = self.buf.len();
-        if self.sorted_to == n && self.buf.last().is_none_or(|last| last.0 <= b.0) {
+        if self.sorted_to == n {
+            if self.buf.last().is_some_and(|last| last.0 > b.0) {
+                self.stragglers.push(b);
+                if self.stragglers.len().is_multiple_of(STRAGGLER_BATCH)
+                    || self.len() > self.buf.capacity()
+                {
+                    self.set_aside();
+                }
+                return;
+            }
             self.sorted_to = n + 1;
         }
-        self.min_time = self.min_time.min(b.0);
         self.buf.push(b);
     }
 
-    /// Puts the whole buffer in ascending time order (see the type docs
-    /// for the merge rule). Free when there is no tail.
+    /// The rare upkeep of setting stragglers aside, kept out of line so
+    /// the push loop carries only the compares.
+    ///
+    /// `buf` grows for the whole log, stragglers included, since a sort
+    /// moves them into it. Its doublings (each a copy of the log) then
+    /// fall at about the lengths they would if every push went to
+    /// `buf`: not in the sort, and not later in the stream by the
+    /// stragglers' share. On a 592 k-event training run that delay put
+    /// the last doubling in the final in-flight chunks, which held up
+    /// the daemon's `FINISH_ACK`.
+    ///
+    /// Once per [`STRAGGLER_BATCH`] stragglers, the queue falls back to a
+    /// tail if they are no longer rare since the last sort (see
+    /// [`STRAGGLER_SHARE`]): they start it, in push order, ahead of
+    /// every later push.
+    #[cold]
+    #[inline(never)]
+    fn set_aside(&mut self) {
+        if self.len() > self.buf.capacity() {
+            self.buf.reserve(self.buf.capacity());
+        }
+        if self.stragglers.len().is_multiple_of(STRAGGLER_BATCH)
+            && self.stragglers.len() * STRAGGLER_SHARE > self.len() - self.sorted_len
+        {
+            self.buf.append(&mut self.stragglers);
+        }
+    }
+
+    /// Puts the whole log in ascending time order in `buf` (see the type
+    /// docs for the merge rule). Free when nothing is pending.
     fn ensure_sorted(&mut self) {
+        // Set-aside stragglers are sorted and merged exactly as a tail.
+        self.buf.append(&mut self.stragglers);
+        self.sorted_len = self.buf.len();
         let split = self.sorted_to;
         if split == self.buf.len() {
             return;
@@ -813,12 +897,14 @@ impl BoundaryQueue {
         {
             self.fallbacks += _fell_back;
         }
-        // Prefix boundaries at or before the tail's minimum are already
-        // in their final place (the prefix wins ties).
-        let tail_min = self.buf[split].0;
-        let from = self.buf[..split].partition_point(|p| p.0 <= tail_min);
+        // Run boundaries at or before the pending minimum are already
+        // in their final place (the run wins ties).
+        let pending_min = self.buf[split].0;
+        let from = self.buf[..split].partition_point(|p| p.0 <= pending_min);
         merge_adjacent_runs(&mut self.buf[from..], split - from);
         self.sorted_to = self.buf.len();
+        // What lies before `from` was ascending already.
+        debug_assert!(self.buf[from.saturating_sub(1)..].is_sorted_by_key(|b| b.0));
     }
 
     /// Smallest unconsumed time; `u64::MAX` when empty. O(1) — never
@@ -830,11 +916,13 @@ impl BoundaryQueue {
     /// Drops `buf[..*head]` — what the sweep's own drain has consumed
     /// for good — once it dominates the buffer, keeping a released
     /// sweep's working set proportional to what is still open rather
-    /// than to the stream. `head` moves with the buffer.
+    /// than to the stream. `head` moves with the buffer. Only called on
+    /// a sorted queue.
     fn compact(&mut self, head: &mut usize) {
         if *head > 1024 && *head * 2 > self.buf.len() {
             self.buf.drain(..*head);
             self.sorted_to -= *head;
+            self.sorted_len = self.buf.len();
             *head = 0;
         }
     }
@@ -1275,11 +1363,14 @@ impl DrainState {
 /// coalescing of same-bucket boundaries; what it has computed so far —
 /// two positions, the open scopes, the accumulator — is a small value of
 /// its own (`DrainState`) that refers to the log but never writes to
-/// it. The log's two queues are append-only buffers — a sorted prefix
-/// plus an unsorted tail — that append and read without any per-boundary
-/// heap work; only boundaries pushed out of order are ever sorted, once,
-/// and merged into the prefix, so on near-sorted profiler streams a
-/// boundary costs one append and one pass of the merge loop.
+/// it. The log's two queues are append-only buffers — a sorted run that
+/// in-order pushes extend, plus the stragglers pushed below it (or, once
+/// those stop being rare, an unsorted tail) — that append and read
+/// without any per-boundary heap work; only boundaries pushed out of
+/// order are ever sorted, once, and merged into the run, so on
+/// near-sorted profiler streams an in-order boundary costs one append
+/// and one pass of the merge loop, and a straggler one place in a short
+/// sort.
 ///
 /// # Memory: the release frontier
 ///
@@ -1431,7 +1522,7 @@ impl OverlapSweep {
     /// the sweep's working-set size. What [`OverlapSweep::release_to`]
     /// drained for good no longer counts.
     pub fn pending_boundaries(&self) -> usize {
-        self.log.starts.buf.len() + self.log.ends.buf.len() - self.state.position()
+        self.log.starts.len() + self.log.ends.len() - self.state.position()
     }
 
     /// Puts the log in the order a drain needs, in place, without
@@ -1451,8 +1542,8 @@ impl OverlapSweep {
     /// [`OverlapSweep::sort_pending`] (or drain) will sort.
     #[cfg(test)]
     pub(crate) fn unsorted_boundaries(&self) -> usize {
-        let tail = |q: &BoundaryQueue| q.buf.len() - q.sorted_to;
-        tail(&self.log.starts) + tail(&self.log.ends)
+        let pending = |q: &BoundaryQueue| q.len() - q.sorted_to;
+        pending(&self.log.starts) + pending(&self.log.ends)
     }
 
     /// Boundaries the last [`OverlapSweep::tables_so_far`] processed:
@@ -1719,6 +1810,7 @@ impl OverlapSweep {
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use proptest::prelude::*;
     use rlscope_sim::ids::ProcessId;
     use rlscope_sim::rng::SimRng;
     use rlscope_sim::time::TimeNs;
@@ -2039,22 +2131,23 @@ mod tests {
     }
 
     /// The order `ensure_sorted` promises, by a model written out from
-    /// the `Boundary` layout rather than through the code under test: the
-    /// tail one stable sort by time when its CPU/GPU edges come from at
-    /// most one pid, else one stable sort by time, then the seq of a
-    /// scope edge (0 for a CPU/GPU edge), then the lane — operation
-    /// edges, phase edges, then each pid's CPU/GPU edges — which is what
-    /// merging the lanes in pairs, left winning ties, amounts to; and
-    /// then one stable sort of prefix and tail by time, the prefix first.
+    /// the `Boundary` layout rather than through the code under test. The
+    /// pending boundaries — the set-aside stragglers, then the tail — are
+    /// one stable sort by time when their CPU/GPU edges come from at most
+    /// one pid, else one stable sort by time, then the seq of a scope
+    /// edge (0 for a CPU/GPU edge), then the lane — operation edges,
+    /// phase edges, then each pid's CPU/GPU edges — which is what merging
+    /// the lanes in pairs, left winning ties, amounts to; then run and
+    /// pending are one stable sort by time, the run first.
     fn keyed_order(q: &BoundaryQueue) -> Vec<Boundary> {
-        let (prefix, tail) = q.buf.split_at(q.sorted_to);
-        let mut tail = tail.to_vec();
+        let (run, tail) = q.buf.split_at(q.sorted_to);
+        let mut pending = [&q.stragglers[..], tail].concat();
         let pids: std::collections::BTreeSet<u32> =
-            tail.iter().filter(|b| b.2 <= CODE_GPU).map(|b| b.1).collect();
+            pending.iter().filter(|b| b.2 <= CODE_GPU).map(|b| b.1).collect();
         if pids.len() <= 1 {
-            tail.sort_by_key(|b| b.0);
+            pending.sort_by_key(|b| b.0);
         } else {
-            tail.sort_by_key(|&(t, seq, meta)| {
+            pending.sort_by_key(|&(t, seq, meta)| {
                 if meta <= CODE_GPU {
                     (t, 0, 2, seq)
                 } else if meta & META_PHASE_FLAG == 0 {
@@ -2064,47 +2157,50 @@ mod tests {
                 }
             });
         }
-        let mut all = [prefix, &tail[..]].concat();
+        let mut all = [run, &pending[..]].concat();
         all.sort_by_key(|b| b.0);
         all
     }
 
     /// `ensure_sorted` must leave the buffer exactly in [`keyed_order`]
     /// — for scope edges alone that is one stable sort by time of the
-    /// whole buffer, `seq` telling equal times apart — with no tail
-    /// left, the `consumed` boundaries a drain has walked past where
-    /// they were, and the smallest unconsumed time still right.
+    /// whole log in push order, `seq` telling equal times apart — with
+    /// nothing left pending, the `consumed` boundaries a drain has walked
+    /// past where they were, and the smallest unconsumed time still
+    /// right.
     fn assert_sorts_in_keyed_order(q: &mut BoundaryQueue, consumed: usize) {
         let expected = keyed_order(q);
         let walked = q.buf[..consumed].to_vec();
         q.ensure_sorted();
         assert_eq!(q.buf, expected);
-        assert_eq!(q.sorted_to, q.buf.len());
+        assert_eq!((q.sorted_to, q.stragglers.len()), (q.buf.len(), 0));
         assert_eq!(q.buf[..consumed], walked[..]);
         assert_eq!(q.min_time(), expected.get(consumed).map_or(u64::MAX, |b| b.0));
     }
 
     #[test]
-    fn boundary_queue_prefix_grows_while_pushes_arrive_in_order() {
+    fn boundary_queue_run_grows_past_a_straggler() {
         let mut q = queue_of([1, 2, 2, 5]);
         assert_eq!((q.sorted_to, q.buf.len()), (4, 4));
-        q.push(op_edge(3, 4));
-        q.push(op_edge(9, 5)); // in order after the break: still tail
-        assert_eq!((q.sorted_to, q.buf.len()), (4, 6));
+        q.push(op_edge(3, 4)); // below the run: set aside
+        q.push(op_edge(9, 5)); // in order after it: extends the run
+        assert_eq!((q.sorted_to, q.buf.len(), q.stragglers.len(), q.len()), (5, 5, 1, 6));
         assert_sorts_in_keyed_order(&mut q, 0);
         q.push(op_edge(9, 6));
-        assert_eq!(q.sorted_to, 7, "a sorted queue grows its prefix again");
+        assert_eq!(q.sorted_to, 7, "a sorted queue grows its run again");
     }
 
-    /// Equal times on both sides of the prefix/tail split: the prefix's
-    /// boundaries stay first, and each side keeps its push order.
+    /// Equal times on both sides of the run/straggler split: the run's
+    /// boundaries stay first, and each side keeps its push order — which
+    /// is push order overall, since a straggler at a time arrives after
+    /// every run boundary at that time.
     #[test]
     fn boundary_queue_merge_keeps_push_order_at_equal_times() {
         let mut q = queue_of([1, 5, 5, 7, 7, 9]);
         for t in [5, 7, 1, 7, 5, 9, 9] {
-            q.push(op_edge(t, q.buf.len() as u32));
+            q.push(op_edge(t, q.len() as u32));
         }
-        assert_eq!(q.sorted_to, 6);
+        assert_eq!((q.sorted_to, q.stragglers.len()), (8, 5));
         assert_sorts_in_keyed_order(&mut q, 0);
         let seqs_at = |t: u64| -> Vec<u32> {
             q.buf.iter().filter(|b| b.0 == t).map(|b| b.1).collect::<Vec<_>>()
@@ -2114,50 +2210,95 @@ mod tests {
         assert_eq!(seqs_at(9), [5, 11, 12]);
     }
 
-    /// Both merge directions: a long tail displacing a short prefix run
-    /// (the prefix run is the scratch) and a short tail displacing a
-    /// long one (the tail is the scratch), each also behind boundaries a
-    /// drain has consumed, which the merge must not reach into.
+    /// Both merge directions: many stragglers displacing a short stretch
+    /// of the run (the run stretch is the scratch) and a few displacing a
+    /// long one (the stragglers are the scratch), each also behind
+    /// boundaries a drain has consumed, which the merge must not reach
+    /// into.
     #[test]
     fn boundary_queue_merges_in_both_directions() {
         for consumed in [0, 3] {
-            let long_tail = (0..10).map(|i| i * 10).chain((0..40).rev().map(|i| 55 + i * 3));
-            let mut q = queue_of(long_tail);
+            let many = (0..10).map(|i| i * 10).chain((0..40).rev().map(|i| 55 + i * 3));
+            let mut q = queue_of(many);
             q.min_time = q.buf[consumed].0;
-            assert_eq!(q.sorted_to, 11);
+            assert_eq!((q.sorted_to, q.stragglers.len()), (11, 39));
             assert_sorts_in_keyed_order(&mut q, consumed);
 
-            let short_tail = (0..50).map(|i| i * 10).chain([205, 120, 120, 333]);
-            let mut q = queue_of(short_tail);
+            let few = (0..50).map(|i| i * 10).chain([205, 120, 120, 333]);
+            let mut q = queue_of(few);
             q.min_time = q.buf[consumed].0;
-            assert_eq!(q.sorted_to, 50);
+            assert_eq!((q.sorted_to, q.stragglers.len()), (50, 4));
             assert_sorts_in_keyed_order(&mut q, consumed);
         }
     }
 
-    /// A tail entirely at or after the prefix: the sort puts the tail in
-    /// order and the merge has nothing to move.
+    /// Stragglers at or after part of the run: the sort puts them in
+    /// order and the merge leaves the run before them in place.
     #[test]
-    fn boundary_queue_tail_after_the_prefix_needs_no_merge() {
+    fn boundary_queue_merge_starts_at_the_smallest_straggler() {
         let mut q = queue_of([1, 2, 3, 9, 7, 8, 3]);
-        let prefix = q.buf[..3].to_vec();
-        assert_eq!(q.sorted_to, 4);
+        let untouched = q.buf[..3].to_vec();
+        assert_eq!((q.sorted_to, q.stragglers.len()), (4, 3));
         assert_sorts_in_keyed_order(&mut q, 0);
-        assert_eq!(q.buf[..3], prefix[..]);
+        assert_eq!(q.buf[..3], untouched[..]);
         let mut q = queue_of([1, 2, 3, 5, 4, 3]);
         assert_sorts_in_keyed_order(&mut q, 0);
     }
 
     /// One straggler landing 10⁵ positions back in an otherwise sorted
-    /// history (a whole-run scope closing last).
+    /// history (a whole-run scope closing last), with the run growing
+    /// past it.
     #[test]
     fn boundary_queue_places_one_boundary_far_back() {
         let n = 150_000u64;
         let mut q = queue_of((0..n).map(|i| i * 2));
         q.push(op_edge(2 * (n - 100_000) + 1, n as u32));
-        assert_eq!((q.sorted_to, q.buf.len()), (n as usize, n as usize + 1));
+        q.push(op_edge(2 * n, n as u32 + 1));
+        assert_eq!(
+            (q.sorted_to, q.buf.len(), q.stragglers.len()),
+            (n as usize + 1, n as usize + 1, 1)
+        );
         assert_sorts_in_keyed_order(&mut q, 0);
         assert_eq!(q.buf[(n - 100_000) as usize + 1].1, n as u32);
+    }
+
+    /// Two producers interleaved, one lagging the other: every other push
+    /// is a straggler. The first [`STRAGGLER_BATCH`] are set aside while
+    /// the run grows; weighed then, they are half the pushes and start a
+    /// tail — in push order, then every later push, in order or not —
+    /// and the run stops growing until the sort, after which the queue
+    /// sets stragglers aside again.
+    #[test]
+    fn boundary_queue_falls_back_to_a_tail_once_stragglers_are_not_rare() {
+        let mut q = queue_of([0]);
+        let mut pushed = vec![];
+        let mut fell_back_at = None;
+        for i in 1..400u64 {
+            for t in [1000 + i * 10, i * 10] {
+                let b = op_edge(t, q.len() as u32);
+                pushed.push(b);
+                q.push(b);
+                if fell_back_at.is_none() && q.sorted_to < q.buf.len() {
+                    fell_back_at = Some(pushed.len());
+                }
+            }
+        }
+        let at = fell_back_at.expect("half the pushes are stragglers");
+        assert_eq!(at, 2 * STRAGGLER_BATCH, "weighed at the first batch");
+        assert!(q.stragglers.is_empty());
+        let set_aside: Vec<Boundary> =
+            pushed[..at].iter().filter(|b| b.0 < 1000).copied().collect();
+        assert_eq!(set_aside.len(), STRAGGLER_BATCH);
+        assert_eq!(q.sorted_to, 1 + at - set_aside.len(), "the run stops growing at the fallback");
+        let tail = &q.buf[q.sorted_to..];
+        assert_eq!(tail[..set_aside.len()], set_aside[..]);
+        assert_eq!(tail[set_aside.len()..], pushed[at..]);
+        assert_sorts_in_keyed_order(&mut q, 0);
+        // After the sort the counts start over.
+        let last = q.buf.last().unwrap().0;
+        q.push(op_edge(last - 1, q.len() as u32));
+        q.push(op_edge(last + 1, q.len() as u32));
+        assert_eq!((q.sorted_to, q.stragglers.len()), (q.buf.len(), 1));
     }
 
     /// A tail of three pids' CPU/GPU edges, operation edges and phase
@@ -2194,7 +2335,9 @@ mod tests {
         assert_eq!(q.fallbacks, 0);
 
         let mut q = tail(&mut rng);
-        for b in &mut q.buf[1..] {
+        let from = q.sorted_to;
+        assert!(q.stragglers.is_empty() && from < 100, "interleaved producers make a tail");
+        for b in &mut q.buf[from..] {
             if b.2 <= CODE_GPU && b.1 == 2 {
                 b.0 = rng.below(10_000) as u64;
             }
@@ -2252,10 +2395,12 @@ mod tests {
     }
 
     /// The cold sweep of a 4-process session — and of a 1-process one,
-    /// whose phase starts land thousands of boundaries behind in its
-    /// single lane — sorts both queues in keyed order without one
-    /// comparison-sort fallback, whether the log is sorted once at the
-    /// end or after every 8192-event chunk, and both answer alike.
+    /// whose phase starts land thousands of boundaries behind — sorts
+    /// both queues in keyed order without one comparison-sort fallback,
+    /// whether the log is sorted once at the end or after every
+    /// 8192-event chunk, and both answer alike. The interleaved session
+    /// leaves one tail, nearly the whole log; the single process leaves
+    /// none, only its few stragglers set aside.
     #[test]
     fn session_shaped_streams_sort_without_fallback() {
         for pids in [4, 1] {
@@ -2268,7 +2413,12 @@ mod tests {
                 stepped.sort_pending();
             }
             for q in [&mut cold.log.starts, &mut cold.log.ends] {
-                assert!(q.buf.len() - q.sorted_to > 50_000, "one tail, nearly the whole log");
+                if pids == 1 {
+                    assert_eq!(q.sorted_to, q.buf.len(), "no tail");
+                    assert!(q.stragglers.len() * STRAGGLER_SHARE < q.len());
+                } else {
+                    assert!(q.buf.len() - q.sorted_to > 50_000, "one tail, nearly the whole log");
+                }
                 assert_sorts_in_keyed_order(q, 0);
             }
             for sweep in [&cold, &stepped] {
@@ -2278,13 +2428,160 @@ mod tests {
         }
     }
 
+    /// One producer's stream as a profiler records it, each event at its
+    /// close and paired with that close time: per operation a nest of
+    /// `depth` scopes (the innermost recorded first, so the outer starts
+    /// arrive late), CPU/GPU children back to back inside it — a CUDA
+    /// call recorded before the backend call around it, a kernel running
+    /// on past its launch — and every `phase_every`-th operation closing
+    /// the producer's phase, its start far behind. Times are multiples
+    /// of 10 ns and every producer starts at 0, so edges of every kind
+    /// and producer tie.
+    fn producer_stream(
+        pid: u32,
+        ops: &[(usize, usize, u64)],
+        phase_every: usize,
+    ) -> Vec<(u64, Event)> {
+        use crate::event::GpuCategory;
+        let at = |kind, name: &str, start: u64, end: u64| {
+            let (start, end) = (TimeNs::from_nanos(start * 10), TimeNs::from_nanos(end * 10));
+            Event::new(ProcessId(pid), kind, name, start, end)
+        };
+        let (mut out, mut cursor, mut phase_start) = (Vec::new(), 0u64, 0u64);
+        for (i, &(depth, children, len)) in ops.iter().enumerate() {
+            let mut t = cursor + depth as u64;
+            for c in 0..children {
+                let end = t + len + 2;
+                match (c + i) % 3 {
+                    0 => out.push((end, at(EventKind::Cpu(CpuCategory::Python), "py", t, end))),
+                    1 => {
+                        let api = EventKind::Cpu(CpuCategory::CudaApi);
+                        out.push((end - 1, at(api, "launch", t + 1, end - 1)));
+                        out.push((end, at(EventKind::Cpu(CpuCategory::Backend), "mm", t, end)));
+                    }
+                    _ => {
+                        out.push((end, at(EventKind::Gpu(GpuCategory::Kernel), "k", t, end + len)))
+                    }
+                }
+                t = end;
+            }
+            for d in (0..depth).rev() {
+                let (start, end) = (cursor + d as u64, t + (depth - d) as u64);
+                out.push((end, at(EventKind::Operation, ["a", "b", "c"][d % 3], start, end)));
+            }
+            cursor = t + depth as u64 + 1;
+            if (i + 1) % phase_every == 0 {
+                let phase = ["p", "q"][i / phase_every % 2];
+                out.push((cursor, at(EventKind::Phase, phase, phase_start, cursor)));
+                phase_start = cursor;
+            }
+        }
+        out
+    }
+
+    /// Producers' streams merged near their close order: the producer
+    /// whose next event closed first goes next, except where `skew`
+    /// names another producer still running.
+    fn interleave(streams: &[Vec<(u64, Event)>], skew: &[usize]) -> Vec<Event> {
+        let mut next = vec![0; streams.len()];
+        let mut out = Vec::new();
+        for k in 0.. {
+            let running: Vec<usize> =
+                (0..streams.len()).filter(|&p| next[p] < streams[p].len()).collect();
+            let Some(&first) = running.iter().min_by_key(|&&p| (streams[p][next[p]].0, p)) else {
+                break;
+            };
+            let p = running.get(skew[k % skew.len()]).copied().unwrap_or(first);
+            out.push(streams[p][next[p]].1.clone());
+            next[p] += 1;
+        }
+        out
+    }
+
+    proptest! {
+        /// Near-sorted interleavings of one to four producers with deep
+        /// nests, pushed in random batches with `sort_pending` and
+        /// `tables_so_far` at random points. Each sort leaves both queues
+        /// in [`keyed_order`], every read and the final tables equal one
+        /// batch sweep of what was pushed, and a queue has a tail exactly
+        /// when, by a model of the rule written out here, its stragglers
+        /// stopped being rare since the last sort: a producer with rare
+        /// stragglers never leaves an in-order boundary waiting in a
+        /// tail.
+        #[test]
+        fn queue_sorts_only_what_is_pending_and_answers_like_one_batch_sweep(
+            pids in 1usize..5,
+            ops in prop::collection::vec((1usize..7, 0usize..5, 0u64..4), 1..120),
+            phase_every in 2usize..8,
+            skew in prop::collection::vec(0usize..12, 1..16),
+            batches in prop::collection::vec(1usize..300, 1..8),
+            acts in prop::collection::vec(0u8..4, 1..8),
+        ) {
+            let streams: Vec<_> = (0..pids)
+                .map(|p| {
+                    let mut own = ops.clone();
+                    own.rotate_left(p % ops.len());
+                    producer_stream(p as u32, &own, phase_every)
+                })
+                .collect();
+            let events = interleave(&streams, &skew);
+            let batch_sweep = |events: &[Event]| {
+                let mut sweep = OverlapSweep::new().with_phase_tagging();
+                sweep.push_batch(events).unwrap();
+                sweep.finalize_grouped()
+            };
+            let mut sweep = OverlapSweep::new().with_phase_tagging().with_checkpoint_spacing(4);
+            // Per queue: the highest time pushed, then since the last
+            // sort the pushes, the stragglers and whether they stopped
+            // being rare.
+            let mut model = [(0u64, 0usize, 0usize, false); 2];
+            let (mut fed, mut cuts, mut act) = (0, batches.iter().cycle(), acts.iter().cycle());
+            while fed < events.len() {
+                let batch = &events[fed..events.len().min(fed + cuts.next().unwrap())];
+                fed += batch.len();
+                sweep.push_batch(batch).unwrap();
+                for e in batch.iter().filter(|e| e.start != e.end) {
+                    for (m, t) in model.iter_mut().zip([e.start, e.end]) {
+                        let t = t.as_nanos();
+                        m.1 += 1;
+                        if t >= m.0 {
+                            m.0 = t;
+                        } else {
+                            m.2 += 1;
+                            m.3 |= m.2.is_multiple_of(STRAGGLER_BATCH) && m.2 * STRAGGLER_SHARE > m.1;
+                        }
+                    }
+                }
+                for (q, m) in [&sweep.log.starts, &sweep.log.ends].into_iter().zip(&model) {
+                    prop_assert_eq!(q.sorted_to < q.buf.len(), m.3, "tail after {} events", fed);
+                }
+                let act = *act.next().unwrap();
+                if act == 0 {
+                    continue;
+                }
+                let expected = [keyed_order(&sweep.log.starts), keyed_order(&sweep.log.ends)];
+                if act == 1 {
+                    sweep.sort_pending();
+                } else {
+                    prop_assert_eq!(sweep.tables_so_far(), batch_sweep(&events[..fed]));
+                }
+                prop_assert_eq!(&sweep.log.starts.buf, &expected[0]);
+                prop_assert_eq!(&sweep.log.ends.buf, &expected[1]);
+                for m in &mut model {
+                    (m.1, m.2, m.3) = (0, 0, false);
+                }
+            }
+            prop_assert_eq!(sweep.finalize_grouped(), batch_sweep(&events));
+        }
+    }
+
     /// Partial drains advance a released sweep's positions, `compact`
-    /// drops what lies behind them, and the sorted-prefix length and
+    /// drops what lies behind them, and the run length and
     /// the positions must follow — checked on the queue itself and
     /// through a sweep released behind a stream that is disordered
     /// ahead of the frontier.
     #[test]
-    fn boundary_queue_compact_keeps_the_prefix_length_right() {
+    fn boundary_queue_compact_keeps_the_run_length_right() {
         let mut q = queue_of((0..3000).map(|i| i * 10));
         let mut head = 2000; // where a partial drain stands
         q.min_time = q.buf[head].0;
@@ -2293,7 +2590,7 @@ mod tests {
         for t in [25_000, 24_995, 31_000, 20_000] {
             q.push((t, 0, 0));
         }
-        assert_eq!(q.sorted_to, 1000);
+        assert_eq!((q.sorted_to, q.stragglers.len()), (1001, 3));
         assert_sorts_in_keyed_order(&mut q, 0);
 
         let mut events = Vec::new();

@@ -45,9 +45,13 @@
 //! # Equivalence contract
 //!
 //! Overlap attribution at an instant depends only on the events active
-//! at that instant, and clipping to a window preserves exactly the
-//! in-window activity; attribution is therefore **additive across any
-//! partition of the time axis**. [`rollup_chunk_dir`] builds each
+//! at that instant *and* on the start order of the active operations
+//! and phases (the innermost operation, the latest-activated phase). A
+//! window query clips only CPU/GPU events, which preserves exactly the
+//! in-window activity, and admits every operation and phase that
+//! intersects the window with its own span, which preserves their start
+//! order; attribution is therefore **additive across any partition of
+//! the time axis**, exactly. [`rollup_chunk_dir`] builds each
 //! segment with the very [`Analysis`] window queries a reader would
 //! have run against the raw directory, so merging a contiguous run of
 //! segments reproduces one sweep of the covering window — table

@@ -186,15 +186,20 @@ fn reference_overlap(events: &[Event]) -> BreakdownTable {
     table
 }
 
-/// The window rule, written out independently of the executor: each
-/// event clipped to `[lo, hi)`, dropped when that leaves it empty, except
-/// an instant inside the window, which is kept for the presence it
-/// carries.
+/// The window rule, written out independently of the executor: an event
+/// that does not intersect `[lo, hi)` is dropped, except an instant
+/// inside the window, which is kept for the presence it carries; a
+/// CPU/GPU event that stays is clipped to the window, and an operation or
+/// phase keeps its own span, so the scopes open inside the window start
+/// in the order they did in the stream.
 fn clip_to(events: &[Event], lo: u64, hi: u64) -> Vec<Event> {
     let clip = |e: &Event| {
         let (start, end) = (e.start.as_nanos(), e.end.as_nanos());
         let (s, t) = (start.max(lo), end.min(hi));
-        (s < t || (start == end && lo <= start && start < hi)).then(|| Event {
+        let keep = s < t || (start == end && lo <= start && start < hi);
+        let scope = matches!(e.kind, EventKind::Operation | EventKind::Phase);
+        let (s, t) = if scope { (start, end) } else { (s, t) };
+        keep.then(|| Event {
             start: TimeNs::from_nanos(s),
             end: TimeNs::from_nanos(t),
             ..e.clone()
@@ -1050,6 +1055,82 @@ proptest! {
                 }
             }
         }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Windowed answers depend on the window, not on the storage tier:
+    /// a profiler-shaped multi-process stream (scopes recorded at close,
+    /// phases of different processes open at once) is written raw and
+    /// rewritten start-sorted, and the time axis is cut into windows.
+    /// Over every window the `(Phase, Operation)` tables of both
+    /// directories are equal as maps and equal the reference over the
+    /// window rule ([`clip_to`]), and summed over the windows they are
+    /// the whole stream's tables. Clipping a scope that spans a window's
+    /// start would make every such scope start there, in arrival order —
+    /// inside-out on the raw tier, by start on the sorted one.
+    #[test]
+    fn windowed_tables_agree_across_tiers_and_sum_over_a_partition(
+        pids in 2usize..5,
+        ops in prop::collection::vec((1usize..4, 0usize..5, 1u64..6, 0u64..3), 1..100),
+        phase_every in 2usize..6,
+        chunk_len in 4usize..40,
+        run_events in 4usize..24,
+        cuts in prop::collection::vec(1u64..1_000, 1..5),
+    ) {
+        use rlscope::core::analysis::GroupKey;
+        use rlscope::core::store::reorder_chunk_dir_with;
+        use std::collections::HashMap;
+
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let events = session_shaped(pids, &ops, phase_every);
+        let root = std::env::temp_dir().join(format!(
+            "rlscope_prop_windows_{}_{}", std::process::id(), CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let (raw, sorted) = (root.join("raw"), root.join("sorted"));
+        let writer = TraceWriter::create(&raw, 1).unwrap(); // one chunk per batch
+        for chunk in events.chunks(chunk_len) {
+            writer.write(chunk.to_vec());
+        }
+        writer.finish().unwrap();
+        reorder_chunk_dir_with(&raw, &sorted, 128, run_events).unwrap();
+
+        type Tables = HashMap<GroupKey, BreakdownTable>;
+        let by_phase_op = |q: Analysis<'_>| -> Tables {
+            q.group_by([Dim::Phase, Dim::Operation]).tables().unwrap().into_iter().collect()
+        };
+        let end = events.iter().map(|e| e.end.as_nanos()).max().unwrap() + 1;
+        let mut edges: Vec<u64> = cuts.iter().map(|c| c * end / 1_000).collect();
+        edges.extend([0, end]);
+        edges.sort_unstable();
+        edges.dedup();
+        let mut summed = Tables::new();
+        for w in edges.windows(2) {
+            let (lo, hi) = (TimeNs::from_nanos(w[0]), TimeNs::from_nanos(w[1]));
+            let from_raw = by_phase_op(Analysis::from_chunk_dir(&raw).time_window(lo, hi));
+            let from_sorted = by_phase_op(Analysis::from_chunk_dir(&sorted).time_window(lo, hi));
+            prop_assert_eq!(&from_raw, &from_sorted, "window [{}, {})", w[0], w[1]);
+            let reference: Tables = reference_phase_tables(&clip_to(&events, w[0], w[1]))
+                .into_iter()
+                .flat_map(|(phase, table)| {
+                    table.split_by_operation().into_iter().map(move |(op, t)| {
+                        let key = GroupKey {
+                            session: None,
+                            phase: Some(phase.clone()),
+                            process: None,
+                            operation: Some(op),
+                        };
+                        (key, t)
+                    })
+                })
+                .collect();
+            prop_assert_eq!(&from_raw, &reference, "window [{}, {}) vs reference", w[0], w[1]);
+            for (key, table) in from_raw {
+                summed.entry(key).or_default().merge(&table);
+            }
+        }
+        summed.retain(|_, table| !table.is_empty());
+        prop_assert_eq!(summed, by_phase_op(Analysis::from_chunk_dir(&raw)));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -369,9 +369,15 @@ fn stray_files(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
 /// equals the in-process reference, every failure is the typed
 /// `UnknownTarget` of a pruned session, and no session directory ever
 /// holds a file no writer puts there — a read that wrote an index back
-/// into a directory being dropped would leave one behind.
+/// into a directory being dropped would leave one behind. Every fourth
+/// question is the same shape as a `QUERY_ALL` fan-out grouped by
+/// session: it always answers, a pruned session drops out of it, and
+/// each finished session it names contributes exactly its reference.
 #[test]
 fn queries_racing_retention_answer_exactly_or_name_the_prune() {
+    use rlscope::core::analysis::GroupKey;
+    use rlscope::core::overlap::BreakdownTable;
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -390,7 +396,17 @@ fn queries_racing_retention_answer_exactly_or_name_the_prune() {
         0 => QuerySpec::session(name).group_by([Dim::Process]),
         k => QuerySpec::session(name).group_by([Dim::Phase]).window(0, k * SEGMENT_NS),
     };
-    let expected: Arc<Vec<Vec<String>>> = Arc::new(
+    let fan_out = |shape: u64| match shape {
+        0 => QuerySpec::all_sessions().group_by([Dim::Session, Dim::Process]),
+        k => {
+            QuerySpec::all_sessions().group_by([Dim::Session, Dim::Phase]).window(0, k * SEGMENT_NS)
+        }
+    };
+    // Each session's reference for each shape: its canonical JSON, and
+    // its groups as a map (what a fan-out's groups for that session are
+    // compared with).
+    type Groups = HashMap<GroupKey, BreakdownTable>;
+    let expected: Arc<Vec<Vec<(String, Groups)>>> = Arc::new(
         streams
             .iter()
             .map(|events| {
@@ -403,7 +419,8 @@ fn queries_racing_retention_answer_exactly_or_name_the_prune() {
                                 .group_by([Dim::Phase])
                                 .time_window(TimeNs::ZERO, TimeNs::from_nanos(k * SEGMENT_NS)),
                         };
-                        query.canonical_json().unwrap()
+                        let groups = query.tables().unwrap().into_iter().collect();
+                        (query.canonical_json().unwrap(), groups)
                     })
                     .collect()
             })
@@ -443,10 +460,37 @@ fn queries_racing_retention_answer_exactly_or_name_the_prune() {
                     }
                     let s = ((i + t) % ready) as usize;
                     let shape = (i * 7 + t) % SHAPES;
+                    if i % 4 == 3 {
+                        // A session still streaming answers live, and a
+                        // live snapshot answers no window.
+                        let shape = if ready < names.len() as u64 { 0 } else { shape };
+                        let reply = client
+                            .query_all(&fan_out(shape))
+                            .unwrap_or_else(|e| panic!("QUERY_ALL shape {shape}: {e}"));
+                        for (s, name) in names.iter().enumerate().take(ready as usize) {
+                            if !reply.sessions.contains(name) {
+                                continue; // pruned
+                            }
+                            let own: Groups = reply
+                                .groups
+                                .iter()
+                                .filter(|(key, _)| key.session.as_deref() == Some(name.as_str()))
+                                .map(|(key, table)| {
+                                    (GroupKey { session: None, ..key.clone() }, table.clone())
+                                })
+                                .collect();
+                            assert_eq!(
+                                own, expected[s][shape as usize].1,
+                                "QUERY_ALL {name} shape {shape}"
+                            );
+                        }
+                        answered += 1;
+                        continue;
+                    }
                     match client.query(&spec(&names[s], shape)) {
                         Ok(reply) => {
                             assert_eq!(
-                                reply.canonical_json, expected[s][shape as usize],
+                                reply.canonical_json, expected[s][shape as usize].0,
                                 "{} shape {shape}",
                                 names[s]
                             );
