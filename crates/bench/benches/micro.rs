@@ -138,6 +138,59 @@ fn interleaved_process_streams(n: usize, ops: usize, procs: u32, block: usize) -
     out
 }
 
+/// A collector session of `pids` processes, `n` events, as a profiler
+/// streams it: the process furthest behind runs its next operation, whose
+/// CPU/GPU children are recorded before it (a CUDA call inside a backend
+/// call, a kernel running past both), and each process's phase is
+/// recorded when it closes, two to three simulated seconds after it
+/// opened. The merged stream is therefore close-ordered across pids and
+/// keeps its phase starts far behind, so a cold sweep sorts nearly the
+/// whole log as one multi-producer tail.
+fn session_shaped_events(pids: u32, n: usize) -> Vec<Event> {
+    let mut rng = rlscope_sim::rng::SimRng::seed_from_u64(1);
+    let mut cursor: Vec<u64> = (0..pids).map(|_| rng.below(200_000) as u64).collect();
+    let mut phase_start = vec![0u64; pids as usize];
+    let mut phase_len: Vec<u64> =
+        (0..pids).map(|_| 2_000_000_000 + rng.below(1_000_000_000) as u64).collect();
+    let mut out = Vec::with_capacity(n + 32);
+    let span = |pid: usize, kind, name: &str, start: u64, end: u64| {
+        let (start, end) = (TimeNs::from_nanos(start), TimeNs::from_nanos(end));
+        Event::new(ProcessId(pid as u32), kind, name, start, end)
+    };
+    while out.len() < n {
+        let p = (0..pids as usize).min_by_key(|&p| cursor[p]).expect("pids > 0");
+        let op_start = cursor[p];
+        let mut t = op_start + rng.below(5_000) as u64;
+        for _ in 0..6 + rng.below(10) {
+            let dur = 50_000 + rng.below(180_000) as u64;
+            let end = t + dur;
+            match rng.below(4) {
+                0 => out.push(span(p, EventKind::Cpu(CpuCategory::Python), "py", t, end)),
+                1 => {
+                    let api = EventKind::Cpu(CpuCategory::CudaApi);
+                    out.push(span(p, api, "launch", t + dur / 4, t + dur / 2));
+                    out.push(span(p, EventKind::Cpu(CpuCategory::Backend), "mm", t, end));
+                    let kernel = EventKind::Gpu(GpuCategory::Kernel);
+                    out.push(span(p, kernel, "k", t + dur / 2, end + dur / 4));
+                }
+                2 => out.push(span(p, EventKind::Cpu(CpuCategory::Simulator), "sim", t, end)),
+                _ => out.push(span(p, EventKind::Gpu(GpuCategory::Memcpy), "copy", t, end)),
+            }
+            t = end + rng.below(40_000) as u64;
+        }
+        let op = ["inference", "backprop", "env_step"][rng.below(3)];
+        out.push(span(p, EventKind::Operation, op, op_start, t));
+        cursor[p] = t + rng.below(10_000) as u64;
+        if cursor[p] - phase_start[p] >= phase_len[p] {
+            let phase = ["collect", "train"][rng.below(2)];
+            out.push(span(p, EventKind::Phase, phase, phase_start[p], cursor[p]));
+            phase_start[p] = cursor[p];
+            phase_len[p] = 2_000_000_000 + rng.below(1_000_000_000) as u64;
+        }
+    }
+    out
+}
+
 /// The active positional benchmark filter, parsed with the harness's
 /// argument grammar (vendor/criterion): value-taking flags consume their
 /// next token, the LAST positional token is the filter (and single-dash
@@ -213,6 +266,32 @@ fn bench_overlap(c: &mut Criterion) {
         target,
         "the descending-run end-array sort fix measures ~1.3-1.8x here",
     );
+}
+
+fn bench_interleaved_cold(c: &mut Criterion) {
+    // A cold merged query of interleaved processes, as a chunk-directory
+    // scan runs it: the phase starts recorded at close hold the release
+    // frontier near zero, so every chunk is pushed (untimed) and the
+    // timed finalize sorts the multi-producer tail, then drains it,
+    // arbitrating the phase tag among four processes.
+    let id = "overlap_sweep/interleaved_4pid_cold";
+    if bench_filter().is_some_and(|f| !id.contains(f.as_str())) {
+        return;
+    }
+    let chunks: Vec<EventColumns> =
+        session_shaped_events(4, 200_000).chunks(8192).map(EventColumns::from_events).collect();
+    let pushed = || {
+        let mut sweep = OverlapSweep::new().with_phase_tagging();
+        for chunk in &chunks {
+            sweep.push_columns(chunk).unwrap();
+        }
+        sweep
+    };
+    let mut group = c.benchmark_group("overlap_sweep");
+    group.bench_function("interleaved_4pid_cold", |b| {
+        b.iter_batched(pushed, OverlapSweep::finalize_grouped, BatchSize::LargeInput)
+    });
+    group.finish();
 }
 
 fn bench_analysis(c: &mut Criterion) {
@@ -780,6 +859,7 @@ fn bench_gpu_scheduler(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_overlap,
+    bench_interleaved_cold,
     bench_analysis,
     bench_streaming,
     bench_live_snapshot,

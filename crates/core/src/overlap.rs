@@ -22,11 +22,10 @@
 //! (`BoundaryQueue`): only out-of-order pushes are ever sorted, once, by
 //! `sort_boundaries`, and merged into the run — and one loop
 //! (`DrainState::advance`) walks the sorted log and attributes
-//! segments. The sort splits what it sorts into one lane per producer
-//! (each pid's CPU/GPU edges, the operation edges, the phase edges),
-//! repairs each lane in O(n) as the near-sorted run a profiler emits,
-//! and merges the lanes by key. The engine is fed
-//! either way:
+//! segments. The sort is stable by time. One producer's pending
+//! boundaries are repaired in O(n) as the near-sorted run a profiler
+//! emits; several producers' are radix-sorted by time. The engine is
+//! fed either way:
 //!
 //! * **once** — an in-memory source (an event slice, an index subset of
 //!   one, a trace, decoded columns) pushes all of its rows into a
@@ -338,7 +337,7 @@ fn reverse_descending_runs(v: &mut [Boundary]) {
 /// displaced further is a straggler (see [`rotate_merge_repair`]).
 const REPAIR_WINDOW: usize = 256;
 
-/// One left-to-right repair pass over an almost-sorted lane: when an
+/// One left-to-right repair pass over an almost-sorted tail: when an
 /// element breaks the sorted prefix, the displaced predecessor block and
 /// the ascending run starting at the offender are merged by block
 /// rotations. An offender displaced further back than [`REPAIR_WINDOW`]
@@ -349,7 +348,7 @@ const REPAIR_WINDOW: usize = 256;
 /// time kept (its window only grows), so merging the stably sorted side
 /// list back with the rest winning ties is stable. `None` (with `v` a
 /// stability-preserving permutation of the input and `side` empty) when
-/// the work exceeds `budget` moved elements — the sign the lane is not
+/// the work exceeds `budget` moved elements — the sign the tail is not
 /// the near-sorted shape this pass is for.
 fn rotate_merge_repair(
     v: &mut [Boundary],
@@ -419,148 +418,99 @@ fn rotate_merge_repair(
     Some(w)
 }
 
-/// Stable sort of one producer lane by time (see [`sort_boundaries`]):
-/// strictly-descending runs reversed in an O(n) pre-pass, local disorder
-/// repaired by block rotations, stragglers sorted on the side and merged
-/// back. `false` when the repair gave up and the lane was sorted by
-/// comparison instead.
-fn sort_lane(v: &mut [Boundary], side: &mut Vec<Boundary>) -> bool {
-    reverse_descending_runs(v);
-    side.clear();
-    let budget = v.len() * 2 + 64;
-    let Some(kept) = rotate_merge_repair(v, side, budget) else {
-        v.sort_by_key(|b| b.0);
-        return false;
-    };
-    side.sort_by_key(|b| b.0);
-    v[kept..].copy_from_slice(side);
-    merge_adjacent_runs(v, kept);
-    true
-}
+/// Tails shorter than this are sorted by comparison: below it, a radix
+/// sort's digit histograms cost more than they save. On interleaved
+/// 4-process boundaries (2 cores) a radix sort costs about 2 µs before
+/// its first element, and the two break even at about 1 k boundaries.
+const RADIX_MIN: usize = 1024;
 
-/// The producer lane of a boundary: 0 for operation edges, 1 for phase
-/// edges, `2 + pid index` for CPU/GPU edges (see [`Boundary`]).
-#[inline]
-fn lane_of(b: &Boundary) -> usize {
-    // Written as a select, not a match: lanes interleave too finely for
-    // a branch to predict.
-    if b.2 > CODE_GPU {
-        (b.2 >> 31) as usize
-    } else {
-        2 + b.1 as usize
-    }
-}
-
-/// The order lanes merge in: time, then the arrival seq of a scope edge
-/// (0 for a CPU/GPU edge, whose same-time order is attribution-neutral),
-/// packed into one integer so a comparison is one compare.
-#[inline]
-fn merge_key(b: &Boundary) -> u128 {
-    u128::from(b.0) << 32 | u128::from(if b.2 > CODE_GPU { b.1 } else { 0 })
-}
-
-/// Stable merge of two keyed runs into `out`, `left` winning ties. The
-/// loop picks by a select, not a branch: which run the next boundary
-/// comes from is as good as random on interleaved producers.
-fn merge_keyed(left: &[Boundary], right: &[Boundary], out: &mut [Boundary]) {
-    let (mut l, mut r, mut o) = (0, 0, 0);
-    while l < left.len() && r < right.len() {
-        let take_right = merge_key(&right[r]) < merge_key(&left[l]);
-        out[o] = if take_right { right[r] } else { left[l] };
-        r += usize::from(take_right);
-        l += usize::from(!take_right);
-        o += 1;
-    }
-    let rest = left.len() - l;
-    out[o..o + rest].copy_from_slice(&left[l..]);
-    out[o + rest..].copy_from_slice(&right[r..]);
-}
+/// Bits per radix digit: a pass's histogram is 2048 counters, which stay
+/// in L1 while the pass scatters.
+const RADIX_BITS: u32 = 11;
 
 /// Sorts a queue's pending boundaries — its set-aside stragglers or its
-/// unsorted tail (see [`BoundaryQueue`]), here both called the tail — by
-/// **producer lane**, tuned for profiler streams. Returns how many lanes
-/// fell back to `sort_by_key`.
+/// unsorted tail (see [`BoundaryQueue`]), here both called the tail —
+/// stably by time: the result is exactly `v.sort_by_key(|b| b.0)`, so
+/// equal times keep push order. Returns `true` when a single producer's
+/// repair gave up and the tail was sorted by comparison instead.
 ///
 /// One process's stream is emitted near-chronologically: deeply nested
 /// annotation stacks make the *end* queue a chain of descending runs
 /// (each block of 64-deep scopes closes inside-out), the per-block close
 /// order leaves single boundaries out of place between runs, and a scope
-/// recorded at close lands far behind its start. [`sort_lane`] repairs exactly that
-/// in O(n). Merged processes interleave such streams, which no local
-/// repair can undo, so the tail is split into lanes read off the
-/// boundary (see [`lane_of`]) by a stable counting partition into one
-/// scratch buffer: each pid's CPU/GPU edges, all operation edges, all
-/// phase edges (a scope boundary carries its arrival seq, not its pid).
-/// Each lane is sorted on its own, and the lanes are merged in pairs by
-/// [`merge_key`]. A tail whose CPU/GPU edges all come from one pid is one
-/// lane, scopes included: a single process's stream is already the shape
-/// the repair is for, and splitting it would only add merges.
-///
-/// The result is ascending by time, with same-time scope edges in
-/// arrival order — which is push order, so a single-lane tail comes out
-/// exactly as one stable sort by time. Only where same-time CPU/GPU edges
-/// sit relative to other boundaries may differ from that sort, and no
-/// table can tell (see [`BoundaryQueue`]).
-fn sort_boundaries(v: &mut [Boundary]) -> usize {
-    let mut side = Vec::new();
-    // The smallest and largest pid index among the CPU/GPU edges: equal
-    // (or none) means one producer, else they size the lane table.
-    let (lo, hi) = v
-        .iter()
-        .filter(|b| b.2 <= CODE_GPU)
-        .fold((u32::MAX, 0), |(lo, hi), b| (lo.min(b.1), hi.max(b.1)));
-    if lo >= hi {
-        return usize::from(!sort_lane(v, &mut side));
-    }
-    let mut counts = vec![0usize; 3 + hi as usize];
-    for b in v.iter() {
-        counts[lane_of(b)] += 1;
-    }
-    let mut runs = Vec::with_capacity(counts.len());
-    let mut fill = Vec::with_capacity(counts.len());
-    let mut at = 0;
-    for &count in &counts {
-        fill.push(at);
-        if count > 0 {
-            runs.push(at..at + count);
+/// recorded at close lands far behind its start. A tail whose CPU/GPU
+/// edges all come from one pid is repaired as exactly that shape in
+/// O(n): strictly-descending runs reversed, local disorder merged by
+/// block rotations, stragglers sorted on the side and merged back.
+/// Merged processes interleave such streams, which no local repair can
+/// undo: a tail whose CPU/GPU edges come from several pids is radix
+/// sorted by time ([`radix_sort_by_time`]), or by comparison when it is
+/// short.
+fn sort_boundaries(v: &mut [Boundary]) -> bool {
+    let mut pids = v.iter().filter(|b| b.2 <= CODE_GPU).map(|b| b.1);
+    let first = pids.next();
+    if !pids.all(|p| Some(p) == first) {
+        if v.len() < RADIX_MIN {
+            v.sort_by_key(|b| b.0);
+        } else {
+            radix_sort_by_time(v);
         }
-        at += count;
+        return false;
     }
-    let mut scratch = vec![(0, 0, 0); v.len()];
-    for &b in v.iter() {
-        let slot = &mut fill[lane_of(&b)];
-        scratch[*slot] = b;
-        *slot += 1;
+    reverse_descending_runs(v);
+    let mut side = Vec::new();
+    let budget = v.len() * 2 + 64;
+    let Some(kept) = rotate_merge_repair(v, &mut side, budget) else {
+        v.sort_by_key(|b| b.0);
+        return true;
+    };
+    side.sort_by_key(|b| b.0);
+    v[kept..].copy_from_slice(&side);
+    merge_adjacent_runs(v, kept);
+    false
+}
+
+/// Stable LSD radix sort by time. Keys are `time - min` in
+/// [`RADIX_BITS`]-bit digits, and only as many passes run as the span
+/// of the keys needs, less those whose digit is the same for every
+/// boundary. One read of `v` counts every pass's digits; each pass is
+/// then a stable counting scatter between `v` and one scratch buffer.
+fn radix_sort_by_time(v: &mut [Boundary]) {
+    const MASK: u64 = (1 << RADIX_BITS) - 1;
+    let (min, max) = v.iter().fold((u64::MAX, 0), |(lo, hi), b| (lo.min(b.0), hi.max(b.0)));
+    let passes = (u64::BITS - (max - min).leading_zeros()).div_ceil(RADIX_BITS) as usize;
+    let mut counts = vec![[0usize; 1 << RADIX_BITS]; passes];
+    for b in v.iter() {
+        let mut key = b.0 - min;
+        for c in &mut counts {
+            c[(key & MASK) as usize] += 1;
+            key >>= RADIX_BITS;
+        }
     }
-    let mut fallbacks = 0;
-    for run in &runs {
-        fallbacks += usize::from(!sort_lane(&mut scratch[run.clone()], &mut side));
-    }
-    // Merge neighbouring runs pairwise, back and forth between the two
-    // buffers, until one is left.
-    let mut in_scratch = true;
-    while runs.len() > 1 {
+    let (first, n) = (v[0].0 - min, v.len());
+    let mut scratch = vec![(0, 0, 0); n];
+    let mut in_scratch = false;
+    for (pass, c) in counts.iter_mut().enumerate() {
+        let shift = pass as u32 * RADIX_BITS;
+        if c[((first >> shift) & MASK) as usize] == n {
+            continue;
+        }
+        let mut at = 0;
+        for k in c.iter_mut() {
+            (*k, at) = (at, at + *k);
+        }
         let (from, to): (&[Boundary], &mut [Boundary]) =
             if in_scratch { (&scratch, &mut *v) } else { (&*v, &mut scratch) };
-        runs = runs
-            .chunks(2)
-            .map(|pair| {
-                let (left, right) = (pair[0].clone(), pair[pair.len() - 1].clone());
-                let span = left.start..right.end;
-                if pair.len() == 2 {
-                    merge_keyed(&from[left], &from[right], &mut to[span.clone()]);
-                } else {
-                    to[span.clone()].copy_from_slice(&from[span.clone()]);
-                }
-                span
-            })
-            .collect();
+        for &b in from {
+            let slot = &mut c[(((b.0 - min) >> shift) & MASK) as usize];
+            to[*slot] = b;
+            *slot += 1;
+        }
         in_scratch = !in_scratch;
     }
     if in_scratch {
         v.copy_from_slice(&scratch);
     }
-    fallbacks
 }
 
 /// Per-phase breakdown tables in first-seen phase order; the label
@@ -642,25 +592,12 @@ pub fn compute_overlap_columns(cols: &EventColumns) -> BreakdownTable {
 
 /// Resolves the phase tag for the next segment under per-pid scoping:
 /// among processes with at least one active CPU/GPU event, the open
-/// phase with the latest activation order wins; [`NO_PHASE`] (id 0) when
-/// no active process has an open phase. Stack entries are
-/// `(activation order, phase id, seq)`.
-fn innermost_eligible_phase(
-    pid_activity: &[u32],
-    pid_phase_stacks: &[Vec<(u32, u32, u32)>],
-) -> u32 {
-    let mut best: Option<(u32, u32)> = None;
-    for (p, stack) in pid_phase_stacks.iter().enumerate() {
-        if pid_activity[p] == 0 {
-            continue;
-        }
-        if let Some(&(activation, id, _)) = stack.last() {
-            if best.is_none_or(|(a, _)| activation > a) {
-                best = Some((activation, id));
-            }
-        }
-    }
-    best.map_or(0, |(_, id)| id)
+/// phase with the latest activation order wins. Returns its key (see
+/// [`DrainState`]'s `winner`): 0, whose phase id is [`NO_PHASE`]'s, when
+/// no active process has an open phase.
+fn innermost_eligible_phase(pid_activity: &[u32], pid_tops: &[u64]) -> u64 {
+    let eligible = pid_tops.iter().zip(pid_activity).filter(|&(_, &active)| active > 0);
+    eligible.map(|(&top, _)| top).max().unwrap_or(0)
 }
 
 /// Error from [`OverlapSweep::push`].
@@ -701,14 +638,13 @@ impl std::error::Error for SweepError {}
 
 /// A logged interval boundary `(time, seq, meta)`. For CPU/GPU events
 /// `meta` is a kind code (`0..=4`) and `seq` carries the event's dense
-/// pid index — the boundary's producer lane when a tail is sorted. For
-/// operations `meta` is `8 + op_id`, for tracked phases
-/// [`META_PHASE_FLAG`]` | key` with `key` indexing the log's interned
-/// `(phase id, pid index)` pairs, and `seq` is the event's arrival
-/// number — the scope's identity, by which its end finds the entry its
-/// start pushed on a drain's stack, and its tie-break: same-time scope
-/// boundaries keep arrival order, while same-time CPU/GPU boundaries
-/// may sit anywhere among the boundaries of their time (see
+/// pid index: the owner whose activity a drain tracks, and what tells a
+/// sort one producer from several. For operations `meta` is
+/// `8 + op_id`, for tracked phases [`META_PHASE_FLAG`]` | key` with
+/// `key` indexing the log's interned `(phase id, pid index)` pairs, and
+/// `seq` is the event's arrival number — the scope's identity, by which
+/// its end finds the entry its start pushed on a drain's stack. Every
+/// sort is stable by time, so same-time boundaries keep push order (see
 /// [`BoundaryQueue`]).
 type Boundary = (u64, u32, u32);
 
@@ -751,40 +687,36 @@ const STRAGGLER_BATCH: usize = 64;
 ///
 /// **Merge rule.** `ensure_sorted` sorts the *pending* boundaries only —
 /// the stragglers or the tail, never both, since a fallback empties the
-/// side list into the tail — by producer lane (`sort_boundaries`: each
-/// pid's CPU/GPU edges, the operation edges and the phase edges each
-/// repaired in O(lane) as the near-sorted run a profiler emits, then
-/// merged in pairs by `(time, seq of a scope edge or 0)`) and merges
-/// them into the run stably by time, the run winning ties. The run is
-/// touched only from the pending minimum's insertion point on, and the
-/// shorter of the two is the one copied to scratch. The result is
-/// ascending by time, and same-time scope edges are in arrival (`seq`)
-/// order. Run-first on ties *is* push order: a straggler at time *t*
-/// arrived when the run already reached past *t*, so every run boundary
-/// at *t* was pushed before it; a tail's boundaries were all pushed
-/// after the run's, its stragglers first; and the lane merge orders the
-/// pending scope edges by seq. History is sorted once, and each later
-/// call pays for the boundaries pushed out of order since the previous
-/// one; a fully sorted stream never sorts at all. A drain state parked
-/// at a position stays right for as long as every later push has a time
-/// above the last one it processed: such a push can only land behind
-/// it.
+/// side list into the tail — stably by time (`sort_boundaries`: one
+/// producer's repaired in O(n) as the near-sorted run a profiler emits,
+/// several producers' radix-sorted) and merges them into the run stably
+/// by time, the run winning ties. The run is touched only from the
+/// pending minimum's insertion point on, and the shorter of the two is
+/// the one copied to scratch. The result is exactly one stable sort by
+/// time of the log in push order. Run-first on ties *is* push order: a
+/// straggler at time *t* arrived when the run already reached past *t*,
+/// so every run boundary at *t* was pushed before it; a tail's
+/// boundaries were all pushed after the run's, its stragglers first;
+/// and the pending sort keeps that order. History is sorted once, and
+/// each later call pays for the boundaries pushed out of order since
+/// the previous one; a fully sorted stream never sorts at all. A drain
+/// state parked at a position stays right for as long as every later
+/// push has a time above the last one it processed: such a push can
+/// only land behind it.
 ///
-/// **Why ties are safe.** Same-time boundaries are not always in push
-/// order: a tail of several producers puts a time's CPU/GPU edges ahead
-/// of its scope edges and groups them by pid, where one stable sort by
-/// time of the whole buffer would have interleaved them as pushed. No
-/// table can tell. Scope edges keep arrival order, which is
+/// **Why ties are safe.** Same-time boundaries are in push order, so
+/// same-time scope edges are in arrival (`seq`) order. That is
 /// load-bearing: the operation and phase stacks, and the phase
-/// activation order, are built from it. A CPU/GPU edge only moves
-/// counters (the category counts, the GPU count, its pid's activity)
-/// that no scope edge reads, those updates commute with each other, and
-/// no time accrues between equal times, so the next segment sees the
-/// same state in every order (see [`OverlapSweep::push`]). Which
-/// boundaries share a time, and so what is attributed, does not depend
-/// on the order at all; which of them a live drain's checkpoint stopped
-/// between does not either, since a checkpoint is only resumed when
-/// every later push is strictly later than its last time.
+/// activation order, are built from it. Where a same-time CPU/GPU edge
+/// sits is not: it only moves counters (the category counts, the GPU
+/// count, its pid's activity) that no scope edge reads, those updates
+/// commute with each other, and no time accrues between equal times,
+/// so the next segment sees the same state in every order (see
+/// [`OverlapSweep::push`]). Which boundaries share a time, and so what
+/// is attributed, does not depend on the order at all; which of them a
+/// live drain's checkpoint stopped between does not either, since a
+/// checkpoint is only resumed when every later push is strictly later
+/// than its last time.
 #[derive(Debug, Clone)]
 struct BoundaryQueue {
     buf: Vec<Boundary>,
@@ -803,8 +735,8 @@ struct BoundaryQueue {
     /// release that cannot make progress returns without consulting (or
     /// sorting) the buffer at all.
     min_time: u64,
-    /// Lanes `sort_boundaries` has sorted by comparison because their
-    /// repair gave up.
+    /// Single-producer tails `sort_boundaries` has sorted by comparison
+    /// because their repair gave up.
     #[cfg(test)]
     fallbacks: usize,
 }
@@ -889,13 +821,12 @@ impl BoundaryQueue {
         }
         // The disorder shapes that reach here (inside-out scope closes,
         // scopes recorded at close, several processes interleaved) are
-        // what `sort_boundaries` undoes in O(n); a full comparison sort
-        // of the pending window costs more than the merge loop that
-        // follows it.
+        // what `sort_boundaries` undoes in O(n): a repair for one
+        // producer, a radix sort for several.
         let _fell_back = sort_boundaries(&mut self.buf[split..]);
         #[cfg(test)]
         {
-            self.fallbacks += _fell_back;
+            self.fallbacks += usize::from(_fell_back);
         }
         // Run boundaries at or before the pending minimum are already
         // in their final place (the run wins ties).
@@ -1010,9 +941,8 @@ struct BoundaryLog {
     /// replaying old boundaries reads what their push wrote.
     phase_keys: Vec<(u32, u32)>,
     phase_key_ids: HashMap<(u32, u32), u32>,
-    /// Raw pid → dense index: a CPU/GPU boundary's sort lane, and its
-    /// slot in the per-pid drain state (read only when phases are
-    /// tracked).
+    /// Raw pid → dense index: a CPU/GPU boundary's `seq`, and its slot
+    /// in the per-pid drain state (read only when phases are tracked).
     pid_map: HashMap<u32, u32>,
     /// Memo of the last `(raw pid, dense index)` resolved: profiler
     /// streams run long same-pid stretches, so most lookups never touch
@@ -1084,9 +1014,16 @@ struct DrainState {
     cpu_mask: usize,
     gpu_active: u32,
     cur_op: u32,
-    /// Cached phase tag; recomputed lazily at attribution when
-    /// `phase_dirty`.
-    cur_phase: u32,
+    /// The phase tag: among active pids, the open phase activated last,
+    /// as its key `(activation order + 1) << 32 | phase id` (0, the
+    /// [`NO_PHASE`] id, when there is none), so the low word is the
+    /// segment's phase and the activation order decides by a compare. A
+    /// pid going busy is weighed against it in O(1) by its `pid_tops`
+    /// key. Only the winner going idle (its pid's top key is the
+    /// winner), or a phase opening or closing, sets `phase_dirty`; a
+    /// dirty winner is stale and is recomputed by
+    /// `innermost_eligible_phase` at the next attribution.
+    winner: u64,
     phase_dirty: bool,
     /// Global activation counter for phase starts, in drain order — the
     /// cross-pid innermost tie-break.
@@ -1095,11 +1032,14 @@ struct DrainState {
     /// its entry by seq from the top (the top itself unless scopes
     /// interleave) and removes it, so the stack holds open scopes only.
     op_stack: Vec<(u32, u32)>,
-    /// Per-pid stacks of open phases as `(activation order, phase id,
-    /// seq)`, closed the same way: phase scoping is per process (see
-    /// the module docs), so each pid keeps its own innermost phase and
-    /// `innermost_eligible_phase` arbitrates across active pids.
-    pid_phase_stacks: Vec<Vec<(u32, u32, u32)>>,
+    /// Per-pid stacks of open phases as `(key, seq)`, the key packed as
+    /// `winner`'s, closed the same way: phase scoping is per process
+    /// (see the module docs), so each pid keeps its own innermost phase
+    /// and `winner` arbitrates across active pids.
+    pid_phase_stacks: Vec<Vec<(u64, u32)>>,
+    /// Each pid's innermost open phase key (0 with none): the top of its
+    /// stack, in one flat array for the busy/idle checks.
+    pid_tops: Vec<u64>,
     /// Active CPU/GPU event count per pid; a pid's phases only tag
     /// segments while this is non-zero.
     pid_activity: Vec<u32>,
@@ -1124,11 +1064,12 @@ impl DrainState {
             cpu_mask: 0,
             gpu_active: 0,
             cur_op: untracked,
-            cur_phase: 0,
+            winner: 0,
             phase_dirty: false,
             next_phase_activation: 0,
             op_stack: Vec::new(),
             pid_phase_stacks: Vec::new(),
+            pid_tops: Vec::new(),
             pid_activity: Vec::new(),
             acc: vec![0; SLOTS],
             acc_ops: 1,
@@ -1159,6 +1100,7 @@ impl DrainState {
         self.acc.resize(n_phases * self.acc_ops * SLOTS, 0);
         self.pid_activity.resize(log.pid_map.len(), 0);
         self.pid_phase_stacks.resize_with(log.pid_map.len(), Vec::new);
+        self.pid_tops.resize(log.pid_map.len(), 0);
     }
 
     /// The sweep's one merge loop. Processes `log`'s boundaries from this
@@ -1189,7 +1131,7 @@ impl DrainState {
         let mut cpu_mask = self.cpu_mask;
         let mut gpu_active = self.gpu_active;
         let mut cur_op = self.cur_op;
-        let mut cur_phase = self.cur_phase;
+        let mut winner = self.winner;
         let mut phase_dirty = self.phase_dirty;
         let mut next_phase_activation = self.next_phase_activation;
         let track_phases = log.track_phases;
@@ -1199,6 +1141,7 @@ impl DrainState {
         let acc = &mut self.acc;
         let op_stack = &mut self.op_stack;
         let pid_phase_stacks = &mut self.pid_phase_stacks;
+        let pid_tops = &mut self.pid_tops;
         let pid_activity = &mut self.pid_activity;
         // The open attribution run: `acc[run_idx]` accrues
         // `[run_t0, prev_t]` once the bucket changes or activity stops.
@@ -1221,13 +1164,14 @@ impl DrainState {
             if have_prev && t > prev_t {
                 if cpu_mask != 0 || gpu_active > 0 {
                     if phase_dirty {
-                        cur_phase = innermost_eligible_phase(pid_activity, pid_phase_stacks);
+                        winner = innermost_eligible_phase(pid_activity, pid_tops);
                         phase_dirty = false;
                     }
                     let tag = FINEST_TAG[cpu_mask] as usize;
                     let gpu = (gpu_active > 0) as usize;
-                    let bucket =
-                        (cur_phase as usize * acc_ops + cur_op as usize) * SLOTS + tag * 2 + gpu;
+                    let bucket = (winner as u32 as usize * acc_ops + cur_op as usize) * SLOTS
+                        + tag * 2
+                        + gpu;
                     if bucket != run_idx {
                         if run_idx != usize::MAX {
                             acc[run_idx] += prev_t - run_t0;
@@ -1243,6 +1187,24 @@ impl DrainState {
             prev_t = t;
             have_prev = true;
 
+            // For CPU/GPU boundaries `seq` carries the pid index. A pid
+            // going busy takes the tag if its innermost phase opened
+            // after the winner's (a dirty winner is recomputed anyway);
+            // only the winner going idle can hand the tag to another
+            // pid, which takes a scan to find.
+            if track_phases && meta <= CODE_GPU {
+                let p = seq as usize;
+                let a = &mut pid_activity[p];
+                if is_start {
+                    *a += 1;
+                    if *a == 1 {
+                        winner = winner.max(pid_tops[p]);
+                    }
+                } else {
+                    *a -= 1;
+                    phase_dirty |= *a == 0 && winner != 0 && pid_tops[p] == winner;
+                }
+            }
             match meta {
                 code @ 0..=3 => {
                     let ci = code as usize;
@@ -1259,17 +1221,6 @@ impl DrainState {
                             cpu_mask &= !(1 << ci);
                         }
                     }
-                    // For CPU/GPU boundaries `seq` carries the pid index.
-                    if track_phases {
-                        let a = &mut pid_activity[seq as usize];
-                        if is_start {
-                            *a += 1;
-                            phase_dirty |= *a == 1;
-                        } else {
-                            *a -= 1;
-                            phase_dirty |= *a == 0;
-                        }
-                    }
                 }
                 CODE_GPU => {
                     if is_start {
@@ -1277,27 +1228,20 @@ impl DrainState {
                     } else {
                         gpu_active -= 1;
                     }
-                    if track_phases {
-                        let a = &mut pid_activity[seq as usize];
-                        if is_start {
-                            *a += 1;
-                            phase_dirty |= *a == 1;
-                        } else {
-                            *a -= 1;
-                            phase_dirty |= *a == 0;
-                        }
-                    }
                 }
                 m if m & META_PHASE_FLAG != 0 => {
                     let (phase_id, pid) = phase_keys[(m & !META_PHASE_FLAG) as usize];
                     let stack = &mut pid_phase_stacks[pid as usize];
                     if is_start {
-                        stack.push((next_phase_activation, phase_id, seq));
+                        let key =
+                            (u64::from(next_phase_activation) + 1) << 32 | u64::from(phase_id);
+                        stack.push((key, seq));
                         next_phase_activation += 1;
                     } else {
-                        let open = stack.iter().rposition(|e| e.2 == seq);
+                        let open = stack.iter().rposition(|e| e.1 == seq);
                         stack.remove(open.expect("a phase ends after it starts"));
                     }
+                    pid_tops[pid as usize] = stack.last().map_or(0, |e| e.0);
                     phase_dirty = true;
                 }
                 _ => {
@@ -1323,7 +1267,7 @@ impl DrainState {
         self.cpu_mask = cpu_mask;
         self.gpu_active = gpu_active;
         self.cur_op = cur_op;
-        self.cur_phase = cur_phase;
+        self.winner = winner;
         self.phase_dirty = phase_dirty;
         self.next_phase_activation = next_phase_activation;
         ei == ends.len() && ei < all_ends.len()
@@ -1526,13 +1470,11 @@ impl OverlapSweep {
     }
 
     /// Puts the log in the order a drain needs, in place, without
-    /// draining any of it. Nothing observable changes — the sweep
-    /// finalizes to the same table whether or not, and however often,
-    /// this is called (same-time CPU/GPU edges may land elsewhere among
-    /// their time's boundaries, which no table can tell; see
-    /// `BoundaryQueue`) — but the work is kept: a later call or drain
-    /// sorts only what was pushed since. Free when every push since the
-    /// last call arrived in order.
+    /// draining any of it. Nothing observable changes — the log ends up
+    /// in one order, a stable sort by time of every push, whether or
+    /// not, and however often, this is called — but the work is kept: a
+    /// later call or drain sorts only what was pushed since. Free when
+    /// every push since the last call arrived in order.
     pub fn sort_pending(&mut self) {
         self.log.starts.ensure_sorted();
         self.log.ends.ensure_sorted();
@@ -1617,17 +1559,11 @@ impl OverlapSweep {
                 return Err(SweepError::OrderViolation { start, swept_to: self.released_to });
             }
             // CPU/GPU boundaries reuse the seq field to carry the
-            // event's dense pid index: the sort splits a tail into one
-            // lane per pid by it, and per-pid activity tracking needs
-            // the owner at drain time. Moving a CPU/GPU edge among the
-            // boundaries of its time — other CPU/GPU edges or scope
-            // edges, as the lane merge does — cannot change any
-            // attribution: no time accrues between equal-time
-            // boundaries, and its counter updates commute with every
-            // other update at that time and are read by no scope edge.
-            // Operations and phases carry their arrival seq (see
-            // `Boundary`), which keeps their same-time order; everything
-            // else a drain needs to know about them is in the meta word.
+            // event's dense pid index: the sort tells one producer from
+            // several by it, and per-pid activity tracking needs the
+            // owner at drain time. Operations and phases carry their
+            // arrival seq (see `Boundary`); everything else a drain
+            // needs to know about them is in the meta word.
             let log = &mut self.log;
             let (seq, meta) = match tag {
                 0..=3 => (log.pid_index(e.pid()), u32::from(tag)),
@@ -2131,45 +2067,22 @@ mod tests {
     }
 
     /// The order `ensure_sorted` promises, by a model written out from
-    /// the `Boundary` layout rather than through the code under test. The
-    /// pending boundaries — the set-aside stragglers, then the tail — are
-    /// one stable sort by time when their CPU/GPU edges come from at most
-    /// one pid, else one stable sort by time, then the seq of a scope
-    /// edge (0 for a CPU/GPU edge), then the lane — operation edges,
-    /// phase edges, then each pid's CPU/GPU edges — which is what merging
-    /// the lanes in pairs, left winning ties, amounts to; then run and
-    /// pending are one stable sort by time, the run first.
-    fn keyed_order(q: &BoundaryQueue) -> Vec<Boundary> {
+    /// the queue's layout rather than through the code under test: one
+    /// stable sort by time of the run, then the set-aside stragglers,
+    /// then the tail — which is push order, so equal times keep it.
+    fn stable_order(q: &BoundaryQueue) -> Vec<Boundary> {
         let (run, tail) = q.buf.split_at(q.sorted_to);
-        let mut pending = [&q.stragglers[..], tail].concat();
-        let pids: std::collections::BTreeSet<u32> =
-            pending.iter().filter(|b| b.2 <= CODE_GPU).map(|b| b.1).collect();
-        if pids.len() <= 1 {
-            pending.sort_by_key(|b| b.0);
-        } else {
-            pending.sort_by_key(|&(t, seq, meta)| {
-                if meta <= CODE_GPU {
-                    (t, 0, 2, seq)
-                } else if meta & META_PHASE_FLAG == 0 {
-                    (t, seq, 0, 0)
-                } else {
-                    (t, seq, 1, 0)
-                }
-            });
-        }
-        let mut all = [run, &pending[..]].concat();
+        let mut all = [run, &q.stragglers[..], tail].concat();
         all.sort_by_key(|b| b.0);
         all
     }
 
-    /// `ensure_sorted` must leave the buffer exactly in [`keyed_order`]
-    /// — for scope edges alone that is one stable sort by time of the
-    /// whole log in push order, `seq` telling equal times apart — with
-    /// nothing left pending, the `consumed` boundaries a drain has walked
-    /// past where they were, and the smallest unconsumed time still
-    /// right.
-    fn assert_sorts_in_keyed_order(q: &mut BoundaryQueue, consumed: usize) {
-        let expected = keyed_order(q);
+    /// `ensure_sorted` must leave the buffer exactly in [`stable_order`]
+    /// with nothing left pending, the `consumed` boundaries a drain has
+    /// walked past where they were, and the smallest unconsumed time
+    /// still right.
+    fn assert_sorts_stably(q: &mut BoundaryQueue, consumed: usize) {
+        let expected = stable_order(q);
         let walked = q.buf[..consumed].to_vec();
         q.ensure_sorted();
         assert_eq!(q.buf, expected);
@@ -2185,7 +2098,7 @@ mod tests {
         q.push(op_edge(3, 4)); // below the run: set aside
         q.push(op_edge(9, 5)); // in order after it: extends the run
         assert_eq!((q.sorted_to, q.buf.len(), q.stragglers.len(), q.len()), (5, 5, 1, 6));
-        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_sorts_stably(&mut q, 0);
         q.push(op_edge(9, 6));
         assert_eq!(q.sorted_to, 7, "a sorted queue grows its run again");
     }
@@ -2201,7 +2114,7 @@ mod tests {
             q.push(op_edge(t, q.len() as u32));
         }
         assert_eq!((q.sorted_to, q.stragglers.len()), (8, 5));
-        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_sorts_stably(&mut q, 0);
         let seqs_at = |t: u64| -> Vec<u32> {
             q.buf.iter().filter(|b| b.0 == t).map(|b| b.1).collect::<Vec<_>>()
         };
@@ -2222,13 +2135,13 @@ mod tests {
             let mut q = queue_of(many);
             q.min_time = q.buf[consumed].0;
             assert_eq!((q.sorted_to, q.stragglers.len()), (11, 39));
-            assert_sorts_in_keyed_order(&mut q, consumed);
+            assert_sorts_stably(&mut q, consumed);
 
             let few = (0..50).map(|i| i * 10).chain([205, 120, 120, 333]);
             let mut q = queue_of(few);
             q.min_time = q.buf[consumed].0;
             assert_eq!((q.sorted_to, q.stragglers.len()), (50, 4));
-            assert_sorts_in_keyed_order(&mut q, consumed);
+            assert_sorts_stably(&mut q, consumed);
         }
     }
 
@@ -2239,10 +2152,10 @@ mod tests {
         let mut q = queue_of([1, 2, 3, 9, 7, 8, 3]);
         let untouched = q.buf[..3].to_vec();
         assert_eq!((q.sorted_to, q.stragglers.len()), (4, 3));
-        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_sorts_stably(&mut q, 0);
         assert_eq!(q.buf[..3], untouched[..]);
         let mut q = queue_of([1, 2, 3, 5, 4, 3]);
-        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_sorts_stably(&mut q, 0);
     }
 
     /// One straggler landing 10⁵ positions back in an otherwise sorted
@@ -2258,7 +2171,7 @@ mod tests {
             (q.sorted_to, q.buf.len(), q.stragglers.len()),
             (n as usize + 1, n as usize + 1, 1)
         );
-        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_sorts_stably(&mut q, 0);
         assert_eq!(q.buf[(n - 100_000) as usize + 1].1, n as u32);
     }
 
@@ -2293,7 +2206,7 @@ mod tests {
         let tail = &q.buf[q.sorted_to..];
         assert_eq!(tail[..set_aside.len()], set_aside[..]);
         assert_eq!(tail[set_aside.len()..], pushed[at..]);
-        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_sorts_stably(&mut q, 0);
         // After the sort the counts start over.
         let last = q.buf.last().unwrap().0;
         q.push(op_edge(last - 1, q.len() as u32));
@@ -2301,49 +2214,64 @@ mod tests {
         assert_eq!((q.sorted_to, q.stragglers.len()), (q.buf.len(), 1));
     }
 
-    /// A tail of three pids' CPU/GPU edges, operation edges and phase
-    /// edges on a coarse grid (so every kind ties with every other),
-    /// locally disordered, plus stragglers far behind their lane — a
-    /// whole-run operation, a CPU edge, a phase start — comes out in
-    /// keyed order without a fallback. A lane in random order falls
-    /// back on its own and leaves the others' repair alone.
-    #[test]
-    fn lane_sort_merges_interleaved_producers_in_keyed_order() {
-        let tail = |rng: &mut SimRng| {
-            let (mut q, mut seq) = (queue_of([0]), 1);
-            let mut scope = |t: u64, meta: u32| {
-                seq += 1;
-                (t, seq, meta)
-            };
-            for i in 0..3000u64 {
-                let t = i / 3 * 10 + 10 * rng.below(3) as u64;
-                let b = match rng.below(6) {
-                    0 => scope(t, META_OP_BASE + rng.below(3) as u32),
-                    1 => scope(t, META_PHASE_FLAG | rng.below(2) as u32),
-                    _ => (t, rng.below(3) as u32, rng.below(5) as u32),
-                };
-                q.push(b);
-            }
-            q.push(scope(10, META_OP_BASE));
-            q.push((20, 1, CODE_GPU));
-            q.push(scope(30, META_PHASE_FLAG));
-            q
-        };
-        let mut rng = SimRng::seed_from_u64(29);
-        let mut q = tail(&mut rng);
-        assert_sorts_in_keyed_order(&mut q, 0);
-        assert_eq!(q.fallbacks, 0);
-
-        let mut q = tail(&mut rng);
-        let from = q.sorted_to;
-        assert!(q.stragglers.is_empty() && from < 100, "interleaved producers make a tail");
-        for b in &mut q.buf[from..] {
-            if b.2 <= CODE_GPU && b.1 == 2 {
-                b.0 = rng.below(10_000) as u64;
-            }
+    proptest! {
+        /// `sort_boundaries` is exactly one stable sort by time, whatever
+        /// path it takes: one producer's repair, a short tail's
+        /// comparison sort, or several producers' radix sort. Boundaries
+        /// of every kind — each CPU/GPU code on a random pid, operation
+        /// and phase edges numbered by arrival — draw their times from a
+        /// small pool, so every kind ties with every other. The pools are
+        /// one time (0, `u64::MAX` or any other); times spread over the
+        /// whole range with both ends; a few steps of `2^shift` above a
+        /// base, which leaves the lowest digit passes nothing to do and
+        /// can saturate at `u64::MAX`; or one time but for about one
+        /// boundary in 2000, whose digits alone make a pass run. Lengths
+        /// cross the comparison-sort cutoff, and a radix-sorted tail
+        /// never falls back.
+        #[test]
+        fn sort_boundaries_is_one_stable_sort_by_time(
+            times in prop_oneof![
+                prop_oneof![Just(0u64), Just(u64::MAX), 0u64..u64::MAX].prop_map(|t| vec![t]),
+                prop::collection::vec(
+                    prop_oneof![Just(0u64), Just(u64::MAX), 0u64..u64::MAX],
+                    1..48
+                ),
+                (0u64..u64::MAX, prop::collection::vec(0u64..64, 1..48), 0u32..58).prop_map(
+                    |(base, steps, shift)| {
+                        steps.iter().map(|s| base.saturating_add(s << shift)).collect()
+                    }
+                ),
+                (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(most, lone)| {
+                    let mut pool = vec![most; 1999];
+                    pool.push(lone);
+                    pool
+                }),
+            ],
+            pids in 1u32..5,
+            picks in prop::collection::vec((0usize..1 << 16, 0u32..8, 0u32..7, 0u32..3), 0..2500),
+        ) {
+            let times: Vec<u64> = times;
+            let v: Vec<Boundary> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &(at, pid, kind, id))| {
+                    let t = times[at % times.len()];
+                    match kind {
+                        0..=CODE_GPU => (t, pid % pids, kind),
+                        5 => (t, i as u32, META_OP_BASE + id),
+                        _ => (t, i as u32, META_PHASE_FLAG | id),
+                    }
+                })
+                .collect();
+            let mut expected = v.clone();
+            expected.sort_by_key(|b| b.0);
+            let mut sorted = v;
+            let fell_back = sort_boundaries(&mut sorted);
+            prop_assert_eq!(sorted, expected);
+            let producers: std::collections::BTreeSet<u32> =
+                expected.iter().filter(|b| b.2 <= CODE_GPU).map(|b| b.1).collect();
+            prop_assert!(!fell_back || producers.len() <= 1);
         }
-        assert_sorts_in_keyed_order(&mut q, 0);
-        assert_eq!(q.fallbacks, 1);
     }
 
     /// A profiler-shaped stream like the e2e harness's sessions: `pids`
@@ -2396,11 +2324,12 @@ mod tests {
 
     /// The cold sweep of a 4-process session — and of a 1-process one,
     /// whose phase starts land thousands of boundaries behind — sorts
-    /// both queues in keyed order without one comparison-sort fallback,
-    /// whether the log is sorted once at the end or after every
-    /// 8192-event chunk, and both answer alike. The interleaved session
-    /// leaves one tail, nearly the whole log; the single process leaves
-    /// none, only its few stragglers set aside.
+    /// both queues in stable order, whether the log is sorted once at
+    /// the end or after every 8192-event chunk, and both answer alike.
+    /// The interleaved session leaves one tail, nearly the whole log,
+    /// which is radix-sorted; the single process leaves none, only its
+    /// few stragglers set aside, and repairs them without one
+    /// comparison-sort fallback.
     #[test]
     fn session_shaped_streams_sort_without_fallback() {
         for pids in [4, 1] {
@@ -2419,7 +2348,7 @@ mod tests {
                 } else {
                     assert!(q.buf.len() - q.sorted_to > 50_000, "one tail, nearly the whole log");
                 }
-                assert_sorts_in_keyed_order(q, 0);
+                assert_sorts_stably(q, 0);
             }
             for sweep in [&cold, &stepped] {
                 assert_eq!((sweep.log.starts.fallbacks, sweep.log.ends.fallbacks), (0, 0));
@@ -2502,7 +2431,7 @@ mod tests {
         /// Near-sorted interleavings of one to four producers with deep
         /// nests, pushed in random batches with `sort_pending` and
         /// `tables_so_far` at random points. Each sort leaves both queues
-        /// in [`keyed_order`], every read and the final tables equal one
+        /// in [`stable_order`], every read and the final tables equal one
         /// batch sweep of what was pushed, and a queue has a tail exactly
         /// when, by a model of the rule written out here, its stragglers
         /// stopped being rare since the last sort: a producer with rare
@@ -2559,7 +2488,7 @@ mod tests {
                 if act == 0 {
                     continue;
                 }
-                let expected = [keyed_order(&sweep.log.starts), keyed_order(&sweep.log.ends)];
+                let expected = [stable_order(&sweep.log.starts), stable_order(&sweep.log.ends)];
                 if act == 1 {
                     sweep.sort_pending();
                 } else {
@@ -2591,7 +2520,7 @@ mod tests {
             q.push((t, 0, 0));
         }
         assert_eq!((q.sorted_to, q.stragglers.len()), (1001, 3));
-        assert_sorts_in_keyed_order(&mut q, 0);
+        assert_sorts_stably(&mut q, 0);
 
         let mut events = Vec::new();
         for i in 0..4000u64 {
@@ -2722,6 +2651,40 @@ mod tests {
             late_names.push(pev(i as u32, EventKind::Phase, name, t - 5, t + 18));
         }
         assert_resumes_like_one_drain(&late_names);
+        // Four pids' phases, opened in pid order and recorded at open,
+        // under pid 0's backend call. The innermost phase's pid, pid 3,
+        // goes idle at 50 µs, where a checkpoint stops with the phase
+        // tag still to be recomputed, and the next push (pid 3 busy
+        // again from 55) resumes from it. The tag then passes d → c →
+        // d → c → b → a as pids go idle and busy.
+        let be = EventKind::Cpu(CpuCategory::Backend);
+        let handoff = [
+            pev(0, EventKind::Phase, "a", 0, 200),
+            pev(1, EventKind::Phase, "b", 10, 200),
+            pev(2, EventKind::Phase, "c", 20, 200),
+            pev(3, EventKind::Phase, "d", 30, 200),
+            pev(0, be, "be", 5, 150),
+            pev(1, py(), "py", 45, 80),
+            pev(2, sim(), "sim", 40, 70),
+            pev(3, py(), "py", 35, 50),
+            pev(3, py(), "py", 55, 60),
+        ];
+        assert_resumes_like_one_drain(&handoff);
+        let mut sweep = OverlapSweep::new().with_phase_tagging().with_checkpoint_spacing(1);
+        for e in &handoff[..8] {
+            sweep.push(e).unwrap();
+            sweep.tables_so_far();
+        }
+        assert!(
+            sweep.ladder.iter().any(|c| c.prev_t == 50_000 && c.phase_dirty),
+            "a checkpoint stops where the winner went idle"
+        );
+        let totals: Vec<(String, u64)> = swept_by_phase(handoff.iter())
+            .into_iter()
+            .map(|(phase, table)| (phase.to_string(), table.total().as_nanos() / 1000))
+            .collect();
+        let expected = [("a", 100), ("b", 10), ("c", 15), ("d", 20)];
+        assert_eq!(totals, expected.map(|(phase, us)| (phase.to_string(), us)));
     }
 
     /// Regression test for the global-phase-scoping bug: in a merged

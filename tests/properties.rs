@@ -922,10 +922,11 @@ proptest! {
         );
     }
 
-    /// The boundary sort splits a multi-process tail into one lane per
-    /// producer and merges the lanes by `(time, arrival of a scope)`;
-    /// the lane merge decides where same-time boundaries of different
-    /// pids and kinds sit. On a profiler-shaped stream whose starts tie
+    /// The boundary sort repairs one producer's tail and radix-sorts
+    /// several producers'; a drain keeps the phase tag's winning phase
+    /// and weighs each pid going busy against it, rescanning only when
+    /// the winner's pid goes idle or a phase opens or closes. On a
+    /// profiler-shaped stream of one to eight processes whose starts tie
     /// across pids and kinds, phase-grouped and plain answers equal the
     /// naive reference in memory, through a raw chunk directory whose
     /// sweeps are released behind the footers' frontier, and through a
@@ -933,7 +934,7 @@ proptest! {
     /// three boundaries apart).
     #[test]
     fn session_shaped_streams_match_reference_everywhere(
-        pids in 2usize..5,
+        pids in 1usize..9,
         ops in prop::collection::vec((1usize..4, 0usize..5, 1u64..6, 0u64..3), 1..100),
         phase_every in 2usize..6,
         chunk_lens in prop::collection::vec(8usize..40, 1..6),
@@ -955,7 +956,7 @@ proptest! {
         );
 
         let dir = std::env::temp_dir().join(format!(
-            "rlscope_prop_lanes_{}_{}", std::process::id(), CASE.fetch_add(1, Ordering::Relaxed)
+            "rlscope_prop_sessions_{}_{}", std::process::id(), CASE.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let writer = TraceWriter::create(&dir, 1).unwrap(); // one chunk per batch
