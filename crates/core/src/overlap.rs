@@ -418,12 +418,6 @@ fn rotate_merge_repair(
     Some(w)
 }
 
-/// Tails shorter than this are sorted by comparison: below it, a radix
-/// sort's digit histograms cost more than they save. On interleaved
-/// 4-process boundaries (2 cores) a radix sort costs about 2 µs before
-/// its first element, and the two break even at about 1 k boundaries.
-const RADIX_MIN: usize = 1024;
-
 /// Bits per radix digit: a pass's histogram is 2048 counters, which stay
 /// in L1 while the pass scatters.
 const RADIX_BITS: u32 = 11;
@@ -444,17 +438,12 @@ const RADIX_BITS: u32 = 11;
 /// block rotations, stragglers sorted on the side and merged back.
 /// Merged processes interleave such streams, which no local repair can
 /// undo: a tail whose CPU/GPU edges come from several pids is radix
-/// sorted by time ([`radix_sort_by_time`]), or by comparison when it is
-/// short.
+/// sorted by time ([`radix_sort_by_time`]).
 fn sort_boundaries(v: &mut [Boundary]) -> bool {
     let mut pids = v.iter().filter(|b| b.2 <= CODE_GPU).map(|b| b.1);
     let first = pids.next();
     if !pids.all(|p| Some(p) == first) {
-        if v.len() < RADIX_MIN {
-            v.sort_by_key(|b| b.0);
-        } else {
-            radix_sort_by_time(v);
-        }
+        radix_sort_by_time(v);
         return false;
     }
     reverse_descending_runs(v);
@@ -2216,17 +2205,17 @@ mod tests {
 
     proptest! {
         /// `sort_boundaries` is exactly one stable sort by time, whatever
-        /// path it takes: one producer's repair, a short tail's
-        /// comparison sort, or several producers' radix sort. Boundaries
-        /// of every kind — each CPU/GPU code on a random pid, operation
-        /// and phase edges numbered by arrival — draw their times from a
-        /// small pool, so every kind ties with every other. The pools are
+        /// path it takes: one producer's repair or several producers'
+        /// radix sort. Boundaries of every kind — each CPU/GPU code on a
+        /// random pid, operation and phase edges numbered by arrival —
+        /// draw their times from a small pool, so every kind ties with
+        /// every other. The pools are
         /// one time (0, `u64::MAX` or any other); times spread over the
         /// whole range with both ends; a few steps of `2^shift` above a
         /// base, which leaves the lowest digit passes nothing to do and
         /// can saturate at `u64::MAX`; or one time but for about one
         /// boundary in 2000, whose digits alone make a pass run. Lengths
-        /// cross the comparison-sort cutoff, and a radix-sorted tail
+        /// run from empty to a few thousand, and a radix-sorted tail
         /// never falls back.
         #[test]
         fn sort_boundaries_is_one_stable_sort_by_time(
