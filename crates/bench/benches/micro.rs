@@ -294,6 +294,26 @@ fn bench_interleaved_cold(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_chunk_dir_cold(c: &mut Criterion) {
+    // The same stream as a cold chunk-directory query, end to end, the
+    // shape of `query_tiers`' cold queries: 25 v3 chunks of 8192 events
+    // read, decoded, pushed, sorted and drained. A range this large sorts
+    // and drains on the decode stage's worker count.
+    let id = "analysis_query/chunk_dir_4pid_cold";
+    if bench_filter().is_some_and(|f| !id.contains(f.as_str())) {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("rlscope_bench_cold_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, chunk) in session_shaped_events(4, 200_000).chunks(8192).enumerate() {
+        std::fs::write(dir.join(format!("chunk_{i:05}.rls")), encode_events(chunk)).unwrap();
+    }
+    let query = || Analysis::from_chunk_dir(&dir).group_by([Dim::Phase, Dim::Operation]);
+    c.bench_function(id, |b| b.iter(|| query().tables().unwrap()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_analysis(c: &mut Criterion) {
     // The unified query API over the same 10k-event stream as
     // overlap_sweep/10000_events: the wrapper must stay within noise of
@@ -860,6 +880,7 @@ criterion_group!(
     benches,
     bench_overlap,
     bench_interleaved_cold,
+    bench_chunk_dir_cold,
     bench_analysis,
     bench_streaming,
     bench_live_snapshot,

@@ -801,6 +801,15 @@ enum Routed<T> {
     Settled(Settled),
 }
 
+/// Where a settled session read at one tier stands now
+/// ([`Daemon::tier_now`]): still there, moved on to a later tier — a
+/// read is retried there — or pruned.
+enum TierNow {
+    Held,
+    Moved(Settled),
+    Pruned,
+}
+
 impl Daemon {
     fn lookup(&self, name: &str) -> Option<Entry> {
         self.sessions.lock().get(name).cloned()
@@ -851,6 +860,17 @@ impl Daemon {
         match self.lookup(name)? {
             Entry::Settled(settled) if settled.epoch == epoch => Some(settled),
             _ => None,
+        }
+    }
+
+    /// Where the settled session `name`, read at `settled`'s tier,
+    /// stands now. Tiers only move forward, so a reader that retries at
+    /// each moved entry's tier stops.
+    fn tier_now(&self, name: &str, settled: &Settled) -> TierNow {
+        match self.current(name, settled.epoch) {
+            Some(now) if now.tier == settled.tier => TierNow::Held,
+            Some(now) => TierNow::Moved(now),
+            None => TierNow::Pruned,
         }
     }
 
@@ -1798,13 +1818,22 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
                 any_live = true;
                 (tables.events_observed(), Part::Tables(Arc::new(tables)))
             }
-            Routed::Settled(settled) => {
-                let events = match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
-                    Ok(index) => index.total_events(),
-                    // Pruned since the listing was taken.
-                    Err(_) if daemon.current(&name, settled.epoch).is_none() => continue,
-                    Err(error) => return Err(error),
+            Routed::Settled(mut settled) => {
+                // A tier transition can drop the directory mid-read: the
+                // index is then read again at the new tier, as
+                // `tiered_query` does.
+                let events = loop {
+                    match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
+                        Ok(index) => break Some(index.total_events()),
+                        Err(error) => match daemon.tier_now(&name, &settled) {
+                            TierNow::Held => return Err(error),
+                            TierNow::Moved(now) => settled = now,
+                            // Pruned since the listing was taken.
+                            TierNow::Pruned => break None,
+                        },
+                    }
                 };
+                let Some(events) = events else { continue };
                 match daemon.sealed(&name, &settled, spec) {
                     Some(tables) => (events, Part::Tables(tables)),
                     None => (events, Part::Dir(settled)),
@@ -1831,14 +1860,14 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
         let mut moved = false;
         parts.retain_mut(|(name, _, part)| {
             let Part::Dir(settled) = part else { return true };
-            match daemon.current(name, settled.epoch) {
-                Some(now) if now.tier == settled.tier => true,
-                Some(now) => {
+            match daemon.tier_now(name, settled) {
+                TierNow::Held => true,
+                TierNow::Moved(now) => {
                     *settled = now;
                     moved = true;
                     true
                 }
-                None => {
+                TierNow::Pruned => {
                     moved = true;
                     false
                 }
@@ -1918,19 +1947,21 @@ fn tiered_query(
     loop {
         let (dir, tier) = (tier_dir(&settled.dir, settled.tier), settled.tier);
         let sealed = || daemon.sealed(name, &settled, spec);
-        let held = || match daemon.current(name, settled.epoch) {
-            Some(now) if now.tier == tier => Ok(()),
+        let held = || match daemon.tier_now(name, &settled) {
+            TierNow::Held => Ok(()),
             _ => Err((ErrorCode::Io, format!("session {name:?} left the {tier:?} tier mid-read"))),
         };
         let result = settled_query(daemon, &dir, tier, spec, sealed, held);
         if let Err((ErrorCode::Io, _)) = &result {
-            match daemon.current(name, settled.epoch) {
-                Some(now) if now.tier > tier => {
+            match daemon.tier_now(name, &settled) {
+                TierNow::Held => {}
+                TierNow::Moved(now) => {
                     settled = now;
                     continue;
                 }
-                Some(_) => {}
-                None => return Err((ErrorCode::UnknownTarget, format!("no session {name:?}"))),
+                TierNow::Pruned => {
+                    return Err((ErrorCode::UnknownTarget, format!("no session {name:?}")))
+                }
             }
         }
         return result;

@@ -89,7 +89,9 @@
 //! stream order through bounded channels
 //! ([`crate::store::for_each_decoded_chunk_columns`]), so decode
 //! overlaps sweeping on multi-core machines with bounded in-flight
-//! memory.
+//! memory. The index the pushdown reads is built on the same worker
+//! count: [`crate::store::Manifest::open`] reads a large directory's
+//! chunk tails side by side.
 //!
 //! # The release frontier: how much of a directory a query holds
 //!
@@ -142,8 +144,17 @@
 //!   ([`LiveState::push_columns`]).
 //!
 //! Per-process sweeps run one after another on the calling thread (a
-//! thread per process measured no faster on two cores). Rows and
-//! columns go through one generic push body (see [`crate::overlap`]),
+//! thread per process measured no faster on two cores). Inside one
+//! sweep, a chunk-directory query also uses the decode stage's worker
+//! count (`available_parallelism`) for the sorts and drains the
+//! calling thread runs between and after pushes: a large sort puts the
+//! two boundary queues in order side by side, and a large drain —
+//! released or final — is cut into time slices that drain side by
+//! side into tables that are summed, exactly (see [`OverlapSweep`]'s
+//! docs on threads). Every other source keeps its sweeps on one
+//! thread: in-memory sources, and [`LiveState`], whose snapshots and
+//! seal run on a session's owner thread beside other sessions' ingest.
+//! Rows and columns go through one generic push body (see [`crate::overlap`]),
 //! pinned table-identical by `columnar_sweep_matches_batch_canonical_json`
 //! in `tests/properties.rs`.
 //!
@@ -314,8 +325,8 @@ use crate::overlap::{BreakdownTable, BucketKey, OverlapSweep, PhaseTables, Sweep
 use crate::report::BreakdownReport;
 use crate::rollup::{merge_phase_tables, Rollup};
 use crate::store::{
-    for_each_decoded_chunk_columns, ChunkQuery, EventColumns, EventRow, Manifest, TraceIoError,
-    TAG_OP, TAG_PHASE,
+    decode_workers, for_each_decoded_chunk_columns, ChunkQuery, EventColumns, EventRow, Manifest,
+    TraceIoError, TAG_OP, TAG_PHASE,
 };
 use crate::trace::Trace;
 use rlscope_sim::ids::ProcessId;
@@ -608,6 +619,16 @@ impl SweepSet {
             }
         }
         Ok(())
+    }
+
+    /// Lets every sweep of the set, and each one made later, sort and
+    /// drain a large range on up to `workers` threads
+    /// ([`OverlapSweep::set_workers`]).
+    fn fan_out(&mut self, workers: usize) {
+        let per_process = self.per_process.iter_mut().map(|(_, sweep)| sweep);
+        for sweep in self.merged.iter_mut().chain(&mut self.template).chain(per_process) {
+            sweep.set_workers(workers);
+        }
     }
 
     /// Releases every sweep to `t` ([`OverlapSweep::release_to`]).
@@ -1658,7 +1679,10 @@ fn push_chunks(set: &mut SweepSet, selection: &Selection) -> Result<(), Analysis
     // chunks do not keep: corrupt outside input, like any other.
     let corrupt = |err: SweepError| TraceIoError::Corrupt(err.to_string());
     let mut frontiers = selection.frontier.iter().copied();
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = decode_workers();
+    // A large sort or drain uses as many threads as the decode stage,
+    // also while the decode workers are still at work.
+    set.fan_out(threads);
     for_each_decoded_chunk_columns(&selection.files, threads, |cols| {
         set.push_rows(cols.rows()).map_err(corrupt)?;
         // Every sweep, those this chunk did not feed or only just

@@ -24,7 +24,10 @@
 //! (`DrainState::advance`) walks the sorted log and attributes
 //! segments. The sort is stable by time. One producer's pending
 //! boundaries are repaired in O(n) as the near-sorted run a profiler
-//! emits; several producers' are radix-sorted by time. The engine is
+//! emits; several producers' are radix-sorted by time. A sweep given
+//! more than one worker (a chunk-directory query's) sorts its two queues
+//! side by side and cuts a large drain into time slices that drain side
+//! by side, to the same tables (see [`OverlapSweep`]). The engine is
 //! fed either way:
 //!
 //! * **once** — an in-memory source (an event slice, an index subset of
@@ -748,6 +751,12 @@ impl BoundaryQueue {
         self.buf.len() + self.stragglers.len()
     }
 
+    /// Boundaries the next [`BoundaryQueue::ensure_sorted`] sorts: the
+    /// stragglers or the tail.
+    fn pending(&self) -> usize {
+        self.len() - self.sorted_to
+    }
+
     #[inline]
     fn push(&mut self, b: Boundary) {
         // Time-only order check against the run's last boundary: an
@@ -899,6 +908,25 @@ const META_PHASE_FLAG: u32 = 1 << 31;
 /// costs one [`DrainState`] copy.
 pub(crate) const CHECKPOINT_SPACING: usize = 512;
 
+/// Boundaries a drain's range must hold before it is cut into time
+/// slices, one per worker ([`DrainState::advance_sliced`]); a smaller
+/// range drains serially. `query_tiers`' directory queries drain ranges
+/// from under 1 Ki to 230 k boundaries, on both sides of this. In
+/// process, on 2 otherwise idle cores, two slices already beat one
+/// drain from about 5 k boundaries on (8 k: 0.071 → 0.049 ms; 200 k:
+/// 2.5 → 1.5 ms); but in the daemon, where the decode workers and other
+/// queries share the cores, lowering this and [`SORT_FANOUT_MIN`] to
+/// those break-evens left `query_tiers`' `query_ms_p50` where it was
+/// and cost 3 % more raw daemon CPU (20 alternated pairs).
+const DRAIN_FANOUT_MIN: usize = 64 * 1024;
+
+/// Boundaries each queue must have pending before
+/// [`OverlapSweep::sort_pending`] sorts the two side by side. In process
+/// that pays from about 2 k per queue (4 k: 0.096 → 0.074 ms; 100 k:
+/// 2.6 → 1.5 ms); the daemon's minimum is higher for the reason given
+/// at [`DRAIN_FANOUT_MIN`].
+const SORT_FANOUT_MIN: usize = 16 * 1024;
+
 /// How fast the checkpoint ladder thins with distance from the end of
 /// the log: two neighbours may stand `2 * spacing + distance / this`
 /// boundaries apart. A roll-back therefore re-drains at most
@@ -999,9 +1027,12 @@ struct DrainState {
     /// `have_prev`.
     prev_t: u64,
     have_prev: bool,
-    cpu_counts: [u32; 4],
-    cpu_mask: usize,
-    gpu_active: u32,
+    /// Active event count per kind code: the four CPU categories, then
+    /// the GPU at [`CODE_GPU`].
+    counts: [u32; 5],
+    /// Bit `code` set while `counts[code]` is non-zero: the low four bits
+    /// are the [`FINEST_TAG`] index, bit 4 is the GPU.
+    mask: usize,
     cur_op: u32,
     /// The phase tag: among active pids, the open phase activated last,
     /// as its key `(activation order + 1) << 32 | phase id` (0, the
@@ -1049,9 +1080,8 @@ impl DrainState {
             ei: 0,
             prev_t: 0,
             have_prev: false,
-            cpu_counts: [0; 4],
-            cpu_mask: 0,
-            gpu_active: 0,
+            counts: [0; 5],
+            mask: 0,
             cur_op: untracked,
             winner: 0,
             phase_dirty: false,
@@ -1116,9 +1146,8 @@ impl DrainState {
         // disjoint from them costs ~2x on the drain loop alone.
         let mut prev_t = self.prev_t;
         let mut have_prev = self.have_prev;
-        let mut cpu_counts = self.cpu_counts;
-        let mut cpu_mask = self.cpu_mask;
-        let mut gpu_active = self.gpu_active;
+        let mut counts = self.counts;
+        let mut mask = self.mask;
         let mut cur_op = self.cur_op;
         let mut winner = self.winner;
         let mut phase_dirty = self.phase_dirty;
@@ -1151,16 +1180,14 @@ impl DrainState {
                 ei += 1;
             }
             if have_prev && t > prev_t {
-                if cpu_mask != 0 || gpu_active > 0 {
+                if mask != 0 {
                     if phase_dirty {
                         winner = innermost_eligible_phase(pid_activity, pid_tops);
                         phase_dirty = false;
                     }
-                    let tag = FINEST_TAG[cpu_mask] as usize;
-                    let gpu = (gpu_active > 0) as usize;
                     let bucket = (winner as u32 as usize * acc_ops + cur_op as usize) * SLOTS
-                        + tag * 2
-                        + gpu;
+                        + FINEST_TAG[mask & 15] as usize * 2
+                        + (mask >> 4);
                     if bucket != run_idx {
                         if run_idx != usize::MAX {
                             acc[run_idx] += prev_t - run_t0;
@@ -1195,27 +1222,20 @@ impl DrainState {
                 }
             }
             match meta {
-                code @ 0..=3 => {
-                    let ci = code as usize;
+                code @ 0..=CODE_GPU => {
+                    let c = code as usize;
                     if is_start {
-                        if cpu_counts[ci] == 0 {
-                            cpu_mask |= 1 << ci;
+                        if counts[c] == 0 {
+                            mask |= 1 << c;
                         }
-                        cpu_counts[ci] += 1;
+                        counts[c] += 1;
                     } else {
-                        let n = &mut cpu_counts[ci];
+                        let n = &mut counts[c];
                         assert!(*n > 0, "unbalanced cpu event");
                         *n -= 1;
                         if *n == 0 {
-                            cpu_mask &= !(1 << ci);
+                            mask &= !(1 << c);
                         }
-                    }
-                }
-                CODE_GPU => {
-                    if is_start {
-                        gpu_active += 1;
-                    } else {
-                        gpu_active -= 1;
                     }
                 }
                 m if m & META_PHASE_FLAG != 0 => {
@@ -1252,14 +1272,134 @@ impl DrainState {
         self.ei = ei;
         self.prev_t = prev_t;
         self.have_prev = have_prev;
-        self.cpu_counts = cpu_counts;
-        self.cpu_mask = cpu_mask;
-        self.gpu_active = gpu_active;
+        self.counts = counts;
+        self.mask = mask;
         self.cur_op = cur_op;
         self.winner = winner;
         self.phase_dirty = phase_dirty;
         self.next_phase_activation = next_phase_activation;
         ei == ends.len() && ei < all_ends.len()
+    }
+
+    /// Moves the state through every boundary at or before `to` as
+    /// [`DrainState::advance`] would, without attributing anything — the
+    /// accumulator is left alone — and without merging the two queues:
+    /// the state after a time depends only on which boundaries lie
+    /// before it, not on the order they are met in. The ends in range
+    /// mark the scopes they close ([`ClosedScopes`]); the starts in
+    /// range then count in, and open, in start order, every scope not
+    /// closed, each phase taking the next activation number. Counts and
+    /// per-pid activity are sums, the stacks keep start order (what a
+    /// drain's pushes and removals leave), and the winner is left dirty,
+    /// to be recomputed at the next attribution.
+    fn skip_to(&mut self, log: &BoundaryLog, to: u64) {
+        let starts = &log.starts.buf[self.si..];
+        let ends = &log.ends.buf[self.ei..];
+        let (starts, ends) = (
+            &starts[..starts.partition_point(|b| b.0 <= to)],
+            &ends[..ends.partition_point(|b| b.0 <= to)],
+        );
+        let track_phases = log.track_phases;
+        let closed = ClosedScopes::new(starts, ends);
+        for &(_, seq, meta) in ends {
+            if meta <= CODE_GPU {
+                self.counts[meta as usize] = self.counts[meta as usize].wrapping_sub(1);
+                if track_phases {
+                    self.pid_activity[seq as usize] =
+                        self.pid_activity[seq as usize].wrapping_sub(1);
+                }
+            }
+        }
+        self.op_stack.retain(|e| !closed.contains(e.0));
+        for stack in &mut self.pid_phase_stacks {
+            stack.retain(|e| !closed.contains(e.1));
+        }
+        for &(_, seq, meta) in starts {
+            if meta <= CODE_GPU {
+                self.counts[meta as usize] = self.counts[meta as usize].wrapping_add(1);
+                if track_phases {
+                    self.pid_activity[seq as usize] =
+                        self.pid_activity[seq as usize].wrapping_add(1);
+                }
+            } else if meta & META_PHASE_FLAG != 0 {
+                let (phase_id, pid) = log.phase_keys[(meta & !META_PHASE_FLAG) as usize];
+                let key = (u64::from(self.next_phase_activation) + 1) << 32 | u64::from(phase_id);
+                self.next_phase_activation += 1;
+                if !closed.contains(seq) {
+                    self.pid_phase_stacks[pid as usize].push((key, seq));
+                }
+            } else if !closed.contains(seq) {
+                self.op_stack.push((seq, meta - META_OP_BASE));
+            }
+        }
+        // A count below zero wraps to far above any real one.
+        assert!(self.counts.iter().all(|&n| n <= u32::MAX / 2), "unbalanced cpu event");
+        self.mask = (0..self.counts.len()).filter(|&c| self.counts[c] != 0).map(|c| 1 << c).sum();
+        self.cur_op = self.op_stack.last().map_or(log.untracked, |&(_, id)| id);
+        for (top, stack) in self.pid_tops.iter_mut().zip(&self.pid_phase_stacks) {
+            *top = stack.last().map_or(0, |e| e.0);
+        }
+        self.phase_dirty = true;
+        let last = starts.last().map(|b| b.0).max(ends.last().map(|b| b.0));
+        if let Some(t) = last {
+            (self.prev_t, self.have_prev) = (t, true);
+        }
+        self.si += starts.len();
+        self.ei += ends.len();
+    }
+
+    /// [`DrainState::advance`] through every boundary at or before
+    /// `limit` (all when `None`), cut at the times in `cuts` into time
+    /// slices that drain side by side, one thread each; no cuts is one
+    /// serial drain. The slice before a cut at `c` takes the boundaries
+    /// before `c`, so equal times never straddle a cut.
+    ///
+    /// Each slice starts from the exact state at its cut
+    /// ([`DrainState::skip_to`], one pass over the range up to the last
+    /// cut), so slicing changes no answer. Its winner is dirty, which is
+    /// exact: a winner that is not dirty equals the largest top among
+    /// active pids, which is what the recomputation finds. A slice then
+    /// attributes each segment from the state a serial drain would
+    /// attribute it from, to the same bucket, so the slices' integer
+    /// accumulators sum to the serial one; the segment that spans a cut
+    /// is the next slice's, from `prev_t` on. The first slice is this
+    /// state itself and starts at once, beside the pass that finds the
+    /// later slices' states; the last runs on the calling thread and
+    /// becomes the state.
+    fn advance_sliced(&mut self, log: &BoundaryLog, limit: Option<u64>, cuts: &[u64]) {
+        if cuts.is_empty() {
+            self.advance(log, limit, usize::MAX);
+            return;
+        }
+        // The last time a slice ending at a cut takes (`None`: nothing).
+        let before = |cut: u64| cut.checked_sub(1).map(|c| limit.map_or(c, |l| l.min(c)));
+        let mut cursor = DrainState { acc: Vec::new(), ..self.clone() };
+        let zeroed = vec![0; self.acc.len()];
+        let mut slice = std::mem::replace(self, DrainState::new(0));
+        *self = std::thread::scope(|scope| {
+            let mut running = Vec::with_capacity(cuts.len());
+            for &cut in cuts {
+                let to = before(cut);
+                running.push(scope.spawn(move || {
+                    if to.is_some() {
+                        slice.advance(log, to, usize::MAX);
+                    }
+                    slice
+                }));
+                if let Some(to) = to {
+                    cursor.skip_to(log, to);
+                }
+                slice = DrainState { acc: zeroed.clone(), ..cursor.clone() };
+            }
+            slice.advance(log, limit, usize::MAX);
+            for part in running {
+                let part = part.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (sum, v) in slice.acc.iter_mut().zip(&part.acc) {
+                    *sum += v;
+                }
+            }
+            slice
+        });
     }
 
     /// One table per interned phase from the accumulator's rows, empty
@@ -1276,6 +1416,46 @@ impl DrainState {
                 (keep_empty || !table.is_empty()).then(|| (name.clone(), table))
             })
             .collect()
+    }
+}
+
+/// The operation and phase scopes whose ends lie in a range
+/// [`DrainState::skip_to`] skips, sized by the range, not the stream: a
+/// bitset over the seqs from the lowest to the highest of the scopes
+/// that start in the range, and, sorted, the few that close in it but
+/// fall outside those seqs (scopes opened before the range, which the
+/// open stacks hold).
+struct ClosedScopes {
+    lo: u32,
+    bits: Vec<u64>,
+    outside: Vec<u32>,
+}
+
+impl ClosedScopes {
+    fn new(starts: &[Boundary], ends: &[Boundary]) -> ClosedScopes {
+        let seqs = starts.iter().filter(|b| b.2 > CODE_GPU).map(|b| b.1);
+        let (lo, hi) = seqs.fold((u32::MAX, 0), |(lo, hi), seq| (lo.min(seq), hi.max(seq)));
+        let width = if lo > hi { 0 } else { (hi - lo) as usize + 1 };
+        let mut set = ClosedScopes { lo, bits: vec![0; width.div_ceil(64)], outside: Vec::new() };
+        for &(_, seq, meta) in ends {
+            if meta > CODE_GPU {
+                let i = seq.wrapping_sub(lo) as usize;
+                match set.bits.get_mut(i / 64) {
+                    Some(word) => *word |= 1 << (i % 64),
+                    None => set.outside.push(seq),
+                }
+            }
+        }
+        set.outside.sort_unstable();
+        set
+    }
+
+    fn contains(&self, seq: u32) -> bool {
+        let i = seq.wrapping_sub(self.lo) as usize;
+        match self.bits.get(i / 64) {
+            Some(word) => word >> (i % 64) & 1 != 0,
+            None => self.outside.binary_search(&seq).is_ok(),
+        }
     }
 }
 
@@ -1324,6 +1504,44 @@ impl DrainState {
 /// outside data, so it is checked: an event that starts before it fails
 /// its push with [`SweepError::OrderViolation`] rather than be
 /// attributed wrongly.
+///
+/// A drain, released or final, may cut its range into time slices
+/// (below): each slice holds one copy of the drain state, a few KB; the
+/// pass that finds a slice's start state holds a bit per seq that the
+/// scopes starting in the skipped range span; and the log is shared.
+/// Slicing adds nothing in proportion to the stream.
+///
+/// # Threads: which drains fan out
+///
+/// A sweep sorts and drains on the calling thread unless its owner
+/// hands it a worker budget (crate-internal): a chunk-directory query
+/// hands each of its sweeps the decode stage's worker count (see
+/// [`crate::analysis`]). Such a sweep sorts its two queues side by side
+/// once each has `SORT_FANOUT_MIN` boundaries pending
+/// ([`OverlapSweep::sort_pending`]), and cuts a drain of at least
+/// `DRAIN_FANOUT_MIN` boundaries into one time slice per worker, at the
+/// start queue's quantiles. Each slice starts from the exact state at
+/// its cut and drains into its own accumulator; the accumulators are
+/// summed. Slicing is exact, not approximate: every segment is
+/// attributed from the state a serial drain attributes it from, to the
+/// same bucket, and the sums are integers. The state at a cut is found
+/// by one pass over the boundaries before it that counts, opens and
+/// closes scopes but attributes nothing, and needs no merge of the two
+/// queues: which boundaries lie before a time fixes the state there.
+///
+/// Release drains fan out as well as the final one, although the decode
+/// workers are still at work while they run: a query's release drains
+/// hold about as many boundaries as its final drain, and on
+/// `query_tiers` fanning out only once decoding had finished kept a
+/// third of the gain (`query_ms_p50` −10 % against −31 %, 2 cores).
+///
+/// Live sweeps keep a budget of 1: `LiveState` snapshots and the seal
+/// of a finished session run on the session's owner thread, beside the
+/// other sessions' owners and their ingest, and a snapshot drains only
+/// what arrived since the last one. A seal fanned out the same way
+/// measured 16 % slower on `query_tiers`' `finish_to_breakdown_ms`
+/// (2 cores), where the other daemon is ingesting on both cores while
+/// a session seals.
 ///
 /// # Tables so far: resumable drains
 ///
@@ -1379,6 +1597,14 @@ pub struct OverlapSweep {
     /// drained left it.
     pending_after_release: usize,
     events_pushed: u64,
+    /// Threads a large sort or drain may use (see the type docs): 1
+    /// unless the owner hands the sweep a budget
+    /// ([`OverlapSweep::set_workers`]).
+    workers: usize,
+    /// Cut times every drain is sliced at instead of the workers'
+    /// quantiles, whatever its size: lets tests slice small streams.
+    #[cfg(test)]
+    forced_cuts: Option<Vec<u64>>,
 }
 
 impl Default for OverlapSweep {
@@ -1417,7 +1643,18 @@ impl OverlapSweep {
             released_to: 0,
             pending_after_release: 0,
             events_pushed: 0,
+            workers: 1,
+            #[cfg(test)]
+            forced_cuts: None,
         }
+    }
+
+    /// Lets a large sort or drain of this sweep use up to `workers`
+    /// threads (see the type docs). Crate-internal: a chunk-directory
+    /// query hands its sweeps the decode stage's worker count, and every
+    /// other sweep keeps 1.
+    pub(crate) fn set_workers(&mut self, workers: usize) {
+        self.workers = workers.max(1);
     }
 
     /// Enables phase tagging: phase events participate in the sweep and
@@ -1464,17 +1701,30 @@ impl OverlapSweep {
     /// not, and however often, this is called — but the work is kept: a
     /// later call or drain sorts only what was pushed since. Free when
     /// every push since the last call arrived in order.
+    ///
+    /// A sweep with more than one worker (see the type docs) sorts the
+    /// start queue and the end queue side by side once each has
+    /// `SORT_FANOUT_MIN` boundaries pending, one helper thread taking
+    /// the ends. The queues share nothing, so the order is the same.
     pub fn sort_pending(&mut self) {
-        self.log.starts.ensure_sorted();
-        self.log.ends.ensure_sorted();
+        let (starts, ends) = (&mut self.log.starts, &mut self.log.ends);
+        if self.workers > 1 && starts.pending().min(ends.pending()) >= SORT_FANOUT_MIN {
+            // The queues are disjoint: one helper takes the ends.
+            std::thread::scope(|scope| {
+                scope.spawn(|| ends.ensure_sorted());
+                starts.ensure_sorted();
+            });
+        } else {
+            starts.ensure_sorted();
+            ends.ensure_sorted();
+        }
     }
 
     /// Logged boundaries not yet in order: what the next
     /// [`OverlapSweep::sort_pending`] (or drain) will sort.
     #[cfg(test)]
     pub(crate) fn unsorted_boundaries(&self) -> usize {
-        let pending = |q: &BoundaryQueue| q.len() - q.sorted_to;
-        pending(&self.log.starts) + pending(&self.log.ends)
+        self.log.starts.pending() + self.log.ends.pending()
     }
 
     /// Boundaries the last [`OverlapSweep::tables_so_far`] processed:
@@ -1691,6 +1941,29 @@ impl OverlapSweep {
         self.ladder.truncate(kept);
     }
 
+    /// Where a drain to `limit` from the sweep's own state cuts its range
+    /// into time slices ([`DrainState::advance_sliced`]): at the start
+    /// queue's quantiles, one slice per worker, once the range holds
+    /// [`DRAIN_FANOUT_MIN`] boundaries; none (a serial drain) below it.
+    fn slice_cuts(&self, limit: Option<u64>) -> Vec<u64> {
+        #[cfg(test)]
+        if let Some(cuts) = &self.forced_cuts {
+            return cuts.clone();
+        }
+        if self.workers < 2 {
+            return Vec::new();
+        }
+        let within = |b: &Boundary| limit.is_none_or(|l| b.0 <= l);
+        let starts = &self.log.starts.buf[self.state.si..];
+        let n = starts.partition_point(within);
+        let range = n + self.log.ends.buf[self.state.ei..].partition_point(within);
+        if n == 0 || range < DRAIN_FANOUT_MIN {
+            return Vec::new();
+        }
+        let slices = self.workers;
+        (1..slices).map(|k| starts[k * n / slices].0).collect()
+    }
+
     /// Advances the sweep's own drain state through every logged
     /// boundary with time ≤ `limit` (all when `None`), for good: the log
     /// behind it is reclaimed.
@@ -1717,7 +1990,8 @@ impl OverlapSweep {
             }
         }
         self.state.fit(&self.log);
-        self.state.advance(&self.log, limit, usize::MAX);
+        let cuts = self.slice_cuts(limit);
+        self.state.advance_sliced(&self.log, limit, &cuts);
         // Checkpoints index a log whose front is about to move.
         self.ladder.clear();
         // A released sweep drains repeatedly: reclaim the consumed
@@ -2491,6 +2765,168 @@ mod tests {
             }
             prop_assert_eq!(sweep.finalize_grouped(), batch_sweep(&events));
         }
+    }
+
+    /// Everything of a drain state that a later boundary or read can
+    /// see, the phase winner as the next attribution finds it (a dirty
+    /// one is recomputed there).
+    fn drain_view(s: &DrainState) -> String {
+        let winner = if s.phase_dirty {
+            innermost_eligible_phase(&s.pid_activity, &s.pid_tops)
+        } else {
+            s.winner
+        };
+        format!(
+            "at {:?} prev {:?} counts {:?} mask {} op {} winner {winner} activations {} \
+             ops {:?} phases {:?} tops {:?} activity {:?} acc {:?}",
+            (s.si, s.ei),
+            (s.prev_t, s.have_prev),
+            s.counts,
+            s.mask,
+            s.cur_op,
+            s.next_phase_activation,
+            s.op_stack,
+            s.pid_phase_stacks,
+            s.pid_tops,
+            s.pid_activity,
+            s.acc,
+        )
+    }
+
+    proptest! {
+        /// A drain cut into one to four time slices ends where one
+        /// serial drain ends: the same positions, counts, operation and
+        /// phase stacks, activation counter, effective phase winner and
+        /// accumulator, after every release and at the end, and the same
+        /// tables. One to four producers' near-sorted interleavings with
+        /// nests up to six deep and phases recorded at close (so phases
+        /// are open across cuts) are pushed in batches, with or without
+        /// phase tagging. Each cut is a boundary's own time — times are
+        /// multiples of 10 ns, so it lands inside a run of equal times —
+        /// or any time from zero to past the end, so slices can be
+        /// empty. With `release`, every batch releases both sweeps to the
+        /// earliest start still to come, so drains stop at a limit and
+        /// the next one resumes past it.
+        #[test]
+        fn sliced_drains_match_one_serial_drain(
+            pids in 1usize..5,
+            ops in prop::collection::vec((1usize..7, 0usize..5, 0u64..4), 1..80),
+            phase_every in 2usize..8,
+            skew in prop::collection::vec(0usize..12, 1..16),
+            batches in prop::collection::vec(1usize..200, 1..6),
+            tagged in 0u8..2,
+            release in 0u8..2,
+            cuts in prop::collection::vec((0u8..2, 0usize..1 << 16, 0u64..1 << 20), 0..4),
+        ) {
+            let streams: Vec<_> = (0..pids)
+                .map(|p| {
+                    let mut own = ops.clone();
+                    own.rotate_left(p % ops.len());
+                    producer_stream(p as u32, &own, phase_every)
+                })
+                .collect();
+            let events = interleave(&streams, &skew);
+            let end = events.iter().map(|e| e.end.as_nanos()).max().unwrap_or(0);
+            let mut cuts: Vec<u64> = cuts
+                .iter()
+                .map(|&(own, at, t)| match own == 1 {
+                    true => {
+                        let e = &events[at % events.len()];
+                        if at % 2 == 0 { e.start.as_nanos() } else { e.end.as_nanos() }
+                    }
+                    false => t % (end + 20),
+                })
+                .collect();
+            cuts.sort_unstable();
+            let fresh = || {
+                let sweep = OverlapSweep::new();
+                if tagged == 1 { sweep.with_phase_tagging() } else { sweep }
+            };
+            let mut serial = fresh();
+            let mut sliced = fresh();
+            sliced.forced_cuts = Some(cuts);
+            let (mut fed, mut cut) = (0, batches.iter().cycle());
+            while fed < events.len() {
+                let batch = &events[fed..events.len().min(fed + cut.next().unwrap())];
+                fed += batch.len();
+                for sweep in [&mut serial, &mut sliced] {
+                    sweep.push_batch(batch).unwrap();
+                    if release == 1 {
+                        let rest = events[fed..].iter().map(|e| e.start.as_nanos()).min();
+                        sweep.release_to(rest.unwrap_or(u64::MAX));
+                    }
+                }
+                prop_assert_eq!(drain_view(&sliced.state), drain_view(&serial.state));
+            }
+            serial.drain(None);
+            sliced.drain(None);
+            prop_assert_eq!(drain_view(&sliced.state), drain_view(&serial.state));
+            prop_assert_eq!(
+                sliced.state.phase_tables(&sliced.log, true),
+                serial.state.phase_tables(&serial.log, true)
+            );
+        }
+    }
+
+    /// The closed set a skipped range builds is as wide as the seqs of
+    /// the scopes that start in it, however many the stream pushed
+    /// before: a phase opened at seq 0 and an operation far below the
+    /// range close in it, beside scopes a million seqs later, and a
+    /// CPU end (whose seq is a pid) marks nothing.
+    #[test]
+    fn closed_scopes_are_sized_by_the_range() {
+        let base = 1_000_000;
+        let mut starts: Vec<Boundary> =
+            (0..100).map(|i| (u64::from(i) * 10, base + i, META_OP_BASE)).collect();
+        starts.push((5, 7, CODE_GPU));
+        let ends = [
+            (3, 0, META_PHASE_FLAG),
+            (4, 12, META_OP_BASE + 1),
+            (6, 7, CODE_GPU),
+            (20, base + 1, META_OP_BASE),
+            (990, base + 99, META_OP_BASE),
+        ];
+        let closed = ClosedScopes::new(&starts, &ends);
+        assert_eq!((closed.lo, closed.bits.len()), (base, 2));
+        assert_eq!(closed.outside, [0, 12]);
+        for seq in [0, 12, base + 1, base + 99] {
+            assert!(closed.contains(seq), "{seq}");
+        }
+        for seq in [7, 13, base, base + 2, base + 100, u32::MAX] {
+            assert!(!closed.contains(seq), "{seq}");
+        }
+        let none = ClosedScopes::new(&starts[100..], &ends);
+        assert!(none.bits.is_empty() && none.contains(base + 99) && !none.contains(base));
+    }
+
+    /// Sorting the two queues side by side leaves the log exactly as
+    /// sorting them one after the other does: one stable sort by time
+    /// of every push. And a drain large enough to slice at the start
+    /// queue's quantiles answers as one serial drain.
+    #[test]
+    fn fanned_out_sort_and_drain_match_one_thread() {
+        let events = session_shaped(4, 40_000);
+        let mut serial = OverlapSweep::new().with_phase_tagging();
+        serial.push_batch(&events).unwrap();
+        let mut fanned = serial.clone();
+        fanned.set_workers(2);
+        let pending = fanned.log.starts.pending().min(fanned.log.ends.pending());
+        assert!(pending >= SORT_FANOUT_MIN, "both queues sort side by side");
+        let expected = [stable_order(&serial.log.starts), stable_order(&serial.log.ends)];
+        serial.sort_pending();
+        fanned.sort_pending();
+        for (sorted, order) in [&serial, &fanned]
+            .iter()
+            .flat_map(|s| [&s.log.starts, &s.log.ends].into_iter().zip(&expected))
+        {
+            assert_eq!(&sorted.buf, order);
+            assert_eq!((sorted.sorted_to, sorted.sorted_len), (order.len(), order.len()));
+            assert!(sorted.stragglers.is_empty());
+        }
+        fanned.state.fit(&fanned.log);
+        assert_eq!(fanned.slice_cuts(None).len(), 1, "two workers, two slices");
+        assert!(serial.slice_cuts(None).is_empty());
+        assert_eq!(fanned.finalize_grouped(), serial.finalize_grouped());
     }
 
     /// Partial drains advance a released sweep's positions, `compact`

@@ -1559,6 +1559,41 @@ pub struct ChunkSelection {
     pub total: usize,
 }
 
+/// Chunk tails [`Manifest::open`] gives each worker it reads them on.
+/// One tail costs 2–3 µs; measured on 2 warmed cores, two readers were
+/// no faster than one at 128 tails and faster from 256 on (1055 tails:
+/// 2.1 → 1.6 ms).
+const TAILS_PER_WORKER: usize = 128;
+
+/// The worker count of the decode stage
+/// ([`for_each_decoded_chunk_columns`] as directory queries call it),
+/// which [`Manifest::open`] reads the chunk tails on too.
+pub(crate) fn decode_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// [`Manifest::open`]'s entries for `paths`, in order: each chunk's
+/// footer off its tail, or, for a v1 or v2 chunk, from a decode.
+fn read_entries(paths: &[PathBuf]) -> Result<Vec<ManifestEntry>, TraceIoError> {
+    let mut entries = Vec::with_capacity(paths.len());
+    for path in paths {
+        let mut chunk = fs::File::open(path)?;
+        let size = chunk.metadata()?.len();
+        let footer = match read_footer_tail(&mut chunk, size)? {
+            Some(footer) => footer,
+            None => {
+                let mut data = Vec::new();
+                chunk.seek(io::SeekFrom::Start(0))?;
+                chunk.read_to_end(&mut data)?;
+                compute_footer_columns(&decode_columns(&data)?)
+            }
+        };
+        let file = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        entries.push(ManifestEntry { file, size, footer });
+    }
+    Ok(entries)
+}
+
 impl Manifest {
     /// Indexes the directory from its chunks: lists the chunk files in
     /// stream order and reads each one's footer from its tail (magic,
@@ -1574,23 +1609,22 @@ impl Manifest {
     /// [`TraceIoError::Corrupt`] for a chunk whose magic, trailer or
     /// footer fails validation (or, for v1/v2 chunks, whose body does).
     pub fn open(dir: &Path) -> Result<Manifest, TraceIoError> {
-        let mut entries = Vec::new();
-        for path in list_chunk_files(dir)? {
-            let mut chunk = fs::File::open(&path)?;
-            let size = chunk.metadata()?.len();
-            let footer = match read_footer_tail(&mut chunk, size)? {
-                Some(footer) => footer,
-                None => {
-                    let mut data = Vec::new();
-                    chunk.seek(io::SeekFrom::Start(0))?;
-                    chunk.read_to_end(&mut data)?;
-                    compute_footer_columns(&decode_columns(&data)?)
-                }
-            };
-            let file =
-                path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-            entries.push(ManifestEntry { file, size, footer });
-        }
+        let paths = list_chunk_files(dir)?;
+        let workers = decode_workers().min(paths.len() / TAILS_PER_WORKER).max(1);
+        // Contiguous runs, read side by side and joined in order, keep
+        // the entries in stream order; the calling thread reads the first.
+        let per = paths.len().div_ceil(workers).max(1);
+        let entries = std::thread::scope(|scope| {
+            let mut runs = paths.chunks(per);
+            let first = runs.next().unwrap_or_default();
+            let rest: Vec<_> = runs.map(|run| scope.spawn(move || read_entries(run))).collect();
+            let mut entries = read_entries(first)?;
+            for run in rest {
+                let lost = || io::Error::other("a chunk index reader panicked");
+                entries.extend(run.join().map_err(|_| lost())??);
+            }
+            Ok::<_, TraceIoError>(entries)
+        })?;
         Ok(Manifest { dir: dir.to_path_buf(), entries })
     }
 
@@ -2540,6 +2574,31 @@ mod tests {
             assert_eq!(entry.footer, compute_footer_columns(&decode_columns(&data).unwrap()));
         }
         assert!(!dir.join(MANIFEST_FILE).exists(), "the writer emits chunks only");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory with chunks enough to read its tails on several
+    /// workers is indexed in file-name order, entry for entry as one
+    /// reader indexes it, and a bad chunk in a later worker's run fails
+    /// the open with the typed error one reader gives.
+    #[test]
+    fn open_reads_many_tails_in_order_and_types_a_bad_one() {
+        let dir =
+            std::env::temp_dir().join(format!("rlscope_manifest_many_{}", std::process::id()));
+        write_dir(&dir, &sample_events(600), 2, 1);
+        let files = list_chunk_files(&dir).unwrap();
+        assert!(files.len() >= 2 * TAILS_PER_WORKER);
+        let manifest = Manifest::open(&dir).unwrap();
+        assert_eq!(manifest.entries(), &read_entries(&files).unwrap()[..]);
+        let names: Vec<&str> = manifest.entries().iter().map(|e| e.file.as_str()).collect();
+        assert!(names.windows(2).all(|w| (w[0].len(), w[0]) < (w[1].len(), w[1])));
+        let bad = &files[files.len() - 3];
+        let mut data = fs::read(bad).unwrap();
+        data[..8].copy_from_slice(b"NOTCHUNK");
+        fs::write(bad, data).unwrap();
+        let (one, many) = (read_entries(&files).unwrap_err(), Manifest::open(&dir).unwrap_err());
+        assert!(matches!(many, TraceIoError::Corrupt(_)));
+        assert_eq!(many.to_string(), one.to_string());
         fs::remove_dir_all(&dir).unwrap();
     }
 

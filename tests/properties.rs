@@ -312,6 +312,45 @@ fn union_len(mut ivs: Vec<(u64, u64)>) -> u64 {
     total
 }
 
+/// A directory query big enough that its sort and drain use the decode
+/// stage's worker count answers byte for byte as the one-thread
+/// in-memory analysis of the same stream: merged, windowed and per
+/// process. Each process's only phase closes with its last operation,
+/// so the release frontier stays at zero until the last chunks and the
+/// final drain takes about 140 k boundaries at once, over the fan-out
+/// minimum (64 Ki). Pinned to one CPU, both sides run on one thread.
+#[test]
+fn fanned_out_chunk_dir_query_matches_one_thread() {
+    let ops: Vec<_> =
+        (0..12_000).map(|i| (1 + i % 7, i % 5, 3 + (i % 4) as u64, (i % 3) as u64)).collect();
+    let events = session_shaped(4, &ops, 3_000);
+    assert!(events.len() > 64 * 1024 / 2, "{} events", events.len());
+    let dir = std::env::temp_dir().join(format!("rlscope_prop_fanout_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = TraceWriter::create(&dir, 1).unwrap(); // one chunk per batch
+    for chunk in events.chunks(8192) {
+        writer.write(chunk.to_vec());
+    }
+    writer.finish().unwrap();
+    let end = TimeNs::from_nanos(events.iter().map(|e| e.end.as_nanos()).max().unwrap() + 1);
+    type Shape = fn(Analysis<'_>, TimeNs) -> Analysis<'_>;
+    let queries: [(&str, Shape); 3] = [
+        ("by phase and operation", |q, _| q.group_by([Dim::Phase, Dim::Operation])),
+        ("windowed", |q, end| {
+            q.time_window(TimeNs::ZERO, end).group_by([Dim::Phase, Dim::Operation])
+        }),
+        ("by process", |q, _| q.group_by([Dim::Process])),
+    ];
+    for (what, shape) in queries {
+        assert_eq!(
+            shape(Analysis::from_chunk_dir(&dir), end).canonical_json().unwrap(),
+            shape(Analysis::of_events(&events), end).canonical_json().unwrap(),
+            "{what}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 proptest! {
     /// Conservation: the sweep attributes exactly the union of all
     /// instrumented intervals — no time invented, none lost.
