@@ -38,7 +38,6 @@
 //! assert_eq!(out, 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

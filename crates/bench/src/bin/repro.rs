@@ -14,6 +14,9 @@
 //!   it mid-flight and after finish, and prints both breakdowns
 //! ```
 
+// CLI errors exit with a message; they never unwrap or panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rlscope_bench::*;
 use rlscope_collector::{Collector, CollectorConfig, CollectorSink, QuerySpec};
 use rlscope_core::analysis::Dim;

@@ -5,8 +5,6 @@
 //! figure from the RL-Scope paper and renders them as text. The `repro`
 //! binary prints them; `EXPERIMENTS.md` records paper-vs-measured.
 
-#![forbid(unsafe_code)]
-
 pub mod gate;
 
 use rlscope_core::event::CpuCategory;

@@ -6,8 +6,8 @@
 
 use crate::compact::{self, JobKind, RetentionPolicy};
 use crate::protocol::{
-    encode_error, kind, CollectorError, ErrorCode, HelloAck, HelloRequest, QueryAllReply,
-    QueryReply, QuerySpec, QueryTarget, SessionInfo, SessionList, PROTOCOL_VERSION,
+    encode_error, kind, CollectorError, ErrorCode, FrameKind, HelloAck, HelloRequest,
+    QueryAllReply, QueryReply, QuerySpec, QueryTarget, SessionInfo, SessionList, PROTOCOL_VERSION,
 };
 use crate::registry::{SessionRecord, SessionStatus, StorageTier};
 use crate::transport::Stream;
@@ -49,7 +49,9 @@ use std::time::{Duration, Instant};
 pub mod fault {
     use parking_lot::Mutex;
     use rlscope_core::store::TraceIoError;
+    use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[derive(Debug, Default)]
     struct Inner {
@@ -57,6 +59,30 @@ pub mod fault {
         fail_chunk_writes_from: Option<u64>,
         torn_bytes: Option<usize>,
         fail_compaction: bool,
+        /// The next settled query's hook: tell the test it arrived, then
+        /// wait for the release.
+        park: Option<(SyncSender<()>, Receiver<()>)>,
+    }
+
+    /// A settled-tier query held between its index read and its answer
+    /// ([`FaultPlan::park_next_settled_query`]); dropping it releases
+    /// the query too.
+    #[derive(Debug)]
+    pub struct ParkedQuery {
+        arrived: Receiver<()>,
+        release: SyncSender<()>,
+    }
+
+    impl ParkedQuery {
+        /// Waits up to `timeout` for a query to reach the hook.
+        pub fn wait_parked(&self, timeout: Duration) -> bool {
+            self.arrived.recv_timeout(timeout).is_ok()
+        }
+
+        /// Lets the parked query go on to its answer.
+        pub fn release(self) {
+            let _ = self.release.send(());
+        }
     }
 
     /// A mutable fault schedule for the daemon's chunk writes and
@@ -127,6 +153,25 @@ pub mod fault {
 
         pub(crate) fn compaction_fails(&self) -> bool {
             self.inner.lock().fail_compaction
+        }
+
+        /// Parks the next settled-tier query after it has read its
+        /// tier's index and before it answers, until the returned
+        /// [`ParkedQuery`] is released — the window in which a tier
+        /// transition can move or prune what the query is reading.
+        pub fn park_next_settled_query(&self) -> ParkedQuery {
+            let (arrived_tx, arrived) = sync_channel(1);
+            let (release, release_rx) = sync_channel(1);
+            self.inner.lock().park = Some((arrived_tx, release_rx));
+            ParkedQuery { arrived, release }
+        }
+
+        pub(crate) fn settled_query_hook(&self) {
+            let park = self.inner.lock().park.take();
+            if let Some((arrived, release)) = park {
+                let _ = arrived.send(());
+                let _ = release.recv();
+            }
         }
     }
 
@@ -459,7 +504,7 @@ impl ChunkStore {
             match plan.next_chunk_write() {
                 fault::ChunkWriteFault::Pass => {}
                 fault::ChunkWriteFault::Torn(keep) => {
-                    let _ = fs::write(path, &payload[..keep.min(payload.len())]);
+                    let _ = fs::write(path, payload.get(..keep).unwrap_or(payload));
                     return Err(fault::injected_enospc());
                 }
                 fault::ChunkWriteFault::Fail => return Err(fault::injected_enospc()),
@@ -1372,20 +1417,31 @@ fn handle_connection(daemon: &Arc<Daemon>, mut stream: Stream) {
                 break Msg::Abort(error);
             }
         };
-        let outcome: Result<(), ConnError> = match frame.0 {
-            kind::HELLO => handle_hello(daemon, &writer, &mut session, &frame.1),
-            kind::CHUNK => handle_chunk(daemon, session.as_deref(), frame.1),
-            kind::FINISH => {
+        // Every kind is named: a new one does not compile until it is
+        // handled here.
+        let outcome: Result<(), ConnError> = match FrameKind::from_u8(frame.0) {
+            Some(FrameKind::Hello) => handle_hello(daemon, &writer, &mut session, &frame.1),
+            Some(FrameKind::Chunk) => handle_chunk(daemon, session.as_deref(), frame.1),
+            Some(FrameKind::Finish) => {
                 let result = handle_finish(daemon, session.as_deref());
                 if result.is_ok() {
                     session = None; // clean finish: nothing left to detach
                 }
                 result
             }
-            kind::QUERY => handle_query(daemon, &writer, &frame.1),
-            kind::LIST_SESSIONS => handle_list_sessions(daemon, &writer),
-            kind::QUERY_ALL => handle_query_all(daemon, &writer, &frame.1),
-            other => Err((ErrorCode::Protocol, format!("unexpected frame kind {other:#04x}"))),
+            Some(FrameKind::Query) => handle_query(daemon, &writer, &frame.1),
+            Some(FrameKind::ListSessions) => handle_list_sessions(daemon, &writer),
+            Some(FrameKind::QueryAll) => handle_query_all(daemon, &writer, &frame.1),
+            Some(
+                FrameKind::HelloAck
+                | FrameKind::ChunkAck
+                | FrameKind::FinishAck
+                | FrameKind::QueryOk
+                | FrameKind::Sessions
+                | FrameKind::QueryAllOk
+                | FrameKind::Error,
+            )
+            | None => Err((ErrorCode::Protocol, format!("unexpected frame kind {:#04x}", frame.0))),
         };
         if let Err(error) = outcome {
             send_error(&writer, error.0, &error.1);
@@ -1991,6 +2047,10 @@ fn settled_query(
     held: impl FnOnce() -> Result<(), ConnError>,
 ) -> Result<QueryReply, ConnError> {
     let index = tier_index(dir, tier)?;
+    #[cfg(feature = "fault-inject")]
+    if let Some(plan) = &daemon.config.faults {
+        plan.settled_query_hook();
+    }
     let (checksum, events) = (index.checksum(), index.total_events());
     let key = (dir.to_string_lossy().into_owned(), spec.encode());
     let cached = daemon.cache.lock().get(&key).filter(|cached| cached.checksum == checksum);

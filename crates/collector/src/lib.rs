@@ -135,6 +135,10 @@
 //! | `0x86` | S→C | `QUERY_ALL_OK` | a [`QueryAllReply`]: machine-mergeable grouped tables (see its docs) |
 //! | `0xFF` | S→C | `ERROR` | `code:u8` \| `msg_len:u16` \| message |
 //!
+//! The kinds are the variants of [`FrameKind`]; a unit test checks this
+//! table against them (a row per kind, none stale) and that each kind
+//! is written by the side the `dir` column names.
+//!
 //! **Handshake.** A session connection opens with `HELLO` (protocol
 //! version [`PROTOCOL_VERSION`], session name `[A-Za-z0-9_.-]{1,64}` —
 //! it names the on-disk chunk directory, so path characters are
@@ -294,7 +298,28 @@
 //! [`decode_columns`]: rlscope_core::store::decode_columns
 //! [`read_frame`]: rlscope_core::store::read_frame
 
-#![forbid(unsafe_code)]
+// The never-panic contract: outside tests, nothing in this crate may
+// unwrap, expect, panic, index unchecked or assert (`clippy.toml` beside
+// this crate disallows the non-debug `assert*` macros). A site outside
+// the contract says so with `#[expect(.., reason = "..")]`: an `allow`,
+// or an exemption without a reason, is an error too.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+// Tests assert freely (`disallowed_macros` warns by default).
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -311,8 +336,8 @@ pub use compact::RetentionPolicy;
 pub use daemon::{Collector, CollectorConfig, RecoveredSession, SessionPhase};
 pub use fleet::{FleetClient, FleetResult, ShardReport};
 pub use protocol::{
-    CollectorError, ErrorCode, HelloAck, HelloRequest, QueryAllReply, QueryReply, QuerySpec,
-    QueryTarget, SessionInfo, SessionList, PROTOCOL_VERSION,
+    CollectorError, ErrorCode, FrameKind, HelloAck, HelloRequest, QueryAllReply, QueryReply,
+    QuerySpec, QueryTarget, SessionInfo, SessionList, PROTOCOL_VERSION,
 };
 pub use registry::StorageTier;
 pub use transport::{Endpoint, Stream};

@@ -19,104 +19,153 @@ use std::sync::Arc;
 /// `HELLO_ACK` carrying the session epoch and acked-chunk watermark.
 pub const PROTOCOL_VERSION: u32 = 2;
 
-/// Frame kinds (the `kind` byte of the wire framing).
+/// Declares a `#[repr(u8)]` wire enum and its `from_u8` decoder from one
+/// variant list. The decoder then cannot miss a variant, and two
+/// variants on one code fail to compile (E0081).
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $code:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[repr(u8)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant = $code,)+
+        }
+
+        impl $name {
+            /// The variant for a wire byte, if known.
+            pub fn from_u8(v: u8) -> Option<$name> {
+                match v {
+                    $($code => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+wire_enum! {
+    /// Frame kinds (the `kind` byte of the wire framing). The daemon
+    /// dispatches on every variant, so a new kind does not compile until
+    /// the daemon handles it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FrameKind {
+        /// Client → server: open or resume a profiling session
+        /// ([`HelloRequest`]).
+        Hello = 0x01,
+        /// Client → server: `seq:u64` followed by one codec-v3 chunk of
+        /// events.
+        Chunk = 0x02,
+        /// Client → server: close the session durably.
+        Finish = 0x03,
+        /// Client → server: an analysis query ([`QuerySpec`]).
+        Query = 0x04,
+        /// Client → server: enumerate the daemon's sessions (empty payload).
+        ListSessions = 0x05,
+        /// Client → server: a cross-session query ([`QuerySpec`] with
+        /// [`QueryTarget::AllSessions`]) answered over every session the
+        /// daemon holds.
+        QueryAll = 0x06,
+        /// Server → client: session accepted ([`HelloAck`]).
+        HelloAck = 0x81,
+        /// Server → client: chunk `seq` is applied **and durable**;
+        /// returns one credit.
+        ChunkAck = 0x82,
+        /// Server → client: session finished and durable.
+        FinishAck = 0x83,
+        /// Server → client: query result ([`QueryReply`]).
+        QueryOk = 0x84,
+        /// Server → client: the session listing ([`SessionList`]).
+        Sessions = 0x85,
+        /// Server → client: cross-session query result ([`QueryAllReply`]
+        /// — machine-mergeable grouped tables, not JSON, so a federation
+        /// tier can combine daemons).
+        QueryAllOk = 0x86,
+        /// Server → client: failure; the connection closes after this.
+        Error = 0xFF,
+    }
+}
+
+/// The [`FrameKind`] bytes, as [`write_frame`] takes them and
+/// [`read_frame`] returns them.
+///
+/// [`write_frame`]: rlscope_core::store::write_frame
+/// [`read_frame`]: rlscope_core::store::read_frame
 pub mod kind {
-    /// Client → server: open or resume a profiling session
-    /// ([`super::HelloRequest`]).
-    pub const HELLO: u8 = 0x01;
-    /// Client → server: `seq:u64` followed by one codec-v3 chunk of
-    /// events.
-    pub const CHUNK: u8 = 0x02;
-    /// Client → server: close the session durably.
-    pub const FINISH: u8 = 0x03;
-    /// Client → server: an analysis query ([`super::QuerySpec`]).
-    pub const QUERY: u8 = 0x04;
-    /// Client → server: enumerate the daemon's sessions (empty payload).
-    pub const LIST_SESSIONS: u8 = 0x05;
-    /// Client → server: a cross-session query ([`super::QuerySpec`] with
-    /// [`super::QueryTarget::AllSessions`]) answered over every session
-    /// the daemon holds.
-    pub const QUERY_ALL: u8 = 0x06;
-    /// Server → client: session accepted ([`super::HelloAck`]).
-    pub const HELLO_ACK: u8 = 0x81;
-    /// Server → client: chunk `seq` is applied **and durable**; returns
-    /// one credit.
-    pub const CHUNK_ACK: u8 = 0x82;
-    /// Server → client: session finished and durable.
-    pub const FINISH_ACK: u8 = 0x83;
-    /// Server → client: query result ([`super::QueryReply`]).
-    pub const QUERY_OK: u8 = 0x84;
-    /// Server → client: the session listing ([`super::SessionList`]).
-    pub const SESSIONS: u8 = 0x85;
-    /// Server → client: cross-session query result
-    /// ([`super::QueryAllReply`] — machine-mergeable grouped tables, not
-    /// JSON, so a federation tier can combine daemons).
-    pub const QUERY_ALL_OK: u8 = 0x86;
-    /// Server → client: failure; the connection closes after this.
-    pub const ERROR: u8 = 0xFF;
+    use super::FrameKind;
+
+    /// [`FrameKind::Hello`].
+    pub const HELLO: u8 = FrameKind::Hello as u8;
+    /// [`FrameKind::Chunk`].
+    pub const CHUNK: u8 = FrameKind::Chunk as u8;
+    /// [`FrameKind::Finish`].
+    pub const FINISH: u8 = FrameKind::Finish as u8;
+    /// [`FrameKind::Query`].
+    pub const QUERY: u8 = FrameKind::Query as u8;
+    /// [`FrameKind::ListSessions`].
+    pub const LIST_SESSIONS: u8 = FrameKind::ListSessions as u8;
+    /// [`FrameKind::QueryAll`].
+    pub const QUERY_ALL: u8 = FrameKind::QueryAll as u8;
+    /// [`FrameKind::HelloAck`].
+    pub const HELLO_ACK: u8 = FrameKind::HelloAck as u8;
+    /// [`FrameKind::ChunkAck`].
+    pub const CHUNK_ACK: u8 = FrameKind::ChunkAck as u8;
+    /// [`FrameKind::FinishAck`].
+    pub const FINISH_ACK: u8 = FrameKind::FinishAck as u8;
+    /// [`FrameKind::QueryOk`].
+    pub const QUERY_OK: u8 = FrameKind::QueryOk as u8;
+    /// [`FrameKind::Sessions`].
+    pub const SESSIONS: u8 = FrameKind::Sessions as u8;
+    /// [`FrameKind::QueryAllOk`].
+    pub const QUERY_ALL_OK: u8 = FrameKind::QueryAllOk as u8;
+    /// [`FrameKind::Error`].
+    pub const ERROR: u8 = FrameKind::Error as u8;
 }
 
-/// Server-reported failure categories (the `code` byte of `ERROR`
-/// frames).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    /// `HELLO` carried an unsupported protocol version.
-    Version = 1,
-    /// Session name empty, too long, or containing path characters.
-    BadSessionName = 2,
-    /// A session of that name holds durable data (finished, or left by a
-    /// previous daemon run) that a new session must not wipe. A resume
-    /// `HELLO` answered with this code means the finish already
-    /// committed.
-    SessionExists = 3,
-    /// A frame arrived that the connection state does not allow.
-    Protocol = 4,
-    /// A chunk payload failed to decode (corrupt bytes).
-    CorruptChunk = 5,
-    /// Server-side I/O failure (session storage, or a chunk index a
-    /// query could not read).
-    Io = 6,
-    /// The query target names no known session or readable directory.
-    UnknownTarget = 7,
-    /// The query combination is unsupported (e.g. a time window over a
-    /// live session).
-    UnsupportedQuery = 8,
-    /// A `HELLO` named a session that is currently streaming (attached
-    /// to a live connection) or detached awaiting resume.
-    SessionActive = 9,
-    /// A resume `HELLO` carried an epoch that does not match the
-    /// session's current incarnation — the name was recreated since this
-    /// client last held it, and its buffered chunks belong to a dead
-    /// stream.
-    EpochMismatch = 10,
-    /// The session was aborted by the daemon's idle reaper: no frames
-    /// arrived within the configured idle timeout.
-    IdleTimeout = 11,
-    /// The session was aborted (client crash, injected I/O failure,
-    /// idle timeout) and cannot be resumed; its data so far remains
-    /// queryable and the name is reusable.
-    SessionAborted = 12,
-}
-
-impl ErrorCode {
-    /// The code for a wire byte, if known.
-    pub fn from_u8(v: u8) -> Option<ErrorCode> {
-        Some(match v {
-            1 => ErrorCode::Version,
-            2 => ErrorCode::BadSessionName,
-            3 => ErrorCode::SessionExists,
-            4 => ErrorCode::Protocol,
-            5 => ErrorCode::CorruptChunk,
-            6 => ErrorCode::Io,
-            7 => ErrorCode::UnknownTarget,
-            8 => ErrorCode::UnsupportedQuery,
-            9 => ErrorCode::SessionActive,
-            10 => ErrorCode::EpochMismatch,
-            11 => ErrorCode::IdleTimeout,
-            12 => ErrorCode::SessionAborted,
-            _ => return None,
-        })
+wire_enum! {
+    /// Server-reported failure categories (the `code` byte of `ERROR`
+    /// frames).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode {
+        /// `HELLO` carried an unsupported protocol version.
+        Version = 1,
+        /// Session name empty, too long, or containing path characters.
+        BadSessionName = 2,
+        /// A session of that name holds durable data (finished, or left by a
+        /// previous daemon run) that a new session must not wipe. A resume
+        /// `HELLO` answered with this code means the finish already
+        /// committed.
+        SessionExists = 3,
+        /// A frame arrived that the connection state does not allow.
+        Protocol = 4,
+        /// A chunk payload failed to decode (corrupt bytes).
+        CorruptChunk = 5,
+        /// Server-side I/O failure (session storage, or a chunk index a
+        /// query could not read).
+        Io = 6,
+        /// The query target names no known session or readable directory.
+        UnknownTarget = 7,
+        /// The query combination is unsupported (e.g. a time window over a
+        /// live session).
+        UnsupportedQuery = 8,
+        /// A `HELLO` named a session that is currently streaming (attached
+        /// to a live connection) or detached awaiting resume.
+        SessionActive = 9,
+        /// A resume `HELLO` carried an epoch that does not match the
+        /// session's current incarnation — the name was recreated since this
+        /// client last held it, and its buffered chunks belong to a dead
+        /// stream.
+        EpochMismatch = 10,
+        /// The session was aborted by the daemon's idle reaper: no frames
+        /// arrived within the configured idle timeout.
+        IdleTimeout = 11,
+        /// The session was aborted (client crash, injected I/O failure,
+        /// idle timeout) and cannot be resumed; its data so far remains
+        /// queryable and the name is reusable.
+        SessionAborted = 12,
     }
 }
 
@@ -853,7 +902,8 @@ fn take_str(data: &mut &[u8], what: &str) -> Result<String, CollectorError> {
 
 /// Encodes an `ERROR` payload.
 pub(crate) fn encode_error(code: ErrorCode, message: &str) -> Vec<u8> {
-    let msg = &message.as_bytes()[..message.len().min(u16::MAX as usize)];
+    let bytes = message.as_bytes();
+    let msg = bytes.get(..usize::from(u16::MAX)).unwrap_or(bytes);
     let mut out = Vec::with_capacity(3 + msg.len());
     out.push(code as u8);
     out.extend_from_slice(&(msg.len() as u16).to_be_bytes());
@@ -876,6 +926,55 @@ pub(crate) fn decode_error(data: &[u8]) -> CollectorError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `ListSessions` → `LIST_SESSIONS`: the `kind` const and table name.
+    fn const_name(k: FrameKind) -> String {
+        let mut out = String::new();
+        for (i, c) in format!("{k:?}").chars().enumerate() {
+            if c.is_uppercase() && i > 0 {
+                out.push('_');
+            }
+            out.push(c.to_ascii_uppercase());
+        }
+        out
+    }
+
+    /// The crate docs' frame table and the two wire enums agree: every
+    /// frame kind has its row (code and name) and no row is stale; each
+    /// kind is written by the side its row names as the sender; every
+    /// error code is sent by the daemon; `from_u8` inverts `as u8`.
+    #[test]
+    fn frame_table_senders_and_decoders_match_the_wire_enums() {
+        let (docs, client, daemon) =
+            (include_str!("lib.rs"), include_str!("client.rs"), include_str!("daemon.rs"));
+        // `//! | `0x01` | C→S | `HELLO` | …` → (0x01, "C→S", "HELLO")
+        let rows: Vec<(u8, &str, &str)> = docs
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> =
+                    line.strip_prefix("//! | `0x")?.split('|').map(str::trim).collect();
+                let code = u8::from_str_radix(cells[0].trim_end_matches('`'), 16).unwrap();
+                Some((code, cells[1], cells[2].trim_matches('`')))
+            })
+            .collect();
+        let kinds: Vec<FrameKind> = (0..=u8::MAX).filter_map(FrameKind::from_u8).collect();
+        assert_eq!(rows.len(), kinds.len(), "frame table rows: {rows:?}");
+        for &k in &kinds {
+            assert_eq!(FrameKind::from_u8(k as u8), Some(k));
+            let name = const_name(k);
+            let &(_, dir, row_name) = rows
+                .iter()
+                .find(|row| row.0 == k as u8)
+                .unwrap_or_else(|| panic!("{k:?} ({:#04x}) has no frame table row", k as u8));
+            assert_eq!(row_name, name, "frame table row for {:#04x}", k as u8);
+            let sender = if dir == "C→S" { client } else { daemon };
+            assert!(sender.contains(&format!("kind::{name}")), "no {dir} sender writes {name}");
+        }
+        for code in (0..=u8::MAX).filter_map(ErrorCode::from_u8) {
+            assert_eq!(ErrorCode::from_u8(code as u8), Some(code));
+            assert!(daemon.contains(&format!("ErrorCode::{code:?}")), "{code:?} is never sent");
+        }
+    }
 
     #[test]
     fn query_spec_round_trips() {

@@ -1252,6 +1252,7 @@ impl<'a> Analysis<'a> {
     /// order) or merged by group key in first-seen order via
     /// [`BreakdownTable::merge`] — so the grouped view always sums
     /// exactly to the merged rollup.
+    #[expect(clippy::indexing_slicing, reason = "`index` holds positions of `out`")]
     fn resolve_sessions(
         &self,
         sessions: &[(Arc<str>, SessionSource<'a>)],
@@ -1358,6 +1359,10 @@ impl<'a> Analysis<'a> {
     /// Resolves which chunk files the query must decode and what each
     /// one releases (see [`Selection`]), both from the chunk footers in
     /// `index`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`frontier` has one slot per selected entry, `i` in 1..len"
+    )]
     fn pushdown_selection(&self, index: &Manifest, per_process: bool, filters: bool) -> Selection {
         let selected = index.select_entries(&self.chunk_query(per_process, filters));
         // Empty chunks carry `min_start == u64::MAX` and bound nothing.
@@ -1718,6 +1723,11 @@ fn filter_table(table: &BreakdownTable, pred: impl Fn(&BucketKey) -> bool) -> Br
 /// Splits `amount` across `parts` proportionally, never exceeding any
 /// part, with the rounding remainder assigned round-robin to parts that
 /// still have capacity. Requires `amount <= parts.sum()`.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::disallowed_macros,
+    reason = "`i` wraps at `parts.len()` == `shares.len()`; the `debug_assert!` is the documented precondition"
+)]
 fn split_proportionally(amount: u64, parts: &[u64]) -> Vec<u64> {
     let total: u128 = parts.iter().map(|&p| u128::from(p)).sum();
     debug_assert!(u128::from(amount) <= total, "cannot remove more than the parts hold");

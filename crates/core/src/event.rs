@@ -104,6 +104,10 @@ impl Event {
     /// # Panics
     ///
     /// Panics in debug builds if `end < start`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented debug-build check that `end >= start`"
+    )]
     pub fn new(
         pid: ProcessId,
         kind: EventKind,

@@ -99,6 +99,7 @@ impl Interner {
     /// # Panics
     ///
     /// Panics if `id` was not produced by this interner.
+    #[expect(clippy::indexing_slicing, reason = "documented panic on an id from another interner")]
     pub fn resolve(&self, id: u32) -> &Arc<str> {
         &self.names[id as usize]
     }

@@ -112,7 +112,28 @@
 //! corruption error, never a wrong table. See
 //! [`overlap::OverlapSweep::with_phase_tagging`].
 
-#![forbid(unsafe_code)]
+// The never-panic contract: outside tests, nothing in this crate may
+// unwrap, expect, panic, index unchecked or assert (`clippy.toml` beside
+// this crate disallows the non-debug `assert*` macros). A site outside
+// the contract says so with `#[expect(.., reason = "..")]`: an `allow`,
+// or an exemption without a reason, is an error too.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+// Tests assert freely (`disallowed_macros` warns by default).
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -69,6 +69,17 @@
 //! (including every per-process grouped sweep) this is exactly the
 //! historical innermost-active-phase rule.
 
+// The sweep indexes its own arrays (category tables, scope slots, queue
+// ranges) by values it built, on the per-boundary hot path, and checks
+// its internal invariants with `assert*`. It reads no untrusted bytes:
+// decoded input reaches it only as validated columns.
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::disallowed_macros,
+    reason = "in-memory engine over self-built indices, outside the never-panic contract"
+)]
+
 use crate::event::{CpuCategory, Event};
 use crate::intern::Interner;
 use crate::store::{EventColumns, EventRow, TAG_OP, TAG_PHASE};

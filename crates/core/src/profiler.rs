@@ -318,6 +318,7 @@ impl Profiler {
     /// Emits `state.events[flushed..]` to the sink when it holds at
     /// least `min` events. The caller holds the state lock through the
     /// emit, so no other thread's batch can overtake this one.
+    #[expect(clippy::indexing_slicing, reason = "`flushed <= events.len()`: set only from it")]
     fn flush_locked(state: &mut State, min: usize) {
         let Some((sink, _)) = &state.sink else { return };
         let pending = state.events.len() - state.flushed;
@@ -418,6 +419,7 @@ impl Profiler {
     /// # Panics
     ///
     /// Panics if operations are still open.
+    #[expect(clippy::disallowed_macros, reason = "documented panic: operations still open")]
     pub fn finish(&self) -> Trace {
         let now = self.inner.clock.now();
         let mut state = self.inner.state.lock();
@@ -449,6 +451,11 @@ impl Profiler {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        clippy::disallowed_macros,
+        reason = "annotation misuse (an unmatched or out-of-order close) is a bug in the profiled program"
+    )]
     fn close_operation(&self, name: &Arc<str>) {
         self.annotation_overhead();
         let now = self.inner.clock.now();
@@ -482,6 +489,7 @@ impl Profiler {
 
     /// Counts one transition against the innermost open operation, or
     /// against untracked time outside every operation.
+    #[expect(clippy::indexing_slicing, reason = "one counter per `TransitionKind` variant")]
     fn count_transition(state: &mut State, kind: TransitionKind) {
         let counts = match state.op_stack.last_mut() {
             Some(op) => &mut op.transitions,
@@ -539,6 +547,7 @@ impl StackHooks for Profiler {
 impl CudaHooks for Profiler {
     fn on_api_enter(&self, _api: CudaApiKind, _t: TimeNs) {}
 
+    #[expect(clippy::indexing_slicing, reason = "one label per `CudaApiKind` variant")]
     fn on_api_exit(&self, api: CudaApiKind, enter: TimeNs, exit: TimeNs) {
         let mut state = self.inner.state.lock();
         state.counts.cuda_api_calls += 1;

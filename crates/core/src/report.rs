@@ -248,6 +248,7 @@ pub struct MultiPhaseReport {
 impl MultiPhaseReport {
     /// Builds the view from a (possibly merged multi-process) trace via
     /// `Analysis::of(trace).group_by([Dim::Phase]).tables()`.
+    #[expect(clippy::expect_used, reason = "an in-memory analysis grouped by phase cannot fail")]
     pub fn from_trace(trace: &Trace) -> Self {
         let tables = Analysis::of(trace)
             .group_by([Dim::Phase])

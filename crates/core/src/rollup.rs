@@ -40,7 +40,8 @@
 //! and carry a trailing FNV-1a checksum, exactly like codec-v3 chunks;
 //! the `ROLLUP` index records every segment's file size and window and
 //! carries its own checksum, exactly like a chunk footer. Decode paths
-//! return [`TraceIoError`] and never panic (enforced by `rlscope-lint`).
+//! return [`TraceIoError`] and never panic (clippy's never-panic lints,
+//! denied at the crate root).
 //!
 //! # Equivalence contract
 //!

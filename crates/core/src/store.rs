@@ -321,6 +321,10 @@ pub(crate) struct ColumnRow<'a> {
     i: usize,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`EventColumns::rows` yields `i < len()`; decoded columns have equal lengths and in-range name ids"
+)]
 impl EventRow for ColumnRow<'_> {
     #[inline]
     fn pid(&self) -> u32 {
@@ -368,6 +372,10 @@ fn truncate_name(name: &str) -> &str {
 }
 
 /// Writes an LEB128 varint into `out` at `at`, returning the new offset.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "encoder: callers stage into a buffer sized for the largest record"
+)]
 fn write_varint(out: &mut [u8], mut at: usize, mut v: u64) -> usize {
     while v >= 0x80 {
         out[at] = (v as u8 & 0x7f) | 0x80;
@@ -481,6 +489,7 @@ impl ChunkFooter {
     }
 
     /// The chunk's full [`PhaseSpan`] entry for one phase, if present.
+    #[expect(clippy::indexing_slicing, reason = "`i` is a `binary_search` hit")]
     pub fn phase(&self, name: &str) -> Option<&PhaseSpan> {
         self.phases.binary_search_by(|p| (*p.name).cmp(name)).ok().map(|i| &self.phases[i])
     }
@@ -559,6 +568,10 @@ const FOOTER_FLAG_START_SORTED: u8 = 1;
 const FOOTER_FLAG_PHASE_PIDS: u8 = 2;
 
 /// Appends the footer payload (including its trailing checksum) to `out`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "encoder: `at` is the length before this payload was appended"
+)]
 pub(crate) fn encode_footer_payload(f: &ChunkFooter, out: &mut BytesMut) {
     let at = out.len();
     out.put_u32(f.events);
@@ -799,6 +812,10 @@ pub fn encode_events(events: &[Event]) -> Bytes {
 
 /// Appends the v3 body (the whole of a legacy v2 chunk after its magic)
 /// — `count`, string table, event records — to `buf`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "encoder: a record (four varints and a tag byte) fits its 48-byte stack buffer"
+)]
 fn encode_v2_body(events: &[Event], buf: &mut BytesMut) {
     let mut interner = Interner::with_capacity(64);
     let mut name_ids = Vec::with_capacity(events.len());
@@ -1455,6 +1472,7 @@ impl TraceWriter {
     /// # Panics
     ///
     /// Panics if called twice.
+    #[expect(clippy::expect_used, reason = "documented panic: `finish` called twice")]
     pub fn finish(mut self) -> Result<Vec<PathBuf>, TraceIoError> {
         let _ = self.tx.send(WriterCmd::Finish);
         let handle = self.handle.take().expect("finish called twice");
@@ -1772,6 +1790,10 @@ impl Manifest {
             .collect()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "encoder: `at` is the length before the entries were appended"
+    )]
     fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(64 + self.entries.len() * 96);
         buf.put_slice(MANIFEST_MAGIC);
@@ -1805,6 +1827,7 @@ impl Manifest {
     /// directory's chunk set (a new chunk, a rewrite, a reorder) changes
     /// it, which is what makes it a sound invalidation key for query
     /// result caches over finished chunk directories.
+    #[expect(clippy::indexing_slicing, reason = "`encode` always ends in the 8-byte checksum")]
     pub fn checksum(&self) -> u64 {
         let encoded = self.encode();
         let mut sum = [0u8; 8];
@@ -1934,6 +1957,11 @@ pub fn reorder_chunk_dir(
 /// [`reorder_chunk_dir`] with an explicit in-memory run size (events per
 /// spilled sorted run) — exposed so tests can force multi-run merges on
 /// small inputs.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "heap entries carry run indices < `cursors.len()`, and a run's head is set whenever its entry is"
+)]
 pub fn reorder_chunk_dir_with(
     src: &Path,
     dst: &Path,
@@ -2059,6 +2087,11 @@ pub fn reorder_chunk_dir_with(
 ///
 /// The first chunk I/O or corruption error in stream order, or the first
 /// `consume` error.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "`i % threads` < `receivers.len()`; a worker sends once per file it owns before it exits"
+)]
 pub fn for_each_decoded_chunk_columns(
     files: &[PathBuf],
     threads: usize,

@@ -38,6 +38,7 @@ impl Trace {
 
     /// Runs the overlap sweep over this trace's events — a wrapper over
     /// `Analysis::of(self).table()` ([`Analysis`]).
+    #[expect(clippy::expect_used, reason = "an in-memory analysis cannot fail")]
     pub fn breakdown(&self) -> BreakdownTable {
         Analysis::of(self).table().expect("in-memory analysis cannot fail")
     }
@@ -93,6 +94,7 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if `traces` is empty.
+    #[expect(clippy::expect_used, reason = "documented panic on zero traces")]
     pub fn merge(traces: impl IntoIterator<Item = Trace>) -> Trace {
         let mut iter = traces.into_iter();
         let mut merged = iter.next().expect("merge of zero traces");

@@ -14,7 +14,6 @@
 //! its modelled CPU step cost, and the dynamics are real: actions change
 //! trajectories, rewards respond to behaviour, episodes terminate.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

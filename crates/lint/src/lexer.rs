@@ -1,18 +1,13 @@
 //! A comment/string/raw-string-aware lexer for Rust source.
 //!
-//! This is deliberately *not* a full Rust lexer: the analyses only need
+//! This is deliberately *not* a full Rust lexer: the analysis only needs
 //! identifiers, punctuation, numbers, and line positions, with string
-//! bodies and comments reliably skipped so that `"panic!"` inside a
-//! string literal or a commented-out `unwrap()` never produces a
+//! bodies and comments reliably skipped so that a `".lock()"` inside a
+//! string literal or a commented-out `.lock()` never produces a
 //! finding. It handles the constructs that defeat naive scanners:
 //! nested block comments, raw strings with arbitrary `#` fences, byte
 //! and C strings, char literals (including escapes) versus lifetimes,
 //! and raw identifiers.
-//!
-//! Two side channels ride along with the token stream:
-//! [`Suppression`]s parsed from `// lint:allow(<rule>): <reason>`
-//! comments, and module/item doc-comment lines (for the
-//! protocol-surface check's frame-table parse).
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,34 +50,12 @@ impl Token {
     }
 }
 
-/// A `// lint:allow(<rule>): <reason>` comment.
-#[derive(Debug, Clone)]
-pub struct Suppression {
-    /// 1-based line the comment sits on.
-    pub line: u32,
-    /// The rule name inside the parentheses.
-    pub rule: String,
-    /// Whether a non-empty reason follows the closing paren.
-    pub has_reason: bool,
-}
-
-/// The output of [`lex`]: tokens plus the comment side channels.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// The token stream, in source order.
-    pub tokens: Vec<Token>,
-    /// Every `lint:allow` comment found, in source order.
-    pub suppressions: Vec<Suppression>,
-    /// Doc-comment lines (`//! …` and `/// …`) as `(line, text)`, with
-    /// the comment marker stripped but interior whitespace kept.
-    pub doc_lines: Vec<(u32, String)>,
-}
-
-/// Lexes `src`, skipping comments and classifying string-like literals
-/// so downstream analyses never misread their contents as code.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes `src` into tokens in source order, skipping comments and
+/// classifying string-like literals so the analysis never misreads
+/// their contents as code.
+pub fn lex(src: &str) -> Vec<Token> {
     let chars: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while i < chars.len() {
@@ -98,14 +71,9 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Line comments: `//`, `///`, `//!`.
         if c == '/' && chars.get(i + 1) == Some(&'/') {
-            let start = i + 2;
-            let mut j = start;
-            while j < chars.len() && chars[j] != '\n' {
-                j += 1;
+            while i < chars.len() && chars[i] != '\n' {
+                i += 1;
             }
-            let text: String = chars[start..j].iter().collect();
-            note_comment(&mut out, line, &text);
-            i = j;
             continue;
         }
         // Block comments, which nest in Rust.
@@ -131,17 +99,17 @@ pub fn lex(src: &str) -> Lexed {
         // String-like prefixes: r"…", r#"…"#, b"…", br#"…"#, c"…",
         // b'…', and raw identifiers r#ident.
         if matches!(c, 'r' | 'b' | 'c') {
-            if let Some(next) = lex_prefixed(&chars, i, &mut line, &mut out.tokens) {
+            if let Some(next) = lex_prefixed(&chars, i, &mut line, &mut out) {
                 i = next;
                 continue;
             }
         }
         if c == '"' {
-            i = lex_string(&chars, i + 1, &mut line, &mut out.tokens, 0, true);
+            i = lex_string(&chars, i + 1, &mut line, &mut out, 0, true);
             continue;
         }
         if c == '\'' {
-            i = lex_quote(&chars, i, line, &mut out.tokens);
+            i = lex_quote(&chars, i, line, &mut out);
             continue;
         }
         if c.is_ascii_digit() {
@@ -158,11 +126,7 @@ pub fn lex(src: &str) -> Lexed {
                     break;
                 }
             }
-            out.tokens.push(Token {
-                kind: TokKind::Num,
-                text: chars[start..i].iter().collect(),
-                line,
-            });
+            out.push(Token { kind: TokKind::Num, text: chars[start..i].iter().collect(), line });
             continue;
         }
         if c.is_alphabetic() || c == '_' {
@@ -170,36 +134,13 @@ pub fn lex(src: &str) -> Lexed {
             while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
                 i += 1;
             }
-            out.tokens.push(Token {
-                kind: TokKind::Ident,
-                text: chars[start..i].iter().collect(),
-                line,
-            });
+            out.push(Token { kind: TokKind::Ident, text: chars[start..i].iter().collect(), line });
             continue;
         }
-        out.tokens.push(Token { kind: TokKind::Punct, text: c.to_string(), line });
+        out.push(Token { kind: TokKind::Punct, text: c.to_string(), line });
         i += 1;
     }
     out
-}
-
-/// Records a line comment's side-channel payloads: doc text and
-/// `lint:allow` suppressions.
-fn note_comment(out: &mut Lexed, line: u32, text: &str) {
-    if let Some(rest) = text.strip_prefix('/').or_else(|| text.strip_prefix('!')) {
-        out.doc_lines.push((line, rest.strip_prefix(' ').unwrap_or(rest).to_string()));
-        return;
-    }
-    let trimmed = text.trim_start();
-    if let Some(rest) = trimmed.strip_prefix("lint:allow(") {
-        if let Some(close) = rest.find(')') {
-            let rule = rest[..close].trim().to_string();
-            let tail = &rest[close + 1..];
-            let has_reason =
-                tail.trim_start().strip_prefix(':').is_some_and(|r| !r.trim().is_empty());
-            out.suppressions.push(Suppression { line, rule, has_reason });
-        }
-    }
 }
 
 /// Tries to lex a prefixed literal (`r"`, `r#"`, `br"`, `b"`, `b'`,

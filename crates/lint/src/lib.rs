@@ -1,100 +1,40 @@
-//! `rlscope-lint`: the workspace invariant checker.
+//! `rlscope-lint`: checks that the daemon takes its locks in one
+//! declared order.
 //!
-//! The collector's contracts — decode paths return typed errors and
-//! never panic, the daemon's locks are acquired in one declared order,
-//! the wire protocol's frame/error codes stay in lockstep with their
-//! encode sites, decode matches, and docs table, and every CI bench
-//! gate still names a real bench — are enforced *statically* here, so
-//! a future PR's `unwrap()` in a decode path fails CI before any fuzz
-//! input ever reaches it.
+//! rustc and clippy hold the workspace's other static contracts (see
+//! the README's "Static contracts" table), but neither can see that two
+//! `.lock()` calls nest. This crate checks that one statically, over the
+//! files `lint/invariants.toml` names ([`manifest`]): a comment- and
+//! string-aware [`lexer`], a shallow function and test-region [`scan`],
+//! and the [`lock_order`] pass over them.
 //!
-//! The tool is self-contained and dependency-free (not even the
-//! vendored stubs): a comment/string/raw-string-aware [`lexer`], a
-//! shallow brace/function [`scan`] layer, and four rule passes under
-//! [`rules`], driven by the checked-in manifest `lint/invariants.toml`
-//! ([`manifest`]).
-//!
-//! # Rules
-//!
-//! | rule | what it enforces |
-//! |------|------------------|
-//! | `never-panic` | no `unwrap`/`expect`/panicking macros/non-debug asserts/bare indexing in manifest-declared decode/recover functions |
-//! | `lock-order` | nested `.lock()` acquisitions follow the declared per-file lock hierarchy |
-//! | `protocol-surface` | frame-kind consts and `ErrorCode` variants are unique, encoded, decoded, and documented in the frame table |
-//! | `gate-drift` | every CI bench ratio gate filter matches a registered bench |
-//! | `forbid-unsafe` | every first-party crate root carries `#![forbid(unsafe_code)]` (or reasoned `deny`) |
-//! | `suppression` | every in-tree `lint:allow` carries a reason |
-//!
-//! # Suppressions
-//!
-//! A finding on line *N* is suppressed by a comment on line *N* or
-//! *N − 1*:
-//!
-//! ```text
-//! // lint:allow(never-panic): length checked two lines up
-//! ```
-//!
-//! The reason after the colon is mandatory — a reasonless `lint:allow`
-//! suppresses nothing and is itself reported under the `suppression`
-//! rule.
-//!
-//! # Adding a rule
-//!
-//! Write a pass in [`rules`] taking [`source::SourceFile`]s (lex once,
-//! reuse everywhere), give it a `RULE_*` name constant here, wire its
-//! manifest section in [`manifest`], and call it from [`run`].
-//! Suppression handling is free: the runner applies `lint:allow`
-//! filtering to every rule uniformly.
+//! The crate has no dependencies, not even the vendored stand-ins.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lexer;
+pub mod lock_order;
 pub mod manifest;
-pub mod rules;
 pub mod scan;
-pub mod source;
 
-use manifest::{Manifest, Severity};
-use source::SourceFile;
-use std::collections::BTreeMap;
+use manifest::LockOrder;
 use std::fmt;
 use std::path::Path;
 
-/// Rule name: panic-freedom in declared never-panic functions.
-pub const RULE_NEVER_PANIC: &str = "never-panic";
-/// Rule name: declared lock-hierarchy conformance.
-pub const RULE_LOCK_ORDER: &str = "lock-order";
-/// Rule name: protocol frame/error-code surface conformance.
-pub const RULE_PROTOCOL_SURFACE: &str = "protocol-surface";
-/// Rule name: CI bench gate ↔ bench registration conformance.
-pub const RULE_GATE_DRIFT: &str = "gate-drift";
-/// Rule name: `#![forbid(unsafe_code)]` presence in crate roots.
-pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
-/// Rule name: `lint:allow` comments missing their mandatory reason.
-pub const RULE_SUPPRESSION: &str = "suppression";
-
-/// One reported violation.
+/// One lock acquired out of its declared order.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Workspace-relative file path.
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// The rule name (one of the `RULE_*` constants).
-    pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
-    /// Whether this fails the run.
-    pub severity: Severity,
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.severity == Severity::Warn {
-            write!(f, "warning: ")?;
-        }
-        write!(f, "{}:{}: {}: {}", self.file, self.line, self.rule, self.message)
+        write!(f, "{}:{}: lock-order: {}", self.file, self.line, self.message)
     }
 }
 
@@ -111,139 +51,29 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Loads each referenced source exactly once, keyed by relative path.
-#[derive(Default)]
-struct Sources {
-    files: BTreeMap<String, SourceFile>,
-}
-
-impl Sources {
-    fn get(&mut self, root: &Path, rel: &str) -> Result<&SourceFile, LintError> {
-        if !self.files.contains_key(rel) {
-            let file = SourceFile::load(root, rel)
-                .map_err(|e| LintError(format!("cannot read `{rel}`: {e}")))?;
-            self.files.insert(rel.to_string(), file);
-        }
-        Ok(&self.files[rel])
-    }
-}
-
-/// Runs every pass of `manifest` over the workspace at `root` and
-/// returns the surviving (unsuppressed) findings, sorted by file, line,
-/// then rule.
+/// Checks every declared hierarchy against its file under `root` and
+/// returns the findings, sorted by file, then line.
 ///
 /// # Errors
-/// Fails when the manifest or a referenced source file cannot be read —
-/// configuration problems, as opposed to findings.
-pub fn run(root: &Path, manifest: &Manifest) -> Result<Vec<Finding>, LintError> {
-    let mut sources = Sources::default();
+/// Fails when a declared file cannot be read.
+pub fn run(root: &Path, orders: &[LockOrder]) -> Result<Vec<Finding>, LintError> {
     let mut findings = Vec::new();
-
-    for scope in &manifest.never_panic {
-        let src = sources.get(root, &scope.file)?;
-        findings.extend(rules::never_panic::check(src, scope));
+    for cfg in orders {
+        let text = std::fs::read_to_string(root.join(&cfg.file))
+            .map_err(|e| LintError(format!("cannot read `{}`: {e}", cfg.file)))?;
+        findings.extend(lock_order::check(&text, cfg));
     }
-    for cfg in &manifest.lock_order {
-        let src = sources.get(root, &cfg.file)?;
-        findings.extend(rules::lock_order::check(src, cfg));
-    }
-    if !manifest.protocol.file.is_empty() {
-        for rel in manifest
-            .protocol
-            .usage
-            .iter()
-            .chain([&manifest.protocol.file, &manifest.protocol.doc_table])
-        {
-            sources.get(root, rel)?;
-        }
-        let proto = &sources.files[&manifest.protocol.file];
-        let doc = &sources.files[&manifest.protocol.doc_table];
-        let usage: Vec<&SourceFile> =
-            manifest.protocol.usage.iter().map(|rel| &sources.files[rel]).collect();
-        findings.extend(rules::protocol_surface::check(proto, doc, &usage));
-    }
-    if !manifest.gates.workflow.is_empty() {
-        findings.extend(rules::gate_drift::check(root, &manifest.gates));
-    }
-    for rel in &manifest.forbid_unsafe {
-        let src = sources.get(root, rel)?;
-        findings.extend(rules::unsafe_attr::check(src));
-    }
-
-    // Apply suppressions: a reasoned lint:allow on the finding's line
-    // or the line above kills it; a reasonless one is itself a finding.
-    let mut surviving = Vec::new();
-    for f in findings {
-        let suppressed = sources.files.get(&f.file).is_some_and(|src| {
-            src.lexed.suppressions.iter().any(|s| {
-                s.rule == f.rule && s.has_reason && (s.line == f.line || s.line + 1 == f.line)
-            })
-        });
-        if !suppressed {
-            surviving.push(f);
-        }
-    }
-    for src in sources.files.values() {
-        for s in &src.lexed.suppressions {
-            if !s.has_reason {
-                surviving.push(Finding {
-                    file: src.rel.clone(),
-                    line: s.line,
-                    rule: RULE_SUPPRESSION,
-                    message: format!(
-                        "`lint:allow({})` requires a reason: `// lint:allow({}): <why>`",
-                        s.rule, s.rule
-                    ),
-                    severity: Severity::Error,
-                });
-            }
-        }
-    }
-    surviving
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok(surviving)
+    findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
+    Ok(findings)
 }
 
 /// Loads `lint/invariants.toml` under `root`.
 ///
 /// # Errors
 /// Fails when the manifest is missing or malformed.
-pub fn load_manifest(root: &Path) -> Result<Manifest, LintError> {
+pub fn load_manifest(root: &Path) -> Result<Vec<LockOrder>, LintError> {
     let path = root.join("lint").join("invariants.toml");
     let text = std::fs::read_to_string(&path)
         .map_err(|e| LintError(format!("cannot read `{}`: {e}", path.display())))?;
     manifest::parse(&text).map_err(|e| LintError(e.to_string()))
-}
-
-/// Renders findings as a JSON array (machine-readable `--format json`),
-/// stable field order, one object per finding.
-pub fn to_json(findings: &[Finding]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}{}\n",
-            esc(&f.file),
-            f.line,
-            f.rule,
-            f.severity,
-            esc(&f.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push(']');
-    out
 }

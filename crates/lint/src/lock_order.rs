@@ -18,11 +18,10 @@
 //! covers re-entrant double-locking, which `std::sync::Mutex` turns
 //! into deadlock or poison).
 
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{lex, TokKind, Token};
 use crate::manifest::LockOrder;
-use crate::manifest::Severity;
-use crate::source::SourceFile;
-use crate::{Finding, RULE_LOCK_ORDER};
+use crate::scan::scan;
+use crate::Finding;
 
 #[derive(Debug)]
 struct Guard {
@@ -113,9 +112,10 @@ fn named_binding(toks: &[Token], stmt_start: usize, close_idx: usize) -> Option<
     }
 }
 
-/// Runs the lock-order pass over one file.
-pub fn check(src: &SourceFile, cfg: &LockOrder) -> Vec<Finding> {
-    let toks = &src.lexed.tokens;
+/// Runs the lock-order pass over `text`, the source of `cfg.file`.
+pub fn check(text: &str, cfg: &LockOrder) -> Vec<Finding> {
+    let toks = &lex(text);
+    let ctxs = scan(toks);
     let mut findings = Vec::new();
     let mut held: Vec<Guard> = Vec::new();
     let mut depth = 0u32;
@@ -125,7 +125,7 @@ pub fn check(src: &SourceFile, cfg: &LockOrder) -> Vec<Finding> {
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
-        let ctx = src.scan.ctx[i];
+        let ctx = ctxs[i];
         // Function boundary: reset all tracking.
         if ctx.fn_idx != cur_fn {
             cur_fn = ctx.fn_idx;
@@ -162,9 +162,8 @@ pub fn check(src: &SourceFile, cfg: &LockOrder) -> Vec<Finding> {
                         for g in &held {
                             if rank <= g.rank {
                                 findings.push(Finding {
-                                    file: src.rel.clone(),
+                                    file: cfg.file.clone(),
                                     line: t.line,
-                                    rule: RULE_LOCK_ORDER,
                                     message: format!(
                                         "acquired `{name}` (rank {rank}) while holding `{}` \
                                          (rank {}); declared order: {}",
@@ -172,7 +171,6 @@ pub fn check(src: &SourceFile, cfg: &LockOrder) -> Vec<Finding> {
                                         g.rank,
                                         cfg.order.join(" → ")
                                     ),
-                                    severity: Severity::Error,
                                 });
                             }
                         }

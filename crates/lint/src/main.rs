@@ -1,19 +1,14 @@
-//! CLI for the workspace invariant checker. See the
-//! [library docs](rlscope_lint) for the rule set; run as
-//! `cargo run -p rlscope-lint -- --check` from anywhere in the
+//! CLI for the lock-order check. See the [library docs](rlscope_lint);
+//! run as `cargo run -p rlscope-lint -- --check` from anywhere in the
 //! workspace.
 
-#![forbid(unsafe_code)]
-
-use rlscope_lint::manifest::Severity;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: rlscope-lint [--check] [--format text|json] [--root <dir>]
+const USAGE: &str = "usage: rlscope-lint [--check] [--root <dir>]
 
-Checks the workspace against lint/invariants.toml. Exits 0 when clean
-(warnings allowed), 1 on unsuppressed error-level findings, 2 on a
-configuration or I/O problem.";
+Checks the lock hierarchies declared in lint/invariants.toml. Exits 0
+when clean, 1 on findings, 2 on a configuration or I/O problem.";
 
 fn workspace_root(explicit: Option<PathBuf>) -> Option<PathBuf> {
     if let Some(root) = explicit {
@@ -40,20 +35,11 @@ fn workspace_root(explicit: Option<PathBuf>) -> Option<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut root_arg: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => {}
-            "--format" => match args.next().as_deref() {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                _ => {
-                    eprintln!("--format takes `text` or `json`\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match args.next() {
                 Some(dir) => root_arg = Some(PathBuf::from(dir)),
                 None => {
@@ -75,39 +61,23 @@ fn main() -> ExitCode {
         eprintln!("rlscope-lint: could not locate a workspace root holding lint/invariants.toml");
         return ExitCode::from(2);
     };
-    let manifest = match rlscope_lint::load_manifest(&root) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("rlscope-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let findings = match rlscope_lint::run(&root, &manifest) {
+    let findings = match rlscope_lint::load_manifest(&root)
+        .and_then(|orders| rlscope_lint::run(&root, &orders))
+    {
         Ok(f) => f,
         Err(e) => {
             eprintln!("rlscope-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    if json {
-        println!("{}", rlscope_lint::to_json(&findings));
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
+    for f in &findings {
+        println!("{f}");
     }
-    let errors = findings.iter().filter(|f| f.severity == Severity::Error).count();
-    let warnings = findings.len() - errors;
-    if !json {
-        if errors == 0 && warnings == 0 {
-            println!("rlscope-lint: clean");
-        } else {
-            println!("rlscope-lint: {errors} error(s), {warnings} warning(s)");
-        }
-    }
-    if errors > 0 {
-        ExitCode::FAILURE
-    } else {
+    if findings.is_empty() {
+        println!("rlscope-lint: clean");
         ExitCode::SUCCESS
+    } else {
+        println!("rlscope-lint: {} finding(s)", findings.len());
+        ExitCode::FAILURE
     }
 }

@@ -1,51 +1,17 @@
-//! The checked-in invariants manifest (`lint/invariants.toml`) and the
-//! strict TOML-subset parser that loads it.
+//! The checked-in lock hierarchies (`lint/invariants.toml`) and the
+//! strict TOML-subset parser that loads them.
 //!
-//! The workspace vendors no real `toml` crate, so the manifest sticks
-//! to a small, line-oriented subset: `[section]` / `[[section]]`
-//! headers, `key = "string"`, `key = integer`, `key = true|false`, and
-//! single-line string arrays `key = ["a", "b"]`. Comments start with
-//! `#`. Anything else is a hard error — a manifest typo must fail the
-//! lint run, not silently disable a rule.
+//! The workspace vendors no `toml` crate, so the manifest sticks to one
+//! line-oriented shape: `[[lock_order]]` headers, each followed by
+//! `file = "…"` and a single-line `order = ["…", …]`. Comments start
+//! with `#`. Anything else is a hard error — a manifest typo must fail
+//! the lint run, not silently drop a hierarchy.
 
 use std::fmt;
 
-/// Severity of findings produced by a scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the run (nonzero exit).
-    Error,
-    /// Reported but does not fail the run (`examples/`, bench helpers).
-    Warn,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Error => "error",
-            Severity::Warn => "warn",
-        })
-    }
-}
-
-/// One `[[never_panic]]` scope: a file plus the function-name prefixes
-/// within it that must not contain panicking constructs.
-#[derive(Debug, Clone)]
-pub struct NeverPanicScope {
-    /// Workspace-relative file path.
-    pub file: String,
-    /// Function-name prefixes in scope; `["*"]` means every function.
-    pub functions: Vec<String>,
-    /// Finding severity for this scope.
-    pub severity: Severity,
-    /// Constructs checked; empty means all of
-    /// `unwrap, expect, panic-macro, assert, index`.
-    pub constructs: Vec<String>,
-}
-
 /// One `[[lock_order]]` declaration: the allowed acquisition order for
 /// the named locks of one file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LockOrder {
     /// Workspace-relative file path.
     pub file: String,
@@ -54,46 +20,10 @@ pub struct LockOrder {
     pub order: Vec<String>,
 }
 
-/// The `[protocol]` section wiring the protocol-surface check.
-#[derive(Debug, Clone, Default)]
-pub struct ProtocolCfg {
-    /// The file holding `mod kind` and `enum ErrorCode`.
-    pub file: String,
-    /// The file whose module docs carry the frame table.
-    pub doc_table: String,
-    /// Files scanned for encode/decode usage of the consts.
-    pub usage: Vec<String>,
-}
-
-/// The `[gates]` section wiring the gate-drift check.
-#[derive(Debug, Clone, Default)]
-pub struct GatesCfg {
-    /// The CI workflow to scan for bench ratio gates.
-    pub workflow: String,
-    /// Directory holding the criterion bench targets.
-    pub bench_dir: String,
-}
-
-/// The parsed manifest.
-#[derive(Debug, Default)]
-pub struct Manifest {
-    /// Never-panic scopes, in declaration order.
-    pub never_panic: Vec<NeverPanicScope>,
-    /// Lock-order declarations, in declaration order.
-    pub lock_order: Vec<LockOrder>,
-    /// Protocol-surface wiring (skipped when `file` is empty).
-    pub protocol: ProtocolCfg,
-    /// Gate-drift wiring (skipped when `workflow` is empty).
-    pub gates: GatesCfg,
-    /// Crate-root files that must carry `#![forbid(unsafe_code)]` (or
-    /// `deny` plus a reasoned `lint:allow`).
-    pub forbid_unsafe: Vec<String>,
-}
-
 /// A manifest syntax or schema error, with its 1-based line.
 #[derive(Debug)]
 pub struct ManifestError {
-    /// 1-based line of the offending entry.
+    /// 1-based line of the offending entry (0: the manifest as a whole).
     pub line: u32,
     /// What was wrong.
     pub message: String,
@@ -107,174 +37,61 @@ impl fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
-/// One parsed `key = value`.
-#[derive(Debug)]
-enum Value {
-    Str(String),
-    Int(i64),
-    Array(Vec<String>),
-}
-
 fn err(line: u32, message: impl Into<String>) -> ManifestError {
     ManifestError { line, message: message.into() }
 }
 
-fn parse_value(line_no: u32, raw: &str) -> Result<Value, ManifestError> {
-    let raw = raw.trim();
-    if let Some(body) = raw.strip_prefix('"') {
-        let Some(end) = body.find('"') else {
-            return Err(err(line_no, "unterminated string"));
-        };
-        if !body[end + 1..].trim().is_empty() {
-            return Err(err(line_no, "trailing characters after string"));
-        }
-        return Ok(Value::Str(body[..end].to_string()));
-    }
-    if let Some(body) = raw.strip_prefix('[') {
-        let Some(body) = body.strip_suffix(']') else {
-            return Err(err(line_no, "arrays must open and close on one line"));
-        };
-        let mut items = Vec::new();
-        for part in body.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let Some(s) = part.strip_prefix('"').and_then(|p| p.strip_suffix('"')) else {
-                return Err(err(line_no, "array elements must be quoted strings"));
-            };
-            items.push(s.to_string());
-        }
-        return Ok(Value::Array(items));
-    }
-    raw.parse::<i64>().map(Value::Int).map_err(|_| err(line_no, format!("bad value `{raw}`")))
+/// `"text"` → `text`. The manifest never puts `"` or `#` inside strings.
+fn parse_str(line: u32, raw: &str) -> Result<String, ManifestError> {
+    raw.trim()
+        .strip_prefix('"')
+        .and_then(|s| s.strip_suffix('"'))
+        .filter(|s| !s.contains('"'))
+        .map(str::to_string)
+        .ok_or_else(|| err(line, format!("expected one quoted string, got `{}`", raw.trim())))
 }
 
-/// Parses manifest text. Unknown sections and keys are errors: the
-/// manifest is a contract, and a misspelled key silently enforcing
-/// nothing would be worse than a build break.
-pub fn parse(src: &str) -> Result<Manifest, ManifestError> {
-    let mut m = Manifest::default();
-    let mut section = String::new();
-    // Index of the entry being filled for array-of-table sections.
-    let mut cur_np: Option<usize> = None;
-    let mut cur_lo: Option<usize> = None;
+/// Parses manifest text into its lock hierarchies, in declaration order.
+/// Unknown sections and keys are errors: a misspelled key that silently
+/// checked nothing would be worse than a build break.
+pub fn parse(src: &str) -> Result<Vec<LockOrder>, ManifestError> {
+    let mut orders: Vec<LockOrder> = Vec::new();
     for (idx, raw_line) in src.lines().enumerate() {
         let line_no = (idx + 1) as u32;
-        let line = match raw_line.find('#') {
-            // A `#` inside quotes would break this, so the manifest
-            // simply never puts `#` in strings.
-            Some(pos) => &raw_line[..pos],
-            None => raw_line,
-        }
-        .trim();
+        let line = raw_line.split('#').next().unwrap_or_default().trim();
         if line.is_empty() {
             continue;
         }
-        if let Some(h) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-            section = h.trim().to_string();
-            match section.as_str() {
-                "never_panic" => {
-                    m.never_panic.push(NeverPanicScope {
-                        file: String::new(),
-                        functions: Vec::new(),
-                        severity: Severity::Error,
-                        constructs: Vec::new(),
-                    });
-                    cur_np = Some(m.never_panic.len() - 1);
-                }
-                "lock_order" => {
-                    m.lock_order.push(LockOrder { file: String::new(), order: Vec::new() });
-                    cur_lo = Some(m.lock_order.len() - 1);
-                }
-                other => return Err(err(line_no, format!("unknown table array `[[{other}]]`"))),
-            }
+        if line == "[[lock_order]]" {
+            orders.push(LockOrder::default());
             continue;
         }
-        if let Some(h) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            section = h.trim().to_string();
-            if !matches!(section.as_str(), "lint" | "protocol" | "gates" | "unsafe_code") {
-                return Err(err(line_no, format!("unknown section `[{section}]`")));
-            }
-            continue;
-        }
-        let Some((key, val)) = line.split_once('=') else {
-            return Err(err(line_no, format!("expected `key = value`, got `{line}`")));
+        let Some((key, value)) = line.split_once('=') else {
+            return Err(err(
+                line_no,
+                format!("expected `[[lock_order]]` or `key = value`, got `{line}`"),
+            ));
         };
-        let key = key.trim();
-        let value = parse_value(line_no, val)?;
-        match (section.as_str(), key) {
-            ("lint", "version") => match value {
-                Value::Int(1) => {}
-                _ => return Err(err(line_no, "unsupported manifest version (expected 1)")),
-            },
-            ("never_panic", _) => {
-                let scope = cur_np
-                    .and_then(|i| m.never_panic.get_mut(i))
-                    .ok_or_else(|| err(line_no, "key outside a [[never_panic]] entry"))?;
-                match (key, value) {
-                    ("file", Value::Str(s)) => scope.file = s,
-                    ("functions", Value::Array(a)) => scope.functions = a,
-                    ("constructs", Value::Array(a)) => scope.constructs = a,
-                    ("severity", Value::Str(s)) => {
-                        scope.severity = match s.as_str() {
-                            "error" => Severity::Error,
-                            "warn" => Severity::Warn,
-                            _ => return Err(err(line_no, "severity must be error|warn")),
-                        }
-                    }
-                    _ => return Err(err(line_no, format!("bad never_panic key `{key}`"))),
-                }
+        let Some(lo) = orders.last_mut() else {
+            return Err(err(line_no, "key outside a [[lock_order]] entry"));
+        };
+        match key.trim() {
+            "file" => lo.file = parse_str(line_no, value)?,
+            "order" => {
+                let Some(body) = value.trim().strip_prefix('[').and_then(|v| v.strip_suffix(']'))
+                else {
+                    return Err(err(line_no, "`order` must be an array on one line"));
+                };
+                lo.order = body
+                    .split(',')
+                    .filter(|part| !part.trim().is_empty())
+                    .map(|part| parse_str(line_no, part))
+                    .collect::<Result<_, _>>()?;
             }
-            ("lock_order", _) => {
-                let lo = cur_lo
-                    .and_then(|i| m.lock_order.get_mut(i))
-                    .ok_or_else(|| err(line_no, "key outside a [[lock_order]] entry"))?;
-                match (key, value) {
-                    ("file", Value::Str(s)) => lo.file = s,
-                    ("order", Value::Array(a)) => lo.order = a,
-                    _ => return Err(err(line_no, format!("bad lock_order key `{key}`"))),
-                }
-            }
-            ("protocol", "file") => {
-                if let Value::Str(s) = value {
-                    m.protocol.file = s;
-                }
-            }
-            ("protocol", "doc_table") => {
-                if let Value::Str(s) = value {
-                    m.protocol.doc_table = s;
-                }
-            }
-            ("protocol", "usage") => {
-                if let Value::Array(a) = value {
-                    m.protocol.usage = a;
-                }
-            }
-            ("gates", "workflow") => {
-                if let Value::Str(s) = value {
-                    m.gates.workflow = s;
-                }
-            }
-            ("gates", "bench_dir") => {
-                if let Value::Str(s) = value {
-                    m.gates.bench_dir = s;
-                }
-            }
-            ("unsafe_code", "forbid") => {
-                if let Value::Array(a) = value {
-                    m.forbid_unsafe = a;
-                }
-            }
-            _ => return Err(err(line_no, format!("unknown key `{key}` in section `[{section}]`"))),
+            other => return Err(err(line_no, format!("unknown key `{other}` in [[lock_order]]"))),
         }
     }
-    for (i, scope) in m.never_panic.iter().enumerate() {
-        if scope.file.is_empty() {
-            return Err(err(0, format!("never_panic entry {} is missing `file`", i + 1)));
-        }
-    }
-    for (i, lo) in m.lock_order.iter().enumerate() {
+    for (i, lo) in orders.iter().enumerate() {
         if lo.file.is_empty() || lo.order.len() < 2 {
             return Err(err(
                 0,
@@ -282,5 +99,5 @@ pub fn parse(src: &str) -> Result<Manifest, ManifestError> {
             ));
         }
     }
-    Ok(m)
+    Ok(orders)
 }

@@ -1,44 +1,24 @@
-//! Shallow structural analysis over a token stream: brace depth,
-//! innermost enclosing `fn` name, and `#[cfg(test)]` / `#[test]` item
-//! regions to exclude. This is the "shallow brace/function tracking"
-//! layer the rule passes build on — closures inherit their enclosing
-//! function's name, nested `fn` items shadow it.
+//! Shallow structural analysis over a token stream: the innermost
+//! enclosing `fn` item, and `#[cfg(test)]` / `#[test]` item regions to
+//! exclude. Closures belong to their enclosing function; nested `fn`
+//! items shadow it.
 
 use crate::lexer::{TokKind, Token};
 
 /// Per-token structural context, parallel to the token stream.
 #[derive(Debug, Clone, Copy)]
 pub struct Ctx {
-    /// Brace depth *before* this token is applied.
-    pub depth: u32,
-    /// Index into [`Scan::fn_names`] of the innermost enclosing
-    /// function, if any.
+    /// The innermost enclosing function, numbered in source order of
+    /// the `fn` items, if any.
     pub fn_idx: Option<u32>,
     /// `true` when the token sits inside a `#[cfg(test)]` or `#[test]`
-    /// item (tests are allowed to panic and to lock freely).
+    /// item (tests may lock freely).
     pub in_test: bool,
-}
-
-/// The result of [`scan`]: one [`Ctx`] per token plus the function-name
-/// table.
-#[derive(Debug)]
-pub struct Scan {
-    /// `ctx[i]` describes `tokens[i]`.
-    pub ctx: Vec<Ctx>,
-    /// Names of every `fn` item seen, in source order.
-    pub fn_names: Vec<String>,
-}
-
-impl Scan {
-    /// The innermost enclosing function name for token `i`, if any.
-    pub fn fn_name(&self, i: usize) -> Option<&str> {
-        self.ctx.get(i).and_then(|c| c.fn_idx).map(|id| self.fn_names[id as usize].as_str())
-    }
 }
 
 /// Marks the token ranges covered by items annotated `#[cfg(test)]` or
 /// `#[test]` (the attribute itself included). Brace depth is still
-/// tracked inside them by [`scan`]; rule passes just skip findings
+/// tracked inside them by [`scan`]; the pass just skips findings
 /// there.
 fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
@@ -113,12 +93,12 @@ fn skip_balanced(tokens: &[Token], open_idx: usize, open: char, close: char) -> 
     i
 }
 
-/// Annotates a token stream with structural context. One pass, shallow:
-/// a `fn` item is recognized as `fn <ident>`, its body as the first
-/// balanced brace group after it (trait methods ending in `;` have no
-/// body and are dropped). `fn` pointer types (`fn(` with no name) are
-/// ignored.
-pub fn scan(tokens: &[Token]) -> Scan {
+/// Annotates a token stream with structural context, one [`Ctx`] per
+/// token. One pass, shallow: a `fn` item is recognized as
+/// `fn <ident>`, its body as the first balanced brace group after it
+/// (trait methods ending in `;` have no body and are dropped). `fn`
+/// pointer types (`fn(` with no name) are ignored.
+pub fn scan(tokens: &[Token]) -> Vec<Ctx> {
     let regions = test_regions(tokens);
     let mut in_test = vec![false; tokens.len()];
     for (a, b) in regions {
@@ -128,15 +108,15 @@ pub fn scan(tokens: &[Token]) -> Scan {
     }
 
     let mut ctx = Vec::with_capacity(tokens.len());
-    let mut fn_names: Vec<String> = Vec::new();
-    // (fn_names index, depth the body's `{` opened at).
+    let mut fns = 0u32;
+    // (fn number, depth the body's `{` opened at).
     let mut fn_stack: Vec<(u32, u32)> = Vec::new();
     // A `fn name` seen, waiting for its body's `{`.
     let mut pending: Option<u32> = None;
     let mut depth = 0u32;
 
     for (i, t) in tokens.iter().enumerate() {
-        ctx.push(Ctx { depth, fn_idx: fn_stack.last().map(|&(id, _)| id), in_test: in_test[i] });
+        ctx.push(Ctx { fn_idx: fn_stack.last().map(|&(id, _)| id), in_test: in_test[i] });
         if t.is_punct('{') {
             if let Some(id) = pending.take() {
                 fn_stack.push((id, depth));
@@ -154,12 +134,10 @@ pub fn scan(tokens: &[Token]) -> Scan {
         } else if t.is_punct(';') {
             // `fn name(…) -> T;` in a trait: no body.
             pending = None;
-        } else if t.is_ident("fn") {
-            if let Some(name) = tokens.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
-                fn_names.push(name.text.clone());
-                pending = Some((fn_names.len() - 1) as u32);
-            }
+        } else if t.is_ident("fn") && tokens.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident) {
+            pending = Some(fns);
+            fns += 1;
         }
     }
-    Scan { ctx, fn_names }
+    ctx
 }

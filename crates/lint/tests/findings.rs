@@ -1,92 +1,44 @@
-//! Golden findings suite: runs the whole lint over the checked-in
+//! Golden findings suite: runs the lock-order check over the checked-in
 //! fixture workspace under `tests/fixtures/demo` and asserts the exact
-//! `file:line: rule: message` output — one fixture violation per rule
-//! (decode-path unwrap, lock inversion, undocumented frame code,
-//! nonexistent bench gate, missing forbid attr), plus the suppression
-//! semantics (reasoned `lint:allow` kills a finding, reasonless is
-//! itself a finding).
+//! `file:line: lock-order: message` output, and checks that the real
+//! workspace is clean.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-fn fixture_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/demo")
-}
-
-fn fixture_findings() -> Vec<rlscope_lint::Finding> {
-    let root = fixture_root();
-    let manifest = rlscope_lint::load_manifest(&root).expect("fixture manifest parses");
-    rlscope_lint::run(&root, &manifest).expect("lint runs over the fixture tree")
+fn findings_under(root: &Path) -> Vec<String> {
+    let orders = rlscope_lint::load_manifest(root).expect("manifest parses");
+    let findings = rlscope_lint::run(root, &orders).expect("lint runs");
+    findings.iter().map(|f| f.to_string()).collect()
 }
 
 #[test]
 fn golden_fixture_findings() {
-    let got: Vec<String> = fixture_findings().iter().map(|f| f.to_string()).collect();
+    let got = findings_under(&Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/demo"));
+    // One inversion; the in-order and `drop`-released paths are clean.
     let want = [
-        ".github/workflows/ci.yml:6: gate-drift: gate filter `ghost_gate` matches no bench registered in benches/micro.rs",
-        ".github/workflows/ci.yml:7: gate-drift: gate runs `--bench missing` but benches/missing.rs does not exist",
         "src/daemon.rs:25: lock-order: acquired `sessions` (rank 0) while holding `writer` (rank 2); declared order: sessions → state → writer",
-        "src/decode.rs:4: never-panic: `.unwrap()` in never-panic fn `decode`",
-        "src/decode.rs:5: never-panic: `.expect(…)` in never-panic fn `decode`",
-        "src/decode.rs:7: never-panic: `panic!` in never-panic fn `decode`",
-        "src/decode.rs:9: never-panic: non-debug `assert!` in never-panic fn `decode` (use debug_assert)",
-        "src/decode.rs:11: never-panic: bare slice indexing in never-panic fn `decode` (use .get()/split_first_chunk/slice patterns)",
-        "src/decode.rs:14: suppression: `lint:allow(never-panic)` requires a reason: `// lint:allow(never-panic): <why>`",
-        "src/decode.rs:15: never-panic: bare slice indexing in never-panic fn `decode` (use .get()/split_first_chunk/slice patterns)",
-        "src/decode.rs:20: never-panic: bare slice indexing in never-panic fn `read_header` (use .get()/split_first_chunk/slice patterns)",
-        "src/deny_root.rs:2: forbid-unsafe: `#![deny(unsafe_code)]` needs a reasoned `// lint:allow(forbid-unsafe): <why>` beside it",
-        "src/lib.rs:1: forbid-unsafe: crate root is missing `#![forbid(unsafe_code)]`",
-        "src/proto.rs:7: protocol-surface: doc frame table row `GONE` (0x03) has no matching const",
-        "src/proto.rs:11: protocol-surface: frame `ROGUE` (0x02) missing from the doc frame table in src/proto.rs",
-        "src/proto.rs:17: protocol-surface: `ErrorCode::Internal` is not decoded by `from_u8`",
-        "src/proto.rs:17: protocol-surface: `ErrorCode::Internal` is never constructed outside `from_u8`",
     ];
     assert_eq!(got, want.map(String::from), "golden findings drifted:\n{}", got.join("\n"));
 }
 
 #[test]
-fn suppression_semantics() {
-    let findings = fixture_findings();
-    // The reasoned lint:allow on decode.rs:12 kills the line-13 index
-    // finding; the reasonless one on line 14 kills nothing and is
-    // itself reported.
-    assert!(
-        !findings.iter().any(|f| f.file == "src/decode.rs" && f.line == 13),
-        "reasoned lint:allow failed to suppress"
-    );
-    assert!(findings
-        .iter()
-        .any(|f| f.file == "src/decode.rs" && f.line == 15 && f.rule == "never-panic"));
-    assert!(findings
-        .iter()
-        .any(|f| f.file == "src/decode.rs" && f.line == 14 && f.rule == "suppression"));
-    // The excused deny root (reasoned allow beside the attr) is clean.
-    assert!(!findings.iter().any(|f| f.file == "src/excused_root.rs"));
+fn manifest_typos_are_errors() {
+    use rlscope_lint::manifest::parse;
+    assert!(parse("[[lock_order]]\nfile = \"a.rs\"\norder = [\"x\", \"y\"]\n").is_ok());
+    for bad in [
+        "file = \"a.rs\"\n", // key outside an entry
+        "[[lock_order]]\nfiel = \"a.rs\"\norder = [\"x\", \"y\"]\n", // unknown key
+        "[[lock_order]]\nfile = \"a.rs\"\norder = [\"x\"]\n", // one lock orders nothing
+        "[lock_order]\nfile = \"a.rs\"\n", // unknown section
+    ] {
+        assert!(parse(bad).is_err(), "accepted: {bad:?}");
+    }
 }
 
-#[test]
-fn json_output_shape() {
-    let findings = fixture_findings();
-    let json = rlscope_lint::to_json(&findings);
-    assert!(json.starts_with("[\n") && json.ends_with(']'));
-    assert_eq!(json.matches("{\"file\":").count(), findings.len(), "one JSON object per finding");
-    assert!(json.contains(
-        "{\"file\":\"src/decode.rs\",\"line\":4,\"rule\":\"never-panic\",\"severity\":\"error\",\
-         \"message\":\"`.unwrap()` in never-panic fn `decode`\"}"
-    ));
-}
-
-/// The real workspace must lint clean at error severity — the same
-/// assertion CI's `lint-invariants` job enforces, kept here so `cargo
-/// test` alone catches a violation before CI does.
+/// The real workspace must be clean — the same check CI's `lint` job
+/// runs, kept here so `cargo test` alone catches an inversion.
 #[test]
 fn workspace_lints_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let manifest = rlscope_lint::load_manifest(&root).expect("workspace manifest parses");
-    let findings = rlscope_lint::run(&root, &manifest).expect("lint runs over the workspace");
-    let errors: Vec<String> = findings
-        .iter()
-        .filter(|f| f.severity == rlscope_lint::manifest::Severity::Error)
-        .map(|f| f.to_string())
-        .collect();
-    assert!(errors.is_empty(), "workspace has lint errors:\n{}", errors.join("\n"));
+    let got = findings_under(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    assert!(got.is_empty(), "workspace has lock-order findings:\n{}", got.join("\n"));
 }

@@ -1,18 +1,17 @@
 //! Unit tests for the lexer: the constructs that defeat naive scanners
-//! must never leak string/comment contents into the token stream, and
-//! the side channels (suppressions, doc lines) must parse exactly.
+//! must never leak string/comment contents into the token stream.
 
 use rlscope_lint::lexer::{lex, TokKind};
 
 /// The identifier texts of a lexed snippet, for concise assertions.
 fn idents(src: &str) -> Vec<String> {
-    lex(src).tokens.into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
+    lex(src).into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
 }
 
 #[test]
 fn line_comments_are_skipped() {
     let l = lex("let a = 1; // unwrap() panic! here\nlet b = 2;");
-    assert!(!l.tokens.iter().any(|t| t.is_ident("unwrap") || t.is_ident("panic")));
+    assert!(!l.iter().any(|t| t.is_ident("unwrap") || t.is_ident("panic")));
     assert_eq!(idents("let a = 1; // unwrap()\nlet b = 2;"), ["let", "a", "let", "b"]);
 }
 
@@ -22,14 +21,14 @@ fn nested_block_comments_are_skipped() {
     assert_eq!(idents(src), ["before", "after"]);
     // Line counting survives multi-line block comments.
     let l = lex("/* a\nb\nc */ x");
-    assert_eq!(l.tokens[0].line, 3);
+    assert_eq!(l[0].line, 3);
 }
 
 #[test]
 fn string_contents_never_tokenize() {
     let l = lex(r#"let m = "call unwrap() and panic!";"#);
-    assert!(!l.tokens.iter().any(|t| t.is_ident("unwrap") || t.is_ident("panic")));
-    let strs: Vec<_> = l.tokens.iter().filter(|t| t.kind == TokKind::Str).collect();
+    assert!(!l.iter().any(|t| t.is_ident("unwrap") || t.is_ident("panic")));
+    let strs: Vec<_> = l.iter().filter(|t| t.kind == TokKind::Str).collect();
     assert_eq!(strs.len(), 1);
     assert_eq!(strs[0].text, "call unwrap() and panic!");
 }
@@ -39,45 +38,45 @@ fn raw_strings_with_fences() {
     // A raw string closes only on a quote followed by its full fence —
     // an interior `"#` must not end an `r##"…"##` literal.
     let l = lex(r####"let s = r##"inner "# quote and unwrap()"##;"####);
-    let strs: Vec<_> = l.tokens.iter().filter(|t| t.kind == TokKind::Str).collect();
+    let strs: Vec<_> = l.iter().filter(|t| t.kind == TokKind::Str).collect();
     assert_eq!(strs.len(), 1);
     assert_eq!(strs[0].text, r##"inner "# quote and unwrap()"##);
-    assert!(!l.tokens.iter().any(|t| t.is_ident("unwrap")));
+    assert!(!l.iter().any(|t| t.is_ident("unwrap")));
     // Byte and C strings lex as strings too.
     for src in [r#"b"bytes unwrap()""#, r#"c"cstr unwrap()""#, r##"br#"raw bytes"#"##] {
         let l = lex(src);
-        assert_eq!(l.tokens.iter().filter(|t| t.kind == TokKind::Str).count(), 1, "{src}");
-        assert!(!l.tokens.iter().any(|t| t.is_ident("unwrap")), "{src}");
+        assert_eq!(l.iter().filter(|t| t.kind == TokKind::Str).count(), 1, "{src}");
+        assert!(!l.iter().any(|t| t.is_ident("unwrap")), "{src}");
     }
 }
 
 #[test]
 fn escaped_quotes_inside_strings() {
     let l = lex(r#"let s = "a \" b"; next"#);
-    let strs: Vec<_> = l.tokens.iter().filter(|t| t.kind == TokKind::Str).collect();
+    let strs: Vec<_> = l.iter().filter(|t| t.kind == TokKind::Str).collect();
     assert_eq!(strs.len(), 1);
     assert_eq!(strs[0].text, r#"a \" b"#);
-    assert!(l.tokens.iter().any(|t| t.is_ident("next")));
+    assert!(l.iter().any(|t| t.is_ident("next")));
 }
 
 #[test]
 fn char_literals_vs_lifetimes() {
     let l = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; let q = '\\''; }");
     let lifetimes: Vec<_> =
-        l.tokens.iter().filter(|t| t.kind == TokKind::Lifetime).map(|t| t.text.as_str()).collect();
+        l.iter().filter(|t| t.kind == TokKind::Lifetime).map(|t| t.text.as_str()).collect();
     assert_eq!(lifetimes, ["a", "a"]);
     let chars: Vec<_> =
-        l.tokens.iter().filter(|t| t.kind == TokKind::Char).map(|t| t.text.as_str()).collect();
+        l.iter().filter(|t| t.kind == TokKind::Char).map(|t| t.text.as_str()).collect();
     assert_eq!(chars, ["x", "\\n", "\\'"]);
     // 'static is a lifetime, not an unterminated char.
     let l = lex("&'static str");
-    assert!(l.tokens.iter().any(|t| t.kind == TokKind::Lifetime && t.text == "static"));
+    assert!(l.iter().any(|t| t.kind == TokKind::Lifetime && t.text == "static"));
     // b'x' is a char literal, not ident `b` + lifetime.
     let l = lex("let y = b'x';");
-    assert!(l.tokens.iter().any(|t| t.kind == TokKind::Char && t.text == "x"));
+    assert!(l.iter().any(|t| t.kind == TokKind::Char && t.text == "x"));
     // Unicode escapes span the braces.
     let l = lex("let u = '\\u{1F600}';");
-    assert!(l.tokens.iter().any(|t| t.kind == TokKind::Char && t.text == "\\u{1F600}"));
+    assert!(l.iter().any(|t| t.kind == TokKind::Char && t.text == "\\u{1F600}"));
 }
 
 #[test]
@@ -89,50 +88,18 @@ fn raw_identifiers_lex_as_idents() {
 fn numbers_and_punctuation() {
     let l = lex("x[0x81] = 12.5 + 4u64;");
     let nums: Vec<_> =
-        l.tokens.iter().filter(|t| t.kind == TokKind::Num).map(|t| t.text.as_str()).collect();
+        l.iter().filter(|t| t.kind == TokKind::Num).map(|t| t.text.as_str()).collect();
     assert_eq!(nums, ["0x81", "12.5", "4u64"]);
-    assert!(l.tokens.iter().any(|t| t.is_punct('[')));
-    assert!(l.tokens.iter().any(|t| t.is_punct(']')));
-}
-
-#[test]
-fn suppression_side_channel() {
-    let src = "\
-// lint:allow(never-panic): length checked above
-let a = 1;
-// lint:allow(lock-order)
-// lint:allow(gate-drift):
-// not a suppression: lint:allow is mid-comment prose here
-";
-    let l = lex(src);
-    assert_eq!(l.suppressions.len(), 3);
-    assert_eq!(l.suppressions[0].line, 1);
-    assert_eq!(l.suppressions[0].rule, "never-panic");
-    assert!(l.suppressions[0].has_reason);
-    assert_eq!(l.suppressions[1].rule, "lock-order");
-    assert!(!l.suppressions[1].has_reason, "no colon means no reason");
-    assert_eq!(l.suppressions[2].rule, "gate-drift");
-    assert!(!l.suppressions[2].has_reason, "empty reason after colon is no reason");
-}
-
-#[test]
-fn doc_line_side_channel() {
-    let src = "//! module docs\n/// | `0x01` | c→d | `HELLO` | hi |\nfn f() {}\n";
-    let l = lex(src);
-    assert_eq!(
-        l.doc_lines,
-        vec![(1, "module docs".to_string()), (2, "| `0x01` | c→d | `HELLO` | hi |".to_string())]
-    );
-    // Doc lines never produce tokens.
-    assert_eq!(idents(src), ["fn", "f"]);
+    assert!(l.iter().any(|t| t.is_punct('[')));
+    assert!(l.iter().any(|t| t.is_punct(']')));
 }
 
 #[test]
 fn unterminated_string_does_not_hang_or_panic() {
     let l = lex("let s = \"never closed");
-    assert_eq!(l.tokens.iter().filter(|t| t.kind == TokKind::Str).count(), 1);
+    assert_eq!(l.iter().filter(|t| t.kind == TokKind::Str).count(), 1);
     let l = lex("let s = r#\"never closed");
-    assert_eq!(l.tokens.iter().filter(|t| t.kind == TokKind::Str).count(), 1);
+    assert_eq!(l.iter().filter(|t| t.kind == TokKind::Str).count(), 1);
     let l = lex("/* never closed");
-    assert!(l.tokens.is_empty());
+    assert!(l.is_empty());
 }

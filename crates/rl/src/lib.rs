@@ -16,7 +16,6 @@
 //! All agents implement [`Agent`]; the workload layer drives them through
 //! the annotated inference / simulation / backpropagation loop.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

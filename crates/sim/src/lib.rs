@@ -45,7 +45,6 @@
 //! assert!(clock.now().as_nanos() > 40_000);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

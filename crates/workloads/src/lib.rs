@@ -14,8 +14,6 @@
 //! * [`minigo`] — the Figure 8 scale-up workload with 16 self-play
 //!   workers and the `nvidia-smi` comparison.
 
-// lint:allow(forbid-unsafe): membench's tracking allocator implements the unsafe GlobalAlloc trait; that one impl is `#[allow]`ed locally under `deny`.
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -60,7 +60,7 @@ fn on_dealloc(bytes: usize) {
 }
 
 // SAFETY: delegates every operation to `System`, only adjusting counters.
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "GlobalAlloc is an unsafe trait; every method delegates to System")]
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);

@@ -5,6 +5,9 @@
 //!
 //! Run with: `cargo run --release --example custom_annotations`
 
+// CLI errors exit with a message; they never unwrap or panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rlscope::core::prelude::*;
 use rlscope::prelude::*;
 use rlscope::sim::ids::ProcessId;

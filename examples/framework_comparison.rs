@@ -7,18 +7,21 @@
 //!
 //! Run with: `cargo run --release --example framework_comparison`
 
+// CLI errors exit with a message; they never unwrap or panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rlscope::core::profiler::TransitionKind;
 use rlscope::prelude::*;
 use rlscope::workloads::run_framework_comparison;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let steps = 150;
     let scale = ScaleConfig { hidden: 16, batch: 8, freq_div: 10, ppo: None };
     println!("== Framework comparison: TD3 on Walker2D, {steps} steps ==\n");
 
     let runs = run_framework_comparison(AlgoKind::Td3, steps, scale);
     let baseline =
-        runs.iter().map(|r| r.profile.corrected_total).min().expect("at least one framework");
+        runs.iter().map(|r| r.profile.corrected_total).min().ok_or("no framework was profiled")?;
 
     for run in &runs {
         let total = run.profile.corrected_total;
@@ -43,4 +46,5 @@ fn main() {
          Autograph are close.\nF.3 expectation: TensorFlow Eager makes several \
          times more Python->Backend transitions than PyTorch Eager."
     );
+    Ok(())
 }

@@ -11,13 +11,25 @@
 //! fails on any drift between the checked-in files and the current
 //! codec/sweep behavior.
 
+// CLI errors exit with a message; they never unwrap or panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::compute_overlap;
 use rlscope::core::rollup::rollup_chunk_dir;
 use rlscope::core::store::{encode_events, encode_events_v1, reorder_chunk_dir};
 use std::path::Path;
 
-include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fixture.rs"));
+/// The corpus fixture, shared with the golden, fuzz and property suites.
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test-support code: the suites that share it fail by unwrapping"
+)]
+mod fixture {
+    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fixture.rs"));
+}
+use fixture::*;
 
 /// Writes one corpus file, exiting with a message on I/O failure —
 /// a half-written corpus must never look like a successful regen.

@@ -7,9 +7,12 @@
 //!
 //! Run with: `cargo run --release --example minigo_scaleup`
 
+// CLI errors exit with a message; they never unwrap or panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rlscope::workloads::{run_minigo, MinigoConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = MinigoConfig {
         workers: 8, // scaled from the paper's 16 for a quick example run
         board: 7,
@@ -35,8 +38,8 @@ fn main() {
         .iter()
         .zip(&result.worker_gpu)
         .map(|(w, g)| (w, g, g.ratio(*w)))
-        .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap())
-        .expect("at least one worker");
+        .max_by(|a, b| a.2.total_cmp(&b.2))
+        .ok_or("the run had no workers")?;
     println!(
         "\nbusiest worker: {} wall, {} on the GPU ({:.2}% GPU-bound) — \
          yet nvidia-smi reported {:.0}% utilization.",
@@ -45,4 +48,5 @@ fn main() {
         100.0 * worst.2,
         result.report.smi_reported_percent
     );
+    Ok(())
 }

@@ -6,11 +6,14 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+// CLI errors exit with a message; they never unwrap or panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::report::BreakdownReport;
 use rlscope::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A reproducible workload spec: DQN on Pong under stable-baselines
     // (TensorFlow Graph execution).
     let spec = TrainSpec {
@@ -21,7 +24,7 @@ fn main() {
     // Run fully instrumented (annotations, Python<->C interception, CUDA
     // API interception, CUPTI activity collection).
     let outcome = spec.run(Some(Toggles::all()));
-    let trace = outcome.trace.expect("profiled run produces a trace");
+    let trace = outcome.trace.ok_or("the profiled run produced no trace")?;
 
     println!("== RL-Scope quickstart: DQN on Pong ==\n");
     println!(
@@ -33,12 +36,12 @@ fn main() {
 
     // Cross-stack overlap via the unified query API: every instant
     // attributed to (operation, resources, stack level).
-    let breakdown = Analysis::of(&trace).table().expect("in-memory analysis");
+    let breakdown = Analysis::of(&trace).table()?;
     println!("{}", BreakdownReport::from_table(&breakdown).render());
 
     // The same pipeline scoped per operation: one single-operation table
     // per annotation, conserving the overall total exactly.
-    for (key, table) in Analysis::of(&trace).group_by([Dim::Operation]).tables().unwrap() {
+    for (key, table) in Analysis::of(&trace).group_by([Dim::Operation]).tables()? {
         println!(
             "{:<18} {:>12}  ({:.1}% of total)",
             key.label(),
@@ -58,4 +61,5 @@ fn main() {
         gpu,
         cuda.ratio(gpu)
     );
+    Ok(())
 }

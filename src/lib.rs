@@ -35,8 +35,6 @@
 //! assert!(breakdown.total() > rlscope::sim::time::DurationNs::ZERO);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use rlscope_backend as backend;
 pub use rlscope_collector as collector;
 pub use rlscope_core as core;

@@ -338,6 +338,47 @@ fn queries_racing_a_prune_get_an_answer_or_unknown_target() {
     collector.shutdown();
 }
 
+/// The tier re-check, pinned: a query held between its tier's index read
+/// and its answer while a retention pass prunes the session answers
+/// `UnknownTarget`, as a query sent after the prune does — not the
+/// answer it found cached for the pruned directory. A stress race
+/// reaches that window too rarely to pin it; the fault plan's hook
+/// holds the query there.
+#[test]
+fn a_query_parked_across_a_prune_names_the_prune() {
+    use rlscope::collector::daemon::fault::FaultPlan;
+
+    let (socket, data) = scratch("parkprune");
+    let faults = FaultPlan::new();
+    let mut config = CollectorConfig::new(&socket, &data);
+    config.faults = Some(faults.clone());
+    let collector = Collector::bind(config).unwrap();
+    let events = session_events(0, 1_024);
+    let mut client = finish_session(&socket, "parked", &events);
+    let spec = QuerySpec::session("parked").group_by([Dim::Phase]);
+    let expected = Analysis::of_events(&events).group_by([Dim::Phase]).canonical_json().unwrap();
+    // The seal answers first; then, aged to the rollup tier, a query
+    // leaves its answer in the result cache.
+    assert_eq!(client.query(&spec).unwrap().canonical_json, expected);
+    assert_eq!(collector.compact_session("parked").unwrap(), StorageTier::Sorted);
+    assert_eq!(collector.compact_session("parked").unwrap(), StorageTier::Rollup);
+    assert!(!client.query(&spec).unwrap().cache_hit);
+
+    let parked = faults.park_next_settled_query();
+    let asking = std::thread::spawn(move || client.query(&spec));
+    assert!(parked.wait_parked(Duration::from_secs(20)), "the query never reached the hook");
+    collector.run_retention_pass(&RetentionPolicy::parse("rollup=0ms").unwrap());
+    wait_pruned(&collector, "parked", &data.join("parked"));
+    parked.release();
+    match asking.join().unwrap() {
+        Err(CollectorError::Remote { code: Some(ErrorCode::UnknownTarget), message }) => {
+            assert!(message.contains("\"parked\""), "{message}");
+        }
+        other => panic!("expected the UnknownTarget of the prune, got {other:?}"),
+    }
+    collector.shutdown();
+}
+
 /// Whether `name` is one a writer puts in a session directory: chunks,
 /// the registry record, the tier directories and their build
 /// scratch, and the rollup tier's segments and index.
