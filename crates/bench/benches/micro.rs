@@ -7,7 +7,7 @@ use rlscope_bench::gate;
 use rlscope_core::analysis::{Analysis, Dim, LiveState, LiveView};
 use rlscope_core::event::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope_core::overlap::{compute_overlap, compute_overlap_columns, OverlapSweep};
-use rlscope_core::profiler::{EventSink, Toggles};
+use rlscope_core::profiler::{cut_of, EventSink, Toggles};
 use rlscope_core::store::{
     decode_columns, decode_events, encode_events, EventColumns, TraceWriter,
 };
@@ -540,12 +540,14 @@ fn bench_live_snapshot(c: &mut Criterion) {
 /// The stream of the e2e harness's `train_stream` run (DDPG Walker2D,
 /// stable-baselines, 400 steps, seed 1, about 0.6 M events) as the
 /// profiler hands it to a streaming sink: one [`EventColumns`] per
-/// 4096-event batch, in delivery order.
+/// 4096-event batch, in delivery order, each carrying the profiler's
+/// declaration ([`EventColumns::cut`]) as a decoded declared chunk does.
 fn train_stream_chunks() -> Vec<EventColumns> {
     struct Batches(Mutex<Vec<EventColumns>>);
     impl EventSink for Batches {
         fn emit(&self, events: Vec<Event>) {
-            self.0.lock().unwrap().push(EventColumns::from_events(&events));
+            let cols = EventColumns { cut: cut_of(&events), ..EventColumns::from_events(&events) };
+            self.0.lock().unwrap().push(cols);
         }
     }
     let spec = TrainSpec {
@@ -562,26 +564,50 @@ fn train_stream_chunks() -> Vec<EventColumns> {
 fn bench_live_seal(c: &mut Criterion) {
     // What a cleanly finished session's seal costs the collector daemon:
     // a single-process training run's live state, every batch pushed
-    // (untimed), turned into its merged-view tables. The run's boundary
-    // log is near-sorted — a backend call starts before the CUDA call
-    // recorded ahead of it, an operation before its children — so the
-    // seal sorts its few stragglers into the run and drains it once.
-    let id = "live_seal/train_stream_shaped";
-    if bench_filter().is_some_and(|f| !id.contains(f.as_str())) {
+    // (untimed), turned into its merged-view tables.
+    //
+    // * `train_stream_shaped`: the chunks undeclared. The run's boundary
+    //   log is near-sorted — a backend call starts before the CUDA call
+    //   recorded ahead of it, an operation before its children — so the
+    //   seal sorts its few stragglers into the run and drains it once.
+    // * `train_stream_declared`: the same chunks with the profiler's
+    //   declarations, each released to its frontier after its push, as
+    //   the daemon does once the ack is out: the seal drains about the
+    //   last chunk.
+    //
+    // `live_ingest/*` times the pushes themselves (with the releases,
+    // for declared chunks): where the declared path moved the drain.
+    let ids = [
+        "live_seal/train_stream_shaped",
+        "live_seal/train_stream_declared",
+        "live_ingest/train_stream_shaped",
+        "live_ingest/train_stream_declared",
+    ];
+    if bench_filter().is_some_and(|f| ids.iter().all(|id| !id.contains(f.as_str()))) {
         return;
     }
-    let chunks = train_stream_chunks();
-    let pushed = || {
+    let declared = train_stream_chunks();
+    let shaped: Vec<EventColumns> =
+        declared.iter().map(|c| EventColumns { cut: None, ..c.clone() }).collect();
+    let push_all = |chunks: &[EventColumns]| {
         let mut live = LiveState::new();
-        for chunk in &chunks {
+        for chunk in chunks {
             live.push_columns(chunk).unwrap();
+            live.release();
         }
         live
     };
     let mut group = c.benchmark_group("live_seal");
     group.bench_function("train_stream_shaped", |b| {
-        b.iter_batched(pushed, LiveState::seal, BatchSize::LargeInput)
+        b.iter_batched(|| push_all(&shaped), LiveState::seal, BatchSize::LargeInput)
     });
+    group.bench_function("train_stream_declared", |b| {
+        b.iter_batched(|| push_all(&declared), LiveState::seal, BatchSize::LargeInput)
+    });
+    group.finish();
+    let mut group = c.benchmark_group("live_ingest");
+    group.bench_function("train_stream_shaped", |b| b.iter(|| push_all(&shaped)));
+    group.bench_function("train_stream_declared", |b| b.iter(|| push_all(&declared)));
     group.finish();
 }
 

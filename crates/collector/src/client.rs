@@ -7,9 +7,9 @@ use crate::protocol::{
 };
 use crate::transport::{Endpoint, Stream};
 use rlscope_core::event::Event;
-use rlscope_core::profiler::EventSink;
+use rlscope_core::profiler::{cut_of, EventSink};
 use rlscope_core::store::{
-    encode_events, read_frame, write_frame, write_frame_parts, TraceIoError,
+    encode_declared, encode_events, read_frame, write_frame, write_frame_parts, Cut, TraceIoError,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -272,6 +272,25 @@ impl CollectorClient {
     /// server-side rejection.
     pub fn send_events(&mut self, events: &[Event]) -> Result<(), CollectorError> {
         let chunk = encode_events(events);
+        self.send_chunk_bytes(&chunk)?;
+        self.events_sent += events.len() as u64;
+        Ok(())
+    }
+
+    /// [`CollectorClient::send_events`] with the producer's declaration
+    /// at the cut in the chunk footer ([`encode_declared`]). From the
+    /// first declared chunk on, the daemon holds the session to each
+    /// declaration: a later event that starts before the frontier
+    /// without closing a declared scope, a close that ends before the
+    /// cut, a declared scope that vanishes without its close, a
+    /// frontier that moves back, or an undeclared chunk aborts the
+    /// session with [`ErrorCode::Protocol`].
+    ///
+    /// # Errors
+    ///
+    /// See [`CollectorClient::send_events`].
+    pub fn send_declared(&mut self, events: &[Event], cut: &Cut) -> Result<(), CollectorError> {
+        let chunk = encode_declared(events, cut);
         self.send_chunk_bytes(&chunk)?;
         self.events_sent += events.len() as u64;
         Ok(())
@@ -616,7 +635,8 @@ const SEND_QUEUE_DEPTH: usize = 1;
 
 /// Work for a sink's sender thread, in the order it was queued.
 enum Job {
-    Batch(Vec<Event>),
+    /// A batch and the declaration the profiler made beside it, if any.
+    Batch(Vec<Event>, Option<Cut>),
     Query(QuerySpec, SyncSender<Result<QueryReply, CollectorError>>),
     Finish(SyncSender<Result<SessionSummary, CollectorError>>),
 }
@@ -726,11 +746,15 @@ impl CollectorSink {
 }
 
 impl EventSink for CollectorSink {
+    /// Queues the batch, with the profiler's declaration when the
+    /// profiler handed it over ([`cut_of`]): a declared batch goes out
+    /// as a declared chunk ([`CollectorClient::send_declared`]).
     fn emit(&self, events: Vec<Event>) {
+        let cut = cut_of(&events);
         // A closed queue means the sender thread is gone; `finish` then
         // reports it, so the batch has nowhere to go.
         if let Some(jobs) = &self.jobs {
-            let _ = jobs.send(Job::Batch(events));
+            let _ = jobs.send(Job::Batch(events, cut));
         }
     }
 }
@@ -752,9 +776,13 @@ fn run_sender(mut client: CollectorClient, jobs: Receiver<Job>) {
     let mut failed = false;
     for job in jobs {
         match job {
-            Job::Batch(_) if failed => {}
-            Job::Batch(events) => {
-                if let Err(e) = client.send_events(&events) {
+            Job::Batch(..) if failed => {}
+            Job::Batch(events, cut) => {
+                let sent = match &cut {
+                    Some(cut) => client.send_declared(&events, cut),
+                    None => client.send_events(&events),
+                };
+                if let Err(e) = sent {
                     latched = Some(e);
                     failed = true;
                 }

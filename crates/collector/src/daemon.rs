@@ -626,6 +626,9 @@ impl Owner {
                 if let Some(writer) = &self.attached {
                     let _ = send_chunk_ack(writer, seq, events);
                 }
+                // Off the client's path: a declared session's sweeps
+                // drain to the frontier now, so its seal need not.
+                self.live.release();
                 false
             }
             Err(error) => self.abort(error, true),
@@ -803,6 +806,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             }
         }
         self.map.insert(key, (value, self.tick));
+    }
+
+    /// Drops every entry whose key `stale` picks.
+    fn forget(&mut self, stale: impl Fn(&K) -> bool) {
+        self.map.retain(|key, _| !stale(key));
     }
 }
 
@@ -1214,6 +1222,16 @@ impl Collector {
         })
     }
 
+    /// The directories the settled-query result cache holds answers
+    /// for, one entry per cached answer: test support for the cache's
+    /// bookkeeping (built only with the test-only `fault-inject`
+    /// feature).
+    #[cfg(feature = "fault-inject")]
+    #[doc(hidden)]
+    pub fn cached_result_dirs(&self) -> Vec<PathBuf> {
+        self.daemon.cache.lock().map.keys().map(|(dir, _)| PathBuf::from(dir)).collect()
+    }
+
     /// Runs one retention pass now, on the calling thread (what the
     /// timer does every tick): the due tier transition or prune for
     /// every session past its dwell under `policy`, one after another.
@@ -1316,8 +1334,9 @@ fn recover_session(
             let mut replay_error: Option<String> = None;
             let prefix = recover_chunk_prefix(dir, |cols| {
                 if replay_error.is_none() {
-                    if let Err(e) = live.push_columns(cols) {
-                        replay_error = Some(e.to_string());
+                    match live.push_columns(cols) {
+                        Ok(()) => live.release(),
+                        Err(e) => replay_error = Some(e.to_string()),
                     }
                 }
             })
@@ -1523,6 +1542,8 @@ fn run_compaction_job(daemon: &Daemon, name: &str, kind: JobKind) -> Result<(), 
             if matches!(sessions.get(name), Some(Entry::Settled(s)) if s.epoch == settled.epoch) {
                 sessions.remove(name);
                 let _ = fs::remove_dir_all(&settled.dir);
+                // Every tier's answers: their directories are gone.
+                daemon.cache.lock().forget(|(dir, _)| Path::new(dir).starts_with(&settled.dir));
             }
         }
     }
@@ -1554,6 +1575,9 @@ fn advance_tier(
     }
     if let Some(Entry::Settled(current)) = daemon.sessions.lock().get_mut(name) {
         if current.epoch == settled.epoch {
+            // The prior tier's answers: its directory is dropped next.
+            let moved = tier_dir(&current.dir, current.tier);
+            daemon.cache.lock().forget(|(dir, _)| Path::new(dir) == moved);
             current.tier = tier;
             current.seal = None;
         }

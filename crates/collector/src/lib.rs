@@ -108,6 +108,40 @@
 //! thread. Neither changes what any query observes. An aborted session
 //! serves exactly the durable prefix from disk.
 //!
+//! **Declared and undeclared sessions.** A chunk may carry its
+//! producer's declaration in its footer ([`rlscope_core::store::Cut`]:
+//! the phase and operations still open, the clock at the cut, and a
+//! frontier no later event starts before except their closes).
+//! [`CollectorSink`] sends every batch a [`Profiler`] hands it as a
+//! declared chunk; raw clients and [`CollectorClient::send_events`]
+//! send undeclared ones, whose bytes, checkpoints and answers are what
+//! they always were. From a session's first declared chunk on:
+//!
+//! - *Answers include what is open.* Every answer about the session —
+//!   live, the seal of a finish that left scopes open, and its
+//!   directory (read at any tier: the start-ordered rewrite keeps the
+//!   closes as events) — treats the scopes its last acked chunk declared
+//!   open as closed at that chunk's cut, which is what
+//!   [`Profiler::snapshot`] shows at that instant. So the phase open
+//!   when a client dies keeps its time up to the last acked cut instead
+//!   of landing in `(no phase)`, and the live answer just before the
+//!   death, the aborted session's answer and the answer after a restart
+//!   agree.
+//! - *The drain runs beside the stream.* Once a chunk's ack is out, the
+//!   owner drains the live sweeps up to the frontier and drops the
+//!   boundary log behind it ([`LiveState::release`]), so the seal at
+//!   `FINISH` finalizes about one chunk instead of the whole run.
+//! - *A broken declaration aborts.* An event that starts before the
+//!   previous frontier without closing a declared scope, a close that
+//!   ends before the cut it was declared open at, a declared scope that
+//!   vanishes without its close, a frontier that moves back, or an
+//!   undeclared chunk is [`ErrorCode::Protocol`]; the offending chunk
+//!   is neither applied nor persisted, and the durable prefix stays
+//!   queryable.
+//!
+//! A daemon that predates declarations rejects a declared chunk as
+//! [`ErrorCode::CorruptChunk`] (an unknown footer flag bit).
+//!
 //! # Wire protocol (version 2)
 //!
 //! Transport framing is [`rlscope_core::store::write_frame`] /
@@ -290,6 +324,9 @@
 //! [`LiveState`]: rlscope_core::analysis::LiveState
 //! [`LiveState::snapshot_view`]: rlscope_core::analysis::LiveState::snapshot_view
 //! [`LiveState::seal`]: rlscope_core::analysis::LiveState::seal
+//! [`LiveState::release`]: rlscope_core::analysis::LiveState::release
+//! [`Profiler`]: rlscope_core::profiler::Profiler
+//! [`Profiler::snapshot`]: rlscope_core::profiler::Profiler::snapshot
 //! [`OverlapSweep::tables_so_far`]: rlscope_core::overlap::OverlapSweep::tables_so_far
 //! [`Manifest::open`]: rlscope_core::store::Manifest::open
 //! [`Manifest::checksum`]: rlscope_core::store::Manifest::checksum

@@ -107,7 +107,12 @@
 //! therefore derived from the data, not chosen by the caller — on a
 //! start-sorted directory the frontier trails the stream by one chunk;
 //! on a raw dump it stands at the start of the oldest annotation that
-//! has not been written yet. Two consequences:
+//! has not been written yet. When the directory's last chunk declares
+//! scopes still open ([`crate::store::ChunkFooter::cut`]), they close at
+//! its cut, as events pushed after that chunk
+//! ([`crate::store::Cut::closing_events`]); their starts bound every
+//! frontier, and a phase filter is not pushed down (an open phase has
+//! no span in any footer). Two consequences:
 //!
 //! * The frontier comes from the chunks themselves: every directory
 //!   query opens the index from the chunks' footer tails
@@ -200,13 +205,29 @@
 //!   [`LiveState::push_columns`] calls into a fresh [`LiveState`], so
 //!   a post-restart query answers over exactly the acknowledged prefix
 //!   the pre-crash daemon had persisted.
-//! * **Open annotations are invisible.** The profiler records intervals
-//!   when they *close*, so time inside a still-open operation or phase
-//!   has not been streamed yet; it appears once the annotation closes
-//!   (or, client-side, in a [`crate::profiler::Profiler::snapshot`],
-//!   which synthesizes open annotations locally). In particular a
-//!   session's whole-run phase typically shows up only at finish — live
-//!   tables attribute that time to [`NO_PHASE`] until then.
+//! * **Open annotations: declared or invisible.** The profiler records
+//!   an interval when it *closes*, so the events of a stream never hold
+//!   a still-open operation or phase. What a live answer does about
+//!   them depends on the stream:
+//!   - *Undeclared* (raw clients, [`crate::store::encode_events`]
+//!     chunks): the time inside an open annotation appears once it
+//!     closes. A session's whole-run phase typically shows up only at
+//!     finish — live tables attribute that time to [`NO_PHASE`] until
+//!     then — and a late close rolls the next snapshot back to the
+//!     checkpoint before its start (below).
+//!   - *Declared* (chunks that carry the producer's
+//!     [`crate::store::Cut`], as a [`crate::profiler::Profiler`]
+//!     streaming through the collector's sink sends them): a live
+//!     answer equals the batch analysis of the prefix **plus the
+//!     scopes the last chunk declared open, closed at its cut** — what
+//!     [`crate::profiler::Profiler::snapshot`] shows at that instant —
+//!     and so does a sealed or an aborted session's answer (a chunk
+//!     directory closes its last chunk's declared scopes at its cut
+//!     too). [`LiveState::push_columns`] holds each chunk to the
+//!     previous declaration, and [`LiveState::release`] drains the
+//!     sweeps up to the frontier for good, so a snapshot reads a copy
+//!     of about one chunk and needs no checkpoints, and the seal
+//!     finalizes about one chunk.
 //! * **Supported queries.** Phase/process/operation filters and every
 //!   `group_by` combination run with batch-identical semantics, over a
 //!   snapshot that holds the view the query reads
@@ -325,8 +346,8 @@ use crate::overlap::{BreakdownTable, BucketKey, OverlapSweep, PhaseTables, Sweep
 use crate::report::BreakdownReport;
 use crate::rollup::{merge_phase_tables, Rollup};
 use crate::store::{
-    decode_workers, for_each_decoded_chunk_columns, ChunkQuery, EventColumns, EventRow, Manifest,
-    TraceIoError, TAG_OP, TAG_PHASE,
+    decode_workers, for_each_decoded_chunk_columns, ChunkQuery, Cut, EventColumns, EventRow,
+    Manifest, OpenScope, TraceIoError, TAG_OP, TAG_PHASE,
 };
 use crate::trace::Trace;
 use rlscope_sim::ids::ProcessId;
@@ -598,16 +619,7 @@ impl SweepSet {
                     pids.push(pid);
                 }
             }
-            for &pid in &pids {
-                if self.per_process.iter().all(|(known, _)| known.as_u32() != pid) {
-                    if self.view == LiveView::Both && self.merged.is_none() {
-                        // At most one process so far (see the type docs).
-                        self.merged = self.per_process.first().map(|(_, first)| first.clone());
-                    }
-                    self.per_process
-                        .push((ProcessId(pid), self.template.clone().unwrap_or_default()));
-                }
-            }
+            self.make_slots(&pids);
         }
         if let Some(merged) = &mut self.merged {
             merged.push_rows(rows.clone())?;
@@ -617,6 +629,37 @@ impl SweepSet {
             if pids.contains(&pid) {
                 sweep.push_rows(rows.clone().filter(move |row| row.pid() == pid))?;
             }
+        }
+        Ok(())
+    }
+
+    /// Makes a per-process slot for each of `pids` the set has none
+    /// for, in order (see the type docs on `Both`).
+    fn make_slots(&mut self, pids: &[u32]) {
+        for &pid in pids {
+            if self.per_process.iter().all(|(known, _)| known.as_u32() != pid) {
+                if self.view == LiveView::Both && self.merged.is_none() {
+                    // At most one process so far (see the type docs).
+                    self.merged = self.per_process.first().map(|(_, first)| first.clone());
+                }
+                self.per_process.push((ProcessId(pid), self.template.clone().unwrap_or_default()));
+            }
+        }
+    }
+
+    /// Enters a declared open scope into the merged sweep and its
+    /// process's sweep ([`OverlapSweep::enter_scope`]).
+    ///
+    /// # Errors
+    ///
+    /// The first [`SweepError`] of any sweep.
+    fn enter(&mut self, scope: &OpenScope) -> Result<(), SweepError> {
+        if self.view != LiveView::Merged {
+            self.make_slots(&[scope.pid]);
+        }
+        let own = self.per_process.iter_mut().filter(|(pid, _)| pid.as_u32() == scope.pid);
+        for sweep in self.merged.iter_mut().chain(own.map(|(_, sweep)| sweep)) {
+            sweep.enter_scope(scope)?;
         }
         Ok(())
     }
@@ -758,8 +801,9 @@ fn admit<R: EventRow>(row: R, pid: Option<u32>, window: Option<(u64, u64)>) -> O
 /// changes, and pushing a chunk never drains.
 ///
 /// Internally this is the query executor over [`LiveView::Both`],
-/// phase-tagged and never released (nothing bounds a live stream's next
-/// start). Its merged-stream sweep is not materialized until a second
+/// phase-tagged, and released only behind a declared stream's frontier
+/// ([`LiveState::release`]): nothing else bounds a live stream's next
+/// start. Its merged-stream sweep is not materialized until a second
 /// process appears, so single-process sessions — the common case — pay
 /// one sweep push per event, not two, and one resumed drain per
 /// snapshot whichever view is asked.
@@ -767,6 +811,126 @@ fn admit<R: EventRow>(row: R, pid: Option<u32>, window: Option<(u64, u64)>) -> O
 pub struct LiveState {
     sweeps: SweepSet,
     events: u64,
+    /// The standing declaration, from the stream's first declared chunk
+    /// on (see [`LiveState::push_columns`]).
+    declared: Option<Declared>,
+}
+
+/// A declared stream's latest declaration as the live sweeps hold it:
+/// the cut's clock and frontier, and each open scope with whether the
+/// sweeps have entered its start ([`OverlapSweep::enter_scope`]).
+#[derive(Debug, Clone)]
+struct Declared {
+    at: u64,
+    frontier: u64,
+    open: Vec<(OpenScope, bool)>,
+}
+
+impl Declared {
+    /// A stream's first declaration: nothing before it promised
+    /// anything, so nothing is checked.
+    fn first(cut: &Cut) -> Declared {
+        let open = cut.open.iter().map(|scope| (scope.clone(), false)).collect();
+        Declared { at: cut.at, frontier: cut.frontier, open }
+    }
+
+    /// Holds the chunk `cols`, declared by `cut`, to this declaration
+    /// and returns the one that replaces it. An event that starts
+    /// before the frontier must close a declared scope, at or after the
+    /// cut; every declared scope must close in the chunk or be declared
+    /// again; a newly declared scope counts as a later event; and the
+    /// frontier must not move back. Matching is by pid, kind, name and
+    /// start, and identical scopes are interchangeable.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::BrokenDeclaration`], naming the broken promise.
+    fn next(&self, cols: &EventColumns, cut: &Cut) -> Result<Declared, SweepError> {
+        let mut closed = vec![false; self.open.len()];
+        for row in cols.rows() {
+            let (start, end) = row.span();
+            let tag = row.tag();
+            let closes = matches!(tag, TAG_OP | TAG_PHASE)
+                && self
+                    .open
+                    .iter()
+                    .zip(&mut closed)
+                    .find(|((scope, _), closed)| {
+                        !**closed
+                            && (scope.pid, scope.phase, scope.start)
+                                == (row.pid(), tag == TAG_PHASE, start)
+                            && scope.name == *row.name()
+                    })
+                    .map(|(_, closed)| *closed = true)
+                    .is_some();
+            if !closes && start < self.frontier {
+                return Err(broken(format!(
+                    "an event starts at {start} ns, before the frontier {} ns, and closes no \
+                     declared scope",
+                    self.frontier
+                )));
+            }
+            if closes && end < self.at {
+                return Err(broken(format!(
+                    "a declared scope closes at {end} ns, before the cut {} ns it was open at",
+                    self.at
+                )));
+            }
+        }
+        if cut.frontier < self.frontier {
+            return Err(broken(format!(
+                "the frontier moved back from {} ns to {} ns",
+                self.frontier, cut.frontier
+            )));
+        }
+        // Each still-open scope is carried into the new declaration,
+        // keeping whether it was entered.
+        let mut carried: Vec<Option<bool>> = vec![None; cut.open.len()];
+        for ((scope, entered), _) in self.open.iter().zip(&closed).filter(|(_, closed)| !**closed) {
+            let again = cut.open.iter().zip(&mut carried).find(|(s, c)| c.is_none() && *s == scope);
+            let Some((_, slot)) = again else {
+                return Err(broken(format!(
+                    "scope {:?} (start {} ns) neither closed nor was declared again",
+                    scope.name, scope.start
+                )));
+            };
+            *slot = Some(*entered);
+        }
+        let open = cut.open.iter().zip(carried).map(|(scope, carried)| match carried {
+            Some(entered) => Ok((scope.clone(), entered)),
+            None if scope.start < self.frontier => Err(broken(format!(
+                "scope {:?} starts at {} ns, before the frontier {} ns",
+                scope.name, scope.start, self.frontier
+            ))),
+            None => Ok((scope.clone(), false)),
+        });
+        Ok(Declared { at: cut.at, frontier: cut.frontier, open: open.collect::<Result<_, _>>()? })
+    }
+
+    /// Ends every scope still open at the cut, in `sweeps`: an entered
+    /// one by its end alone, any other as a whole event, innermost
+    /// first — the stream as if the scopes closed at the cut.
+    fn close(&self, sweeps: &mut SweepSet) {
+        let per_process = sweeps.per_process.iter_mut().map(|(_, sweep)| sweep);
+        for sweep in sweeps.merged.iter_mut().chain(per_process) {
+            sweep.close_entered(self.at);
+        }
+        let rest: Vec<Event> = self
+            .open
+            .iter()
+            .rev()
+            .filter(|(_, entered)| !entered)
+            .map(|(scope, _)| scope.closed_at(self.at))
+            .collect();
+        // These start at or past the frontier, so only more scopes than
+        // a sweep can number fail; the tables then leave them out.
+        let _ = sweeps.push_rows(rest.iter());
+    }
+}
+
+/// A [`SweepError::BrokenDeclaration`] saying `what`.
+fn broken(what: impl Into<String>) -> SweepError {
+    SweepError::BrokenDeclaration(what.into())
 }
 
 impl Default for LiveState {
@@ -793,7 +957,7 @@ impl LiveState {
     /// An empty live state whose phase-tagged sweeps start as `template`.
     fn with_sweep(template: OverlapSweep) -> Self {
         let sweeps = SweepSet::new(LiveView::Both, template.with_phase_tagging());
-        LiveState { sweeps, events: 0 }
+        LiveState { sweeps, events: 0, declared: None }
     }
 
     /// Events accepted so far (including zero-length and phase events).
@@ -807,15 +971,61 @@ impl LiveState {
     /// session's second process materializes the merged-stream sweep
     /// (see the type docs) before any of its events land.
     ///
+    /// **Declared chunks** ([`EventColumns::cut`]). From a stream's first
+    /// declared chunk on, each chunk is held to the previous
+    /// declaration before anything of it lands (see the module docs on
+    /// live consistency), and then its own declaration stands. A scope
+    /// declared open is entered into the sweeps — its start logged as
+    /// its close would log it — once its start lies before the
+    /// declared frontier, in the order the closes will arrive
+    /// (innermost first): no later event can start at that time, so
+    /// the same-time start order, which decides nesting, is the one the
+    /// whole stream would give. Its close then logs only its end.
+    ///
     /// # Errors
     ///
-    /// [`SweepError`] from the underlying sweeps (they are never
-    /// released and so accept any order: only pathological annotation
-    /// counts can fail).
+    /// [`SweepError::MalformedColumns`] for hand-built columns that
+    /// differ in length or name ids outside their name table;
+    /// [`SweepError::BrokenDeclaration`] for a chunk that breaks the
+    /// previous declaration, or sends none after it, with nothing of
+    /// the chunk applied;
+    /// otherwise [`SweepError`] from the underlying sweeps (only
+    /// pathological annotation counts). After an error the state is
+    /// to be discarded.
     pub fn push_columns(&mut self, cols: &EventColumns) -> Result<(), SweepError> {
+        if !cols.readable() {
+            return Err(SweepError::MalformedColumns);
+        }
+        let next = match (&self.declared, &cols.cut) {
+            (None, None) => None,
+            (Some(_), None) => return Err(broken("a declared stream sent an undeclared chunk")),
+            (None, Some(cut)) => Some(Declared::first(cut)),
+            (Some(held), Some(cut)) => Some(held.next(cols, cut)?),
+        };
         self.sweeps.push_rows(cols.rows())?;
         self.events += cols.len() as u64;
+        if let Some(mut next) = next {
+            for (scope, entered) in next.open.iter_mut().rev() {
+                if !*entered && scope.start < next.frontier {
+                    self.sweeps.enter(scope)?;
+                    *entered = true;
+                }
+            }
+            self.declared = Some(next);
+        }
         Ok(())
+    }
+
+    /// Drains the live sweeps up to the standing declaration's frontier
+    /// for good and drops the boundary log behind it
+    /// ([`OverlapSweep::release_to`]); nothing for an undeclared
+    /// stream. The collector calls it once a chunk's ack is out, so
+    /// the drain runs beside the stream and a seal finalizes only what
+    /// arrived since. The tables do not change.
+    pub fn release(&mut self) {
+        if let Some(held) = &self.declared {
+            self.sweeps.release_to(held.frontier);
+        }
     }
 
     /// The finalized tables of the sweeps `view` covers, over exactly
@@ -823,8 +1033,21 @@ impl LiveState {
     /// each). Pushing may continue afterwards. A single-process
     /// session's one sweep is read once and its tables shared by both
     /// views.
+    ///
+    /// A declared stream with scopes open reads a copy of its sweeps,
+    /// with those scopes closed at the cut: what
+    /// [`crate::profiler::Profiler::snapshot`] shows at that instant.
+    /// Its sweeps are released, so the copy holds about a chunk.
     pub fn snapshot_view(&mut self, view: LiveView) -> LiveTables {
-        let (merged, per_process) = self.sweeps.tables_so_far(view);
+        let open = self.declared.as_ref().filter(|held| !held.open.is_empty());
+        let (merged, per_process) = match open {
+            Some(held) => {
+                let mut sweeps = self.sweeps.clone();
+                held.close(&mut sweeps);
+                sweeps.finish(view)
+            }
+            None => self.sweeps.tables_so_far(view),
+        };
         LiveTables { merged, per_process, events: self.events }
     }
 
@@ -842,7 +1065,15 @@ impl LiveState {
     /// ([`OverlapSweep::finalize_grouped`], resuming from the latest
     /// valid checkpoint), so no sweep is cloned and no checkpoint is
     /// laid.
-    pub fn seal(self) -> LiveTables {
+    ///
+    /// A declared stream's scopes still open at its last cut close
+    /// there, as in [`LiveState::snapshot_view`]; its sweeps were
+    /// released chunk by chunk, so the seal drains about the last
+    /// chunk.
+    pub fn seal(mut self) -> LiveTables {
+        if let Some(held) = self.declared.take() {
+            held.close(&mut self.sweeps);
+        }
         let (merged, per_process) = self.sweeps.finish(LiveView::Merged);
         LiveTables { merged, per_process, events: self.events }
     }
@@ -1364,15 +1595,30 @@ impl<'a> Analysis<'a> {
         reason = "`frontier` has one slot per selected entry, `i` in 1..len"
     )]
     fn pushdown_selection(&self, index: &Manifest, per_process: bool, filters: bool) -> Selection {
-        let selected = index.select_entries(&self.chunk_query(per_process, filters));
-        // Empty chunks carry `min_start == u64::MAX` and bound nothing.
-        let mut frontier = vec![u64::MAX; selected.len()];
+        let closing = index
+            .entries()
+            .last()
+            .and_then(|entry| entry.footer.cut.as_ref())
+            .map(Cut::closing_events)
+            .unwrap_or_default();
+        let mut query = self.chunk_query(per_process, filters);
+        if !closing.is_empty() {
+            // A phase still open has no span in any footer.
+            query.phase = None;
+            query.keep_pid_introductions = false;
+        }
+        let selected = index.select_entries(&query);
+        // Empty chunks carry `min_start == u64::MAX` and bound nothing;
+        // the closing events follow the last chunk.
+        let last = closing.iter().map(|e| e.start.as_nanos()).min().unwrap_or(u64::MAX);
+        let mut frontier = vec![last; selected.len()];
         for i in (1..selected.len()).rev() {
             frontier[i - 1] = frontier[i].min(selected[i].footer.min_start);
         }
         Selection {
             files: selected.iter().map(|e| index.dir().join(&e.file)).collect(),
             frontier,
+            closing,
             total: index.entries().len(),
         }
     }
@@ -1660,6 +1906,9 @@ pub fn groups_canonical_json(groups: &[(GroupKey, BreakdownTable)], grouped: boo
 struct Selection {
     files: Vec<PathBuf>,
     frontier: Vec<u64>,
+    /// The scopes the directory's last chunk declares open, closed at
+    /// its cut ([`Cut::closing_events`]): pushed after the last chunk.
+    closing: Vec<Event>,
     total: usize,
 }
 
@@ -1696,7 +1945,8 @@ fn push_chunks(set: &mut SweepSet, selection: &Selection) -> Result<(), Analysis
         set.release_to(frontiers.next().unwrap_or(0));
         Ok(())
     })
-    .map_err(AnalysisError::Io)
+    .map_err(AnalysisError::Io)?;
+    set.push_rows(selection.closing.iter()).map_err(|err| AnalysisError::Io(corrupt(err)))
 }
 
 /// `tables` merged into one; the first is moved, not copied.

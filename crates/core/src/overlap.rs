@@ -82,7 +82,7 @@
 
 use crate::event::{CpuCategory, Event};
 use crate::intern::Interner;
-use crate::store::{EventColumns, EventRow, TAG_OP, TAG_PHASE};
+use crate::store::{EventColumns, EventRow, OpenScope, TAG_OP, TAG_PHASE};
 use rlscope_sim::time::DurationNs;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -620,6 +620,13 @@ pub enum SweepError {
     },
     /// More than `u32::MAX - 1` operation annotations were pushed.
     TooManyOperations,
+    /// A hand-built [`EventColumns`] whose columns differ in length or
+    /// whose name ids fall outside its name table.
+    MalformedColumns,
+    /// A declared stream ([`crate::store::Cut`]) broke its previous
+    /// declaration (see [`crate::analysis::LiveState::push_columns`]):
+    /// what it broke, in words.
+    BrokenDeclaration(String),
 }
 
 impl fmt::Display for SweepError {
@@ -633,6 +640,10 @@ impl fmt::Display for SweepError {
             SweepError::TooManyOperations => {
                 write!(f, "operation annotation count exceeds u32 range")
             }
+            SweepError::MalformedColumns => {
+                write!(f, "event columns differ in length or name ids outside the name table")
+            }
+            SweepError::BrokenDeclaration(what) => write!(f, "broken declaration: {what}"),
         }
     }
 }
@@ -1470,6 +1481,38 @@ impl ClosedScopes {
     }
 }
 
+/// A declared scope whose start a sweep has logged
+/// ([`OverlapSweep::enter_scope`]): what its close is recognized by —
+/// pid, tag, dense name id and start — and the seq and meta word its
+/// end is logged under.
+#[derive(Debug, Clone)]
+struct Entered {
+    pid: u32,
+    tag: u8,
+    id: u32,
+    start: u64,
+    seq: u32,
+    meta: u32,
+}
+
+/// Removes and returns the first entered scope the close
+/// `(pid, tag, id, start)` ends: the innermost of identical ones, the
+/// one that closes first.
+fn take_entered(
+    entered: &mut Vec<Entered>,
+    pid: u32,
+    tag: u8,
+    id: u32,
+    start: u64,
+) -> Option<(u32, u32)> {
+    if entered.is_empty() {
+        return None;
+    }
+    let at = entered.iter().position(|s| (s.pid, s.tag, s.id, s.start) == (pid, tag, id, start))?;
+    let scope = entered.remove(at);
+    Some((scope.seq, scope.meta))
+}
+
 /// The overlap sweep, fed incrementally: push event batches with
 /// [`OverlapSweep::push`] (or whole columnar chunks with
 /// [`OverlapSweep::push_columns`]) as they are decoded, then
@@ -1608,6 +1651,9 @@ pub struct OverlapSweep {
     /// drained left it.
     pending_after_release: usize,
     events_pushed: u64,
+    /// Declared scopes whose start is logged and whose close has not
+    /// arrived, innermost first (see [`OverlapSweep::enter_scope`]).
+    entered: Vec<Entered>,
     /// Threads a large sort or drain may use (see the type docs): 1
     /// unless the owner hands the sweep a budget
     /// ([`OverlapSweep::set_workers`]).
@@ -1654,6 +1700,7 @@ impl OverlapSweep {
             released_to: 0,
             pending_after_release: 0,
             events_pushed: 0,
+            entered: Vec::new(),
             workers: 1,
             #[cfg(test)]
             forced_cuts: None,
@@ -1778,7 +1825,62 @@ impl OverlapSweep {
     ///
     /// Propagates the first [`SweepError`] (see [`OverlapSweep::push`]).
     pub fn push_columns(&mut self, cols: &EventColumns) -> Result<(), SweepError> {
+        if !cols.readable() {
+            return Err(SweepError::MalformedColumns);
+        }
         self.push_rows(cols.rows())
+    }
+
+    /// Logs the start of a scope that is still open — declared at a
+    /// producer's cut — as the start its close would log, and remembers
+    /// its identity, so that when the close arrives through a push only
+    /// its end is logged. A drain then sees the scope open from its
+    /// start, and a release can pass its start long before it closes.
+    ///
+    /// Same-time starts keep push order, which decides nesting, so the
+    /// caller enters scopes in the order their closes will arrive
+    /// (innermost first), and only once no later push can start at the
+    /// same time (see [`crate::analysis::LiveState::push_columns`]).
+    /// A phase is ignored unless phases are tagged.
+    ///
+    /// # Errors
+    ///
+    /// As [`OverlapSweep::push`].
+    pub(crate) fn enter_scope(&mut self, scope: &OpenScope) -> Result<(), SweepError> {
+        if scope.phase && !self.log.track_phases {
+            return Ok(());
+        }
+        if scope.start < self.released_to {
+            return Err(SweepError::OrderViolation {
+                start: scope.start,
+                swept_to: self.released_to,
+            });
+        }
+        let log = &mut self.log;
+        let (tag, id, seq, meta) = if scope.phase {
+            let phase_id = log.phase_interner.intern(&scope.name);
+            let pid = log.pid_index(scope.pid);
+            (TAG_PHASE, phase_id, log.next_seq()?, META_PHASE_FLAG | log.phase_key(phase_id, pid)?)
+        } else {
+            let op_id = log.interner.intern(&scope.name);
+            if op_id >= META_PHASE_FLAG - META_OP_BASE {
+                return Err(SweepError::TooManyOperations);
+            }
+            (TAG_OP, op_id, log.next_seq()?, META_OP_BASE + op_id)
+        };
+        log.starts.push((scope.start, seq, meta));
+        self.low_water = self.low_water.min(scope.start);
+        self.entered.push(Entered { pid: scope.pid, tag, id, start: scope.start, seq, meta });
+        Ok(())
+    }
+
+    /// Ends every entered scope whose close has not arrived at `at`, as
+    /// its close would: what a stream that stops at a cut attributes.
+    pub(crate) fn close_entered(&mut self, at: u64) {
+        for scope in std::mem::take(&mut self.entered) {
+            self.log.ends.push((at, scope.seq, scope.meta));
+            self.low_water = self.low_water.min(at);
+        }
     }
 
     /// The push path — the one body behind every `push*` entry point
@@ -1805,33 +1907,53 @@ impl OverlapSweep {
             if start == end || (tag == TAG_PHASE && !self.log.track_phases) {
                 continue;
             }
-            if start < self.released_to {
-                return Err(SweepError::OrderViolation { start, swept_to: self.released_to });
-            }
             // CPU/GPU boundaries reuse the seq field to carry the
             // event's dense pid index: the sort tells one producer from
             // several by it, and per-pid activity tracking needs the
             // owner at drain time. Operations and phases carry their
             // arrival seq (see `Boundary`); everything else a drain
-            // needs to know about them is in the meta word.
+            // needs to know about them is in the meta word. The close
+            // of an entered scope logs only its end, under the seq its
+            // start was logged with.
             let log = &mut self.log;
             let (seq, meta) = match tag {
                 0..=3 => (log.pid_index(e.pid()), u32::from(tag)),
-                TAG_OP => {
-                    let op_id = e.dense_id(&mut op_xlat, &mut log.interner);
-                    // Operation and phase meta words stay disjoint ranges.
-                    if op_id >= META_PHASE_FLAG - META_OP_BASE {
-                        return Err(SweepError::TooManyOperations);
+                TAG_OP | TAG_PHASE => {
+                    let id = match tag {
+                        TAG_OP => e.dense_id(&mut op_xlat, &mut log.interner),
+                        _ => e.dense_id(&mut phase_xlat, &mut log.phase_interner),
+                    };
+                    if let Some((seq, meta)) =
+                        take_entered(&mut self.entered, e.pid(), tag, id, start)
+                    {
+                        // Its start was logged long ago: the order check
+                        // falls on the end, which a release must not
+                        // have passed.
+                        if end < self.released_to {
+                            return Err(SweepError::OrderViolation {
+                                start: end,
+                                swept_to: self.released_to,
+                            });
+                        }
+                        log.ends.push((end, seq, meta));
+                        self.low_water = self.low_water.min(end);
+                        continue;
                     }
-                    (log.next_seq()?, META_OP_BASE + op_id)
-                }
-                TAG_PHASE => {
-                    let phase_id = e.dense_id(&mut phase_xlat, &mut log.phase_interner);
-                    let pid = log.pid_index(e.pid());
-                    (log.next_seq()?, META_PHASE_FLAG | log.phase_key(phase_id, pid)?)
+                    if tag == TAG_PHASE {
+                        let pid = log.pid_index(e.pid());
+                        (log.next_seq()?, META_PHASE_FLAG | log.phase_key(id, pid)?)
+                    } else if id >= META_PHASE_FLAG - META_OP_BASE {
+                        // Operation and phase meta words stay disjoint ranges.
+                        return Err(SweepError::TooManyOperations);
+                    } else {
+                        (log.next_seq()?, META_OP_BASE + id)
+                    }
                 }
                 _ => (log.pid_index(e.pid()), CODE_GPU),
             };
+            if start < self.released_to {
+                return Err(SweepError::OrderViolation { start, swept_to: self.released_to });
+            }
             log.starts.push((start, seq, meta));
             log.ends.push((end, seq, meta));
             self.low_water = self.low_water.min(start);
@@ -2299,6 +2421,27 @@ mod tests {
         tagged.release_to(1_000_000);
         let err = tagged.push(&events[200]).unwrap_err();
         assert_eq!(err, SweepError::OrderViolation { start: 0, swept_to: 1_000_000 });
+    }
+
+    /// Hand-built columns that differ in length (one `pids` entry
+    /// popped) or name an operation outside their name table are a
+    /// typed error of the sweep and of a live session, not an
+    /// out-of-bounds panic.
+    #[test]
+    fn malformed_columns_are_a_typed_error() {
+        let good = EventColumns::from_events(&figure_3_events());
+        let mut ragged = good.clone();
+        ragged.pids.pop();
+        let mut unnamed = good.clone();
+        let op = unnamed.kinds.iter().position(|&tag| tag == TAG_OP).unwrap();
+        unnamed.name_ids[op] = unnamed.names.len() as u32;
+        for cols in [ragged, unnamed] {
+            let err = Err(SweepError::MalformedColumns);
+            assert_eq!(OverlapSweep::new().push_columns(&cols), err);
+            let mut live = crate::analysis::LiveState::new();
+            assert_eq!(live.push_columns(&cols), err);
+            assert_eq!(live.events_observed(), 0);
+        }
     }
 
     #[test]

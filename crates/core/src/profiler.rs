@@ -8,6 +8,7 @@
 //! correct (§3.4).
 
 use crate::event::{BookkeepingCounts, CpuCategory, Event, EventKind, GpuCategory};
+pub use crate::store::{Cut, OpenScope};
 use crate::trace::Trace;
 use parking_lot::Mutex;
 use rlscope_sim::cuda::{CudaApiKind, CudaContext};
@@ -18,6 +19,7 @@ use rlscope_sim::python::PyRuntime;
 use rlscope_sim::time::{DurationNs, TimeNs};
 use rlscope_sim::VirtualClock;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -95,10 +97,69 @@ impl Default for ProfilerConfig {
 /// batch reaches its destination: the collector sink only queues it for
 /// its sender thread, and its `query` and `finish` are the barriers
 /// that wait for every queued batch.
+///
+/// # The cut beside each batch
+///
+/// At every flush the profiler also declares what is still open: the
+/// phase and the operation stack, the clock, and a frontier no later
+/// event starts before except the closes of those scopes (a [`Cut`]).
+/// `emit` does not carry it; a sink asks for it with [`cut_of`], passing
+/// the batch it was handed. That call answers only *during* the
+/// profiler's own call of `emit`, on the profiler's thread, and only for
+/// the very `Vec` the profiler handed over (the same allocation): a
+/// sink that forwards the batch as it is to another sink's `emit` —
+/// a timing wrapper, a tee — passes the declaration on, and anything
+/// else (a copy, a later call, another thread, a batch that did not
+/// come from a profiler) gets `None` and is sent undeclared. The
+/// collector's sink sends a declared batch as a declared chunk, which
+/// lets the daemon attribute the open scopes live and release its
+/// sweeps behind the frontier.
+///
+/// A declaring sink must be fed by one profiler, recorded into from one
+/// thread at a time: a frontier speaks for its own profiler's clock, as
+/// read by the recording thread, so a second profiler's events — or an
+/// interval another thread began timing before the flush and records
+/// after it — would break the promise, and the collector aborts a
+/// session whose promise breaks.
 pub trait EventSink: Send + Sync {
     /// Receives one batch of finalized events, in record order. May
     /// return before the batch is delivered.
     fn emit(&self, events: Vec<Event>);
+}
+
+thread_local! {
+    /// The batch a profiler is handing to a sink on this thread, by
+    /// address and length, and its declaration: what [`cut_of`] reads.
+    static EMITTING: RefCell<Option<(usize, usize, Cut)>> = const { RefCell::new(None) };
+}
+
+/// The profiler's declaration for `batch` (see [`EventSink`] on the cut
+/// beside each batch): `Some` only inside the profiler's call of
+/// [`EventSink::emit`], on its thread, for the `Vec` it handed over.
+pub fn cut_of(batch: &[Event]) -> Option<Cut> {
+    let key = (batch.as_ptr() as usize, batch.len());
+    EMITTING.with(|emitting| match &*emitting.borrow() {
+        Some((ptr, len, cut)) if (*ptr, *len) == key => Some(cut.clone()),
+        _ => None,
+    })
+}
+
+/// Clears [`EMITTING`] when the emit returns or unwinds.
+struct Emitting;
+
+impl Emitting {
+    fn set(batch: &[Event], cut: Cut) -> Emitting {
+        EMITTING.with(|emitting| {
+            *emitting.borrow_mut() = Some((batch.as_ptr() as usize, batch.len(), cut));
+        });
+        Emitting
+    }
+}
+
+impl Drop for Emitting {
+    fn drop(&mut self) {
+        EMITTING.with(|emitting| emitting.borrow_mut().take());
+    }
 }
 
 /// An operation that is still open, with the transitions counted while
@@ -127,6 +188,10 @@ struct State {
     sink: Option<(Arc<dyn EventSink>, usize)>,
     /// Events `[..flushed]` have already been emitted to the sink.
     flushed: usize,
+    /// Enter times of the native and CUDA calls in flight: each one's
+    /// event starts at its enter, so the earliest is how far back the
+    /// next flush's frontier must stay.
+    open_calls: Vec<TimeNs>,
 }
 
 /// Transition kinds counted per operation (paper Figure 4c/4d).
@@ -295,9 +360,17 @@ impl Profiler {
     /// tail not yet flushed — e.g. the final phase close — is emitted to
     /// the sink at `finish`).
     ///
-    /// Open annotations stream only when they close (the profiler
-    /// records intervals at their end); [`Profiler::snapshot`] is the
-    /// view that synthesizes still-open ones.
+    /// An annotation is recorded once, when it closes, as one interval
+    /// from its open to its close. Until then each flush *declares* it
+    /// instead: beside every batch the profiler states the open phase
+    /// and operations, the clock, and a frontier (the earliest enter of
+    /// a native or CUDA call in flight, or the clock) that nothing it
+    /// emits later starts before, except those closes. A sink reads the
+    /// declaration with [`cut_of`] during `emit`; the collector's sink
+    /// sends it with the chunk, so the daemon attributes the open
+    /// scopes' time live, as [`Profiler::snapshot`] does locally, and
+    /// drains its sweeps up to the frontier as the run streams. Other
+    /// sinks see the same batches as before.
     ///
     /// The sink's `emit` runs under the profiler's state lock (see
     /// [`EventSink`]), so batches reach it in record order even when
@@ -305,36 +378,69 @@ impl Profiler {
     pub fn stream_to(&self, sink: Arc<dyn EventSink>, flush_every: usize) {
         let mut state = self.inner.state.lock();
         state.sink = Some((sink, flush_every.max(1)));
-        Self::flush_locked(&mut state, 1);
+        self.flush_locked(&mut state, 1);
     }
 
     /// Emits all recorded-but-unflushed events to the streaming sink
     /// (no-op without one) — e.g. right before a mid-run live query, so
     /// the collector observes everything recorded so far.
     pub fn flush(&self) {
-        Self::flush_locked(&mut self.inner.state.lock(), 1);
+        self.flush_locked(&mut self.inner.state.lock(), 1);
     }
 
     /// Emits `state.events[flushed..]` to the sink when it holds at
-    /// least `min` events. The caller holds the state lock through the
-    /// emit, so no other thread's batch can overtake this one.
+    /// least `min` events, with its declaration readable through
+    /// [`cut_of`] for the length of the call. The caller holds the state
+    /// lock through the emit, so no other thread's batch can overtake
+    /// this one, and the clock the cut reads is the one every recorded
+    /// event was read under.
     #[expect(clippy::indexing_slicing, reason = "`flushed <= events.len()`: set only from it")]
-    fn flush_locked(state: &mut State, min: usize) {
+    fn flush_locked(&self, state: &mut State, min: usize) {
         let Some((sink, _)) = &state.sink else { return };
         let pending = state.events.len() - state.flushed;
         if pending < min.max(1) {
             return;
         }
-        sink.emit(state.events[state.flushed..].to_vec());
+        let batch = state.events[state.flushed..].to_vec();
+        let _emitting = Emitting::set(&batch, self.cut(state));
+        sink.emit(batch);
         state.flushed = state.events.len();
+    }
+
+    /// The declaration at this instant: the open phase and operations,
+    /// outermost first, and the frontier.
+    fn cut(&self, state: &State) -> Cut {
+        let at = self.inner.clock.now().as_nanos();
+        let pid = self.inner.config.pid.as_u32();
+        let phase = state.phase.iter().map(|(name, start)| (true, name, start));
+        let ops = state.op_stack.iter().map(|op| (false, &op.name, &op.start));
+        let open = phase
+            .chain(ops)
+            .map(|(phase, name, start)| OpenScope {
+                pid,
+                phase,
+                name: name.clone(),
+                start: start.as_nanos(),
+            })
+            .collect();
+        let frontier = state.open_calls.iter().min().map_or(at, |t| t.as_nanos().min(at));
+        Cut { at, frontier, open }
     }
 
     /// Flushes at the sink's configured threshold — called after every
     /// event-recording site.
-    fn flush_if_due(state: &mut State) {
+    fn flush_if_due(&self, state: &mut State) {
         let Some((_, every)) = &state.sink else { return };
         let every = *every;
-        Self::flush_locked(state, every);
+        self.flush_locked(state, every);
+    }
+
+    /// Forgets the in-flight call entered at `enter` (the innermost one
+    /// with that enter time).
+    fn call_exited(state: &mut State, enter: TimeNs) {
+        if let Some(at) = state.open_calls.iter().rposition(|&t| t == enter) {
+            state.open_calls.remove(at);
+        }
     }
 
     /// A non-consuming snapshot of the trace **as of now**: everything
@@ -390,7 +496,7 @@ impl Profiler {
             state.events.push(Event::new(pid, EventKind::Phase, prev, start, now));
         }
         state.phase = Some((Arc::from(name), now));
-        Self::flush_if_due(&mut state);
+        self.flush_if_due(&mut state);
     }
 
     /// Opens an operation annotation; the returned guard closes it.
@@ -435,7 +541,7 @@ impl Profiler {
         // Deliver the unflushed tail (e.g. the phase close above) so a
         // streaming sink holds the complete stream, then hand the full
         // buffer to the trace.
-        Self::flush_locked(&mut state, 1);
+        self.flush_locked(&mut state, 1);
         state.flushed = 0;
         state.sink = None;
         let untracked = std::mem::take(&mut state.untracked_transitions);
@@ -465,7 +571,7 @@ impl Profiler {
         fold_transitions(&mut state.per_op_transitions, &op.name, &op.transitions);
         let pid = self.inner.config.pid;
         state.events.push(Event::new(pid, EventKind::Operation, op.name, op.start, now));
-        Self::flush_if_due(&mut state);
+        self.flush_if_due(&mut state);
     }
 
     /// Injects annotation book-keeping cost, recorded as Python time (the
@@ -483,7 +589,7 @@ impl Profiler {
                 start,
                 end,
             ));
-            Self::flush_if_due(&mut state);
+            self.flush_if_due(&mut state);
         }
     }
 
@@ -509,11 +615,12 @@ impl StackHooks for Profiler {
             start,
             end,
         ));
-        Self::flush_if_due(&mut state);
+        self.flush_if_due(&mut state);
     }
 
-    fn on_native_enter(&self, lib: NativeLib, _t: TimeNs) {
+    fn on_native_enter(&self, lib: NativeLib, t: TimeNs) {
         let mut state = self.inner.state.lock();
+        state.open_calls.push(t);
         match lib {
             NativeLib::Backend => {
                 state.counts.backend_transitions += 1;
@@ -533,6 +640,7 @@ impl StackHooks for Profiler {
             NativeLib::Simulator => (CpuCategory::Simulator, &labels.simulator),
         };
         let mut state = self.inner.state.lock();
+        Self::call_exited(&mut state, enter);
         state.events.push(Event::new(
             self.inner.config.pid,
             EventKind::Cpu(cat),
@@ -540,16 +648,19 @@ impl StackHooks for Profiler {
             enter,
             exit,
         ));
-        Self::flush_if_due(&mut state);
+        self.flush_if_due(&mut state);
     }
 }
 
 impl CudaHooks for Profiler {
-    fn on_api_enter(&self, _api: CudaApiKind, _t: TimeNs) {}
+    fn on_api_enter(&self, _api: CudaApiKind, t: TimeNs) {
+        self.inner.state.lock().open_calls.push(t);
+    }
 
     #[expect(clippy::indexing_slicing, reason = "one label per `CudaApiKind` variant")]
     fn on_api_exit(&self, api: CudaApiKind, enter: TimeNs, exit: TimeNs) {
         let mut state = self.inner.state.lock();
+        Self::call_exited(&mut state, enter);
         state.counts.cuda_api_calls += 1;
         Self::count_transition(&mut state, TransitionKind::Cuda);
         let entry = state.api_stats.entry(api).or_insert((0, DurationNs::ZERO));
@@ -562,7 +673,7 @@ impl CudaHooks for Profiler {
             enter,
             exit,
         ));
-        Self::flush_if_due(&mut state);
+        self.flush_if_due(&mut state);
     }
 
     fn on_kernel(&self, rec: &KernelRecord) {
@@ -574,7 +685,7 @@ impl CudaHooks for Profiler {
             rec.start,
             rec.end,
         ));
-        Self::flush_if_due(&mut state);
+        self.flush_if_due(&mut state);
     }
 
     fn on_memcpy(&self, rec: &MemcpyRecord) {
@@ -586,7 +697,7 @@ impl CudaHooks for Profiler {
             rec.start,
             rec.end,
         ));
-        Self::flush_if_due(&mut state);
+        self.flush_if_due(&mut state);
     }
 }
 
@@ -836,6 +947,60 @@ mod tests {
         assert_eq!(sink.concat(), trace.events);
         // And the phase close (recorded at finish) arrived too.
         assert!(sink.concat().iter().any(|e| e.kind == EventKind::Phase));
+    }
+
+    /// During `emit`, a sink reads the batch's declaration through
+    /// `cut_of` — for the `Vec` it was handed, not for a copy, and not
+    /// after `emit` returns: the open phase and operations outermost
+    /// first, the clock, and a frontier at the earliest native or CUDA
+    /// call still in flight (the clock once none is).
+    #[test]
+    fn cut_of_answers_for_the_handed_batch_inside_emit_only() {
+        #[derive(Default)]
+        struct CutSink(Mutex<Vec<(Option<Cut>, Option<Cut>)>>);
+        impl EventSink for CutSink {
+            fn emit(&self, events: Vec<Event>) {
+                let copy = events.clone();
+                self.0.lock().push((cut_of(&events), cut_of(&copy)));
+            }
+        }
+        let t = TimeNs::from_nanos;
+        let (rls, clock) = profiler(Toggles::none());
+        let sink = Arc::new(CutSink::default());
+        rls.stream_to(sink.clone(), 1);
+        rls.set_phase("train");
+        clock.advance(DurationNs::from_nanos(1_000));
+        let step = rls.operation("step");
+        clock.advance(DurationNs::from_nanos(1_000));
+        rls.on_native_enter(NativeLib::Backend, t(2_000));
+        clock.advance(DurationNs::from_nanos(1_000));
+        rls.on_api_enter(CudaApiKind::LaunchKernel, t(3_000));
+        clock.advance(DurationNs::from_nanos(500));
+        rls.on_api_exit(CudaApiKind::LaunchKernel, t(3_000), t(3_500));
+        clock.advance(DurationNs::from_nanos(500));
+        rls.on_native_exit(NativeLib::Backend, t(2_000), t(4_000));
+        assert_eq!(cut_of(&rls.snapshot().events), None, "no emit in progress");
+        drop(step);
+        let _ = rls.finish();
+
+        let open = |ops: &[(&str, u64)]| -> Vec<OpenScope> {
+            let phase = OpenScope { pid: 0, phase: true, name: Arc::from("train"), start: 0 };
+            let ops = ops.iter().map(|&(name, start)| OpenScope {
+                pid: 0,
+                phase: false,
+                name: Arc::from(name),
+                start,
+            });
+            std::iter::once(phase).chain(ops).collect()
+        };
+        let seen = sink.0.lock();
+        let cuts: Vec<&Cut> = seen.iter().map(|(cut, _)| cut.as_ref().unwrap()).collect();
+        assert!(seen.iter().all(|(_, copy)| copy.is_none()), "a copy is not the handed batch");
+        assert_eq!(*cuts[0], Cut { at: 3_500, frontier: 2_000, open: open(&[("step", 1_000)]) });
+        assert_eq!(*cuts[1], Cut { at: 4_000, frontier: 4_000, open: open(&[("step", 1_000)]) });
+        // The operation's close, then the phase's at finish.
+        assert_eq!(*cuts[2], Cut { at: 4_000, frontier: 4_000, open: open(&[]) });
+        assert_eq!(*cuts[3], Cut { at: 4_000, frontier: 4_000, open: Vec::new() });
     }
 
     /// A sink sees batches in record order even when two threads record

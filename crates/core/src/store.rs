@@ -42,11 +42,31 @@
 //! min_start:u64 | max_start:u64 | max_end:u64
 //! flags:u8                      (bit 0: starts ascending within chunk)
 //! pid_count:u32 | pid:u32 …     (ascending)
-//! phase_count:u32 | (len:u16 | name | min_start:u64 | max_end:u64) …
+//! phase_count:u32 | (len:u16 | name | min_start:u64 | max_end:u64
+//!                    | pid_count:u32 | pid:u32 …) …
 //!                               (name-ascending; span covers that
-//!                                phase's events in this chunk)
+//!                                phase's events in this chunk; the
+//!                                pid set only under flag bit 1)
+//! [cut:u64 | frontier:u64 | open_count:u32
+//!  | (pid:u32 | tag:u8 | len:u16 | name | start:u64) …]
+//!                               (only under flag bit 2: the
+//!                                producer's declaration, see below)
 //! checksum:u64                  (FNV-1a of the payload bytes above)
 //! ```
+//!
+//! **Declared chunks.** Flag bit 2 (`FOOTER_FLAG_OPEN_SCOPES`) marks a
+//! chunk whose producer declared, at the flush that cut it, what was
+//! still open ([`Cut`]): the clock at the flush, a frontier no later
+//! event of the stream starts before (the close of a declared scope
+//! excepted), and the open phase and operation scopes, outermost first
+//! (tag 6 operation, 7 phase). A decode validates it (known tags,
+//! `frontier <= cut`, every scope start `<= cut`) and hands it on as
+//! [`EventColumns::cut`]; nothing else in the chunk changes, and
+//! [`encode_events`] never sets the bit — only [`encode_declared`]
+//! does, so every undeclared chunk keeps its bytes. A reader older than
+//! the bit rejects a declared chunk as [`TraceIoError::Corrupt`]
+//! ("unknown flag bits"): a daemon that predates declarations refuses
+//! a declaring client's first chunk rather than misread it.
 //!
 //! The footer is what makes a chunk *skippable*: a reader can bound a
 //! chunk's contribution to any time-window, process, or phase query from
@@ -323,7 +343,7 @@ pub(crate) struct ColumnRow<'a> {
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "`EventColumns::rows` yields `i < len()`; decoded columns have equal lengths and in-range name ids"
+    reason = "`EventColumns::rows` yields `i < len()` of `readable` columns: equal lengths, in-range name ids"
 )]
 impl EventRow for ColumnRow<'_> {
     #[inline]
@@ -463,6 +483,68 @@ pub struct ChunkFooter {
     pub pids: Vec<u32>,
     /// Phase spans present, ascending by name.
     pub phases: Vec<PhaseSpan>,
+    /// The producer's declaration at the flush that cut this chunk
+    /// (`None` for every undeclared chunk): see the module docs on
+    /// declared chunks.
+    pub cut: Option<Cut>,
+}
+
+/// What a producer declares at one of its flushes: the scopes still
+/// open, and how far back anything it emits later can start. A
+/// [`crate::profiler::Profiler`] streaming to a sink makes one per
+/// batch ([`crate::profiler::cut_of`]); [`encode_declared`] carries it
+/// in the chunk footer, and the collector's live ingest holds the
+/// producer to it ([`crate::analysis::LiveState::push_columns`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cut {
+    /// The producer's clock at the flush (nanoseconds).
+    pub at: u64,
+    /// No event emitted after the flush starts before this, except the
+    /// close of a scope in `open`: the earliest enter time of a native
+    /// or CUDA call still in flight, or `at` when none is.
+    pub frontier: u64,
+    /// The scopes open at the flush, per process outermost first: the
+    /// phase, then the operation stack.
+    pub open: Vec<OpenScope>,
+}
+
+/// One operation or phase still open at a [`Cut`]. Its close is an
+/// ordinary event with the same pid, kind, name and start.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpenScope {
+    /// The owning process.
+    pub pid: u32,
+    /// A phase (`true`) or an operation annotation.
+    pub phase: bool,
+    /// The scope's name (truncated to the wire limit on encode).
+    pub name: Arc<str>,
+    /// When it opened (nanoseconds).
+    pub start: u64,
+}
+
+impl OpenScope {
+    /// The scope as the event its close will be, ending at `end`.
+    pub fn closed_at(&self, end: u64) -> Event {
+        let kind = if self.phase { EventKind::Phase } else { EventKind::Operation };
+        Event::new(
+            ProcessId(self.pid),
+            kind,
+            self.name.clone(),
+            TimeNs::from_nanos(self.start),
+            TimeNs::from_nanos(end),
+        )
+    }
+}
+
+impl Cut {
+    /// The declared scopes closed at the cut, innermost first — the
+    /// order their closes arrive in. This is how a stream that ends
+    /// here (a producer that died, a sink finished before its
+    /// profiler) accounts for what was still open: as
+    /// [`crate::profiler::Profiler::snapshot`] does, up to the cut.
+    pub fn closing_events(&self) -> Vec<Event> {
+        self.open.iter().rev().map(|scope| scope.closed_at(self.at)).collect()
+    }
 }
 
 impl ChunkFooter {
@@ -557,6 +639,7 @@ fn footer_of(rows: impl ExactSizeIterator<Item = impl EventRow>) -> ChunkFooter 
             .into_iter()
             .map(|(name, (min_start, max_end, pids))| PhaseSpan { name, min_start, max_end, pids })
             .collect(),
+        cut: None,
     }
 }
 
@@ -566,6 +649,9 @@ const FOOTER_FLAG_START_SORTED: u8 = 1;
 /// written before this bit existed decode with empty (= unknown) span
 /// pid sets, which readers must treat conservatively.
 const FOOTER_FLAG_PHASE_PIDS: u8 = 2;
+/// Flag bit: the footer carries the producer's declaration at the cut
+/// ([`ChunkFooter::cut`]); see the module docs on declared chunks.
+const FOOTER_FLAG_OPEN_SCOPES: u8 = 4;
 
 /// Appends the footer payload (including its trailing checksum) to `out`.
 #[expect(
@@ -578,7 +664,8 @@ pub(crate) fn encode_footer_payload(f: &ChunkFooter, out: &mut BytesMut) {
     out.put_u64(f.min_start);
     out.put_u64(f.max_start);
     out.put_u64(f.max_end);
-    out.put_u8(u8::from(f.start_sorted) | FOOTER_FLAG_PHASE_PIDS);
+    let declared = if f.cut.is_some() { FOOTER_FLAG_OPEN_SCOPES } else { 0 };
+    out.put_u8(u8::from(f.start_sorted) | FOOTER_FLAG_PHASE_PIDS | declared);
     out.put_u32(f.pids.len() as u32);
     for &pid in &f.pids {
         out.put_u32(pid);
@@ -592,6 +679,19 @@ pub(crate) fn encode_footer_payload(f: &ChunkFooter, out: &mut BytesMut) {
         out.put_u32(p.pids.len() as u32);
         for &pid in &p.pids {
             out.put_u32(pid);
+        }
+    }
+    if let Some(cut) = &f.cut {
+        out.put_u64(cut.at);
+        out.put_u64(cut.frontier);
+        out.put_u32(cut.open.len() as u32);
+        for scope in &cut.open {
+            let name = truncate_name(&scope.name);
+            out.put_u32(scope.pid);
+            out.put_u8(if scope.phase { TAG_PHASE } else { TAG_OP });
+            out.put_u16(name.len() as u16);
+            out.put_slice(name.as_bytes());
+            out.put_u64(scope.start);
         }
     }
     let sum = fnv1a(&out[at..]);
@@ -619,7 +719,7 @@ fn decode_footer_payload(payload: &[u8]) -> Result<ChunkFooter, TraceIoError> {
     let max_start = data.get_u64();
     let max_end = data.get_u64();
     let flags = data.get_u8();
-    if flags & !(FOOTER_FLAG_START_SORTED | FOOTER_FLAG_PHASE_PIDS) != 0 {
+    if flags & !(FOOTER_FLAG_START_SORTED | FOOTER_FLAG_PHASE_PIDS | FOOTER_FLAG_OPEN_SCOPES) != 0 {
         return Err(corrupt("unknown flag bits"));
     }
     let has_phase_pids = flags & FOOTER_FLAG_PHASE_PIDS != 0;
@@ -679,6 +779,8 @@ fn decode_footer_payload(payload: &[u8]) -> Result<ChunkFooter, TraceIoError> {
         }
         phases.push(PhaseSpan { name, min_start: min, max_end: max, pids: span_pids });
     }
+    let cut =
+        if flags & FOOTER_FLAG_OPEN_SCOPES != 0 { Some(decode_cut(&mut data)?) } else { None };
     if !data.is_empty() {
         return Err(corrupt("trailing bytes"));
     }
@@ -690,7 +792,52 @@ fn decode_footer_payload(payload: &[u8]) -> Result<ChunkFooter, TraceIoError> {
         start_sorted: flags & FOOTER_FLAG_START_SORTED != 0,
         pids,
         phases,
+        cut,
     })
+}
+
+/// Decodes a footer's declaration (flag bit 2), checking what a
+/// declaration promises of itself: known scope tags, `frontier <= cut`
+/// and every scope start `<= cut`.
+fn decode_cut(data: &mut &[u8]) -> Result<Cut, TraceIoError> {
+    let corrupt = |what: &str| TraceIoError::Corrupt(format!("footer declaration: {what}"));
+    if data.remaining() < 8 + 8 + 4 {
+        return Err(corrupt("truncated header"));
+    }
+    let at = data.get_u64();
+    let frontier = data.get_u64();
+    if frontier > at {
+        return Err(corrupt("frontier after the cut"));
+    }
+    let count = data.get_u32() as usize;
+    let mut open = Vec::with_capacity(count.min(1 << 10));
+    for _ in 0..count {
+        if data.remaining() < 4 + 1 + 2 {
+            return Err(corrupt("truncated scope"));
+        }
+        let pid = data.get_u32();
+        let phase = match data.get_u8() {
+            TAG_OP => false,
+            TAG_PHASE => true,
+            _ => return Err(corrupt("scope is neither an operation nor a phase")),
+        };
+        let len = data.get_u16() as usize;
+        let Some((name_bytes, rest)) = data.split_at_checked(len) else {
+            return Err(corrupt("truncated scope"));
+        };
+        let name = std::str::from_utf8(name_bytes).map_err(|_| corrupt("non-utf8 scope name"))?;
+        let name: Arc<str> = Arc::from(name);
+        *data = rest;
+        if data.remaining() < 8 {
+            return Err(corrupt("truncated scope"));
+        }
+        let start = data.get_u64();
+        if start > at {
+            return Err(corrupt("scope starts after the cut"));
+        }
+        open.push(OpenScope { pid, phase, name, start });
+    }
+    Ok(Cut { at, frontier, open })
 }
 
 /// Splits the post-magic bytes of a v3 chunk into `(body, footer
@@ -791,6 +938,19 @@ fn read_footer_tail(chunk: &mut fs::File, size: u64) -> Result<Option<ChunkFoote
 /// followed by the self-describing footer. See the module docs for the
 /// byte layout.
 pub fn encode_events(events: &[Event]) -> Bytes {
+    encode_v3(events, None)
+}
+
+/// [`encode_events`] plus the producer's declaration at the cut, in the
+/// footer under flag bit 2 (see the module docs on declared chunks).
+/// The body is the one [`encode_events`] writes; only the footer grows.
+/// A batch that falls back to v1 (a start beyond `i64::MAX`) has no
+/// footer and so carries no declaration.
+pub fn encode_declared(events: &[Event], cut: &Cut) -> Bytes {
+    encode_v3(events, Some(cut))
+}
+
+fn encode_v3(events: &[Event], cut: Option<&Cut>) -> Bytes {
     // Start timestamps are delta-coded through i64, so batches containing
     // a start beyond i64::MAX (impossible for virtual-clock traces, but
     // representable in the event model) fall back to the fixed-width v1
@@ -803,7 +963,8 @@ pub fn encode_events(events: &[Event]) -> Bytes {
     buf.put_slice(MAGIC_V3);
     encode_v2_body(events, &mut buf);
     let at = buf.len();
-    encode_footer_payload(&compute_footer(events), &mut buf);
+    let footer = ChunkFooter { cut: cut.cloned(), ..compute_footer(events) };
+    encode_footer_payload(&footer, &mut buf);
     let footer_len = (buf.len() - at) as u32;
     buf.put_u32(footer_len);
     buf.put_slice(FOOTER_MAGIC);
@@ -887,7 +1048,9 @@ pub fn decode_events(data: &[u8]) -> Result<Vec<Event>, TraceIoError> {
 /// that a phase span with an **empty** pid set (a footer written before
 /// per-phase pid sets existed) is accepted against any recomputed pid
 /// set. This keeps legacy v3 chunks decodable while still rejecting any
-/// footer that *claims* pids and gets them wrong.
+/// footer that *claims* pids and gets them wrong. A declaration is not
+/// derived from the events, so it is not compared: its own checks ran
+/// when the footer decoded.
 fn footer_consistent(decoded: &ChunkFooter, computed: &ChunkFooter) -> bool {
     decoded.events == computed.events
         && decoded.min_start == computed.min_start
@@ -964,6 +1127,10 @@ pub struct EventColumns {
     /// so sorted-stream consumers get the hint without a second pass.
     /// `false` is always safe.
     pub start_sorted: bool,
+    /// The producer's declaration, when the chunk carries one
+    /// ([`ChunkFooter::cut`]); `None` for every undeclared chunk and for
+    /// columns built from rows.
+    pub cut: Option<Cut>,
 }
 
 impl EventColumns {
@@ -977,8 +1144,24 @@ impl EventColumns {
         self.starts.is_empty()
     }
 
+    /// True when the five columns differ in length — never after a
+    /// decode, but the fields are public.
+    pub(crate) fn ragged(&self) -> bool {
+        let n = self.len();
+        [self.pids.len(), self.kinds.len(), self.name_ids.len(), self.ends.len()] != [n; 4]
+    }
+
+    /// True when the columns can be read as rows ([`EventColumns::rows`]):
+    /// equal lengths and every name id inside the name table. A decode
+    /// always yields such columns; the sweep checks hand-built ones once
+    /// per chunk instead of per row.
+    pub(crate) fn readable(&self) -> bool {
+        let names = self.names.len();
+        !self.ragged() && self.name_ids.iter().all(|&id| (id as usize) < names)
+    }
+
     /// The events as [`EventRow`]s, in order — how the generic engine
-    /// bodies read columns.
+    /// bodies read columns. Only for [`EventColumns::readable`] columns.
     pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = ColumnRow<'_>> + Clone {
         (0..self.len()).map(move |i| ColumnRow { cols: self, i })
     }
@@ -1012,6 +1195,7 @@ impl EventColumns {
             starts: Vec::with_capacity(cap),
             ends: Vec::with_capacity(cap),
             start_sorted: true,
+            cut: None,
         }
     }
 
@@ -1036,8 +1220,7 @@ impl EventColumns {
     /// anything): ragged column lengths, an unknown kind tag, or a name
     /// id outside the table.
     pub fn to_events(&self) -> Result<Vec<Event>, TraceIoError> {
-        let n = self.len();
-        if [self.pids.len(), self.kinds.len(), self.name_ids.len(), self.ends.len()] != [n; 4] {
+        if self.ragged() {
             return Err(TraceIoError::Corrupt("event columns differ in length".into()));
         }
         // The fill is an infallible exact-size collect — filling under
@@ -1109,13 +1292,14 @@ fn decode_columns_v3(rem: &[u8]) -> Result<EventColumns, TraceIoError> {
     let (body, footer_bytes) = split_v3(rem)?;
     let footer = decode_footer_payload(footer_bytes)?;
     let mut cursor = body;
-    let cols = decode_columns_v2_body(&mut cursor)?;
+    let mut cols = decode_columns_v2_body(&mut cursor)?;
     if !cursor.is_empty() {
         return Err(TraceIoError::Corrupt("trailing bytes after v3 event records".into()));
     }
     if !footer_consistent(&footer, &compute_footer_columns(&cols)) {
         return Err(TraceIoError::Corrupt("footer contradicts chunk events".into()));
     }
+    cols.cut = footer.cut;
     Ok(cols)
 }
 
@@ -1937,7 +2121,11 @@ impl RawRunReader {
 /// ([`Manifest::is_start_sorted`]), so every sweep is released one chunk
 /// behind the stream — and because the rewrite preserves the event
 /// multiset and the relative order of equal-start events, every analysis
-/// over `dst` is table-identical to one over `src`.
+/// over `dst` is table-identical to one over `src`. When the last chunk
+/// of `src` declares scopes still open ([`ChunkFooter::cut`]), every
+/// query of `src` closes them at its cut, and the rewrite keeps those
+/// closes as events ([`Cut::closing_events`]; counted in
+/// [`ReorderStats::events`]): `dst` carries no declaration.
 ///
 /// `dst` gains a fresh [`Manifest`]; any chunks already there are
 /// removed ([`TraceWriter::create`] semantics). On error the destination
@@ -2004,14 +2192,24 @@ pub fn reorder_chunk_dir_with(
         buf.clear();
         Ok(())
     };
+    let mut last_cut = None;
     for_each_decoded_chunk_columns(&list_chunk_files(src)?, 1, |cols| {
         total += cols.len() as u64;
         buf.extend(cols.to_events()?);
+        last_cut = cols.cut;
         if buf.len() >= run_events {
             spill_run(&mut buf, &mut runs)?;
         }
         Ok(())
     })?;
+    // Scopes the last chunk declares open close at its cut, as every
+    // query of `src` closes them (see `Cut::closing_events`): the
+    // rewrite keeps them as events, so `dst` answers the same.
+    if let Some(cut) = last_cut {
+        let closing = cut.closing_events();
+        total += closing.len() as u64;
+        buf.extend(closing);
+    }
 
     // Single-run fast path: everything fit in memory — sort and write
     // straight to the destination, no spill.
@@ -2523,6 +2721,47 @@ mod tests {
         // But the footer alone still parses (valid checksum): skip
         // decisions on unread chunks trust the checksum only.
         assert!(read_chunk_footer(&forged).unwrap().is_some());
+    }
+
+    /// A declared chunk carries its cut in the footer and nothing else
+    /// changes: the body is [`encode_events`]'s byte for byte, the
+    /// events decode the same, the footer and the columns hand the cut
+    /// back, and a declaration that contradicts itself is corrupt.
+    #[test]
+    fn declared_footer_round_trips_and_checks_itself() {
+        let events = phased_events();
+        let scope =
+            |phase, name: &str, start| OpenScope { pid: 1, phase, name: name.into(), start };
+        let cut = Cut {
+            at: 9_000,
+            frontier: 8_500,
+            open: vec![scope(true, "train", 100), scope(false, "step", 7_000)],
+        };
+        let plain = encode_events(&events);
+        let declared = encode_declared(&events, &cut);
+        let footer_len = |chunk: &[u8]| {
+            u32::from_be_bytes(chunk[chunk.len() - 8..chunk.len() - 4].try_into().unwrap()) as usize
+        };
+        let body = plain.len() - 8 - footer_len(&plain);
+        assert_eq!(declared[..body], plain[..body]);
+        assert_eq!(decode_events(&declared).unwrap(), decode_events(&plain).unwrap());
+        assert_eq!(read_chunk_footer(&declared).unwrap().unwrap().cut, Some(cut.clone()));
+        assert_eq!(read_chunk_footer(&plain).unwrap().unwrap().cut, None);
+        let cols = decode_columns(&declared).unwrap();
+        assert_eq!(cols.cut.as_ref(), Some(&cut));
+        assert_eq!(
+            cut.closing_events().iter().map(|e| (&*e.name, e.end.as_nanos())).collect::<Vec<_>>(),
+            [("step", 9_000), ("train", 9_000)],
+            "innermost first, ending at the cut"
+        );
+        for bad in [
+            Cut { frontier: 9_001, ..cut.clone() },
+            Cut { open: vec![scope(false, "late", 9_001)], ..cut.clone() },
+        ] {
+            let chunk = encode_declared(&events, &bad);
+            assert!(matches!(decode_columns(&chunk), Err(TraceIoError::Corrupt(_))), "{bad:?}");
+            assert!(matches!(read_chunk_footer(&chunk), Err(TraceIoError::Corrupt(_))));
+        }
     }
 
     /// A footer written before [`FOOTER_FLAG_PHASE_PIDS`] existed — flag

@@ -17,7 +17,7 @@
 use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::compute_overlap;
 use rlscope::core::rollup::rollup_chunk_dir;
-use rlscope::core::store::{encode_events, encode_events_v1, reorder_chunk_dir};
+use rlscope::core::store::{encode_declared, encode_events, encode_events_v1, reorder_chunk_dir};
 use std::path::Path;
 
 /// The corpus fixture, shared with the golden, fuzz and property suites.
@@ -66,6 +66,7 @@ fn main() {
     write(&dir.join("corpus_v2.rls"), &v2);
     write(&dir.join("corpus_v1.rls"), &v1);
     write(&dir.join("corpus_extreme.rls"), &extreme_chunk);
+    write(&dir.join("corpus_declared.rls"), encode_declared(&events, &corpus_cut()));
     write(&dir.join("expected_overall.json"), compute_overlap(&events).canonical_json());
     write(&dir.join("expected_by_pid.json"), per_pid_canonical_json(&per_pid_tables(&events)));
     write(&dir.join("expected_extreme.json"), compute_overlap(&extreme).canonical_json());

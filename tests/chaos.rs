@@ -20,9 +20,9 @@ use rlscope::collector::{
 };
 use rlscope::core::analysis::Analysis;
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
-use rlscope::core::profiler::EventSink;
+use rlscope::core::profiler::{cut_of, EventSink};
 use rlscope::core::store::{
-    encode_events, read_frame, recover_chunk_prefix, write_frame, EventColumns,
+    encode_events, read_frame, recover_chunk_prefix, write_frame, Cut, EventColumns,
 };
 use rlscope::sim::ids::ProcessId;
 use rlscope::sim::time::TimeNs;
@@ -244,12 +244,14 @@ fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
     reference.shutdown();
 }
 
-/// Forwards every batch to a [`CollectorSink`] and keeps a copy; at
-/// batch `kill_at` it SIGKILLs the daemon and restarts it from another
-/// thread, so the sink's sender thread meets the outage mid-run.
+/// Forwards every batch to a [`CollectorSink`] as it is (so the
+/// profiler's declaration passes on) and keeps a copy with that
+/// declaration ([`cut_of`]); at batch `kill_at` it SIGKILLs the daemon
+/// and restarts it from another thread, so the sink's sender thread
+/// meets the outage mid-run.
 struct KillingTee {
     sink: Arc<CollectorSink>,
-    batches: Mutex<Vec<Vec<Event>>>,
+    batches: Mutex<Vec<(Vec<Event>, Option<Cut>)>>,
     kill_at: usize,
     daemon: Mutex<Option<std::process::Child>>,
     restart: Mutex<Option<std::thread::JoinHandle<std::process::Child>>>,
@@ -271,7 +273,7 @@ impl EventSink for KillingTee {
                 spawn_rlscoped(&bin, &socket, &data)
             }));
         }
-        batches.push(events.clone());
+        batches.push((events.clone(), cut_of(&events)));
         self.sink.emit(events);
     }
 }
@@ -280,7 +282,7 @@ impl EventSink for KillingTee {
 /// real `rlscoped` is SIGKILLed and restarted mid-run: the sender
 /// thread reconnects and replays, `finish` reports every event, and the
 /// session directory is byte-identical to an uninterrupted
-/// `CollectorClient` run that sent the same batches.
+/// `CollectorClient` run that sent the same declared chunks.
 #[test]
 fn sink_streams_a_train_spec_through_a_daemon_sigkill() {
     use rlscope::prelude::*;
@@ -333,13 +335,91 @@ fn sink_streams_a_train_spec_through_a_daemon_sigkill() {
     let (ref_socket, ref_data) = scratch("sinkkill_ref");
     let reference = Collector::bind(CollectorConfig::new(&ref_socket, &ref_data)).unwrap();
     let mut client = CollectorClient::open_session(&ref_socket, "sinkkill").unwrap();
-    for batch in &batches {
-        client.send_events(batch).unwrap();
+    for (batch, cut) in &batches {
+        client
+            .send_declared(batch, cut.as_ref().expect("the profiler declares every batch"))
+            .unwrap();
     }
     client.finish().unwrap();
-    assert_eq!(batches.concat(), trace.events);
+    let events: Vec<Event> = batches.iter().flat_map(|(batch, _)| batch.iter().cloned()).collect();
+    assert_eq!(events, trace.events);
     assert_dirs_byte_identical(&data.join("sinkkill"), &ref_data.join("sinkkill"));
     reference.shutdown();
+}
+
+/// Records every batch a profiler emits, with its declaration.
+#[derive(Default)]
+struct CutRecorder(Mutex<Vec<(Vec<Event>, Cut)>>);
+
+impl EventSink for CutRecorder {
+    fn emit(&self, events: Vec<Event>) {
+        let cut = cut_of(&events).expect("the profiler declares every batch");
+        self.0.lock().unwrap().push((events, cut));
+    }
+}
+
+/// The aborted-session contract of a declaring session. A client
+/// streams half of a profiled run's declared chunks and dies without
+/// `FINISH`. Every query — plain, by phase, by phase and operation, by
+/// process — answers what the profiler had emitted with the scopes open
+/// at the last acked cut closed there (the open phase holds its time up
+/// to the cut, not `(no phase)`): live just before the death, from the
+/// directory once the idle reaper aborts the session, and from the
+/// directory again after a daemon restart — the same answers each time.
+#[test]
+fn a_dead_declaring_client_leaves_its_open_phase_answered_up_to_the_last_cut() {
+    use rlscope::core::analysis::Dim;
+    use rlscope::prelude::*;
+    let recorder = Arc::new(CutRecorder::default());
+    let spec = TrainSpec {
+        scale: ScaleConfig { hidden: 8, batch: 4, freq_div: 25, ppo: None },
+        ..TrainSpec::new(AlgoKind::Ddpg, "Walker2D", STABLE_BASELINES, 40)
+    };
+    spec.run_streamed(Toggles::all(), recorder.clone(), 256);
+    let batches = std::mem::take(&mut *recorder.0.lock().unwrap());
+    let dead_at = batches.len() / 2;
+    let last_cut = &batches[dead_at - 1].1;
+    assert!(last_cut.open.iter().any(|scope| scope.phase), "no phase open at the last cut");
+
+    let (socket, data) = scratch("deadclient");
+    let mut config = CollectorConfig::new(&socket, &data);
+    config.idle_timeout = Some(Duration::from_millis(300));
+    let collector = Collector::bind(config).unwrap();
+    let mut client =
+        CollectorClient::open_session_with(&socket, "dead", ReconnectPolicy::disabled()).unwrap();
+    for (batch, cut) in &batches[..dead_at] {
+        client.send_declared(batch, cut).unwrap();
+    }
+    let dims: [&[Dim]; 4] = [&[], &[Dim::Phase], &[Dim::Phase, Dim::Operation], &[Dim::Process]];
+    let specs: Vec<QuerySpec> =
+        dims.iter().map(|d| QuerySpec::session("dead").group_by(d.iter().copied())).collect();
+    let live: Vec<String> = specs.iter().map(|q| client.query(q).unwrap().canonical_json).collect();
+    let mut stream: Vec<Event> = batches[..dead_at].iter().flat_map(|(b, _)| b.clone()).collect();
+    stream.extend(last_cut.closing_events());
+    let want: Vec<String> = dims
+        .iter()
+        .map(|d| Analysis::of_events(&stream).group_by(d.iter().copied()).canonical_json().unwrap())
+        .collect();
+    assert_eq!(live, want, "live answers before the death");
+
+    drop(client);
+    wait_phase(&collector, "dead", SessionPhase::Aborted);
+    let answers = |socket: &Path| -> Vec<String> {
+        let mut query = CollectorClient::connect(socket).unwrap();
+        specs
+            .iter()
+            .map(|q| {
+                let reply = query.query(q).unwrap();
+                assert!(!reply.live);
+                reply.canonical_json
+            })
+            .collect()
+    };
+    assert_eq!(answers(&socket), live, "the aborted session's directory");
+    collector.shutdown();
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    assert_eq!(answers(&socket), live, "the directory after a restart");
+    collector.shutdown();
 }
 
 /// With reconnects disabled, a daemon SIGKILL latches the sink's first

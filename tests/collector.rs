@@ -11,7 +11,10 @@ use rlscope::collector::{
 };
 use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
-use rlscope::core::store::{encode_events, read_frame, write_frame, EventColumns, TraceWriter};
+use rlscope::core::store::{
+    encode_declared, encode_events, read_frame, write_frame, Cut, EventColumns, OpenScope,
+    TraceWriter,
+};
 use rlscope::sim::ids::ProcessId;
 use rlscope::sim::time::TimeNs;
 use std::io::Write;
@@ -346,6 +349,12 @@ fn send_chunk(conn: &mut UnixStream, seq: u64, events: &[Event]) {
     send_frame(conn, kind::CHUNK, &payload);
 }
 
+fn send_declared_chunk(conn: &mut UnixStream, seq: u64, events: &[Event], cut: &Cut) {
+    let mut payload = seq.to_be_bytes().to_vec();
+    payload.extend_from_slice(&encode_declared(events, cut));
+    send_frame(conn, kind::CHUNK, &payload);
+}
+
 /// Reads one `CHUNK_ACK` as `(seq, events)`.
 fn read_ack(conn: &mut UnixStream) -> (u64, u32) {
     let (reply, payload) = read_frame(conn).unwrap().unwrap();
@@ -452,6 +461,92 @@ fn sequence_gap_aborts_typed_and_keeps_the_acked_prefix() {
     assert_eq!(
         prefix.canonical_json,
         Analysis::of_events(&events[..256]).canonical_json().unwrap()
+    );
+    collector.shutdown();
+}
+
+/// A declared stream is held to its word. After a first declared chunk
+/// (phase `run` and operation `step` open, frontier 5 µs, cut 6 µs), a
+/// second chunk that breaks the declaration — an event starting before
+/// the frontier that closes nothing, a declared scope that vanishes
+/// unclosed, a frontier that moves back, a close that ends before the
+/// cut it was open at, or no declaration at all — is a typed `Protocol`
+/// error, and the session is aborted with its durable prefix
+/// queryable: the first chunk, with the scopes it declared open closed
+/// at its cut. A chunk that keeps the word is acked and answered live
+/// the same way.
+#[test]
+fn broken_declarations_abort_typed_and_keep_the_durable_prefix() {
+    let (collector, socket) = bind("promise");
+    let p = ProcessId(0);
+    let ev = |kind, name: &str, start: u64, end: u64| {
+        Event::new(p, kind, name, TimeNs::from_nanos(start), TimeNs::from_nanos(end))
+    };
+    let py = || EventKind::Cpu(CpuCategory::Python);
+    let scope = |phase, name: &str, start| OpenScope { pid: 0, phase, name: name.into(), start };
+    let first = vec![
+        ev(py(), "py", 1_000, 2_000),
+        ev(EventKind::Operation, "inner", 1_500, 1_800),
+        ev(EventKind::Gpu(GpuCategory::Kernel), "k", 2_500, 9_000),
+        ev(py(), "py", 4_000, 6_000),
+    ];
+    let both = vec![scope(true, "run", 0), scope(false, "step", 1_000)];
+    let cut0 = Cut { at: 6_000, frontier: 5_000, open: both.clone() };
+    let cut1 = |frontier, open: &[OpenScope]| Cut { at: 8_000, frontier, open: open.to_vec() };
+    let late = vec![ev(py(), "py", 6_000, 7_000)];
+    let broken: Vec<(&str, Vec<Event>, Option<Cut>)> = vec![
+        ("early", vec![ev(py(), "py", 2_000, 7_000)], Some(cut1(7_000, &both))),
+        ("dropped", late.clone(), Some(cut1(7_000, &both[..1]))),
+        ("back", late.clone(), Some(cut1(4_000, &both))),
+        (
+            "closed_early",
+            vec![ev(EventKind::Operation, "step", 1_000, 5_500)],
+            Some(cut1(7_000, &both[..1])),
+        ),
+        ("undeclared", late.clone(), None),
+    ];
+    let mut durable = first.clone();
+    durable.extend(cut0.closing_events());
+    let prefix_answer = Analysis::of_events(&durable).group_by([Dim::Phase, Dim::Operation]);
+    let prefix_answer = prefix_answer.canonical_json().unwrap();
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let grouped = |name: &str| QuerySpec::session(name).group_by([Dim::Phase, Dim::Operation]);
+    for (case, events, cut) in broken {
+        let mut conn = raw_session(&socket, case);
+        send_declared_chunk(&mut conn, 0, &first, &cut0);
+        assert_eq!(read_ack(&mut conn), (0, first.len() as u32), "{case}");
+        match &cut {
+            Some(cut) => send_declared_chunk(&mut conn, 1, &events, cut),
+            None => send_chunk(&mut conn, 1, &events),
+        }
+        let (reply, payload) = read_frame(&mut conn).unwrap().unwrap();
+        assert_eq!(reply, kind::ERROR, "{case}");
+        assert_eq!(ErrorCode::from_u8(payload[0]), Some(ErrorCode::Protocol), "{case}");
+        assert_eq!(collector.session_phase(case), Some(SessionPhase::Aborted), "{case}");
+        let answer = query.query(&grouped(case)).unwrap();
+        assert!(!answer.live, "{case}");
+        assert_eq!(answer.events_observed, first.len() as u64, "{case}");
+        assert_eq!(answer.canonical_json, prefix_answer, "{case}");
+    }
+
+    // Keeping the word: `step` closes, `run` stays open.
+    let mut conn = raw_session(&socket, "kept");
+    send_declared_chunk(&mut conn, 0, &first, &cut0);
+    let kept = vec![ev(EventKind::Operation, "step", 1_000, 7_000), ev(py(), "py", 6_000, 7_000)];
+    let cut = cut1(8_000, &both[..1]);
+    send_declared_chunk(&mut conn, 1, &kept, &cut);
+    assert_eq!(read_ack(&mut conn), (0, first.len() as u32));
+    assert_eq!(read_ack(&mut conn), (1, kept.len() as u32));
+    let mut stream = [first.clone(), kept].concat();
+    stream.extend(cut.closing_events());
+    let live = query.query(&grouped("kept")).unwrap();
+    assert!(live.live);
+    assert_eq!(
+        live.canonical_json,
+        Analysis::of_events(&stream)
+            .group_by([Dim::Phase, Dim::Operation])
+            .canonical_json()
+            .unwrap()
     );
     collector.shutdown();
 }

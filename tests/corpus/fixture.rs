@@ -73,6 +73,23 @@ pub fn corpus_events() -> Vec<rlscope::core::Event> {
     events
 }
 
+/// The declaration `corpus_declared.rls` carries beside the fixture
+/// events: a phase still open on pid 2 and two operations opened at the
+/// same instant on pid 1 (so their close order decides their nesting).
+pub fn corpus_cut() -> rlscope::core::store::Cut {
+    use rlscope::core::store::{Cut, OpenScope};
+    let scope = |pid, phase, name: &str, start| OpenScope { pid, phase, name: name.into(), start };
+    Cut {
+        at: 100_000,
+        frontier: 99_000,
+        open: vec![
+            scope(2, true, "evaluation", 1_000),
+            scope(1, false, "rollout", 41_000),
+            scope(1, false, "rollout_step", 41_000),
+        ],
+    }
+}
+
 /// The legacy v2 encoding of `events`, which the library reads but no
 /// longer writes: the v3 bytes with the magic swapped and the footer
 /// trailer (`payload | len:u32 | "RLF3"`) cut. Over the fixture it

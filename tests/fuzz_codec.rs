@@ -12,8 +12,8 @@
 //! fails the suite.
 
 use rlscope::core::store::{
-    decode_columns, decode_events, encode_events, encode_events_v1, list_chunk_files, read_frame,
-    write_frame, EventColumns, Manifest, TraceIoError, MAX_FRAME_LEN,
+    decode_columns, decode_events, encode_declared, encode_events, encode_events_v1,
+    list_chunk_files, read_frame, write_frame, EventColumns, Manifest, TraceIoError, MAX_FRAME_LEN,
 };
 use rlscope::core::{Event, EventKind};
 
@@ -66,14 +66,16 @@ fn assert_columns_sane(cols: &EventColumns) {
 /// The daemon ingest path feeds untrusted bytes straight into
 /// `decode_columns`, and `decode_events` is that parser plus the
 /// `to_events` bridge. Truncation at *every* byte offset of all three
-/// wire formats must yield `TraceIoError::Corrupt` from both entry
-/// points — never a panic, never data from a partial record, and for
-/// v3 never a chunk whose footer survives the cross-check.
+/// wire formats, and of a declared v3 chunk, must yield
+/// `TraceIoError::Corrupt` from both entry points — never a panic, never
+/// data from a partial record, and for v3 never a chunk whose footer
+/// survives the cross-check.
 #[test]
 fn truncation_at_every_offset_errors() {
     let events = corpus_events();
     for encoded in [
         encode_events(&events).to_vec(),
+        encode_declared(&events, &corpus_cut()).to_vec(),
         encode_legacy_v2(&events),
         encode_events_v1(&events).to_vec(),
     ] {
@@ -94,14 +96,17 @@ fn truncation_at_every_offset_errors() {
     }
 }
 
-/// Seeded byte-flip fuzzing over all formats (two corruption streams
-/// per format): decode must return `Ok` — with sane columns that bridge
-/// to sane rows — or `Corrupt`, never panic.
+/// Seeded byte-flip fuzzing over all formats and a declared v3 chunk
+/// (two corruption streams each): decode must return `Ok` — with sane
+/// columns that bridge to sane rows — or `Corrupt`, never panic.
 #[test]
 fn random_byte_flips_never_panic() {
     let events = corpus_events();
+    let declared = encode_declared(&events, &corpus_cut()).to_vec();
     for (seed, base) in [
         (0x1234_5678u64, encode_events(&events).to_vec()),
+        (0xdec1, declared.clone()),
+        (0xdec2, declared),
         (0x5e5e_5e5e, encode_legacy_v2(&events)),
         (0x9abc_def0, encode_events_v1(&events).to_vec()),
         (0xc01, encode_events(&events).to_vec()),
@@ -263,26 +268,29 @@ fn out_of_range_string_table_ids_rejected() {
 }
 
 /// Every single-byte flip anywhere in a v3 chunk's footer region —
-/// payload, length field, trailer magic — must yield `TraceIoError`,
-/// never a silently different skip summary: the checksum (or the
+/// payload (a declared chunk's declaration included), length field,
+/// trailer magic — must yield `TraceIoError`, never a silently
+/// different skip summary or declaration: the checksum (or the
 /// footer-vs-events cross-check) catches it.
 #[test]
 fn v3_footer_flips_never_skip_silently() {
     let events = corpus_events();
-    let data = encode_events(&events).to_vec();
-    // The footer region is everything after the v2 body; recover its
-    // start from the trailer length field.
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(&data[data.len() - 8..data.len() - 4]);
-    let footer_start = data.len() - 8 - u32::from_be_bytes(len_bytes) as usize;
-    for at in footer_start..data.len() {
-        for bit in [0x01u8, 0x80] {
-            let mut flipped = data.clone();
-            flipped[at] ^= bit;
-            match decode_events(&flipped) {
-                Err(TraceIoError::Corrupt(_)) => {}
-                Err(TraceIoError::Io(e)) => panic!("unexpected io error at byte {at}: {e}"),
-                Ok(_) => panic!("flip at footer byte {at} (bit {bit:#x}) decoded cleanly"),
+    for data in [encode_events(&events).to_vec(), encode_declared(&events, &corpus_cut()).to_vec()]
+    {
+        // The footer region is everything after the v2 body; recover
+        // its start from the trailer length field.
+        let mut len_bytes = [0u8; 4];
+        len_bytes.copy_from_slice(&data[data.len() - 8..data.len() - 4]);
+        let footer_start = data.len() - 8 - u32::from_be_bytes(len_bytes) as usize;
+        for at in footer_start..data.len() {
+            for bit in [0x01u8, 0x80] {
+                let mut flipped = data.clone();
+                flipped[at] ^= bit;
+                match decode_columns(&flipped) {
+                    Err(TraceIoError::Corrupt(_)) => {}
+                    Err(TraceIoError::Io(e)) => panic!("unexpected io error at byte {at}: {e}"),
+                    Ok(_) => panic!("flip at footer byte {at} (bit {bit:#x}) decoded cleanly"),
+                }
             }
         }
     }

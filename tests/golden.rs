@@ -12,8 +12,8 @@ use rlscope::core::analysis::{Analysis, Dim};
 use rlscope::core::compute_overlap;
 use rlscope::core::overlap::OverlapSweep;
 use rlscope::core::store::{
-    compute_footer, decode_events, encode_events, encode_events_v1, reorder_chunk_dir, Manifest,
-    TraceWriter,
+    compute_footer, decode_columns, decode_events, encode_declared, encode_events,
+    encode_events_v1, reorder_chunk_dir, Manifest, TraceWriter,
 };
 use std::path::{Path, PathBuf};
 
@@ -70,6 +70,44 @@ fn corpus_encode_is_byte_stable() {
     let extreme = encode_events(&corpus_extreme_events());
     assert_eq!(&extreme[..8], b"RLSCOPE1", "extreme timestamps must fall back to v1");
     assert_eq!(&extreme[..], &corpus_file("corpus_extreme.rls")[..], "extreme encode drift");
+}
+
+/// The declared chunk (`corpus_declared.rls`: the fixture events with
+/// [`corpus_cut`] in the footer) is byte-stable; its body is the v3
+/// corpus's byte for byte; it decodes to the fixture with the cut
+/// handed back; and a directory holding it answers as the fixture with
+/// the declared scopes closed at the cut — also once rewritten
+/// start-sorted, where those closes become events.
+#[test]
+fn corpus_declared_chunk_is_byte_stable_and_closes_its_scopes() {
+    let (events, cut) = (corpus_events(), corpus_cut());
+    let declared = corpus_file("corpus_declared.rls");
+    assert_eq!(&encode_declared(&events, &cut)[..], &declared[..], "declared encode drift");
+    let v3 = corpus_file("corpus_v3.rls");
+    let footer_len = |chunk: &[u8]| {
+        u32::from_be_bytes(chunk[chunk.len() - 8..chunk.len() - 4].try_into().unwrap()) as usize
+    };
+    let body = v3.len() - 8 - footer_len(&v3);
+    assert_eq!(declared[..body], v3[..body], "a declaration changes only the footer");
+    assert_eq!(decode_events(&declared).unwrap(), events);
+    assert_eq!(decode_columns(&declared).unwrap().cut, Some(cut.clone()));
+
+    let dir = std::env::temp_dir().join(format!("rlscope_golden_decl_{}", std::process::id()));
+    let sorted = dir.join("sorted");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("chunk_00000.rls"), &declared).unwrap();
+    let mut closed = events.clone();
+    closed.extend(cut.closing_events());
+    let dims = [Dim::Process, Dim::Phase, Dim::Operation];
+    let want = Analysis::of_events(&closed).group_by(dims).canonical_json().unwrap();
+    assert_eq!(Analysis::from_chunk_dir(&dir).group_by(dims).canonical_json().unwrap(), want);
+    reorder_chunk_dir(&dir, &sorted, 256).unwrap();
+    let mut by_start = closed.clone();
+    by_start.sort_by_key(|e| e.start);
+    let want = Analysis::of_events(&by_start).group_by(dims).canonical_json().unwrap();
+    assert_eq!(Analysis::from_chunk_dir(&sorted).group_by(dims).canonical_json().unwrap(), want);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The chunk-directory index is byte-stable for the fixture's

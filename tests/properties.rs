@@ -6,8 +6,10 @@ use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope::core::overlap::{
     compute_overlap, compute_overlap_columns, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE,
 };
+use rlscope::core::profiler::{cut_of, EventSink, Profiler, ProfilerConfig, Toggles};
 use rlscope::core::store::{
-    decode_columns, decode_events, encode_events, encode_events_v1, EventColumns, TraceWriter,
+    decode_columns, decode_events, encode_declared, encode_events, encode_events_v1, Cut,
+    EventColumns, TraceWriter,
 };
 use rlscope::sim::ids::ProcessId;
 use rlscope::sim::time::{DurationNs, TimeNs};
@@ -349,6 +351,82 @@ fn fanned_out_chunk_dir_query_matches_one_thread() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Records each batch a profiler emits with its declaration.
+#[derive(Default)]
+struct CutSink(std::sync::Mutex<Vec<(Vec<Event>, Option<Cut>)>>);
+
+impl EventSink for CutSink {
+    fn emit(&self, events: Vec<Event>) {
+        let cut = cut_of(&events);
+        self.0.lock().unwrap().push((events, cut));
+    }
+}
+
+/// Runs a real [`Profiler`] over a scripted program — operation opens
+/// and closes (same-instant opens when `annotation_cost` and the step
+/// are 0), phase switches, Python spans, native calls that launch
+/// kernels or step a simulator, device syncs — streaming every `flush`
+/// events, and returns each batch with its declaration and the finished
+/// trace's events.
+fn declared_run(
+    program: &[(u8, usize, u64)],
+    flush: usize,
+    annotation_cost: u64,
+    py_interception: bool,
+) -> (Vec<(Vec<Event>, Cut)>, Vec<Event>) {
+    use rlscope::sim::cuda::{CudaContext, CudaCostConfig};
+    use rlscope::sim::gpu::{GpuDevice, KernelDesc};
+    use rlscope::sim::hooks::NativeLib;
+    use rlscope::sim::python::{PyCostConfig, PyRuntime};
+    use rlscope::sim::VirtualClock;
+
+    let clock = VirtualClock::new();
+    let toggles = Toggles {
+        annotations: annotation_cost > 0,
+        py_interception,
+        cuda_interception: py_interception,
+        cupti: true,
+    };
+    let config = ProfilerConfig {
+        annotation_cost: DurationNs::from_nanos(annotation_cost),
+        toggles,
+        ..ProfilerConfig::default()
+    };
+    let rls = Profiler::new(clock.clone(), config);
+    let mut py = PyRuntime::new(clock.clone(), PyCostConfig::default());
+    let mut cuda = CudaContext::new(clock.clone(), GpuDevice::new(2), CudaCostConfig::default());
+    rls.attach(&mut py, &mut cuda);
+    let sink = Arc::new(CutSink::default());
+    rls.stream_to(sink.clone(), flush);
+    let names = ["alpha", "beta", "gamma"];
+    let mut guards = Vec::new();
+    for &(action, name, step) in program {
+        let d = DurationNs::from_nanos(step * 700);
+        match action {
+            0 | 1 => guards.push(rls.operation(names[name])),
+            2 => drop(guards.pop()),
+            3 => rls.set_phase(names[name]),
+            4 => py.exec(d),
+            5 => py.call_native(NativeLib::Backend, || {
+                clock.advance(d);
+                let stream = cuda.default_stream();
+                cuda.launch_kernel(stream, KernelDesc::new(names[name], d * 3));
+            }),
+            6 => py.call_native(NativeLib::Simulator, || {
+                clock.advance(d);
+            }),
+            _ => cuda.device_synchronize(),
+        }
+    }
+    while let Some(guard) = guards.pop() {
+        drop(guard);
+    }
+    let trace = rls.finish();
+    let batches = std::mem::take(&mut *sink.0.lock().unwrap());
+    let batches = batches.into_iter().map(|(b, cut)| (b, cut.expect("every batch declared")));
+    (batches.collect(), trace.events)
 }
 
 proptest! {
@@ -1020,6 +1098,63 @@ proptest! {
             &reference_overlap(&events)
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A real profiler streaming through the declared path — every batch
+    /// encoded with its declaration, decoded, pushed into a live
+    /// session that is released to each frontier — answers like the
+    /// batch analysis. After every chunk, both views equal
+    /// `Analysis::of_events` over the emitted prefix plus the declared
+    /// scopes closed at the cut (also after the release); the seal
+    /// equals the analysis of the whole trace in canonical JSON; and
+    /// every declaration holds: no later event starts before its
+    /// frontier unless it closes a scope it declared open.
+    #[test]
+    fn declared_streams_match_batch_after_every_chunk(
+        program in prop::collection::vec((0u8..8, 0usize..3, 0u64..4), 1..120),
+        flush in 1usize..24,
+        annotation_cost in prop_oneof![Just(0u64), Just(600u64)],
+        py_interception in prop_oneof![Just(false), Just(true)],
+    ) {
+        use rlscope::core::analysis::LiveState;
+
+        let (batches, events) = declared_run(&program, flush, annotation_cost, py_interception);
+        let mut live = LiveState::new();
+        let mut prefix: Vec<Event> = Vec::new();
+        for (k, (batch, cut)) in batches.iter().enumerate() {
+            let cols = decode_columns(&encode_declared(batch, cut)).unwrap();
+            prop_assert_eq!(cols.cut.as_ref(), Some(cut));
+            live.push_columns(&cols).unwrap();
+            prefix.extend(batch.iter().cloned());
+            let mut closed = prefix.clone();
+            closed.extend(cut.closing_events());
+            let want = live_view_answers(LiveView::Both, || Analysis::of_events(&closed));
+            let tables = live.snapshot();
+            prop_assert_eq!(tables.events_observed(), prefix.len() as u64);
+            let got = live_view_answers(LiveView::Both, || Analysis::of_live(&tables));
+            prop_assert_eq!(&got, &want, "after chunk {}", k);
+            live.release();
+            let tables = live.snapshot();
+            let got = live_view_answers(LiveView::Both, || Analysis::of_live(&tables));
+            prop_assert_eq!(&got, &want, "after chunk {} released", k);
+
+            let mut declared = cut.open.clone();
+            for later in batches[k + 1..].iter().flat_map(|(b, _)| b) {
+                if later.start.as_nanos() >= cut.frontier {
+                    continue;
+                }
+                let closes = declared.iter().position(|s| {
+                    (s.pid, s.start, &*s.name) == (later.pid.as_u32(), later.start.as_nanos(), &*later.name)
+                        && (if s.phase { EventKind::Phase } else { EventKind::Operation }) == later.kind
+                });
+                prop_assert!(closes.is_some(), "chunk {}: {:?} starts before {}", k, later, cut.frontier);
+                declared.remove(closes.unwrap());
+            }
+        }
+        prop_assert_eq!(&prefix, &events);
+        let grouped = |q: Analysis<'_>| q.group_by([Dim::Phase, Dim::Operation]).canonical_json().unwrap();
+        let sealed = live.seal();
+        prop_assert_eq!(grouped(Analysis::of_live(&sealed)), grouped(Analysis::of_events(&events)));
     }
 
     /// One pass with a derived working set answers every directory

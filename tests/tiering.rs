@@ -200,6 +200,40 @@ fn retention_ages_sessions_down_to_pruned() {
     collector.shutdown();
 }
 
+/// The settled-query result cache forgets a directory once it is gone:
+/// after each tier move no cached answer names the tier the session
+/// left, and after the prune none names any of its directories. Each
+/// tier's answer is cached first (a process-grouped query reads the
+/// directory, not the seal).
+#[test]
+fn result_cache_forgets_moved_and_pruned_directories() {
+    let (socket, data) = scratch("cachegc");
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
+    let events = session_events(0, 1_024);
+    drop(finish_session(&socket, "gc", &events));
+    let dir = data.join("gc");
+    let by_process = QuerySpec::session("gc").group_by([Dim::Process]);
+    let mut query = CollectorClient::connect(&socket).unwrap();
+    let cached = |collector: &Collector| collector.cached_result_dirs();
+    for (tier_dir, next) in
+        [(dir.clone(), StorageTier::Sorted), (dir.join("sorted"), StorageTier::Rollup)]
+    {
+        query.query(&by_process).unwrap();
+        assert!(cached(&collector).contains(&tier_dir), "{tier_dir:?} not cached");
+        assert_eq!(collector.compact_session("gc").unwrap(), next);
+        assert!(!cached(&collector).contains(&tier_dir), "{tier_dir:?} kept after the move");
+    }
+    query.query(&by_process).unwrap();
+    assert!(cached(&collector).contains(&dir.join("rollup")));
+    let policy = RetentionPolicy::parse("rollup=0ms").unwrap();
+    collector.run_retention_pass(&policy);
+    wait_pruned(&collector, "gc", &dir);
+    let left: Vec<PathBuf> =
+        cached(&collector).into_iter().filter(|cached| cached.starts_with(&dir)).collect();
+    assert!(left.is_empty(), "answers of the pruned session stayed cached: {left:?}");
+    collector.shutdown();
+}
+
 /// Aborted sessions never compact — they sit at the raw tier until the
 /// raw dwell expires, then are pruned (registry record and directory
 /// both), freeing the name.
