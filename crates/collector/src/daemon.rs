@@ -1,7 +1,8 @@
 //! The collector daemon: socket accept loops, per-session owner threads,
 //! the durable session registry and restart recovery scan, live and
-//! finished-dir query execution with the finished-dir result cache, and
-//! the one timer thread that reaps idle sessions and runs retention's
+//! finished-dir query execution (a sealed session answers from its
+//! seal, anything else reads its tier's index once per query), and the
+//! one timer thread that reaps idle sessions and runs retention's
 //! tier transitions itself.
 
 use crate::compact::{self, JobKind, RetentionPolicy};
@@ -26,7 +27,6 @@ use rlscope_sim::time::TimeNs;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::hash::Hash;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -201,9 +201,6 @@ pub struct CollectorConfig {
     /// Credit window granted to each session connection (max unacked
     /// `CHUNK` frames in flight — the explicit backpressure bound).
     pub credits: u32,
-    /// Finished-target query results cached (keyed by directory and
-    /// query bytes), LRU eviction. Live answers are never cached.
-    pub cache_capacity: usize,
     /// Abort sessions (typed [`ErrorCode::IdleTimeout`]) that receive no
     /// chunk (and no resume) for this long, so a crashed client cannot
     /// pin daemon memory forever. `None` disables the idle pass. The
@@ -226,15 +223,13 @@ pub struct CollectorConfig {
 }
 
 impl CollectorConfig {
-    /// A config with default tuning (8 credits, 256 cached results, no
-    /// idle timeout).
+    /// A config with default tuning (8 credits, no idle timeout).
     pub fn new(socket: impl Into<PathBuf>, data_dir: impl Into<PathBuf>) -> Self {
         CollectorConfig {
             socket: socket.into(),
             tcp_listen: None,
             data_dir: data_dir.into(),
             credits: 8,
-            cache_capacity: 256,
             idle_timeout: None,
             retention: None,
             rollup_segment_ns: 1_000_000_000,
@@ -345,9 +340,9 @@ pub struct RecoveredSession {
 ///   on the asking connection's thread. Chunk acks queued behind a
 ///   snapshot wait for the chunks since the last one (worst case: the
 ///   span of the latest late-closing scope), never the whole prefix.
-/// - A live query makes one trip through the mailbox, and its answer is
-///   never cached: the [`Msg::Snapshot`] reply carries the prefix length
-///   the answer reports.
+/// - A live query makes one trip through the mailbox: the
+///   [`Msg::Snapshot`] reply carries the prefix length the answer
+///   reports.
 struct Session {
     name: String,
     /// Server-assigned id, stable across detach/resume.
@@ -773,54 +768,6 @@ impl Owner {
     }
 }
 
-/// A minimal LRU map: recency is a monotonic tick per entry, eviction
-/// scans for the stalest (O(capacity), fine at the daemon's cache
-/// sizes).
-struct LruCache<K, V> {
-    map: HashMap<K, (V, u64)>,
-    tick: u64,
-    capacity: usize,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
-    fn new(capacity: usize) -> Self {
-        LruCache { map: HashMap::new(), tick: 0, capacity: capacity.max(1) }
-    }
-
-    fn get(&mut self, key: &K) -> Option<V> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(value, used)| {
-            *used = tick;
-            value.clone()
-        })
-    }
-
-    fn insert(&mut self, key: K, value: V) {
-        self.tick += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(stalest) =
-                self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k.clone())
-            {
-                self.map.remove(&stalest);
-            }
-        }
-        self.map.insert(key, (value, self.tick));
-    }
-
-    /// Drops every entry whose key `stale` picks.
-    fn forget(&mut self, stale: impl Fn(&K) -> bool) {
-        self.map.retain(|key, _| !stale(key));
-    }
-}
-
-#[derive(Clone)]
-struct CachedResult {
-    checksum: u64,
-    events: u64,
-    json: String,
-}
-
 /// Live connections and the threads spawned on demand.
 #[derive(Default)]
 struct Conns {
@@ -837,9 +784,6 @@ struct Daemon {
     /// Every session the daemon knows by name (see [`Session`] for the
     /// rule on holding this lock).
     sessions: Mutex<HashMap<String, Entry>>,
-    /// Finished-target results keyed by `(dir, query bytes)`, validated
-    /// by the checksum of the target's index, LRU-evicted.
-    cache: Mutex<LruCache<(String, Vec<u8>), CachedResult>>,
     next_session_id: AtomicU64,
     next_epoch: AtomicU64,
     next_conn_id: AtomicU64,
@@ -950,6 +894,15 @@ impl Daemon {
         }
     }
 
+    /// Holds a settled-tier query between its index read and its answer
+    /// when the fault plan asks to (chaos tests only; a no-op otherwise).
+    fn settled_query_hook(&self) {
+        #[cfg(feature = "fault-inject")]
+        if let Some(plan) = &self.config.faults {
+            plan.settled_query_hook();
+        }
+    }
+
     /// Why `session`'s mailbox is closed: the typed reason it aborted.
     fn settled_error(&self, session: &Session) -> ConnError {
         match self.lookup(&session.name) {
@@ -1038,13 +991,11 @@ impl Collector {
             None => None,
         };
         let tcp_addr = tcp_listener.as_ref().and_then(|l| l.local_addr().ok());
-        let cache = LruCache::new(config.cache_capacity);
         let idle_timeout = config.idle_timeout;
         let retention = config.retention.clone().filter(|p| !p.is_empty());
         let daemon = Arc::new(Daemon {
             config,
             sessions: Mutex::new(HashMap::new()),
-            cache: Mutex::new(cache),
             next_session_id: AtomicU64::new(1),
             next_epoch: AtomicU64::new(1),
             next_conn_id: AtomicU64::new(1),
@@ -1220,16 +1171,6 @@ impl Collector {
         self.session_tier(name).ok_or_else(|| {
             remote((ErrorCode::UnknownTarget, format!("session {name:?} vanished mid-compaction")))
         })
-    }
-
-    /// The directories the settled-query result cache holds answers
-    /// for, one entry per cached answer: test support for the cache's
-    /// bookkeeping (built only with the test-only `fault-inject`
-    /// feature).
-    #[cfg(feature = "fault-inject")]
-    #[doc(hidden)]
-    pub fn cached_result_dirs(&self) -> Vec<PathBuf> {
-        self.daemon.cache.lock().map.keys().map(|(dir, _)| PathBuf::from(dir)).collect()
     }
 
     /// Runs one retention pass now, on the calling thread (what the
@@ -1542,8 +1483,6 @@ fn run_compaction_job(daemon: &Daemon, name: &str, kind: JobKind) -> Result<(), 
             if matches!(sessions.get(name), Some(Entry::Settled(s)) if s.epoch == settled.epoch) {
                 sessions.remove(name);
                 let _ = fs::remove_dir_all(&settled.dir);
-                // Every tier's answers: their directories are gone.
-                daemon.cache.lock().forget(|(dir, _)| Path::new(dir).starts_with(&settled.dir));
             }
         }
     }
@@ -1575,9 +1514,6 @@ fn advance_tier(
     }
     if let Some(Entry::Settled(current)) = daemon.sessions.lock().get_mut(name) {
         if current.epoch == settled.epoch {
-            // The prior tier's answers: its directory is dropped next.
-            let moved = tier_dir(&current.dir, current.tier);
-            daemon.cache.lock().forget(|(dir, _)| Path::new(dir) == moved);
             current.tier = tier;
             current.seal = None;
         }
@@ -1807,18 +1743,14 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
                 Routed::Settled(settled) => return tiered_query(daemon, name, settled, spec),
                 Routed::Open(_, tables) => tables,
             };
-            let canonical_json = apply_spec(Analysis::of_live(&tables), spec)
-                .canonical_json()
-                .map_err(analysis_err)?;
-            let events_observed = tables.events_observed();
-            Ok(QueryReply { live: true, cache_hit: false, events_observed, canonical_json })
+            tables_reply(&tables, spec, true)
         }
         QueryTarget::Dir(path) => {
             let dir = PathBuf::from(path);
             if !dir.is_dir() {
                 return Err((ErrorCode::UnknownTarget, format!("no chunk directory {path:?}")));
             }
-            settled_query(daemon, &dir, StorageTier::Raw, spec, || None, || Ok(()))
+            settled_query(daemon, &dir, StorageTier::Raw, spec, || Ok(()))
         }
         // A QUERY reply carries one canonical-JSON table; the all-sessions
         // answer is per-session groups, which only a QUERY_ALL_OK can carry.
@@ -1871,8 +1803,7 @@ fn handle_query_all(
 /// sessions that moved are re-read at their new tier, the ones pruned
 /// meanwhile are dropped, and the answer is computed again (tiers only
 /// move forward, so this terminates); a read of a directory being
-/// dropped is never returned. Results are not cached: the answer covers
-/// every live prefix at once, so any ingest anywhere invalidates it.
+/// dropped is never returned.
 fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, ConnError> {
     if spec.target != QueryTarget::AllSessions {
         return Err((ErrorCode::Protocol, "QUERY_ALL frames take the all-sessions target".into()));
@@ -1899,24 +1830,25 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
                 (tables.events_observed(), Part::Tables(Arc::new(tables)))
             }
             Routed::Settled(mut settled) => {
-                // A tier transition can drop the directory mid-read: the
-                // index is then read again at the new tier, as
-                // `tiered_query` does.
-                let events = loop {
-                    match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
-                        Ok(index) => break Some(index.total_events()),
-                        Err(error) => match daemon.tier_now(&name, &settled) {
-                            TierNow::Held => return Err(error),
-                            TierNow::Moved(now) => settled = now,
-                            // Pruned since the listing was taken.
-                            TierNow::Pruned => break None,
-                        },
-                    }
-                };
-                let Some(events) = events else { continue };
-                match daemon.sealed(&name, &settled, spec) {
-                    Some(tables) => (events, Part::Tables(tables)),
-                    None => (events, Part::Dir(settled)),
+                if let Some(tables) = daemon.sealed(&name, &settled, spec) {
+                    (tables.events_observed(), Part::Tables(tables))
+                } else {
+                    // A tier transition can drop the directory mid-read:
+                    // the index is then read again at the new tier, as
+                    // `tiered_query` does.
+                    let events = loop {
+                        match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
+                            Ok(index) => break Some(index.total_events()),
+                            Err(error) => match daemon.tier_now(&name, &settled) {
+                                TierNow::Held => return Err(error),
+                                TierNow::Moved(now) => settled = now,
+                                // Pruned since the listing was taken.
+                                TierNow::Pruned => break None,
+                            },
+                        }
+                    };
+                    let Some(events) = events else { continue };
+                    (events, Part::Dir(settled))
                 }
             }
         };
@@ -1982,14 +1914,6 @@ enum TierIndex {
 }
 
 impl TierIndex {
-    /// The result cache's validation key.
-    fn checksum(&self) -> u64 {
-        match self {
-            TierIndex::Chunks(manifest) => manifest.checksum(),
-            TierIndex::Rollup(rollup) => rollup.checksum(),
-        }
-    }
-
     fn total_events(&self) -> u64 {
         match self {
             TierIndex::Chunks(manifest) => manifest.total_events(),
@@ -2007,31 +1931,33 @@ fn tier_index(dir: &Path, tier: StorageTier) -> Result<TierIndex, ConnError> {
     .map_err(io_err)
 }
 
-/// Routes a settled session's query to its current storage tier, or to
-/// its seal ([`Daemon::sealed`]). The query runs with no lock held, so a
-/// concurrent tier transition can delete the files mid-read. Compaction
-/// moves the session's tier, or a prune removes its entry, before it
-/// deletes anything, so an answer counts only if the tier it read still
-/// held after it was computed: otherwise — and after a failed read — it
-/// is retried at the session's new tier (the tier only moves forward, so
-/// this terminates), and a session pruned mid-read is an
+/// Routes a settled session's query to its seal ([`Daemon::sealed`]),
+/// which answers from memory, or else to its current storage tier. The
+/// directory query runs with no lock held, so a concurrent tier
+/// transition can delete the files mid-read. Compaction moves the
+/// session's tier, or a prune removes its entry, before it deletes
+/// anything, so a directory's answer counts only if the tier it read
+/// still held after it was computed: otherwise — and after a failed read
+/// — it is retried at the session's new tier (the tier only moves
+/// forward, so this terminates), and a session pruned mid-read is an
 /// [`ErrorCode::UnknownTarget`], as it is for a query sent after the
-/// prune. A read of a directory being dropped is thus neither returned
-/// nor cached.
+/// prune. A read of a directory being dropped is thus never returned.
 fn tiered_query(
     daemon: &Daemon,
     name: &str,
     mut settled: Settled,
     spec: &QuerySpec,
 ) -> Result<QueryReply, ConnError> {
+    if let Some(tables) = daemon.sealed(name, &settled, spec) {
+        return tables_reply(&tables, spec, false);
+    }
     loop {
         let (dir, tier) = (tier_dir(&settled.dir, settled.tier), settled.tier);
-        let sealed = || daemon.sealed(name, &settled, spec);
         let held = || match daemon.tier_now(name, &settled) {
             TierNow::Held => Ok(()),
             _ => Err((ErrorCode::Io, format!("session {name:?} left the {tier:?} tier mid-read"))),
         };
-        let result = settled_query(daemon, &dir, tier, spec, sealed, held);
+        let result = settled_query(daemon, &dir, tier, spec, held);
         if let Err((ErrorCode::Io, _)) = &result {
             match daemon.tier_now(name, &settled) {
                 TierNow::Held => {}
@@ -2048,55 +1974,45 @@ fn tiered_query(
     }
 }
 
-/// One settled-tier query, fronted by the checksum-keyed result cache.
-/// A raw or sorted directory answers through footer pushdown over the
-/// chunk index read once here ([`Analysis::from_chunk_index`], keyed by
-/// that index's checksum, so a cached answer was computed from exactly
-/// the index its key describes); a rollup answers from its
-/// pre-aggregated segment summaries
-/// ([`Analysis::from_rollup_dir`], keyed by the rollup index checksum)
-/// without decoding a raw event, and a query needing raw resolution
-/// comes back as a typed [`ErrorCode::UnsupportedQuery`] straight from
-/// the analysis layer. On a cache miss, tables from `sealed` — the
-/// session's seal, byte-identical to the directory's answer — replace
-/// the directory as the source; lookup, insert and the checksum are the
-/// same either way. `held` is asked once the answer exists, before it
-/// is cached or returned: an error there discards the answer.
+/// One query over a settled tier's directory, which reads its index
+/// once. A raw or sorted directory answers through footer pushdown over
+/// that chunk index ([`Analysis::from_chunk_index`]); a rollup answers
+/// from its pre-aggregated segment summaries
+/// ([`Analysis::from_rollup_dir`]) without decoding a raw event, and a
+/// query needing raw resolution comes back as a typed
+/// [`ErrorCode::UnsupportedQuery`] straight from the analysis layer.
+/// The answer reports the index's event total. `held` is asked once the
+/// answer exists, before it is returned: an error there discards it.
 fn settled_query(
     daemon: &Daemon,
     dir: &Path,
     tier: StorageTier,
     spec: &QuerySpec,
-    sealed: impl FnOnce() -> Option<Arc<LiveTables>>,
     held: impl FnOnce() -> Result<(), ConnError>,
 ) -> Result<QueryReply, ConnError> {
     let index = tier_index(dir, tier)?;
-    #[cfg(feature = "fault-inject")]
-    if let Some(plan) = &daemon.config.faults {
-        plan.settled_query_hook();
-    }
-    let (checksum, events) = (index.checksum(), index.total_events());
-    let key = (dir.to_string_lossy().into_owned(), spec.encode());
-    let cached = daemon.cache.lock().get(&key).filter(|cached| cached.checksum == checksum);
-    if let Some(cached) = cached {
-        held()?;
-        return Ok(QueryReply {
-            live: false,
-            cache_hit: true,
-            events_observed: cached.events,
-            canonical_json: cached.json,
-        });
-    }
-    let tables = sealed();
-    let analysis = match (&tables, &index) {
-        (Some(tables), _) => Analysis::of_live(tables),
-        (None, TierIndex::Rollup(_)) => Analysis::from_rollup_dir(dir),
-        (None, TierIndex::Chunks(manifest)) => Analysis::from_chunk_index(manifest),
+    daemon.settled_query_hook();
+    let analysis = match &index {
+        TierIndex::Rollup(_) => Analysis::from_rollup_dir(dir),
+        TierIndex::Chunks(manifest) => Analysis::from_chunk_index(manifest),
     };
-    let json = apply_spec(analysis, spec).canonical_json().map_err(analysis_err)?;
+    let canonical_json = apply_spec(analysis, spec).canonical_json().map_err(analysis_err)?;
     held()?;
-    daemon.cache.lock().insert(key, CachedResult { checksum, events, json: json.clone() });
-    Ok(QueryReply { live: false, cache_hit: false, events_observed: events, canonical_json: json })
+    let events_observed = index.total_events();
+    Ok(QueryReply { live: false, cache_hit: false, events_observed, canonical_json })
+}
+
+/// Answers `spec` from finished tables — a live snapshot, or a seal
+/// (`live: false`) — reporting the events they observed.
+fn tables_reply(
+    tables: &LiveTables,
+    spec: &QuerySpec,
+    live: bool,
+) -> Result<QueryReply, ConnError> {
+    let canonical_json =
+        apply_spec(Analysis::of_live(tables), spec).canonical_json().map_err(analysis_err)?;
+    let events_observed = tables.events_observed();
+    Ok(QueryReply { live, cache_hit: false, events_observed, canonical_json })
 }
 
 /// The live view a wire query reads — what its snapshot must hold.

@@ -13,9 +13,9 @@
 //! sweeps ([`rlscope_core::analysis::LiveState`]), and answers
 //! [`Analysis`]-shaped queries — filters, `group_by`, canonical JSON —
 //! over sessions that are **still streaming** as well as over finished
-//! directories (the latter through predicate pushdown over the chunk
-//! index [`Manifest::open`] reads off the chunks' footers, and a result
-//! cache keyed by that index's checksum).
+//! ones (from the tables a clean finish seals, or through predicate
+//! pushdown over the chunk index [`Manifest::open`] reads off the
+//! chunks' footers).
 //!
 //! The client half is [`CollectorClient`] (the raw protocol) and
 //! [`CollectorSink`] (a [`rlscope_core::profiler::EventSink`], so an
@@ -164,7 +164,7 @@
 //! | `0x81` | S→C | `HELLO_ACK` | [`HelloAck`]: `session_id:u64` \| `credits:u32` \| `epoch:u64` \| `acked_chunks:u64` |
 //! | `0x82` | S→C | `CHUNK_ACK` | `seq:u64` \| `events:u32` — the chunk is applied **and durable** (survives the daemon's death; see the contract above) |
 //! | `0x83` | S→C | `FINISH_ACK` | `chunks:u64` \| `events:u64` (durable as above, session settled) |
-//! | `0x84` | S→C | `QUERY_OK` | `flags:u8` (bit 0 live, bit 1 cache hit) \| `events_observed:u64` \| canonical JSON |
+//! | `0x84` | S→C | `QUERY_OK` | `flags:u8` (bit 0 live, bit 1 cache hit, never set) \| `events_observed:u64` \| canonical JSON |
 //! | `0x85` | S→C | `SESSIONS` | a [`SessionList`] (see its docs for the byte layout) |
 //! | `0x86` | S→C | `QUERY_ALL_OK` | a [`QueryAllReply`]: machine-mergeable grouped tables (see its docs) |
 //! | `0xFF` | S→C | `ERROR` | `code:u8` \| `msg_len:u16` \| message |
@@ -254,18 +254,15 @@
 //! connection's thread. A live query therefore costs what arrived since
 //! the last one of the same view (worst case, the span of the latest
 //! late-closing scope), not the prefix, and one trip through the
-//! owner's mailbox. Live answers are never cached: an immediate repeat
-//! drains nothing, so a cache could save only the JSON rendering.
-//! Finished sessions and directory targets run
-//! [`Analysis::from_chunk_dir`] (footer predicate pushdown included);
-//! their results are cached keyed by `(target, query bytes)`,
-//! invalidated by [`Manifest::checksum`] of the index
-//! [`Manifest::open`] reads off the chunks' footer tails, and evicted
-//! LRU, so a repeated dashboard query costs one read of the footer
-//! tails, not a re-analysis, until the directory's chunk set actually
-//! changes. Cross-session
-//! `QUERY_ALL` answers are never cached either: ingest on *any* session
-//! invalidates them, so the daemon recomposes every session per query.
+//! owner's mailbox; an immediate repeat drains nothing.
+//! Finished sessions and directory targets that the seal (below) does
+//! not answer read their directory: each query reads the chunk index
+//! [`Manifest::open`] takes off the chunks' footer tails once and runs
+//! [`Analysis::from_chunk_index`] over it (footer predicate pushdown
+//! included). The daemon caches no result, so every answer is computed
+//! from the directory as it is when asked, and a repeated query costs
+//! what the first one did. Cross-session `QUERY_ALL` answers likewise
+//! recompose every session per query.
 //!
 //! A session that finishes cleanly is **sealed**: right after writing
 //! its `FINISH_ACK`, the session's owner turns the live sweeps it
@@ -275,10 +272,10 @@
 //! grouping or filter — answer from those tables, over `QUERY` and
 //! `QUERY_ALL` alike, instead of decoding and sweeping the directory
 //! again. The answers are byte-identical to the directory's, and they
-//! stay `live: false` and report the chunk index's event total. A `QUERY`
-//! still goes through the result cache: a miss reads the seal in place
-//! of the directory, and a repeat is a `cache_hit`. A query that
-//! arrives while the seal is being computed waits for it. Everything
+//! stay `live: false` and report the events the seal observed, which
+//! are the chunk index's event total. A seal answers without reading a
+//! file, not even the footer tails. A query that arrives while the seal
+//! is being computed waits for it. Everything
 //! else reads the directory: windows, the per-process view, aborted
 //! sessions, sessions recovered at startup, and every aged tier (a tier
 //! transition drops the seal).
@@ -320,7 +317,7 @@
 //! approximating.
 //!
 //! [`Analysis`]: rlscope_core::analysis::Analysis
-//! [`Analysis::from_chunk_dir`]: rlscope_core::analysis::Analysis::from_chunk_dir
+//! [`Analysis::from_chunk_index`]: rlscope_core::analysis::Analysis::from_chunk_index
 //! [`LiveState`]: rlscope_core::analysis::LiveState
 //! [`LiveState::snapshot_view`]: rlscope_core::analysis::LiveState::snapshot_view
 //! [`LiveState::seal`]: rlscope_core::analysis::LiveState::seal
@@ -329,7 +326,6 @@
 //! [`Profiler::snapshot`]: rlscope_core::profiler::Profiler::snapshot
 //! [`OverlapSweep::tables_so_far`]: rlscope_core::overlap::OverlapSweep::tables_so_far
 //! [`Manifest::open`]: rlscope_core::store::Manifest::open
-//! [`Manifest::checksum`]: rlscope_core::store::Manifest::checksum
 //! [`TraceWriter`]: rlscope_core::store::TraceWriter
 //! [`encode_events`]: rlscope_core::store::encode_events
 //! [`decode_columns`]: rlscope_core::store::decode_columns

@@ -475,8 +475,7 @@ impl QuerySpec {
         self
     }
 
-    /// Serializes the spec to its wire form (also the cache key for
-    /// finished-target results — byte-equal specs are result-equal).
+    /// Serializes the spec to its wire form.
     pub fn encode(&self) -> Vec<u8> {
         fn put_str(out: &mut Vec<u8>, s: &str) {
             out.extend_from_slice(&(s.len() as u16).to_be_bytes());
@@ -592,8 +591,8 @@ pub struct QueryReply {
     /// True when answered from a live session's in-flight sweep state
     /// (a consistent prefix); false for finished targets.
     pub live: bool,
-    /// True when served from the finished-target result cache (always
-    /// false for live answers — they are never cached).
+    /// Always false: the daemon keeps no result cache. The wire format
+    /// keeps the flag (bit 1 of `QUERY_OK`'s flags).
     pub cache_hit: bool,
     /// Events the answer covers: the live prefix length, or the
     /// finished directory's total.

@@ -144,7 +144,6 @@ pub struct Rollup {
     segment_ns: u64,
     total_events: u64,
     segments: Vec<SegmentMeta>,
-    checksum: u64,
 }
 
 impl Rollup {
@@ -158,8 +157,8 @@ impl Rollup {
     /// [`TraceIoError::Corrupt`] on checksum or format violations.
     pub fn open(dir: &Path) -> Result<Rollup, TraceIoError> {
         let bytes = fs::read(dir.join(ROLLUP_FILE))?;
-        let (segment_ns, total_events, segments, checksum) = decode_index(&bytes)?;
-        Ok(Rollup { dir: dir.to_path_buf(), segment_ns, total_events, segments, checksum })
+        let (segment_ns, total_events, segments) = decode_index(&bytes)?;
+        Ok(Rollup { dir: dir.to_path_buf(), segment_ns, total_events, segments })
     }
 
     /// The directory this rollup was opened from.
@@ -181,13 +180,6 @@ impl Rollup {
     /// Segment metadata, in window order.
     pub fn segments(&self) -> &[SegmentMeta] {
         &self.segments
-    }
-
-    /// FNV-1a checksum of the index bytes — a cheap content identity for
-    /// result caches (the daemon keys rollup query results on it, like
-    /// [`Manifest::checksum`] for chunk dirs).
-    pub fn checksum(&self) -> u64 {
-        self.checksum
     }
 
     /// Reads and decodes one segment by index.
@@ -564,8 +556,8 @@ fn decode_checked<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8], TraceIoEr
 }
 
 /// Decodes the `ROLLUP` index body, returning
-/// `(segment_ns, total_events, segments, checksum)`.
-fn decode_index(bytes: &[u8]) -> Result<(u64, u64, Vec<SegmentMeta>, u64), TraceIoError> {
+/// `(segment_ns, total_events, segments)`.
+fn decode_index(bytes: &[u8]) -> Result<(u64, u64, Vec<SegmentMeta>), TraceIoError> {
     let body = decode_checked(bytes, "rollup index")?;
     let Some(rest) = body.strip_prefix(INDEX_MAGIC) else {
         return Err(TraceIoError::Corrupt("rollup index: bad magic".to_string()));
@@ -605,7 +597,7 @@ fn decode_index(bytes: &[u8]) -> Result<(u64, u64, Vec<SegmentMeta>, u64), Trace
     if !data.is_empty() {
         return Err(TraceIoError::Corrupt(format!("rollup index: {} trailing bytes", data.len())));
     }
-    Ok((segment_ns, total_events, segments, fnv1a(body)))
+    Ok((segment_ns, total_events, segments))
 }
 
 fn decode_phase_tables(

@@ -112,8 +112,7 @@
 //!          | checksum:u64       (FNV-1a of everything after the magic)
 //! ```
 //!
-//! It is an export that nothing in this workspace reads; its encoding
-//! survives as [`Manifest::checksum`], the index's identity.
+//! It is an export that nothing in this workspace reads back.
 //!
 //! [`Manifest::select`] is the predicate-pushdown primitive: given a
 //! [`ChunkQuery`] (time window, process id, phase name), it returns
@@ -2004,20 +2003,6 @@ impl Manifest {
     pub fn from_entries(dir: &Path, entries: Vec<ManifestEntry>) -> Manifest {
         Manifest { dir: dir.to_path_buf(), entries }
     }
-
-    /// The manifest's whole-file checksum — the FNV-1a value its on-disk
-    /// encoding carries in its last 8 bytes. Two manifests over the same
-    /// entries produce the same checksum, and **any** change to the
-    /// directory's chunk set (a new chunk, a rewrite, a reorder) changes
-    /// it, which is what makes it a sound invalidation key for query
-    /// result caches over finished chunk directories.
-    #[expect(clippy::indexing_slicing, reason = "`encode` always ends in the 8-byte checksum")]
-    pub fn checksum(&self) -> u64 {
-        let encoded = self.encode();
-        let mut sum = [0u8; 8];
-        sum.copy_from_slice(&encoded[encoded.len() - 8..]);
-        u64::from_be_bytes(sum)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -3197,25 +3182,5 @@ mod tests {
         // >64 MB payload just to refuse it is fine in a test.)
         let big = vec![0u8; MAX_FRAME_LEN + 1];
         assert!(matches!(write_frame(&mut Vec::new(), 0, &big), Err(TraceIoError::Corrupt(_))));
-    }
-
-    // -- manifest checksum -----------------------------------------------
-
-    #[test]
-    fn manifest_checksum_tracks_directory_changes() {
-        let dir = std::env::temp_dir().join(format!("rlscope_mansum_{}", std::process::id()));
-        write_dir(&dir, &sample_events(40), 10, 64);
-        let a = Manifest::open(&dir).unwrap().checksum();
-        assert_eq!(a, Manifest::open(&dir).unwrap().checksum(), "checksum must be stable");
-        // And it matches the exported manifest's trailing 8 bytes.
-        Manifest::open(&dir).unwrap().write().unwrap();
-        let raw = fs::read(dir.join(MANIFEST_FILE)).unwrap();
-        assert_eq!(a.to_be_bytes(), raw[raw.len() - 8..]);
-        // Any change to the chunk set changes the checksum.
-        let files = list_chunk_files(&dir).unwrap();
-        fs::write(&files[0], encode_events(&sample_events(3))).unwrap();
-        let b = Manifest::open(&dir).unwrap().checksum();
-        assert_ne!(a, b);
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

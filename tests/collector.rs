@@ -1,7 +1,7 @@
 //! Loopback integration tests for the live collector daemon: concurrent
 //! multi-session ingest over a real Unix socket, mid-run consistent-
 //! prefix queries, batch-identical final tables, protocol abuse, and the
-//! finished-dir result cache.
+//! answers of finished sessions (their seals and their directories).
 
 use proptest::prelude::*;
 use rlscope::collector::protocol::kind;
@@ -176,9 +176,10 @@ fn four_concurrent_sessions_stream_live_queries_and_batch_identical_tables() {
                 assert_eq!(done.events_observed, events.len() as u64);
                 let batch_full = Analysis::of_events(&events).canonical_json().unwrap();
                 assert_eq!(done.canonical_json, batch_full, "finished table diverged ({name})");
-                // Second identical query is served from the cache.
+                // A second identical query answers the same; nothing is
+                // cached.
                 let again = client.query(&QuerySpec::session(&name)).unwrap();
-                assert!(again.cache_hit);
+                assert!(!again.live && !again.cache_hit);
                 assert_eq!(again.canonical_json, batch_full);
                 // And the full filter surface works post-finish (window
                 // queries push down through the manifest).
@@ -653,11 +654,11 @@ fn session_name_reuse_across_restarts_never_wipes_durable_data() {
     collector.shutdown();
 }
 
-/// Finished-dir queries are cached keyed by the chunk index's checksum:
-/// repeat queries hit, and any change to the directory's chunk set
-/// invalidates.
+/// A directory query answers the directory as it is when asked: a repeat
+/// answers the same, and once the chunk set grows the next answer covers
+/// the new events. No answer is ever a cache hit.
 #[test]
-fn dir_query_cache_hits_and_invalidates_on_change() {
+fn dir_query_answers_the_directory_as_it_is_now() {
     let (collector, socket) = bind("cache");
     let dir = std::env::temp_dir().join(format!("rlsc_cachedir_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -677,15 +678,14 @@ fn dir_query_cache_hits_and_invalidates_on_change() {
         Analysis::from_chunk_dir(&dir).group_by([Dim::Phase]).canonical_json().unwrap()
     );
     let second = client.query(&spec).unwrap();
-    assert!(second.cache_hit);
+    assert!(!second.cache_hit);
     assert_eq!(second.canonical_json, first.canonical_json);
 
-    // Grow the directory: the index checksum changes, the cache entry
-    // dies, and the fresh result covers the new events.
+    // Grow the directory: the next answer covers the new events.
     let extra = session_events(7, 128);
     std::fs::write(dir.join("chunk_99999.rls"), encode_events(&extra)).unwrap();
     let third = client.query(&spec).unwrap();
-    assert!(!third.cache_hit, "stale cache served after the dir changed");
+    assert!(!third.cache_hit);
     assert_ne!(third.canonical_json, first.canonical_json);
     assert_eq!(third.events_observed, (events.len() + extra.len()) as u64);
 
@@ -1199,6 +1199,20 @@ fn scramble_chunks(dir: &Path) {
     }
 }
 
+/// Overwrites everything after the magic of every chunk file directly in
+/// `dir` — body, footer and trailer — with garbage: not even the chunk
+/// index opens, so a query that still answers read no file at all.
+fn wreck_chunks(dir: &Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|ext| ext == "rls") {
+            let mut data = std::fs::read(&path).unwrap();
+            data[8..].fill(0xA5);
+            std::fs::write(&path, data).unwrap();
+        }
+    }
+}
+
 /// Copies the chunk files of `dir` into a fresh `to`.
 fn copy_chunk_dir(dir: &Path, to: &Path) {
     let _ = std::fs::remove_dir_all(to);
@@ -1223,8 +1237,10 @@ fn assert_remote(err: CollectorError, code: ErrorCode) {
 /// no-phase bucket) crossed with every ordered subset of
 /// `{Phase, Operation}` equals `Analysis::from_chunk_dir` over a copy of
 /// the session directory — while the directory itself is garbage, so
-/// windows and the per-process view, which read it, fail. `QUERY_ALL`
-/// over `{Session, Phase}` reads the three seals alike and stays
+/// windows and the per-process view, which read it, fail. The 4-process
+/// session's footer tails are garbage too, so its chunk index does not
+/// open: its seal answers without reading a file. `QUERY_ALL` over
+/// `{Session, Phase}` reads the three seals alike and stays
 /// `live: false`.
 #[test]
 fn seal_answers_merged_queries_byte_identically_to_the_directory() {
@@ -1254,7 +1270,11 @@ fn seal_answers_merged_queries_byte_identically_to_the_directory() {
         }
         client.finish().unwrap();
         copy_chunk_dir(&data.join(name), &reference.join(name));
-        scramble_chunks(&data.join(name));
+        if *name == "seal-four" {
+            wreck_chunks(&data.join(name));
+        } else {
+            scramble_chunks(&data.join(name));
+        }
     }
 
     let mut query = CollectorClient::connect(&socket).unwrap();
@@ -1289,10 +1309,7 @@ fn seal_answers_merged_queries_byte_identically_to_the_directory() {
                     let spec = spec.group_by(dims.iter().copied());
                     let want = want.group_by(dims.iter().copied()).canonical_json().unwrap();
                     let reply = query.query(&spec).unwrap();
-                    assert!(!reply.live, "{spec:?}");
-                    // The wire form holds the dims as a set: the reversed
-                    // pair repeats the query before it, from the cache.
-                    assert_eq!(reply.cache_hit, dims == [Dim::Operation, Dim::Phase]);
+                    assert!(!reply.live && !reply.cache_hit, "{spec:?}");
                     assert_eq!(reply.events_observed, events.len() as u64);
                     assert_eq!(reply.canonical_json, want, "{spec:?}");
                 }
@@ -1349,7 +1366,7 @@ fn seal_answers_a_query_sent_right_after_finish_ack() {
     let want = Analysis::of_events(&events).group_by([Dim::Phase, Dim::Operation]);
     assert_eq!(reply.canonical_json, want.canonical_json().unwrap());
     let again = reader.query(&spec).unwrap();
-    assert!(again.cache_hit);
+    assert!(!again.cache_hit);
     assert_eq!(again.canonical_json, reply.canonical_json);
     collector.shutdown();
 }

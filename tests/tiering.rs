@@ -200,40 +200,6 @@ fn retention_ages_sessions_down_to_pruned() {
     collector.shutdown();
 }
 
-/// The settled-query result cache forgets a directory once it is gone:
-/// after each tier move no cached answer names the tier the session
-/// left, and after the prune none names any of its directories. Each
-/// tier's answer is cached first (a process-grouped query reads the
-/// directory, not the seal).
-#[test]
-fn result_cache_forgets_moved_and_pruned_directories() {
-    let (socket, data) = scratch("cachegc");
-    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
-    let events = session_events(0, 1_024);
-    drop(finish_session(&socket, "gc", &events));
-    let dir = data.join("gc");
-    let by_process = QuerySpec::session("gc").group_by([Dim::Process]);
-    let mut query = CollectorClient::connect(&socket).unwrap();
-    let cached = |collector: &Collector| collector.cached_result_dirs();
-    for (tier_dir, next) in
-        [(dir.clone(), StorageTier::Sorted), (dir.join("sorted"), StorageTier::Rollup)]
-    {
-        query.query(&by_process).unwrap();
-        assert!(cached(&collector).contains(&tier_dir), "{tier_dir:?} not cached");
-        assert_eq!(collector.compact_session("gc").unwrap(), next);
-        assert!(!cached(&collector).contains(&tier_dir), "{tier_dir:?} kept after the move");
-    }
-    query.query(&by_process).unwrap();
-    assert!(cached(&collector).contains(&dir.join("rollup")));
-    let policy = RetentionPolicy::parse("rollup=0ms").unwrap();
-    collector.run_retention_pass(&policy);
-    wait_pruned(&collector, "gc", &dir);
-    let left: Vec<PathBuf> =
-        cached(&collector).into_iter().filter(|cached| cached.starts_with(&dir)).collect();
-    assert!(left.is_empty(), "answers of the pruned session stayed cached: {left:?}");
-    collector.shutdown();
-}
-
 /// Aborted sessions never compact — they sit at the raw tier until the
 /// raw dwell expires, then are pruned (registry record and directory
 /// both), freeing the name.
@@ -333,8 +299,8 @@ fn queries_racing_a_prune_get_an_answer_or_unknown_target() {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    // Segment-aligned windows, distinct per query, so the
-                    // result cache never answers: each one reads the dir.
+                    // Segment-aligned windows, so the seal never answers:
+                    // each one reads the dir.
                     let name = &names[(i % names.len() as u64) as usize];
                     let hi = SEGMENT_NS * (1 + (2 * i + t) % 5_000);
                     let spec = QuerySpec::session(name).group_by([Dim::Phase]).window(0, hi);
@@ -374,10 +340,10 @@ fn queries_racing_a_prune_get_an_answer_or_unknown_target() {
 
 /// The tier re-check, pinned: a query held between its tier's index read
 /// and its answer while a retention pass prunes the session answers
-/// `UnknownTarget`, as a query sent after the prune does — not the
-/// answer it found cached for the pruned directory. A stress race
-/// reaches that window too rarely to pin it; the fault plan's hook
-/// holds the query there.
+/// `UnknownTarget`, as a query sent after the prune does — not an answer
+/// read from the directory being removed. A stress race reaches that
+/// window too rarely to pin it; the fault plan's hook holds the query
+/// there.
 #[test]
 fn a_query_parked_across_a_prune_names_the_prune() {
     use rlscope::collector::daemon::fault::FaultPlan;
@@ -392,7 +358,7 @@ fn a_query_parked_across_a_prune_names_the_prune() {
     let spec = QuerySpec::session("parked").group_by([Dim::Phase]);
     let expected = Analysis::of_events(&events).group_by([Dim::Phase]).canonical_json().unwrap();
     // The seal answers first; then, aged to the rollup tier, a query
-    // leaves its answer in the result cache.
+    // reads the rollup directory.
     assert_eq!(client.query(&spec).unwrap().canonical_json, expected);
     assert_eq!(collector.compact_session("parked").unwrap(), StorageTier::Sorted);
     assert_eq!(collector.compact_session("parked").unwrap(), StorageTier::Rollup);
