@@ -59,13 +59,16 @@ pub mod fault {
         fail_chunk_writes_from: Option<u64>,
         torn_bytes: Option<usize>,
         fail_compaction: bool,
-        /// The next settled query's hook: tell the test it arrived, then
-        /// wait for the release.
+        /// The next settled query's hook after its index read: tell the
+        /// test it arrived, then wait for the release.
         park: Option<(SyncSender<()>, Receiver<()>)>,
+        /// The same, at the hook after its answer is computed.
+        park_answered: Option<(SyncSender<()>, Receiver<()>)>,
     }
 
-    /// A settled-tier query held between its index read and its answer
-    /// ([`FaultPlan::park_next_settled_query`]); dropping it releases
+    /// A settled-tier query held at one of its hooks
+    /// ([`FaultPlan::park_next_settled_query`],
+    /// [`FaultPlan::park_next_settled_answer`]); dropping it releases
     /// the query too.
     #[derive(Debug)]
     pub struct ParkedQuery {
@@ -160,18 +163,45 @@ pub mod fault {
         /// [`ParkedQuery`] is released — the window in which a tier
         /// transition can move or prune what the query is reading.
         pub fn park_next_settled_query(&self) -> ParkedQuery {
-            let (arrived_tx, arrived) = sync_channel(1);
-            let (release, release_rx) = sync_channel(1);
-            self.inner.lock().park = Some((arrived_tx, release_rx));
-            ParkedQuery { arrived, release }
+            let (park, parked) = parking();
+            self.inner.lock().park = Some(park);
+            parked
+        }
+
+        /// Parks the next settled-tier query once its answer is
+        /// computed, before it checks that its tier still holds — the
+        /// window in which a tier transition can remove files the
+        /// answer was read from, after the read succeeded.
+        pub fn park_next_settled_answer(&self) -> ParkedQuery {
+            let (park, parked) = parking();
+            self.inner.lock().park_answered = Some(park);
+            parked
         }
 
         pub(crate) fn settled_query_hook(&self) {
             let park = self.inner.lock().park.take();
-            if let Some((arrived, release)) = park {
-                let _ = arrived.send(());
-                let _ = release.recv();
-            }
+            wait_released(park);
+        }
+
+        pub(crate) fn settled_answer_hook(&self) {
+            let park = self.inner.lock().park_answered.take();
+            wait_released(park);
+        }
+    }
+
+    /// A hook's end of a park and the test's.
+    fn parking() -> ((SyncSender<()>, Receiver<()>), ParkedQuery) {
+        let (arrived_tx, arrived) = sync_channel(1);
+        let (release, release_rx) = sync_channel(1);
+        ((arrived_tx, release_rx), ParkedQuery { arrived, release })
+    }
+
+    /// Tells the test a query arrived at a set park, then waits for the
+    /// release.
+    fn wait_released(park: Option<(SyncSender<()>, Receiver<()>)>) {
+        if let Some((arrived, release)) = park {
+            let _ = arrived.send(());
+            let _ = release.recv();
         }
     }
 
@@ -320,7 +350,13 @@ pub struct RecoveredSession {
 /// settled entry keeps this handle as a [`Seal::Pending`]; the owner
 /// writes the `FINISH_ACK`, turns its live sweeps into the finished
 /// merged-view tables once ([`Owner::seal`]), swaps them into the entry
-/// as [`Seal::Ready`], and only then exits. A reader that meets the
+/// as [`Seal::Ready`], and only then exits. The seal is the one owner
+/// step that may use more than the owner's thread: an undeclared
+/// session's whole boundary log is still to sort and drain, and above
+/// the sweep's fan-out minimums it sorts its two queues side by side
+/// and drains in time slices on the decode stage's worker count
+/// ([`LiveState::seal`]); a declared session's seal drains about its
+/// last chunk, on the owner's thread. A reader that meets the
 /// pending seal waits by putting a question to this mailbox that is
 /// never answered — the same rule as above: it returns when the owner
 /// exits — and re-reads the map ([`Daemon::sealed`]).
@@ -900,6 +936,16 @@ impl Daemon {
         #[cfg(feature = "fault-inject")]
         if let Some(plan) = &self.config.faults {
             plan.settled_query_hook();
+        }
+    }
+
+    /// Holds a settled-tier query between its computed answer and its
+    /// tier re-check when the fault plan asks to (chaos tests only; a
+    /// no-op otherwise).
+    fn settled_answer_hook(&self) {
+        #[cfg(feature = "fault-inject")]
+        if let Some(plan) = &self.config.faults {
+            plan.settled_answer_hook();
         }
     }
 
@@ -1796,7 +1842,8 @@ fn handle_query_all(
 /// through [`Analysis::of_sessions`]. Open sessions contribute a
 /// consistent acked-prefix snapshot (asked of each owner in turn, the
 /// same way a single-session query does); finished and aborted sessions
-/// contribute their seal or the directory of their tier. A directory
+/// contribute their seal or the directory of their tier, read through
+/// the one index read of it that also counts its events. A directory
 /// counts under [`tiered_query`]'s rule, per session: the answer stands
 /// only if every directory's session still held its tier after the
 /// answer was computed. Otherwise — also after a failed read — the
@@ -1811,10 +1858,11 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
     let view = live_view(spec);
     let mut any_live = false;
     /// What one session contributes: tables (a live snapshot or a
-    /// seal), or the directory of the tier its settled entry names.
+    /// seal), or the directory of the tier its settled entry names,
+    /// through the index read of it.
     enum Part {
         Tables(Arc<LiveTables>),
-        Dir(Settled),
+        Dir(Settled, TierIndex),
     }
     // Each session's name, event count and part. A tier transition keeps
     // the event count, so a session re-read at a new tier keeps it too.
@@ -1829,28 +1877,14 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
                 any_live = true;
                 (tables.events_observed(), Part::Tables(Arc::new(tables)))
             }
-            Routed::Settled(mut settled) => {
-                if let Some(tables) = daemon.sealed(&name, &settled, spec) {
-                    (tables.events_observed(), Part::Tables(tables))
-                } else {
-                    // A tier transition can drop the directory mid-read:
-                    // the index is then read again at the new tier, as
-                    // `tiered_query` does.
-                    let events = loop {
-                        match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
-                            Ok(index) => break Some(index.total_events()),
-                            Err(error) => match daemon.tier_now(&name, &settled) {
-                                TierNow::Held => return Err(error),
-                                TierNow::Moved(now) => settled = now,
-                                // Pruned since the listing was taken.
-                                TierNow::Pruned => break None,
-                            },
-                        }
-                    };
-                    let Some(events) = events else { continue };
-                    (events, Part::Dir(settled))
-                }
-            }
+            Routed::Settled(settled) => match daemon.sealed(&name, &settled, spec) {
+                Some(tables) => (tables.events_observed(), Part::Tables(tables)),
+                None => match settled_index(daemon, &name, settled)? {
+                    Some((settled, index)) => (index.total_events(), Part::Dir(settled, index)),
+                    // Pruned since the listing was taken.
+                    None => continue,
+                },
+            },
         };
         parts.push((Arc::from(name), events, part));
     }
@@ -1858,33 +1892,31 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
         let sources = parts.iter().map(|(name, _, part)| {
             let source = match part {
                 Part::Tables(tables) => SessionSource::Live(tables),
-                Part::Dir(settled) => {
-                    let dir = tier_dir(&settled.dir, settled.tier);
-                    match settled.tier {
-                        StorageTier::Rollup => SessionSource::RollupDir(dir),
-                        _ => SessionSource::ChunkDir(dir),
-                    }
-                }
+                Part::Dir(_, TierIndex::Chunks(manifest)) => SessionSource::ChunkIndex(manifest),
+                Part::Dir(_, TierIndex::Rollup(rollup)) => SessionSource::Rollup(rollup),
             };
             (name.clone(), source)
         });
         let groups = apply_spec(Analysis::of_sessions(sources), spec).tables();
         let mut moved = false;
-        parts.retain_mut(|(name, _, part)| {
-            let Part::Dir(settled) = part else { return true };
-            match daemon.tier_now(name, settled) {
-                TierNow::Held => true,
+        let mut kept = Vec::with_capacity(parts.len());
+        for (name, events, part) in parts {
+            let Part::Dir(settled, index) = part else {
+                kept.push((name, events, part));
+                continue;
+            };
+            match daemon.tier_now(&name, &settled) {
+                TierNow::Held => kept.push((name, events, Part::Dir(settled, index))),
                 TierNow::Moved(now) => {
-                    *settled = now;
                     moved = true;
-                    true
+                    if let Some((now, index)) = settled_index(daemon, &name, now)? {
+                        kept.push((name, events, Part::Dir(now, index)));
+                    }
                 }
-                TierNow::Pruned => {
-                    moved = true;
-                    false
-                }
+                TierNow::Pruned => moved = true,
             }
-        });
+        }
+        parts = kept;
         if moved {
             continue;
         }
@@ -1894,6 +1926,27 @@ fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, Con
             sessions: parts.iter().map(|(name, _, _)| name.to_string()).collect(),
             groups: groups.map_err(analysis_err)?,
         });
+    }
+}
+
+/// The index of the settled session `name` at `settled`'s tier, with
+/// the entry it was read at. A tier transition can drop the directory
+/// mid-read: the index is then read again at the new tier, as
+/// [`tiered_query`] does. `None` once the session is pruned.
+fn settled_index(
+    daemon: &Daemon,
+    name: &str,
+    mut settled: Settled,
+) -> Result<Option<(Settled, TierIndex)>, ConnError> {
+    loop {
+        match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
+            Ok(index) => return Ok(Some((settled, index))),
+            Err(error) => match daemon.tier_now(name, &settled) {
+                TierNow::Held => return Err(error),
+                TierNow::Moved(now) => settled = now,
+                TierNow::Pruned => return Ok(None),
+            },
+        }
     }
 }
 
@@ -1977,9 +2030,9 @@ fn tiered_query(
 /// One query over a settled tier's directory, which reads its index
 /// once. A raw or sorted directory answers through footer pushdown over
 /// that chunk index ([`Analysis::from_chunk_index`]); a rollup answers
-/// from its pre-aggregated segment summaries
-/// ([`Analysis::from_rollup_dir`]) without decoding a raw event, and a
-/// query needing raw resolution comes back as a typed
+/// from its pre-aggregated segment summaries through the `ROLLUP` index
+/// it opened ([`Analysis::from_rollup`]) without decoding a raw event,
+/// and a query needing raw resolution comes back as a typed
 /// [`ErrorCode::UnsupportedQuery`] straight from the analysis layer.
 /// The answer reports the index's event total. `held` is asked once the
 /// answer exists, before it is returned: an error there discards it.
@@ -1993,10 +2046,11 @@ fn settled_query(
     let index = tier_index(dir, tier)?;
     daemon.settled_query_hook();
     let analysis = match &index {
-        TierIndex::Rollup(_) => Analysis::from_rollup_dir(dir),
+        TierIndex::Rollup(rollup) => Analysis::from_rollup(rollup),
         TierIndex::Chunks(manifest) => Analysis::from_chunk_index(manifest),
     };
     let canonical_json = apply_spec(analysis, spec).canonical_json().map_err(analysis_err)?;
+    daemon.settled_answer_hook();
     held()?;
     let events_observed = index.total_events();
     Ok(QueryReply { live: false, cache_hit: false, events_observed, canonical_json })

@@ -151,14 +151,16 @@
 //! Per-process sweeps run one after another on the calling thread (a
 //! thread per process measured no faster on two cores). Inside one
 //! sweep, a chunk-directory query also uses the decode stage's worker
-//! count (`available_parallelism`) for the sorts and drains the
-//! calling thread runs between and after pushes: a large sort puts the
-//! two boundary queues in order side by side, and a large drain —
-//! released or final — is cut into time slices that drain side by
-//! side into tables that are summed, exactly (see [`OverlapSweep`]'s
-//! docs on threads). Every other source keeps its sweeps on one
-//! thread: in-memory sources, and [`LiveState`], whose snapshots and
-//! seal run on a session's owner thread beside other sessions' ingest.
+//! count (`available_parallelism`, looked up once) for the sorts and
+//! drains the calling thread runs between and after pushes: a large
+//! sort puts the two boundary queues in order side by side, and a
+//! large drain — released or final — is cut into time slices that
+//! drain side by side into tables that are summed, exactly (see
+//! [`OverlapSweep`]'s docs on threads). [`LiveState::seal`] does the
+//! same for a finished session's one final sort and drain. Every other
+//! source keeps its sweeps on one thread: in-memory sources, and
+//! [`LiveState`] snapshots, which run on a session's owner thread
+//! beside other sessions' ingest and drain only what is new.
 //! Rows and columns go through one generic push body (see [`crate::overlap`]),
 //! pinned table-identical by `columnar_sweep_matches_batch_canonical_json`
 //! in `tests/properties.rs`.
@@ -466,6 +468,7 @@ enum Source<'a> {
     ChunkDir(PathBuf),
     ChunkIndex(&'a Manifest),
     RollupDir(PathBuf),
+    Rollup(&'a Rollup),
     Live(&'a LiveTables),
     Sessions(Vec<(Arc<str>, SessionSource<'a>)>),
 }
@@ -479,11 +482,17 @@ enum Source<'a> {
 pub enum SessionSource<'a> {
     /// A finished (or recovered) session's on-disk chunk directory.
     ChunkDir(PathBuf),
+    /// A chunk directory through the index its caller already read
+    /// ([`Analysis::from_chunk_index`]).
+    ChunkIndex(&'a Manifest),
     /// An aged-out session's segment-summary rollup directory
     /// ([`crate::rollup`]): coarse queries answer from pre-aggregated
     /// tables, sub-segment resolution is a typed
     /// [`AnalysisError::Unsupported`].
     RollupDir(PathBuf),
+    /// A rollup directory through the index its caller already opened
+    /// ([`Analysis::from_rollup`]).
+    Rollup(&'a Rollup),
     /// A live session's snapshot over its consistent acked prefix
     /// ([`LiveState::snapshot_view`] for the view the query reads).
     Live(&'a LiveTables),
@@ -1070,10 +1079,19 @@ impl LiveState {
     /// there, as in [`LiveState::snapshot_view`]; its sweeps were
     /// released chunk by chunk, so the seal drains about the last
     /// chunk.
+    ///
+    /// The seal sorts and drains on the decode stage's worker count, as
+    /// a directory query does: once an undeclared stream's pending
+    /// boundaries (its whole log, when processes interleave) and its
+    /// drain are over the fan-out minimums, its two queues sort side by
+    /// side and the drain runs in time slices (see [`OverlapSweep`]'s
+    /// threads). A declared seal's last chunk stays below them.
+    /// Snapshots keep one thread.
     pub fn seal(mut self) -> LiveTables {
         if let Some(held) = self.declared.take() {
             held.close(&mut self.sweeps);
         }
+        self.sweeps.fan_out(decode_workers());
         let (merged, per_process) = self.sweeps.finish(LiveView::Merged);
         LiveTables { merged, per_process, events: self.events }
     }
@@ -1204,6 +1222,15 @@ impl<'a> Analysis<'a> {
     /// table.
     pub fn from_rollup_dir(dir: impl Into<PathBuf>) -> Self {
         Self::new(Source::RollupDir(dir.into()))
+    }
+
+    /// [`Analysis::from_rollup_dir`] through a rollup index already
+    /// opened ([`Rollup::open`]): segments are selected by that index
+    /// instead of reading and verifying the `ROLLUP` file again — for a
+    /// caller that holds the index and must know that the answer was
+    /// computed from exactly that one.
+    pub fn from_rollup(rollup: &'a Rollup) -> Self {
+        Self::new(Source::Rollup(rollup))
     }
 
     /// Analyzes a [`LiveTables`] snapshot of an in-flight stream
@@ -1468,7 +1495,10 @@ impl<'a> Analysis<'a> {
             }
             Source::ChunkDir(dir) => self.sweep_index(&Manifest::open(dir)?, filters)?,
             Source::ChunkIndex(index) => self.sweep_index(index, filters)?,
-            Source::RollupDir(dir) => self.resolve_rollup(dir, filters)?,
+            Source::RollupDir(dir) => {
+                self.resolve_rollup(&Rollup::open(dir).map_err(AnalysisError::Io)?, filters)?
+            }
+            Source::Rollup(rollup) => self.resolve_rollup(rollup, filters)?,
             Source::Live(tables) => self.resolve_live(tables, filters)?,
         };
         let want_phase = self.dims.contains(&Dim::Phase);
@@ -1495,7 +1525,9 @@ impl<'a> Analysis<'a> {
         for (name, source) in sessions {
             let mut sub = match source {
                 SessionSource::ChunkDir(dir) => Analysis::from_chunk_dir(dir.clone()),
+                SessionSource::ChunkIndex(index) => Analysis::from_chunk_index(index),
                 SessionSource::RollupDir(dir) => Analysis::from_rollup_dir(dir.clone()),
+                SessionSource::Rollup(rollup) => Analysis::from_rollup(rollup),
                 SessionSource::Live(tables) => Analysis::of_live(tables),
             };
             sub.phase_filter = self.phase_filter.clone();
@@ -1701,10 +1733,9 @@ impl<'a> Analysis<'a> {
     /// ever decoded.
     fn resolve_rollup(
         &self,
-        dir: &std::path::Path,
+        rollup: &Rollup,
         filters: bool,
     ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
-        let rollup = Rollup::open(dir).map_err(AnalysisError::Io)?;
         let selected: Vec<usize> = match self.window.filter(|_| filters) {
             None => (0..rollup.segments().len()).collect(),
             Some((lo, hi)) => {

@@ -24,11 +24,13 @@
 //! (`DrainState::advance`) walks the sorted log and attributes
 //! segments. The sort is stable by time. One producer's pending
 //! boundaries are repaired in O(n) as the near-sorted run a profiler
-//! emits; several producers' are radix-sorted by time. A sweep given
-//! more than one worker (a chunk-directory query's) sorts its two queues
-//! side by side and cuts a large drain into time slices that drain side
-//! by side, to the same tables (see [`OverlapSweep`]). The engine is
-//! fed either way:
+//! emits; several producers' go through one counting scatter into
+//! buckets of equal time span, each bucket then sorted in cache. A
+//! sweep given more than one worker (a chunk-directory
+//! query's, or a finished session's seal) sorts its two queues side by
+//! side and cuts a large drain into time slices that drain side by
+//! side, to the same tables (see [`OverlapSweep`]). The engine is fed
+//! either way:
 //!
 //! * **once** — an in-memory source (an event slice, an index subset of
 //!   one, a trace, decoded columns) pushes all of its rows into a
@@ -432,15 +434,11 @@ fn rotate_merge_repair(
     Some(w)
 }
 
-/// Bits per radix digit: a pass's histogram is 2048 counters, which stay
-/// in L1 while the pass scatters.
-const RADIX_BITS: u32 = 11;
-
 /// Sorts a queue's pending boundaries — its set-aside stragglers or its
 /// unsorted tail (see [`BoundaryQueue`]), here both called the tail —
 /// stably by time: the result is exactly `v.sort_by_key(|b| b.0)`, so
 /// equal times keep push order. Returns `true` when a single producer's
-/// repair gave up and the tail was sorted by comparison instead.
+/// repair gave up and the tail was bucket-sorted instead.
 ///
 /// One process's stream is emitted near-chronologically: deeply nested
 /// annotation stacks make the *end* queue a chain of descending runs
@@ -449,70 +447,74 @@ const RADIX_BITS: u32 = 11;
 /// recorded at close lands far behind its start. A tail whose CPU/GPU
 /// edges all come from one pid is repaired as exactly that shape in
 /// O(n): strictly-descending runs reversed, local disorder merged by
-/// block rotations, stragglers sorted on the side and merged back.
-/// Merged processes interleave such streams, which no local repair can
-/// undo: a tail whose CPU/GPU edges come from several pids is radix
-/// sorted by time ([`radix_sort_by_time`]).
+/// block rotations, stragglers sorted on the side and merged back. A
+/// bucket sort of the same tail measured 6× the repair's time on a
+/// 64-deep nest's ends (10 k boundaries). Merged processes interleave
+/// such streams, which no local repair can undo: a tail whose CPU/GPU
+/// edges come from several pids is bucket-sorted by time
+/// ([`bucket_sort_by_time`]).
 fn sort_boundaries(v: &mut [Boundary]) -> bool {
     let mut pids = v.iter().filter(|b| b.2 <= CODE_GPU).map(|b| b.1);
     let first = pids.next();
     if !pids.all(|p| Some(p) == first) {
-        radix_sort_by_time(v);
+        bucket_sort_by_time(v);
         return false;
     }
     reverse_descending_runs(v);
     let mut side = Vec::new();
     let budget = v.len() * 2 + 64;
     let Some(kept) = rotate_merge_repair(v, &mut side, budget) else {
-        v.sort_by_key(|b| b.0);
+        bucket_sort_by_time(v);
         return true;
     };
-    side.sort_by_key(|b| b.0);
+    bucket_sort_by_time(&mut side);
     v[kept..].copy_from_slice(&side);
     merge_adjacent_runs(v, kept);
     false
 }
 
-/// Stable LSD radix sort by time. Keys are `time - min` in
-/// [`RADIX_BITS`]-bit digits, and only as many passes run as the span
-/// of the keys needs, less those whose digit is the same for every
-/// boundary. One read of `v` counts every pass's digits; each pass is
-/// then a stable counting scatter between `v` and one scratch buffer.
-fn radix_sort_by_time(v: &mut [Boundary]) {
-    const MASK: u64 = (1 << RADIX_BITS) - 1;
+/// Stable sort by time: the result is exactly `v.sort_by_key(|b| b.0)`.
+///
+/// One stable counting scatter on the top bits of `time - min` moves
+/// the boundaries into about `n / 8` buckets of equal time span, and
+/// each bucket is then sorted stably while it is in cache (std's stable
+/// sort: an insertion sort on a short bucket, a merge sort on a large
+/// one, so clustered or equal times never go quadratic). Several
+/// producers interleaved, each near-chronological, are near-sorted at
+/// the scale of the whole log: the scatter writes almost sequentially,
+/// and most buckets hold a few boundaries. Against the LSD radix sort
+/// it replaced, on a 4-pid session's tail (scratch program, 2 cores):
+/// 0.6–0.7× the time at 600 k boundaries and 0.9× at 200 k, but 1.25×
+/// at 20 k, where the per-bucket sort calls dominate.
+fn bucket_sort_by_time(v: &mut [Boundary]) {
+    let n = v.len();
+    if n < 64 {
+        v.sort_by_key(|b| b.0);
+        return;
+    }
     let (min, max) = v.iter().fold((u64::MAX, 0), |(lo, hi), b| (lo.min(b.0), hi.max(b.0)));
-    let passes = (u64::BITS - (max - min).leading_zeros()).div_ceil(RADIX_BITS) as usize;
-    let mut counts = vec![[0usize; 1 << RADIX_BITS]; passes];
+    // At most 64 span bits, at least 3 bucket bits: the shift is below 64.
+    let shift = (u64::BITS - (max - min).leading_zeros()).saturating_sub((n / 8).ilog2());
+    let bucket = |b: &Boundary| ((b.0 - min) >> shift) as usize;
+    // Each bucket's start, then (after the scatter) its end.
+    let mut bounds = vec![0usize; bucket(&(max, 0, 0)) + 1];
     for b in v.iter() {
-        let mut key = b.0 - min;
-        for c in &mut counts {
-            c[(key & MASK) as usize] += 1;
-            key >>= RADIX_BITS;
-        }
+        bounds[bucket(b)] += 1;
     }
-    let (first, n) = (v[0].0 - min, v.len());
-    let mut scratch = vec![(0, 0, 0); n];
-    let mut in_scratch = false;
-    for (pass, c) in counts.iter_mut().enumerate() {
-        let shift = pass as u32 * RADIX_BITS;
-        if c[((first >> shift) & MASK) as usize] == n {
-            continue;
-        }
-        let mut at = 0;
-        for k in c.iter_mut() {
-            (*k, at) = (at, at + *k);
-        }
-        let (from, to): (&[Boundary], &mut [Boundary]) =
-            if in_scratch { (&scratch, &mut *v) } else { (&*v, &mut scratch) };
-        for &b in from {
-            let slot = &mut c[(((b.0 - min) >> shift) & MASK) as usize];
-            to[*slot] = b;
-            *slot += 1;
-        }
-        in_scratch = !in_scratch;
+    let mut at = 0;
+    for k in &mut bounds {
+        (*k, at) = (at, at + *k);
     }
-    if in_scratch {
-        v.copy_from_slice(&scratch);
+    let scratch = v.to_vec();
+    for b in &scratch {
+        let slot = &mut bounds[bucket(b)];
+        v[*slot] = *b;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for &end in &bounds {
+        v[start..end].sort_by_key(|b| b.0);
+        start = end;
     }
 }
 
@@ -703,8 +705,8 @@ const STRAGGLER_BATCH: usize = 64;
 /// the stragglers or the tail, never both, since a fallback empties the
 /// side list into the tail — stably by time (`sort_boundaries`: one
 /// producer's repaired in O(n) as the near-sorted run a profiler emits,
-/// several producers' radix-sorted) and merges them into the run stably
-/// by time, the run winning ties. The run is touched only from the
+/// several producers' bucket-sorted) and merges them into the run
+/// stably by time, the run winning ties. The run is touched only from the
 /// pending minimum's insertion point on, and the shorter of the two is
 /// the one copied to scratch. The result is exactly one stable sort by
 /// time of the log in push order. Run-first on ties *is* push order: a
@@ -749,7 +751,7 @@ struct BoundaryQueue {
     /// release that cannot make progress returns without consulting (or
     /// sorting) the buffer at all.
     min_time: u64,
-    /// Single-producer tails `sort_boundaries` has sorted by comparison
+    /// Single-producer tails `sort_boundaries` has bucket-sorted
     /// because their repair gave up.
     #[cfg(test)]
     fallbacks: usize,
@@ -841,8 +843,8 @@ impl BoundaryQueue {
         }
         // The disorder shapes that reach here (inside-out scope closes,
         // scopes recorded at close, several processes interleaved) are
-        // what `sort_boundaries` undoes in O(n): a repair for one
-        // producer, a radix sort for several.
+        // what `sort_boundaries` undoes in O(n) or near it: a repair
+        // for one producer, a bucket sort for several.
         let _fell_back = sort_boundaries(&mut self.buf[split..]);
         #[cfg(test)]
         {
@@ -932,8 +934,11 @@ pub(crate) const CHECKPOINT_SPACING: usize = 512;
 
 /// Boundaries a drain's range must hold before it is cut into time
 /// slices, one per worker ([`DrainState::advance_sliced`]); a smaller
-/// range drains serially. `query_tiers`' directory queries drain ranges
-/// from under 1 Ki to 230 k boundaries, on both sides of this. In
+/// range drains serially. It governs directory queries and seals alike.
+/// `query_tiers`' directory queries drain ranges from under 1 Ki to
+/// 230 k boundaries, on both sides of this; an undeclared session's
+/// seal drains its whole log, above it, and a declared one's seal
+/// about one chunk, below it. In
 /// process, on 2 otherwise idle cores, two slices already beat one
 /// drain from about 5 k boundaries on (8 k: 0.071 → 0.049 ms; 200 k:
 /// 2.5 → 1.5 ms); but in the daemon, where the decode workers and other
@@ -943,10 +948,13 @@ pub(crate) const CHECKPOINT_SPACING: usize = 512;
 const DRAIN_FANOUT_MIN: usize = 64 * 1024;
 
 /// Boundaries each queue must have pending before
-/// [`OverlapSweep::sort_pending`] sorts the two side by side. In process
-/// that pays from about 2 k per queue (4 k: 0.096 → 0.074 ms; 100 k:
-/// 2.6 → 1.5 ms); the daemon's minimum is higher for the reason given
-/// at [`DRAIN_FANOUT_MIN`].
+/// [`OverlapSweep::sort_pending`] sorts the two side by side, in a
+/// directory query or a seal. In process that pays from about 2 k per
+/// queue (4 k: 0.096 → 0.074 ms; 100 k: 2.6 → 1.5 ms, with the radix
+/// sort this replaced); the daemon's minimum is higher for the reason
+/// given at [`DRAIN_FANOUT_MIN`]. An undeclared session interleaving
+/// several processes leaves nearly its whole log pending at the seal;
+/// a single process its stragglers, about a twelfth.
 const SORT_FANOUT_MIN: usize = 16 * 1024;
 
 /// How fast the checkpoint ladder thins with distance from the end of
@@ -1569,8 +1577,9 @@ fn take_entered(
 ///
 /// A sweep sorts and drains on the calling thread unless its owner
 /// hands it a worker budget (crate-internal): a chunk-directory query
-/// hands each of its sweeps the decode stage's worker count (see
-/// [`crate::analysis`]). Such a sweep sorts its two queues side by side
+/// and a finished live session's seal hand each of their sweeps the
+/// decode stage's worker count (see [`crate::analysis`]). Such a sweep
+/// sorts its two queues side by side
 /// once each has `SORT_FANOUT_MIN` boundaries pending
 /// ([`OverlapSweep::sort_pending`]), and cuts a drain of at least
 /// `DRAIN_FANOUT_MIN` boundaries into one time slice per worker, at the
@@ -1589,13 +1598,17 @@ fn take_entered(
 /// `query_tiers` fanning out only once decoding had finished kept a
 /// third of the gain (`query_ms_p50` −10 % against −31 %, 2 cores).
 ///
-/// Live sweeps keep a budget of 1: `LiveState` snapshots and the seal
-/// of a finished session run on the session's owner thread, beside the
-/// other sessions' owners and their ingest, and a snapshot drains only
-/// what arrived since the last one. A seal fanned out the same way
-/// measured 16 % slower on `query_tiers`' `finish_to_breakdown_ms`
-/// (2 cores), where the other daemon is ingesting on both cores while
-/// a session seals.
+/// `LiveState` snapshots keep a budget of 1: they run on the session's
+/// owner thread, beside the other sessions' owners and their ingest,
+/// and drain only what arrived since the last one. A seal runs there
+/// too, but once per session, over a whole undeclared log: it fans out
+/// above the same minimums. A declared session's seal drains about its
+/// last chunk, below both. On 2 cores the fanned-out seal took
+/// `ingest_burst`'s `finish_to_breakdown_ms` down 21–31 %; where the
+/// cores are busy ingesting while a session seals (`query_tiers`' two
+/// daemons), it buys nothing: there that metric read between −15 % and
+/// +17 % against the one-thread seal with the former radix sort, in
+/// three measurement sets.
 ///
 /// # Tables so far: resumable drains
 ///
@@ -1709,8 +1722,9 @@ impl OverlapSweep {
 
     /// Lets a large sort or drain of this sweep use up to `workers`
     /// threads (see the type docs). Crate-internal: a chunk-directory
-    /// query hands its sweeps the decode stage's worker count, and every
-    /// other sweep keeps 1.
+    /// query and a live session's seal hand their sweeps the decode
+    /// stage's worker count, and every other sweep (snapshots included)
+    /// keeps 1.
     pub(crate) fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -2631,58 +2645,124 @@ mod tests {
         assert_eq!((q.sorted_to, q.stragglers.len()), (q.buf.len(), 1));
     }
 
+    /// Boundaries of every kind drawn from a pool of times: each CPU/GPU
+    /// code on a random one of `pids` pids, operation and phase edges
+    /// numbered by arrival, so every kind ties with every other.
+    fn pooled_boundaries(
+        times: &[u64],
+        pids: u32,
+        picks: &[(usize, u32, u32, u32)],
+    ) -> Vec<Boundary> {
+        picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, pid, kind, id))| {
+                let t = times[at % times.len()];
+                match kind {
+                    0..=CODE_GPU => (t, pid % pids, kind),
+                    5 => (t, i as u32, META_OP_BASE + id),
+                    _ => (t, i as u32, META_PHASE_FLAG | id),
+                }
+            })
+            .collect()
+    }
+
+    /// A tail as a session leaves it: `producers` near-chronological
+    /// streams interleaved (each boundary up to 64 ns behind its
+    /// producer's clock), `clustered` boundaries at one or two times
+    /// next to each other at some point of the stream — hundreds in one
+    /// bucket, past std's insertion-sorted short slices — and
+    /// `stragglers` far behind, spread through the stream. Operation
+    /// edges are numbered by arrival, so an unstable sort shows.
+    fn session_tail(
+        producers: usize,
+        len: usize,
+        clustered: usize,
+        stragglers: usize,
+        seed: u64,
+    ) -> Vec<Boundary> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut clock: Vec<u64> = (0..producers).map(|_| rng.below(1_000) as u64).collect();
+        let cluster_at = rng.below(len);
+        let mut v: Vec<Boundary> = Vec::with_capacity(len + clustered + stragglers);
+        for i in 0..len {
+            let p = rng.below(producers);
+            clock[p] += rng.below(40) as u64;
+            let t = clock[p].saturating_sub(rng.below(64) as u64);
+            let seq = v.len() as u32;
+            v.push(match rng.below(3) {
+                0 => (t, seq, META_OP_BASE + p as u32),
+                _ => (t, p as u32, rng.below(CODE_GPU as usize + 1) as u32),
+            });
+            if i == cluster_at {
+                for _ in 0..clustered {
+                    let seq = v.len() as u32;
+                    v.push((clock[p] + rng.below(2) as u64, seq, META_OP_BASE));
+                }
+            }
+        }
+        for _ in 0..stragglers {
+            let (at, seq) = (rng.below(v.len() + 1), v.len() as u32);
+            v.insert(at, (rng.below(1 << 12) as u64, seq, META_PHASE_FLAG));
+        }
+        v
+    }
+
     proptest! {
         /// `sort_boundaries` is exactly one stable sort by time, whatever
-        /// path it takes: one producer's repair or several producers'
-        /// radix sort. Boundaries of every kind — each CPU/GPU code on a
-        /// random pid, operation and phase edges numbered by arrival —
+        /// path it takes — one producer's repair (or its fallback) or
+        /// several producers' bucket sort — and whatever the shape of
+        /// the tail. Pooled tails ([`pooled_boundaries`])
         /// draw their times from a small pool, so every kind ties with
-        /// every other. The pools are
-        /// one time (0, `u64::MAX` or any other); times spread over the
-        /// whole range with both ends; a few steps of `2^shift` above a
-        /// base, which leaves the lowest digit passes nothing to do and
-        /// can saturate at `u64::MAX`; or one time but for about one
-        /// boundary in 2000, whose digits alone make a pass run. Lengths
-        /// run from empty to a few thousand, and a radix-sorted tail
-        /// never falls back.
+        /// every other. The pools are one time (0, `u64::MAX` or any
+        /// other); times spread over the whole range with both ends,
+        /// which is the widest shift the bucket key takes; a few steps
+        /// of `2^shift` above a base, which puts the steps in a few
+        /// buckets and can saturate at `u64::MAX`; or one time but for
+        /// about one boundary in 2000, which puts everything else in
+        /// one bucket. Session-shaped tails ([`session_tail`]) are one to
+        /// four near-sorted producers interleaved, with a cluster of
+        /// equal or adjacent times that overfills one bucket, and a few
+        /// far stragglers. Lengths run from empty to a few thousand, and
+        /// a bucket-sorted tail of several producers never counts as a
+        /// fallback.
         #[test]
         fn sort_boundaries_is_one_stable_sort_by_time(
-            times in prop_oneof![
-                prop_oneof![Just(0u64), Just(u64::MAX), 0u64..u64::MAX].prop_map(|t| vec![t]),
-                prop::collection::vec(
-                    prop_oneof![Just(0u64), Just(u64::MAX), 0u64..u64::MAX],
-                    1..48
-                ),
-                (0u64..u64::MAX, prop::collection::vec(0u64..64, 1..48), 0u32..58).prop_map(
-                    |(base, steps, shift)| {
-                        steps.iter().map(|s| base.saturating_add(s << shift)).collect()
+            v in prop_oneof![
+                (
+                    prop_oneof![
+                        prop_oneof![Just(0u64), Just(u64::MAX), 0u64..u64::MAX]
+                            .prop_map(|t| vec![t]),
+                        prop::collection::vec(
+                            prop_oneof![Just(0u64), Just(u64::MAX), 0u64..u64::MAX],
+                            1..48
+                        ),
+                        (0u64..u64::MAX, prop::collection::vec(0u64..64, 1..48), 0u32..58)
+                            .prop_map(|(base, steps, shift)| {
+                                steps.iter().map(|s| base.saturating_add(s << shift)).collect()
+                            }),
+                        (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(most, lone)| {
+                            let mut pool = vec![most; 1999];
+                            pool.push(lone);
+                            pool
+                        }),
+                    ],
+                    1u32..5,
+                    prop::collection::vec((0usize..1 << 16, 0u32..8, 0u32..7, 0u32..3), 0..2500),
+                )
+                    .prop_map(|(times, pids, picks): (Vec<u64>, _, Vec<_>)| {
+                        pooled_boundaries(&times, pids, &picks)
+                    }),
+                (1usize..5, 1usize..3000, 0usize..400, 0usize..8, 0u64..u64::MAX).prop_map(
+                    |(producers, len, clustered, stragglers, seed)| {
+                        session_tail(producers, len, clustered, stragglers, seed)
                     }
                 ),
-                (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(most, lone)| {
-                    let mut pool = vec![most; 1999];
-                    pool.push(lone);
-                    pool
-                }),
             ],
-            pids in 1u32..5,
-            picks in prop::collection::vec((0usize..1 << 16, 0u32..8, 0u32..7, 0u32..3), 0..2500),
         ) {
-            let times: Vec<u64> = times;
-            let v: Vec<Boundary> = picks
-                .iter()
-                .enumerate()
-                .map(|(i, &(at, pid, kind, id))| {
-                    let t = times[at % times.len()];
-                    match kind {
-                        0..=CODE_GPU => (t, pid % pids, kind),
-                        5 => (t, i as u32, META_OP_BASE + id),
-                        _ => (t, i as u32, META_PHASE_FLAG | id),
-                    }
-                })
-                .collect();
-            let mut expected = v.clone();
+            let mut sorted: Vec<Boundary> = v;
+            let mut expected = sorted.clone();
             expected.sort_by_key(|b| b.0);
-            let mut sorted = v;
             let fell_back = sort_boundaries(&mut sorted);
             prop_assert_eq!(sorted, expected);
             let producers: std::collections::BTreeSet<u32> =
@@ -2744,7 +2824,7 @@ mod tests {
     /// both queues in stable order, whether the log is sorted once at
     /// the end or after every 8192-event chunk, and both answer alike.
     /// The interleaved session leaves one tail, nearly the whole log,
-    /// which is radix-sorted; the single process leaves none, only its
+    /// which is bucket-sorted; the single process leaves none, only its
     /// few stragglers set aside, and repairs them without one
     /// comparison-sort fallback.
     #[test]

@@ -1768,9 +1768,14 @@ const TAILS_PER_WORKER: usize = 128;
 
 /// The worker count of the decode stage
 /// ([`for_each_decoded_chunk_columns`] as directory queries call it),
-/// which [`Manifest::open`] reads the chunk tails on too.
+/// which [`Manifest::open`] reads the chunk tails on too, and a seal
+/// sorts and drains on ([`crate::analysis::LiveState::seal`]). Looked
+/// up once per process: each lookup reads the affinity mask and the
+/// cgroup quota again (15–18 µs on 2 cores), and a seal or a query asks
+/// for it every time.
 pub(crate) fn decode_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// [`Manifest::open`]'s entries for `paths`, in order: each chunk's

@@ -1,7 +1,7 @@
 //! Property-based tests on the profiler's core invariants.
 
 use proptest::prelude::*;
-use rlscope::core::analysis::{Analysis, Dim, LiveView};
+use rlscope::core::analysis::{Analysis, Dim, LiveState, LiveView};
 use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
 use rlscope::core::overlap::{
     compute_overlap, compute_overlap_columns, BreakdownTable, BucketKey, OverlapSweep, NO_PHASE,
@@ -351,6 +351,37 @@ fn fanned_out_chunk_dir_query_matches_one_thread() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A finished undeclared session of four interleaved processes seals
+/// byte for byte as one thread reads it and as the in-memory analysis
+/// of the same stream. Its whole log is pending at the seal — about
+/// 70 k starts and as many ends, each queue over the side-by-side sort
+/// minimum (16 Ki), and a final drain of about 140 k boundaries, over
+/// the slicing minimum (64 Ki) — so on two or more CPUs the seal sorts
+/// and drains on two threads. A snapshot keeps one thread: it is the
+/// serial answer, taken from a copy made before the seal sorted
+/// anything. Pinned to one CPU, the seal runs on one thread too.
+#[test]
+fn fanned_out_seal_matches_one_thread_and_batch() {
+    let ops: Vec<_> =
+        (0..12_000).map(|i| (1 + i % 7, i % 5, 3 + (i % 4) as u64, (i % 3) as u64)).collect();
+    let events = session_shaped(4, &ops, 3_000);
+    assert!(events.len() > 64 * 1024 / 2, "{} events", events.len());
+    let mut live = LiveState::new();
+    for chunk in events.chunks(8192) {
+        live.push_columns(&EventColumns::from_events(chunk)).unwrap();
+    }
+    let sealed = live.clone().seal();
+    let serial = live.snapshot_view(LiveView::Merged);
+    assert_eq!(sealed.events_observed(), events.len() as u64);
+    let shapes: [&[Dim]; 3] = [&[Dim::Phase, Dim::Operation], &[Dim::Operation], &[]];
+    for dims in shapes {
+        let answer = |q: Analysis<'_>| q.group_by(dims.iter().copied()).canonical_json().unwrap();
+        let batch = answer(Analysis::of_events(&events));
+        assert_eq!(answer(Analysis::of_live(&sealed)), batch, "{dims:?}");
+        assert_eq!(answer(Analysis::of_live(&serial)), batch, "{dims:?}");
+    }
 }
 
 /// Records each batch a profiler emits with its declaration.
@@ -1039,7 +1070,7 @@ proptest! {
         );
     }
 
-    /// The boundary sort repairs one producer's tail and radix-sorts
+    /// The boundary sort repairs one producer's tail and bucket-sorts
     /// several producers'; a drain keeps the phase tag's winning phase
     /// and weighs each pid going busy against it, rescanning only when
     /// the winner's pid goes idle or a phase opens or closes. On a
@@ -1359,11 +1390,16 @@ proptest! {
         // events exactly, across the whole ladder.
         let plain = Analysis::from_rollup_dir(&roll).canonical_json().unwrap();
         prop_assert_eq!(&plain, &Analysis::of_events(&events).canonical_json().unwrap());
+        // Through an index already opened, the answer is the same.
+        let index = Rollup::open(&roll).unwrap();
         for dims in dims {
             let from_rollup = Analysis::from_rollup_dir(&roll)
                 .group_by(dims.iter().copied())
                 .canonical_json()
                 .unwrap();
+            let from_index =
+                Analysis::from_rollup(&index).group_by(dims.iter().copied()).canonical_json();
+            prop_assert_eq!(&from_index.unwrap(), &from_rollup, "group_by({:?}) via the index", dims);
             let from_batch = Analysis::from_chunk_dir(&sorted)
                 .group_by(dims.iter().copied())
                 .canonical_json()

@@ -6,6 +6,7 @@
 //! reusable, and `QUERY_ALL` federates across sessions sitting at
 //! different tiers.
 
+use rlscope::collector::daemon::fault::{FaultPlan, ParkedQuery};
 use rlscope::collector::{
     Collector, CollectorClient, CollectorConfig, CollectorError, ErrorCode, QuerySpec,
     ReconnectPolicy, RetentionPolicy, SessionPhase, StorageTier,
@@ -343,12 +344,27 @@ fn queries_racing_a_prune_get_an_answer_or_unknown_target() {
 /// `UnknownTarget`, as a query sent after the prune does — not an answer
 /// read from the directory being removed. A stress race reaches that
 /// window too rarely to pin it; the fault plan's hook holds the query
-/// there.
+/// there. Here the parked query's read of the pruned directory fails,
+/// and the retry after the failed read finds the prune.
 #[test]
 fn a_query_parked_across_a_prune_names_the_prune() {
-    use rlscope::collector::daemon::fault::FaultPlan;
+    query_parked_across_a_prune("parkprune", FaultPlan::park_next_settled_query);
+}
 
-    let (socket, data) = scratch("parkprune");
+/// The same prune, while the query is held after its answer was
+/// computed and before the tier re-check (`held()` in
+/// `settled_query`): the read succeeded, so only the re-check can turn
+/// the answer into the prune's `UnknownTarget`.
+#[test]
+fn a_query_parked_after_its_answer_across_a_prune_names_the_prune() {
+    query_parked_across_a_prune("parkanswer", FaultPlan::park_next_settled_answer);
+}
+
+/// Finishes a session, ages it to the rollup tier, parks its next
+/// directory query where `park` says, prunes it, and expects the
+/// prune's `UnknownTarget`.
+fn query_parked_across_a_prune(tag: &str, park: fn(&FaultPlan) -> ParkedQuery) {
+    let (socket, data) = scratch(tag);
     let faults = FaultPlan::new();
     let mut config = CollectorConfig::new(&socket, &data);
     config.faults = Some(faults.clone());
@@ -364,7 +380,7 @@ fn a_query_parked_across_a_prune_names_the_prune() {
     assert_eq!(collector.compact_session("parked").unwrap(), StorageTier::Rollup);
     assert!(!client.query(&spec).unwrap().cache_hit);
 
-    let parked = faults.park_next_settled_query();
+    let parked = park(&faults);
     let asking = std::thread::spawn(move || client.query(&spec));
     assert!(parked.wait_parked(Duration::from_secs(20)), "the query never reached the hook");
     collector.run_retention_pass(&RetentionPolicy::parse("rollup=0ms").unwrap());
