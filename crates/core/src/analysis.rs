@@ -486,12 +486,10 @@ pub enum SessionSource<'a> {
     /// ([`Analysis::from_chunk_index`]).
     ChunkIndex(&'a Manifest),
     /// An aged-out session's segment-summary rollup directory
-    /// ([`crate::rollup`]): coarse queries answer from pre-aggregated
-    /// tables, sub-segment resolution is a typed
+    /// ([`crate::rollup`]) through the index its caller already opened
+    /// ([`Analysis::from_rollup`]): coarse queries answer from
+    /// pre-aggregated tables, sub-segment resolution is a typed
     /// [`AnalysisError::Unsupported`].
-    RollupDir(PathBuf),
-    /// A rollup directory through the index its caller already opened
-    /// ([`Analysis::from_rollup`]).
     Rollup(&'a Rollup),
     /// A live session's snapshot over its consistent acked prefix
     /// ([`LiveState::snapshot_view`] for the view the query reads).
@@ -1526,7 +1524,6 @@ impl<'a> Analysis<'a> {
             let mut sub = match source {
                 SessionSource::ChunkDir(dir) => Analysis::from_chunk_dir(dir.clone()),
                 SessionSource::ChunkIndex(index) => Analysis::from_chunk_index(index),
-                SessionSource::RollupDir(dir) => Analysis::from_rollup_dir(dir.clone()),
                 SessionSource::Rollup(rollup) => Analysis::from_rollup(rollup),
                 SessionSource::Live(tables) => Analysis::of_live(tables),
             };

@@ -483,9 +483,11 @@ fn sort_boundaries(v: &mut [Boundary]) -> bool {
 /// producers interleaved, each near-chronological, are near-sorted at
 /// the scale of the whole log: the scatter writes almost sequentially,
 /// and most buckets hold a few boundaries. Against the LSD radix sort
-/// it replaced, on a 4-pid session's tail (scratch program, 2 cores):
-/// 0.6–0.7× the time at 600 k boundaries and 0.9× at 200 k, but 1.25×
-/// at 20 k, where the per-bucket sort calls dominate.
+/// it replaced, on 4-pid near-sorted tails (one thread, 2-core VM):
+/// 0.6–0.7× the time at 1 M boundaries and 0.85–1.05× at 200 k, but
+/// 1.1–1.8× between 10 k and 40 k — the sizes a cold directory query
+/// of an interleaved session mostly sorts (median 38 k boundaries per
+/// sort in `query_tiers`' daemon).
 fn bucket_sort_by_time(v: &mut [Boundary]) {
     let n = v.len();
     if n < 64 {
