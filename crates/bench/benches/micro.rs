@@ -426,17 +426,6 @@ fn bench_live_snapshot(c: &mut Criterion) {
     // sweeps from their last valid checkpoints, read the tables.
     // `batch_100k` is the 100k answer recomputed from the events.
     const CHUNK: usize = 512;
-    let events = interleaved_process_streams(150_000, 16, 4, 64);
-    let one_chunk_before = |at: usize| {
-        let mut base = LiveState::new();
-        for chunk in events[..at - CHUNK].chunks(CHUNK) {
-            base.push_columns(&EventColumns::from_events(chunk)).unwrap();
-        }
-        base.snapshot();
-        (base, EventColumns::from_events(&events[at - CHUNK..at]))
-    };
-    let at_100k = one_chunk_before(100_000);
-    let at_600k = one_chunk_before(600_000);
     let one_chunk_later = |(base, next): &(LiveState, EventColumns)| {
         let mut live = base.clone();
         live.push_columns(next).unwrap();
@@ -455,19 +444,42 @@ fn bench_live_snapshot(c: &mut Criterion) {
             .tables()
             .unwrap()
     };
-    assert_eq!(merged(one_chunk_later(&at_100k)).0, batch_of(&events[..100_000]));
-    assert_eq!(merged(one_chunk_later(&at_600k)).0, batch_of(&events[..600_000]));
-    let events = &events[..100_000];
+    // The stream, its two pushed and snapshotted prefixes (100k and
+    // 600k events, one chunk short) and the answers' check against the
+    // batch sweep are built by the first selected bench, so a run whose
+    // filter selects none of them pays nothing for them.
+    let fixtures = std::cell::OnceCell::new();
+    let fixtures = || {
+        fixtures.get_or_init(|| {
+            let events = interleaved_process_streams(150_000, 16, 4, 64);
+            let one_chunk_before = |at: usize| {
+                let mut base = LiveState::new();
+                for chunk in events[..at - CHUNK].chunks(CHUNK) {
+                    base.push_columns(&EventColumns::from_events(chunk)).unwrap();
+                }
+                base.snapshot();
+                (base, EventColumns::from_events(&events[at - CHUNK..at]))
+            };
+            let at_100k = one_chunk_before(100_000);
+            let at_600k = one_chunk_before(600_000);
+            assert_eq!(merged(one_chunk_later(&at_100k)).0, batch_of(&events[..100_000]));
+            assert_eq!(merged(one_chunk_later(&at_600k)).0, batch_of(&events[..600_000]));
+            (events, at_100k, at_600k)
+        })
+    };
 
     let mut group = c.benchmark_group("live_snapshot");
-    for (name, at) in [("merged_100k", &at_100k), ("merged_600k", &at_600k)] {
+    for (name, long) in [("merged_100k", false), ("merged_600k", true)] {
         group.bench_function(name, |b| {
+            let (_, at_100k, at_600k) = fixtures();
+            let at = if long { at_600k } else { at_100k };
             b.iter_batched(|| one_chunk_later(at), merged, BatchSize::LargeInput)
         });
     }
     group.bench_function("per_process_100k", |b| {
+        let at_100k = &fixtures().1;
         b.iter_batched(
-            || one_chunk_later(&at_100k),
+            || one_chunk_later(at_100k),
             |mut live| {
                 let tables = live.snapshot_view(LiveView::PerProcess);
                 (Analysis::of_live(&tables).group_by([Dim::Process]).tables().unwrap(), live)
@@ -476,13 +488,17 @@ fn bench_live_snapshot(c: &mut Criterion) {
         )
     });
     group.bench_function("both_views_100k", |b| {
+        let at_100k = &fixtures().1;
         b.iter_batched(
-            || one_chunk_later(&at_100k),
+            || one_chunk_later(at_100k),
             |mut live| (live.snapshot(), live),
             BatchSize::LargeInput,
         )
     });
-    group.bench_function("batch_100k", |b| b.iter(|| batch_of(events)));
+    group.bench_function("batch_100k", |b| {
+        let events = &fixtures().0[..100_000];
+        b.iter(|| batch_of(events))
+    });
     group.finish();
 
     // Inline ratio gate (CI bench-smoke entry): a live query pays for
@@ -494,6 +510,8 @@ fn bench_live_snapshot(c: &mut Criterion) {
     // the first boundary measures ~6x and ~2x.
     let gate_name = "live_snapshot_ratio_gate";
     if bench_filter().is_none_or(|f| gate_name.contains(f.as_str())) {
+        let (events, at_100k, at_600k) = fixtures();
+        let events = &events[..100_000];
         let reps = 4;
         let time_snapshot = |at: &(LiveState, EventColumns)| {
             let mut nanos = 0;
@@ -514,7 +532,7 @@ fn bench_live_snapshot(c: &mut Criterion) {
             t.elapsed().as_nanos() as f64 / reps as f64
         };
         let (long, short) =
-            gate::sample_pair(5, || time_snapshot(&at_600k), || time_snapshot(&at_100k));
+            gate::sample_pair(5, || time_snapshot(at_600k), || time_snapshot(at_100k));
         let mut batch_samples: Vec<f64> = (0..5).map(|_| time_batch()).collect();
         let batch_stats = gate::GateStats::from_samples(&mut batch_samples);
         let smoke = gate::is_smoke_run();

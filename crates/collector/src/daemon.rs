@@ -4,6 +4,10 @@
 //! seal, anything else reads its tier's index once per query), and the
 //! one timer thread that reaps idle sessions and runs retention's
 //! tier transitions itself.
+//!
+//! **Locks.** The session map is the one lock held while other code
+//! runs; every other lock is a leaf that rustc keeps private to one
+//! method (module `leaf`), so no lock cycle can form.
 
 use crate::compact::{self, JobKind, RetentionPolicy};
 use crate::protocol::{
@@ -13,14 +17,15 @@ use crate::protocol::{
 use crate::registry::{SessionRecord, SessionStatus, StorageTier};
 use crate::transport::Stream;
 use crossbeam::channel::{bounded, Receiver, Sender};
+use leaf::{Conns, Writer};
 use parking_lot::Mutex;
 use rlscope_core::analysis::{
     Analysis, AnalysisError, LiveState, LiveTables, LiveView, SessionSource,
 };
 use rlscope_core::rollup::Rollup;
 use rlscope_core::store::{
-    decode_columns, list_chunk_files, read_frame, recover_chunk_prefix, write_frame, EventColumns,
-    Manifest, TraceIoError,
+    decode_columns, list_chunk_files, read_frame, recover_chunk_prefix, EventColumns, Manifest,
+    TraceIoError,
 };
 use rlscope_sim::ids::ProcessId;
 use rlscope_sim::time::TimeNs;
@@ -363,11 +368,12 @@ pub struct RecoveredSession {
 ///
 /// # Rules
 ///
-/// - No thread blocks on a mailbox or on a reply while holding the
-///   `sessions` lock — the owner takes that lock to settle and to seal,
-///   so waiting on it under the lock would deadlock. The guard only
-///   ever spans a lookup, an in-place update, or the claim of a name
-///   (check, wipe, insert), none of which talks to an owner.
+/// - `sessions` is the one daemon lock held while other code runs, and
+///   no tool checks it: no thread blocks on a mailbox or on a reply
+///   while holding it (the owner takes it to settle and to seal), and
+///   nothing re-enters it. The guard only ever spans a lookup, an
+///   in-place update, or the claim of a name (check, wipe, insert,
+///   spawn the owner), none of which talks to an owner.
 /// - The owner never runs [`Analysis`], and it drains only what arrived
 ///   since the last valid checkpoint: a snapshot
 ///   ([`LiveState::snapshot_view`], for the one [`LiveView`] the query
@@ -414,7 +420,7 @@ enum Msg {
     /// Resume handshake: attach `writer`'s connection when `epoch`
     /// matches and no connection holds the session; answers the acked
     /// watermark the client replays from.
-    Attach { epoch: u64, writer: SharedWriter, reply: Sender<Result<u64, ConnError>> },
+    Attach { epoch: u64, writer: Writer, reply: Sender<Result<u64, ConnError>> },
     /// The attached connection closed cleanly: keep everything and wait
     /// for a resume.
     Detach,
@@ -565,7 +571,7 @@ struct Owner {
     chunks: u64,
     events: u64,
     /// The attached connection's write half, if any.
-    attached: Option<SharedWriter>,
+    attached: Option<Writer>,
     /// Last chunk or attach — the idle clock.
     last_frame: Instant,
 }
@@ -581,7 +587,7 @@ fn spawn_owner(
     store: ChunkStore,
     live: LiveState,
     events: u64,
-    attached: Option<SharedWriter>,
+    attached: Option<Writer>,
 ) -> Arc<Session> {
     let (mailbox, inbox) = bounded(APPLY_QUEUE_CHUNKS);
     let owner = Owner {
@@ -595,7 +601,7 @@ fn spawn_owner(
         attached,
         last_frame: Instant::now(),
     };
-    daemon.track_thread(std::thread::spawn(move || owner.run(&inbox)));
+    daemon.conns.track_thread(std::thread::spawn(move || owner.run(&inbox)));
     let id = daemon.next_session_id.fetch_add(1, Ordering::SeqCst);
     Arc::new(Session { name: name.to_string(), id, epoch, mailbox })
 }
@@ -655,7 +661,10 @@ impl Owner {
         match accepted {
             Ok(events) => {
                 if let Some(writer) = &self.attached {
-                    let _ = send_chunk_ack(writer, seq, events);
+                    let mut ack = [0u8; 12];
+                    ack[..8].copy_from_slice(&seq.to_be_bytes());
+                    ack[8..].copy_from_slice(&events.to_be_bytes());
+                    let _ = writer.send(kind::CHUNK_ACK, &ack);
                 }
                 // Off the client's path: a declared session's sweeps
                 // drain to the frontier now, so its seal need not.
@@ -679,7 +688,7 @@ impl Owner {
         Ok(())
     }
 
-    fn on_attach(&mut self, epoch: u64, writer: SharedWriter) -> Result<u64, ConnError> {
+    fn on_attach(&mut self, epoch: u64, writer: Writer) -> Result<u64, ConnError> {
         if epoch != self.epoch {
             return Err((
                 ErrorCode::EpochMismatch,
@@ -716,7 +725,7 @@ impl Owner {
             .and_then(|writer| {
                 let mut ack = self.chunks.to_be_bytes().to_vec();
                 ack.extend_from_slice(&self.events.to_be_bytes());
-                write_frame(&mut *writer.lock(), kind::FINISH_ACK, &ack).map_err(io_err)
+                writer.send(kind::FINISH_ACK, &ack).map_err(io_err)
             });
         let _ = reply.send(acked);
         self.seal();
@@ -731,7 +740,7 @@ impl Owner {
         self.abort((ErrorCode::IdleTimeout, message), true);
         if let Some(writer) = &self.attached {
             // Evict the silent client, so its connection thread goes too.
-            let _ = writer.lock().shutdown(std::net::Shutdown::Both);
+            writer.shutdown();
         }
         true
     }
@@ -744,7 +753,7 @@ impl Owner {
     fn abort(&mut self, error: ConnError, notify: bool) -> bool {
         self.settle(Some(error.clone()));
         if let (true, Some(writer)) = (notify, &self.attached) {
-            send_error(writer, error.0, &error.1);
+            let _ = writer.send(kind::ERROR, &encode_error(error.0, &error.1));
         }
         true
     }
@@ -804,15 +813,90 @@ impl Owner {
     }
 }
 
-/// Live connections and the threads spawned on demand.
-#[derive(Default)]
-struct Conns {
-    /// Clones of live connection streams (either transport), keyed by
-    /// connection id (handlers deregister themselves on exit); shut down
-    /// to unblock handler threads at daemon shutdown.
-    streams: HashMap<u64, Stream>,
-    /// Connection-handler and session-owner threads, joined at shutdown.
-    threads: Vec<JoinHandle<()>>,
+/// The daemon's leaf locks, as `fault::FaultPlan`'s: a private field
+/// no code outside its module can take (E0616), held by one method at
+/// a time for bounded work that calls no daemon code. A leaf is never
+/// held while another lock is taken, so `sessions`, the one lock held
+/// while other code runs, cannot join a cycle.
+mod leaf {
+    use crate::transport::Stream;
+    use parking_lot::Mutex;
+    use rlscope_core::store::{write_frame, TraceIoError};
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+
+    /// Live connections and the threads spawned on demand.
+    #[derive(Default)]
+    pub(super) struct Conns(Mutex<ConnsInner>);
+
+    #[derive(Default)]
+    struct ConnsInner {
+        next_id: u64,
+        /// Clones of live connections' streams, shut down at shutdown.
+        streams: HashMap<u64, Stream>,
+        /// Connection-handler and session-owner threads, joined then.
+        threads: Vec<JoinHandle<()>>,
+    }
+
+    impl Conns {
+        /// Registers a live connection's stream (a clone, when one can
+        /// be made); returns the id its handler deregisters on exit.
+        pub(super) fn register(&self, stream: &Stream) -> u64 {
+            let clone = stream.try_clone();
+            let mut conns = self.0.lock();
+            conns.next_id += 1;
+            let id = conns.next_id;
+            if let Ok(clone) = clone {
+                conns.streams.insert(id, clone);
+            }
+            id
+        }
+
+        pub(super) fn deregister(&self, id: u64) {
+            self.0.lock().streams.remove(&id);
+        }
+
+        pub(super) fn track_thread(&self, handle: JoinHandle<()>) {
+            let mut conns = self.0.lock();
+            conns.threads.retain(|h| !h.is_finished());
+            conns.threads.push(handle);
+        }
+
+        /// Shuts every registered stream down, waking its handler.
+        pub(super) fn shutdown_streams(&self) {
+            let streams = std::mem::take(&mut self.0.lock().streams);
+            for stream in streams.into_values() {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+        }
+
+        pub(super) fn take_threads(&self) -> Vec<JoinHandle<()>> {
+            std::mem::take(&mut self.0.lock().threads)
+        }
+    }
+
+    /// The write half of a connection, shared between the connection
+    /// thread and the attached session's owner (which writes durable
+    /// `CHUNK_ACK`s): the lock keeps frames from interleaving mid-write.
+    #[derive(Clone)]
+    pub(super) struct Writer(Arc<Mutex<Stream>>);
+
+    impl Writer {
+        pub(super) fn new(stream: Stream) -> Writer {
+            Writer(Arc::new(Mutex::new(stream)))
+        }
+
+        /// Writes one whole frame.
+        pub(super) fn send(&self, kind: u8, payload: &[u8]) -> Result<(), TraceIoError> {
+            write_frame(&mut *self.0.lock(), kind, payload)
+        }
+
+        /// Shuts the connection down both ways, waking its reader.
+        pub(super) fn shutdown(&self) {
+            let _ = self.0.lock().shutdown(std::net::Shutdown::Both);
+        }
+    }
 }
 
 struct Daemon {
@@ -822,9 +906,8 @@ struct Daemon {
     sessions: Mutex<HashMap<String, Entry>>,
     next_session_id: AtomicU64,
     next_epoch: AtomicU64,
-    next_conn_id: AtomicU64,
     shutdown: AtomicBool,
-    conns: Mutex<Conns>,
+    conns: Conns,
 }
 
 /// Where [`Daemon::route`] found a session: open, with its owner's
@@ -962,12 +1045,6 @@ impl Daemon {
             }
         }
     }
-
-    fn track_thread(&self, handle: JoinHandle<()>) {
-        let mut conns = self.conns.lock();
-        conns.threads.retain(|h| !h.is_finished());
-        conns.threads.push(handle);
-    }
 }
 
 /// The collector daemon (the library form of the `rlscoped` binary):
@@ -1044,9 +1121,8 @@ impl Collector {
             sessions: Mutex::new(HashMap::new()),
             next_session_id: AtomicU64::new(1),
             next_epoch: AtomicU64::new(1),
-            next_conn_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Conns::default()),
+            conns: Conns::default(),
         });
         let mut recovered = Vec::new();
         if let Ok(entries) = fs::read_dir(&daemon.config.data_dir) {
@@ -1252,15 +1328,12 @@ impl Collector {
         if let Some(handle) = self.tcp_accept_thread.take() {
             let _ = handle.join();
         }
-        for (_, stream) in self.daemon.conns.lock().streams.drain() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
+        self.daemon.conns.shutdown_streams();
         // Connection threads now detach their sessions and exit. An owner
         // exits once every handle to its session is gone — the map's,
         // dropped here, and those the exiting connection threads hold.
         self.daemon.sessions.lock().clear();
-        let handles = std::mem::take(&mut self.daemon.conns.lock().threads);
-        for handle in handles {
+        for handle in self.daemon.conns.take_threads() {
             let _ = handle.join();
         }
         // The timer checks `shutdown` before each transition, so this
@@ -1374,31 +1447,12 @@ type ConnError = (ErrorCode, String);
 /// Registers one accepted connection (either transport) and spawns its
 /// handler thread — the shared tail of both accept loops.
 fn register_connection(daemon: &Arc<Daemon>, stream: Stream) {
-    let conn_id = daemon.next_conn_id.fetch_add(1, Ordering::SeqCst);
-    if let Ok(clone) = stream.try_clone() {
-        daemon.conns.lock().streams.insert(conn_id, clone);
-    }
+    let conn_id = daemon.conns.register(&stream);
     let conn_daemon = daemon.clone();
-    daemon.track_thread(std::thread::spawn(move || {
+    daemon.conns.track_thread(std::thread::spawn(move || {
         handle_connection(&conn_daemon, stream);
-        conn_daemon.conns.lock().streams.remove(&conn_id);
+        conn_daemon.conns.deregister(conn_id);
     }));
-}
-
-/// The write half of a connection, shared between the connection thread
-/// and the attached session's owner (which writes durable `CHUNK_ACK`s):
-/// the mutex keeps frames from interleaving mid-write.
-type SharedWriter = Arc<Mutex<Stream>>;
-
-fn send_error(writer: &SharedWriter, code: ErrorCode, message: &str) {
-    let _ = write_frame(&mut *writer.lock(), kind::ERROR, &encode_error(code, message));
-}
-
-fn send_chunk_ack(writer: &SharedWriter, seq: u64, events: u32) -> Result<(), TraceIoError> {
-    let mut payload = [0u8; 12];
-    payload[..8].copy_from_slice(&seq.to_be_bytes());
-    payload[8..].copy_from_slice(&events.to_be_bytes());
-    write_frame(&mut *writer.lock(), kind::CHUNK_ACK, &payload)
 }
 
 /// One connection's frame loop. How it ends decides what its attached
@@ -1406,7 +1460,7 @@ fn send_chunk_ack(writer: &SharedWriter, seq: u64, events: u32) -> Result<(), Tr
 /// error **aborts** (typed, name reusable).
 fn handle_connection(daemon: &Arc<Daemon>, mut stream: Stream) {
     let Ok(write_half) = stream.try_clone() else { return };
-    let writer: SharedWriter = Arc::new(Mutex::new(write_half));
+    let writer = Writer::new(write_half);
     let mut session: Option<Arc<Session>> = None;
     let exit = loop {
         let frame = match read_frame(&mut stream) {
@@ -1419,7 +1473,7 @@ fn handle_connection(daemon: &Arc<Daemon>, mut stream: Stream) {
                     break Msg::Detach;
                 }
                 let error = (ErrorCode::Protocol, e.to_string());
-                send_error(&writer, error.0, &error.1);
+                let _ = writer.send(kind::ERROR, &encode_error(error.0, &error.1));
                 break Msg::Abort(error);
             }
         };
@@ -1450,7 +1504,7 @@ fn handle_connection(daemon: &Arc<Daemon>, mut stream: Stream) {
             | None => Err((ErrorCode::Protocol, format!("unexpected frame kind {:#04x}", frame.0))),
         };
         if let Err(error) = outcome {
-            send_error(&writer, error.0, &error.1);
+            let _ = writer.send(kind::ERROR, &encode_error(error.0, &error.1));
             break Msg::Abort(error);
         }
     };
@@ -1612,7 +1666,7 @@ fn valid_session_name(name: &str) -> bool {
 
 fn handle_hello(
     daemon: &Arc<Daemon>,
-    writer: &SharedWriter,
+    writer: &Writer,
     session: &mut Option<Arc<Session>>,
     payload: &[u8],
 ) -> Result<(), ConnError> {
@@ -1652,7 +1706,7 @@ fn handle_hello(
     // Attached from here on: a failed ack write aborts the session on
     // this connection's way out.
     *session = Some(opened);
-    write_frame(&mut *writer.lock(), kind::HELLO_ACK, &ack.encode()).map_err(io_err)
+    writer.send(kind::HELLO_ACK, &ack.encode()).map_err(io_err)
 }
 
 /// Claims `name` for a new session attached to `writer`'s connection.
@@ -1661,7 +1715,7 @@ fn handle_hello(
 /// win a name.
 fn handle_hello_new(
     daemon: &Arc<Daemon>,
-    writer: &SharedWriter,
+    writer: &Writer,
     name: &str,
 ) -> Result<Arc<Session>, ConnError> {
     let dir = daemon.config.data_dir.join(name);
@@ -1722,7 +1776,7 @@ fn handle_hello_new(
 /// answers the acked watermark the client replays from.
 fn handle_hello_resume(
     daemon: &Daemon,
-    writer: &SharedWriter,
+    writer: &Writer,
     name: &str,
     epoch: u64,
 ) -> Result<(Arc<Session>, u64), ConnError> {
@@ -1771,10 +1825,10 @@ fn handle_finish(daemon: &Daemon, session: Option<&Session>) -> Result<(), ConnE
     session.ask(|reply| Msg::Finish { reply }).unwrap_or_else(|| Err(daemon.settled_error(session)))
 }
 
-fn handle_query(daemon: &Daemon, writer: &SharedWriter, payload: &[u8]) -> Result<(), ConnError> {
+fn handle_query(daemon: &Daemon, writer: &Writer, payload: &[u8]) -> Result<(), ConnError> {
     let spec = QuerySpec::decode(payload).map_err(|e| (ErrorCode::Protocol, e.to_string()))?;
     let reply = run_query(daemon, &spec)?;
-    write_frame(&mut *writer.lock(), kind::QUERY_OK, &reply.encode()).map_err(io_err)?;
+    writer.send(kind::QUERY_OK, &reply.encode()).map_err(io_err)?;
     Ok(())
 }
 
@@ -1807,7 +1861,7 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
     }
 }
 
-fn handle_list_sessions(daemon: &Daemon, writer: &SharedWriter) -> Result<(), ConnError> {
+fn handle_list_sessions(daemon: &Daemon, writer: &Writer) -> Result<(), ConnError> {
     let mut sessions = Vec::new();
     for (name, _) in daemon.entries() {
         // A settled session's total is its tier index's, whether it
@@ -1823,18 +1877,14 @@ fn handle_list_sessions(daemon: &Daemon, writer: &SharedWriter) -> Result<(), Co
         sessions.push(SessionInfo { name, live, events });
     }
     let reply = SessionList { sessions };
-    write_frame(&mut *writer.lock(), kind::SESSIONS, &reply.encode()).map_err(io_err)?;
+    writer.send(kind::SESSIONS, &reply.encode()).map_err(io_err)?;
     Ok(())
 }
 
-fn handle_query_all(
-    daemon: &Daemon,
-    writer: &SharedWriter,
-    payload: &[u8],
-) -> Result<(), ConnError> {
+fn handle_query_all(daemon: &Daemon, writer: &Writer, payload: &[u8]) -> Result<(), ConnError> {
     let spec = QuerySpec::decode(payload).map_err(|e| (ErrorCode::Protocol, e.to_string()))?;
     let reply = run_query_all(daemon, &spec)?;
-    write_frame(&mut *writer.lock(), kind::QUERY_ALL_OK, &reply.encode()).map_err(io_err)?;
+    writer.send(kind::QUERY_ALL_OK, &reply.encode()).map_err(io_err)?;
     Ok(())
 }
 

@@ -11,6 +11,9 @@
 //! `fault-inject` feature's [`FaultPlan`] hooks (compiled into this
 //! test build through the workspace dev-dependency).
 
+mod common;
+
+use common::{rlscoped_bin, spawn_rlscoped, try_spawn_rlscoped_tcp, Rlscoped};
 use proptest::prelude::*;
 use rlscope::collector::daemon::fault::FaultPlan;
 use rlscope::collector::registry::{SessionRecord, SessionStatus, StorageTier};
@@ -104,30 +107,6 @@ fn wait_phase(collector: &Collector, name: &str, phase: SessionPhase) {
     }
 }
 
-/// The `rlscoped` binary, if it has been built (CI builds it before
-/// running this suite; locally `cargo test` builds it alongside).
-fn rlscoped_bin() -> Option<PathBuf> {
-    let mut bin = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    bin.push("target");
-    bin.push(if cfg!(debug_assertions) { "debug" } else { "release" });
-    bin.push("rlscoped");
-    bin.exists().then_some(bin)
-}
-
-fn spawn_rlscoped(bin: &Path, socket: &Path, data: &Path) -> std::process::Child {
-    let child = std::process::Command::new(bin)
-        .args(["--socket", socket.to_str().unwrap(), "--data-dir", data.to_str().unwrap()])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !socket.exists() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    child
-}
-
 /// Byte-compares the durable artifacts (the chunk files) of a
 /// session directory against a reference directory. The `SESSION`
 /// registry record is excluded: epochs legitimately differ between a
@@ -166,7 +145,7 @@ fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
     };
     let (socket, data) = scratch("kill");
     std::fs::create_dir_all(&data).unwrap();
-    let mut child = spawn_rlscoped(&bin, &socket, &data);
+    let child = spawn_rlscoped(&bin, &socket, &data);
 
     // Rendezvous: both workers at the half-way mark, then the main
     // thread kills the daemon while the workers keep streaming.
@@ -218,14 +197,12 @@ fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
     barrier.wait();
     // SIGKILL mid-ingest: up to a full credit window of unacked chunks
     // is in flight per session right now.
-    child.kill().unwrap();
-    child.wait().unwrap();
-    let mut child = spawn_rlscoped(&bin, &socket, &data);
+    child.kill();
+    let child = spawn_rlscoped(&bin, &socket, &data);
 
     let streams: Vec<Vec<Event>> =
         workers.into_iter().map(|w| w.join().expect("worker panicked")).collect();
-    child.kill().unwrap();
-    child.wait().unwrap();
+    child.kill();
 
     // Reference: the same two streams through an uninterrupted
     // in-process daemon. The durable artifacts must match byte for
@@ -253,8 +230,8 @@ struct KillingTee {
     sink: Arc<CollectorSink>,
     batches: Mutex<Vec<(Vec<Event>, Option<Cut>)>>,
     kill_at: usize,
-    daemon: Mutex<Option<std::process::Child>>,
-    restart: Mutex<Option<std::thread::JoinHandle<std::process::Child>>>,
+    daemon: Mutex<Option<Rlscoped>>,
+    restart: Mutex<Option<std::thread::JoinHandle<Rlscoped>>>,
     bin: PathBuf,
     socket: PathBuf,
     data: PathBuf,
@@ -264,9 +241,7 @@ impl EventSink for KillingTee {
     fn emit(&self, events: Vec<Event>) {
         let mut batches = self.batches.lock().unwrap();
         if batches.len() == self.kill_at {
-            let mut child = self.daemon.lock().unwrap().take().unwrap();
-            child.kill().unwrap();
-            child.wait().unwrap();
+            self.daemon.lock().unwrap().take().unwrap().kill();
             let (bin, socket, data) = (self.bin.clone(), self.socket.clone(), self.data.clone());
             *self.restart.lock().unwrap() = Some(std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(100));
@@ -327,10 +302,9 @@ fn sink_streams_a_train_spec_through_a_daemon_sigkill() {
     let done = sink.query(&QuerySpec::session("sinkkill")).unwrap();
     assert_eq!(done.canonical_json, Analysis::of(&trace).canonical_json().unwrap());
     let restart = tee.restart.lock().unwrap().take().expect("the daemon was killed");
-    let mut child = restart.join().unwrap();
+    let child = restart.join().unwrap();
     drop(sink);
-    child.kill().unwrap();
-    child.wait().unwrap();
+    child.kill();
 
     let (ref_socket, ref_data) = scratch("sinkkill_ref");
     let reference = Collector::bind(CollectorConfig::new(&ref_socket, &ref_data)).unwrap();
@@ -434,7 +408,7 @@ fn sink_latched_transport_error_surfaces_at_finish_and_later_emits_do_not_block(
     };
     let (socket, data) = scratch("sinklatch");
     std::fs::create_dir_all(&data).unwrap();
-    let mut child = spawn_rlscoped(&bin, &socket, &data);
+    let child = spawn_rlscoped(&bin, &socket, &data);
     let sink = CollectorSink::connect_with(&socket, "latch", ReconnectPolicy::disabled()).unwrap();
     let events = session_events(0, 4_096);
     let batches: Vec<Vec<Event>> = events.chunks(512).map(<[Event]>::to_vec).collect();
@@ -444,8 +418,7 @@ fn sink_latched_transport_error_surfaces_at_finish_and_later_emits_do_not_block(
     let live = sink.query(&QuerySpec::session("latch")).unwrap();
     assert_eq!(live.events_observed, 4 * 512);
 
-    child.kill().unwrap();
-    child.wait().unwrap();
+    child.kill();
     let started = Instant::now();
     for batch in &batches[4..] {
         sink.emit(batch.clone());
@@ -457,15 +430,14 @@ fn sink_latched_transport_error_surfaces_at_finish_and_later_emits_do_not_block(
     assert!(matches!(sink.finish(), Err(CollectorError::Io(_))));
     assert!(sink.finish().is_err(), "a later finish must not commit the truncated session");
 
-    let mut child = spawn_rlscoped(&bin, &socket, &data);
+    let child = spawn_rlscoped(&bin, &socket, &data);
     let mut client = connect_retrying(&socket);
     let sessions = client.list_sessions().unwrap().sessions;
     assert_eq!(sessions.len(), 1);
     assert!(sessions[0].live, "the session was finished");
     assert_eq!(sessions[0].events, 4 * 512);
     drop(sink);
-    child.kill().unwrap();
-    child.wait().unwrap();
+    child.kill();
 }
 
 /// A query connection to a just-restarted daemon, retried until it
@@ -479,42 +451,6 @@ fn connect_retrying(socket: &Path) -> CollectorClient {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-/// Spawns `rlscoped` with a TCP listener and returns it with the
-/// resolved `host:port` from its startup line — or `None` when the
-/// process dies before announcing one (e.g. the address is still held
-/// by a killed predecessor's lingering connections).
-fn try_spawn_rlscoped_tcp(
-    bin: &Path,
-    socket: &Path,
-    data: &Path,
-    listen: &str,
-) -> Option<(std::process::Child, String)> {
-    use std::io::BufRead;
-    let mut child = std::process::Command::new(bin)
-        .args([
-            "--socket",
-            socket.to_str().unwrap(),
-            "--data-dir",
-            data.to_str().unwrap(),
-            "--listen",
-            listen,
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    let stdout = child.stdout.take().unwrap();
-    for line in std::io::BufReader::new(stdout).lines() {
-        let Ok(line) = line else { break };
-        if let Some(rest) = line.strip_prefix("rlscoped: listening on tcp://") {
-            return Some((child, rest.to_string()));
-        }
-    }
-    let _ = child.kill();
-    let _ = child.wait();
-    None
 }
 
 /// Federated partial failure: a [`FleetClient`] over two real `rlscoped`
@@ -536,10 +472,8 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
     };
     let (socket1, data1) = scratch("fleet_surv");
     let (socket2, data2) = scratch("fleet_lost");
-    let (mut d1, addr1) =
-        try_spawn_rlscoped_tcp(&bin, &socket1, &data1, "tcp://127.0.0.1:0").unwrap();
-    let (mut d2, addr2) =
-        try_spawn_rlscoped_tcp(&bin, &socket2, &data2, "tcp://127.0.0.1:0").unwrap();
+    let (d1, addr1) = try_spawn_rlscoped_tcp(&bin, &socket1, &data1, "tcp://127.0.0.1:0").unwrap();
+    let (d2, addr2) = try_spawn_rlscoped_tcp(&bin, &socket2, &data2, "tcp://127.0.0.1:0").unwrap();
     let (ep1, ep2) = (Endpoint::tcp(&addr1), Endpoint::tcp(&addr2));
 
     // One finished session per daemon.
@@ -584,8 +518,7 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
 
     // SIGKILL shard 2; the established connection dies under the next
     // fan-out, mid-query.
-    d2.kill().unwrap();
-    d2.wait().unwrap();
+    d2.kill();
     let partial = fleet.query_all(&spec);
     assert!(!partial.complete(), "a dead shard must not report complete");
     let gaps = partial.gaps();
@@ -610,11 +543,10 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
             std::thread::sleep(Duration::from_millis(200));
         }
     }
-    let outcome = revived.map(|(mut d2b, addr2b)| {
+    let outcome = revived.map(|(d2b, addr2b)| {
         assert_eq!(addr2b, addr2);
         let healed = fleet.query_all(&spec);
-        let _ = d2b.kill();
-        let _ = d2b.wait();
+        drop(d2b);
         assert!(healed.complete(), "revived shard must answer: {:?}", healed.shards);
         assert_eq!(healed.sessions(), vec!["surv", "lost"]);
         assert_eq!(
@@ -622,8 +554,7 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
             expect_json(vec![(Arc::from("surv"), &a), (Arc::from("lost"), &b)])
         );
     });
-    let _ = d1.kill();
-    let _ = d1.wait();
+    drop(d1);
     // The revive step is best-effort (the OS may hold the port), but the
     // partial-result contract above has already been asserted.
     if outcome.is_none() {
@@ -1289,7 +1220,7 @@ fn sigkill_while_sealing_restarts_finished_with_the_sealed_answer() {
     };
     let (socket, data) = scratch("sealkill");
     std::fs::create_dir_all(&data).unwrap();
-    let mut child = spawn_rlscoped(&bin, &socket, &data);
+    let child = spawn_rlscoped(&bin, &socket, &data);
     // Four processes interleaved event by event: the seal drains the
     // merged sweep of 200k events from its first boundary.
     let streams: Vec<Vec<Event>> = (0..4).map(|pid| session_events(pid, 50_000)).collect();
@@ -1305,8 +1236,7 @@ fn sigkill_while_sealing_restarts_finished_with_the_sealed_answer() {
     };
     let finished = run();
     // The owner is sealing now, off the client's path.
-    child.kill().unwrap();
-    child.wait().unwrap();
+    child.kill();
     assert_eq!(finished.unwrap(), events.len() as u64);
     for chunk in events.chunks(4_096) {
         live.push_columns(&EventColumns::from_events(chunk)).unwrap();

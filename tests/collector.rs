@@ -3,6 +3,9 @@
 //! prefix queries, batch-identical final tables, protocol abuse, and the
 //! answers of finished sessions (their seals and their directories).
 
+mod common;
+
+use common::{rlscoped_bin, spawn_rlscoped, try_spawn_rlscoped_tcp, Rlscoped};
 use proptest::prelude::*;
 use rlscope::collector::protocol::kind;
 use rlscope::collector::{
@@ -626,6 +629,83 @@ fn protocol_errors_carry_codes() {
     collector.shutdown();
 }
 
+/// Several clients `HELLO` one fresh name at once while other
+/// connections open and close: exactly one claim wins and every other
+/// gets `SessionActive`. Each win spawns the session's owner under the
+/// session map's lock, and dropping the daemon then joins every thread
+/// it tracked (owners and connection handlers) within a deadline.
+#[test]
+fn concurrent_claims_of_one_name_have_one_winner_and_shutdown_joins() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Barrier};
+    const CLAIMERS: usize = 8;
+    const ROUNDS: usize = 10;
+
+    let (collector, socket) = bind("claims");
+    let stop = Arc::new(AtomicBool::new(false));
+    let churn: Vec<_> = (0..2)
+        .map(|_| {
+            let (socket, stop) = (socket.clone(), stop.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let mut client = CollectorClient::connect(&socket).unwrap();
+                    client.list_sessions().unwrap();
+                }
+            })
+        })
+        .collect();
+    let mut winners = Vec::new();
+    for round in 0..ROUNDS {
+        let name = format!("claim-{round}");
+        let barrier = Arc::new(Barrier::new(CLAIMERS));
+        let claims: Vec<_> = (0..CLAIMERS)
+            .map(|_| {
+                let (socket, name, barrier) = (socket.clone(), name.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    CollectorClient::open_session(&socket, &name)
+                })
+            })
+            .collect();
+        let mut won = 0;
+        for claim in claims {
+            match claim.join().unwrap() {
+                Ok(client) => {
+                    won += 1;
+                    winners.push(client);
+                }
+                Err(err) => assert!(
+                    matches!(
+                        err,
+                        CollectorError::Remote { code: Some(ErrorCode::SessionActive), .. }
+                    ),
+                    "{name}: a losing claim must be SessionActive, got {err:?}"
+                ),
+            }
+        }
+        assert_eq!(won, 1, "{name}: exactly one claim wins");
+    }
+    stop.store(true, Ordering::SeqCst);
+    for thread in churn {
+        thread.join().unwrap();
+    }
+    let sessions = CollectorClient::connect(&socket).unwrap().list_sessions().unwrap().sessions;
+    assert_eq!(sessions.len(), ROUNDS);
+    assert!(sessions.iter().all(|s| s.live));
+
+    // The winners stay attached: shutdown detaches them and joins.
+    let (done, finished) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(collector);
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("dropping the collector joins every tracked thread");
+    dropper.join().unwrap();
+    drop(winners);
+}
+
 /// A session name that matches durable data from a *previous daemon
 /// run* is refused — reopening must never silently wipe yesterday's
 /// trace. The old data stays on disk and queryable via a Dir target.
@@ -1031,44 +1111,14 @@ fn live_queries_of_either_view_match_batch_over_the_reported_prefix() {
     collector.shutdown();
 }
 
-fn rlscoped_bin() -> Option<PathBuf> {
-    let mut bin = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    bin.push("target");
-    bin.push(if cfg!(debug_assertions) { "debug" } else { "release" });
-    bin.push("rlscoped");
-    bin.exists().then_some(bin)
-}
-
 /// Spawns a real `rlscoped` process with an ephemeral TCP listener and
 /// returns it with its resolved `host:port` (parsed from the daemon's
 /// startup line).
-fn spawn_rlscoped_tcp(tag: &str) -> Option<(std::process::Child, String)> {
-    use std::io::BufRead;
+fn spawn_rlscoped_tcp(tag: &str) -> Option<(Rlscoped, String)> {
     let bin = rlscoped_bin()?;
     let (socket, data) = scratch(tag);
-    let mut child = std::process::Command::new(bin)
-        .args([
-            "--socket",
-            socket.to_str().unwrap(),
-            "--data-dir",
-            data.to_str().unwrap(),
-            "--listen",
-            "tcp://127.0.0.1:0",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    let stdout = child.stdout.take().unwrap();
-    let mut addr = None;
-    for line in std::io::BufReader::new(stdout).lines() {
-        let Ok(line) = line else { break };
-        if let Some(rest) = line.strip_prefix("rlscoped: listening on tcp://") {
-            addr = Some(rest.to_string());
-            break;
-        }
-    }
-    Some((child, addr.expect("rlscoped prints its tcp address")))
+    let spawned = try_spawn_rlscoped_tcp(&bin, &socket, &data, "tcp://127.0.0.1:0");
+    Some(spawned.expect("rlscoped prints its tcp address"))
 }
 
 /// Federation acceptance: a [`FleetClient`] over two **real** `rlscoped`
@@ -1082,11 +1132,11 @@ fn fleet_client_merges_two_rlscoped_daemons_over_tcp() {
     use rlscope::core::analysis::{LiveState, SessionSource};
     use std::sync::Arc;
 
-    let Some((mut d1, addr1)) = spawn_rlscoped_tcp("fleet1") else {
+    let Some((d1, addr1)) = spawn_rlscoped_tcp("fleet1") else {
         eprintln!("skipping: rlscoped not built");
         return;
     };
-    let (mut d2, addr2) = spawn_rlscoped_tcp("fleet2").unwrap();
+    let (d2, addr2) = spawn_rlscoped_tcp("fleet2").unwrap();
     let (ep1, ep2) = (Endpoint::tcp(&addr1), Endpoint::tcp(&addr2));
 
     let run = || -> Result<(), CollectorError> {
@@ -1129,10 +1179,8 @@ fn fleet_client_merges_two_rlscoped_daemons_over_tcp() {
         Ok(())
     };
     let outcome = run();
-    let _ = d1.kill();
-    let _ = d2.kill();
-    let _ = d1.wait();
-    let _ = d2.wait();
+    d1.kill();
+    d2.kill();
     outcome.unwrap();
 }
 
@@ -1140,26 +1188,12 @@ fn fleet_client_merges_two_rlscoped_daemons_over_tcp() {
 /// the binary has not been built — CI builds it first).
 #[test]
 fn rlscoped_binary_end_to_end() {
-    let mut bin = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    bin.push("target");
-    bin.push(if cfg!(debug_assertions) { "debug" } else { "release" });
-    bin.push("rlscoped");
-    if !bin.exists() {
-        eprintln!("skipping: {} not built", bin.display());
+    let Some(bin) = rlscoped_bin() else {
+        eprintln!("skipping: rlscoped not built");
         return;
-    }
+    };
     let (socket, data) = scratch("bin");
-    let mut child = std::process::Command::new(&bin)
-        .args(["--socket", socket.to_str().unwrap(), "--data-dir", data.to_str().unwrap()])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    // Wait for the socket to appear.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    while !socket.exists() && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
+    let child = spawn_rlscoped(&bin, &socket, &data);
     let run = || -> Result<(), CollectorError> {
         let events = session_events(0, 5_000);
         let mut client = CollectorClient::open_session(&socket, "bin-session")?;
@@ -1176,8 +1210,7 @@ fn rlscoped_binary_end_to_end() {
         Ok(())
     };
     let outcome = run();
-    let _ = child.kill();
-    let _ = child.wait();
+    child.kill();
     outcome.unwrap();
     assert!(Path::new(&data).join("bin-session").join("chunk_00000.rls").exists());
 }
