@@ -40,41 +40,54 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Test-only fault injection for the daemon's durable I/O path, compiled
-/// only under the `fault-inject` feature (release builds carry no hook).
-///
-/// A [`fault::FaultPlan`] is shared between a chaos test and the daemon
-/// config; the daemon consults it before every chunk persist and
-/// compaction job, so tests can inject ENOSPC-style failures and torn
-/// writes at exact points in the stream without touching the filesystem
-/// layer. The chunk-write counter is global to the plan, so fault
-/// schedules are easiest to reason about with one streaming session per
-/// plan.
-#[cfg(feature = "fault-inject")]
-pub mod fault {
+/// Race scripting for tests: a [`park::Parks`] set on the daemon config
+/// holds the next settled read at one of two points until the test
+/// releases it, so a test can move or prune a session's tier inside the
+/// window a stress race reaches too rarely to pin. Its lock is a leaf, as
+/// those of `leaf` are.
+#[doc(hidden)]
+pub mod park {
     use parking_lot::Mutex;
-    use rlscope_core::store::TraceIoError;
     use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
     use std::sync::Arc;
     use std::time::Duration;
 
-    #[derive(Debug, Default)]
-    struct Inner {
-        chunk_writes_seen: u64,
-        fail_chunk_writes_from: Option<u64>,
-        torn_bytes: Option<usize>,
-        fail_compaction: bool,
-        /// The next settled query's hook after its index read: tell the
-        /// test it arrived, then wait for the release.
-        park: Option<(SyncSender<()>, Receiver<()>)>,
-        /// The same, at the hook after its answer is computed.
-        park_answered: Option<(SyncSender<()>, Receiver<()>)>,
+    /// Where a settled read can be held.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Point {
+        /// Just before it reads a tier's index.
+        IndexRead,
+        /// Once its answer is computed, before it re-checks the tiers it
+        /// read.
+        Answered,
     }
 
-    /// A settled-tier query held at one of its hooks
-    /// ([`FaultPlan::park_next_settled_query`],
-    /// [`FaultPlan::park_next_settled_answer`]); dropping it releases
-    /// the query too.
+    /// A read's end of a park: tell the test it arrived, then wait for
+    /// the release.
+    type Park = (SyncSender<()>, Receiver<()>);
+
+    #[derive(Debug, Default)]
+    struct Inner {
+        index_read: Option<Park>,
+        answered: Option<Park>,
+    }
+
+    impl Inner {
+        fn at(&mut self, point: Point) -> &mut Option<Park> {
+            match point {
+                Point::IndexRead => &mut self.index_read,
+                Point::Answered => &mut self.answered,
+            }
+        }
+    }
+
+    /// The parks set for the next settled read (see the module docs).
+    #[derive(Debug, Default)]
+    pub struct Parks {
+        inner: Mutex<Inner>,
+    }
+
+    /// A settled read held at a park; dropping it releases the read too.
     #[derive(Debug)]
     pub struct ParkedQuery {
         arrived: Receiver<()>,
@@ -82,136 +95,53 @@ pub mod fault {
     }
 
     impl ParkedQuery {
-        /// Waits up to `timeout` for a query to reach the hook.
+        /// Waits up to `timeout` for a read to reach the park.
         pub fn wait_parked(&self, timeout: Duration) -> bool {
             self.arrived.recv_timeout(timeout).is_ok()
         }
 
-        /// Lets the parked query go on to its answer.
+        /// Lets the parked read go on.
         pub fn release(self) {
             let _ = self.release.send(());
         }
     }
 
-    /// A mutable fault schedule for the daemon's chunk writes and
-    /// compaction jobs (see the module docs).
-    #[derive(Debug, Default)]
-    pub struct FaultPlan {
-        inner: Mutex<Inner>,
-    }
-
-    pub(crate) enum ChunkWriteFault {
-        Pass,
-        Torn(usize),
-        Fail,
-    }
-
-    impl FaultPlan {
-        /// A plan with no faults scheduled.
-        pub fn new() -> Arc<FaultPlan> {
-            Arc::new(FaultPlan::default())
+    impl Parks {
+        /// No park set.
+        pub fn new() -> Arc<Parks> {
+            Arc::new(Parks::default())
         }
 
-        /// Every chunk persist from the `nth` (0-based, counted across
-        /// the plan's lifetime) fails with an injected ENOSPC-style
-        /// error before any byte lands.
-        pub fn fail_chunk_writes_from(&self, nth: u64) {
-            let mut inner = self.inner.lock();
-            inner.fail_chunk_writes_from = Some(nth);
-            inner.torn_bytes = None;
+        /// Parks the next settled read just before it reads a tier's
+        /// index: the window in which a tier transition can move or
+        /// prune what it is about to read.
+        pub fn park_next_index_read(&self) -> ParkedQuery {
+            self.set(Point::IndexRead)
         }
 
-        /// Like [`FaultPlan::fail_chunk_writes_from`], but each failing
-        /// write first leaves a torn `keep_bytes`-byte prefix on disk —
-        /// the partial-write shape a real crash leaves behind.
-        pub fn tear_chunk_writes_from(&self, nth: u64, keep_bytes: usize) {
-            let mut inner = self.inner.lock();
-            inner.fail_chunk_writes_from = Some(nth);
-            inner.torn_bytes = Some(keep_bytes);
+        /// Parks the next settled read once its answer is computed,
+        /// before it checks that the tiers it read still hold: the
+        /// window in which a tier transition can remove files the answer
+        /// was read from, after the read succeeded.
+        pub fn park_next_settled_answer(&self) -> ParkedQuery {
+            self.set(Point::Answered)
         }
 
-        /// Make every compaction job fail mid-build with an injected
-        /// ENOSPC-style error (a partial temp dir is left behind, like a
-        /// real mid-build crash would).
-        pub fn fail_compaction(&self, fail: bool) {
-            self.inner.lock().fail_compaction = fail;
+        fn set(&self, point: Point) -> ParkedQuery {
+            let (arrived_tx, arrived) = sync_channel(1);
+            let (release, release_rx) = sync_channel(1);
+            *self.inner.lock().at(point) = Some((arrived_tx, release_rx));
+            ParkedQuery { arrived, release }
         }
 
-        /// Clears all scheduled faults and resets the write counter, so
-        /// the next schedule counts from the next chunk persist.
-        pub fn clear(&self) {
-            let mut inner = self.inner.lock();
-            inner.chunk_writes_seen = 0;
-            inner.fail_chunk_writes_from = None;
-            inner.torn_bytes = None;
-        }
-
-        pub(crate) fn next_chunk_write(&self) -> ChunkWriteFault {
-            let mut inner = self.inner.lock();
-            let n = inner.chunk_writes_seen;
-            inner.chunk_writes_seen += 1;
-            match inner.fail_chunk_writes_from {
-                Some(from) if n >= from => match inner.torn_bytes {
-                    Some(keep) => ChunkWriteFault::Torn(keep),
-                    None => ChunkWriteFault::Fail,
-                },
-                _ => ChunkWriteFault::Pass,
+        /// Holds the calling read at `point` if a park is set there.
+        pub(crate) fn wait(&self, point: Point) {
+            let park = self.inner.lock().at(point).take();
+            if let Some((arrived, release)) = park {
+                let _ = arrived.send(());
+                let _ = release.recv();
             }
         }
-
-        pub(crate) fn compaction_fails(&self) -> bool {
-            self.inner.lock().fail_compaction
-        }
-
-        /// Parks the next settled-tier query after it has read its
-        /// tier's index and before it answers, until the returned
-        /// [`ParkedQuery`] is released — the window in which a tier
-        /// transition can move or prune what the query is reading.
-        pub fn park_next_settled_query(&self) -> ParkedQuery {
-            let (park, parked) = parking();
-            self.inner.lock().park = Some(park);
-            parked
-        }
-
-        /// Parks the next settled-tier query once its answer is
-        /// computed, before it checks that its tier still holds — the
-        /// window in which a tier transition can remove files the
-        /// answer was read from, after the read succeeded.
-        pub fn park_next_settled_answer(&self) -> ParkedQuery {
-            let (park, parked) = parking();
-            self.inner.lock().park_answered = Some(park);
-            parked
-        }
-
-        pub(crate) fn settled_query_hook(&self) {
-            let park = self.inner.lock().park.take();
-            wait_released(park);
-        }
-
-        pub(crate) fn settled_answer_hook(&self) {
-            let park = self.inner.lock().park_answered.take();
-            wait_released(park);
-        }
-    }
-
-    /// A hook's end of a park and the test's.
-    fn parking() -> ((SyncSender<()>, Receiver<()>), ParkedQuery) {
-        let (arrived_tx, arrived) = sync_channel(1);
-        let (release, release_rx) = sync_channel(1);
-        ((arrived_tx, release_rx), ParkedQuery { arrived, release })
-    }
-
-    /// Tells the test a query arrived at a set park, then waits for the
-    /// release.
-    fn wait_released(park: Option<(SyncSender<()>, Receiver<()>)>) {
-        if let Some((arrived, release)) = park {
-            let _ = arrived.send(());
-            let _ = release.recv();
-        }
-    }
-
-    pub(crate) fn injected_enospc() -> TraceIoError {
-        std::io::Error::other("injected ENOSPC (fault plan)").into()
     }
 }
 
@@ -252,9 +182,9 @@ pub struct CollectorConfig {
     /// the granularity floor for time-windowed queries against the
     /// rollup tier.
     pub rollup_segment_ns: u64,
-    /// Fault schedule for the durable I/O path (chaos tests only).
-    #[cfg(feature = "fault-inject")]
-    pub faults: Option<Arc<fault::FaultPlan>>,
+    /// Parks for the next settled read (tests only; see `park`).
+    #[doc(hidden)]
+    pub parks: Option<Arc<park::Parks>>,
 }
 
 impl CollectorConfig {
@@ -268,8 +198,7 @@ impl CollectorConfig {
             idle_timeout: None,
             retention: None,
             rollup_segment_ns: 1_000_000_000,
-            #[cfg(feature = "fault-inject")]
-            faults: None,
+            parks: None,
         }
     }
 }
@@ -496,33 +425,25 @@ enum Seal {
 struct ChunkStore {
     dir: PathBuf,
     seq: u32,
-    #[cfg(feature = "fault-inject")]
-    faults: Option<Arc<fault::FaultPlan>>,
 }
 
 impl ChunkStore {
     /// Creates the session directory, clearing stale chunks (same
     /// reused-directory semantics as `TraceWriter::create`).
-    fn create(dir: &Path, config: &CollectorConfig) -> Result<ChunkStore, TraceIoError> {
+    fn create(dir: &Path) -> Result<ChunkStore, TraceIoError> {
         fs::create_dir_all(dir)?;
         for stale in list_chunk_files(dir)? {
             fs::remove_file(stale)?;
         }
-        Ok(ChunkStore::resume(dir, 0, config))
+        Ok(ChunkStore::resume(dir, 0))
     }
 
     /// Reopens a recovered directory without wiping it: `chunks` is the
     /// length of the validated prefix a [`recover_chunk_prefix`] scan
     /// kept, and new chunks continue its contiguous `chunk_NNNNN`
     /// numbering.
-    fn resume(dir: &Path, chunks: u32, config: &CollectorConfig) -> ChunkStore {
-        let _ = config;
-        ChunkStore {
-            dir: dir.to_path_buf(),
-            seq: chunks,
-            #[cfg(feature = "fault-inject")]
-            faults: config.faults.clone(),
-        }
+    fn resume(dir: &Path, chunks: u32) -> ChunkStore {
+        ChunkStore { dir: dir.to_path_buf(), seq: chunks }
     }
 
     /// Persists one validated chunk payload verbatim.
@@ -530,30 +451,8 @@ impl ChunkStore {
         let path = self.dir.join(format!("chunk_{:05}.rls", self.seq));
         // A failed write may have landed a partial file; the directory
         // must keep holding exactly the acked prefix.
-        self.write_chunk(&path, payload).inspect_err(|_| drop(fs::remove_file(&path)))?;
+        fs::write(&path, payload).inspect_err(|_| drop(fs::remove_file(&path)))?;
         self.seq += 1;
-        Ok(())
-    }
-
-    #[cfg(feature = "fault-inject")]
-    fn write_chunk(&self, path: &Path, payload: &[u8]) -> Result<(), TraceIoError> {
-        if let Some(plan) = &self.faults {
-            match plan.next_chunk_write() {
-                fault::ChunkWriteFault::Pass => {}
-                fault::ChunkWriteFault::Torn(keep) => {
-                    let _ = fs::write(path, payload.get(..keep).unwrap_or(payload));
-                    return Err(fault::injected_enospc());
-                }
-                fault::ChunkWriteFault::Fail => return Err(fault::injected_enospc()),
-            }
-        }
-        fs::write(path, payload)?;
-        Ok(())
-    }
-
-    #[cfg(not(feature = "fault-inject"))]
-    fn write_chunk(&self, path: &Path, payload: &[u8]) -> Result<(), TraceIoError> {
-        fs::write(path, payload)?;
         Ok(())
     }
 }
@@ -813,7 +712,7 @@ impl Owner {
     }
 }
 
-/// The daemon's leaf locks, as `fault::FaultPlan`'s: a private field
+/// The daemon's leaf locks, as `park::Parks`'s: a private field
 /// no code outside its module can take (E0616), held by one method at
 /// a time for bounded work that calls no daemon code. A leaf is never
 /// held while another lock is taken, so `sessions`, the one lock held
@@ -1013,22 +912,10 @@ impl Daemon {
         }
     }
 
-    /// Holds a settled-tier query between its index read and its answer
-    /// when the fault plan asks to (chaos tests only; a no-op otherwise).
-    fn settled_query_hook(&self) {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = &self.config.faults {
-            plan.settled_query_hook();
-        }
-    }
-
-    /// Holds a settled-tier query between its computed answer and its
-    /// tier re-check when the fault plan asks to (chaos tests only; a
-    /// no-op otherwise).
-    fn settled_answer_hook(&self) {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = &self.config.faults {
-            plan.settled_answer_hook();
+    /// Holds a settled read at `point` when a test's parks ask to.
+    fn park(&self, point: park::Point) {
+        if let Some(parks) = &self.config.parks {
+            parks.wait(point);
         }
     }
 
@@ -1418,7 +1305,7 @@ fn recover_session(
                 register(settled(Some(error), chunks));
                 return report(SessionPhase::Aborted, chunks, events, removed_chunks);
             }
-            let store = ChunkStore::resume(dir, prefix.entries.len() as u32, &daemon.config);
+            let store = ChunkStore::resume(dir, prefix.entries.len() as u32);
             register(Entry::Open(spawn_owner(
                 daemon,
                 name,
@@ -1548,21 +1435,6 @@ fn run_compaction_job(daemon: &Daemon, name: &str, kind: JobKind) -> Result<(), 
     };
     if !eligible {
         return Ok(());
-    }
-    #[cfg(feature = "fault-inject")]
-    if let Some(plan) = &daemon.config.faults {
-        if plan.compaction_fails() && kind != JobKind::Prune {
-            // Simulate a mid-build failure honestly: leave a partial
-            // temp dir behind, exactly what a real ENOSPC or crash
-            // mid-build leaves. The next (un-faulted) run wipes it.
-            let tmp = settled.dir.join(compact::TIER_TMP);
-            let _ = fs::create_dir_all(&tmp);
-            let _ = fs::write(tmp.join("partial.rls"), b"torn tier build");
-            return Err((
-                ErrorCode::Io,
-                "injected ENOSPC (fault plan) during compaction".to_string(),
-            ));
-        }
     }
     match kind {
         JobKind::Sort => {
@@ -1758,7 +1630,7 @@ fn handle_hello_new(
             }
         }
     }
-    let store = ChunkStore::create(&dir, &daemon.config).map_err(io_err)?;
+    let store = ChunkStore::create(&dir).map_err(io_err)?;
     let epoch = daemon.next_epoch.fetch_add(1, Ordering::SeqCst);
     let record = SessionRecord {
         epoch,
@@ -1838,19 +1710,28 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
             // The snapshot queues behind every chunk acked so far, so
             // the prefix it covers includes them.
             let view = live_view(spec);
-            let tables = match daemon.route(name, |reply| Msg::Snapshot { view, reply })? {
-                // The directory holds exactly the durable acked prefix.
-                Routed::Settled(settled) => return tiered_query(daemon, name, settled, spec),
-                Routed::Open(_, tables) => tables,
+            let settled = match daemon.route(name, |reply| Msg::Snapshot { view, reply })? {
+                Routed::Open(_, tables) => return tables_reply(&tables, spec, true),
+                Routed::Settled(settled) => settled,
             };
-            tables_reply(&tables, spec, true)
+            if let Some(tables) = daemon.sealed(name, &settled, spec) {
+                return tables_reply(&tables, spec, false);
+            }
+            // The directory holds exactly the durable acked prefix. A
+            // session pruned under the read is a prune, as it is for a
+            // query sent after it.
+            let dir = vec![(Arc::from(name.as_str()), settled)];
+            settled_read(daemon, Vec::<(_, Part<()>)>::new(), dir, |parts| match parts {
+                [(_, Part::Dir(_, index))] => index_reply(index, spec),
+                _ => Err((ErrorCode::UnknownTarget, format!("no session {name:?}"))),
+            })
         }
         QueryTarget::Dir(path) => {
             let dir = PathBuf::from(path);
             if !dir.is_dir() {
                 return Err((ErrorCode::UnknownTarget, format!("no chunk directory {path:?}")));
             }
-            settled_query(daemon, &dir, StorageTier::Raw, spec, || Ok(()))
+            index_reply(&tier_index(&dir, StorageTier::Raw)?, spec)
         }
         // A QUERY reply carries one canonical-JSON table; the all-sessions
         // answer is per-session groups, which only a QUERY_ALL_OK can carry.
@@ -1862,21 +1743,26 @@ fn run_query(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryReply, ConnError>
 }
 
 fn handle_list_sessions(daemon: &Daemon, writer: &Writer) -> Result<(), ConnError> {
-    let mut sessions = Vec::new();
+    let (mut open, mut settled) = (Vec::new(), Vec::new());
     for (name, _) in daemon.entries() {
-        // A settled session's total is its tier index's, whether it
-        // settled in this daemon run or was recovered from disk.
-        let (live, events) = match daemon.route(&name, |reply| Msg::Status { reply }) {
-            Ok(Routed::Open(_, (_, events))) => (true, events),
-            Ok(Routed::Settled(s)) => match tier_index(&tier_dir(&s.dir, s.tier), s.tier) {
-                Ok(index) => (false, index.total_events()),
-                Err(_) => continue, // pruned since the listing was taken
-            },
-            Err(_) => continue, // pruned since the listing was taken
-        };
-        sessions.push(SessionInfo { name, live, events });
+        match daemon.route(&name, |reply| Msg::Status { reply }) {
+            Ok(Routed::Open(_, (_, events))) => open.push((Arc::from(name), Part::Mem(events))),
+            // A settled session's total is its tier index's, whether it
+            // settled in this daemon run or was recovered from disk.
+            Ok(Routed::Settled(entry)) => settled.push((Arc::from(name), entry)),
+            Err(_) => {} // pruned since the listing was taken
+        }
     }
-    let reply = SessionList { sessions };
+    let reply = settled_read(daemon, open, settled, |parts| {
+        let sessions = parts.iter().map(|(name, part)| {
+            let (live, events) = match part {
+                Part::Mem(events) => (true, *events),
+                Part::Dir(_, index) => (false, index.total_events()),
+            };
+            SessionInfo { name: name.to_string(), live, events }
+        });
+        Ok(SessionList { sessions: sessions.collect() })
+    })?;
     writer.send(kind::SESSIONS, &reply.encode()).map_err(io_err)?;
     Ok(())
 }
@@ -1892,110 +1778,114 @@ fn handle_query_all(daemon: &Daemon, writer: &Writer, payload: &[u8]) -> Result<
 /// through [`Analysis::of_sessions`]. Open sessions contribute a
 /// consistent acked-prefix snapshot (asked of each owner in turn, the
 /// same way a single-session query does); finished and aborted sessions
-/// contribute their seal or the directory of their tier, read through
-/// the one index read of it that also counts its events. A directory
-/// counts under [`tiered_query`]'s rule, per session: the answer stands
-/// only if every directory's session still held its tier after the
-/// answer was computed. Otherwise — also after a failed read — the
-/// sessions that moved are re-read at their new tier, the ones pruned
-/// meanwhile are dropped, and the answer is computed again (tiers only
-/// move forward, so this terminates); a read of a directory being
-/// dropped is never returned.
+/// contribute their seal or, through [`settled_read`], the directory of
+/// their tier. A session pruned meanwhile drops out.
 fn run_query_all(daemon: &Daemon, spec: &QuerySpec) -> Result<QueryAllReply, ConnError> {
     if spec.target != QueryTarget::AllSessions {
         return Err((ErrorCode::Protocol, "QUERY_ALL frames take the all-sessions target".into()));
     }
     let view = live_view(spec);
     let mut any_live = false;
-    /// What one session contributes: tables (a live snapshot or a
-    /// seal), or the directory of the tier its settled entry names,
-    /// through the index read of it.
-    enum Part {
-        Tables(Arc<LiveTables>),
-        Dir(Settled, TierIndex),
-    }
-    // Each session's name, event count and part. A tier transition keeps
-    // the event count, so a session re-read at a new tier keeps it too.
-    let mut parts: Vec<(Arc<str>, u64, Part)> = Vec::new();
+    let (mut tables, mut settled) = (Vec::new(), Vec::new());
     for (name, _) in daemon.entries() {
         // `Err`: pruned since the listing was taken.
         let Ok(routed) = daemon.route(&name, |reply| Msg::Snapshot { view, reply }) else {
             continue;
         };
-        let (events, part) = match routed {
-            Routed::Open(_, tables) => {
+        match routed {
+            Routed::Open(_, snapshot) => {
                 any_live = true;
-                (tables.events_observed(), Part::Tables(Arc::new(tables)))
+                tables.push((Arc::from(name), Part::Mem(Arc::new(snapshot))));
             }
-            Routed::Settled(settled) => match daemon.sealed(&name, &settled, spec) {
-                Some(tables) => (tables.events_observed(), Part::Tables(tables)),
-                None => match settled_index(daemon, &name, settled)? {
-                    Some((settled, index)) => (index.total_events(), Part::Dir(settled, index)),
-                    // Pruned since the listing was taken.
-                    None => continue,
-                },
+            Routed::Settled(entry) => match daemon.sealed(&name, &entry, spec) {
+                Some(seal) => tables.push((Arc::from(name), Part::Mem(seal))),
+                None => settled.push((Arc::from(name), entry)),
             },
-        };
-        parts.push((Arc::from(name), events, part));
+        }
     }
-    loop {
-        let sources = parts.iter().map(|(name, _, part)| {
+    settled_read(daemon, tables, settled, |parts| {
+        let sources = parts.iter().map(|(name, part)| {
             let source = match part {
-                Part::Tables(tables) => SessionSource::Live(tables),
+                Part::Mem(tables) => SessionSource::Live(tables),
                 Part::Dir(_, TierIndex::Chunks(manifest)) => SessionSource::ChunkIndex(manifest),
                 Part::Dir(_, TierIndex::Rollup(rollup)) => SessionSource::Rollup(rollup),
             };
             (name.clone(), source)
         });
         let groups = apply_spec(Analysis::of_sessions(sources), spec).tables();
-        let mut moved = false;
-        let mut kept = Vec::with_capacity(parts.len());
-        for (name, events, part) in parts {
-            let Part::Dir(settled, index) = part else {
-                kept.push((name, events, part));
-                continue;
-            };
-            match daemon.tier_now(&name, &settled) {
-                TierNow::Held => kept.push((name, events, Part::Dir(settled, index))),
-                TierNow::Moved(now) => {
-                    moved = true;
-                    if let Some((now, index)) = settled_index(daemon, &name, now)? {
-                        kept.push((name, events, Part::Dir(now, index)));
-                    }
-                }
-                TierNow::Pruned => moved = true,
-            }
-        }
-        parts = kept;
-        if moved {
-            continue;
-        }
-        return Ok(QueryAllReply {
-            live: any_live,
-            events_observed: parts.iter().map(|(_, events, _)| events).sum(),
-            sessions: parts.iter().map(|(name, _, _)| name.to_string()).collect(),
-            groups: groups.map_err(analysis_err)?,
+        let events = parts.iter().map(|(_, part)| match part {
+            Part::Mem(tables) => tables.events_observed(),
+            Part::Dir(_, index) => index.total_events(),
         });
-    }
+        Ok(QueryAllReply {
+            live: any_live,
+            events_observed: events.sum(),
+            sessions: parts.iter().map(|(name, _)| name.to_string()).collect(),
+            groups: groups.map_err(analysis_err)?,
+        })
+    })
 }
 
-/// The index of the settled session `name` at `settled`'s tier, with
-/// the entry it was read at. A tier transition can drop the directory
-/// mid-read: the index is then read again at the new tier, as
-/// [`tiered_query`] does. `None` once the session is pruned.
-fn settled_index(
+/// One named session a [`settled_read`] answers over: `Mem` from memory
+/// (a live snapshot, a seal, a live count), or `Dir` from the directory
+/// of a settled session's tier, through the index read of it and the
+/// entry it was read at.
+enum Part<T> {
+    Mem(T),
+    Dir(Settled, TierIndex),
+}
+
+/// The one read of settled sessions' directories. A directory is read
+/// with no lock held, so a tier transition can move the session, or a
+/// prune remove it, mid-read; both update the session map before they
+/// delete a file. So `answer` runs over `parts` (answered from memory)
+/// and an index read of each `unread` session's tier, in name order,
+/// and its result (an answer or an error) stands only if every session
+/// it read from disk still held its tier afterwards. Otherwise the
+/// sessions that moved are read again at their new tier, the ones
+/// pruned drop out (an `answer` that needs one names the prune), and
+/// the answer is computed again. A failed index read is retried the
+/// same way, or is the error when its session still holds its tier.
+/// Tiers only move forward, so this terminates, and nothing read from a
+/// directory being dropped is ever returned.
+fn settled_read<T, R>(
     daemon: &Daemon,
-    name: &str,
-    mut settled: Settled,
-) -> Result<Option<(Settled, TierIndex)>, ConnError> {
+    mut parts: Vec<(Arc<str>, Part<T>)>,
+    mut unread: Vec<(Arc<str>, Settled)>,
+    answer: impl Fn(&[(Arc<str>, Part<T>)]) -> Result<R, ConnError>,
+) -> Result<R, ConnError> {
     loop {
-        match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
-            Ok(index) => return Ok(Some((settled, index))),
-            Err(error) => match daemon.tier_now(name, &settled) {
-                TierNow::Held => return Err(error),
-                TierNow::Moved(now) => settled = now,
-                TierNow::Pruned => return Ok(None),
-            },
+        while let Some((name, settled)) = unread.pop() {
+            daemon.park(park::Point::IndexRead);
+            match tier_index(&tier_dir(&settled.dir, settled.tier), settled.tier) {
+                Ok(index) => parts.push((name, Part::Dir(settled, index))),
+                Err(error) => match daemon.tier_now(&name, &settled) {
+                    TierNow::Held => return Err(error),
+                    TierNow::Moved(now) => unread.push((name, now)),
+                    TierNow::Pruned => {}
+                },
+            }
+        }
+        parts.sort_by(|a, b| a.0.cmp(&b.0));
+        let result = answer(&parts);
+        daemon.park(park::Point::Answered);
+        let mut pruned = false;
+        parts.retain(|(name, part)| {
+            let Part::Dir(settled, _) = part else { return true };
+            match daemon.tier_now(name, settled) {
+                TierNow::Held => true,
+                TierNow::Moved(now) => {
+                    unread.push((name.clone(), now));
+                    false
+                }
+                TierNow::Pruned => {
+                    pruned = true;
+                    false
+                }
+            }
+        });
+        if unread.is_empty() && !pruned {
+            return result;
         }
     }
 }
@@ -2034,74 +1924,19 @@ fn tier_index(dir: &Path, tier: StorageTier) -> Result<TierIndex, ConnError> {
     .map_err(io_err)
 }
 
-/// Routes a settled session's query to its seal ([`Daemon::sealed`]),
-/// which answers from memory, or else to its current storage tier. The
-/// directory query runs with no lock held, so a concurrent tier
-/// transition can delete the files mid-read. Compaction moves the
-/// session's tier, or a prune removes its entry, before it deletes
-/// anything, so a directory's answer counts only if the tier it read
-/// still held after it was computed: otherwise — and after a failed read
-/// — it is retried at the session's new tier (the tier only moves
-/// forward, so this terminates), and a session pruned mid-read is an
-/// [`ErrorCode::UnknownTarget`], as it is for a query sent after the
-/// prune. A read of a directory being dropped is thus never returned.
-fn tiered_query(
-    daemon: &Daemon,
-    name: &str,
-    mut settled: Settled,
-    spec: &QuerySpec,
-) -> Result<QueryReply, ConnError> {
-    if let Some(tables) = daemon.sealed(name, &settled, spec) {
-        return tables_reply(&tables, spec, false);
-    }
-    loop {
-        let (dir, tier) = (tier_dir(&settled.dir, settled.tier), settled.tier);
-        let held = || match daemon.tier_now(name, &settled) {
-            TierNow::Held => Ok(()),
-            _ => Err((ErrorCode::Io, format!("session {name:?} left the {tier:?} tier mid-read"))),
-        };
-        let result = settled_query(daemon, &dir, tier, spec, held);
-        if let Err((ErrorCode::Io, _)) = &result {
-            match daemon.tier_now(name, &settled) {
-                TierNow::Held => {}
-                TierNow::Moved(now) => {
-                    settled = now;
-                    continue;
-                }
-                TierNow::Pruned => {
-                    return Err((ErrorCode::UnknownTarget, format!("no session {name:?}")))
-                }
-            }
-        }
-        return result;
-    }
-}
-
-/// One query over a settled tier's directory, which reads its index
-/// once. A raw or sorted directory answers through footer pushdown over
-/// that chunk index ([`Analysis::from_chunk_index`]); a rollup answers
-/// from its pre-aggregated segment summaries through the `ROLLUP` index
-/// it opened ([`Analysis::from_rollup`]) without decoding a raw event,
-/// and a query needing raw resolution comes back as a typed
-/// [`ErrorCode::UnsupportedQuery`] straight from the analysis layer.
-/// The answer reports the index's event total. `held` is asked once the
-/// answer exists, before it is returned: an error there discards it.
-fn settled_query(
-    daemon: &Daemon,
-    dir: &Path,
-    tier: StorageTier,
-    spec: &QuerySpec,
-    held: impl FnOnce() -> Result<(), ConnError>,
-) -> Result<QueryReply, ConnError> {
-    let index = tier_index(dir, tier)?;
-    daemon.settled_query_hook();
-    let analysis = match &index {
+/// Answers `spec` from a settled tier's index, reporting its event
+/// total. A raw or sorted directory answers through footer pushdown over
+/// its chunk index ([`Analysis::from_chunk_index`]); a rollup answers
+/// from its pre-aggregated segment summaries ([`Analysis::from_rollup`])
+/// without decoding a raw event, and a query needing raw resolution
+/// comes back as a typed [`ErrorCode::UnsupportedQuery`] straight from
+/// the analysis layer.
+fn index_reply(index: &TierIndex, spec: &QuerySpec) -> Result<QueryReply, ConnError> {
+    let analysis = match index {
         TierIndex::Rollup(rollup) => Analysis::from_rollup(rollup),
         TierIndex::Chunks(manifest) => Analysis::from_chunk_index(manifest),
     };
     let canonical_json = apply_spec(analysis, spec).canonical_json().map_err(analysis_err)?;
-    daemon.settled_answer_hook();
-    held()?;
     let events_observed = index.total_events();
     Ok(QueryReply { live: false, cache_hit: false, events_observed, canonical_json })
 }

@@ -82,8 +82,8 @@
 //! frame boundary, or daemon shutdown) detaches its session — state is
 //! kept, the registry stays `Active`, and the session waits for a
 //! resume. A connection that fails mid-frame or violates the protocol,
-//! a chunk the sweeps or the disk reject (including injected disk-full
-//! faults), and a sequence gap all **abort** the session with a typed
+//! a chunk the sweeps or the disk reject (a full disk, say), and a
+//! sequence gap all **abort** the session with a typed
 //! error. The owner settles an abort itself, at once, whoever detected
 //! it — it does not wait for the client to hang up: the durable prefix
 //! is immediately queryable (as a directory target or by name), the
@@ -314,7 +314,10 @@
 //! `QUERY_ALL` frames answer over whatever tier a session occupies, and
 //! a query needing sub-segment resolution from a rolled-up session
 //! fails typed ([`ErrorCode::UnsupportedQuery`]) rather than
-//! approximating.
+//! approximating. A read a tier transition overtakes (`QUERY`,
+//! `QUERY_ALL`, and the event counts of `LIST_SESSIONS`) reads the
+//! session again at its new tier; a session pruned under it is an
+//! [`ErrorCode::UnknownTarget`] to `QUERY` and absent from the others.
 //!
 //! [`Analysis`]: rlscope_core::analysis::Analysis
 //! [`Analysis::from_chunk_index`]: rlscope_core::analysis::Analysis::from_chunk_index

@@ -1,110 +1,43 @@
 //! Fault-injection chaos suite for the crash-safe collector: daemon
 //! SIGKILL mid-ingest with automatic client resume, client crashes
-//! mid-frame, torn tail chunks at every byte offset, injected
-//! disk-full faults, idle-session reaping, and graceful
-//! shutdown/restart — asserting the durability contract end to end
-//! (acked ⇒ durable, recovery = exactly an acked prefix, typed aborts,
-//! never a daemon panic).
+//! mid-frame, torn tail chunks at every byte offset, disk faults,
+//! idle-session reaping, and graceful shutdown/restart — asserting the
+//! durability contract end to end (acked ⇒ durable, recovery = exactly
+//! an acked prefix, typed aborts, never a daemon panic).
 //!
-//! The daemon-kill scenarios drive the real `rlscoped` binary; the
-//! injected-I/O scenarios use an in-process [`Collector`] with the
-//! `fault-inject` feature's [`FaultPlan`] hooks (compiled into this
-//! test build through the workspace dev-dependency).
+//! The daemon-kill scenarios drive the real `rlscoped` binary. The
+//! disk-fault scenarios run an in-process [`Collector`], the same code
+//! the binary runs, and get their errors from the kernel (Linux): a
+//! symlink to `/dev/full` where the next chunk goes fails its write
+//! with ENOSPC, and a regular file where a tier build's temp directory
+//! goes fails the build's `mkdir` with EEXIST.
 
 mod common;
 
-use common::{rlscoped_bin, spawn_rlscoped, try_spawn_rlscoped_tcp, Rlscoped};
+use common::{
+    rlscoped_bin, scratch, session_events, spawn_rlscoped, try_spawn_rlscoped_tcp, wait_phase,
+    Rlscoped, Scratch,
+};
 use proptest::prelude::*;
-use rlscope::collector::daemon::fault::FaultPlan;
 use rlscope::collector::registry::{SessionRecord, SessionStatus, StorageTier};
 use rlscope::collector::{
     Collector, CollectorClient, CollectorConfig, CollectorError, CollectorSink, ErrorCode,
     HelloAck, HelloRequest, QuerySpec, ReconnectPolicy, RetentionPolicy, SessionPhase,
 };
 use rlscope::core::analysis::Analysis;
-use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
+use rlscope::core::event::Event;
 use rlscope::core::profiler::{cut_of, EventSink};
 use rlscope::core::store::{
     encode_events, read_frame, recover_chunk_prefix, write_frame, Cut, EventColumns,
 };
-use rlscope::sim::ids::ProcessId;
-use rlscope::sim::time::TimeNs;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A fresh scratch dir (with a short socket path — the 108-byte
-/// sun_path limit) per test.
-fn scratch(tag: &str) -> (PathBuf, PathBuf) {
-    let root = std::env::temp_dir().join(format!("rlsx_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    (root.join("sock"), root.join("data"))
-}
-
-/// A realistic per-session stream (same shape the collector loopback
-/// tests use): operations over interleaved CPU/GPU activity plus two
-/// close-ordered phases.
-fn session_events(pid: u32, n: usize) -> Vec<Event> {
-    let p = ProcessId(pid);
-    let mut events = Vec::with_capacity(n);
-    let mut i = 0u64;
-    while events.len() + 2 < n {
-        let t = i * 1_000;
-        if i.is_multiple_of(50) {
-            let name = if (i / 50).is_multiple_of(2) { "train_step" } else { "collect_rollouts" };
-            events.push(Event::new(
-                p,
-                EventKind::Operation,
-                name,
-                TimeNs::from_nanos(t),
-                TimeNs::from_nanos(t + 50_000),
-            ));
-        }
-        let kind = match i % 4 {
-            0 => EventKind::Cpu(CpuCategory::Python),
-            1 => EventKind::Cpu(CpuCategory::Backend),
-            2 => EventKind::Cpu(CpuCategory::CudaApi),
-            _ => EventKind::Gpu(GpuCategory::Kernel),
-        };
-        events.push(Event::new(p, kind, "e", TimeNs::from_nanos(t), TimeNs::from_nanos(t + 800)));
-        i += 1;
-    }
-    let mid = i * 500;
-    events.push(Event::new(
-        p,
-        EventKind::Phase,
-        "warmup",
-        TimeNs::from_nanos(0),
-        TimeNs::from_nanos(mid),
-    ));
-    events.push(Event::new(
-        p,
-        EventKind::Phase,
-        "steady",
-        TimeNs::from_nanos(mid),
-        TimeNs::from_nanos(i * 1_000 + 60_000),
-    ));
-    events
-}
-
 fn batch_json(events: &[Event]) -> String {
     Analysis::of_events(events).canonical_json().unwrap()
-}
-
-/// Polls the collector until `name` reaches `phase` (the reaper and the
-/// connection teardown paths run asynchronously).
-fn wait_phase(collector: &Collector, name: &str, phase: SessionPhase) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        if collector.session_phase(name) == Some(phase) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "session '{name}' never reached {phase:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 /// Byte-compares the durable artifacts (the chunk files) of a
@@ -143,7 +76,7 @@ fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
         eprintln!("skipping: rlscoped not built");
         return;
     };
-    let (socket, data) = scratch("kill");
+    let (_scratch, socket, data) = scratch("kill");
     std::fs::create_dir_all(&data).unwrap();
     let child = spawn_rlscoped(&bin, &socket, &data);
 
@@ -207,7 +140,7 @@ fn daemon_sigkill_mid_ingest_resumes_to_byte_identical_traces() {
     // Reference: the same two streams through an uninterrupted
     // in-process daemon. The durable artifacts must match byte for
     // byte — chunking, numbering and all.
-    let (ref_socket, ref_data) = scratch("kill_ref");
+    let (_ref_scratch, ref_socket, ref_data) = scratch("kill_ref");
     let reference = Collector::bind(CollectorConfig::new(&ref_socket, &ref_data)).unwrap();
     for (s, events) in streams.iter().enumerate() {
         let name = format!("kill-{s}");
@@ -266,7 +199,7 @@ fn sink_streams_a_train_spec_through_a_daemon_sigkill() {
         eprintln!("skipping: rlscoped not built");
         return;
     };
-    let (socket, data) = scratch("sinkkill");
+    let (_scratch, socket, data) = scratch("sinkkill");
     std::fs::create_dir_all(&data).unwrap();
     let child = spawn_rlscoped(&bin, &socket, &data);
     let policy = ReconnectPolicy {
@@ -306,7 +239,7 @@ fn sink_streams_a_train_spec_through_a_daemon_sigkill() {
     drop(sink);
     child.kill();
 
-    let (ref_socket, ref_data) = scratch("sinkkill_ref");
+    let (_ref_scratch, ref_socket, ref_data) = scratch("sinkkill_ref");
     let reference = Collector::bind(CollectorConfig::new(&ref_socket, &ref_data)).unwrap();
     let mut client = CollectorClient::open_session(&ref_socket, "sinkkill").unwrap();
     for (batch, cut) in &batches {
@@ -355,7 +288,7 @@ fn a_dead_declaring_client_leaves_its_open_phase_answered_up_to_the_last_cut() {
     let last_cut = &batches[dead_at - 1].1;
     assert!(last_cut.open.iter().any(|scope| scope.phase), "no phase open at the last cut");
 
-    let (socket, data) = scratch("deadclient");
+    let (_scratch, socket, data) = scratch("deadclient");
     let mut config = CollectorConfig::new(&socket, &data);
     config.idle_timeout = Some(Duration::from_millis(300));
     let collector = Collector::bind(config).unwrap();
@@ -406,7 +339,7 @@ fn sink_latched_transport_error_surfaces_at_finish_and_later_emits_do_not_block(
         eprintln!("skipping: rlscoped not built");
         return;
     };
-    let (socket, data) = scratch("sinklatch");
+    let (_scratch, socket, data) = scratch("sinklatch");
     std::fs::create_dir_all(&data).unwrap();
     let child = spawn_rlscoped(&bin, &socket, &data);
     let sink = CollectorSink::connect_with(&socket, "latch", ReconnectPolicy::disabled()).unwrap();
@@ -470,8 +403,8 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
         eprintln!("skipping: rlscoped not built");
         return;
     };
-    let (socket1, data1) = scratch("fleet_surv");
-    let (socket2, data2) = scratch("fleet_lost");
+    let (_scratch1, socket1, data1) = scratch("fleet_surv");
+    let (_scratch2, socket2, data2) = scratch("fleet_lost");
     let (d1, addr1) = try_spawn_rlscoped_tcp(&bin, &socket1, &data1, "tcp://127.0.0.1:0").unwrap();
     let (d2, addr2) = try_spawn_rlscoped_tcp(&bin, &socket2, &data2, "tcp://127.0.0.1:0").unwrap();
     let (ep1, ep2) = (Endpoint::tcp(&addr1), Endpoint::tcp(&addr2));
@@ -567,7 +500,7 @@ fn sigkill_one_daemon_mid_federated_query_names_the_lost_shard() {
 /// resume is refused with `SessionAborted`, and the name is reusable.
 #[test]
 fn client_crash_mid_chunk_aborts_session_and_daemon_survives() {
-    let (socket, data) = scratch("ccrash");
+    let (_scratch, socket, data) = scratch("ccrash");
     let collector = Collector::bind(CollectorConfig::new(&socket, data)).unwrap();
     let events = session_events(0, 256);
 
@@ -610,7 +543,7 @@ fn client_crash_mid_chunk_aborts_session_and_daemon_survives() {
 /// the session completes with batch-identical tables.
 #[test]
 fn slow_reader_stalls_only_its_own_session() {
-    let (socket, data) = scratch("slow");
+    let (_scratch, socket, data) = scratch("slow");
     let mut config = CollectorConfig::new(&socket, data);
     config.credits = 2;
     let collector = Collector::bind(config).unwrap();
@@ -703,8 +636,8 @@ proptest! {
         let durable: Vec<Event> = full.iter().flatten().cloned().collect();
         let precrash_answer = batch_json(&durable);
         let tail_bytes = encode_events(&tail[0]);
-        let dir = std::env::temp_dir()
-            .join(format!("rlsx_torn_{}_{n}_{chunk}_{pid}", std::process::id()));
+        let scratch = Scratch::new(&format!("torn_{n}_{chunk}_{pid}"));
+        let dir = scratch.path().join("torn");
         for cut in 0..=tail_bytes.len() {
             let _ = std::fs::remove_dir_all(&dir);
             write_session_dir(&dir, full, 1);
@@ -728,7 +661,6 @@ proptest! {
                 prop_assert_eq!(&batch_json(&recovered), &precrash_answer, "cut {}", cut);
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -743,7 +675,7 @@ fn restart_truncates_torn_tail_and_resume_completes_the_stream() {
     let durable = chunks.len() / 2;
     let tail_bytes = encode_events(&chunks[durable]);
     for cut in [0usize, 1, tail_bytes.len() / 2, tail_bytes.len() - 1] {
-        let (socket, data) = scratch(&format!("torn{cut}"));
+        let (_scratch, socket, data) = scratch(&format!("torn{cut}"));
         let dir = data.join("torn");
         write_session_dir(&dir, &chunks[..durable], 1);
         std::fs::write(dir.join(format!("chunk_{durable:05}.rls")), &tail_bytes[..cut]).unwrap();
@@ -809,7 +741,7 @@ fn restart_replays_a_late_second_process_to_the_acked_prefix_answer() {
     };
     let spec = QuerySpec::session("late-pid").group_by([Dim::Process, Dim::Phase]);
 
-    let (socket, data) = scratch("latepid");
+    let (_scratch, socket, data) = scratch("latepid");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let mut client =
         CollectorClient::open_session_with(&socket, "late-pid", ReconnectPolicy::disabled())
@@ -879,44 +811,58 @@ fn assert_aborted_with_acked_prefix(collector: &Collector, name: &str, acked: &[
     assert_eq!(table, &Analysis::of_events(acked).table().unwrap());
 }
 
-/// Injected ENOSPC on the chunk persist path: the session aborts with a
-/// typed I/O error, the durable (acked) prefix stays queryable, the
-/// daemon survives, and the name is reusable. Torn chunk writes get
-/// the same treatment.
+/// Fills the disk at chunk `seq` of the session directory `dir` (which
+/// the name claim creates before `HELLO` is acked): a symlink to
+/// `/dev/full`, which the daemon's write of that chunk follows and fails
+/// on with the kernel's ENOSPC. Returns the chunk's path.
+fn fill_disk_at(dir: &Path, seq: u64) -> PathBuf {
+    let path = dir.join(format!("chunk_{seq:05}.rls"));
+    std::os::unix::fs::symlink("/dev/full", &path).unwrap();
+    path
+}
+
+/// Streams `chunks` into a fresh session with reconnects off until the
+/// daemon refuses one, and returns the client with the refusal.
+fn stream_until_refused(
+    socket: &Path,
+    name: &str,
+    chunks: &[&[Event]],
+    before: impl FnOnce(),
+) -> (CollectorClient, CollectorError) {
+    let mut client =
+        CollectorClient::open_session_with(socket, name, ReconnectPolicy::disabled()).unwrap();
+    before();
+    let sent = chunks.iter().try_for_each(|chunk| client.send_events(chunk));
+    let err = sent.and_then(|()| client.finish().map(|_| ())).expect_err("the full disk surfaces");
+    (client, err)
+}
+
+/// A full disk on the chunk persist path: the session aborts with a
+/// typed I/O error carrying the kernel's ENOSPC, the durable (acked)
+/// prefix stays queryable, nothing is left at the failed chunk's path,
+/// the daemon survives, and the name is reusable.
 #[test]
 fn injected_disk_faults_abort_typed_and_daemon_survives() {
-    let (socket, data) = scratch("enospc");
-    let faults = FaultPlan::new();
-    let mut config = CollectorConfig::new(&socket, &data);
-    config.faults = Some(faults.clone());
-    let collector = Collector::bind(config).unwrap();
+    let (_scratch, socket, data) = scratch("enospc");
+    let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let events = session_events(0, 1_024);
     let chunks: Vec<&[Event]> = events.chunks(128).collect();
 
-    // Fail every persist from the third chunk on.
-    faults.fail_chunk_writes_from(2);
-    let mut client =
-        CollectorClient::open_session_with(&socket, "full-disk", ReconnectPolicy::disabled())
-            .unwrap();
-    let mut outcome = Ok(());
-    for chunk in &chunks {
-        outcome = client.send_events(chunk);
-        if outcome.is_err() {
-            break;
-        }
-    }
-    let outcome = outcome.and_then(|()| client.finish().map(|_| ()));
-    let err = outcome.expect_err("injected ENOSPC must surface");
+    // The disk is full at the third chunk.
+    let mut full = PathBuf::new();
+    let (client, err) = stream_until_refused(&socket, "full-disk", &chunks, || {
+        full = fill_disk_at(&data.join("full-disk"), 2);
+    });
     match &err {
         CollectorError::Remote { code: Some(ErrorCode::Io), message } => {
-            assert!(message.contains("injected ENOSPC"), "unexpected message: {message}");
+            assert!(message.contains("No space left on device"), "unexpected message: {message}");
         }
         other => panic!("expected typed Io abort, got {other:?}"),
     }
 
     // Exactly the acked prefix (2 chunks) stays queryable — never the
     // failed suffix, never a non-acked byte.
-    faults.clear();
+    assert!(std::fs::symlink_metadata(&full).is_err(), "the failed chunk's path survived");
     assert_aborted_with_acked_prefix(&collector, "full-disk", &chunks[..2].concat());
 
     // A stale resume reports the abort; the name itself is reusable and
@@ -937,27 +883,14 @@ fn injected_disk_faults_abort_typed_and_daemon_survives() {
         batch_json(&events)
     );
 
-    // Torn chunk writes (partial bytes land, then the error) abort the
-    // same way and never poison recovery or later sessions. `clear()`
-    // reset the plan's write counter, so "from the 2nd write" means the
-    // 2nd chunk of the next stream.
-    faults.clear();
-    faults.tear_chunk_writes_from(1, 7);
-    let mut torn =
-        CollectorClient::open_session_with(&socket, "torn-write", ReconnectPolicy::disabled())
-            .unwrap();
-    let torn_err = (|| -> Result<(), CollectorError> {
-        for chunk in &chunks {
-            torn.send_events(chunk)?;
-        }
-        torn.finish().map(|_| ())
-    })()
-    .expect_err("torn write must abort");
-    assert!(matches!(torn_err, CollectorError::Remote { code: Some(ErrorCode::Io), .. }));
-    // The torn second chunk is gone from disk: the prefix is chunk 0.
-    assert_aborted_with_acked_prefix(&collector, "torn-write", chunks[0]);
+    // A full disk at the second chunk of a later session aborts the
+    // same way and never poisons later sessions: the prefix is chunk 0.
+    let (_, err) = stream_until_refused(&socket, "second-full", &chunks, || {
+        fill_disk_at(&data.join("second-full"), 1);
+    });
+    assert!(matches!(err, CollectorError::Remote { code: Some(ErrorCode::Io), .. }));
+    assert_aborted_with_acked_prefix(&collector, "second-full", chunks[0]);
 
-    faults.clear();
     let mut last = CollectorClient::open_session(&socket, "after-faults").unwrap();
     last.send_events(&events).unwrap();
     last.finish().unwrap();
@@ -969,7 +902,7 @@ fn injected_disk_faults_abort_typed_and_daemon_survives() {
 /// and the name becomes reusable.
 #[test]
 fn idle_sessions_are_reaped_with_a_typed_error() {
-    let (socket, data) = scratch("idle");
+    let (_scratch, socket, data) = scratch("idle");
     let mut config = CollectorConfig::new(&socket, data);
     config.idle_timeout = Some(Duration::from_millis(200));
     let collector = Collector::bind(config).unwrap();
@@ -1004,7 +937,7 @@ fn idle_sessions_are_reaped_with_a_typed_error() {
 /// and `SessionExists` still protects durable data from a blind reopen.
 #[test]
 fn shutdown_detaches_and_restart_resumes_and_reserves() {
-    let (socket, data) = scratch("grace");
+    let (_scratch, socket, data) = scratch("grace");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let events = session_events(0, 2_048);
     let chunks: Vec<&[Event]> = events.chunks(128).collect();
@@ -1071,7 +1004,7 @@ fn shutdown_detaches_and_restart_resumes_and_reserves() {
 /// equal to the raw baseline at every step.
 #[test]
 fn daemon_crash_mid_compaction_keeps_prior_tier_queryable() {
-    let (socket, data) = scratch("tiercrash");
+    let (_scratch, socket, data) = scratch("tiercrash");
     let mut config = CollectorConfig::new(&socket, &data);
     config.rollup_segment_ns = 50_000;
     let collector = Collector::bind(config).unwrap();
@@ -1135,38 +1068,72 @@ fn daemon_crash_mid_compaction_keeps_prior_tier_queryable() {
     collector.shutdown();
 }
 
-/// Injected ENOSPC during a compaction build is a typed job failure —
-/// never a daemon panic, never a lost tier: the session stays at its
-/// prior tier, fully queryable, and the job succeeds once the fault
-/// clears.
-#[test]
-fn injected_enospc_during_compaction_is_typed_and_retryable() {
-    let (socket, data) = scratch("tierfull");
-    let faults = FaultPlan::new();
-    let mut config = CollectorConfig::new(&socket, &data);
-    config.faults = Some(faults.clone());
-    let collector = Collector::bind(config).unwrap();
+/// Makes every tier build of the session directory `dir` fail in the
+/// kernel: a regular file where the build's temp directory goes, which
+/// the build can neither remove (ENOTDIR) nor make a directory of
+/// (EEXIST).
+fn block_tier_builds(dir: &Path) {
+    std::fs::write(dir.join(".tier.tmp"), b"not a directory").unwrap();
+}
+
+/// Clears [`block_tier_builds`], leaving what a crash mid-build leaves
+/// instead: a partial temp build, which the next build must wipe.
+fn unblock_tier_builds(dir: &Path) {
+    let tmp = dir.join(".tier.tmp");
+    std::fs::remove_file(&tmp).unwrap();
+    std::fs::create_dir(&tmp).unwrap();
+    std::fs::write(tmp.join("partial.rls"), b"torn tier build").unwrap();
+}
+
+/// A finished session of 1024 events in a fresh in-process daemon, with
+/// a query that reads its directory (the per-process view: no seal
+/// answers it) and that query's answer.
+fn finished_for_tiering(
+    socket: &Path,
+    data: &Path,
+    name: &str,
+) -> (Collector, CollectorClient, QuerySpec, String) {
+    use rlscope::core::analysis::Dim;
+    let collector = Collector::bind(CollectorConfig::new(socket, data)).unwrap();
     let events = session_events(0, 1_024);
-    let mut client = CollectorClient::open_session(&socket, "comp-full").unwrap();
+    let mut client = CollectorClient::open_session(socket, name).unwrap();
     client.send_events(&events).unwrap();
     client.finish().unwrap();
-    let baseline = client.query(&QuerySpec::session("comp-full")).unwrap().canonical_json;
+    let spec = QuerySpec::session(name).group_by([Dim::Process]);
+    let baseline = client.query(&spec).unwrap().canonical_json;
+    assert_eq!(
+        baseline,
+        Analysis::of_events(&events).group_by([Dim::Process]).canonical_json().unwrap()
+    );
+    (collector, client, spec, baseline)
+}
 
-    faults.fail_compaction(true);
+/// A tier build the kernel fails is a typed job failure — never a
+/// daemon panic, never a lost tier: the session stays at its prior
+/// tier, fully queryable, and the job succeeds once the fault clears,
+/// wiping the stale temp build a crash would have left.
+#[test]
+fn tier_build_faults_are_typed_and_retryable() {
+    let (_scratch, socket, data) = scratch("tierfull");
+    let (collector, mut client, spec, baseline) = finished_for_tiering(&socket, &data, "comp-full");
+    let dir = data.join("comp-full");
+
+    block_tier_builds(&dir);
     let err = collector.compact_session("comp-full").unwrap_err();
     match &err {
         CollectorError::Remote { code: Some(ErrorCode::Io), message } => {
-            assert!(message.contains("injected ENOSPC"), "unexpected message: {message}");
+            assert!(message.contains("File exists"), "unexpected message: {message}");
         }
         other => panic!("expected typed Io failure, got {other:?}"),
     }
     assert_eq!(collector.session_tier("comp-full"), Some(StorageTier::Raw));
-    assert_eq!(client.query(&QuerySpec::session("comp-full")).unwrap().canonical_json, baseline);
+    assert_eq!(client.query(&spec).unwrap().canonical_json, baseline);
 
-    faults.fail_compaction(false);
+    unblock_tier_builds(&dir);
     assert_eq!(collector.compact_session("comp-full").unwrap(), StorageTier::Sorted);
+    assert!(!dir.join(".tier.tmp").exists(), "temp debris survived a successful build");
     assert_eq!(collector.compact_session("comp-full").unwrap(), StorageTier::Rollup);
-    assert_eq!(client.query(&QuerySpec::session("comp-full")).unwrap().canonical_json, baseline);
+    assert_eq!(client.query(&spec).unwrap().canonical_json, baseline);
     collector.shutdown();
 }
 
@@ -1175,30 +1142,21 @@ fn injected_enospc_during_compaction_is_typed_and_retryable() {
 /// and the session stays due — the first pass after the fault clears
 /// retries it, reaches the sorted tier, and leaves no temp debris.
 #[test]
-fn injected_enospc_during_retention_pass_retries_on_the_next_pass() {
-    let (socket, data) = scratch("retfull");
-    let faults = FaultPlan::new();
-    let mut config = CollectorConfig::new(&socket, &data);
-    config.faults = Some(faults.clone());
-    let collector = Collector::bind(config).unwrap();
-    let events = session_events(0, 1_024);
-    let mut client = CollectorClient::open_session(&socket, "ret-full").unwrap();
-    client.send_events(&events).unwrap();
-    client.finish().unwrap();
-    let spec = QuerySpec::session("ret-full");
-    let baseline = client.query(&spec).unwrap().canonical_json;
+fn tier_build_faults_in_a_retention_pass_retry_on_the_next_pass() {
+    let (_scratch, socket, data) = scratch("retfull");
+    let (collector, mut client, spec, baseline) = finished_for_tiering(&socket, &data, "ret-full");
     let dir = data.join("ret-full");
     let policy = RetentionPolicy::parse("raw=0ms").unwrap();
 
-    faults.fail_compaction(true);
+    block_tier_builds(&dir);
     for _ in 0..2 {
         collector.run_retention_pass(&policy);
         assert_eq!(collector.session_tier("ret-full"), Some(StorageTier::Raw));
         assert_eq!(client.query(&spec).unwrap().canonical_json, baseline);
     }
-    assert!(dir.join(".tier.tmp").exists(), "the injected fault leaves a partial build");
+    assert!(dir.join(".tier.tmp").is_file(), "a failed build replaced what blocked it");
 
-    faults.fail_compaction(false);
+    unblock_tier_builds(&dir);
     collector.run_retention_pass(&policy);
     assert_eq!(collector.session_tier("ret-full"), Some(StorageTier::Sorted));
     assert!(!dir.join(".tier.tmp").exists(), "temp debris survived a successful pass");
@@ -1218,7 +1176,7 @@ fn sigkill_while_sealing_restarts_finished_with_the_sealed_answer() {
         eprintln!("skipping: rlscoped not built");
         return;
     };
-    let (socket, data) = scratch("sealkill");
+    let (_scratch, socket, data) = scratch("sealkill");
     std::fs::create_dir_all(&data).unwrap();
     let child = spawn_rlscoped(&bin, &socket, &data);
     // Four processes interleaved event by event: the seal drains the

@@ -5,7 +5,10 @@
 
 mod common;
 
-use common::{rlscoped_bin, spawn_rlscoped, try_spawn_rlscoped_tcp, Rlscoped};
+use common::{
+    rlscoped_bin, scratch, session_events, spawn_rlscoped, try_spawn_rlscoped_tcp, Rlscoped,
+    Scratch,
+};
 use proptest::prelude::*;
 use rlscope::collector::protocol::kind;
 use rlscope::collector::{
@@ -24,66 +27,11 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 
-/// A fresh scratch dir (and short socket path — the 108-byte sun_path
-/// limit) per test.
-fn scratch(tag: &str) -> (PathBuf, PathBuf) {
-    let root = std::env::temp_dir().join(format!("rlsc_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    (root.join("sock"), root.join("data"))
-}
-
-fn bind(tag: &str) -> (Collector, PathBuf) {
-    let (socket, data) = scratch(tag);
+/// An in-process daemon in a fresh scratch directory, and its socket.
+fn bind(tag: &str) -> (Scratch, Collector, PathBuf) {
+    let (scratch, socket, data) = scratch(tag);
     let collector = Collector::bind(CollectorConfig::new(&socket, data)).unwrap();
-    (collector, socket)
-}
-
-/// A realistic per-session stream: nested operation annotations over
-/// interleaved CPU/GPU activity, with two phases recorded at close
-/// (profiler order — their events arrive *after* the time they cover).
-fn session_events(pid: u32, n: usize) -> Vec<Event> {
-    let p = ProcessId(pid);
-    let mut events = Vec::with_capacity(n + n / 50 + 2);
-    let mut i = 0u64;
-    while events.len() + 2 < n {
-        let t = i * 1_000;
-        if i.is_multiple_of(50) {
-            let name = if (i / 50).is_multiple_of(2) { "train_step" } else { "collect_rollouts" };
-            events.push(Event::new(
-                p,
-                EventKind::Operation,
-                name,
-                TimeNs::from_nanos(t),
-                TimeNs::from_nanos(t + 50_000),
-            ));
-        }
-        let kind = match i % 4 {
-            0 => EventKind::Cpu(CpuCategory::Python),
-            1 => EventKind::Cpu(CpuCategory::Backend),
-            2 => EventKind::Cpu(CpuCategory::CudaApi),
-            _ => EventKind::Gpu(GpuCategory::Kernel),
-        };
-        events.push(Event::new(p, kind, "e", TimeNs::from_nanos(t), TimeNs::from_nanos(t + 800)));
-        i += 1;
-    }
-    let mid = i * 500;
-    let end = i * 1_000 + 60_000;
-    events.push(Event::new(
-        p,
-        EventKind::Phase,
-        "warmup",
-        TimeNs::from_nanos(0),
-        TimeNs::from_nanos(mid),
-    ));
-    events.push(Event::new(
-        p,
-        EventKind::Phase,
-        "steady",
-        TimeNs::from_nanos(mid),
-        TimeNs::from_nanos(end),
-    ));
-    events
+    (scratch, collector, socket)
 }
 
 /// `n` events from each of four processes, interleaved event by event:
@@ -104,7 +52,7 @@ fn four_process_events(n: usize) -> Vec<Event> {
 fn four_concurrent_sessions_stream_live_queries_and_batch_identical_tables() {
     const EVENTS_PER_SESSION: usize = 100_000;
     const CHUNK: usize = 4_096;
-    let (collector, socket) = bind("four");
+    let (_scratch, collector, socket) = bind("four");
 
     let workers: Vec<_> = (0..4u32)
         .map(|s| {
@@ -221,7 +169,7 @@ fn four_concurrent_sessions_stream_live_queries_and_batch_identical_tables() {
 fn profiler_sink_streams_a_real_workload() {
     use rlscope::prelude::*;
 
-    let (collector, socket) = bind("sink");
+    let (_scratch, collector, socket) = bind("sink");
     let sink = CollectorSink::connect(&socket, "workload").unwrap();
     let spec = TrainSpec {
         scale: ScaleConfig { hidden: 8, batch: 4, freq_div: 25, ppo: None },
@@ -252,7 +200,7 @@ fn profiler_sink_streams_a_real_workload() {
 /// serving the next clean client.
 #[test]
 fn protocol_abuse_never_panics_and_never_fakes_a_finish() {
-    let (collector, socket) = bind("abuse");
+    let (_scratch, collector, socket) = bind("abuse");
 
     // A complete, valid session byte stream (HELLO + 2 chunks + FINISH)
     // with a patchable session name.
@@ -380,7 +328,7 @@ fn read_ack(conn: &mut UnixStream) -> (u64, u32) {
 fn cross_connection_query_observes_whole_chunks_past_every_ack() {
     const CHUNK: usize = 512;
     const ACKED: usize = 3;
-    let (collector, socket) = bind("cross");
+    let (_scratch, collector, socket) = bind("cross");
     let events = session_events(2, 30_000);
     let chunks: Vec<&[Event]> = events.chunks(CHUNK).collect();
 
@@ -420,7 +368,7 @@ fn cross_connection_query_observes_whole_chunks_past_every_ack() {
 /// re-applied — the final table is the stream applied exactly once.
 #[test]
 fn replayed_chunk_is_acked_but_not_reapplied() {
-    let (collector, socket) = bind("replay");
+    let (_scratch, collector, socket) = bind("replay");
     let events = &session_events(0, 800)[..768];
     let chunks: Vec<&[Event]> = events.chunks(256).collect();
     let mut conn = raw_session(&socket, "replay");
@@ -448,7 +396,7 @@ fn replayed_chunk_is_acked_but_not_reapplied() {
 /// session is already aborted with its acked prefix queryable.
 #[test]
 fn sequence_gap_aborts_typed_and_keeps_the_acked_prefix() {
-    let (collector, socket) = bind("gap");
+    let (_scratch, collector, socket) = bind("gap");
     let events = session_events(0, 512);
     let mut conn = raw_session(&socket, "gap");
     send_chunk(&mut conn, 0, &events[..256]);
@@ -481,7 +429,7 @@ fn sequence_gap_aborts_typed_and_keeps_the_acked_prefix() {
 /// the same way.
 #[test]
 fn broken_declarations_abort_typed_and_keep_the_durable_prefix() {
-    let (collector, socket) = bind("promise");
+    let (_scratch, collector, socket) = bind("promise");
     let p = ProcessId(0);
     let ev = |kind, name: &str, start: u64, end: u64| {
         Event::new(p, kind, name, TimeNs::from_nanos(start), TimeNs::from_nanos(end))
@@ -561,7 +509,7 @@ fn broken_declarations_abort_typed_and_keep_the_durable_prefix() {
 /// after a restart recovered them from disk.
 #[test]
 fn list_sessions_counts_settled_sessions_across_a_restart() {
-    let (socket, data) = scratch("listed");
+    let (_scratch, socket, data) = scratch("listed");
     let events = session_events(0, 1_024);
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     for name in ["done", "rolled"] {
@@ -599,7 +547,7 @@ fn list_sessions_counts_settled_sessions_across_a_restart() {
 /// Server-side rejections surface as typed remote errors.
 #[test]
 fn protocol_errors_carry_codes() {
-    let (collector, socket) = bind("codes");
+    let (_scratch, collector, socket) = bind("codes");
 
     // Path characters in a session name are rejected (it names a dir).
     let err = CollectorClient::open_session(&socket, "../evil").unwrap_err();
@@ -641,7 +589,7 @@ fn concurrent_claims_of_one_name_have_one_winner_and_shutdown_joins() {
     const CLAIMERS: usize = 8;
     const ROUNDS: usize = 10;
 
-    let (collector, socket) = bind("claims");
+    let (_scratch, collector, socket) = bind("claims");
     let stop = Arc::new(AtomicBool::new(false));
     let churn: Vec<_> = (0..2)
         .map(|_| {
@@ -711,7 +659,7 @@ fn concurrent_claims_of_one_name_have_one_winner_and_shutdown_joins() {
 /// trace. The old data stays on disk and queryable via a Dir target.
 #[test]
 fn session_name_reuse_across_restarts_never_wipes_durable_data() {
-    let (socket, data) = scratch("restart");
+    let (_scratch, socket, data) = scratch("restart");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let events = session_events(0, 256);
     let mut client = CollectorClient::open_session(&socket, "keep").unwrap();
@@ -739,9 +687,8 @@ fn session_name_reuse_across_restarts_never_wipes_durable_data() {
 /// the new events. No answer is ever a cache hit.
 #[test]
 fn dir_query_answers_the_directory_as_it_is_now() {
-    let (collector, socket) = bind("cache");
-    let dir = std::env::temp_dir().join(format!("rlsc_cachedir_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let (scratch, collector, socket) = bind("cache");
+    let dir = scratch.path().join("chunks");
     let events = session_events(0, 256);
     let writer = TraceWriter::create(&dir, 1).unwrap();
     for chunk in events.chunks(64) {
@@ -768,8 +715,6 @@ fn dir_query_answers_the_directory_as_it_is_now() {
     assert!(!third.cache_hit);
     assert_ne!(third.canonical_json, first.canonical_json);
     assert_eq!(third.events_observed, (events.len() + extra.len()) as u64);
-
-    std::fs::remove_dir_all(&dir).unwrap();
     collector.shutdown();
 }
 
@@ -797,7 +742,7 @@ fn queries_write_nothing_into_the_directories_they_read() {
     use std::collections::BTreeMap;
     use std::os::unix::fs::PermissionsExt;
 
-    let (socket, data) = scratch("readonly");
+    let (_scratch, socket, data) = scratch("readonly");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let events = four_process_events(512);
     let written = data.parent().unwrap().join("written");
@@ -865,7 +810,7 @@ fn queries_write_nothing_into_the_directories_they_read() {
 /// the grown prefix.
 #[test]
 fn live_query_cache_hits_until_new_events_arrive() {
-    let (collector, socket) = bind("livecache");
+    let (_scratch, collector, socket) = bind("livecache");
     let events = session_events(0, 2_048);
     let mut client = CollectorClient::open_session(&socket, "lc").unwrap();
     client.send_events(&events[..1_024]).unwrap();
@@ -928,17 +873,12 @@ proptest! {
         events in prop::collection::vec(arb_event(), 1..250),
         chunk in 1usize..64,
     ) {
-        // One daemon shared across all cases; each case is its own
-        // session (annotations arrive in arbitrary order — the exact
-        // sweeps accept any order, which is part of the property).
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::OnceLock;
-        static DAEMON: OnceLock<(Collector, PathBuf)> = OnceLock::new();
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let (_, socket) = DAEMON.get_or_init(|| bind("prop"));
-        let name = format!("prop-{}", CASE.fetch_add(1, Ordering::SeqCst));
-        let name = name.as_str();
-        let mut client = CollectorClient::open_session(socket, name).unwrap();
+        // One daemon per case, in a scratch directory the case removes
+        // (annotations arrive in arbitrary order — the exact sweeps
+        // accept any order, which is part of the property).
+        let (_scratch, _collector, socket) = bind("prop");
+        let name = "prop";
+        let mut client = CollectorClient::open_session(&socket, name).unwrap();
         for batch in events.chunks(chunk) {
             client.send_events(batch).unwrap();
         }
@@ -975,7 +915,7 @@ fn tcp_transport_and_query_all_over_live_sessions() {
     use rlscope::core::analysis::{groups_canonical_json, LiveState, SessionSource};
     use std::sync::Arc;
 
-    let (socket, data) = scratch("tcp");
+    let (_scratch, socket, data) = scratch("tcp");
     let mut config = CollectorConfig::new(&socket, data);
     config.tcp_listen = Some("127.0.0.1:0".into());
     let collector = Collector::bind(config).unwrap();
@@ -1064,7 +1004,7 @@ fn tcp_transport_and_query_all_over_live_sessions() {
 #[test]
 fn live_queries_of_either_view_match_batch_over_the_reported_prefix() {
     const CHUNK: usize = 512;
-    let (collector, socket) = bind("views");
+    let (_scratch, collector, socket) = bind("views");
     let events = four_process_events(4_000);
 
     let mut producer = CollectorClient::open_session(&socket, "views").unwrap();
@@ -1114,11 +1054,12 @@ fn live_queries_of_either_view_match_batch_over_the_reported_prefix() {
 /// Spawns a real `rlscoped` process with an ephemeral TCP listener and
 /// returns it with its resolved `host:port` (parsed from the daemon's
 /// startup line).
-fn spawn_rlscoped_tcp(tag: &str) -> Option<(Rlscoped, String)> {
+fn spawn_rlscoped_tcp(tag: &str) -> Option<(Scratch, Rlscoped, String)> {
     let bin = rlscoped_bin()?;
-    let (socket, data) = scratch(tag);
-    let spawned = try_spawn_rlscoped_tcp(&bin, &socket, &data, "tcp://127.0.0.1:0");
-    Some(spawned.expect("rlscoped prints its tcp address"))
+    let (scratch, socket, data) = scratch(tag);
+    let (daemon, addr) = try_spawn_rlscoped_tcp(&bin, &socket, &data, "tcp://127.0.0.1:0")
+        .expect("rlscoped prints its tcp address");
+    Some((scratch, daemon, addr))
 }
 
 /// Federation acceptance: a [`FleetClient`] over two **real** `rlscoped`
@@ -1132,11 +1073,11 @@ fn fleet_client_merges_two_rlscoped_daemons_over_tcp() {
     use rlscope::core::analysis::{LiveState, SessionSource};
     use std::sync::Arc;
 
-    let Some((d1, addr1)) = spawn_rlscoped_tcp("fleet1") else {
+    let Some((_scratch1, d1, addr1)) = spawn_rlscoped_tcp("fleet1") else {
         eprintln!("skipping: rlscoped not built");
         return;
     };
-    let (d2, addr2) = spawn_rlscoped_tcp("fleet2").unwrap();
+    let (_scratch2, d2, addr2) = spawn_rlscoped_tcp("fleet2").unwrap();
     let (ep1, ep2) = (Endpoint::tcp(&addr1), Endpoint::tcp(&addr2));
 
     let run = || -> Result<(), CollectorError> {
@@ -1192,7 +1133,7 @@ fn rlscoped_binary_end_to_end() {
         eprintln!("skipping: rlscoped not built");
         return;
     };
-    let (socket, data) = scratch("bin");
+    let (_scratch, socket, data) = scratch("bin");
     let child = spawn_rlscoped(&bin, &socket, &data);
     let run = || -> Result<(), CollectorError> {
         let events = session_events(0, 5_000);
@@ -1283,7 +1224,7 @@ fn seal_answers_merged_queries_byte_identically_to_the_directory() {
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    let (socket, data) = scratch("seal");
+    let (_scratch, socket, data) = scratch("seal");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let spec = TrainSpec {
         scale: ScaleConfig { hidden: 8, batch: 4, freq_div: 25, ppo: None },
@@ -1379,7 +1320,7 @@ fn seal_answers_merged_queries_byte_identically_to_the_directory() {
 /// batch breakdown exactly.
 #[test]
 fn seal_answers_a_query_sent_right_after_finish_ack() {
-    let (socket, data) = scratch("sealwait");
+    let (_scratch, socket, data) = scratch("sealwait");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let events = four_process_events(50_000);
     let mut producer = CollectorClient::open_session(&socket, "sealwait").unwrap();
@@ -1413,7 +1354,7 @@ fn seal_answers_a_query_sent_right_after_finish_ack() {
 fn seal_yields_to_a_compaction_issued_right_after_finish_ack() {
     use rlscope::core::analysis::LiveState;
 
-    let (socket, data) = scratch("sealsort");
+    let (_scratch, socket, data) = scratch("sealsort");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let events = four_process_events(20_000);
     let mut producer = CollectorClient::open_session(&socket, "sealsort").unwrap();
@@ -1444,7 +1385,7 @@ fn seal_yields_to_a_compaction_issued_right_after_finish_ack() {
 /// chunks are scrambled.
 #[test]
 fn seal_is_never_taken_for_an_aborted_session() {
-    let (socket, data) = scratch("sealabort");
+    let (_scratch, socket, data) = scratch("sealabort");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let events = session_events(0, 4_096);
     let mut conn = raw_session(&socket, "sealabort");

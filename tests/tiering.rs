@@ -5,72 +5,28 @@
 //! windows with the typed `UnsupportedQuery`, pruned names become
 //! reusable, and `QUERY_ALL` federates across sessions sitting at
 //! different tiers.
+//!
+//! Every settled read (`QUERY`, `QUERY_ALL`, `LIST_SESSIONS`) races the
+//! tier transitions the same way: it reads a tier's index with no lock
+//! held, and its answer stands only if the tiers it read still hold.
+//! Stress tests race retention against query loops; the park tests hold
+//! one read at a park point (`daemon::park`) while a transition or a
+//! prune runs, to pin the windows a stress race reaches too rarely.
 
-use rlscope::collector::daemon::fault::{FaultPlan, ParkedQuery};
+mod common;
+
+use common::{scratch, session_events, wait_phase};
+use rlscope::collector::daemon::park::{ParkedQuery, Parks};
 use rlscope::collector::{
     Collector, CollectorClient, CollectorConfig, CollectorError, ErrorCode, QuerySpec,
-    ReconnectPolicy, RetentionPolicy, SessionPhase, StorageTier,
+    ReconnectPolicy, RetentionPolicy, SessionInfo, SessionPhase, StorageTier,
 };
 use rlscope::core::analysis::{Analysis, Dim};
-use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
-use rlscope::sim::ids::ProcessId;
+use rlscope::core::event::Event;
 use rlscope::sim::time::TimeNs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A fresh scratch dir (with a short socket path — the 108-byte
-/// sun_path limit) per test.
-fn scratch(tag: &str) -> (PathBuf, PathBuf) {
-    let root = std::env::temp_dir().join(format!("rlst_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    (root.join("sock"), root.join("data"))
-}
-
-/// Same stream shape as the chaos suite: operations over interleaved
-/// CPU/GPU activity plus two close-ordered phases.
-fn session_events(pid: u32, n: usize) -> Vec<Event> {
-    let p = ProcessId(pid);
-    let mut events = Vec::with_capacity(n);
-    let mut i = 0u64;
-    while events.len() + 2 < n {
-        let t = i * 1_000;
-        if i.is_multiple_of(50) {
-            let name = if (i / 50).is_multiple_of(2) { "train_step" } else { "collect_rollouts" };
-            events.push(Event::new(
-                p,
-                EventKind::Operation,
-                name,
-                TimeNs::from_nanos(t),
-                TimeNs::from_nanos(t + 50_000),
-            ));
-        }
-        let kind = match i % 4 {
-            0 => EventKind::Cpu(CpuCategory::Python),
-            1 => EventKind::Cpu(CpuCategory::Backend),
-            2 => EventKind::Cpu(CpuCategory::CudaApi),
-            _ => EventKind::Gpu(GpuCategory::Kernel),
-        };
-        events.push(Event::new(p, kind, "e", TimeNs::from_nanos(t), TimeNs::from_nanos(t + 800)));
-        i += 1;
-    }
-    let mid = i * 500;
-    events.push(Event::new(
-        p,
-        EventKind::Phase,
-        "warmup",
-        TimeNs::from_nanos(0),
-        TimeNs::from_nanos(mid),
-    ));
-    events.push(Event::new(
-        p,
-        EventKind::Phase,
-        "steady",
-        TimeNs::from_nanos(mid),
-        TimeNs::from_nanos(i * 1_000 + 60_000),
-    ));
-    events
-}
 
 /// Streams `events` into a fresh finished session over the socket.
 fn finish_session(socket: &std::path::Path, name: &str, events: &[Event]) -> CollectorClient {
@@ -80,18 +36,6 @@ fn finish_session(socket: &std::path::Path, name: &str, events: &[Event]) -> Col
     }
     client.finish().unwrap();
     client
-}
-
-/// Polls until `name` reaches `phase` (teardown paths are async).
-fn wait_phase(collector: &Collector, name: &str, phase: SessionPhase) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        if collector.session_phase(name) == Some(phase) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "session '{name}' never reached {phase:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 /// Polls until the session is pruned (the registry drops the name and
@@ -115,7 +59,7 @@ fn wait_pruned(collector: &Collector, name: &str, dir: &std::path::Path) {
 /// `UnsupportedQuery`.
 #[test]
 fn tiers_answer_identically_down_the_ladder() {
-    let (socket, data) = scratch("ladder");
+    let (_scratch, socket, data) = scratch("ladder");
     let mut config = CollectorConfig::new(&socket, &data);
     config.rollup_segment_ns = 10_000;
     let collector = Collector::bind(config).unwrap();
@@ -177,7 +121,7 @@ fn tiers_answer_identically_down_the_ladder() {
 /// pruned name is immediately reusable for a brand-new session.
 #[test]
 fn retention_ages_sessions_down_to_pruned() {
-    let (socket, data) = scratch("age");
+    let (_scratch, socket, data) = scratch("age");
     let collector = Collector::bind(CollectorConfig::new(&socket, &data)).unwrap();
     let events = session_events(0, 1_024);
     let client = finish_session(&socket, "ager", &events);
@@ -206,7 +150,7 @@ fn retention_ages_sessions_down_to_pruned() {
 /// both), freeing the name.
 #[test]
 fn aborted_sessions_prune_after_raw_dwell() {
-    let (socket, data) = scratch("abprune");
+    let (_scratch, socket, data) = scratch("abprune");
     let mut config = CollectorConfig::new(&socket, &data);
     config.idle_timeout = Some(Duration::from_millis(200));
     let collector = Collector::bind(config).unwrap();
@@ -238,7 +182,7 @@ fn aborted_sessions_prune_after_raw_dwell() {
 /// groups both without the caller knowing which tier served which.
 #[test]
 fn query_all_spans_mixed_tiers() {
-    let (socket, data) = scratch("mixed");
+    let (_scratch, socket, data) = scratch("mixed");
     let mut config = CollectorConfig::new(&socket, &data);
     config.rollup_segment_ns = 10_000;
     let collector = Collector::bind(config).unwrap();
@@ -279,7 +223,7 @@ fn queries_racing_a_prune_get_an_answer_or_unknown_target() {
     use std::sync::Arc;
 
     const SEGMENT_NS: u64 = 100_000;
-    let (socket, data) = scratch("prunerace");
+    let (_scratch, socket, data) = scratch("prunerace");
     let mut config = CollectorConfig::new(&socket, &data);
     config.rollup_segment_ns = SEGMENT_NS;
     let collector = Collector::bind(config).unwrap();
@@ -339,36 +283,41 @@ fn queries_racing_a_prune_get_an_answer_or_unknown_target() {
     collector.shutdown();
 }
 
-/// The tier re-check, pinned: a query held between its tier's index read
-/// and its answer while a retention pass prunes the session answers
-/// `UnknownTarget`, as a query sent after the prune does — not an answer
-/// read from the directory being removed. A stress race reaches that
-/// window too rarely to pin it; the fault plan's hook holds the query
-/// there. Here the parked query's read of the pruned directory fails,
-/// and the retry after the failed read finds the prune.
+/// The tier re-check after a failed read, pinned: a query held just
+/// before it reads its tier's index while a retention pass prunes the
+/// session answers `UnknownTarget`, as a query sent after the prune
+/// does. A stress race reaches that window too rarely to pin it; a park
+/// holds the query there. The parked query's read of the pruned
+/// directory fails, and the re-check after the failed read finds the
+/// prune.
 #[test]
 fn a_query_parked_across_a_prune_names_the_prune() {
-    query_parked_across_a_prune("parkprune", FaultPlan::park_next_settled_query);
+    query_parked_across_a_prune("parkprune", Parks::park_next_index_read);
 }
 
 /// The same prune, while the query is held after its answer was
-/// computed and before the tier re-check (`held()` in
-/// `settled_query`): the read succeeded, so only the re-check can turn
-/// the answer into the prune's `UnknownTarget`.
+/// computed and before the tier re-check (in `settled_read`): the read
+/// succeeded, so only the re-check can turn the answer into the prune's
+/// `UnknownTarget`.
 #[test]
 fn a_query_parked_after_its_answer_across_a_prune_names_the_prune() {
-    query_parked_across_a_prune("parkanswer", FaultPlan::park_next_settled_answer);
+    query_parked_across_a_prune("parkanswer", Parks::park_next_settled_answer);
+}
+
+/// An in-process daemon in `data`, with parks for its settled reads.
+fn bind_parked(socket: &Path, data: &Path) -> (Collector, Arc<Parks>) {
+    let parks = Parks::new();
+    let mut config = CollectorConfig::new(socket, data);
+    config.parks = Some(parks.clone());
+    (Collector::bind(config).unwrap(), parks)
 }
 
 /// Finishes a session, ages it to the rollup tier, parks its next
 /// directory query where `park` says, prunes it, and expects the
 /// prune's `UnknownTarget`.
-fn query_parked_across_a_prune(tag: &str, park: fn(&FaultPlan) -> ParkedQuery) {
-    let (socket, data) = scratch(tag);
-    let faults = FaultPlan::new();
-    let mut config = CollectorConfig::new(&socket, &data);
-    config.faults = Some(faults.clone());
-    let collector = Collector::bind(config).unwrap();
+fn query_parked_across_a_prune(tag: &str, park: fn(&Parks) -> ParkedQuery) {
+    let (_scratch, socket, data) = scratch(tag);
+    let (collector, parks) = bind_parked(&socket, &data);
     let events = session_events(0, 1_024);
     let mut client = finish_session(&socket, "parked", &events);
     let spec = QuerySpec::session("parked").group_by([Dim::Phase]);
@@ -380,9 +329,9 @@ fn query_parked_across_a_prune(tag: &str, park: fn(&FaultPlan) -> ParkedQuery) {
     assert_eq!(collector.compact_session("parked").unwrap(), StorageTier::Rollup);
     assert!(!client.query(&spec).unwrap().cache_hit);
 
-    let parked = park(&faults);
+    let parked = park(&parks);
     let asking = std::thread::spawn(move || client.query(&spec));
-    assert!(parked.wait_parked(Duration::from_secs(20)), "the query never reached the hook");
+    assert!(parked.wait_parked(Duration::from_secs(20)), "the query never reached the park");
     collector.run_retention_pass(&RetentionPolicy::parse("rollup=0ms").unwrap());
     wait_pruned(&collector, "parked", &data.join("parked"));
     parked.release();
@@ -391,6 +340,37 @@ fn query_parked_across_a_prune(tag: &str, park: fn(&FaultPlan) -> ParkedQuery) {
             assert!(message.contains("\"parked\""), "{message}");
         }
         other => panic!("expected the UnknownTarget of the prune, got {other:?}"),
+    }
+    collector.shutdown();
+}
+
+/// `LIST_SESSIONS` counts a settled session from its tier's index, read
+/// as `QUERY` reads it: a listing held just before that read while the
+/// session moves a tier lists the session with its whole count. The
+/// move raw → sorted deletes the raw chunks the listing was about to
+/// read (the re-check after the answer finds the move); sorted → rollup
+/// deletes the sorted directory (the read fails, and the re-check after
+/// it finds the move). Each time the listing reads the new tier again.
+#[test]
+fn a_listing_parked_across_a_tier_move_lists_the_session() {
+    let (_scratch, socket, data) = scratch("parklist");
+    let (collector, parks) = bind_parked(&socket, &data);
+    let events = session_events(0, 1_024);
+    drop(finish_session(&socket, "moving", &events));
+    let listed = SessionInfo { name: "moving".into(), live: false, events: events.len() as u64 };
+    for tier in [StorageTier::Sorted, StorageTier::Rollup] {
+        let parked = parks.park_next_index_read();
+        let mut client = CollectorClient::connect(&socket).unwrap();
+        let asking = std::thread::spawn(move || client.list_sessions());
+        assert!(parked.wait_parked(Duration::from_secs(20)), "the listing never reached the park");
+        assert_eq!(collector.compact_session("moving").unwrap(), tier);
+        parked.release();
+        let list = asking.join().unwrap().unwrap();
+        assert_eq!(
+            list.sessions,
+            std::slice::from_ref(&listed),
+            "listed across the move to {tier:?}"
+        );
     }
     collector.shutdown();
 }
@@ -440,7 +420,7 @@ fn queries_racing_retention_answer_exactly_or_name_the_prune() {
 
     const SEGMENT_NS: u64 = 100_000;
     const SHAPES: u64 = 26;
-    let (socket, data) = scratch("agerace");
+    let (_scratch, socket, data) = scratch("agerace");
     let mut config = CollectorConfig::new(&socket, &data);
     config.rollup_segment_ns = SEGMENT_NS;
     config.retention = Some(RetentionPolicy::parse("raw=1ms,sorted=1ms,rollup=40ms").unwrap());
