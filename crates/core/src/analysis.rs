@@ -1636,7 +1636,7 @@ impl<'a> Analysis<'a> {
             query.phase = None;
             query.keep_pid_introductions = false;
         }
-        let selected = index.select_entries(&query);
+        let selected = index.select(&query);
         // Empty chunks carry `min_start == u64::MAX` and bound nothing;
         // the closing events follow the last chunk.
         let last = closing.iter().map(|e| e.start.as_nanos()).min().unwrap_or(u64::MAX);

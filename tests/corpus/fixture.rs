@@ -90,21 +90,44 @@ pub fn corpus_cut() -> rlscope::core::store::Cut {
     }
 }
 
+/// The legacy v1 encoding of `events`, which the library reads but no
+/// longer writes: `count:u32`, then per event the fixed-width record
+/// `pid:u32 | tag:u8 | name_len:u16 | name | start:u64 | end:u64`
+/// (big-endian), its tag and name as
+/// [`rlscope::core::store::EventColumns::from_events`] gives them. Over
+/// the fixtures it equals the checked-in `corpus_v1.rls` and
+/// `corpus_extreme.rls` byte for byte.
+pub fn encode_legacy_v1(events: &[rlscope::core::Event]) -> Vec<u8> {
+    let cols = rlscope::core::store::EventColumns::from_events(events);
+    let mut out = b"RLSCOPE1".to_vec();
+    out.extend_from_slice(&(cols.len() as u32).to_be_bytes());
+    for i in 0..cols.len() {
+        let name = cols.names[cols.name_ids[i] as usize].as_bytes();
+        out.extend_from_slice(&cols.pids[i].to_be_bytes());
+        out.push(cols.kinds[i]);
+        out.extend_from_slice(&(name.len() as u16).to_be_bytes());
+        out.extend_from_slice(name);
+        out.extend_from_slice(&cols.starts[i].to_be_bytes());
+        out.extend_from_slice(&cols.ends[i].to_be_bytes());
+    }
+    out
+}
+
 /// The legacy v2 encoding of `events`, which the library reads but no
 /// longer writes: the v3 bytes with the magic swapped and the footer
 /// trailer (`payload | len:u32 | "RLF3"`) cut. Over the fixture it
 /// equals the checked-in `corpus_v2.rls` byte for byte.
 pub fn encode_legacy_v2(events: &[rlscope::core::Event]) -> Vec<u8> {
     let v3 = rlscope::core::store::encode_events(events);
-    assert_eq!(&v3[..8], b"RLSCOPE3", "starts beyond i64::MAX have no v2 form");
     let (body, trailer) = v3.split_at(v3.len() - 8);
     let footer_len = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     [&b"RLSCOPE2"[..], &body[8..body.len() - footer_len as usize]].concat()
 }
 
-/// Extreme-timestamp fixture: starts beyond the v2 delta-codable range,
-/// so [`rlscope::core::store::encode_events`] must fall back to the v1
-/// wire format and still round-trip exactly.
+/// Extreme-timestamp fixture: starts above `i64::MAX`. The checked-in
+/// `corpus_extreme.rls` holds them as v1, which the library wrote for
+/// such starts before v3 start deltas wrapped mod 2^64;
+/// [`rlscope::core::store::encode_events`] now writes them as v3.
 pub fn corpus_extreme_events() -> Vec<rlscope::core::Event> {
     use rlscope::core::event::{CpuCategory, Event, EventKind, GpuCategory};
     use rlscope::sim::ids::ProcessId;

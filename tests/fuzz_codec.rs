@@ -12,8 +12,8 @@
 //! fails the suite.
 
 use rlscope::core::store::{
-    decode_columns, decode_events, encode_declared, encode_events, encode_events_v1,
-    list_chunk_files, read_frame, write_frame, EventColumns, Manifest, TraceIoError, MAX_FRAME_LEN,
+    decode_columns, decode_events, encode_declared, encode_events, list_chunk_files, read_frame,
+    write_frame, EventColumns, Manifest, TraceIoError, MAX_FRAME_LEN,
 };
 use rlscope::core::{Event, EventKind};
 
@@ -66,7 +66,8 @@ fn assert_columns_sane(cols: &EventColumns) {
 /// The daemon ingest path feeds untrusted bytes straight into
 /// `decode_columns`, and `decode_events` is that parser plus the
 /// `to_events` bridge. Truncation at *every* byte offset of all three
-/// wire formats, and of a declared v3 chunk, must yield
+/// wire formats, of a declared v3 chunk, and of a v3 chunk whose starts
+/// lie above `i64::MAX` (its start deltas wrap), must yield
 /// `TraceIoError::Corrupt` from both entry points — never a panic, never
 /// data from a partial record, and for v3 never a chunk whose footer
 /// survives the cross-check.
@@ -76,8 +77,9 @@ fn truncation_at_every_offset_errors() {
     for encoded in [
         encode_events(&events).to_vec(),
         encode_declared(&events, &corpus_cut()).to_vec(),
+        encode_events(&corpus_extreme_events()).to_vec(),
         encode_legacy_v2(&events),
-        encode_events_v1(&events).to_vec(),
+        encode_legacy_v1(&events),
     ] {
         assert!(decode_columns(&encoded).is_ok());
         assert!(decode_events(&encoded).is_ok());
@@ -96,22 +98,26 @@ fn truncation_at_every_offset_errors() {
     }
 }
 
-/// Seeded byte-flip fuzzing over all formats and a declared v3 chunk
-/// (two corruption streams each): decode must return `Ok` — with sane
+/// Seeded byte-flip fuzzing over all formats, a declared v3 chunk and a
+/// v3 chunk of starts above `i64::MAX` (two corruption streams each):
+/// decode must return `Ok` — with sane
 /// columns that bridge to sane rows — or `Corrupt`, never panic.
 #[test]
 fn random_byte_flips_never_panic() {
     let events = corpus_events();
     let declared = encode_declared(&events, &corpus_cut()).to_vec();
+    let extreme = encode_events(&corpus_extreme_events()).to_vec();
     for (seed, base) in [
         (0x1234_5678u64, encode_events(&events).to_vec()),
         (0xdec1, declared.clone()),
         (0xdec2, declared),
         (0x5e5e_5e5e, encode_legacy_v2(&events)),
-        (0x9abc_def0, encode_events_v1(&events).to_vec()),
+        (0x9abc_def0, encode_legacy_v1(&events)),
+        (0xe1, extreme.clone()),
+        (0xe2, extreme),
         (0xc01, encode_events(&events).to_vec()),
         (0xc02, encode_legacy_v2(&events)),
-        (0xc03, encode_events_v1(&events).to_vec()),
+        (0xc03, encode_legacy_v1(&events)),
     ] {
         let mut rng = Rng(seed);
         for _ in 0..4_000 {
@@ -350,8 +356,8 @@ fn chunk_tail_corruption_errors_never_panics() {
 /// decoder clamps preallocation, so no OOM either).
 #[test]
 fn inflated_counts_rejected() {
-    for base in [encode_events(&corpus_events()), encode_events_v1(&corpus_events())] {
-        let mut data = base.to_vec();
+    for base in [encode_events(&corpus_events()).to_vec(), encode_legacy_v1(&corpus_events())] {
+        let mut data = base;
         data[8..12].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(decode_events(&data), Err(TraceIoError::Corrupt(_))));
     }
@@ -644,7 +650,7 @@ fn v1_negative_duration_rejected() {
         rlscope::sim::time::TimeNs::from_nanos(100),
         rlscope::sim::time::TimeNs::from_nanos(200),
     );
-    let mut data = encode_events_v1(std::slice::from_ref(&e)).to_vec();
+    let mut data = encode_legacy_v1(std::slice::from_ref(&e));
     // Layout: magic(8) count(4) pid(4) tag(1) len(2) name(1) start(8) end(8).
     let end_at = data.len() - 8;
     data[end_at..].copy_from_slice(&10u64.to_be_bytes());

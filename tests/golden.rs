@@ -1,7 +1,7 @@
 //! Golden trace corpus: any drift in codec bytes or sweep attribution
 //! fails here.
 //!
-//! The corpus under `tests/corpus/` holds checked-in v1 and v2 chunk
+//! The corpus under `tests/corpus/` holds checked-in v1, v2 and v3 chunk
 //! files for a fixed adversarial event stream plus the expected
 //! `BreakdownTable`s in canonical JSON. Deliberate format or semantics
 //! changes must regenerate it (`cargo run --example gen_corpus`) and the
@@ -13,7 +13,7 @@ use rlscope::core::compute_overlap;
 use rlscope::core::overlap::OverlapSweep;
 use rlscope::core::store::{
     compute_footer, decode_columns, decode_events, encode_declared, encode_events,
-    encode_events_v1, reorder_chunk_dir, Manifest, TraceWriter,
+    reorder_chunk_dir, Manifest, TraceWriter,
 };
 use std::path::{Path, PathBuf};
 
@@ -45,14 +45,18 @@ fn corpus_chunks_decode_to_fixture() {
     assert_eq!(
         decode_events(&corpus_file("corpus_extreme.rls")).unwrap(),
         corpus_extreme_events(),
-        "extreme (v1-fallback) decode drift"
+        "extreme (v1) decode drift"
     );
 }
 
 /// Encoding the fixture must reproduce the checked-in bytes exactly: the
 /// wire formats are frozen, including string-table order, varint
 /// choices, and the v3 footer layout. (New formats get a new magic, not
-/// silent byte changes.)
+/// silent byte changes.) The legacy v1 and v2 bytes come from the
+/// fixture's own encoders, since the library only reads them. The
+/// extreme fixture, whose starts lie above `i64::MAX`, is checked in as
+/// v1; the library encodes it as v3, which round-trips and sweeps to the
+/// same frozen table.
 #[test]
 fn corpus_encode_is_byte_stable() {
     let events = corpus_events();
@@ -63,13 +67,23 @@ fn corpus_encode_is_byte_stable() {
         "v2 encode drift"
     );
     assert_eq!(
-        &encode_events_v1(&events)[..],
+        &encode_legacy_v1(&events)[..],
         &corpus_file("corpus_v1.rls")[..],
         "v1 encode drift"
     );
-    let extreme = encode_events(&corpus_extreme_events());
-    assert_eq!(&extreme[..8], b"RLSCOPE1", "extreme timestamps must fall back to v1");
-    assert_eq!(&extreme[..], &corpus_file("corpus_extreme.rls")[..], "extreme encode drift");
+    let extreme = corpus_extreme_events();
+    let committed = corpus_file("corpus_extreme.rls");
+    assert_eq!(&encode_legacy_v1(&extreme)[..], &committed[..], "extreme v1 encode drift");
+    assert_eq!(decode_events(&committed).unwrap(), extreme, "extreme v1 decode drift");
+    let v3 = encode_events(&extreme);
+    assert_eq!(&v3[..8], b"RLSCOPE3", "extreme timestamps encode as v3");
+    let decoded = decode_events(&v3).unwrap();
+    assert_eq!(decoded, extreme, "extreme v3 round trip");
+    assert_eq!(
+        compute_overlap(&decoded).canonical_json(),
+        corpus_text("expected_extreme.json"),
+        "extreme v3 sweep drift"
+    );
 }
 
 /// The declared chunk (`corpus_declared.rls`: the fixture events with
