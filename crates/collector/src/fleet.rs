@@ -5,7 +5,7 @@
 //! (Unix or TCP — typically TCP, since shards live on other hosts).
 //! [`FleetClient::query_all`] sends each daemon the same serialized
 //! `QUERY_ALL` spec, then folds the returned grouped tables together
-//! with [`BreakdownTable::merge`] — the same merge the analysis
+//! through [`FirstSeen`] — the same first-seen keyed merge the analysis
 //! pipeline's multi-session composition uses, so a fleet rollup is
 //! byte-identical to running one daemon that held every session.
 //!
@@ -20,7 +20,7 @@
 use crate::client::CollectorClient;
 use crate::protocol::{CollectorError, QuerySpec, QueryTarget};
 use crate::transport::Endpoint;
-use rlscope_core::analysis::{groups_canonical_json, GroupKey};
+use rlscope_core::analysis::{groups_canonical_json, FirstSeen, GroupKey};
 use rlscope_core::overlap::BreakdownTable;
 use std::fmt;
 
@@ -127,7 +127,7 @@ impl FleetClient {
     pub fn query_all(&mut self, spec: &QuerySpec) -> FleetResult {
         let mut spec = spec.clone();
         spec.target = QueryTarget::AllSessions;
-        let mut groups: Vec<(GroupKey, BreakdownTable)> = Vec::new();
+        let mut groups = FirstSeen::default();
         let mut shards = Vec::with_capacity(self.shards.len());
         let mut events_observed = 0u64;
         let mut live = false;
@@ -136,12 +136,7 @@ impl FleetClient {
                 Ok(reply) => {
                     live |= reply.live;
                     events_observed += reply.events_observed;
-                    for (key, table) in reply.groups {
-                        match groups.iter_mut().find(|(k, _)| *k == key) {
-                            Some((_, merged)) => merged.merge(&table),
-                            None => groups.push((key, table)),
-                        }
-                    }
+                    groups.extend(reply.groups);
                     shards.push(ShardReport {
                         daemon: shard.endpoint.to_string(),
                         sessions: reply.sessions,
@@ -160,7 +155,7 @@ impl FleetClient {
                 }
             }
         }
-        FleetResult { groups, events_observed, live, shards }
+        FleetResult { groups: groups.into_vec(), events_observed, live, shards }
     }
 }
 

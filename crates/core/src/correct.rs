@@ -22,7 +22,6 @@ use crate::event::CpuCategory;
 use crate::overlap::{BreakdownTable, BucketKey};
 use crate::profiler::TransitionKind;
 use crate::trace::Trace;
-use rlscope_sim::cuda::CudaApiKind;
 use rlscope_sim::time::DurationNs;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -109,71 +108,21 @@ fn subtract_python_pool(table: &mut BreakdownTable, amount: DurationNs) {
     }
 }
 
-/// The book-keeping counters and wall time correction needs, detached
-/// from any particular [`Trace`] so the unified analysis pipeline can
-/// build them from merged sources too.
-#[derive(Debug, Clone)]
-pub(crate) struct CorrectionInputs {
-    /// Operation annotations recorded.
-    pub annotations: u64,
-    /// Per-(operation, kind) transition counts.
-    pub per_op_transitions: Vec<((Arc<str>, TransitionKind), u64)>,
-    /// Per-CUDA-API `(call count, total CPU duration)`.
-    pub api_stats: Vec<(CudaApiKind, (u64, DurationNs))>,
-    /// Instrumented wall time.
-    pub wall: DurationNs,
-}
-
-impl CorrectionInputs {
-    /// Inputs of one finalized trace.
-    pub fn from_trace(trace: &Trace) -> Self {
-        CorrectionInputs {
-            annotations: trace.counts.annotations,
-            per_op_transitions: trace.per_op_transitions.clone(),
-            api_stats: trace.api_stats.clone(),
-            wall: trace.wall_time(),
-        }
-    }
-
-    /// Inputs of several traces analyzed as one merged stream: counters
-    /// sum (through the same find-or-push merges as [`Trace::merge`], so
-    /// the two cannot diverge), the wall time is the latest finalization
-    /// instant.
-    pub fn from_traces(traces: &[Trace]) -> Self {
-        let mut merged = CorrectionInputs {
-            annotations: 0,
-            per_op_transitions: Vec::new(),
-            api_stats: Vec::new(),
-            wall: DurationNs::ZERO,
-        };
-        for t in traces {
-            merged.annotations += t.counts.annotations;
-            merged.wall = merged.wall.max(t.wall_time());
-            crate::trace::merge_transition_counts(
-                &mut merged.per_op_transitions,
-                t.per_op_transitions.iter().cloned(),
-            );
-            crate::trace::merge_api_stats(&mut merged.api_stats, t.api_stats.iter().copied());
-        }
-        merged
-    }
-}
-
 /// Subtracts calibrated overhead from `table` in place at the buckets
-/// where it occurred, returning the per-source overhead estimate. This is
-/// the correction engine shared by [`correct`] and the analysis
-/// pipeline's [`crate::analysis::Analysis::corrected`].
+/// where it occurred, counted by `trace`'s book-keeping counters,
+/// returning the per-source overhead estimate: the correction engine
+/// behind [`crate::analysis::Analysis::corrected`].
 pub(crate) fn apply_correction(
     table: &mut BreakdownTable,
-    inputs: &CorrectionInputs,
+    trace: &Trace,
     cal: &Calibration,
 ) -> OverheadBreakdown {
     let mut overhead = OverheadBreakdown::default();
 
     // Python↔C interception and CUDA interception, attributed per
     // operation from the transition counters.
-    let cupti_per_call = cal.cupti_weighted_mean(&inputs.api_stats);
-    for ((op, kind), n) in &inputs.per_op_transitions {
+    let cupti_per_call = cal.cupti_weighted_mean(&trace.api_stats);
+    for ((op, kind), n) in &trace.per_op_transitions {
         match kind {
             TransitionKind::Backend => {
                 let amount = cal.py_interception_mean * *n;
@@ -197,11 +146,80 @@ pub(crate) fn apply_correction(
 
     // Annotation book-keeping: per-operation attribution is not tracked,
     // so drain the Python pool.
-    let ann = cal.annotation_mean * inputs.annotations;
+    let ann = cal.annotation_mean * trace.counts.annotations;
     overhead.python_annotation = ann;
     subtract_python_pool(table, ann);
 
     overhead
+}
+
+/// Corrects `groups`, a query's result tables, by the whole run's
+/// calibrated overhead. `full` is the unfiltered view the groups were cut
+/// from: it is corrected ([`apply_correction`]), and each group takes its
+/// share of every bucket's subtraction in proportion to its share of
+/// that bucket. When the groups partition `full` exactly (no filters),
+/// a largest-remainder split keeps them summing to the corrected `full`
+/// to the nanosecond. Returns the whole-run overhead estimate.
+pub(crate) fn share_correction<K>(
+    full: &BreakdownTable,
+    groups: &mut [(K, BreakdownTable)],
+    trace: &Trace,
+    cal: &Calibration,
+) -> OverheadBreakdown {
+    let mut corrected = full.clone();
+    let overhead = apply_correction(&mut corrected, trace, cal);
+    for (key, had) in full.iter() {
+        let removed = had.saturating_sub(corrected.get(key)).as_nanos();
+        if removed == 0 {
+            continue;
+        }
+        let parts: Vec<u64> = groups.iter().map(|(_, t)| t.get(key).as_nanos()).collect();
+        let shares: Vec<u64> = if parts.iter().sum::<u64>() == had.as_nanos() {
+            split_proportionally(removed, &parts)
+        } else {
+            // A filtered subset of the full view: round-down shares
+            // (conservation is not observable without the complement),
+            // capped at what each table holds for the buckets whose
+            // attribution a filter shifted.
+            parts
+                .iter()
+                .map(|&p| {
+                    let share =
+                        (u128::from(removed) * u128::from(p) / u128::from(had.as_nanos())) as u64;
+                    share.min(p)
+                })
+                .collect()
+        };
+        for ((_, t), share) in groups.iter_mut().zip(shares) {
+            t.subtract(key, DurationNs::from_nanos(share));
+        }
+    }
+    overhead
+}
+
+/// Splits `amount` across `parts` proportionally, never exceeding any
+/// part: each takes its round-down share, and the rounding remainder goes
+/// one unit at a time, round-robin from the first part, to parts that
+/// still have room. An `amount` above the parts' sum is capped at it.
+fn split_proportionally(amount: u64, parts: &[u64]) -> Vec<u64> {
+    let total: u128 = parts.iter().map(|&p| u128::from(p)).sum();
+    if total == 0 {
+        return vec![0; parts.len()];
+    }
+    let amount = u128::from(amount).min(total);
+    let mut shares: Vec<u64> =
+        parts.iter().map(|&p| (amount * u128::from(p) / total) as u64).collect();
+    // Below `parts.len()`: each share lost less than one to rounding.
+    let mut left = amount - shares.iter().map(|&s| u128::from(s)).sum::<u128>();
+    while left > 0 {
+        for (share, &part) in shares.iter_mut().zip(parts) {
+            if left > 0 && *share < part {
+                *share += 1;
+                left -= 1;
+            }
+        }
+    }
+    shares
 }
 
 #[cfg(test)]
@@ -323,6 +341,19 @@ mod tests {
         let profile = Analysis::of(&trace).profile().unwrap();
         assert_eq!(profile.corrected_total, DurationNs::from_micros(100));
         assert_eq!(profile.overhead.total(), DurationNs::ZERO);
+    }
+
+    #[test]
+    fn split_proportionally_is_exact_and_capped() {
+        let shares = split_proportionally(10, &[3, 3, 4]);
+        assert_eq!(shares.iter().sum::<u64>(), 10);
+        assert_eq!(shares, vec![3, 3, 4]);
+        let shares = split_proportionally(7, &[5, 5]);
+        assert_eq!(shares.iter().sum::<u64>(), 7);
+        assert!(shares.iter().zip([5, 5]).all(|(&s, p)| s <= p));
+        assert_eq!(split_proportionally(0, &[1, 2]), vec![0, 0]);
+        // More than the parts hold is capped at what they hold.
+        assert_eq!(split_proportionally(9, &[1, 2]), vec![1, 2]);
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! source            filters            grouping           sinks
 //! ─────────────     ──────────────     ───────────────    ─────────────────
 //! of(&trace)        .phase(..)         .group_by([        .table()
-//! merged(&[..])     .process(..)          Dim::Phase,     .tables()
-//! of_events(..)     .operation(..)        Dim::Process,   .report()
-//! from_chunk_dir    .time_window(..)      Dim::Operation  .profile()
-//! of_live(..)       .corrected(&cal)   ])                 .canonical_json()
+//! of_events(..)     .process(..)          Dim::Phase,     .tables()
+//! from_chunk_dir    .operation(..)        Dim::Process,   .report()
+//! of_live(..)       .time_window(..)      Dim::Operation  .profile()
+//! of_sessions(..)   .corrected(&cal)   ])                 .canonical_json()
 //! ```
 //!
 //! ```
@@ -85,12 +85,15 @@
 //! Two pre-`Analysis` entry points remain as thin wrappers, each exactly
 //! one query; the others are gone (corrected and uncorrected profiles
 //! are `Analysis::of(&trace)[.corrected(&cal)].profile()`, a chunk
-//! directory is read through [`analysis::Analysis::from_chunk_dir`]):
+//! directory is read through [`analysis::Analysis::from_chunk_dir`]).
+//! Several traces are analysed as the one trace [`trace::Trace::merge`]
+//! makes of them:
 //!
 //! | historical entry point                      | `Analysis` query |
 //! |---------------------------------------------|------------------|
 //! | `compute_overlap(events)`                   | `Analysis::of_events(events).table()` |
 //! | `trace.breakdown()`                         | `Analysis::of(&trace).table()` |
+//! | `Analysis::merged(&traces)`                 | `Analysis::of(&Trace::merge(traces))` |
 //!
 //! Queries the old doors could not express — per-phase tables, phase ×
 //! process cross products, time windows, corrected per-phase views — are

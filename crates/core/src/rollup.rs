@@ -72,7 +72,7 @@
 //! source directory is **start-sorted** (the compaction ladder always
 //! sorts before it rolls up; see `ChunkFooter::start_sorted`).
 
-use crate::analysis::{Analysis, AnalysisError, Dim};
+use crate::analysis::{Analysis, AnalysisError, Dim, FirstSeen};
 use crate::event::CpuCategory;
 use crate::overlap::{BreakdownTable, BucketKey, PhaseTables, NO_PHASE};
 use crate::store::{fnv1a, get_varint, Manifest, TraceIoError};
@@ -384,32 +384,15 @@ fn build_segment(
         .group_by([Dim::Process, Dim::Phase])
         .tables()
         .map_err(demote)?;
-    let mut per_process: Vec<(ProcessId, PhaseTables)> = Vec::new();
-    for (key, table) in split_groups {
-        let (Some(pid), Some(phase)) = (key.process, key.phase) else { continue };
-        match per_process.last_mut() {
-            Some((p, tables)) if *p == pid => tables.push((phase, table)),
-            _ => match per_process.iter_mut().find(|(p, _)| *p == pid) {
-                Some((_, tables)) => tables.push((phase, table)),
-                None => per_process.push((pid, vec![(phase, table)])),
-            },
-        }
-    }
+    let per_process: FirstSeen<ProcessId, FirstSeen<Arc<str>, BreakdownTable>> = split_groups
+        .into_iter()
+        .filter_map(|(key, table)| {
+            Some((key.process?, [(key.phase?, table)].into_iter().collect()))
+        })
+        .collect();
+    let per_process =
+        per_process.into_vec().into_iter().map(|(pid, t)| (pid, t.into_vec())).collect();
     Ok(RollupSegment { window_start: lo, window_len, merged, per_process })
-}
-
-/// Merges `more` into `acc`, preserving first-seen phase order — the
-/// cross-segment accumulation used by rollup-backed queries, matching
-/// the phase group order one sweep of the covering window produces
-/// (first attribution instant is monotone across time-ordered
-/// segments).
-pub(crate) fn merge_phase_tables(acc: &mut PhaseTables, more: &PhaseTables) {
-    for (name, table) in more {
-        match acc.iter_mut().find(|(n, _)| n == name) {
-            Some((_, existing)) => existing.merge(table),
-            None => acc.push((name.clone(), table.clone())),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -739,11 +722,11 @@ mod tests {
 
         // Merging every segment's merged tables reproduces one sweep of
         // the whole stream, phase for phase.
-        let mut merged: PhaseTables = Vec::new();
+        let mut merged: FirstSeen<Arc<str>, BreakdownTable> = FirstSeen::default();
         for i in 0..rollup.segments().len() {
-            let seg = rollup.read_segment(i).unwrap();
-            merge_phase_tables(&mut merged, &seg.merged);
+            merged.extend(rollup.read_segment(i).unwrap().merged);
         }
+        let merged = merged.into_vec();
         let events = sample_events();
         let want = Analysis::of_events(&events).group_by([Dim::Phase]).tables().unwrap();
         assert_eq!(merged.len(), want.len());

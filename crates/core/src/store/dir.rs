@@ -113,8 +113,15 @@ impl fmt::Debug for TraceWriter {
 }
 
 impl TraceWriter {
-    /// Starts a writer thread that stores chunks under `dir`, rotating
-    /// files once the encoded pending batch reaches `chunk_bytes`.
+    /// Starts a writer thread that stores chunks under `dir`. A chunk
+    /// holds one or more whole batches: the pending batches are written
+    /// out once their events number at least `chunk_bytes / 32` (32
+    /// bytes is the size of a v1 event record, not of its v3 encoding),
+    /// and whatever is pending at [`TraceWriter::finish`] becomes the
+    /// last chunk. So a v3 chunk comes out well below `chunk_bytes`: a
+    /// profiled trace encodes at about 7.5 bytes per event, and its
+    /// chunks are about a quarter of `chunk_bytes` plus the part of the
+    /// batch that crossed the count.
     ///
     /// Any chunk files already in `dir` are deleted first: rotation
     /// numbering restarts at `chunk_00000`, so leftovers from a previous

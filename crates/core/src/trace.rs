@@ -106,8 +106,13 @@ impl Trace {
             merged.counts.cuda_api_calls += t.counts.cuda_api_calls;
             merged.iterations += t.iterations;
             merged.wall_end = merged.wall_end.max(t.wall_end);
-            merge_transition_counts(&mut merged.per_op_transitions, t.per_op_transitions);
-            merge_api_stats(&mut merged.api_stats, t.api_stats);
+            merge_counts(&mut merged.per_op_transitions, t.per_op_transitions, |n, more| {
+                *n += more
+            });
+            merge_counts(&mut merged.api_stats, t.api_stats, |(n, total), (more, time)| {
+                *n += more;
+                *total += time;
+            });
         }
         merged
     }
@@ -118,35 +123,18 @@ impl Trace {
     }
 }
 
-/// Find-or-push accumulation of `(operation, kind) → count` rows into an
-/// existing counter list — the one merge implementation shared by
-/// [`Trace::merge`] and the correction-input merge
-/// (`CorrectionInputs::from_traces`), so the two can never diverge.
-pub(crate) fn merge_transition_counts(
-    dst: &mut Vec<((Arc<str>, TransitionKind), u64)>,
-    src: impl IntoIterator<Item = ((Arc<str>, TransitionKind), u64)>,
+/// Find-or-push accumulation of keyed counter rows into an existing
+/// list, for [`Trace::merge`]: a key already there has `add` fold the
+/// new row's counts into its own, and a new key is appended.
+fn merge_counts<K: PartialEq, V>(
+    dst: &mut Vec<(K, V)>,
+    src: impl IntoIterator<Item = (K, V)>,
+    add: impl Fn(&mut V, V),
 ) {
-    for ((op, kind), n) in src {
-        match dst.iter_mut().find(|((o, k), _)| *o == op && *k == kind) {
-            Some((_, existing)) => *existing += n,
-            None => dst.push(((op, kind), n)),
-        }
-    }
-}
-
-/// Find-or-push accumulation of per-CUDA-API `(count, total)` rows;
-/// shared like [`merge_transition_counts`].
-pub(crate) fn merge_api_stats(
-    dst: &mut Vec<(CudaApiKind, (u64, DurationNs))>,
-    src: impl IntoIterator<Item = (CudaApiKind, (u64, DurationNs))>,
-) {
-    for (api, (n, total)) in src {
-        match dst.iter_mut().find(|(a, _)| *a == api) {
-            Some((_, (en, etotal))) => {
-                *en += n;
-                *etotal += total;
-            }
-            None => dst.push((api, (n, total))),
+    for (key, n) in src {
+        match dst.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, existing)) => add(existing, n),
+            None => dst.push((key, n)),
         }
     }
 }

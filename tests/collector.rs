@@ -1125,6 +1125,94 @@ fn fleet_client_merges_two_rlscoped_daemons_over_tcp() {
     outcome.unwrap();
 }
 
+/// Shards that share group keys: two real `rlscoped` daemons, two
+/// finished sessions on each, all of them carrying the same two phases
+/// and the second shard's a third one. A fleet query grouped by phase,
+/// and one ungrouped, merges tables under keys that both shards answer,
+/// and must keep first-seen key order: its canonical JSON equals
+/// `Analysis::of_sessions` over every session, taken in shard order and,
+/// within a shard, in name order (skipped when the binary has not been
+/// built — CI builds it first).
+#[test]
+fn fleet_merges_group_keys_that_shards_share_in_first_seen_order() {
+    use rlscope::collector::{Endpoint, FleetClient, ReconnectPolicy};
+    use rlscope::core::analysis::{LiveState, SessionSource};
+    use std::sync::Arc;
+
+    let Some((_scratch1, d1, addr1)) = spawn_rlscoped_tcp("fleetkeys1") else {
+        eprintln!("skipping: rlscoped not built");
+        return;
+    };
+    let (_scratch2, d2, addr2) = spawn_rlscoped_tcp("fleetkeys2").unwrap();
+    let (ep1, ep2) = (Endpoint::tcp(&addr1), Endpoint::tcp(&addr2));
+    let probed = |pid: u32, n: usize| {
+        let mut events = session_events(pid, n);
+        let (start, end) = (TimeNs::from_nanos(100_000), TimeNs::from_nanos(300_000));
+        events.push(Event::new(ProcessId(pid), EventKind::Phase, "probe", start, end));
+        events
+    };
+    // Each shard's sessions are opened out of name order, and the second
+    // shard's names sort before the first's.
+    let mut shards = [
+        (&ep1, vec![("keys-d", session_events(0, 1_500)), ("keys-c", session_events(1, 900))]),
+        (&ep2, vec![("keys-b", probed(2, 1_200)), ("keys-a", probed(0, 700))]),
+    ];
+
+    let mut run = || -> Result<(), CollectorError> {
+        for (ep, sessions) in &shards {
+            for (name, events) in sessions {
+                let mut client =
+                    CollectorClient::open_session_at(ep, name, ReconnectPolicy::default())?;
+                for chunk in events.chunks(400) {
+                    client.send_events(chunk)?;
+                }
+                client.finish()?;
+            }
+        }
+        for (_, sessions) in &mut shards {
+            sessions.sort_by_key(|(name, _)| *name);
+        }
+        let in_order: Vec<&(&str, Vec<Event>)> =
+            shards.iter().flat_map(|(_, sessions)| sessions).collect();
+        let snapshots: Vec<_> = in_order
+            .iter()
+            .map(|(_, events)| {
+                let mut live = LiveState::new();
+                live.push_columns(&EventColumns::from_events(events)).unwrap();
+                live.snapshot()
+            })
+            .collect();
+        let expected = |spec: &QuerySpec| {
+            let sessions = in_order
+                .iter()
+                .zip(&snapshots)
+                .map(|((name, _), tables)| (Arc::<str>::from(*name), SessionSource::Live(tables)));
+            let query = Analysis::of_sessions(sessions).group_by(spec.dims.iter().copied());
+            query.canonical_json().unwrap()
+        };
+
+        for spec in [QuerySpec::all_sessions().group_by([Dim::Phase]), QuerySpec::all_sessions()] {
+            let keys = |ep: &Endpoint| -> Vec<_> {
+                let alone = FleetClient::connect([ep.clone()]).query_all(&spec);
+                alone.groups.into_iter().map(|(key, _)| key).collect()
+            };
+            let (first, second) = (keys(&ep1), keys(&ep2));
+            assert!(first.iter().all(|key| second.contains(key)), "{first:?} {second:?}");
+            let result = FleetClient::connect([ep1.clone(), ep2.clone()]).query_all(&spec);
+            assert!(result.complete(), "both shards must answer: {:?}", result.shards);
+            assert_eq!(result.sessions(), vec!["keys-c", "keys-d", "keys-a", "keys-b"]);
+            let grouped = !spec.dims.is_empty();
+            assert_eq!(result.groups.len(), if grouped { 3 } else { 1 }, "{:?}", result.groups);
+            assert_eq!(result.canonical_json(grouped), expected(&spec), "{spec:?}");
+        }
+        Ok(())
+    };
+    let outcome = run();
+    d1.kill();
+    d2.kill();
+    outcome.unwrap();
+}
+
 /// The actual `rlscoped` binary serves the same protocol (skipped when
 /// the binary has not been built — CI builds it first).
 #[test]
