@@ -295,18 +295,25 @@ fn bench_interleaved_cold(c: &mut Criterion) {
 }
 
 fn bench_chunk_dir_cold(c: &mut Criterion) {
-    // The same stream as a cold chunk-directory query, end to end, the
-    // shape of `query_tiers`' cold queries: 25 v3 chunks of 8192 events
-    // read, decoded, pushed, sorted and drained. A range this large sorts
-    // and drains on the decode stage's worker count.
-    let id = "analysis_query/chunk_dir_4pid_cold";
+    // The same stream as a cold chunk-directory query, end to end:
+    // chunks read, decoded, pushed and sorted side by side in runs, one
+    // per core, then absorbed in stream order, released and drained.
+    // `query_tiers`' shape: 25 v3 chunks of 8192 events.
+    chunk_dir_cold(c, "analysis_query/chunk_dir_4pid_cold", 200_000, 8192);
+    // `dashboard_mixed`'s shape: 540 k events in 1055 chunks of 512.
+    chunk_dir_cold(c, "analysis_query/chunk_dir_4pid_cold_1k_chunks", 540_000, 512);
+}
+
+/// Times `group_by([Phase, Operation])` over a temp directory holding
+/// `n` session-shaped events of 4 pids in chunks of `per_chunk`.
+fn chunk_dir_cold(c: &mut Criterion, id: &str, n: usize, per_chunk: usize) {
     if bench_filter().is_some_and(|f| !id.contains(f.as_str())) {
         return;
     }
-    let dir = std::env::temp_dir().join(format!("rlscope_bench_cold_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("rlscope_bench_cold_{n}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    for (i, chunk) in session_shaped_events(4, 200_000).chunks(8192).enumerate() {
+    for (i, chunk) in session_shaped_events(4, n).chunks(per_chunk).enumerate() {
         std::fs::write(dir.join(format!("chunk_{i:05}.rls")), encode_events(chunk)).unwrap();
     }
     let query = || Analysis::from_chunk_dir(&dir).group_by([Dim::Phase, Dim::Operation]);

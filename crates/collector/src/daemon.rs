@@ -288,7 +288,7 @@ pub struct RecoveredSession {
 /// step that may use more than the owner's thread: an undeclared
 /// session's whole boundary log is still to sort and drain, and above
 /// the sweep's fan-out minimums it sorts its two queues side by side
-/// and drains in time slices on the decode stage's worker count
+/// and drains in time slices on the machine's core count
 /// ([`LiveState::seal`]); a declared session's seal drains about its
 /// last chunk, on the owner's thread. A reader that meets the
 /// pending seal waits by putting a question to this mailbox that is

@@ -6,8 +6,8 @@ use crate::event::Event;
 use crate::intern::Interner;
 use crate::overlap::{OverlapSweep, PhaseTables, SweepError, NO_PHASE};
 use crate::store::{
-    decode_workers, for_each_decoded_chunk_columns, ChunkQuery, Cut, EventRow, Manifest, OpenScope,
-    TraceIoError, TAG_OP, TAG_PHASE,
+    decode_workers, for_each_decoded_chunk_columns, in_runs, ChunkQuery, Cut, EventRow, Manifest,
+    OpenScope, TraceIoError, TAG_OP, TAG_PHASE,
 };
 use rlscope_sim::ids::ProcessId;
 use std::path::PathBuf;
@@ -35,9 +35,9 @@ pub(super) struct SweepSet {
     pid_filter: Option<u32>,
     /// The half-open window `[lo, hi)` rows are clipped to.
     window: Option<(u64, u64)>,
-    /// An empty sweep, configured: each per-process slot starts as a
-    /// clone of it (`None` under `Merged`, whose one sweep it became).
-    template: Option<OverlapSweep>,
+    /// An empty sweep, configured: each sweep of the set starts as a
+    /// clone of it.
+    template: OverlapSweep,
     /// How each sweep finishes ([`OverlapSweep::finalize_grouped`]
     /// unless the set's owner picks another form).
     finalize: fn(OverlapSweep) -> PhaseTables,
@@ -51,19 +51,61 @@ impl SweepSet {
     /// An empty, unfiltered and unclipped set for `view` whose sweeps
     /// start as `template`.
     pub(super) fn new(view: LiveView, template: OverlapSweep) -> Self {
-        let (merged, template) = match view {
-            LiveView::Merged => (Some(template), None),
-            _ => (None, Some(template)),
-        };
         SweepSet {
             view,
-            merged,
+            merged: (view == LiveView::Merged).then(|| template.clone()),
             per_process: Vec::new(),
             pid_filter: None,
             window: None,
             template,
             finalize: OverlapSweep::finalize_grouped,
         }
+    }
+
+    /// An empty set with this one's view, filters and sweep
+    /// configuration, whose sweeps sort on the calling thread: what a
+    /// run of chunks is pushed into before this set absorbs it.
+    fn fragment(&self) -> Self {
+        let mut template = self.template.clone();
+        template.set_workers(1);
+        let mut fragment = SweepSet::new(self.view, template);
+        (fragment.pid_filter, fragment.window) = (self.pid_filter, self.window);
+        fragment
+    }
+
+    /// Appends a [`SweepSet::fragment`] fed the stream's next stretch,
+    /// as if its rows had been pushed here ([`OverlapSweep::absorb`]).
+    /// Slots for its processes are made first, in its slot order, as
+    /// pushes would make them. The merged sweep absorbs the fragment's
+    /// merged stream, which under `Both` is its one process's sweep
+    /// until it has a second (see the type docs), and each process's
+    /// sweep absorbs its own.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SweepError`] of any sweep.
+    fn absorb(&mut self, mut fragment: SweepSet) -> Result<(), SweepError> {
+        let pids: Vec<u32> = fragment.per_process.iter().map(|(pid, _)| pid.as_u32()).collect();
+        if self.view != LiveView::Merged {
+            self.make_slots(&pids);
+        }
+        let stream =
+            fragment.merged.as_mut().or(fragment.per_process.first_mut().map(|p| &mut p.1));
+        if let (Some(merged), Some(stream)) = (&mut self.merged, stream) {
+            merged.absorb(stream)?;
+        }
+        for (pid, sweep) in &mut fragment.per_process {
+            if let Some((_, own)) = self.per_process.iter_mut().find(|(own, _)| own == pid) {
+                own.absorb(sweep)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The most boundaries any sweep of the set holds
+    /// ([`OverlapSweep::pending_boundaries`]).
+    fn pending(&mut self) -> usize {
+        self.sweeps().map(|sweep| sweep.pending_boundaries()).max().unwrap_or(0)
     }
 
     /// Pushes one batch of rows: the rows [`admit`] keeps go to the
@@ -123,7 +165,7 @@ impl SweepSet {
                     // At most one process so far (see the type docs).
                     self.merged = self.per_process.first().map(|(_, first)| first.clone());
                 }
-                self.per_process.push((ProcessId(pid), self.template.clone().unwrap_or_default()));
+                self.per_process.push((ProcessId(pid), self.template.clone()));
             }
         }
     }
@@ -149,7 +191,7 @@ impl SweepSet {
     /// drain a large range on up to `workers` threads
     /// ([`OverlapSweep::set_workers`]).
     pub(super) fn fan_out(&mut self, workers: usize) {
-        self.template.iter_mut().for_each(|sweep| sweep.set_workers(workers));
+        self.template.set_workers(workers);
         self.sweeps().for_each(|sweep| sweep.set_workers(workers));
     }
 
@@ -359,6 +401,7 @@ impl Analysis<'_> {
         frontier.reverse();
         Selection {
             files: selected.iter().map(|e| index.dir().join(&e.file)).collect(),
+            events: selected.iter().map(|e| e.footer.events as usize).collect(),
             frontier,
             closing,
         }
@@ -372,7 +415,8 @@ impl Analysis<'_> {
         filters: bool,
     ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
         let selection = self.pushdown_selection(index, filters);
-        self.sweep(filters, |set| push_chunks(set, &selection))
+        let partition = self.partition.unwrap_or((decode_workers(), 0));
+        self.sweep(filters, |set| push_chunks(set, &selection, partition))
     }
 }
 
@@ -383,6 +427,8 @@ impl Analysis<'_> {
 /// pushed.
 pub(super) struct Selection {
     pub(super) files: Vec<PathBuf>,
+    /// Each file's event count, off its footer.
+    events: Vec<usize>,
     pub(super) frontier: Vec<u64>,
     /// The scopes the directory's last chunk declares open, closed at
     /// its cut ([`Cut::closing_events`]): pushed after the last chunk.
@@ -396,27 +442,70 @@ pub(super) fn push_events(set: &mut SweepSet, events: &[Event]) -> Result<(), An
     set.push_rows(events.iter()).map_err(|err| AnalysisError::Unsupported(err.to_string()))
 }
 
-/// Chunk-directory sources, one pass over the selected chunks: the
-/// chunk-parallel decode stage feeds them in stream order, and after
-/// each one every sweep is released to its frontier.
-fn push_chunks(set: &mut SweepSet, selection: &Selection) -> Result<(), AnalysisError> {
+#[cfg(test)]
+thread_local! {
+    /// The most boundaries any sweep held once a round of
+    /// [`push_chunks`] on this thread was absorbed, before its release.
+    static PEAK_PENDING: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Chunk-directory sources, one pass over the selected chunks in
+/// **rounds**. A round is cut into at most `runs` contiguous runs of
+/// chunks, and each run is decoded, pushed and sorted side by side into
+/// a fragment of its own ([`SweepSet::fragment`]), the first on the
+/// calling thread. The calling thread absorbs the fragments in stream
+/// order and releases every sweep to the round's frontier, and the
+/// sweeps drain on `runs` threads (see [`OverlapSweep`]'s docs on
+/// threads).
+///
+/// A round holds one chunk per run at least, and at least as many
+/// boundaries (two per event, off the footers) as the sweeps held after
+/// the last release: the amortisation rule of
+/// [`OverlapSweep::release_to`], which then drains after every round.
+/// On a start-sorted directory the sweeps hold about one round, a chunk
+/// per run, at a time; where the frontier stands still (a raw dump's
+/// scopes recorded at close), rounds grow geometrically, so merging
+/// them costs the stream, not its square. `floor` raises the least
+/// round (tests only; queries pass 0): a floor of the drain's fan-out
+/// minimum (64 Ki boundaries) held a start-sorted directory's working
+/// set at a megabyte, sixteen times that of two chunks, and was no
+/// faster in process.
+fn push_chunks(
+    set: &mut SweepSet,
+    selection: &Selection,
+    (runs, floor): (usize, usize),
+) -> Result<(), AnalysisError> {
     // An order violation means a footer promised a frontier its
     // chunks do not keep: corrupt outside input, like any other.
     let corrupt = |err: SweepError| TraceIoError::Corrupt(err.to_string());
-    let mut frontiers = selection.frontier.iter().copied();
-    let threads = decode_workers();
-    // A large sort or drain uses as many threads as the decode stage,
-    // also while the decode workers are still at work.
-    set.fan_out(threads);
-    for_each_decoded_chunk_columns(&selection.files, threads, |cols| {
-        set.push_rows(cols.rows()).map_err(corrupt)?;
-        // Every sweep, those this chunk did not feed or only just
-        // created included: no later chunk starts before this. There is
-        // one frontier per file; 0 would promise nothing.
-        set.release_to(frontiers.next().unwrap_or(0));
-        Ok(())
-    })
-    .map_err(AnalysisError::Io)?;
+    set.fan_out(runs);
+    let empty = set.fragment();
+    let build = |files: &[PathBuf]| {
+        let mut fragment = empty.clone();
+        for_each_decoded_chunk_columns(files, |cols| {
+            fragment.push_rows(cols.rows()).map_err(corrupt)
+        })?;
+        fragment.sweeps().for_each(OverlapSweep::sort_pending);
+        Ok(fragment)
+    };
+    let mut next = 0;
+    while let Some(rest) = selection.files.get(next..).filter(|rest| !rest.is_empty()) {
+        let target = set.pending().max(floor);
+        let events = selection.events.get(next..).unwrap_or_default().iter();
+        let held =
+            events.scan(0, |held, &events| Some(std::mem::replace(held, *held + 2 * events)));
+        let chunks = held.take_while(|&held| held < target).count().max(runs.max(1));
+        let round = rest.get(..chunks).unwrap_or(rest);
+        let per_run = round.len().div_ceil(runs.max(1));
+        in_runs(round.chunks(per_run), build, |fragment| set.absorb(fragment).map_err(corrupt))
+            .map_err(AnalysisError::Io)?;
+        #[cfg(test)]
+        PEAK_PENDING.with(|peak| peak.set(peak.get().max(set.pending())));
+        next += round.len();
+        // Every sweep, those this round did not feed included: no later
+        // chunk starts before this. There is one frontier per file.
+        set.release_to(selection.frontier.get(next - 1).copied().unwrap_or(0));
+    }
     set.push_rows(selection.closing.iter()).map_err(|err| AnalysisError::Io(corrupt(err)))
 }
 
@@ -463,37 +552,111 @@ mod tests {
 
     /// The working set is derived, not chosen: on a start-sorted
     /// directory the frontier is the next chunk's first start, and a
-    /// sweep released to it after every chunk never holds more than two
-    /// chunks' boundaries plus the open scopes — at any stream length.
+    /// query releases its sweeps after every round of chunks, so what
+    /// they hold peaks at one round (a chunk per run) and what straddles
+    /// its edge, whether the stream is one or ten times as long. Either
+    /// stream, held whole, would be over twice the bound.
     #[test]
-    fn start_sorted_working_set_stays_within_two_chunks() {
-        const PER_CHUNK: usize = 64;
-        for n in [640u64, 6_400] {
+    fn start_sorted_working_set_stays_within_a_round() {
+        const PER_CHUNK: usize = 512;
+        let bound = 2 * PER_CHUNK * (decode_workers() + 1) + 2;
+        let short = 16 * PER_CHUNK as u64 * (decode_workers() as u64 + 1);
+        for n in [short, 10 * short] {
             let events = start_sorted_events(n);
             let dir = write_chunk_dir("workset", &events, PER_CHUNK);
             let query = Analysis::from_chunk_dir(&dir);
             let selection = query.pushdown_selection(&Manifest::open(&dir).unwrap(), true);
-            assert_eq!(selection.files.len(), n as usize / PER_CHUNK);
+            assert_eq!(selection.files.len(), (n as usize).div_ceil(PER_CHUNK));
             for (i, &frontier) in selection.frontier.iter().enumerate() {
                 let next = events.get((i + 1) * PER_CHUNK).map_or(u64::MAX, |e| e.start.as_nanos());
                 assert_eq!(frontier, next, "chunk {i}");
             }
-            let mut sweep = OverlapSweep::new();
-            let mut frontiers = selection.frontier.iter();
-            let mut max_pending = 0;
-            for_each_decoded_chunk_columns(&selection.files, 1, |cols| {
-                sweep.push_columns(&cols).unwrap();
-                sweep.release_to(*frontiers.next().unwrap());
-                max_pending = max_pending.max(sweep.pending_boundaries());
-                Ok(())
-            })
-            .unwrap();
-            // One operation and one CPU span can straddle a chunk edge.
-            assert!(max_pending <= 2 * 2 * PER_CHUNK + 2, "{n} events: {max_pending} pending");
-            assert_eq!(sweep.finalize(), compute_overlap(&events));
+            PEAK_PENDING.with(|peak| peak.set(0));
             assert_eq!(query.table().unwrap(), compute_overlap(&events));
+            let peak = PEAK_PENDING.with(std::cell::Cell::get);
+            assert!(peak <= bound, "{n} events: {peak} pending, bound {bound}");
+            assert!(2 * n as usize > 2 * bound, "{n} events");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// A set that absorbs fragments of any three-way split of a stream
+    /// answers as the set the whole stream was pushed into, in every
+    /// view, with and without a process filter or a window: slots are
+    /// made in first-appearance order, and under `Both` the merged sweep
+    /// appears with the second process, wherever the split puts it. The
+    /// stream opens with one process alone and closes a phase late.
+    #[test]
+    fn absorbing_fragments_answers_as_pushing_the_stream() {
+        let mut events = vec![
+            ev(2, EventKind::Cpu(CpuCategory::Simulator), "sim", 0, 30),
+            ev(2, EventKind::Operation, "warmup", 0, 40),
+        ];
+        events.extend(super::super::testutil::phased_events());
+        events.push(ev(1, EventKind::Phase, "late", 5, 210));
+        let filters = [(None, None), (Some(1), None), (None, Some((50_000, 150_000)))];
+        for view in [LiveView::Merged, LiveView::PerProcess, LiveView::Both] {
+            for (pid, window) in filters {
+                let configured = || {
+                    let mut set = SweepSet::new(view, OverlapSweep::new().with_phase_tagging());
+                    (set.pid_filter, set.window) = (pid, window);
+                    set
+                };
+                let mut whole = configured();
+                whole.push_rows(events.iter()).unwrap();
+                let expected = whole.finish(view);
+                for first in 0..=events.len() {
+                    for second in first..=events.len() {
+                        let mut set = configured();
+                        for run in [&events[..first], &events[first..second], &events[second..]] {
+                            let mut fragment = set.fragment();
+                            fragment.push_rows(run.iter()).unwrap();
+                            set.absorb(fragment).unwrap();
+                        }
+                        let at =
+                            format!("{view:?}, pid {pid:?}, window {window:?}, {first}/{second}");
+                        assert_eq!(set.finish(view), expected, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A directory query fails typed, with the first error in stream
+    /// order, however its chunks fall into rounds and runs: corrupt
+    /// chunks in two runs fail it with the first one's `Corrupt`, and a
+    /// chunk removed after the index was read with `Io`.
+    #[test]
+    fn partitioned_queries_fail_with_the_first_error_in_stream_order() {
+        let events = start_sorted_events(64);
+        let dir = write_chunk_dir("runerr", &events, 8);
+        let index = Manifest::open(&dir).unwrap();
+        let files = crate::store::list_chunk_files(&dir).unwrap();
+        assert_eq!(files.len(), 8);
+        let partitions = [(1, 0), (2, usize::MAX), (3, usize::MAX), (4, 0), (4, 40)];
+        let query = |(runs, floor)| {
+            Analysis::from_chunk_index(&index).with_partition(runs, floor).tables().unwrap_err()
+        };
+        let (first, late) = (std::fs::read(&files[1]).unwrap(), std::fs::read(&files[6]).unwrap());
+        std::fs::write(&files[6], &late[..12]).unwrap();
+        std::fs::write(&files[1], b"garbage, not a chunk at all").unwrap();
+        for what in ["bad magic", "too short"] {
+            for partition in partitions {
+                let err = query(partition);
+                let typed =
+                    matches!(&err, AnalysisError::Io(TraceIoError::Corrupt(m)) if m.contains(what));
+                assert!(typed, "{partition:?}: {err}");
+            }
+            std::fs::write(&files[1], &first).unwrap();
+        }
+        std::fs::write(&files[6], &late).unwrap();
+        assert_eq!(Analysis::from_chunk_index(&index).table().unwrap(), compute_overlap(&events));
+        std::fs::remove_file(&files[3]).unwrap();
+        for partition in partitions {
+            let err = query(partition);
+            assert!(matches!(err, AnalysisError::Io(TraceIoError::Io(_))), "{partition:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A footer is outside input. The last chunk's, forged to overstate

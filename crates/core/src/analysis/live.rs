@@ -338,7 +338,7 @@ impl LiveState {
     /// released chunk by chunk, so the seal drains about the last
     /// chunk.
     ///
-    /// The seal sorts and drains on the decode stage's worker count, as
+    /// The seal sorts and drains on the machine's core count, as
     /// a directory query does (see the module docs on threads), where an
     /// undeclared stream's whole log is over the fan-out minimums and a
     /// declared seal's last chunk stays below them.

@@ -96,14 +96,19 @@
 //! every reader treats as "possibly any pid" — old chunks stay readable
 //! and their skip decisions are identical-or-safer, never wrong.
 //!
-//! Chunk decode itself is **chunk-parallel**: selected files are decoded
-//! on worker threads and fed to the per-process incremental sweeps in
-//! stream order through bounded channels
-//! ([`crate::store::for_each_decoded_chunk_columns`]), so decode
-//! overlaps sweeping on multi-core machines with bounded in-flight
-//! memory. The index the pushdown reads is built on the same worker
-//! count: [`crate::store::Manifest::open`] reads a large directory's
-//! chunk tails side by side.
+//! The selected chunks are read in **rounds**, each cut into one
+//! contiguous run of chunks per core (`available_parallelism`, looked
+//! up once). Each run is read, decoded, pushed and sorted side by side
+//! into a fragment of the query's sweeps, the first run on the calling
+//! thread; the calling thread then absorbs the fragments in stream order
+//! ([`OverlapSweep`]'s merge of sorted logs) and releases every sweep to
+//! the round's frontier. A round holds at least as many boundaries as
+//! the sweeps held after the last release, and at least a chunk per
+//! run, so the working set stays bounded on a start-sorted directory
+//! and the merging stays linear where the frontier stands still. On one core a round is one run on the calling thread. The
+//! index the pushdown reads is built on the same core count:
+//! [`crate::store::Manifest::open`] reads a large directory's chunk
+//! tails side by side.
 //!
 //! # The release frontier: how much of a directory a query holds
 //!
@@ -162,13 +167,12 @@
 //!
 //! Per-process sweeps run one after another on the calling thread (a
 //! thread per process measured no faster on two cores). Inside one
-//! sweep, a chunk-directory query also uses the decode stage's worker
-//! count (`available_parallelism`, looked up once) for the sorts and
-//! drains the calling thread runs between and after pushes: a large
-//! sort puts the two boundary queues in order side by side, and a
-//! large drain — released or final — is cut into time slices that
-//! drain side by side into tables that are summed, exactly (see
-//! [`OverlapSweep`]'s docs on threads). [`LiveState::seal`] does the
+//! sweep, a chunk-directory query also uses the core count for what the
+//! calling thread runs between rounds and after the last: a large
+//! absorb merges the two boundary queues side by side, and a large
+//! drain — released or final — is cut into time slices that drain side
+//! by side into tables that are summed, exactly (see [`OverlapSweep`]'s
+//! docs on threads). [`LiveState::seal`] does the
 //! same for a finished session's one final sort and drain. Every other
 //! source keeps its sweeps on one thread: in-memory sources, and
 //! [`LiveState`] snapshots, which run on a session's owner thread
@@ -527,6 +531,9 @@ pub struct Analysis<'a> {
     /// [`OverlapSweep::finalize_grouped_keep_empty`]). Honored by the
     /// chunk-dir streamed path only; never user-visible.
     keep_empty_phases: bool,
+    /// Chunk-directory sources: the runs per round and the round floor
+    /// that [`Analysis::with_partition`] forces.
+    partition: Option<(usize, usize)>,
 }
 
 impl<'a> Analysis<'a> {
@@ -540,6 +547,7 @@ impl<'a> Analysis<'a> {
             dims: Vec::new(),
             calibration: None,
             keep_empty_phases: false,
+            partition: None,
         }
     }
 
@@ -547,6 +555,17 @@ impl<'a> Analysis<'a> {
     /// (chunk-dir sources only). See the `keep_empty_phases` field.
     pub(crate) fn keep_empty_phases(mut self) -> Self {
         self.keep_empty_phases = true;
+        self
+    }
+
+    /// Test support, not a tuning knob: a chunk-directory query cuts
+    /// each round into at most `runs` runs instead of one per core, and
+    /// a round holds at least `round_floor` boundaries by the footers,
+    /// so that rounds and runs fall where a test wants them. The answer is
+    /// the same for every value.
+    #[doc(hidden)]
+    pub fn with_partition(mut self, runs: usize, round_floor: usize) -> Self {
+        self.partition = Some((runs, round_floor));
         self
     }
 
@@ -567,10 +586,10 @@ impl<'a> Analysis<'a> {
     /// chunk at a time; the concatenated event stream is never
     /// materialized. `.time_window` / `.process` / `.phase` filters push
     /// down into the directory's [`Manifest`], skipping whole chunks
-    /// before any decode, and the surviving chunks are decoded
-    /// chunk-parallel while the sweeps consume them in stream order,
-    /// releasing behind the frontier the remaining chunks' footers give
-    /// (see the module docs).
+    /// before any decode, and the surviving chunks are decoded in
+    /// rounds of contiguous runs, side by side, whose sweeps the query
+    /// absorbs in stream order, releasing behind the frontier the
+    /// remaining chunks' footers give (see the module docs).
     pub fn from_chunk_dir(dir: impl Into<PathBuf>) -> Self {
         Self::new(Source::Tier(SessionSource::ChunkDir(dir.into())))
     }

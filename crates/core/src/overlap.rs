@@ -852,14 +852,36 @@ impl BoundaryQueue {
         {
             self.fallbacks += usize::from(_fell_back);
         }
-        // Run boundaries at or before the pending minimum are already
-        // in their final place (the run wins ties).
-        let pending_min = self.buf[split].0;
-        let from = self.buf[..split].partition_point(|p| p.0 <= pending_min);
+        self.merge_run_at(split);
+    }
+
+    /// Merges the ascending tail `buf[split..]` into the run before it,
+    /// stably, the run winning ties, and makes the whole buffer the run.
+    fn merge_run_at(&mut self, split: usize) {
+        // Run boundaries at or before the tail's minimum are already in
+        // their final place.
+        let tail_min = self.buf[split].0;
+        let from = self.buf[..split].partition_point(|p| p.0 <= tail_min);
         merge_adjacent_runs(&mut self.buf[from..], split - from);
         self.sorted_to = self.buf.len();
+        self.sorted_len = self.buf.len();
         // What lies before `from` was ascending already.
         debug_assert!(self.buf[from.saturating_sub(1)..].is_sorted_by_key(|b| b.0));
+    }
+
+    /// Puts this queue in order and appends `sorted`, an ascending
+    /// queue of boundaries pushed after all of this one's, each word
+    /// rewritten by `remap`: the log is then exactly the one those
+    /// pushes and a sort would build (see the type docs' merge rule).
+    fn absorb(&mut self, sorted: &[Boundary], remap: impl Fn(Boundary) -> Boundary) {
+        self.ensure_sorted();
+        let Some(first) = sorted.first() else {
+            return;
+        };
+        let split = self.buf.len();
+        self.buf.extend(sorted.iter().map(|&b| remap(b)));
+        self.min_time = self.min_time.min(first.0);
+        self.merge_run_at(split);
     }
 
     /// Smallest unconsumed time; `u64::MAX` when empty. O(1) — never
@@ -887,7 +909,11 @@ impl BoundaryQueue {
 /// `v[mid..]`, the left run winning ties. The shorter run is copied to a
 /// scratch `Vec` and the merge walks from that run's end of the slice,
 /// stopping as soon as the scratch is empty — whatever remains of the
-/// longer run is already in place.
+/// longer run is already in place. Each step moves the block of one run
+/// that goes before the other's next boundary in one copy, found by a
+/// galloping search ([`gallop`]): a few stragglers far back in a long
+/// run cost a few searches and one block move, not a compare per
+/// boundary they displace.
 fn merge_adjacent_runs(v: &mut [Boundary], mid: usize) {
     let n = v.len();
     if mid == 0 || mid == n {
@@ -898,30 +924,62 @@ fn merge_adjacent_runs(v: &mut [Boundary], mid: usize) {
         let left = v[..mid].to_vec();
         let (mut l, mut r, mut out) = (0, mid, 0);
         while l < mid {
-            if r < n && v[r].0 < left[l].0 {
-                v[out] = v[r];
-                r += 1;
-            } else {
-                v[out] = left[l];
-                l += 1;
-            }
-            out += 1;
+            let k = gallop(&v[r..], |p| p.0 < left[l].0);
+            v.copy_within(r..r + k, out);
+            (r, out) = (r + k, out + k);
+            let k = v.get(r).map_or(mid - l, |next| gallop(&left[l..], |p| p.0 <= next.0));
+            v[out..out + k].copy_from_slice(&left[l..l + k]);
+            (l, out) = (l + k, out + k);
         }
     } else {
         // Right run to scratch, fill backwards.
         let right = v[mid..].to_vec();
         let (mut l, mut r, mut out) = (mid, right.len(), n);
         while r > 0 {
-            out -= 1;
-            if l > 0 && v[l - 1].0 > right[r - 1].0 {
-                v[out] = v[l - 1];
-                l -= 1;
-            } else {
-                v[out] = right[r - 1];
-                r -= 1;
-            }
+            let k = gallop_back(&v[..l], |p| p.0 > right[r - 1].0);
+            v.copy_within(l - k..l, out - k);
+            (l, out) = (l - k, out - k);
+            let k = l.checked_sub(1).map_or(r, |prev| {
+                let prev = v[prev].0;
+                gallop_back(&right[..r], |p| p.0 >= prev)
+            });
+            v[out - k..out].copy_from_slice(&right[r - k..r]);
+            (r, out) = (r - k, out - k);
         }
     }
+}
+
+/// The length of the prefix of `v` on which `pred` holds (it must hold
+/// on a prefix and on nothing after it): an exponential search from the
+/// front, then a binary one, so the answer `k` costs about `2 log k`
+/// compares and a `k` of 0 or 1 one or two.
+fn gallop(v: &[Boundary], pred: impl Fn(&Boundary) -> bool) -> usize {
+    if !v.first().is_some_and(&pred) {
+        return 0;
+    }
+    // `v[..hi / 2]` holds; the loop stops at the first probe that fails.
+    let mut hi = 2;
+    while hi <= v.len() && pred(&v[hi - 1]) {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + v[lo..(hi - 1).min(v.len())].partition_point(pred)
+}
+
+/// [`gallop`] from the back: the length of the suffix of `v` on which
+/// `pred` holds.
+fn gallop_back(v: &[Boundary], pred: impl Fn(&Boundary) -> bool) -> usize {
+    let n = v.len();
+    if !v.last().is_some_and(&pred) {
+        return 0;
+    }
+    let mut hi = 2;
+    while hi <= n && pred(&v[n - hi]) {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    let probe = &v[n - (hi - 1).min(n)..n - lo];
+    lo + probe.len() - probe.partition_point(|p| !pred(p))
 }
 
 const META_OP_BASE: u32 = 8;
@@ -943,15 +1001,18 @@ pub(crate) const CHECKPOINT_SPACING: usize = 512;
 /// about one chunk, below it. In
 /// process, on 2 otherwise idle cores, two slices already beat one
 /// drain from about 5 k boundaries on (8 k: 0.071 → 0.049 ms; 200 k:
-/// 2.5 → 1.5 ms); but in the daemon, where the decode workers and other
-/// queries share the cores, lowering this and [`SORT_FANOUT_MIN`] to
-/// those break-evens left `query_tiers`' `query_ms_p50` where it was
-/// and cost 3 % more raw daemon CPU (20 alternated pairs).
+/// 2.5 → 1.5 ms); but in the daemon, where other queries share the
+/// cores (and, when this was chosen, a directory query's decode workers
+/// ran beside its release drains), lowering this and
+/// [`SORT_FANOUT_MIN`] to those break-evens left `query_tiers`'
+/// `query_ms_p50` where it was and cost 3 % more raw daemon CPU (20
+/// alternated pairs).
 const DRAIN_FANOUT_MIN: usize = 64 * 1024;
 
 /// Boundaries each queue must have pending before
-/// [`OverlapSweep::sort_pending`] sorts the two side by side, in a
-/// directory query or a seal. In process that pays from about 2 k per
+/// [`OverlapSweep::sort_pending`] sorts the two side by side (or a
+/// fragment must hold before [`OverlapSweep::absorb`] merges them side
+/// by side), in a directory query or a seal. In process that pays from about 2 k per
 /// queue (4 k: 0.096 → 0.074 ms; 100 k: 2.6 → 1.5 ms, with the radix
 /// sort this replaced); the daemon's minimum is higher for the reason
 /// given at [`DRAIN_FANOUT_MIN`]. An undeclared session interleaving
@@ -1491,6 +1552,21 @@ impl ClosedScopes {
     }
 }
 
+/// Runs `starts` and then `ends`, or, when `fan_out`, the two side by
+/// side, a helper thread taking `ends`: what a sweep does to its two
+/// queues, which share nothing, in either order.
+fn side_by_side(fan_out: bool, starts: impl FnOnce(), ends: impl FnOnce() + Send) {
+    if fan_out {
+        std::thread::scope(|scope| {
+            scope.spawn(ends);
+            starts();
+        });
+    } else {
+        starts();
+        ends();
+    }
+}
+
 /// A declared scope whose start a sweep has logged
 /// ([`OverlapSweep::enter_scope`]): what its close is recognized by —
 /// pid, tag, dense name id and start — and the seq and meta word its
@@ -1580,8 +1656,8 @@ fn take_entered(
 /// A sweep sorts and drains on the calling thread unless its owner
 /// hands it a worker budget (crate-internal): a chunk-directory query
 /// and a finished live session's seal hand each of their sweeps the
-/// decode stage's worker count (see [`crate::analysis`]). Such a sweep
-/// sorts its two queues side by side
+/// machine's core count (see [`crate::analysis`]). Such a sweep
+/// sorts (or absorbs into) its two queues side by side
 /// once each has `SORT_FANOUT_MIN` boundaries pending
 /// ([`OverlapSweep::sort_pending`]), and cuts a drain of at least
 /// `DRAIN_FANOUT_MIN` boundaries into one time slice per worker, at the
@@ -1594,11 +1670,12 @@ fn take_entered(
 /// closes scopes but attributes nothing, and needs no merge of the two
 /// queues: which boundaries lie before a time fixes the state there.
 ///
-/// Release drains fan out as well as the final one, although the decode
-/// workers are still at work while they run: a query's release drains
-/// hold about as many boundaries as its final drain, and on
-/// `query_tiers` fanning out only once decoding had finished kept a
-/// third of the gain (`query_ms_p50` −10 % against −31 %, 2 cores).
+/// Release drains fan out as well as the final one: a directory query
+/// runs them between its rounds, when the runs of the round are done,
+/// and they hold about as many boundaries as its final drain. A
+/// directory query's sweeps do not sort while they are released: each
+/// run sorts the fragment it pushed, on its own thread, and the query
+/// absorbs the sorted fragments (`OverlapSweep::absorb`).
 ///
 /// `LiveState` snapshots keep a budget of 1: they run on the session's
 /// owner thread, beside the other sessions' owners and their ingest,
@@ -1724,9 +1801,8 @@ impl OverlapSweep {
 
     /// Lets a large sort or drain of this sweep use up to `workers`
     /// threads (see the type docs). Crate-internal: a chunk-directory
-    /// query and a live session's seal hand their sweeps the decode
-    /// stage's worker count, and every other sweep (snapshots included)
-    /// keeps 1.
+    /// query and a live session's seal hand their sweeps the machine's
+    /// core count, and every other sweep (snapshots included) keeps 1.
     pub(crate) fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -1782,16 +1858,8 @@ impl OverlapSweep {
     /// the ends. The queues share nothing, so the order is the same.
     pub fn sort_pending(&mut self) {
         let (starts, ends) = (&mut self.log.starts, &mut self.log.ends);
-        if self.workers > 1 && starts.pending().min(ends.pending()) >= SORT_FANOUT_MIN {
-            // The queues are disjoint: one helper takes the ends.
-            std::thread::scope(|scope| {
-                scope.spawn(|| ends.ensure_sorted());
-                starts.ensure_sorted();
-            });
-        } else {
-            starts.ensure_sorted();
-            ends.ensure_sorted();
-        }
+        let large = starts.pending().min(ends.pending()) >= SORT_FANOUT_MIN;
+        side_by_side(self.workers > 1 && large, || starts.ensure_sorted(), || ends.ensure_sorted());
     }
 
     /// Logged boundaries not yet in order: what the next
@@ -1974,6 +2042,73 @@ impl OverlapSweep {
             log.ends.push((end, seq, meta));
             self.low_water = self.low_water.min(start);
         }
+        Ok(())
+    }
+
+    /// Appends `fragment`'s log to this sweep's, as if the fragment's
+    /// pushes had come here after this sweep's own. A fragment is an
+    /// unreleased sweep, configured as this one, that was fed the next
+    /// stretch of the stream: a chunk-directory query builds one per run
+    /// of chunks, side by side, and absorbs them in stream order (see
+    /// [`crate::analysis`]).
+    ///
+    /// The fragment's operation, phase and pid interners are interned
+    /// here in their own order, then its phase keys; its scope seqs are
+    /// offset by the scopes this sweep has numbered. Its queues, sorted
+    /// first, are merged into this sweep's stably, this sweep's
+    /// boundaries winning ties. The log is then exactly the one pushing
+    /// the fragment's rows here and sorting would build, seqs, interner
+    /// order and pid order included, so the tables are too.
+    ///
+    /// # Errors
+    ///
+    /// What pushing the fragment's rows here would report:
+    /// [`SweepError::OrderViolation`] when the fragment starts before
+    /// the time this sweep was released to, and
+    /// [`SweepError::TooManyOperations`] when the scopes or names
+    /// outgrow their ids.
+    pub(crate) fn absorb(&mut self, fragment: &mut OverlapSweep) -> Result<(), SweepError> {
+        debug_assert!(fragment.entered.is_empty() && fragment.released_to == 0);
+        debug_assert_eq!(self.log.track_phases, fragment.log.track_phases);
+        fragment.sort_pending();
+        let from = &fragment.log;
+        let first = from.starts.buf.first().map_or(u64::MAX, |b| b.0);
+        if first < self.released_to {
+            return Err(SweepError::OrderViolation { start: first, swept_to: self.released_to });
+        }
+        let log = &mut self.log;
+        let ops: Vec<u32> = from.interner.names().iter().map(|n| log.interner.intern(n)).collect();
+        if log.interner.len() > (META_PHASE_FLAG - META_OP_BASE) as usize {
+            return Err(SweepError::TooManyOperations);
+        }
+        let phases: Vec<u32> =
+            from.phase_interner.names().iter().map(|n| log.phase_interner.intern(n)).collect();
+        let mut raw = vec![0; from.pid_map.len()];
+        for (&pid, &dense) in &from.pid_map {
+            raw[dense as usize] = pid;
+        }
+        let pids: Vec<u32> = raw.into_iter().map(|pid| log.pid_index(pid)).collect();
+        let keys = (from.phase_keys.iter())
+            .map(|&(phase, pid)| log.phase_key(phases[phase as usize], pids[pid as usize]))
+            .collect::<Result<Vec<u32>, _>>()?;
+        let base = log.next_seq;
+        log.next_seq = base.checked_add(from.next_seq).ok_or(SweepError::TooManyOperations)?;
+        let remap = |(t, seq, meta): Boundary| match meta {
+            0..=CODE_GPU => (t, pids[seq as usize], meta),
+            m if m & META_PHASE_FLAG != 0 => {
+                (t, base + seq, META_PHASE_FLAG | keys[(m & !META_PHASE_FLAG) as usize])
+            }
+            m => (t, base + seq, META_OP_BASE + ops[(m - META_OP_BASE) as usize]),
+        };
+        let (starts, ends) = (&mut log.starts, &mut log.ends);
+        let large = from.starts.len().min(from.ends.len()) >= SORT_FANOUT_MIN;
+        side_by_side(
+            self.workers > 1 && large,
+            || starts.absorb(&from.starts.buf, remap),
+            || ends.absorb(&from.ends.buf, remap),
+        );
+        self.low_water = self.low_water.min(fragment.low_water);
+        self.events_pushed += fragment.events_pushed;
         Ok(())
     }
 
@@ -3102,6 +3237,115 @@ mod tests {
                 serial.state.phase_tables(&serial.log, true)
             );
         }
+    }
+
+    /// Everything of a log that a drain or a later absorb reads: both
+    /// queues in order, the operation and phase names in interning
+    /// order, the raw pids in dense order, the phase keys and the seq
+    /// count.
+    fn log_view(log: &BoundaryLog) -> String {
+        let mut pids: Vec<_> = log.pid_map.iter().map(|(&raw, &dense)| (dense, raw)).collect();
+        pids.sort_unstable();
+        format!(
+            "starts {:?} ends {:?} ops {:?} phases {:?} pids {:?} keys {:?} seqs {}",
+            log.starts.buf,
+            log.ends.buf,
+            log.interner.names(),
+            log.phase_interner.names(),
+            pids,
+            log.phase_keys,
+            log.next_seq,
+        )
+    }
+
+    proptest! {
+        /// A stream cut anywhere into one to four runs, each pushed in
+        /// batches into a fragment of its own and absorbed in stream
+        /// order, builds the log one sweep of the whole stream builds
+        /// once it is sorted: the same boundaries in the same order,
+        /// seqs and meta words included, the same operation, phase and
+        /// pid interning order, phase keys and seq count, and so the
+        /// same tables. One to four producers' near-sorted
+        /// interleavings with nests and phases recorded at close, so
+        /// scopes span the cuts, with or without phase tagging. A cut is
+        /// any event index, so it can fall inside a run of equal times
+        /// (times are multiples of 10 ns) and a run can be empty. With
+        /// `release`, the absorbing sweep is released after each run to
+        /// the earliest start still to come, so its log is drained and
+        /// compacted between absorbs, and only the tables are compared.
+        #[test]
+        fn absorbing_any_split_builds_the_one_sweep_log(
+            pids in 1usize..5,
+            ops in prop::collection::vec((1usize..7, 0usize..5, 0u64..4), 1..80),
+            phase_every in 2usize..8,
+            skew in prop::collection::vec(0usize..12, 1..16),
+            cuts in prop::collection::vec(0usize..1 << 16, 0..4),
+            batch in 1usize..64,
+            tagged in 0u8..2,
+            release in 0u8..2,
+        ) {
+            let streams: Vec<_> = (0..pids)
+                .map(|p| {
+                    let mut own = ops.clone();
+                    own.rotate_left(p % ops.len());
+                    producer_stream(p as u32, &own, phase_every)
+                })
+                .collect();
+            let events = interleave(&streams, &skew);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (events.len() + 1)).collect();
+            cuts.sort_unstable();
+            cuts.push(events.len());
+            let fresh = || {
+                let sweep = OverlapSweep::new();
+                if tagged == 1 { sweep.with_phase_tagging() } else { sweep }
+            };
+            let mut whole = fresh();
+            for part in events.chunks(batch) {
+                whole.push_batch(part).unwrap();
+            }
+            whole.sort_pending();
+            let mut absorbed = fresh();
+            let mut from = 0;
+            for &cut in &cuts {
+                let mut fragment = fresh();
+                for part in events[from..cut].chunks(batch) {
+                    fragment.push_batch(part).unwrap();
+                }
+                absorbed.absorb(&mut fragment).unwrap();
+                if release == 1 {
+                    let rest = events[cut..].iter().map(|e| e.start.as_nanos()).min();
+                    absorbed.release_to(rest.unwrap_or(u64::MAX));
+                }
+                from = cut;
+            }
+            prop_assert_eq!(absorbed.events_pushed(), whole.events_pushed());
+            if release == 0 {
+                prop_assert_eq!(log_view(&absorbed.log), log_view(&whole.log));
+            }
+            prop_assert_eq!(absorbed.finalize_grouped(), whole.finalize_grouped());
+        }
+    }
+
+    /// A fragment that starts before the time the absorbing sweep was
+    /// released to is rejected with the error the push of that start
+    /// reports, and one that starts at it is absorbed.
+    #[test]
+    fn absorb_rejects_a_start_before_the_released_time() {
+        let py = |name, start, end| ev(EventKind::Cpu(CpuCategory::Python), name, start, end);
+        let mut sweep = OverlapSweep::new();
+        sweep.push(&py("py", 0, 10)).unwrap();
+        sweep.release_to(20_000);
+        let mut pushed = sweep.clone();
+        let mut late = OverlapSweep::new();
+        late.push_batch(&[py("py", 30, 40), py("late", 19, 25)]).unwrap();
+        let err = sweep.absorb(&mut late).unwrap_err();
+        assert_eq!(err, SweepError::OrderViolation { start: 19_000, swept_to: 20_000 });
+        assert_eq!(pushed.push(&py("late", 19, 25)).unwrap_err(), err);
+        let mut on_time = OverlapSweep::new();
+        on_time.push(&py("py", 20, 30)).unwrap();
+        sweep.absorb(&mut on_time).unwrap();
+        pushed.push(&py("py", 20, 30)).unwrap();
+        assert_eq!(sweep.finalize(), pushed.finalize());
     }
 
     /// The closed set a skipped range builds is as wide as the seqs of

@@ -1,7 +1,8 @@
 //! Chunk directories: the rotating [`TraceWriter`], stream-order
 //! listing, crash recovery ([`recover_chunk_prefix`]), the footer index
-//! ([`Manifest`]) with predicate pushdown, and the chunk-parallel
-//! decode ([`for_each_decoded_chunk_columns`]).
+//! ([`Manifest`]) with predicate pushdown, the streaming decode
+//! ([`for_each_decoded_chunk_columns`]), and the runs a directory is
+//! read in side by side.
 
 use super::decode::{
     decode_chunk, decode_footer_payload, read_chunk_footer, trailer_footer_len, ChunkFooter,
@@ -13,7 +14,7 @@ use super::{
 };
 use crate::event::Event;
 use bytes::{BufMut, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, Write};
@@ -313,16 +314,17 @@ impl ChunkQuery {
     }
 }
 
-/// Chunk tails [`Manifest::open`] gives each worker it reads them on.
+/// Chunk tails [`Manifest::open`] gives each run it reads side by side
+/// ([`in_runs`]).
 /// One tail costs 2–3 µs; measured on 2 warmed cores, two readers were
 /// no faster than one at 128 tails and faster from 256 on (1055 tails:
 /// 2.1 → 1.6 ms).
 const TAILS_PER_WORKER: usize = 128;
 
-/// The worker count of the decode stage
-/// ([`for_each_decoded_chunk_columns`] as directory queries call it),
-/// which [`Manifest::open`] reads the chunk tails on too, and a seal
-/// sorts and drains on ([`crate::analysis::LiveState::seal`]). Looked
+/// The core count a chunk-directory query cuts each round of chunks
+/// into runs by, one run per core, and sorts and drains on, which
+/// [`Manifest::open`] reads the chunk tails on too, and a seal sorts
+/// and drains on ([`crate::analysis::LiveState::seal`]). Looked
 /// up once per process: each lookup reads the affinity mask and the
 /// cgroup quota again (15–18 µs on 2 cores), and a seal or a query asks
 /// for it every time.
@@ -371,18 +373,11 @@ impl Manifest {
         let paths = list_chunk_files(dir)?;
         let workers = decode_workers().min(paths.len() / TAILS_PER_WORKER).max(1);
         // Contiguous runs, read side by side and joined in order, keep
-        // the entries in stream order; the calling thread reads the first.
-        let per = paths.len().div_ceil(workers).max(1);
-        let entries = std::thread::scope(|scope| {
-            let mut runs = paths.chunks(per);
-            let first = runs.next().unwrap_or_default();
-            let rest: Vec<_> = runs.map(|run| scope.spawn(move || read_entries(run))).collect();
-            let mut entries = read_entries(first)?;
-            for run in rest {
-                let lost = || io::Error::other("a chunk index reader panicked");
-                entries.extend(run.join().map_err(|_| lost())??);
-            }
-            Ok::<_, TraceIoError>(entries)
+        // the entries in stream order.
+        let mut entries = Vec::with_capacity(paths.len());
+        in_runs(paths.chunks(paths.len().div_ceil(workers).max(1)), read_entries, |run| {
+            entries.extend(run);
+            Ok(())
         })?;
         Ok(Manifest { dir: dir.to_path_buf(), entries })
     }
@@ -549,60 +544,55 @@ impl Manifest {
     }
 }
 
-/// Reads and decodes `files` on up to `threads` worker threads while
-/// feeding each decoded chunk to `consume` **in stream order** on the
-/// calling thread — the decode stage of the chunk-parallel streaming
-/// executor (see [`crate::analysis::Analysis::from_chunk_dir`]).
-///
-/// Files are assigned to workers round-robin and each worker feeds its
-/// own bounded channel, so at most `threads × 3` decoded chunks are in
-/// flight at once (bounded memory) and the consumer — which always drains
-/// the channel owning the next stream index — can never deadlock against
-/// a blocked producer. If `consume` fails, the remaining workers are
-/// disconnected and the error is returned immediately.
+/// Reads and decodes `files` one after another on the calling thread,
+/// feeding each decoded chunk to `consume` in stream order: the
+/// streaming access path (see the module docs). A chunk-directory query
+/// runs one of these per run of chunks, side by side (`in_runs`).
 ///
 /// # Errors
 ///
-/// The first chunk I/O or corruption error in stream order, or the first
-/// `consume` error.
+/// The first chunk I/O or corruption error, or the first `consume`
+/// error; nothing after it is read.
 pub fn for_each_decoded_chunk_columns(
     files: &[PathBuf],
-    threads: usize,
     mut consume: impl FnMut(EventColumns) -> Result<(), TraceIoError>,
 ) -> Result<(), TraceIoError> {
-    let read_decode = |path: &Path| -> Result<EventColumns, TraceIoError> {
+    for path in files {
         let mut data = Vec::new();
         fs::File::open(path)?.read_to_end(&mut data)?;
-        decode_columns(&data)
-    };
-
-    let threads = threads.min(files.len());
-    if threads <= 1 {
-        for path in files {
-            consume(read_decode(path)?)?;
-        }
-        return Ok(());
+        consume(decode_columns(&data)?)?;
     }
+    Ok(())
+}
+
+/// Runs `work` over each of `runs` side by side, the first on the
+/// calling thread and each other one on a scoped thread of its own, and
+/// hands the results to `each` on the calling thread in run order, each
+/// as soon as it and those before it are ready. A run whose `work`
+/// panics is a typed [`TraceIoError::Io`], never a panic.
+///
+/// # Errors
+///
+/// The first error in run order, of `work` or of `each`. The runs after
+/// it still finish, but none is handed over.
+pub(crate) fn in_runs<'a, I: Sync + 'a, T: Send>(
+    mut runs: impl Iterator<Item = &'a [I]>,
+    work: impl Fn(&'a [I]) -> Result<T, TraceIoError> + Sync,
+    mut each: impl FnMut(T) -> Result<(), TraceIoError>,
+) -> Result<(), TraceIoError> {
+    let lost = |_| TraceIoError::Io(io::Error::other("a chunk worker panicked"));
+    let work = &work;
     std::thread::scope(|scope| {
-        let mut receivers = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (tx, rx) = bounded::<Result<EventColumns, TraceIoError>>(2);
-            receivers.push(rx);
-            scope.spawn(move || {
-                let mut i = w;
-                while let Some(path) = files.get(i) {
-                    if tx.send(read_decode(path)).is_err() {
-                        break; // Consumer gone: error path, stop decoding.
-                    }
-                    i += threads;
-                }
-            });
+        let first = runs.next();
+        let rest: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
+        if let Some(run) = first {
+            each(
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(run)))
+                    .map_err(lost)??,
+            )?;
         }
-        // Worker `i % threads` decodes file `i`, and sends once per file
-        // it owns before it exits.
-        for rx in receivers.iter().cycle().take(files.len()) {
-            let lost = || io::Error::other("a decode worker exited without sending");
-            consume(rx.recv().ok_or_else(lost)??)?;
+        for run in rest {
+            each(run.join().map_err(lost)??)?;
         }
         Ok(())
     })
@@ -929,45 +919,81 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Runs read side by side are handed over in run order, whatever
+    /// the run count: each run decodes its own chunks in order, and the
+    /// runs concatenate to the stream.
     #[test]
-    fn parallel_decode_preserves_stream_order() {
+    fn partitioned_runs_preserve_stream_order() {
         let dir = std::env::temp_dir().join(format!("rlscope_pardec_{}", std::process::id()));
         let events = sample_events(200);
         write_dir(&dir, &events, 10, 64);
         let files = list_chunk_files(&dir).unwrap();
         assert!(files.len() > 2);
-        for threads in [1usize, 3, 8] {
+        let decode = |run: &[PathBuf]| {
+            let mut events = Vec::new();
+            for_each_decoded_chunk_columns(run, |chunk| {
+                events.extend(chunk.to_events()?);
+                Ok(())
+            })?;
+            Ok(events)
+        };
+        for runs in [1usize, 3, 8] {
             let mut streamed = Vec::new();
-            for_each_decoded_chunk_columns(&files, threads, |chunk| {
-                streamed.extend(chunk.to_events()?);
+            in_runs(files.chunks(files.len().div_ceil(runs)), decode, |run| {
+                streamed.extend(run);
                 Ok(())
             })
             .unwrap();
-            assert_eq!(streamed, events, "threads={threads}");
+            assert_eq!(streamed, events, "runs={runs}");
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The first error in run order is returned, typed, and no run after
+    /// it is handed over: corrupt chunks in two runs fail with the
+    /// first one in stream order, a consumer error stops the runs too,
+    /// and a run that panics (on the calling thread or a worker) is a
+    /// typed `Io` error, never a panic.
     #[test]
-    fn parallel_decode_surfaces_errors_and_stops() {
+    fn partitioned_runs_surface_errors_and_stop() {
         let dir = std::env::temp_dir().join(format!("rlscope_parderr_{}", std::process::id()));
         write_dir(&dir, &sample_events(100), 10, 64);
         let files = list_chunk_files(&dir).unwrap();
-        fs::write(&files[1], b"garbage").unwrap();
-        let mut seen = 0usize;
-        let err = for_each_decoded_chunk_columns(&files, 4, |_| {
-            seen += 1;
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(matches!(err, TraceIoError::Corrupt(_)));
-        assert_eq!(seen, 1, "only the chunk before the corrupt one is consumed");
-        // Consumer errors also stop the pipeline.
-        let err = for_each_decoded_chunk_columns(&files[..1], 4, |_| {
+        assert!(files.len() >= 8);
+        let valid = fs::read(&files[6]).unwrap();
+        fs::write(&files[6], &valid[..12]).unwrap();
+        fs::write(&files[1], b"garbage, not a chunk at all").unwrap();
+        let count = |run: &[PathBuf]| for_each_decoded_chunk_columns(run, |_| Ok(())).map(|()| 1);
+        for runs in [2usize, 4] {
+            let mut handed = 0usize;
+            let err = in_runs(files.chunks(files.len().div_ceil(runs)), count, |n| {
+                handed += n;
+                Ok(())
+            })
+            .unwrap_err();
+            assert!(matches!(&err, TraceIoError::Corrupt(what) if what == "bad magic"), "{err}");
+            assert_eq!(handed, 0, "runs={runs}: nothing from or after the failing run");
+        }
+        fs::write(&files[1], &valid).unwrap();
+        let err = in_runs(files.chunks(4), count, |_| Ok(())).unwrap_err();
+        assert!(matches!(&err, TraceIoError::Corrupt(what) if what.contains("too short")), "{err}");
+        // Consumer errors also stop the runs.
+        let mut handed = 0usize;
+        let err = in_runs(files[..2].chunks(1), count, |_| {
+            handed += 1;
             Err(TraceIoError::Corrupt("sink failed".into()))
         })
         .unwrap_err();
         assert!(err.to_string().contains("sink failed"));
+        assert_eq!(handed, 1);
+        for panicking in 0..3 {
+            let work = |run: &[usize]| match run {
+                [i] if *i == panicking => panic!("worker {i} fails"),
+                _ => Ok(()),
+            };
+            let err = in_runs([0usize, 1, 2].chunks(1), work, |()| Ok(())).unwrap_err();
+            assert!(matches!(&err, TraceIoError::Io(e) if e.to_string().contains("panicked")));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -171,8 +171,10 @@
 //! reader never needs more than one chunk in memory.
 //!
 //! [`for_each_decoded_chunk_columns`] is the streaming access path: it
-//! decodes a file list chunk-parallel and hands each chunk's
-//! [`EventColumns`] to the caller in stream order, to consume and drop.
+//! decodes a file list in order and hands each chunk's [`EventColumns`]
+//! to the caller, to consume and drop. A directory query runs one per
+//! contiguous run of chunks, side by side, each into sweeps of its own,
+//! and merges them in stream order.
 //! Downstream analysis ([`crate::analysis::Analysis::from_chunk_dir`]
 //! over [`crate::overlap::OverlapSweep`]) reduces each chunk to compact
 //! sweep state immediately, which is what lets
@@ -192,7 +194,7 @@
 //! columns instead of one ~48-byte struct per event, and no per-event
 //! `Arc<str>` clone. Everything byte-sourced consumes the columns
 //! directly: the v3 footer cross-check, [`recover_chunk_prefix`],
-//! [`Manifest::open`] on legacy chunks, the chunk-parallel executor, and
+//! [`Manifest::open`] on legacy chunks, the directory query's runs, and
 //! downstream the sweep's one push path,
 //! [`crate::overlap::OverlapSweep::push_columns`]
 //! ([`crate::overlap::compute_overlap_columns`] is a single call of it;
@@ -228,7 +230,7 @@ pub use decode::{
     ChunkFooter, Cut, EventColumns, OpenScope, PhaseSpan,
 };
 pub(crate) use decode::{get_varint, EventRow, TAG_OP, TAG_PHASE};
-pub(crate) use dir::decode_workers;
+pub(crate) use dir::{decode_workers, in_runs};
 pub use dir::{
     for_each_decoded_chunk_columns, list_chunk_files, recover_chunk_prefix, ChunkQuery, Manifest,
     ManifestEntry, RecoveredPrefix, TraceWriter, MANIFEST_FILE,
@@ -381,7 +383,7 @@ mod testutil {
     /// Every event of `dir`, concatenated in stream order.
     pub(super) fn read_dir_events(dir: &Path) -> Result<Vec<Event>, super::TraceIoError> {
         let mut events = Vec::new();
-        dir::for_each_decoded_chunk_columns(&dir::list_chunk_files(dir)?, 1, |cols| {
+        dir::for_each_decoded_chunk_columns(&dir::list_chunk_files(dir)?, |cols| {
             events.extend(cols.to_events()?);
             Ok(())
         })?;

@@ -144,7 +144,7 @@ pub fn reorder_chunk_dir_with(
         Ok(())
     };
     let mut last_cut = None;
-    for_each_decoded_chunk_columns(&list_chunk_files(src)?, 1, |cols| {
+    for_each_decoded_chunk_columns(&list_chunk_files(src)?, |cols| {
         total += cols.len() as u64;
         buf.extend(cols.to_events()?);
         last_cut = cols.cut;

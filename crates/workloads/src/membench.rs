@@ -191,7 +191,7 @@ pub fn measure_streamed(dir: &Path) -> Result<PassMeasurement, AnalysisError> {
 /// order — the full materialization the batch pass measures.
 fn read_all_events(dir: &Path) -> Result<Vec<Event>, TraceIoError> {
     let mut events = Vec::new();
-    for_each_decoded_chunk_columns(&list_chunk_files(dir)?, 1, |cols| {
+    for_each_decoded_chunk_columns(&list_chunk_files(dir)?, |cols| {
         events.extend(cols.to_events()?);
         Ok(())
     })?;

@@ -28,7 +28,7 @@ fn trace_survives_disk_round_trip() {
     assert!(!files.is_empty());
 
     let mut events = Vec::new();
-    for_each_decoded_chunk_columns(&files, 1, |cols| {
+    for_each_decoded_chunk_columns(&files, |cols| {
         events.extend(cols.to_events()?);
         Ok(())
     })
