@@ -415,8 +415,7 @@ impl Analysis<'_> {
         filters: bool,
     ) -> Result<Vec<(Option<ProcessId>, PhaseTables)>, AnalysisError> {
         let selection = self.pushdown_selection(index, filters);
-        let partition = self.partition.unwrap_or((decode_workers(), 0));
-        self.sweep(filters, |set| push_chunks(set, &selection, partition))
+        self.sweep(filters, |set| push_chunks(set, &selection))
     }
 }
 
@@ -447,16 +446,20 @@ thread_local! {
     /// The most boundaries any sweep held once a round of
     /// [`push_chunks`] on this thread was absorbed, before its release.
     static PEAK_PENDING: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// The runs per round and the least round, in boundaries, that
+    /// tests force on [`push_chunks`] on this thread.
+    static FORCED_PARTITION: std::cell::Cell<Option<(usize, usize)>> =
+        const { std::cell::Cell::new(None) };
 }
 
 /// Chunk-directory sources, one pass over the selected chunks in
-/// **rounds**. A round is cut into at most `runs` contiguous runs of
-/// chunks, and each run is decoded, pushed and sorted side by side into
-/// a fragment of its own ([`SweepSet::fragment`]), the first on the
-/// calling thread. The calling thread absorbs the fragments in stream
-/// order and releases every sweep to the round's frontier, and the
-/// sweeps drain on `runs` threads (see [`OverlapSweep`]'s docs on
-/// threads).
+/// **rounds**. A round is cut into at most one contiguous run of chunks
+/// per core ([`decode_workers`]), and each run is decoded, pushed and
+/// sorted side by side into a fragment of its own
+/// ([`SweepSet::fragment`]), the first on the calling thread. The
+/// calling thread absorbs the fragments in stream order and releases
+/// every sweep to the round's frontier, and the sweeps drain on as many
+/// threads (see [`OverlapSweep`]'s docs on threads).
 ///
 /// A round holds one chunk per run at least, and at least as many
 /// boundaries (two per event, off the footers) as the sweeps held after
@@ -465,16 +468,14 @@ thread_local! {
 /// On a start-sorted directory the sweeps hold about one round, a chunk
 /// per run, at a time; where the frontier stands still (a raw dump's
 /// scopes recorded at close), rounds grow geometrically, so merging
-/// them costs the stream, not its square. `floor` raises the least
-/// round (tests only; queries pass 0): a floor of the drain's fan-out
-/// minimum (64 Ki boundaries) held a start-sorted directory's working
-/// set at a megabyte, sixteen times that of two chunks, and was no
-/// faster in process.
-fn push_chunks(
-    set: &mut SweepSet,
-    selection: &Selection,
-    (runs, floor): (usize, usize),
-) -> Result<(), AnalysisError> {
+/// them costs the stream, not its square. There is no floor: one of the
+/// drain's fan-out minimum (64 Ki boundaries) held a start-sorted
+/// directory's working set at a megabyte, sixteen times that of two
+/// chunks, and was no faster in process.
+fn push_chunks(set: &mut SweepSet, selection: &Selection) -> Result<(), AnalysisError> {
+    let (runs, floor) = (decode_workers(), 0);
+    #[cfg(test)]
+    let (runs, floor) = FORCED_PARTITION.with(std::cell::Cell::get).unwrap_or((runs, floor));
     // An order violation means a footer promised a frontier its
     // chunks do not keep: corrupt outside input, like any other.
     let corrupt = |err: SweepError| TraceIoError::Corrupt(err.to_string());
@@ -515,6 +516,7 @@ mod tests {
     use super::*;
     use crate::event::{CpuCategory, EventKind};
     use crate::overlap::compute_overlap;
+    use proptest::prelude::*;
     use rlscope_sim::time::TimeNs;
 
     /// Rewrites the footer in `chunk`'s own trailer as `forge` edits it,
@@ -552,6 +554,41 @@ mod tests {
 
     /// The working set is derived, not chosen: on a start-sorted
     /// directory the frontier is the next chunk's first start, and a
+    /// sweep released to it after every chunk never holds more than two
+    /// chunks' boundaries plus the open scopes — at any stream length.
+    #[test]
+    fn start_sorted_working_set_stays_within_two_chunks() {
+        const PER_CHUNK: usize = 64;
+        for n in [640u64, 6_400] {
+            let events = start_sorted_events(n);
+            let dir = write_chunk_dir("workset", &events, PER_CHUNK);
+            let query = Analysis::from_chunk_dir(&dir);
+            let selection = query.pushdown_selection(&Manifest::open(&dir).unwrap(), true);
+            assert_eq!(selection.files.len(), n as usize / PER_CHUNK);
+            for (i, &frontier) in selection.frontier.iter().enumerate() {
+                let next = events.get((i + 1) * PER_CHUNK).map_or(u64::MAX, |e| e.start.as_nanos());
+                assert_eq!(frontier, next, "chunk {i}");
+            }
+            let mut sweep = OverlapSweep::new();
+            let mut frontiers = selection.frontier.iter();
+            let mut max_pending = 0;
+            for_each_decoded_chunk_columns(&selection.files, |cols| {
+                sweep.push_columns(&cols).unwrap();
+                sweep.release_to(*frontiers.next().unwrap());
+                max_pending = max_pending.max(sweep.pending_boundaries());
+                Ok(())
+            })
+            .unwrap();
+            // One operation and one CPU span can straddle a chunk edge.
+            assert!(max_pending <= 2 * 2 * PER_CHUNK + 2, "{n} events: {max_pending} pending");
+            assert_eq!(sweep.finalize(), compute_overlap(&events));
+            assert_eq!(query.table().unwrap(), compute_overlap(&events));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// The working set is derived, not chosen: on a start-sorted
+    /// directory the frontier is the next chunk's first start, and a
     /// query releases its sweeps after every round of chunks, so what
     /// they hold peaks at one round (a chunk per run) and what straddles
     /// its edge, whether the stream is one or ten times as long. Either
@@ -563,7 +600,7 @@ mod tests {
         let short = 16 * PER_CHUNK as u64 * (decode_workers() as u64 + 1);
         for n in [short, 10 * short] {
             let events = start_sorted_events(n);
-            let dir = write_chunk_dir("workset", &events, PER_CHUNK);
+            let dir = write_chunk_dir("roundset", &events, PER_CHUNK);
             let query = Analysis::from_chunk_dir(&dir);
             let selection = query.pushdown_selection(&Manifest::open(&dir).unwrap(), true);
             assert_eq!(selection.files.len(), (n as usize).div_ceil(PER_CHUNK));
@@ -634,8 +671,8 @@ mod tests {
         let files = crate::store::list_chunk_files(&dir).unwrap();
         assert_eq!(files.len(), 8);
         let partitions = [(1, 0), (2, usize::MAX), (3, usize::MAX), (4, 0), (4, 40)];
-        let query = |(runs, floor)| {
-            Analysis::from_chunk_index(&index).with_partition(runs, floor).tables().unwrap_err()
+        let query = |partition| {
+            forced(partition, || Analysis::from_chunk_index(&index).tables()).unwrap_err()
         };
         let (first, late) = (std::fs::read(&files[1]).unwrap(), std::fs::read(&files[6]).unwrap());
         std::fs::write(&files[6], &late[..12]).unwrap();
@@ -902,5 +939,136 @@ mod tests {
         assert_eq!(streamed, batch);
         assert_eq!(streamed.len(), 1, "pid 1 is fully clipped away: {streamed:?}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Runs `query` with this thread's directory queries cut into at
+    /// most `runs` runs per round of at least `floor` boundaries.
+    fn forced<T>((runs, floor): (usize, usize), query: impl FnOnce() -> T) -> T {
+        FORCED_PARTITION.with(|forced| forced.set(Some((runs, floor))));
+        let answer = query();
+        FORCED_PARTITION.with(|forced| forced.set(None));
+        answer
+    }
+
+    proptest! {
+        /// A chunk directory queried in rounds, each cut into one to four
+        /// runs decoded side by side, answers byte for byte as the
+        /// in-memory analysis of its stream, wherever the round and run
+        /// edges fall. One to four producers' near-sorted interleavings
+        /// (nests and phases recorded at close, times tied across pids
+        /// and kinds) end with one operation spanning the whole stream,
+        /// recorded last, so a scope spans every cut. The stream is cut
+        /// into arbitrary chunks, and the last may declare scopes still
+        /// open (closed at its cut, as the oracle's last events). A round
+        /// floor from zero to the whole directory puts round edges
+        /// anywhere, and the runs put edges inside each round. Merged,
+        /// per-process, pid-filtered, windowed and phase-pushdown queries
+        /// all answer as `Analysis::of_events`, canonical JSON
+        /// included, and so does the merged query as the machine's core
+        /// count partitions it.
+        #[test]
+        fn partitioned_chunk_dir_queries_match_batch(
+            pids in 1usize..5,
+            ops in prop::collection::vec((1usize..5, 0usize..5, 0u64..4), 1..30),
+            phase_every in 2usize..5,
+            skew in prop::collection::vec(0usize..12, 1..16),
+            chunk_lens in prop::collection::vec(1usize..40, 1..6),
+            runs in 1usize..5,
+            floor in prop_oneof![
+                Just(0usize),
+                0usize..200,
+                Just(usize::MAX),
+            ],
+            declared in 0u8..2,
+            lo in 0u64..8_000,
+            len in 1u64..8_000,
+            pid in 0u32..4,
+        ) {
+            use crate::overlap::tests::{interleave, producer_stream};
+            use crate::store::{encode_declared, encode_events};
+            use std::sync::atomic::{AtomicUsize, Ordering};
+
+            let streams: Vec<_> = (0..pids)
+                .map(|p| {
+                    let mut own = ops.clone();
+                    own.rotate_left(p % ops.len());
+                    producer_stream(p as u32, &own, phase_every)
+                })
+                .collect();
+            let mut events = interleave(&streams, &skew);
+            let end = events.iter().map(|e| e.end.as_nanos()).max().unwrap_or(0);
+            events.push(Event::new(
+                ProcessId(0),
+                EventKind::Operation,
+                "run",
+                TimeNs::ZERO,
+                TimeNs::from_nanos(end + 10),
+            ));
+            let cut = (declared == 1).then(|| Cut {
+                at: end + 20,
+                frontier: end + 20,
+                open: vec![
+                    OpenScope { pid: 0, phase: true, name: Arc::from("tail"), start: end / 2 },
+                    OpenScope {
+                        pid: pids as u32 - 1,
+                        phase: false,
+                        name: Arc::from("flush"),
+                        start: end / 3,
+                    },
+                ],
+            });
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("rlscope_ana_runs_{}_{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let (mut rest, mut lens, mut i) = (&events[..], chunk_lens.iter().cycle(), 0);
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rest.len().min(*lens.next().unwrap()));
+                let bytes = match &cut {
+                    Some(cut) if tail.is_empty() => encode_declared(chunk, cut),
+                    _ => encode_events(chunk),
+                };
+                std::fs::write(dir.join(format!("chunk_{i:05}.rls")), bytes).unwrap();
+                (rest, i) = (tail, i + 1);
+            }
+            let mut oracle = events.clone();
+            oracle.extend(cut.iter().flat_map(Cut::closing_events));
+
+            let (wlo, whi) = (TimeNs::from_nanos(lo), TimeNs::from_nanos(lo + len));
+            type Shape = Box<dyn Fn(Analysis<'_>) -> Analysis<'_>>;
+            let queries: [(&str, Shape); 8] = [
+                ("by phase and operation", Box::new(|q| q.group_by([Dim::Phase, Dim::Operation]))),
+                ("by process", Box::new(|q| q.group_by([Dim::Process]))),
+                ("by process and phase", Box::new(|q| q.group_by([Dim::Process, Dim::Phase]))),
+                ("one process", Box::new(move |q| q.process(ProcessId(pid)))),
+                ("windowed", Box::new(move |q| {
+                    q.time_window(wlo, whi).group_by([Dim::Phase, Dim::Operation])
+                })),
+                ("windowed by process", Box::new(move |q| {
+                    q.time_window(wlo, whi).group_by([Dim::Process])
+                })),
+                ("phase q", Box::new(|q| q.phase("q").group_by([Dim::Operation]))),
+                ("phase q by process", Box::new(|q| q.phase("q").group_by([Dim::Process]))),
+            ];
+            for (what, shape) in &queries {
+                let partitioned = forced((runs, floor), || {
+                    shape(Analysis::from_chunk_dir(&dir)).canonical_json().unwrap()
+                });
+                prop_assert_eq!(
+                    partitioned,
+                    shape(Analysis::of_events(&oracle)).canonical_json().unwrap(),
+                    "{} in {} runs, floor {}", what, runs, floor
+                );
+            }
+            let (what, shape) = &queries[0];
+            prop_assert_eq!(
+                shape(Analysis::from_chunk_dir(&dir)).canonical_json().unwrap(),
+                shape(Analysis::of_events(&oracle)).canonical_json().unwrap(),
+                "{} on every core", what
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

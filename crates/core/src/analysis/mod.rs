@@ -105,8 +105,9 @@
 //! the round's frontier. A round holds at least as many boundaries as
 //! the sweeps held after the last release, and at least a chunk per
 //! run, so the working set stays bounded on a start-sorted directory
-//! and the merging stays linear where the frontier stands still. On one core a round is one run on the calling thread. The
-//! index the pushdown reads is built on the same core count:
+//! and the merging stays linear where the frontier stands still. On one
+//! core a round is one run on the calling thread. The index the
+//! pushdown reads is built on the same core count:
 //! [`crate::store::Manifest::open`] reads a large directory's chunk
 //! tails side by side.
 //!
@@ -531,9 +532,6 @@ pub struct Analysis<'a> {
     /// [`OverlapSweep::finalize_grouped_keep_empty`]). Honored by the
     /// chunk-dir streamed path only; never user-visible.
     keep_empty_phases: bool,
-    /// Chunk-directory sources: the runs per round and the round floor
-    /// that [`Analysis::with_partition`] forces.
-    partition: Option<(usize, usize)>,
 }
 
 impl<'a> Analysis<'a> {
@@ -547,7 +545,6 @@ impl<'a> Analysis<'a> {
             dims: Vec::new(),
             calibration: None,
             keep_empty_phases: false,
-            partition: None,
         }
     }
 
@@ -555,17 +552,6 @@ impl<'a> Analysis<'a> {
     /// (chunk-dir sources only). See the `keep_empty_phases` field.
     pub(crate) fn keep_empty_phases(mut self) -> Self {
         self.keep_empty_phases = true;
-        self
-    }
-
-    /// Test support, not a tuning knob: a chunk-directory query cuts
-    /// each round into at most `runs` runs instead of one per core, and
-    /// a round holds at least `round_floor` boundaries by the footers,
-    /// so that rounds and runs fall where a test wants them. The answer is
-    /// the same for every value.
-    #[doc(hidden)]
-    pub fn with_partition(mut self, runs: usize, round_floor: usize) -> Self {
-        self.partition = Some((runs, round_floor));
         self
     }
 

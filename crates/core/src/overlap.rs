@@ -909,11 +909,7 @@ impl BoundaryQueue {
 /// `v[mid..]`, the left run winning ties. The shorter run is copied to a
 /// scratch `Vec` and the merge walks from that run's end of the slice,
 /// stopping as soon as the scratch is empty — whatever remains of the
-/// longer run is already in place. Each step moves the block of one run
-/// that goes before the other's next boundary in one copy, found by a
-/// galloping search ([`gallop`]): a few stragglers far back in a long
-/// run cost a few searches and one block move, not a compare per
-/// boundary they displace.
+/// longer run is already in place.
 fn merge_adjacent_runs(v: &mut [Boundary], mid: usize) {
     let n = v.len();
     if mid == 0 || mid == n {
@@ -924,62 +920,30 @@ fn merge_adjacent_runs(v: &mut [Boundary], mid: usize) {
         let left = v[..mid].to_vec();
         let (mut l, mut r, mut out) = (0, mid, 0);
         while l < mid {
-            let k = gallop(&v[r..], |p| p.0 < left[l].0);
-            v.copy_within(r..r + k, out);
-            (r, out) = (r + k, out + k);
-            let k = v.get(r).map_or(mid - l, |next| gallop(&left[l..], |p| p.0 <= next.0));
-            v[out..out + k].copy_from_slice(&left[l..l + k]);
-            (l, out) = (l + k, out + k);
+            if r < n && v[r].0 < left[l].0 {
+                v[out] = v[r];
+                r += 1;
+            } else {
+                v[out] = left[l];
+                l += 1;
+            }
+            out += 1;
         }
     } else {
         // Right run to scratch, fill backwards.
         let right = v[mid..].to_vec();
         let (mut l, mut r, mut out) = (mid, right.len(), n);
         while r > 0 {
-            let k = gallop_back(&v[..l], |p| p.0 > right[r - 1].0);
-            v.copy_within(l - k..l, out - k);
-            (l, out) = (l - k, out - k);
-            let k = l.checked_sub(1).map_or(r, |prev| {
-                let prev = v[prev].0;
-                gallop_back(&right[..r], |p| p.0 >= prev)
-            });
-            v[out - k..out].copy_from_slice(&right[r - k..r]);
-            (r, out) = (r - k, out - k);
+            out -= 1;
+            if l > 0 && v[l - 1].0 > right[r - 1].0 {
+                v[out] = v[l - 1];
+                l -= 1;
+            } else {
+                v[out] = right[r - 1];
+                r -= 1;
+            }
         }
     }
-}
-
-/// The length of the prefix of `v` on which `pred` holds (it must hold
-/// on a prefix and on nothing after it): an exponential search from the
-/// front, then a binary one, so the answer `k` costs about `2 log k`
-/// compares and a `k` of 0 or 1 one or two.
-fn gallop(v: &[Boundary], pred: impl Fn(&Boundary) -> bool) -> usize {
-    if !v.first().is_some_and(&pred) {
-        return 0;
-    }
-    // `v[..hi / 2]` holds; the loop stops at the first probe that fails.
-    let mut hi = 2;
-    while hi <= v.len() && pred(&v[hi - 1]) {
-        hi *= 2;
-    }
-    let lo = hi / 2;
-    lo + v[lo..(hi - 1).min(v.len())].partition_point(pred)
-}
-
-/// [`gallop`] from the back: the length of the suffix of `v` on which
-/// `pred` holds.
-fn gallop_back(v: &[Boundary], pred: impl Fn(&Boundary) -> bool) -> usize {
-    let n = v.len();
-    if !v.last().is_some_and(&pred) {
-        return 0;
-    }
-    let mut hi = 2;
-    while hi <= n && pred(&v[n - hi]) {
-        hi *= 2;
-    }
-    let lo = hi / 2;
-    let probe = &v[n - (hi - 1).min(n)..n - lo];
-    lo + probe.len() - probe.partition_point(|p| !pred(p))
 }
 
 const META_OP_BASE: u32 = 8;
@@ -2290,7 +2254,7 @@ impl OverlapSweep {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::EventKind;
     use proptest::prelude::*;
@@ -3000,7 +2964,7 @@ mod tests {
     /// the producer's phase, its start far behind. Times are multiples
     /// of 10 ns and every producer starts at 0, so edges of every kind
     /// and producer tie.
-    fn producer_stream(
+    pub(crate) fn producer_stream(
         pid: u32,
         ops: &[(usize, usize, u64)],
         phase_every: usize,
@@ -3045,7 +3009,7 @@ mod tests {
     /// Producers' streams merged near their close order: the producer
     /// whose next event closed first goes next, except where `skew`
     /// names another producer still running.
-    fn interleave(streams: &[Vec<(u64, Event)>], skew: &[usize]) -> Vec<Event> {
+    pub(crate) fn interleave(streams: &[Vec<(u64, Event)>], skew: &[usize]) -> Vec<Event> {
         let mut next = vec![0; streams.len()];
         let mut out = Vec::new();
         for k in 0.. {

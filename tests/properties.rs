@@ -1275,93 +1275,6 @@ proptest! {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// A chunk directory queried in rounds, each cut into one to four
-    /// runs decoded side by side, answers byte for byte as the
-    /// in-memory analysis of its stream, wherever the round and run
-    /// edges fall. One to four processes of session-shaped events
-    /// ([`session_shaped`]: times tie across pids and kinds everywhere,
-    /// operations are recorded after their children, phases long after
-    /// they open) end with one operation spanning the whole stream,
-    /// recorded last, so a scope spans every cut. The stream is cut into
-    /// arbitrary chunks, and the last may declare scopes still open
-    /// (closed at its cut, as the oracle's last events). A round floor
-    /// from zero to the whole directory puts round edges anywhere, and
-    /// the runs put edges inside each round. Merged, per-process,
-    /// pid-filtered, windowed and phase-pushdown queries all answer as
-    /// `Analysis::of_events`, canonical JSON included, and so does the
-    /// merged query as the machine's core count partitions it.
-    #[test]
-    fn partitioned_chunk_dir_queries_match_batch(
-        pids in 1usize..5,
-        ops in prop::collection::vec((1usize..6, 0usize..5, 1u64..5, 0u64..3), 1..30),
-        phase_every in 2usize..5,
-        chunk_lens in prop::collection::vec(4usize..40, 1..6),
-        runs in 1usize..5,
-        floor in prop_oneof![Just(0usize), 0usize..200, Just(usize::MAX)],
-        declared in 0u8..2,
-        lo in 0u64..3_000,
-        len in 1u64..3_000,
-        pid in 0u32..4,
-    ) {
-        use rlscope::core::store::OpenScope;
-
-        let mut events = session_shaped(pids, &ops, phase_every);
-        let end = events.iter().map(|e| e.end.as_nanos()).max().unwrap_or(0);
-        let whole = Event::new(ProcessId(0), EventKind::Operation, "run", TimeNs::ZERO, TimeNs::from_nanos(end + 10));
-        events.push(whole);
-        let cut = (declared == 1).then(|| Cut {
-            at: end + 20,
-            frontier: end + 20,
-            open: vec![
-                OpenScope { pid: 0, phase: true, name: Arc::from("tail"), start: end / 2 },
-                OpenScope { pid: pids as u32 - 1, phase: false, name: Arc::from("flush"), start: end / 3 },
-            ],
-        });
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("rlscope_prop_runs_{}_{case}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let (mut rest, mut lens, mut i) = (&events[..], chunk_lens.iter().cycle(), 0);
-        while !rest.is_empty() {
-            let (chunk, tail) = rest.split_at(rest.len().min(*lens.next().unwrap()));
-            let bytes = match &cut {
-                Some(cut) if tail.is_empty() => encode_declared(chunk, cut),
-                _ => encode_events(chunk),
-            };
-            std::fs::write(dir.join(format!("chunk_{i:05}.rls")), bytes).unwrap();
-            (rest, i) = (tail, i + 1);
-        }
-        let mut oracle = events.clone();
-        oracle.extend(cut.iter().flat_map(Cut::closing_events));
-
-        let (wlo, whi) = (TimeNs::from_nanos(lo), TimeNs::from_nanos(lo + len));
-        type Shape = Box<dyn Fn(Analysis<'_>) -> Analysis<'_>>;
-        let queries: [(&str, Shape); 7] = [
-            ("by phase and operation", Box::new(|q| q.group_by([Dim::Phase, Dim::Operation]))),
-            ("by process", Box::new(|q| q.group_by([Dim::Process]))),
-            ("one process", Box::new(move |q| q.process(ProcessId(pid)))),
-            ("windowed", Box::new(move |q| q.time_window(wlo, whi).group_by([Dim::Phase, Dim::Operation]))),
-            ("windowed by process", Box::new(move |q| q.time_window(wlo, whi).group_by([Dim::Process]))),
-            ("phase beta", Box::new(|q| q.phase("beta").group_by([Dim::Operation]))),
-            ("phase beta by process", Box::new(|q| q.phase("beta").group_by([Dim::Process]))),
-        ];
-        for (what, shape) in &queries {
-            prop_assert_eq!(
-                shape(Analysis::from_chunk_dir(&dir).with_partition(runs, floor)).canonical_json().unwrap(),
-                shape(Analysis::of_events(&oracle)).canonical_json().unwrap(),
-                "{} in {} runs, floor {}", what, runs, floor
-            );
-        }
-        let (what, shape) = &queries[0];
-        prop_assert_eq!(
-            shape(Analysis::from_chunk_dir(&dir)).canonical_json().unwrap(),
-            shape(Analysis::of_events(&oracle)).canonical_json().unwrap(),
-            "{} on every core", what
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Windowed answers depend on the window, not on the storage tier:
     /// a profiler-shaped multi-process stream (scopes recorded at close,
     /// phases of different processes open at once) is written raw and
